@@ -441,6 +441,9 @@ func main() {
 	if st.ValiantDetours > 0 {
 		fmt.Printf("routing:    %d Valiant detours\n", st.ValiantDetours)
 	}
+	live, resident := cluster.HostMemory()
+	fmt.Printf("memory:     %.2f MB live in host buffers, %.2f MB of contents held\n",
+		float64(live)/1e6, float64(resident)/1e6)
 	if plan != nil {
 		fmt.Printf("faults:     %d packets dropped (%.1f kB)\n",
 			st.PacketsDropped, float64(st.BytesDropped)/1e3)

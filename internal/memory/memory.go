@@ -7,6 +7,14 @@
 // paper §IV-D). Completion notification is modeled with cache-line
 // watchers, which is how the paper's Monitor/MWait wake-on-write mechanism
 // observes the NIC's completion-pointer write (§IV-C).
+//
+// Host memory costs the simulator only what the model touches. A region is
+// backed by demand-zero pages: a page takes host memory on the first write
+// into it and reads as zero before that, so buffers that only ever carry
+// sizes and timing (motif runs) cost their bookkeeping, not their bytes.
+// Freed regions go back to the allocator and are reused by the next
+// allocation of the same size, so a node's address space is bounded by
+// what is live rather than by everything ever allocated.
 package memory
 
 import (
@@ -23,24 +31,69 @@ type Addr uint64
 // on any write that touches the watched address's cache line.
 const CacheLineSize = 64
 
+// pageSize is the demand-zero backing granularity: a region's bytes are
+// materialized one page at a time, on the first write that touches the
+// page. A region smaller than a page is materialized whole.
+const pageSize = 4096
+
 // lineOf returns the cache line index containing a.
 func lineOf(a Addr) Addr { return a / CacheLineSize }
 
 // Region is an allocated span of simulated host memory.
 type Region struct {
 	Base Addr
-	Data []byte
+	size int
+	// pages holds the region's bytes, pageSize per entry (the last entry
+	// may be shorter). The slice is nil until the first write, and an
+	// entry is nil until a write touches its page: both read as zero.
+	pages [][]byte
+	// one backs pages for a single-page region, so materializing a small
+	// region (a completion cell) allocates only its bytes.
+	one   [1][]byte
+	freed bool
 }
 
 // Size returns the region length in bytes.
-func (r *Region) Size() int { return len(r.Data) }
+func (r *Region) Size() int { return r.size }
 
 // End returns the first address past the region.
-func (r *Region) End() Addr { return r.Base + Addr(len(r.Data)) }
+func (r *Region) End() Addr { return r.Base + Addr(r.size) }
 
 // Contains reports whether [a, a+n) lies entirely within the region.
 func (r *Region) Contains(a Addr, n int) bool {
 	return a >= r.Base && a+Addr(n) <= r.End() && n >= 0
+}
+
+// resident returns the bytes of the region's materialized pages.
+func (r *Region) resident() int {
+	n := 0
+	for _, p := range r.pages {
+		n += len(p)
+	}
+	return n
+}
+
+// pageLen returns the length of page i.
+func (r *Region) pageLen(i int) int {
+	if rest := r.size - i*pageSize; rest < pageSize {
+		return rest
+	}
+	return pageSize
+}
+
+// span calls fn for each page-bounded piece of the region's bytes
+// [off, off+n): page index, offset within the page, and piece length.
+func (r *Region) span(off, n int, fn func(page, at, k int)) {
+	for n > 0 {
+		i, at := off/pageSize, off%pageSize
+		k := r.pageLen(i) - at
+		if k > n {
+			k = n
+		}
+		fn(i, at, k)
+		off += k
+		n -= k
+	}
 }
 
 // Watcher observes writes to a single cache line, modeling a hardware
@@ -70,13 +123,18 @@ func (w *Watcher) Cancel() {
 	}
 }
 
-// Memory is one node's host memory. Allocation is a simple bump allocator:
-// the simulation never frees host memory (buffers are reused at the model
-// level, mirroring how registered buffers behave in real RDMA stacks).
+// Memory is one node's host memory. Allocation bumps a pointer through the
+// address space, except that a freed region is handed to the next
+// allocation of exactly its size (most recently freed first), so software
+// that frees what it has consumed runs in a bounded address space.
 type Memory struct {
 	next     Addr
-	regions  []*Region // sorted by Base
+	regions  []*Region         // sorted by Base; freed regions stay until reused
+	free     map[int][]*Region // freed regions by size, most recently freed last
 	watchers map[Addr][]*Watcher
+
+	live     int // bytes in allocated, not freed regions
+	resident int // bytes in materialized pages
 
 	// Stats for experiment reports.
 	BytesWritten uint64
@@ -91,21 +149,71 @@ func New() *Memory {
 	return &Memory{next: 0x1000, watchers: make(map[Addr][]*Watcher)}
 }
 
-// Alloc carves out a new cache-line-aligned region of the given size.
+// Alloc returns a cache-line-aligned region of the given size that reads
+// as zero. It reuses the most recently freed region of that size, if any,
+// and otherwise carves a new one from the top of the address space. Either
+// way no page is materialized until it is written.
 func (m *Memory) Alloc(size int) *Region {
 	if size < 0 {
 		panic("memory: negative allocation")
 	}
+	m.live += size
+	if rs := m.free[size]; len(rs) > 0 {
+		r := rs[len(rs)-1]
+		rs[len(rs)-1] = nil
+		m.free[size] = rs[:len(rs)-1]
+		r.freed = false
+		return r
+	}
 	// Align base to a cache line, as real allocators for DMA targets do.
 	base := (m.next + CacheLineSize - 1) / CacheLineSize * CacheLineSize
-	r := &Region{Base: base, Data: make([]byte, size)}
+	r := &Region{Base: base, size: size}
 	m.next = base + Addr(size)
 	m.regions = append(m.regions, r)
 	return r
 }
 
-// regionFor locates the region containing [a, a+n), or nil.
-func (m *Memory) regionFor(a Addr, n int) *Region {
+// Free returns r to the allocator and drops its pages, so the allocation
+// that reuses it reads zero exactly like fresh memory. Any later access
+// through r panics until then. Freeing a region twice, a region of another
+// Memory, or a region a watcher is parked on is a model bug and panics.
+func (m *Memory) Free(r *Region) {
+	if r.freed {
+		panic(fmt.Sprintf("memory: double free of region at %#x", r.Base))
+	}
+	// An empty region shares its base with the next allocation, so only a
+	// non-empty one can be traced back to this memory.
+	if r.size > 0 && m.lookup(r.Base, r.size) != r {
+		panic(fmt.Sprintf("memory: free of region at %#x not allocated here", r.Base))
+	}
+	if len(m.watchers) > 0 && r.size > 0 {
+		for line := lineOf(r.Base); line <= lineOf(r.End()-1); line++ {
+			if len(m.watchers[line]) > 0 {
+				panic(fmt.Sprintf("memory: free of region at %#x with a watcher on %#x",
+					r.Base, line*CacheLineSize))
+			}
+		}
+	}
+	m.resident -= r.resident()
+	m.live -= r.size
+	r.pages, r.one[0] = nil, nil
+	r.freed = true
+	if m.free == nil {
+		m.free = make(map[int][]*Region)
+	}
+	m.free[r.size] = append(m.free[r.size], r)
+}
+
+// LiveBytes returns the bytes in allocated regions that have not been
+// freed: the node's simulated memory footprint.
+func (m *Memory) LiveBytes() int { return m.live }
+
+// ResidentBytes returns the bytes of materialized pages: the host memory
+// the simulation itself holds for this node's contents.
+func (m *Memory) ResidentBytes() int { return m.resident }
+
+// lookup locates the region (live or freed) whose span contains [a, a+n).
+func (m *Memory) lookup(a Addr, n int) *Region {
 	i := sort.Search(len(m.regions), func(i int) bool {
 		return m.regions[i].End() > a
 	})
@@ -113,6 +221,30 @@ func (m *Memory) regionFor(a Addr, n int) *Region {
 		return m.regions[i]
 	}
 	return nil
+}
+
+// regionFor locates the live region containing [a, a+n), or nil.
+func (m *Memory) regionFor(a Addr, n int) *Region {
+	if r := m.lookup(a, n); r != nil && !r.freed {
+		return r
+	}
+	return nil
+}
+
+// page returns page i of r, materializing it (zeroed) if untouched.
+func (m *Memory) page(r *Region, i int) []byte {
+	if r.pages == nil {
+		if r.size <= pageSize {
+			r.pages = r.one[:]
+		} else {
+			r.pages = make([][]byte, (r.size+pageSize-1)/pageSize)
+		}
+	}
+	if r.pages[i] == nil {
+		r.pages[i] = make([]byte, r.pageLen(i))
+		m.resident += len(r.pages[i])
+	}
+	return r.pages[i]
 }
 
 // Write stores p at address a. It panics on an out-of-bounds access: the
@@ -127,7 +259,11 @@ func (m *Memory) Write(a Addr, p []byte) {
 	if r == nil {
 		panic(fmt.Sprintf("memory: write of %d bytes at %#x outside any region", len(p), a))
 	}
-	copy(r.Data[a-r.Base:], p)
+	src := p
+	r.span(int(a-r.Base), len(p), func(i, at, k int) {
+		copy(m.page(r, i)[at:at+k], src[:k])
+		src = src[k:]
+	})
 	m.Writes++
 	m.BytesWritten += uint64(len(p))
 	m.notify(a, len(p))
@@ -135,7 +271,9 @@ func (m *Memory) Write(a Addr, p []byte) {
 
 // Fill stores n copies of byte b starting at a, with watcher semantics
 // identical to Write. It avoids materializing large payload slices when the
-// content doesn't matter to a test.
+// content doesn't matter to a test. Filling with zero materializes nothing:
+// untouched pages already read as zero, and a page the fill covers whole
+// is dropped back to demand-zero.
 func (m *Memory) Fill(a Addr, b byte, n int) {
 	if n == 0 {
 		return
@@ -144,10 +282,22 @@ func (m *Memory) Fill(a Addr, b byte, n int) {
 	if r == nil {
 		panic(fmt.Sprintf("memory: fill of %d bytes at %#x outside any region", n, a))
 	}
-	d := r.Data[a-r.Base : a-r.Base+Addr(n)]
-	for i := range d {
-		d[i] = b
-	}
+	r.span(int(a-r.Base), n, func(i, at, k int) {
+		if b == 0 {
+			if r.pages == nil || r.pages[i] == nil {
+				return
+			}
+			if k == len(r.pages[i]) {
+				m.resident -= k
+				r.pages[i] = nil
+				return
+			}
+		}
+		d := m.page(r, i)[at : at+k]
+		for j := range d {
+			d[j] = b
+		}
+	})
 	m.Writes++
 	m.BytesWritten += uint64(n)
 	m.notify(a, n)
@@ -162,7 +312,13 @@ func (m *Memory) Read(a Addr, n int) []byte {
 	m.Reads++
 	m.BytesRead += uint64(n)
 	out := make([]byte, n)
-	copy(out, r.Data[a-r.Base:])
+	dst := out
+	r.span(int(a-r.Base), n, func(i, at, k int) {
+		if r.pages != nil && r.pages[i] != nil {
+			copy(dst[:k], r.pages[i][at:at+k])
+		}
+		dst = dst[k:]
+	})
 	return out
 }
 
@@ -249,6 +405,10 @@ func (c *CompletionCell) Get() (head Addr, length int) {
 
 // Clear zeroes the cell (used when re-arming a buffer for a new epoch).
 func (c *CompletionCell) Clear() { c.Set(0, 0) }
+
+// Free returns the cell's cache line to the memory it came from. The cell
+// must not be used afterwards.
+func (c *CompletionCell) Free() { c.mem.Free(c.reg) }
 
 func putU64(b []byte, v uint64) {
 	for i := 0; i < 8; i++ {

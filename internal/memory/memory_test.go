@@ -79,7 +79,7 @@ func TestOutOfBoundsReadPanics(t *testing.T) {
 }
 
 func TestRegionContains(t *testing.T) {
-	r := &Region{Base: 0x100, Data: make([]byte, 64)}
+	r := &Region{Base: 0x100, size: 64}
 	if !r.Contains(0x100, 64) {
 		t.Fatal("full-span Contains failed")
 	}
@@ -324,5 +324,184 @@ func TestWatcherNotifyOrderDeterministic(t *testing.T) {
 		if fired[i] != want[i] {
 			t.Fatalf("fired %v, want %v", fired, want)
 		}
+	}
+}
+
+func TestDemandZeroPages(t *testing.T) {
+	m := New()
+	r := m.Alloc(1 << 20)
+	if got := m.Read(r.Base+12345, 100); !bytes.Equal(got, make([]byte, 100)) {
+		t.Fatal("untouched memory must read zero")
+	}
+	if m.LiveBytes() != 1<<20 || m.ResidentBytes() != 0 {
+		t.Fatalf("live=%d resident=%d, want %d and 0", m.LiveBytes(), m.ResidentBytes(), 1<<20)
+	}
+	// A write straddling a page boundary materializes exactly two pages.
+	payload := []byte("straddles a page boundary")
+	at := r.Base + 3*pageSize - 5
+	m.Write(at, payload)
+	if !bytes.Equal(m.Read(at, len(payload)), payload) {
+		t.Fatal("straddling write did not read back")
+	}
+	if m.ResidentBytes() != 2*pageSize || r.resident() != 2*pageSize {
+		t.Fatalf("resident=%d region=%d, want %d", m.ResidentBytes(), r.resident(), 2*pageSize)
+	}
+}
+
+func TestSmallRegionMaterializesItsSize(t *testing.T) {
+	m := New()
+	c := NewCompletionCell(m)
+	c.Set(0x1000, 8)
+	if m.ResidentBytes() != CacheLineSize {
+		t.Fatalf("resident=%d, want one cache line", m.ResidentBytes())
+	}
+	r := m.Alloc(pageSize + 10)
+	m.Write(r.Base+pageSize, []byte{1})
+	if r.resident() != 10 {
+		t.Fatalf("short last page resident=%d, want 10", r.resident())
+	}
+}
+
+func TestFillZeroDropsWholePages(t *testing.T) {
+	m := New()
+	r := m.Alloc(2 * pageSize)
+	m.Fill(r.Base, 0xAA, 2*pageSize)
+	m.Fill(r.Base+pageSize-8, 0, pageSize+8) // tail of page 0, all of page 1
+	if m.ResidentBytes() != pageSize {
+		t.Fatalf("resident=%d, want the partly zeroed page only", m.ResidentBytes())
+	}
+	want := append(bytes.Repeat([]byte{0xAA}, 8), make([]byte, 24)...)
+	if got := m.Read(r.Base+pageSize-16, 32); !bytes.Equal(got, want) {
+		t.Fatalf("around the zeroed span: %x, want %x", got, want)
+	}
+	m.Fill(r.Base, 0, pageSize)
+	if m.ResidentBytes() != 0 {
+		t.Fatalf("resident=%d after zeroing everything", m.ResidentBytes())
+	}
+	// Zero fills still count as writes and wake watchers.
+	fired := false
+	m.Watch(r.Base, func(Addr, int) { fired = true })
+	m.Fill(r.Base, 0, 8)
+	if !fired || m.ResidentBytes() != 0 {
+		t.Fatalf("zero fill: fired=%v resident=%d", fired, m.ResidentBytes())
+	}
+}
+
+func TestFreeReusesSameSizeRegion(t *testing.T) {
+	m := New()
+	a := m.Alloc(100)
+	b := m.Alloc(100)
+	m.Write(a.Base, []byte{1, 2, 3})
+	m.Free(a)
+	m.Free(b)
+	if m.LiveBytes() != 0 || m.ResidentBytes() != 0 {
+		t.Fatalf("after free: live=%d resident=%d", m.LiveBytes(), m.ResidentBytes())
+	}
+	// Most recently freed first, and a reused region reads zero.
+	if got := m.Alloc(100); got != b {
+		t.Fatalf("reuse got region at %#x, want the last freed %#x", got.Base, b.Base)
+	}
+	if got := m.Alloc(100); got != a || !bytes.Equal(m.Read(a.Base, 3), make([]byte, 3)) {
+		t.Fatal("reused region must be the first freed one and read zero")
+	}
+	if c := m.Alloc(200); c.Base < b.End() {
+		t.Fatalf("a new size must come from fresh address space, got %#x", c.Base)
+	}
+	if m.LiveBytes() != 400 {
+		t.Fatalf("live=%d, want 400", m.LiveBytes())
+	}
+}
+
+func TestFreeMisusePanics(t *testing.T) {
+	cases := []struct {
+		name   string
+		misuse func(m *Memory, r *Region)
+	}{
+		{"use after free", func(m *Memory, r *Region) { m.Free(r); m.Write(r.Base, []byte{1}) }},
+		{"read after free", func(m *Memory, r *Region) { m.Free(r); m.Read(r.Base, 1) }},
+		{"double free", func(m *Memory, r *Region) { m.Free(r); m.Free(r) }},
+		{"foreign region", func(m *Memory, r *Region) { New().Free(r) }},
+		{"watched region", func(m *Memory, r *Region) {
+			m.Watch(r.Base+CacheLineSize, func(Addr, int) {})
+			m.Free(r)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New()
+			r := m.Alloc(4 * CacheLineSize)
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s should panic", tc.name)
+				}
+			}()
+			tc.misuse(m, r)
+		})
+	}
+}
+
+// Property: under any sequence of allocations, frees, writes, zero and
+// non-zero fills, memory reads back what a flat byte-array model holds, no
+// two live regions overlap, and the live/resident counters match the
+// regions they summarize.
+func TestPagedMemoryMatchesFlatModel(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := sim.NewRNG(seed)
+		m := New()
+		type shadow struct {
+			r    *Region
+			want []byte
+		}
+		var live []*shadow
+		sizes := []int{CacheLineSize, 100, pageSize, 3*pageSize + 17}
+		for step := 0; step < 200; step++ {
+			switch op := rng.Intn(6); {
+			case op == 0 || len(live) == 0:
+				n := sizes[rng.Intn(len(sizes))]
+				live = append(live, &shadow{r: m.Alloc(n), want: make([]byte, n)})
+			case op == 1:
+				i := rng.Intn(len(live))
+				m.Free(live[i].r)
+				live = append(live[:i], live[i+1:]...)
+			default:
+				s := live[rng.Intn(len(live))]
+				off := rng.Intn(s.r.Size())
+				n := 1 + rng.Intn(s.r.Size()-off)
+				var b byte
+				if op != 2 {
+					b = byte(rng.Intn(256))
+				}
+				if op == 5 {
+					p := make([]byte, n)
+					for i := range p {
+						p[i] = byte(rng.Intn(256))
+					}
+					m.Write(s.r.Base+Addr(off), p)
+					copy(s.want[off:], p)
+				} else {
+					m.Fill(s.r.Base+Addr(off), b, n)
+					for i := off; i < off+n; i++ {
+						s.want[i] = b
+					}
+				}
+			}
+		}
+		liveBytes, resident := 0, 0
+		for i, s := range live {
+			if !bytes.Equal(m.Read(s.r.Base, s.r.Size()), s.want) {
+				return false
+			}
+			for _, o := range live[i+1:] {
+				if s.r.Base < o.r.End() && o.r.Base < s.r.End() {
+					return false
+				}
+			}
+			liveBytes += s.r.Size()
+			resident += s.r.resident()
+		}
+		return m.LiveBytes() == liveBytes && m.ResidentBytes() == resident
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
 	}
 }

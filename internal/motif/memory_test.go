@@ -1,0 +1,83 @@
+package motif
+
+import (
+	"testing"
+
+	"rvma/internal/memory"
+)
+
+// postedBytes returns the simulated memory the RVMA mailboxes of c keep
+// posted (each buffer plus its completion cell), and the most the Rewind
+// history can hold on top: history buffers per mailbox.
+func postedBytes(c *Cluster, history int) (posted, retained int) {
+	for _, tp := range c.Transports {
+		rt := tp.(*rvmaTransport)
+		for _, box := range rt.boxes {
+			per := box.maxMsg + memory.CacheLineSize
+			posted += rt.depth * per
+			retained += history * per
+		}
+	}
+	return posted, retained
+}
+
+// An RVMA mailbox releases every buffer it consumes, so however many
+// messages a run moves, a node's simulated memory at the end is exactly the
+// buffers its mailboxes keep posted, and no payload bytes are held.
+func TestRVMAMailboxMemoryIsThePostedBuffers(t *testing.T) {
+	topo := smallTopo(t, 32)
+	runs := []struct {
+		name string
+		run  func(c *Cluster) error
+	}{
+		{"sweep3d", func(c *Cluster) error {
+			_, err := RunSweep3D(c, DefaultSweep3DConfig(topo.NumNodes()))
+			return err
+		}},
+		{"halo3d", func(c *Cluster) error {
+			_, err := RunHalo3D(c, DefaultHalo3DConfig(topo.NumNodes()))
+			return err
+		}},
+		{"incast", func(c *Cluster) error {
+			_, err := RunIncast(c, IncastConfig{Messages: 64, MsgBytes: 4096})
+			return err
+		}},
+	}
+	for _, tc := range runs {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewCluster(DefaultClusterConfig(topo, KindRVMA))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.run(c); err != nil {
+				t.Fatal(err)
+			}
+			posted, _ := postedBytes(c, 0)
+			live, resident := c.HostMemory()
+			if live != posted || resident != 0 {
+				t.Fatalf("live %d B, resident %d B; want the %d B posted and nothing resident", live, resident, posted)
+			}
+		})
+	}
+}
+
+// Under loss the window guard needs Rewind history, so each mailbox may
+// also retain its last two completed buffers, and no more.
+func TestRVMAMailboxMemoryUnderRecovery(t *testing.T) {
+	c, err := NewCluster(lossyClusterConfig(KindRVMA, 0.05, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunIncast(c, IncastConfig{Messages: 64, MsgBytes: 4096}); err != nil {
+		t.Fatal(err)
+	}
+	posted, retained := postedBytes(c, 2)
+	live, resident := c.HostMemory()
+	if live < posted || live > posted+retained {
+		t.Fatalf("live %d B, want between the %d B posted and %d B with history", live, posted, posted+retained)
+	}
+	// Only completion cells of retained buffers are ever written.
+	if maxCells := retained / (4096 + memory.CacheLineSize) * memory.CacheLineSize; resident > maxCells {
+		t.Fatalf("resident %d B, want at most the %d B of retained completion cells", resident, maxCells)
+	}
+}

@@ -501,6 +501,18 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
+// HostMemory sums the nodes' simulated host memory: live is the bytes of
+// allocated regions (posted RVMA buffers, registered RDMA regions,
+// completion cells), resident the bytes the simulator holds for their
+// contents, which stays zero while no payload bytes are carried.
+func (c *Cluster) HostMemory() (live, resident int) {
+	for _, n := range c.nics {
+		live += n.Memory().LiveBytes()
+		resident += n.Memory().ResidentBytes()
+	}
+	return live, resident
+}
+
 // RecoveryStats sums the per-node recovery managers' counters; the zero
 // value when recovery is disabled.
 func (c *Cluster) RecoveryStats() recovery.Stats {

@@ -79,13 +79,19 @@ func (t *rvmaTransport) Prepare(inPeers, outPeers []int, maxMsg int) *sim.Future
 		for i := 0; i < t.depth; i++ {
 			t.postOne(box)
 		}
-		// Observe every epoch completion: repost a buffer to keep the
-		// posted depth constant, then hand the message to a waiting Recv
-		// (or bank it). SetCompletionHandler cannot miss back-to-back
+		// Observe every epoch completion: release the buffer (motifs move
+		// sizes, not bytes, so it is consumed on arrival) and repost to
+		// keep the posted depth constant, which reuses the released
+		// buffer's memory; then hand the message to a waiting Recv (or
+		// bank it). SetCompletionHandler cannot miss back-to-back
 		// completions, unlike re-arming one-shot waiters.
 		win.SetCompletionHandler(func(b *rvma.Buffer) {
+			delivered := b.Count >= win.Threshold()
+			if err := win.Release(b); err != nil {
+				panic(fmt.Sprintf("motif: rank %d release: %v", t.Rank(), err))
+			}
 			t.postOne(box)
-			if b.Count < win.Threshold() {
+			if !delivered {
 				// A guard reclaim (IncEpoch on a holed buffer): the buffer
 				// was salvaged and reposted, but no message completed, so
 				// there is nothing to deliver to a Recv.
@@ -104,7 +110,7 @@ func (t *rvmaTransport) Prepare(inPeers, outPeers []int, maxMsg int) *sim.Future
 	return f
 }
 
-// postOne posts a fresh buffer to the mailbox.
+// postOne posts a buffer to the mailbox.
 func (t *rvmaTransport) postOne(box *mailboxState) {
 	if _, err := box.win.PostBuffer(box.maxMsg); err != nil {
 		panic(fmt.Sprintf("motif: rank %d post: %v", t.Rank(), err))

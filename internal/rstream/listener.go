@@ -72,6 +72,9 @@ func Listen(ep *rvma.Endpoint, port uint64, cfg Config) (*Listener, error) {
 			panic(err)
 		}
 		req := ep.Memory().Read(buf.Region.Base, 16)
+		if err := win.Release(buf); err != nil {
+			panic(err)
+		}
 		clientNode := int(binary.LittleEndian.Uint64(req[0:8]))
 		connID := binary.LittleEndian.Uint64(req[8:16])
 		l.handleConnect(clientNode, connID)

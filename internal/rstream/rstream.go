@@ -135,14 +135,17 @@ func newConn(ep *rvma.Endpoint, peer int, sendMbox, recvMbox rvma.VAddr, cfg Con
 				panic(err)
 			}
 		}
+		// Bank the segment's bytes, then hand the buffer back for the
+		// reposts to reuse.
 		_, length := buf.Cell.Get()
-		if length == 0 {
-			c.serveWaiters()
-			return
-		}
 		data := c.ep.Memory().Read(buf.Region.Base, length)
-		c.segments = append(c.segments, segment{data: data})
-		c.buffered += length
+		if err := win.Release(buf); err != nil {
+			panic(err)
+		}
+		if length > 0 {
+			c.segments = append(c.segments, segment{data: data})
+			c.buffered += length
+		}
 		c.serveWaiters()
 	})
 	return c, nil

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rvma/internal/fabric"
+	"rvma/internal/memory"
 	"rvma/internal/nic"
 	"rvma/internal/pcie"
 	"rvma/internal/rvma"
@@ -171,6 +172,12 @@ func TestLargeTransferSpansSegments(t *testing.T) {
 	eng.Run()
 	if !bytes.Equal(got, big) {
 		t.Fatal("64 KiB stream corrupted across segments")
+	}
+	// 64 segments went through the window, but the receiver's memory holds
+	// only the 8 posted segments plus the Rewind history's retained ones.
+	kept := 8 + cb.ep.Config().HistoryDepth
+	if live, max := cb.ep.Memory().LiveBytes(), kept*(1024+memory.CacheLineSize); live > max {
+		t.Fatalf("receiver holds %d B after 64 segments, want at most %d B", live, max)
 	}
 }
 

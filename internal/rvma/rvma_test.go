@@ -14,7 +14,7 @@ import (
 )
 
 // pair wires two RVMA endpoints through a one-switch fabric.
-func pair(t *testing.T, cfg Config, fcfg fabric.Config, seed uint64) (*sim.Engine, *Endpoint, *Endpoint) {
+func pair(t testing.TB, cfg Config, fcfg fabric.Config, seed uint64) (*sim.Engine, *Endpoint, *Endpoint) {
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	net, err := fabric.New(eng, topology.NewSingleSwitch(2), fcfg)

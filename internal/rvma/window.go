@@ -36,6 +36,16 @@ type Buffer struct {
 	// completing marks a threshold crossing whose (spilled-counter)
 	// completion is pending, so late packets can't double-complete it.
 	completing bool
+
+	win *Window
+	// owned marks a Region PostBuffer allocated, which Release frees; a
+	// region software attached with PostBufferRegion stays software's.
+	owned bool
+	// retained marks a buffer in the window's Rewind history; released
+	// marks one software has handed back. A buffer is recycled once it is
+	// released and no longer retained.
+	retained bool
+	released bool
 }
 
 // Completed reports whether the completion unit has finished this buffer.
@@ -144,7 +154,8 @@ func (w *Window) QueueDepth() int { return len(w.queue) }
 // window's mailbox queue, and returns it; the buffer's NotificationAddr is
 // the completion pointer host software watches (the paper's
 // RVMA_Post_buffer, which returns notification_ptr). Posting to a closed
-// window fails.
+// window fails. The memory of a released buffer of the same size is
+// reused (see Release).
 func (w *Window) PostBuffer(size int) (*Buffer, error) {
 	if w.closed {
 		return nil, ErrClosed
@@ -152,8 +163,12 @@ func (w *Window) PostBuffer(size int) (*Buffer, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("%w: buffer size %d", ErrBadArgument, size)
 	}
-	region := w.ep.Memory().Alloc(size)
-	return w.PostBufferRegion(region)
+	b, err := w.PostBufferRegion(w.ep.Memory().Alloc(size))
+	if err != nil {
+		return nil, err
+	}
+	b.owned = true
+	return b, nil
 }
 
 // PostBufferRegion attaches an existing memory region as a receive buffer
@@ -169,6 +184,7 @@ func (w *Window) PostBufferRegion(region *memory.Region) (*Buffer, error) {
 	b := &Buffer{
 		Region: region,
 		Cell:   memory.NewCompletionCell(w.ep.Memory()),
+		win:    w,
 	}
 	wasEmpty := len(w.queue) == 0
 	w.queue = append(w.queue, b)
@@ -354,11 +370,20 @@ func (w *Window) completeHead() *Buffer {
 	ep.Stats.Completions++
 	ep.mCompletions.Add(1)
 
-	// Retire into bounded history for Rewind.
-	if ep.cfg.HistoryDepth > 0 {
-		w.history = append(w.history, buf)
-		if len(w.history) > ep.cfg.HistoryDepth {
-			w.history = w.history[1:]
+	// Retire into bounded history for Rewind. The oldest entry ages out,
+	// and is recycled if software has already released it.
+	if depth := ep.cfg.HistoryDepth; depth > 0 {
+		buf.retained = true
+		if len(w.history) == depth {
+			old := w.history[0]
+			copy(w.history, w.history[1:])
+			w.history[depth-1] = buf
+			old.retained = false
+			if old.released {
+				w.recycle(old)
+			}
+		} else {
+			w.history = append(w.history, buf)
 		}
 	}
 
@@ -407,6 +432,39 @@ func (w *Window) completeHead() *Buffer {
 		}
 	})
 	return buf
+}
+
+// Release hands a completed buffer back once software has consumed it. Its
+// completion cell, and its region when PostBuffer allocated it, return to
+// the node's memory, and the next PostBuffer of the same size reuses them.
+// A mailbox whose software releases every buffer it consumes therefore
+// holds only its posted buffers and its Rewind history, however many
+// epochs it runs. A buffer still in that history stays intact, so Rewind
+// can retrieve it, until later completions age it out. Software must not
+// touch a buffer after releasing it.
+func (w *Window) Release(b *Buffer) error {
+	switch {
+	case b == nil || b.win != w:
+		return fmt.Errorf("%w: buffer was not posted to mailbox %#x", ErrBadArgument, w.vaddr)
+	case !b.completed:
+		return fmt.Errorf("%w: release of a buffer that has not completed", ErrBadArgument)
+	case b.released:
+		return fmt.Errorf("%w: buffer released twice", ErrBadArgument)
+	}
+	b.released = true
+	if !b.retained {
+		w.recycle(b)
+	}
+	return nil
+}
+
+// recycle returns a released buffer's memory to the node.
+func (w *Window) recycle(b *Buffer) {
+	b.Cell.Free()
+	if b.owned {
+		w.ep.Memory().Free(b.Region)
+	}
+	b.Region, b.Cell = nil, nil
 }
 
 // WhenPlaced returns a future that resolves once at least n messages have
