@@ -49,7 +49,7 @@ func main() {
 		telDir      = flag.String("telemetry-dir", "", "write one in-sim time-series CSV per motif cell into this directory")
 		ledgerDir   = flag.String("ledger-dir", "", "write one execution-ledger JSON per motif cell into this directory (compare with simdiff)")
 		workers     = flag.Int("workers", 0, "concurrent figure cells (0 = one per CPU); output is identical at any worker count")
-		shards      = flag.Int("shards", 0, "partition each cell's simulation into N lookahead-synchronized shards (0 = single event heap); output is identical at any shard count")
+		shards      = flag.Int("shards", 1, "partition each cell's simulation into N >= 1 lookahead-synchronized shards; output is identical at any shard count")
 		dropRates   = flag.String("drop-rate", "", "comma-separated drop probabilities for the faults sweep (default 0.01,0.02,0.05,0.1)")
 		retryBudget = flag.Int("retry-budget", 0, "max retransmits per op in the faults sweep (0 = recovery default)")
 		tailK       = flag.Int("tail-k", 0, "worst-K depth of the latency-attribution tail exchange per cell (0 = default 8)")
@@ -89,9 +89,11 @@ func main() {
 	if *workers > 0 {
 		opt.Workers = *workers
 	}
-	if *shards > 0 {
-		opt.Shards = *shards
+	if *shards < 1 {
+		fmt.Fprintf(os.Stderr, "rvmabench: -shards must be at least 1, got %d\n", *shards)
+		os.Exit(2)
 	}
+	opt.Shards = *shards
 	if *dropRates != "" {
 		for _, field := range strings.Split(*dropRates, ",") {
 			rate, err := strconv.ParseFloat(strings.TrimSpace(field), 64)

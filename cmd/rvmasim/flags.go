@@ -57,8 +57,8 @@ type simFlags struct {
 }
 
 // flagSpec is one registry row: the flag's name, whether it is usable
-// alongside -seeds N>1 (replicaOK) and -shards N>0 (shardOK), and the
-// closure that registers it. Classification is part of the declaration —
+// alongside -seeds N>1 (replicaOK) and above one shard, -shards N>1
+// (shardOK), and the closure that registers it. Classification is part of the declaration —
 // there is no way to add a flag without deciding both.
 type flagSpec struct {
 	name      string
@@ -71,8 +71,9 @@ type flagSpec struct {
 // lists preserve this order, which the error messages and their tests
 // rely on. Observer flags (anything that binds a tracer, registry,
 // sampler, recorder or ledger to a single engine) are replicaOK=false;
-// the subset that has no shard-aware implementation (per-message spans,
-// the tracer/flight-recorder ring) is also shardOK=false.
+// the subset that needs a single-writer engine (per-message spans, the
+// tracer/flight-recorder ring) is also shardOK=false: those attach to
+// shard 0 of a one-shard run and are rejected above one shard.
 var flagTable = []flagSpec{
 	{"motif", true, true, func(fs *flag.FlagSet, v *simFlags) {
 		v.motifName = fs.String("motif", "sweep3d", "motif: sweep3d, halo3d, incast, kv")
@@ -159,10 +160,10 @@ var flagTable = []flagSpec{
 		v.retryBudget = fs.Int("retry-budget", 0, "max retransmits per op under faults (0 = recovery default, -1 = disable recovery)")
 	}},
 	{"shards", false, true, func(fs *flag.FlagSet, v *simFlags) {
-		v.shards = fs.Int("shards", 0, "partition the simulation into N lookahead-synchronized shards (0 = single event heap); output is byte-identical at any shard count")
+		v.shards = fs.Int("shards", 1, "partition the simulation into N >= 1 lookahead-synchronized shards; output is byte-identical at any shard count")
 	}},
 	{"unsafe-lookahead-scale", false, true, func(fs *flag.FlagSet, v *simFlags) {
-		v.unsafeScale = fs.Float64("unsafe-lookahead-scale", 1, "multiply the shard lookahead by this factor; >1 deliberately breaks conservatism (CI divergence canary — do not use)")
+		v.unsafeScale = fs.Float64("unsafe-lookahead-scale", 1, "multiply the shard lookahead by this factor (needs -shards above 1); >1 deliberately breaks conservatism (CI divergence canary — do not use)")
 	}},
 	// KV dataplane knobs (see -motif kv): pure workload parameters, safe in
 	// every mode.
@@ -218,8 +219,7 @@ func auditNames(bad func(flagSpec) bool) []string {
 var replicaUnsupported = auditNames(func(f flagSpec) bool { return !f.replicaOK })
 
 // shardUnsupported is the generated list of flags rejected alongside
-// -shards N>0: the observers that bind to a single event heap and have no
-// shard-aware equivalent.
+// -shards N>1: the observers that need a single-writer engine.
 var shardUnsupported = auditNames(func(f flagSpec) bool { return !f.shardOK })
 
 // replicaIncompatible returns, in declaration order, the replica-unsupported

@@ -81,13 +81,15 @@
 // Parallel-execution flags (see internal/sim's ShardGroup):
 //
 //	-shards N          partition the simulation into N lookahead-
-//	                   synchronized shards, one event heap per core; output
-//	                   (makespan, metrics, telemetry, canonical ledger
-//	                   chain head) is byte-identical at any shard count.
-//	                   Incompatible with the single-heap observers (-trace,
-//	                   -spans, -perfetto-out, -attrib-out, -flight-recorder)
+//	                   synchronized shards, one event heap per core
+//	                   (default 1); output (makespan, metrics, telemetry,
+//	                   canonical ledger chain head) is byte-identical at
+//	                   any shard count. Above one shard the single-writer
+//	                   observers (-trace, -spans, -perfetto-out,
+//	                   -attrib-out, -flight-recorder) are rejected
 //	-unsafe-lookahead-scale F
-//	                   multiply the lookahead by F; F > 1 deliberately
+//	                   multiply the lookahead by F (needs -shards above 1);
+//	                   F > 1 deliberately
 //	                   breaks conservatism. Exists only as the CI divergence
 //	                   canary: simdebug builds panic, release builds
 //	                   silently diverge and the execution ledger pins the
@@ -218,9 +220,9 @@ func main() {
 	// single engine, so they require a single run; every one of them is
 	// rejected here (explicitly-set defaults included) rather than silently
 	// ignored.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if *seeds > 1 {
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 		if bad := replicaIncompatible(set); len(bad) > 0 {
 			fail("flag(s) -%s attach observers to a single engine and are incompatible with -seeds; drop them or set -seeds 1",
 				strings.Join(bad, ", -"))
@@ -238,18 +240,8 @@ func main() {
 		return
 	}
 
-	// Sharded mode: the observer flags that bind to a single event heap are
-	// rejected (explicitly-set only, like the replica audit); everything
-	// else switches to its shard-aware implementation below.
-	if *shards > 0 {
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		if bad := shardIncompatible(set); len(bad) > 0 {
-			fail("flag(s) -%s bind to a single event heap and are incompatible with -shards; drop them or set -shards 0",
-				strings.Join(bad, ", -"))
-		}
-	} else if *unsafeScale != 1 {
-		fail("-unsafe-lookahead-scale only applies to sharded runs; set -shards")
+	if err := shardFlagsError(*shards, *unsafeScale, set); err != nil {
+		fail("%v", err)
 	}
 
 	cfg := motif.DefaultClusterConfig(topo, kind)
@@ -279,19 +271,15 @@ func main() {
 	}
 
 	// Execution ledger / shard-plan profile. The recorder is a pure observer
-	// on the engine's pop loop — attaching it cannot change the simulation.
-	// Sharded runs use the canonical recorder, whose chain is a pure
-	// function of the model (identical at every shard count, including 1);
-	// single-heap runs keep the raw pop-order chain. The two modes are
-	// never comparable, and simdiff refuses to try.
-	spansOn := *doSpans || *perfOut != "" || *attribOut != ""
-	var ledRec *ledger.Recorder
+	// on the engines' pop loops — attaching it cannot change the
+	// simulation — and its canonical chain is a pure function of the model,
+	// identical at every shard count.
 	var canonRec *ledger.CanonicalRecorder
 	if *ledgerOut != "" || *shardOut != "" {
 		lo := ledger.Options{EpochEvents: *ledgerEpoch, Profile: *shardOut != ""}
 		if rs, ok := replayableSpec(*motifName, *transport, *topoName, *routing,
 			*nodes, *gbps, *seed, *rdmaBufs, *rvmaDepth,
-			*faultPlan, *dropRate, *retryBudget, spansOn, *shards); ok {
+			*faultPlan, *dropRate, *retryBudget, *shards); ok {
 			if isKV {
 				// Embed the resolved KV knobs so simdiff's replay rebuilds the
 				// identical proxy plans (skew and gap are meaningful at zero).
@@ -310,13 +298,8 @@ func main() {
 			}
 			lo.Run = &rs
 		}
-		if cluster.Group != nil {
-			canonRec = ledger.NewCanonicalRecorder(lo)
-			canonRec.AttachGroup(cluster.Group)
-		} else {
-			ledRec = ledger.NewRecorder(lo)
-			ledRec.Attach(cluster.Eng)
-		}
+		canonRec = ledger.NewCanonicalRecorder(lo)
+		canonRec.AttachGroup(cluster.Group)
 	}
 
 	var tr *trace.Tracer
@@ -327,10 +310,12 @@ func main() {
 	}
 
 	// Flight recorder: a bounded causal ring of recent model events, dumped
-	// with context when the run fails. It reuses the trace layer; with
-	// -trace also set the explicit tracer doubles as the recorder ring.
+	// with context when the run fails. It reuses the trace layer, so like
+	// the tracer it needs one shard; with -trace also set the explicit
+	// tracer doubles as the recorder ring.
+	oneShard := cluster.Group.Shards() == 1
 	var rec *telemetry.FlightRecorder
-	if *recDepth > 0 && cluster.Group == nil {
+	if *recDepth > 0 && oneShard {
 		rtr := tr
 		if rtr == nil {
 			rtr = trace.New(cluster.Eng, *recDepth)
@@ -342,26 +327,19 @@ func main() {
 		defer rec.Disarm()
 	}
 
-	// In-sim sampler: a deterministic telemetry process on the engine. A
-	// sharded cluster samples through a ShardSet instead — one daemon per
-	// shard reading only shard-owned state, merged into the same columnar
-	// CSV after the run.
-	var sampler *telemetry.Sampler
+	// In-sim sampling: one deterministic telemetry daemon per shard, each
+	// reading only shard-owned state, merged into one columnar CSV after
+	// the run. The NACK-burst watcher rides shard 0's sampler, which on a
+	// one-shard run sees every endpoint.
 	var shardSet *telemetry.ShardSet
 	if *tsOut != "" || *heatOut != "" || (*nackBurst > 0 && rec != nil) {
 		ivl := sim.FromNanos(float64(sampleIvl.Nanoseconds()))
-		if cluster.Group != nil {
-			shardSet = telemetry.NewShardSet(cluster.Group, ivl)
-			cluster.RegisterTelemetryShards(shardSet)
-			shardSet.Start()
-		} else {
-			sampler = telemetry.New(cluster.Eng, ivl)
-			cluster.RegisterTelemetry(sampler)
-			if *nackBurst > 0 && rec != nil {
-				rec.WatchNACKBurst(sampler, func() float64 { return float64(cluster.NACKTotal()) }, *nackBurst)
-			}
-			sampler.Start()
+		shardSet = telemetry.NewShardSet(cluster.Group, ivl)
+		cluster.RegisterTelemetryShards(shardSet)
+		if *nackBurst > 0 && rec != nil {
+			rec.WatchNACKBurst(shardSet.Sampler(0), func() float64 { return float64(cluster.NACKTotal()) }, *nackBurst)
 		}
+		shardSet.Start()
 	}
 
 	// A cancelled run still yields its recent history: dump the recorder
@@ -390,10 +368,10 @@ func main() {
 			attribCol = attrib.NewCollector(*tailK)
 			cluster.AttachAttribution(reg, attribCol)
 		}
-		if cluster.Group == nil {
+		if oneShard {
 			// Sample collector-backed gauges periodically so queue depths and
 			// utilization show their mid-run values, not just the final state.
-			// Sharded runs fold per-shard shadows after the run instead.
+			// Multi-shard runs fold per-shard shadows after the run instead.
 			cluster.Eng.SetHeartbeat(4096, reg.Collect)
 		}
 	}
@@ -429,9 +407,7 @@ func main() {
 	fmt.Printf("motif:      %s\n", *motifName)
 	fmt.Printf("transport:  %s\n", kind)
 	fmt.Printf("network:    %s, %s routing, %g Gbps links\n", topo.Name(), route, *gbps)
-	if cluster.Group != nil {
-		fmt.Printf("shards:     %d (lookahead %v)\n", cluster.Group.Shards(), cluster.Group.Lookahead())
-	}
+	fmt.Printf("shards:     %d (lookahead %v)\n", cluster.Group.Shards(), cluster.Group.Lookahead())
 	fmt.Printf("makespan:   %v\n", makespan)
 	fmt.Printf("events:     %d executed\n", cluster.EventsExecuted())
 	st := cluster.Net.TotalStats()
@@ -526,36 +502,21 @@ func main() {
 		if err != nil {
 			fail("%v", err)
 		}
-		if shardSet != nil {
-			err = shardSet.WriteCSV(f)
-		} else {
-			err = sampler.WriteCSV(f)
-		}
-		if err != nil {
+		if err := shardSet.WriteCSV(f); err != nil {
 			fail("%v", err)
 		}
 		if err := f.Close(); err != nil {
 			fail("%v", err)
 		}
-		if shardSet != nil {
-			fmt.Printf("telemetry:  %d samples merged from %d shards written to %s\n",
-				shardSet.Samples(), shardSet.Shards(), *tsOut)
-		} else {
-			fmt.Printf("telemetry:  %d samples x %d columns written to %s (interval %v, %d rows downsampled)\n",
-				sampler.Samples(), len(sampler.Columns()), *tsOut, sampler.Interval(), sampler.Dropped())
-		}
+		fmt.Printf("telemetry:  %d samples merged from %d shards written to %s\n",
+			shardSet.Samples(), shardSet.Shards(), *tsOut)
 	}
 	if *heatOut != "" {
 		f, err := os.Create(*heatOut)
 		if err != nil {
 			fail("%v", err)
 		}
-		if shardSet != nil {
-			err = shardSet.WriteHeatmapCSV(f, fabric.TelemetryHeatmapPrefix)
-		} else {
-			err = sampler.WriteHeatmapCSV(f, fabric.TelemetryHeatmapPrefix)
-		}
-		if err != nil {
+		if err := shardSet.WriteHeatmapCSV(f, fabric.TelemetryHeatmapPrefix); err != nil {
 			fail("%v", err)
 		}
 		if err := f.Close(); err != nil {
@@ -564,12 +525,7 @@ func main() {
 		fmt.Printf("heatmap:    per-switch utilization matrix written to %s\n", *heatOut)
 	}
 	if *ledgerOut != "" {
-		var led *ledger.Ledger
-		if canonRec != nil {
-			led = canonRec.Finalize()
-		} else {
-			led = ledRec.Finalize()
-		}
+		led := canonRec.Finalize()
 		if err := led.WriteFile(*ledgerOut); err != nil {
 			fail("%v", err)
 		}
@@ -581,12 +537,7 @@ func main() {
 			led.Events, len(led.Epochs), led.ChainHead, *ledgerOut, replayNote)
 	}
 	if *shardOut != "" {
-		var prof *ledger.ProfileReport
-		if canonRec != nil {
-			prof = canonRec.Profile()
-		} else {
-			prof = ledRec.Profile()
-		}
+		prof := canonRec.Profile()
 		f, err := os.Create(*shardOut)
 		if err != nil {
 			fail("%v", err)
@@ -611,6 +562,27 @@ func main() {
 	}
 }
 
+// shardFlagsError audits the shard count against the other flags: -shards
+// must be at least 1, and above one shard the single-writer observer flags
+// (explicitly set ones only, like the replica audit) are rejected; the
+// lookahead canary only means something above one shard.
+func shardFlagsError(shards int, unsafeScale float64, set map[string]bool) error {
+	if shards < 1 {
+		return fmt.Errorf("-shards must be at least 1, got %d", shards)
+	}
+	if shards == 1 {
+		if unsafeScale != 1 {
+			return fmt.Errorf("-unsafe-lookahead-scale only applies above one shard; set -shards")
+		}
+		return nil
+	}
+	if bad := shardIncompatible(set); len(bad) > 0 {
+		return fmt.Errorf("flag(s) -%s need a single-writer engine and are incompatible with -shards above 1; drop them or set -shards 1",
+			strings.Join(bad, ", -"))
+	}
+	return nil
+}
+
 // replayableSpec builds the RunSpec embedded in -ledger-out files so
 // cmd/simdiff can replay the run for event-level divergence resolution.
 // Replay goes through the harness cell runner, which only reproduces runs
@@ -620,7 +592,7 @@ func main() {
 // (epoch-level localization still works, replay does not).
 func replayableSpec(motifName, transport, topoName, routing string,
 	nodes int, gbps float64, seed uint64, rdmaBufs, rvmaDepth int,
-	faultPlan string, dropRate float64, retryBudget int, spans bool, shards int) (ledger.RunSpec, bool) {
+	faultPlan string, dropRate float64, retryBudget int, shards int) (ledger.RunSpec, bool) {
 	if rdmaBufs != 1 || rvmaDepth != 4 || faultPlan != "" || retryBudget < 0 {
 		return ledger.RunSpec{}, false
 	}
@@ -633,7 +605,6 @@ func replayableSpec(motifName, transport, topoName, routing string,
 		Nodes:     nodes,
 		Gbps:      gbps,
 		Seed:      seed,
-		Spans:     spans && shards == 0, // sharded cells run without spans
 		Drop:      dropRate,
 		Shards:    shards,
 	}
@@ -697,7 +668,7 @@ func runReplica(rep replicaConfig, seed uint64) (sim.Time, uint64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	return makespan, cluster.Eng.EventsExecuted(), nil
+	return makespan, cluster.EventsExecuted(), nil
 }
 
 // runSeedReplicas fans seeds base..base+n-1 over a worker pool and prints

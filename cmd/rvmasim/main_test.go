@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -118,8 +119,8 @@ func TestReplicaUnsupportedCoversAllObserverFlags(t *testing.T) {
 	}
 }
 
-// TestShardIncompatibleMatrix pins the sharded-mode flag audit: the
-// single-heap observers are rejected, the shard-aware ones pass through.
+// TestShardIncompatibleMatrix pins the audit above one shard: the
+// single-writer observers are rejected, the shard-aware ones pass through.
 func TestShardIncompatibleMatrix(t *testing.T) {
 	cases := []struct {
 		name string
@@ -162,34 +163,59 @@ func TestShardIncompatibleMatrix(t *testing.T) {
 	}
 }
 
+// TestShardFlagsError pins the shard-count audit: -shards below 1 fails
+// naming the flag, one shard accepts every observer, more than one rejects
+// the single-writer ones, and the lookahead canary needs more than one.
+func TestShardFlagsError(t *testing.T) {
+	for _, n := range []int{0, -3} {
+		err := shardFlagsError(n, 1, map[string]bool{"shards": true})
+		if err == nil || !strings.Contains(err.Error(), "-shards") {
+			t.Errorf("-shards %d: error %v, want one naming -shards", n, err)
+		}
+	}
+	observers := map[string]bool{"trace": true, "spans": true, "perfetto-out": true, "flight-recorder": true}
+	if err := shardFlagsError(1, 1, observers); err != nil {
+		t.Errorf("one shard rejected single-writer observers: %v", err)
+	}
+	if err := shardFlagsError(4, 1, observers); err == nil || !strings.Contains(err.Error(), "-trace") {
+		t.Errorf("four shards: error %v, want the observers rejected", err)
+	}
+	if err := shardFlagsError(1, 20, nil); err == nil || !strings.Contains(err.Error(), "-unsafe-lookahead-scale") {
+		t.Errorf("canary at one shard: error %v, want it rejected", err)
+	}
+	if err := shardFlagsError(4, 20, map[string]bool{"unsafe-lookahead-scale": true}); err != nil {
+		t.Errorf("canary at four shards rejected: %v", err)
+	}
+}
+
 // TestReplayableSpec pins which flag shapes embed a replayable RunSpec in
 // -ledger-out files and which fall back to epoch-only localization.
 func TestReplayableSpec(t *testing.T) {
 	rs, ok := replayableSpec("sweep3d", "rvma", "dragonfly", "adaptive",
-		64, 100, 7, 1, 4, "", 0, 0, false, 0)
+		64, 100, 7, 1, 4, "", 0, 0, 1)
 	if !ok {
 		t.Fatal("default knobs should be replayable")
 	}
 	if rs.Motif != "sweep3d" || rs.Transport != "rvma" || rs.Network != "dragonfly/adaptive" ||
-		rs.Nodes != 64 || rs.Seed != 7 || rs.Spans || rs.Recover || rs.Shards != 0 {
+		rs.Nodes != 64 || rs.Seed != 7 || rs.Recover || rs.Shards != 1 {
 		t.Fatalf("unexpected spec: %+v", rs)
 	}
 
 	rs, ok = replayableSpec("halo3d", "rdma", "hyperx", "static",
-		64, 200, 3, 1, 4, "", 0.01, 5, true, 0)
+		64, 200, 3, 1, 4, "", 0.01, 5, 1)
 	if !ok {
 		t.Fatal("drop-rate run should be replayable")
 	}
-	if !rs.Recover || rs.RetryBudget != 5 || rs.Drop != 0.01 || !rs.Spans {
+	if !rs.Recover || rs.RetryBudget != 5 || rs.Drop != 0.01 {
 		t.Fatalf("unexpected fault spec: %+v", rs)
 	}
 
 	rs, ok = replayableSpec("sweep3d", "rvma", "dragonfly", "adaptive",
-		64, 100, 7, 1, 4, "", 0, 0, false, 4)
+		64, 100, 7, 1, 4, "", 0, 0, 4)
 	if !ok {
 		t.Fatal("sharded run with default knobs should be replayable")
 	}
-	if rs.Shards != 4 || rs.Spans {
+	if rs.Shards != 4 {
 		t.Fatalf("unexpected sharded spec: %+v", rs)
 	}
 
@@ -205,7 +231,7 @@ func TestReplayableSpec(t *testing.T) {
 		{"recovery disabled", 1, 4, "", -1},
 	} {
 		if _, ok := replayableSpec("sweep3d", "rvma", "dragonfly", "adaptive",
-			64, 100, 1, tc.rdmaBufs, tc.rvmaDepth, tc.faultPlan, 0, tc.retryBudget, false, 0); ok {
+			64, 100, 1, tc.rdmaBufs, tc.rvmaDepth, tc.faultPlan, 0, tc.retryBudget, 1); ok {
 			t.Errorf("%s: expected not replayable", tc.name)
 		}
 	}

@@ -2,7 +2,9 @@
 // execution ledgers (.ledger.json), metric snapshots (JSON), and telemetry
 // time-series (CSV).
 //
-// For ledgers it goes beyond byte equality: epoch chains are binary-
+// Ledgers must be canonical (every ledger this build records is); raw
+// pop-order ledgers from earlier builds are refused with a note to
+// re-record them. For ledgers it goes beyond byte equality: epoch chains are binary-
 // searched for the first divergent epoch, and — when both ledgers embed a
 // RunSpec — the runs are replayed in-process with a full-resolution
 // capture window over that epoch, pinning the divergence to the exact
@@ -85,12 +87,12 @@ func detectKind(path string) string {
 // diffLedgers compares two execution ledgers, localizing any divergence to
 // an epoch and (when replay is possible) to the exact first divergent pop.
 func diffLedgers(out, errw *os.File, pathA, pathB string, replay bool) int {
-	la, err := ledger.ReadFile(pathA)
+	la, err := readCanonical(pathA)
 	if err != nil {
 		fmt.Fprintf(errw, "simdiff: %v\n", err)
 		return 2
 	}
-	lb, err := ledger.ReadFile(pathB)
+	lb, err := readCanonical(pathB)
 	if err != nil {
 		fmt.Fprintf(errw, "simdiff: %v\n", err)
 		return 2
@@ -136,18 +138,31 @@ func diffLedgers(out, errw *os.File, pathA, pathB string, replay bool) int {
 	return 1
 }
 
+// readCanonical loads a ledger file and refuses anything but a canonical
+// ledger.
+func readCanonical(path string) (*ledger.Ledger, error) {
+	l, err := ledger.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := l.CheckCanonical(); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return l, nil
+}
+
 // replayWindow re-runs both ledgers' RunSpecs with full-resolution capture
 // over the divergent window and compares the captures pop by pop.
 func replayWindow(la, lb *ledger.Ledger, d ledger.Diff) (*ledger.WindowDivergence, error) {
 	ro := harness.ReplayOptions{EpochEvents: la.EpochEvents, WindowFrom: d.FromPop, WindowTo: d.ToPop}
-	ra, _, err := harness.ReplaySpec(*la.Run, ro)
+	ra, _, err := harness.ReplaySpec(la, ro)
 	if err != nil {
 		return nil, fmt.Errorf("run A: %w", err)
 	}
 	if ra.ChainHead != la.ChainHead {
 		return nil, fmt.Errorf("run A replay did not reproduce (chain %s vs recorded %s)", ra.ChainHead, la.ChainHead)
 	}
-	rb, _, err := harness.ReplaySpec(*lb.Run, ro)
+	rb, _, err := harness.ReplaySpec(lb, ro)
 	if err != nil {
 		return nil, fmt.Errorf("run B: %w", err)
 	}

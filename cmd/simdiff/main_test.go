@@ -98,13 +98,13 @@ func TestUsageError(t *testing.T) {
 	}
 }
 
-// TestReplayPinsExactSeq builds two real diverging ledgers (with embedded
-// replayable RunSpecs this test cannot use — so it checks the pure-ledger
-// path end to end with recorder-built files instead of hand fixtures).
+// TestRecorderBuiltLedgers builds two real diverging ledgers (without
+// embedded replayable RunSpecs, so it checks the pure-ledger path end to
+// end with recorder-built files instead of hand fixtures).
 func TestRecorderBuiltLedgers(t *testing.T) {
 	dir := t.TempDir()
 	mk := func(seed uint64, name string) string {
-		rec := ledger.NewRecorder(ledger.Options{EpochEvents: 8})
+		rec := ledger.NewCanonicalRecorder(ledger.Options{EpochEvents: 8})
 		eng := sim.NewEngine(seed)
 		tag := eng.Tag("comp")
 		rec.Attach(eng)
@@ -132,5 +132,24 @@ func TestRecorderBuiltLedgers(t *testing.T) {
 	code, out, _ = runSimdiff(t, "-no-replay", a, b)
 	if code != 1 || !strings.Contains(out, "first divergent epoch:") {
 		t.Fatalf("diverging ledgers: exit %d out %q", code, out)
+	}
+}
+
+// TestRawLedgerRefused: a raw pop-order ledger recorded by an earlier
+// build (no "mode" field) is refused with exit 2 and a note to re-record.
+func TestRawLedgerRefused(t *testing.T) {
+	b, err := os.ReadFile("testdata/base.ledger.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := strings.Replace(string(b), ` "mode": "canonical",
+`, "", 1)
+	path := filepath.Join(t.TempDir(), "raw.ledger.json")
+	if err := os.WriteFile(path, []byte(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, errOut := runSimdiff(t, path, "testdata/base.ledger.json")
+	if code != 2 || !strings.Contains(errOut, "re-record") {
+		t.Fatalf("raw ledger: exit %d err %q, want exit 2 and a re-record note", code, errOut)
 	}
 }

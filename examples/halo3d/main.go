@@ -61,7 +61,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %-4s makespan %-12v (%.1f MB moved, mean network latency %v)\n",
-			kind, t, float64(c.Net.Stats.BytesDelivered)/1e6, c.Net.MeanPacketLatency())
+			kind, t, float64(c.Net.TotalStats().BytesDelivered)/1e6, c.Net.MeanPacketLatency())
 		return t
 	}
 

@@ -45,7 +45,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %-4s makespan %-12v (%d packets, mean network latency %v)\n",
-			kind, t, c.Net.Stats.PacketsDelivered, c.Net.MeanPacketLatency())
+			kind, t, c.Net.TotalStats().PacketsDelivered, c.Net.MeanPacketLatency())
 		return t
 	}
 

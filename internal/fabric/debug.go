@@ -21,15 +21,16 @@ func (n *Network) debugCheckHop(e *sim.Engine, sw int, pkt *Packet) {
 }
 
 // debugCheckDeliver asserts packet conservation at the delivery point:
-// the fabric never delivers or drops more packets than were injected,
-// and no packet arrives before it was sent.
+// on a one-shard network the fabric never delivers or drops more packets
+// than were injected, and no packet arrives before it was sent.
 func (n *Network) debugCheckDeliver(e *sim.Engine, pkt *Packet) {
-	if n.group == nil {
+	if len(n.engs) == 1 {
 		// Conservation only holds globally; per-shard counters see
 		// deliveries before the matching injection counter is visible.
-		sim.Assertf(n.Stats.PacketsDelivered+n.Stats.PacketsDropped <= n.Stats.PacketsInjected,
+		st := &n.statsSh[0]
+		sim.Assertf(st.PacketsDelivered+st.PacketsDropped <= st.PacketsInjected,
 			"fabric: delivered %d + dropped %d exceeds injected %d",
-			n.Stats.PacketsDelivered, n.Stats.PacketsDropped, n.Stats.PacketsInjected)
+			st.PacketsDelivered, st.PacketsDropped, st.PacketsInjected)
 	}
 	sim.Assertf(e.Now() >= pkt.Injected,
 		"fabric: packet #%d delivered at %v before injection at %v",

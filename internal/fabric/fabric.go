@@ -18,9 +18,7 @@ package fabric
 import (
 	"fmt"
 
-	"rvma/internal/metrics"
 	"rvma/internal/sim"
-	"rvma/internal/telemetry"
 	"rvma/internal/topology"
 	"rvma/internal/trace"
 )
@@ -186,9 +184,10 @@ type Stats struct {
 	ValiantDetours   uint64
 }
 
-// Network is an instantiated fabric over a topology.
+// Network is an instantiated fabric over a topology. It executes on one
+// engine per shard: the shards of a sim.ShardGroup (NewSharded), or a lone
+// engine (New), which is the one-shard case of the same construction.
 type Network struct {
-	eng   sim.Tagged
 	topo  topology.Topology
 	cfg   Config
 	hosts []DeliverFunc
@@ -199,51 +198,39 @@ type Network struct {
 
 	nonMin topology.NonMinimalRouter // nil if unsupported
 
-	// Failure injection (see fault.go). faultRNG is a dedicated stream —
-	// nil when the effective plan cannot drop — so drop draws never
-	// perturb the shared routing/jitter stream. burstLeft counts the
-	// remaining forced drops of an in-progress burst, per destination.
+	// Failure injection (see fault.go). burstLeft counts the remaining
+	// forced drops of an in-progress burst, per destination.
 	faults    FaultPlan
-	faultRNG  *sim.RNG
 	burstLeft []int
 
-	nextID uint64
-	Stats  Stats
 	tracer *trace.Tracer
 
-	// Metric handles, resolved once at SetMetrics; all nil when no registry
-	// is attached, so the hot path pays one nil check per hook.
-	mLatency  *metrics.Histogram // injection-to-delivery, ns
-	mHops     *metrics.Histogram // switch hops per delivered packet
-	mDrops    *metrics.Counter
-	mDetours  *metrics.Counter
-	mTimeline *metrics.Timeline
-
-	// Sharded execution (see shard.go). group == nil is the legacy
-	// single-heap mode; everything below is only populated by NewSharded.
-	// Per-locus state (a locus is one node or one switch) is written only
-	// by the shard that owns the locus, which is what makes the sharded hot
-	// path race-free without locks.
-	group     *sim.ShardGroup
-	tags      []sim.Tagged // per-shard "fabric" tag
-	nodeShard []int        // owning shard per node
-	swShard   []int        // owning shard per switch
-	numLoci   int          // nodes + switches; priority stride
-	priCount  []uint64     // events scheduled per locus (unique priorities)
-	nextIDs   []uint64     // per-source packet IDs
-	swRNG     []*sim.RNG   // per-switch routing/jitter substreams
-	hostRNG   []*sim.RNG   // per-node injection-jitter substreams
-	faultSh   []*sim.RNG   // per-destination fault substreams
-	statsSh   []Stats      // per-shard counters; TotalStats sums them
-	msh       []fabMetrics // per-shard metric handles
+	// Partitioned execution (see shard.go). Per-locus state (a locus is
+	// one node or one switch) is written only by the shard that owns the
+	// locus, which is what makes the multi-shard hot path race-free
+	// without locks.
+	group     *sim.ShardGroup // nil when built by New on a lone engine
+	engs      []*sim.Engine   // per-shard engines
+	tags      []sim.Tagged    // per-shard "fabric" tag
+	nodeShard []int           // owning shard per node
+	swShard   []int           // owning shard per switch
+	numLoci   int             // nodes + switches; priority stride
+	priCount  []uint64        // events scheduled per locus (unique priorities)
+	nextIDs   []uint64        // per-source packet IDs
+	swRNG     []*sim.RNG      // per-switch routing/jitter substreams
+	hostRNG   []*sim.RNG      // per-node injection-jitter substreams
+	faultSh   []*sim.RNG      // per-destination fault substreams; nil when the plan cannot drop
+	statsSh   []Stats         // per-shard counters; TotalStats sums them
+	msh       []fabMetrics    // per-shard metric handles; nil handles until SetMetricsSharded
 }
 
 // SetTracer attaches a tracer; packet-level events go to trace.CatPacket
 // and aggregate counters/series are kept regardless of enablement. A nil
-// tracer detaches.
+// tracer detaches. Trace buffers are single-writer, so tracing needs a
+// one-shard network.
 func (n *Network) SetTracer(t *trace.Tracer) {
-	if t != nil && n.group != nil {
-		panic("fabric: packet tracing is not supported on a sharded network (trace buffers are single-writer)")
+	if t != nil && len(n.engs) > 1 {
+		panic("fabric: packet tracing needs a one-shard network (trace buffers are single-writer)")
 	}
 	n.tracer = t
 	if t != nil {
@@ -256,175 +243,24 @@ func (n *Network) SetTracer(t *trace.Tracer) {
 // a large topology don't drown the snapshot in per-switch series.
 const maxPerSwitchGauges = 64
 
-// SetMetrics attaches a metrics registry. Packet latency and hop-count
-// histograms plus drop/detour counters update per event; queue occupancy
-// and link utilization are sampled by a collector at snapshot time. A nil
-// registry detaches every hook.
-func (n *Network) SetMetrics(reg *metrics.Registry) {
-	if reg != nil && n.group != nil {
-		panic("fabric: use SetMetricsSharded on a sharded network")
-	}
-	if reg == nil {
-		n.mLatency, n.mHops, n.mDrops, n.mDetours, n.mTimeline = nil, nil, nil, nil, nil
-		return
-	}
-	n.mLatency = reg.Histogram("fabric.packet_latency_ns")
-	n.mHops = reg.Histogram("fabric.packet_hops")
-	n.mDrops = reg.Counter("fabric.packets_dropped")
-	n.mDetours = reg.Counter("fabric.valiant_detours")
-	n.mTimeline = reg.Timeline()
-
-	perSwitch := n.topo.NumSwitches() <= maxPerSwitchGauges
-	reg.AddCollector(func() {
-		var busy, uses float64
-		var util, maxUtil float64
-		links := 0
-		for sw := range n.outPorts {
-			var backlog sim.Time
-			for _, p := range n.outPorts[sw] {
-				backlog += p.Backlog(n.eng.Engine)
-				u := p.Utilization(n.eng.Engine)
-				util += u
-				if u > maxUtil {
-					maxUtil = u
-				}
-				busy += p.BusyTime().Nanoseconds()
-				uses += float64(p.Uses())
-				links++
-			}
-			if perSwitch {
-				reg.Gauge(fmt.Sprintf("fabric.sw%d.queue_ns", sw)).Set(backlog.Nanoseconds())
-			}
-		}
-		if links > 0 {
-			reg.Gauge("fabric.link_util_mean").Set(util / float64(links))
-			reg.Gauge("fabric.link_util_max").Set(maxUtil)
-			reg.Gauge("fabric.link_busy_ns_total").Set(busy)
-			reg.Gauge("fabric.link_uses_total").Set(uses)
-		}
-		var hostUtil float64
-		for _, h := range n.hostTx {
-			hostUtil += h.Utilization(n.eng.Engine)
-		}
-		if len(n.hostTx) > 0 {
-			reg.Gauge("fabric.host_tx_util_mean").Set(hostUtil / float64(len(n.hostTx)))
-		}
-	})
-}
-
 // TelemetryHeatmapPrefix selects the per-switch utilization columns the
 // congestion heatmap is built from (Sampler.WriteHeatmapCSV prefix).
 const TelemetryHeatmapPrefix = "fabric.util.sw"
 
-// RegisterTelemetry registers the fabric's time-series probes on s:
-// fabric-wide output-queue depth and link-utilization aggregates always,
-// plus — up to the same per-switch cap the metrics collector uses — one
-// windowed-utilization and one queue-depth column per switch. Per-switch
-// utilization is computed over the sample window (busy-time delta divided
-// by elapsed time, averaged over the switch's ports), which is what a
-// congestion heatmap wants; the window state lives in the probe closures,
-// never in model state.
-func (n *Network) RegisterTelemetry(s *telemetry.Sampler) {
-	if s == nil {
-		return
-	}
-	if n.group != nil {
-		panic("fabric: use RegisterTelemetrySharded on a sharded network")
-	}
-	s.Register("fabric.queue_ns_total", func() float64 {
-		var backlog sim.Time
-		for sw := range n.outPorts {
-			for _, p := range n.outPorts[sw] {
-				backlog += p.Backlog(n.eng.Engine)
-			}
-		}
-		return backlog.Nanoseconds()
-	})
-	s.Register("fabric.queue_ns_max", func() float64 {
-		var worst sim.Time
-		for sw := range n.outPorts {
-			for _, p := range n.outPorts[sw] {
-				if b := p.Backlog(n.eng.Engine); b > worst {
-					worst = b
-				}
-			}
-		}
-		return worst.Nanoseconds()
-	})
-	s.Register("fabric.packets_delivered", func() float64 {
-		return float64(n.Stats.PacketsDelivered)
-	})
-	s.Register("fabric.valiant_detours", func() float64 {
-		return float64(n.Stats.ValiantDetours)
-	})
-	if len(n.outPorts) > maxPerSwitchGauges {
-		return
-	}
-	for sw := range n.outPorts {
-		ports := n.outPorts[sw]
-		s.Register(fmt.Sprintf("fabric.queue_ns.sw%03d", sw), func() float64 {
-			var backlog sim.Time
-			for _, p := range ports {
-				backlog += p.Backlog(n.eng.Engine)
-			}
-			return backlog.Nanoseconds()
-		})
-		var prevBusy, prevAt sim.Time
-		s.Register(fmt.Sprintf("%s%03d", TelemetryHeatmapPrefix, sw), func() float64 {
-			var busy sim.Time
-			for _, p := range ports {
-				busy += p.BusyTime()
-			}
-			now := n.eng.Now()
-			dt, db := now-prevAt, busy-prevBusy
-			prevBusy, prevAt = busy, now
-			if dt <= 0 || len(ports) == 0 {
-				return 0
-			}
-			return sim.Ratio(db, dt) / float64(len(ports))
-		})
-	}
-}
-
-// New builds a network over topo with the given config.
+// New builds a network over topo that runs on the lone engine eng. It is
+// the one-shard case of NewSharded: the per-locus RNG substreams are
+// seeded from one draw of eng's stream, and every fabric event carries a
+// locus-unique priority.
 func New(eng *sim.Engine, topo topology.Topology, cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{
-		eng:   eng.Tag("fabric"),
-		topo:  topo,
-		cfg:   cfg,
-		hosts: make([]DeliverFunc, topo.NumNodes()),
-	}
-	n.outPorts = make([][]*sim.Resource, topo.NumSwitches())
-	n.xbars = make([]*sim.Resource, topo.NumSwitches())
-	for sw := 0; sw < topo.NumSwitches(); sw++ {
-		ports := topo.Ports(sw)
-		n.outPorts[sw] = make([]*sim.Resource, len(ports))
-		for pi := range ports {
-			n.outPorts[sw][pi] = sim.NewResource(fmt.Sprintf("sw%d.p%d", sw, pi))
-		}
-		n.xbars[sw] = sim.NewResource(fmt.Sprintf("sw%d.xbar", sw))
-	}
-	n.hostTx = make([]*sim.Resource, topo.NumNodes())
-	for i := range n.hostTx {
-		n.hostTx[i] = sim.NewResource(fmt.Sprintf("host%d.tx", i))
-	}
-	n.nonMin, _ = topo.(topology.NonMinimalRouter)
-	n.faults = cfg.effectivePlan()
-	if n.faults.Enabled() {
-		// Seed the fault stream with one draw from the shared stream:
-		// deterministic for a given engine seed, and fault-free runs stay
-		// byte-identical with builds that predate fault injection.
-		n.faultRNG = sim.NewRNG(eng.RNG().Uint64())
-		n.burstLeft = make([]int, topo.NumNodes())
-	}
-	return n, nil
+	return build(nil, []*sim.Engine{eng}, topo, cfg, eng.RNG().Uint64()), nil
 }
 
-// Engine returns the engine the network runs on.
-func (n *Network) Engine() *sim.Engine { return n.eng.Engine }
+// Engine returns the engine of shard 0 (the lone engine of a network
+// built by New).
+func (n *Network) Engine() *sim.Engine { return n.engs[0] }
 
 // Topology returns the underlying topology.
 func (n *Network) Topology() topology.Topology { return n.topo }
@@ -446,29 +282,22 @@ func (n *Network) AttachHost(node int, fn DeliverFunc) {
 
 // Inject hands a packet to node src's injection link at the current time.
 // The packet serializes onto the host link (which always runs at line rate,
-// per the paper's host-bus assumption), then traverses the fabric. In
-// sharded mode the caller must be executing on the source node's shard
-// (NICs are constructed on their node's shard engine, so this holds by
+// per the paper's host-bus assumption), then traverses the fabric. The
+// caller must be executing on the source node's shard (NICs are
+// constructed on their node's shard engine, so this holds by
 // construction).
 func (n *Network) Inject(pkt *Packet) {
 	if pkt.Src < 0 || pkt.Src >= len(n.hostTx) || pkt.Dst < 0 || pkt.Dst >= len(n.hosts) {
 		panic(fmt.Sprintf("fabric: inject with bad endpoints src=%d dst=%d", pkt.Src, pkt.Dst))
 	}
 	e, shard := n.nodeCtx(pkt.Src)
-	rng := n.eng.RNG()
-	if n.group != nil {
-		// Per-source IDs and a per-node jitter substream keep both a pure
-		// function of the node's own history, independent of partitioning.
-		pkt.ID = n.nextIDs[pkt.Src]
-		n.nextIDs[pkt.Src]++
-		rng = n.hostRNG[pkt.Src]
-	} else {
-		pkt.ID = n.nextID
-		n.nextID++
-	}
+	// Per-source IDs and a per-node jitter substream keep both a pure
+	// function of the node's own history, independent of partitioning.
+	pkt.ID = n.nextIDs[pkt.Src]
+	n.nextIDs[pkt.Src]++
 	now := e.Now()
 	pkt.Injected = now
-	n.statsAt(shard).PacketsInjected++
+	n.statsSh[shard].PacketsInjected++
 	if n.tracer != nil {
 		n.tracer.Count("fabric.packets_injected", 1)
 		n.tracer.Eventf(trace.CatPacket, "inject #%d %d->%d %dB", pkt.ID, pkt.Src, pkt.Dst, pkt.Size)
@@ -477,19 +306,19 @@ func (n *Network) Inject(pkt *Packet) {
 	ser := sim.SerializationTime(pkt.WireSize(), n.cfg.LinkGbps)
 	txDone := n.hostTx[pkt.Src].AcquireAt(now, ser)
 	pkt.QueueWait += txDone - now - ser
-	arrive := txDone + n.linkDelayFrom(rng)
+	arrive := txDone + n.linkDelayFrom(n.hostRNG[pkt.Src])
 	sw, _ := n.topo.HostPort(pkt.Src)
-	n.sched(shard, n.nodeLocus(pkt.Src), n.switchShard(sw), arrive, func() { n.atSwitch(sw, pkt) })
+	n.sched(shard, n.nodeLocus(pkt.Src), n.swShard[sw], arrive, func() { n.atSwitch(sw, pkt) })
 }
 
 // MaxQueueBacklog returns the largest backlog any switch output port
-// holds at the current time — the attribution layer samples it as the
-// "switch congestion right now" context for tail operations.
+// holds at shard 0's current time — the attribution layer samples it as
+// the "switch congestion right now" context for tail operations.
 func (n *Network) MaxQueueBacklog() sim.Time {
 	var max sim.Time
 	for _, ports := range n.outPorts {
 		for _, p := range ports {
-			if b := p.Backlog(n.eng.Engine); b > max {
+			if b := p.Backlog(n.engs[0]); b > max {
 				max = b
 			}
 		}
@@ -498,8 +327,7 @@ func (n *Network) MaxQueueBacklog() sim.Time {
 }
 
 // linkDelayFrom returns the (possibly jittered) cable latency for one hop,
-// drawing from rng — the shared engine stream in legacy mode, the sending
-// locus's substream in sharded mode.
+// drawing from rng, the sending locus's substream.
 func (n *Network) linkDelayFrom(rng *sim.RNG) sim.Time {
 	d := n.cfg.LinkLatency
 	if n.cfg.AdaptiveJitter > 0 && n.cfg.Routing != RouteStatic {
@@ -510,17 +338,14 @@ func (n *Network) linkDelayFrom(rng *sim.RNG) sim.Time {
 
 // atSwitch processes a packet's arrival at switch sw at the current time:
 // route selection, crossbar transit, output serialization, link traversal.
-// In sharded mode it executes on the switch's owning shard.
+// It executes on the switch's owning shard.
 func (n *Network) atSwitch(sw int, pkt *Packet) {
 	e, shard := n.swCtx(sw)
 	pkt.Hops++
 	if sim.DebugEnabled {
 		n.debugCheckHop(e, sw, pkt)
 	}
-	rng := n.eng.RNG()
-	if n.group != nil {
-		rng = n.swRNG[sw]
-	}
+	rng := n.swRNG[sw]
 	outPort := n.selectPort(e, shard, rng, sw, pkt)
 	ports := n.topo.Ports(sw)
 	port := ports[outPort]
@@ -535,10 +360,10 @@ func (n *Network) atSwitch(sw int, pkt *Packet) {
 
 	switch port.Kind {
 	case topology.HostPort:
-		n.sched(shard, n.switchLocus(sw), n.nodeShardOf(port.Node), arrive, func() { n.deliver(port.Node, pkt) })
+		n.sched(shard, n.switchLocus(sw), n.nodeShard[port.Node], arrive, func() { n.deliver(port.Node, pkt) })
 	case topology.SwitchPort:
 		peer := port.PeerSwitch
-		n.sched(shard, n.switchLocus(sw), n.switchShard(peer), arrive, func() { n.atSwitch(peer, pkt) })
+		n.sched(shard, n.switchLocus(sw), n.swShard[peer], arrive, func() { n.atSwitch(peer, pkt) })
 	default:
 		panic(fmt.Sprintf("fabric: routed to unused port %d of switch %d", outPort, sw))
 	}
@@ -558,8 +383,8 @@ func (n *Network) selectPort(e *sim.Engine, shard int, rng *sim.RNG, sw int, pkt
 		if !pkt.misrouted && n.nonMin != nil {
 			if nm := n.nonMin.NonMinimalCandidates(sw, pkt.Dst, nil); len(nm) > 0 {
 				pkt.misrouted = true
-				n.statsAt(shard).ValiantDetours++
-				n.detoursAt(shard).Add(1)
+				n.statsSh[shard].ValiantDetours++
+				n.msh[shard].detours.Add(1)
 				return nm[rng.Intn(len(nm))]
 			}
 		}
@@ -580,9 +405,9 @@ func (n *Network) selectPort(e *sim.Engine, shard int, rng *sim.RNG, sw int, pkt
 					// beats the minimal backlog.
 					if 2*n.outPorts[sw][alt].Backlog(e)+bias < minBacklog {
 						pkt.misrouted = true
-						n.statsAt(shard).ValiantDetours++
-						n.detoursAt(shard).Add(1)
-						n.mTimeline.Instant(pkt.Src, "fabric", "detour", e.Now())
+						n.statsSh[shard].ValiantDetours++
+						n.msh[shard].detours.Add(1)
+						n.msh[shard].timeline.Instant(pkt.Src, "fabric", "detour", e.Now())
 						if n.tracer != nil {
 							n.tracer.Count("fabric.valiant_detours", 1)
 							n.tracer.Eventf(trace.CatPacket, "detour #%d at sw%d", pkt.ID, sw)
@@ -619,24 +444,22 @@ func (n *Network) leastBacklogged(e *sim.Engine, sw int, cands []int) int {
 // receiver-side CRC discard. A dropped packet therefore still congests
 // the fabric and still influences adaptive-routing backlogs exactly as a
 // delivered one; what changed from earlier builds is that the drop draw
-// comes from the dedicated fault stream, so loss sweeps no longer shift
-// the routing RNG and skew detour decisions for surviving packets.
+// comes from the destination's fault substream, so loss sweeps never
+// shift the routing substreams and skew detour decisions for surviving
+// packets.
 func (n *Network) deliver(node int, pkt *Packet) {
 	e, shard := n.nodeCtx(node)
 	fn := n.hosts[node]
 	if fn == nil {
 		panic(fmt.Sprintf("fabric: packet for unattached node %d", node))
 	}
-	fRNG := n.faultRNG
-	if n.group != nil && n.faultSh != nil {
-		fRNG = n.faultSh[node]
-	}
-	st := n.statsAt(shard)
-	if fRNG != nil && n.dropPacket(node, e, fRNG) {
+	st := &n.statsSh[shard]
+	mm := &n.msh[shard]
+	if n.faultSh != nil && n.dropPacket(node, e, n.faultSh[node]) {
 		st.PacketsDropped++
 		st.BytesDropped += uint64(pkt.Size)
-		n.dropsAt(shard).Add(1)
-		n.mTimeline.Instant(node, "fabric", "drop", e.Now())
+		mm.drops.Add(1)
+		mm.timeline.Instant(node, "fabric", "drop", e.Now())
 		if n.tracer != nil {
 			n.tracer.Count("fabric.packets_dropped", 1)
 			n.tracer.Eventf(trace.CatPacket, "DROP #%d for node %d", pkt.ID, node)
@@ -650,7 +473,6 @@ func (n *Network) deliver(node int, pkt *Packet) {
 	}
 	st.TotalHops += uint64(pkt.Hops)
 	st.TotalLatency += e.Now() - pkt.Injected
-	mm := n.metricsAt(shard)
 	mm.latency.ObserveTime(e.Now() - pkt.Injected)
 	mm.hops.Observe(float64(pkt.Hops))
 	if n.tracer != nil {

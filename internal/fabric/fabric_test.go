@@ -212,7 +212,7 @@ func TestAllModesDeliverEverything(t *testing.T) {
 			if delivered != want {
 				t.Fatalf("%s/%s: delivered %d of %d", topo.Name(), mode, delivered, want)
 			}
-			if net.Stats.PacketsDelivered != uint64(want) {
+			if net.TotalStats().PacketsDelivered != uint64(want) {
 				t.Fatalf("%s/%s: stats mismatch", topo.Name(), mode)
 			}
 		}
@@ -236,7 +236,7 @@ func TestValiantDetoursHappenOnDragonfly(t *testing.T) {
 		net.Inject(&Packet{Src: 0, Dst: topo.NumNodes() - 1, Size: 512})
 	})
 	eng.Run()
-	if net.Stats.ValiantDetours == 0 {
+	if net.TotalStats().ValiantDetours == 0 {
 		t.Fatal("valiant mode took no detours on cross-group dragonfly traffic")
 	}
 }

@@ -211,10 +211,9 @@ func (c Config) effectivePlan() FaultPlan {
 // dropPacket decides, at delivery time, whether failure injection claims
 // the packet arriving at node. Burst state is per destination so one
 // flow's bad luck cannot leak drops onto an unrelated link. e is the
-// engine executing the delivery and rng the fault stream to draw from —
-// the shared fault stream in legacy mode, the destination's substream in
-// sharded mode (per-destination streams make the drop sequence a function
-// of the flow's own arrivals, so it survives repartitioning).
+// engine executing the delivery and rng the destination's fault substream
+// (per-destination streams make the drop sequence a function of the
+// flow's own arrivals, so it survives repartitioning).
 func (n *Network) dropPacket(node int, e *sim.Engine, rng *sim.RNG) bool {
 	if n.burstLeft[node] > 0 {
 		n.burstLeft[node]--

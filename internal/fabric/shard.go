@@ -34,13 +34,13 @@ import (
 )
 
 // fabMetrics is one shard's set of per-event metric handles. All handles
-// are nil-safe, so an unattached registry costs one nil check per hook,
-// same as the legacy path.
+// are nil-safe, so an unattached registry costs one nil check per hook.
 type fabMetrics struct {
-	latency *metrics.Histogram
-	hops    *metrics.Histogram
-	drops   *metrics.Counter
-	detours *metrics.Counter
+	latency  *metrics.Histogram
+	hops     *metrics.Histogram
+	drops    *metrics.Counter
+	detours  *metrics.Counter
+	timeline *metrics.Timeline
 }
 
 // LookaheadFor returns the minimum simulated time any packet spends on a
@@ -78,13 +78,23 @@ func NewSharded(g *sim.ShardGroup, topo topology.Topology, cfg Config, seed uint
 	if g.Lookahead() > la {
 		return nil, fmt.Errorf("fabric: shard group lookahead %v exceeds minimum link delay %v", g.Lookahead(), la)
 	}
+	engs := make([]*sim.Engine, g.Shards())
+	for i := range engs {
+		engs[i] = g.Shard(i)
+	}
+	return build(g, engs, topo, cfg, seed), nil
+}
+
+// build is the construction New and NewSharded share: resources, the
+// locus-to-shard plan, and per-locus substreams derived from seed.
+func build(g *sim.ShardGroup, engs []*sim.Engine, topo topology.Topology, cfg Config, seed uint64) *Network {
 	nodes, switches := topo.NumNodes(), topo.NumSwitches()
 	n := &Network{
-		eng:   g.Shard(0).Tag("fabric"),
 		topo:  topo,
 		cfg:   cfg,
 		hosts: make([]DeliverFunc, nodes),
 		group: g,
+		engs:  engs,
 	}
 	n.outPorts = make([][]*sim.Resource, switches)
 	n.xbars = make([]*sim.Resource, switches)
@@ -102,11 +112,11 @@ func NewSharded(g *sim.ShardGroup, topo topology.Topology, cfg Config, seed uint
 	}
 	n.nonMin, _ = topo.(topology.NonMinimalRouter)
 
-	n.tags = make([]sim.Tagged, g.Shards())
-	for i := range n.tags {
-		n.tags[i] = g.Shard(i).Tag("fabric")
+	n.tags = make([]sim.Tagged, len(engs))
+	for i, e := range engs {
+		n.tags[i] = e.Tag("fabric")
 	}
-	n.nodeShard, n.swShard = shardPlan(topo, g.Shards())
+	n.nodeShard, n.swShard = shardPlan(topo, len(engs))
 	n.numLoci = nodes + switches
 	n.priCount = make([]uint64, n.numLoci)
 	n.nextIDs = make([]uint64, nodes)
@@ -127,8 +137,9 @@ func NewSharded(g *sim.ShardGroup, topo topology.Topology, cfg Config, seed uint
 		}
 		n.burstLeft = make([]int, nodes)
 	}
-	n.statsSh = make([]Stats, g.Shards())
-	return n, nil
+	n.statsSh = make([]Stats, len(engs))
+	n.msh = make([]fabMetrics, len(engs))
+	return n
 }
 
 // shardPlan assigns loci to shards: nodes in contiguous rank blocks
@@ -159,52 +170,21 @@ func shardPlan(topo topology.Topology, k int) (nodeShard, swShard []int) {
 	return nodeShard, swShard
 }
 
-// Sharded reports whether the network executes on a shard group.
-func (n *Network) Sharded() bool { return n.group != nil }
-
-// Group returns the shard group, or nil in legacy single-heap mode.
-func (n *Network) Group() *sim.ShardGroup { return n.group }
-
-// NodeShard returns the shard owning node's locus (0 in legacy mode).
-// Higher layers use it to place per-node components (NIC, endpoints) on
-// the engine that will execute their events.
-func (n *Network) NodeShard(node int) int {
-	if n.group == nil {
-		return 0
-	}
-	return n.nodeShard[node]
-}
+// NodeShard returns the shard owning node's locus. Higher layers use it to
+// place per-node components (NIC, endpoints) on the engine that will
+// execute their events.
+func (n *Network) NodeShard(node int) int { return n.nodeShard[node] }
 
 // nodeCtx returns the engine and shard executing node-side events.
 func (n *Network) nodeCtx(node int) (*sim.Engine, int) {
-	if n.group == nil {
-		return n.eng.Engine, 0
-	}
 	s := n.nodeShard[node]
-	return n.group.Shard(s), s
+	return n.engs[s], s
 }
 
 // swCtx returns the engine and shard executing switch sw's events.
 func (n *Network) swCtx(sw int) (*sim.Engine, int) {
-	if n.group == nil {
-		return n.eng.Engine, 0
-	}
 	s := n.swShard[sw]
-	return n.group.Shard(s), s
-}
-
-func (n *Network) nodeShardOf(node int) int {
-	if n.group == nil {
-		return 0
-	}
-	return n.nodeShard[node]
-}
-
-func (n *Network) switchShard(sw int) int {
-	if n.group == nil {
-		return 0
-	}
-	return n.swShard[sw]
+	return n.engs[s], s
 }
 
 // nodeLocus and switchLocus map components onto the unique-priority index
@@ -213,16 +193,11 @@ func (n *Network) nodeLocus(node int) int { return node }
 func (n *Network) switchLocus(sw int) int { return len(n.hosts) + sw }
 
 // sched books fn at absolute time at on dstShard, on behalf of srcLocus
-// (whose owner srcShard must be the currently executing shard). Legacy
-// mode schedules on the single engine with default priority — unchanged
-// event stream. Sharded mode allocates a locus-unique negative priority so
-// the event can never tie with another at the same timestamp, which is
-// what makes the merged execution order independent of the shard count.
+// (whose owner srcShard must be the currently executing shard). Every
+// event gets a locus-unique negative priority, so it can never tie with
+// another at the same timestamp, which is what makes the merged execution
+// order independent of the shard count.
 func (n *Network) sched(srcShard, srcLocus, dstShard int, at sim.Time, fn func()) {
-	if n.group == nil {
-		n.eng.At(at, fn)
-		return
-	}
 	pri := -(1 + int(n.priCount[srcLocus])*n.numLoci + srcLocus)
 	n.priCount[srcLocus]++
 	if srcShard == dstShard {
@@ -232,21 +207,10 @@ func (n *Network) sched(srcShard, srcLocus, dstShard int, at sim.Time, fn func()
 	n.group.Post(srcShard, dstShard, at, pri, n.tags[dstShard].Label(), fn)
 }
 
-// statsAt returns the counter block the given shard may write.
-func (n *Network) statsAt(shard int) *Stats {
-	if n.group == nil {
-		return &n.Stats
-	}
-	return &n.statsSh[shard]
-}
-
-// TotalStats aggregates fabric counters across shards; in legacy mode it
-// returns the single Stats block. In sharded mode call it only while the
-// group is quiescent (before Run or after it returns).
+// TotalStats aggregates fabric counters across shards. With more than one
+// shard call it only while the group is quiescent (before Run or after it
+// returns).
 func (n *Network) TotalStats() Stats {
-	if n.group == nil {
-		return n.Stats
-	}
 	var t Stats
 	for i := range n.statsSh {
 		s := &n.statsSh[i]
@@ -262,50 +226,27 @@ func (n *Network) TotalStats() Stats {
 	return t
 }
 
-func (n *Network) metricsAt(shard int) fabMetrics {
-	if n.msh == nil {
-		return fabMetrics{latency: n.mLatency, hops: n.mHops, drops: n.mDrops, detours: n.mDetours}
-	}
-	return n.msh[shard]
-}
-
-func (n *Network) dropsAt(shard int) *metrics.Counter {
-	if n.msh == nil {
-		return n.mDrops
-	}
-	return n.msh[shard].drops
-}
-
-func (n *Network) detoursAt(shard int) *metrics.Counter {
-	if n.msh == nil {
-		return n.mDetours
-	}
-	return n.msh[shard].detours
-}
-
 // SetMetricsSharded attaches per-shard registries for the per-event
-// handles (latency/hops histograms, drop/detour counters — each shard
-// writes only its own, and the harness merges registries after the run)
-// plus snapshot-time aggregate collectors on primary. The aggregate
-// collectors read resource state directly, which is only safe while the
-// group is quiescent — exactly when metrics snapshots are taken.
+// handles (latency/hops histograms, drop/detour counters and the timeline
+// — each shard writes only its own, and the harness merges registries
+// after the run) plus snapshot-time aggregate collectors on primary. A
+// one-shard network may pass primary itself as its shard registry. The
+// aggregate collectors read resource state directly, which is only safe
+// while the shards are quiescent or there is only one.
 func (n *Network) SetMetricsSharded(primary *metrics.Registry, shards []*metrics.Registry) {
-	if n.group == nil {
-		panic("fabric: SetMetricsSharded on a single-heap network")
+	if len(shards) != len(n.engs) {
+		panic(fmt.Sprintf("fabric: %d shard registries for %d shards", len(shards), len(n.engs)))
 	}
-	if len(shards) != n.group.Shards() {
-		panic(fmt.Sprintf("fabric: %d shard registries for %d shards", len(shards), n.group.Shards()))
-	}
-	n.msh = make([]fabMetrics, len(shards))
 	for i, reg := range shards {
 		n.msh[i] = fabMetrics{
-			latency: reg.Histogram("fabric.packet_latency_ns"),
-			hops:    reg.Histogram("fabric.packet_hops"),
-			drops:   reg.Counter("fabric.packets_dropped"),
-			detours: reg.Counter("fabric.valiant_detours"),
+			latency:  reg.Histogram("fabric.packet_latency_ns"),
+			hops:     reg.Histogram("fabric.packet_hops"),
+			drops:    reg.Counter("fabric.packets_dropped"),
+			detours:  reg.Counter("fabric.valiant_detours"),
+			timeline: reg.Timeline(),
 		}
 	}
-	e := n.eng.Engine // clocks are synchronized whenever collectors run
+	e := n.engs[0] // clocks are synchronized whenever collectors run
 	perSwitch := n.topo.NumSwitches() <= maxPerSwitchGauges
 	primary.AddCollector(func() {
 		var busy, uses float64
@@ -347,21 +288,18 @@ func (n *Network) SetMetricsSharded(primary *metrics.Registry, shards []*metrics
 // RegisterTelemetrySharded registers the fabric's probes on a shard set.
 // Cross-shard columns are declared with a merge kind (integer-sum in
 // picoseconds for backlog, plain sum for counters, max for the worst
-// queue) so the merged CSV is byte-identical to what a shards=1 run
-// writes; per-switch columns live on the switch's owning shard only.
+// queue) so the merged CSV is byte-identical at any shard count;
+// per-switch columns live on the switch's owning shard only.
 func (n *Network) RegisterTelemetrySharded(ss *telemetry.ShardSet) {
-	if n.group == nil {
-		panic("fabric: RegisterTelemetrySharded on a single-heap network")
-	}
 	if ss == nil {
 		return
 	}
-	swByShard := make([][]int, n.group.Shards())
+	swByShard := make([][]int, len(n.engs))
 	for sw, s := range n.swShard {
 		swByShard[s] = append(swByShard[s], sw)
 	}
 	ss.Register("fabric.queue_ns_total", telemetry.KindSumPS, func(shard int) float64 {
-		e := n.group.Shard(shard)
+		e := n.engs[shard]
 		var backlog sim.Time
 		for _, sw := range swByShard[shard] {
 			for _, p := range n.outPorts[sw] {
@@ -371,7 +309,7 @@ func (n *Network) RegisterTelemetrySharded(ss *telemetry.ShardSet) {
 		return backlog.Picoseconds()
 	})
 	ss.Register("fabric.queue_ns_max", telemetry.KindMax, func(shard int) float64 {
-		e := n.group.Shard(shard)
+		e := n.engs[shard]
 		var worst sim.Time
 		for _, sw := range swByShard[shard] {
 			for _, p := range n.outPorts[sw] {
@@ -395,7 +333,7 @@ func (n *Network) RegisterTelemetrySharded(ss *telemetry.ShardSet) {
 		sw := sw
 		ports := n.outPorts[sw]
 		owner := n.swShard[sw]
-		e := n.group.Shard(owner)
+		e := n.engs[owner]
 		ss.RegisterLocal(fmt.Sprintf("fabric.queue_ns.sw%03d", sw), owner, func() float64 {
 			var backlog sim.Time
 			for _, p := range ports {

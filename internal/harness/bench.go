@@ -27,7 +27,7 @@ type BenchRecord struct {
 	// this is the aggregate across all shards — the number parallel
 	// execution improves.
 	EventsPerSec float64 `json:"events_per_sec"`
-	// Shards is the cell's engine partition count (0 = single heap).
+	// Shards is the cell's engine partition count (at least 1).
 	// events_per_sec is only comparable between records with equal Shards;
 	// Events must match regardless (the byte-identical guarantee).
 	Shards int `json:"shards,omitempty"`
@@ -50,7 +50,7 @@ type BenchSummary struct {
 	SimNSTotal     float64 `json:"sim_ns_total"`
 	SimNSPerWallMS float64 `json:"sim_ns_per_wall_ms"`
 	// Shards is the sweep's engine partition count when every record agrees
-	// on one (0 = single heap); omitted for mixed sweeps.
+	// on one; omitted for mixed sweeps.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -71,7 +71,7 @@ type BenchLog struct {
 }
 
 // Record appends one cell sample. shards is the cell's engine partition
-// count (0 = single heap).
+// count.
 func (b *BenchLog) Record(cell string, wall time.Duration, simT sim.Time, events uint64, shards int) {
 	if b == nil {
 		return

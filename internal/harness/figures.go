@@ -53,18 +53,17 @@ type Options struct {
 	// every motif cell's engine and writes one <cell>.ledger.json into the
 	// directory during the serial merge phase (see internal/ledger). The
 	// recorder only hashes fields every pop already carries, so results
-	// stay byte-identical with or without it. Sharded cells (Shards > 0)
-	// record the canonical partition-invariant chain; legacy cells record
-	// the raw chain.
+	// stay byte-identical with or without it. The chain is the canonical
+	// partition-invariant one, identical at any shard count.
 	LedgerDir string
 	// Shards partitions every motif cell's simulation across that many
 	// event heaps with conservative lookahead synchronization
-	// (sim.ShardGroup); 0 keeps the legacy single-heap engine. Tables,
+	// (sim.ShardGroup); values below 1 mean 1, the default. Tables,
 	// telemetry CSVs and ledger chain heads are byte-identical at every
-	// positive shard count — Shards=1 is the baseline the matrix test
-	// compares against. Sharded cells run without span instrumentation
-	// (spans key state across nodes, which would cross shard boundaries),
-	// so put-p99 columns read "-" and attribution sections are empty.
+	// shard count, apart from span instrumentation: spans key state across
+	// nodes, which would cross shard boundaries, so only one-shard cells
+	// record them, and above one shard the put-p99 columns read "-" and
+	// attribution sections are empty.
 	Shards int
 }
 
@@ -87,6 +86,7 @@ func DefaultOptions() Options {
 		LinkGbps: []float64{100, 200, 400, 2000},
 		Seed:     42,
 		RunNoise: 0.02,
+		Shards:   1,
 	}
 }
 

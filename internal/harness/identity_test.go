@@ -1,0 +1,89 @@
+package harness
+
+import (
+	"encoding/json"
+	"fmt"
+	"testing"
+
+	"rvma/internal/ledger"
+	"rvma/internal/metrics"
+	"rvma/internal/motif"
+)
+
+// cellLedger runs one cell through the harness cell pipeline with a
+// canonical ledger attached and returns the parsed ledger.
+func cellLedger(t *testing.T, o Options, spec cellSpec, reg *metrics.Registry) ledger.Ledger {
+	t.Helper()
+	o.LedgerDir = t.TempDir()
+	out := runOneCell(o, spec, reg)
+	if out.Err != nil {
+		t.Fatalf("%s shards=%d: %v", spec.cellName(), o.Shards, out.Err)
+	}
+	var l ledger.Ledger
+	if err := json.Unmarshal(out.Ledger, &l); err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// identityCells is the 64-node Figure-7 cell (sweep3d, dragonfly/adaptive,
+// seed 42) for both transports, lossless and at 5% loss with recovery.
+func identityCells() []cellSpec {
+	var specs []cellSpec
+	for _, fault := range []faultSpec{{}, {Drop: 0.05, Recover: true}} {
+		for _, spec := range ledgerCellSpecs() {
+			spec.Fault = fault
+			specs = append(specs, spec)
+		}
+	}
+	return specs
+}
+
+// TestChainHeadIdenticalAtEveryShardCount: the default shard count, one
+// shard and four shards all simulate the same run, so their canonical
+// chain heads and event counts are equal.
+func TestChainHeadIdenticalAtEveryShardCount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("twelve 64-node motif simulations")
+	}
+	for _, spec := range identityCells() {
+		o := DefaultOptions()
+		o.Nodes = 64
+		base := cellLedger(t, o, spec, newCellRegistry(o.Shards))
+		for _, shards := range []int{1, 4} {
+			o.Shards = shards
+			got := cellLedger(t, o, spec, newCellRegistry(shards))
+			if got.ChainHead != base.ChainHead || got.Events != base.Events {
+				t.Errorf("%s: shards=%d chain head %s (%d events), default %s (%d events)",
+					spec.cellName(), shards, got.ChainHead, got.Events, base.ChainHead, base.Events)
+			}
+		}
+	}
+}
+
+// TestSpansDoNotChangeChainHead: span instrumentation only stamps marks,
+// it never schedules events, so a one-shard cell gives the same canonical
+// chain head and event count with spans on and off — while the spans-on
+// run really recorded put spans.
+func TestSpansDoNotChangeChainHead(t *testing.T) {
+	for _, spec := range identityCells() {
+		o := DefaultOptions()
+		o.Nodes = 64
+		o.Shards = 1
+		spansOn := metrics.NewRegistry()
+		spansOn.EnableSpans()
+		on := cellLedger(t, o, spec, spansOn)
+		off := cellLedger(t, o, spec, metrics.NewRegistry())
+		if on.ChainHead != off.ChainHead || on.Events != off.Events {
+			t.Errorf("%s: spans on gives chain head %s (%d events), off %s (%d events)",
+				spec.cellName(), on.ChainHead, on.Events, off.ChainHead, off.Events)
+		}
+		scope := "rvma"
+		if spec.Kind == motif.KindRDMA {
+			scope = "rdma"
+		}
+		if n := spansOn.Histogram(fmt.Sprintf("span.%s.put/total", scope)).Count(); n == 0 {
+			t.Errorf("%s: spans enabled but no %s.put span ended", spec.cellName(), scope)
+		}
+	}
+}

@@ -34,40 +34,36 @@ func readDirBytes(t *testing.T, dir string) map[string][]byte {
 
 // kvTableArtifacts renders the KV dataplane table at a given worker and
 // shard count and returns the table bytes plus the per-cell canonical
-// ledgers (file name -> parsed ledger) when shards > 0.
+// ledgers (file name -> parsed ledger).
 func kvTableArtifacts(t *testing.T, workers, shards int) ([]byte, map[string]ledger.Ledger) {
 	t.Helper()
 	o := DefaultOptions()
 	o.Nodes = 32
 	o.Workers = workers
 	o.Shards = shards
-	if shards > 0 {
-		o.LedgerDir = t.TempDir()
-	}
+	o.LedgerDir = t.TempDir()
 	var buf bytes.Buffer
 	KVTable(o).Fprint(&buf)
 	if strings.Contains(buf.String(), "FAILED") {
 		t.Fatalf("workers=%d shards=%d: KV table has failed cells:\n%s", workers, shards, buf.String())
 	}
 	ledgers := make(map[string]ledger.Ledger)
-	if o.LedgerDir != "" {
-		for name, data := range readDirBytes(t, o.LedgerDir) {
-			var led ledger.Ledger
-			if err := json.Unmarshal(data, &led); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			ledgers[name] = led
+	for name, data := range readDirBytes(t, o.LedgerDir) {
+		var led ledger.Ledger
+		if err := json.Unmarshal(data, &led); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		ledgers[name] = led
 	}
 	return buf.Bytes(), ledgers
 }
 
-// TestKVTableSmoke pins the shape of the KV table on the single-heap
-// path: every sweep row renders with real quantiles and goodput, the
+// TestKVTableSmoke pins the shape of the KV table at the default single
+// shard: every sweep row renders with real quantiles and goodput, the
 // loss rows appear, and the population note reports the >= 2^20
 // simulated-client fan-in.
 func TestKVTableSmoke(t *testing.T) {
-	table, _ := kvTableArtifacts(t, 1, 0)
+	table, _ := kvTableArtifacts(t, 1, 1)
 	s := string(table)
 	for _, want := range []string{"p99.9", "cas-fail", "simulated clients", "overload"} {
 		if !strings.Contains(s, want) {

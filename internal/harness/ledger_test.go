@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rvma/internal/fabric"
@@ -102,9 +103,9 @@ func TestLedgerRecorderDoesNotChangeResults(t *testing.T) {
 	o := DefaultOptions()
 	o.Nodes = 64
 
-	bare := runOneCell(o, spec, newCellRegistry(0))
+	bare := runOneCell(o, spec, newCellRegistry(o.Shards))
 	o.LedgerDir = t.TempDir()
-	recorded := runOneCell(o, spec, newCellRegistry(0))
+	recorded := runOneCell(o, spec, newCellRegistry(o.Shards))
 	if bare.Err != nil || recorded.Err != nil {
 		t.Fatalf("cell errors: %v / %v", bare.Err, recorded.Err)
 	}
@@ -130,7 +131,7 @@ func TestReplayReproducesChainHead(t *testing.T) {
 		if l.Run == nil {
 			t.Fatalf("%s: ledger carries no run spec", cell)
 		}
-		replay, _, err := ReplaySpec(*l.Run, ReplayOptions{EpochEvents: l.EpochEvents})
+		replay, _, err := ReplaySpec(&l, ReplayOptions{EpochEvents: l.EpochEvents})
 		if err != nil {
 			t.Fatalf("%s: replay: %v", cell, err)
 		}
@@ -153,7 +154,7 @@ func TestReplayWindowCapture(t *testing.T) {
 		if err := json.Unmarshal(raw, &l); err != nil {
 			t.Fatal(err)
 		}
-		replay, _, err := ReplaySpec(*l.Run, ReplayOptions{EpochEvents: l.EpochEvents, WindowFrom: 10, WindowTo: 20})
+		replay, _, err := ReplaySpec(&l, ReplayOptions{EpochEvents: l.EpochEvents, WindowFrom: 10, WindowTo: 20})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,6 +166,16 @@ func TestReplayWindowCapture(t *testing.T) {
 			t.Fatalf("window range wrong: pops %d..%d", w.Records[0].Pop, w.Records[9].Pop)
 		}
 		break
+	}
+}
+
+// TestReplayRefusesRawLedger: a raw pop-order ledger recorded by an
+// earlier build cannot be replayed, and the error says to re-record it.
+func TestReplayRefusesRawLedger(t *testing.T) {
+	rs := runSpecFor(ledgerCellSpecs()[0], DefaultOptions())
+	raw := &ledger.Ledger{Version: ledger.Version, Run: &rs}
+	if _, _, err := ReplaySpec(raw, ReplayOptions{}); err == nil || !strings.Contains(err.Error(), "re-record") {
+		t.Fatalf("raw ledger replay: err = %v, want a re-record error", err)
 	}
 }
 

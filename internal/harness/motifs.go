@@ -70,34 +70,30 @@ func RunMotifPointInstrumented(m MotifName, kind motif.TransportKind, nc NetConf
 }
 
 // cellInstr bundles the optional per-cell instrumentation runMotifPoint
-// attaches before a run: a metrics registry, an in-sim sampler (already
-// holding any extra probes; the cluster's are registered here), and a
-// bench log for wall-clock throughput records. With shards > 0 the cell
-// runs on a sim.ShardGroup: the sampler is replaced by a per-shard
-// telemetry.ShardSet and the raw ledger recorder by the canonical one,
-// both built inside runMotifPoint once the group exists.
+// attaches before a run: a metrics registry, a canonical ledger recorder,
+// a per-shard telemetry set (built inside runMotifPoint once the group
+// exists), and a bench log for wall-clock throughput records.
 type cellInstr struct {
-	reg     *metrics.Registry
-	sampler *telemetry.Sampler
-	bench   *BenchLog
-	attrib  *attrib.Collector
-	ledger  *ledger.Recorder
-	cell    string // bench/telemetry label: "motif|network|transport|gbps"
+	reg    *metrics.Registry
+	bench  *BenchLog
+	attrib *attrib.Collector
+	cell   string // bench/telemetry label: "motif|network|transport|gbps"
 
 	// kvResult carries the application-level outcome of a KV cell back to
 	// the caller (nil for every other motif, and on cluster-build errors).
 	kvResult *motif.KVResult
 
-	shards int // partition count; 0 = legacy single heap
+	shards int // partition count; values below 1 mean 1
 	// unsafeScale, when != 0 and != 1, multiplies the shard group's
 	// lookahead after construction — only replays of CI canary runs set it
 	// (see ledger.RunSpec.UnsafeLookaheadScale).
 	unsafeScale float64
 	canon       *ledger.CanonicalRecorder
-	// wantShardSet asks runMotifPoint to build and start a ShardSet on the
-	// cluster's group; the set is left here for the caller to render.
-	wantShardSet bool
-	shardSet     *telemetry.ShardSet
+	// sampleEvery, when positive, asks runMotifPoint to build and start a
+	// ShardSet ticking at that interval on the cluster's group; the set is
+	// left in shardSet for the caller to render.
+	sampleEvery sim.Time
+	shardSet    *telemetry.ShardSet
 }
 
 // runMotifPoint is the shared cell runner behind the exported entry points
@@ -130,18 +126,11 @@ func runMotifPoint(spec cellSpec, nodes int, seed uint64, inst *cellInstr) (sim.
 	if err != nil {
 		return 0, nil, err
 	}
-	if inst.unsafeScale != 0 && inst.unsafeScale != 1 && c.Group != nil {
+	if inst.unsafeScale != 0 && inst.unsafeScale != 1 {
 		c.Group.UnsafeScaleLookahead(inst.unsafeScale)
 	}
-	if inst.ledger != nil {
-		inst.ledger.Attach(c.Eng)
-	}
 	if inst.canon != nil {
-		if c.Group != nil {
-			inst.canon.AttachGroup(c.Group)
-		} else {
-			inst.canon.Attach(c.Eng)
-		}
+		inst.canon.AttachGroup(c.Group)
 	}
 	if inst.reg != nil {
 		c.AttachShardMetrics(inst.reg)
@@ -149,12 +138,8 @@ func runMotifPoint(spec cellSpec, nodes int, seed uint64, inst *cellInstr) (sim.
 			c.AttachAttribution(inst.reg, inst.attrib)
 		}
 	}
-	if inst.sampler != nil {
-		c.RegisterTelemetry(inst.sampler)
-		inst.sampler.Start()
-	}
-	if inst.wantShardSet {
-		inst.shardSet = telemetry.NewShardSet(c.Group, cellSampleInterval)
+	if inst.sampleEvery > 0 {
+		inst.shardSet = telemetry.NewShardSet(c.Group, inst.sampleEvery)
 		c.RegisterTelemetryShards(inst.shardSet)
 		inst.shardSet.Start()
 	}
@@ -182,7 +167,7 @@ func runMotifPoint(spec cellSpec, nodes int, seed uint64, inst *cellInstr) (sim.
 	}
 	c.FinishMetrics(inst.reg)
 	if inst.bench != nil {
-		inst.bench.Record(inst.cell, time.Since(start), makespan, c.EventsExecuted(), inst.shards)
+		inst.bench.Record(inst.cell, time.Since(start), makespan, c.EventsExecuted(), c.Group.Shards())
 	}
 	return makespan, c, nil
 }
@@ -194,12 +179,13 @@ func cellName(m MotifName, nc NetConfig, kind motif.TransportKind, gbps float64)
 }
 
 // newCellRegistry returns the per-cell registry the figure sweeps attach:
-// spans enabled on the legacy single-heap path, plain counters/gauges on
-// sharded cells (span instrumentation keys state across nodes, which
-// would cross shard boundaries).
+// spans enabled on one-shard cells, plain counters/gauges above one shard
+// (span instrumentation keys state across nodes, which would cross shard
+// boundaries). Spans never change the simulation, so the choice leaves
+// every chain head alone.
 func newCellRegistry(shards int) *metrics.Registry {
 	reg := metrics.NewRegistry()
-	if shards == 0 {
+	if shards <= 1 {
 		reg.EnableSpans()
 	}
 	return reg

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"rvma/internal/attrib"
 	"rvma/internal/fabric"
 	"rvma/internal/ledger"
 	"rvma/internal/motif"
@@ -28,7 +27,6 @@ func runSpecFor(spec cellSpec, o Options) ledger.RunSpec {
 		Nodes:     o.Nodes,
 		Gbps:      spec.Gbps,
 		Seed:      o.Seed,
-		Spans:     o.Shards == 0, // sharded cells run without span instrumentation
 		Drop:      spec.Fault.Drop,
 		Recover:   spec.Fault.Recover,
 		Shards:    o.Shards,
@@ -130,43 +128,31 @@ type ReplayOptions struct {
 	Profile bool
 }
 
-// ReplaySpec re-runs the simulation a RunSpec describes with a fresh
-// execution-ledger recorder attached and returns the finalized ledger
-// (including the captured window, when one was armed). Replay is exact:
-// the cluster is built through the same code path as the original run —
-// including the sharded pipeline when the spec carries Shards > 0, whose
-// canonical ledger reproduces the original chain head at any shard count.
-func ReplaySpec(rs ledger.RunSpec, ro ReplayOptions) (*ledger.Ledger, *ledger.ProfileReport, error) {
+// ReplaySpec re-runs the simulation a canonical ledger's embedded RunSpec
+// describes with a fresh canonical recorder attached and returns the
+// finalized ledger (including the captured window, when one was armed).
+// Replay is exact: the cluster is built through the same code path as the
+// original run, and the canonical chain is the same at any shard count.
+// Raw pop-order ledgers from earlier builds are refused.
+func ReplaySpec(l *ledger.Ledger, ro ReplayOptions) (*ledger.Ledger, *ledger.ProfileReport, error) {
+	if err := l.CheckCanonical(); err != nil {
+		return nil, nil, fmt.Errorf("harness: %w", err)
+	}
+	if l.Run == nil {
+		return nil, nil, fmt.Errorf("harness: ledger embeds no run spec to replay")
+	}
+	rs := *l.Run
 	spec, err := cellSpecFor(rs)
 	if err != nil {
 		return nil, nil, err
 	}
-	opts := ledger.Options{EpochEvents: ro.EpochEvents, Profile: ro.Profile, Run: &rs}
 	inst := cellInstr{cell: spec.cellName(), shards: rs.Shards, unsafeScale: rs.UnsafeLookaheadScale}
-	if rs.Shards > 0 {
-		inst.canon = ledger.NewCanonicalRecorder(opts)
-		if ro.WindowTo > 0 {
-			inst.canon.SetWindow(ro.WindowFrom, ro.WindowTo)
-		}
-	} else {
-		inst.ledger = ledger.NewRecorder(opts)
-		if ro.WindowTo > 0 {
-			inst.ledger.SetWindow(ro.WindowFrom, ro.WindowTo)
-		}
-	}
-	if rs.Spans && rs.Shards == 0 {
-		// Span instrumentation schedules extra model events, so the replay
-		// must attach the same registry shape the original run had. Sharded
-		// runs never have spans; a spec claiming both is ignored in favor of
-		// the sharded pipeline's shape.
-		inst.reg = newCellRegistry(0)
-		inst.attrib = attrib.NewCollector(0)
+	inst.canon = ledger.NewCanonicalRecorder(ledger.Options{EpochEvents: ro.EpochEvents, Profile: ro.Profile, Run: &rs})
+	if ro.WindowTo > 0 {
+		inst.canon.SetWindow(ro.WindowFrom, ro.WindowTo)
 	}
 	if _, _, err := runMotifPoint(spec, rs.Nodes, rs.Seed, &inst); err != nil {
 		return nil, nil, err
 	}
-	if inst.canon != nil {
-		return inst.canon.Finalize(), inst.canon.Profile(), nil
-	}
-	return inst.ledger.Finalize(), inst.ledger.Profile(), nil
+	return inst.canon.Finalize(), inst.canon.Profile(), nil
 }

@@ -14,7 +14,6 @@ import (
 	"rvma/internal/motif"
 	"rvma/internal/recovery"
 	"rvma/internal/sim"
-	"rvma/internal/telemetry"
 )
 
 // This file is the harness's worker-pool cell runner. A figure sweep is
@@ -24,7 +23,7 @@ import (
 // sweep produces are byte-identical at any worker count.
 //
 // The pool is host-side orchestration, not model code: each cell builds
-// its own sim.Engine, metrics.Registry and telemetry.Sampler inside its
+// its own shard group, metrics.Registry and telemetry.ShardSet inside its
 // worker, shares no mutable state with any other cell, and performs no
 // file I/O — cells render into buffers, and the (serial) merge phase does
 // all writing. The determinism lint's one-goroutine rule applies to model
@@ -123,19 +122,11 @@ func runOneCell(o Options, spec cellSpec, reg *metrics.Registry) cellOutput {
 		inst.bench = local
 	}
 	if o.TelemetryDir != "" {
-		if o.Shards > 0 {
-			inst.wantShardSet = true
-		} else {
-			inst.sampler = telemetry.NewUnbound(cellSampleInterval)
-		}
+		inst.sampleEvery = cellSampleInterval
 	}
 	if o.LedgerDir != "" {
 		rs := runSpecFor(spec, o)
-		if o.Shards > 0 {
-			inst.canon = ledger.NewCanonicalRecorder(ledger.Options{Run: &rs})
-		} else {
-			inst.ledger = ledger.NewRecorder(ledger.Options{Run: &rs})
-		}
+		inst.canon = ledger.NewCanonicalRecorder(ledger.Options{Run: &rs})
 	}
 	var c *motif.Cluster
 	out.Makespan, c, out.Err = runMotifPoint(spec, o.Nodes, o.Seed, &inst)
@@ -147,14 +138,6 @@ func runOneCell(o Options, spec cellSpec, reg *metrics.Registry) cellOutput {
 	}
 	if out.Err != nil {
 		return out
-	}
-	if inst.sampler != nil {
-		var buf bytes.Buffer
-		if err := inst.sampler.WriteCSV(&buf); err != nil {
-			out.Err = err
-			return out
-		}
-		out.Telemetry = buf.Bytes()
 	}
 	if inst.shardSet != nil {
 		var buf bytes.Buffer
@@ -168,14 +151,6 @@ func runOneCell(o Options, spec cellSpec, reg *metrics.Registry) cellOutput {
 		rec := local.Records[0]
 		out.Bench = &rec
 	}
-	if inst.ledger != nil {
-		b, err := inst.ledger.Finalize().Marshal()
-		if err != nil {
-			out.Err = err
-			return out
-		}
-		out.Ledger = b
-	}
 	if inst.canon != nil {
 		b, err := inst.canon.Finalize().Marshal()
 		if err != nil {
@@ -187,8 +162,8 @@ func runOneCell(o Options, spec cellSpec, reg *metrics.Registry) cellOutput {
 	return out
 }
 
-// runCells executes every spec — each with its own engine, registry and
-// sampler — on Options.workerCount() goroutines and returns the outputs
+// runCells executes every spec — each with its own shard group, registry
+// and telemetry — on Options.workerCount() goroutines and returns the outputs
 // indexed like specs, independent of completion order. With one worker
 // (or one cell) it runs inline; the outputs are identical either way.
 func runCells(o Options, specs []cellSpec) []cellOutput {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"rvma/internal/fabric"
@@ -14,7 +15,8 @@ import (
 
 // matrixOut is one transport's observable output from a matrix cell run.
 type matrixOut struct {
-	snapshot  []byte // makespan + metrics snapshot
+	snapshot  []byte // makespan + metrics snapshot without span families
+	spanKeys  int    // span families the snapshot carried
 	telemetry []byte // rendered time-series CSV
 	chainHead string // canonical ledger chain head
 	events    uint64 // canonical ledger event count
@@ -44,11 +46,14 @@ func runShardMatrix(t *testing.T, shards, workers int) map[motif.TransportKind]m
 		if out.Err != nil {
 			t.Fatalf("shards=%d workers=%d %s: %v", shards, workers, out.Spec.Kind, out.Err)
 		}
-		var snap bytes.Buffer
-		fmt.Fprintf(&snap, "makespan_ns=%v\n", out.Makespan.Nanoseconds())
-		if err := out.Reg.WriteJSON(&snap, out.Makespan); err != nil {
+		var js bytes.Buffer
+		if err := out.Reg.WriteJSON(&js, out.Makespan); err != nil {
 			t.Fatal(err)
 		}
+		stripped, spanKeys := withoutSpans(t, js.Bytes())
+		var snap bytes.Buffer
+		fmt.Fprintf(&snap, "makespan_ns=%v\n", out.Makespan.Nanoseconds())
+		snap.Write(stripped)
 		var led ledger.Ledger
 		if err := json.Unmarshal(out.Ledger, &led); err != nil {
 			t.Fatal(err)
@@ -58,6 +63,7 @@ func runShardMatrix(t *testing.T, shards, workers int) map[motif.TransportKind]m
 		}
 		res[out.Spec.Kind] = matrixOut{
 			snapshot:  snap.Bytes(),
+			spanKeys:  spanKeys,
 			telemetry: out.Telemetry,
 			chainHead: led.ChainHead,
 			events:    led.Events,
@@ -66,13 +72,42 @@ func runShardMatrix(t *testing.T, shards, workers int) map[motif.TransportKind]m
 	return res
 }
 
+// withoutSpans re-renders a metrics snapshot with every span.* counter,
+// gauge and histogram and the open-span count removed, and returns it with
+// the number of span families it dropped. One-shard cells record spans;
+// cells above one shard cannot, and otherwise report the same metrics.
+func withoutSpans(t *testing.T, snapshot []byte) ([]byte, int) {
+	t.Helper()
+	var snap map[string]any
+	if err := json.Unmarshal(snapshot, &snap); err != nil {
+		t.Fatal(err)
+	}
+	dropped := 0
+	for _, section := range []string{"counters", "gauges", "histograms"} {
+		fams, _ := snap[section].(map[string]any)
+		for name := range fams {
+			if strings.HasPrefix(name, "span.") {
+				delete(fams, name)
+				dropped++
+			}
+		}
+	}
+	delete(snap, "spans_open")
+	out, err := json.MarshalIndent(snap, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, dropped
+}
+
 // TestShardWorkerMatrix is the harness-level acceptance gate for the
 // sharded engine: one Figure-7 cell (dragonfly/adaptive, 5% loss with
-// recovery, both transports) must produce byte-identical metrics
-// snapshots, telemetry CSVs and canonical-ledger chain heads at every
-// shard count in {1, 2, 4, 8} and every worker-pool width in {1, 4}.
-// Shard count partitions the simulation itself; worker count only
-// schedules independent cells — neither may leak into the results.
+// recovery, both transports) must produce byte-identical telemetry CSVs
+// and canonical-ledger chain heads at every shard count in {1, 2, 4, 8}
+// and every worker-pool width in {1, 4}, and the same metrics snapshot
+// apart from the span families only one-shard cells record. Shard count
+// partitions the simulation itself; worker count only schedules
+// independent cells — neither may leak into the results.
 func TestShardWorkerMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix is 16 motif simulations; skipped in -short")
@@ -84,6 +119,9 @@ func TestShardWorkerMatrix(t *testing.T) {
 		}
 		if len(b.telemetry) == 0 {
 			t.Fatalf("%s baseline rendered no telemetry", kind)
+		}
+		if b.spanKeys == 0 {
+			t.Fatalf("%s one-shard baseline recorded no span families", kind)
 		}
 	}
 	for _, shards := range []int{1, 2, 4, 8} {

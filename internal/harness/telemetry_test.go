@@ -13,7 +13,6 @@ import (
 	"rvma/internal/metrics"
 	"rvma/internal/motif"
 	"rvma/internal/sim"
-	"rvma/internal/telemetry"
 	"rvma/internal/topology"
 )
 
@@ -36,15 +35,12 @@ func TestSamplingPreservesDeterminism(t *testing.T) {
 			run := func(interval sim.Time) []byte {
 				reg := metrics.NewRegistry()
 				reg.EnableSpans()
-				inst := cellInstr{reg: reg}
-				if interval > 0 {
-					inst.sampler = telemetry.NewUnbound(interval)
-				}
+				inst := cellInstr{reg: reg, sampleEvery: interval}
 				mk, _, err := runMotifPoint(cellSpec{M: MotifSweep3D, Kind: kind, NC: nc, Gbps: 100}, 64, 42, &inst)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if interval > 0 && inst.sampler.Samples() == 0 {
+				if interval > 0 && inst.shardSet.Samples() == 0 {
 					t.Fatal("sampler attached but recorded no rows")
 				}
 				var buf bytes.Buffer
@@ -76,7 +72,7 @@ func TestRunFigureCellWritesTimeseries(t *testing.T) {
 	nc := telemetryTestNet()
 
 	runOnce := func() []byte {
-		reg := newCellRegistry(0)
+		reg := newCellRegistry(o.Shards)
 		if _, err := runFigureCell(o, MotifSweep3D, motif.KindRVMA, nc, 100, reg); err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +118,7 @@ func TestBenchLogRecordsCells(t *testing.T) {
 	o.Nodes = 64
 	o.Bench = &BenchLog{}
 	nc := telemetryTestNet()
-	if _, err := runFigureCell(o, MotifSweep3D, motif.KindRVMA, nc, 100, newCellRegistry(0)); err != nil {
+	if _, err := runFigureCell(o, MotifSweep3D, motif.KindRVMA, nc, 100, newCellRegistry(o.Shards)); err != nil {
 		t.Fatal(err)
 	}
 	if len(o.Bench.Records) != 1 {

@@ -9,11 +9,10 @@ import (
 // Canonical-mode ledger: a hash chain whose value is invariant under how
 // the simulation was partitioned across shards.
 //
-// The raw Recorder hashes (seq, time, priority, label-id) in single-heap
-// pop order. Neither seq nor label-id survives sharding — each shard
-// engine assigns its own sequence numbers and interns its own label table
-// — and the global pop order itself is only defined up to the event
-// ordering the heaps agree on. What *is* partition-invariant is the
+// Neither an engine's sequence numbers nor its label ids survive sharding
+// — each shard engine assigns its own sequence numbers and interns its own
+// label table — and the global pop order itself is only defined up to the
+// event ordering the heaps agree on. What *is* partition-invariant is the
 // multiset of (time, priority, label-name) tuples per timestamp, plus the
 // total order (time, then priority) that the engine guarantees between
 // them: the fabric stamps every cross-component event with a globally
@@ -75,11 +74,11 @@ func (c *labelCache) resolve(l sim.Label) (uint64, string) {
 	return e.lh, e.name
 }
 
-// CanonicalRecorder accumulates the canonical chain. Use Attach for a
-// single-heap engine (records stream through a per-timestamp batch) or
-// AttachGroup for a ShardGroup (per-shard buffers, merged and folded at
-// every round barrier). Either attachment produces the same ledger for
-// the same model.
+// CanonicalRecorder accumulates the canonical chain. Use AttachGroup for
+// a ShardGroup (per-shard buffers, merged and folded at every round
+// barrier) or Attach for a lone engine (records stream through a
+// per-timestamp batch; the kernel tests compare the group against it).
+// Either attachment produces the same ledger for the same model.
 type CanonicalRecorder struct {
 	opts Options
 
@@ -127,9 +126,9 @@ func (r *CanonicalRecorder) SetWindow(fromPop, toPop uint64) {
 	r.winFrom, r.winTo = fromPop, toPop
 }
 
-// Attach registers the recorder on a single-heap engine. The resulting
-// ledger is identical to what AttachGroup yields for the same model at
-// any shard count.
+// Attach registers the recorder on a lone engine. The resulting ledger is
+// identical to what AttachGroup yields for the same model at any shard
+// count.
 func (r *CanonicalRecorder) Attach(e *sim.Engine) {
 	r.eng = e
 	r.cache = labelCache{eng: e}

@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"strings"
 	"testing"
 
 	"rvma/internal/sim"
@@ -138,13 +139,21 @@ func TestCanonicalSeedSensitivity(t *testing.T) {
 	}
 }
 
-// TestCompareRefusesModeMismatch: a raw and a canonical ledger must never
-// be diffed as if comparable.
+// TestCompareRefusesModeMismatch: a raw ledger recorded by an earlier
+// build and a canonical one must never be diffed as if comparable, and the
+// raw one fails CheckCanonical.
 func TestCompareRefusesModeMismatch(t *testing.T) {
-	raw := NewRecorder(Options{}).Finalize()
 	canon := NewCanonicalRecorder(Options{}).Finalize()
-	d := Compare(raw, canon)
+	raw := *canon
+	raw.Mode = ""
+	d := Compare(&raw, canon)
 	if d.Identical || d.Comparable {
 		t.Fatalf("raw vs canonical compared as %+v; want incomparable", d)
+	}
+	if err := canon.CheckCanonical(); err != nil {
+		t.Fatalf("canonical ledger rejected: %v", err)
+	}
+	if err := raw.CheckCanonical(); err == nil || !strings.Contains(err.Error(), "re-record") {
+		t.Fatalf("raw ledger: CheckCanonical = %v, want a re-record error", err)
 	}
 }

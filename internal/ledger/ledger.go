@@ -1,5 +1,5 @@
 // Package ledger records a deterministic execution ledger: a hash chain
-// over every model event the engine pops, folded into fixed-size epoch
+// over every model event the engines pop, folded into fixed-size epoch
 // digests plus a final chain head.
 //
 // The ledger is the repo's instrument for the determinism contract that
@@ -11,13 +11,14 @@
 // first divergence to a 64k-event span in O(log n) chain comparisons, and
 // a replay with a full-resolution window pins it to the exact pop.
 //
-// What is hashed: (seq, sim-time, priority, label-id) of every non-daemon
-// pop, in execution order. What is deliberately not hashed: host
-// wall-clock time (nondeterministic by nature — the per-component profile
-// reports it separately), daemon pops (telemetry riders must not perturb
-// the ledger, so sampling on/off yields the same chain), and event
+// What is hashed: (sim-time, priority, label-name) of every non-daemon
+// pop, in canonical (time, priority) order, so the chain is the same at
+// any shard count (see canonical.go). What is deliberately not hashed:
+// host wall-clock time (nondeterministic by nature — the per-component
+// profile reports it separately), daemon pops (telemetry riders must not
+// perturb the ledger, so sampling on/off yields the same chain), and event
 // payloads (callbacks are closures; their identity is already pinned by
-// seq and scheduling order).
+// timestamp, priority and scheduling order).
 package ledger
 
 import (
@@ -41,9 +42,21 @@ const Version = 1
 // ModeCanonical marks a ledger whose chain is partition-invariant: records
 // are (time, priority, label-name-hash) tuples folded in canonical
 // (time, priority) order rather than raw engine pop order (see
-// canonical.go). An empty Mode is the original raw chain. The two modes
-// hash different record shapes, so their digests are never comparable.
+// canonical.go). Every ledger this package records is canonical; an empty
+// Mode marks a raw pop-order chain recorded by earlier builds, whose
+// digests hash a different record shape and are never comparable.
 const ModeCanonical = "canonical"
+
+// CheckCanonical returns an error unless l is a canonical-mode ledger.
+// Raw pop-order ledgers can be neither compared with nor replayed by this
+// build; the fix is to record the run again.
+func (l *Ledger) CheckCanonical() error {
+	if l.Mode != ModeCanonical {
+		return fmt.Errorf("ledger mode is %q, not %q: raw pop-order ledgers from earlier builds cannot be compared or replayed; re-record the run",
+			modeName(l.Mode), ModeCanonical)
+	}
+	return nil
+}
 
 // FNV-1a 64-bit parameters. The chain needs speed and avalanche, not
 // cryptographic strength: a divergent pop flips its epoch digest with
@@ -54,8 +67,8 @@ const (
 )
 
 // mix64 folds the 8 bytes of v into h, FNV-1a style (little-endian byte
-// order). It is branch-free and allocation-free: the observer runs it four
-// times per pop on the engine's hot path.
+// order). It is branch-free and allocation-free: the recorder runs it
+// three times per folded record.
 func mix64(h, v uint64) uint64 {
 	for i := 0; i < 8; i++ {
 		h ^= v & 0xff
@@ -65,7 +78,7 @@ func mix64(h, v uint64) uint64 {
 	return h
 }
 
-// Options configures a Recorder.
+// Options configures a CanonicalRecorder.
 type Options struct {
 	// EpochEvents is the epoch size in pops; 0 means DefaultEpochEvents.
 	EpochEvents uint64
@@ -87,175 +100,6 @@ type epochState struct {
 	lastSeq  uint64
 	digest   uint64
 	chain    uint64
-}
-
-// windowRec is one full-resolution pop record captured inside the window.
-type windowRec struct {
-	pop   uint64
-	seq   uint64
-	at    sim.Time
-	pri   int
-	label sim.Label
-}
-
-// Recorder implements sim.ExecObserver: it hash-chains every model pop
-// into epochs and optionally captures a full-resolution window and a
-// host-time profile. Attach it with Attach (or sim.Engine.SetExecObserver
-// directly), run the model, then Finalize.
-type Recorder struct {
-	eng  *sim.Engine
-	opts Options
-
-	pops          uint64 // model pops observed so far
-	cur           uint64 // running FNV state of the open epoch
-	chain         uint64 // chain value after the last closed epoch
-	epochStartPop uint64
-	firstSeq      uint64
-	lastSeq       uint64
-	epochs        []epochState
-
-	// Window [winFrom, winTo) in pop indices; winTo == 0 disables capture.
-	winFrom uint64
-	winTo   uint64
-	winRecs []windowRec
-
-	prof *profiler
-}
-
-// NewRecorder returns a recorder with the given options.
-func NewRecorder(opts Options) *Recorder {
-	if opts.EpochEvents == 0 {
-		opts.EpochEvents = DefaultEpochEvents
-	}
-	r := &Recorder{opts: opts, cur: fnvOffset, chain: fnvOffset}
-	if opts.Profile {
-		r.prof = newProfiler()
-	}
-	return r
-}
-
-// Attach registers the recorder as e's exec observer and remembers the
-// engine so Finalize can snapshot its label table and final clock.
-func (r *Recorder) Attach(e *sim.Engine) {
-	r.eng = e
-	e.SetExecObserver(r)
-}
-
-// SetWindow arms full-resolution capture for pops in [fromPop, toPop).
-// Pop indices count model pops in execution order, starting at zero —
-// the same coordinate epoch records use (FirstPop). Call before running.
-func (r *Recorder) SetWindow(fromPop, toPop uint64) {
-	r.winFrom, r.winTo = fromPop, toPop
-}
-
-// ObserveExec implements sim.ExecObserver. It must stay allocation-free on
-// the steady path: per pop it runs four FNV folds and two compares; the
-// appends below are amortized (one epoch record per 64k pops) or bounded
-// (window capture, profile label table).
-func (r *Recorder) ObserveExec(seq uint64, at sim.Time, priority int, label sim.Label) {
-	h := r.cur
-	h = mix64(h, seq)
-	h = mix64(h, uint64(at))
-	h = mix64(h, uint64(int64(priority)))
-	h = mix64(h, uint64(label))
-	r.cur = h
-
-	pop := r.pops
-	if pop == r.epochStartPop {
-		r.firstSeq = seq
-	}
-	r.lastSeq = seq
-	r.pops++
-
-	if pop < r.winTo && pop >= r.winFrom {
-		r.winRecs = append(r.winRecs, windowRec{pop: pop, seq: seq, at: at, pri: priority, label: label})
-	}
-	if r.pops-r.epochStartPop == r.opts.EpochEvents {
-		r.closeEpoch()
-	}
-	if r.prof != nil {
-		r.prof.observe(label)
-	}
-}
-
-// closeEpoch seals the open epoch and folds its digest into the chain.
-func (r *Recorder) closeEpoch() {
-	digest := r.cur
-	r.chain = mix64(r.chain, digest)
-	r.epochs = append(r.epochs, epochState{
-		events:   r.pops - r.epochStartPop,
-		firstPop: r.epochStartPop,
-		firstSeq: r.firstSeq,
-		lastSeq:  r.lastSeq,
-		digest:   digest,
-		chain:    r.chain,
-	})
-	r.cur = fnvOffset
-	r.epochStartPop = r.pops
-}
-
-// Events returns the number of model pops observed so far.
-func (r *Recorder) Events() uint64 { return r.pops }
-
-// Finalize seals any partial tail epoch and returns the serializable
-// ledger. The recorder keeps accumulating if the engine runs further, but
-// Finalize is normally called once, after the run completes.
-func (r *Recorder) Finalize() *Ledger {
-	if r.pops > r.epochStartPop {
-		r.closeEpoch()
-	}
-	l := &Ledger{
-		Version:     Version,
-		EpochEvents: r.opts.EpochEvents,
-		Events:      r.pops,
-		ChainHead:   hex64(r.chain),
-		Run:         r.opts.Run,
-		Labels:      []string{"-"},
-	}
-	if r.eng != nil {
-		l.Labels = r.eng.Labels()
-		l.FinalTimePS = int64(r.eng.Now())
-	}
-	l.Epochs = make([]Epoch, len(r.epochs))
-	for i, e := range r.epochs {
-		l.Epochs[i] = Epoch{
-			Epoch:    i,
-			Events:   e.events,
-			FirstPop: e.firstPop,
-			FirstSeq: e.firstSeq,
-			LastSeq:  e.lastSeq,
-			Digest:   hex64(e.digest),
-			Chain:    hex64(e.chain),
-		}
-	}
-	if r.winTo > 0 {
-		w := &Window{FromPop: r.winFrom, ToPop: r.winTo}
-		w.Records = make([]WindowRecord, len(r.winRecs))
-		for i, rec := range r.winRecs {
-			w.Records[i] = WindowRecord{
-				Pop:    rec.pop,
-				Seq:    rec.seq,
-				TimePS: int64(rec.at),
-				Pri:    rec.pri,
-				Label:  labelName(l.Labels, rec.label),
-			}
-		}
-		l.Window = w
-	}
-	return l
-}
-
-// Profile returns the host-time profile report, or nil when profiling was
-// not enabled. Labels are resolved against the attached engine.
-func (r *Recorder) Profile() *ProfileReport {
-	if r.prof == nil {
-		return nil
-	}
-	labels := []string{"-"}
-	if r.eng != nil {
-		labels = r.eng.Labels()
-	}
-	return r.prof.report(labels)
 }
 
 func labelName(labels []string, l sim.Label) string {

@@ -11,7 +11,7 @@ import (
 
 // driveModel runs a small deterministic model: chained events across two
 // tagged components plus a daemon rider, returning the engine.
-func driveModel(t *testing.T, rec *Recorder, seed uint64, events int, daemons bool) *sim.Engine {
+func driveModel(t *testing.T, rec *CanonicalRecorder, seed uint64, events int, daemons bool) *sim.Engine {
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	a := eng.Tag("alpha")
@@ -41,11 +41,11 @@ func driveModel(t *testing.T, rec *Recorder, seed uint64, events int, daemons bo
 }
 
 func TestRecorderDeterministicChain(t *testing.T) {
-	r1 := NewRecorder(Options{EpochEvents: 16})
+	r1 := NewCanonicalRecorder(Options{EpochEvents: 16})
 	driveModel(t, r1, 7, 100, false)
 	l1 := r1.Finalize()
 
-	r2 := NewRecorder(Options{EpochEvents: 16})
+	r2 := NewCanonicalRecorder(Options{EpochEvents: 16})
 	driveModel(t, r2, 7, 100, false)
 	l2 := r2.Finalize()
 
@@ -62,9 +62,9 @@ func TestRecorderDeterministicChain(t *testing.T) {
 }
 
 func TestDaemonsInvisibleToLedger(t *testing.T) {
-	r1 := NewRecorder(Options{EpochEvents: 16})
+	r1 := NewCanonicalRecorder(Options{EpochEvents: 16})
 	driveModel(t, r1, 7, 100, false)
-	r2 := NewRecorder(Options{EpochEvents: 16})
+	r2 := NewCanonicalRecorder(Options{EpochEvents: 16})
 	driveModel(t, r2, 7, 100, true)
 	l1, l2 := r1.Finalize(), r2.Finalize()
 	if l1.ChainHead != l2.ChainHead {
@@ -73,9 +73,9 @@ func TestDaemonsInvisibleToLedger(t *testing.T) {
 }
 
 func TestDifferentSeedsDiverge(t *testing.T) {
-	r1 := NewRecorder(Options{EpochEvents: 16})
+	r1 := NewCanonicalRecorder(Options{EpochEvents: 16})
 	driveModel(t, r1, 7, 200, false)
-	r2 := NewRecorder(Options{EpochEvents: 16})
+	r2 := NewCanonicalRecorder(Options{EpochEvents: 16})
 	driveModel(t, r2, 8, 200, false)
 	l1, l2 := r1.Finalize(), r2.Finalize()
 	d := Compare(l1, l2)
@@ -96,7 +96,7 @@ func TestEpochBinarySearchLocalization(t *testing.T) {
 	const divergeAt = 57 // pop index where run B goes off-script
 
 	run := func(perturb bool, winFrom, winTo uint64) *Ledger {
-		rec := NewRecorder(Options{EpochEvents: epoch})
+		rec := NewCanonicalRecorder(Options{EpochEvents: epoch})
 		rec.SetWindow(winFrom, winTo)
 		eng := sim.NewEngine(1)
 		tag := eng.Tag("comp")
@@ -152,7 +152,7 @@ func TestEpochBinarySearchLocalization(t *testing.T) {
 }
 
 func TestLedgerRoundTrip(t *testing.T) {
-	rec := NewRecorder(Options{EpochEvents: 16, Run: &RunSpec{Motif: "sweep3d", Transport: "rvma", Seed: 7}})
+	rec := NewCanonicalRecorder(Options{EpochEvents: 16, Run: &RunSpec{Motif: "sweep3d", Transport: "rvma", Seed: 7}})
 	rec.SetWindow(0, 4)
 	driveModel(t, rec, 7, 50, false)
 	l := rec.Finalize()
@@ -180,7 +180,7 @@ func TestLedgerRoundTrip(t *testing.T) {
 }
 
 func TestLabelsRecorded(t *testing.T) {
-	rec := NewRecorder(Options{EpochEvents: 16})
+	rec := NewCanonicalRecorder(Options{EpochEvents: 16})
 	driveModel(t, rec, 7, 20, false)
 	l := rec.Finalize()
 	joined := strings.Join(l.Labels, ",")
@@ -190,9 +190,9 @@ func TestLabelsRecorded(t *testing.T) {
 }
 
 func TestEpochSizeMismatchNotComparable(t *testing.T) {
-	r1 := NewRecorder(Options{EpochEvents: 16})
+	r1 := NewCanonicalRecorder(Options{EpochEvents: 16})
 	driveModel(t, r1, 7, 50, false)
-	r2 := NewRecorder(Options{EpochEvents: 32})
+	r2 := NewCanonicalRecorder(Options{EpochEvents: 32})
 	driveModel(t, r2, 7, 50, false)
 	d := Compare(r1.Finalize(), r2.Finalize())
 	if d.Comparable || d.Identical {
@@ -201,9 +201,9 @@ func TestEpochSizeMismatchNotComparable(t *testing.T) {
 }
 
 func TestTruncatedRunDivergesAtTail(t *testing.T) {
-	r1 := NewRecorder(Options{EpochEvents: 8})
+	r1 := NewCanonicalRecorder(Options{EpochEvents: 8})
 	driveModel(t, r1, 7, 100, false)
-	r2 := NewRecorder(Options{EpochEvents: 8})
+	r2 := NewCanonicalRecorder(Options{EpochEvents: 8})
 	driveModel(t, r2, 7, 60, false)
 	l1, l2 := r1.Finalize(), r2.Finalize()
 	d := Compare(l1, l2)
@@ -219,7 +219,7 @@ func TestTruncatedRunDivergesAtTail(t *testing.T) {
 }
 
 func TestProfileReport(t *testing.T) {
-	rec := NewRecorder(Options{EpochEvents: 16, Profile: true})
+	rec := NewCanonicalRecorder(Options{EpochEvents: 16, Profile: true})
 	driveModel(t, rec, 7, 100, false)
 	rec.Finalize()
 	rep := rec.Profile()
@@ -254,9 +254,9 @@ func TestProfileReport(t *testing.T) {
 }
 
 func TestProfileDoesNotChangeChain(t *testing.T) {
-	r1 := NewRecorder(Options{EpochEvents: 16})
+	r1 := NewCanonicalRecorder(Options{EpochEvents: 16})
 	driveModel(t, r1, 7, 100, false)
-	r2 := NewRecorder(Options{EpochEvents: 16, Profile: true})
+	r2 := NewCanonicalRecorder(Options{EpochEvents: 16, Profile: true})
 	driveModel(t, r2, 7, 100, false)
 	if a, b := r1.Finalize().ChainHead, r2.Finalize().ChainHead; a != b {
 		t.Fatalf("profiling changed the chain head: %s vs %s", a, b)
@@ -267,12 +267,13 @@ func TestProfileDoesNotChangeChain(t *testing.T) {
 // perturbed by attaching a recorder.
 func TestObserverOnOffByteIdentical(t *testing.T) {
 	e1 := driveModel(t, nil, 7, 100, false)
-	rec := NewRecorder(Options{})
+	rec := NewCanonicalRecorder(Options{})
 	e2 := driveModel(t, rec, 7, 100, false)
 	if e1.Now() != e2.Now() || e1.EventsExecuted() != e2.EventsExecuted() {
 		t.Fatalf("observer changed run results: now %v vs %v, events %d vs %d",
 			e1.Now(), e2.Now(), e1.EventsExecuted(), e2.EventsExecuted())
 	}
+	rec.Finalize() // folds the last timestamp's batch
 	if rec.Events() != e2.EventsExecuted() {
 		t.Fatalf("recorder saw %d pops, engine executed %d", rec.Events(), e2.EventsExecuted())
 	}

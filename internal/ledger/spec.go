@@ -23,11 +23,6 @@ type RunSpec struct {
 	Gbps float64 `json:"gbps"`
 	// Seed is the engine RNG seed.
 	Seed uint64 `json:"seed"`
-	// Spans records whether a spans-enabled metrics registry was attached.
-	// Span instrumentation schedules extra model events (e.g. the placed-
-	// stage marker after a payload DMA), so a faithful replay must attach
-	// the same instrumentation.
-	Spans bool `json:"spans,omitempty"`
 	// Drop is the fault-injection drop rate (0 = lossless).
 	Drop float64 `json:"drop,omitempty"`
 	// Recover enables the recovery layer.
@@ -48,10 +43,9 @@ type RunSpec struct {
 	KVClients int     `json:"kv_clients,omitempty"`
 	KVKeys    int     `json:"kv_keys,omitempty"`
 	KVWindow  int     `json:"kv_window,omitempty"`
-	// Shards is the sharded-engine partition count the run used; 0 means
-	// the legacy single-heap path. Any value >= 1 selects the sharded cell
-	// pipeline (canonical ledger mode, spans disabled), so a replay must
-	// match it for digests to line up.
+	// Shards is the engine partition count the run used; values below 1
+	// mean 1. The canonical chain is the same at any shard count, so a
+	// replay may use any count; it uses the recorded one.
 	Shards int `json:"shards,omitempty"`
 	// UnsafeLookaheadScale, when != 0 and != 1, records that the run
 	// deliberately broke conservative synchronization by scaling the shard

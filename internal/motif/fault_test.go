@@ -49,7 +49,7 @@ func TestIncastCompletesUnderLossWithRecovery(t *testing.T) {
 			if s.Retransmits == 0 {
 				t.Fatal("5%% drop produced zero retransmits — faults not reaching the wire?")
 			}
-			if c.Net.Stats.PacketsDropped == 0 {
+			if c.Net.TotalStats().PacketsDropped == 0 {
 				t.Fatal("fabric dropped nothing at 5%% rate")
 			}
 		})
@@ -117,7 +117,7 @@ func TestIncastUnderLossDeterministic(t *testing.T) {
 				if err != nil {
 					return "", err
 				}
-				return fmt.Sprintf("%d %+v %d", mk, c.RecoveryStats(), c.Net.Stats.PacketsDropped), nil
+				return fmt.Sprintf("%d %+v %d", mk, c.RecoveryStats(), c.Net.TotalStats().PacketsDropped), nil
 			}
 			a, err := run()
 			if err != nil {

@@ -154,14 +154,22 @@ type kvOp struct {
 }
 
 // kvFifo is a single-producer single-consumer descriptor queue for one
-// (proxy, server) direction. Capacity is preallocated to the pair's
-// planned op count so the run never grows it.
+// (proxy, server) direction, sized to the pair's planned op count. The
+// producer writes slots by index and owns tail; the consumer owns head.
+// Neither side ever rewrites the slice header, so the two shards share
+// only the slots, each written before the message that announces it.
 type kvFifo[T any] struct {
 	items []T
-	head  int
+	tail  int // next slot to fill; producer-owned
+	head  int // next slot to read; consumer-owned
 }
 
-func (q *kvFifo[T]) push(v T) { q.items = append(q.items, v) }
+func newKVFifo[T any](n int) kvFifo[T] { return kvFifo[T]{items: make([]T, n)} }
+
+func (q *kvFifo[T]) push(v T) {
+	q.items[q.tail] = v
+	q.tail++
+}
 
 func (q *kvFifo[T]) pop() T {
 	v := q.items[q.head]
@@ -275,7 +283,7 @@ func RunKV(c *Cluster, cfg KVConfig) (sim.Time, *KVResult, error) {
 		reqQ[pi] = make([]kvFifo[kv.Request], cfg.Servers)
 		for s := range reqQ[pi] {
 			if n := pairCount[pi][s]; n > 0 {
-				reqQ[pi][s].items = make([]kv.Request, 0, n)
+				reqQ[pi][s] = newKVFifo[kv.Request](n)
 			}
 		}
 	}
@@ -283,7 +291,7 @@ func RunKV(c *Cluster, cfg KVConfig) (sim.Time, *KVResult, error) {
 		respQ[s] = make([]kvFifo[kv.Reply], proxies)
 		for pi := range respQ[s] {
 			if n := pairCount[pi][s]; n > 0 {
-				respQ[s][pi].items = make([]kv.Reply, 0, n)
+				respQ[s][pi] = newKVFifo[kv.Reply](n)
 			}
 		}
 	}

@@ -32,7 +32,7 @@ func TestKVExhaustedOpsCloseSpans(t *testing.T) {
 			}
 			reg := metrics.NewRegistry()
 			reg.EnableSpans()
-			c.SetMetrics(reg)
+			c.AttachShardMetrics(reg)
 			col := attrib.NewCollector(8)
 			c.AttachAttribution(reg, col)
 

@@ -125,14 +125,14 @@ func TestKVShardCountInvariant(t *testing.T) {
 	}
 }
 
-// TestKVSingleHeapMatchesSharded pins the stronger property the KV motif
-// can offer because it never uses spans during the run: the single-heap
-// engine and the sharded engine produce identical application results.
-func TestKVSingleHeapMatchesSharded(t *testing.T) {
+// TestKVZeroShardsIsOneShard pins the shard-count normalisation: a
+// cluster config that leaves Shards at its zero value builds the same
+// one-shard simulation as Shards 1.
+func TestKVZeroShardsIsOneShard(t *testing.T) {
 	mk0, res0, _ := runKVOnce(t, KindRVMA, 0, 0, 0.99)
 	mk1, res1, _ := runKVOnce(t, KindRVMA, 1, 0, 0.99)
 	if mk0 != mk1 {
-		t.Fatalf("makespan differs: single-heap %v, shards=1 %v", mk0, mk1)
+		t.Fatalf("makespan differs: shards=0 %v, shards=1 %v", mk0, mk1)
 	}
 	s0, s1 := kvResString(res0), kvResString(res1)
 	if s0 != s1 {

@@ -30,7 +30,6 @@ import (
 	"rvma/internal/recovery"
 	"rvma/internal/rvma"
 	"rvma/internal/sim"
-	"rvma/internal/telemetry"
 	"rvma/internal/topology"
 	"rvma/internal/trace"
 )
@@ -90,17 +89,16 @@ type Transport interface {
 
 // Cluster is a set of rank transports over one simulated network.
 type Cluster struct {
-	Eng        *sim.Engine
-	Tag        sim.Tagged // "motif"-labeled handle; rank processes spawn through it
+	Eng        *sim.Engine // shard 0's engine
+	Tag        sim.Tagged  // shard 0's "motif"-labeled handle
 	Net        *fabric.Network
 	Transports []Transport
 	Kind       TransportKind
 
-	// Group is non-nil when the cluster executes sharded (ClusterConfig.
-	// Shards > 0): every rank's components live on the shard owning its
-	// node, Eng aliases shard 0, and Tags holds one "motif" handle per
-	// shard. Motifs spawn through TagFor and run through run() so the same
-	// code drives both modes.
+	// Group is the shard group the cluster executes on (one shard unless
+	// ClusterConfig.Shards asks for more): every rank's components live on
+	// the shard owning its node, and Tags holds one "motif" handle per
+	// shard. Motifs spawn through TagFor and run through run().
 	Group *sim.ShardGroup
 	Tags  []sim.Tagged
 
@@ -131,41 +129,13 @@ func (c *Cluster) SetTracer(t *trace.Tracer) {
 	}
 }
 
-// SetMetrics attaches one registry to every layer of the cluster, so one
-// snapshot holds fabric, NIC and protocol state for a run. Enable spans on
-// the registry before the run to get per-message stage latencies. A nil
-// registry detaches all hooks.
-func (c *Cluster) SetMetrics(reg *metrics.Registry) {
-	if c.Group != nil && reg != nil {
-		panic("motif: SetMetrics on a sharded cluster; use AttachShardMetrics")
-	}
-	c.Net.SetMetrics(reg)
-	for _, n := range c.nics {
-		n.SetMetrics(reg)
-	}
-	for _, ep := range c.rvmaEPs {
-		ep.SetMetrics(reg)
-	}
-	for _, ep := range c.rdmaEPs {
-		ep.SetMetrics(reg)
-	}
-	for i, m := range c.recMgrs {
-		m.SetMetrics(reg, i) // managers are built per node, in node order
-	}
-	if reg != nil {
-		reg.AddCollector(func() {
-			reg.Gauge("sim.queue_depth").Set(float64(c.Eng.Pending()))
-			reg.Gauge("sim.events_executed").Set(float64(c.Eng.EventsExecuted()))
-		})
-	}
-}
-
 // AttachAttribution wires the latency-attribution collector into the
 // cluster: it becomes the registry's span observer (spans must be enabled
 // for it to see anything) and gains causal-context probes over the
 // cluster's recovery, NACK/rewind and fabric-congestion state, which it
 // samples whenever an operation enters the worst-K tail exchange. Call
-// after SetMetrics and before the run.
+// after AttachShardMetrics and before the run, on a one-shard cluster
+// (spans and their observers are single-writer).
 func (c *Cluster) AttachAttribution(reg *metrics.Registry, col *attrib.Collector) {
 	if reg == nil || col == nil {
 		return
@@ -183,124 +153,6 @@ func (c *Cluster) AttachAttribution(reg *metrics.Registry, col *attrib.Collector
 // only cluster-wide aggregates are registered, mirroring the per-switch
 // gauge cap, so time-series width stays bounded on large runs.
 const maxPerNodeProbes = 16
-
-// RegisterTelemetry registers every layer's time-series probes on s:
-// engine queue depth, fabric queue/utilization (including the per-switch
-// heatmap columns), NIC pipeline and DMA backlogs, RVMA posted-buffer
-// occupancy / counter progress / NACK and drop counts, and RDMA handshake
-// and outstanding-registration counts. Aggregates are always registered;
-// per-node columns only up to maxPerNodeProbes nodes. Call before
-// Sampler.Start. A nil sampler is a no-op.
-func (c *Cluster) RegisterTelemetry(s *telemetry.Sampler) {
-	if s == nil {
-		return
-	}
-	if c.Group != nil {
-		panic("motif: RegisterTelemetry on a sharded cluster; use RegisterTelemetryShards")
-	}
-	s.Bind(c.Eng)
-	s.Register("sim.queue_depth", func() float64 { return float64(c.Eng.Pending()) })
-	s.Register("sim.events_executed", func() float64 { return float64(c.Eng.EventsExecuted()) })
-	c.Net.RegisterTelemetry(s)
-
-	s.Register("nic.send_backlog_ns_total", func() float64 {
-		var t sim.Time
-		for _, n := range c.nics {
-			t += n.SendBacklog()
-		}
-		return t.Nanoseconds()
-	})
-	s.Register("nic.recv_backlog_ns_total", func() float64 {
-		var t sim.Time
-		for _, n := range c.nics {
-			t += n.RecvBacklog()
-		}
-		return t.Nanoseconds()
-	})
-	s.Register("nic.dma_backlog_ns_total", func() float64 {
-		var t sim.Time
-		for _, n := range c.nics {
-			t += n.DMABacklog()
-		}
-		return t.Nanoseconds()
-	})
-	perNode := len(c.nics) <= maxPerNodeProbes
-
-	if len(c.rvmaEPs) > 0 {
-		s.Register("rvma.posted_buffers_total", func() float64 {
-			total := 0
-			for _, ep := range c.rvmaEPs {
-				total += ep.PostedBuffers()
-			}
-			return float64(total)
-		})
-		s.Register("rvma.counter_progress_total", func() float64 {
-			var total int64
-			for _, ep := range c.rvmaEPs {
-				total += ep.CounterProgress()
-			}
-			return float64(total)
-		})
-		s.Register("rvma.epochs_total", func() float64 {
-			var total int64
-			for _, ep := range c.rvmaEPs {
-				total += ep.EpochTotal()
-			}
-			return float64(total)
-		})
-		s.Register("rvma.nacks_total", func() float64 { return float64(c.NACKTotal()) })
-		s.Register("rvma.rewinds_total", func() float64 { return float64(c.RewindTotal()) })
-		s.Register("rvma.drops_total", func() float64 {
-			var total uint64
-			for _, ep := range c.rvmaEPs {
-				total += ep.Stats.Drops
-			}
-			return float64(total)
-		})
-		if perNode {
-			for _, ep := range c.rvmaEPs {
-				ep := ep
-				s.Register(fmt.Sprintf("rvma.posted_buffers.n%03d", ep.Node()), func() float64 {
-					return float64(ep.PostedBuffers())
-				})
-			}
-		}
-	}
-	if len(c.recMgrs) > 0 {
-		s.Register("recovery.retransmits_total", func() float64 {
-			return float64(c.RecoveryStats().Retransmits)
-		})
-		s.Register("recovery.timeouts_total", func() float64 {
-			return float64(c.RecoveryStats().Timeouts)
-		})
-		s.Register("recovery.exhausted_total", func() float64 {
-			return float64(c.RecoveryStats().Exhausted)
-		})
-	}
-	if len(c.rdmaEPs) > 0 {
-		s.Register("rdma.pending_registrations_total", func() float64 {
-			total := 0
-			for _, ep := range c.rdmaEPs {
-				total += ep.PendingRegistrations()
-			}
-			return float64(total)
-		})
-		s.Register("rdma.handshakes_total", func() float64 {
-			var total uint64
-			for _, ep := range c.rdmaEPs {
-				total += ep.Stats.Handshakes
-			}
-			return float64(total)
-		})
-		s.Register("rdma.sends_held_total", func() float64 {
-			total := 0
-			for _, ep := range c.rdmaEPs {
-				total += ep.PendingSendsHeld()
-			}
-			return float64(total)
-		})
-	}
-}
 
 // NACKTotal returns the cumulative NACK count across every RVMA endpoint
 // (zero on RDMA clusters). The flight recorder's NACK-burst watcher polls
@@ -322,11 +174,10 @@ type ClusterConfig struct {
 	PCIe     pcie.Config
 	Kind     TransportKind
 	Seed     uint64
-	// Shards > 0 partitions the cluster across that many event heaps
+	// Shards partitions the cluster across that many event heaps
 	// (sim.ShardGroup) with the fabric's minimum link delay as lookahead;
-	// 0 keeps the single-heap engine. Outputs are byte-identical at any
-	// positive shard count (shards=1 is the comparison baseline); spans,
-	// tracing and the Perfetto timeline are unavailable when sharded.
+	// values below 1 mean 1. Outputs are byte-identical at any shard
+	// count; spans, tracing and the Perfetto timeline need one shard.
 	Shards int
 	// RDMABuffers is the number of buffers negotiated per (sender,
 	// receiver) pair for the RDMA transports; 1 is the paper's static
@@ -405,7 +256,7 @@ func (cfg *ClusterConfig) ApplyLinkSpeed(gbps float64) {
 	}
 }
 
-// NewCluster builds the engine, fabric and one transport per node.
+// NewCluster builds the shard group, fabric and one transport per node.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.RDMABuffers < 1 {
 		cfg.RDMABuffers = 1
@@ -413,61 +264,42 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.RVMADepth < 1 {
 		cfg.RVMADepth = 1
 	}
+	if cfg.Shards < 1 {
+		cfg.Shards = 1
+	}
 	fcfg := cfg.Fabric
 	fcfg.Routing = cfg.Routing
 	if cfg.Faults != nil {
 		fcfg.Faults = cfg.Faults
 	}
-	var (
-		eng *sim.Engine
-		net *fabric.Network
-		g   *sim.ShardGroup
-		err error
-	)
-	if cfg.Shards > 0 {
-		la, lerr := fabric.LookaheadFor(fcfg)
-		if lerr != nil {
-			return nil, lerr
-		}
-		g = sim.NewShardGroup(cfg.Seed, cfg.Shards, la)
-		net, err = fabric.NewSharded(g, cfg.Topology, fcfg, cfg.Seed)
-		eng = g.Shard(0)
-	} else {
-		eng = sim.NewEngine(cfg.Seed)
-		net, err = fabric.New(eng, cfg.Topology, fcfg)
+	la, err := fabric.LookaheadFor(fcfg)
+	if err != nil {
+		return nil, err
 	}
+	g := sim.NewShardGroup(cfg.Seed, cfg.Shards, la)
+	net, err := fabric.NewSharded(g, cfg.Topology, fcfg, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	n := cfg.Topology.NumNodes()
-	c := &Cluster{Eng: eng, Tag: eng.Tag("motif"), Net: net, Group: g, Kind: cfg.Kind, Transports: make([]Transport, n)}
-	if g != nil {
-		c.Tags = make([]sim.Tagged, g.Shards())
-		for i := range c.Tags {
-			c.Tags[i] = g.Shard(i).Tag("motif")
-		}
-		c.Tag = c.Tags[0]
+	c := &Cluster{Eng: g.Shard(0), Net: net, Group: g, Kind: cfg.Kind, Transports: make([]Transport, n)}
+	c.Tags = make([]sim.Tagged, g.Shards())
+	for i := range c.Tags {
+		c.Tags[i] = g.Shard(i).Tag("motif")
 	}
+	c.Tag = c.Tags[0]
 	for node := 0; node < n; node++ {
 		// Every per-node component lives on the engine that owns the node's
-		// shard, so its events execute inside that shard's windows; in
-		// legacy mode that is simply the one engine.
-		neng := eng
-		if g != nil {
-			neng = g.Shard(net.NodeShard(node))
-		}
+		// shard, so its events execute inside that shard's windows.
+		neng := g.Shard(net.NodeShard(node))
 		nc := nic.New(neng, net, node, cfg.PCIe, cfg.NIC)
 		c.nics = append(c.nics, nc)
 		// One recovery manager per node: retry state is per-endpoint, stats
-		// aggregate via RecoveryStats.
+		// aggregate via RecoveryStats. Backoff jitter must depend only on
+		// this node's retries, not on whatever else shares its engine.
 		var rec *recovery.Manager
 		if cfg.Recovery != nil {
-			rec = recovery.NewManager(neng, *cfg.Recovery)
-			if g != nil {
-				// Backoff jitter must depend only on this node's retries,
-				// not on whatever else shares its engine's stream.
-				rec.SeedBackoff(sim.NewRNG(sim.SeedFor(cfg.Seed, "recovery", node)))
-			}
+			rec = recovery.NewManager(neng, *cfg.Recovery, sim.NewRNG(sim.SeedFor(cfg.Seed, "recovery", node)))
 			c.recMgrs = append(c.recMgrs, rec)
 		}
 		switch cfg.Kind {
@@ -482,11 +314,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			}
 			ep := rvma.NewEndpoint(nc, rcfg)
 			c.rvmaEPs = append(c.rvmaEPs, ep)
-			tp := newRVMATransport(ep, n, cfg.RVMADepth, rec)
-			if g != nil {
-				tp.rng = sim.NewRNG(sim.SeedFor(cfg.Seed, "rank", node))
-			}
-			c.Transports[node] = tp
+			c.Transports[node] = newRVMATransport(ep, n, cfg.RVMADepth, rec,
+				sim.NewRNG(sim.SeedFor(cfg.Seed, "rank", node)))
 		case KindRDMA:
 			dcfg := rdma.DefaultConfig()
 			dcfg.CarryData = false

@@ -27,7 +27,7 @@ func runInstrumented(t *testing.T, kind TransportKind) (*Cluster, *metrics.Regis
 	reg := metrics.NewRegistry()
 	reg.EnableSpans()
 	reg.EnableTimeline(0)
-	c.SetMetrics(reg)
+	c.AttachShardMetrics(reg)
 	if _, err := RunSweep3D(c, DefaultSweep3DConfig(topo.NumNodes())); err != nil {
 		t.Fatal(err)
 	}

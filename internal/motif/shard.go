@@ -1,9 +1,9 @@
-// Sharded cluster support: placement-aware spawning, per-shard metric
-// registries with an exact post-run merge, and the shard-set telemetry
-// registration that mirrors RegisterTelemetry column for column. The rule
-// throughout is single-writer state: every probe and every handle is owned
-// by the shard that owns the node, and aggregation happens either in
-// integer arithmetic (order-free) or after the group is quiescent.
+// Shard-group support: placement-aware spawning, per-shard metric
+// registries with an exact post-run merge, and shard-set telemetry
+// registration. The rule throughout is single-writer state: every probe
+// and every handle is owned by the shard that owns the node, and
+// aggregation happens either in integer arithmetic (order-free) or after
+// the group is quiescent.
 package motif
 
 import (
@@ -16,39 +16,22 @@ import (
 
 // TagFor returns the "motif" handle bound to the engine that owns rank's
 // node. Rank processes must spawn through it so their events execute
-// inside the owning shard's windows; in legacy mode it is simply Tag.
+// inside the owning shard's windows.
 func (c *Cluster) TagFor(rank int) sim.Tagged {
-	if c.Group == nil {
-		return c.Tag
-	}
 	return c.Tags[c.Net.NodeShard(rank)]
 }
 
-// run executes the simulation to completion in whichever mode the cluster
-// was built for.
-func (c *Cluster) run() {
-	if c.Group != nil {
-		c.Group.Run()
-		return
-	}
-	c.Eng.Run()
-}
+// run executes the simulation to completion.
+func (c *Cluster) run() { c.Group.Run() }
 
-// EventsExecuted returns the executed-event count across the whole
-// simulation, whichever mode it ran in.
-func (c *Cluster) EventsExecuted() uint64 {
-	if c.Group != nil {
-		return c.Group.TotalExecuted()
-	}
-	return c.Eng.EventsExecuted()
-}
+// EventsExecuted returns the executed-event count across every shard.
+func (c *Cluster) EventsExecuted() uint64 { return c.Group.TotalExecuted() }
 
 // finishLine replaces a completion Gate for motif jobs: each rank records
 // its completion time in its own slot (single-writer, so ranks on
 // different shards never touch shared state), and the job's finish time is
 // the maximum, read after the run when every shard is quiescent. Both
-// arrive and the reads are synchronous bookkeeping — no events — so using
-// it on a single heap leaves the event stream exactly as a Gate did.
+// arrive and the reads are synchronous bookkeeping — no events.
 type finishLine struct {
 	done []bool
 	at   []sim.Time
@@ -86,23 +69,25 @@ func (f *finishLine) finishTime() sim.Time {
 	return t
 }
 
-// AttachShardMetrics attaches metrics in either mode: a single-heap
-// cluster gets SetMetrics(primary) unchanged, a sharded cluster gets one
-// private shadow registry per shard (each node's layers write the shadow
-// of the node's owning shard) plus aggregate collectors on the primary.
-// FinishMetrics folds the shadows into the primary after the run.
+// AttachShardMetrics attaches primary to every layer of the cluster, so
+// one snapshot holds fabric, NIC and protocol state for a run. A one-shard
+// cluster writes primary directly, which is what spans, attribution and
+// the Perfetto timeline need: enable them on primary before the run. A
+// multi-shard cluster gets one private shadow registry per shard (each
+// node's layers write the shadow of the node's owning shard) plus
+// aggregate collectors on the primary; FinishMetrics folds the shadows
+// into the primary after the run.
 func (c *Cluster) AttachShardMetrics(primary *metrics.Registry) {
-	g := c.Group
-	if g == nil {
-		c.SetMetrics(primary)
-		return
-	}
 	if primary == nil {
 		return
 	}
-	c.shadowRegs = make([]*metrics.Registry, g.Shards())
-	for i := range c.shadowRegs {
-		c.shadowRegs[i] = metrics.NewRegistry()
+	g := c.Group
+	c.shadowRegs = []*metrics.Registry{primary}
+	if g.Shards() > 1 {
+		c.shadowRegs = make([]*metrics.Registry, g.Shards())
+		for i := range c.shadowRegs {
+			c.shadowRegs[i] = metrics.NewRegistry()
+		}
 	}
 	c.Net.SetMetricsSharded(primary, c.shadowRegs)
 	shadowOf := func(node int) *metrics.Registry {
@@ -129,10 +114,10 @@ func (c *Cluster) AttachShardMetrics(primary *metrics.Registry) {
 // FinishMetrics folds the per-shard shadow registries into the primary:
 // counters add, histograms merge their integer counts and picosecond sums
 // exactly, per-node gauges copy over (each lives in exactly one shadow).
-// Call after the run and before the primary's snapshot; a no-op on
-// single-heap clusters, so harness code can call it unconditionally.
+// Call after the run and before the primary's snapshot; a no-op on a
+// one-shard cluster, whose layers wrote the primary directly.
 func (c *Cluster) FinishMetrics(primary *metrics.Registry) {
-	if c.Group == nil || primary == nil {
+	if primary == nil || c.Group.Shards() == 1 {
 		return
 	}
 	for _, sh := range c.shadowRegs {
@@ -141,22 +126,24 @@ func (c *Cluster) FinishMetrics(primary *metrics.Registry) {
 	}
 }
 
-// RegisterTelemetryShards registers the same columns RegisterTelemetry
-// does, as shard-set columns: every probe reads only the nodes its shard
-// owns, and the declared merge kinds (integer sums, picosecond sums) make
-// the merged CSV a pure function of the model, identical at any shard
-// count. Call before ShardSet.Start.
+// RegisterTelemetryShards registers every layer's time-series probes on
+// ss: engine queue depth, fabric queue/utilization (including the
+// per-switch heatmap columns), NIC pipeline and DMA backlogs, RVMA
+// posted-buffer occupancy / counter progress / NACK and drop counts, and
+// RDMA handshake and outstanding-registration counts. Aggregates are
+// always registered; per-node columns only up to maxPerNodeProbes nodes.
+// Every probe reads only the nodes its shard owns, and the declared merge
+// kinds (integer sums, picosecond sums) make the merged CSV a pure
+// function of the model, identical at any shard count. Call before
+// ShardSet.Start.
 func (c *Cluster) RegisterTelemetryShards(ss *telemetry.ShardSet) {
 	if ss == nil {
 		return
 	}
 	g := c.Group
-	if g == nil {
-		panic("motif: RegisterTelemetryShards on a single-heap cluster; use RegisterTelemetry")
-	}
 	ss.Register("sim.queue_depth", telemetry.KindSum, func(shard int) float64 {
 		// Own heap plus own outbox: every pending event is in exactly one
-		// of these containers, so the sum matches the single heap's depth.
+		// of these containers, so the sum is the group's depth.
 		return float64(g.Shard(shard).Pending() + g.OutboxCount(shard))
 	})
 	ss.Register("sim.events_executed", telemetry.KindSum, func(shard int) float64 {

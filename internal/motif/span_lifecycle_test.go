@@ -24,7 +24,7 @@ func attribCluster(t *testing.T, kind TransportKind, drop float64) (*Cluster, *m
 	}
 	reg := metrics.NewRegistry()
 	reg.EnableSpans()
-	c.SetMetrics(reg)
+	c.AttachShardMetrics(reg)
 	col := attrib.NewCollector(8)
 	c.AttachAttribution(reg, col)
 	return c, reg, col
@@ -121,7 +121,7 @@ func TestAbandonedSpansClose(t *testing.T) {
 			}
 			reg := metrics.NewRegistry()
 			reg.EnableSpans()
-			c.SetMetrics(reg)
+			c.AttachShardMetrics(reg)
 			col := attrib.NewCollector(8)
 			c.AttachAttribution(reg, col)
 			if _, err := RunIncast(c, DefaultIncastConfig()); err == nil {

@@ -29,9 +29,9 @@ type rvmaTransport struct {
 	// timeout/retransmit policy (acked puts instead of fire-and-forget)
 	// and arms receiver-side window guards on Recv.
 	rec *recovery.Manager
-	// rng, when non-nil, supplies NACK-retry backoff from a rank-private
-	// stream instead of the engine's shared stream, so the backoff sequence
-	// depends only on this rank's own NACKs and survives resharding.
+	// rng supplies NACK-retry backoff from a rank-private stream, so the
+	// backoff sequence depends only on this rank's own NACKs and survives
+	// resharding.
 	rng *sim.RNG
 }
 
@@ -48,8 +48,8 @@ type mailboxState struct {
 	maxMsg    int
 }
 
-func newRVMATransport(ep *rvma.Endpoint, ranks, depth int, rec *recovery.Manager) *rvmaTransport {
-	return &rvmaTransport{ep: ep, ranks: ranks, depth: depth, boxes: make(map[int]*mailboxState), rec: rec}
+func newRVMATransport(ep *rvma.Endpoint, ranks, depth int, rec *recovery.Manager, rng *sim.RNG) *rvmaTransport {
+	return &rvmaTransport{ep: ep, ranks: ranks, depth: depth, boxes: make(map[int]*mailboxState), rec: rec, rng: rng}
 }
 
 // Rank implements Transport.
@@ -163,11 +163,7 @@ func (t *rvmaTransport) sendReliable(dst, size int) *sim.Future {
 func (t *rvmaTransport) retryOnNack(op *rvma.PutOp, dst, size int) {
 	op.Nack.OnComplete(func() {
 		eng := t.ep.Engine().Tag("motif")
-		rng := t.rng
-		if rng == nil {
-			rng = eng.RNG()
-		}
-		backoff := rng.Jitter(2*sim.Microsecond, 0.5)
+		backoff := t.rng.Jitter(2*sim.Microsecond, 0.5)
 		eng.Schedule(backoff, func() {
 			retry := t.ep.PutN(dst, rvma.VAddr(t.Rank()), 0, size)
 			t.retryOnNack(retry, dst, size)

@@ -138,16 +138,16 @@ func (ep *Endpoint) handlePutData(pkt *fabric.Packet, cmd *command) {
 		ep.Stats.BytesPlaced += uint64(cmd.total)
 		// The initiator's span crosses to this node; the transfer is done
 		// when the payload DMA lands (trailing-send cost shows up in the
-		// standalone fence_hold histogram).
+		// standalone fence_hold histogram). The place mark and the span end
+		// are stamped now at the known DMA completion time instead of from
+		// a scheduled event, so spans never change the event stream.
 		if sp := ep.reg.Span(metrics.SpanKey{Node: pkt.Src, ID: cmd.msgID}); sp != nil {
 			sp.SetNode(ep.Node())
 			// Wire wait is the fabric queueing the last packet accumulated;
 			// place wait is the receive-bus backlog ahead of the payload DMA.
 			sp.StageWait(eng.Now(), "wire", pkt.QueueWait)
-			eng.At(dmaDone, func() {
-				sp.StageWait(eng.Now(), "place", busWait)
-				sp.End(eng.Now())
-			})
+			sp.StageWait(dmaDone, "place", busWait)
+			sp.End(dmaDone)
 		}
 		if cmd.wantAck {
 			// Transport-level acknowledgment, generated by the NIC itself

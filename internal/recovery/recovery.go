@@ -103,10 +103,9 @@ type Manager struct {
 
 	Stats Stats
 
-	// rng, when non-nil, supplies backoff jitter from a manager-private
-	// stream instead of the engine's shared stream. Sharded runs need this:
-	// the draw sequence must depend only on this manager's own retries, not
-	// on which other components happen to share its engine.
+	// rng supplies backoff jitter from a manager-private stream: the draw
+	// sequence depends only on this manager's own retries, not on which
+	// other components happen to share its engine.
 	rng *sim.RNG
 
 	// tl/node feed the recovery counter tracks (retransmits, timeouts,
@@ -116,7 +115,8 @@ type Manager struct {
 }
 
 // NewManager builds a manager, filling Config defaults for zero fields.
-func NewManager(eng *sim.Engine, cfg Config) *Manager {
+// rng is the manager's private backoff-jitter stream.
+func NewManager(eng *sim.Engine, cfg Config, rng *sim.RNG) *Manager {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultConfig().Timeout
 	}
@@ -132,15 +132,11 @@ func NewManager(eng *sim.Engine, cfg Config) *Manager {
 	if cfg.MaxRetries < 0 {
 		panic(fmt.Sprintf("recovery: negative retry budget %d", cfg.MaxRetries))
 	}
-	return &Manager{eng: eng.Tag("recovery"), cfg: cfg}
+	return &Manager{eng: eng.Tag("recovery"), cfg: cfg, rng: rng}
 }
 
 // Config returns the effective (default-filled) policy.
 func (m *Manager) Config() Config { return m.cfg }
-
-// SeedBackoff gives the manager a private jitter stream. Call before any
-// operation runs; a nil rng restores the engine's shared stream.
-func (m *Manager) SeedBackoff(rng *sim.RNG) { m.rng = rng }
 
 // SetMetrics attaches the registry's timeline so recovery decisions render
 // as counter tracks on the given node's Perfetto process. A nil registry
@@ -222,11 +218,7 @@ func (m *Manager) backoff(try int) sim.Time {
 		}
 	}
 	if m.cfg.Jitter > 0 {
-		rng := m.rng
-		if rng == nil {
-			rng = m.eng.RNG()
-		}
-		d = rng.Jitter(d, m.cfg.Jitter)
+		d = m.rng.Jitter(d, m.cfg.Jitter)
 	}
 	return d
 }

@@ -32,7 +32,7 @@ func lossySender(eng *sim.Engine, drops int, rtt sim.Time, sends *[]sim.Time) fu
 
 func TestAckOnFirstAttempt(t *testing.T) {
 	eng := sim.NewEngine(1)
-	m := NewManager(eng, DefaultConfig())
+	m := NewManager(eng, DefaultConfig(), eng.RNG())
 	var sends []sim.Time
 	var op *Op
 	eng.Schedule(0, func() {
@@ -53,7 +53,7 @@ func TestAckOnFirstAttempt(t *testing.T) {
 
 func TestTimeoutRetransmitRecovers(t *testing.T) {
 	eng := sim.NewEngine(1)
-	m := NewManager(eng, DefaultConfig())
+	m := NewManager(eng, DefaultConfig(), eng.RNG())
 	var sends []sim.Time
 	var op *Op
 	eng.Schedule(0, func() {
@@ -81,7 +81,7 @@ func TestTimeoutRetransmitRecovers(t *testing.T) {
 func TestNackTriggersFastRetry(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cfg := DefaultConfig()
-	m := NewManager(eng, cfg)
+	m := NewManager(eng, cfg, eng.RNG())
 	var sends []sim.Time
 	rtt := 5 * sim.Microsecond
 	send := func(try int) Attempt {
@@ -115,7 +115,7 @@ func TestExhaustionFailsOp(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cfg := DefaultConfig()
 	cfg.MaxRetries = 3
-	m := NewManager(eng, cfg)
+	m := NewManager(eng, cfg, eng.RNG())
 	var sends []sim.Time
 	failed := false
 	var op *Op
@@ -155,7 +155,7 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 		Jitter:      0, // deterministic gaps
 		MaxRetries:  4,
 	}
-	m := NewManager(eng, cfg)
+	m := NewManager(eng, cfg, eng.RNG())
 	var sends []sim.Time
 	eng.Schedule(0, func() { m.Run(lossySender(eng, 99, 0, &sends), nil) })
 	eng.Run()
@@ -177,7 +177,7 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 func TestManagerDeterministic(t *testing.T) {
 	run := func() (sim.Time, Stats) {
 		eng := sim.NewEngine(7)
-		m := NewManager(eng, DefaultConfig())
+		m := NewManager(eng, DefaultConfig(), eng.RNG())
 		var last sim.Time
 		eng.Schedule(0, func() {
 			for i := 0; i < 8; i++ {
@@ -213,7 +213,7 @@ func TestWindowGuardReclaimsHoledBuffer(t *testing.T) {
 	src := rvma.NewEndpoint(nic.New(eng, net, 0, pcie.Gen4x16(), prof), rcfg)
 	dst := rvma.NewEndpoint(nic.New(eng, net, 1, pcie.Gen4x16(), prof), rcfg)
 
-	m := NewManager(eng, DefaultConfig())
+	m := NewManager(eng, DefaultConfig(), eng.RNG())
 	win, err := dst.InitWindow(0x6E55, 4096, rvma.EpochBytes)
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +256,7 @@ func TestWindowGuardLeavesHealthyWindowAlone(t *testing.T) {
 	src := rvma.NewEndpoint(nic.New(eng, net, 0, pcie.Gen4x16(), prof), rvma.DefaultConfig())
 	dst := rvma.NewEndpoint(nic.New(eng, net, 1, pcie.Gen4x16(), prof), rvma.DefaultConfig())
 
-	m := NewManager(eng, DefaultConfig())
+	m := NewManager(eng, DefaultConfig(), eng.RNG())
 	win, err := dst.InitWindow(0x6E55, 4096, rvma.EpochBytes)
 	if err != nil {
 		t.Fatal(err)

@@ -44,8 +44,7 @@ func TestRetryStormBackoffBoundsBurstRate(t *testing.T) {
 	const ops = 32
 	cfg := stormConfig()
 	eng := sim.NewEngine(11)
-	m := NewManager(eng, cfg)
-	m.SeedBackoff(sim.NewRNG(sim.SeedFor(11, "storm-backoff")))
+	m := NewManager(eng, cfg, sim.NewRNG(sim.SeedFor(11, "storm-backoff")))
 
 	sends := make([][]sim.Time, ops)
 	fails := make([]int, ops)
@@ -127,8 +126,7 @@ func TestRetryStormDeterministic(t *testing.T) {
 	run := func() ([]sim.Time, Stats) {
 		const ops = 16
 		eng := sim.NewEngine(23)
-		m := NewManager(eng, stormConfig())
-		m.SeedBackoff(sim.NewRNG(sim.SeedFor(23, "storm-backoff")))
+		m := NewManager(eng, stormConfig(), sim.NewRNG(sim.SeedFor(23, "storm-backoff")))
 		sends := make([][]sim.Time, ops)
 		eng.Schedule(0, func() {
 			for i := 0; i < ops; i++ {
@@ -166,8 +164,7 @@ func TestRetryStormPartialRecovery(t *testing.T) {
 	const ops = 24
 	cfg := stormConfig()
 	eng := sim.NewEngine(31)
-	m := NewManager(eng, cfg)
-	m.SeedBackoff(sim.NewRNG(sim.SeedFor(31, "storm-backoff")))
+	m := NewManager(eng, cfg, sim.NewRNG(sim.SeedFor(31, "storm-backoff")))
 
 	sends := make([][]sim.Time, ops)
 	fails := make([]int, ops)

@@ -31,7 +31,7 @@ func TestDropsNeverFalselyComplete(t *testing.T) {
 			}
 		})
 		eng.Run()
-		dropped := dst.NIC().Network().Stats.PacketsDropped
+		dropped := dst.NIC().Network().TotalStats().PacketsDropped
 		if dropped == 0 {
 			t.Fatalf("seed %d: failure injection produced no drops", seed)
 		}
@@ -46,7 +46,7 @@ func TestDropsNeverFalselyComplete(t *testing.T) {
 			t.Fatalf("msgSize %d not a multiple of MTU %d; drop arithmetic needs full packets", msgSize, fcfg.MTU)
 		}
 		bytesDropped := int64(dropped) * int64(fcfg.MTU)
-		if got := dst.NIC().Network().Stats.BytesDropped; int64(got) != bytesDropped {
+		if got := dst.NIC().Network().TotalStats().BytesDropped; int64(got) != bytesDropped {
 			t.Fatalf("seed %d: fabric dropped %d bytes, MTU arithmetic says %d", seed, got, bytesDropped)
 		}
 		bytesArrived := int64(nMsgs*msgSize) - bytesDropped
@@ -96,7 +96,7 @@ func TestIncEpochRecoversHoledBuffer(t *testing.T) {
 		if !recovered {
 			continue // message survived the loss injection intact
 		}
-		if drops := dst.NIC().Network().Stats.PacketsDropped; drops == 0 {
+		if drops := dst.NIC().Network().TotalStats().PacketsDropped; drops == 0 {
 			t.Fatalf("seed %d: holed buffer without any fabric drops", seed)
 		}
 		if win.Epoch() != 1 {
@@ -131,7 +131,7 @@ func TestEpochOpsSafeUnderDrops(t *testing.T) {
 		}
 	})
 	eng.Run()
-	drops := dst.NIC().Network().Stats.PacketsDropped
+	drops := dst.NIC().Network().TotalStats().PacketsDropped
 	if drops == 0 {
 		t.Fatal("no drops injected")
 	}

@@ -211,12 +211,16 @@ func (ep *Endpoint) handlePut(pkt *fabric.Packet, cmd *command) {
 		// The initiator's span crosses to this node: the wire stage ends at
 		// last-packet arrival, the place stage at the payload DMA; the
 		// completion unit ends the span when this window's epoch completes.
+		// The place mark is stamped now at its known future time instead of
+		// from a scheduled event, so spans never change the event stream;
+		// the completion-pointer write queues behind the payload DMA on the
+		// same bus, so the marks stay monotone.
 		if sp := ep.reg.Span(metrics.SpanKey{Node: pkt.Src, ID: cmd.msgID}); sp != nil {
 			sp.SetNode(ep.Node())
 			// Wire wait is the fabric queueing the last packet accumulated;
 			// place wait is the receive-bus backlog ahead of the payload DMA.
 			sp.StageWait(eng.Now(), "wire", pkt.QueueWait)
-			eng.At(dmaDone, func() { sp.StageWait(eng.Now(), "place", busWait) })
+			sp.StageWait(dmaDone, "place", busWait)
 			w.pendingSpans = append(w.pendingSpans, sp)
 		}
 	}

@@ -1,7 +1,7 @@
 // ShardSet: telemetry for sharded runs. One Sampler per shard ticks the
 // same sim-time grid on its own engine (ticks are daemon events, and the
 // shard group's drain rule makes "tick at t executes iff t precedes the
-// final model time" hold globally, exactly as on a single heap), each
+// final model time" hold globally, exactly as on one engine), each
 // probe reading only state its shard owns. The merged export folds the
 // per-shard columns with a declared merge kind and renders through the
 // ordinary Sampler writers, so the CSV bytes are identical at any shard
@@ -26,7 +26,7 @@ const (
 	// KindSumPS adds per-shard samples that are integer picosecond
 	// quantities (probes return float64(sim.Time)); the merged value is
 	// divided by 1000 at export so the column reads in nanoseconds like
-	// its single-heap counterpart. Summing in integer picoseconds first
+	// a one-sampler column. Summing in integer picoseconds first
 	// avoids the order-dependence of float nanosecond addition.
 	KindSumPS
 	// KindMax takes the maximum across shards (worst-queue style columns).
@@ -64,6 +64,10 @@ func (ss *ShardSet) Shards() int {
 	}
 	return len(ss.samplers)
 }
+
+// Sampler returns the given shard's sampler, for callers that hook its
+// sample ticks (OnSample).
+func (ss *ShardSet) Sampler(shard int) *Sampler { return ss.samplers[shard] }
 
 // Register adds a cross-shard column: probe(shard) must read only state
 // the given shard owns, and the per-shard samples merge per kind.

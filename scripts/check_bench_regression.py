@@ -28,17 +28,12 @@ that quorum. Event *counts* changing for a shared cell is a determinism
 red flag and always fails: the same simulation must execute the same
 events no matter how fast the host is.
 
-Sharded runs (rvmabench -shards N) record a "shards" field per cell and
-in the summary; baselines that predate the sharded engine carry none
-(treated as shards=0, the single-heap path). events/sec is only
-apples-to-apples between runs at the same shard count, so cells whose
-shard counts differ are reported in the table (annotated) but exempt
-from the throughput regression checks. The event-count equality check
-applies whenever both runs are sharded (any counts >= 1: byte-identical
-output at every partition is the sharded engine's contract) or both are
-single-heap; it is skipped only between a shards=0 run and a sharded
-one, because the legacy path attaches span instrumentation that itself
-schedules model events, so its counts are legitimately different.
+Every record carries the cell's engine partition count ("shards",
+rvmabench -shards N, default 1) per cell and in the summary. events/sec
+is only apples-to-apples between runs at the same shard count, so cells
+whose shard counts differ are reported in the table (annotated) but
+exempt from the throughput regression checks. The event-count equality
+check always applies: every shard count simulates the same run.
 
 Cells present in only one log are not errors: a cell in the current run
 with no baseline counterpart (a newly added experiment family, e.g. the
@@ -68,8 +63,8 @@ def load(path):
 
 
 def shards_of(rec):
-    """Engine partition count of a record; 0 (single heap) when absent."""
-    return rec.get("shards", 0)
+    """Engine partition count of a record (1 when absent)."""
+    return rec.get("shards", 1)
 
 
 def delta_rows(shared, base_cells, cur_cells, new_cells=(), gone_cells=()):
@@ -144,8 +139,8 @@ def main(argv):
 
     base_agg = base_summary.get("events_per_sec_aggregate", 0.0)
     cur_agg = cur_summary.get("events_per_sec_aggregate", 0.0)
-    base_shards = base_summary.get("shards", 0)
-    cur_shards = cur_summary.get("shards", 0)
+    base_shards = shards_of(base_summary)
+    cur_shards = shards_of(cur_summary)
     if base_agg > 0 and cur_agg > 0:
         drop = (base_agg - cur_agg) / base_agg
         print(f"aggregate events/sec: baseline {base_agg:,.0f} -> current "
@@ -176,12 +171,9 @@ def main(argv):
     comparable = 0
     for cell in shared:
         b, c = base_cells[cell], cur_cells[cell]
-        # Event counts must match between any two sharded runs (the
-        # byte-identical contract) and between two single-heap runs; only
-        # the shards=0 <-> sharded pairing is exempt (the legacy path's
-        # span instrumentation schedules extra model events).
-        same_mode = (shards_of(b) > 0) == (shards_of(c) > 0)
-        if same_mode and b.get("events") != c.get("events"):
+        # Event counts must match at any shard counts: every partition
+        # simulates the same run.
+        if b.get("events") != c.get("events"):
             failures.append(
                 f"{cell}: event count changed {b.get('events')} -> "
                 f"{c.get('events')} (determinism violation, not a perf issue)")

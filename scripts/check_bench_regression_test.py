@@ -129,13 +129,17 @@ class CheckBenchRegressionTest(unittest.TestCase):
         self.assertEqual(code, 1, out)
         self.assertIn("determinism violation", out)
 
-    def test_shard_count_mismatch_skipped(self):
-        base = log([record("sweep3d|rvma", 1e6, shards=0)])
-        cur = log([record("sweep3d|rvma", 4e6, events=900, shards=4)],
-                  shards=4)
+    def test_shard_count_mismatch_checks_events_only(self):
+        base = log([record("sweep3d|rvma", 1e6, shards=1)], shards=1)
+        cur = log([record("sweep3d|rvma", 4e5, shards=4)], shards=4)
         code, out = self.run_main(base, cur)
         self.assertEqual(code, 0, out)
         self.assertIn("skipped: shard counts differ", out)
+        cur = log([record("sweep3d|rvma", 4e5, events=900, shards=4)],
+                  shards=4)
+        code, out = self.run_main(base, cur)
+        self.assertEqual(code, 1, out)
+        self.assertIn("determinism violation", out)
 
     def test_threshold_env_override(self):
         base = log([record("sweep3d|rvma", 1e6)])
