@@ -163,7 +163,30 @@ type Packet struct {
 	// component.
 	QueueWait sim.Time
 	misrouted bool
+
+	// The packet's own event. Packets are created only by the NIC and
+	// never copied, and each one has at most one pending event between
+	// NIC send and protocol handler, so a single callback (fire), bound
+	// the first time the packet is scheduled, serves every stage: stage
+	// and at (a switch or a node) or then (a continuation) record what it
+	// does next. Forwarding a packet therefore allocates nothing per hop.
+	// at is an int32 so the packet fits the 96 B allocation size class.
+	stage stage
+	at    int32
+	fire  func()
+	then  func(*Packet)
 }
+
+// stage is what a packet's event does when it runs.
+type stage uint8
+
+const (
+	stageIdle    stage = iota // no event pending
+	stageInject               // Network.Inject
+	stageSwitch               // Network.atSwitch at switch at
+	stageDeliver              // Network.deliver to node at
+	stageThen                 // the continuation then
+)
 
 // WireSize returns payload plus header bytes.
 func (p *Packet) WireSize() int { return p.Size + HeaderBytes }
@@ -221,6 +244,7 @@ type Network struct {
 	hostRNG   []*sim.RNG      // per-node injection-jitter substreams
 	faultSh   []*sim.RNG      // per-destination fault substreams; nil when the plan cannot drop
 	statsSh   []Stats         // per-shard counters; TotalStats sums them
+	routeBufs []routeBufs     // per-shard candidate buffers selectPort reuses
 	msh       []fabMetrics    // per-shard metric handles; nil handles until SetMetricsSharded
 }
 
@@ -280,12 +304,60 @@ func (n *Network) AttachHost(node int, fn DeliverFunc) {
 	n.hosts[node] = fn
 }
 
+// InjectEvent returns pkt's event callback set to Inject pkt when it
+// runs. Schedule it on the source node's shard.
+func (n *Network) InjectEvent(pkt *Packet) func() {
+	return n.event(pkt, stageInject, 0, nil)
+}
+
+// Then returns pkt's event callback set to run next(pkt) when it runs.
+// The NIC uses it to hand a received packet to its protocol handler
+// after the receive pipeline.
+func (n *Network) Then(pkt *Packet, next func(*Packet)) func() {
+	return n.event(pkt, stageThen, 0, next)
+}
+
+// event records pkt's next stage and returns the packet's callback,
+// binding it the first time the packet is scheduled.
+func (n *Network) event(pkt *Packet, s stage, at int, then func(*Packet)) func() {
+	if sim.DebugEnabled {
+		sim.Assertf(pkt.stage == stageIdle,
+			"fabric: packet #%d (%d->%d) scheduled while its stage-%d event is pending", pkt.ID, pkt.Src, pkt.Dst, pkt.stage)
+	}
+	pkt.stage, pkt.at, pkt.then = s, int32(at), then
+	if pkt.fire == nil {
+		//rvmalint:allow hotalloc -- one binding per packet, made the first time it is scheduled; every later stage reuses it
+		pkt.fire = func() { n.step(pkt) }
+	}
+	return pkt.fire
+}
+
+// step runs pkt's pending stage.
+func (n *Network) step(pkt *Packet) {
+	s := pkt.stage
+	pkt.stage = stageIdle
+	switch s {
+	case stageInject:
+		n.Inject(pkt)
+	case stageSwitch:
+		n.atSwitch(int(pkt.at), pkt)
+	case stageDeliver:
+		n.deliver(int(pkt.at), pkt)
+	case stageThen:
+		pkt.then(pkt)
+	default:
+		panic(fmt.Sprintf("fabric: packet #%d fired with no pending stage", pkt.ID))
+	}
+}
+
 // Inject hands a packet to node src's injection link at the current time.
 // The packet serializes onto the host link (which always runs at line rate,
 // per the paper's host-bus assumption), then traverses the fabric. The
 // caller must be executing on the source node's shard (NICs are
 // constructed on their node's shard engine, so this holds by
 // construction).
+//
+//rvmalint:hot
 func (n *Network) Inject(pkt *Packet) {
 	if pkt.Src < 0 || pkt.Src >= len(n.hostTx) || pkt.Dst < 0 || pkt.Dst >= len(n.hosts) {
 		panic(fmt.Sprintf("fabric: inject with bad endpoints src=%d dst=%d", pkt.Src, pkt.Dst))
@@ -300,6 +372,7 @@ func (n *Network) Inject(pkt *Packet) {
 	n.statsSh[shard].PacketsInjected++
 	if n.tracer != nil {
 		n.tracer.Count("fabric.packets_injected", 1)
+		//rvmalint:allow hotalloc -- tracer-only branch; a traced run is a debugging run
 		n.tracer.Eventf(trace.CatPacket, "inject #%d %d->%d %dB", pkt.ID, pkt.Src, pkt.Dst, pkt.Size)
 	}
 
@@ -308,7 +381,7 @@ func (n *Network) Inject(pkt *Packet) {
 	pkt.QueueWait += txDone - now - ser
 	arrive := txDone + n.linkDelayFrom(n.hostRNG[pkt.Src])
 	sw, _ := n.topo.HostPort(pkt.Src)
-	n.sched(shard, n.nodeLocus(pkt.Src), n.swShard[sw], arrive, func() { n.atSwitch(sw, pkt) })
+	n.sched(shard, n.nodeLocus(pkt.Src), n.swShard[sw], arrive, n.event(pkt, stageSwitch, sw, nil))
 }
 
 // MaxQueueBacklog returns the largest backlog any switch output port
@@ -339,6 +412,8 @@ func (n *Network) linkDelayFrom(rng *sim.RNG) sim.Time {
 // atSwitch processes a packet's arrival at switch sw at the current time:
 // route selection, crossbar transit, output serialization, link traversal.
 // It executes on the switch's owning shard.
+//
+//rvmalint:hot
 func (n *Network) atSwitch(sw int, pkt *Packet) {
 	e, shard := n.swCtx(sw)
 	pkt.Hops++
@@ -360,10 +435,9 @@ func (n *Network) atSwitch(sw int, pkt *Packet) {
 
 	switch port.Kind {
 	case topology.HostPort:
-		n.sched(shard, n.switchLocus(sw), n.nodeShard[port.Node], arrive, func() { n.deliver(port.Node, pkt) })
+		n.sched(shard, n.switchLocus(sw), n.nodeShard[port.Node], arrive, n.event(pkt, stageDeliver, port.Node, nil))
 	case topology.SwitchPort:
-		peer := port.PeerSwitch
-		n.sched(shard, n.switchLocus(sw), n.swShard[peer], arrive, func() { n.atSwitch(peer, pkt) })
+		n.sched(shard, n.switchLocus(sw), n.swShard[port.PeerSwitch], arrive, n.event(pkt, stageSwitch, port.PeerSwitch, nil))
 	default:
 		panic(fmt.Sprintf("fabric: routed to unused port %d of switch %d", outPort, sw))
 	}
@@ -371,8 +445,11 @@ func (n *Network) atSwitch(sw int, pkt *Packet) {
 
 // selectPort applies the routing mode to the candidate set. e is the
 // engine executing switch sw and rng the stream routing draws come from.
+// The candidate sets go into the shard's reused route buffers.
 func (n *Network) selectPort(e *sim.Engine, shard int, rng *sim.RNG, sw int, pkt *Packet) int {
-	cands := n.topo.Candidates(sw, pkt.Dst, nil)
+	rb := &n.routeBufs[shard]
+	rb.min = n.topo.Candidates(sw, pkt.Dst, rb.min[:0])
+	cands := rb.min
 	if len(cands) == 0 {
 		panic(fmt.Sprintf("fabric: no route from switch %d to node %d", sw, pkt.Dst))
 	}
@@ -381,7 +458,8 @@ func (n *Network) selectPort(e *sim.Engine, shard int, rng *sim.RNG, sw int, pkt
 		return cands[0]
 	case RouteValiant:
 		if !pkt.misrouted && n.nonMin != nil {
-			if nm := n.nonMin.NonMinimalCandidates(sw, pkt.Dst, nil); len(nm) > 0 {
+			rb.nonMin = n.nonMin.NonMinimalCandidates(sw, pkt.Dst, rb.nonMin[:0])
+			if nm := rb.nonMin; len(nm) > 0 {
 				pkt.misrouted = true
 				n.statsSh[shard].ValiantDetours++
 				n.msh[shard].detours.Add(1)
@@ -399,7 +477,8 @@ func (n *Network) selectPort(e *sim.Engine, shard int, rng *sim.RNG, sw int, pkt
 			}
 			minBacklog := n.outPorts[sw][best].Backlog(e)
 			if minBacklog > bias {
-				if nm := n.nonMin.NonMinimalCandidates(sw, pkt.Dst, nil); len(nm) > 0 {
+				rb.nonMin = n.nonMin.NonMinimalCandidates(sw, pkt.Dst, rb.nonMin[:0])
+				if nm := rb.nonMin; len(nm) > 0 {
 					alt := n.leastBacklogged(e, sw, nm)
 					// UGAL: detour when twice the non-minimal backlog still
 					// beats the minimal backlog.
@@ -410,6 +489,7 @@ func (n *Network) selectPort(e *sim.Engine, shard int, rng *sim.RNG, sw int, pkt
 						n.msh[shard].timeline.Instant(pkt.Src, "fabric", "detour", e.Now())
 						if n.tracer != nil {
 							n.tracer.Count("fabric.valiant_detours", 1)
+							//rvmalint:allow hotalloc -- tracer-only branch; a traced run is a debugging run
 							n.tracer.Eventf(trace.CatPacket, "detour #%d at sw%d", pkt.ID, sw)
 						}
 						return alt
@@ -447,6 +527,8 @@ func (n *Network) leastBacklogged(e *sim.Engine, sw int, cands []int) int {
 // comes from the destination's fault substream, so loss sweeps never
 // shift the routing substreams and skew detour decisions for surviving
 // packets.
+//
+//rvmalint:hot
 func (n *Network) deliver(node int, pkt *Packet) {
 	e, shard := n.nodeCtx(node)
 	fn := n.hosts[node]
@@ -462,6 +544,7 @@ func (n *Network) deliver(node int, pkt *Packet) {
 		mm.timeline.Instant(node, "fabric", "drop", e.Now())
 		if n.tracer != nil {
 			n.tracer.Count("fabric.packets_dropped", 1)
+			//rvmalint:allow hotalloc -- tracer-only branch; a traced run is a debugging run
 			n.tracer.Eventf(trace.CatPacket, "DROP #%d for node %d", pkt.ID, node)
 		}
 		return
@@ -478,6 +561,7 @@ func (n *Network) deliver(node int, pkt *Packet) {
 	if n.tracer != nil {
 		n.tracer.Count("fabric.packets_delivered", 1)
 		n.tracer.Add("fabric.delivered_bytes", float64(pkt.Size))
+		//rvmalint:allow hotalloc -- tracer-only branch; a traced run is a debugging run
 		n.tracer.Eventf(trace.CatPacket, "deliver #%d at node %d after %d hops", pkt.ID, node, pkt.Hops)
 	}
 	fn(pkt)

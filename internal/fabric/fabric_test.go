@@ -374,3 +374,60 @@ func TestTracerIntegration(t *testing.T) {
 	eng.Schedule(0, func() { net.Inject(&Packet{Src: 0, Dst: 1, Size: 1}) })
 	eng.Run()
 }
+
+// TestForwardingAllocatesNothingPerHop forwards lone packets over
+// dragonfly/adaptive on routes of different switch-hop counts. A packet is
+// its own event, so what a packet allocates is the packet and its one
+// binding, however many switches it crosses.
+func TestForwardingAllocatesNothingPerHop(t *testing.T) {
+	if sim.DebugEnabled {
+		t.Skip("simdebug invariant checks box their arguments; the gate is for normal builds")
+	}
+	eng := sim.NewEngine(1)
+	cfg := DefaultConfig()
+	cfg.Routing = RouteAdaptive
+	topo := topology.NewDragonfly(4, 2, 2)
+	net, err := New(eng, topo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < topo.NumNodes(); n++ {
+		net.AttachHost(n, func(*Packet) {})
+	}
+	send := func(dst int) int {
+		pkt := &Packet{Src: 0, Dst: dst, Size: 512}
+		net.Inject(pkt)
+		eng.Run()
+		return pkt.Hops
+	}
+	var dstFor []int // dstFor[h] is a destination h switch hops away, or 0
+	for dst := 1; dst < topo.NumNodes(); dst++ {
+		h := send(dst)
+		for len(dstFor) <= h {
+			dstFor = append(dstFor, 0)
+		}
+		if dstFor[h] == 0 {
+			dstFor[h] = dst
+		}
+	}
+	perHops := map[int]float64{}
+	for h, dst := range dstFor {
+		if dst == 0 {
+			continue
+		}
+		perHops[h] = testing.AllocsPerRun(100, func() { send(dst) })
+		if perHops[h] > 2 {
+			t.Errorf("%d-hop route to node %d: %v allocs per packet, want at most 2 (the packet and its binding)",
+				h, dst, perHops[h])
+		}
+	}
+	if len(perHops) < 3 {
+		t.Fatalf("routes cover hop counts %v, want at least three different ones", perHops)
+	}
+	for _, a := range perHops {
+		if a != perHops[1] {
+			t.Errorf("allocs per packet depend on the hop count (hops: allocs): %v", perHops)
+			break
+		}
+	}
+}

@@ -43,6 +43,12 @@ type fabMetrics struct {
 	timeline *metrics.Timeline
 }
 
+// routeBufs is one shard's reused routing-candidate buffers: the minimal
+// and the non-minimal candidate ports of the switch being routed.
+type routeBufs struct {
+	min, nonMin []int
+}
+
 // LookaheadFor returns the minimum simulated time any packet spends on a
 // cable under cfg — the conservative synchronization window a sharded run
 // of this fabric can use. Static routing never jitters, so the window is
@@ -138,6 +144,7 @@ func build(g *sim.ShardGroup, engs []*sim.Engine, topo topology.Topology, cfg Co
 		n.burstLeft = make([]int, nodes)
 	}
 	n.statsSh = make([]Stats, len(engs))
+	n.routeBufs = make([]routeBufs, len(engs))
 	n.msh = make([]fabMetrics, len(engs))
 	return n
 }

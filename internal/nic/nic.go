@@ -201,19 +201,21 @@ func (n *NIC) SetHandler(h Handler) {
 }
 
 // deliver is the fabric callback: account receive-pipeline time, then hand
-// the packet to the protocol.
+// the packet to the protocol. The handoff is the packet's own event, so
+// receiving allocates nothing.
+//
+//rvmalint:hot
 func (n *NIC) deliver(pkt *fabric.Packet) {
+	if n.handler == nil {
+		panic(fmt.Sprintf("nic: node %d received packet with no protocol handler", n.node))
+	}
 	n.PacketsReceived++
 	if n.tracer != nil {
+		//rvmalint:allow hotalloc -- tracer-only branch; a traced run is a debugging run
 		n.tracer.Eventf(trace.CatNIC, "nic%d rx #%d from %d %dB", n.node, pkt.ID, pkt.Src, pkt.Size)
 	}
 	done := n.recvPipe.Acquire(n.eng.Engine, n.prof.RecvPacketProc+n.prof.LookupLatency)
-	n.eng.At(done, func() {
-		if n.handler == nil {
-			panic(fmt.Sprintf("nic: node %d received packet with no protocol handler", n.node))
-		}
-		n.handler(pkt)
-	})
+	n.eng.At(done, n.net.Then(pkt, n.handler))
 }
 
 // SendMessage segments a message of total payload bytes to dst and pushes
@@ -262,7 +264,7 @@ func (n *NIC) SendMessage(dst, total int, build func(off, size int) any) *sim.Fu
 		pkt := &fabric.Packet{Src: n.node, Dst: dst, Size: size, Payload: build(off, size)}
 		n.PacketsSent++
 		n.mPkts.Add(1)
-		n.eng.At(procDone, func() { n.net.Inject(pkt) })
+		n.eng.At(procDone, n.net.InjectEvent(pkt))
 		if procDone > last {
 			last = procDone
 		}
@@ -288,7 +290,7 @@ func (n *NIC) InjectControl(dst int, payload any) {
 	}
 	done := n.sendPipe.Acquire(n.eng.Engine, n.prof.SendPacketProc)
 	pkt := &fabric.Packet{Src: n.node, Dst: dst, Size: 0, Payload: payload}
-	n.eng.At(done, func() { n.net.Inject(pkt) })
+	n.eng.At(done, n.net.InjectEvent(pkt))
 }
 
 // MsgKey identifies an in-flight message for reassembly: source node plus

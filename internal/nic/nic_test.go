@@ -264,3 +264,28 @@ func TestInjectControlSkipsBus(t *testing.T) {
 		t.Fatalf("packets sent = %d", a.PacketsSent)
 	}
 }
+
+// TestSendMessageAllocatesNoClosurePerPacket sends messages of one and of
+// nine packets through the send pipeline, the fabric and the receive
+// pipeline to the handler. Each extra packet costs only the packet and its
+// one event binding: no stage of its path allocates a closure.
+func TestSendMessageAllocatesNoClosurePerPacket(t *testing.T) {
+	if sim.DebugEnabled {
+		t.Skip("simdebug invariant checks box their arguments; the gate is for normal builds")
+	}
+	eng, a, b := pairWithNICs(t)
+	a.SetHandler(func(*fabric.Packet) {})
+	b.SetHandler(func(*fabric.Packet) {})
+	build := func(off, size int) any { return nil }
+	send := func(packets int) float64 {
+		return testing.AllocsPerRun(100, func() {
+			a.SendMessage(1, packets*a.MTU(), build)
+			eng.Run()
+		})
+	}
+	one, nine := send(1), send(9)
+	if perPacket := (nine - one) / 8; perPacket > 2 {
+		t.Fatalf("%v allocs per extra packet (1 packet: %v, 9 packets: %v), want at most 2 (the packet and its binding)",
+			perPacket, one, nine)
+	}
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -207,6 +208,66 @@ func TestEngineAtPastPanics(t *testing.T) {
 		e.At(Nanosecond, func() {})
 	})
 	e.Run()
+}
+
+// TestScheduleInPastMessages pins the fail-fast message of every absolute
+// scheduling entry point: the labeled handles name both times exactly as
+// Engine.At does.
+func TestScheduleInPastMessages(t *testing.T) {
+	e := NewEngine(1)
+	tag := e.Tag("model")
+	cases := []struct {
+		name string
+		at   func(Time)
+	}{
+		{"Engine.At", func(tm Time) { e.At(tm, func() {}) }},
+		{"Tagged.At", func(tm Time) { tag.At(tm, func() {}) }},
+		{"Tagged.AtP", func(tm Time) { tag.AtP(tm, -1, func() {}) }},
+	}
+	e.Schedule(10*Nanosecond, func() {
+		for _, c := range cases {
+			func() {
+				defer func() {
+					want := fmt.Sprintf("sim: schedule at %v before now %v", Nanosecond, 10*Nanosecond)
+					if got := recover(); got != want {
+						t.Errorf("%s in the past panicked with %v, want %q", c.name, got, want)
+					}
+				}()
+				c.at(Nanosecond)
+			}()
+		}
+	})
+	e.Run()
+}
+
+// TestEngineSteadyStateZeroAlloc is the kernel's allocation gate: once
+// the event pool and the heap's backing array have grown, a schedule+pop
+// and a schedule+cancel allocate nothing.
+func TestEngineSteadyStateZeroAlloc(t *testing.T) {
+	if DebugEnabled {
+		t.Skip("simdebug invariant checks box their arguments; the gate is for normal builds")
+	}
+	e := NewEngine(1)
+	tick := func() {}
+	schedulePop := func() {
+		e.Schedule(Nanosecond, tick)
+		e.Step()
+	}
+	scheduleCancel := func() {
+		e.Cancel(e.Schedule(Nanosecond, tick))
+	}
+	// Keep some events queued so pops and cancels sift through a heap.
+	for i := 0; i < 64; i++ {
+		e.Schedule(Time(i+2)*Microsecond, tick)
+	}
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{{"schedule+pop", schedulePop}, {"schedule+cancel", scheduleCancel}} {
+		if got := testing.AllocsPerRun(1000, c.fn); got != 0 {
+			t.Errorf("%s: %v allocs per run, want 0", c.name, got)
+		}
+	}
 }
 
 func TestEngineStep(t *testing.T) {

@@ -1,5 +1,7 @@
 package sim
 
+import "fmt"
+
 // Label is an interned component identity for events. Labels are small
 // integers indexing a per-engine string table, so stamping one on an event
 // costs a 4-byte field write — no strings, no allocation — and two engines
@@ -103,7 +105,7 @@ func (t Tagged) ScheduleP(d Time, priority int, fn func()) *Event {
 //rvmalint:hot
 func (t Tagged) At(tm Time, fn func()) *Event {
 	if tm < t.Engine.now {
-		panic("sim: schedule before now")
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", tm, t.Engine.now))
 	}
 	return t.Engine.at(tm, 0, t.label, fn)
 }
@@ -117,7 +119,7 @@ func (t Tagged) At(tm Time, fn func()) *Event {
 //rvmalint:hot
 func (t Tagged) AtP(tm Time, priority int, fn func()) *Event {
 	if tm < t.Engine.now {
-		panic("sim: schedule before now")
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", tm, t.Engine.now))
 	}
 	return t.Engine.at(tm, priority, t.label, fn)
 }

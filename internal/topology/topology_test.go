@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -365,4 +366,49 @@ func max(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestCandidatesAppendIntoCallerBuffer pins the contract the fabric's
+// reused route buffers rely on: for every family, Candidates and
+// NonMinimalCandidates append into a caller buffer with spare capacity
+// without allocating, and return the same ports as a nil-buffer call.
+func TestCandidatesAppendIntoCallerBuffer(t *testing.T) {
+	for _, kind := range Kinds() {
+		topo, err := ForNodeCount(kind, 64)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		nonMin, _ := topo.(NonMinimalRouter)
+		buf := make([]int, 0, 64)
+		check := func(what string, sw, dst int, got, want []int) {
+			if !slices.Equal(got, want) {
+				t.Errorf("%s: %s(sw%d, node %d) into a buffer = %v, with nil = %v", kind, what, sw, dst, got, want)
+			}
+			if len(got) > 0 && &got[0] != &buf[:1][0] {
+				t.Errorf("%s: %s(sw%d, node %d) did not append into the caller buffer", kind, what, sw, dst)
+			}
+		}
+		for sw := 0; sw < topo.NumSwitches(); sw++ {
+			for dst := 0; dst < topo.NumNodes(); dst++ {
+				check("Candidates", sw, dst, topo.Candidates(sw, dst, buf[:0]), topo.Candidates(sw, dst, nil))
+				if nonMin != nil {
+					check("NonMinimalCandidates", sw, dst, nonMin.NonMinimalCandidates(sw, dst, buf[:0]),
+						nonMin.NonMinimalCandidates(sw, dst, nil))
+				}
+			}
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			for sw := 0; sw < topo.NumSwitches(); sw++ {
+				for dst := 0; dst < topo.NumNodes(); dst++ {
+					buf = topo.Candidates(sw, dst, buf[:0])
+					if nonMin != nil {
+						buf = nonMin.NonMinimalCandidates(sw, dst, buf[:0])
+					}
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per all-pairs sweep into a caller buffer, want 0", kind, allocs)
+		}
+	}
 }
