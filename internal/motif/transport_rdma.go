@@ -53,7 +53,7 @@ type sendState struct {
 
 type sendReq struct {
 	size int
-	done *sim.Future
+	done sim.Future // Send hands out &done: one allocation per message
 }
 
 // recvState is the per-source receiver bookkeeping.
@@ -161,10 +161,10 @@ func (t *rdmaTransport) Send(dst, size int) *sim.Future {
 	if st == nil {
 		panic(fmt.Sprintf("motif: rank %d Send to unprepared dst %d", t.Rank(), dst))
 	}
-	req := &sendReq{size: size, done: sim.NewFuture()}
+	req := &sendReq{size: size}
 	st.queue = append(st.queue, req)
 	t.drain(st)
-	return req.done
+	return &req.done
 }
 
 // drain issues queued sends while credits last.
@@ -184,7 +184,7 @@ func (t *rdmaTransport) drain(st *sendState) {
 				scheme = rdma.CompleteNone // receiver uses cumulative last-byte polling
 			}
 			op := t.ep.PutN(rb, 0, req.size, scheme)
-			done := req.done
+			done := &req.done
 			op.Local.OnComplete(func() { done.Complete(t.ep.Engine(), nil) })
 		}
 
@@ -210,7 +210,7 @@ func (t *rdmaTransport) sendReliable(st *sendState, rb rdma.RemoteBuffer, req *s
 		var at *rdma.Attempt
 		if try == 0 {
 			rp, at = t.ep.PutNReliable(rb, 0, req.size)
-			done := req.done
+			done := &req.done
 			at.Local.OnComplete(func() {
 				if !done.Done() {
 					done.Complete(eng, nil)

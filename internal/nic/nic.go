@@ -222,17 +222,22 @@ func (n *NIC) deliver(pkt *fabric.Packet) {
 // it through the send pipeline: one doorbell write, then per packet a
 // payload DMA read over the bus and NIC processing, then fabric injection.
 // build constructs each packet's protocol payload given its (offset, size)
-// within the message. The returned future completes when the last packet
-// has been handed to the fabric (local send completion); remote delivery
-// semantics belong to the protocols.
+// within the message. The optional done (at most one) is the caller's
+// continuation: it runs as its own event when the last packet has been
+// handed to the fabric (local send completion); remote delivery semantics
+// belong to the protocols. Without done that event still fires, running
+// a no-op, so the event sequence does not depend on who is listening.
 //
 // The caller is responsible for modeling host software overhead
 // (Profile.HostPostOverhead) before invoking SendMessage; the protocols do
 // this so that zero-copy paths and doorbell batching can be modeled
 // distinctly later.
-func (n *NIC) SendMessage(dst, total int, build func(off, size int) any) *sim.Future {
+func (n *NIC) SendMessage(dst, total int, build func(off, size int) any, done ...func()) {
 	if total < 0 {
 		panic("nic: negative message size")
+	}
+	if len(done) > 1 {
+		panic("nic: SendMessage takes at most one completion callback")
 	}
 	n.MessagesSent++
 	n.BytesSent += uint64(total)
@@ -241,7 +246,6 @@ func (n *NIC) SendMessage(dst, total int, build func(off, size int) any) *sim.Fu
 	if n.tracer != nil {
 		n.tracer.Eventf(trace.CatNIC, "nic%d tx msg dst=%d %dB", n.node, dst, total)
 	}
-	f := sim.NewFuture()
 
 	// Doorbell: a small MMIO write crossing the bus.
 	doorbellDone := n.bus.TransferTime(n.eng.Engine, n.prof.DoorbellBytes)
@@ -273,9 +277,15 @@ func (n *NIC) SendMessage(dst, total int, build func(off, size int) any) *sim.Fu
 			break
 		}
 	}
-	n.eng.At(last, func() { f.Complete(n.eng.Engine, nil) })
-	return f
+	sent := sentNoop
+	if len(done) == 1 {
+		sent = done[0]
+	}
+	n.eng.At(last, sent)
 }
+
+// sentNoop is the local-completion event of a send nobody waits on.
+func sentNoop() {}
 
 // InjectControl sends a NIC-generated control packet (transport ACK, NACK)
 // to dst. Control packets are fabricated by the NIC itself: they pay

@@ -80,8 +80,7 @@ func TestLocalCompletionAfterLastInjection(t *testing.T) {
 	b.SetHandler(func(pkt *fabric.Packet) { lastRecv = eng.Now() })
 	var localDone sim.Time
 	eng.Schedule(0, func() {
-		f := a.SendMessage(1, 8192, func(off, size int) any { return nil })
-		f.OnComplete(func() { localDone = eng.Now() })
+		a.SendMessage(1, 8192, func(off, size int) any { return nil }, func() { localDone = eng.Now() })
 	})
 	eng.Run()
 	if localDone == 0 {
@@ -288,4 +287,49 @@ func TestSendMessageAllocatesNoClosurePerPacket(t *testing.T) {
 		t.Fatalf("%v allocs per extra packet (1 packet: %v, 9 packets: %v), want at most 2 (the packet and its binding)",
 			perPacket, one, nine)
 	}
+}
+
+// TestSendMessageDone checks the caller's continuation: it runs once, as
+// the event at which the last packet enters the fabric (when the send
+// pipeline drains), and a send allocates nothing for it beyond its
+// packets and their event bindings.
+func TestSendMessageDone(t *testing.T) {
+	eng, a, b := pairWithNICs(t)
+	a.SetHandler(func(*fabric.Packet) {})
+	b.SetHandler(func(*fabric.Packet) {})
+	build := func(off, size int) any { return nil }
+	const packets = 4
+	var want sim.Time
+	var ran []sim.Time
+	eng.Schedule(0, func() {
+		a.SendMessage(1, packets*a.MTU(), build, func() { ran = append(ran, eng.Now()) })
+		want = eng.Now() + a.SendBacklog()
+	})
+	eng.Run()
+	if len(ran) != 1 || ran[0] != want {
+		t.Fatalf("done ran at %v, want once at %v (last packet handed to the fabric)", ran, want)
+	}
+
+	if !sim.DebugEnabled {
+		count := 0
+		done := func() { count++ }
+		allocs := testing.AllocsPerRun(100, func() {
+			a.SendMessage(1, packets*a.MTU(), build, done)
+			eng.Run()
+		})
+		if allocs > 2*packets {
+			t.Fatalf("%v allocs per %d-packet send with done, want at most %d (each packet and its binding)",
+				allocs, packets, 2*packets)
+		}
+		if count != 101 {
+			t.Fatalf("done ran %d times over 101 sends", count)
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SendMessage with two done callbacks should panic")
+		}
+	}()
+	a.SendMessage(1, 1, build, func() {}, func() {})
 }

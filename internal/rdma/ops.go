@@ -46,6 +46,8 @@ type PutOp struct {
 	// Local resolves when the last data packet (and the trailing fence
 	// send, if any) has been handed to the fabric.
 	Local *sim.Future
+
+	local sim.Future // what Local points at: one allocation per put
 }
 
 // Put writes data into the remote buffer at offset using the given
@@ -67,7 +69,8 @@ func (ep *Endpoint) put(rb RemoteBuffer, offset, size int, data []byte, scheme C
 		panic(fmt.Sprintf("rdma: put [%d,%d) exceeds remote buffer of %d", offset, offset+size, rb.Size))
 	}
 	ep.Stats.PutsInitiated++
-	op := &PutOp{Local: sim.NewFuture()}
+	op := &PutOp{}
+	op.Local = &op.local
 	msgID := ep.nextMsgID
 	ep.nextMsgID++
 
@@ -78,7 +81,15 @@ func (ep *Endpoint) put(rb RemoteBuffer, offset, size int, data []byte, scheme C
 		sp.Stage(eng.Now(), "host_post")
 		txWait := ep.nic.SendBacklog() + ep.nic.DMABacklog()
 		wantAck := scheme == CompleteSendRecv && !ep.cfg.PipelinedFence
-		dataF := ep.nic.SendMessage(rb.Node, size, func(off, n int) any {
+		// One continuation for the data's local completion: close the
+		// nic_tx stage and, unless a fence send follows, the put itself.
+		sent := func() {
+			sp.StageWait(eng.Now(), "nic_tx", txWait)
+			if scheme != CompleteSendRecv {
+				op.Local.Complete(eng.Engine, nil)
+			}
+		}
+		ep.nic.SendMessage(rb.Node, size, func(off, n int) any {
 			var chunk []byte
 			if data != nil && ep.cfg.CarryData {
 				chunk = data[off : off+n]
@@ -93,21 +104,18 @@ func (ep *Endpoint) put(rb RemoteBuffer, offset, size int, data []byte, scheme C
 				data:      chunk,
 				wantAck:   wantAck,
 			}
-		})
+		}, sent)
 		ep.sentBytes[rb.Node] += uint64(size)
-		dataF.OnComplete(func() { sp.StageWait(eng.Now(), "nic_tx", txWait) })
 		if scheme != CompleteSendRecv {
-			dataF.OnComplete(func() { op.Local.Complete(eng.Engine, nil) })
 			return
 		}
 		fence := ep.sentBytes[rb.Node]
 		postFenceSend := func() {
 			sendID := ep.nextMsgID
 			ep.nextMsgID++
-			sendF := ep.nic.SendMessage(rb.Node, 1, func(off, n int) any {
+			ep.nic.SendMessage(rb.Node, 1, func(off, n int) any {
 				return &command{op: opSend, msgID: sendID, qp: FenceQP, total: 1, fenceBytes: fence}
-			})
-			sendF.OnComplete(func() { op.Local.Complete(eng.Engine, nil) })
+			}, func() { op.Local.Complete(eng.Engine, nil) })
 		}
 		if ep.cfg.PipelinedFence {
 			// Aggressive runtime: post the send right behind the data (one
@@ -141,7 +149,8 @@ func (ep *Endpoint) PutWithImmediate(rb RemoteBuffer, offset int, data []byte) (
 		return nil, fmt.Errorf("%w: [%d,%d) in %d", ErrOutOfBounds, offset, offset+size, rb.Size)
 	}
 	ep.Stats.PutsInitiated++
-	op := &PutOp{Local: sim.NewFuture()}
+	op := &PutOp{}
+	op.Local = &op.local
 	msgID := ep.nextMsgID
 	ep.nextMsgID++
 	eng := ep.eng
@@ -150,7 +159,7 @@ func (ep *Endpoint) PutWithImmediate(rb RemoteBuffer, offset int, data []byte) (
 		if ep.cfg.CarryData {
 			chunk = data
 		}
-		f := ep.nic.SendMessage(rb.Node, size, func(off, n int) any {
+		ep.nic.SendMessage(rb.Node, size, func(off, n int) any {
 			return &command{
 				op:        opPutData,
 				msgID:     msgID,
@@ -160,9 +169,8 @@ func (ep *Endpoint) PutWithImmediate(rb RemoteBuffer, offset int, data []byte) (
 				data:      chunk,
 				imm:       &immediateInfo{rkey: rb.RKey},
 			}
-		})
+		}, func() { op.Local.Complete(eng.Engine, nil) })
 		ep.sentBytes[rb.Node] += uint64(size)
-		f.OnComplete(func() { op.Local.Complete(eng.Engine, nil) })
 	})
 	return op, nil
 }
@@ -170,6 +178,8 @@ func (ep *Endpoint) PutWithImmediate(rb RemoteBuffer, offset int, data []byte) (
 // SendOp tracks a two-sided send.
 type SendOp struct {
 	Local *sim.Future
+
+	local sim.Future // what Local points at
 }
 
 // Send issues a two-sided message of the given size to dst on the given
@@ -178,7 +188,8 @@ type SendOp struct {
 // bytes to that destination have landed (per-QP operation ordering).
 // Control QPs (qp != FenceQP) carry no fence.
 func (ep *Endpoint) Send(dst, qp, size int) *SendOp {
-	op := &SendOp{Local: sim.NewFuture()}
+	op := &SendOp{}
+	op.Local = &op.local
 	msgID := ep.nextMsgID
 	ep.nextMsgID++
 	eng := ep.eng
@@ -187,10 +198,9 @@ func (ep *Endpoint) Send(dst, qp, size int) *SendOp {
 		if qp == FenceQP {
 			fence = ep.sentBytes[dst]
 		}
-		f := ep.nic.SendMessage(dst, size, func(off, n int) any {
+		ep.nic.SendMessage(dst, size, func(off, n int) any {
 			return &command{op: opSend, msgID: msgID, qp: qp, pktOffset: off, total: size, fenceBytes: fence}
-		})
-		f.OnComplete(func() { op.Local.Complete(eng.Engine, nil) })
+		}, func() { op.Local.Complete(eng.Engine, nil) })
 	})
 	return op
 }
@@ -200,12 +210,15 @@ func (ep *Endpoint) Send(dst, qp, size int) *SendOp {
 // generated, and host software reaps it at its polling cadence.
 type RecvOp struct {
 	Done *sim.Future
+
+	done sim.Future // what Done points at
 }
 
 // PostRecv posts a receive for sends arriving from src on the given QP
 // index; sends and receives match in FIFO order per queue pair.
 func (ep *Endpoint) PostRecv(src, qp int) *RecvOp {
-	op := &RecvOp{Done: sim.NewFuture()}
+	op := &RecvOp{}
+	op.Done = &op.done
 	k := qpKey{src: src, qp: qp}
 	ep.recvQueues[k] = append(ep.recvQueues[k], op)
 	ep.matchSends(k)

@@ -493,3 +493,36 @@ func TestFenceSendNeverCompletesOnHoledBuffer(t *testing.T) {
 		}
 	}
 }
+
+// TestPutNAllocationCeiling pins what one 4 KiB PutN with the trailing
+// send/recv fence costs on the heap, from issue to the target's receive
+// completion: the ops, their packets and commands, and the completion
+// events, with no future or closure per NIC send. A new allocation on
+// the put or fence path fails it.
+func TestPutNAllocationCeiling(t *testing.T) {
+	if sim.DebugEnabled {
+		t.Skip("simdebug invariant checks box their arguments; the gate is for normal builds")
+	}
+	cfg := DefaultConfig()
+	cfg.CarryData = false
+	eng, src, dst := pair(t, cfg, fabric.DefaultConfig(), 1)
+	const size = 4096
+	rb := handshake(t, eng, src, 1, size)
+	done := 0
+	fenced := func() { done++ }
+	put := func() {
+		dst.PostRecv(0, FenceQP).Done.OnComplete(fenced)
+		src.PutN(rb, 0, size, CompleteSendRecv)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		eng.Schedule(0, put)
+		eng.Run()
+	})
+	if done != 201 {
+		t.Fatalf("%d of 201 fenced puts completed", done)
+	}
+	const ceiling = 23
+	if allocs > ceiling {
+		t.Fatalf("%v allocs per fenced PutN, want at most %d", allocs, ceiling)
+	}
+}

@@ -251,6 +251,15 @@ func (ep *Endpoint) enqueueSend(src, qp int, fence uint64, size int, imm *immedi
 	ep.matchSends(k)
 }
 
+// popFront drops q's head by shifting the rest down in place, so later
+// appends reuse the queue's capacity instead of reallocating it as q[1:]
+// would once the slice's start walked off its backing array.
+func popFront[T any](q []*T) []*T {
+	copy(q, q[1:])
+	q[len(q)-1] = nil
+	return q[:len(q)-1]
+}
+
 // matchSends delivers queued sends from src whose fences are satisfied to
 // posted receives, in FIFO order per queue pair. A send whose fence bytes
 // have not all landed is held — this is the transport resequencing that
@@ -269,9 +278,9 @@ func (ep *Endpoint) matchSends(k qpKey) {
 			}
 			return // strict per-QP ordering: later sends must wait too
 		}
-		ep.pendingSends[k] = ep.pendingSends[k][1:]
+		ep.pendingSends[k] = popFront(ep.pendingSends[k])
 		recv := ep.recvQueues[k][0]
-		ep.recvQueues[k] = ep.recvQueues[k][1:]
+		ep.recvQueues[k] = popFront(ep.recvQueues[k])
 		ep.Stats.SendsDelivered++
 		ep.mFenceHold.ObserveTime(eng.Now() - s.enq)
 		size := s.size

@@ -24,6 +24,8 @@ type Attempt struct {
 	// Acked completes when the target acknowledged the full message (any
 	// attempt's packets may have contributed).
 	Acked *sim.Future
+
+	local, acked sim.Future // what the exported fields point at
 }
 
 // reliableOp lets the ack dispatch resolve whichever attempt is current.
@@ -88,13 +90,14 @@ func (ep *Endpoint) AbandonReliable(msgID uint64) {
 
 func (ep *Endpoint) sendPutAttempt(rp *ReliablePut, sp *metrics.Span) *Attempt {
 	ep.Stats.PutsInitiated++
-	at := &Attempt{Local: sim.NewFuture(), Acked: sim.NewFuture()}
+	at := &Attempt{}
+	at.Local, at.Acked = &at.local, &at.acked
 	rp.attempt = at
 	eng := ep.eng
 	eng.Schedule(ep.nic.Profile().HostPostOverhead, func() {
 		sp.Stage(eng.Now(), "host_post")
 		txWait := ep.nic.SendBacklog() + ep.nic.DMABacklog()
-		f := ep.nic.SendMessage(rp.rb.Node, rp.size, func(off, n int) any {
+		ep.nic.SendMessage(rp.rb.Node, rp.size, func(off, n int) any {
 			return &command{
 				op:        opPutData,
 				msgID:     rp.msgID,
@@ -105,8 +108,7 @@ func (ep *Endpoint) sendPutAttempt(rp *ReliablePut, sp *metrics.Span) *Attempt {
 				wantAck:   true,
 				reliable:  true,
 			}
-		})
-		f.OnComplete(func() {
+		}, func() {
 			sp.StageWait(eng.Now(), "nic_tx", txWait)
 			at.Local.Complete(eng.Engine, nil)
 		})
@@ -155,11 +157,12 @@ func (ep *Endpoint) RetransmitSend(rs *ReliableSend) *Attempt {
 }
 
 func (ep *Endpoint) sendSendAttempt(rs *ReliableSend) *Attempt {
-	at := &Attempt{Local: sim.NewFuture(), Acked: sim.NewFuture()}
+	at := &Attempt{}
+	at.Local, at.Acked = &at.local, &at.acked
 	rs.attempt = at
 	eng := ep.eng
 	eng.Schedule(ep.nic.Profile().HostPostOverhead, func() {
-		f := ep.nic.SendMessage(rs.dst, rs.size, func(off, n int) any {
+		ep.nic.SendMessage(rs.dst, rs.size, func(off, n int) any {
 			return &command{
 				op:         opSend,
 				msgID:      rs.msgID,
@@ -169,8 +172,7 @@ func (ep *Endpoint) sendSendAttempt(rs *ReliableSend) *Attempt {
 				fenceBytes: rs.fence,
 				reliable:   true,
 			}
-		})
-		f.OnComplete(func() { at.Local.Complete(eng.Engine, nil) })
+		}, func() { at.Local.Complete(eng.Engine, nil) })
 	})
 	return at
 }

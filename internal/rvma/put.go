@@ -19,7 +19,8 @@ type PutOp struct {
 	// path.
 	Nack *sim.Future
 
-	msgID uint64
+	msgID       uint64
+	local, nack sim.Future // what Local and Nack point at: one allocation per put
 }
 
 // Put initiates a transfer of data to mailbox vaddr on node dst, placing
@@ -45,7 +46,8 @@ func (ep *Endpoint) put(dst int, vaddr VAddr, offset, size int, data []byte) *Pu
 		panic(fmt.Sprintf("rvma: put with negative size %d or offset %d", size, offset))
 	}
 	ep.Stats.PutsInitiated++
-	op := &PutOp{Local: sim.NewFuture(), Nack: sim.NewFuture(), msgID: ep.nextMsgID}
+	op := &PutOp{msgID: ep.nextMsgID}
+	op.Local, op.Nack = &op.local, &op.nack
 	ep.nextMsgID++
 	ep.pendingPuts[op.msgID] = op
 
@@ -57,7 +59,7 @@ func (ep *Endpoint) put(dst int, vaddr VAddr, offset, size int, data []byte) *Pu
 		// NIC queue depth at post time: the part of the nic_tx stage the
 		// message spends behind earlier sends rather than being pipelined.
 		txWait := ep.nic.SendBacklog() + ep.nic.DMABacklog()
-		f := ep.nic.SendMessage(dst, size, func(off, n int) any {
+		ep.nic.SendMessage(dst, size, func(off, n int) any {
 			var chunk []byte
 			if data != nil && ep.cfg.CarryData {
 				chunk = data[off : off+n]
@@ -71,8 +73,7 @@ func (ep *Endpoint) put(dst int, vaddr VAddr, offset, size int, data []byte) *Pu
 				total:     size,
 				data:      chunk,
 			}
-		})
-		f.OnComplete(func() {
+		}, func() {
 			sp.StageWait(eng.Now(), "nic_tx", txWait)
 			op.Local.Complete(eng.Engine, nil)
 		})
@@ -112,6 +113,8 @@ type PutAttempt struct {
 	// Nack completes if the target rejected a packet of this operation;
 	// its value is the error.
 	Nack *sim.Future
+
+	local, acked, nack sim.Future // what the exported fields point at
 }
 
 // PutNAcked initiates a reliable put (no payload bytes, like PutN) and
@@ -157,7 +160,8 @@ func (ep *Endpoint) AbandonPut(rp *ReliablePut) {
 // message span; retransmits ride the existing one.
 func (ep *Endpoint) sendAttempt(rp *ReliablePut, sp *metrics.Span) *PutAttempt {
 	ep.Stats.PutsInitiated++
-	at := &PutAttempt{Local: sim.NewFuture(), Acked: sim.NewFuture(), Nack: sim.NewFuture()}
+	at := &PutAttempt{}
+	at.Local, at.Acked, at.Nack = &at.local, &at.acked, &at.nack
 	rp.attempt = at
 
 	eng := ep.eng
@@ -165,7 +169,7 @@ func (ep *Endpoint) sendAttempt(rp *ReliablePut, sp *metrics.Span) *PutAttempt {
 	eng.Schedule(post, func() {
 		sp.Stage(eng.Now(), "host_post")
 		txWait := ep.nic.SendBacklog() + ep.nic.DMABacklog()
-		f := ep.nic.SendMessage(rp.dst, rp.size, func(off, n int) any {
+		ep.nic.SendMessage(rp.dst, rp.size, func(off, n int) any {
 			return &command{
 				op:        opPut,
 				msgID:     rp.msgID,
@@ -175,8 +179,7 @@ func (ep *Endpoint) sendAttempt(rp *ReliablePut, sp *metrics.Span) *PutAttempt {
 				total:     rp.size,
 				wantAck:   true,
 			}
-		})
-		f.OnComplete(func() {
+		}, func() {
 			sp.StageWait(eng.Now(), "nic_tx", txWait)
 			at.Local.Complete(eng.Engine, nil)
 		})

@@ -763,3 +763,44 @@ func TestManagedModeSplitsAcrossSegments(t *testing.T) {
 		t.Fatal("split placement corrupted the stream")
 	}
 }
+
+// TestPutNAllocationCeiling pins what one 4 KiB PutN costs on the heap,
+// from issue to the target's completion and the buffer repost: the put,
+// its packets and commands, and the completion, with no future or closure
+// per NIC send. A new allocation on the put path fails it.
+func TestPutNAllocationCeiling(t *testing.T) {
+	if sim.DebugEnabled {
+		t.Skip("simdebug invariant checks box their arguments; the gate is for normal builds")
+	}
+	cfg := DefaultConfig()
+	cfg.CarryData = false
+	eng, src, dst := pair(t, cfg, fabric.DefaultConfig(), 1)
+	const box, size = VAddr(0), 4096
+	win, err := dst.InitWindow(box, 1, EpochOps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() {
+		if _, err := win.PostBuffer(size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	post()
+	done := 0
+	win.SetCompletionHandler(func(*Buffer) {
+		done++
+		post()
+	})
+	put := func() { src.PutN(1, box, 0, size) }
+	allocs := testing.AllocsPerRun(200, func() {
+		eng.Schedule(0, put)
+		eng.Run()
+	})
+	if done != 201 {
+		t.Fatalf("%d of 201 puts completed", done)
+	}
+	const ceiling = 17
+	if allocs > ceiling {
+		t.Fatalf("%v allocs per PutN, want at most %d", allocs, ceiling)
+	}
+}

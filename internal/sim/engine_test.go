@@ -590,6 +590,69 @@ func TestFutureDoubleCompletePanics(t *testing.T) {
 	e.Run()
 }
 
+// TestFutureCallbacksRunInRegistrationOrder covers the inline first waiter
+// and the slice behind it: the first callback runs first, the rest follow
+// in order, and a waiter added after completion runs at once.
+func TestFutureCallbacksRunInRegistrationOrder(t *testing.T) {
+	e := NewEngine(1)
+	var f Future // the zero value is a pending future
+	var got []int
+	for i := 1; i <= 3; i++ {
+		f.OnComplete(func() { got = append(got, i) })
+	}
+	f.Complete(e, nil)
+	f.OnComplete(func() { got = append(got, 4) })
+	if fmt.Sprint(got) != "[1 2 3 4]" {
+		t.Fatalf("callbacks ran in order %v, want [1 2 3 4]", got)
+	}
+}
+
+// TestCompletionZeroAlloc is the allocation gate for completions: a future
+// with one waiter, and a process that sleeps and then waits on a future,
+// allocate nothing per cycle.
+func TestCompletionZeroAlloc(t *testing.T) {
+	if DebugEnabled {
+		t.Skip("simdebug invariant checks box their arguments; the gate is for normal builds")
+	}
+	e := NewEngine(1)
+	var f Future
+	cb := func() {}
+	oneWaiter := func() {
+		f = Future{}
+		f.OnComplete(cb)
+		f.Complete(e, nil)
+	}
+	if got := testing.AllocsPerRun(1000, oneWaiter); got != 0 {
+		t.Errorf("OnComplete+Complete: %v allocs per run, want 0", got)
+	}
+
+	var g Future
+	stop := false
+	e.Spawn("p", func(p *Process) {
+		for {
+			p.Sleep(Nanosecond)
+			if stop {
+				return
+			}
+			p.Wait(&g)
+		}
+	})
+	e.Step() // the spawn event: the body runs into its first Sleep
+	sleepWait := func() {
+		e.Step()           // the Sleep wake-up: the process parks in Wait
+		g.Complete(e, nil) // resumes it into the next Sleep
+		g = Future{}
+	}
+	if got := testing.AllocsPerRun(1000, sleepWait); got != 0 {
+		t.Errorf("Process Sleep+Wait: %v allocs per run, want 0", got)
+	}
+	stop = true
+	e.Run()
+	if e.procs != 0 {
+		t.Fatalf("%d processes still live after the last wake-up", e.procs)
+	}
+}
+
 func TestGate(t *testing.T) {
 	e := NewEngine(1)
 	g := NewGate(e, 3)

@@ -16,6 +16,7 @@ type Process struct {
 	eng    *Engine
 	name   string
 	label  Label         // stamped on spawn/Sleep/resume events (Tagged.Spawn)
+	wake   func()        // p.resume, bound once at spawn so Sleep and Wait allocate nothing
 	run    chan struct{} // engine -> process: resume
 	parked chan struct{} // process -> engine: parked or finished
 	done   bool
@@ -37,6 +38,7 @@ func (e *Engine) spawn(name string, label Label, body func(p *Process)) *Process
 		run:    make(chan struct{}),
 		parked: make(chan struct{}),
 	}
+	p.wake = p.resume
 	e.procs++
 	// The process body runs on its own goroutine, but only ever while the
 	// engine goroutine is parked on the run/parked channel handshake, so
@@ -56,7 +58,7 @@ func (e *Engine) spawn(name string, label Label, body func(p *Process)) *Process
 		p.eng.procs--
 		p.parked <- struct{}{}
 	}()
-	e.schedule(0, 0, label, func() { p.resume() })
+	e.schedule(0, 0, label, p.wake)
 	return p
 }
 
@@ -91,18 +93,22 @@ func (p *Process) Engine() *Engine { return p.eng }
 func (p *Process) Now() Time { return p.eng.Now() }
 
 // Sleep suspends the process for d simulated time.
+//
+//rvmalint:hot
 func (p *Process) Sleep(d Time) {
-	p.eng.schedule(d, 0, p.label, func() { p.resume() })
+	p.eng.schedule(d, 0, p.label, p.wake)
 	p.park()
 }
 
 // Wait suspends the process until the future completes. If the future is
 // already complete it returns immediately without yielding.
+//
+//rvmalint:hot
 func (p *Process) Wait(f *Future) {
 	if f.Done() {
 		return
 	}
-	f.OnComplete(func() { p.resume() })
+	f.OnComplete(p.wake)
 	p.park()
 }
 
@@ -118,10 +124,16 @@ func (p *Process) WaitAll(fs ...*Future) {
 // simulated time of completion. Futures are how the NIC models hand
 // asynchronous completions (DMA done, message delivered, threshold reached)
 // back to host-side code.
+//
+// The first waiter is held inline and only later ones go to a slice, so
+// the common single-waiter future allocates nothing beyond itself. A
+// Future's zero value is a pending future, so an operation can embed its
+// futures and hand out pointers to them.
 type Future struct {
 	done      bool
 	at        Time
 	value     any
+	first     func()
 	callbacks []func()
 }
 
@@ -142,6 +154,8 @@ func (f *Future) CompletedAt() Time { return f.at }
 // synchronously (in registration order) at the current simulated time.
 // Completing an already-complete future panics: completions in the models
 // represent unique hardware events.
+//
+//rvmalint:hot
 func (f *Future) Complete(e *Engine, value any) {
 	if f.done {
 		panic("sim: Future completed twice")
@@ -149,8 +163,12 @@ func (f *Future) Complete(e *Engine, value any) {
 	f.done = true
 	f.value = value
 	f.at = e.Now()
-	cbs := f.callbacks
-	f.callbacks = nil
+	first, cbs := f.first, f.callbacks
+	f.first, f.callbacks = nil, nil
+	if first == nil {
+		return
+	}
+	first()
 	for _, cb := range cbs {
 		cb()
 	}
@@ -158,11 +176,18 @@ func (f *Future) Complete(e *Engine, value any) {
 
 // OnComplete registers a callback to run when the future completes. If the
 // future is already done the callback runs immediately.
+//
+//rvmalint:hot
 func (f *Future) OnComplete(cb func()) {
 	if f.done {
 		cb()
 		return
 	}
+	if f.first == nil {
+		f.first = cb
+		return
+	}
+	//rvmalint:allow hotalloc -- only a second waiter grows the slice; single-waiter futures stay allocation-free
 	f.callbacks = append(f.callbacks, cb)
 }
 
