@@ -36,3 +36,13 @@ func (n *Network) debugCheckDeliver(e *sim.Engine, pkt *Packet) {
 		"fabric: packet #%d delivered at %v before injection at %v",
 		pkt.ID, e.Now(), pkt.Injected)
 }
+
+// debugCheckSchedule asserts pkt may take a new stage: it has none
+// pending, and it is not on a free list, which is what a handler that
+// kept a packet past its return and scheduled it later would produce.
+func (n *Network) debugCheckSchedule(pkt *Packet) {
+	sim.Assertf(pkt.stage != stageFree,
+		"fabric: freed packet scheduled again; a handler kept a *Packet after it returned")
+	sim.Assertf(pkt.stage == stageIdle,
+		"fabric: packet #%d (%d->%d) scheduled while its stage-%d event is pending", pkt.ID, pkt.Src, pkt.Dst, pkt.stage)
+}

@@ -164,17 +164,20 @@ type Packet struct {
 	QueueWait sim.Time
 	misrouted bool
 
-	// The packet's own event. Packets are created only by the NIC and
-	// never copied, and each one has at most one pending event between
-	// NIC send and protocol handler, so a single callback (fire), bound
-	// the first time the packet is scheduled, serves every stage: stage
-	// and at (a switch or a node) or then (a continuation) record what it
-	// does next. Forwarding a packet therefore allocates nothing per hop.
-	// at is an int32 so the packet fits the 96 B allocation size class.
+	// The packet's own event. Packets are never copied, and each one has
+	// at most one pending event between NIC send and protocol handler, so
+	// a single callback (fire), bound the first time the packet is
+	// scheduled, serves every stage: stage and at (a switch or a node) or
+	// then (a continuation) record what it does next. Forwarding a packet
+	// therefore allocates nothing per hop. When a stage leaves nothing
+	// pending, the packet goes back to a shard's free list (next links
+	// it) with fire still bound, so a recycled packet allocates nothing
+	// at all (see NewPacket).
 	stage stage
 	at    int32
 	fire  func()
 	then  func(*Packet)
+	next  *Packet
 }
 
 // stage is what a packet's event does when it runs.
@@ -186,13 +189,16 @@ const (
 	stageSwitch               // Network.atSwitch at switch at
 	stageDeliver              // Network.deliver to node at
 	stageThen                 // the continuation then
+	stageFree                 // on a free list; must not be scheduled
 )
 
 // WireSize returns payload plus header bytes.
 func (p *Packet) WireSize() int { return p.Size + HeaderBytes }
 
 // DeliverFunc receives a packet at its destination node at the current
-// simulated time.
+// simulated time. It must not retain pkt after it returns: unless it
+// scheduled the packet's next stage (Then), the fabric recycles the
+// packet as soon as the call returns. Copy out the fields it needs.
 type DeliverFunc func(pkt *Packet)
 
 // Stats aggregates fabric-level counters for experiment reports.
@@ -245,6 +251,7 @@ type Network struct {
 	faultSh   []*sim.RNG      // per-destination fault substreams; nil when the plan cannot drop
 	statsSh   []Stats         // per-shard counters; TotalStats sums them
 	routeBufs []routeBufs     // per-shard candidate buffers selectPort reuses
+	pktFree   []packetList    // per-shard recycled packets (NewPacket)
 	msh       []fabMetrics    // per-shard metric handles; nil handles until SetMetricsSharded
 }
 
@@ -304,6 +311,66 @@ func (n *Network) AttachHost(node int, fn DeliverFunc) {
 	n.hosts[node] = fn
 }
 
+// NewPacket returns a packet from src to dst carrying size payload bytes
+// and payload, drawn from the free list of src's shard. Call it on that
+// shard (as the NIC does, from its own node's engine). The packet lives
+// until the stage that consumes it leaves nothing pending: it is dropped
+// at ingress, delivered to a host handler that does not schedule it again,
+// or handed to the continuation of Then. After that it is reused.
+//
+//rvmalint:hot
+func (n *Network) NewPacket(src, dst, size int, payload any) *Packet {
+	fl := &n.pktFree[n.nodeShard[src]]
+	pkt := fl.head
+	if pkt == nil {
+		//rvmalint:allow hotalloc -- pool miss: the free list grows to the run's peak of packets in flight, then serves every send
+		pkt = &Packet{}
+	} else {
+		fl.head, pkt.next = pkt.next, nil
+		fl.len--
+		pkt.stage = stageIdle
+	}
+	pkt.Src, pkt.Dst, pkt.Size, pkt.Payload = src, dst, size, payload
+	return pkt
+}
+
+// recycle puts pkt, whose last stage left nothing pending, on the free
+// list of the shard executing that stage: its destination's, since every
+// stage that can end a packet runs at the destination node. The packet is
+// zeroed except for its bound event, so a reused packet never binds
+// again. Packets allocated on one shard may be freed on another; each
+// list still has a single writer, its own shard, and a list holding
+// maxFreePackets drops further packets to the collector, so traffic that
+// flows one way across shards cannot grow a list without bound.
+func (n *Network) recycle(pkt *Packet) {
+	fl := &n.pktFree[n.nodeShard[pkt.Dst]]
+	if fl.len >= maxFreePackets {
+		*pkt = Packet{stage: stageFree}
+		return
+	}
+	*pkt = Packet{stage: stageFree, fire: pkt.fire, next: fl.head}
+	fl.head = pkt
+	fl.len++
+}
+
+// FreePackets returns the number of packets on the free lists. Call it
+// only while the shards are quiescent.
+func (n *Network) FreePackets() int {
+	total := 0
+	for i := range n.pktFree {
+		total += n.pktFree[i].len
+	}
+	return total
+}
+
+// DropFreePackets empties the free lists, leaving their packets to the
+// collector. Call it when a run has drained, so the heap a finished run
+// keeps live does not hold its peak of packets in flight. Later sends
+// allocate afresh.
+func (n *Network) DropFreePackets() {
+	clear(n.pktFree)
+}
+
 // InjectEvent returns pkt's event callback set to Inject pkt when it
 // runs. Schedule it on the source node's shard.
 func (n *Network) InjectEvent(pkt *Packet) func() {
@@ -321,20 +388,25 @@ func (n *Network) Then(pkt *Packet, next func(*Packet)) func() {
 // binding it the first time the packet is scheduled.
 func (n *Network) event(pkt *Packet, s stage, at int, then func(*Packet)) func() {
 	if sim.DebugEnabled {
-		sim.Assertf(pkt.stage == stageIdle,
-			"fabric: packet #%d (%d->%d) scheduled while its stage-%d event is pending", pkt.ID, pkt.Src, pkt.Dst, pkt.stage)
+		n.debugCheckSchedule(pkt)
 	}
 	pkt.stage, pkt.at, pkt.then = s, int32(at), then
 	if pkt.fire == nil {
-		//rvmalint:allow hotalloc -- one binding per packet, made the first time it is scheduled; every later stage reuses it
+		//rvmalint:allow hotalloc -- binding of a packet never scheduled before: made once, then kept across every stage and every reuse from the free list
 		pkt.fire = func() { n.step(pkt) }
 	}
 	return pkt.fire
 }
 
-// step runs pkt's pending stage.
+// step runs pkt's pending stage, then recycles the packet if that stage
+// scheduled nothing further.
+//
+//rvmalint:hot
 func (n *Network) step(pkt *Packet) {
 	s := pkt.stage
+	if sim.DebugEnabled {
+		sim.Assertf(s != stageFree, "fabric: a freed packet's event fired")
+	}
 	pkt.stage = stageIdle
 	switch s {
 	case stageInject:
@@ -348,6 +420,9 @@ func (n *Network) step(pkt *Packet) {
 	default:
 		panic(fmt.Sprintf("fabric: packet #%d fired with no pending stage", pkt.ID))
 	}
+	if pkt.stage == stageIdle {
+		n.recycle(pkt)
+	}
 }
 
 // Inject hands a packet to node src's injection link at the current time.
@@ -355,7 +430,9 @@ func (n *Network) step(pkt *Packet) {
 // per the paper's host-bus assumption), then traverses the fabric. The
 // caller must be executing on the source node's shard (NICs are
 // constructed on their node's shard engine, so this holds by
-// construction).
+// construction). The fabric owns pkt from here on and recycles it once
+// it is consumed (see NewPacket), so the caller must not touch it after
+// the call.
 //
 //rvmalint:hot
 func (n *Network) Inject(pkt *Packet) {

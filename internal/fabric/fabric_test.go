@@ -41,24 +41,27 @@ func TestConfigValidate(t *testing.T) {
 func TestSingleHopLatency(t *testing.T) {
 	cfg := DefaultConfig()
 	eng, net := twoNodeNet(t, cfg)
+	// The fabric recycles a packet once its handler returns, so the
+	// handler copies out what the checks read.
 	var arrived sim.Time
+	var wire, hops int
 	net.AttachHost(0, func(pkt *Packet) {})
-	net.AttachHost(1, func(pkt *Packet) { arrived = eng.Now() })
-	pkt := &Packet{Src: 0, Dst: 1, Size: 1024}
-	eng.Schedule(0, func() { net.Inject(pkt) })
+	net.AttachHost(1, func(pkt *Packet) {
+		arrived, wire, hops = eng.Now(), pkt.WireSize(), pkt.Hops
+	})
+	eng.Schedule(0, func() { net.Inject(&Packet{Src: 0, Dst: 1, Size: 1024}) })
 	eng.Run()
 
 	// Expected: host serialization + link + (xbar + switch pipeline +
 	// output serialization) + link.
-	wire := pkt.WireSize()
 	ser := sim.SerializationTime(wire, cfg.LinkGbps)
 	xbar := sim.SerializationTime(wire, cfg.LinkGbps*cfg.XbarFactor)
 	want := ser + cfg.LinkLatency + xbar + cfg.SwitchLatency + ser + cfg.LinkLatency
 	if arrived != want {
 		t.Fatalf("arrival = %v, want %v", arrived, want)
 	}
-	if pkt.Hops != 1 {
-		t.Fatalf("hops = %d, want 1", pkt.Hops)
+	if hops != 1 {
+		t.Fatalf("hops = %d, want 1", hops)
 	}
 }
 
@@ -377,8 +380,9 @@ func TestTracerIntegration(t *testing.T) {
 
 // TestForwardingAllocatesNothingPerHop forwards lone packets over
 // dragonfly/adaptive on routes of different switch-hop counts. A packet is
-// its own event, so what a packet allocates is the packet and its one
-// binding, however many switches it crosses.
+// its own event and NewPacket reuses delivered packets, so once the free
+// list holds one a packet allocates nothing, however many switches it
+// crosses.
 func TestForwardingAllocatesNothingPerHop(t *testing.T) {
 	if sim.DebugEnabled {
 		t.Skip("simdebug invariant checks box their arguments; the gate is for normal builds")
@@ -391,14 +395,14 @@ func TestForwardingAllocatesNothingPerHop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hops := 0
 	for n := 0; n < topo.NumNodes(); n++ {
-		net.AttachHost(n, func(*Packet) {})
+		net.AttachHost(n, func(pkt *Packet) { hops = pkt.Hops })
 	}
 	send := func(dst int) int {
-		pkt := &Packet{Src: 0, Dst: dst, Size: 512}
-		net.Inject(pkt)
+		net.Inject(net.NewPacket(0, dst, 512, nil))
 		eng.Run()
-		return pkt.Hops
+		return hops
 	}
 	var dstFor []int // dstFor[h] is a destination h switch hops away, or 0
 	for dst := 1; dst < topo.NumNodes(); dst++ {
@@ -416,8 +420,8 @@ func TestForwardingAllocatesNothingPerHop(t *testing.T) {
 			continue
 		}
 		perHops[h] = testing.AllocsPerRun(100, func() { send(dst) })
-		if perHops[h] > 2 {
-			t.Errorf("%d-hop route to node %d: %v allocs per packet, want at most 2 (the packet and its binding)",
+		if perHops[h] != 0 {
+			t.Errorf("%d-hop route to node %d: %v allocs per packet, want 0 (a recycled packet keeps its binding)",
 				h, dst, perHops[h])
 		}
 	}
@@ -429,5 +433,53 @@ func TestForwardingAllocatesNothingPerHop(t *testing.T) {
 			t.Errorf("allocs per packet depend on the hop count (hops: allocs): %v", perHops)
 			break
 		}
+	}
+}
+
+// A delivered packet goes back to the free list with its bookkeeping
+// cleared, and NewPacket hands it out again.
+func TestNewPacketReusesDeliveredPackets(t *testing.T) {
+	eng, net := twoNodeNet(t, DefaultConfig())
+	var seen *Packet
+	net.AttachHost(0, func(*Packet) {})
+	net.AttachHost(1, func(pkt *Packet) { seen = pkt })
+	first := net.NewPacket(0, 1, 512, "a")
+	eng.Schedule(0, func() { net.Inject(first) })
+	eng.Run()
+	if seen != first || net.FreePackets() != 1 {
+		t.Fatalf("delivered %p (sent %p), %d free packets; want the sent packet delivered and freed", seen, first, net.FreePackets())
+	}
+	again := net.NewPacket(1, 0, 64, "b")
+	if again != first {
+		t.Fatal("NewPacket allocated although a free packet was available")
+	}
+	if p := again; p.ID != 0 || p.Hops != 0 || p.QueueWait != 0 || p.Injected != 0 || p.misrouted ||
+		p.Src != 1 || p.Dst != 0 || p.Size != 64 || p.Payload != "b" {
+		t.Fatalf("reused packet = %+v, want a fresh 1->0 64 B packet carrying \"b\"", *p)
+	}
+	if net.FreePackets() != 0 {
+		t.Fatalf("%d free packets after reuse, want 0", net.FreePackets())
+	}
+}
+
+// Packets freed faster than they are reused (here: injected as literals,
+// never drawn from the list) stop collecting at maxFreePackets, and
+// DropFreePackets empties the list.
+func TestFreeListIsBounded(t *testing.T) {
+	eng, net := twoNodeNet(t, DefaultConfig())
+	net.AttachHost(0, func(*Packet) {})
+	net.AttachHost(1, func(*Packet) {})
+	eng.Schedule(0, func() {
+		for i := 0; i < maxFreePackets+10; i++ {
+			net.Inject(&Packet{Src: 0, Dst: 1, Size: 1})
+		}
+	})
+	eng.Run()
+	if n := net.FreePackets(); n != maxFreePackets {
+		t.Fatalf("%d free packets, want the bound %d", n, maxFreePackets)
+	}
+	net.DropFreePackets()
+	if n := net.FreePackets(); n != 0 {
+		t.Fatalf("%d free packets after DropFreePackets, want 0", n)
 	}
 }

@@ -1,6 +1,7 @@
 package motif
 
 import (
+	"fmt"
 	"testing"
 
 	"rvma/internal/memory"
@@ -79,5 +80,49 @@ func TestRVMAMailboxMemoryUnderRecovery(t *testing.T) {
 	// Only completion cells of retained buffers are ever written.
 	if maxCells := retained / (4096 + memory.CacheLineSize) * memory.CacheLineSize; resident > maxCells {
 		t.Fatalf("resident %d B, want at most the %d B of retained completion cells", resident, maxCells)
+	}
+}
+
+// The fabric recycles packets through per-shard free lists while a run is
+// going, and a finished run drops them: whatever the shard count, and
+// although a packet sent from one shard is freed on the shard of its
+// destination, a finished cluster keeps no packet live.
+func TestRunLeavesNoFreePackets(t *testing.T) {
+	topo := smallTopo(t, 32)
+	runs := []struct {
+		name string
+		run  func(c *Cluster) error
+	}{
+		{"sweep3d", func(c *Cluster) error {
+			_, err := RunSweep3D(c, DefaultSweep3DConfig(topo.NumNodes()))
+			return err
+		}},
+		{"incast", func(c *Cluster) error {
+			_, err := RunIncast(c, DefaultIncastConfig())
+			return err
+		}},
+	}
+	for _, tc := range runs {
+		for _, kind := range []TransportKind{KindRVMA, KindRDMA} {
+			for _, shards := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/%s/shards=%d", tc.name, kind, shards), func(t *testing.T) {
+					cfg := DefaultClusterConfig(topo, kind)
+					cfg.Shards = shards
+					c, err := NewCluster(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := tc.run(c); err != nil {
+						t.Fatal(err)
+					}
+					if st := c.Net.TotalStats(); st.PacketsDelivered == 0 {
+						t.Fatal("the run delivered no packets")
+					}
+					if n := c.Net.FreePackets(); n != 0 {
+						t.Fatalf("fabric holds %d free packets after the run, want 0", n)
+					}
+				})
+			}
+		}
 	}
 }

@@ -21,8 +21,12 @@ func (c *Cluster) TagFor(rank int) sim.Tagged {
 	return c.Tags[c.Net.NodeShard(rank)]
 }
 
-// run executes the simulation to completion.
-func (c *Cluster) run() { c.Group.Run() }
+// run executes the simulation to completion, then drops the fabric's
+// recycled packets, so a finished cluster keeps no packets live.
+func (c *Cluster) run() {
+	c.Group.Run()
+	c.Net.DropFreePackets()
+}
 
 // EventsExecuted returns the executed-event count across every shard.
 func (c *Cluster) EventsExecuted() uint64 { return c.Group.TotalExecuted() }

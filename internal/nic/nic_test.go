@@ -266,8 +266,9 @@ func TestInjectControlSkipsBus(t *testing.T) {
 
 // TestSendMessageAllocatesNoClosurePerPacket sends messages of one and of
 // nine packets through the send pipeline, the fabric and the receive
-// pipeline to the handler. Each extra packet costs only the packet and its
-// one event binding: no stage of its path allocates a closure.
+// pipeline to the handler. No stage of a packet's path allocates a
+// closure, and the packet itself comes off the fabric's free list, so an
+// extra packet allocates nothing.
 func TestSendMessageAllocatesNoClosurePerPacket(t *testing.T) {
 	if sim.DebugEnabled {
 		t.Skip("simdebug invariant checks box their arguments; the gate is for normal builds")
@@ -283,16 +284,16 @@ func TestSendMessageAllocatesNoClosurePerPacket(t *testing.T) {
 		})
 	}
 	one, nine := send(1), send(9)
-	if perPacket := (nine - one) / 8; perPacket > 2 {
-		t.Fatalf("%v allocs per extra packet (1 packet: %v, 9 packets: %v), want at most 2 (the packet and its binding)",
+	if perPacket := (nine - one) / 8; perPacket != 0 {
+		t.Fatalf("%v allocs per extra packet (1 packet: %v, 9 packets: %v), want 0 (recycled packets)",
 			perPacket, one, nine)
 	}
 }
 
 // TestSendMessageDone checks the caller's continuation: it runs once, as
 // the event at which the last packet enters the fabric (when the send
-// pipeline drains), and a send allocates nothing for it beyond its
-// packets and their event bindings.
+// pipeline drains), and a send with it allocates nothing once the
+// fabric's free list holds its packets.
 func TestSendMessageDone(t *testing.T) {
 	eng, a, b := pairWithNICs(t)
 	a.SetHandler(func(*fabric.Packet) {})
@@ -317,9 +318,8 @@ func TestSendMessageDone(t *testing.T) {
 			a.SendMessage(1, packets*a.MTU(), build, done)
 			eng.Run()
 		})
-		if allocs > 2*packets {
-			t.Fatalf("%v allocs per %d-packet send with done, want at most %d (each packet and its binding)",
-				allocs, packets, 2*packets)
+		if allocs != 0 {
+			t.Fatalf("%v allocs per %d-packet send with done, want 0 (recycled packets)", allocs, packets)
 		}
 		if count != 101 {
 			t.Fatalf("done ran %d times over 101 sends", count)
