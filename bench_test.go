@@ -15,6 +15,7 @@ import (
 	"rvma/internal/fabric"
 	"rvma/internal/harness"
 	"rvma/internal/hostif"
+	"rvma/internal/ledger"
 	"rvma/internal/microbench"
 	"rvma/internal/motif"
 	"rvma/internal/mpirma"
@@ -64,17 +65,22 @@ func BenchmarkFig6Amortization(b *testing.B) {
 	}
 }
 
+// benchCell runs one 64-node motif cell and fails the benchmark on error.
+func benchCell(b *testing.B, m harness.MotifName, transport string, kind topology.Kind, routing fabric.RoutingMode, gbps float64) {
+	b.Helper()
+	rs := ledger.RunSpec{Motif: string(m), Transport: transport, Topology: string(kind),
+		Routing: routing.String(), Network: "bench", Nodes: 64, Gbps: gbps, Seed: 1}
+	if out := harness.RunCell(rs, harness.Observers{}); out.Err != nil {
+		b.Fatal(out.Err)
+	}
+}
+
 // benchMotifPair runs one motif point under both transports.
 func benchMotifPair(b *testing.B, m harness.MotifName, kind topology.Kind, routing fabric.RoutingMode, gbps float64) {
 	b.Helper()
-	nc := harness.NetConfig{Name: "bench", Kind: kind, Routing: routing}
 	for i := 0; i < b.N; i++ {
-		if _, err := harness.RunMotifPoint(m, motif.KindRVMA, nc, 64, gbps, 1); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := harness.RunMotifPoint(m, motif.KindRDMA, nc, 64, gbps, 1); err != nil {
-			b.Fatal(err)
-		}
+		benchCell(b, m, "rvma", kind, routing, gbps)
+		benchCell(b, m, "rdma", kind, routing, gbps)
 	}
 }
 
@@ -159,11 +165,8 @@ func BenchmarkAblationAdaptiveVsStaticFabric(b *testing.B) {
 	for _, mode := range []fabric.RoutingMode{fabric.RouteStatic, fabric.RouteAdaptive} {
 		mode := mode
 		b.Run(mode.String(), func(b *testing.B) {
-			nc := harness.NetConfig{Name: "bench", Kind: topology.KindFatTree, Routing: mode}
 			for i := 0; i < b.N; i++ {
-				if _, err := harness.RunMotifPoint(harness.MotifSweep3D, motif.KindRVMA, nc, 64, 100, 1); err != nil {
-					b.Fatal(err)
-				}
+				benchCell(b, harness.MotifSweep3D, "rvma", topology.KindFatTree, mode, 100)
 			}
 		})
 	}

@@ -99,19 +99,26 @@
 //
 //	-seeds N           run N independent replicas (seed, seed+1, ...) and
 //	                   print per-seed makespans plus the mean; replicas run
-//	                   concurrently on -workers goroutines, each with its
-//	                   own engine, and results print in seed order
+//	                   on the harness worker pool, -workers goroutines,
+//	                   each with its own engine, and results print in seed
+//	                   order
 //	-workers N         replica concurrency (0 = one per CPU)
+//
+// Every run is described as one ledger.RunSpec and built by the harness's
+// one cell builder (harness.RunCell), the path the figure sweeps and
+// simdiff's replay take too, so every -ledger-out file embeds a spec that
+// replays. Bad input exits 2 with a message naming the flag.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
 	"strings"
-	"sync"
 
 	"rvma/internal/attrib"
 	"rvma/internal/fabric"
@@ -119,155 +126,24 @@ import (
 	"rvma/internal/ledger"
 	"rvma/internal/metrics"
 	"rvma/internal/motif"
-	"rvma/internal/recovery"
 	"rvma/internal/sim"
 	"rvma/internal/stats"
 	"rvma/internal/telemetry"
-	"rvma/internal/topology"
 	"rvma/internal/trace"
 )
 
 func main() {
 	v := declareFlags(flag.CommandLine)
 	flag.Parse()
-	// Aliases into the registry-bound values; see flags.go for the table.
-	motifName, transport, topoName, routing := v.motifName, v.transport, v.topoName, v.routing
-	nodes, gbps, seed := v.nodes, v.gbps, v.seed
-	rdmaBufs, rvmaDepth := v.rdmaBufs, v.rvmaDepth
-	doTrace, doSpans := v.doTrace, v.doSpans
-	metricsOut, perfOut, tsOut, heatOut := v.metricsOut, v.perfOut, v.tsOut, v.heatOut
-	sampleIvl, recDepth, nackBurst := v.sampleIvl, v.recDepth, v.nackBurst
-	attribOut, tailK := v.attribOut, v.tailK
-	ledgerOut, ledgerEpoch, shardOut := v.ledgerOut, v.ledgerEpoch, v.shardOut
-	seeds, workers := v.seeds, v.workers
-	dropRate, faultPlan, retryBudget := v.dropRate, v.faultPlan, v.retryBudget
-	shards, unsafeScale := v.shards, v.unsafeScale
-
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "rvmasim: "+format+"\n", args...)
-		os.Exit(2)
-	}
-
-	var kind motif.TransportKind
-	switch *transport {
-	case "rvma":
-		kind = motif.KindRVMA
-	case "rdma":
-		kind = motif.KindRDMA
-	default:
-		fail("unknown transport %q", *transport)
-	}
-
-	var route fabric.RoutingMode
-	switch *routing {
-	case "static":
-		route = fabric.RouteStatic
-	case "adaptive":
-		route = fabric.RouteAdaptive
-	case "valiant":
-		route = fabric.RouteValiant
-	default:
-		fail("unknown routing %q", *routing)
-	}
-
-	topo, err := topology.ForNodeCount(topology.Kind(*topoName), *nodes)
-	if err != nil {
-		fail("%v", err)
-	}
-
-	// KV workload knobs resolve against the topology-rounded rank count;
-	// the other motifs ignore them.
-	kvp := harness.KVParams{Skew: *v.kvSkew, GapNs: float64(v.kvGap.Nanoseconds()),
-		Ops: *v.kvOps, Servers: *v.kvServers, Clients: *v.kvClients,
-		Keys: *v.kvKeys, Window: *v.kvWindow}
-	isKV := harness.MotifName(*motifName) == harness.MotifKV
-	var kvCfg motif.KVConfig
-	if isKV {
-		kvCfg = kvp.Config(topo.NumNodes(), *seed)
-	}
-
-	// Fault plan: -fault-plan gives the full spec, -drop-rate layers a
-	// uniform rate on top (or stands alone as the common case).
-	plan, err := fabric.ParseFaultPlan(*faultPlan)
-	if err != nil {
-		fail("%v", err)
-	}
-	if *dropRate > 0 {
-		if plan == nil {
-			plan = &fabric.FaultPlan{}
-		}
-		plan.DropRate = *dropRate
-	}
-	if plan != nil {
-		if err := plan.Validate(); err != nil {
-			fail("%v", err)
-		}
-	}
-	// The recovery layer rides along whenever faults are active; -retry-budget
-	// -1 runs the lossy fabric bare (which deadlocks at any real loss rate —
-	// useful as the control).
-	var recCfg *recovery.Config
-	if plan != nil && *retryBudget >= 0 {
-		rc := recovery.DefaultConfig()
-		if *retryBudget > 0 {
-			rc.MaxRetries = *retryBudget
-		}
-		recCfg = &rc
-	}
-
-	// Replica mode: N independent seeds on a worker pool, one engine per
-	// replica, printed in seed order. The observability flags attach to a
-	// single engine, so they require a single run; every one of them is
-	// rejected here (explicitly-set defaults included) rather than silently
-	// ignored.
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if *seeds > 1 {
-		if bad := replicaIncompatible(set); len(bad) > 0 {
-			fail("flag(s) -%s attach observers to a single engine and are incompatible with -seeds; drop them or set -seeds 1",
-				strings.Join(bad, ", -"))
-		}
-		rep := replicaConfig{
-			motifName: *motifName, kind: kind, topoName: *topoName,
-			route: route, nodes: *nodes, gbps: *gbps,
-			rdmaBufs: *rdmaBufs, rvmaDepth: *rvmaDepth,
-			faults: plan, recovery: recCfg, kvp: kvp,
-		}
-		fmt.Printf("motif:      %s\n", *motifName)
-		fmt.Printf("transport:  %s\n", kind)
-		fmt.Printf("network:    %s, %s routing, %g Gbps links\n", topo.Name(), route, *gbps)
-		runSeedReplicas(rep, *seed, *seeds, *workers, fail)
+	if err := flagsError(v, set); err != nil {
+		fail("%v", err)
+	}
+	rs := runSpec(v)
+	if *v.seeds > 1 {
+		runReplicas(rs, *v.seeds, *v.workers)
 		return
-	}
-
-	if err := shardFlagsError(*shards, *unsafeScale, set); err != nil {
-		fail("%v", err)
-	}
-
-	cfg := motif.DefaultClusterConfig(topo, kind)
-	cfg.Routing = route
-	cfg.Seed = *seed
-	cfg.RDMABuffers = *rdmaBufs
-	cfg.RVMADepth = *rvmaDepth
-	cfg.Faults = plan
-	cfg.Recovery = recCfg
-	cfg.Shards = *shards
-	cfg.ApplyLinkSpeed(*gbps)
-	cluster, err := motif.NewCluster(cfg)
-	if err != nil {
-		fail("%v", err)
-	}
-
-	// The CI divergence canary: deliberately widen the claimed-safe window
-	// past what cross-shard latencies justify, so shards execute past
-	// handoffs they have not received. simdebug builds refuse to run this;
-	// release builds silently diverge, which is exactly what the execution
-	// ledger must catch.
-	if *unsafeScale != 1 {
-		cluster.Group.UnsafeScaleLookahead(*unsafeScale)
-		fmt.Fprintf(os.Stderr,
-			"rvmasim: WARNING: lookahead scaled by %g — conservatism deliberately broken, results are untrustworthy\n",
-			*unsafeScale)
 	}
 
 	// Execution ledger / shard-plan profile. The recorder is a pure observer
@@ -275,141 +151,100 @@ func main() {
 	// simulation — and its canonical chain is a pure function of the model,
 	// identical at every shard count.
 	var canonRec *ledger.CanonicalRecorder
-	if *ledgerOut != "" || *shardOut != "" {
-		lo := ledger.Options{EpochEvents: *ledgerEpoch, Profile: *shardOut != ""}
-		if rs, ok := replayableSpec(*motifName, *transport, *topoName, *routing,
-			*nodes, *gbps, *seed, *rdmaBufs, *rvmaDepth,
-			*faultPlan, *dropRate, *retryBudget, *shards); ok {
-			if isKV {
-				// Embed the resolved KV knobs so simdiff's replay rebuilds the
-				// identical proxy plans (skew and gap are meaningful at zero).
-				rs.KVSkew = kvCfg.Skew
-				rs.KVGapNs = kvCfg.Gap.Nanoseconds()
-				rs.KVOps = kvCfg.OpsPerProxy
-				rs.KVServers = kvCfg.Servers
-				rs.KVClients = kvCfg.Clients
-				rs.KVKeys = kvCfg.Keys
-				rs.KVWindow = kvCfg.Window
-			}
-			if *unsafeScale != 1 {
-				// Canary runs embed the broken scale so simdiff's replay
-				// reproduces the divergent chain and pins the first event.
-				rs.UnsafeLookaheadScale = *unsafeScale
-			}
-			lo.Run = &rs
-		}
-		canonRec = ledger.NewCanonicalRecorder(lo)
-		canonRec.AttachGroup(cluster.Group)
-	}
-
-	var tr *trace.Tracer
-	if *doTrace {
-		tr = trace.New(cluster.Eng, 64) // counters/series plus a small event ring
-		tr.EnableAll()
-		cluster.SetTracer(tr)
-	}
-
-	// Flight recorder: a bounded causal ring of recent model events, dumped
-	// with context when the run fails. It reuses the trace layer, so like
-	// the tracer it needs one shard; with -trace also set the explicit
-	// tracer doubles as the recorder ring.
-	oneShard := cluster.Group.Shards() == 1
-	var rec *telemetry.FlightRecorder
-	if *recDepth > 0 && oneShard {
-		rtr := tr
-		if rtr == nil {
-			rtr = trace.New(cluster.Eng, *recDepth)
-			rtr.EnableAll()
-			cluster.SetTracer(rtr)
-		}
-		rec = telemetry.NewFlightRecorder(rtr, os.Stderr)
-		rec.Arm() // dump on any simdebug invariant violation
-		defer rec.Disarm()
-	}
-
-	// In-sim sampling: one deterministic telemetry daemon per shard, each
-	// reading only shard-owned state, merged into one columnar CSV after
-	// the run. The NACK-burst watcher rides shard 0's sampler, which on a
-	// one-shard run sees every endpoint.
-	var shardSet *telemetry.ShardSet
-	if *tsOut != "" || *heatOut != "" || (*nackBurst > 0 && rec != nil) {
-		ivl := sim.FromNanos(float64(sampleIvl.Nanoseconds()))
-		shardSet = telemetry.NewShardSet(cluster.Group, ivl)
-		cluster.RegisterTelemetryShards(shardSet)
-		if *nackBurst > 0 && rec != nil {
-			rec.WatchNACKBurst(shardSet.Sampler(0), func() float64 { return float64(cluster.NACKTotal()) }, *nackBurst)
-		}
-		shardSet.Start()
-	}
-
-	// A cancelled run still yields its recent history: dump the recorder
-	// on SIGINT, then exit with the conventional interrupted status.
-	if rec != nil {
-		sigc := make(chan os.Signal, 1)
-		signal.Notify(sigc, os.Interrupt)
-		go func() {
-			<-sigc
-			rec.Dump("run cancelled (SIGINT)")
-			os.Exit(130)
-		}()
+	if *v.ledgerOut != "" || *v.shardOut != "" {
+		canonRec = ledger.NewCanonicalRecorder(ledger.Options{EpochEvents: *v.ledgerEpoch, Profile: *v.shardOut != "", Run: &rs})
 	}
 	var reg *metrics.Registry
 	var attribCol *attrib.Collector
-	if *doSpans || *metricsOut != "" || *perfOut != "" || *attribOut != "" {
+	if *v.doSpans || *v.metricsOut != "" || *v.perfOut != "" || *v.attribOut != "" {
 		reg = metrics.NewRegistry()
-		if *doSpans || *perfOut != "" || *attribOut != "" {
+		if *v.doSpans || *v.perfOut != "" || *v.attribOut != "" {
 			reg.EnableSpans()
 		}
-		if *perfOut != "" {
+		if *v.perfOut != "" {
 			reg.EnableTimeline(0)
 		}
-		cluster.AttachShardMetrics(reg)
-		if *attribOut != "" {
-			attribCol = attrib.NewCollector(*tailK)
-			cluster.AttachAttribution(reg, attribCol)
+		if *v.attribOut != "" {
+			attribCol = attrib.NewCollector(*v.tailK)
 		}
-		if oneShard {
-			// Sample collector-backed gauges periodically so queue depths and
-			// utilization show their mid-run values, not just the final state.
-			// Multi-shard runs fold per-shard shadows after the run instead.
-			cluster.Eng.SetHeartbeat(4096, reg.Collect)
-		}
+	}
+	// The flight recorder reuses the trace layer, so like the tracer it
+	// needs one shard; its NACK-burst watcher rides shard 0's sampler,
+	// which on a one-shard run sees every endpoint.
+	oneShard := rs.Shards == 1
+	recOn := *v.recDepth > 0 && oneShard
+	obs := harness.Observers{Metrics: reg, Attrib: attribCol, Ledger: canonRec}
+	if *v.tsOut != "" || *v.heatOut != "" || (*v.nackBurst > 0 && recOn) {
+		obs.SampleEvery = sim.FromNanos(float64(v.sampleIvl.Nanoseconds()))
 	}
 
-	var makespan sim.Time
-	var kvRes *motif.KVResult
-	switch harness.MotifName(*motifName) {
-	case harness.MotifSweep3D:
-		makespan, err = motif.RunSweep3D(cluster, motif.DefaultSweep3DConfig(topo.NumNodes()))
-	case harness.MotifHalo3D:
-		makespan, err = motif.RunHalo3D(cluster, motif.DefaultHalo3DConfig(topo.NumNodes()))
-	case harness.MotifIncast:
-		makespan, err = motif.RunIncast(cluster, motif.DefaultIncastConfig())
-	case harness.MotifKV:
-		makespan, kvRes, err = motif.RunKV(cluster, kvCfg)
-	default:
-		fail("unknown motif %q", *motifName)
+	var cluster *motif.Cluster
+	var samples *telemetry.ShardSet
+	var tr *trace.Tracer
+	var rec *telemetry.FlightRecorder
+	obs.Attach = func(c *motif.Cluster, s *telemetry.ShardSet) {
+		cluster, samples = c, s
+		if *v.unsafeScale != 1 {
+			fmt.Fprintf(os.Stderr,
+				"rvmasim: WARNING: lookahead scaled by %g — conservatism deliberately broken, results are untrustworthy\n",
+				*v.unsafeScale)
+		}
+		if *v.doTrace {
+			tr = trace.New(c.Eng, 64) // counters/series plus a small event ring
+			tr.EnableAll()
+			c.SetTracer(tr)
+		}
+		// Flight recorder: a bounded causal ring of recent model events,
+		// dumped with context when the run fails. With -trace also set the
+		// explicit tracer doubles as the recorder ring.
+		if recOn {
+			rtr := tr
+			if rtr == nil {
+				rtr = trace.New(c.Eng, *v.recDepth)
+				rtr.EnableAll()
+				c.SetTracer(rtr)
+			}
+			rec = telemetry.NewFlightRecorder(rtr, os.Stderr)
+			rec.Arm() // dump on any simdebug invariant violation
+			if *v.nackBurst > 0 {
+				rec.WatchNACKBurst(s.Sampler(0), func() float64 { return float64(c.NACKTotal()) }, *v.nackBurst)
+			}
+			// A cancelled run still yields its recent history: dump the
+			// recorder on SIGINT, then exit with the interrupted status.
+			sigc := make(chan os.Signal, 1)
+			signal.Notify(sigc, os.Interrupt)
+			go func() {
+				<-sigc
+				rec.Dump("run cancelled (SIGINT)")
+				os.Exit(130)
+			}()
+		}
+		if reg != nil && oneShard {
+			// Sample collector-backed gauges periodically so queue depths and
+			// utilization show their mid-run values, not just the final
+			// state. Multi-shard runs fold per-shard shadows after the run.
+			c.Eng.SetHeartbeat(4096, reg.Collect)
+		}
 	}
-	if err != nil {
+	out := harness.RunCell(rs, obs)
+	if rec != nil {
+		rec.Disarm()
+	}
+	if out.Err != nil {
 		// A wedged KV run still accounts for what it abandoned — print the
 		// accounting before failing so CI can assert it.
-		if kvRes != nil && kvRes.Issued > 0 {
+		if kv := out.KV; kv != nil && kv.Issued > 0 {
 			fmt.Printf("kv:         %d/%d ops completed (%.1f%%), %d abandoned\n",
-				kvRes.Completed, kvRes.Issued,
-				100*float64(kvRes.Completed)/float64(kvRes.Issued),
-				kvRes.Issued-kvRes.Completed)
+				kv.Completed, kv.Issued, 100*float64(kv.Completed)/float64(kv.Issued), kv.Issued-kv.Completed)
 		}
-		fail("%v", err)
+		failCell(out.Err)
 	}
 
-	cluster.FinishMetrics(reg)
-
-	fmt.Printf("motif:      %s\n", *motifName)
-	fmt.Printf("transport:  %s\n", kind)
-	fmt.Printf("network:    %s, %s routing, %g Gbps links\n", topo.Name(), route, *gbps)
+	makespan := out.Makespan
+	printHeader(rs, out.Topology)
 	fmt.Printf("shards:     %d (lookahead %v)\n", cluster.Group.Shards(), cluster.Group.Lookahead())
 	fmt.Printf("makespan:   %v\n", makespan)
-	fmt.Printf("events:     %d executed\n", cluster.EventsExecuted())
+	fmt.Printf("events:     %d executed\n", out.Events)
 	st := cluster.Net.TotalStats()
 	fmt.Printf("fabric:     %d packets delivered, %.0f MB, mean latency %v, mean hops %.2f\n",
 		st.PacketsDelivered, float64(st.BytesDelivered)/1e6,
@@ -420,17 +255,17 @@ func main() {
 	live, resident := cluster.HostMemory()
 	fmt.Printf("memory:     %.2f MB live in host buffers, %.2f MB of contents held\n",
 		float64(live)/1e6, float64(resident)/1e6)
-	if plan != nil {
+	if rs.FaultPlan != "" || rs.Drop > 0 {
 		fmt.Printf("faults:     %d packets dropped (%.1f kB)\n",
 			st.PacketsDropped, float64(st.BytesDropped)/1e3)
-		if recCfg != nil {
-			rs := cluster.RecoveryStats()
+		if rs.Recover {
+			r := out.Recovery
 			fmt.Printf("recovery:   %d/%d ops completed (%d recovered), %d retransmits, %d timeouts, %d nack-retries, %d exhausted, %d reclaims\n",
-				rs.OpsCompleted, rs.OpsStarted, rs.Recovered, rs.Retransmits,
-				rs.Timeouts, rs.NackRetries, rs.Exhausted, rs.Reclaims)
+				r.OpsCompleted, r.OpsStarted, r.Recovered, r.Retransmits,
+				r.Timeouts, r.NackRetries, r.Exhausted, r.Reclaims)
 		}
 	}
-	if kvRes != nil {
+	if kvRes := out.KV; kvRes != nil {
 		fmt.Printf("kv:         %d/%d ops completed (%.1f%%), %d simulated clients via %d proxies (%d touched)\n",
 			kvRes.Completed, kvRes.Issued,
 			100*float64(kvRes.Completed)/float64(kvRes.Issued),
@@ -445,116 +280,57 @@ func main() {
 			sim.FromNanos(kvRes.Lat.Quantile(0.999)),
 			stats.FormatGbps(goodput), kvRes.CASFail, kvRes.CASFail+kvRes.CASOK)
 	}
-	if *doSpans {
+	if *v.doSpans {
 		fmt.Println("\nper-message stage latency:")
 		reg.FprintSpans(os.Stdout)
 		if open := reg.OpenSpans(); open > 0 {
 			fmt.Printf("spans still open at end of run: %d\n", open)
 		}
 	}
-	if *attribOut != "" {
-		f, err := os.Create(*attribOut)
-		if err != nil {
-			fail("%v", err)
-		}
-		if err := attribCol.WriteJSON(f); err != nil {
-			fail("%v", err)
-		}
-		if err := f.Close(); err != nil {
-			fail("%v", err)
-		}
+	if *v.attribOut != "" {
+		writeOut(*v.attribOut, attribCol.WriteJSON)
 		fmt.Println("\nlatency attribution (wait vs service, per stage):")
 		attribCol.FprintBlame(os.Stdout)
 		attribCol.FprintTail(os.Stdout)
 		fmt.Printf("attribution: report written to %s (conservation violations: %d, open spans: %d)\n",
-			*attribOut, attribCol.Violations(), attribCol.Open())
+			*v.attribOut, attribCol.Violations(), attribCol.Open())
 	}
-	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			fail("%v", err)
-		}
-		if err := reg.WriteJSON(f, cluster.Eng.Now()); err != nil {
-			fail("%v", err)
-		}
-		if err := f.Close(); err != nil {
-			fail("%v", err)
-		}
-		fmt.Printf("metrics:    snapshot written to %s\n", *metricsOut)
+	if *v.metricsOut != "" {
+		writeOut(*v.metricsOut, func(w io.Writer) error { return reg.WriteJSON(w, cluster.Eng.Now()) })
+		fmt.Printf("metrics:    snapshot written to %s\n", *v.metricsOut)
 	}
-	if *perfOut != "" {
-		f, err := os.Create(*perfOut)
-		if err != nil {
-			fail("%v", err)
-		}
-		if err := reg.Timeline().WritePerfetto(f); err != nil {
-			fail("%v", err)
-		}
-		if err := f.Close(); err != nil {
-			fail("%v", err)
-		}
+	if *v.perfOut != "" {
+		writeOut(*v.perfOut, reg.Timeline().WritePerfetto)
 		recorded, dropped := reg.Timeline().Events()
 		fmt.Printf("timeline:   %d events written to %s (%d dropped at cap); open at ui.perfetto.dev\n",
-			recorded, *perfOut, dropped)
+			recorded, *v.perfOut, dropped)
 	}
-	if *tsOut != "" {
-		f, err := os.Create(*tsOut)
-		if err != nil {
-			fail("%v", err)
-		}
-		if err := shardSet.WriteCSV(f); err != nil {
-			fail("%v", err)
-		}
-		if err := f.Close(); err != nil {
-			fail("%v", err)
-		}
+	if *v.tsOut != "" {
+		writeOut(*v.tsOut, samples.WriteCSV)
 		fmt.Printf("telemetry:  %d samples merged from %d shards written to %s\n",
-			shardSet.Samples(), shardSet.Shards(), *tsOut)
+			samples.Samples(), samples.Shards(), *v.tsOut)
 	}
-	if *heatOut != "" {
-		f, err := os.Create(*heatOut)
-		if err != nil {
-			fail("%v", err)
-		}
-		if err := shardSet.WriteHeatmapCSV(f, fabric.TelemetryHeatmapPrefix); err != nil {
-			fail("%v", err)
-		}
-		if err := f.Close(); err != nil {
-			fail("%v", err)
-		}
-		fmt.Printf("heatmap:    per-switch utilization matrix written to %s\n", *heatOut)
+	if *v.heatOut != "" {
+		writeOut(*v.heatOut, func(w io.Writer) error { return samples.WriteHeatmapCSV(w, fabric.TelemetryHeatmapPrefix) })
+		fmt.Printf("heatmap:    per-switch utilization matrix written to %s\n", *v.heatOut)
 	}
-	if *ledgerOut != "" {
+	if *v.ledgerOut != "" {
 		led := canonRec.Finalize()
-		if err := led.WriteFile(*ledgerOut); err != nil {
+		if err := led.WriteFile(*v.ledgerOut); err != nil {
 			fail("%v", err)
 		}
-		replayNote := ""
-		if led.Run == nil {
-			replayNote = "; no replayable run spec (non-default knobs), simdiff will localize to epoch only"
-		}
-		fmt.Printf("ledger:     %d events in %d epochs, chain head %s, written to %s%s\n",
-			led.Events, len(led.Epochs), led.ChainHead, *ledgerOut, replayNote)
+		fmt.Printf("ledger:     %d events in %d epochs, chain head %s, written to %s\n",
+			led.Events, len(led.Epochs), led.ChainHead, *v.ledgerOut)
 	}
-	if *shardOut != "" {
+	if *v.shardOut != "" {
 		prof := canonRec.Profile()
-		f, err := os.Create(*shardOut)
-		if err != nil {
-			fail("%v", err)
+		write := prof.WriteJSON
+		if strings.HasSuffix(*v.shardOut, ".csv") {
+			write = prof.WriteCSV
 		}
-		if strings.HasSuffix(*shardOut, ".csv") {
-			err = prof.WriteCSV(f)
-		} else {
-			err = prof.WriteJSON(f)
-		}
-		if err != nil {
-			fail("%v", err)
-		}
-		if err := f.Close(); err != nil {
-			fail("%v", err)
-		}
+		writeOut(*v.shardOut, write)
 		fmt.Printf("shard plan: %d components over %d events written to %s\n",
-			len(prof.Components), prof.TotalEvents, *shardOut)
+			len(prof.Components), prof.TotalEvents, *v.shardOut)
 	}
 	if tr != nil {
 		fmt.Println("\ntrace:")
@@ -583,137 +359,139 @@ func shardFlagsError(shards int, unsafeScale float64, set map[string]bool) error
 	return nil
 }
 
-// replayableSpec builds the RunSpec embedded in -ledger-out files so
-// cmd/simdiff can replay the run for event-level divergence resolution.
-// Replay goes through the harness cell runner, which only reproduces runs
-// whose knobs match the harness defaults; anything it cannot express —
-// non-default transport buffer depths, structured fault plans, disabled
-// recovery — yields ok=false and the ledger is written without a spec
-// (epoch-level localization still works, replay does not).
-func replayableSpec(motifName, transport, topoName, routing string,
-	nodes int, gbps float64, seed uint64, rdmaBufs, rvmaDepth int,
-	faultPlan string, dropRate float64, retryBudget int, shards int) (ledger.RunSpec, bool) {
-	if rdmaBufs != 1 || rvmaDepth != 4 || faultPlan != "" || retryBudget < 0 {
-		return ledger.RunSpec{}, false
-	}
-	rs := ledger.RunSpec{
-		Motif:     motifName,
-		Transport: transport,
-		Topology:  topoName,
-		Routing:   routing,
-		Network:   topoName + "/" + routing,
-		Nodes:     nodes,
-		Gbps:      gbps,
-		Seed:      seed,
-		Drop:      dropRate,
-		Shards:    shards,
-	}
-	if dropRate > 0 {
-		rs.Recover = true
-		if retryBudget > 0 {
-			rs.RetryBudget = retryBudget
+// flagsError checks the flags no run spec holds, and the ones whose zero
+// value the spec would read as a default: -seeds, -rdma-buffers and
+// -rvma-depth must be at least 1, -sample-interval positive, and the
+// replica and shard audits must pass.
+func flagsError(v *simFlags, set map[string]bool) error {
+	for _, f := range []struct {
+		name string
+		val  int
+	}{{"seeds", *v.seeds}, {"rdma-buffers", *v.rdmaBufs}, {"rvma-depth", *v.rvmaDepth}} {
+		if f.val < 1 {
+			return fmt.Errorf("-%s must be at least 1, got %d", f.name, f.val)
 		}
 	}
-	return rs, true
+	if *v.sampleIvl <= 0 {
+		return fmt.Errorf("-sample-interval must be positive, got %v", *v.sampleIvl)
+	}
+	// The observability flags attach to a single engine, so they require a
+	// single run; every one of them is rejected alongside -seeds (explicitly
+	// set defaults included) rather than silently ignored.
+	if *v.seeds > 1 {
+		if bad := replicaIncompatible(set); len(bad) > 0 {
+			return fmt.Errorf("flag(s) -%s attach observers to a single engine and are incompatible with -seeds; drop them or set -seeds 1",
+				strings.Join(bad, ", -"))
+		}
+		return nil
+	}
+	return shardFlagsError(*v.shards, *v.unsafeScale, set)
 }
 
-// replicaConfig is one -seeds replica's experiment point (everything but
-// the seed itself).
-type replicaConfig struct {
-	motifName string
-	kind      motif.TransportKind
-	topoName  string
-	route     fabric.RoutingMode
-	nodes     int
-	gbps      float64
-	rdmaBufs  int
-	rvmaDepth int
-	faults    *fabric.FaultPlan
-	recovery  *recovery.Config
-	kvp       harness.KVParams
+// runSpec describes the run the flags ask for.
+func runSpec(v *simFlags) ledger.RunSpec {
+	rs := ledger.RunSpec{
+		Motif:       *v.motifName,
+		Transport:   *v.transport,
+		Topology:    *v.topoName,
+		Routing:     *v.routing,
+		Network:     *v.topoName + "/" + *v.routing,
+		Nodes:       *v.nodes,
+		Gbps:        *v.gbps,
+		Seed:        *v.seed,
+		RDMABuffers: *v.rdmaBufs,
+		RVMADepth:   *v.rvmaDepth,
+		FaultPlan:   *v.faultPlan,
+		Drop:        *v.dropRate,
+		Shards:      *v.shards,
+	}
+	// The recovery layer rides along whenever faults are active;
+	// -retry-budget -1 runs the lossy fabric bare (which deadlocks at any
+	// real loss rate — useful as the control).
+	if *v.retryBudget != -1 {
+		rs.RetryBudget = *v.retryBudget
+		rs.Recover = strings.TrimSpace(rs.FaultPlan) != "" || rs.Drop > 0
+	}
+	if *v.unsafeScale != 1 {
+		rs.UnsafeLookaheadScale = *v.unsafeScale
+	}
+	if rs.Motif == string(harness.MotifKV) {
+		rs.KVSkew, rs.KVGapNs = *v.kvSkew, float64(v.kvGap.Nanoseconds())
+		rs.KVOps, rs.KVServers, rs.KVClients = *v.kvOps, *v.kvServers, *v.kvClients
+		rs.KVKeys, rs.KVWindow = *v.kvKeys, *v.kvWindow
+	}
+	return rs
 }
 
-// runReplica builds a private topology, cluster and engine for one seed
-// and runs the motif to completion. It shares nothing with other replicas.
-func runReplica(rep replicaConfig, seed uint64) (sim.Time, uint64, error) {
-	topo, err := topology.ForNodeCount(topology.Kind(rep.topoName), rep.nodes)
-	if err != nil {
-		return 0, 0, err
-	}
-	cfg := motif.DefaultClusterConfig(topo, rep.kind)
-	cfg.Routing = rep.route
-	cfg.Seed = seed
-	cfg.RDMABuffers = rep.rdmaBufs
-	cfg.RVMADepth = rep.rvmaDepth
-	cfg.Faults = rep.faults
-	cfg.Recovery = rep.recovery
-	cfg.ApplyLinkSpeed(rep.gbps)
-	cluster, err := motif.NewCluster(cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	var makespan sim.Time
-	switch harness.MotifName(rep.motifName) {
-	case harness.MotifSweep3D:
-		makespan, err = motif.RunSweep3D(cluster, motif.DefaultSweep3DConfig(topo.NumNodes()))
-	case harness.MotifHalo3D:
-		makespan, err = motif.RunHalo3D(cluster, motif.DefaultHalo3DConfig(topo.NumNodes()))
-	case harness.MotifIncast:
-		makespan, err = motif.RunIncast(cluster, motif.DefaultIncastConfig())
-	case harness.MotifKV:
-		makespan, _, err = motif.RunKV(cluster, rep.kvp.Config(topo.NumNodes(), seed))
-	default:
-		err = fmt.Errorf("unknown motif %q", rep.motifName)
+// specFlags names the flag behind each RunSpec field whose flag is not
+// its JSON name with dashes.
+var specFlags = map[string]string{"drop": "drop-rate", "kv_gap_ns": "kv-gap"}
+
+// writeOut creates path and writes it with write, failing the run on any
+// error.
+func writeOut(path string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err == nil {
+		err = write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 	}
 	if err != nil {
-		return 0, 0, err
+		fail("%v", err)
 	}
-	return makespan, cluster.EventsExecuted(), nil
 }
 
-// runSeedReplicas fans seeds base..base+n-1 over a worker pool and prints
-// the per-seed makespans in seed order, then the mean and spread. The
-// output is identical at any worker count because results land in a
-// pre-sized slice indexed by seed offset.
-func runSeedReplicas(rep replicaConfig, base uint64, n, workers int, fail func(string, ...any)) {
-	type result struct {
-		makespan sim.Time
-		events   uint64
-		err      error
+// fail prints the message and exits with the usage-error status.
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "rvmasim: "+format+"\n", args...)
+	os.Exit(2)
+}
+
+// failCell exits on a cell error, naming the flag behind a bad spec field.
+func failCell(err error) {
+	var se *harness.SpecError
+	if errors.As(err, &se) {
+		name, ok := specFlags[se.Field]
+		if !ok {
+			name = strings.ReplaceAll(se.Field, "_", "-")
+		}
+		fail("-%s: %s", name, se.Msg)
 	}
-	out := make([]result, n)
+	fail("%v", err)
+}
+
+// printHeader prints the run's motif, transport and network lines.
+func printHeader(rs ledger.RunSpec, topo string) {
+	fmt.Printf("motif:      %s\n", rs.Motif)
+	fmt.Printf("transport:  %s\n", strings.ToUpper(rs.Transport))
+	fmt.Printf("network:    %s, %s routing, %g Gbps links\n", topo, rs.Routing, rs.Gbps)
+}
+
+// runReplicas runs seeds rs.Seed..rs.Seed+n-1 on the harness worker pool
+// and prints the per-seed makespans in seed order, then the mean and
+// spread. The output is identical at any worker count.
+func runReplicas(rs ledger.RunSpec, n, workers int) {
+	specs := make([]ledger.RunSpec, n)
+	for i := range specs {
+		specs[i] = rs
+		specs[i].Seed = rs.Seed + uint64(i)
+	}
+	outs := harness.RunCells(specs, workers)
+	for _, out := range outs {
+		if out.Err != nil {
+			failCell(fmt.Errorf("seed %d: %w", out.Spec.Seed, out.Err))
+		}
+	}
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers > n {
-		workers = n
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				m, ev, err := runReplica(rep, base+uint64(i))
-				out[i] = result{makespan: m, events: ev, err: err}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-
-	fmt.Printf("replicas:   %d seeds on %d workers\n\n", n, workers)
+	printHeader(rs, outs[0].Topology)
+	fmt.Printf("replicas:   %d seeds on %d workers\n\n", n, min(workers, n))
 	fmt.Printf("%-8s %-16s %s\n", "seed", "makespan", "events")
 	var sumNS, minNS, maxNS float64
-	for i, r := range out {
-		if r.err != nil {
-			fail("seed %d: %v", base+uint64(i), r.err)
-		}
-		ns := r.makespan.Nanoseconds()
+	for i, out := range outs {
+		ns := out.Makespan.Nanoseconds()
 		sumNS += ns
 		if i == 0 || ns < minNS {
 			minNS = ns
@@ -721,7 +499,7 @@ func runSeedReplicas(rep replicaConfig, base uint64, n, workers int, fail func(s
 		if ns > maxNS {
 			maxNS = ns
 		}
-		fmt.Printf("%-8d %-16v %d\n", base+uint64(i), r.makespan, r.events)
+		fmt.Printf("%-8d %-16v %d\n", out.Spec.Seed, out.Makespan, out.Events)
 	}
 	fmt.Printf("\nmean:       %v (min %v, max %v)\n",
 		sim.FromNanos(sumNS/float64(n)), sim.FromNanos(minNS), sim.FromNanos(maxNS))

@@ -1,11 +1,69 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"rvma/internal/harness"
+	"rvma/internal/ledger"
 )
+
+// rvmasimBin is the command built once for the tests that run it end to
+// end; TestMain removes it.
+var rvmasimBin struct {
+	once sync.Once
+	path string
+	err  error
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if rvmasimBin.path != "" {
+		os.RemoveAll(filepath.Dir(rvmasimBin.path))
+	}
+	os.Exit(code)
+}
+
+// rvmasim runs the built command and returns its exit status, stdout and
+// stderr.
+func rvmasim(t *testing.T, args ...string) (int, string, string) {
+	t.Helper()
+	rvmasimBin.once.Do(func() {
+		dir, err := os.MkdirTemp("", "rvmasim-test")
+		if err != nil {
+			rvmasimBin.err = err
+			return
+		}
+		rvmasimBin.path = filepath.Join(dir, "rvmasim")
+		if out, err := exec.Command("go", "build", "-o", rvmasimBin.path, ".").CombinedOutput(); err != nil {
+			rvmasimBin.err = fmt.Errorf("go build: %v\n%s", err, out)
+		}
+	})
+	if rvmasimBin.err != nil {
+		t.Fatal(rvmasimBin.err)
+	}
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(rvmasimBin.path, args...)
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	code := 0
+	if err := cmd.Run(); err != nil {
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) {
+			t.Fatal(err)
+		}
+		code = ee.ExitCode()
+	}
+	return code, stdout.String(), stderr.String()
+}
 
 // TestFlagRegistryCoversEveryFlag is the audit-generation guard: every
 // rvmasim flag must be declared through a flagTable row (which forces an
@@ -188,51 +246,141 @@ func TestShardFlagsError(t *testing.T) {
 	}
 }
 
-// TestReplayableSpec pins which flag shapes embed a replayable RunSpec in
-// -ledger-out files and which fall back to epoch-only localization.
-func TestReplayableSpec(t *testing.T) {
-	rs, ok := replayableSpec("sweep3d", "rvma", "dragonfly", "adaptive",
-		64, 100, 7, 1, 4, "", 0, 0, 1)
-	if !ok {
-		t.Fatal("default knobs should be replayable")
-	}
-	if rs.Motif != "sweep3d" || rs.Transport != "rvma" || rs.Network != "dragonfly/adaptive" ||
-		rs.Nodes != 64 || rs.Seed != 7 || rs.Recover || rs.Shards != 1 {
-		t.Fatalf("unexpected spec: %+v", rs)
-	}
-
-	rs, ok = replayableSpec("halo3d", "rdma", "hyperx", "static",
-		64, 200, 3, 1, 4, "", 0.01, 5, 1)
-	if !ok {
-		t.Fatal("drop-rate run should be replayable")
-	}
-	if !rs.Recover || rs.RetryBudget != 5 || rs.Drop != 0.01 {
-		t.Fatalf("unexpected fault spec: %+v", rs)
-	}
-
-	rs, ok = replayableSpec("sweep3d", "rvma", "dragonfly", "adaptive",
-		64, 100, 7, 1, 4, "", 0, 0, 4)
-	if !ok {
-		t.Fatal("sharded run with default knobs should be replayable")
-	}
-	if rs.Shards != 4 {
-		t.Fatalf("unexpected sharded spec: %+v", rs)
-	}
-
+// TestBadCellInputFailsFast: every bad cell input exits 2 before the run,
+// with one line naming the flag — never a panic, and never a run on a
+// value other than the one asked for.
+func TestBadCellInputFailsFast(t *testing.T) {
+	ts := filepath.Join(t.TempDir(), "ts.csv")
 	for _, tc := range []struct {
-		name                string
-		rdmaBufs, rvmaDepth int
-		faultPlan           string
-		retryBudget         int
+		name string
+		args []string
+		flag string
 	}{
-		{"non-default rdma buffers", 2, 4, "", 0},
-		{"non-default rvma depth", 1, 8, "", 0},
-		{"structured fault plan", 1, 4, "drop=0.01,burst=3", 0},
-		{"recovery disabled", 1, 4, "", -1},
+		{"zero link speed", []string{"-gbps", "0"}, "-gbps"},
+		{"negative link speed", []string{"-gbps", "-100"}, "-gbps"},
+		{"zero sample interval", []string{"-sample-interval", "0", "-timeseries-out", ts}, "-sample-interval"},
+		{"negative kv skew", []string{"-motif", "kv", "-kv-skew", "-1"}, "-kv-skew"},
+		{"zero rvma depth", []string{"-rvma-depth", "0"}, "-rvma-depth"},
+		{"zero rdma buffers", []string{"-transport", "rdma", "-rdma-buffers", "0"}, "-rdma-buffers"},
+		{"zero seeds", []string{"-seeds", "0"}, "-seeds"},
+		{"negative seeds", []string{"-seeds", "-2"}, "-seeds"},
+		{"unknown motif", []string{"-motif", "nosuch"}, "-motif"},
+		{"drop rate above one", []string{"-drop-rate", "2"}, "-drop-rate"},
+		{"retry budget below -1", []string{"-drop-rate", "0.01", "-retry-budget", "-2"}, "-retry-budget"},
 	} {
-		if _, ok := replayableSpec("sweep3d", "rvma", "dragonfly", "adaptive",
-			64, 100, 1, tc.rdmaBufs, tc.rvmaDepth, tc.faultPlan, 0, tc.retryBudget, 1); ok {
-			t.Errorf("%s: expected not replayable", tc.name)
+		args := append([]string{"-topology", "single", "-nodes", "8"}, tc.args...)
+		code, stdout, stderr := rvmasim(t, args...)
+		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "rvmasim: "+tc.flag) || strings.Count(stderr, "\n") != 1 {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 2 and one line naming %s",
+				tc.name, code, stdout, stderr, tc.flag)
+		}
+	}
+}
+
+// recordLedger runs rvmasim with -ledger-out and returns the ledger.
+func recordLedger(t *testing.T, args ...string) *ledger.Ledger {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "run.json")
+	if code, _, stderr := rvmasim(t, append(args, "-nodes", "64", "-ledger-out", path)...); code != 0 {
+		t.Fatalf("%v: exit %d: %s", args, code, stderr)
+	}
+	l, err := ledger.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// TestEveryLedgerReplays: ledgers of runs with a structured fault plan or
+// non-default transport buffering embed a spec that replays to the
+// recorded chain head, and a seed-perturbed lossy pair is pinned to its
+// first divergent event by replay, as simdiff does.
+func TestEveryLedgerReplays(t *testing.T) {
+	for _, args := range [][]string{
+		{"-fault-plan", "drop=0.01,burst=2,window=all:5us:20us:0.2"},
+		{"-transport", "rdma", "-rdma-buffers", "2"},
+		{"-rvma-depth", "2"},
+	} {
+		l := recordLedger(t, args...)
+		replay, _, err := harness.ReplaySpec(l, harness.ReplayOptions{EpochEvents: l.EpochEvents})
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if replay.ChainHead != l.ChainHead || replay.Events != l.Events {
+			t.Errorf("%v: replay chain head %s (%d events), recorded %s (%d events)",
+				args, replay.ChainHead, replay.Events, l.ChainHead, l.Events)
+		}
+	}
+
+	a := recordLedger(t, "-fault-plan", "drop=0.01", "-seed", "3")
+	b := recordLedger(t, "-fault-plan", "drop=0.01", "-seed", "4")
+	d := ledger.Compare(a, b)
+	if d.Identical || !d.Comparable {
+		t.Fatalf("seeds 3 and 4: %+v, want a comparable divergence", d)
+	}
+	ro := harness.ReplayOptions{EpochEvents: a.EpochEvents, WindowFrom: d.FromPop, WindowTo: d.ToPop}
+	ra, _, errA := harness.ReplaySpec(a, ro)
+	rb, _, errB := harness.ReplaySpec(b, ro)
+	if errA != nil || errB != nil {
+		t.Fatalf("replay: %v / %v", errA, errB)
+	}
+	div, err := ledger.CompareWindows(ra.Window, rb.Window)
+	if err != nil || div == nil || div.A == nil || div.B == nil {
+		t.Fatalf("divergence not pinned to an event: %+v, %v", div, err)
+	}
+}
+
+// TestReplicaTableIdenticalAcrossWorkers: the -seeds table is the same at
+// one and four workers (apart from the worker count it reports), and each
+// row is the makespan and event count of the single run at that seed.
+func TestReplicaTableIdenticalAcrossWorkers(t *testing.T) {
+	incast := func(seed string) []string {
+		return []string{"-motif", "incast", "-topology", "single", "-nodes", "16", "-drop-rate", "0.05", "-seed", seed}
+	}
+	fs := flag.NewFlagSet("rvmasim", flag.ContinueOnError)
+	v := declareFlags(fs)
+	if err := fs.Parse(incast("5")); err != nil {
+		t.Fatal(err)
+	}
+	table := func(workers int) string {
+		f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stdout := os.Stdout
+		os.Stdout = f
+		runReplicas(runSpec(v), 3, workers)
+		os.Stdout = stdout
+		f.Close()
+		b, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keep []string
+		for _, line := range strings.Split(string(b), "\n") {
+			if !strings.HasPrefix(line, "replicas:") {
+				keep = append(keep, line)
+			}
+		}
+		return strings.Join(keep, "\n")
+	}
+	one, four := table(1), table(4)
+	if one != four {
+		t.Fatalf("replica table differs between 1 and 4 workers:\n%s\n---\n%s", one, four)
+	}
+	for _, seed := range []string{"5", "6", "7"} {
+		_, single, _ := rvmasim(t, incast(seed)...)
+		var makespan, events string
+		for _, line := range strings.Split(single, "\n") {
+			if f := strings.Fields(line); len(f) >= 2 && f[0] == "makespan:" {
+				makespan = f[1]
+			} else if len(f) >= 2 && f[0] == "events:" {
+				events = f[1]
+			}
+		}
+		row := fmt.Sprintf("%-8s %-16s %s", seed, makespan, events)
+		if makespan == "" || !strings.Contains(one, row) {
+			t.Errorf("seed %s: single run gives row %q, not in the replica table:\n%s", seed, row, one)
 		}
 	}
 }

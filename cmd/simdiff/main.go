@@ -1,6 +1,6 @@
 // Command simdiff compares two runs' artifacts for divergence forensics:
-// execution ledgers (.ledger.json), metric snapshots (JSON), and telemetry
-// time-series (CSV).
+// execution ledgers (.ledger.json, or any JSON with a top-level
+// chain_head), metric snapshots (JSON), and telemetry time-series (CSV).
 //
 // Ledgers must be canonical (every ledger this build records is); raw
 // pop-order ledgers from earlier builds are refused with a note to
@@ -72,16 +72,37 @@ func run(args []string, out, errw *os.File) int {
 	}
 }
 
-// detectKind guesses the artifact kind from the file name.
+// detectKind guesses the artifact kind: a .ledger.json name, or any .json
+// file whose top-level object has a chain_head (what rvmasim -ledger-out
+// writes under any name), is a ledger; .csv is telemetry; the rest is a
+// metrics snapshot.
 func detectKind(path string) string {
 	switch {
 	case strings.HasSuffix(path, ".ledger.json"):
 		return "ledger"
 	case strings.HasSuffix(path, ".csv"):
 		return "telemetry"
+	case strings.HasSuffix(path, ".json") && hasChainHead(path):
+		return "ledger"
 	default:
 		return "metrics"
 	}
+}
+
+// hasChainHead reports whether path holds a JSON object with a top-level
+// chain_head key; unreadable files report false and fail later with a
+// real error.
+func hasChainHead(path string) bool {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return false
+	}
+	var top map[string]json.RawMessage
+	if json.Unmarshal(b, &top) != nil {
+		return false
+	}
+	_, ok := top["chain_head"]
+	return ok
 }
 
 // diffLedgers compares two execution ledgers, localizing any divergence to

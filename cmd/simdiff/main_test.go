@@ -55,6 +55,34 @@ func TestLedgerDivergentGolden(t *testing.T) {
 	}
 }
 
+// TestPlainJSONLedgerDetected: rvmasim -ledger-out writes a ledger under
+// any name, so a .json file whose top-level object has a chain_head is
+// diffed as a ledger (epoch search), not as a metrics snapshot.
+func TestPlainJSONLedgerDetected(t *testing.T) {
+	dir := t.TempDir()
+	var paths []string
+	for _, name := range []string{"base", "perturbed"} {
+		b, err := os.ReadFile("testdata/" + name + ".ledger.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	code, out, _ := runSimdiff(t, paths[0], paths[1])
+	if code != 1 || !strings.HasPrefix(out, "DIVERGENT: epoch 1 digest mismatch") ||
+		!strings.Contains(out, "first divergent epoch: 1 (pops 16..31)") {
+		t.Fatalf("exit %d, output:\n%s\nwant the ledger epoch search", code, out)
+	}
+	code, _, errOut := runSimdiff(t, paths[0], "testdata/metrics_a.json")
+	if code != 2 || !strings.Contains(errOut, "cannot auto-detect") {
+		t.Fatalf("ledger vs metrics: exit %d err %q", code, errOut)
+	}
+}
+
 func TestMetricsGolden(t *testing.T) {
 	code, out, _ := runSimdiff(t, "testdata/metrics_a.json", "testdata/metrics_b.json")
 	if code != 1 {

@@ -70,12 +70,9 @@ type BenchLog struct {
 	Elapsed time.Duration
 }
 
-// Record appends one cell sample. shards is the cell's engine partition
-// count.
-func (b *BenchLog) Record(cell string, wall time.Duration, simT sim.Time, events uint64, shards int) {
-	if b == nil {
-		return
-	}
+// newBenchRecord builds one cell sample. shards is the cell's engine
+// partition count.
+func newBenchRecord(cell string, wall time.Duration, simT sim.Time, events uint64, shards int) BenchRecord {
 	r := BenchRecord{
 		Cell:   cell,
 		WallMS: float64(wall.Nanoseconds()) / 1e6,
@@ -86,7 +83,7 @@ func (b *BenchLog) Record(cell string, wall time.Duration, simT sim.Time, events
 	if secs := wall.Seconds(); secs > 0 {
 		r.EventsPerSec = float64(events) / secs
 	}
-	b.Append(r)
+	return r
 }
 
 // Append adds an already-built record (the worker-pool merge path).

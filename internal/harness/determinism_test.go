@@ -7,8 +7,8 @@ import (
 
 	"rvma/internal/fabric"
 	"rvma/internal/metrics"
-	"rvma/internal/motif"
 	"rvma/internal/topology"
+	"strings"
 )
 
 // TestSameSeedSameMetrics is the determinism regression gate: running
@@ -21,15 +21,18 @@ import (
 // covers the sorted-drain fix in motif/transport_rdma.go.
 func TestSameSeedSameMetrics(t *testing.T) {
 	nc := NetConfig{"dragonfly/adaptive", topology.KindDragonfly, fabric.RouteAdaptive}
-	for _, kind := range []motif.TransportKind{motif.KindRVMA, motif.KindRDMA} {
-		t.Run(kind.String(), func(t *testing.T) {
+	o := DefaultOptions()
+	o.Nodes = 64
+	for _, transport := range []string{"rvma", "rdma"} {
+		t.Run(strings.ToUpper(transport), func(t *testing.T) {
 			run := func() []byte {
 				reg := metrics.NewRegistry()
 				reg.EnableSpans()
-				mk, err := RunMotifPointInstrumented(MotifSweep3D, kind, nc, 64, 100, 42, reg)
-				if err != nil {
-					t.Fatal(err)
+				out := RunCell(o.spec(MotifSweep3D, transport, nc, 100), Observers{Metrics: reg})
+				if out.Err != nil {
+					t.Fatal(out.Err)
 				}
+				mk := out.Makespan
 				var buf bytes.Buffer
 				fmt.Fprintf(&buf, "makespan_ns=%v\n", mk.Nanoseconds())
 				if err := reg.WriteJSON(&buf, mk); err != nil {

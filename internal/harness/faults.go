@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"rvma/internal/fabric"
+	"rvma/internal/ledger"
 	"rvma/internal/motif"
 	"rvma/internal/recovery"
 	"rvma/internal/stats"
@@ -40,30 +41,30 @@ func FaultSweep(o Options) *Table {
 		o.LinkGbps = []float64{100}
 	}
 	nc := NetConfig{"dragonfly/adaptive", topology.KindDragonfly, fabric.RouteAdaptive}
-	var specs []cellSpec
+	var specs []ledger.RunSpec
 	for _, rate := range rates {
-		for _, kind := range []motif.TransportKind{motif.KindRVMA, motif.KindRDMA} {
-			specs = append(specs,
-				cellSpec{M: MotifIncast, Kind: kind, NC: nc, Gbps: o.LinkGbps[0],
-					Fault: faultSpec{Drop: rate, Recover: true, Budget: o.RetryBudget}},
-				cellSpec{M: MotifIncast, Kind: kind, NC: nc, Gbps: o.LinkGbps[0],
-					Fault: faultSpec{Drop: rate}})
+		for _, transport := range []string{"rvma", "rdma"} {
+			rec := o.spec(MotifIncast, transport, nc, o.LinkGbps[0])
+			rec.Drop, rec.Recover, rec.RetryBudget = rate, true, o.RetryBudget
+			bare := o.spec(MotifIncast, transport, nc, o.LinkGbps[0])
+			bare.Drop = rate
+			specs = append(specs, rec, bare)
 		}
 	}
-	outs := runCells(o, specs)
+	outs := runFigureCells(o, specs)
 	ic := motif.DefaultIncastConfig()
 	for i := 0; i < len(outs); i += 2 {
 		rec, bare := outs[i], outs[i+1]
 		spec := rec.Spec
 		if bare.Err == nil {
 			if err := flushCellOutput(o, bare); err != nil {
-				t.AddNote("FAILED %s: %v", bare.Spec.cellName(), err)
+				t.AddNote("FAILED %s: %v", cellName(bare.Spec), err)
 			}
 		}
 		if err := flushCellOutput(o, rec); err != nil {
-			t.AddRow(spec.Kind.String(), fmt.Sprintf("%g", spec.Fault.Drop),
+			t.AddRow(strings.ToUpper(spec.Transport), fmt.Sprintf("%g", spec.Drop),
 				"FAILED", "-", "-", "-", "-", "-", bareStatus(bare))
-			t.AddNote("FAILED %s: %v", spec.cellName(), err)
+			t.AddNote("FAILED %s: %v", cellName(spec), err)
 			continue
 		}
 		rs := rec.Recovery
@@ -78,7 +79,7 @@ func FaultSweep(o Options) *Table {
 			bits := float64(rec.Ranks-1) * float64(ic.Messages) * float64(ic.MsgBytes) * 8
 			goodput = stats.FormatGbps(bits / secs / 1e9)
 		}
-		t.AddRow(spec.Kind.String(), fmt.Sprintf("%g", spec.Fault.Drop),
+		t.AddRow(strings.ToUpper(spec.Transport), fmt.Sprintf("%g", spec.Drop),
 			rec.Makespan.String(), completion,
 			fmt.Sprintf("%d", rs.Retransmits), fmt.Sprintf("%d", rs.Timeouts),
 			fmt.Sprintf("%d", rs.Reclaims), goodput, bareStatus(bare))
@@ -93,7 +94,7 @@ func FaultSweep(o Options) *Table {
 // bareStatus summarizes the no-recovery control cell: its makespan when it
 // somehow completed, DEADLOCK when the lost packets wedged it, or the raw
 // error otherwise.
-func bareStatus(out cellOutput) string {
+func bareStatus(out CellOutput) string {
 	if out.Err == nil {
 		return out.Makespan.String()
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"rvma/internal/fabric"
-	"rvma/internal/motif"
 	"rvma/internal/topology"
 )
 
@@ -72,13 +71,15 @@ func TestFig6Shape(t *testing.T) {
 	}
 }
 
-func TestRunMotifPoint(t *testing.T) {
-	nc := NetConfig{Name: "t", Kind: topology.KindHyperX, Routing: fabric.RouteStatic}
-	tm, err := RunMotifPoint(MotifSweep3D, motif.KindRVMA, nc, 16, 100, 1)
-	if err != nil || tm <= 0 {
-		t.Fatalf("point: %v, %v", tm, err)
+func TestRunCell(t *testing.T) {
+	o := DefaultOptions()
+	o.Nodes, o.Seed = 16, 1
+	rs := o.spec(MotifSweep3D, "rvma", NetConfig{Name: "t", Kind: topology.KindHyperX, Routing: fabric.RouteStatic}, 100)
+	if out := RunCell(rs, Observers{}); out.Err != nil || out.Makespan <= 0 || out.Events == 0 {
+		t.Fatalf("cell: %v, %d events, %v", out.Makespan, out.Events, out.Err)
 	}
-	if _, err := RunMotifPoint("nosuch", motif.KindRVMA, nc, 16, 100, 1); err == nil {
+	rs.Motif = "nosuch"
+	if out := RunCell(rs, Observers{}); out.Err == nil {
 		t.Fatal("unknown motif should error")
 	}
 }

@@ -7,17 +7,17 @@ import (
 
 	"rvma/internal/ledger"
 	"rvma/internal/metrics"
-	"rvma/internal/motif"
 )
 
 // cellLedger runs one cell through the harness cell pipeline with a
 // canonical ledger attached and returns the parsed ledger.
-func cellLedger(t *testing.T, o Options, spec cellSpec, reg *metrics.Registry) ledger.Ledger {
+func cellLedger(t *testing.T, o Options, spec ledger.RunSpec, reg *metrics.Registry) ledger.Ledger {
 	t.Helper()
 	o.LedgerDir = t.TempDir()
+	spec.Shards = o.Shards
 	out := runOneCell(o, spec, reg)
 	if out.Err != nil {
-		t.Fatalf("%s shards=%d: %v", spec.cellName(), o.Shards, out.Err)
+		t.Fatalf("%s shards=%d: %v", cellName(spec), o.Shards, out.Err)
 	}
 	var l ledger.Ledger
 	if err := json.Unmarshal(out.Ledger, &l); err != nil {
@@ -28,11 +28,13 @@ func cellLedger(t *testing.T, o Options, spec cellSpec, reg *metrics.Registry) l
 
 // identityCells is the 64-node Figure-7 cell (sweep3d, dragonfly/adaptive,
 // seed 42) for both transports, lossless and at 5% loss with recovery.
-func identityCells() []cellSpec {
-	var specs []cellSpec
-	for _, fault := range []faultSpec{{}, {Drop: 0.05, Recover: true}} {
-		for _, spec := range ledgerCellSpecs() {
-			spec.Fault = fault
+func identityCells() []ledger.RunSpec {
+	o := DefaultOptions()
+	o.Nodes = 64
+	var specs []ledger.RunSpec
+	for _, drop := range []float64{0, 0.05} {
+		for _, spec := range ledgerCellSpecs(o) {
+			spec.Drop, spec.Recover = drop, drop > 0
 			specs = append(specs, spec)
 		}
 	}
@@ -55,7 +57,7 @@ func TestChainHeadIdenticalAtEveryShardCount(t *testing.T) {
 			got := cellLedger(t, o, spec, newCellRegistry(shards))
 			if got.ChainHead != base.ChainHead || got.Events != base.Events {
 				t.Errorf("%s: shards=%d chain head %s (%d events), default %s (%d events)",
-					spec.cellName(), shards, got.ChainHead, got.Events, base.ChainHead, base.Events)
+					cellName(spec), shards, got.ChainHead, got.Events, base.ChainHead, base.Events)
 			}
 		}
 	}
@@ -76,14 +78,10 @@ func TestSpansDoNotChangeChainHead(t *testing.T) {
 		off := cellLedger(t, o, spec, metrics.NewRegistry())
 		if on.ChainHead != off.ChainHead || on.Events != off.Events {
 			t.Errorf("%s: spans on gives chain head %s (%d events), off %s (%d events)",
-				spec.cellName(), on.ChainHead, on.Events, off.ChainHead, off.Events)
+				cellName(spec), on.ChainHead, on.Events, off.ChainHead, off.Events)
 		}
-		scope := "rvma"
-		if spec.Kind == motif.KindRDMA {
-			scope = "rdma"
-		}
-		if n := spansOn.Histogram(fmt.Sprintf("span.%s.put/total", scope)).Count(); n == 0 {
-			t.Errorf("%s: spans enabled but no %s.put span ended", spec.cellName(), scope)
+		if n := spansOn.Histogram(fmt.Sprintf("span.%s.put/total", spec.Transport)).Count(); n == 0 {
+			t.Errorf("%s: spans enabled but no %s.put span ended", cellName(spec), spec.Transport)
 		}
 	}
 }

@@ -2,71 +2,16 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 
 	"rvma/internal/fabric"
+	"rvma/internal/ledger"
 	"rvma/internal/metrics"
 	"rvma/internal/motif"
 	"rvma/internal/sim"
 	"rvma/internal/stats"
 	"rvma/internal/topology"
 )
-
-// KVParams is the harness-level parameterization of a KV dataplane cell.
-// Skew is literal (0 means a uniform keyspace) and GapNs <= 0 falls back
-// to the motif default; every other zero field falls back to
-// motif.DefaultKVConfig for the cell's rank count. The sweeps always set
-// Skew and GapNs explicitly, so cell names stay self-describing.
-type KVParams struct {
-	Skew    float64
-	GapNs   float64
-	Ops     int
-	Servers int
-	Clients int
-	Keys    int
-	Window  int
-}
-
-// config resolves the parameters into the motif config a cell runs.
-func (kp KVParams) Config(ranks int, seed uint64) motif.KVConfig {
-	cfg := motif.DefaultKVConfig(ranks)
-	cfg.Seed = seed
-	cfg.Skew = kp.Skew
-	if kp.GapNs > 0 {
-		cfg.Gap = sim.FromNanos(kp.GapNs)
-	}
-	if kp.Ops > 0 {
-		cfg.OpsPerProxy = kp.Ops
-	}
-	if kp.Servers > 0 {
-		cfg.Servers = kp.Servers
-	}
-	if kp.Clients > 0 {
-		cfg.Clients = kp.Clients
-	}
-	if kp.Keys > 0 {
-		cfg.Keys = kp.Keys
-	}
-	if kp.Window > 0 {
-		cfg.Window = kp.Window
-	}
-	return cfg
-}
-
-// KVParamsFor inverts config: the resolved values a run actually used,
-// for embedding into ledger RunSpecs so replays rebuild identical proxy
-// plans. Always fully populated (no zero-means-default ambiguity except
-// the literal Skew/Gap semantics the config carries anyway).
-func KVParamsFor(cfg motif.KVConfig) KVParams {
-	return KVParams{
-		Skew:    cfg.Skew,
-		GapNs:   cfg.Gap.Nanoseconds(),
-		Ops:     cfg.OpsPerProxy,
-		Servers: cfg.Servers,
-		Clients: cfg.Clients,
-		Keys:    cfg.Keys,
-		Window:  cfg.Window,
-	}
-}
 
 // foldKVResult folds a KV cell's application-level outcome into the
 // cell's registry, so metrics snapshots and telemetry carry the kv.*
@@ -126,40 +71,44 @@ func KVTable(o Options) *Table {
 		o.LinkGbps = []float64{100}
 	}
 	nc := NetConfig{"dragonfly/adaptive", topology.KindDragonfly, fabric.RouteAdaptive}
-	var specs []cellSpec
+	kvSpec := func(transport string, skew, gapNs float64) ledger.RunSpec {
+		rs := o.spec(MotifKV, transport, nc, o.LinkGbps[0])
+		rs.KVSkew, rs.KVGapNs = skew, gapNs
+		return rs
+	}
+	var specs []ledger.RunSpec
 	for _, skew := range kvSkews {
 		for _, load := range kvLoads {
-			for _, kind := range []motif.TransportKind{motif.KindRVMA, motif.KindRDMA} {
-				specs = append(specs, cellSpec{M: MotifKV, Kind: kind, NC: nc, Gbps: o.LinkGbps[0],
-					KV: KVParams{Skew: skew, GapNs: load.gapNs}})
+			for _, transport := range []string{"rvma", "rdma"} {
+				specs = append(specs, kvSpec(transport, skew, load.gapNs))
 			}
 		}
 	}
-	for _, kind := range []motif.TransportKind{motif.KindRVMA, motif.KindRDMA} {
-		specs = append(specs, cellSpec{M: MotifKV, Kind: kind, NC: nc, Gbps: o.LinkGbps[0],
-			KV:    KVParams{Skew: 0.99, GapNs: 2000},
-			Fault: faultSpec{Drop: kvLossDrop, Recover: true, Budget: o.RetryBudget}})
+	for _, transport := range []string{"rvma", "rdma"} {
+		rs := kvSpec(transport, 0.99, 2000)
+		rs.Drop, rs.Recover, rs.RetryBudget = kvLossDrop, true, o.RetryBudget
+		specs = append(specs, rs)
 	}
-	outs := runCells(o, specs)
+	outs := runFigureCells(o, specs)
 	var population *motif.KVResult
 	for _, out := range outs {
 		spec := out.Spec
 		load := "-"
 		for _, l := range kvLoads {
-			if l.gapNs == spec.KV.GapNs {
+			if l.gapNs == spec.KVGapNs {
 				load = l.label
 			}
 		}
-		drop := fmt.Sprintf("%g", spec.Fault.Drop)
+		transport, skew, drop := strings.ToUpper(spec.Transport), fmt.Sprintf("%g", spec.KVSkew), fmt.Sprintf("%g", spec.Drop)
 		if err := flushCellOutput(o, out); err != nil {
-			t.AddRow(spec.Kind.String(), fmt.Sprintf("%g", spec.KV.Skew), load, drop,
-				"-", "-", "-", "-", kvCompletion(out.KV), "-", kvStatus(out))
-			t.AddNote("FAILED %s: %v", spec.cellName(), err)
+			t.AddRow(transport, skew, load, drop,
+				"-", "-", "-", "-", kvCompletion(out.KV), "-", bareStatus(out))
+			t.AddNote("FAILED %s: %v", cellName(spec), err)
 			continue
 		}
 		res := out.KV
 		if res == nil {
-			t.AddNote("FAILED %s: no KV result", spec.cellName())
+			t.AddNote("FAILED %s: no KV result", cellName(spec))
 			continue
 		}
 		population = res
@@ -167,7 +116,7 @@ func KVTable(o Options) *Table {
 		if secs := out.Makespan.Seconds(); secs > 0 {
 			goodput = stats.FormatGbps(float64(res.PayloadBytes) * 8 / secs / 1e9)
 		}
-		t.AddRow(spec.Kind.String(), fmt.Sprintf("%g", spec.KV.Skew), load, drop,
+		t.AddRow(transport, skew, load, drop,
 			sim.FromNanos(res.Lat.Quantile(0.50)).String(),
 			sim.FromNanos(res.Lat.Quantile(0.99)).String(),
 			sim.FromNanos(res.Lat.Quantile(0.999)).String(),
@@ -203,10 +152,4 @@ func kvCASFail(res *motif.KVResult) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.1f%%", 100*float64(res.CASFail)/float64(total))
-}
-
-// kvStatus summarizes a failed KV cell like bareStatus does for fault
-// controls.
-func kvStatus(out cellOutput) string {
-	return bareStatus(out)
 }

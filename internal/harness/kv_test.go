@@ -10,7 +10,6 @@ import (
 
 	"rvma/internal/fabric"
 	"rvma/internal/ledger"
-	"rvma/internal/motif"
 	"rvma/internal/topology"
 )
 
@@ -138,41 +137,35 @@ func TestKVTableIdenticalAcrossWorkersAndShards(t *testing.T) {
 	}
 }
 
-// TestKVRunSpecRoundTrip checks runSpecFor/cellSpecFor are inverses for
-// KV cells, including the resolved-default embedding: a cell that left
-// every KVParams field zero except skew/gap must round-trip into a spec
-// whose resolved config is unchanged.
+// TestKVRunSpecRoundTrip checks a KV cell's ledger replays: the embedded
+// spec leaves every KV knob but skew and gap at zero, and the replay must
+// resolve them against the same topology-rounded rank count to rebuild
+// identical proxy plans and reach the recorded chain head.
 func TestKVRunSpecRoundTrip(t *testing.T) {
 	o := DefaultOptions()
 	o.Nodes = 32
 	o.Shards = 2
-	nc := NetConfig{"dragonfly/adaptive", topology.KindDragonfly, fabric.RouteAdaptive}
-	spec := cellSpec{M: MotifKV, Kind: motif.KindRVMA, NC: nc, Gbps: 100,
-		KV:    KVParams{Skew: 1.2, GapNs: 500},
-		Fault: faultSpec{Drop: 0.05, Recover: true, Budget: 6}}
-	rs := runSpecFor(spec, o)
-	if rs.Motif != "kv" || rs.KVSkew != 1.2 || rs.KVGapNs != 500 {
-		t.Fatalf("run spec did not carry KV knobs: %+v", rs)
+	o.LedgerDir = t.TempDir()
+	rs := o.spec(MotifKV, "rvma", NetConfig{"dragonfly/adaptive", topology.KindDragonfly, fabric.RouteAdaptive}, 100)
+	rs.KVSkew, rs.KVGapNs = 1.2, 500
+	rs.Drop, rs.Recover, rs.RetryBudget = 0.05, true, 6
+	out := runOneCell(o, rs, newCellRegistry(o.Shards))
+	if out.Err != nil {
+		t.Fatal(out.Err)
 	}
-	if rs.KVServers == 0 || rs.KVClients == 0 || rs.KVKeys == 0 || rs.KVOps == 0 || rs.KVWindow == 0 {
-		t.Fatalf("run spec did not embed resolved defaults: %+v", rs)
+	var l ledger.Ledger
+	if err := json.Unmarshal(out.Ledger, &l); err != nil {
+		t.Fatal(err)
 	}
-	back, err := cellSpecFor(rs)
+	if l.Run == nil || *l.Run != rs {
+		t.Fatalf("ledger embeds %+v, want %+v", l.Run, rs)
+	}
+	replay, _, err := ReplaySpec(&l, ReplayOptions{EpochEvents: l.EpochEvents})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.M != MotifKV || back.Fault != spec.Fault {
-		t.Fatalf("round trip lost cell identity: %+v", back)
-	}
-	// The original run resolves defaults against the topology-rounded rank
-	// count, exactly as runSpecFor embeds them.
-	topo, err := topology.ForNodeCount(nc.Kind, o.Nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := spec.KV.Config(topo.NumNodes(), o.Seed)
-	replay := back.KV.Config(topo.NumNodes(), o.Seed)
-	if orig != replay {
-		t.Fatalf("resolved configs differ:\n orig:   %+v\n replay: %+v", orig, replay)
+	if replay.ChainHead != l.ChainHead || replay.Events != l.Events {
+		t.Fatalf("replay chain head %s (%d events), recorded %s (%d events)",
+			replay.ChainHead, replay.Events, l.ChainHead, l.Events)
 	}
 }

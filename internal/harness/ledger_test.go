@@ -2,6 +2,7 @@ package harness
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,7 +10,6 @@ import (
 
 	"rvma/internal/fabric"
 	"rvma/internal/ledger"
-	"rvma/internal/motif"
 	"rvma/internal/topology"
 )
 
@@ -29,28 +29,25 @@ func ledgerTestOptions(t *testing.T, workers int, telemetry bool) Options {
 }
 
 // ledgerCellSpecs is the two-cell sweep used by the ledger tests.
-func ledgerCellSpecs() []cellSpec {
+func ledgerCellSpecs(o Options) []ledger.RunSpec {
 	nc := NetConfig{"dragonfly/adaptive", topology.KindDragonfly, fabric.RouteAdaptive}
-	return []cellSpec{
-		{M: MotifSweep3D, Kind: motif.KindRVMA, NC: nc, Gbps: 100},
-		{M: MotifSweep3D, Kind: motif.KindRDMA, NC: nc, Gbps: 100},
-	}
+	return []ledger.RunSpec{o.spec(MotifSweep3D, "rvma", nc, 100), o.spec(MotifSweep3D, "rdma", nc, 100)}
 }
 
 // runLedgerCells runs the test sweep and returns cell name -> ledger file
 // bytes.
 func runLedgerCells(t *testing.T, o Options) map[string][]byte {
 	t.Helper()
-	outs := runCells(o, ledgerCellSpecs())
+	outs := runFigureCells(o, ledgerCellSpecs(o))
 	got := map[string][]byte{}
 	for _, out := range outs {
 		if out.Err != nil {
-			t.Fatalf("cell %s: %v", out.Spec.cellName(), out.Err)
+			t.Fatalf("cell %s: %v", cellName(out.Spec), out.Err)
 		}
 		if err := flushCellOutput(o, out); err != nil {
 			t.Fatal(err)
 		}
-		got[out.Spec.cellName()] = out.Ledger
+		got[cellName(out.Spec)] = out.Ledger
 	}
 	entries, err := os.ReadDir(o.LedgerDir)
 	if err != nil {
@@ -99,9 +96,9 @@ func TestLedgerInvariantUnderTelemetry(t *testing.T) {
 // without a ledger attached and compares the metric snapshots — the
 // observer must be invisible to the model.
 func TestLedgerRecorderDoesNotChangeResults(t *testing.T) {
-	spec := ledgerCellSpecs()[0]
 	o := DefaultOptions()
 	o.Nodes = 64
+	spec := ledgerCellSpecs(o)[0]
 
 	bare := runOneCell(o, spec, newCellRegistry(o.Shards))
 	o.LedgerDir = t.TempDir()
@@ -172,40 +169,71 @@ func TestReplayWindowCapture(t *testing.T) {
 // TestReplayRefusesRawLedger: a raw pop-order ledger recorded by an
 // earlier build cannot be replayed, and the error says to re-record it.
 func TestReplayRefusesRawLedger(t *testing.T) {
-	rs := runSpecFor(ledgerCellSpecs()[0], DefaultOptions())
+	rs := ledgerCellSpecs(DefaultOptions())[0]
 	raw := &ledger.Ledger{Version: ledger.Version, Run: &rs}
 	if _, _, err := ReplaySpec(raw, ReplayOptions{}); err == nil || !strings.Contains(err.Error(), "re-record") {
 		t.Fatalf("raw ledger replay: err = %v, want a re-record error", err)
 	}
 }
 
-// TestRunSpecRoundTrip checks cellSpecFor inverts runSpecFor across the
-// sweep grid, including fault cells.
+// TestReplayRejectsBadSpec: a hand-edited ledger whose spec the builder
+// cannot run gets a *SpecError naming the field, not a panic.
+func TestReplayRejectsBadSpec(t *testing.T) {
+	o := DefaultOptions()
+	o.Nodes = 16
+	for field, edit := range map[string]func(*ledger.RunSpec){
+		"gbps":       func(rs *ledger.RunSpec) { rs.Gbps = 0 },
+		"kv_skew":    func(rs *ledger.RunSpec) { rs.Motif, rs.KVSkew = "kv", -1 },
+		"rvma_depth": func(rs *ledger.RunSpec) { rs.RVMADepth = -4 },
+		"fault_plan": func(rs *ledger.RunSpec) { rs.FaultPlan = "burst=two" },
+		"routing":    func(rs *ledger.RunSpec) { rs.Routing = "random" },
+	} {
+		rs := ledgerCellSpecs(o)[0]
+		edit(&rs)
+		l := &ledger.Ledger{Version: ledger.Version, Mode: ledger.ModeCanonical, Run: &rs}
+		_, _, err := ReplaySpec(l, ReplayOptions{})
+		var se *SpecError
+		if !errors.As(err, &se) || se.Field != field {
+			t.Errorf("%s: err = %v, want a *SpecError for it", field, err)
+		}
+	}
+}
+
+// TestRunSpecRoundTrip checks a RunSpec survives the ledger file
+// unchanged across the sweep grid, with every model knob set, and that the
+// builder accepts each of them and rejects an unknown motif or transport.
 func TestRunSpecRoundTrip(t *testing.T) {
 	o := DefaultOptions()
 	o.Nodes = 64
-	specs := []cellSpec{}
+	var specs []ledger.RunSpec
 	for _, nc := range motifNetworks() {
-		specs = append(specs, cellSpec{M: MotifHalo3D, Kind: motif.KindRVMA, NC: nc, Gbps: 400})
+		specs = append(specs, o.spec(MotifHalo3D, "rvma", nc, 400))
 	}
-	specs = append(specs,
-		cellSpec{M: MotifIncast, Kind: motif.KindRDMA, NC: motifNetworks()[0], Gbps: 100,
-			Fault: faultSpec{Drop: 0.01, Recover: true, Budget: 3}})
-	for _, spec := range specs {
-		rs := runSpecFor(spec, o)
-		got, err := cellSpecFor(rs)
+	knobs := o.spec(MotifIncast, "rdma", motifNetworks()[0], 100)
+	knobs.RDMABuffers, knobs.RVMADepth = 2, 8
+	knobs.FaultPlan, knobs.Drop, knobs.Recover, knobs.RetryBudget = "burst=2,window=all:5us:9us:0.5", 0.01, true, 3
+	specs = append(specs, knobs)
+	path := filepath.Join(t.TempDir(), "spec.ledger.json")
+	for _, rs := range specs {
+		if _, err := checkSpec(rs); err != nil {
+			t.Fatalf("%s: %v", cellName(rs), err)
+		}
+		if err := (&ledger.Ledger{Version: ledger.Version, Mode: ledger.ModeCanonical, Run: &rs}).WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		l, err := ledger.ReadFile(path)
 		if err != nil {
-			t.Fatalf("%s: %v", spec.cellName(), err)
+			t.Fatal(err)
 		}
-		if got != spec {
-			t.Fatalf("round trip changed spec: %+v vs %+v", got, spec)
+		if *l.Run != rs {
+			t.Fatalf("round trip changed spec: %+v vs %+v", *l.Run, rs)
 		}
 	}
-	if _, err := cellSpecFor(ledger.RunSpec{Motif: "nope"}); err == nil {
-		t.Fatal("bad motif accepted")
-	}
-	if _, err := cellSpecFor(ledger.RunSpec{Motif: "sweep3d", Transport: "tcp"}); err == nil {
-		t.Fatal("bad transport accepted")
+	for _, bad := range []ledger.RunSpec{{Motif: "nope"}, {Motif: "sweep3d", Transport: "tcp"}} {
+		var se *SpecError
+		if out := RunCell(bad, Observers{}); !errors.As(out.Err, &se) {
+			t.Fatalf("%+v: err = %v, want a *SpecError", bad, out.Err)
+		}
 	}
 }
 

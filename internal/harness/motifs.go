@@ -2,18 +2,14 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
 	"rvma/internal/attrib"
 	"rvma/internal/fabric"
 	"rvma/internal/ledger"
 	"rvma/internal/metrics"
 	"rvma/internal/motif"
-	"rvma/internal/pcie"
-	"rvma/internal/recovery"
 	"rvma/internal/sim"
 	"rvma/internal/stats"
-	"rvma/internal/telemetry"
 	"rvma/internal/topology"
 )
 
@@ -43,141 +39,6 @@ func motifNetworks() []NetConfig {
 	}
 }
 
-// MotifName selects a workload for RunMotifPoint.
-type MotifName string
-
-// Motifs runnable through the harness.
-const (
-	MotifSweep3D MotifName = "sweep3d"
-	MotifHalo3D  MotifName = "halo3d"
-	MotifIncast  MotifName = "incast"
-	MotifKV      MotifName = "kv"
-)
-
-// RunMotifPoint runs one motif under one transport on one network
-// configuration and returns the simulated makespan.
-func RunMotifPoint(m MotifName, kind motif.TransportKind, nc NetConfig, nodes int, gbps float64, seed uint64) (sim.Time, error) {
-	return RunMotifPointInstrumented(m, kind, nc, nodes, gbps, seed, nil)
-}
-
-// RunMotifPointInstrumented is RunMotifPoint with a metrics registry
-// attached to every layer of the cluster before the run; the figure tables
-// use it (one registry per experiment cell, spans enabled) to report tail
-// latency next to the makespan. A nil registry runs uninstrumented.
-func RunMotifPointInstrumented(m MotifName, kind motif.TransportKind, nc NetConfig, nodes int, gbps float64, seed uint64, reg *metrics.Registry) (sim.Time, error) {
-	makespan, _, err := runMotifPoint(cellSpec{M: m, Kind: kind, NC: nc, Gbps: gbps}, nodes, seed, &cellInstr{reg: reg})
-	return makespan, err
-}
-
-// cellInstr bundles the optional per-cell instrumentation runMotifPoint
-// attaches before a run: a metrics registry, a canonical ledger recorder,
-// a per-shard telemetry set (built inside runMotifPoint once the group
-// exists), and a bench log for wall-clock throughput records.
-type cellInstr struct {
-	reg    *metrics.Registry
-	bench  *BenchLog
-	attrib *attrib.Collector
-	cell   string // bench/telemetry label: "motif|network|transport|gbps"
-
-	// kvResult carries the application-level outcome of a KV cell back to
-	// the caller (nil for every other motif, and on cluster-build errors).
-	kvResult *motif.KVResult
-
-	shards int // partition count; values below 1 mean 1
-	// unsafeScale, when != 0 and != 1, multiplies the shard group's
-	// lookahead after construction — only replays of CI canary runs set it
-	// (see ledger.RunSpec.UnsafeLookaheadScale).
-	unsafeScale float64
-	canon       *ledger.CanonicalRecorder
-	// sampleEvery, when positive, asks runMotifPoint to build and start a
-	// ShardSet ticking at that interval on the cluster's group; the set is
-	// left in shardSet for the caller to render.
-	sampleEvery sim.Time
-	shardSet    *telemetry.ShardSet
-}
-
-// runMotifPoint is the shared cell runner behind the exported entry points
-// and the figure sweeps. It returns the cluster alongside the makespan so
-// callers can read recovery/fabric counters — including when the motif run
-// itself errors (a deadlocked fault cell still reports what it managed);
-// the cluster is nil only when it could not be built at all.
-func runMotifPoint(spec cellSpec, nodes int, seed uint64, inst *cellInstr) (sim.Time, *motif.Cluster, error) {
-	topo, err := topology.ForNodeCount(spec.NC.Kind, nodes)
-	if err != nil {
-		return 0, nil, err
-	}
-	cfg := motif.DefaultClusterConfig(topo, spec.Kind)
-	cfg.Routing = spec.NC.Routing
-	cfg.Seed = seed
-	cfg.PCIe = pcie.Gen4x16()
-	cfg.ApplyLinkSpeed(spec.Gbps)
-	cfg.Shards = inst.shards
-	if spec.Fault.Drop > 0 {
-		cfg.Faults = &fabric.FaultPlan{DropRate: spec.Fault.Drop}
-	}
-	if spec.Fault.Recover {
-		rc := recovery.DefaultConfig()
-		if spec.Fault.Budget > 0 {
-			rc.MaxRetries = spec.Fault.Budget
-		}
-		cfg.Recovery = &rc
-	}
-	c, err := motif.NewCluster(cfg)
-	if err != nil {
-		return 0, nil, err
-	}
-	if inst.unsafeScale != 0 && inst.unsafeScale != 1 {
-		c.Group.UnsafeScaleLookahead(inst.unsafeScale)
-	}
-	if inst.canon != nil {
-		inst.canon.AttachGroup(c.Group)
-	}
-	if inst.reg != nil {
-		c.AttachShardMetrics(inst.reg)
-		if inst.attrib != nil {
-			c.AttachAttribution(inst.reg, inst.attrib)
-		}
-	}
-	if inst.sampleEvery > 0 {
-		inst.shardSet = telemetry.NewShardSet(c.Group, inst.sampleEvery)
-		c.RegisterTelemetryShards(inst.shardSet)
-		inst.shardSet.Start()
-	}
-	start := time.Now()
-	var makespan sim.Time
-	switch spec.M {
-	case MotifSweep3D:
-		makespan, err = motif.RunSweep3D(c, motif.DefaultSweep3DConfig(topo.NumNodes()))
-	case MotifHalo3D:
-		makespan, err = motif.RunHalo3D(c, motif.DefaultHalo3DConfig(topo.NumNodes()))
-	case MotifIncast:
-		makespan, err = motif.RunIncast(c, motif.DefaultIncastConfig())
-	case MotifKV:
-		var res *motif.KVResult
-		makespan, res, err = motif.RunKV(c, spec.KV.Config(topo.NumNodes(), seed))
-		inst.kvResult = res
-		if res != nil && inst.reg != nil {
-			foldKVResult(inst.reg, res)
-		}
-	default:
-		return 0, c, fmt.Errorf("harness: unknown motif %q", spec.M)
-	}
-	if err != nil {
-		return 0, c, err
-	}
-	c.FinishMetrics(inst.reg)
-	if inst.bench != nil {
-		inst.bench.Record(inst.cell, time.Since(start), makespan, c.EventsExecuted(), c.Group.Shards())
-	}
-	return makespan, c, nil
-}
-
-// cellName labels one experiment cell for bench records and telemetry
-// file names.
-func cellName(m MotifName, nc NetConfig, kind motif.TransportKind, gbps float64) string {
-	return fmt.Sprintf("%s|%s|%s|%gGbps", m, nc.Name, kind, gbps)
-}
-
 // newCellRegistry returns the per-cell registry the figure sweeps attach:
 // spans enabled on one-shard cells, plain counters/gauges above one shard
 // (span instrumentation keys state across nodes, which would cross shard
@@ -193,12 +54,8 @@ func newCellRegistry(shards int) *metrics.Registry {
 
 // putP99 reads the 99th-percentile end-to-end put latency a cell registry
 // accumulated ("-" when the transport recorded no puts).
-func putP99(reg *metrics.Registry, kind motif.TransportKind) string {
-	name := "span.rvma.put/total"
-	if kind == motif.KindRDMA {
-		name = "span.rdma.put/total"
-	}
-	h := reg.Histogram(name)
+func putP99(reg *metrics.Registry, transport string) string {
+	h := reg.Histogram("span." + transport + ".put/total")
 	if h.Count() == 0 {
 		return "-"
 	}
@@ -209,20 +66,6 @@ func putP99(reg *metrics.Registry, kind motif.TransportKind) string {
 // the figure sweeps (Options.TelemetryDir).
 const cellSampleInterval = 10 * sim.Microsecond
 
-// runFigureCell runs one (motif, network, transport, link-speed) cell with
-// the figure instrumentation — span registry always, plus a buffered
-// sampler and a bench record when the options ask for them — and then
-// flushes the cell's telemetry file and bench record. It is the serial
-// single-cell entry point; the sweeps batch cells through runCells and
-// flush during their merge phase instead.
-func runFigureCell(o Options, m MotifName, kind motif.TransportKind, nc NetConfig, gbps float64, reg *metrics.Registry) (sim.Time, error) {
-	out := runOneCell(o, cellSpec{M: m, Kind: kind, NC: nc, Gbps: gbps}, reg)
-	if err := flushCellOutput(o, out); err != nil {
-		return 0, err
-	}
-	return out.Makespan, nil
-}
-
 // motifFigure is the shared implementation of Figures 7 and 8. Every
 // (network, link speed, transport) cell is an independent simulation; they
 // run on the worker pool and merge here in sweep order, so the table,
@@ -232,38 +75,36 @@ func motifFigure(o Options, m MotifName, figure string) *Table {
 		Title:  fmt.Sprintf("%s: RVMA vs RDMA using %s (%d+ nodes)", figure, m, o.Nodes),
 		Header: []string{"network", "link", "RVMA", "put p99", "RDMA", "put p99", "speedup"},
 	}
-	var specs []cellSpec
+	var specs []ledger.RunSpec
 	for _, nc := range motifNetworks() {
 		for _, gbps := range o.LinkGbps {
-			specs = append(specs,
-				cellSpec{M: m, Kind: motif.KindRVMA, NC: nc, Gbps: gbps},
-				cellSpec{M: m, Kind: motif.KindRDMA, NC: nc, Gbps: gbps})
+			specs = append(specs, o.spec(m, "rvma", nc, gbps), o.spec(m, "rdma", nc, gbps))
 		}
 	}
-	outs := runCells(o, specs)
+	outs := runFigureCells(o, specs)
 	var speedups []float64
 	best := 0.0
 	bestAt := ""
 	for i := 0; i < len(outs); i += 2 {
 		rv, rd := outs[i], outs[i+1]
-		nc, gbps := rv.Spec.NC, rv.Spec.Gbps
+		network, gbps := rv.Spec.Network, rv.Spec.Gbps
 		if err := flushCellOutput(o, rv); err != nil {
-			t.AddNote("SKIPPED %s @%s: %v", nc.Name, stats.FormatGbps(gbps), err)
+			t.AddNote("SKIPPED %s @%s: %v", network, stats.FormatGbps(gbps), err)
 			continue
 		}
 		if err := flushCellOutput(o, rd); err != nil {
-			t.AddNote("SKIPPED %s @%s: %v", nc.Name, stats.FormatGbps(gbps), err)
+			t.AddNote("SKIPPED %s @%s: %v", network, stats.FormatGbps(gbps), err)
 			continue
 		}
 		sp := stats.Speedup(rd.Makespan.Seconds(), rv.Makespan.Seconds())
 		speedups = append(speedups, sp)
 		if sp > best {
 			best = sp
-			bestAt = fmt.Sprintf("%s @%s", nc.Name, stats.FormatGbps(gbps))
+			bestAt = fmt.Sprintf("%s @%s", network, stats.FormatGbps(gbps))
 		}
-		t.AddRow(nc.Name, stats.FormatGbps(gbps),
-			rv.Makespan.String(), putP99(rv.Reg, motif.KindRVMA),
-			rd.Makespan.String(), putP99(rd.Reg, motif.KindRDMA),
+		t.AddRow(network, stats.FormatGbps(gbps),
+			rv.Makespan.String(), putP99(rv.Reg, "rvma"),
+			rd.Makespan.String(), putP99(rd.Reg, "rdma"),
 			fmt.Sprintf("%.2fx", sp))
 	}
 	if len(speedups) > 0 {
@@ -285,7 +126,7 @@ func motifFigure(o Options, m MotifName, figure string) *Table {
 // always in spec order, never completion order, so the section's bytes do
 // not depend on Options.Workers — and renders the figure-level per-stage
 // blame profile, one collector per transport.
-func attributionSection(o Options, outs []cellOutput) *Table {
+func attributionSection(o Options, outs []CellOutput) *Table {
 	rv := attrib.NewCollector(o.TailK)
 	rd := attrib.NewCollector(o.TailK)
 	for i := range outs {
@@ -293,7 +134,7 @@ func attributionSection(o Options, outs []cellOutput) *Table {
 		if out.Err != nil || out.Attrib == nil {
 			continue
 		}
-		if out.Spec.Kind == motif.KindRVMA {
+		if out.Spec.Transport == "rvma" {
 			rv.Merge(out.Attrib)
 		} else {
 			rd.Merge(out.Attrib)
@@ -353,13 +194,11 @@ func IncastTable(o Options) *Table {
 		Header: []string{"link", "RVMA", "RDMA", "speedup"},
 	}
 	nc := NetConfig{"dragonfly/adaptive", topology.KindDragonfly, fabric.RouteAdaptive}
-	var specs []cellSpec
+	var specs []ledger.RunSpec
 	for _, gbps := range o.LinkGbps {
-		specs = append(specs,
-			cellSpec{M: MotifIncast, Kind: motif.KindRVMA, NC: nc, Gbps: gbps},
-			cellSpec{M: MotifIncast, Kind: motif.KindRDMA, NC: nc, Gbps: gbps})
+		specs = append(specs, o.spec(MotifIncast, "rvma", nc, gbps), o.spec(MotifIncast, "rdma", nc, gbps))
 	}
-	outs := runCells(o, specs)
+	outs := runFigureCells(o, specs)
 	for i := 0; i < len(outs); i += 2 {
 		rv, rd := outs[i], outs[i+1]
 		gbps := rv.Spec.Gbps
@@ -387,39 +226,26 @@ func RDMABuffersAblation(o Options) *Table {
 		Header: []string{"config", "makespan", "speedup vs RDMA-1buf"},
 	}
 	nc := NetConfig{"dragonfly/adaptive", topology.KindDragonfly, fabric.RouteAdaptive}
-	const gbps = 400
-	baseline := sim.Time(0)
+	var specs []ledger.RunSpec
 	for _, bufs := range []int{1, 2, 4} {
-		topo, err := topology.ForNodeCount(nc.Kind, o.Nodes)
-		if err != nil {
-			t.AddNote("SKIPPED: %v", err)
-			return t
+		rs := o.spec(MotifSweep3D, "rdma", nc, 400)
+		rs.RDMABuffers = bufs
+		specs = append(specs, rs)
+	}
+	specs = append(specs, o.spec(MotifSweep3D, "rvma", nc, 400))
+	outs := RunCells(specs, o.workerCount())
+	baseline := outs[0].Makespan
+	for _, out := range outs {
+		config := fmt.Sprintf("RDMA %d buffer(s)/pair", out.Spec.RDMABuffers)
+		if out.Spec.Transport == "rvma" {
+			config = "RVMA (mailbox bucket)"
 		}
-		cfg := motif.DefaultClusterConfig(topo, motif.KindRDMA)
-		cfg.Routing = nc.Routing
-		cfg.Seed = o.Seed
-		cfg.RDMABuffers = bufs
-		cfg.ApplyLinkSpeed(gbps)
-		c, err := motif.NewCluster(cfg)
-		if err != nil {
-			t.AddNote("SKIPPED: %v", err)
-			return t
-		}
-		tm, err := motif.RunSweep3D(c, motif.DefaultSweep3DConfig(topo.NumNodes()))
-		if err != nil {
-			t.AddNote("SKIPPED rdma-%dbuf: %v", bufs, err)
+		if out.Err != nil {
+			t.AddNote("SKIPPED %s: %v", config, out.Err)
 			continue
 		}
-		if bufs == 1 {
-			baseline = tm
-		}
-		t.AddRow(fmt.Sprintf("RDMA %d buffer(s)/pair", bufs), tm.String(),
-			fmt.Sprintf("%.2fx", stats.Speedup(baseline.Seconds(), tm.Seconds())))
-	}
-	rv, err := RunMotifPoint(MotifSweep3D, motif.KindRVMA, nc, o.Nodes, gbps, o.Seed)
-	if err == nil {
-		t.AddRow("RVMA (mailbox bucket)", rv.String(),
-			fmt.Sprintf("%.2fx", stats.Speedup(baseline.Seconds(), rv.Seconds())))
+		t.AddRow(config, out.Makespan.String(),
+			fmt.Sprintf("%.2fx", stats.Speedup(baseline.Seconds(), out.Makespan.Seconds())))
 	}
 	t.AddNote("more negotiated buffers narrow but do not close the gap: the completion send and per-reuse credits remain")
 	return t
@@ -489,13 +315,11 @@ func MotifSummary(o Options) *Table {
 		{MotifHalo3D, NetConfig{"hyperx/DOR", topology.KindHyperX, fabric.RouteStatic}, 2000,
 			"Halo3D HyperX DOR @2Tbps", "1.89x"},
 	}
-	var specs []cellSpec
+	var specs []ledger.RunSpec
 	for _, p := range pts {
-		specs = append(specs,
-			cellSpec{M: p.m, Kind: motif.KindRVMA, NC: p.nc, Gbps: p.gbps},
-			cellSpec{M: p.m, Kind: motif.KindRDMA, NC: p.nc, Gbps: p.gbps})
+		specs = append(specs, o.spec(p.m, "rvma", p.nc, p.gbps), o.spec(p.m, "rdma", p.nc, p.gbps))
 	}
-	outs := runCells(o, specs)
+	outs := runFigureCells(o, specs)
 	for i, p := range pts {
 		rv, rd := outs[2*i], outs[2*i+1]
 		if rv.Err != nil || rd.Err != nil {

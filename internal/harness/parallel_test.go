@@ -11,7 +11,7 @@ import (
 	"testing"
 
 	"rvma/internal/fabric"
-	"rvma/internal/motif"
+	"rvma/internal/ledger"
 	"rvma/internal/topology"
 )
 
@@ -129,21 +129,21 @@ func TestRunCellsMetricsIdenticalAcrossWorkers(t *testing.T) {
 		{"dragonfly/adaptive", topology.KindDragonfly, fabric.RouteAdaptive},
 		{"hyperx/DOR", topology.KindHyperX, fabric.RouteStatic},
 	}
-	var specs []cellSpec
+	o := DefaultOptions()
+	o.Nodes = 64
+	var specs []ledger.RunSpec
 	for _, nc := range nets {
-		for _, kind := range []motif.TransportKind{motif.KindRVMA, motif.KindRDMA} {
-			specs = append(specs, cellSpec{M: MotifSweep3D, Kind: kind, NC: nc, Gbps: 100})
+		for _, transport := range []string{"rvma", "rdma"} {
+			specs = append(specs, o.spec(MotifSweep3D, transport, nc, 100))
 		}
 	}
 	snapshot := func(workers int) [][]byte {
-		o := DefaultOptions()
-		o.Nodes = 64
 		o.Workers = workers
-		outs := runCells(o, specs)
+		outs := runFigureCells(o, specs)
 		snaps := make([][]byte, len(outs))
 		for i, out := range outs {
 			if out.Err != nil {
-				t.Fatalf("workers=%d cell %s: %v", workers, out.Spec.cellName(), out.Err)
+				t.Fatalf("workers=%d cell %s: %v", workers, cellName(out.Spec), out.Err)
 			}
 			var buf bytes.Buffer
 			fmt.Fprintf(&buf, "makespan_ns=%v\n", out.Makespan.Nanoseconds())
@@ -160,7 +160,7 @@ func TestRunCellsMetricsIdenticalAcrossWorkers(t *testing.T) {
 		for i := range ref {
 			if !bytes.Equal(ref[i], got[i]) {
 				t.Errorf("workers=%d cell %s metrics differ from serial:\n%s",
-					workers, specs[i].cellName(), firstDiffContext(ref[i], got[i]))
+					workers, cellName(specs[i]), firstDiffContext(ref[i], got[i]))
 			}
 		}
 	}
@@ -172,16 +172,16 @@ func TestRunCellsMetricsIdenticalAcrossWorkers(t *testing.T) {
 // the io.Writer refactor's guarantee that cell execution never touches
 // the filesystem, so concurrent cells cannot interleave writes.
 func TestConcurrentTelemetryWritesAreClean(t *testing.T) {
-	specs := []cellSpec{
-		{M: MotifSweep3D, Kind: motif.KindRVMA, NC: telemetryTestNet(), Gbps: 100},
-		{M: MotifSweep3D, Kind: motif.KindRDMA, NC: telemetryTestNet(), Gbps: 100},
+	o := DefaultOptions()
+	o.Nodes = 64
+	specs := []ledger.RunSpec{
+		o.spec(MotifSweep3D, "rvma", telemetryTestNet(), 100),
+		o.spec(MotifSweep3D, "rdma", telemetryTestNet(), 100),
 	}
 	run := func(workers int) map[string][]byte {
-		o := DefaultOptions()
-		o.Nodes = 64
 		o.Workers = workers
 		o.TelemetryDir = t.TempDir()
-		for _, out := range runCells(o, specs) {
+		for _, out := range runFigureCells(o, specs) {
 			if err := flushCellOutput(o, out); err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}

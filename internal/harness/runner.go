@@ -2,9 +2,9 @@ package harness
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 
@@ -12,8 +12,7 @@ import (
 	"rvma/internal/ledger"
 	"rvma/internal/metrics"
 	"rvma/internal/motif"
-	"rvma/internal/recovery"
-	"rvma/internal/sim"
+	"rvma/internal/telemetry"
 )
 
 // This file is the harness's worker-pool cell runner. A figure sweep is
@@ -30,129 +29,58 @@ import (
 // packages; the harness is exempt precisely because the goroutines here
 // never touch an engine that another goroutine can see.
 
-// cellSpec names one figure cell: a (motif, transport, network, link
-// speed) point of a sweep, optionally under fault injection.
-type cellSpec struct {
-	M    MotifName
-	Kind motif.TransportKind
-	NC   NetConfig
-	Gbps float64
-	// Fault configures loss injection and recovery for this cell; the
-	// zero value is the default lossless run.
-	Fault faultSpec
-	// KV parameterizes the KV dataplane workload; consulted only when M is
-	// MotifKV.
-	KV KVParams
-}
-
-// faultSpec is a cell's loss/recovery configuration.
-type faultSpec struct {
-	// Drop is the uniform receiver-ingress drop probability.
-	Drop float64
-	// Recover enables the recovery layer (timeout/retransmit).
-	Recover bool
-	// Budget overrides recovery.DefaultConfig's MaxRetries when > 0.
-	Budget int
-}
-
-// cellName labels the spec for bench records and telemetry file names.
-func (s cellSpec) cellName() string {
-	name := cellName(s.M, s.NC, s.Kind, s.Gbps)
-	if s.M == MotifKV {
-		name += fmt.Sprintf("|skew%g|gap%gns", s.KV.Skew, s.KV.GapNs)
+// spec describes one figure cell at the options' node count, seed and
+// shard count.
+func (o Options) spec(m MotifName, transport string, nc NetConfig, gbps float64) ledger.RunSpec {
+	return ledger.RunSpec{
+		Motif:     string(m),
+		Transport: transport,
+		Topology:  string(nc.Kind),
+		Routing:   nc.Routing.String(),
+		Network:   nc.Name,
+		Nodes:     o.Nodes,
+		Gbps:      gbps,
+		Seed:      o.Seed,
+		Shards:    o.Shards,
 	}
-	if s.Fault.Drop > 0 {
-		name += fmt.Sprintf("|drop%g", s.Fault.Drop)
-		if s.Fault.Recover {
-			name += "|rec"
-		}
-	}
-	return name
 }
 
-// cellOutput is everything one cell run produces. Side-effect-free: the
-// telemetry CSV is rendered to memory and the bench record is detached,
-// so the merge phase can apply them in canonical order.
-type cellOutput struct {
-	Spec     cellSpec
-	Makespan sim.Time
-	Err      error
-	Reg      *metrics.Registry
-	// Telemetry is the rendered per-cell time-series CSV (nil unless
-	// Options.TelemetryDir is set).
-	Telemetry []byte
-	// Bench is the cell's perf sample (nil unless Options.Bench is set).
-	Bench *BenchRecord
-	// Recovery aggregates the cell's recovery-layer counters (zero when
-	// recovery was disabled). Populated even when the run errored, so a
-	// deadlocked cell still reports what it managed.
-	Recovery recovery.Stats
-	// Ranks is the cluster size actually built (topology rounding can
-	// exceed Options.Nodes); fault tables derive goodput from it.
-	Ranks int
-	// PacketsDropped is the fabric's drop count for the cell.
-	PacketsDropped uint64
-	// Attrib is the cell's latency-attribution collector (spans decomposed
-	// into per-stage wait/service); the figure sweeps merge these in spec
-	// order into per-transport blame sections.
-	Attrib *attrib.Collector
-	// Ledger is the rendered execution-ledger JSON (nil unless
-	// Options.LedgerDir is set). Like Telemetry, it is rendered in the
-	// worker and written during the serial merge phase.
-	Ledger []byte
-	// KV is the application-level outcome of a KV cell (nil for other
-	// motifs). Populated even when the run errored, so a wedged overload
-	// cell still reports what completed.
-	KV *motif.KVResult
-}
-
-// runOneCell executes a single cell against the given registry with the
-// instrumentation the options ask for. It opens no files and touches no
+// runOneCell runs a figure cell against the given registry with the
+// instrumentation the options ask for, and renders its telemetry, bench
+// record and ledger into the output. It opens no files and touches no
 // state outside its arguments.
-func runOneCell(o Options, spec cellSpec, reg *metrics.Registry) cellOutput {
-	out := cellOutput{Spec: spec, Reg: reg}
-	inst := cellInstr{reg: reg, cell: spec.cellName(), shards: o.Shards}
+func runOneCell(o Options, rs ledger.RunSpec, reg *metrics.Registry) CellOutput {
+	obs := Observers{Metrics: reg}
 	if reg.SpansEnabled() {
-		out.Attrib = attrib.NewCollector(o.TailK)
-		inst.attrib = out.Attrib
+		obs.Attrib = attrib.NewCollector(o.TailK)
 	}
-	var local *BenchLog
-	if o.Bench != nil {
-		local = &BenchLog{}
-		inst.bench = local
-	}
+	var samples *telemetry.ShardSet
 	if o.TelemetryDir != "" {
-		inst.sampleEvery = cellSampleInterval
+		obs.SampleEvery = cellSampleInterval
+		obs.Attach = func(_ *motif.Cluster, s *telemetry.ShardSet) { samples = s }
 	}
 	if o.LedgerDir != "" {
-		rs := runSpecFor(spec, o)
-		inst.canon = ledger.NewCanonicalRecorder(ledger.Options{Run: &rs})
+		obs.Ledger = ledger.NewCanonicalRecorder(ledger.Options{Run: &rs})
 	}
-	var c *motif.Cluster
-	out.Makespan, c, out.Err = runMotifPoint(spec, o.Nodes, o.Seed, &inst)
-	out.KV = inst.kvResult
-	if c != nil {
-		out.Recovery = c.RecoveryStats()
-		out.Ranks = len(c.Transports)
-		out.PacketsDropped = c.Net.TotalStats().PacketsDropped
-	}
+	out := RunCell(rs, obs)
+	out.Reg, out.Attrib = reg, obs.Attrib
 	if out.Err != nil {
 		return out
 	}
-	if inst.shardSet != nil {
+	if samples != nil {
 		var buf bytes.Buffer
-		if err := inst.shardSet.WriteCSV(&buf); err != nil {
+		if err := samples.WriteCSV(&buf); err != nil {
 			out.Err = err
 			return out
 		}
 		out.Telemetry = buf.Bytes()
 	}
-	if local != nil && len(local.Records) > 0 {
-		rec := local.Records[0]
+	if o.Bench != nil {
+		rec := newBenchRecord(cellName(rs), out.wall, out.Makespan, out.Events, max(rs.Shards, 1))
 		out.Bench = &rec
 	}
-	if inst.canon != nil {
-		b, err := inst.canon.Finalize().Marshal()
+	if obs.Ledger != nil {
+		b, err := obs.Ledger.Finalize().Marshal()
 		if err != nil {
 			out.Err = err
 			return out
@@ -162,19 +90,37 @@ func runOneCell(o Options, spec cellSpec, reg *metrics.Registry) cellOutput {
 	return out
 }
 
-// runCells executes every spec — each with its own shard group, registry
-// and telemetry — on Options.workerCount() goroutines and returns the outputs
-// indexed like specs, independent of completion order. With one worker
-// (or one cell) it runs inline; the outputs are identical either way.
-func runCells(o Options, specs []cellSpec) []cellOutput {
-	out := make([]cellOutput, len(specs))
-	workers := o.workerCount()
+// runFigureCells runs every figure cell through runOneCell — each with
+// its own shard group, registry and telemetry — on Options.workerCount()
+// goroutines.
+func runFigureCells(o Options, specs []ledger.RunSpec) []CellOutput {
+	return runPool(o.workerCount(), specs, func(rs ledger.RunSpec) CellOutput {
+		return runOneCell(o, rs, newCellRegistry(o.Shards))
+	})
+}
+
+// RunCells runs every spec with no observers attached on up to workers
+// goroutines (0 means one per CPU) and returns the outputs in spec order,
+// so they are identical at any worker count.
+func RunCells(specs []ledger.RunSpec, workers int) []CellOutput {
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	return runPool(workers, specs, func(rs ledger.RunSpec) CellOutput { return RunCell(rs, Observers{}) })
+}
+
+// runPool is the worker pool: it runs every spec on up to workers
+// goroutines and returns the outputs indexed like specs, independent of
+// completion order. With one worker (or one cell) it runs inline; the
+// outputs are identical either way.
+func runPool(workers int, specs []ledger.RunSpec, run func(ledger.RunSpec) CellOutput) []CellOutput {
+	out := make([]CellOutput, len(specs))
 	if workers > len(specs) {
 		workers = len(specs)
 	}
 	if workers <= 1 {
 		for i, s := range specs {
-			out[i] = runOneCell(o, s, newCellRegistry(o.Shards))
+			out[i] = run(s)
 		}
 		return out
 	}
@@ -185,7 +131,7 @@ func runCells(o Options, specs []cellSpec) []cellOutput {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				out[i] = runOneCell(o, specs[i], newCellRegistry(o.Shards))
+				out[i] = run(specs[i])
 			}
 		}()
 	}
@@ -200,7 +146,7 @@ func runCells(o Options, specs []cellSpec) []cellOutput {
 // flushCellOutput applies one successful cell's deferred side effects —
 // the bench record and the telemetry file — during the serial merge
 // phase. This is the only place cell telemetry touches the filesystem.
-func flushCellOutput(o Options, out cellOutput) error {
+func flushCellOutput(o Options, out CellOutput) error {
 	if out.Err != nil {
 		return out.Err
 	}
@@ -208,13 +154,13 @@ func flushCellOutput(o Options, out cellOutput) error {
 		o.Bench.Append(*out.Bench)
 	}
 	if out.Telemetry != nil {
-		name := telemetryFileName(out.Spec.cellName())
+		name := telemetryFileName(cellName(out.Spec))
 		if err := os.WriteFile(filepath.Join(o.TelemetryDir, name), out.Telemetry, 0o644); err != nil {
 			return err
 		}
 	}
 	if out.Ledger != nil {
-		name := ledgerFileName(out.Spec.cellName())
+		name := ledgerFileName(cellName(out.Spec))
 		if err := os.WriteFile(filepath.Join(o.LedgerDir, name), out.Ledger, 0o644); err != nil {
 			return err
 		}

@@ -9,7 +9,6 @@ import (
 
 	"rvma/internal/fabric"
 	"rvma/internal/ledger"
-	"rvma/internal/motif"
 	"rvma/internal/topology"
 )
 
@@ -26,7 +25,7 @@ type matrixOut struct {
 // 5% loss with recovery) for both transports through the full harness
 // cell pipeline — worker pool, per-shard telemetry, canonical ledger —
 // and returns one matrixOut per transport.
-func runShardMatrix(t *testing.T, shards, workers int) map[motif.TransportKind]matrixOut {
+func runShardMatrix(t *testing.T, shards, workers int) map[string]matrixOut {
 	t.Helper()
 	o := DefaultOptions()
 	o.Nodes = 32
@@ -35,16 +34,17 @@ func runShardMatrix(t *testing.T, shards, workers int) map[motif.TransportKind]m
 	o.TelemetryDir = t.TempDir()
 	o.LedgerDir = t.TempDir()
 	nc := NetConfig{"dragonfly/adaptive", topology.KindDragonfly, fabric.RouteAdaptive}
-	fault := faultSpec{Drop: 0.05, Recover: true}
-	specs := []cellSpec{
-		{M: MotifSweep3D, Kind: motif.KindRVMA, NC: nc, Gbps: 100, Fault: fault},
-		{M: MotifSweep3D, Kind: motif.KindRDMA, NC: nc, Gbps: 100, Fault: fault},
+	var specs []ledger.RunSpec
+	for _, transport := range []string{"rvma", "rdma"} {
+		rs := o.spec(MotifSweep3D, transport, nc, 100)
+		rs.Drop, rs.Recover = 0.05, true
+		specs = append(specs, rs)
 	}
-	outs := runCells(o, specs)
-	res := make(map[motif.TransportKind]matrixOut, len(outs))
+	outs := runFigureCells(o, specs)
+	res := make(map[string]matrixOut, len(outs))
 	for _, out := range outs {
 		if out.Err != nil {
-			t.Fatalf("shards=%d workers=%d %s: %v", shards, workers, out.Spec.Kind, out.Err)
+			t.Fatalf("shards=%d workers=%d %s: %v", shards, workers, out.Spec.Transport, out.Err)
 		}
 		var js bytes.Buffer
 		if err := out.Reg.WriteJSON(&js, out.Makespan); err != nil {
@@ -61,7 +61,7 @@ func runShardMatrix(t *testing.T, shards, workers int) map[motif.TransportKind]m
 		if led.Mode != ledger.ModeCanonical {
 			t.Fatalf("shards=%d: ledger mode %q, want %q", shards, led.Mode, ledger.ModeCanonical)
 		}
-		res[out.Spec.Kind] = matrixOut{
+		res[out.Spec.Transport] = matrixOut{
 			snapshot:  snap.Bytes(),
 			spanKeys:  spanKeys,
 			telemetry: out.Telemetry,

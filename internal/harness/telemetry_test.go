@@ -13,6 +13,7 @@ import (
 	"rvma/internal/metrics"
 	"rvma/internal/motif"
 	"rvma/internal/sim"
+	"rvma/internal/telemetry"
 	"rvma/internal/topology"
 )
 
@@ -29,18 +30,23 @@ func telemetryTestNet() NetConfig {
 // makespan and the full metrics snapshot must be byte-identical in all
 // three configurations, for both transports.
 func TestSamplingPreservesDeterminism(t *testing.T) {
-	nc := telemetryTestNet()
-	for _, kind := range []motif.TransportKind{motif.KindRVMA, motif.KindRDMA} {
-		t.Run(kind.String(), func(t *testing.T) {
+	o := DefaultOptions()
+	o.Nodes = 64
+	for _, transport := range []string{"rvma", "rdma"} {
+		t.Run(strings.ToUpper(transport), func(t *testing.T) {
 			run := func(interval sim.Time) []byte {
 				reg := metrics.NewRegistry()
 				reg.EnableSpans()
-				inst := cellInstr{reg: reg, sampleEvery: interval}
-				mk, _, err := runMotifPoint(cellSpec{M: MotifSweep3D, Kind: kind, NC: nc, Gbps: 100}, 64, 42, &inst)
-				if err != nil {
-					t.Fatal(err)
+				var samples *telemetry.ShardSet
+				out := RunCell(o.spec(MotifSweep3D, transport, telemetryTestNet(), 100), Observers{
+					Metrics: reg, SampleEvery: interval,
+					Attach: func(_ *motif.Cluster, s *telemetry.ShardSet) { samples = s },
+				})
+				if out.Err != nil {
+					t.Fatal(out.Err)
 				}
-				if interval > 0 && inst.shardSet.Samples() == 0 {
+				mk := out.Makespan
+				if interval > 0 && samples.Samples() == 0 {
 					t.Fatal("sampler attached but recorded no rows")
 				}
 				var buf bytes.Buffer
@@ -69,15 +75,13 @@ func TestRunFigureCellWritesTimeseries(t *testing.T) {
 	o := DefaultOptions()
 	o.Nodes = 64
 	o.TelemetryDir = t.TempDir()
-	nc := telemetryTestNet()
+	rs := o.spec(MotifSweep3D, "rvma", telemetryTestNet(), 100)
 
 	runOnce := func() []byte {
-		reg := newCellRegistry(o.Shards)
-		if _, err := runFigureCell(o, MotifSweep3D, motif.KindRVMA, nc, 100, reg); err != nil {
+		if err := flushCellOutput(o, runOneCell(o, rs, newCellRegistry(o.Shards))); err != nil {
 			t.Fatal(err)
 		}
-		name := strings.NewReplacer("/", "-", "|", "_").
-			Replace(cellName(MotifSweep3D, nc, motif.KindRVMA, 100)) + ".csv"
+		name := strings.NewReplacer("/", "-", "|", "_").Replace(cellName(rs)) + ".csv"
 		data, err := os.ReadFile(filepath.Join(o.TelemetryDir, name))
 		if err != nil {
 			t.Fatalf("cell time-series not written: %v", err)
@@ -117,15 +121,15 @@ func TestBenchLogRecordsCells(t *testing.T) {
 	o := DefaultOptions()
 	o.Nodes = 64
 	o.Bench = &BenchLog{}
-	nc := telemetryTestNet()
-	if _, err := runFigureCell(o, MotifSweep3D, motif.KindRVMA, nc, 100, newCellRegistry(o.Shards)); err != nil {
+	rs := o.spec(MotifSweep3D, "rvma", telemetryTestNet(), 100)
+	if err := flushCellOutput(o, runOneCell(o, rs, newCellRegistry(o.Shards))); err != nil {
 		t.Fatal(err)
 	}
 	if len(o.Bench.Records) != 1 {
 		t.Fatalf("bench log has %d records, want 1", len(o.Bench.Records))
 	}
 	rec := o.Bench.Records[0]
-	if want := cellName(MotifSweep3D, nc, motif.KindRVMA, 100); rec.Cell != want {
+	if want := cellName(rs); rec.Cell != want {
 		t.Errorf("cell = %q, want %q", rec.Cell, want)
 	}
 	if rec.SimNS <= 0 || rec.Events == 0 || rec.EventsPerSec <= 0 {

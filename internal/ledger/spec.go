@@ -1,12 +1,16 @@
 package ledger
 
-// RunSpec captures everything needed to rebuild and replay the run a
-// ledger was recorded from — strings and numbers only, so it survives a
-// round trip through the ledger file. The harness fills it when writing
-// per-cell ledgers; cmd/simdiff hands it back to the harness's replay
-// entry point when a divergence needs a full-resolution window.
+// RunSpec describes one motif cell: everything needed to build, run and
+// replay it, in strings and numbers only, so it survives a round trip
+// through the ledger file. It is the one description of a cell: the
+// harness's figure sweeps and rvmasim (single runs and -seeds replicas)
+// fill it and run it through the harness's one cell builder, which embeds
+// it in the ledgers they write; cmd/simdiff hands it back to the same
+// builder when a divergence needs a full-resolution replay window. Zero
+// model knobs mean the motif.DefaultClusterConfig values, so ledgers
+// written before a knob existed still replay.
 type RunSpec struct {
-	// Motif is the workload name: "sweep3d", "halo3d" or "incast".
+	// Motif is the workload name: "sweep3d", "halo3d", "incast" or "kv".
 	Motif string `json:"motif"`
 	// Transport is "rvma" or "rdma".
 	Transport string `json:"transport"`
@@ -23,19 +27,25 @@ type RunSpec struct {
 	Gbps float64 `json:"gbps"`
 	// Seed is the engine RNG seed.
 	Seed uint64 `json:"seed"`
-	// Drop is the fault-injection drop rate (0 = lossless).
+	// RDMABuffers is the RDMA transport's negotiated buffers per pair
+	// (0 = the default, 1).
+	RDMABuffers int `json:"rdma_buffers,omitempty"`
+	// RVMADepth is the RVMA transport's posted buffer depth per mailbox
+	// (0 = the default, 4).
+	RVMADepth int `json:"rvma_depth,omitempty"`
+	// FaultPlan is a fabric.ParseFaultPlan spec ("drop=RATE,burst=N,
+	// window=NODE:FROM:TO:RATE"); empty means no plan.
+	FaultPlan string `json:"fault_plan,omitempty"`
+	// Drop is a uniform drop rate layered on top of FaultPlan, or standing
+	// alone when FaultPlan is empty (0 = lossless).
 	Drop float64 `json:"drop,omitempty"`
 	// Recover enables the recovery layer.
 	Recover bool `json:"recover,omitempty"`
 	// RetryBudget overrides the recovery retry budget when > 0.
 	RetryBudget int `json:"retry_budget,omitempty"`
-	// KV parameters (set only when Motif is "kv"): the resolved workload
-	// knobs of the KV dataplane cell. The harness embeds the values the
-	// run actually used — not the CLI defaults — so a replay rebuilds the
-	// identical proxy plans. KVSkew and KVGapNs are meaningful at zero
-	// (uniform keys / no pacing) and are always applied on replay when
-	// Motif is "kv"; the remaining fields fall back to the motif defaults
-	// when zero.
+	// KV parameters (set only when Motif is "kv"): the workload knobs of
+	// the KV dataplane cell. KVSkew is literal (0 is a uniform keyspace);
+	// every other field falls back to the motif default when zero.
 	KVSkew    float64 `json:"kv_skew,omitempty"`
 	KVGapNs   float64 `json:"kv_gap_ns,omitempty"`
 	KVOps     int     `json:"kv_ops,omitempty"`
