@@ -59,7 +59,7 @@ func main() {
 
 	for rank := 0; rank < ranks; rank++ {
 		rank := rank
-		eng.Spawn(fmt.Sprintf("rank%d", rank), func(p *sim.Process) {
+		eng.Spawn("rank", func(p *sim.Process) {
 			for e := 1; e <= epochs; e++ {
 				var b [8]byte
 				binary.LittleEndian.PutUint64(b[:], stamp(e, rank))

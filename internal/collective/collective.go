@@ -213,7 +213,7 @@ func RunCollective(c *motif.Cluster, cfg Config) (sim.Time, error) {
 	tag := c.Tag.Retag("collective")
 	for rank := 0; rank < n; rank++ {
 		tp := c.Transports[rank]
-		tag.Spawn(fmt.Sprintf("coll-r%d", rank), func(p *sim.Process) {
+		tag.Spawn("coll-rank", func(p *sim.Process) {
 			peers := neighborsAll(tp)
 			p.Wait(tp.Prepare(peers, peers, maxMsg))
 			for i := 0; i < cfg.Iterations; i++ {

@@ -145,12 +145,15 @@ func (c Config) Validate() error {
 
 // Packet is one wire packet. Payload semantics belong to the NIC protocol
 // layers; the fabric only reads Size (payload bytes, excluding header) and
-// the addressing fields.
+// the addressing fields. The packets of one message share one Payload,
+// which describes the whole message and which no one mutates once sent;
+// Offset says where this packet's Size bytes sit within that message.
 type Packet struct {
 	ID      uint64
 	Src     int
 	Dst     int
-	Size    int // payload bytes; HeaderBytes is added on the wire
+	Size    int   // payload bytes; HeaderBytes is added on the wire
+	Offset  int32 // of this packet's payload within its message
 	Payload any
 
 	// Bookkeeping maintained by the fabric.

@@ -4,13 +4,13 @@ import (
 	"go/ast"
 )
 
-// Goroutine flags go statements in model packages. The kernel guarantees
-// that exactly one goroutine — the engine loop or one cooperatively
-// scheduled process — is runnable at any instant; a raw go statement
-// races the engine, and the Go scheduler's interleaving is not
-// reproducible across runs. The single legitimate use is the kernel's
-// own process machinery (internal/sim/process.go), which carries an
-// allow directive.
+// Goroutine flags go statements in model packages. An engine's events
+// and the process coroutines they switch into run one at a time; a raw
+// go statement races the engine, and the Go scheduler's interleaving is
+// not reproducible across runs. Processes need no go statement (they are
+// iter.Pull coroutines); the single legitimate use is the shard group's
+// per-shard workers (internal/sim/shard.go), which carry an allow
+// directive.
 var Goroutine = &Analyzer{
 	Name: "goroutine",
 	Doc: "forbid go statements in model packages; all model code must run on the engine " +

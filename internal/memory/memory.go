@@ -375,12 +375,12 @@ type CompletionCell struct {
 	reg *Region
 }
 
-// NewCompletionCell allocates and zeroes a completion cell.
-func NewCompletionCell(m *Memory) *CompletionCell {
+// MakeCompletionCell allocates a zeroed completion cell in m. It returns
+// the cell by value, so an owner (an RVMA buffer) can embed it.
+func MakeCompletionCell(m *Memory) CompletionCell {
 	// A full cache line so the cell never shares a line with another cell:
 	// false sharing would make MWait wake-ups ambiguous.
-	r := m.Alloc(CacheLineSize)
-	return &CompletionCell{mem: m, reg: r}
+	return CompletionCell{mem: m, reg: m.Alloc(CacheLineSize)}
 }
 
 // Addr returns the cell's address (the completion pointer address handed to

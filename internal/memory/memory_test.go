@@ -156,7 +156,7 @@ func TestMultipleWatchersOneLine(t *testing.T) {
 
 func TestCompletionCell(t *testing.T) {
 	m := New()
-	c := NewCompletionCell(m)
+	c := MakeCompletionCell(m)
 	if c.Addr()%CacheLineSize != 0 {
 		t.Fatal("completion cell must be cache-line aligned")
 	}
@@ -176,7 +176,7 @@ func TestCompletionCell(t *testing.T) {
 
 func TestCompletionCellWatch(t *testing.T) {
 	m := New()
-	c := NewCompletionCell(m)
+	c := MakeCompletionCell(m)
 	var seen Addr
 	m.Watch(c.Addr(), func(Addr, int) {
 		h, _ := c.Get()
@@ -190,8 +190,8 @@ func TestCompletionCellWatch(t *testing.T) {
 
 func TestCompletionCellsDontShareLines(t *testing.T) {
 	m := New()
-	a := NewCompletionCell(m)
-	b := NewCompletionCell(m)
+	a := MakeCompletionCell(m)
+	b := MakeCompletionCell(m)
 	fired := false
 	m.Watch(a.Addr(), func(Addr, int) { fired = true })
 	b.Set(1, 1)
@@ -350,7 +350,7 @@ func TestDemandZeroPages(t *testing.T) {
 
 func TestSmallRegionMaterializesItsSize(t *testing.T) {
 	m := New()
-	c := NewCompletionCell(m)
+	c := MakeCompletionCell(m)
 	c.Set(0x1000, 8)
 	if m.ResidentBytes() != CacheLineSize {
 		t.Fatalf("resident=%d, want one cache line", m.ResidentBytes())

@@ -134,7 +134,7 @@ func TestRDMAAdaptivePenaltyDecomposition(t *testing.T) {
 // the completion unit wrote, never a torn or stale value.
 func TestWatcherObservesExactCellWrite(t *testing.T) {
 	mem := memory.New()
-	cell := memory.NewCompletionCell(mem)
+	cell := memory.MakeCompletionCell(mem)
 	var seen [][2]uint64
 	mem.Watch(cell.Addr(), func(memory.Addr, int) {
 		h, l := cell.Get()

@@ -96,7 +96,7 @@ func RunHalo3D(c *Cluster, cfg Halo3DConfig) (sim.Time, error) {
 			peers[i] = f.peer
 		}
 		tag := c.TagFor(rank)
-		tag.Spawn(fmt.Sprintf("halo-r%d", rank), func(p *sim.Process) {
+		tag.Spawn("halo-rank", func(p *sim.Process) {
 			p.Wait(tp.Prepare(peers, peers, maxMsg))
 			for iter := 0; iter < cfg.Iterations; iter++ {
 				p.Sleep(cfg.iterComputeTime())

@@ -53,11 +53,12 @@ func RunIncast(c *Cluster, cfg IncastConfig) (sim.Time, error) {
 		}
 		fin.arrive(0, srvTag.Now())
 	})
+	server0 := []int{0} // every client's only out-peer; Prepare only reads it
 	for _, cl := range clients {
 		tp := c.Transports[cl]
 		tag := c.TagFor(cl)
-		tag.Spawn(fmt.Sprintf("incast-c%d", cl), func(p *sim.Process) {
-			p.Wait(tp.Prepare(nil, []int{0}, cfg.MsgBytes))
+		tag.Spawn("incast-client", func(p *sim.Process) {
+			p.Wait(tp.Prepare(nil, server0, cfg.MsgBytes))
 			for m := 0; m < cfg.Messages; m++ {
 				p.Wait(tp.Send(0, cfg.MsgBytes))
 			}

@@ -325,7 +325,7 @@ func RunKV(c *Cluster, cfg KVConfig) (sim.Time, *KVResult, error) {
 				active = append(active, pi)
 			}
 		}
-		tag.Spawn(fmt.Sprintf("kv-server%d", s), func(p *sim.Process) {
+		tag.Spawn("kv-server", func(p *sim.Process) {
 			peers := make([]int, len(active))
 			for i, pi := range active {
 				peers[i] = cfg.Servers + pi
@@ -339,7 +339,7 @@ func RunKV(c *Cluster, cfg KVConfig) (sim.Time, *KVResult, error) {
 			for _, pi := range active {
 				pi := pi
 				count := pairCount[pi][s]
-				tag.Spawn(fmt.Sprintf("kv-server%d-p%d", s, pi), func(p *sim.Process) {
+				tag.Spawn("kv-server-proxy", func(p *sim.Process) {
 					prox := cfg.Servers + pi
 					for i := 0; i < count; i++ {
 						p.Wait(tp.Recv(prox, cfg.reqBytes()))
@@ -376,7 +376,7 @@ func RunKV(c *Cluster, cfg KVConfig) (sim.Time, *KVResult, error) {
 		for i := range plan {
 			seq[plan[i].server] = append(seq[plan[i].server], i)
 		}
-		tag.Spawn(fmt.Sprintf("kv-proxy%d", pi), func(p *sim.Process) {
+		tag.Spawn("kv-proxy", func(p *sim.Process) {
 			active := make([]int, 0, cfg.Servers)
 			for s := 0; s < cfg.Servers; s++ {
 				if len(seq[s]) > 0 {
@@ -394,7 +394,7 @@ func RunKV(c *Cluster, cfg KVConfig) (sim.Time, *KVResult, error) {
 			for _, s := range active {
 				s := s
 				idxs := seq[s]
-				tag.Spawn(fmt.Sprintf("kv-proxy%d-s%d", pi, s), func(p *sim.Process) {
+				tag.Spawn("kv-proxy-server", func(p *sim.Process) {
 					for _, idx := range idxs {
 						p.Wait(tp.Recv(s, cfg.respBytes()))
 						rep := respQ[s][pi].pop()

@@ -101,7 +101,7 @@ func RunSweep3D(c *Cluster, cfg Sweep3DConfig) (sim.Time, error) {
 				peers = append(peers, nj*cfg.Px+ni)
 			}
 		}
-		tag.Spawn(fmt.Sprintf("sweep-r%d", rank), func(p *sim.Process) {
+		tag.Spawn("sweep-rank", func(p *sim.Process) {
 			p.Wait(tp.Prepare(peers, peers, maxMsg))
 			for iter := 0; iter < cfg.Iterations; iter++ {
 				for _, corner := range sweepCorners {

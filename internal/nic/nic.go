@@ -13,6 +13,7 @@ package nic
 
 import (
 	"fmt"
+	"math"
 
 	"rvma/internal/fabric"
 	"rvma/internal/memory"
@@ -91,7 +92,10 @@ func (p Profile) RegistrationTime(size int) sim.Time {
 // Handler consumes a protocol packet payload on the receive side, after the
 // NIC receive pipeline has accounted its processing time. It must not
 // retain pkt after it returns: the fabric recycles the packet then, so a
-// handler copies out the fields and the payload it still needs.
+// handler copies out the fields and the payload it still needs. Every
+// packet of a message carries the one payload SendMessage's build returned
+// for it; a handler reads that payload, never writes it, and finds its
+// packet's part of the message at pkt.Offset.
 type Handler func(pkt *fabric.Packet)
 
 // NIC is one node's network interface: bus, pipelines and dispatch.
@@ -223,8 +227,10 @@ func (n *NIC) deliver(pkt *fabric.Packet) {
 // SendMessage segments a message of total payload bytes to dst and pushes
 // it through the send pipeline: one doorbell write, then per packet a
 // payload DMA read over the bus and NIC processing, then fabric injection.
-// build constructs each packet's protocol payload given its (offset, size)
-// within the message. The optional done (at most one) is the caller's
+// build returns each packet's protocol payload given its (offset, size)
+// within the message; the protocols return one read-only command for every
+// packet, and each packet records its offset in Packet.Offset. A message
+// is at most math.MaxInt32 bytes. The optional done (at most one) is the caller's
 // continuation: it runs as its own event when the last packet has been
 // handed to the fabric (local send completion); remote delivery semantics
 // belong to the protocols. Without done that event still fires, running
@@ -237,8 +243,8 @@ func (n *NIC) deliver(pkt *fabric.Packet) {
 //
 //rvmalint:hot
 func (n *NIC) SendMessage(dst, total int, build func(off, size int) any, done ...func()) {
-	if total < 0 {
-		panic("nic: negative message size")
+	if total < 0 || total > math.MaxInt32 {
+		panic(fmt.Sprintf("nic: message size %d outside [0, MaxInt32]", total))
 	}
 	if len(done) > 1 {
 		panic("nic: SendMessage takes at most one completion callback")
@@ -271,6 +277,7 @@ func (n *NIC) SendMessage(dst, total int, build func(off, size int) any, done ..
 		}
 		procDone := n.sendPipe.AcquireAt(dmaDone, n.prof.SendPacketProc)
 		pkt := n.net.NewPacket(n.node, dst, size, build(off, size))
+		pkt.Offset = int32(off)
 		n.PacketsSent++
 		n.mPkts.Add(1)
 		n.eng.At(procDone, n.net.InjectEvent(pkt))
@@ -323,7 +330,7 @@ type MsgKey struct {
 // resequencing; RVMA's EPOCH_OPS counting needs it to count an operation
 // exactly once.
 type Assembler struct {
-	inflight map[MsgKey]*asmState
+	inflight map[MsgKey]asmState // by value: a multi-packet message allocates nothing
 }
 
 type asmState struct {
@@ -333,7 +340,7 @@ type asmState struct {
 
 // NewAssembler returns an empty assembler.
 func NewAssembler() *Assembler {
-	return &Assembler{inflight: make(map[MsgKey]*asmState)}
+	return &Assembler{inflight: make(map[MsgKey]asmState)}
 }
 
 // Add records size arrived bytes for message key with the given total
@@ -346,7 +353,7 @@ func (a *Assembler) Add(key MsgKey, size, total int) bool {
 		if size >= total {
 			return true
 		}
-		a.inflight[key] = &asmState{received: size, total: total}
+		a.inflight[key] = asmState{received: size, total: total}
 		return false
 	}
 	st.received += size
@@ -354,6 +361,7 @@ func (a *Assembler) Add(key MsgKey, size, total int) bool {
 		delete(a.inflight, key)
 		return true
 	}
+	a.inflight[key] = st
 	return false
 }
 

@@ -48,6 +48,8 @@ type PutOp struct {
 	Local *sim.Future
 
 	local sim.Future // what Local points at: one allocation per put
+	cmd   command    // the wire command every data packet carries
+	fence command    // the trailing fence send's command (CompleteSendRecv)
 }
 
 // Put writes data into the remote buffer at offset using the given
@@ -69,10 +71,16 @@ func (ep *Endpoint) put(rb RemoteBuffer, offset, size int, data []byte, scheme C
 		panic(fmt.Sprintf("rdma: put [%d,%d) exceeds remote buffer of %d", offset, offset+size, rb.Size))
 	}
 	ep.Stats.PutsInitiated++
-	op := &PutOp{}
-	op.Local = &op.local
 	msgID := ep.nextMsgID
 	ep.nextMsgID++
+	op := &PutOp{cmd: command{
+		op: opPutData, msgID: msgID, rkey: rb.RKey, msgOffset: offset, total: size,
+		wantAck: scheme == CompleteSendRecv && !ep.cfg.PipelinedFence,
+	}}
+	op.Local = &op.local
+	if ep.cfg.CarryData {
+		op.cmd.data = data
+	}
 
 	eng := ep.eng
 	prof := ep.nic.Profile()
@@ -80,7 +88,6 @@ func (ep *Endpoint) put(rb RemoteBuffer, offset, size int, data []byte, scheme C
 	eng.Schedule(prof.HostPostOverhead, func() {
 		sp.Stage(eng.Now(), "host_post")
 		txWait := ep.nic.SendBacklog() + ep.nic.DMABacklog()
-		wantAck := scheme == CompleteSendRecv && !ep.cfg.PipelinedFence
 		// One continuation for the data's local completion: close the
 		// nic_tx stage and, unless a fence send follows, the put itself.
 		sent := func() {
@@ -89,33 +96,18 @@ func (ep *Endpoint) put(rb RemoteBuffer, offset, size int, data []byte, scheme C
 				op.Local.Complete(eng.Engine, nil)
 			}
 		}
-		ep.nic.SendMessage(rb.Node, size, func(off, n int) any {
-			var chunk []byte
-			if data != nil && ep.cfg.CarryData {
-				chunk = data[off : off+n]
-			}
-			return &command{
-				op:        opPutData,
-				msgID:     msgID,
-				rkey:      rb.RKey,
-				msgOffset: offset,
-				pktOffset: off,
-				total:     size,
-				data:      chunk,
-				wantAck:   wantAck,
-			}
-		}, sent)
+		ep.nic.SendMessage(rb.Node, size, func(int, int) any { return &op.cmd }, sent)
 		ep.sentBytes[rb.Node] += uint64(size)
 		if scheme != CompleteSendRecv {
 			return
 		}
 		fence := ep.sentBytes[rb.Node]
 		postFenceSend := func() {
-			sendID := ep.nextMsgID
+			op.fence = command{op: opSend, msgID: ep.nextMsgID, qp: FenceQP, total: 1, fenceBytes: fence}
 			ep.nextMsgID++
-			ep.nic.SendMessage(rb.Node, 1, func(off, n int) any {
-				return &command{op: opSend, msgID: sendID, qp: FenceQP, total: 1, fenceBytes: fence}
-			}, func() { op.Local.Complete(eng.Engine, nil) })
+			ep.nic.SendMessage(rb.Node, 1, func(int, int) any { return &op.fence }, func() {
+				op.Local.Complete(eng.Engine, nil)
+			})
 		}
 		if ep.cfg.PipelinedFence {
 			// Aggressive runtime: post the send right behind the data (one
@@ -149,27 +141,20 @@ func (ep *Endpoint) PutWithImmediate(rb RemoteBuffer, offset int, data []byte) (
 		return nil, fmt.Errorf("%w: [%d,%d) in %d", ErrOutOfBounds, offset, offset+size, rb.Size)
 	}
 	ep.Stats.PutsInitiated++
-	op := &PutOp{}
+	op := &PutOp{cmd: command{
+		op: opPutData, msgID: ep.nextMsgID, rkey: rb.RKey, msgOffset: offset, total: size,
+		imm: &immediateInfo{rkey: rb.RKey},
+	}}
 	op.Local = &op.local
-	msgID := ep.nextMsgID
+	if ep.cfg.CarryData {
+		op.cmd.data = data
+	}
 	ep.nextMsgID++
 	eng := ep.eng
 	eng.Schedule(ep.nic.Profile().HostPostOverhead, func() {
-		var chunk []byte
-		if ep.cfg.CarryData {
-			chunk = data
-		}
-		ep.nic.SendMessage(rb.Node, size, func(off, n int) any {
-			return &command{
-				op:        opPutData,
-				msgID:     msgID,
-				rkey:      rb.RKey,
-				msgOffset: offset,
-				total:     size,
-				data:      chunk,
-				imm:       &immediateInfo{rkey: rb.RKey},
-			}
-		}, func() { op.Local.Complete(eng.Engine, nil) })
+		ep.nic.SendMessage(rb.Node, size, func(int, int) any { return &op.cmd }, func() {
+			op.Local.Complete(eng.Engine, nil)
+		})
 		ep.sentBytes[rb.Node] += uint64(size)
 	})
 	return op, nil
@@ -180,6 +165,7 @@ type SendOp struct {
 	Local *sim.Future
 
 	local sim.Future // what Local points at
+	cmd   command    // the wire command every packet of the send carries
 }
 
 // Send issues a two-sided message of the given size to dst on the given
@@ -188,19 +174,17 @@ type SendOp struct {
 // bytes to that destination have landed (per-QP operation ordering).
 // Control QPs (qp != FenceQP) carry no fence.
 func (ep *Endpoint) Send(dst, qp, size int) *SendOp {
-	op := &SendOp{}
+	op := &SendOp{cmd: command{op: opSend, msgID: ep.nextMsgID, qp: qp, total: size}}
 	op.Local = &op.local
-	msgID := ep.nextMsgID
 	ep.nextMsgID++
 	eng := ep.eng
 	eng.Schedule(ep.nic.Profile().HostPostOverhead, func() {
-		var fence uint64
 		if qp == FenceQP {
-			fence = ep.sentBytes[dst]
+			op.cmd.fenceBytes = ep.sentBytes[dst]
 		}
-		ep.nic.SendMessage(dst, size, func(off, n int) any {
-			return &command{op: opSend, msgID: msgID, qp: qp, pktOffset: off, total: size, fenceBytes: fence}
-		}, func() { op.Local.Complete(eng.Engine, nil) })
+		ep.nic.SendMessage(dst, size, func(int, int) any { return &op.cmd }, func() {
+			op.Local.Complete(eng.Engine, nil)
+		})
 	})
 	return op
 }

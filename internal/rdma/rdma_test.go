@@ -494,35 +494,57 @@ func TestFenceSendNeverCompletesOnHoledBuffer(t *testing.T) {
 	}
 }
 
-// TestPutNAllocationCeiling pins what one 4 KiB PutN with the trailing
-// send/recv fence costs on the heap, from issue to the target's receive
-// completion: the ops, their commands and the completion events, with no
-// future or closure per NIC send and no packet (the fabric recycles
-// them). A new allocation on the put or fence path fails it.
+// TestPutNAllocationCeiling pins what one PutN with the trailing
+// send/recv fence, and one plain Send, cost on the heap from issue to the
+// target's receive completion: the ops (each carrying the one command all
+// its packets share), their receives and the completion events, with no
+// future or closure per NIC send and no packet (the fabric recycles them).
+// A 4-packet message costs exactly what a 1-packet one does. A new
+// allocation on the put, fence or send path fails it.
 func TestPutNAllocationCeiling(t *testing.T) {
 	if sim.DebugEnabled {
 		t.Skip("simdebug invariant checks box their arguments; the gate is for normal builds")
 	}
-	cfg := DefaultConfig()
-	cfg.CarryData = false
-	eng, src, dst := pair(t, cfg, fabric.DefaultConfig(), 1)
-	const size = 4096
-	rb := handshake(t, eng, src, 1, size)
-	done := 0
-	fenced := func() { done++ }
-	put := func() {
-		dst.PostRecv(0, FenceQP).Done.OnComplete(fenced)
-		src.PutN(rb, 0, size, CompleteSendRecv)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		eng.Schedule(0, put)
-		eng.Run()
-	})
-	if done != 201 {
-		t.Fatalf("%d of 201 fenced puts completed", done)
-	}
-	const ceiling = 15
-	if allocs > ceiling {
-		t.Fatalf("%v allocs per fenced PutN, want at most %d", allocs, ceiling)
+	for _, c := range []struct {
+		name    string
+		ceiling float64
+		op      func(src, dst *Endpoint, rb RemoteBuffer, size int, recvd func())
+	}{
+		{"fenced PutN", 11, func(src, dst *Endpoint, rb RemoteBuffer, size int, recvd func()) {
+			dst.PostRecv(0, FenceQP).Done.OnComplete(recvd)
+			src.PutN(rb, 0, size, CompleteSendRecv)
+		}},
+		{"Send", 8, func(src, dst *Endpoint, rb RemoteBuffer, size int, recvd func()) {
+			dst.PostRecv(0, FenceQP).Done.OnComplete(recvd)
+			src.Send(1, FenceQP, size)
+		}},
+	} {
+		perPackets := map[int]float64{}
+		for _, packets := range []int{1, 4} {
+			cfg := DefaultConfig()
+			cfg.CarryData = false
+			fcfg := fabric.DefaultConfig()
+			eng, src, dst := pair(t, cfg, fcfg, 1)
+			size := packets * fcfg.MTU
+			rb := handshake(t, eng, src, 1, size)
+			done := 0
+			recvd := func() { done++ }
+			op := func() { c.op(src, dst, rb, size, recvd) }
+			allocs := testing.AllocsPerRun(200, func() {
+				eng.Schedule(0, op)
+				eng.Run()
+			})
+			if done != 201 {
+				t.Fatalf("%s, %d packets: %d of 201 completed", c.name, packets, done)
+			}
+			if allocs > c.ceiling {
+				t.Errorf("%s, %d packets: %v allocs, want at most %v", c.name, packets, allocs, c.ceiling)
+			}
+			perPackets[packets] = allocs
+		}
+		if perPackets[4] != perPackets[1] {
+			t.Errorf("a 4-packet %s costs %v allocs, a 1-packet one %v: the per-message cost grew per packet",
+				c.name, perPackets[4], perPackets[1])
+		}
 	}
 }

@@ -88,7 +88,8 @@ func (ep *Endpoint) handlePutData(pkt *fabric.Packet, cmd *command) {
 		ep.mDrops.Add(1)
 		return
 	}
-	place := cmd.msgOffset + cmd.pktOffset
+	off := int(pkt.Offset) // of this packet's bytes within the message
+	place := cmd.msgOffset + off
 	if place+pkt.Size > mr.Region.Size() {
 		ep.Stats.Drops++
 		ep.mDrops.Add(1)
@@ -105,7 +106,7 @@ func (ep *Endpoint) handlePutData(pkt *fabric.Packet, cmd *command) {
 	// data still has holes.
 	var relDone bool
 	if cmd.reliable {
-		_, done, dup := ep.relAsm.Add(key, cmd.pktOffset, size, cmd.total)
+		_, done, dup := ep.relAsm.Add(key, off, size, cmd.total)
 		if dup {
 			ep.Stats.DupPackets++
 			if ep.relAsm.Done(key) {
@@ -122,7 +123,7 @@ func (ep *Endpoint) handlePutData(pkt *fabric.Packet, cmd *command) {
 	busWait := ep.nic.Bus().Backlog(eng.Engine)
 	dmaDone := ep.nic.Bus().TransferTime(eng.Engine, size)
 	if ep.cfg.CarryData && cmd.data != nil {
-		data := cmd.data
+		data := cmd.data[off : off+size]
 		base := mr.Region.Base + memory.Addr(place)
 		eng.At(dmaDone, func() { ep.Memory().Write(base, data) })
 	}
@@ -216,7 +217,7 @@ func (ep *Endpoint) handleSend(pkt *fabric.Packet, cmd *command) {
 	if cmd.reliable {
 		// Reliable sends dedup by offset and ack on full reassembly; a
 		// duplicate completion must not enqueue the send a second time.
-		_, done, dup := ep.relAsm.Add(key, cmd.pktOffset, pkt.Size, cmd.total)
+		_, done, dup := ep.relAsm.Add(key, int(pkt.Offset), pkt.Size, cmd.total)
 		if dup {
 			ep.Stats.DupPackets++
 			if ep.relAsm.Done(key) {
@@ -306,22 +307,14 @@ func (ep *Endpoint) handleReadReq(pkt *fabric.Packet, cmd *command) {
 	}
 	ep.Stats.ReadsServed++
 	eng := ep.eng
-	var data []byte
+	reply := &command{op: opReadReply, msgID: cmd.msgID, total: cmd.size}
 	if ep.cfg.CarryData {
-		data = ep.Memory().Read(mr.Region.Base+memory.Addr(cmd.msgOffset), cmd.size)
+		reply.data = ep.Memory().Read(mr.Region.Base+memory.Addr(cmd.msgOffset), cmd.size)
 	}
 	readDone := ep.nic.Bus().TransferTime(eng.Engine, cmd.size)
 	src := pkt.Src
-	msgID := cmd.msgID
-	size := cmd.size
 	eng.At(readDone, func() {
-		ep.nic.SendMessage(src, size, func(off, n int) any {
-			var chunk []byte
-			if data != nil {
-				chunk = data[off : off+n]
-			}
-			return &command{op: opReadReply, msgID: msgID, pktOffset: off, total: size, data: chunk}
-		})
+		ep.nic.SendMessage(src, reply.total, func(int, int) any { return reply })
 	})
 }
 
@@ -337,7 +330,8 @@ func (ep *Endpoint) handleReadReply(pkt *fabric.Packet, cmd *command) {
 			buf = make([]byte, cmd.total)
 			ep.readBuf[cmd.msgID] = buf
 		}
-		copy(buf[cmd.pktOffset:], cmd.data)
+		off := int(pkt.Offset)
+		copy(buf[off:], cmd.data[off:off+pkt.Size])
 	}
 	if ep.readAsm.Add(nic.MsgKey{Src: pkt.Src, MsgID: cmd.msgID}, pkt.Size, cmd.total) {
 		eng := ep.eng

@@ -26,6 +26,7 @@ type Attempt struct {
 	Acked *sim.Future
 
 	local, acked sim.Future // what the exported fields point at
+	cmd          command    // the wire command every packet of the attempt carries
 }
 
 // reliableOp lets the ack dispatch resolve whichever attempt is current.
@@ -90,25 +91,17 @@ func (ep *Endpoint) AbandonReliable(msgID uint64) {
 
 func (ep *Endpoint) sendPutAttempt(rp *ReliablePut, sp *metrics.Span) *Attempt {
 	ep.Stats.PutsInitiated++
-	at := &Attempt{}
+	at := &Attempt{cmd: command{
+		op: opPutData, msgID: rp.msgID, rkey: rp.rb.RKey, msgOffset: rp.offset, total: rp.size,
+		wantAck: true, reliable: true,
+	}}
 	at.Local, at.Acked = &at.local, &at.acked
 	rp.attempt = at
 	eng := ep.eng
 	eng.Schedule(ep.nic.Profile().HostPostOverhead, func() {
 		sp.Stage(eng.Now(), "host_post")
 		txWait := ep.nic.SendBacklog() + ep.nic.DMABacklog()
-		ep.nic.SendMessage(rp.rb.Node, rp.size, func(off, n int) any {
-			return &command{
-				op:        opPutData,
-				msgID:     rp.msgID,
-				rkey:      rp.rb.RKey,
-				msgOffset: rp.offset,
-				pktOffset: off,
-				total:     rp.size,
-				wantAck:   true,
-				reliable:  true,
-			}
-		}, func() {
+		ep.nic.SendMessage(rp.rb.Node, rp.size, func(int, int) any { return &at.cmd }, func() {
 			sp.StageWait(eng.Now(), "nic_tx", txWait)
 			at.Local.Complete(eng.Engine, nil)
 		})
@@ -157,22 +150,16 @@ func (ep *Endpoint) RetransmitSend(rs *ReliableSend) *Attempt {
 }
 
 func (ep *Endpoint) sendSendAttempt(rs *ReliableSend) *Attempt {
-	at := &Attempt{}
+	at := &Attempt{cmd: command{
+		op: opSend, msgID: rs.msgID, qp: rs.qp, total: rs.size, fenceBytes: rs.fence, reliable: true,
+	}}
 	at.Local, at.Acked = &at.local, &at.acked
 	rs.attempt = at
 	eng := ep.eng
 	eng.Schedule(ep.nic.Profile().HostPostOverhead, func() {
-		ep.nic.SendMessage(rs.dst, rs.size, func(off, n int) any {
-			return &command{
-				op:         opSend,
-				msgID:      rs.msgID,
-				qp:         rs.qp,
-				pktOffset:  off,
-				total:      rs.size,
-				fenceBytes: rs.fence,
-				reliable:   true,
-			}
-		}, func() { at.Local.Complete(eng.Engine, nil) })
+		ep.nic.SendMessage(rs.dst, rs.size, func(int, int) any { return &at.cmd }, func() {
+			at.Local.Complete(eng.Engine, nil)
+		})
 	})
 	return at
 }

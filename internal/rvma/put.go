@@ -50,6 +50,13 @@ func (ep *Endpoint) put(dst int, vaddr VAddr, offset, size int, data []byte) *Pu
 	op.Local, op.Nack = &op.local, &op.nack
 	ep.nextMsgID++
 	ep.pendingPuts[op.msgID] = op
+	// The command every packet carries is its own allocation, not a field
+	// of op: pendingPuts keeps op for the endpoint's lifetime (a NACK may
+	// come at any time), and the command need not live that long.
+	cmd := &command{op: opPut, msgID: op.msgID, vaddr: vaddr, msgOffset: offset, total: size}
+	if ep.cfg.CarryData {
+		cmd.data = data
+	}
 
 	eng := ep.eng
 	sp := ep.reg.BeginSpan(eng.Now(), metrics.SpanKey{Node: ep.Node(), ID: op.msgID}, "rvma.put", ep.Node())
@@ -59,21 +66,7 @@ func (ep *Endpoint) put(dst int, vaddr VAddr, offset, size int, data []byte) *Pu
 		// NIC queue depth at post time: the part of the nic_tx stage the
 		// message spends behind earlier sends rather than being pipelined.
 		txWait := ep.nic.SendBacklog() + ep.nic.DMABacklog()
-		ep.nic.SendMessage(dst, size, func(off, n int) any {
-			var chunk []byte
-			if data != nil && ep.cfg.CarryData {
-				chunk = data[off : off+n]
-			}
-			return &command{
-				op:        opPut,
-				msgID:     op.msgID,
-				vaddr:     vaddr,
-				msgOffset: offset,
-				pktOffset: off,
-				total:     size,
-				data:      chunk,
-			}
-		}, func() {
+		ep.nic.SendMessage(dst, size, func(int, int) any { return cmd }, func() {
 			sp.StageWait(eng.Now(), "nic_tx", txWait)
 			op.Local.Complete(eng.Engine, nil)
 		})
@@ -115,6 +108,7 @@ type PutAttempt struct {
 	Nack *sim.Future
 
 	local, acked, nack sim.Future // what the exported fields point at
+	cmd                command    // the wire command every packet of the attempt carries
 }
 
 // PutNAcked initiates a reliable put (no payload bytes, like PutN) and
@@ -160,7 +154,9 @@ func (ep *Endpoint) AbandonPut(rp *ReliablePut) {
 // message span; retransmits ride the existing one.
 func (ep *Endpoint) sendAttempt(rp *ReliablePut, sp *metrics.Span) *PutAttempt {
 	ep.Stats.PutsInitiated++
-	at := &PutAttempt{}
+	at := &PutAttempt{cmd: command{
+		op: opPut, msgID: rp.msgID, vaddr: rp.vaddr, msgOffset: rp.offset, total: rp.size, wantAck: true,
+	}}
 	at.Local, at.Acked, at.Nack = &at.local, &at.acked, &at.nack
 	rp.attempt = at
 
@@ -169,17 +165,7 @@ func (ep *Endpoint) sendAttempt(rp *ReliablePut, sp *metrics.Span) *PutAttempt {
 	eng.Schedule(post, func() {
 		sp.Stage(eng.Now(), "host_post")
 		txWait := ep.nic.SendBacklog() + ep.nic.DMABacklog()
-		ep.nic.SendMessage(rp.dst, rp.size, func(off, n int) any {
-			return &command{
-				op:        opPut,
-				msgID:     rp.msgID,
-				vaddr:     rp.vaddr,
-				msgOffset: rp.offset,
-				pktOffset: off,
-				total:     rp.size,
-				wantAck:   true,
-			}
-		}, func() {
+		ep.nic.SendMessage(rp.dst, rp.size, func(int, int) any { return &at.cmd }, func() {
 			sp.StageWait(eng.Now(), "nic_tx", txWait)
 			at.Local.Complete(eng.Engine, nil)
 		})

@@ -68,6 +68,7 @@ func (ep *Endpoint) handlePut(pkt *fabric.Packet, cmd *command) {
 	}
 
 	size := pkt.Size
+	off := int(pkt.Offset) // of this packet's bytes within the message
 	eng := ep.eng
 	key := nic.MsgKey{Src: pkt.Src, MsgID: cmd.msgID}
 
@@ -82,14 +83,14 @@ func (ep *Endpoint) handlePut(pkt *fabric.Packet, cmd *command) {
 		if w.mode != Steered {
 			panic("rvma: reliable put into a managed window (retransmit dedup needs offset placement)")
 		}
-		if cmd.msgOffset+cmd.pktOffset+size > buf.Region.Size() {
+		if cmd.msgOffset+off+size > buf.Region.Size() {
 			if sim.DebugEnabled {
 				ep.dbg.putBytesDropped += uint64(size)
 			}
 			ep.reject(pkt.Src, cmd, ErrNoBuffer)
 			return
 		}
-		_, done, dup := ep.relAsm.Add(key, cmd.pktOffset, size, cmd.total)
+		_, done, dup := ep.relAsm.Add(key, off, size, cmd.total)
 		if dup {
 			if sim.DebugEnabled {
 				ep.dbg.putBytesDuplicate += uint64(size)
@@ -118,7 +119,7 @@ func (ep *Endpoint) handlePut(pkt *fabric.Packet, cmd *command) {
 
 	switch w.mode {
 	case Steered:
-		place := cmd.msgOffset + cmd.pktOffset
+		place := cmd.msgOffset + off
 		if place+size > buf.Region.Size() {
 			if sim.DebugEnabled {
 				ep.dbg.putBytesDropped += uint64(size)
@@ -130,7 +131,7 @@ func (ep *Endpoint) handlePut(pkt *fabric.Packet, cmd *command) {
 			ep.dbg.putBytesPlaced += uint64(size)
 		}
 		if ep.cfg.CarryData && cmd.data != nil {
-			data := cmd.data
+			data := cmd.data[off : off+size]
 			base := buf.Region.Base + memory.Addr(place)
 			eng.At(dmaDone, func() { ep.Memory().Write(base, data) })
 		}
@@ -148,7 +149,7 @@ func (ep *Endpoint) handlePut(pkt *fabric.Packet, cmd *command) {
 		// semantics. Completions rotate buffers mid-packet as thresholds
 		// are crossed.
 		remaining := size
-		dataOff := 0
+		dataOff := off
 		for remaining > 0 {
 			head := w.Head()
 			if head == nil {
@@ -324,29 +325,15 @@ func (ep *Endpoint) handleGetReq(pkt *fabric.Packet, cmd *command) {
 	}
 	ep.Stats.GetsServed++
 	eng := ep.eng
-	var data []byte
+	reply := &command{op: opGetReply, msgID: cmd.msgID, total: cmd.length}
 	if ep.cfg.CarryData {
-		data = ep.Memory().Read(buf.Region.Base+memory.Addr(cmd.msgOffset), cmd.length)
+		reply.data = ep.Memory().Read(buf.Region.Base+memory.Addr(cmd.msgOffset), cmd.length)
 	}
 	// Bus read of the payload, then reply through the send pipeline.
 	readDone := ep.nic.Bus().TransferTime(eng.Engine, cmd.length)
 	src := pkt.Src
-	getID := cmd.msgID
-	length := cmd.length
 	eng.At(readDone, func() {
-		ep.nic.SendMessage(src, length, func(off, n int) any {
-			var chunk []byte
-			if data != nil {
-				chunk = data[off : off+n]
-			}
-			return &command{
-				op:        opGetReply,
-				msgID:     getID,
-				pktOffset: off,
-				total:     length,
-				data:      chunk,
-			}
-		})
+		ep.nic.SendMessage(src, reply.total, func(int, int) any { return reply })
 	})
 }
 
@@ -362,7 +349,8 @@ func (ep *Endpoint) handleGetReply(pkt *fabric.Packet, cmd *command) {
 			buf = make([]byte, cmd.total)
 			ep.getBuf[cmd.msgID] = buf
 		}
-		copy(buf[cmd.pktOffset:], cmd.data)
+		off := int(pkt.Offset)
+		copy(buf[off:], cmd.data[off:off+pkt.Size])
 	}
 	if ep.getAsm.Add(nic.MsgKey{Src: pkt.Src, MsgID: cmd.msgID}, pkt.Size, cmd.total) ||
 		(cmd.total == 0) {

@@ -764,44 +764,59 @@ func TestManagedModeSplitsAcrossSegments(t *testing.T) {
 	}
 }
 
-// TestPutNAllocationCeiling pins what one 4 KiB PutN costs on the heap,
-// from issue to the target's completion and the buffer repost: the put,
-// its commands and the completion, with no future or closure per NIC send
-// and no packet (the fabric recycles them). A new allocation on the put
-// path fails it.
+// TestPutNAllocationCeiling pins what one PutN costs on the heap, from
+// issue to the target's completion and the buffer repost: the put, the one
+// command all its packets share, the span and the completion, with no
+// future or closure per NIC send and no packet (the fabric recycles them). A 4-packet put costs exactly what a 1-packet put
+// does, and the reposted buffer reuses the window queue's backing array.
+// A new allocation on the put path fails it.
 func TestPutNAllocationCeiling(t *testing.T) {
 	if sim.DebugEnabled {
 		t.Skip("simdebug invariant checks box their arguments; the gate is for normal builds")
 	}
-	cfg := DefaultConfig()
-	cfg.CarryData = false
-	eng, src, dst := pair(t, cfg, fabric.DefaultConfig(), 1)
-	const box, size = VAddr(0), 4096
-	win, err := dst.InitWindow(box, 1, EpochOps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	post := func() {
-		if _, err := win.PostBuffer(size); err != nil {
+	const ceiling = 9
+	perPackets := map[int]float64{}
+	for _, packets := range []int{1, 4} {
+		cfg := DefaultConfig()
+		cfg.CarryData = false
+		fcfg := fabric.DefaultConfig()
+		eng, src, dst := pair(t, cfg, fcfg, 1)
+		const box = VAddr(0)
+		size := packets * fcfg.MTU
+		win, err := dst.InitWindow(box, 1, EpochOps)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	post()
-	done := 0
-	win.SetCompletionHandler(func(*Buffer) {
-		done++
+		post := func() {
+			if _, err := win.PostBuffer(size); err != nil {
+				t.Fatal(err)
+			}
+		}
 		post()
-	})
-	put := func() { src.PutN(1, box, 0, size) }
-	allocs := testing.AllocsPerRun(200, func() {
-		eng.Schedule(0, put)
-		eng.Run()
-	})
-	if done != 201 {
-		t.Fatalf("%d of 201 puts completed", done)
+		queue := &win.queue[:1][0]
+		done := 0
+		win.SetCompletionHandler(func(*Buffer) {
+			done++
+			post()
+		})
+		put := func() { src.PutN(1, box, 0, size) }
+		allocs := testing.AllocsPerRun(200, func() {
+			eng.Schedule(0, put)
+			eng.Run()
+		})
+		if done != 201 {
+			t.Fatalf("%d packets: %d of 201 puts completed", packets, done)
+		}
+		if allocs > ceiling {
+			t.Errorf("%d packets: %v allocs per PutN, want at most %d", packets, allocs, ceiling)
+		}
+		if &win.queue[:1][0] != queue {
+			t.Errorf("%d packets: reposting a buffer moved the window queue to a new backing array", packets)
+		}
+		perPackets[packets] = allocs
 	}
-	const ceiling = 13
-	if allocs > ceiling {
-		t.Fatalf("%v allocs per PutN, want at most %d", allocs, ceiling)
+	if perPackets[4] != perPackets[1] {
+		t.Errorf("a 4-packet PutN costs %v allocs, a 1-packet one %v: the per-message cost grew per packet",
+			perPackets[4], perPackets[1])
 	}
 }

@@ -15,7 +15,7 @@ import (
 // individually, without a shared completion queue (§IV-C).
 type Buffer struct {
 	Region *memory.Region
-	Cell   *memory.CompletionCell
+	Cell   *memory.CompletionCell // points at cell; nil once recycled
 
 	// Epoch is the window epoch this buffer served (assigned when the
 	// buffer becomes the active head).
@@ -46,6 +46,8 @@ type Buffer struct {
 	// released and no longer retained.
 	retained bool
 	released bool
+
+	cell memory.CompletionCell
 }
 
 // Completed reports whether the completion unit has finished this buffer.
@@ -181,11 +183,8 @@ func (w *Window) PostBufferRegion(region *memory.Region) (*Buffer, error) {
 	if region == nil || region.Size() == 0 {
 		return nil, fmt.Errorf("%w: nil or empty region", ErrBadArgument)
 	}
-	b := &Buffer{
-		Region: region,
-		Cell:   memory.NewCompletionCell(w.ep.Memory()),
-		win:    w,
-	}
+	b := &Buffer{Region: region, win: w, cell: memory.MakeCompletionCell(w.ep.Memory())}
+	b.Cell = &b.cell
 	wasEmpty := len(w.queue) == 0
 	w.queue = append(w.queue, b)
 	if wasEmpty {
@@ -365,7 +364,11 @@ func (w *Window) completeHead() *Buffer {
 			"rvma node %d win %#x completing epoch %d at or below rewound epoch %d",
 			ep.Node(), w.vaddr, buf.Epoch, w.maxRewound)
 	}
-	w.queue = w.queue[1:]
+	// Pop in place, so a mailbox that reposts what it consumes keeps
+	// appending into the same backing array instead of walking off it.
+	copy(w.queue, w.queue[1:])
+	w.queue[len(w.queue)-1] = nil
+	w.queue = w.queue[:len(w.queue)-1]
 	w.epoch++
 	ep.Stats.Completions++
 	ep.mCompletions.Add(1)

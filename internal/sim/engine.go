@@ -152,9 +152,10 @@ func (q eventQueue) siftDown(i int) bool {
 }
 
 // Engine is a deterministic discrete-event simulator. It is not safe for
-// concurrent use; all model code runs on the engine goroutine (process
-// bodies spawned via Spawn are cooperatively scheduled so that exactly one
-// goroutine is ever runnable). Concurrency lives one level up: independent
+// concurrent use; all model code runs inside its events (process bodies
+// spawned via Spawn are coroutines that an event switches into and that
+// switch back when they park, so only one of them runs at a time).
+// Concurrency lives one level up: independent
 // engines — one per experiment cell — may run in parallel on separate
 // goroutines because an engine shares no mutable state with any other.
 type Engine struct {

@@ -682,11 +682,85 @@ func TestProcessPanicPropagates(t *testing.T) {
 		panic("kaboom")
 	})
 	defer func() {
-		if recover() == nil {
-			t.Fatal("process panic should propagate to engine")
+		const want = `sim: process "boom" panicked: kaboom`
+		if r := recover(); r != want {
+			t.Fatalf("engine panicked with %v, want %q", r, want)
+		}
+		if e.procs != 0 {
+			t.Fatalf("%d processes still live after the body panicked", e.procs)
 		}
 	}()
 	e.Run()
+}
+
+// TestProcessNestedSwitch checks that a process can resume another one
+// from inside its own body: completing a future that a second process
+// waits on runs the waiter up to its next park before Complete returns.
+// Every shard of a 4-shard group runs its own pair, so under -race the
+// switches also cross the group's worker goroutines.
+func TestProcessNestedSwitch(t *testing.T) {
+	const rounds = 50
+	for _, shards := range []int{1, 4} {
+		g := NewShardGroup(1, shards, 10*Nanosecond)
+		logs := make([][]string, shards)
+		for i := 0; i < shards; i++ {
+			e, log := g.Shard(i), &logs[i]
+			fs := make([]Future, rounds)
+			e.Spawn("waiter", func(p *Process) {
+				for r := range fs {
+					p.Wait(&fs[r])
+					*log = append(*log, fmt.Sprintf("w%d@%v", r, p.Now()))
+				}
+			})
+			e.Spawn("completer", func(p *Process) {
+				for r := range fs {
+					p.Sleep(Nanosecond)
+					*log = append(*log, fmt.Sprintf("c%d", r))
+					fs[r].Complete(e, nil)
+					*log = append(*log, fmt.Sprintf("c%d-after", r))
+				}
+			})
+		}
+		g.Run()
+		for i, log := range logs {
+			if len(log) != 3*rounds {
+				t.Fatalf("shards=%d shard %d: %d log entries, want %d", shards, i, len(log), 3*rounds)
+			}
+			for r := 0; r < rounds; r++ {
+				want := []string{fmt.Sprintf("c%d", r), fmt.Sprintf("w%d@%v", r, Time(r+1)*Nanosecond), fmt.Sprintf("c%d-after", r)}
+				if got := log[3*r : 3*r+3]; fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("shards=%d shard %d round %d: %v, want %v", shards, i, r, got, want)
+				}
+			}
+			if n := g.Shard(i).procs; n != 0 {
+				t.Fatalf("shards=%d shard %d: %d processes still live", shards, i, n)
+			}
+		}
+	}
+}
+
+// TestProcessSpawnAllocBudget writes down what a process costs to start
+// and finish: the Process, its bound wake-up and body closure, and the 11
+// allocations of iter.Pull (the coroutine, its next/stop/yield closures and
+// the state they share). Switches after that allocate nothing
+// (TestCompletionZeroAlloc).
+func TestProcessSpawnAllocBudget(t *testing.T) {
+	if DebugEnabled {
+		t.Skip("simdebug invariant checks box their arguments; the gate is for normal builds")
+	}
+	const budget = 14
+	e := NewEngine(1)
+	body := func(p *Process) { p.Sleep(Nanosecond) }
+	spawnRun := func() {
+		e.Spawn("p", body)
+		e.Run()
+	}
+	if got := testing.AllocsPerRun(100, spawnRun); got > budget {
+		t.Errorf("Spawn + run to end: %v allocs, budget %d", got, budget)
+	}
+	if e.procs != 0 {
+		t.Fatalf("%d processes still live after run to end", e.procs)
+	}
 }
 
 func TestHeartbeat(t *testing.T) {

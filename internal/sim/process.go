@@ -1,86 +1,82 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Process is a cooperatively scheduled simulation actor, in the style of
 // process-oriented kernels (SimPy, OMNeT++ activities). A process body runs
-// on its own goroutine, but the engine guarantees that exactly one
-// goroutine — either the engine loop or one process — is runnable at any
-// instant, so process code needs no locking and the simulation stays
-// deterministic.
+// as a coroutine (iter.Pull): resuming it switches directly from the
+// engine's event into the body, and parking switches straight back, so
+// exactly one of them runs at any instant. Process code needs no locking
+// and the simulation stays deterministic.
 //
 // Processes make protocol code read sequentially: a motif rank can write
 // "put; wait for completion; compute; next iteration" instead of a hand-
 // rolled state machine.
 type Process struct {
-	eng    *Engine
-	name   string
-	label  Label         // stamped on spawn/Sleep/resume events (Tagged.Spawn)
-	wake   func()        // p.resume, bound once at spawn so Sleep and Wait allocate nothing
-	run    chan struct{} // engine -> process: resume
-	parked chan struct{} // process -> engine: parked or finished
-	done   bool
-	err    any // panic value captured from the body, re-raised on the engine
+	eng   *Engine
+	name  string
+	label Label                   // stamped on spawn/Sleep/resume events (Tagged.Spawn)
+	wake  func()                  // p.resume, bound once at spawn so Sleep and Wait allocate nothing
+	next  func() (struct{}, bool) // switches into the body; re-raises a panic from it
+	yield func(struct{}) bool     // switches from the body back to whoever called next
+	done  bool
 }
 
 // Spawn starts a new process executing body at the current simulated time.
 // The body begins running when the engine reaches the spawn event; Spawn
-// itself returns immediately.
+// itself returns immediately. The name is the process's role ("sweep-rank",
+// "kv-server"), reported if its body panics; spawn sites pass a constant,
+// so starting a process formats nothing.
 func (e *Engine) Spawn(name string, body func(p *Process)) *Process {
 	return e.spawn(name, NoLabel, body)
 }
 
 func (e *Engine) spawn(name string, label Label, body func(p *Process)) *Process {
-	p := &Process{
-		eng:    e,
-		name:   name,
-		label:  label,
-		run:    make(chan struct{}),
-		parked: make(chan struct{}),
-	}
+	p := &Process{eng: e, name: name, label: label}
 	p.wake = p.resume
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer p.finish()
+		body(p)
+	})
 	e.procs++
-	// The process body runs on its own goroutine, but only ever while the
-	// engine goroutine is parked on the run/parked channel handshake, so
-	// simulated time stays sequential.
-	//rvmalint:allow goroutine -- kernel-internal coroutine handshake
-	go func() {
-		<-p.run // wait for first activation
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					p.err = r
-				}
-			}()
-			body(p)
-		}()
-		p.done = true
-		p.eng.procs--
-		p.parked <- struct{}{}
-	}()
 	e.schedule(0, 0, label, p.wake)
 	return p
 }
 
-// resume hands control to the process goroutine and blocks the engine until
-// the process parks again (or finishes). It must only be called from the
-// engine goroutine, i.e. from inside an event.
+// resume switches into the process and returns when it parks again or
+// finishes. It runs from inside an event — the engine's, or another
+// process's when that body completes a future this one waits on.
+//
+//rvmalint:hot
 func (p *Process) resume() {
-	if p.done {
-		return
-	}
-	p.run <- struct{}{}
-	<-p.parked
-	if p.err != nil {
-		panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, p.err))
+	if !p.done {
+		p.next()
 	}
 }
 
-// park suspends the process and returns control to the engine. The caller
-// must have arranged for a future event to call resume.
+// finish runs as the body returns or panics, still inside the coroutine.
+// It names the process in a panic, which next then re-raises in resume's
+// caller.
+func (p *Process) finish() {
+	p.done = true
+	p.eng.procs--
+	if r := recover(); r != nil {
+		panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
+	}
+}
+
+// park suspends the process and switches back to the event that resumed
+// it. The caller must have arranged for a future event to call resume.
+//
+//rvmalint:hot
 func (p *Process) park() {
-	p.parked <- struct{}{}
-	<-p.run
+	p.yield(struct{}{})
 }
 
 // Name returns the name given at Spawn time, for diagnostics.
