@@ -103,7 +103,7 @@ var flagTable = []flagSpec{
 		v.rvmaDepth = fs.Int("rvma-depth", 4, "posted buffer depth per mailbox (RVMA transport)")
 	}},
 	{"trace", false, false, func(fs *flag.FlagSet, v *simFlags) {
-		v.doTrace = fs.Bool("trace", false, "collect and print trace counters/series from every layer")
+		v.doTrace = fs.Bool("trace", false, "record every layer's events in a 64-entry ring and print it after the run")
 	}},
 	{"spans", false, false, func(fs *flag.FlagSet, v *simFlags) {
 		v.doSpans = fs.Bool("spans", false, "track per-message pipeline spans and print the latency table")

@@ -11,13 +11,15 @@
 // Observability flags:
 //
 //	-trace             attach a tracer to every layer (fabric, NIC,
-//	                   protocol endpoints) and print counters, series and
-//	                   the tail of the event log after the run
+//	                   protocol endpoints) and print the last 64 events
+//	                   it recorded after the run
 //	-spans             track every message through its pipeline stages and
 //	                   print the per-stage latency table (count, mean, p50,
 //	                   p99, max)
 //	-metrics-out F     write the full metrics snapshot (counters, gauges,
-//	                   histograms) as indented JSON to F
+//	                   histograms) as indented JSON to F; collector-backed
+//	                   gauges are read once, at the end of the run, so the
+//	                   file is byte-identical at any -shards
 //	-perfetto-out F    write a Chrome trace-event timeline to F; open it at
 //	                   ui.perfetto.dev (each node renders as a process,
 //	                   each span scope as a thread)
@@ -190,7 +192,7 @@ func main() {
 				*v.unsafeScale)
 		}
 		if *v.doTrace {
-			tr = trace.New(c.Eng, 64) // counters/series plus a small event ring
+			tr = trace.New(c.Eng, 64)
 			tr.EnableAll()
 			c.SetTracer(tr)
 		}
@@ -218,12 +220,6 @@ func main() {
 				rec.Dump("run cancelled (SIGINT)")
 				os.Exit(130)
 			}()
-		}
-		if reg != nil && oneShard {
-			// Sample collector-backed gauges periodically so queue depths and
-			// utilization show their mid-run values, not just the final
-			// state. Multi-shard runs fold per-shard shadows after the run.
-			c.Eng.SetHeartbeat(4096, reg.Collect)
 		}
 	}
 	out := harness.RunCell(rs, obs)

@@ -384,3 +384,32 @@ func TestReplicaTableIdenticalAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsIdenticalAtEveryShardCount: the -metrics-out snapshot of a
+// run is byte-identical at one and four shards, for both transports. The
+// collector-backed gauges (queue depths, pending reassemblies) are read
+// once, when the snapshot is written, so no shard count samples them
+// mid-run where another does not.
+func TestMetricsIdenticalAtEveryShardCount(t *testing.T) {
+	dir := t.TempDir()
+	for _, transport := range []string{"rvma", "rdma"} {
+		snapshot := func(shards string) []byte {
+			path := filepath.Join(dir, transport+"-s"+shards+".metrics.json")
+			code, _, stderr := rvmasim(t, "-motif", "sweep3d", "-transport", transport,
+				"-topology", "dragonfly", "-nodes", "16", "-seed", "42",
+				"-shards", shards, "-metrics-out", path)
+			if code != 0 {
+				t.Fatalf("%s at -shards %s: exit %d: %s", transport, shards, code, stderr)
+			}
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		if one, four := snapshot("1"), snapshot("4"); !bytes.Equal(one, four) {
+			t.Errorf("%s: -metrics-out differs between -shards 1 (%d bytes) and -shards 4 (%d bytes)",
+				transport, len(one), len(four))
+		}
+	}
+}

@@ -258,18 +258,14 @@ type Network struct {
 	msh       []fabMetrics    // per-shard metric handles; nil handles until SetMetricsSharded
 }
 
-// SetTracer attaches a tracer; packet-level events go to trace.CatPacket
-// and aggregate counters/series are kept regardless of enablement. A nil
-// tracer detaches. Trace buffers are single-writer, so tracing needs a
-// one-shard network.
+// SetTracer attaches a tracer; packet-level events go to trace.CatPacket.
+// A nil tracer detaches. Trace buffers are single-writer, so tracing needs
+// a one-shard network.
 func (n *Network) SetTracer(t *trace.Tracer) {
 	if t != nil && len(n.engs) > 1 {
 		panic("fabric: packet tracing needs a one-shard network (trace buffers are single-writer)")
 	}
 	n.tracer = t
-	if t != nil {
-		t.DefineSeries("fabric.delivered_bytes", 10*sim.Microsecond)
-	}
 }
 
 // maxPerSwitchGauges caps per-switch gauge fan-out: beyond this many
@@ -451,7 +447,6 @@ func (n *Network) Inject(pkt *Packet) {
 	pkt.Injected = now
 	n.statsSh[shard].PacketsInjected++
 	if n.tracer != nil {
-		n.tracer.Count("fabric.packets_injected", 1)
 		//rvmalint:allow hotalloc -- tracer-only branch; a traced run is a debugging run
 		n.tracer.Eventf(trace.CatPacket, "inject #%d %d->%d %dB", pkt.ID, pkt.Src, pkt.Dst, pkt.Size)
 	}
@@ -568,7 +563,6 @@ func (n *Network) selectPort(e *sim.Engine, shard int, rng *sim.RNG, sw int, pkt
 						n.msh[shard].detours.Add(1)
 						n.msh[shard].timeline.Instant(pkt.Src, "fabric", "detour", e.Now())
 						if n.tracer != nil {
-							n.tracer.Count("fabric.valiant_detours", 1)
 							//rvmalint:allow hotalloc -- tracer-only branch; a traced run is a debugging run
 							n.tracer.Eventf(trace.CatPacket, "detour #%d at sw%d", pkt.ID, sw)
 						}
@@ -623,7 +617,6 @@ func (n *Network) deliver(node int, pkt *Packet) {
 		mm.drops.Add(1)
 		mm.timeline.Instant(node, "fabric", "drop", e.Now())
 		if n.tracer != nil {
-			n.tracer.Count("fabric.packets_dropped", 1)
 			//rvmalint:allow hotalloc -- tracer-only branch; a traced run is a debugging run
 			n.tracer.Eventf(trace.CatPacket, "DROP #%d for node %d", pkt.ID, node)
 		}
@@ -639,8 +632,6 @@ func (n *Network) deliver(node int, pkt *Packet) {
 	mm.latency.ObserveTime(e.Now() - pkt.Injected)
 	mm.hops.Observe(float64(pkt.Hops))
 	if n.tracer != nil {
-		n.tracer.Count("fabric.packets_delivered", 1)
-		n.tracer.Add("fabric.delivered_bytes", float64(pkt.Size))
 		//rvmalint:allow hotalloc -- tracer-only branch; a traced run is a debugging run
 		n.tracer.Eventf(trace.CatPacket, "deliver #%d at node %d after %d hops", pkt.ID, node, pkt.Hops)
 	}

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -363,15 +364,12 @@ func TestTracerIntegration(t *testing.T) {
 		net.Inject(&Packet{Src: 0, Dst: 1, Size: 100})
 	})
 	eng.Run()
-	if tr.Counter("fabric.packets_injected") != 1 || tr.Counter("fabric.packets_delivered") != 1 {
-		t.Fatalf("tracer counters: inj=%d del=%d",
-			tr.Counter("fabric.packets_injected"), tr.Counter("fabric.packets_delivered"))
+	evs := tr.Events()
+	if len(evs) != 2 || !strings.HasPrefix(evs[0].Msg, "inject #") || !strings.HasPrefix(evs[1].Msg, "deliver #") {
+		t.Fatalf("events = %v, want inject then deliver", evs)
 	}
-	if len(tr.Events()) != 2 {
-		t.Fatalf("events = %d, want inject+deliver", len(tr.Events()))
-	}
-	if sums := tr.SeriesSums("fabric.delivered_bytes"); len(sums) == 0 || sums[0] != 100 {
-		t.Fatalf("series = %v", sums)
+	if st := net.TotalStats(); st.PacketsInjected != 1 || st.PacketsDelivered != 1 || st.BytesDelivered != 100 {
+		t.Fatalf("stats: inj=%d del=%d bytes=%d, want 1/1/100", st.PacketsInjected, st.PacketsDelivered, st.BytesDelivered)
 	}
 	net.SetTracer(nil) // detach is safe
 	eng.Schedule(0, func() { net.Inject(&Packet{Src: 0, Dst: 1, Size: 1}) })

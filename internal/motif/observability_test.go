@@ -172,7 +172,7 @@ func TestClusterSetTracer(t *testing.T) {
 	if !seen[trace.CatNIC] {
 		t.Error("no CatNIC events recorded through cluster tracer")
 	}
-	if tr.Counter("fabric.packets_delivered") == 0 && !seen[trace.CatPacket] {
-		t.Error("no fabric activity visible through cluster tracer")
+	if !seen[trace.CatPacket] {
+		t.Error("no CatPacket events recorded through cluster tracer")
 	}
 }

@@ -45,27 +45,6 @@ func BenchmarkEngineHeapChurn(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkEngineScheduleCancel measures the schedule-then-cancel pattern
-// (timeouts that almost always get canceled): both halves should recycle
-// through the pool without allocating.
-func BenchmarkEngineScheduleCancel(b *testing.B) {
-	e := NewEngine(1)
-	driven := 0
-	var drive func()
-	drive = func() {
-		driven++
-		ev := e.Schedule(100*Nanosecond, func() {})
-		e.Cancel(ev)
-		if driven < b.N {
-			e.Schedule(Nanosecond, drive)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.Schedule(0, drive)
-	e.Run()
-}
-
 // BenchmarkEngineDaemonOverhead measures a model tick with a daemon rider
 // at one-tenth the cadence, the telemetry sampler's shape.
 func BenchmarkEngineDaemonOverhead(b *testing.B) {

@@ -45,15 +45,12 @@ const debugHeapCheckEvery = 1 << 10
 //  2. Heap order: the new head (the next event to run) does not sort
 //     before the event just popped under (time, priority, seq) order.
 //  3. Pool lifecycle: the popped event is live (not a recycled object the
-//     queue somehow still references) and was never canceled — Cancel
-//     removes events from the queue eagerly.
-func (e *Engine) debugCheckPop(ev *Event) {
+//     queue somehow still references).
+func (e *Engine) debugCheckPop(ev *event) {
 	Assertf(ev.at >= e.now,
 		"event time %v precedes engine clock %v (causality runs backward)", ev.at, e.now)
 	Assertf(ev.state == evQueued,
 		"popped event (t=%v seq=%d) is not live: pool state %d (use-after-free)", ev.at, ev.seq, ev.state)
-	Assertf(!ev.canceled,
-		"popped event (t=%v seq=%d) was canceled but still queued", ev.at, ev.seq)
 	if len(e.queue) > 0 {
 		head := e.queue[0]
 		Assertf(!eventLess(head, ev),
@@ -66,12 +63,10 @@ func (e *Engine) debugCheckPop(ev *Event) {
 }
 
 // debugVerifyHeap sweeps the whole queue checking the heapArity-ary heap
-// property under the event ordering, index bookkeeping, and that queue
-// and free list never share an object.
+// property under the event ordering, and that queue and free list never
+// share an object.
 func (e *Engine) debugVerifyHeap() {
 	for i := range e.queue {
-		Assertf(e.queue[i].index == i,
-			"heap index bookkeeping: queue[%d].index = %d", i, e.queue[i].index)
 		Assertf(e.queue[i].state == evQueued,
 			"queued event at %d has pool state %d (freed object still in queue)", i, e.queue[i].state)
 		for c := heapArity*i + 1; c <= heapArity*i+heapArity && c < len(e.queue); c++ {
@@ -85,9 +80,9 @@ func (e *Engine) debugVerifyHeap() {
 	}
 }
 
-// eventLess mirrors eventHeap.Less on event values so the debug checks
-// compare with exactly the ordering the queue uses.
-func eventLess(a, b *Event) bool {
+// eventLess is the (time, priority, seq) order the queue keeps; the debug
+// checks compare with exactly this ordering.
+func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}

@@ -46,8 +46,8 @@ func TestDebugCatchesHeapCorruption(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		e.Schedule(Time(i)*Nanosecond, func() {})
 	}
-	// Swap two events without fixing their indices: the structural sweep
-	// must notice the broken bookkeeping.
+	// Swap the earliest event with the latest: the structural sweep must
+	// notice the broken heap order.
 	e.queue[0], e.queue[len(e.queue)-1] = e.queue[len(e.queue)-1], e.queue[0]
 	mustPanic(t, "heap", func() { e.debugVerifyHeap() })
 }

@@ -4,44 +4,28 @@ import (
 	"fmt"
 )
 
-// Event is a scheduled callback. Events are ordered by time, then priority
+// event is a scheduled callback. Events are ordered by time, then priority
 // (lower runs first), then by the sequence number assigned at scheduling
-// time, which makes execution order fully deterministic.
-//
-// Event objects are pooled: the engine recycles an Event as soon as it has
-// executed or been canceled, so the handle returned by Schedule/ScheduleP/At
-// is only valid until the event runs or is canceled. Holding a handle past
-// that point — in particular calling Cancel on an event that may already
-// have fired — is a use-after-free bug; simdebug builds detect it (see
-// debug.go). Model code that needs "cancel unless already fired" semantics
-// should track its own state (see memory.Poller for the idiom).
-type Event struct {
+// time, which makes execution order fully deterministic. The engine pools
+// events and recycles one as soon as it has executed; no reference to an
+// event ever leaves the package.
+type event struct {
 	at       Time
 	priority int
 	seq      uint64
 	fn       func()
-	index    int   // position in the engine queue; -1 when not queued
 	label    Label // component identity stamped by Tagged handles; 0 = unlabeled
-	canceled bool
 	daemon   bool
 	state    uint8 // pool lifecycle: evFree / evQueued (simdebug checks)
 }
 
 // Event pool lifecycle states. The zero value is evFree so a freshly
-// allocated Event is indistinguishable from a pooled one until the engine
+// allocated event is indistinguishable from a pooled one until the engine
 // hands it out.
 const (
 	evFree   uint8 = iota // in the engine free list (or never allocated)
 	evQueued              // live: scheduled and present in the queue
 )
-
-// Canceled reports whether the event was canceled before it ran. It is
-// only meaningful while the handle is valid (see the type comment).
-func (e *Event) Canceled() bool { return e.canceled }
-
-// Time returns the simulated time the event is scheduled for. It is only
-// meaningful while the handle is valid (see the type comment).
-func (e *Event) Time() Time { return e.at }
 
 // eventQueue is a 4-ary min-heap over (time, priority, seq), implemented
 // directly on the slice so hot-path pushes and pops never cross a
@@ -50,14 +34,14 @@ func (e *Event) Time() Time { return e.at }
 // dominant cost of the schedule-heavy simulation workload — does half the
 // comparisons, and the four children of a node share a cache line of
 // pointers on the way down.
-type eventQueue []*Event
+type eventQueue []*event
 
 // heapArity is the heap branching factor. Children of node i live at
 // heapArity*i+1 .. heapArity*i+heapArity; the parent of i is (i-1)/heapArity.
 const heapArity = 4
 
-// push inserts ev and records its queue index.
-func (q *eventQueue) push(ev *Event) {
+// push inserts ev.
+func (q *eventQueue) push(ev *event) {
 	//rvmalint:allow hotalloc -- heap growth is amortized O(1); the backing array stabilizes at peak occupancy
 	*q = append(*q, ev)
 	q.siftUp(len(*q) - 1)
@@ -65,7 +49,7 @@ func (q *eventQueue) push(ev *Event) {
 
 // pop removes and returns the minimum event. The caller must ensure the
 // queue is non-empty.
-func (q *eventQueue) pop() *Event {
+func (q *eventQueue) pop() *event {
 	h := *q
 	top := h[0]
 	n := len(h) - 1
@@ -75,30 +59,9 @@ func (q *eventQueue) pop() *Event {
 	*q = h
 	if n > 0 {
 		h[0] = last
-		last.index = 0
 		h.siftDown(0)
 	}
-	top.index = -1
 	return top
-}
-
-// remove deletes the event at queue index i (Cancel's path).
-func (q *eventQueue) remove(i int) {
-	h := *q
-	n := len(h) - 1
-	ev := h[i]
-	last := h[n]
-	h[n] = nil
-	h = h[:n]
-	*q = h
-	if i != n {
-		h[i] = last
-		last.index = i
-		if !h.siftDown(i) {
-			h.siftUp(i)
-		}
-	}
-	ev.index = -1
 }
 
 // siftUp restores the heap property from index i toward the root.
@@ -111,18 +74,14 @@ func (q eventQueue) siftUp(i int) {
 			break
 		}
 		q[i] = p
-		p.index = i
 		i = parent
 	}
 	q[i] = ev
-	ev.index = i
 }
 
-// siftDown restores the heap property from index i toward the leaves and
-// reports whether the element moved.
-func (q eventQueue) siftDown(i int) bool {
+// siftDown restores the heap property from index i toward the leaves.
+func (q eventQueue) siftDown(i int) {
 	ev := q[i]
-	start := i
 	n := len(q)
 	for {
 		first := heapArity*i + 1
@@ -143,12 +102,9 @@ func (q eventQueue) siftDown(i int) bool {
 			break
 		}
 		q[i] = q[min]
-		q[i].index = i
 		i = min
 	}
 	q[i] = ev
-	ev.index = i
-	return i != start
 }
 
 // Engine is a deterministic discrete-event simulator. It is not safe for
@@ -161,19 +117,15 @@ func (q eventQueue) siftDown(i int) bool {
 type Engine struct {
 	now       Time
 	queue     eventQueue
-	free      []*Event // recycled Event objects; see alloc/release
+	free      []*event // recycled events; see at/release
 	seq       uint64   // model scheduling counter; events carry 2*seq
 	dseq      uint64   // daemon scheduling counter; daemons carry 2*dseq+1
 	executed  uint64
 	scheduled uint64
-	daemons   int // queued (non-canceled) daemon events
-	stopped   bool
+	daemons   int // queued daemon events
 	rng       *RNG
 	running   bool
 	procs     int // live processes, for leak diagnostics
-
-	hbEvery uint64 // heartbeat period in executed events; 0 = disabled
-	hbFn    func()
 
 	// execObs, when non-nil, is called once per executed model event (see
 	// SetExecObserver). Disabled cost: one nil-check per pop.
@@ -185,10 +137,9 @@ type Engine struct {
 	labels   []string
 	labelIDs map[string]Label
 
-	// lastModelAt is the timestamp of the most recent model pop, tracked
-	// by the sharded round executor (see shard.go) so the group can
-	// recover the exact global final time once every shard's model has
-	// drained. The single-heap RunUntil hot loop never touches it.
+	// lastModelAt is the timestamp of the most recent model pop. The shard
+	// group reads it once every shard's model has drained, to recover the
+	// exact global final time (see ShardGroup.Run).
 	lastModelAt Time
 }
 
@@ -215,34 +166,24 @@ func (e *Engine) EventsExecuted() uint64 { return e.executed }
 // (daemon events are not counted).
 func (e *Engine) EventsScheduled() uint64 { return e.scheduled }
 
-// SetHeartbeat calls fn after every `every` executed events — the hook the
-// observability layer uses to sample queue depth and wall-clock event
-// rate without polluting model code. every == 0 (or fn == nil) disables
-// the heartbeat; the disabled hot path costs one comparison per event.
-// The callback runs on the engine goroutine and may read engine state but
-// must not call Run.
-func (e *Engine) SetHeartbeat(every uint64, fn func()) {
-	if every == 0 || fn == nil {
-		e.hbEvery, e.hbFn = 0, nil
-		return
-	}
-	e.hbEvery, e.hbFn = every, fn
-}
-
-// alloc hands out an Event, reusing a recycled one when the free list has
-// stock. Every field is (re)initialized here, so a pooled object carries
-// nothing over from its previous life.
-func (e *Engine) alloc(at Time, priority int, label Label, fn func(), daemon bool) *Event {
-	var ev *Event
+// at queues fn at absolute time t, reusing a recycled event when the free
+// list has stock. Every field is (re)initialized here, so a pooled object
+// carries nothing over from its previous life. It is the one queueing
+// path behind every Schedule/At variant and the shard group's handoffs;
+// callers check t against the clock.
+//
+//rvmalint:hot
+func (e *Engine) at(t Time, priority int, label Label, fn func(), daemon bool) {
+	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 	} else {
 		//rvmalint:allow hotalloc -- pool miss: the free list feeds steady state, so this runs O(peak concurrency) times, not per event
-		ev = &Event{}
+		ev = &event{}
 	}
-	ev.at = at
+	ev.at = t
 	ev.priority = priority
 	// Model and daemon events draw from disjoint seq spaces (even/odd), so
 	// attaching instrumentation daemons never shifts a model event's
@@ -251,24 +192,22 @@ func (e *Engine) alloc(at Time, priority int, label Label, fn func(), daemon boo
 	if daemon {
 		ev.seq = 2*e.dseq + 1
 		e.dseq++
+		e.daemons++
 	} else {
 		ev.seq = 2 * e.seq
 		e.seq++
+		e.scheduled++
 	}
 	ev.fn = fn
-	ev.index = -1
 	ev.label = label
-	ev.canceled = false
 	ev.daemon = daemon
 	ev.state = evQueued
-	return ev
+	e.queue.push(ev)
 }
 
-// release returns an executed or canceled event to the free list. The
-// callback is dropped immediately so the pool never pins captured state;
-// canceled stays set so a just-canceled handle still answers Canceled()
-// truthfully until the object is reused.
-func (e *Engine) release(ev *Event) {
+// release returns an executed event to the free list. The callback is
+// dropped immediately so the pool never pins captured state.
+func (e *Engine) release(ev *event) {
 	ev.fn = nil
 	ev.state = evFree
 	//rvmalint:allow hotalloc -- free-list growth is amortized; capacity stabilizes at peak event population
@@ -279,8 +218,8 @@ func (e *Engine) release(ev *Event) {
 // discrete-event simulation only moves forward.
 //
 //rvmalint:hot
-func (e *Engine) Schedule(d Time, fn func()) *Event {
-	return e.ScheduleP(d, 0, fn)
+func (e *Engine) Schedule(d Time, fn func()) {
+	e.schedule(d, 0, NoLabel, fn, false)
 }
 
 // ScheduleP runs fn after delay d with an explicit priority; among events
@@ -288,36 +227,37 @@ func (e *Engine) Schedule(d Time, fn func()) *Event {
 // enforce intra-timestep ordering (e.g. "deliver before poll").
 //
 //rvmalint:hot
-func (e *Engine) ScheduleP(d Time, priority int, fn func()) *Event {
-	return e.schedule(d, priority, NoLabel, fn)
+func (e *Engine) ScheduleP(d Time, priority int, fn func()) {
+	e.schedule(d, priority, NoLabel, fn, false)
 }
 
-// schedule is the shared relative-delay entry point behind ScheduleP and
-// Tagged.Schedule*.
+// schedule is the relative-delay entry point behind every Schedule*
+// variant, the Tagged ones included.
 //
 //rvmalint:hot
-func (e *Engine) schedule(d Time, priority int, label Label, fn func()) *Event {
+func (e *Engine) schedule(d Time, priority int, label Label, fn func(), daemon bool) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", d))
 	}
-	return e.at(e.now+d, priority, label, fn)
+	e.at(e.now+d, priority, label, fn, daemon)
 }
 
 // At runs fn at absolute time t, which must not be in the past.
 //
 //rvmalint:hot
-func (e *Engine) At(t Time, fn func()) *Event {
+func (e *Engine) At(t Time, fn func()) {
+	e.atModel(t, 0, NoLabel, fn)
+}
+
+// atModel is the absolute-time entry point behind At and Tagged.At/AtP:
+// a time in the past panics.
+//
+//rvmalint:hot
+func (e *Engine) atModel(t Time, priority int, label Label, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
 	}
-	return e.at(t, 0, NoLabel, fn)
-}
-
-func (e *Engine) at(t Time, priority int, label Label, fn func()) *Event {
-	ev := e.alloc(t, priority, label, fn, false)
-	e.scheduled++
-	e.queue.push(ev)
-	return ev
+	e.at(t, priority, label, fn, false)
 }
 
 // ScheduleDaemonP runs fn after delay d at the given priority as a daemon
@@ -325,63 +265,22 @@ func (e *Engine) at(t Time, priority int, label Label, fn func()) *Event {
 // ticks): they never keep a run alive — when only daemon events remain
 // queued, Run returns at the time of the last model event without
 // executing them — and they are invisible to the model-facing counters
-// (EventsScheduled, EventsExecuted, Pending) and to the heartbeat, so a
-// run's externally observable results are byte-identical with or without
-// daemons attached. Daemon callbacks must be pure readers of the model:
-// no model-event scheduling, no RNG draws, no state mutation.
+// (EventsScheduled, EventsExecuted, Pending), so a run's externally
+// observable results are byte-identical with or without daemons attached.
+// Daemon callbacks must be pure readers of the model: no model-event
+// scheduling, no RNG draws, no state mutation.
 //
 //rvmalint:hot
-func (e *Engine) ScheduleDaemonP(d Time, priority int, fn func()) *Event {
-	return e.scheduleDaemonP(d, priority, fn)
+func (e *Engine) ScheduleDaemonP(d Time, priority int, fn func()) {
+	e.schedule(d, priority, NoLabel, fn, true)
 }
 
-//rvmalint:hot
-func (e *Engine) scheduleDaemonP(d Time, priority int, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", d))
-	}
-	ev := e.alloc(e.now+d, priority, NoLabel, fn, true)
-	e.daemons++
-	e.queue.push(ev)
-	return ev
-}
-
-// Cancel removes a pending event so it never runs and recycles it. The
-// handle is dead afterwards. Canceling nil or an already-canceled event is
-// a no-op; canceling an event that already ran is a use-after-free (the
-// object may already back a different scheduled event) and trips a
-// simdebug invariant when the misuse is detectable.
-//
-//rvmalint:hot
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.canceled {
-		return
-	}
-	if ev.index < 0 {
-		if DebugEnabled {
-			Assertf(ev.state != evFree,
-				"Cancel of a recycled event handle (event already ran; use-after-free)")
-		}
-		return
-	}
-	ev.canceled = true
-	e.queue.remove(ev.index)
-	if ev.daemon {
-		e.daemons--
-	}
-	e.release(ev)
-}
-
-// Stop makes Run return after the current event completes. Pending events
-// remain queued; Run may be called again to continue.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events until the queue drains or Stop is called. It returns
+// Run executes events until only daemon events remain queued. It returns
 // the final simulated time.
 func (e *Engine) Run() Time { return e.RunUntil(MaxTime) }
 
-// RunUntil executes events with timestamps <= limit (or until Stop). The
-// clock is left at min(limit, time of last executed event's successor).
+// RunUntil executes events with timestamps <= limit. The clock is left at
+// min(limit, time of last executed event's successor).
 //
 //rvmalint:hot
 func (e *Engine) RunUntil(limit Time) Time {
@@ -391,112 +290,83 @@ func (e *Engine) RunUntil(limit Time) Time {
 	e.running = true
 	//rvmalint:allow hotalloc -- one closure per Run call, not per event; the re-entrancy guard must survive callback panics
 	defer func() { e.running = false }()
-	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
-		// Only daemon events left: the model has drained. Return at the
-		// last model event's time without executing them, so attached
-		// instrumentation can never extend a run or advance its clock.
-		if e.daemons == len(e.queue) {
+	// Only daemon events left: the model has drained. Return at the last
+	// model event's time without executing them, so attached
+	// instrumentation can never extend a run or advance its clock.
+	for len(e.queue) > e.daemons {
+		if e.queue[0].at > limit {
+			e.now = limit
 			break
 		}
-		ev := e.queue[0]
-		if ev.at > limit {
-			e.now = limit
-			return e.now
-		}
-		e.queue.pop()
-		if ev.daemon {
-			e.daemons--
-		}
-		if DebugEnabled {
-			e.debugCheckPop(ev)
-		}
-		e.now = ev.at
-		// Recycle before invoking: the callback's own re-scheduling (the
-		// self-ticking pattern every model here uses) then reuses the same
-		// hot object instead of allocating.
-		fn := ev.fn
-		e.release(ev)
-		if ev.daemon {
-			fn()
-			continue
-		}
-		e.executed++
-		// The exec observer sees every model pop before its callback runs;
-		// the event's scalar fields are still intact after release (release
-		// clears only fn and state), and the object cannot be reallocated
-		// until fn schedules something.
-		if e.execObs != nil {
-			e.execObs.ObserveExec(ev.seq, ev.at, ev.priority, ev.label)
-		}
-		fn()
-		if e.hbEvery != 0 && e.executed%e.hbEvery == 0 {
-			e.hbFn()
-		}
+		e.runNext()
 	}
 	return e.now
 }
 
-// runShardWindow is the round executor the sharded engine drives (see
+// runShardWindow is the round executor the shard group drives (see
 // shard.go): it executes every event with at <= limit in heap order,
-// models and daemons interleaved exactly as RunUntil would. Daemons run
-// unconditionally up to the window limit — no local stall rule. That
-// keeps every round's cut consistent: a daemon at time t executes in the
-// one round whose window covers t, before any later barrier delivery can
-// land in this heap, so what it observes is a pure function of the model
-// regardless of how components were partitioned. The price is bounded
-// and documented on ShardGroup.Run: relative to a single heap, daemons
-// may additionally tick at times strictly within one lookahead window
-// past the final model event.
-//
-// This is a separate loop from RunUntil on purpose: the single-heap fast
-// path stays untouched.
+// models and daemons interleaved. Daemons run unconditionally up to the
+// window limit — no local stall rule. That keeps every round's cut
+// consistent: a daemon at time t executes in the one round whose window
+// covers t, before any later barrier delivery can land in this heap, so
+// what it observes is a pure function of the model regardless of how
+// components were partitioned. The price is bounded and documented on
+// ShardGroup.Run: daemons may additionally tick at times strictly within
+// one lookahead window past the final model event.
 func (e *Engine) runShardWindow(limit Time) {
 	if e.running {
 		panic("sim: Run re-entered from within an event")
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.queue) > 0 {
-		ev := e.queue[0]
-		if ev.at > limit {
-			break
-		}
-		e.queue.pop()
-		if ev.daemon {
-			e.daemons--
-		}
-		if DebugEnabled {
-			e.debugCheckPop(ev)
-		}
-		e.now = ev.at
-		fn := ev.fn
-		e.release(ev)
-		if ev.daemon {
-			fn()
-			continue
-		}
-		e.lastModelAt = ev.at
-		e.executed++
-		if e.execObs != nil {
-			e.execObs.ObserveExec(ev.seq, ev.at, ev.priority, ev.label)
-		}
-		fn()
-		if e.hbEvery != 0 && e.executed%e.hbEvery == 0 {
-			e.hbFn()
-		}
+	for len(e.queue) > 0 && e.queue[0].at <= limit {
+		e.runNext()
 	}
+}
+
+// runNext pops the head event and runs it: the one execution step behind
+// RunUntil, runShardWindow and Step, which differ only in when they stop.
+// The caller must ensure the queue is non-empty.
+//
+//rvmalint:hot
+func (e *Engine) runNext() {
+	ev := e.queue.pop()
+	if ev.daemon {
+		e.daemons--
+	}
+	if DebugEnabled {
+		e.debugCheckPop(ev)
+	}
+	e.now = ev.at
+	// Recycle before invoking: the callback's own re-scheduling (the
+	// self-ticking pattern every model here uses) then reuses the same
+	// hot object instead of allocating.
+	fn := ev.fn
+	e.release(ev)
+	if ev.daemon {
+		fn()
+		return
+	}
+	e.lastModelAt = ev.at
+	e.executed++
+	// The exec observer sees every model pop before its callback runs;
+	// the event's scalar fields are still intact after release (release
+	// clears only fn and state), and the object cannot be reallocated
+	// until fn schedules something.
+	if e.execObs != nil {
+		e.execObs.ObserveExec(ev.seq, ev.at, ev.priority, ev.label)
+	}
+	fn()
 }
 
 // syncClock sets the engine clock to t without executing anything. The
 // shard group aligns every shard to the global final model time so
 // post-run state reads (resource utilization denominators, snapshot
-// timestamps) see one consistent clock, exactly as a single-heap run
-// would. This can move the clock backward: the final round's window may
-// have run daemon ticks up to lookahead past the last model event, but a
-// single-heap run's clock ends at the last model event, and that is the
-// value post-run readers must see. Safe because everything still queued
-// lies strictly beyond the final window limit, which is >= t.
+// timestamps) see one consistent clock. This can move the clock backward:
+// the final round's window may have run daemon ticks up to lookahead past
+// the last model event, but the run ends at the last model event, and
+// that is the value post-run readers must see. Safe because everything
+// still queued lies strictly beyond the final window limit, which is >= t.
 func (e *Engine) syncClock(t Time) {
 	e.now = t
 }
@@ -509,28 +379,7 @@ func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	ev := e.queue.pop()
-	if ev.daemon {
-		e.daemons--
-	}
-	if DebugEnabled {
-		e.debugCheckPop(ev)
-	}
-	e.now = ev.at
-	fn := ev.fn
-	e.release(ev)
-	if ev.daemon {
-		fn()
-		return true
-	}
-	e.executed++
-	if e.execObs != nil {
-		e.execObs.ObserveExec(ev.seq, ev.at, ev.priority, ev.label)
-	}
-	fn()
-	if e.hbEvery != 0 && e.executed%e.hbEvery == 0 {
-		e.hbFn()
-	}
+	e.runNext()
 	return true
 }
 
@@ -539,8 +388,7 @@ func (e *Engine) Step() bool {
 func (e *Engine) Pending() int { return len(e.queue) - e.daemons }
 
 // NextEventTime returns the timestamp of the earliest pending event, or
-// MaxTime if the queue is empty. (Canceled events are removed from the
-// queue eagerly, so the head is always live.)
+// MaxTime if the queue is empty.
 func (e *Engine) NextEventTime() Time {
 	if len(e.queue) > 0 {
 		return e.queue[0].at
@@ -548,6 +396,6 @@ func (e *Engine) NextEventTime() Time {
 	return MaxTime
 }
 
-// PoolFree returns the number of recycled Event objects currently waiting
+// PoolFree returns the number of recycled event objects currently waiting
 // in the free list, for tests and diagnostics of the pooling layer.
 func (e *Engine) PoolFree() int { return len(e.free) }

@@ -107,45 +107,6 @@ func TestEngineNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine(1)
-	ran := false
-	ev := e.Schedule(Nanosecond, func() { ran = true })
-	e.Cancel(ev)
-	e.Run()
-	if ran {
-		t.Fatal("canceled event ran")
-	}
-	if !ev.Canceled() {
-		t.Fatal("event should report canceled")
-	}
-	// Double cancel is a no-op.
-	e.Cancel(ev)
-	e.Cancel(nil)
-}
-
-func TestEngineCancelOneOfMany(t *testing.T) {
-	e := NewEngine(1)
-	var order []int
-	evs := make([]*Event, 10)
-	for i := 0; i < 10; i++ {
-		i := i
-		evs[i] = e.Schedule(Time(i)*Nanosecond, func() { order = append(order, i) })
-	}
-	e.Cancel(evs[4])
-	e.Cancel(evs[7])
-	e.Run()
-	want := []int{0, 1, 2, 3, 5, 6, 8, 9}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine(1)
 	var ran []Time
@@ -163,27 +124,6 @@ func TestEngineRunUntil(t *testing.T) {
 	e.Run()
 	if len(ran) != 3 {
 		t.Fatalf("remaining events did not run on resume: %v", ran)
-	}
-}
-
-func TestEngineStop(t *testing.T) {
-	e := NewEngine(1)
-	count := 0
-	for i := 0; i < 10; i++ {
-		e.Schedule(Time(i), func() {
-			count++
-			if count == 5 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 5 {
-		t.Fatalf("count after Stop = %d, want 5", count)
-	}
-	e.Run()
-	if count != 10 {
-		t.Fatalf("count after resume = %d, want 10", count)
 	}
 }
 
@@ -242,31 +182,23 @@ func TestScheduleInPastMessages(t *testing.T) {
 
 // TestEngineSteadyStateZeroAlloc is the kernel's allocation gate: once
 // the event pool and the heap's backing array have grown, a schedule+pop
-// and a schedule+cancel allocate nothing.
+// allocates nothing.
 func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	if DebugEnabled {
 		t.Skip("simdebug invariant checks box their arguments; the gate is for normal builds")
 	}
 	e := NewEngine(1)
 	tick := func() {}
+	// Keep some events queued so pops sift through a heap.
+	for i := 0; i < 64; i++ {
+		e.Schedule(Time(i+2)*Microsecond, tick)
+	}
 	schedulePop := func() {
 		e.Schedule(Nanosecond, tick)
 		e.Step()
 	}
-	scheduleCancel := func() {
-		e.Cancel(e.Schedule(Nanosecond, tick))
-	}
-	// Keep some events queued so pops and cancels sift through a heap.
-	for i := 0; i < 64; i++ {
-		e.Schedule(Time(i+2)*Microsecond, tick)
-	}
-	for _, c := range []struct {
-		name string
-		fn   func()
-	}{{"schedule+pop", schedulePop}, {"schedule+cancel", scheduleCancel}} {
-		if got := testing.AllocsPerRun(1000, c.fn); got != 0 {
-			t.Errorf("%s: %v allocs per run, want 0", c.name, got)
-		}
+	if got := testing.AllocsPerRun(1000, schedulePop); got != 0 {
+		t.Errorf("schedule+pop: %v allocs per run, want 0", got)
 	}
 }
 
@@ -306,14 +238,10 @@ func TestNextEventTime(t *testing.T) {
 	if e.NextEventTime() != MaxTime {
 		t.Fatal("empty queue should report MaxTime")
 	}
-	ev := e.Schedule(5*Nanosecond, func() {})
+	e.Schedule(5*Nanosecond, func() {})
 	e.Schedule(9*Nanosecond, func() {})
 	if e.NextEventTime() != 5*Nanosecond {
 		t.Fatalf("next = %v, want 5ns", e.NextEventTime())
-	}
-	e.Cancel(ev)
-	if e.NextEventTime() != 9*Nanosecond {
-		t.Fatalf("next after cancel = %v, want 9ns", e.NextEventTime())
 	}
 }
 
@@ -763,34 +691,6 @@ func TestProcessSpawnAllocBudget(t *testing.T) {
 	}
 }
 
-func TestHeartbeat(t *testing.T) {
-	e := NewEngine(1)
-	var beats int
-	var lastExecuted uint64
-	e.SetHeartbeat(3, func() {
-		beats++
-		lastExecuted = e.EventsExecuted()
-	})
-	for i := 0; i < 10; i++ {
-		e.Schedule(Time(i)*Nanosecond, func() {})
-	}
-	e.Run()
-	if beats != 3 {
-		t.Fatalf("beats = %d, want 3 (10 events / every 3)", beats)
-	}
-	if lastExecuted != 9 {
-		t.Fatalf("last heartbeat at executed = %d, want 9", lastExecuted)
-	}
-	// Disabling stops further callbacks.
-	e.SetHeartbeat(0, nil)
-	e.Schedule(Nanosecond, func() {})
-	e.Schedule(Nanosecond, func() {})
-	e.Run()
-	if beats != 3 {
-		t.Fatalf("beats after disable = %d, want 3", beats)
-	}
-}
-
 func TestDaemonEventsInvisibleToModel(t *testing.T) {
 	e := NewEngine(1)
 	for i := 1; i <= 5; i++ {
@@ -836,15 +736,4 @@ func TestDaemonOnlyQueueNeverRuns(t *testing.T) {
 	if ran {
 		t.Fatal("daemon executed with no model events queued")
 	}
-}
-
-func TestCancelDaemonEvent(t *testing.T) {
-	e := NewEngine(1)
-	e.Schedule(2*Microsecond, func() {})
-	ev := e.ScheduleDaemonP(Microsecond, 0, func() { t.Fatal("canceled daemon ran") })
-	e.Cancel(ev)
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", e.Pending())
-	}
-	e.Run()
 }

@@ -10,7 +10,7 @@ import (
 // FuzzShardedEngine cross-checks the lookahead-parallel engine against
 // the single-heap reference under fuzzed workloads: the same relay model
 // (per-node RNG substreams, globally unique negative priorities,
-// cross-shard handoffs at >= lookahead, local schedule-and-cancel) runs
+// cross-shard handoffs at >= lookahead, local follow-up events) runs
 // once on one heap and once partitioned, each with a canonical execution
 // ledger attached. The canonical chain head hashes every model pop's
 // (time, priority, label) in partition-invariant order, so any divergence
@@ -96,10 +96,8 @@ func (m *fzModel) receive(node, hops int) {
 	eng := m.engineFor(node)
 	now := eng.Now()
 	tag := m.tags[m.shardOf(node)]
-	// Same-node churn: a canceled event and, every third hop, a local
-	// follow-up — both with unique priorities so ties never exist.
-	ev := tag.AtP(now+500, m.pri(node), func() {})
-	eng.Cancel(ev)
+	// Same-node churn: every third hop, a local follow-up with a unique
+	// priority so ties never exist.
 	if hops%3 == 0 {
 		tag.AtP(now+2, m.pri(node), func() {})
 	}

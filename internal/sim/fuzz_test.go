@@ -4,19 +4,18 @@ import (
 	"testing"
 )
 
-// FuzzEngineSchedule drives random interleaved Schedule/Cancel/RunUntil/
-// Step/Run sequences against a reference model (a sorted slice of expected
+// FuzzEngineSchedule drives random interleaved Schedule/RunUntil/Step/Run
+// sequences against a reference model (a sorted slice of expected
 // executions) and checks that the engine's 4-ary heap and event pool
 // preserve the kernel's contract:
 //
 //   - events execute in (time, priority, schedule-order) order, exactly
 //     once, at exactly their scheduled timestamp;
-//   - canceled events never run;
 //   - the model-facing counters (EventsScheduled, EventsExecuted, Pending)
 //     account for every event;
-//   - the free list recycles executed and canceled events without ever
-//     handing a live event back out (checked structurally here, and by the
-//     simdebug pool invariants when the tag is on).
+//   - the free list recycles executed events without ever handing a live
+//     event back out (checked structurally here, and by the simdebug pool
+//     invariants when the tag is on).
 //
 // The input bytes form an op stream: each op consumes 1-3 bytes, so the
 // fuzzer's minimization maps directly onto shorter schedules.
@@ -32,15 +31,13 @@ func FuzzEngineSchedule(f *testing.F) {
 			id       int
 			at       Time // absolute scheduled time
 			pri      int
-			canceled bool
 			executed bool
 		}
 
 		e := NewEngine(1)
 		var refs []*refEvent
-		var handles []*Event // parallel to refs; nil once the handle is dead
-		var got []int        // executed ids, in engine order
-		var ran []bool       // per-id: the engine actually ran it (callback fired)
+		var got []int  // executed ids, in engine order
+		var ran []bool // per-id: the engine actually ran it (callback fired)
 
 		pos := 0
 		next := func() byte {
@@ -52,14 +49,14 @@ func FuzzEngineSchedule(f *testing.F) {
 			return b
 		}
 
-		// refPending returns pending (non-canceled, non-executed) events
+		// refPending returns pending (not yet executed) events
 		// with at <= limit, in the engine's (time, priority, schedule
 		// order) execution order. Schedule order stands in for the engine's
 		// seq: each ScheduleP call consumes exactly one sequence number.
 		refPending := func(limit Time) []*refEvent {
 			var out []*refEvent
 			for _, r := range refs {
-				if !r.canceled && !r.executed && r.at <= limit {
+				if !r.executed && r.at <= limit {
 					out = append(out, r)
 				}
 			}
@@ -91,15 +88,14 @@ func FuzzEngineSchedule(f *testing.F) {
 		schedules := 0
 		for pos < len(data) {
 			switch op := next() % 8; {
-			case op < 4: // schedule (weighted: the dominant kernel op)
+			case op < 6: // schedule (weighted: the dominant kernel op)
 				d := Time(next()) * Nanosecond
 				pri := int(next()%5) - 2
 				id := len(refs)
 				r := &refEvent{id: id, at: e.Now() + d, pri: pri}
 				refs = append(refs, r)
-				handles = append(handles, nil)
 				ran = append(ran, false)
-				handles[id] = e.ScheduleP(d, pri, func() {
+				e.ScheduleP(d, pri, func() {
 					if now := e.Now(); now != r.at {
 						t.Fatalf("event %d ran at %v, scheduled for %v", id, now, r.at)
 					}
@@ -108,20 +104,8 @@ func FuzzEngineSchedule(f *testing.F) {
 					}
 					ran[id] = true
 					got = append(got, id)
-					handles[id] = nil // handle dies when the event fires
 				})
 				schedules++
-			case op < 6: // cancel a live handle
-				if len(handles) == 0 {
-					continue
-				}
-				i := int(next()) % len(handles)
-				if handles[i] == nil {
-					continue // executed or already canceled: handle is dead
-				}
-				e.Cancel(handles[i])
-				handles[i] = nil
-				refs[i].canceled = true
 			case op == 6: // bounded run
 				limit := e.Now() + Time(next())*Nanosecond
 				refExecute(refPending(limit))

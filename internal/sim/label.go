@@ -1,7 +1,5 @@
 package sim
 
-import "fmt"
-
 // Label is an interned component identity for events. Labels are small
 // integers indexing a per-engine string table, so stamping one on an event
 // costs a 4-byte field write — no strings, no allocation — and two engines
@@ -62,7 +60,7 @@ func (e *Engine) LabelName(l Label) string {
 
 // Tagged is an Engine handle that stamps a component label on everything it
 // schedules. It embeds the engine, so a component that stores one keeps the
-// full Engine API (Now, RNG, Cancel, Run, ...) through promotion; only the
+// full Engine API (Now, RNG, Run, ...) through promotion; only the
 // scheduling entry points are shadowed to add the label. Tagged is a small
 // value (pointer + id): pass and store it by value.
 //
@@ -88,26 +86,23 @@ func (t Tagged) Retag(name string) Tagged { return t.Engine.Tag(name) }
 // Schedule runs fn after delay d, stamped with the handle's label.
 //
 //rvmalint:hot
-func (t Tagged) Schedule(d Time, fn func()) *Event {
-	return t.Engine.schedule(d, 0, t.label, fn)
+func (t Tagged) Schedule(d Time, fn func()) {
+	t.Engine.schedule(d, 0, t.label, fn, false)
 }
 
 // ScheduleP runs fn after delay d at the given priority, stamped with the
 // handle's label.
 //
 //rvmalint:hot
-func (t Tagged) ScheduleP(d Time, priority int, fn func()) *Event {
-	return t.Engine.schedule(d, priority, t.label, fn)
+func (t Tagged) ScheduleP(d Time, priority int, fn func()) {
+	t.Engine.schedule(d, priority, t.label, fn, false)
 }
 
 // At runs fn at absolute time tm, stamped with the handle's label.
 //
 //rvmalint:hot
-func (t Tagged) At(tm Time, fn func()) *Event {
-	if tm < t.Engine.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", tm, t.Engine.now))
-	}
-	return t.Engine.at(tm, 0, t.label, fn)
+func (t Tagged) At(tm Time, fn func()) {
+	t.Engine.atModel(tm, 0, t.label, fn)
 }
 
 // AtP runs fn at absolute time tm with an explicit priority, stamped with
@@ -117,11 +112,8 @@ func (t Tagged) At(tm Time, fn func()) *Event {
 // engine's deterministic handoff relies on.
 //
 //rvmalint:hot
-func (t Tagged) AtP(tm Time, priority int, fn func()) *Event {
-	if tm < t.Engine.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", tm, t.Engine.now))
-	}
-	return t.Engine.at(tm, priority, t.label, fn)
+func (t Tagged) AtP(tm Time, priority int, fn func()) {
+	t.Engine.atModel(tm, priority, t.label, fn)
 }
 
 // ScheduleDaemonP schedules a daemon event stamped with the handle's label.
@@ -129,10 +121,8 @@ func (t Tagged) AtP(tm Time, priority int, fn func()) *Event {
 // aids simdebug diagnostics.
 //
 //rvmalint:hot
-func (t Tagged) ScheduleDaemonP(d Time, priority int, fn func()) *Event {
-	ev := t.Engine.scheduleDaemonP(d, priority, fn)
-	ev.label = t.label
-	return ev
+func (t Tagged) ScheduleDaemonP(d Time, priority int, fn func()) {
+	t.Engine.schedule(d, priority, t.label, fn, true)
 }
 
 // Spawn starts a process whose wake-up events (spawn, Sleep, resumes) carry

@@ -45,7 +45,7 @@ func (e *Engine) spawn(name string, label Label, body func(p *Process)) *Process
 		body(p)
 	})
 	e.procs++
-	e.schedule(0, 0, label, p.wake)
+	e.schedule(0, 0, label, p.wake, false)
 	return p
 }
 
@@ -92,7 +92,7 @@ func (p *Process) Now() Time { return p.eng.Now() }
 //
 //rvmalint:hot
 func (p *Process) Sleep(d Time) {
-	p.eng.schedule(d, 0, p.label, p.wake)
+	p.eng.schedule(d, 0, p.label, p.wake, false)
 	p.park()
 }
 

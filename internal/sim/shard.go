@@ -32,8 +32,9 @@ import "sort"
 //     component's draws depend on its own history, not on how work was
 //     partitioned.
 //
-// The single-heap Engine remains the shards=1 fast path; none of this
-// machinery touches RunUntil.
+// Every run is a ShardGroup, a one-shard group included. Engine.RunUntil
+// is the bare single-engine loop that unit tests and standalone engines
+// drive; it shares its execution step with the shard window.
 
 // xpost is one cross-shard event handoff, parked in the sender's outbox
 // until the round barrier.
@@ -148,7 +149,7 @@ func (g *ShardGroup) Post(src, dst int, at Time, priority int, label Label, fn f
 		if DebugEnabled {
 			Assertf(at >= e.now, "same-shard post at %v before shard %d clock %v", at, src, e.now)
 		}
-		e.at(at, priority, label, fn)
+		e.at(at, priority, label, fn, false)
 		return
 	}
 	if DebugEnabled {
@@ -199,7 +200,7 @@ func (g *ShardGroup) deliver() {
 				"cross-shard handoff at %v arrives behind destination shard %d clock %v (causality violated; lookahead too large?)",
 				p.at, p.dst, dst.now)
 		}
-		dst.at(p.at, p.priority, p.label, p.fn)
+		dst.at(p.at, p.priority, p.label, p.fn, false)
 		p.fn = nil // don't pin callbacks in the reused scratch buffer
 	}
 	g.xbuf = all
@@ -390,15 +391,6 @@ func (g *ShardGroup) TotalExecuted() uint64 {
 	var n uint64
 	for _, e := range g.shards {
 		n += e.executed
-	}
-	return n
-}
-
-// TotalScheduled sums model events scheduled across all shards.
-func (g *ShardGroup) TotalScheduled() uint64 {
-	var n uint64
-	for _, e := range g.shards {
-		n += e.scheduled
 	}
 	return n
 }

@@ -14,8 +14,8 @@ import (
 // within one lookahead window past the final model event). These tests
 // drive a synthetic relay model that exercises every mechanism the real
 // fabric uses: globally unique (negative) event priorities, per-component
-// RNG substreams, cross-shard handoffs at >= lookahead, local events,
-// cancels, and telemetry-style daemon ticks.
+// RNG substreams, cross-shard handoffs at >= lookahead, local events and
+// telemetry-style daemon ticks.
 
 // relayLookahead is the minimum cross-node latency in the test model.
 const relayLookahead = Time(40)
@@ -126,8 +126,8 @@ func (m *relayModel) send(src, dst int, at Time, hops int) {
 	m.group.Post(ss, ds, at, pri, m.tags[ds].Label(), fn)
 }
 
-// receive is the per-hop callback: fold model state, do some local work
-// (including a schedule-then-cancel), and relay onward.
+// receive is the per-hop callback: fold model state, do some local work,
+// and relay onward.
 func (m *relayModel) receive(node, hops int) {
 	eng := m.engineFor(node)
 	now := eng.Now()
@@ -136,8 +136,6 @@ func (m *relayModel) receive(node, hops int) {
 	tag := m.tags[shard]
 	// Local work at the same node: unique priorities keep the global
 	// (time, priority) order total even across shard boundaries.
-	ev := tag.AtP(now+1000, m.uniquePri(node), func() {})
-	eng.Cancel(ev)
 	if hops%3 == 0 {
 		tag.AtP(now+3, m.uniquePri(node), func() {
 			m.sums[shard] += uint64(node+1) * 0xBF58476D1CE4E5B9

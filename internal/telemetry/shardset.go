@@ -50,9 +50,7 @@ func NewShardSet(g *sim.ShardGroup, interval sim.Time) *ShardSet {
 		kinds:    make(map[string]ColKind),
 	}
 	for i := range ss.samplers {
-		s := NewUnbound(interval)
-		s.Bind(g.Shard(i))
-		ss.samplers[i] = s
+		ss.samplers[i] = New(g.Shard(i), interval)
 	}
 	return ss
 }

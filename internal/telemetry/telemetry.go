@@ -67,34 +67,13 @@ type Sampler struct {
 	compressed int    // number of downsample passes
 }
 
-// New returns a sampler on eng with the given tick interval (sim time).
+// New returns a sampler that ticks on eng at the given interval (sim
+// time). A non-positive interval panics.
 func New(eng *sim.Engine, interval sim.Time) *Sampler {
-	s := NewUnbound(interval)
-	s.Bind(eng)
-	return s
-}
-
-// NewUnbound returns a sampler not yet bound to an engine, for callers
-// that configure sampling before the simulation exists (the harness
-// builds one per figure cell). Bind — which Cluster.RegisterTelemetry
-// does — must happen before Start.
-func NewUnbound(interval sim.Time) *Sampler {
 	if interval <= 0 {
 		panic(fmt.Sprintf("telemetry: non-positive sample interval %v", interval))
 	}
-	return &Sampler{interval: interval, maxSamples: DefaultMaxSamples}
-}
-
-// Bind attaches the sampler to the engine it will schedule its ticks on.
-// Rebinding to a different engine is a bug and panics.
-func (s *Sampler) Bind(eng *sim.Engine) {
-	if s == nil {
-		return
-	}
-	if s.eng != nil && s.eng != eng {
-		panic("telemetry: sampler bound to two engines")
-	}
-	s.eng = eng
+	return &Sampler{eng: eng, interval: interval, maxSamples: DefaultMaxSamples}
 }
 
 // SetMaxSamples bounds stored rows (minimum 2). Must be called before
@@ -150,9 +129,6 @@ func (s *Sampler) OnSample(fn func(at sim.Time)) {
 func (s *Sampler) Start() {
 	if s == nil || s.started {
 		return
-	}
-	if s.eng == nil {
-		panic("telemetry: Start before Bind")
 	}
 	s.started = true
 	s.eng.ScheduleDaemonP(s.interval, tickPriority, s.tick)

@@ -1,17 +1,17 @@
-// Package trace provides lightweight observability for simulation runs:
-// categorized event logs (bounded ring), named counters, and time-bucketed
-// series. The fabric and NIC models emit into a Tracer when one is
-// attached; with no tracer attached the hooks cost one nil check.
+// Package trace records a bounded ring of categorized model events. The
+// fabric, NIC and protocol layers emit into a Tracer when one is attached;
+// with no tracer attached the hooks cost one nil check. Aggregate counts
+// live in the metrics registry and fabric.Stats, not here.
 //
-// cmd/rvmasim -trace prints a run's trace summary; tests use tracers to
-// assert on internal behavior (detour counts, drop reasons) without
-// reaching into model state.
+// cmd/rvmasim -trace prints the ring after the run, and the telemetry
+// flight recorder dumps it when a run fails; tests use tracers to assert
+// on internal behavior (inject, deliver and drop events) without reaching
+// into model state.
 package trace
 
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"rvma/internal/sim"
 )
@@ -35,53 +35,7 @@ type Event struct {
 	Msg string
 }
 
-// maxSeriesBuckets bounds a Series' stored buckets. When an add would
-// index past the cap, the series downsamples: adjacent bucket pairs are
-// summed and the bucket width doubles, preserving totals while halving
-// resolution — memory stays bounded for arbitrarily long runs.
-const maxSeriesBuckets = 4096
-
-// Series accumulates a value into fixed-width time buckets, producing a
-// time series (e.g. delivered bytes per 10 µs window).
-type Series struct {
-	Bucket  sim.Time
-	Sums    []float64
-	started bool
-}
-
-// add accumulates v at time at.
-func (s *Series) add(at sim.Time, v float64) {
-	if s.Bucket <= 0 {
-		return
-	}
-	idx := int(at / s.Bucket)
-	for idx >= maxSeriesBuckets {
-		s.compress()
-		idx = int(at / s.Bucket)
-	}
-	for len(s.Sums) <= idx {
-		s.Sums = append(s.Sums, 0)
-	}
-	s.Sums[idx] += v
-	s.started = true
-}
-
-// compress doubles the bucket width, summing adjacent bucket pairs so the
-// series keeps its totals at half the time resolution.
-func (s *Series) compress() {
-	keep := (len(s.Sums) + 1) / 2
-	for i := 0; i < keep; i++ {
-		v := s.Sums[2*i]
-		if 2*i+1 < len(s.Sums) {
-			v += s.Sums[2*i+1]
-		}
-		s.Sums[i] = v
-	}
-	s.Sums = s.Sums[:keep]
-	s.Bucket *= 2
-}
-
-// Tracer collects events, counters and series for one simulation.
+// Tracer collects the recent events of one simulation in a bounded ring.
 type Tracer struct {
 	eng     *sim.Engine
 	enabled map[Category]bool
@@ -97,9 +51,6 @@ type Tracer struct {
 	// for the run.
 	Suppressed  uint64
 	Overwritten uint64
-
-	counters map[string]uint64
-	series   map[string]*Series
 }
 
 // New returns a tracer bound to the engine with a bounded event ring.
@@ -109,11 +60,9 @@ func New(eng *sim.Engine, capacity int) *Tracer {
 		capacity = 1
 	}
 	return &Tracer{
-		eng:      eng,
-		enabled:  make(map[Category]bool),
-		ring:     make([]Event, 0, capacity),
-		counters: make(map[string]uint64),
-		series:   make(map[string]*Series),
+		eng:     eng,
+		enabled: make(map[Category]bool),
+		ring:    make([]Event, 0, capacity),
 	}
 }
 
@@ -150,54 +99,6 @@ func (t *Tracer) Eventf(cat Category, format string, args ...any) {
 	t.Overwritten++
 }
 
-// Count adds delta to a named counter. Counters always record, independent
-// of category enablement — they are the cheap aggregate layer.
-func (t *Tracer) Count(name string, delta uint64) {
-	if t == nil {
-		return
-	}
-	t.counters[name] += delta
-}
-
-// Counter returns a named counter's value.
-func (t *Tracer) Counter(name string) uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.counters[name]
-}
-
-// DefineSeries creates (or resets) a named time series with the given
-// bucket width.
-func (t *Tracer) DefineSeries(name string, bucket sim.Time) {
-	if t == nil {
-		return
-	}
-	t.series[name] = &Series{Bucket: bucket}
-}
-
-// Add accumulates v into a named series at the current simulated time.
-// Adding to an undefined series is a no-op.
-func (t *Tracer) Add(name string, v float64) {
-	if t == nil {
-		return
-	}
-	if s, ok := t.series[name]; ok {
-		s.add(t.eng.Now(), v)
-	}
-}
-
-// SeriesSums returns the bucket sums of a named series (nil if undefined).
-func (t *Tracer) SeriesSums(name string) []float64 {
-	if t == nil {
-		return nil
-	}
-	if s, ok := t.series[name]; ok {
-		return s.Sums
-	}
-	return nil
-}
-
 // Events returns the recorded events in chronological order.
 func (t *Tracer) Events() []Event {
 	if t == nil {
@@ -214,35 +115,11 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// Dump writes a human-readable summary: counters (sorted), series shapes,
-// then the event log.
+// Dump writes the event log, then how many events were suppressed or
+// overwritten.
 func (t *Tracer) Dump(w io.Writer) {
 	if t == nil {
 		return
-	}
-	names := make([]string, 0, len(t.counters))
-	for n := range t.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	if len(names) > 0 {
-		fmt.Fprintln(w, "counters:")
-		for _, n := range names {
-			fmt.Fprintf(w, "  %-32s %d\n", n, t.counters[n])
-		}
-	}
-	snames := make([]string, 0, len(t.series))
-	for n := range t.series {
-		snames = append(snames, n)
-	}
-	sort.Strings(snames)
-	for _, n := range snames {
-		s := t.series[n]
-		if !s.started {
-			continue
-		}
-		fmt.Fprintf(w, "series %s (bucket %v): %d buckets, peak %.4g\n",
-			n, s.Bucket, len(s.Sums), peak(s.Sums))
 	}
 	evs := t.Events()
 	if len(evs) > 0 {
@@ -255,32 +132,6 @@ func (t *Tracer) Dump(w io.Writer) {
 		fmt.Fprintf(w, "suppressed (category disabled): %d, overwritten (ring full): %d\n",
 			t.Suppressed, t.Overwritten)
 	}
-}
-
-// WriteSeriesCSV emits a named series as (bucket_start_ns, value) rows.
-func (t *Tracer) WriteSeriesCSV(w io.Writer, name string) error {
-	if t == nil {
-		return fmt.Errorf("trace: nil tracer")
-	}
-	s, ok := t.series[name]
-	if !ok {
-		return fmt.Errorf("trace: unknown series %q", name)
-	}
-	fmt.Fprintln(w, "bucket_start_ns,value")
-	for i, v := range s.Sums {
-		fmt.Fprintf(w, "%.0f,%g\n", (sim.Time(i) * s.Bucket).Nanoseconds(), v)
-	}
-	return nil
-}
-
-func peak(xs []float64) float64 {
-	p := 0.0
-	for _, x := range xs {
-		if x > p {
-			p = x
-		}
-	}
-	return p
 }
 
 func wrappedNote(wrapped bool) string {

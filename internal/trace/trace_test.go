@@ -87,130 +87,24 @@ func TestDumpReportsSuppressedAndOverwritten(t *testing.T) {
 	}
 }
 
-func TestCounters(t *testing.T) {
-	tr := New(sim.NewEngine(1), 1)
-	tr.Count("pkts", 3)
-	tr.Count("pkts", 4)
-	if tr.Counter("pkts") != 7 {
-		t.Fatalf("counter = %d", tr.Counter("pkts"))
-	}
-	if tr.Counter("missing") != 0 {
-		t.Fatal("missing counter should read 0")
-	}
-}
-
-func TestSeries(t *testing.T) {
-	eng := sim.NewEngine(1)
-	tr := New(eng, 1)
-	tr.DefineSeries("bw", 10*sim.Microsecond)
-	eng.Schedule(sim.Microsecond, func() { tr.Add("bw", 100) })
-	eng.Schedule(5*sim.Microsecond, func() { tr.Add("bw", 50) })
-	eng.Schedule(25*sim.Microsecond, func() { tr.Add("bw", 7) })
-	eng.Schedule(0, func() { tr.Add("undefined", 1) }) // no-op
-	eng.Run()
-	sums := tr.SeriesSums("bw")
-	if len(sums) != 3 || sums[0] != 150 || sums[1] != 0 || sums[2] != 7 {
-		t.Fatalf("series = %v", sums)
-	}
-	if tr.SeriesSums("undefined") != nil {
-		t.Fatal("undefined series should read nil")
-	}
-}
-
-func TestSeriesBoundedDownsamples(t *testing.T) {
-	s := &Series{Bucket: sim.Microsecond}
-	const adds = 3 * maxSeriesBuckets
-	for i := 0; i < adds; i++ {
-		s.add(sim.Time(i)*sim.Microsecond, 1)
-	}
-	if len(s.Sums) > maxSeriesBuckets {
-		t.Fatalf("series grew to %d buckets, cap is %d", len(s.Sums), maxSeriesBuckets)
-	}
-	if s.Bucket <= sim.Microsecond {
-		t.Fatalf("bucket width %v should have doubled past the original", s.Bucket)
-	}
-	total := 0.0
-	for _, v := range s.Sums {
-		total += v
-	}
-	if total != adds {
-		t.Fatalf("downsampling lost mass: total = %g, want %d", total, adds)
-	}
-
-	// A single add far in the future must compress until it fits, never
-	// allocate past the cap.
-	s.add(1000*maxSeriesBuckets*sim.Microsecond, 5)
-	if len(s.Sums) > maxSeriesBuckets {
-		t.Fatalf("far-future add grew series to %d buckets, cap is %d", len(s.Sums), maxSeriesBuckets)
-	}
-	total = 0
-	for _, v := range s.Sums {
-		total += v
-	}
-	if total != adds+5 {
-		t.Fatalf("total after far-future add = %g, want %d", total, adds+5)
-	}
-}
-
 func TestNilTracerSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Eventf(CatApp, "x")
-	tr.Count("c", 1)
-	tr.Add("s", 1)
 	tr.Dump(&strings.Builder{})
-	if tr.Counter("c") != 0 || tr.Events() != nil || tr.Enabled(CatApp) {
+	if tr.Events() != nil || tr.Enabled(CatApp) {
 		t.Fatal("nil tracer must be inert")
-	}
-	if err := tr.WriteSeriesCSV(&strings.Builder{}, "s"); err == nil {
-		t.Fatal("WriteSeriesCSV on nil tracer should return an error, not panic")
 	}
 }
 
-func TestDumpAndCSV(t *testing.T) {
+func TestDumpPrintsRing(t *testing.T) {
 	eng := sim.NewEngine(1)
 	tr := New(eng, 4)
 	tr.Enable(CatApp)
-	tr.Count("n", 2)
-	tr.DefineSeries("s", sim.Microsecond)
-	eng.Schedule(0, func() { tr.Add("s", 5); tr.Eventf(CatApp, "mark") })
+	eng.Schedule(sim.Microsecond, func() { tr.Eventf(CatApp, "mark") })
 	eng.Run()
 	var sb strings.Builder
 	tr.Dump(&sb)
-	out := sb.String()
-	for _, want := range []string{"counters:", "n", "series s", "mark"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("dump missing %q:\n%s", want, out)
-		}
-	}
-	sb.Reset()
-	if err := tr.WriteSeriesCSV(&sb, "s"); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if lines[0] != "bucket_start_ns,value" {
-		t.Fatalf("csv header = %q", lines[0])
-	}
-	if len(lines) != 2 || lines[1] != "0,5" {
-		t.Fatalf("csv rows = %v", lines[1:])
-	}
-	if err := tr.WriteSeriesCSV(&sb, "nope"); err == nil {
-		t.Fatal("unknown series should error")
-	}
-}
-
-func TestWriteSeriesCSVMultiBucket(t *testing.T) {
-	eng := sim.NewEngine(1)
-	tr := New(eng, 1)
-	tr.DefineSeries("bw", 10*sim.Microsecond)
-	eng.Schedule(sim.Microsecond, func() { tr.Add("bw", 100) })
-	eng.Schedule(25*sim.Microsecond, func() { tr.Add("bw", 7) })
-	eng.Run()
-	var sb strings.Builder
-	if err := tr.WriteSeriesCSV(&sb, "bw"); err != nil {
-		t.Fatal(err)
-	}
-	want := "bucket_start_ns,value\n0,100\n10000,0\n20000,7\n"
-	if sb.String() != want {
-		t.Fatalf("csv = %q, want %q", sb.String(), want)
+	if want := "events (1 recorded):\n  [1.000us] app: mark\n"; sb.String() != want {
+		t.Fatalf("dump = %q, want %q", sb.String(), want)
 	}
 }
