@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // BenchmarkEngineEventThroughput measures raw kernel speed: schedule +
 // execute of self-rescheduling events (the inner loop of every simulation
@@ -24,8 +27,9 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 }
 
 // BenchmarkEngineHeapChurn measures scheduling with a deep queue: 4096
-// pending events at all times, executing and replacing — the 4-ary heap's
-// sift costs under realistic queue depth.
+// pending events at all times, executing and replacing — the queue's
+// refiling cost at realistic depth, with every callback the same hot
+// closure.
 func BenchmarkEngineHeapChurn(b *testing.B) {
 	e := NewEngine(1)
 	const depth = 4096
@@ -43,6 +47,49 @@ func BenchmarkEngineHeapChurn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
+}
+
+// standingAgent is one self-rescheduling callback of
+// BenchmarkEngineStandingQueue. The padding gives every agent, and the
+// closure allocated right after it, memory of its own.
+type standingAgent struct {
+	tick func()
+	_    [240]byte
+}
+
+// BenchmarkEngineStandingQueue is the kernel under a model's load: a few
+// thousand events pending at all times, delays that mix ~100 ns hops at
+// picosecond resolution with 1-10 µs timers, and callbacks scattered in
+// memory, so a pop touches cold events and closures as a fabric run's
+// does. One op is one executed event.
+func BenchmarkEngineStandingQueue(b *testing.B) {
+	const pending = 4096
+	e := NewEngine(1)
+	rng := NewRNG(2)
+	executed := 0
+	delay := func() Time {
+		if rng.Intn(8) == 0 {
+			return Microsecond + Time(rng.Intn(int(9*Microsecond)))
+		}
+		return 80*Nanosecond + Time(rng.Intn(int(40*Nanosecond)))
+	}
+	spacers := make([][]byte, pending) // live heap between the agents
+	for i := range spacers {
+		a := &standingAgent{}
+		a.tick = func() {
+			executed++
+			if executed < b.N {
+				e.Schedule(delay(), a.tick)
+			}
+		}
+		spacers[i] = make([]byte, 1024)
+		e.Schedule(delay(), a.tick)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+	b.StopTimer()
+	runtime.KeepAlive(spacers)
 }
 
 // BenchmarkEngineDaemonOverhead measures a model tick with a daemon rider

@@ -3,6 +3,7 @@
 package sim
 
 import (
+	"math/bits"
 	"strings"
 	"testing"
 )
@@ -44,11 +45,18 @@ func TestDebugCatchesClockCorruption(t *testing.T) {
 func TestDebugCatchesHeapCorruption(t *testing.T) {
 	e := NewEngine(1)
 	for i := 0; i < 8; i++ {
-		e.Schedule(Time(i)*Nanosecond, func() {})
+		e.Schedule(Time(1)<<(4*i), func() {})
 	}
-	// Swap the earliest event with the latest: the structural sweep must
-	// notice the broken heap order.
-	e.queue[0], e.queue[len(e.queue)-1] = e.queue[len(e.queue)-1], e.queue[0]
+	// Swap the contents of two occupied buckets: every event is still
+	// queued and counted, but now sits in a bucket its time does not
+	// select, so the structural sweep must notice the broken order.
+	q := &e.queue
+	lo := bits.TrailingZeros64(q.mask)
+	hi := 63 - bits.LeadingZeros64(q.mask)
+	if lo == hi {
+		t.Fatalf("want two occupied buckets, mask %b", q.mask)
+	}
+	q.buckets[lo], q.buckets[hi] = q.buckets[hi], q.buckets[lo]
 	mustPanic(t, "heap", func() { e.debugVerifyHeap() })
 }
 

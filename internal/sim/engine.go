@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // event is a scheduled callback. Events are ordered by time, then priority
@@ -27,84 +28,255 @@ const (
 	evQueued              // live: scheduled and present in the queue
 )
 
-// eventQueue is a 4-ary min-heap over (time, priority, seq), implemented
-// directly on the slice so hot-path pushes and pops never cross a
-// heap.Interface boundary (no interface conversions, no indirect method
-// calls). A 4-ary heap has half the levels of a binary heap: sift-up — the
-// dominant cost of the schedule-heavy simulation workload — does half the
-// comparisons, and the four children of a node share a cache line of
-// pointers on the way down.
-type eventQueue []*event
+// eventQueue is a monotone radix heap over (time, priority, seq) (Ahuja,
+// Mehlhorn, Orlin & Tarjan, JACM 1990). It relies on pops never going back
+// in time: every queued event is at or after last, the time of the last
+// pop, and an event lives in bucket bits.Len64(at^last), the position of
+// the highest bit where its time differs from last.
+//
+//   - Bucket 0 (b0) holds the events at exactly last, as a small binary
+//     heap on (priority, seq).
+//   - Buckets 1-63 are unordered lists of fixed-size chunks. Every event in
+//     bucket i is earlier than every event in bucket i+1, so the lowest
+//     non-empty bucket (the lowest set bit of mask) holds the earliest time.
+//
+// A pop with b0 empty refiles the lowest non-empty bucket: its earliest time
+// becomes last, and each of its events moves to a strictly lower bucket, so
+// an event is moved at most 63 times over its life and in practice a few.
+// Those moves are independent of one another, where a comparison heap's pop
+// is a chain of dependent, mispredicted compares through cold events: on a
+// queue thousands deep, the chain is what a pop costs.
+//
+// Each bucket keeps its earliest time, so a refile knows where to move
+// last without a scan, and a peek reads the head without one. A peek must
+// not advance last, because a shard's barrier deliveries land between its
+// clock and its head. Only Engine.syncClock moves a clock behind last, and
+// it rebases the queue when it does.
+type eventQueue struct {
+	last    Time       // time of the last pop; no queued event is earlier
+	n       int        // queued events
+	mask    uint64     // bit i set iff buckets[i] holds an event
+	b0      []*event   // bucket 0: events at exactly last, a heap on (priority, seq)
+	buckets [64]*chunk // buckets 1-63: the newest chunk, linked to older full ones
+	mins    [64]Time   // mins[i]: the earliest time in bucket i; MaxTime while it is empty
+	free    *chunk     // spare chunks shared by every bucket
+}
 
-// heapArity is the heap branching factor. Children of node i live at
-// heapArity*i+1 .. heapArity*i+heapArity; the parent of i is (i-1)/heapArity.
-const heapArity = 4
+// chunkCap is the number of events one chunk holds: with its count and
+// link, a chunk is 512 bytes.
+const chunkCap = 62
 
-// push inserts ev.
+// chunk is one fixed-size block of a bucket's unordered event list. Fixed
+// blocks from a shared free list keep the buckets' memory at the peak
+// queue depth; a growable slice per bucket holds ~7x that. A refiled bucket
+// keeps its newest chunk, empty, so a shallow queue that cycles through a
+// few buckets never touches the free list. Slots at and past n are stale:
+// they may still point at pooled events, which pins nothing the engine's
+// event pool does not already hold. The count and link come first, so a
+// short list's header and its first events share a cache line.
+type chunk struct {
+	n    int
+	next *chunk
+	ev   [chunkCap]*event
+}
+
+// push inserts ev, which must not be earlier than the last pop.
 func (q *eventQueue) push(ev *event) {
-	//rvmalint:allow hotalloc -- heap growth is amortized O(1); the backing array stabilizes at peak occupancy
-	*q = append(*q, ev)
-	q.siftUp(len(*q) - 1)
+	at := ev.at
+	if DebugEnabled {
+		Assertf(at >= q.last, "radix heap: push at %v before the last pop at %v", at, q.last)
+	}
+	q.n++
+	if k := bits.Len64(uint64(at ^ q.last)); k > 0 {
+		q.file(k, at, ev)
+	} else {
+		q.pushTie(ev)
+	}
 }
 
 // pop removes and returns the minimum event. The caller must ensure the
 // queue is non-empty.
 func (q *eventQueue) pop() *event {
-	h := *q
+	q.n--
+	if len(q.b0) > 0 {
+		return q.popTie()
+	}
+	k := bits.TrailingZeros64(q.mask)
+	c := q.buckets[k]
+	if c.n == 1 && c.next == nil {
+		// A lone event: refiling would move it straight into b0 and out.
+		q.mask &^= 1 << k
+		q.mins[k] = MaxTime
+		c.n = 0
+		ev := c.ev[0]
+		q.last = ev.at
+		return ev
+	}
+	q.refile(k)
+	return q.popTie()
+}
+
+// peek returns the earliest queued time without advancing last. The
+// caller must ensure the queue is non-empty.
+func (q *eventQueue) peek() Time {
+	if len(q.b0) > 0 {
+		return q.last
+	}
+	return q.mins[bits.TrailingZeros64(q.mask)]
+}
+
+// file appends ev, at time at, to bucket k (k >= 1). It runs for every
+// push and every refile move, and is kept small enough to inline there.
+func (q *eventQueue) file(k int, at Time, ev *event) {
+	if at < q.mins[k] {
+		q.mins[k] = at
+	}
+	q.mask |= 1 << k
+	c := q.buckets[k]
+	if c == nil || c.n == chunkCap {
+		nc := q.free
+		if nc != nil {
+			q.free = nc.next
+		} else {
+			//rvmalint:allow hotalloc -- chunk pool miss: chunks return to the shared free list on refile, so this runs O(peak depth / chunkCap) times, not per event
+			nc = &chunk{}
+		}
+		nc.next = c
+		q.buckets[k] = nc
+		c = nc
+	}
+	c.ev[c.n] = ev
+	c.n++
+}
+
+// refile empties bucket k, the lowest non-empty one, into lower ones: its
+// earliest time m becomes last, and its events at m go to b0. The bucket
+// keeps its newest chunk. The caller ensures b0 is empty.
+func (q *eventQueue) refile(k int) {
+	q.mask &^= 1 << k
+	keep := q.buckets[k]
+	m := q.mins[k]
+	q.mins[k] = MaxTime
+	q.last = m
+	for c := keep; c != nil; {
+		for _, ev := range c.ev[:c.n] {
+			if at := ev.at; at != m {
+				q.file(bits.Len64(uint64(at^m)), at, ev)
+			} else {
+				q.pushTie(ev)
+			}
+		}
+		c.n = 0
+		next := c.next
+		if c != keep {
+			c.next = q.free
+			q.free = c
+		}
+		c = next
+	}
+	keep.next = nil
+}
+
+// rebase lowers last to t, which the caller ensures is below last, and
+// refiles every queued event against it. Every queued event is at or
+// after the old last, so each lands in a bucket above 0.
+func (q *eventQueue) rebase(t Time) {
+	var old *chunk
+	for k, c := range q.buckets {
+		if c == nil {
+			continue
+		}
+		tail := c
+		for tail.next != nil {
+			tail = tail.next
+		}
+		tail.next = old
+		old = c
+		q.buckets[k] = nil
+	}
+	q.mask = 0
+	q.clearMins()
+	q.last = t
+	for i, ev := range q.b0 {
+		q.file(bits.Len64(uint64(ev.at^t)), ev.at, ev)
+		q.b0[i] = nil
+	}
+	q.b0 = q.b0[:0]
+	for old != nil {
+		for _, ev := range old.ev[:old.n] {
+			q.file(bits.Len64(uint64(ev.at^t)), ev.at, ev)
+		}
+		next := old.next
+		old.n = 0
+		old.next = q.free
+		q.free = old
+		old = next
+	}
+}
+
+// clearMins marks every bucket empty: MaxTime is an empty bucket's
+// earliest time, so the first event filed there replaces it.
+func (q *eventQueue) clearMins() {
+	for k := range q.mins {
+		q.mins[k] = MaxTime
+	}
+}
+
+// pushTie inserts ev into b0, a binary min-heap on (priority, seq).
+func (q *eventQueue) pushTie(ev *event) {
+	//rvmalint:allow hotalloc -- b0 growth is amortized O(1); its backing array stabilizes at the most events ever tied at one time
+	h := append(q.b0, ev)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !tieLess(ev, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
+	q.b0 = h
+}
+
+// popTie removes and returns b0's minimum. The caller ensures b0 is not
+// empty.
+func (q *eventQueue) popTie() *event {
+	h := q.b0
 	top := h[0]
 	n := len(h) - 1
-	last := h[n]
+	x := h[n]
 	h[n] = nil
 	h = h[:n]
-	*q = h
-	if n > 0 {
-		h[0] = last
-		h.siftDown(0)
+	q.b0 = h
+	if n == 0 {
+		return top
 	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && tieLess(h[c+1], h[c]) {
+			c++
+		}
+		if !tieLess(h[c], x) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
 	return top
 }
 
-// siftUp restores the heap property from index i toward the root.
-func (q eventQueue) siftUp(i int) {
-	ev := q[i]
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		p := q[parent]
-		if !eventLess(ev, p) {
-			break
-		}
-		q[i] = p
-		i = parent
+// tieLess orders two events at the same time: by priority, then seq.
+func tieLess(a, b *event) bool {
+	if a.priority != b.priority {
+		return a.priority < b.priority
 	}
-	q[i] = ev
-}
-
-// siftDown restores the heap property from index i toward the leaves.
-func (q eventQueue) siftDown(i int) {
-	ev := q[i]
-	n := len(q)
-	for {
-		first := heapArity*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		end := first + heapArity
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if eventLess(q[c], q[min]) {
-				min = c
-			}
-		}
-		if !eventLess(q[min], ev) {
-			break
-		}
-		q[i] = q[min]
-		i = min
-	}
-	q[i] = ev
+	return a.seq < b.seq
 }
 
 // Engine is a deterministic discrete-event simulator. It is not safe for
@@ -147,7 +319,9 @@ type Engine struct {
 // by seed. Two engines built with the same seed and fed the same model run
 // identically.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{rng: NewRNG(seed)}
+	e := &Engine{rng: NewRNG(seed)}
+	e.queue.clearMins()
+	return e
 }
 
 // Now returns the current simulated time.
@@ -280,12 +454,16 @@ func (e *Engine) ScheduleDaemonP(d Time, priority int, fn func()) {
 func (e *Engine) Run() Time { return e.RunUntil(MaxTime) }
 
 // RunUntil executes events with timestamps <= limit. The clock is left at
-// min(limit, time of last executed event's successor).
+// min(limit, time of last executed event's successor). A limit before the
+// current time panics: the clock, like causality, only moves forward.
 //
 //rvmalint:hot
 func (e *Engine) RunUntil(limit Time) Time {
 	if e.running {
 		panic("sim: Run re-entered from within an event")
+	}
+	if limit < e.now {
+		panic(fmt.Sprintf("sim: RunUntil limit %v before now %v", limit, e.now))
 	}
 	e.running = true
 	//rvmalint:allow hotalloc -- one closure per Run call, not per event; the re-entrancy guard must survive callback panics
@@ -293,8 +471,8 @@ func (e *Engine) RunUntil(limit Time) Time {
 	// Only daemon events left: the model has drained. Return at the last
 	// model event's time without executing them, so attached
 	// instrumentation can never extend a run or advance its clock.
-	for len(e.queue) > e.daemons {
-		if e.queue[0].at > limit {
+	for e.queue.n > e.daemons {
+		if e.queue.peek() > limit {
 			e.now = limit
 			break
 		}
@@ -319,7 +497,7 @@ func (e *Engine) runShardWindow(limit Time) {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.queue) > 0 && e.queue[0].at <= limit {
+	for e.queue.n > 0 && e.queue.peek() <= limit {
 		e.runNext()
 	}
 }
@@ -367,7 +545,13 @@ func (e *Engine) runNext() {
 // the last model event, but the run ends at the last model event, and
 // that is the value post-run readers must see. Safe because everything
 // still queued lies strictly beyond the final window limit, which is >= t.
+// It is the one place a clock moves behind the queue's last pop, so it
+// rebases the queue there: a later schedule may land between t and the
+// events the final window left queued.
 func (e *Engine) syncClock(t Time) {
+	if t < e.queue.last {
+		e.queue.rebase(t)
+	}
 	e.now = t
 }
 
@@ -376,7 +560,7 @@ func (e *Engine) syncClock(t Time) {
 //
 //rvmalint:hot
 func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
+	if e.queue.n == 0 {
 		return false
 	}
 	e.runNext()
@@ -385,13 +569,13 @@ func (e *Engine) Step() bool {
 
 // Pending returns the number of model events waiting in the queue. Daemon
 // events are excluded: they are instrumentation, not workload.
-func (e *Engine) Pending() int { return len(e.queue) - e.daemons }
+func (e *Engine) Pending() int { return e.queue.n - e.daemons }
 
 // NextEventTime returns the timestamp of the earliest pending event, or
 // MaxTime if the queue is empty.
 func (e *Engine) NextEventTime() Time {
-	if len(e.queue) > 0 {
-		return e.queue[0].at
+	if e.queue.n > 0 {
+		return e.queue.peek()
 	}
 	return MaxTime
 }

@@ -4,27 +4,34 @@ import (
 	"testing"
 )
 
-// FuzzEngineSchedule drives random interleaved Schedule/RunUntil/Step/Run
-// sequences against a reference model (a sorted slice of expected
-// executions) and checks that the engine's 4-ary heap and event pool
-// preserve the kernel's contract:
+// FuzzEngineSchedule drives random interleaved Schedule/NextEventTime/
+// RunUntil/Step/Run sequences against a reference model (a sorted slice of
+// expected executions) and checks that the engine's radix-heap queue and
+// event pool preserve the kernel's contract:
 //
 //   - events execute in (time, priority, schedule-order) order, exactly
 //     once, at exactly their scheduled timestamp;
+//   - a peek (NextEventTime) reports the earliest pending time without
+//     disturbing the order of what follows;
 //   - the model-facing counters (EventsScheduled, EventsExecuted, Pending)
 //     account for every event;
 //   - the free list recycles executed events without ever handing a live
 //     event back out (checked structurally here, and by the simdebug pool
 //     invariants when the tag is on).
 //
-// The input bytes form an op stream: each op consumes 1-3 bytes, so the
+// Delays are drawn at picosecond resolution from 0 to ~2^40 ps, as a
+// mantissa byte shifted by an exponent byte, so events land in every
+// bucket of the radix heap. Priorities mix small values, which tie often,
+// with large negative ones shaped like the fabric's locus priorities.
+//
+// The input bytes form an op stream: each op consumes 1-4 bytes, so the
 // fuzzer's minimization maps directly onto shorter schedules.
 func FuzzEngineSchedule(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 10, 1, 0, 20, 0, 6, 15, 0, 5, 2})
-	f.Add([]byte{0, 1, 0, 0, 1, 0, 0, 1, 0, 4, 0, 4, 1, 6, 255, 7, 7})
-	f.Add([]byte{0, 0, 0, 1, 0, 4, 2, 0, 0, 3, 6, 0, 0, 200, 1, 7, 4, 5, 6, 9})
-	f.Add([]byte{2, 50, 4, 1, 50, 3, 3, 50, 2, 0, 50, 1, 6, 50, 4, 0, 4, 1, 4, 2})
+	f.Add([]byte{0, 10, 1, 0, 0, 20, 1, 3, 5, 6, 15, 5, 0, 5, 2, 0xc1, 7})
+	f.Add([]byte{0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 5, 0, 0, 0, 0, 7, 6, 0, 0, 7, 7})
+	f.Add([]byte{0, 32, 255, 2, 1, 16, 3, 0xff, 2, 8, 9, 0xc0, 5, 3, 0, 0, 0, 6, 20, 1, 5, 4, 40, 7, 1, 7, 7, 5})
+	f.Add([]byte{2, 50, 4, 1, 3, 50, 4, 3, 4, 50, 4, 2, 0, 50, 4, 0xe0, 5, 6, 40, 4, 0, 0, 4, 1, 7, 4, 0, 0, 2})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		type refEvent struct {
@@ -85,12 +92,28 @@ func FuzzEngineSchedule(f *testing.F) {
 			}
 		}
 
+		// delay reads a mantissa byte shifted left by up to 32 bits: 0 ps
+		// (a tie with the clock) through ~2^40 ps.
+		delay := func() Time {
+			shift := next() % 33
+			return Time(next()) << shift
+		}
+		// priority reads one byte: mostly -2..2, and from 0xc0 up a large
+		// negative priority like the fabric's -(1 + count*loci + locus).
+		priority := func() int {
+			b := next()
+			if b >= 0xc0 {
+				return -(1 + int(b&0x3f)*1_000_003)
+			}
+			return int(b%5) - 2
+		}
+
 		schedules := 0
 		for pos < len(data) {
 			switch op := next() % 8; {
-			case op < 6: // schedule (weighted: the dominant kernel op)
-				d := Time(next()) * Nanosecond
-				pri := int(next()%5) - 2
+			case op < 5: // schedule (weighted: the dominant kernel op)
+				d := delay()
+				pri := priority()
 				id := len(refs)
 				r := &refEvent{id: id, at: e.Now() + d, pri: pri}
 				refs = append(refs, r)
@@ -106,8 +129,16 @@ func FuzzEngineSchedule(f *testing.F) {
 					got = append(got, id)
 				})
 				schedules++
+			case op == 5: // peek
+				want := MaxTime
+				if rs := refPending(MaxTime); len(rs) > 0 {
+					want = rs[0].at
+				}
+				if got := e.NextEventTime(); got != want {
+					t.Fatalf("NextEventTime = %v, want %v", got, want)
+				}
 			case op == 6: // bounded run
-				limit := e.Now() + Time(next())*Nanosecond
+				limit := e.Now() + delay()
 				refExecute(refPending(limit))
 				e.RunUntil(limit)
 			default: // single step
