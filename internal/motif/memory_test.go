@@ -2,6 +2,7 @@ package motif
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"rvma/internal/memory"
@@ -123,6 +124,69 @@ func TestRunLeavesNoFreePackets(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// A run's live heap is bounded by what is in flight, not by how much the
+// run has done: initiators keep no record of operations that left the NIC
+// (a reply names its operation), so a run 4x longer ends with the same
+// live heap, within 10%, as the short one. Heap is read after a GC with
+// the cluster still live.
+//
+// Incast is not a row. Its only length knob, Messages, also raises how
+// many RVMA puts are in flight at once, because clients wait only for
+// local completion; the engine's event free list and queue chunks, which
+// are O(peak pending events), grow with it.
+func TestLiveHeapDoesNotGrowWithRunLength(t *testing.T) {
+	topo := smallTopo(t, 64)
+	rows := []struct {
+		name string
+		run  func(c *Cluster, scale int) error
+	}{
+		{"sweep3d", func(c *Cluster, scale int) error {
+			cfg := DefaultSweep3DConfig(topo.NumNodes())
+			cfg.Iterations *= scale
+			_, err := RunSweep3D(c, cfg)
+			return err
+		}},
+		{"halo3d", func(c *Cluster, scale int) error {
+			cfg := DefaultHalo3DConfig(topo.NumNodes())
+			cfg.Iterations *= scale
+			_, err := RunHalo3D(c, cfg)
+			return err
+		}},
+		{"kv", func(c *Cluster, scale int) error {
+			cfg := DefaultKVConfig(topo.NumNodes())
+			cfg.OpsPerProxy *= scale
+			_, _, err := RunKV(c, cfg)
+			return err
+		}},
+	}
+	for _, row := range rows {
+		for _, kind := range []TransportKind{KindRVMA, KindRDMA} {
+			t.Run(fmt.Sprintf("%s/%s", row.name, kind), func(t *testing.T) {
+				liveHeap := func(scale int) uint64 {
+					c, err := NewCluster(DefaultClusterConfig(topo, kind))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := row.run(c, scale); err != nil {
+						t.Fatal(err)
+					}
+					var ms runtime.MemStats
+					runtime.GC()
+					runtime.ReadMemStats(&ms)
+					runtime.KeepAlive(c)
+					return ms.HeapAlloc
+				}
+				short, long := liveHeap(1), liveHeap(4)
+				if float64(long) > 1.1*float64(short) {
+					t.Fatalf("live heap %.2f MB after the x4 run, %.2f MB after the x1 run: more than 10%% growth",
+						float64(long)/1e6, float64(short)/1e6)
+				}
+				t.Logf("live heap x1 %.2f MB, x4 %.2f MB", float64(short)/1e6, float64(long)/1e6)
+			})
 		}
 	}
 }

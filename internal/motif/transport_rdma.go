@@ -205,7 +205,7 @@ func (t *rdmaTransport) drain(st *sendState) {
 // guarantees neither double-counts bytes nor double-delivers the fence.
 func (t *rdmaTransport) sendReliable(st *sendState, rb rdma.RemoteBuffer, req *sendReq) {
 	eng := t.ep.Engine()
-	var rp *rdma.ReliablePut
+	var rp *rdma.Reliable
 	t.rec.Run(func(try int) recovery.Attempt {
 		var at *rdma.Attempt
 		if try == 0 {
@@ -217,10 +217,10 @@ func (t *rdmaTransport) sendReliable(st *sendState, rb rdma.RemoteBuffer, req *s
 				}
 			})
 		} else {
-			at = t.ep.RetransmitPut(rp)
+			at = t.ep.Retransmit(rp)
 		}
 		return recovery.Attempt{Acked: at.Acked}
-	}, func() { t.ep.AbandonReliable(rp.MsgID()) })
+	}, func() { t.ep.AbandonReliable(rp) })
 	if !t.ordered {
 		t.reliableSend(st.dst, rdma.FenceQP)
 	}
@@ -229,16 +229,16 @@ func (t *rdmaTransport) sendReliable(st *sendState, rb rdma.RemoteBuffer, req *s
 // reliableSend issues a 1-byte control send (fence or credit) under the
 // recovery policy.
 func (t *rdmaTransport) reliableSend(dst, qp int) {
-	var rs *rdma.ReliableSend
+	var rs *rdma.Reliable
 	t.rec.Run(func(try int) recovery.Attempt {
 		var at *rdma.Attempt
 		if try == 0 {
 			rs, at = t.ep.SendReliable(dst, qp, 1)
 		} else {
-			at = t.ep.RetransmitSend(rs)
+			at = t.ep.Retransmit(rs)
 		}
 		return recovery.Attempt{Acked: at.Acked}
-	}, func() { t.ep.AbandonReliable(rs.MsgID()) })
+	}, func() { t.ep.AbandonReliable(rs) })
 }
 
 // Recv implements Transport: observe the next message from src per the

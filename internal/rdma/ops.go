@@ -24,9 +24,9 @@ func (ep *Endpoint) RequestRemoteBuffer(dst, size int) *RegOp {
 		panic(fmt.Sprintf("rdma: remote buffer size %d", size))
 	}
 	op := &RegOp{Done: sim.NewFuture()}
-	msgID := ep.nextMsgID
+	req := &command{op: opRegRequest, msgID: ep.nextMsgID, size: size, ref: op}
 	ep.nextMsgID++
-	ep.pendingRegs[msgID] = op
+	ep.regsInFlight++
 
 	eng := ep.eng
 	if ep.mHandshake != nil {
@@ -34,9 +34,7 @@ func (ep *Endpoint) RequestRemoteBuffer(dst, size int) *RegOp {
 		op.Done.OnComplete(func() { ep.mHandshake.ObserveTime(eng.Now() - start) })
 	}
 	eng.Schedule(ep.nic.Profile().HostPostOverhead, func() {
-		ep.nic.SendMessage(dst, 0, func(off, n int) any {
-			return &command{op: opRegRequest, msgID: msgID, size: size}
-		})
+		ep.nic.SendMessage(dst, 0, func(int, int) any { return req })
 	})
 	return op
 }
@@ -50,6 +48,21 @@ type PutOp struct {
 	local sim.Future // what Local points at: one allocation per put
 	cmd   command    // the wire command every data packet carries
 	fence command    // the trailing fence send's command (CompleteSendRecv)
+	// postFence posts the fence send (CompleteSendRecv): right behind the
+	// data when pipelined, else once the transport ACK names this put.
+	postFence func()
+}
+
+// acked runs when the transport ACK of a conservative CompleteSendRecv put
+// returns. On an unordered network the initiator reaps the write's local
+// completion — for a reliable transport, the responder's ACK — and only
+// then posts the 1-byte send: ACK round trip + CQ poll + a second post,
+// all on the critical path (what a naive perftest modification does).
+//
+//rvmalint:hot
+func (op *PutOp) acked(ep *Endpoint) {
+	prof := ep.nic.Profile()
+	ep.eng.Schedule(prof.PollInterval+prof.CQProcessOverhead+prof.HostPostOverhead, op.postFence)
 }
 
 // Put writes data into the remote buffer at offset using the given
@@ -78,6 +91,7 @@ func (ep *Endpoint) put(rb RemoteBuffer, offset, size int, data []byte, scheme C
 		wantAck: scheme == CompleteSendRecv && !ep.cfg.PipelinedFence,
 	}}
 	op.Local = &op.local
+	op.cmd.ref = op
 	if ep.cfg.CarryData {
 		op.cmd.data = data
 	}
@@ -102,7 +116,7 @@ func (ep *Endpoint) put(rb RemoteBuffer, offset, size int, data []byte, scheme C
 			return
 		}
 		fence := ep.sentBytes[rb.Node]
-		postFenceSend := func() {
+		op.postFence = func() {
 			op.fence = command{op: opSend, msgID: ep.nextMsgID, qp: FenceQP, total: 1, fenceBytes: fence}
 			ep.nextMsgID++
 			ep.nic.SendMessage(rb.Node, 1, func(int, int) any { return &op.fence }, func() {
@@ -113,17 +127,9 @@ func (ep *Endpoint) put(rb RemoteBuffer, offset, size int, data []byte, scheme C
 			// Aggressive runtime: post the send right behind the data (one
 			// extra post) and let the target's transport hold it until the
 			// put's bytes have all landed.
-			eng.Schedule(prof.HostPostOverhead, postFenceSend)
-			return
+			eng.Schedule(prof.HostPostOverhead, op.postFence)
 		}
-		// Conservative (perftest-style) sequence on an unordered network:
-		// reap the write's local completion — which for a reliable
-		// transport means the responder's ACK has returned — and only then
-		// post the 1-byte send. That is: ACK round trip + CQ poll + a
-		// second post, all on the critical path.
-		ep.pendingAcks[msgID] = func() {
-			eng.Schedule(prof.PollInterval+prof.CQProcessOverhead+prof.HostPostOverhead, postFenceSend)
-		}
+		// Otherwise the data's transport ACK runs op.acked.
 	})
 	return op
 }
@@ -269,6 +275,10 @@ type ReadOp struct {
 	// Done resolves with the fetched bytes (CarryData mode) when the full
 	// reply has landed locally.
 	Done *sim.Future
+
+	done sim.Future // what Done points at
+	got  int        // reply bytes arrived so far
+	buf  []byte     // the reply's bytes (CarryData mode)
 }
 
 // Read fetches size bytes at offset from the remote buffer (RDMA read /
@@ -279,15 +289,13 @@ func (ep *Endpoint) Read(rb RemoteBuffer, offset, size int) *ReadOp {
 	if offset < 0 || size <= 0 || offset+size > rb.Size {
 		panic(fmt.Sprintf("rdma: read [%d,%d) exceeds remote buffer of %d", offset, offset+size, rb.Size))
 	}
-	op := &ReadOp{Done: sim.NewFuture()}
-	msgID := ep.nextMsgID
+	op := &ReadOp{}
+	op.Done = &op.done
+	req := &command{op: opReadReq, msgID: ep.nextMsgID, rkey: rb.RKey, msgOffset: offset, size: size, ref: op}
 	ep.nextMsgID++
-	ep.pendingReads[msgID] = op
 	eng := ep.eng
 	eng.Schedule(ep.nic.Profile().HostPostOverhead, func() {
-		ep.nic.SendMessage(rb.Node, 0, func(off, n int) any {
-			return &command{op: opReadReq, msgID: msgID, rkey: rb.RKey, msgOffset: offset, size: size}
-		})
+		ep.nic.SendMessage(rb.Node, 0, func(int, int) any { return req })
 	})
 	return op
 }

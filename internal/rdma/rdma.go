@@ -136,13 +136,9 @@ type Endpoint struct {
 
 	nextMsgID uint64
 
-	// Initiator-side bookkeeping.
-	pendingRegs  map[uint64]*RegOp
-	pendingAcks  map[uint64]func()     // put msgID -> action on transport ACK
-	pendingRel   map[uint64]reliableOp // msgID -> reliable op awaiting ack
-	pendingReads map[uint64]*ReadOp
-	readBuf      map[uint64][]byte
-	readAsm      *nic.Assembler
+	// Initiator-side bookkeeping. Replies name the operation they answer,
+	// so nothing here grows with the operations issued.
+	regsInFlight int            // handshakes awaiting their RemoteBuffer reply
 	sentBytes    map[int]uint64 // per-destination cumulative put payload bytes
 
 	// Target-side bookkeeping. Receive queues are per (source node, QP
@@ -204,12 +200,6 @@ func NewEndpoint(n *nic.NIC, cfg Config) *Endpoint {
 		cfg:          cfg,
 		mrs:          make(map[uint32]*MemoryRegion),
 		nextRKey:     1,
-		pendingRegs:  make(map[uint64]*RegOp),
-		pendingAcks:  make(map[uint64]func()),
-		pendingRel:   make(map[uint64]reliableOp),
-		pendingReads: make(map[uint64]*ReadOp),
-		readBuf:      make(map[uint64][]byte),
-		readAsm:      nic.NewAssembler(),
 		sentBytes:    make(map[int]uint64),
 		recvBytes:    make(map[int]uint64),
 		recvQueues:   make(map[qpKey][]*RecvOp),
@@ -267,7 +257,7 @@ func (ep *Endpoint) Node() int { return ep.nic.Node() }
 // PendingRegistrations returns the number of buffer-negotiation handshakes
 // this endpoint has initiated that have not yet received their RemoteBuffer
 // reply (telemetry probe: outstanding registrations).
-func (ep *Endpoint) PendingRegistrations() int { return len(ep.pendingRegs) }
+func (ep *Endpoint) PendingRegistrations() int { return ep.regsInFlight }
 
 // PendingSendsHeld returns the number of target-side sends currently held
 // for an unsatisfied fence or a missing posted receive.
@@ -325,7 +315,7 @@ func (ep *Endpoint) Deregister(mr *MemoryRegion) {
 }
 
 // wire opcodes.
-type opcode int
+type opcode uint8
 
 const (
 	opRegRequest opcode = iota
@@ -339,20 +329,9 @@ const (
 
 // command is the wire payload. Every packet of a message carries the same
 // command, which nothing writes once the message is sent; a packet's bytes
-// are data[pkt.Offset:][:pkt.Size].
+// are data[pkt.Offset:][:pkt.Size]. op, the flags and rkey share one word.
 type command struct {
-	op    opcode
-	msgID uint64
-
-	// registration
-	size int
-	rb   RemoteBuffer
-
-	// put
-	rkey      uint32
-	msgOffset int
-	total     int
-	data      []byte // the whole message's payload (nil when !CarryData)
+	op opcode
 	// wantAck asks the target NIC to emit a transport acknowledgment when
 	// the whole message has landed (RC write completion semantics).
 	wantAck bool
@@ -361,6 +340,23 @@ type command struct {
 	// only unique bytes, so retransmitted packets can never falsely
 	// satisfy a fence or double-deliver a send.
 	reliable bool
+	rkey     uint32
+	msgID    uint64
+
+	// ref is the initiator's operation (*RegOp, *PutOp, *Reliable or
+	// *ReadOp). The target copies it into the reply or ack it sends back
+	// and never dereferences it, so the initiator reaches the operation
+	// without keeping a table of everything it has issued.
+	ref any
+
+	// registration
+	size int
+	rb   RemoteBuffer
+
+	// put
+	msgOffset int
+	total     int
+	data      []byte // the whole message's payload (nil when !CarryData)
 
 	// qp is the queue-pair index a send belongs to.
 	qp int

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"unsafe"
 
 	"rvma/internal/fabric"
 	"rvma/internal/memory"
@@ -510,7 +511,7 @@ func TestPutNAllocationCeiling(t *testing.T) {
 		ceiling float64
 		op      func(src, dst *Endpoint, rb RemoteBuffer, size int, recvd func())
 	}{
-		{"fenced PutN", 11, func(src, dst *Endpoint, rb RemoteBuffer, size int, recvd func()) {
+		{"fenced PutN", 10, func(src, dst *Endpoint, rb RemoteBuffer, size int, recvd func()) {
 			dst.PostRecv(0, FenceQP).Done.OnComplete(recvd)
 			src.PutN(rb, 0, size, CompleteSendRecv)
 		}},
@@ -546,5 +547,14 @@ func TestPutNAllocationCeiling(t *testing.T) {
 			t.Errorf("a 4-packet %s costs %v allocs, a 1-packet one %v: the per-message cost grew per packet",
 				c.name, perPackets[4], perPackets[1])
 		}
+	}
+}
+
+// Every ack and reply allocates a command, and PutOp, SendOp and Attempt
+// embed one: a field added to it must not move it past the 144 B size
+// class.
+func TestCommandFitsItsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(command{}); n > 144 {
+		t.Fatalf("command is %d B, past the 144 B size class", n)
 	}
 }

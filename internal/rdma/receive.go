@@ -23,15 +23,7 @@ func (ep *Endpoint) handlePacket(pkt *fabric.Packet) {
 	case opPutData:
 		ep.handlePutData(pkt, cmd)
 	case opPutAck:
-		if rel, ok := ep.pendingRel[cmd.msgID]; ok {
-			delete(ep.pendingRel, cmd.msgID)
-			if at := rel.currentAttempt(); !at.Acked.Done() {
-				at.Acked.Complete(ep.Engine(), nil)
-			}
-		} else if fn, ok := ep.pendingAcks[cmd.msgID]; ok {
-			delete(ep.pendingAcks, cmd.msgID)
-			fn()
-		}
+		ep.handlePutAck(cmd)
 	case opSend:
 		ep.handleSend(pkt, cmd)
 	case opReadReq:
@@ -53,28 +45,48 @@ func (ep *Endpoint) handleRegRequest(pkt *fabric.Packet, cmd *command) {
 			ep.Node(), pkt.Src, cmd.size)
 	}
 	src := pkt.Src
-	msgID := cmd.msgID
+	msgID, ref := cmd.msgID, cmd.ref
 	f := ep.RegisterBuffer(cmd.size)
 	f.OnComplete(func() {
 		mr := f.Value().(*MemoryRegion)
-		rb := RemoteBuffer{Node: ep.Node(), RKey: mr.RKey, Addr: mr.Region.Base, Size: mr.Region.Size()}
-		ep.nic.SendMessage(src, 0, func(off, n int) any {
-			return &command{op: opRegReply, msgID: msgID, rb: rb}
-		})
+		reply := &command{op: opRegReply, msgID: msgID, ref: ref,
+			rb: RemoteBuffer{Node: ep.Node(), RKey: mr.RKey, Addr: mr.Region.Base, Size: mr.Region.Size()}}
+		ep.nic.SendMessage(src, 0, func(int, int) any { return reply })
 	})
 }
 
-// handleRegReply resolves the initiator's handshake.
+// handleRegReply resolves the handshake the reply names.
 func (ep *Endpoint) handleRegReply(cmd *command) {
-	op, ok := ep.pendingRegs[cmd.msgID]
-	if !ok {
-		return
-	}
-	delete(ep.pendingRegs, cmd.msgID)
+	op := cmd.ref.(*RegOp)
+	ep.regsInFlight--
 	eng := ep.eng
 	eng.Schedule(ep.nic.Profile().CQProcessOverhead, func() {
 		op.Done.Complete(eng.Engine, cmd.rb)
 	})
+}
+
+// sendAck emits the NIC-generated transport acknowledgment of the message
+// cmd carried, naming the initiator's operation.
+func (ep *Endpoint) sendAck(dst int, cmd *command) {
+	ep.Stats.AcksSent++
+	ep.mAcks.Add(1)
+	ep.nic.InjectControl(dst, &command{op: opPutAck, msgID: cmd.msgID, ref: cmd.ref})
+}
+
+// handlePutAck resolves the operation a transport ACK names: the fence of
+// a conservative CompleteSendRecv put, or the current attempt of a
+// reliable operation. A duplicate ack or a straggler after
+// AbandonReliable finds the reliable operation no longer live and
+// resolves nothing.
+func (ep *Endpoint) handlePutAck(cmd *command) {
+	switch op := cmd.ref.(type) {
+	case *PutOp:
+		op.acked(ep)
+	case *Reliable:
+		if at := op.live(); at != nil {
+			at.Acked.Complete(ep.eng.Engine, nil)
+		}
+	}
 }
 
 // handlePutData lands one put packet: validate the rkey, DMA the payload
@@ -111,9 +123,7 @@ func (ep *Endpoint) handlePutData(pkt *fabric.Packet, cmd *command) {
 			ep.Stats.DupPackets++
 			if ep.relAsm.Done(key) {
 				// The earlier ack may itself have been lost: re-ack.
-				ep.Stats.AcksSent++
-				ep.mAcks.Add(1)
-				ep.nic.InjectControl(pkt.Src, &command{op: opPutAck, msgID: cmd.msgID})
+				ep.sendAck(pkt.Src, cmd)
 			}
 			return
 		}
@@ -153,9 +163,7 @@ func (ep *Endpoint) handlePutData(pkt *fabric.Packet, cmd *command) {
 		if cmd.wantAck {
 			// Transport-level acknowledgment, generated by the NIC itself
 			// once every byte of the message has arrived.
-			ep.Stats.AcksSent++
-			ep.mAcks.Add(1)
-			ep.nic.InjectControl(pkt.Src, &command{op: opPutAck, msgID: cmd.msgID})
+			ep.sendAck(pkt.Src, cmd)
 		}
 	}
 
@@ -221,18 +229,14 @@ func (ep *Endpoint) handleSend(pkt *fabric.Packet, cmd *command) {
 		if dup {
 			ep.Stats.DupPackets++
 			if ep.relAsm.Done(key) {
-				ep.Stats.AcksSent++
-				ep.mAcks.Add(1)
-				ep.nic.InjectControl(pkt.Src, &command{op: opPutAck, msgID: cmd.msgID})
+				ep.sendAck(pkt.Src, cmd)
 			}
 			return
 		}
 		if !done {
 			return
 		}
-		ep.Stats.AcksSent++
-		ep.mAcks.Add(1)
-		ep.nic.InjectControl(pkt.Src, &command{op: opPutAck, msgID: cmd.msgID})
+		ep.sendAck(pkt.Src, cmd)
 		ep.enqueueSend(pkt.Src, cmd.qp, cmd.fenceBytes, cmd.total, nil)
 		return
 	}
@@ -307,7 +311,7 @@ func (ep *Endpoint) handleReadReq(pkt *fabric.Packet, cmd *command) {
 	}
 	ep.Stats.ReadsServed++
 	eng := ep.eng
-	reply := &command{op: opReadReply, msgID: cmd.msgID, total: cmd.size}
+	reply := &command{op: opReadReply, msgID: cmd.msgID, total: cmd.size, ref: cmd.ref}
 	if ep.cfg.CarryData {
 		reply.data = ep.Memory().Read(mr.Region.Base+memory.Addr(cmd.msgOffset), cmd.size)
 	}
@@ -318,27 +322,22 @@ func (ep *Endpoint) handleReadReq(pkt *fabric.Packet, cmd *command) {
 	})
 }
 
-// handleReadReply assembles the read data at the initiator.
+// handleReadReply assembles reply packets into the read they name and
+// resolves it.
 func (ep *Endpoint) handleReadReply(pkt *fabric.Packet, cmd *command) {
-	op, ok := ep.pendingReads[cmd.msgID]
-	if !ok {
-		return
-	}
+	op := cmd.ref.(*ReadOp)
 	if ep.cfg.CarryData && cmd.data != nil {
-		buf := ep.readBuf[cmd.msgID]
-		if buf == nil {
-			buf = make([]byte, cmd.total)
-			ep.readBuf[cmd.msgID] = buf
+		if op.buf == nil {
+			op.buf = make([]byte, cmd.total)
 		}
 		off := int(pkt.Offset)
-		copy(buf[off:], cmd.data[off:off+pkt.Size])
+		copy(op.buf[off:], cmd.data[off:off+pkt.Size])
 	}
-	if ep.readAsm.Add(nic.MsgKey{Src: pkt.Src, MsgID: cmd.msgID}, pkt.Size, cmd.total) {
-		eng := ep.eng
-		data := ep.readBuf[cmd.msgID]
-		delete(ep.readBuf, cmd.msgID)
-		delete(ep.pendingReads, cmd.msgID)
-		done := ep.nic.Bus().TransferTime(eng.Engine, cmd.total)
-		eng.At(done, func() { op.Done.Complete(eng.Engine, data) })
+	op.got += pkt.Size
+	if op.got != cmd.total {
+		return
 	}
+	eng := ep.eng
+	done := ep.nic.Bus().TransferTime(eng.Engine, cmd.total)
+	eng.At(done, func() { op.Done.Complete(eng.Engine, op.buf) })
 }

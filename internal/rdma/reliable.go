@@ -29,135 +29,104 @@ type Attempt struct {
 	cmd          command    // the wire command every packet of the attempt carries
 }
 
-// reliableOp lets the ack dispatch resolve whichever attempt is current.
-type reliableOp interface {
-	currentAttempt() *Attempt
+// Reliable is an acked put or two-sided send under recovery-layer
+// control. Every attempt sends the first attempt's command again, message
+// id and fence included. The target's ack names the operation and
+// resolves its current attempt.
+type Reliable struct {
+	dst     int
+	attempt *Attempt // nil once abandoned
 }
 
-// ReliablePut is an acked one-sided put under recovery-layer control.
-type ReliablePut struct {
-	rb     RemoteBuffer
-	offset int
-	size   int
-	msgID  uint64
-
-	attempt *Attempt
+// live returns the attempt an ack resolves: the current one, or nil once
+// the operation was acked or abandoned.
+func (op *Reliable) live() *Attempt {
+	if at := op.attempt; at != nil && !at.Acked.Done() {
+		return at
+	}
+	return nil
 }
-
-func (rp *ReliablePut) currentAttempt() *Attempt { return rp.attempt }
-
-// MsgID returns the operation's wire message id (stable across attempts).
-func (rp *ReliablePut) MsgID() uint64 { return rp.msgID }
 
 // PutNReliable initiates an acked put (timing-only payload, like PutN) and
 // returns the operation handle plus its first attempt. Unlike PutN with
 // CompleteSendRecv it posts no fence send — a transport that wants fence
 // semantics issues its own (reliable) send after the ack.
-func (ep *Endpoint) PutNReliable(rb RemoteBuffer, offset, size int) (*ReliablePut, *Attempt) {
+func (ep *Endpoint) PutNReliable(rb RemoteBuffer, offset, size int) (*Reliable, *Attempt) {
 	if offset < 0 || size < 0 || offset+size > rb.Size {
 		panic(fmt.Sprintf("rdma: put [%d,%d) exceeds remote buffer of %d", offset, offset+size, rb.Size))
 	}
-	rp := &ReliablePut{rb: rb, offset: offset, size: size, msgID: ep.nextMsgID}
+	op := &Reliable{dst: rb.Node}
+	cmd := command{
+		op: opPutData, wantAck: true, reliable: true, rkey: rb.RKey, msgID: ep.nextMsgID, ref: op,
+		msgOffset: offset, total: size,
+	}
 	ep.nextMsgID++
-	ep.pendingRel[rp.msgID] = rp
 	// Fence accounting counts the operation once: a retransmit re-sends
 	// bytes the fence ledger already includes, and the target's dedup
 	// keeps the receive side consistent with that.
 	ep.sentBytes[rb.Node] += uint64(size)
-	sp := ep.reg.BeginSpan(ep.Engine().Now(), metrics.SpanKey{Node: ep.Node(), ID: rp.msgID}, "rdma.put", ep.Node())
-	return rp, ep.sendPutAttempt(rp, sp)
+	sp := ep.reg.BeginSpan(ep.Engine().Now(), metrics.SpanKey{Node: ep.Node(), ID: cmd.msgID}, "rdma.put", ep.Node())
+	return op, ep.sendAttempt(op, cmd, sp)
 }
 
-// RetransmitPut re-sends a reliable put that is still unacked, reusing its
-// message id, and returns the fresh attempt. The attempt rides the
-// message's existing span with an incremented attempt tag, so
-// retransmitted operations never produce orphan spans.
-func (ep *Endpoint) RetransmitPut(rp *ReliablePut) *Attempt {
-	if _, ok := ep.pendingRel[rp.msgID]; !ok {
-		panic(fmt.Sprintf("rdma: retransmit of put %d that is not pending", rp.msgID))
+// SendReliable issues an acked send. The ack fires when the target's NIC
+// has fully reassembled the message (transport-level receipt), not when
+// an application receive consumes it. Fence-QP sends capture the fence
+// ledger once, at issue time, and every retransmit carries that same
+// fence — the retransmitted send must wait for exactly the bytes the
+// original did.
+func (ep *Endpoint) SendReliable(dst, qp, size int) (*Reliable, *Attempt) {
+	op := &Reliable{dst: dst}
+	cmd := command{op: opSend, reliable: true, msgID: ep.nextMsgID, ref: op, qp: qp, total: size}
+	ep.nextMsgID++
+	if qp == FenceQP {
+		cmd.fenceBytes = ep.sentBytes[dst]
 	}
-	sp := ep.reg.Span(metrics.SpanKey{Node: ep.Node(), ID: rp.msgID})
+	return op, ep.sendAttempt(op, cmd, nil)
+}
+
+// Retransmit re-sends a reliable operation that is still unacked, reusing
+// its message id, and returns the fresh attempt. A put's attempt rides the
+// message's existing span with an incremented attempt tag, so
+// retransmitted operations never produce orphan spans. Retransmitting an
+// operation that was acked or abandoned panics.
+func (ep *Endpoint) Retransmit(op *Reliable) *Attempt {
+	at := op.live()
+	if at == nil {
+		panic("rdma: retransmit of a reliable operation that was acked or abandoned")
+	}
+	sp := ep.reg.Span(metrics.SpanKey{Node: ep.Node(), ID: at.cmd.msgID}) // nil for a send
 	sp.NextAttempt(ep.Engine().Now())
-	return ep.sendPutAttempt(rp, sp)
+	return ep.sendAttempt(op, at.cmd, sp)
 }
 
 // AbandonReliable drops a reliable operation the recovery layer gave up
-// on, so a straggler ack cannot resolve a retired handle. The operation's
-// span (if still open) closes with status "abandoned" instead of leaking.
-func (ep *Endpoint) AbandonReliable(msgID uint64) {
-	delete(ep.pendingRel, msgID)
-	ep.reg.Span(metrics.SpanKey{Node: ep.Node(), ID: msgID}).EndAbandoned(ep.Engine().Now())
+// on, so a straggler ack cannot resolve a retired handle. A put's span (if
+// still open) closes with status "abandoned" instead of leaking.
+func (ep *Endpoint) AbandonReliable(op *Reliable) {
+	at := op.attempt
+	if at == nil {
+		return
+	}
+	op.attempt = nil
+	ep.reg.Span(metrics.SpanKey{Node: ep.Node(), ID: at.cmd.msgID}).EndAbandoned(ep.Engine().Now())
 }
 
-func (ep *Endpoint) sendPutAttempt(rp *ReliablePut, sp *metrics.Span) *Attempt {
-	ep.Stats.PutsInitiated++
-	at := &Attempt{cmd: command{
-		op: opPutData, msgID: rp.msgID, rkey: rp.rb.RKey, msgOffset: rp.offset, total: rp.size,
-		wantAck: true, reliable: true,
-	}}
+// sendAttempt issues one wire attempt of op carrying cmd, staging the
+// put's span (sp, nil for a send).
+func (ep *Endpoint) sendAttempt(op *Reliable, cmd command, sp *metrics.Span) *Attempt {
+	if cmd.op == opPutData {
+		ep.Stats.PutsInitiated++
+	}
+	at := &Attempt{cmd: cmd}
 	at.Local, at.Acked = &at.local, &at.acked
-	rp.attempt = at
+	op.attempt = at
 	eng := ep.eng
 	eng.Schedule(ep.nic.Profile().HostPostOverhead, func() {
 		sp.Stage(eng.Now(), "host_post")
 		txWait := ep.nic.SendBacklog() + ep.nic.DMABacklog()
-		ep.nic.SendMessage(rp.rb.Node, rp.size, func(int, int) any { return &at.cmd }, func() {
+		ep.nic.SendMessage(op.dst, at.cmd.total, func(int, int) any { return &at.cmd }, func() {
 			sp.StageWait(eng.Now(), "nic_tx", txWait)
-			at.Local.Complete(eng.Engine, nil)
-		})
-	})
-	return at
-}
-
-// ReliableSend is an acked two-sided send under recovery-layer control.
-// The ack fires when the target's NIC has fully reassembled the message
-// (transport-level receipt), not when an application receive consumes it.
-type ReliableSend struct {
-	dst   int
-	qp    int
-	size  int
-	fence uint64
-	msgID uint64
-
-	attempt *Attempt
-}
-
-func (rs *ReliableSend) currentAttempt() *Attempt { return rs.attempt }
-
-// MsgID returns the operation's wire message id (stable across attempts).
-func (rs *ReliableSend) MsgID() uint64 { return rs.msgID }
-
-// SendReliable issues an acked send. Fence-QP sends capture the fence
-// ledger once, at issue time, and every retransmit carries that same
-// fence — the retransmitted send must wait for exactly the bytes the
-// original did.
-func (ep *Endpoint) SendReliable(dst, qp, size int) (*ReliableSend, *Attempt) {
-	rs := &ReliableSend{dst: dst, qp: qp, size: size, msgID: ep.nextMsgID}
-	ep.nextMsgID++
-	if qp == FenceQP {
-		rs.fence = ep.sentBytes[dst]
-	}
-	ep.pendingRel[rs.msgID] = rs
-	return rs, ep.sendSendAttempt(rs)
-}
-
-// RetransmitSend re-sends a reliable send that is still unacked.
-func (ep *Endpoint) RetransmitSend(rs *ReliableSend) *Attempt {
-	if _, ok := ep.pendingRel[rs.msgID]; !ok {
-		panic(fmt.Sprintf("rdma: retransmit of send %d that is not pending", rs.msgID))
-	}
-	return ep.sendSendAttempt(rs)
-}
-
-func (ep *Endpoint) sendSendAttempt(rs *ReliableSend) *Attempt {
-	at := &Attempt{cmd: command{
-		op: opSend, msgID: rs.msgID, qp: rs.qp, total: rs.size, fenceBytes: rs.fence, reliable: true,
-	}}
-	at.Local, at.Acked = &at.local, &at.acked
-	rs.attempt = at
-	eng := ep.eng
-	eng.Schedule(ep.nic.Profile().HostPostOverhead, func() {
-		ep.nic.SendMessage(rs.dst, rs.size, func(int, int) any { return &at.cmd }, func() {
 			at.Local.Complete(eng.Engine, nil)
 		})
 	})

@@ -19,8 +19,8 @@ type PutOp struct {
 	// path.
 	Nack *sim.Future
 
-	msgID       uint64
-	local, nack sim.Future // what Local and Nack point at: one allocation per put
+	local, nack sim.Future // what Local and Nack point at
+	cmd         command    // the wire command every packet carries: one allocation per put
 }
 
 // Put initiates a transfer of data to mailbox vaddr on node dst, placing
@@ -46,27 +46,26 @@ func (ep *Endpoint) put(dst int, vaddr VAddr, offset, size int, data []byte) *Pu
 		panic(fmt.Sprintf("rvma: put with negative size %d or offset %d", size, offset))
 	}
 	ep.Stats.PutsInitiated++
-	op := &PutOp{msgID: ep.nextMsgID}
+	// Nothing on this endpoint keeps op: its packets (and a NACK, which
+	// names it) do, so a put that can no longer be NACKed is garbage once
+	// its packets are consumed.
+	op := &PutOp{cmd: command{op: opPut, msgID: ep.nextMsgID, vaddr: vaddr, msgOffset: offset, total: size}}
 	op.Local, op.Nack = &op.local, &op.nack
+	op.cmd.ref = op
 	ep.nextMsgID++
-	ep.pendingPuts[op.msgID] = op
-	// The command every packet carries is its own allocation, not a field
-	// of op: pendingPuts keeps op for the endpoint's lifetime (a NACK may
-	// come at any time), and the command need not live that long.
-	cmd := &command{op: opPut, msgID: op.msgID, vaddr: vaddr, msgOffset: offset, total: size}
 	if ep.cfg.CarryData {
-		cmd.data = data
+		op.cmd.data = data
 	}
 
 	eng := ep.eng
-	sp := ep.reg.BeginSpan(eng.Now(), metrics.SpanKey{Node: ep.Node(), ID: op.msgID}, "rvma.put", ep.Node())
+	sp := ep.reg.BeginSpan(eng.Now(), metrics.SpanKey{Node: ep.Node(), ID: op.cmd.msgID}, "rvma.put", ep.Node())
 	post := ep.nic.Profile().HostPostOverhead
 	eng.Schedule(post, func() {
 		sp.Stage(eng.Now(), "host_post")
 		// NIC queue depth at post time: the part of the nic_tx stage the
 		// message spends behind earlier sends rather than being pipelined.
 		txWait := ep.nic.SendBacklog() + ep.nic.DMABacklog()
-		ep.nic.SendMessage(dst, size, func(int, int) any { return cmd }, func() {
+		ep.nic.SendMessage(dst, size, func(int, int) any { return &op.cmd }, func() {
 			sp.StageWait(eng.Now(), "nic_tx", txWait)
 			op.Local.Complete(eng.Engine, nil)
 		})
@@ -79,19 +78,24 @@ func (ep *Endpoint) put(dst int, vaddr VAddr, offset, size int, data []byte) *Pu
 // ordinary unacknowledged put plus one NIC-generated ack control packet
 // on full reassembly, so the data path the paper argues for is unchanged;
 // only senders that opt into timeout/retransmit pay for return traffic.
+//
+// Every attempt sends the first attempt's command again, message id
+// included, so the target deduplicates against packets of earlier
+// attempts. The target's ack and NACKs name the operation, and resolve
+// its current attempt.
 type ReliablePut struct {
-	dst    int
-	vaddr  VAddr
-	offset int
-	size   int
-	msgID  uint64
-
-	attempt *PutAttempt
+	dst     int
+	attempt *PutAttempt // nil once abandoned
 }
 
-// MsgID returns the operation's wire message id (stable across attempts:
-// retransmits reuse it so the target can deduplicate packets).
-func (rp *ReliablePut) MsgID() uint64 { return rp.msgID }
+// live returns the attempt an ack or NACK resolves: the current one, or
+// nil once the put was acked or abandoned.
+func (rp *ReliablePut) live() *PutAttempt {
+	if at := rp.attempt; at != nil && !at.Acked.Done() {
+		return at
+	}
+	return nil
+}
 
 // PutAttempt is one wire attempt of a reliable put. Each attempt gets
 // fresh futures because futures are one-shot and every attempt can fail
@@ -119,11 +123,11 @@ func (ep *Endpoint) PutNAcked(dst int, vaddr VAddr, offset, size int) (*Reliable
 	if size < 0 || offset < 0 {
 		panic(fmt.Sprintf("rvma: put with negative size %d or offset %d", size, offset))
 	}
-	rp := &ReliablePut{dst: dst, vaddr: vaddr, offset: offset, size: size, msgID: ep.nextMsgID}
+	rp := &ReliablePut{dst: dst}
+	cmd := command{op: opPut, wantAck: true, msgID: ep.nextMsgID, vaddr: vaddr, msgOffset: offset, total: size, ref: rp}
 	ep.nextMsgID++
-	ep.pendingRel[rp.msgID] = rp
-	sp := ep.reg.BeginSpan(ep.Engine().Now(), metrics.SpanKey{Node: ep.Node(), ID: rp.msgID}, "rvma.put", ep.Node())
-	return rp, ep.sendAttempt(rp, sp)
+	sp := ep.reg.BeginSpan(ep.Engine().Now(), metrics.SpanKey{Node: ep.Node(), ID: cmd.msgID}, "rvma.put", ep.Node())
+	return rp, ep.sendAttempt(rp, cmd, sp)
 }
 
 // Retransmit re-sends a reliable put that has neither been acked nor
@@ -134,29 +138,32 @@ func (ep *Endpoint) PutNAcked(dst int, vaddr VAddr, offset, size int) (*Reliable
 // off an earlier attempt whose ack is still in flight), in which case the
 // attempt is unrecorded by design.
 func (ep *Endpoint) Retransmit(rp *ReliablePut) *PutAttempt {
-	if _, ok := ep.pendingRel[rp.msgID]; !ok {
-		panic(fmt.Sprintf("rvma: retransmit of msg %d that is not pending", rp.msgID))
+	at := rp.live()
+	if at == nil {
+		panic("rvma: retransmit of a reliable put that was acked or abandoned")
 	}
-	sp := ep.reg.Span(metrics.SpanKey{Node: ep.Node(), ID: rp.msgID})
+	sp := ep.reg.Span(metrics.SpanKey{Node: ep.Node(), ID: at.cmd.msgID})
 	sp.NextAttempt(ep.Engine().Now())
-	return ep.sendAttempt(rp, sp)
+	return ep.sendAttempt(rp, at.cmd, sp)
 }
 
 // AbandonPut drops a reliable put the recovery layer has given up on, so
 // a straggler ack cannot resolve a retired operation. The message's span
 // (if still open) closes with status "abandoned" instead of leaking.
 func (ep *Endpoint) AbandonPut(rp *ReliablePut) {
-	delete(ep.pendingRel, rp.msgID)
-	ep.reg.Span(metrics.SpanKey{Node: ep.Node(), ID: rp.msgID}).EndAbandoned(ep.Engine().Now())
+	at := rp.attempt
+	if at == nil {
+		return
+	}
+	rp.attempt = nil
+	ep.reg.Span(metrics.SpanKey{Node: ep.Node(), ID: at.cmd.msgID}).EndAbandoned(ep.Engine().Now())
 }
 
-// sendAttempt issues one wire attempt of rp. The first attempt opens the
-// message span; retransmits ride the existing one.
-func (ep *Endpoint) sendAttempt(rp *ReliablePut, sp *metrics.Span) *PutAttempt {
+// sendAttempt issues one wire attempt of rp carrying cmd. The first
+// attempt opens the message span; retransmits ride the existing one.
+func (ep *Endpoint) sendAttempt(rp *ReliablePut, cmd command, sp *metrics.Span) *PutAttempt {
 	ep.Stats.PutsInitiated++
-	at := &PutAttempt{cmd: command{
-		op: opPut, msgID: rp.msgID, vaddr: rp.vaddr, msgOffset: rp.offset, total: rp.size, wantAck: true,
-	}}
+	at := &PutAttempt{cmd: cmd}
 	at.Local, at.Acked, at.Nack = &at.local, &at.acked, &at.nack
 	rp.attempt = at
 
@@ -165,7 +172,7 @@ func (ep *Endpoint) sendAttempt(rp *ReliablePut, sp *metrics.Span) *PutAttempt {
 	eng.Schedule(post, func() {
 		sp.Stage(eng.Now(), "host_post")
 		txWait := ep.nic.SendBacklog() + ep.nic.DMABacklog()
-		ep.nic.SendMessage(rp.dst, rp.size, func(int, int) any { return &at.cmd }, func() {
+		ep.nic.SendMessage(rp.dst, at.cmd.total, func(int, int) any { return &at.cmd }, func() {
 			sp.StageWait(eng.Now(), "nic_tx", txWait)
 			at.Local.Complete(eng.Engine, nil)
 		})
@@ -181,7 +188,9 @@ type GetOp struct {
 	// Nack completes if the target refused the get.
 	Nack *sim.Future
 
-	getID uint64
+	done, nack sim.Future // what Done and Nack point at
+	got        int        // reply bytes arrived so far
+	buf        []byte     // the reply's bytes (CarryData mode)
 }
 
 // Get fetches length bytes at offset from the *active* buffer of mailbox
@@ -193,22 +202,15 @@ func (ep *Endpoint) Get(dst int, vaddr VAddr, offset, length int) *GetOp {
 	if length <= 0 || offset < 0 {
 		panic(fmt.Sprintf("rvma: get with length %d offset %d", length, offset))
 	}
-	op := &GetOp{Done: sim.NewFuture(), Nack: sim.NewFuture(), getID: ep.nextMsgID}
+	op := &GetOp{}
+	op.Done, op.Nack = &op.done, &op.nack
+	req := &command{op: opGetReq, msgID: ep.nextMsgID, vaddr: vaddr, msgOffset: offset, total: length, ref: op}
 	ep.nextMsgID++
-	ep.pendingGets[op.getID] = op
 
 	eng := ep.eng
 	post := ep.nic.Profile().HostPostOverhead
 	eng.Schedule(post, func() {
-		ep.nic.SendMessage(dst, 0, func(off, n int) any {
-			return &command{
-				op:        opGetReq,
-				msgID:     op.getID,
-				vaddr:     vaddr,
-				msgOffset: offset,
-				length:    length,
-			}
-		})
+		ep.nic.SendMessage(dst, 0, func(int, int) any { return req })
 	})
 	return op
 }

@@ -99,7 +99,7 @@ func (ep *Endpoint) handlePut(pkt *fabric.Packet, cmd *command) {
 			if ep.relAsm.Done(key) {
 				// Straggler of an already-placed message: the earlier ack
 				// may itself have been lost, so re-ack.
-				ep.sendAck(pkt.Src, cmd.msgID)
+				ep.sendAck(pkt.Src, cmd)
 			}
 			return
 		}
@@ -199,7 +199,7 @@ func (ep *Endpoint) handlePut(pkt *fabric.Packet, cmd *command) {
 	if !cmd.wantAck {
 		msgDone = ep.asm.Add(key, size, cmd.total)
 	} else if relDone {
-		ep.sendAck(pkt.Src, cmd.msgID)
+		ep.sendAck(pkt.Src, cmd)
 	}
 	if w.etype == EpochOps && msgDone {
 		w.counter++
@@ -250,63 +250,54 @@ func (ep *Endpoint) reject(src int, cmd *command, reason error) {
 	}
 	ep.Stats.Nacks++
 	ep.mNacks.Add(1)
-	msgID := cmd.msgID
-	op := cmd.op
-	ep.nic.SendMessage(src, 0, func(off, n int) any {
-		return &command{op: opNack, msgID: msgID, status: reason, length: int(op)}
-	})
+	nack := &command{op: opNack, msgID: cmd.msgID, status: reason, ref: cmd.ref}
+	ep.nic.SendMessage(src, 0, func(int, int) any { return nack })
 }
 
 // sendAck emits the NIC-generated placement ack for a reliable put. Like
 // RDMA's put-ack it rides InjectControl: no host bus crossing, just the
 // send pipeline and the wire.
-func (ep *Endpoint) sendAck(src int, msgID uint64) {
+func (ep *Endpoint) sendAck(src int, cmd *command) {
 	ep.Stats.AcksSent++
-	ep.nic.InjectControl(src, &command{op: opAck, msgID: msgID})
+	ep.nic.InjectControl(src, &command{op: opAck, msgID: cmd.msgID, ref: cmd.ref})
 }
 
-// handleAck resolves a reliable put. Duplicate acks (retransmit raced the
-// first ack) find no pending operation and are ignored.
+// handleAck resolves the current attempt of the reliable put the ack
+// names. A duplicate ack (a retransmit raced the first one) or a straggler
+// after AbandonPut finds the put no longer live and resolves nothing.
 func (ep *Endpoint) handleAck(cmd *command) {
-	rp, ok := ep.pendingRel[cmd.msgID]
-	if !ok {
-		return
-	}
-	delete(ep.pendingRel, cmd.msgID)
-	at := rp.attempt
-	if !at.Acked.Done() {
-		at.Acked.Complete(ep.Engine(), nil)
+	if at := cmd.ref.(*ReliablePut).live(); at != nil {
+		at.Acked.Complete(ep.eng.Engine, nil)
 	}
 }
 
-// handleNack resolves the pending operation's Nack future.
+// handleNack resolves the Nack future of the operation the NACK names.
+//
+//rvmalint:hot
 func (ep *Endpoint) handleNack(cmd *command) {
 	eng := ep.eng
-	if opcode(cmd.length) == opGetReq {
-		if op, ok := ep.pendingGets[cmd.msgID]; ok {
-			delete(ep.pendingGets, cmd.msgID)
-			op.Nack.Complete(eng.Engine, cmd.status)
+	switch op := cmd.ref.(type) {
+	case *PutOp:
+		// Each rejected packet of a put draws a NACK; the first resolves it.
+		if op.Nack.Done() {
+			return
 		}
-		return
-	}
-	if rp, ok := ep.pendingRel[cmd.msgID]; ok {
-		// Reliable puts survive NACKs: the operation stays pending (a
+		// A NACKed put never completes at the target; close its span here.
+		ep.reg.Span(metrics.SpanKey{Node: ep.Node(), ID: cmd.msgID}).EndNacked(eng.Now())
+		op.Nack.Complete(eng.Engine, cmd.status)
+	case *ReliablePut:
+		// Reliable puts survive NACKs: the operation stays live (a
 		// retransmit may land once the target posts a buffer); only the
 		// current attempt learns of the rejection. Several packets of one
 		// attempt can each draw a NACK, and a straggler NACK from an old
 		// attempt can land after a retransmit started — both just re-fire
 		// the recovery layer's bounded retry, so the guard is a cheap
 		// Done check rather than attempt bookkeeping.
-		if at := rp.attempt; !at.Nack.Done() {
+		if at := op.live(); at != nil && !at.Nack.Done() {
 			at.Nack.Complete(eng.Engine, cmd.status)
 		}
-		return
-	}
-	if op, ok := ep.pendingPuts[cmd.msgID]; ok {
-		delete(ep.pendingPuts, cmd.msgID)
-		// A NACKed put never completes at the target; close its span here.
-		ep.reg.Span(metrics.SpanKey{Node: ep.Node(), ID: cmd.msgID}).EndNacked(eng.Now())
-		op.Nack.Complete(eng.Engine, cmd.status)
+	case *GetOp:
+		op.Nack.Complete(eng.Engine, cmd.status) // a get request is one packet: one NACK
 	}
 }
 
@@ -319,47 +310,41 @@ func (ep *Endpoint) handleGetReq(pkt *fabric.Packet, cmd *command) {
 		return
 	}
 	buf := w.Head()
-	if buf == nil || cmd.msgOffset+cmd.length > buf.Region.Size() {
+	if buf == nil || cmd.msgOffset+cmd.total > buf.Region.Size() {
 		ep.reject(pkt.Src, cmd, ErrNoBuffer)
 		return
 	}
 	ep.Stats.GetsServed++
 	eng := ep.eng
-	reply := &command{op: opGetReply, msgID: cmd.msgID, total: cmd.length}
+	reply := &command{op: opGetReply, msgID: cmd.msgID, total: cmd.total, ref: cmd.ref}
 	if ep.cfg.CarryData {
-		reply.data = ep.Memory().Read(buf.Region.Base+memory.Addr(cmd.msgOffset), cmd.length)
+		reply.data = ep.Memory().Read(buf.Region.Base+memory.Addr(cmd.msgOffset), cmd.total)
 	}
 	// Bus read of the payload, then reply through the send pipeline.
-	readDone := ep.nic.Bus().TransferTime(eng.Engine, cmd.length)
+	readDone := ep.nic.Bus().TransferTime(eng.Engine, cmd.total)
 	src := pkt.Src
 	eng.At(readDone, func() {
 		ep.nic.SendMessage(src, reply.total, func(int, int) any { return reply })
 	})
 }
 
-// handleGetReply assembles reply packets and resolves the get.
+// handleGetReply assembles reply packets into the get they name and
+// resolves it.
 func (ep *Endpoint) handleGetReply(pkt *fabric.Packet, cmd *command) {
-	op, ok := ep.pendingGets[cmd.msgID]
-	if !ok {
-		return // stale or duplicate
-	}
+	op := cmd.ref.(*GetOp)
 	if ep.cfg.CarryData && cmd.data != nil {
-		buf := ep.getBuf[cmd.msgID]
-		if buf == nil {
-			buf = make([]byte, cmd.total)
-			ep.getBuf[cmd.msgID] = buf
+		if op.buf == nil {
+			op.buf = make([]byte, cmd.total)
 		}
 		off := int(pkt.Offset)
-		copy(buf[off:], cmd.data[off:off+pkt.Size])
+		copy(op.buf[off:], cmd.data[off:off+pkt.Size])
 	}
-	if ep.getAsm.Add(nic.MsgKey{Src: pkt.Src, MsgID: cmd.msgID}, pkt.Size, cmd.total) ||
-		(cmd.total == 0) {
-		eng := ep.eng
-		data := ep.getBuf[cmd.msgID]
-		delete(ep.getBuf, cmd.msgID)
-		delete(ep.pendingGets, cmd.msgID)
-		// Landing the fetched bytes in host memory costs one bus transfer.
-		done := ep.nic.Bus().TransferTime(eng.Engine, cmd.total)
-		eng.At(done, func() { op.Done.Complete(eng.Engine, data) })
+	op.got += pkt.Size
+	if op.got != cmd.total {
+		return
 	}
+	eng := ep.eng
+	// Landing the fetched bytes in host memory costs one bus transfer.
+	done := ep.nic.Bus().TransferTime(eng.Engine, cmd.total)
+	eng.At(done, func() { op.Done.Complete(eng.Engine, op.buf) })
 }

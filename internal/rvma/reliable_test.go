@@ -16,8 +16,9 @@ func TestPutNAckedCompletes(t *testing.T) {
 	if _, err := win.PostBuffer(4096); err != nil {
 		t.Fatal(err)
 	}
+	var rp *ReliablePut
 	var at *PutAttempt
-	eng.Schedule(0, func() { _, at = src.PutNAcked(1, 0xAA, 0, 4096) })
+	eng.Schedule(0, func() { rp, at = src.PutNAcked(1, 0xAA, 0, 4096) })
 	eng.Run()
 	if !at.Acked.Done() {
 		t.Fatal("ack never arrived")
@@ -28,9 +29,17 @@ func TestPutNAckedCompletes(t *testing.T) {
 	if dst.Stats.AcksSent != 1 || dst.Stats.PutsPlaced != 1 || win.Epoch() != 1 {
 		t.Fatalf("acks=%d placed=%d epoch=%d", dst.Stats.AcksSent, dst.Stats.PutsPlaced, win.Epoch())
 	}
-	if len(src.pendingRel) != 0 {
-		t.Fatalf("%d reliable ops still pending after ack", len(src.pendingRel))
+	if !retransmitPanics(src, rp) {
+		t.Fatal("the acked put is still live: Retransmit did not panic")
 	}
+}
+
+// retransmitPanics reports whether Retransmit refuses rp, which it does
+// exactly when rp is no longer live (acked or abandoned).
+func retransmitPanics(ep *Endpoint, rp *ReliablePut) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	ep.Retransmit(rp)
+	return false
 }
 
 // TestClosedMailboxResolvesNack: a reliable put into a closed (or never
@@ -61,7 +70,7 @@ func TestClosedMailboxResolvesNack(t *testing.T) {
 }
 
 // TestNoBufferNackThenRetransmitCompletes: a reliable put that finds no
-// posted buffer is NACKed but stays pending; once the receiver posts a
+// posted buffer is NACKed but stays live; once the receiver posts a
 // buffer, a retransmit of the same operation completes and is acked —
 // the end-to-end NACK-driven recovery loop, driven by hand here (the
 // recovery.Manager automates exactly these calls).
@@ -147,21 +156,21 @@ func TestAbandonPutRetiresOperation(t *testing.T) {
 	if _, err := win.PostBuffer(4096); err != nil {
 		t.Fatal(err)
 	}
+	var rp *ReliablePut
 	var at *PutAttempt
 	eng.Schedule(0, func() {
-		rp, a := src.PutNAcked(1, 0xAE, 0, 4096)
-		at = a
+		rp, at = src.PutNAcked(1, 0xAE, 0, 4096)
 		src.AbandonPut(rp) // give up before the ack returns
 	})
 	eng.Run()
 	if at.Acked.Done() {
 		t.Fatal("abandoned op's attempt was still acked")
 	}
-	if len(src.pendingRel) != 0 {
-		t.Fatalf("%d reliable ops pending after abandon", len(src.pendingRel))
+	if !retransmitPanics(src, rp) {
+		t.Fatal("the abandoned put is still live: Retransmit did not panic")
 	}
 	// The receiver still placed and acked the message; the ack just found
-	// no pending operation.
+	// the operation no longer live.
 	if dst.Stats.PutsPlaced != 1 || dst.Stats.AcksSent != 1 {
 		t.Fatalf("placed=%d acks=%d", dst.Stats.PutsPlaced, dst.Stats.AcksSent)
 	}

@@ -182,16 +182,10 @@ type Endpoint struct {
 	lut      map[VAddr]*Window
 	catchAll *Window
 
-	asm       *nic.Assembler // op counting for EPOCH_OPS and managed mode
-	nextMsgID uint64
-
-	pendingPuts map[uint64]*PutOp       // msgID -> op, for NACK correlation
-	pendingGets map[uint64]*GetOp       // getID -> op
-	pendingRel  map[uint64]*ReliablePut // msgID -> reliable put awaiting ack
-	relAsm      *nic.RangeAssembler     // duplicate-aware reassembly of wantAck puts
-	getAsm      *nic.Assembler          // reassembly of get replies
-	getBuf      map[uint64][]byte       // partial get reply data (CarryData mode)
-	activeCtrs  int                     // windows currently holding a HW counter
+	asm        *nic.Assembler      // op counting for EPOCH_OPS and managed mode
+	relAsm     *nic.RangeAssembler // duplicate-aware reassembly of wantAck puts
+	nextMsgID  uint64
+	activeCtrs int // windows currently holding a HW counter
 
 	tracer *trace.Tracer
 	reg    *metrics.Registry // for span lookup; nil when metrics detached
@@ -219,17 +213,12 @@ func NewEndpoint(n *nic.NIC, cfg Config) *Endpoint {
 		cfg.HostCounterPenalty = 2 * n.Bus().Latency()
 	}
 	ep := &Endpoint{
-		nic:         n,
-		eng:         n.Engine().Tag("rvma"),
-		cfg:         cfg,
-		lut:         make(map[VAddr]*Window),
-		asm:         nic.NewAssembler(),
-		pendingPuts: make(map[uint64]*PutOp),
-		pendingGets: make(map[uint64]*GetOp),
-		pendingRel:  make(map[uint64]*ReliablePut),
-		relAsm:      nic.NewRangeAssembler(),
-		getAsm:      nic.NewAssembler(),
-		getBuf:      make(map[uint64][]byte),
+		nic:    n,
+		eng:    n.Engine().Tag("rvma"),
+		cfg:    cfg,
+		lut:    make(map[VAddr]*Window),
+		asm:    nic.NewAssembler(),
+		relAsm: nic.NewRangeAssembler(),
 	}
 	n.SetHandler(ep.handlePacket)
 	return ep
@@ -335,7 +324,7 @@ func (ep *Endpoint) SetCatchAll(win *Window) {
 }
 
 // wire opcodes.
-type opcode int
+type opcode uint8
 
 const (
 	opPut opcode = iota
@@ -351,16 +340,20 @@ const (
 // command is the protocol payload carried in fabric packets. Every packet
 // of a message carries the same command, which nothing writes once the
 // message is sent; a packet's bytes are data[pkt.Offset:][:pkt.Size].
+// The command stays in the 96 B size class: op packs beside wantAck.
 type command struct {
 	op        opcode
+	wantAck   bool // reliable put: target acks full placement (opAck)
 	msgID     uint64
 	vaddr     VAddr
 	msgOffset int    // user offset of the whole message within the buffer
-	total     int    // total message payload bytes
+	total     int    // total message payload bytes; a get request's is the length it asks for
 	data      []byte // the whole message's payload bytes (nil when !CarryData)
-	wantAck   bool   // reliable put: target acks full placement (opAck)
+	status    error  // NACK reason
 
-	// get fields
-	length int
-	status error // NACK reason
+	// ref is the initiator's operation (*PutOp, *ReliablePut or *GetOp).
+	// The target copies it into every ack, NACK and get reply it sends
+	// back and never dereferences it, so the initiator reaches the
+	// operation without keeping a table of everything it has issued.
+	ref any
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"unsafe"
 
 	"rvma/internal/fabric"
 	"rvma/internal/memory"
+	"rvma/internal/metrics"
 	"rvma/internal/nic"
 	"rvma/internal/pcie"
 	"rvma/internal/sim"
@@ -247,24 +249,54 @@ func TestNackOnUnknownMailbox(t *testing.T) {
 	}
 }
 
+// TestNackOnClosedWindow: every packet of a put to a closed mailbox draws
+// a NACK, and the NACKs name the put, so the first resolves its Nack
+// future and closes its span as nacked and the rest resolve nothing.
 func TestNackOnClosedWindow(t *testing.T) {
-	eng, src, dst := defaultPair(t)
-	win, _ := dst.InitWindow(8, 64, EpochBytes)
-	win.PostBuffer(64)
-	win.Close()
-	nacked := false
-	eng.Schedule(0, func() {
-		op := src.Put(1, 8, 0, make([]byte, 64))
-		op.Nack.OnComplete(func() { nacked = true })
-	})
-	eng.Run()
-	if !nacked {
-		t.Fatal("put to closed window must NACK")
-	}
-	if dst.Stats.Nacks != 1 || dst.Stats.Drops != 1 {
-		t.Fatalf("stats: nacks=%d drops=%d", dst.Stats.Nacks, dst.Stats.Drops)
+	mtu := fabric.DefaultConfig().MTU
+	for _, c := range []struct {
+		name    string
+		size    int
+		packets uint64
+	}{
+		{"1 packet", 64, 1},
+		{"4 packets", 4 * mtu, 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng, src, dst := defaultPair(t)
+			reg := metrics.NewRegistry()
+			reg.EnableSpans()
+			ends := spanEnds{}
+			reg.SetSpanObserver(ends)
+			src.SetMetrics(reg)
+			win, _ := dst.InitWindow(8, int64(c.size), EpochBytes)
+			win.PostBuffer(c.size)
+			win.Close()
+			nacks := 0
+			eng.Schedule(0, func() {
+				op := src.Put(1, 8, 0, make([]byte, c.size))
+				op.Nack.OnComplete(func() { nacks++ })
+			})
+			eng.Run()
+			if nacks != 1 {
+				t.Fatalf("Nack resolved %d times, want 1", nacks)
+			}
+			if dst.Stats.Nacks != c.packets || dst.Stats.Drops != c.packets {
+				t.Fatalf("stats: nacks=%d drops=%d, want %d each", dst.Stats.Nacks, dst.Stats.Drops, c.packets)
+			}
+			if ends["nacked"] != 1 || len(ends) != 1 {
+				t.Fatalf("span endings %v, want one nacked", ends)
+			}
+		})
 	}
 }
+
+// spanEnds counts span endings by status.
+type spanEnds map[string]int
+
+func (spanEnds) SpanStage(metrics.SpanKey, string, string, int, int, sim.Time, sim.Time, sim.Time) {}
+
+func (e spanEnds) SpanEnd(_ metrics.SpanKey, _, status string, _, _ int, _, _ sim.Time) { e[status]++ }
 
 func TestNackDisabledDropsSilently(t *testing.T) {
 	cfg := DefaultConfig()
@@ -765,16 +797,17 @@ func TestManagedModeSplitsAcrossSegments(t *testing.T) {
 }
 
 // TestPutNAllocationCeiling pins what one PutN costs on the heap, from
-// issue to the target's completion and the buffer repost: the put, the one
-// command all its packets share, the span and the completion, with no
-// future or closure per NIC send and no packet (the fabric recycles them). A 4-packet put costs exactly what a 1-packet put
+// issue to the target's completion and the buffer repost: the put (which
+// holds the one command all its packets share), the span and the
+// completion, with no future or closure per NIC send and no packet (the
+// fabric recycles them). A 4-packet put costs exactly what a 1-packet put
 // does, and the reposted buffer reuses the window queue's backing array.
 // A new allocation on the put path fails it.
 func TestPutNAllocationCeiling(t *testing.T) {
 	if sim.DebugEnabled {
 		t.Skip("simdebug invariant checks box their arguments; the gate is for normal builds")
 	}
-	const ceiling = 9
+	const ceiling = 8
 	perPackets := map[int]float64{}
 	for _, packets := range []int{1, 4} {
 		cfg := DefaultConfig()
@@ -818,5 +851,14 @@ func TestPutNAllocationCeiling(t *testing.T) {
 	if perPackets[4] != perPackets[1] {
 		t.Errorf("a 4-packet PutN costs %v allocs, a 1-packet one %v: the per-message cost grew per packet",
 			perPackets[4], perPackets[1])
+	}
+}
+
+// Every NACK, ack and get reply allocates a command, and PutOp and
+// PutAttempt embed one: a field added to it must not move it past the 96 B
+// size class.
+func TestCommandFitsItsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(command{}); n > 96 {
+		t.Fatalf("command is %d B, past the 96 B size class", n)
 	}
 }
