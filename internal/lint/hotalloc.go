@@ -117,7 +117,8 @@ func scanAllocs(info *types.Info, n ast.Node, allocs *[]allocSite, calls *[]call
 
 // boxingSite reports an interface-boxing allocation: a non-constant
 // concrete value passed where the callee takes an interface (including
-// the hidden slice of a variadic any call).
+// the hidden slice of a variadic any call). An untyped nil converts to
+// the nil interface, which allocates nothing.
 func boxingSite(info *types.Info, call *ast.CallExpr, callee *types.Func) *allocSite {
 	sig, ok := callee.Type().(*types.Signature)
 	if !ok {
@@ -143,6 +144,9 @@ func boxingSite(info *types.Info, call *ast.CallExpr, callee *types.Func) *alloc
 		tv := info.Types[arg]
 		if tv.Value != nil || tv.Type == nil {
 			continue // constants are boxed at compile time into static data
+		}
+		if tv.IsNil() {
+			continue
 		}
 		switch tv.Type.Underlying().(type) {
 		case *types.Interface, *types.Pointer:

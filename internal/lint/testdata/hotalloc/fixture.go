@@ -75,6 +75,7 @@ func (e *Engine) Pop() {
 	ev := e.queue[len(e.queue)-1]
 	e.queue = e.queue[:len(e.queue)-1]
 	e.trace(ev.at)
+	e.record(nil) // the nil interface: nothing to box
 	ev.fn()
 }
 

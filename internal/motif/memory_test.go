@@ -132,12 +132,10 @@ func TestRunLeavesNoFreePackets(t *testing.T) {
 // run has done: initiators keep no record of operations that left the NIC
 // (a reply names its operation), so a run 4x longer ends with the same
 // live heap, within 10%, as the short one. Heap is read after a GC with
-// the cluster still live.
-//
-// Incast is not a row. Its only length knob, Messages, also raises how
+// the cluster still live. Incast's length knob, Messages, also raises how
 // many RVMA puts are in flight at once, because clients wait only for
-// local completion; the engine's event free list and queue chunks, which
-// are O(peak pending events), grow with it.
+// local completion; its row holds because a finished run drops the
+// engine's event and queue pools, which are sized by that peak.
 func TestLiveHeapDoesNotGrowWithRunLength(t *testing.T) {
 	topo := smallTopo(t, 64)
 	rows := []struct {
@@ -160,6 +158,12 @@ func TestLiveHeapDoesNotGrowWithRunLength(t *testing.T) {
 			cfg := DefaultKVConfig(topo.NumNodes())
 			cfg.OpsPerProxy *= scale
 			_, _, err := RunKV(c, cfg)
+			return err
+		}},
+		{"incast", func(c *Cluster, scale int) error {
+			cfg := DefaultIncastConfig()
+			cfg.Messages *= scale
+			_, err := RunIncast(c, cfg)
 			return err
 		}},
 	}

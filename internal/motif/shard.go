@@ -22,10 +22,14 @@ func (c *Cluster) TagFor(rank int) sim.Tagged {
 }
 
 // run executes the simulation to completion, then drops the fabric's
-// recycled packets, so a finished cluster keeps no packets live.
+// recycled packets and each shard engine's event and queue pools, so a
+// finished cluster keeps nothing sized by the run's peak in flight.
 func (c *Cluster) run() {
 	c.Group.Run()
 	c.Net.DropFreePackets()
+	for i := 0; i < c.Group.Shards(); i++ {
+		c.Group.Shard(i).DropPools()
+	}
 }
 
 // EventsExecuted returns the executed-event count across every shard.

@@ -48,19 +48,29 @@ type sendState struct {
 	bufs    []rdma.RemoteBuffer
 	rr      int // round-robin buffer cursor
 	credits int
-	queue   []*sendReq
+	queue   []*sendReq // messages waiting for a credit, oldest first
+	issued  []*sendReq // queued messages since issued, awaiting local completion
+	// creditBack, bound at Prepare, runs when a credit returns: it issues
+	// what the credit frees.
+	creditBack func()
+	// issuedSent, bound at Prepare, runs when an issued message's put
+	// completes locally: it completes the future Send handed out.
+	issuedSent func()
 }
 
+// sendReq is a message that found no credit free when it was sent.
 type sendReq struct {
-	size int
-	done sim.Future // Send hands out &done: one allocation per message
+	size  int
+	done  sim.Future  // Send hands out &done
+	local *sim.Future // the put's local completion, once issued
 }
 
 // recvState is the per-source receiver bookkeeping.
 type recvState struct {
-	src      int
 	consumed uint64 // cumulative bytes of consumed messages (WaitBytes target)
-	pending  []*sim.Future
+	// returnCredit, bound at Prepare, hands a consumed message's buffer
+	// back to the sender; it runs first on each receive's completion.
+	returnCredit func()
 }
 
 func newRDMATransport(ep *rdma.Endpoint, ranks int, ordered bool, nbufs int, rec *recovery.Manager) *rdmaTransport {
@@ -87,7 +97,7 @@ func (t *rdmaTransport) Ranks() int { return t.ranks }
 func (t *rdmaTransport) Prepare(inPeers, outPeers []int, maxMsg int) *sim.Future {
 	for _, src := range inPeers {
 		if _, ok := t.in[src]; !ok {
-			t.in[src] = &recvState{src: src}
+			t.in[src] = &recvState{returnCredit: t.creditReturn(src)}
 		}
 	}
 	eng := t.ep.Engine()
@@ -98,6 +108,11 @@ func (t *rdmaTransport) Prepare(inPeers, outPeers []int, maxMsg int) *sim.Future
 			continue
 		}
 		st := &sendState{dst: dst, credits: t.nbufs}
+		st.creditBack = func() {
+			st.credits++
+			t.drain(st)
+		}
+		st.issuedSent = func() { t.completeIssued(st) }
 		t.out[dst] = st
 		for i := 0; i < t.nbufs; i++ {
 			remaining++
@@ -154,12 +169,16 @@ func (t *rdmaTransport) handshake(dst, size int) *sim.Future {
 	return done
 }
 
-// Send implements Transport: queue the message; it goes to the wire when
-// a negotiated buffer credit is available.
+// Send implements Transport: the message goes to the wire when a
+// negotiated buffer credit is available. With one free, the future handed
+// back is the put's own local completion; otherwise the message queues.
 func (t *rdmaTransport) Send(dst, size int) *sim.Future {
 	st := t.out[dst]
 	if st == nil {
 		panic(fmt.Sprintf("motif: rank %d Send to unprepared dst %d", t.Rank(), dst))
+	}
+	if st.ready && st.credits > 0 && len(st.queue) == 0 {
+		return t.issue(st, size)
 	}
 	req := &sendReq{size: size}
 	st.queue = append(st.queue, req)
@@ -171,30 +190,57 @@ func (t *rdmaTransport) Send(dst, size int) *sim.Future {
 func (t *rdmaTransport) drain(st *sendState) {
 	for st.ready && st.credits > 0 && len(st.queue) > 0 {
 		req := st.queue[0]
-		st.queue = st.queue[1:]
-		st.credits--
-		rb := st.bufs[st.rr]
-		st.rr = (st.rr + 1) % len(st.bufs)
-
-		if t.rec != nil {
-			t.sendReliable(st, rb, req)
-		} else {
-			scheme := rdma.CompleteSendRecv
-			if t.ordered {
-				scheme = rdma.CompleteNone // receiver uses cumulative last-byte polling
-			}
-			op := t.ep.PutN(rb, 0, req.size, scheme)
-			done := &req.done
-			op.Local.OnComplete(func() { done.Complete(t.ep.Engine(), nil) })
-		}
-
-		// Arm the credit return for this buffer.
-		credit := t.ep.PostRecv(st.dst, creditQP)
-		credit.Done.OnComplete(func() {
-			st.credits++
-			t.drain(st)
-		})
+		st.queue = removeAt(st.queue, 0)
+		req.local = t.issue(st, req.size)
+		st.issued = append(st.issued, req)
+		req.local.OnComplete(st.issuedSent)
 	}
+}
+
+// completeIssued completes the issued message whose put just completed
+// locally. Local completions run one at a time, each removing its own
+// message, so it is the one issued message whose local future is done.
+func (t *rdmaTransport) completeIssued(st *sendState) {
+	for i, req := range st.issued {
+		if req.local.Done() {
+			st.issued = removeAt(st.issued, i)
+			req.done.Complete(t.ep.Engine(), nil)
+			return
+		}
+	}
+}
+
+// removeAt removes s[i] by shifting the tail down in place, so later
+// appends reuse s's capacity instead of reallocating it as a reslice
+// past the front would.
+func removeAt[T any](s []*T, i int) []*T {
+	n := i + copy(s[i:], s[i+1:])
+	s[n] = nil
+	return s[:n]
+}
+
+// issue spends a credit on one message of the given size and returns its
+// local completion: the put's own future, or under recovery the first
+// attempt's.
+func (t *rdmaTransport) issue(st *sendState, size int) *sim.Future {
+	st.credits--
+	rb := st.bufs[st.rr]
+	st.rr = (st.rr + 1) % len(st.bufs)
+
+	var local *sim.Future
+	if t.rec != nil {
+		local = t.sendReliable(st, rb, size)
+	} else {
+		scheme := rdma.CompleteSendRecv
+		if t.ordered {
+			scheme = rdma.CompleteNone // receiver uses cumulative last-byte polling
+		}
+		local = t.ep.PutN(rb, 0, size, scheme).Local
+	}
+
+	// Arm the credit return for this buffer.
+	t.ep.PostRecv(st.dst, creditQP).Done.OnComplete(st.creditBack)
+	return local
 }
 
 // sendReliable issues one message under the recovery layer: an acked put,
@@ -203,19 +249,14 @@ func (t *rdmaTransport) drain(st *sendState) {
 // captured once so retransmits wait for exactly the bytes the original
 // did. The put and the fence recover independently; the receiver's dedup
 // guarantees neither double-counts bytes nor double-delivers the fence.
-func (t *rdmaTransport) sendReliable(st *sendState, rb rdma.RemoteBuffer, req *sendReq) {
-	eng := t.ep.Engine()
+func (t *rdmaTransport) sendReliable(st *sendState, rb rdma.RemoteBuffer, size int) *sim.Future {
 	var rp *rdma.Reliable
+	var local *sim.Future
 	t.rec.Run(func(try int) recovery.Attempt {
 		var at *rdma.Attempt
 		if try == 0 {
-			rp, at = t.ep.PutNReliable(rb, 0, req.size)
-			done := &req.done
-			at.Local.OnComplete(func() {
-				if !done.Done() {
-					done.Complete(eng, nil)
-				}
-			})
+			rp, at = t.ep.PutNReliable(rb, 0, size)
+			local = at.Local
 		} else {
 			at = t.ep.Retransmit(rp)
 		}
@@ -224,6 +265,7 @@ func (t *rdmaTransport) sendReliable(st *sendState, rb rdma.RemoteBuffer, req *s
 	if !t.ordered {
 		t.reliableSend(st.dst, rdma.FenceQP)
 	}
+	return local
 }
 
 // reliableSend issues a 1-byte control send (fence or credit) under the
@@ -242,31 +284,31 @@ func (t *rdmaTransport) reliableSend(dst, qp int) {
 }
 
 // Recv implements Transport: observe the next message from src per the
-// kind's completion scheme, then return the buffer credit.
+// kind's completion scheme; the buffer credit goes back as the receive
+// completes, before anything waiting on the returned future runs.
 func (t *rdmaTransport) Recv(src, size int) *sim.Future {
 	st := t.in[src]
 	if st == nil {
 		panic(fmt.Sprintf("motif: rank %d Recv from unprepared src %d", t.Rank(), src))
 	}
-	var completed *sim.Future
+	var done *sim.Future
 	if t.ordered {
 		st.consumed += uint64(size)
-		completed = t.ep.WaitBytes(src, st.consumed)
+		done = t.ep.WaitBytes(src, st.consumed)
 	} else {
-		completed = t.ep.PostRecv(src, rdma.FenceQP).Done
+		done = t.ep.PostRecv(src, rdma.FenceQP).Done
 	}
-	f := sim.NewFuture()
-	eng := t.ep.Engine()
-	completed.OnComplete(func() {
-		// Message consumed: hand the buffer back to the sender. A lost
-		// credit wedges the sender forever, so under recovery it is acked
-		// and retried like any data message.
-		if t.rec != nil {
-			t.reliableSend(src, creditQP)
-		} else {
-			t.ep.Send(src, creditQP, 1)
-		}
-		f.Complete(eng, nil)
-	})
-	return f
+	done.OnComplete(st.returnCredit)
+	return done
+}
+
+// creditReturn returns src's credit-return continuation: a consumed
+// message hands its buffer back to the sender. A lost credit wedges the
+// sender forever, so under recovery it is acked and retried like any data
+// message.
+func (t *rdmaTransport) creditReturn(src int) func() {
+	if t.rec != nil {
+		return func() { t.reliableSend(src, creditQP) }
+	}
+	return func() { t.ep.Send(src, creditQP, 1) }
 }

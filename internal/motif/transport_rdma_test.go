@@ -1,0 +1,115 @@
+package motif
+
+import (
+	"fmt"
+	"math"
+	"runtime"
+	"testing"
+
+	"rvma/internal/fabric"
+	"rvma/internal/sim"
+)
+
+// rdmaExchange sends messages size-byte messages between ranks 0 and 1
+// through the RDMA transport and returns the heap allocations the run
+// made. As a ping-pong every send finds its credit back; as a burst rank
+// 0 sends them all at once, so all but the first wait for a credit.
+func rdmaExchange(t *testing.T, routing fabric.RoutingMode, lastByte, burst bool, size, messages int) uint64 {
+	t.Helper()
+	cfg := DefaultClusterConfig(smallTopo(t, 32), KindRDMA)
+	cfg.Routing = routing
+	cfg.RDMALastBytePoll = lastByte
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := c.Transports[0], c.Transports[1]
+	done := 0
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	c.TagFor(0).Spawn("a", func(p *sim.Process) {
+		p.Wait(a.Prepare([]int{1}, []int{1}, size))
+		for i := 0; i < messages; i++ {
+			switch {
+			case burst:
+				a.Send(1, size)
+			case i%2 == 0:
+				a.Send(1, size)
+			default:
+				p.Wait(a.Recv(1, size))
+			}
+		}
+		done++
+	})
+	c.TagFor(1).Spawn("b", func(p *sim.Process) {
+		p.Wait(b.Prepare([]int{0}, []int{0}, size))
+		for i := 0; i < messages; i++ {
+			switch {
+			case burst, i%2 == 0:
+				p.Wait(b.Recv(0, size))
+			default:
+				b.Send(0, size)
+			}
+		}
+		done++
+	})
+	c.run()
+	runtime.ReadMemStats(&ms)
+	if done != 2 {
+		t.Fatalf("%d messages: the exchange deadlocked", messages)
+	}
+	return ms.Mallocs - before
+}
+
+// One message through the RDMA transport allocates the operations it
+// hands out and nothing else. Under adaptive routing (the send/recv
+// fence) those are the PutOp, whose commands and continuations also carry
+// the fence send; the receiver's fence RecvOp; its credit-return SendOp;
+// and the sender's RecvOp armed for that credit. Under static routing with
+// last-byte polling the fence RecvOp becomes the receiver's byte wait.
+// The credit return runs first on the receive's own future and the
+// waiting process second, both held inline by the future. A message that
+// waits for a credit adds the sendReq whose future Send hands out.
+// The run-length difference cancels set-up, handshakes, process spawns
+// and pool warm-up, so what is left is the marginal cost of a message,
+// and a 4-packet message must cost what a 1-packet one does. The count is
+// rounded to one decimal: a pool reaching a new peak, or the runtime's
+// own bookkeeping, adds a handful of allocations per run, not per message.
+func TestRDMAMessageAllocations(t *testing.T) {
+	if sim.DebugEnabled {
+		t.Skip("simdebug invariant checks box their arguments; the gate is for normal builds")
+	}
+	const messages = 1000
+	mtu := fabric.DefaultConfig().MTU
+	for _, tc := range []struct {
+		name     string
+		routing  fabric.RoutingMode
+		lastByte bool
+		burst    bool
+		want     float64
+	}{
+		{"adaptive fence", fabric.RouteAdaptive, false, false, 4},
+		{"static WaitBytes", fabric.RouteStatic, true, false, 4},
+		{"adaptive fence, credit-bound burst", fabric.RouteAdaptive, false, true, 5},
+	} {
+		perPackets := map[int]float64{}
+		for _, packets := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/%d packets", tc.name, packets), func(t *testing.T) {
+				size := packets * mtu
+				short := rdmaExchange(t, tc.routing, tc.lastByte, tc.burst, size, messages)
+				long := rdmaExchange(t, tc.routing, tc.lastByte, tc.burst, size, 2*messages)
+				perMsg := math.Round(float64(long-short)/messages*10) / 10
+				perPackets[packets] = perMsg
+				if perMsg > tc.want {
+					t.Errorf("%.1f allocations per message, want at most %v", perMsg, tc.want)
+				}
+				t.Logf("%.1f allocations per message", perMsg)
+			})
+		}
+		if perPackets[4] != perPackets[1] {
+			t.Errorf("%s: a 4-packet message costs %.1f allocations, a 1-packet one %.1f",
+				tc.name, perPackets[4], perPackets[1])
+		}
+	}
+}

@@ -235,6 +235,11 @@ func (n *NIC) deliver(pkt *fabric.Packet) {
 // handed to the fabric (local send completion); remote delivery semantics
 // belong to the protocols. Without done that event still fires, running
 // a no-op, so the event sequence does not depend on who is listening.
+// SendMessage returns the time of that event. It never decreases from
+// one message to the next, since every message's last packet leaves the
+// FIFO send pipeline after the previous message's, and ties fire in call
+// order, so a protocol may queue its continuations in call order behind
+// one bound done callback.
 //
 // The caller is responsible for modeling host software overhead
 // (Profile.HostPostOverhead) before invoking SendMessage; the protocols do
@@ -242,7 +247,7 @@ func (n *NIC) deliver(pkt *fabric.Packet) {
 // distinctly later.
 //
 //rvmalint:hot
-func (n *NIC) SendMessage(dst, total int, build func(off, size int) any, done ...func()) {
+func (n *NIC) SendMessage(dst, total int, build func(off, size int) any, done ...func()) sim.Time {
 	if total < 0 || total > math.MaxInt32 {
 		panic(fmt.Sprintf("nic: message size %d outside [0, MaxInt32]", total))
 	}
@@ -294,6 +299,7 @@ func (n *NIC) SendMessage(dst, total int, build func(off, size int) any, done ..
 		sent = done[0]
 	}
 	n.eng.At(last, sent)
+	return last
 }
 
 // sentNoop is the local-completion event of a send nobody waits on.

@@ -34,24 +34,31 @@ func (ep *Endpoint) RequestRemoteBuffer(dst, size int) *RegOp {
 		op.Done.OnComplete(func() { ep.mHandshake.ObserveTime(eng.Now() - start) })
 	}
 	eng.Schedule(ep.nic.Profile().HostPostOverhead, func() {
-		ep.nic.SendMessage(dst, 0, func(int, int) any { return req })
+		ep.nic.SendMessage(dst, 0, req.payload)
 	})
 	return op
 }
 
-// PutOp tracks one initiated RDMA put.
+// PutOp tracks one initiated RDMA put. It owns the continuations of its
+// own pipeline: post, local send completion and, with CompleteSendRecv,
+// the trailing fence send's post and completion (putFence).
 type PutOp struct {
 	// Local resolves when the last data packet (and the trailing fence
 	// send, if any) has been handed to the fabric.
 	Local *sim.Future
 
-	local sim.Future // what Local points at: one allocation per put
-	cmd   command    // the wire command every data packet carries
-	fence command    // the trailing fence send's command (CompleteSendRecv)
-	// postFence posts the fence send (CompleteSendRecv): right behind the
-	// data when pipelined, else once the transport ACK names this put.
-	postFence func()
+	local  sim.Future    // what Local points at: one allocation per put
+	cmd    command       // the wire command every data packet carries
+	fence  command       // the trailing fence send's command (CompleteSendRecv)
+	sp     *metrics.Span // the put's span, nil unless spans are enabled
+	txWait sim.Time      // NIC backlog when the data was posted (span nic_tx wait)
+	dst    int
+	fenced bool // CompleteSendRecv: Local waits for the fence send
 }
+
+// putFence is a PutOp in the role of its trailing fence send: the same
+// object, with the fence's post and local completion as its methods.
+type putFence PutOp
 
 // acked runs when the transport ACK of a conservative CompleteSendRecv put
 // returns. On an unordered network the initiator reaps the write's local
@@ -60,10 +67,7 @@ type PutOp struct {
 // all on the critical path (what a naive perftest modification does).
 //
 //rvmalint:hot
-func (op *PutOp) acked(ep *Endpoint) {
-	prof := ep.nic.Profile()
-	ep.eng.Schedule(prof.PollInterval+prof.CQProcessOverhead+prof.HostPostOverhead, op.postFence)
-}
+func (op *PutOp) acked(ep *Endpoint) { ep.reap((*putFence)(op)) }
 
 // Put writes data into the remote buffer at offset using the given
 // target-side completion scheme. With CompleteSendRecv a 1-byte send is
@@ -86,53 +90,69 @@ func (ep *Endpoint) put(rb RemoteBuffer, offset, size int, data []byte, scheme C
 	ep.Stats.PutsInitiated++
 	msgID := ep.nextMsgID
 	ep.nextMsgID++
-	op := &PutOp{cmd: command{
-		op: opPutData, msgID: msgID, rkey: rb.RKey, msgOffset: offset, total: size,
-		wantAck: scheme == CompleteSendRecv && !ep.cfg.PipelinedFence,
-	}}
+	op := &PutOp{
+		cmd: command{
+			op: opPutData, msgID: msgID, rkey: rb.RKey, msgOffset: offset, total: size,
+			wantAck: scheme == CompleteSendRecv && !ep.cfg.PipelinedFence,
+		},
+		dst: rb.Node, fenced: scheme == CompleteSendRecv,
+	}
 	op.Local = &op.local
 	op.cmd.ref = op
 	if ep.cfg.CarryData {
 		op.cmd.data = data
 	}
-
-	eng := ep.eng
-	prof := ep.nic.Profile()
-	sp := ep.reg.BeginSpan(eng.Now(), metrics.SpanKey{Node: ep.Node(), ID: msgID}, "rdma.put", ep.Node())
-	eng.Schedule(prof.HostPostOverhead, func() {
-		sp.Stage(eng.Now(), "host_post")
-		txWait := ep.nic.SendBacklog() + ep.nic.DMABacklog()
-		// One continuation for the data's local completion: close the
-		// nic_tx stage and, unless a fence send follows, the put itself.
-		sent := func() {
-			sp.StageWait(eng.Now(), "nic_tx", txWait)
-			if scheme != CompleteSendRecv {
-				op.Local.Complete(eng.Engine, nil)
-			}
-		}
-		ep.nic.SendMessage(rb.Node, size, func(int, int) any { return &op.cmd }, sent)
-		ep.sentBytes[rb.Node] += uint64(size)
-		if scheme != CompleteSendRecv {
-			return
-		}
-		fence := ep.sentBytes[rb.Node]
-		op.postFence = func() {
-			op.fence = command{op: opSend, msgID: ep.nextMsgID, qp: FenceQP, total: 1, fenceBytes: fence}
-			ep.nextMsgID++
-			ep.nic.SendMessage(rb.Node, 1, func(int, int) any { return &op.fence }, func() {
-				op.Local.Complete(eng.Engine, nil)
-			})
-		}
-		if ep.cfg.PipelinedFence {
-			// Aggressive runtime: post the send right behind the data (one
-			// extra post) and let the target's transport hold it until the
-			// put's bytes have all landed.
-			eng.Schedule(prof.HostPostOverhead, op.postFence)
-		}
-		// Otherwise the data's transport ACK runs op.acked.
-	})
+	op.sp = ep.reg.BeginSpan(ep.eng.Now(), metrics.SpanKey{Node: ep.Node(), ID: msgID}, "rdma.put", ep.Node())
+	ep.post(op)
 	return op
 }
+
+// post hands the put's data to the NIC once the host has posted it.
+//
+//rvmalint:hot
+func (op *PutOp) post(ep *Endpoint) {
+	op.sp.Stage(ep.eng.Now(), "host_post")
+	op.txWait = ep.nic.SendBacklog() + ep.nic.DMABacklog()
+	ep.send(op.dst, op.cmd.total, &op.cmd, op)
+	p := ep.peer(op.dst)
+	p.sent += uint64(op.cmd.total)
+	if !op.fenced {
+		return
+	}
+	op.fence.fenceBytes = p.sent
+	if ep.cfg.PipelinedFence {
+		// Aggressive runtime: post the send right behind the data (one
+		// extra post) and let the target's transport hold it until the
+		// put's bytes have all landed.
+		ep.post((*putFence)(op))
+	}
+	// Otherwise the data's transport ACK runs op.acked.
+}
+
+// sent closes the put's nic_tx stage and, unless a fence send follows,
+// the put itself.
+//
+//rvmalint:hot
+func (op *PutOp) sent(ep *Endpoint) {
+	op.sp.StageWait(ep.eng.Now(), "nic_tx", op.txWait)
+	if !op.fenced {
+		op.Local.Complete(ep.eng.Engine, nil)
+	}
+}
+
+// post sends the put's trailing 1-byte fence.
+//
+//rvmalint:hot
+func (f *putFence) post(ep *Endpoint) {
+	f.fence.op, f.fence.msgID, f.fence.qp, f.fence.total = opSend, ep.nextMsgID, FenceQP, 1
+	ep.nextMsgID++
+	ep.send(f.dst, 1, &f.fence, f)
+}
+
+// sent completes the put: its fence has left the NIC.
+//
+//rvmalint:hot
+func (f *putFence) sent(ep *Endpoint) { f.Local.Complete(ep.eng.Engine, nil) }
 
 // PutWithImmediate is the special small-payload command that generates a
 // target-side completion event directly (§I): a single-packet write that
@@ -147,22 +167,19 @@ func (ep *Endpoint) PutWithImmediate(rb RemoteBuffer, offset int, data []byte) (
 		return nil, fmt.Errorf("%w: [%d,%d) in %d", ErrOutOfBounds, offset, offset+size, rb.Size)
 	}
 	ep.Stats.PutsInitiated++
-	op := &PutOp{cmd: command{
-		op: opPutData, msgID: ep.nextMsgID, rkey: rb.RKey, msgOffset: offset, total: size,
-		imm: &immediateInfo{rkey: rb.RKey},
-	}}
+	op := &PutOp{
+		cmd: command{
+			op: opPutData, msgID: ep.nextMsgID, rkey: rb.RKey, msgOffset: offset, total: size,
+			imm: &immediateInfo{rkey: rb.RKey},
+		},
+		dst: rb.Node,
+	}
 	op.Local = &op.local
 	if ep.cfg.CarryData {
 		op.cmd.data = data
 	}
 	ep.nextMsgID++
-	eng := ep.eng
-	eng.Schedule(ep.nic.Profile().HostPostOverhead, func() {
-		ep.nic.SendMessage(rb.Node, size, func(int, int) any { return &op.cmd }, func() {
-			op.Local.Complete(eng.Engine, nil)
-		})
-		ep.sentBytes[rb.Node] += uint64(size)
-	})
+	ep.post(op)
 	return op, nil
 }
 
@@ -172,6 +189,7 @@ type SendOp struct {
 
 	local sim.Future // what Local points at
 	cmd   command    // the wire command every packet of the send carries
+	dst   int
 }
 
 // Send issues a two-sided message of the given size to dst on the given
@@ -180,20 +198,23 @@ type SendOp struct {
 // bytes to that destination have landed (per-QP operation ordering).
 // Control QPs (qp != FenceQP) carry no fence.
 func (ep *Endpoint) Send(dst, qp, size int) *SendOp {
-	op := &SendOp{cmd: command{op: opSend, msgID: ep.nextMsgID, qp: qp, total: size}}
+	op := &SendOp{cmd: command{op: opSend, msgID: ep.nextMsgID, qp: qp, total: size}, dst: dst}
 	op.Local = &op.local
 	ep.nextMsgID++
-	eng := ep.eng
-	eng.Schedule(ep.nic.Profile().HostPostOverhead, func() {
-		if qp == FenceQP {
-			op.cmd.fenceBytes = ep.sentBytes[dst]
-		}
-		ep.nic.SendMessage(dst, size, func(int, int) any { return &op.cmd }, func() {
-			op.Local.Complete(eng.Engine, nil)
-		})
-	})
+	ep.post(op)
 	return op
 }
+
+//rvmalint:hot
+func (op *SendOp) post(ep *Endpoint) {
+	if op.cmd.qp == FenceQP {
+		op.cmd.fenceBytes = ep.sentTo(op.dst)
+	}
+	ep.send(op.dst, op.cmd.total, &op.cmd, op)
+}
+
+//rvmalint:hot
+func (op *SendOp) sent(ep *Endpoint) { op.Local.Complete(ep.eng.Engine, nil) }
 
 // RecvOp tracks a posted receive. Done resolves (with the send's size)
 // after the matching send is deliverable (fence satisfied), a CQ entry is
@@ -205,43 +226,40 @@ type RecvOp struct {
 }
 
 // PostRecv posts a receive for sends arriving from src on the given QP
-// index; sends and receives match in FIFO order per queue pair.
+// index; sends and receives match in FIFO order per queue pair. QP
+// indices are small non-negative integers.
 func (ep *Endpoint) PostRecv(src, qp int) *RecvOp {
 	op := &RecvOp{}
 	op.Done = &op.done
-	k := qpKey{src: src, qp: qp}
-	ep.recvQueues[k] = append(ep.recvQueues[k], op)
-	ep.matchSends(k)
+	p := ep.peer(src)
+	q := p.qp(qp)
+	q.recvs.push(op)
+	ep.matchSends(src, p, q)
 	return op
 }
 
 // byteWait is a cumulative-byte poll used by applications that reuse one
 // registered buffer for a stream of transfers: "poll the last byte of the
 // n-th message", expressed as "wait until target cumulative put bytes from
-// src have landed". Like last-byte polling it is only sound when the
+// a peer have landed". Like last-byte polling it is only sound when the
 // network preserves byte order (static routing).
 type byteWait struct {
-	src    int
 	target uint64
-	done   *sim.Future
+	done   sim.Future
 }
 
 // WaitBytes returns a future that resolves (after a poll tick and host
 // processing) once the cumulative put payload bytes received from src
 // reach target. If they already have, it resolves after one poll tick.
 func (ep *Endpoint) WaitBytes(src int, target uint64) *sim.Future {
-	f := sim.NewFuture()
-	w := &byteWait{src: src, target: target, done: f}
-	eng := ep.eng
-	prof := ep.nic.Profile()
-	if ep.recvBytes[src] >= target {
-		eng.Schedule(prof.PollInterval+prof.HostCompletionOverhead, func() {
-			f.Complete(eng.Engine, nil)
-		})
-		return f
+	w := &byteWait{target: target}
+	p := ep.peer(src)
+	if p.recv >= target {
+		ep.pollByte(completion{f: &w.done})
+		return &w.done
 	}
-	ep.byteWaits = append(ep.byteWaits, w)
-	return f
+	p.waits = append(p.waits, w)
+	return &w.done
 }
 
 // LastByteWait is target software polling the final byte of an expected
@@ -295,7 +313,7 @@ func (ep *Endpoint) Read(rb RemoteBuffer, offset, size int) *ReadOp {
 	ep.nextMsgID++
 	eng := ep.eng
 	eng.Schedule(ep.nic.Profile().HostPostOverhead, func() {
-		ep.nic.SendMessage(rb.Node, 0, func(int, int) any { return req })
+		ep.nic.SendMessage(rb.Node, 0, req.payload)
 	})
 	return op
 }

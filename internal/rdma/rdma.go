@@ -136,22 +136,28 @@ type Endpoint struct {
 
 	nextMsgID uint64
 
-	// Initiator-side bookkeeping. Replies name the operation they answer,
-	// so nothing here grows with the operations issued.
-	regsInFlight int            // handshakes awaiting their RemoteBuffer reply
-	sentBytes    map[int]uint64 // per-destination cumulative put payload bytes
+	// regsInFlight counts handshakes awaiting their RemoteBuffer reply.
+	// Replies name the operation they answer, so nothing else on the
+	// initiator side grows with the operations issued.
+	regsInFlight int
 
-	// Target-side bookkeeping. Receive queues are per (source node, QP
-	// index): InfiniBand receive queues belong to a queue pair, and
-	// applications commonly run several QPs per peer (e.g. one for data
-	// and fences, one for control credits).
-	recvBytes     map[int]uint64 // per-source cumulative put payload bytes landed
-	recvQueues    map[qpKey][]*RecvOp
-	pendingSends  map[qpKey][]*pendingSend
+	// peers holds one record per node this endpoint has exchanged data
+	// with, created on first contact: one int-keyed lookup reaches a
+	// peer's fence ledger, receive queues and byte waits.
+	peers map[int]*peer
+
 	lastByteWaits []*LastByteWait
-	byteWaits     []*byteWait
 	asm           *nic.Assembler
 	relAsm        *nic.RangeAssembler // duplicate-aware reassembly of reliable ops
+
+	// The operations' pipeline stages (stage.go): each holds the
+	// operations waiting for its next event, in firing order.
+	posts     stage[poster]     // host post overhead, then the NIC send
+	reaps     stage[*putFence]  // a conservative fence's ACK reaped, then its post
+	sends     stage[sender]     // a NIC send's local completion
+	dmas      stage[completion] // a CQ entry or polled byte landing over the bus
+	cqPolls   stage[completion] // the poll that reaps a CQ entry
+	bytePolls stage[completion] // the poll that observes a landed byte
 
 	tracer *trace.Tracer
 	reg    *metrics.Registry
@@ -168,11 +174,64 @@ type Endpoint struct {
 	Stats Stats
 }
 
-// qpKey identifies one queue pair: the peer node and a small application-
-// chosen QP index.
-type qpKey struct {
-	src int
-	qp  int
+// peer is what an endpoint keeps about one other node.
+type peer struct {
+	sent uint64 // cumulative put payload bytes issued to the peer (the fence ledger)
+	recv uint64 // cumulative put payload bytes landed from the peer
+	// qps are the target-side queues of the peer's queue pairs, indexed by
+	// QP. InfiniBand receive queues belong to a queue pair, and
+	// applications commonly run several QPs per peer (e.g. one for data
+	// and fences, one for control credits).
+	qps   []queuePair
+	waits []*byteWait // cumulative-byte polls on the peer's puts
+}
+
+// queuePair holds one QP's posted receives and the sends waiting for a
+// receive or for their fence, both matched in FIFO order.
+type queuePair struct {
+	recvs fifo[*RecvOp]
+	sends fifo[pendingSend]
+}
+
+// peer returns node's record, creating it on first contact.
+//
+//rvmalint:hot
+func (ep *Endpoint) peer(node int) *peer {
+	if p := ep.peers[node]; p != nil {
+		return p
+	}
+	if ep.peers == nil {
+		//rvmalint:allow hotalloc -- once per endpoint, on its first contact with any peer
+		ep.peers = make(map[int]*peer)
+	}
+	//rvmalint:allow hotalloc -- once per peer, on first contact
+	p := &peer{}
+	ep.peers[node] = p
+	return p
+}
+
+// sentTo returns the put payload bytes issued to node so far.
+func (ep *Endpoint) sentTo(node int) uint64 {
+	if p := ep.peers[node]; p != nil {
+		return p.sent
+	}
+	return 0
+}
+
+// qp returns the queues of QP index i, growing the table to reach it.
+//
+//rvmalint:hot
+func (p *peer) qp(i int) *queuePair {
+	if i < 0 {
+		panic(fmt.Sprintf("rdma: negative QP index %d", i))
+	}
+	if i >= len(p.qps) {
+		//rvmalint:allow hotalloc -- once per QP index a peer uses; QP indices are small
+		qps := make([]queuePair, i+1)
+		copy(qps, p.qps)
+		p.qps = qps
+	}
+	return &p.qps[i]
 }
 
 // FenceQP is the QP index put completion sends and immediates arrive on.
@@ -181,10 +240,8 @@ const FenceQP = 0
 // pendingSend is a send whose fence (prior put bytes) is not yet satisfied
 // or which awaits a posted receive.
 type pendingSend struct {
-	src        int
 	fenceBytes uint64
 	size       int
-	imm        *immediateInfo
 	enq        sim.Time // when the send reached the target (fence-hold metric)
 }
 
@@ -195,18 +252,15 @@ type immediateInfo struct {
 // NewEndpoint attaches an RDMA endpoint to the NIC.
 func NewEndpoint(n *nic.NIC, cfg Config) *Endpoint {
 	ep := &Endpoint{
-		nic:          n,
-		eng:          n.Engine().Tag("rdma"),
-		cfg:          cfg,
-		mrs:          make(map[uint32]*MemoryRegion),
-		nextRKey:     1,
-		sentBytes:    make(map[int]uint64),
-		recvBytes:    make(map[int]uint64),
-		recvQueues:   make(map[qpKey][]*RecvOp),
-		pendingSends: make(map[qpKey][]*pendingSend),
-		asm:          nic.NewAssembler(),
-		relAsm:       nic.NewRangeAssembler(),
+		nic:      n,
+		eng:      n.Engine().Tag("rdma"),
+		cfg:      cfg,
+		mrs:      make(map[uint32]*MemoryRegion),
+		nextRKey: 1,
+		asm:      nic.NewAssembler(),
+		relAsm:   nic.NewRangeAssembler(),
 	}
+	ep.bindStages()
 	n.SetHandler(ep.handlePacket)
 	return ep
 }
@@ -238,13 +292,7 @@ func (ep *Endpoint) SetMetrics(reg *metrics.Registry) {
 	ep.mFenceHold = reg.Histogram("span.rdma.put/fence_hold")
 	node := ep.Node()
 	reg.AddCollector(func() {
-		held, queued := 0, 0
-		for _, ps := range ep.pendingSends {
-			held += len(ps)
-		}
-		for _, rq := range ep.recvQueues {
-			queued += len(rq)
-		}
+		held, queued := ep.queued()
 		reg.Gauge(fmt.Sprintf("rdma%d.pending_sends", node)).Set(float64(held))
 		reg.Gauge(fmt.Sprintf("rdma%d.posted_recvs", node)).Set(float64(queued))
 		reg.Gauge(fmt.Sprintf("rdma%d.pending_asm", node)).Set(float64(ep.asm.Pending()))
@@ -262,11 +310,19 @@ func (ep *Endpoint) PendingRegistrations() int { return ep.regsInFlight }
 // PendingSendsHeld returns the number of target-side sends currently held
 // for an unsatisfied fence or a missing posted receive.
 func (ep *Endpoint) PendingSendsHeld() int {
-	held := 0
-	for _, ps := range ep.pendingSends {
-		held += len(ps)
-	}
+	held, _ := ep.queued()
 	return held
+}
+
+// queued counts the sends held and the receives posted over every QP.
+func (ep *Endpoint) queued() (held, posted int) {
+	for _, p := range ep.peers {
+		for i := range p.qps {
+			held += p.qps[i].sends.n
+			posted += p.qps[i].recvs.n
+		}
+	}
+	return held, posted
 }
 
 // NIC returns the underlying NIC model.
@@ -321,7 +377,6 @@ const (
 	opRegRequest opcode = iota
 	opRegReply
 	opPutData
-	opPutAck
 	opSend
 	opReadReq
 	opReadReply
@@ -344,9 +399,10 @@ type command struct {
 	msgID    uint64
 
 	// ref is the initiator's operation (*RegOp, *PutOp, *Reliable or
-	// *ReadOp). The target copies it into the reply or ack it sends back
-	// and never dereferences it, so the initiator reaches the operation
-	// without keeping a table of everything it has issued.
+	// *ReadOp). The target copies it into the reply it sends back, or
+	// sends it back as the payload of a transport ACK, and never
+	// dereferences it, so the initiator reaches the operation without
+	// keeping a table of everything it has issued.
 	ref any
 
 	// registration
@@ -366,3 +422,7 @@ type command struct {
 	fenceBytes uint64
 	imm        *immediateInfo
 }
+
+// payload is the SendMessage build function of a message whose packets
+// all carry c.
+func (c *command) payload(int, int) any { return c }

@@ -497,10 +497,14 @@ func TestFenceSendNeverCompletesOnHoledBuffer(t *testing.T) {
 
 // TestPutNAllocationCeiling pins what one PutN with the trailing
 // send/recv fence, and one plain Send, cost on the heap from issue to the
-// target's receive completion: the ops (each carrying the one command all
-// its packets share), their receives and the completion events, with no
-// future or closure per NIC send and no packet (the fabric recycles them).
-// A 4-packet message costs exactly what a 1-packet one does. A new
+// target's receive completion: exactly the operations handed out. A fenced
+// put is its PutOp (which carries the data and fence commands and owns
+// every continuation of both) and the target's RecvOp; its transport ACK
+// carries the PutOp itself. A send is its SendOp and the RecvOp, plus the
+// receive's value: the send's size, which boxes into an 8-byte allocation
+// from 256 bytes up (the MTU-sized sends here). No packet, event, closure,
+// pending-send record or queue slot allocates in the steady state. A
+// 4-packet message costs exactly what a 1-packet one does. A new
 // allocation on the put, fence or send path fails it.
 func TestPutNAllocationCeiling(t *testing.T) {
 	if sim.DebugEnabled {
@@ -511,11 +515,11 @@ func TestPutNAllocationCeiling(t *testing.T) {
 		ceiling float64
 		op      func(src, dst *Endpoint, rb RemoteBuffer, size int, recvd func())
 	}{
-		{"fenced PutN", 10, func(src, dst *Endpoint, rb RemoteBuffer, size int, recvd func()) {
+		{"fenced PutN", 2, func(src, dst *Endpoint, rb RemoteBuffer, size int, recvd func()) {
 			dst.PostRecv(0, FenceQP).Done.OnComplete(recvd)
 			src.PutN(rb, 0, size, CompleteSendRecv)
 		}},
-		{"Send", 8, func(src, dst *Endpoint, rb RemoteBuffer, size int, recvd func()) {
+		{"Send", 3, func(src, dst *Endpoint, rb RemoteBuffer, size int, recvd func()) {
 			dst.PostRecv(0, FenceQP).Done.OnComplete(recvd)
 			src.Send(1, FenceQP, size)
 		}},
@@ -550,9 +554,10 @@ func TestPutNAllocationCeiling(t *testing.T) {
 	}
 }
 
-// Every ack and reply allocates a command, and PutOp, SendOp and Attempt
-// embed one: a field added to it must not move it past the 144 B size
-// class.
+// Every handshake or read reply allocates a command, and PutOp (twice),
+// SendOp and Attempt embed one: a field added to it must not move it past
+// the 144 B size class. A transport ACK allocates nothing: its payload is
+// the operation it acknowledges.
 func TestCommandFitsItsSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(command{}); n > 144 {
 		t.Fatalf("command is %d B, past the 144 B size class", n)

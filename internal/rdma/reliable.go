@@ -25,8 +25,11 @@ type Attempt struct {
 	// attempt's packets may have contributed).
 	Acked *sim.Future
 
-	local, acked sim.Future // what the exported fields point at
-	cmd          command    // the wire command every packet of the attempt carries
+	local, acked sim.Future    // what the exported fields point at
+	cmd          command       // the wire command every packet of the attempt carries
+	op           *Reliable     // the operation the attempt belongs to
+	sp           *metrics.Span // a put's span, nil for a send or with spans off
+	txWait       sim.Time      // NIC backlog when the attempt was posted (span nic_tx wait)
 }
 
 // Reliable is an acked put or two-sided send under recovery-layer
@@ -64,7 +67,7 @@ func (ep *Endpoint) PutNReliable(rb RemoteBuffer, offset, size int) (*Reliable, 
 	// Fence accounting counts the operation once: a retransmit re-sends
 	// bytes the fence ledger already includes, and the target's dedup
 	// keeps the receive side consistent with that.
-	ep.sentBytes[rb.Node] += uint64(size)
+	ep.peer(rb.Node).sent += uint64(size)
 	sp := ep.reg.BeginSpan(ep.Engine().Now(), metrics.SpanKey{Node: ep.Node(), ID: cmd.msgID}, "rdma.put", ep.Node())
 	return op, ep.sendAttempt(op, cmd, sp)
 }
@@ -80,7 +83,7 @@ func (ep *Endpoint) SendReliable(dst, qp, size int) (*Reliable, *Attempt) {
 	cmd := command{op: opSend, reliable: true, msgID: ep.nextMsgID, ref: op, qp: qp, total: size}
 	ep.nextMsgID++
 	if qp == FenceQP {
-		cmd.fenceBytes = ep.sentBytes[dst]
+		cmd.fenceBytes = ep.sentTo(dst)
 	}
 	return op, ep.sendAttempt(op, cmd, nil)
 }
@@ -118,17 +121,22 @@ func (ep *Endpoint) sendAttempt(op *Reliable, cmd command, sp *metrics.Span) *At
 	if cmd.op == opPutData {
 		ep.Stats.PutsInitiated++
 	}
-	at := &Attempt{cmd: cmd}
+	at := &Attempt{cmd: cmd, op: op, sp: sp}
 	at.Local, at.Acked = &at.local, &at.acked
 	op.attempt = at
-	eng := ep.eng
-	eng.Schedule(ep.nic.Profile().HostPostOverhead, func() {
-		sp.Stage(eng.Now(), "host_post")
-		txWait := ep.nic.SendBacklog() + ep.nic.DMABacklog()
-		ep.nic.SendMessage(op.dst, at.cmd.total, func(int, int) any { return &at.cmd }, func() {
-			sp.StageWait(eng.Now(), "nic_tx", txWait)
-			at.Local.Complete(eng.Engine, nil)
-		})
-	})
+	ep.post(at)
 	return at
+}
+
+//rvmalint:hot
+func (at *Attempt) post(ep *Endpoint) {
+	at.sp.Stage(ep.eng.Now(), "host_post")
+	at.txWait = ep.nic.SendBacklog() + ep.nic.DMABacklog()
+	ep.send(at.op.dst, at.cmd.total, &at.cmd, at)
+}
+
+//rvmalint:hot
+func (at *Attempt) sent(ep *Endpoint) {
+	at.sp.StageWait(ep.eng.Now(), "nic_tx", at.txWait)
+	at.Local.Complete(ep.eng.Engine, nil)
 }

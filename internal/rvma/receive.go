@@ -265,6 +265,8 @@ func (ep *Endpoint) sendAck(src int, cmd *command) {
 // handleAck resolves the current attempt of the reliable put the ack
 // names. A duplicate ack (a retransmit raced the first one) or a straggler
 // after AbandonPut finds the put no longer live and resolves nothing.
+//
+//rvmalint:hot
 func (ep *Endpoint) handleAck(cmd *command) {
 	if at := cmd.ref.(*ReliablePut).live(); at != nil {
 		at.Acked.Complete(ep.eng.Engine, nil)

@@ -583,3 +583,24 @@ func (e *Engine) NextEventTime() Time {
 // PoolFree returns the number of recycled event objects currently waiting
 // in the free list, for tests and diagnostics of the pooling layer.
 func (e *Engine) PoolFree() int { return len(e.free) }
+
+// DropPools releases the memory the engine keeps for reuse: the event
+// free list, the queue's spare chunks (the shared list and the empty chunk
+// each drained bucket keeps) and bucket 0's backing array when it is empty.
+// Those are sized by the run's peak of pending events and never shrink on
+// their own, so a finished run would otherwise hold its peak. Queued
+// events stay queued, and a later Schedule simply allocates again. Call it
+// between runs, not inside one: a loop of short runs relies on the pools.
+func (e *Engine) DropPools() {
+	e.free = nil
+	q := &e.queue
+	q.free = nil
+	if len(q.b0) == 0 {
+		q.b0 = nil
+	}
+	for k, c := range q.buckets {
+		if c != nil && q.mask&(1<<k) == 0 {
+			q.buckets[k] = nil
+		}
+	}
+}

@@ -202,6 +202,35 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// DropPools between runs empties the free list and keeps queued events
+// in order: the run resumes exactly where it stopped.
+func TestEngineDropPools(t *testing.T) {
+	e := NewEngine(1)
+	var got []Time
+	record := func() { got = append(got, e.Now()) }
+	for i := 1; i <= 300; i++ {
+		e.Schedule(Time(i*i)*Nanosecond, record)
+	}
+	e.RunUntil(1000 * Nanosecond)
+	if e.PoolFree() == 0 {
+		t.Fatal("the run left no free events to drop")
+	}
+	e.DropPools()
+	if n := e.PoolFree(); n != 0 {
+		t.Fatalf("%d free events after DropPools", n)
+	}
+	e.Schedule(0, record)
+	e.Run()
+	if len(got) != 301 {
+		t.Fatalf("ran %d events, want 301", len(got))
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i] < got[i-1] {
+			t.Fatalf("event %d at %v ran after one at %v", i, got[i], got[i-1])
+		}
+	}
+}
+
 func TestEngineStep(t *testing.T) {
 	e := NewEngine(1)
 	count := 0
@@ -518,26 +547,26 @@ func TestFutureDoubleCompletePanics(t *testing.T) {
 	e.Run()
 }
 
-// TestFutureCallbacksRunInRegistrationOrder covers the inline first waiter
-// and the slice behind it: the first callback runs first, the rest follow
-// in order, and a waiter added after completion runs at once.
+// TestFutureCallbacksRunInRegistrationOrder covers the two inline waiters
+// and the overflow slice behind them: callbacks run in registration order,
+// and a waiter added after completion runs at once.
 func TestFutureCallbacksRunInRegistrationOrder(t *testing.T) {
 	e := NewEngine(1)
 	var f Future // the zero value is a pending future
 	var got []int
-	for i := 1; i <= 3; i++ {
+	for i := 1; i <= 4; i++ {
 		f.OnComplete(func() { got = append(got, i) })
 	}
 	f.Complete(e, nil)
-	f.OnComplete(func() { got = append(got, 4) })
-	if fmt.Sprint(got) != "[1 2 3 4]" {
-		t.Fatalf("callbacks ran in order %v, want [1 2 3 4]", got)
+	f.OnComplete(func() { got = append(got, 5) })
+	if fmt.Sprint(got) != "[1 2 3 4 5]" {
+		t.Fatalf("callbacks ran in order %v, want [1 2 3 4 5]", got)
 	}
 }
 
 // TestCompletionZeroAlloc is the allocation gate for completions: a future
-// with one waiter, and a process that sleeps and then waits on a future,
-// allocate nothing per cycle.
+// with one or two waiters, and a process that sleeps and then waits on a
+// future, allocate nothing per cycle.
 func TestCompletionZeroAlloc(t *testing.T) {
 	if DebugEnabled {
 		t.Skip("simdebug invariant checks box their arguments; the gate is for normal builds")
@@ -552,6 +581,15 @@ func TestCompletionZeroAlloc(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(1000, oneWaiter); got != 0 {
 		t.Errorf("OnComplete+Complete: %v allocs per run, want 0", got)
+	}
+	twoWaiters := func() {
+		f = Future{}
+		f.OnComplete(cb)
+		f.OnComplete(cb)
+		f.Complete(e, nil)
+	}
+	if got := testing.AllocsPerRun(1000, twoWaiters); got != 0 {
+		t.Errorf("two OnCompletes+Complete: %v allocs per run, want 0", got)
 	}
 
 	var g Future

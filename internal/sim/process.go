@@ -121,16 +121,17 @@ func (p *Process) WaitAll(fs ...*Future) {
 // asynchronous completions (DMA done, message delivered, threshold reached)
 // back to host-side code.
 //
-// The first waiter is held inline and only later ones go to a slice, so
-// the common single-waiter future allocates nothing beyond itself. A
-// Future's zero value is a pending future, so an operation can embed its
-// futures and hand out pointers to them.
+// The first two waiters are held inline and only later ones go to a
+// slice, so a future with one or two waiters (an operation's own
+// continuation, then the process waiting on it) allocates nothing beyond
+// itself. A Future's zero value is a pending future, so an operation can
+// embed its futures and hand out pointers to them.
 type Future struct {
-	done      bool
-	at        Time
-	value     any
-	first     func()
-	callbacks []func()
+	done          bool
+	at            Time
+	value         any
+	first, second func()
+	more          *[]func() // the third waiter on
 }
 
 // NewFuture returns a pending future.
@@ -159,13 +160,20 @@ func (f *Future) Complete(e *Engine, value any) {
 	f.done = true
 	f.value = value
 	f.at = e.Now()
-	first, cbs := f.first, f.callbacks
-	f.first, f.callbacks = nil, nil
+	first, second, more := f.first, f.second, f.more
+	f.first, f.second, f.more = nil, nil, nil
 	if first == nil {
 		return
 	}
 	first()
-	for _, cb := range cbs {
+	if second == nil {
+		return
+	}
+	second()
+	if more == nil {
+		return
+	}
+	for _, cb := range *more {
 		cb()
 	}
 }
@@ -179,12 +187,18 @@ func (f *Future) OnComplete(cb func()) {
 		cb()
 		return
 	}
-	if f.first == nil {
+	switch {
+	case f.first == nil:
 		f.first = cb
-		return
+	case f.second == nil:
+		f.second = cb
+	case f.more == nil:
+		//rvmalint:allow hotalloc -- only a third waiter allocates the overflow slice; one- and two-waiter futures stay allocation-free
+		f.more = &[]func(){cb}
+	default:
+		//rvmalint:allow hotalloc -- overflow growth is amortized over the third and later waiters of one future
+		*f.more = append(*f.more, cb)
 	}
-	//rvmalint:allow hotalloc -- only a second waiter grows the slice; single-waiter futures stay allocation-free
-	f.callbacks = append(f.callbacks, cb)
 }
 
 // Gate is a counting barrier: it opens (completing its future) when Arrive
