@@ -22,13 +22,20 @@ func (c *Cluster) TagFor(rank int) sim.Tagged {
 }
 
 // run executes the simulation to completion, then drops the fabric's
-// recycled packets and each shard engine's event and queue pools, so a
-// finished cluster keeps nothing sized by the run's peak in flight.
+// recycled packets, each shard engine's event and queue pools and each
+// endpoint's stage arrays and spare buffers, so a finished cluster keeps
+// nothing sized by the run's peak in flight.
 func (c *Cluster) run() {
 	c.Group.Run()
 	c.Net.DropFreePackets()
 	for i := 0; i < c.Group.Shards(); i++ {
 		c.Group.Shard(i).DropPools()
+	}
+	for _, ep := range c.rvmaEPs {
+		ep.DropPools()
+	}
+	for _, ep := range c.rdmaEPs {
+		ep.DropPools()
 	}
 }
 

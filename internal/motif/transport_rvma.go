@@ -44,12 +44,14 @@ type mailboxState struct {
 	// available counts completed-but-unconsumed messages; waiters are
 	// Recv futures waiting for the next completion, FIFO.
 	available int
-	waiters   []*sim.Future
+	waiters   sim.FIFO[*sim.Future]
 	maxMsg    int
 }
 
 func newRVMATransport(ep *rvma.Endpoint, ranks, depth int, rec *recovery.Manager, rng *sim.RNG) *rvmaTransport {
-	return &rvmaTransport{ep: ep, ranks: ranks, depth: depth, boxes: make(map[int]*mailboxState), rec: rec, rng: rng}
+	t := &rvmaTransport{ep: ep, ranks: ranks, depth: depth, boxes: make(map[int]*mailboxState), rec: rec, rng: rng}
+	ep.SetNackHandler(t)
+	return t
 }
 
 // Rank implements Transport.
@@ -97,10 +99,8 @@ func (t *rvmaTransport) Prepare(inPeers, outPeers []int, maxMsg int) *sim.Future
 				// there is nothing to deliver to a Recv.
 				return
 			}
-			if len(box.waiters) > 0 {
-				w := box.waiters[0]
-				box.waiters = box.waiters[1:]
-				w.Complete(t.ep.Engine(), nil)
+			if box.waiters.Len() > 0 {
+				box.waiters.Pop().Complete(t.ep.Engine(), nil)
 			} else {
 				box.available++
 			}
@@ -120,17 +120,15 @@ func (t *rvmaTransport) postOne(box *mailboxState) {
 // Send implements Transport: a bare put to the receiver's mailbox for this
 // sender's rank. No credit, no handshake, no completion message. If the
 // receiver's mailbox is momentarily out of posted buffers the put is
-// NACKed (§III-C) and the initiator retries after a backoff — the
-// receiver stays in control of its resources, and a temporarily
+// NACKed (§III-C) and the initiator retries after a backoff (Nacked) —
+// the receiver stays in control of its resources, and a temporarily
 // overwhelmed mailbox costs the *sender* time rather than wedging the
-// receiver.
+// receiver. The future handed back is the put's own local completion.
 func (t *rvmaTransport) Send(dst, size int) *sim.Future {
 	if t.rec != nil {
 		return t.sendReliable(dst, size)
 	}
-	op := t.ep.PutN(dst, rvma.VAddr(t.Rank()), 0, size)
-	t.retryOnNack(op, dst, size)
-	return op.Local
+	return t.ep.PutN(dst, rvma.VAddr(t.Rank()), 0, size).Local
 }
 
 // sendReliable puts the message under the recovery layer: an acked put
@@ -159,16 +157,13 @@ func (t *rvmaTransport) sendReliable(dst, size int) *sim.Future {
 	return local
 }
 
-// retryOnNack arms a single retry for a NACKed put; retries rearm.
-func (t *rvmaTransport) retryOnNack(op *rvma.PutOp, dst, size int) {
-	op.Nack.OnComplete(func() {
-		eng := t.ep.Engine().Tag("motif")
-		backoff := t.rng.Jitter(2*sim.Microsecond, 0.5)
-		eng.Schedule(backoff, func() {
-			retry := t.ep.PutN(dst, rvma.VAddr(t.Rank()), 0, size)
-			t.retryOnNack(retry, dst, size)
-		})
-	})
+// Nacked implements rvma.NackHandler, registered once per transport: a
+// NACKed put is put again after a backoff, and a NACK of the retry comes
+// back here.
+func (t *rvmaTransport) Nacked(op *rvma.PutOp) {
+	eng := t.ep.Engine().Tag("motif")
+	backoff := t.rng.Jitter(2*sim.Microsecond, 0.5)
+	eng.Schedule(backoff, func() { t.ep.PutN(op.Dst(), rvma.VAddr(t.Rank()), 0, op.Size()) })
 }
 
 // Recv implements Transport: consume the next completed epoch on the
@@ -194,6 +189,6 @@ func (t *rvmaTransport) Recv(src, size int) *sim.Future {
 		f.Complete(t.ep.Engine(), nil)
 		return f
 	}
-	box.waiters = append(box.waiters, f)
+	box.waiters.Push(f)
 	return f
 }

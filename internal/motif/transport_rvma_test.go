@@ -1,0 +1,127 @@
+package motif
+
+import (
+	"fmt"
+	"math"
+	"runtime"
+	"testing"
+
+	"rvma/internal/fabric"
+	"rvma/internal/sim"
+)
+
+// rvmaExchange sends messages size-byte messages between ranks 0 and 1
+// through the RVMA transport, whose mailboxes keep depth buffers posted,
+// and returns the heap allocations the run made and the NACKs it drew. As
+// a ping-pong every put finds a posted buffer; as a burst rank 0 puts them
+// all at once, so into a depth-1 mailbox most draw a NACK and are put
+// again after a backoff.
+func rvmaExchange(t *testing.T, routing fabric.RoutingMode, depth int, burst bool, size, messages int) (allocs, nacks uint64) {
+	t.Helper()
+	cfg := DefaultClusterConfig(smallTopo(t, 32), KindRVMA)
+	cfg.Routing = routing
+	cfg.RVMADepth = depth
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := c.Transports[0], c.Transports[1]
+	done := 0
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	c.TagFor(0).Spawn("a", func(p *sim.Process) {
+		p.Wait(a.Prepare([]int{1}, []int{1}, size))
+		for i := 0; i < messages; i++ {
+			switch {
+			case burst, i%2 == 0:
+				a.Send(1, size)
+			default:
+				p.Wait(a.Recv(1, size))
+			}
+		}
+		done++
+	})
+	c.TagFor(1).Spawn("b", func(p *sim.Process) {
+		p.Wait(b.Prepare([]int{0}, []int{0}, size))
+		for i := 0; i < messages; i++ {
+			switch {
+			case burst, i%2 == 0:
+				p.Wait(b.Recv(0, size))
+			default:
+				b.Send(0, size)
+			}
+		}
+		done++
+	})
+	c.run()
+	runtime.ReadMemStats(&ms)
+	if done != 2 {
+		t.Fatalf("%d messages: the exchange deadlocked", messages)
+	}
+	return ms.Mallocs - before, c.NACKTotal()
+}
+
+// One ping-pong message through the RVMA transport allocates the PutOp it
+// hands out, the receiver's Recv future and the page the node's memory
+// materializes for the reposted buffer's completion cell, and nothing
+// else: the post, the NIC send's local completion, the completion-pointer
+// write and the NACK retry run on callbacks bound once per endpoint or
+// transport, and the reposted buffer reuses the released one. Adaptive and
+// static routing cost the same, and a 4-packet message what a 1-packet
+// one does.
+//
+// A burst into a depth-4 mailbox draws no NACK, but its messages are all
+// in flight at once, so the engine's event pool grows by the events each
+// one has pending (one per packet in the send pipe, hence the 4-packet
+// cost). Into a depth-1 mailbox about one put per message is NACKed, and a
+// NACK adds three allocations to that: its command at the target, the
+// sender's backoff event and the retried PutOp.
+//
+// The run-length difference cancels set-up, process spawns and pool
+// warm-up that does not scale with the run, so what is left is the
+// marginal cost of a message. The count is rounded to one decimal: a pool
+// reaching a new peak, or the runtime's own bookkeeping, adds a handful of
+// allocations per run, not per message.
+func TestRVMAMessageAllocations(t *testing.T) {
+	if sim.DebugEnabled {
+		t.Skip("simdebug invariant checks box their arguments; the gate is for normal builds")
+	}
+	const messages = 1000
+	mtu := fabric.DefaultConfig().MTU
+	for _, tc := range []struct {
+		name    string
+		routing fabric.RoutingMode
+		depth   int
+		burst   bool
+		want    map[int]float64 // allocations per message, by packets per message
+	}{
+		{"adaptive ping-pong", fabric.RouteAdaptive, 4, false, map[int]float64{1: 3, 4: 3}},
+		{"static ping-pong", fabric.RouteStatic, 4, false, map[int]float64{1: 3, 4: 3}},
+		{"burst", fabric.RouteAdaptive, 4, true, map[int]float64{1: 7, 4: 16.1}},
+		{"NACKing burst", fabric.RouteAdaptive, 1, true, map[int]float64{1: 10, 4: 19.1}},
+	} {
+		perPackets := map[int]float64{}
+		for _, packets := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/%d packets", tc.name, packets), func(t *testing.T) {
+				size := packets * mtu
+				short, shortNacks := rvmaExchange(t, tc.routing, tc.depth, tc.burst, size, messages)
+				long, longNacks := rvmaExchange(t, tc.routing, tc.depth, tc.burst, size, 2*messages)
+				if nacked := longNacks > 0; nacked != (tc.depth == 1) {
+					t.Fatalf("%d NACKs in %d messages", longNacks, 2*messages)
+				}
+				perMsg := math.Round(float64(long-short)/messages*10) / 10
+				perPackets[packets] = perMsg
+				if want := tc.want[packets]; perMsg > want {
+					t.Errorf("%.1f allocations per message, want at most %v", perMsg, want)
+				}
+				t.Logf("%.1f allocations and %.2f NACKs per message", perMsg,
+					float64(longNacks-shortNacks)/messages)
+			})
+		}
+		if !tc.burst && perPackets[4] != perPackets[1] {
+			t.Errorf("%s: a 4-packet message costs %.1f allocations, a 1-packet one %.1f",
+				tc.name, perPackets[4], perPackets[1])
+		}
+	}
+}

@@ -233,7 +233,7 @@ func (ep *Endpoint) PostRecv(src, qp int) *RecvOp {
 	op.Done = &op.done
 	p := ep.peer(src)
 	q := p.qp(qp)
-	q.recvs.push(op)
+	q.recvs.Push(op)
 	ep.matchSends(src, p, q)
 	return op
 }

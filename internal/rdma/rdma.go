@@ -152,12 +152,12 @@ type Endpoint struct {
 
 	// The operations' pipeline stages (stage.go): each holds the
 	// operations waiting for its next event, in firing order.
-	posts     stage[poster]     // host post overhead, then the NIC send
-	reaps     stage[*putFence]  // a conservative fence's ACK reaped, then its post
-	sends     stage[sender]     // a NIC send's local completion
-	dmas      stage[completion] // a CQ entry or polled byte landing over the bus
-	cqPolls   stage[completion] // the poll that reaps a CQ entry
-	bytePolls stage[completion] // the poll that observes a landed byte
+	posts     sim.Stage[poster]     // host post overhead, then the NIC send
+	reaps     sim.Stage[*putFence]  // a conservative fence's ACK reaped, then its post
+	sends     sim.Stage[sender]     // a NIC send's local completion
+	dmas      sim.Stage[completion] // a CQ entry or polled byte landing over the bus
+	cqPolls   sim.Stage[completion] // the poll that reaps a CQ entry
+	bytePolls sim.Stage[completion] // the poll that observes a landed byte
 
 	tracer *trace.Tracer
 	reg    *metrics.Registry
@@ -189,8 +189,8 @@ type peer struct {
 // queuePair holds one QP's posted receives and the sends waiting for a
 // receive or for their fence, both matched in FIFO order.
 type queuePair struct {
-	recvs fifo[*RecvOp]
-	sends fifo[pendingSend]
+	recvs sim.FIFO[*RecvOp]
+	sends sim.FIFO[pendingSend]
 }
 
 // peer returns node's record, creating it on first contact.
@@ -316,10 +316,11 @@ func (ep *Endpoint) PendingSendsHeld() int {
 
 // queued counts the sends held and the receives posted over every QP.
 func (ep *Endpoint) queued() (held, posted int) {
+	//rvmalint:allow maprange -- order-independent sums of queue lengths, no state writes
 	for _, p := range ep.peers {
 		for i := range p.qps {
-			held += p.qps[i].sends.n
-			posted += p.qps[i].recvs.n
+			held += p.qps[i].sends.Len()
+			posted += p.qps[i].recvs.Len()
 		}
 	}
 	return held, posted

@@ -258,7 +258,7 @@ func (ep *Endpoint) handleSend(pkt *fabric.Packet, cmd *command) {
 func (ep *Endpoint) enqueueSend(src, qp int, fence uint64, size int) {
 	p := ep.peer(src)
 	q := p.qp(qp)
-	q.sends.push(pendingSend{fenceBytes: fence, size: size, enq: ep.eng.Now()})
+	q.sends.Push(pendingSend{fenceBytes: fence, size: size, enq: ep.eng.Now()})
 	ep.matchSends(src, p, q)
 }
 
@@ -270,8 +270,8 @@ func (ep *Endpoint) enqueueSend(src, qp int, fence uint64, size int) {
 //
 //rvmalint:hot
 func (ep *Endpoint) matchSends(src int, p *peer, q *queuePair) {
-	for q.sends.n > 0 && q.recvs.n > 0 {
-		s := q.sends.front()
+	for q.sends.Len() > 0 && q.recvs.Len() > 0 {
+		s := q.sends.Front()
 		if p.recv < s.fenceBytes {
 			ep.Stats.FencesHeld++
 			ep.mFencesHeld.Add(1)
@@ -282,8 +282,8 @@ func (ep *Endpoint) matchSends(src int, p *peer, q *queuePair) {
 			}
 			return // strict per-QP ordering: later sends must wait too
 		}
-		sent := q.sends.pop()
-		recv := q.recvs.pop()
+		sent := q.sends.Pop()
+		recv := q.recvs.Pop()
 		ep.Stats.SendsDelivered++
 		ep.mFenceHold.ObserveTime(ep.eng.Now() - sent.enq)
 		// The NIC DMAs a CQ entry into the host completion queue; software

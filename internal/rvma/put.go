@@ -7,7 +7,8 @@ import (
 	"rvma/internal/sim"
 )
 
-// PutOp tracks one initiated put.
+// PutOp tracks one initiated put. It owns the continuations of its own
+// pipeline: the post and the NIC send's local completion.
 type PutOp struct {
 	// Local completes when the initiating NIC has handed the last packet
 	// to the fabric (the local buffer is reusable).
@@ -19,9 +20,18 @@ type PutOp struct {
 	// path.
 	Nack *sim.Future
 
-	local, nack sim.Future // what Local and Nack point at
-	cmd         command    // the wire command every packet carries: one allocation per put
+	local, nack sim.Future    // what Local and Nack point at
+	cmd         command       // the wire command every packet carries: one allocation per put
+	sp          *metrics.Span // the put's span, nil unless spans are enabled
+	txWait      sim.Time      // NIC backlog when the put was posted (span nic_tx wait)
+	dst         int
 }
+
+// Dst returns the node the put targets.
+func (op *PutOp) Dst() int { return op.dst }
+
+// Size returns the put's payload bytes.
+func (op *PutOp) Size() int { return op.cmd.total }
 
 // Put initiates a transfer of data to mailbox vaddr on node dst, placing
 // it at the given offset within the target's active buffer (the paper's
@@ -49,28 +59,35 @@ func (ep *Endpoint) put(dst int, vaddr VAddr, offset, size int, data []byte) *Pu
 	// Nothing on this endpoint keeps op: its packets (and a NACK, which
 	// names it) do, so a put that can no longer be NACKed is garbage once
 	// its packets are consumed.
-	op := &PutOp{cmd: command{op: opPut, msgID: ep.nextMsgID, vaddr: vaddr, msgOffset: offset, total: size}}
+	op := &PutOp{cmd: command{op: opPut, msgID: ep.nextMsgID, vaddr: vaddr, msgOffset: offset, total: size}, dst: dst}
 	op.Local, op.Nack = &op.local, &op.nack
 	op.cmd.ref = op
 	ep.nextMsgID++
 	if ep.cfg.CarryData {
 		op.cmd.data = data
 	}
-
-	eng := ep.eng
-	sp := ep.reg.BeginSpan(eng.Now(), metrics.SpanKey{Node: ep.Node(), ID: op.cmd.msgID}, "rvma.put", ep.Node())
-	post := ep.nic.Profile().HostPostOverhead
-	eng.Schedule(post, func() {
-		sp.Stage(eng.Now(), "host_post")
-		// NIC queue depth at post time: the part of the nic_tx stage the
-		// message spends behind earlier sends rather than being pipelined.
-		txWait := ep.nic.SendBacklog() + ep.nic.DMABacklog()
-		ep.nic.SendMessage(dst, size, func(int, int) any { return &op.cmd }, func() {
-			sp.StageWait(eng.Now(), "nic_tx", txWait)
-			op.Local.Complete(eng.Engine, nil)
-		})
-	})
+	op.sp = ep.reg.BeginSpan(ep.eng.Now(), metrics.SpanKey{Node: ep.Node(), ID: op.cmd.msgID}, "rvma.put", ep.Node())
+	ep.post(op)
 	return op
+}
+
+// post hands the put to the NIC once the host has posted it.
+//
+//rvmalint:hot
+func (op *PutOp) post(ep *Endpoint) {
+	op.sp.Stage(ep.eng.Now(), "host_post")
+	// NIC queue depth at post time: the part of the nic_tx stage the
+	// message spends behind earlier sends rather than being pipelined.
+	op.txWait = ep.nic.SendBacklog() + ep.nic.DMABacklog()
+	ep.send(op.dst, &op.cmd, op)
+}
+
+// sent completes the put locally: its last packet has left the NIC.
+//
+//rvmalint:hot
+func (op *PutOp) sent(ep *Endpoint) {
+	op.sp.StageWait(ep.eng.Now(), "nic_tx", op.txWait)
+	op.Local.Complete(ep.eng.Engine, nil)
 }
 
 // ReliablePut tracks a put whose target acknowledges full placement — the
@@ -99,7 +116,7 @@ func (rp *ReliablePut) live() *PutAttempt {
 
 // PutAttempt is one wire attempt of a reliable put. Each attempt gets
 // fresh futures because futures are one-shot and every attempt can fail
-// independently.
+// independently. Like PutOp, it owns its post and sent continuations.
 type PutAttempt struct {
 	// Local completes when the initiating NIC has handed the attempt's
 	// last packet to the fabric.
@@ -111,8 +128,11 @@ type PutAttempt struct {
 	// its value is the error.
 	Nack *sim.Future
 
-	local, acked, nack sim.Future // what the exported fields point at
-	cmd                command    // the wire command every packet of the attempt carries
+	local, acked, nack sim.Future    // what the exported fields point at
+	cmd                command       // the wire command every packet of the attempt carries
+	sp                 *metrics.Span // the message's span, nil unless spans are enabled
+	txWait             sim.Time      // NIC backlog when the attempt was posted
+	dst                int
 }
 
 // PutNAcked initiates a reliable put (no payload bytes, like PutN) and
@@ -163,21 +183,24 @@ func (ep *Endpoint) AbandonPut(rp *ReliablePut) {
 // attempt opens the message span; retransmits ride the existing one.
 func (ep *Endpoint) sendAttempt(rp *ReliablePut, cmd command, sp *metrics.Span) *PutAttempt {
 	ep.Stats.PutsInitiated++
-	at := &PutAttempt{cmd: cmd}
+	at := &PutAttempt{cmd: cmd, sp: sp, dst: rp.dst}
 	at.Local, at.Acked, at.Nack = &at.local, &at.acked, &at.nack
 	rp.attempt = at
-
-	eng := ep.eng
-	post := ep.nic.Profile().HostPostOverhead
-	eng.Schedule(post, func() {
-		sp.Stage(eng.Now(), "host_post")
-		txWait := ep.nic.SendBacklog() + ep.nic.DMABacklog()
-		ep.nic.SendMessage(rp.dst, at.cmd.total, func(int, int) any { return &at.cmd }, func() {
-			sp.StageWait(eng.Now(), "nic_tx", txWait)
-			at.Local.Complete(eng.Engine, nil)
-		})
-	})
+	ep.post(at)
 	return at
+}
+
+//rvmalint:hot
+func (at *PutAttempt) post(ep *Endpoint) {
+	at.sp.Stage(ep.eng.Now(), "host_post")
+	at.txWait = ep.nic.SendBacklog() + ep.nic.DMABacklog()
+	ep.send(at.dst, &at.cmd, at)
+}
+
+//rvmalint:hot
+func (at *PutAttempt) sent(ep *Endpoint) {
+	at.sp.StageWait(ep.eng.Now(), "nic_tx", at.txWait)
+	at.Local.Complete(ep.eng.Engine, nil)
 }
 
 // GetOp tracks one initiated get.
@@ -189,8 +212,10 @@ type GetOp struct {
 	Nack *sim.Future
 
 	done, nack sim.Future // what Done and Nack point at
-	got        int        // reply bytes arrived so far
-	buf        []byte     // the reply's bytes (CarryData mode)
+	req        command    // the one-packet request
+	dst        int
+	got        int    // reply bytes arrived so far
+	buf        []byte // the reply's bytes (CarryData mode)
 }
 
 // Get fetches length bytes at offset from the *active* buffer of mailbox
@@ -202,15 +227,13 @@ func (ep *Endpoint) Get(dst int, vaddr VAddr, offset, length int) *GetOp {
 	if length <= 0 || offset < 0 {
 		panic(fmt.Sprintf("rvma: get with length %d offset %d", length, offset))
 	}
-	op := &GetOp{}
+	op := &GetOp{dst: dst}
 	op.Done, op.Nack = &op.done, &op.nack
-	req := &command{op: opGetReq, msgID: ep.nextMsgID, vaddr: vaddr, msgOffset: offset, total: length, ref: op}
+	op.req = command{op: opGetReq, msgID: ep.nextMsgID, vaddr: vaddr, msgOffset: offset, total: length, ref: op}
 	ep.nextMsgID++
-
-	eng := ep.eng
-	post := ep.nic.Profile().HostPostOverhead
-	eng.Schedule(post, func() {
-		ep.nic.SendMessage(dst, 0, func(int, int) any { return req })
-	})
+	ep.post(op)
 	return op
 }
+
+// post sends the get request once the host has posted it.
+func (op *GetOp) post(ep *Endpoint) { ep.nic.SendMessage(op.dst, 0, op.req.payload) }

@@ -251,7 +251,7 @@ func (ep *Endpoint) reject(src int, cmd *command, reason error) {
 	ep.Stats.Nacks++
 	ep.mNacks.Add(1)
 	nack := &command{op: opNack, msgID: cmd.msgID, status: reason, ref: cmd.ref}
-	ep.nic.SendMessage(src, 0, func(int, int) any { return nack })
+	ep.nic.SendMessage(src, 0, nack.payload)
 }
 
 // sendAck emits the NIC-generated placement ack for a reliable put. Like
@@ -273,7 +273,8 @@ func (ep *Endpoint) handleAck(cmd *command) {
 	}
 }
 
-// handleNack resolves the Nack future of the operation the NACK names.
+// handleNack resolves the Nack future of the operation the NACK names; a
+// plain put's NACK then goes to the endpoint's NACK handler.
 //
 //rvmalint:hot
 func (ep *Endpoint) handleNack(cmd *command) {
@@ -287,6 +288,9 @@ func (ep *Endpoint) handleNack(cmd *command) {
 		// A NACKed put never completes at the target; close its span here.
 		ep.reg.Span(metrics.SpanKey{Node: ep.Node(), ID: cmd.msgID}).EndNacked(eng.Now())
 		op.Nack.Complete(eng.Engine, cmd.status)
+		if ep.onNack != nil {
+			ep.onNack.Nacked(op)
+		}
 	case *ReliablePut:
 		// Reliable puts survive NACKs: the operation stays live (a
 		// retransmit may land once the target posts a buffer); only the
@@ -326,7 +330,7 @@ func (ep *Endpoint) handleGetReq(pkt *fabric.Packet, cmd *command) {
 	readDone := ep.nic.Bus().TransferTime(eng.Engine, cmd.total)
 	src := pkt.Src
 	eng.At(readDone, func() {
-		ep.nic.SendMessage(src, reply.total, func(int, int) any { return reply })
+		ep.nic.SendMessage(src, reply.total, reply.payload)
 	})
 }
 

@@ -98,6 +98,59 @@ func TestReleaseWaitsForRewindHistory(t *testing.T) {
 	}
 }
 
+// A released buffer feeds a later PostBuffer only once it has aged out of
+// Rewind history. The handler releases every completed buffer at once and
+// reposts: no post may hand out a Buffer still in history, and every
+// history entry keeps its region, its cell and its epoch's contents. The
+// spare list must be exercised, so some post does reuse a Buffer.
+func TestPostBufferNeverReusesRewindHistory(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.HistoryDepth = 2
+	eng, src, dst := pair(t, cfg, fabric.DefaultConfig(), 1)
+	win, _ := dst.InitWindow(4, 1, EpochOps)
+	const size, depth, msgs = 64, 2, 12
+	for i := 0; i < depth; i++ {
+		if _, err := win.PostBuffer(size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	posted := map[*Buffer]bool{}
+	reused := 0
+	win.SetCompletionHandler(func(b *Buffer) {
+		if err := win.Release(b); err != nil {
+			t.Fatal(err)
+		}
+		nb, err := win.PostBuffer(size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if posted[nb] {
+			reused++
+		}
+		posted[nb] = true
+		for _, h := range win.history {
+			if h == nb {
+				t.Fatalf("epoch %d: PostBuffer handed out the buffer of epoch %d, still in Rewind history", win.Epoch(), h.Epoch)
+			}
+			if h.Region == nil || h.Cell == nil {
+				t.Fatalf("epoch %d: the buffer of epoch %d lost its memory while in Rewind history", win.Epoch(), h.Epoch)
+			}
+			want := bytes.Repeat([]byte{byte(h.Epoch + 1)}, size)
+			if got := dst.Memory().Read(h.Region.Base, size); !bytes.Equal(got, want) {
+				t.Fatalf("epoch %d: the buffer of epoch %d holds %x..., want %x...", win.Epoch(), h.Epoch, got[:4], want[:4])
+			}
+		}
+	})
+	streamInto(eng, src, 4, msgs, size)
+	eng.Run()
+	if win.Epoch() != msgs {
+		t.Fatalf("%d of %d epochs completed", win.Epoch(), msgs)
+	}
+	if reused == 0 {
+		t.Fatal("no post reused a released buffer")
+	}
+}
+
 // Releasing changes where buffers live in simulated memory, never when
 // anything happens.
 func TestReleaseDoesNotChangeTiming(t *testing.T) {

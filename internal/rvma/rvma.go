@@ -187,6 +187,13 @@ type Endpoint struct {
 	nextMsgID  uint64
 	activeCtrs int // windows currently holding a HW counter
 
+	// pipe holds the operations' pipeline stages and spare buffers
+	// (stage.go); nil until first used and after DropPools.
+	pipe *pipeline
+
+	// onNack, when set, observes every NACKed plain put (SetNackHandler).
+	onNack NackHandler
+
 	tracer *trace.Tracer
 	reg    *metrics.Registry // for span lookup; nil when metrics detached
 
@@ -260,6 +267,19 @@ func (ep *Endpoint) SetMetrics(reg *metrics.Registry) {
 		reg.Gauge(fmt.Sprintf("rvma%d.pending_asm", node)).Set(float64(ep.asm.Pending()))
 	})
 }
+
+// NackHandler observes the NACKed plain puts of an endpoint.
+type NackHandler interface {
+	// Nacked runs when the first NACK of op arrives, right after op's Nack
+	// future completes.
+	Nacked(op *PutOp)
+}
+
+// SetNackHandler installs h to observe every NACKed plain put. Unlike a
+// waiter on each put's Nack, one handler serves every put the endpoint
+// issues, so a sender that retries NACKed puts arms its retry once. A nil
+// h removes the handler.
+func (ep *Endpoint) SetNackHandler(h NackHandler) { ep.onNack = h }
 
 // Node returns the endpoint's node id.
 func (ep *Endpoint) Node() int { return ep.nic.Node() }
@@ -357,3 +377,7 @@ type command struct {
 	// operation without keeping a table of everything it has issued.
 	ref any
 }
+
+// payload is the SendMessage build function of a message whose packets
+// all carry c.
+func (c *command) payload(int, int) any { return c }

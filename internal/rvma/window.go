@@ -175,7 +175,9 @@ func (w *Window) PostBuffer(size int) (*Buffer, error) {
 
 // PostBufferRegion attaches an existing memory region as a receive buffer
 // (zero-copy into application memory). A fresh completion cell is
-// allocated for it.
+// allocated for it. The returned Buffer may be one software released
+// earlier on this endpoint (see Release), never one Rewind can still
+// return.
 func (w *Window) PostBufferRegion(region *memory.Region) (*Buffer, error) {
 	if w.closed {
 		return nil, ErrClosed
@@ -183,7 +185,16 @@ func (w *Window) PostBufferRegion(region *memory.Region) (*Buffer, error) {
 	if region == nil || region.Size() == 0 {
 		return nil, fmt.Errorf("%w: nil or empty region", ErrBadArgument)
 	}
-	b := &Buffer{Region: region, win: w, cell: memory.MakeCompletionCell(w.ep.Memory())}
+	var b *Buffer
+	if p := w.ep.pipe; p != nil && len(p.spare) > 0 {
+		n := len(p.spare) - 1
+		b = p.spare[n]
+		p.spare[n] = nil
+		p.spare = p.spare[:n]
+	} else {
+		b = new(Buffer)
+	}
+	*b = Buffer{Region: region, win: w, cell: memory.MakeCompletionCell(w.ep.Memory())}
 	b.Cell = &b.cell
 	wasEmpty := len(w.queue) == 0
 	w.queue = append(w.queue, b)
@@ -334,17 +345,7 @@ func (w *Window) maybeComplete() {
 			w.completeHead()
 			continue
 		}
-		ep := w.ep
-		eng := ep.eng
-		eng.Schedule(ep.cfg.HostCounterPenalty, func() {
-			if w.closed || w.Head() != buf {
-				return
-			}
-			w.counter -= w.threshold
-			buf.Count = w.threshold
-			w.completeHead()
-			w.maybeComplete()
-		})
+		w.ep.spill(buf)
 		return
 	}
 }
@@ -355,9 +356,10 @@ func (w *Window) maybeComplete() {
 // the next posted buffer (or deactivate the LUT entry's counter if the
 // queue drained). It returns the completed buffer. Callers are on the NIC
 // clock already (packet DMA completion or doorbell).
+//
+//rvmalint:hot
 func (w *Window) completeHead() *Buffer {
 	ep := w.ep
-	eng := ep.eng
 	buf := w.queue[0]
 	if sim.DebugEnabled {
 		sim.Assertf(buf.Epoch > w.maxRewound,
@@ -386,6 +388,7 @@ func (w *Window) completeHead() *Buffer {
 				w.recycle(old)
 			}
 		} else {
+			//rvmalint:allow hotalloc -- history fills to HistoryDepth once per window, then rotates in place
 			w.history = append(w.history, buf)
 		}
 	}
@@ -396,63 +399,45 @@ func (w *Window) completeHead() *Buffer {
 		w.releaseCounter()
 	}
 
-	// The completion pointer write: one 16-byte PCIe write of (head, len).
-	length := buf.HighWater
+	// The completion pointer write: one 16-byte PCIe write of (head, len),
+	// landing after every write issued to the bus before it.
+	c := completionWrite{buf: buf, length: buf.HighWater, epoch: w.epoch, unitAt: ep.eng.Now(),
+		waiters: w.completionWaiters, spans: w.pendingSpans}
 	if w.mode == Managed {
-		length = buf.Fill
+		c.length = buf.Fill
 	}
-	unitAt := eng.Now() // completion unit fires; the pointer write is service
-	writeDone := ep.nic.Bus().TransferTime(eng.Engine, 16)
-	waiters := w.completionWaiters
-	w.completionWaiters = nil
-	spans := w.pendingSpans
-	w.pendingSpans = nil
-	epoch := w.epoch
-	eng.At(writeDone, func() {
-		buf.completed = true
-		buf.CompletedAt = eng.Now()
-		buf.Cell.Set(buf.Region.Base, length) // watchers (MWait) fire here
-		for _, sp := range spans {
-			// The complete stage's service is the completion-pointer write
-			// itself; anything before the unit fired (waiting for the
-			// epoch's other messages, a counter spill) is wait. Abandoned
-			// stragglers still on the pending list ended already — these
-			// calls are no-ops for them.
-			sp.StageService(eng.Now(), "complete", eng.Now()-unitAt)
-			sp.End(eng.Now())
-		}
-		if ep.tracer != nil {
-			ep.tracer.Eventf(trace.CatRVMA, "node %d win %#x epoch %d complete len=%d",
-				ep.Node(), w.vaddr, epoch, length)
-		}
-		for _, f := range waiters {
-			if !f.Done() { // a bailed IncEpoch may have resolved its waiter
-				f.Complete(eng.Engine, buf)
-			}
-		}
-		if w.onCompletion != nil {
-			w.onCompletion(buf)
-		}
-	})
+	w.completionWaiters, w.pendingSpans = nil, nil
+	ep.write(ep.nic.Bus().TransferTime(ep.eng.Engine, 16), c)
 	return buf
 }
 
+// Release's misuse errors, built once so that Release allocates nothing.
+var (
+	errForeignBuffer  = fmt.Errorf("%w: buffer was not posted to this mailbox", ErrBadArgument)
+	errReleasePending = fmt.Errorf("%w: release of a buffer that has not completed", ErrBadArgument)
+	errReleaseTwice   = fmt.Errorf("%w: buffer released twice", ErrBadArgument)
+)
+
 // Release hands a completed buffer back once software has consumed it. Its
 // completion cell, and its region when PostBuffer allocated it, return to
-// the node's memory, and the next PostBuffer of the same size reuses them.
-// A mailbox whose software releases every buffer it consumes therefore
-// holds only its posted buffers and its Rewind history, however many
-// epochs it runs. A buffer still in that history stays intact, so Rewind
-// can retrieve it, until later completions age it out. Software must not
-// touch a buffer after releasing it.
+// the node's memory, and the next PostBuffer of the same size reuses them;
+// the Buffer itself goes to the endpoint's spare list, and the next post
+// to any of its windows reuses it. A mailbox whose software releases every
+// buffer it consumes therefore holds only its posted buffers and its
+// Rewind history, however many epochs it runs. A buffer still in that
+// history stays intact, so Rewind can retrieve it, until later completions
+// age it out; only then is it recycled. Software must not touch a buffer
+// after releasing it.
+//
+//rvmalint:hot
 func (w *Window) Release(b *Buffer) error {
 	switch {
 	case b == nil || b.win != w:
-		return fmt.Errorf("%w: buffer was not posted to mailbox %#x", ErrBadArgument, w.vaddr)
+		return errForeignBuffer
 	case !b.completed:
-		return fmt.Errorf("%w: release of a buffer that has not completed", ErrBadArgument)
+		return errReleasePending
 	case b.released:
-		return fmt.Errorf("%w: buffer released twice", ErrBadArgument)
+		return errReleaseTwice
 	}
 	b.released = true
 	if !b.retained {
@@ -461,13 +446,18 @@ func (w *Window) Release(b *Buffer) error {
 	return nil
 }
 
-// recycle returns a released buffer's memory to the node.
+// recycle returns a released buffer's memory to the node and the buffer
+// to the endpoint's spare list. The caller ensures it has left Rewind
+// history.
 func (w *Window) recycle(b *Buffer) {
 	b.Cell.Free()
 	if b.owned {
 		w.ep.Memory().Free(b.Region)
 	}
 	b.Region, b.Cell = nil, nil
+	p := w.ep.pipeline()
+	//rvmalint:allow hotalloc -- the spare list grows to the endpoint's peak of released buffers awaiting a repost, then stays
+	p.spare = append(p.spare, b)
 }
 
 // WhenPlaced returns a future that resolves once at least n messages have

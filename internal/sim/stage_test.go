@@ -1,21 +1,19 @@
-package rdma
+package sim
 
 import (
 	"strings"
 	"testing"
-
-	"rvma/internal/sim"
 )
 
-// TestFifoWrapsAndKeepsCapacity fills a fifo past its initial capacity
+// TestFifoWrapsAndKeepsCapacity fills a FIFO past its initial capacity
 // while its head is mid-ring, then drains and refills it: entries come out
 // in push order, and a drained queue keeps its backing array.
 func TestFifoWrapsAndKeepsCapacity(t *testing.T) {
-	var q fifo[int]
+	var q FIFO[int]
 	next, want := 0, 0
 	popN := func(k int) {
 		for ; k > 0; k-- {
-			if got := q.pop(); got != want {
+			if got := q.Pop(); got != want {
 				t.Fatalf("pop = %d, want %d", got, want)
 			}
 			want++
@@ -23,17 +21,17 @@ func TestFifoWrapsAndKeepsCapacity(t *testing.T) {
 	}
 	pushN := func(k int) {
 		for ; k > 0; k-- {
-			q.push(next)
+			q.Push(next)
 			next++
 		}
 	}
 	pushN(3)
 	popN(2) // head mid-ring
 	pushN(40)
-	if *q.front() != want || *q.back() != next-1 {
-		t.Fatalf("front/back = %d/%d, want %d/%d", *q.front(), *q.back(), want, next-1)
+	if *q.Front() != want || *q.Back() != next-1 {
+		t.Fatalf("front/back = %d/%d, want %d/%d", *q.Front(), *q.Back(), want, next-1)
 	}
-	popN(q.n)
+	popN(q.Len())
 	peak := cap(q.buf)
 	if peak < 41 {
 		t.Fatalf("capacity %d after 41 queued entries", peak)
@@ -43,17 +41,17 @@ func TestFifoWrapsAndKeepsCapacity(t *testing.T) {
 		popN(peak)
 	})
 	if allocs != 0 || cap(q.buf) != peak {
-		t.Fatalf("refilling a drained fifo to its peak: %v allocs, capacity %d -> %d", allocs, peak, cap(q.buf))
+		t.Fatalf("refilling a drained FIFO to its peak: %v allocs, capacity %d -> %d", allocs, peak, cap(q.buf))
 	}
 }
 
 // TestStagePopChecksTime: a stage event that fires at a time other than
 // its head entry's panics instead of running the wrong operation.
 func TestStagePopChecksTime(t *testing.T) {
-	var s stage[int]
-	s.push(5, 1)
-	s.push(7, 2)
-	if got := s.pop(5); got != 1 {
+	var s Stage[int]
+	s.Push(5, 1)
+	s.Push(7, 2)
+	if got := s.Pop(5); got != 1 {
 		t.Fatalf("pop(5) = %d, want 1", got)
 	}
 	defer func() {
@@ -63,5 +61,27 @@ func TestStagePopChecksTime(t *testing.T) {
 			t.Fatalf("pop at the wrong time: recovered %v, want a stage-order panic", r)
 		}
 	}()
-	s.pop(sim.Time(6))
+	s.Pop(Time(6))
+}
+
+// TestStageDrop: dropping an idle stage releases its array, and dropping
+// one with a queued entry keeps the entry for its event.
+func TestStageDrop(t *testing.T) {
+	var s Stage[int]
+	s.Push(5, 1)
+	s.Drop()
+	if s.Len() != 1 {
+		t.Fatalf("Drop with an entry queued left %d entries, want 1", s.Len())
+	}
+	if got := s.Pop(5); got != 1 {
+		t.Fatalf("pop(5) = %d, want 1", got)
+	}
+	s.Drop()
+	if s.q.buf != nil {
+		t.Fatalf("Drop of an idle stage kept an array of %d", cap(s.q.buf))
+	}
+	s.Push(7, 2)
+	if got := s.Pop(7); got != 2 {
+		t.Fatalf("pop(7) after Drop = %d, want 2", got)
+	}
 }
