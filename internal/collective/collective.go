@@ -40,7 +40,7 @@ func Barrier(p *sim.Process, tp motif.Transport) {
 		to := (me + step) % n
 		from := (me - step + n) % n
 		tp.Send(to, tokenBytes)
-		p.Wait(tp.Recv(from, tokenBytes))
+		tp.Recv(p, from, tokenBytes)
 	}
 }
 
@@ -73,11 +73,11 @@ func Allreduce(p *sim.Process, tp motif.Transport, elems, elemBytes int, reduceT
 	if me >= pow2 { // extra: contribute, then wait for the result
 		partner := me - pow2
 		tp.Send(partner, msg)
-		p.Wait(tp.Recv(partner, msg))
+		tp.Recv(p, partner, msg)
 		return
 	}
 	if me < rem { // core rank paired with an extra
-		p.Wait(tp.Recv(me+pow2, msg))
+		tp.Recv(p, me+pow2, msg)
 		compute()
 	}
 
@@ -85,7 +85,7 @@ func Allreduce(p *sim.Process, tp motif.Transport, elems, elemBytes int, reduceT
 		for mask := 1; mask < pow2; mask <<= 1 {
 			partner := me ^ mask
 			tp.Send(partner, msg)
-			p.Wait(tp.Recv(partner, msg))
+			tp.Recv(p, partner, msg)
 			compute()
 		}
 	}
@@ -111,7 +111,7 @@ func Broadcast(p *sim.Process, tp motif.Transport, root, size int) {
 	mask := 1
 	for mask < ceilPow2(n) {
 		if me&mask != 0 {
-			p.Wait(tp.Recv(unrotate(me-mask), size))
+			tp.Recv(p, unrotate(me-mask), size)
 			break
 		}
 		mask <<= 1
@@ -138,7 +138,7 @@ func Allgather(p *sim.Process, tp motif.Transport, size int) {
 	left := (me - 1 + n) % n
 	for step := 0; step < n-1; step++ {
 		tp.Send(right, size)
-		p.Wait(tp.Recv(left, size))
+		tp.Recv(p, left, size)
 	}
 }
 

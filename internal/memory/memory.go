@@ -14,7 +14,10 @@
 // sizes and timing (motif runs) cost their bookkeeping, not their bytes.
 // Freed regions go back to the allocator and are reused by the next
 // allocation of the same size, so a node's address space is bounded by
-// what is live rather than by everything ever allocated.
+// what is live rather than by everything ever allocated. Their pages go
+// to a spare list that the next materialization of a page of the same
+// length takes and zeroes, so a region freed and allocated again (a
+// reposted completion cell) costs no host allocation on its next write.
 package memory
 
 import (
@@ -36,6 +39,9 @@ const CacheLineSize = 64
 // page. A region smaller than a page is materialized whole.
 const pageSize = 4096
 
+// sparePoison fills a page on the spare list in simdebug builds.
+const sparePoison = 0xa5
+
 // lineOf returns the cache line index containing a.
 func lineOf(a Addr) Addr { return a / CacheLineSize }
 
@@ -46,6 +52,8 @@ type Region struct {
 	// pages holds the region's bytes, pageSize per entry (the last entry
 	// may be shorter). The slice is nil until the first write, and an
 	// entry is nil until a write touches its page: both read as zero.
+	// Free empties the entries but keeps the slice for the region's next
+	// allocation, which has the same size.
 	pages [][]byte
 	// one backs pages for a single-page region, so materializing a small
 	// region (a completion cell) allocates only its bytes.
@@ -130,7 +138,7 @@ func (w *Watcher) Cancel() {
 type Memory struct {
 	next     Addr
 	regions  []*Region         // sorted by Base; freed regions stay until reused
-	free     map[int][]*Region // freed regions by size, most recently freed last
+	free     map[int]*freeList // what Free returned, by length
 	watchers map[Addr][]*Watcher
 
 	live     int // bytes in allocated, not freed regions
@@ -141,6 +149,28 @@ type Memory struct {
 	BytesRead    uint64
 	Writes       uint64
 	Reads        uint64
+}
+
+// freeList holds what Free returned of one length: the regions of that
+// size and the pages of that length they held, each most recently freed
+// last. Alloc takes the regions, page the pages (zeroing them). Spare
+// pages are not resident: they hold no contents.
+type freeList struct {
+	regions []*Region
+	pages   [][]byte
+}
+
+// freeOf returns the free list of length n, creating it on first use.
+func (m *Memory) freeOf(n int) *freeList {
+	if m.free == nil {
+		m.free = make(map[int]*freeList)
+	}
+	fl := m.free[n]
+	if fl == nil {
+		fl = &freeList{}
+		m.free[n] = fl
+	}
+	return fl
 }
 
 // New returns an empty memory. The address space starts at a nonzero base
@@ -158,10 +188,11 @@ func (m *Memory) Alloc(size int) *Region {
 		panic("memory: negative allocation")
 	}
 	m.live += size
-	if rs := m.free[size]; len(rs) > 0 {
-		r := rs[len(rs)-1]
-		rs[len(rs)-1] = nil
-		m.free[size] = rs[:len(rs)-1]
+	if fl := m.free[size]; fl != nil && len(fl.regions) > 0 {
+		n := len(fl.regions) - 1
+		r := fl.regions[n]
+		fl.regions[n] = nil
+		fl.regions = fl.regions[:n]
 		r.freed = false
 		return r
 	}
@@ -173,10 +204,11 @@ func (m *Memory) Alloc(size int) *Region {
 	return r
 }
 
-// Free returns r to the allocator and drops its pages, so the allocation
-// that reuses it reads zero exactly like fresh memory. Any later access
-// through r panics until then. Freeing a region twice, a region of another
-// Memory, or a region a watcher is parked on is a model bug and panics.
+// Free returns r to the allocator and moves its pages to the spare list,
+// so the allocation that reuses it reads zero exactly like fresh memory.
+// Any later access through r panics until then. Freeing a region twice, a
+// region of another Memory, or a region a watcher is parked on is a model
+// bug and panics.
 func (m *Memory) Free(r *Region) {
 	if r.freed {
 		panic(fmt.Sprintf("memory: double free of region at %#x", r.Base))
@@ -196,12 +228,34 @@ func (m *Memory) Free(r *Region) {
 	}
 	m.resident -= r.resident()
 	m.live -= r.size
-	r.pages, r.one[0] = nil, nil
-	r.freed = true
-	if m.free == nil {
-		m.free = make(map[int][]*Region)
+	for i, pg := range r.pages {
+		if pg == nil {
+			continue
+		}
+		if sim.DebugEnabled {
+			// Poison the page: page checks the poison is intact when it
+			// takes the page back, so a write through a stale reference
+			// to a freed page cannot go unnoticed.
+			for j := range pg {
+				pg[j] = sparePoison
+			}
+		}
+		fl := m.freeOf(len(pg))
+		fl.pages = append(fl.pages, pg)
+		r.pages[i] = nil
 	}
-	m.free[r.size] = append(m.free[r.size], r)
+	r.freed = true
+	fl := m.freeOf(r.size)
+	fl.regions = append(fl.regions, r)
+}
+
+// DropPools releases the spare pages, whose number is set by the run's
+// peak of freed, materialized regions awaiting reuse. Call it between
+// runs, not inside one.
+func (m *Memory) DropPools() {
+	for _, fl := range m.free {
+		fl.pages = nil
+	}
 }
 
 // LiveBytes returns the bytes in allocated regions that have not been
@@ -231,20 +285,44 @@ func (m *Memory) regionFor(a Addr, n int) *Region {
 	return nil
 }
 
-// page returns page i of r, materializing it (zeroed) if untouched.
+// page returns page i of r, materializing it (zeroed) if untouched: from
+// the spare list if it holds a page of that length, else freshly.
+//
+//rvmalint:hot
 func (m *Memory) page(r *Region, i int) []byte {
 	if r.pages == nil {
 		if r.size <= pageSize {
 			r.pages = r.one[:]
 		} else {
+			//rvmalint:allow hotalloc -- once per region: Free keeps the page table for the region's next allocation
 			r.pages = make([][]byte, (r.size+pageSize-1)/pageSize)
 		}
 	}
-	if r.pages[i] == nil {
-		r.pages[i] = make([]byte, r.pageLen(i))
-		m.resident += len(r.pages[i])
+	if r.pages[i] != nil {
+		return r.pages[i]
 	}
-	return r.pages[i]
+	n := r.pageLen(i)
+	var pg []byte
+	if fl := m.free[n]; fl != nil && len(fl.pages) > 0 {
+		k := len(fl.pages) - 1
+		pg = fl.pages[k]
+		fl.pages[k] = nil
+		fl.pages = fl.pages[:k]
+		if sim.DebugEnabled {
+			j := 0
+			for j < n && pg[j] == sparePoison {
+				j++
+			}
+			sim.Assertf(j == n, "memory: spare page of %d bytes written at byte %d after Free", n, j)
+		}
+		clear(pg)
+	} else {
+		//rvmalint:allow hotalloc -- spare-list miss: the node has no freed page of this length to reuse
+		pg = make([]byte, n)
+	}
+	r.pages[i] = pg
+	m.resident += n
+	return pg
 }
 
 // Write stores p at address a. It panics on an out-of-bounds access: the
@@ -258,6 +336,14 @@ func (m *Memory) Write(a Addr, p []byte) {
 	r := m.regionFor(a, len(p))
 	if r == nil {
 		panic(fmt.Sprintf("memory: write of %d bytes at %#x outside any region", len(p), a))
+	}
+	m.write(r, a, p)
+}
+
+// write stores p at a, inside r.
+func (m *Memory) write(r *Region, a Addr, p []byte) {
+	if r.freed {
+		panic(fmt.Sprintf("memory: write of %d bytes at %#x in a freed region", len(p), a))
 	}
 	src := p
 	r.span(int(a-r.Base), len(p), func(i, at, k int) {
@@ -309,17 +395,24 @@ func (m *Memory) Read(a Addr, n int) []byte {
 	if r == nil {
 		panic(fmt.Sprintf("memory: read of %d bytes at %#x outside any region", n, a))
 	}
-	m.Reads++
-	m.BytesRead += uint64(n)
 	out := make([]byte, n)
-	dst := out
-	r.span(int(a-r.Base), n, func(i, at, k int) {
+	m.read(r, a, out)
+	return out
+}
+
+// read copies len(dst) bytes starting at a, inside r, into dst.
+func (m *Memory) read(r *Region, a Addr, dst []byte) {
+	if r.freed {
+		panic(fmt.Sprintf("memory: read of %d bytes at %#x in a freed region", len(dst), a))
+	}
+	m.Reads++
+	m.BytesRead += uint64(len(dst))
+	r.span(int(a-r.Base), len(dst), func(i, at, k int) {
 		if r.pages != nil && r.pages[i] != nil {
 			copy(dst[:k], r.pages[i][at:at+k])
 		}
 		dst = dst[k:]
 	})
-	return out
 }
 
 // notify fires watchers registered on any cache line overlapped by the
@@ -388,18 +481,20 @@ func MakeCompletionCell(m *Memory) CompletionCell {
 func (c *CompletionCell) Addr() Addr { return c.reg.Base }
 
 // Set writes (bufferHead, length) into the cell. In the model this is the
-// NIC's PCIe write; watchers on the line observe it.
+// NIC's PCIe write; watchers on the line observe it. The cell writes its
+// own region, so it needs no address lookup.
 func (c *CompletionCell) Set(head Addr, length int) {
 	var b [16]byte
 	putU64(b[0:8], uint64(head))
 	putU64(b[8:16], uint64(length))
-	c.mem.Write(c.reg.Base, b[:])
+	c.mem.write(c.reg, c.reg.Base, b[:])
 }
 
 // Get reads the cell, returning the last completed buffer's head address
 // and length. A zero head means "no completion yet this epoch".
 func (c *CompletionCell) Get() (head Addr, length int) {
-	b := c.mem.Read(c.reg.Base, 16)
+	var b [16]byte
+	c.mem.read(c.reg, c.reg.Base, b[:])
 	return Addr(getU64(b[0:8])), int(getU64(b[8:16]))
 }
 

@@ -172,6 +172,21 @@ func TestCompletionCell(t *testing.T) {
 	if h, l := c.Get(); h != 0 || l != 0 {
 		t.Fatalf("cleared cell = (%#x, %d)", h, l)
 	}
+	// The cell reads and writes its own region directly, and counts like
+	// any other access.
+	if m.Writes != 2 || m.BytesWritten != 32 || m.Reads != 3 || m.BytesRead != 48 {
+		t.Fatalf("stats: writes=%d (%d B) reads=%d (%d B), want 2 (32 B) and 3 (48 B)",
+			m.Writes, m.BytesWritten, m.Reads, m.BytesRead)
+	}
+	if sim.DebugEnabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		c.Set(0xBEEF0, 64)
+		c.Get()
+	}); allocs != 0 {
+		t.Fatalf("cell set and get: %.1f allocations, want 0", allocs)
+	}
 }
 
 func TestCompletionCellWatch(t *testing.T) {
@@ -412,6 +427,67 @@ func TestFreeReusesSameSizeRegion(t *testing.T) {
 	}
 }
 
+// Free moves a region's page to the spare list, and the next page of that
+// length to be written takes it: a written 64 B region that is allocated
+// again reads zero, and writing it again allocates nothing.
+func TestReallocatedRegionReusesZeroedPage(t *testing.T) {
+	m := New()
+	r := m.Alloc(CacheLineSize)
+	m.Fill(r.Base, 0xff, CacheLineSize)
+	m.Free(r)
+	if m.ResidentBytes() != 0 {
+		t.Fatalf("resident=%d after free, want 0: a spare page holds no contents", m.ResidentBytes())
+	}
+	r = m.Alloc(CacheLineSize)
+	zero := make([]byte, CacheLineSize)
+	if !bytes.Equal(m.Read(r.Base, CacheLineSize), zero) {
+		t.Fatal("reallocated region reads nonzero before its first write")
+	}
+	one := []byte{7}
+	m.Write(r.Base+9, one)
+	want := make([]byte, CacheLineSize)
+	want[9] = 7
+	if got := m.Read(r.Base, CacheLineSize); !bytes.Equal(got, want) {
+		t.Fatalf("reallocated region reads %v after one write, want %v", got, want)
+	}
+	if m.ResidentBytes() != CacheLineSize {
+		t.Fatalf("resident=%d, want %d", m.ResidentBytes(), CacheLineSize)
+	}
+	if sim.DebugEnabled {
+		t.Skip("simdebug invariant checks box their arguments; the allocation count is for normal builds")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		m.Free(r)
+		r = m.Alloc(CacheLineSize)
+		m.Write(r.Base, one)
+	})
+	if allocs != 0 {
+		t.Fatalf("free, allocate and write of a 64 B region: %.1f allocations, want 0", allocs)
+	}
+}
+
+// Under simdebug a page on the spare list is poisoned, and taking it back
+// checks the poison, so a write through a stale reference to a freed page
+// cannot go unnoticed.
+func TestDebugCatchesWriteToSparePage(t *testing.T) {
+	if !sim.DebugEnabled {
+		t.Skip("the check is a simdebug assertion")
+	}
+	m := New()
+	r := m.Alloc(CacheLineSize)
+	m.Write(r.Base, []byte{1})
+	stale := r.pages[0]
+	m.Free(r)
+	stale[3] = 0
+	r = m.Alloc(CacheLineSize)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a written spare page was handed out again")
+		}
+	}()
+	m.Write(r.Base, []byte{1})
+}
+
 func TestFreeMisusePanics(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -420,6 +496,16 @@ func TestFreeMisusePanics(t *testing.T) {
 		{"use after free", func(m *Memory, r *Region) { m.Free(r); m.Write(r.Base, []byte{1}) }},
 		{"read after free", func(m *Memory, r *Region) { m.Free(r); m.Read(r.Base, 1) }},
 		{"double free", func(m *Memory, r *Region) { m.Free(r); m.Free(r) }},
+		{"cell set after free", func(m *Memory, r *Region) {
+			c := MakeCompletionCell(m)
+			c.Free()
+			c.Set(r.Base, 1)
+		}},
+		{"cell get after free", func(m *Memory, r *Region) {
+			c := MakeCompletionCell(m)
+			c.Free()
+			c.Get()
+		}},
 		{"foreign region", func(m *Memory, r *Region) { New().Free(r) }},
 		{"watched region", func(m *Memory, r *Region) {
 			m.Watch(r.Base+CacheLineSize, func(Addr, int) {})

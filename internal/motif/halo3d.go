@@ -108,7 +108,7 @@ func RunHalo3D(c *Cluster, cfg Halo3DConfig) (sim.Time, error) {
 					sends[i] = tp.Send(f.peer, f.size)
 				}
 				for _, f := range faces {
-					p.Wait(tp.Recv(f.peer, f.size))
+					tp.Recv(p, f.peer, f.size)
 				}
 				p.WaitAll(sends...)
 			}

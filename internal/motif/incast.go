@@ -48,7 +48,7 @@ func RunIncast(c *Cluster, cfg IncastConfig) (sim.Time, error) {
 		// this deterministic regardless of cross-client arrival order.
 		for m := 0; m < cfg.Messages; m++ {
 			for _, cl := range clients {
-				p.Wait(server.Recv(cl, cfg.MsgBytes))
+				server.Recv(p, cl, cfg.MsgBytes)
 			}
 		}
 		fin.arrive(0, srvTag.Now())

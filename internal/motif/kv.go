@@ -179,27 +179,28 @@ func (q *kvFifo[T]) pop() T {
 
 // kvWindow is a proxy's outstanding-op limiter. All accesses happen on
 // the proxy's own rank (sender acquires, receivers release), hence on
-// one shard.
+// one shard. The proxy's sender is the only process that waits on it,
+// so one future, zeroed after each wake, serves every wait.
 type kvWindow struct {
-	avail  int
-	waiter *sim.Future
+	avail   int
+	waiting bool
+	wake    sim.Future
 }
 
 func (w *kvWindow) acquire(p *sim.Process) {
 	if w.avail == 0 {
-		f := sim.NewFuture()
-		w.waiter = f
-		p.Wait(f)
+		w.waiting = true
+		p.Wait(&w.wake)
+		w.wake = sim.Future{}
 	}
 	w.avail--
 }
 
 func (w *kvWindow) release(eng *sim.Engine) {
 	w.avail++
-	if w.waiter != nil {
-		f := w.waiter
-		w.waiter = nil
-		f.Complete(eng, nil)
+	if w.waiting {
+		w.waiting = false
+		w.wake.Complete(eng, nil)
 	}
 }
 
@@ -342,7 +343,7 @@ func RunKV(c *Cluster, cfg KVConfig) (sim.Time, *KVResult, error) {
 				tag.Spawn("kv-server-proxy", func(p *sim.Process) {
 					prox := cfg.Servers + pi
 					for i := 0; i < count; i++ {
-						p.Wait(tp.Recv(prox, cfg.reqBytes()))
+						tp.Recv(p, prox, cfg.reqBytes())
 						req := reqQ[pi][s].pop()
 						rep := store.Apply(req)
 						respQ[s][pi].push(rep)
@@ -396,7 +397,7 @@ func RunKV(c *Cluster, cfg KVConfig) (sim.Time, *KVResult, error) {
 				idxs := seq[s]
 				tag.Spawn("kv-proxy-server", func(p *sim.Process) {
 					for _, idx := range idxs {
-						p.Wait(tp.Recv(s, cfg.respBytes()))
+						tp.Recv(p, s, cfg.respBytes())
 						rep := respQ[s][pi].pop()
 						op := &plan[idx]
 						st.completed++

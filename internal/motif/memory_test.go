@@ -16,7 +16,7 @@ func postedBytes(c *Cluster, history int) (posted, retained int) {
 		rt := tp.(*rvmaTransport)
 		for _, box := range rt.boxes {
 			per := box.maxMsg + memory.CacheLineSize
-			posted += rt.depth * per
+			posted += int(rt.depth) * per
 			retained += history * per
 		}
 	}

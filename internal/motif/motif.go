@@ -80,11 +80,14 @@ type Transport interface {
 	// completion (safe to reuse the send buffer); delivery is observed by
 	// the peer's Recv.
 	Send(dst, size int) *sim.Future
-	// Recv resolves when the next not-yet-consumed message from src has
-	// fully arrived and its completion has been observed by host software.
-	// size is the expected message size (motifs always know it), which
-	// byte-counted completion schemes need.
-	Recv(src, size int) *sim.Future
+	// Recv parks p, the calling process, until the next not-yet-consumed
+	// message from src has fully arrived and its completion has been
+	// observed by host software; it returns at once if that has happened
+	// already. size is the expected message size (motifs always know it),
+	// which byte-counted completion schemes need. Parking the caller
+	// instead of handing out a future gives each receive handle exactly
+	// one holder, so the transport reuses it once the caller resumes.
+	Recv(p *sim.Process, src, size int)
 }
 
 // Cluster is a set of rank transports over one simulated network.

@@ -22,9 +22,11 @@ func (c *Cluster) TagFor(rank int) sim.Tagged {
 }
 
 // run executes the simulation to completion, then drops the fabric's
-// recycled packets, each shard engine's event and queue pools and each
-// endpoint's stage arrays and spare buffers, so a finished cluster keeps
-// nothing sized by the run's peak in flight.
+// recycled packets, each shard engine's event and queue pools, each
+// endpoint's stage arrays, spare buffers and spare receives, each
+// transport's idle receive waits or credit arms and each node's spare
+// pages, so a finished cluster keeps nothing sized by the run's peak in
+// flight.
 func (c *Cluster) run() {
 	c.Group.Run()
 	c.Net.DropFreePackets()
@@ -36,6 +38,14 @@ func (c *Cluster) run() {
 	}
 	for _, ep := range c.rdmaEPs {
 		ep.DropPools()
+	}
+	for _, tp := range c.Transports {
+		if d, ok := tp.(interface{ dropPools() }); ok {
+			d.dropPools()
+		}
+	}
+	for _, n := range c.nics {
+		n.Memory().DropPools()
 	}
 }
 

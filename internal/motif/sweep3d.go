@@ -112,10 +112,10 @@ func RunSweep3D(c *Cluster, cfg Sweep3DConfig) (sim.Time, error) {
 					downY, hasDownY := gridNeighbor(i, j, 0, dy, cfg.Px, cfg.Py)
 					for blk := 0; blk < nBlocks; blk++ {
 						if hasUpX {
-							p.Wait(tp.Recv(upX, cfg.xMsgBytes()))
+							tp.Recv(p, upX, cfg.xMsgBytes())
 						}
 						if hasUpY {
-							p.Wait(tp.Recv(upY, cfg.yMsgBytes()))
+							tp.Recv(p, upY, cfg.yMsgBytes())
 						}
 						p.Sleep(cfg.blockComputeTime())
 						if hasDownX {

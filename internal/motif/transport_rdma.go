@@ -39,6 +39,32 @@ type rdmaTransport struct {
 	// send and every credit return under the recovery layer's
 	// timeout/retransmit policy, riding the protocol's own opPutAck path.
 	rec *recovery.Manager
+	// idle lists the credit arms no message is using.
+	idle *creditArm
+}
+
+// creditArm is the sender's receive for the credit one issued message
+// will get back. Arms are pooled per transport with fire bound once, so
+// arming a credit allocates nothing once the pool has reached the
+// transport's peak of messages awaiting their credit.
+type creditArm struct {
+	t    *rdmaTransport
+	st   *sendState
+	recv *rdma.RecvOp
+	fire func() // a.credit
+	next *creditArm
+}
+
+// credit runs when the receiver's credit arrives: it hands the receive
+// back to the endpoint and the arm to the pool, then issues what the
+// credit frees.
+func (a *creditArm) credit() {
+	t, st := a.t, a.st
+	t.ep.ReleaseRecv(a.recv)
+	a.st, a.recv = nil, nil
+	a.next, t.idle = t.idle, a
+	st.credits++
+	t.drain(st)
 }
 
 // sendState is the per-destination sender bookkeeping.
@@ -50,9 +76,6 @@ type sendState struct {
 	credits int
 	queue   []*sendReq // messages waiting for a credit, oldest first
 	issued  []*sendReq // queued messages since issued, awaiting local completion
-	// creditBack, bound at Prepare, runs when a credit returns: it issues
-	// what the credit frees.
-	creditBack func()
 	// issuedSent, bound at Prepare, runs when an issued message's put
 	// completes locally: it completes the future Send handed out.
 	issuedSent func()
@@ -108,10 +131,6 @@ func (t *rdmaTransport) Prepare(inPeers, outPeers []int, maxMsg int) *sim.Future
 			continue
 		}
 		st := &sendState{dst: dst, credits: t.nbufs}
-		st.creditBack = func() {
-			st.credits++
-			t.drain(st)
-		}
 		st.issuedSent = func() { t.completeIssued(st) }
 		t.out[dst] = st
 		for i := 0; i < t.nbufs; i++ {
@@ -239,7 +258,16 @@ func (t *rdmaTransport) issue(st *sendState, size int) *sim.Future {
 	}
 
 	// Arm the credit return for this buffer.
-	t.ep.PostRecv(st.dst, creditQP).Done.OnComplete(st.creditBack)
+	a := t.idle
+	if a != nil {
+		t.idle, a.next = a.next, nil
+	} else {
+		a = &creditArm{t: t}
+		a.fire = a.credit
+	}
+	a.st = st
+	a.recv = t.ep.PostRecv(st.dst, creditQP)
+	a.recv.Done.OnComplete(a.fire)
 	return local
 }
 
@@ -285,22 +313,31 @@ func (t *rdmaTransport) reliableSend(dst, qp int) {
 
 // Recv implements Transport: observe the next message from src per the
 // kind's completion scheme; the buffer credit goes back as the receive
-// completes, before anything waiting on the returned future runs.
-func (t *rdmaTransport) Recv(src, size int) *sim.Future {
+// completes, before the caller resumes. The caller is then the receive's
+// only holder, so Recv hands it back to the endpoint for reuse.
+//
+//rvmalint:hot
+func (t *rdmaTransport) Recv(p *sim.Process, src, size int) {
 	st := t.in[src]
 	if st == nil {
 		panic(fmt.Sprintf("motif: rank %d Recv from unprepared src %d", t.Rank(), src))
 	}
-	var done *sim.Future
 	if t.ordered {
 		st.consumed += uint64(size)
-		done = t.ep.WaitBytes(src, st.consumed)
-	} else {
-		done = t.ep.PostRecv(src, rdma.FenceQP).Done
+		done := t.ep.WaitBytes(src, st.consumed)
+		done.OnComplete(st.returnCredit)
+		p.Wait(done)
+		t.ep.ReleaseWait(done)
+		return
 	}
-	done.OnComplete(st.returnCredit)
-	return done
+	recv := t.ep.PostRecv(src, rdma.FenceQP)
+	recv.Done.OnComplete(st.returnCredit)
+	p.Wait(recv.Done)
+	t.ep.ReleaseRecv(recv)
 }
+
+// dropPools releases the idle credit arms.
+func (t *rdmaTransport) dropPools() { t.idle = nil }
 
 // creditReturn returns src's credit-return continuation: a consumed
 // message hands its buffer back to the sender. A lost credit wedges the

@@ -37,7 +37,7 @@ func rdmaExchange(t *testing.T, routing fabric.RoutingMode, lastByte, burst bool
 			case i%2 == 0:
 				a.Send(1, size)
 			default:
-				p.Wait(a.Recv(1, size))
+				a.Recv(p, 1, size)
 			}
 		}
 		done++
@@ -47,7 +47,7 @@ func rdmaExchange(t *testing.T, routing fabric.RoutingMode, lastByte, burst bool
 		for i := 0; i < messages; i++ {
 			switch {
 			case burst, i%2 == 0:
-				p.Wait(b.Recv(0, size))
+				b.Recv(p, 0, size)
 			default:
 				b.Send(0, size)
 			}
@@ -62,15 +62,17 @@ func rdmaExchange(t *testing.T, routing fabric.RoutingMode, lastByte, burst bool
 	return ms.Mallocs - before
 }
 
-// One message through the RDMA transport allocates the operations it
-// hands out and nothing else. Under adaptive routing (the send/recv
-// fence) those are the PutOp, whose commands and continuations also carry
-// the fence send; the receiver's fence RecvOp; its credit-return SendOp;
-// and the sender's RecvOp armed for that credit. Under static routing with
-// last-byte polling the fence RecvOp becomes the receiver's byte wait.
-// The credit return runs first on the receive's own future and the
-// waiting process second, both held inline by the future. A message that
-// waits for a credit adds the sendReq whose future Send hands out.
+// One message through the RDMA transport allocates the send-side
+// operations it hands out and nothing else: the PutOp, whose commands and
+// continuations also carry the fence send under adaptive routing, and the
+// receiver's credit-return SendOp. The receive handles are reused: Recv
+// parks the receiver on the fence RecvOp (or, under static routing with
+// last-byte polling, the byte wait) and hands it back to the endpoint once
+// the receiver resumes, and the sender's RecvOp armed for the credit goes
+// back, with its pooled credit arm, when the credit arrives. The credit
+// return runs first on the receive's own future and the waiting process
+// second, both held inline by the future. A message that waits for a
+// credit adds the sendReq whose future Send hands out.
 // The run-length difference cancels set-up, handshakes, process spawns
 // and pool warm-up, so what is left is the marginal cost of a message,
 // and a 4-packet message must cost what a 1-packet one does. The count is
@@ -89,9 +91,9 @@ func TestRDMAMessageAllocations(t *testing.T) {
 		burst    bool
 		want     float64
 	}{
-		{"adaptive fence", fabric.RouteAdaptive, false, false, 4},
-		{"static WaitBytes", fabric.RouteStatic, true, false, 4},
-		{"adaptive fence, credit-bound burst", fabric.RouteAdaptive, false, true, 5},
+		{"adaptive fence", fabric.RouteAdaptive, false, false, 2},
+		{"static WaitBytes", fabric.RouteStatic, true, false, 2},
+		{"adaptive fence, credit-bound burst", fabric.RouteAdaptive, false, true, 3},
 	} {
 		perPackets := map[int]float64{}
 		for _, packets := range []int{1, 4} {

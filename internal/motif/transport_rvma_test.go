@@ -37,7 +37,7 @@ func rvmaExchange(t *testing.T, routing fabric.RoutingMode, depth int, burst boo
 			case burst, i%2 == 0:
 				a.Send(1, size)
 			default:
-				p.Wait(a.Recv(1, size))
+				a.Recv(p, 1, size)
 			}
 		}
 		done++
@@ -47,7 +47,7 @@ func rvmaExchange(t *testing.T, routing fabric.RoutingMode, depth int, burst boo
 		for i := 0; i < messages; i++ {
 			switch {
 			case burst, i%2 == 0:
-				p.Wait(b.Recv(0, size))
+				b.Recv(p, 0, size)
 			default:
 				b.Send(0, size)
 			}
@@ -63,20 +63,21 @@ func rvmaExchange(t *testing.T, routing fabric.RoutingMode, depth int, burst boo
 }
 
 // One ping-pong message through the RVMA transport allocates the PutOp it
-// hands out, the receiver's Recv future and the page the node's memory
-// materializes for the reposted buffer's completion cell, and nothing
-// else: the post, the NIC send's local completion, the completion-pointer
-// write and the NACK retry run on callbacks bound once per endpoint or
-// transport, and the reposted buffer reuses the released one. Adaptive and
-// static routing cost the same, and a 4-packet message what a 1-packet
-// one does.
+// hands out and nothing else: the post, the NIC send's local completion,
+// the completion-pointer write and the NACK retry run on callbacks bound
+// once per endpoint or transport, the reposted buffer reuses the released
+// one, its completion cell's first write takes the page the released
+// cell's Free left on the node's spare list, and Recv parks the receiver
+// on a future the transport reuses once it resumes. Adaptive and static
+// routing cost the same, and a 4-packet message what a 1-packet one does.
 //
 // A burst into a depth-4 mailbox draws no NACK, but its messages are all
 // in flight at once, so the engine's event pool grows by the events each
-// one has pending (one per packet in the send pipe, hence the 4-packet
-// cost). Into a depth-1 mailbox about one put per message is NACKed, and a
-// NACK adds three allocations to that: its command at the target, the
-// sender's backoff event and the retried PutOp.
+// one has pending: four more per 1-packet message, and about thirteen per
+// 4-packet one, whose packets wait in the send pipe. Into a depth-1
+// mailbox about one put per message is NACKed, and a NACK adds three
+// allocations to that: its command at the target, the sender's backoff
+// event and the retried PutOp.
 //
 // The run-length difference cancels set-up, process spawns and pool
 // warm-up that does not scale with the run, so what is left is the
@@ -96,10 +97,10 @@ func TestRVMAMessageAllocations(t *testing.T) {
 		burst   bool
 		want    map[int]float64 // allocations per message, by packets per message
 	}{
-		{"adaptive ping-pong", fabric.RouteAdaptive, 4, false, map[int]float64{1: 3, 4: 3}},
-		{"static ping-pong", fabric.RouteStatic, 4, false, map[int]float64{1: 3, 4: 3}},
-		{"burst", fabric.RouteAdaptive, 4, true, map[int]float64{1: 7, 4: 16.1}},
-		{"NACKing burst", fabric.RouteAdaptive, 1, true, map[int]float64{1: 10, 4: 19.1}},
+		{"adaptive ping-pong", fabric.RouteAdaptive, 4, false, map[int]float64{1: 1, 4: 1}},
+		{"static ping-pong", fabric.RouteStatic, 4, false, map[int]float64{1: 1, 4: 1}},
+		{"burst", fabric.RouteAdaptive, 4, true, map[int]float64{1: 5, 4: 14.1}},
+		{"NACKing burst", fabric.RouteAdaptive, 1, true, map[int]float64{1: 8, 4: 17.1}},
 	} {
 		perPackets := map[int]float64{}
 		for _, packets := range []int{1, 4} {

@@ -227,15 +227,58 @@ type RecvOp struct {
 
 // PostRecv posts a receive for sends arriving from src on the given QP
 // index; sends and receives match in FIFO order per queue pair. QP
-// indices are small non-negative integers.
+// indices are small non-negative integers. The receive is one that
+// ReleaseRecv returned, if the endpoint holds one.
+//
+//rvmalint:hot
 func (ep *Endpoint) PostRecv(src, qp int) *RecvOp {
-	op := &RecvOp{}
-	op.Done = &op.done
+	var op *RecvOp
+	if s := ep.spare; s != nil && len(s.recvs) > 0 {
+		n := len(s.recvs) - 1
+		op = s.recvs[n]
+		s.recvs[n] = nil
+		s.recvs = s.recvs[:n]
+	} else {
+		//rvmalint:allow hotalloc -- spare-list miss: every receive the endpoint handed out is still held
+		op = &RecvOp{}
+		op.Done = &op.done
+	}
 	p := ep.peer(src)
 	q := p.qp(qp)
 	q.recvs.Push(op)
 	ep.matchSends(src, p, q)
 	return op
+}
+
+// ReleaseRecv hands a completed receive back to the endpoint, whose next
+// PostRecv reuses it. The caller must be the receive's last holder:
+// neither op nor op.Done may be used afterwards. A receive is safe to
+// release once every callback of its Done has run, since nothing else in
+// the model keeps it after it completes.
+func (ep *Endpoint) ReleaseRecv(op *RecvOp) {
+	if sim.DebugEnabled {
+		sim.Assertf(op.done.Done(), "rdma: release of a pending receive")
+	}
+	op.done = sim.Future{}
+	s := ep.spares()
+	s.recvs = append(s.recvs, op)
+}
+
+// spareHandles holds the receives and byte-wait futures their holders
+// released (ReleaseRecv, ReleaseWait), most recent last, for PostRecv and
+// WaitBytes to hand out again.
+type spareHandles struct {
+	recvs []*RecvOp
+	waits []*sim.Future
+}
+
+// spares returns the endpoint's spare handles, creating them on the first
+// release.
+func (ep *Endpoint) spares() *spareHandles {
+	if ep.spare == nil {
+		ep.spare = &spareHandles{}
+	}
+	return ep.spare
 }
 
 // byteWait is a cumulative-byte poll used by applications that reuse one
@@ -245,21 +288,41 @@ func (ep *Endpoint) PostRecv(src, qp int) *RecvOp {
 // network preserves byte order (static routing).
 type byteWait struct {
 	target uint64
-	done   sim.Future
+	done   *sim.Future
 }
 
 // WaitBytes returns a future that resolves (after a poll tick and host
 // processing) once the cumulative put payload bytes received from src
 // reach target. If they already have, it resolves after one poll tick.
+// The future is one that ReleaseWait returned, if the endpoint holds one.
 func (ep *Endpoint) WaitBytes(src int, target uint64) *sim.Future {
-	w := &byteWait{target: target}
+	var f *sim.Future
+	if s := ep.spare; s != nil && len(s.waits) > 0 {
+		n := len(s.waits) - 1
+		f = s.waits[n]
+		s.waits[n] = nil
+		s.waits = s.waits[:n]
+	} else {
+		f = sim.NewFuture()
+	}
 	p := ep.peer(src)
 	if p.recv >= target {
-		ep.pollByte(completion{f: &w.done})
-		return &w.done
+		ep.pollByte(completion{f: f})
+		return f
 	}
-	p.waits = append(p.waits, w)
-	return &w.done
+	p.waits = append(p.waits, byteWait{target: target, done: f})
+	return f
+}
+
+// ReleaseWait hands a completed WaitBytes future back to the endpoint,
+// whose next WaitBytes reuses it, on the terms of ReleaseRecv.
+func (ep *Endpoint) ReleaseWait(f *sim.Future) {
+	if sim.DebugEnabled {
+		sim.Assertf(f.Done(), "rdma: release of a pending byte wait")
+	}
+	*f = sim.Future{}
+	s := ep.spares()
+	s.waits = append(s.waits, f)
 }
 
 // LastByteWait is target software polling the final byte of an expected

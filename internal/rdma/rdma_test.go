@@ -311,6 +311,109 @@ func TestSendsMatchRecvsInOrder(t *testing.T) {
 	}
 }
 
+// A released receive goes back to its endpoint, and the next PostRecv
+// hands it out again. Posted again, it completes exactly once, with the
+// size of the send it matches: the send after that waits for a receive of
+// its own instead of completing the reused one a second time.
+func TestReleasedRecvPostedAgainCompletesOnce(t *testing.T) {
+	eng, a, b := defaultPair(t)
+	var first *RecvOp
+	eng.Schedule(0, func() {
+		first = b.PostRecv(0, rdmaTestQP)
+		a.Send(1, rdmaTestQP, 100)
+	})
+	eng.Run()
+	if !first.Done.Done() || first.Done.Value() != 100 {
+		t.Fatalf("first receive: done=%v value=%v", first.Done.Done(), first.Done.Value())
+	}
+	b.ReleaseRecv(first)
+
+	completions, size := 0, 0
+	eng.Schedule(0, func() {
+		r := b.PostRecv(0, rdmaTestQP)
+		if r != first {
+			t.Error("PostRecv did not reuse the released receive")
+		}
+		if r.Done.Done() {
+			t.Error("a reused receive is posted already complete")
+		}
+		r.Done.OnComplete(func() {
+			completions++
+			size = r.Done.Value().(int)
+		})
+		a.Send(1, rdmaTestQP, 300)
+		a.Send(1, rdmaTestQP, 500)
+	})
+	eng.Run()
+	if completions != 1 || size != 300 {
+		t.Fatalf("reused receive completed %d times, size %d; want once, 300", completions, size)
+	}
+	if b.PendingSendsHeld() != 1 {
+		t.Fatalf("%d sends held, want the 500-byte one waiting for a receive", b.PendingSendsHeld())
+	}
+}
+
+// A released byte wait is what the next WaitBytes returns, and it
+// resolves once, for its new target.
+func TestReleasedByteWaitIsReused(t *testing.T) {
+	eng, a, b := defaultPair(t)
+	rb := handshake(t, eng, a, 1, 8192)
+	var first *sim.Future
+	eng.Schedule(0, func() {
+		first = b.WaitBytes(0, 1000)
+		a.PutN(rb, 0, 1000, CompleteNone)
+	})
+	eng.Run()
+	if !first.Done() {
+		t.Fatal("byte wait for 1000 bytes never resolved")
+	}
+	b.ReleaseWait(first)
+
+	completions := 0
+	eng.Schedule(0, func() {
+		f := b.WaitBytes(0, 3000)
+		if f != first {
+			t.Error("WaitBytes did not reuse the released future")
+		}
+		f.OnComplete(func() { completions++ })
+		a.PutN(rb, 0, 1000, CompleteNone)
+	})
+	eng.Run()
+	if completions != 0 {
+		t.Fatal("byte wait for 3000 bytes resolved at 2000")
+	}
+	eng.Schedule(0, func() { a.PutN(rb, 0, 1000, CompleteNone) })
+	eng.Run()
+	if completions != 1 {
+		t.Fatalf("byte wait resolved %d times at 3000 bytes, want once", completions)
+	}
+}
+
+// Releasing a handle that has not completed would hand it out again while
+// it is still queued; simdebug catches it.
+func TestDebugCatchesReleaseOfPendingHandle(t *testing.T) {
+	if !sim.DebugEnabled {
+		t.Skip("the check is a simdebug assertion")
+	}
+	for _, tc := range []struct {
+		name    string
+		release func(ep *Endpoint)
+	}{
+		{"recv", func(ep *Endpoint) { ep.ReleaseRecv(ep.PostRecv(0, rdmaTestQP)) }},
+		{"byte wait", func(ep *Endpoint) { ep.ReleaseWait(ep.WaitBytes(0, 1)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, b := defaultPair(t)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("releasing a pending handle did not panic")
+				}
+			}()
+			tc.release(b)
+		})
+	}
+}
+
 func TestPutWithImmediate(t *testing.T) {
 	eng, a, b := defaultPair(t)
 	rb := handshake(t, eng, a, 1, 1024)

@@ -201,7 +201,7 @@ func (ep *Endpoint) handlePutData(pkt *fabric.Packet, cmd *command) {
 		remaining := p.waits[:0]
 		for _, w := range p.waits {
 			if p.recv >= w.target {
-				ep.dma(dmaDone, completion{f: &w.done})
+				ep.dma(dmaDone, completion{f: w.done})
 			} else {
 				remaining = append(remaining, w)
 			}

@@ -31,9 +31,11 @@ func (ep *Endpoint) bindStages() {
 	ep.bytePolls.Fn = ep.bytePollNext
 }
 
-// DropPools releases the arrays of the endpoint's idle stages, which are
-// sized by the run's peak in flight. Call it between runs, not inside one.
+// DropPools releases the arrays of the endpoint's idle stages and its
+// spare receives and byte waits, which are sized by the run's peak in
+// flight. Call it between runs, not inside one.
 func (ep *Endpoint) DropPools() {
+	ep.spare = nil
 	ep.posts.Drop()
 	ep.reaps.Drop()
 	ep.sends.Drop()
