@@ -58,6 +58,7 @@ type Region struct {
 	// one backs pages for a single-page region, so materializing a small
 	// region (a completion cell) allocates only its bytes.
 	one   [1][]byte
+	mem   *Memory // the memory that allocated the region, for Free's check
 	freed bool
 }
 
@@ -198,7 +199,7 @@ func (m *Memory) Alloc(size int) *Region {
 	}
 	// Align base to a cache line, as real allocators for DMA targets do.
 	base := (m.next + CacheLineSize - 1) / CacheLineSize * CacheLineSize
-	r := &Region{Base: base, size: size}
+	r := &Region{Base: base, size: size, mem: m}
 	m.next = base + Addr(size)
 	m.regions = append(m.regions, r)
 	return r
@@ -213,9 +214,7 @@ func (m *Memory) Free(r *Region) {
 	if r.freed {
 		panic(fmt.Sprintf("memory: double free of region at %#x", r.Base))
 	}
-	// An empty region shares its base with the next allocation, so only a
-	// non-empty one can be traced back to this memory.
-	if r.size > 0 && m.lookup(r.Base, r.size) != r {
+	if r.mem != m {
 		panic(fmt.Sprintf("memory: free of region at %#x not allocated here", r.Base))
 	}
 	if len(m.watchers) > 0 && r.size > 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"rvma/internal/sim"
 )
@@ -523,6 +524,15 @@ func TestFreeMisusePanics(t *testing.T) {
 			}()
 			tc.misuse(m, r)
 		})
+	}
+}
+
+// Every RVMA buffer and completion cell is a Region: the memory it
+// records for Free's ownership check must not move it past the 80 B size
+// class.
+func TestRegionFitsItsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Region{}); n > 80 {
+		t.Fatalf("Region is %d B, past the 80 B size class", n)
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"runtime"
 	"testing"
 
+	"rvma/internal/fabric"
 	"rvma/internal/memory"
+	"rvma/internal/recovery"
 )
 
 // postedBytes returns the simulated memory the RVMA mailboxes of c keep
@@ -138,40 +140,49 @@ func TestRunLeavesNoFreePackets(t *testing.T) {
 // engine's event and queue pools, which are sized by that peak.
 func TestLiveHeapDoesNotGrowWithRunLength(t *testing.T) {
 	topo := smallTopo(t, 64)
+	incast := func(c *Cluster, scale int) error {
+		cfg := DefaultIncastConfig()
+		cfg.Messages *= scale
+		_, err := RunIncast(c, cfg)
+		return err
+	}
 	rows := []struct {
-		name string
-		run  func(c *Cluster, scale int) error
+		name  string
+		run   func(c *Cluster, scale int) error
+		lossy bool // 5% drop with the recovery layer on
 	}{
 		{"sweep3d", func(c *Cluster, scale int) error {
 			cfg := DefaultSweep3DConfig(topo.NumNodes())
 			cfg.Iterations *= scale
 			_, err := RunSweep3D(c, cfg)
 			return err
-		}},
+		}, false},
 		{"halo3d", func(c *Cluster, scale int) error {
 			cfg := DefaultHalo3DConfig(topo.NumNodes())
 			cfg.Iterations *= scale
 			_, err := RunHalo3D(c, cfg)
 			return err
-		}},
+		}, false},
 		{"kv", func(c *Cluster, scale int) error {
 			cfg := DefaultKVConfig(topo.NumNodes())
 			cfg.OpsPerProxy *= scale
 			_, _, err := RunKV(c, cfg)
 			return err
-		}},
-		{"incast", func(c *Cluster, scale int) error {
-			cfg := DefaultIncastConfig()
-			cfg.Messages *= scale
-			_, err := RunIncast(c, cfg)
-			return err
-		}},
+		}, false},
+		{"incast", incast, false},
+		{"incast-loss", incast, true},
 	}
 	for _, row := range rows {
 		for _, kind := range []TransportKind{KindRVMA, KindRDMA} {
 			t.Run(fmt.Sprintf("%s/%s", row.name, kind), func(t *testing.T) {
 				liveHeap := func(scale int) uint64 {
-					c, err := NewCluster(DefaultClusterConfig(topo, kind))
+					cfg := DefaultClusterConfig(topo, kind)
+					if row.lossy {
+						cfg.Faults = &fabric.FaultPlan{DropRate: 0.05}
+						rc := recovery.DefaultConfig()
+						cfg.Recovery = &rc
+					}
+					c, err := NewCluster(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}

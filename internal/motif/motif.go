@@ -316,6 +316,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 				rcfg.HistoryDepth = 2
 			}
 			ep := rvma.NewEndpoint(nc, rcfg)
+			if rec != nil {
+				ep.SetReassemblyHorizon(rec.ReclaimAfter())
+			}
 			c.rvmaEPs = append(c.rvmaEPs, ep)
 			c.Transports[node] = newRVMATransport(ep, n, cfg.RVMADepth, rec,
 				sim.NewRNG(sim.SeedFor(cfg.Seed, "rank", node)))
@@ -324,6 +327,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			dcfg.CarryData = false
 			lastByte := cfg.RDMALastBytePoll && cfg.Routing.Ordered()
 			ep := rdma.NewEndpoint(nc, dcfg)
+			if rec != nil {
+				ep.SetReassemblyHorizon(rec.ReclaimAfter())
+			}
 			c.rdmaEPs = append(c.rdmaEPs, ep)
 			c.Transports[node] = newRDMATransport(ep, n, lastByte, cfg.RDMABuffers, rec)
 		default:

@@ -24,9 +24,10 @@ func (c *Cluster) TagFor(rank int) sim.Tagged {
 // run executes the simulation to completion, then drops the fabric's
 // recycled packets, each shard engine's event and queue pools, each
 // endpoint's stage arrays, spare buffers and spare receives, each
-// transport's idle receive waits or credit arms and each node's spare
-// pages, so a finished cluster keeps nothing sized by the run's peak in
-// flight.
+// transport's idle receive waits, credit arms and reliable-send records,
+// each node's spare pages and each recovery manager's free records and
+// stage arrays, so a finished cluster keeps nothing sized by the run's
+// peak in flight.
 func (c *Cluster) run() {
 	c.Group.Run()
 	c.Net.DropFreePackets()
@@ -46,6 +47,9 @@ func (c *Cluster) run() {
 	}
 	for _, n := range c.nics {
 		n.Memory().DropPools()
+	}
+	for _, m := range c.recMgrs {
+		m.DropPools()
 	}
 }
 

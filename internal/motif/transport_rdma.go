@@ -35,12 +35,47 @@ type rdmaTransport struct {
 	nbufs   int
 	out     map[int]*sendState
 	in      map[int]*recvState
-	// rec, when non-nil, puts the handshake, every data put, the fence
+	// rel, when non-nil, puts the handshake, every data put, the fence
 	// send and every credit return under the recovery layer's
 	// timeout/retransmit policy, riding the protocol's own opPutAck path.
-	rec *recovery.Manager
+	rel *rdmaReliable
 	// idle lists the credit arms no message is using.
 	idle *creditArm
+}
+
+// rdmaReliable is a transport's recovery state: its node's manager and
+// the reliable-send records no operation is using.
+type rdmaReliable struct {
+	rec  *recovery.Manager
+	idle *rdmaSend
+}
+
+// rdmaSend is one put, fence send or credit send under the recovery
+// layer: the recovery.Sender whose attempts are the reliable operation's.
+// It is pooled per transport and goes back to the pool once the
+// operation is acked or abandoned, after which the manager calls nothing
+// on it.
+type rdmaSend struct {
+	t     *rdmaTransport
+	rp    *rdma.Reliable
+	local *sim.Future       // a put's first-attempt local completion
+	rb    rdma.RemoteBuffer // a put's target buffer; a send's rb.Node is its destination
+	size  int32             // a put's bytes
+	qp    int32             // a send's queue pair
+	put   bool
+	done  func() // s.acked
+	next  *rdmaSend
+}
+
+// handshake is one Figure 1 buffer negotiation under the recovery layer.
+// Every attempt is a fresh request, and the first reply from any of them
+// completes done with its RemoteBuffer; acked, which each attempt hands
+// the manager, completes with it unless the manager already gave up.
+type handshake struct {
+	t           *rdmaTransport
+	dst, size   int
+	done, acked sim.Future
+	abandoned   bool
 }
 
 // creditArm is the sender's receive for the credit one issued message
@@ -97,15 +132,18 @@ type recvState struct {
 }
 
 func newRDMATransport(ep *rdma.Endpoint, ranks int, ordered bool, nbufs int, rec *recovery.Manager) *rdmaTransport {
-	return &rdmaTransport{
+	t := &rdmaTransport{
 		ep:      ep,
 		ranks:   ranks,
 		ordered: ordered,
 		nbufs:   nbufs,
 		out:     make(map[int]*sendState),
 		in:      make(map[int]*recvState),
-		rec:     rec,
 	}
+	if rec != nil {
+		t.rel = &rdmaReliable{rec: rec}
+	}
+	return t
 }
 
 // Rank implements Transport.
@@ -169,24 +207,40 @@ func (t *rdmaTransport) Prepare(inPeers, outPeers []int, maxMsg int) *sim.Future
 // with a fresh message id. If the *reply* (not the request) was lost, the
 // retry makes the target register a second buffer and the first leaks —
 // the stale-registration garbage a real system would clean up out of
-// band, harmless here.
+// band, harmless here. The future resolves with the RemoteBuffer.
 func (t *rdmaTransport) handshake(dst, size int) *sim.Future {
-	if t.rec == nil {
+	if t.rel == nil {
 		return t.ep.RequestRemoteBuffer(dst, size).Done
 	}
-	eng := t.ep.Engine()
-	done := sim.NewFuture()
-	t.rec.Run(func(try int) recovery.Attempt {
-		op := t.ep.RequestRemoteBuffer(dst, size)
-		op.Done.OnComplete(func() {
-			if !done.Done() {
-				done.Complete(eng, op.Done.Value())
-			}
-		})
-		return recovery.Attempt{Acked: op.Done}
-	}, nil)
-	return done
+	h := &handshake{t: t, dst: dst, size: size}
+	t.rel.rec.Run(h)
+	return &h.done
 }
+
+// Attempt implements recovery.Sender: every attempt is a fresh request.
+func (h *handshake) Attempt(int) recovery.Attempt {
+	op := h.t.ep.RequestRemoteBuffer(h.dst, h.size)
+	op.Done.OnComplete(func() { h.reply(op.Done.Value()) })
+	return recovery.Attempt{Acked: &h.acked}
+}
+
+// reply takes the first reply's RemoteBuffer; a later one, the reply to a
+// request whose earlier reply was only late, registered a buffer nobody
+// uses.
+func (h *handshake) reply(rb any) {
+	if h.done.Done() {
+		return
+	}
+	eng := h.t.ep.Engine()
+	h.done.Complete(eng, rb)
+	if !h.abandoned {
+		h.acked.Complete(eng, nil)
+	}
+}
+
+// Abandon implements recovery.Sender. A reply that still arrives
+// completes done, but not the manager's acked.
+func (h *handshake) Abandon() { h.abandoned = true }
 
 // Send implements Transport: the message goes to the wire when a
 // negotiated buffer credit is available. With one free, the future handed
@@ -247,7 +301,7 @@ func (t *rdmaTransport) issue(st *sendState, size int) *sim.Future {
 	st.rr = (st.rr + 1) % len(st.bufs)
 
 	var local *sim.Future
-	if t.rec != nil {
+	if t.rel != nil {
 		local = t.sendReliable(st, rb, size)
 	} else {
 		scheme := rdma.CompleteSendRecv
@@ -277,19 +331,14 @@ func (t *rdmaTransport) issue(st *sendState, size int) *sim.Future {
 // captured once so retransmits wait for exactly the bytes the original
 // did. The put and the fence recover independently; the receiver's dedup
 // guarantees neither double-counts bytes nor double-delivers the fence.
+// It returns the put's first-attempt local completion.
+//
+//rvmalint:hot
 func (t *rdmaTransport) sendReliable(st *sendState, rb rdma.RemoteBuffer, size int) *sim.Future {
-	var rp *rdma.Reliable
-	var local *sim.Future
-	t.rec.Run(func(try int) recovery.Attempt {
-		var at *rdma.Attempt
-		if try == 0 {
-			rp, at = t.ep.PutNReliable(rb, 0, size)
-			local = at.Local
-		} else {
-			at = t.ep.Retransmit(rp)
-		}
-		return recovery.Attempt{Acked: at.Acked}
-	}, func() { t.ep.AbandonReliable(rp) })
+	s := t.newSend()
+	s.rb, s.size, s.put = rb, int32(size), true
+	t.rel.rec.Run(s)
+	local := s.local
 	if !t.ordered {
 		t.reliableSend(st.dst, rdma.FenceQP)
 	}
@@ -298,17 +347,65 @@ func (t *rdmaTransport) sendReliable(st *sendState, rb rdma.RemoteBuffer, size i
 
 // reliableSend issues a 1-byte control send (fence or credit) under the
 // recovery policy.
+//
+//rvmalint:hot
 func (t *rdmaTransport) reliableSend(dst, qp int) {
-	var rs *rdma.Reliable
-	t.rec.Run(func(try int) recovery.Attempt {
-		var at *rdma.Attempt
-		if try == 0 {
-			rs, at = t.ep.SendReliable(dst, qp, 1)
-		} else {
-			at = t.ep.Retransmit(rs)
-		}
-		return recovery.Attempt{Acked: at.Acked}
-	}, func() { t.ep.AbandonReliable(rs) })
+	s := t.newSend()
+	s.rb.Node, s.qp = dst, int32(qp)
+	t.rel.rec.Run(s)
+}
+
+// newSend takes a record from the transport's pool.
+//
+//rvmalint:hot
+func (t *rdmaTransport) newSend() *rdmaSend {
+	rel := t.rel
+	s := rel.idle
+	if s != nil {
+		rel.idle, s.next = s.next, nil
+		return s
+	}
+	//rvmalint:allow hotalloc -- pool miss: records return at their operation's ack or abandonment, so the pool grows to the peak of reliable operations in flight and then stays
+	s = &rdmaSend{t: t}
+	s.done = s.acked
+	return s
+}
+
+// Attempt implements recovery.Sender: the first attempt issues the put or
+// send, later ones retransmit it.
+//
+//rvmalint:hot
+func (s *rdmaSend) Attempt(try int) recovery.Attempt {
+	ep := s.t.ep
+	var at *rdma.Attempt
+	switch {
+	case try > 0:
+		at = ep.Retransmit(s.rp)
+	case s.put:
+		s.rp, at = ep.PutNReliable(s.rb, 0, int(s.size))
+		s.local = at.Local
+	default:
+		s.rp, at = ep.SendReliable(s.rb.Node, int(s.qp), 1)
+	}
+	at.Acked.OnComplete(s.done)
+	return recovery.Attempt{Acked: at.Acked}
+}
+
+// Abandon implements recovery.Sender.
+func (s *rdmaSend) Abandon() {
+	s.t.ep.AbandonReliable(s.rp)
+	s.free()
+}
+
+// acked runs at the operation's ack: the manager is done with the record.
+//
+//rvmalint:hot
+func (s *rdmaSend) acked() { s.free() }
+
+func (s *rdmaSend) free() {
+	rel := s.t.rel
+	*s = rdmaSend{t: s.t, done: s.done, next: rel.idle}
+	rel.idle = s
 }
 
 // Recv implements Transport: observe the next message from src per the
@@ -336,15 +433,20 @@ func (t *rdmaTransport) Recv(p *sim.Process, src, size int) {
 	t.ep.ReleaseRecv(recv)
 }
 
-// dropPools releases the idle credit arms.
-func (t *rdmaTransport) dropPools() { t.idle = nil }
+// dropPools releases the idle credit arms and reliable-send records.
+func (t *rdmaTransport) dropPools() {
+	t.idle = nil
+	if t.rel != nil {
+		t.rel.idle = nil
+	}
+}
 
 // creditReturn returns src's credit-return continuation: a consumed
 // message hands its buffer back to the sender. A lost credit wedges the
 // sender forever, so under recovery it is acked and retried like any data
 // message.
 func (t *rdmaTransport) creditReturn(src int) func() {
-	if t.rec != nil {
+	if t.rel != nil {
 		return func() { t.reliableSend(src, creditQP) }
 	}
 	return func() { t.ep.Send(src, creditQP, 1) }

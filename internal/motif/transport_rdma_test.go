@@ -7,18 +7,25 @@ import (
 	"testing"
 
 	"rvma/internal/fabric"
+	"rvma/internal/recovery"
 	"rvma/internal/sim"
 )
 
 // rdmaExchange sends messages size-byte messages between ranks 0 and 1
 // through the RDMA transport and returns the heap allocations the run
 // made. As a ping-pong every send finds its credit back; as a burst rank
-// 0 sends them all at once, so all but the first wait for a credit.
-func rdmaExchange(t *testing.T, routing fabric.RoutingMode, lastByte, burst bool, size, messages int) uint64 {
+// 0 sends them all at once, so all but the first wait for a credit. With
+// reliable, every put, fence and credit runs under the recovery layer's
+// default policy on the lossless fabric.
+func rdmaExchange(t *testing.T, routing fabric.RoutingMode, lastByte, burst, reliable bool, size, messages int) uint64 {
 	t.Helper()
 	cfg := DefaultClusterConfig(smallTopo(t, 32), KindRDMA)
 	cfg.Routing = routing
 	cfg.RDMALastBytePoll = lastByte
+	if reliable {
+		rc := recovery.DefaultConfig()
+		cfg.Recovery = &rc
+	}
 	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +79,11 @@ func rdmaExchange(t *testing.T, routing fabric.RoutingMode, lastByte, burst bool
 // back, with its pooled credit arm, when the credit arrives. The credit
 // return runs first on the receive's own future and the waiting process
 // second, both held inline by the future. A message that waits for a
-// credit adds the sendReq whose future Send hands out.
+// credit adds the sendReq whose future Send hands out. Under the recovery
+// layer a message allocates the Reliable and Attempt of its put, its fence
+// send and its credit send, and nothing else: the manager's operation
+// records and the transport's send records come from free lists, and the
+// timeouts wait in a stage.
 // The run-length difference cancels set-up, handshakes, process spawns
 // and pool warm-up, so what is left is the marginal cost of a message,
 // and a 4-packet message must cost what a 1-packet one does. The count is
@@ -89,18 +100,20 @@ func TestRDMAMessageAllocations(t *testing.T) {
 		routing  fabric.RoutingMode
 		lastByte bool
 		burst    bool
+		reliable bool
 		want     float64
 	}{
-		{"adaptive fence", fabric.RouteAdaptive, false, false, 2},
-		{"static WaitBytes", fabric.RouteStatic, true, false, 2},
-		{"adaptive fence, credit-bound burst", fabric.RouteAdaptive, false, true, 3},
+		{"adaptive fence", fabric.RouteAdaptive, false, false, false, 2},
+		{"static WaitBytes", fabric.RouteStatic, true, false, false, 2},
+		{"adaptive fence, credit-bound burst", fabric.RouteAdaptive, false, true, false, 3},
+		{"reliable ping-pong", fabric.RouteAdaptive, false, false, true, 6},
 	} {
 		perPackets := map[int]float64{}
 		for _, packets := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/%d packets", tc.name, packets), func(t *testing.T) {
 				size := packets * mtu
-				short := rdmaExchange(t, tc.routing, tc.lastByte, tc.burst, size, messages)
-				long := rdmaExchange(t, tc.routing, tc.lastByte, tc.burst, size, 2*messages)
+				short := rdmaExchange(t, tc.routing, tc.lastByte, tc.burst, tc.reliable, size, messages)
+				long := rdmaExchange(t, tc.routing, tc.lastByte, tc.burst, tc.reliable, size, 2*messages)
 				perMsg := math.Round(float64(long-short)/messages*10) / 10
 				perPackets[packets] = perMsg
 				if perMsg > tc.want {

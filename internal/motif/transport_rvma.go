@@ -26,10 +26,10 @@ type rvmaTransport struct {
 	// the 48 B size class: scale-8k builds 9,702 transports.
 	ranks, depth int32
 	boxes        map[int]*mailboxState
-	// rec, when non-nil, puts every Send under the recovery layer's
+	// rel, when non-nil, puts every Send under the recovery layer's
 	// timeout/retransmit policy (acked puts instead of fire-and-forget)
 	// and arms receiver-side window guards on Recv.
-	rec *recovery.Manager
+	rel *rvmaReliable
 	// rng supplies NACK-retry backoff from a rank-private stream, so the
 	// backoff sequence depends only on this rank's own NACKs and survives
 	// resharding.
@@ -37,6 +37,27 @@ type rvmaTransport struct {
 	// idle lists the zeroed waits whose process has resumed, for the next
 	// Recv that must wait.
 	idle *recvWait
+}
+
+// rvmaReliable is a transport's recovery state: its node's manager and
+// the reliable-send records no operation is using.
+type rvmaReliable struct {
+	rec  *recovery.Manager
+	idle *rvmaSend
+}
+
+// rvmaSend is one message under the recovery layer: the recovery.Sender
+// whose attempts are the reliable put's. It is pooled per transport and
+// goes back to the pool once the put is acked or abandoned, after which
+// the manager calls nothing on it.
+type rvmaSend struct {
+	t     *rvmaTransport
+	rp    *rvma.ReliablePut
+	local *sim.Future // the first attempt's local completion
+	dst   int32
+	size  int32
+	done  func() // s.acked
+	next  *rvmaSend
 }
 
 // recvWait is what a Recv that finds no completed message parks on. The
@@ -62,7 +83,10 @@ type mailboxState struct {
 }
 
 func newRVMATransport(ep *rvma.Endpoint, ranks, depth int, rec *recovery.Manager, rng *sim.RNG) *rvmaTransport {
-	t := &rvmaTransport{ep: ep, ranks: int32(ranks), depth: int32(depth), boxes: make(map[int]*mailboxState), rec: rec, rng: rng}
+	t := &rvmaTransport{ep: ep, ranks: int32(ranks), depth: int32(depth), boxes: make(map[int]*mailboxState), rng: rng}
+	if rec != nil {
+		t.rel = &rvmaReliable{rec: rec}
+	}
 	ep.SetNackHandler(t)
 	return t
 }
@@ -87,8 +111,8 @@ func (t *rvmaTransport) Prepare(inPeers, outPeers []int, maxMsg int) *sim.Future
 			panic(fmt.Sprintf("motif: rank %d window for src %d: %v", t.Rank(), src, err))
 		}
 		box := &mailboxState{win: win, maxMsg: maxMsg}
-		if t.rec != nil {
-			box.guard = t.rec.GuardWindow(win)
+		if t.rel != nil {
+			box.guard = t.rel.rec.GuardWindow(win)
 		}
 		t.boxes[src] = box
 		for i := int32(0); i < t.depth; i++ {
@@ -138,7 +162,7 @@ func (t *rvmaTransport) postOne(box *mailboxState) {
 // overwhelmed mailbox costs the *sender* time rather than wedging the
 // receiver. The future handed back is the put's own local completion.
 func (t *rvmaTransport) Send(dst, size int) *sim.Future {
-	if t.rec != nil {
+	if t.rel != nil {
 		return t.sendReliable(dst, size)
 	}
 	return t.ep.PutN(dst, rvma.VAddr(t.Rank()), 0, size).Local
@@ -146,28 +170,57 @@ func (t *rvmaTransport) Send(dst, size int) *sim.Future {
 
 // sendReliable puts the message under the recovery layer: an acked put
 // whose NACKs (closed mailbox, no posted buffer) and ack timeouts both
-// feed the same bounded-backoff retransmit loop. The returned future
-// keeps Send's local-completion semantics — it resolves when the first
-// attempt leaves the NIC, not at the ack.
+// feed the same bounded-backoff retransmit loop. The future handed back
+// keeps Send's local-completion semantics: it is the first attempt's
+// Local, which resolves when that attempt leaves the NIC, not at the ack.
+//
+//rvmalint:hot
 func (t *rvmaTransport) sendReliable(dst, size int) *sim.Future {
-	eng := t.ep.Engine()
-	local := sim.NewFuture()
-	var rp *rvma.ReliablePut
-	t.rec.Run(func(try int) recovery.Attempt {
-		var at *rvma.PutAttempt
-		if try == 0 {
-			rp, at = t.ep.PutNAcked(dst, rvma.VAddr(t.Rank()), 0, size)
-			at.Local.OnComplete(func() {
-				if !local.Done() {
-					local.Complete(eng, nil)
-				}
-			})
-		} else {
-			at = t.ep.Retransmit(rp)
-		}
-		return recovery.Attempt{Acked: at.Acked, Nack: at.Nack}
-	}, func() { t.ep.AbandonPut(rp) })
-	return local
+	rel := t.rel
+	s := rel.idle
+	if s != nil {
+		rel.idle, s.next = s.next, nil
+	} else {
+		//rvmalint:allow hotalloc -- pool miss: records return at their put's ack or abandonment, so the pool grows to the peak of reliable puts in flight and then stays
+		s = &rvmaSend{t: t}
+		s.done = s.acked
+	}
+	s.dst, s.size = int32(dst), int32(size)
+	rel.rec.Run(s)
+	return s.local
+}
+
+// Attempt implements recovery.Sender: the first attempt puts the message,
+// later ones retransmit it.
+//
+//rvmalint:hot
+func (s *rvmaSend) Attempt(try int) recovery.Attempt {
+	var at *rvma.PutAttempt
+	if try == 0 {
+		s.rp, at = s.t.ep.PutNAcked(int(s.dst), rvma.VAddr(s.t.Rank()), 0, int(s.size))
+		s.local = at.Local
+	} else {
+		at = s.t.ep.Retransmit(s.rp)
+	}
+	at.Acked.OnComplete(s.done)
+	return recovery.Attempt{Acked: at.Acked, Nack: at.Nack}
+}
+
+// Abandon implements recovery.Sender.
+func (s *rvmaSend) Abandon() {
+	s.t.ep.AbandonPut(s.rp)
+	s.free()
+}
+
+// acked runs at the put's ack: the manager is done with the record.
+//
+//rvmalint:hot
+func (s *rvmaSend) acked() { s.free() }
+
+func (s *rvmaSend) free() {
+	rel := s.t.rel
+	s.rp, s.local = nil, nil
+	s.next, rel.idle = rel.idle, s
 }
 
 // Nacked implements rvma.NackHandler, registered once per transport: a
@@ -217,5 +270,10 @@ func (t *rvmaTransport) Recv(p *sim.Process, src, size int) {
 	w.next, t.idle = t.idle, w
 }
 
-// dropPools releases the idle waits.
-func (t *rvmaTransport) dropPools() { t.idle = nil }
+// dropPools releases the idle waits and reliable-send records.
+func (t *rvmaTransport) dropPools() {
+	t.idle = nil
+	if t.rel != nil {
+		t.rel.idle = nil
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rvma/internal/fabric"
+	"rvma/internal/recovery"
 	"rvma/internal/sim"
 )
 
@@ -15,12 +16,17 @@ import (
 // and returns the heap allocations the run made and the NACKs it drew. As
 // a ping-pong every put finds a posted buffer; as a burst rank 0 puts them
 // all at once, so into a depth-1 mailbox most draw a NACK and are put
-// again after a backoff.
-func rvmaExchange(t *testing.T, routing fabric.RoutingMode, depth int, burst bool, size, messages int) (allocs, nacks uint64) {
+// again after a backoff. With reliable, every put runs under the recovery
+// layer's default policy on the lossless fabric.
+func rvmaExchange(t *testing.T, routing fabric.RoutingMode, depth int, burst, reliable bool, size, messages int) (allocs, nacks uint64) {
 	t.Helper()
 	cfg := DefaultClusterConfig(smallTopo(t, 32), KindRVMA)
 	cfg.Routing = routing
 	cfg.RVMADepth = depth
+	if reliable {
+		rc := recovery.DefaultConfig()
+		cfg.Recovery = &rc
+	}
 	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -79,6 +85,16 @@ func rvmaExchange(t *testing.T, routing fabric.RoutingMode, depth int, burst boo
 // allocations to that: its command at the target, the sender's backoff
 // event and the retried PutOp.
 //
+// Under the recovery layer a message allocates its ReliablePut and
+// PutAttempt and nothing else, whatever its length: the manager's
+// operation record and the transport's send record come from free lists,
+// the timeout and the receiver's window guard wait in stages, the ack's
+// payload is the ReliablePut, and reassembly keeps a packet bitmap by
+// value. A guard's deadline is the sender's whole retry horizon (about
+// 4 ms) away, so the engine's event pool grows through a run's first
+// 4 ms of simulated time; that row compares 4,000 and 8,000 messages,
+// which both run past it.
+//
 // The run-length difference cancels set-up, process spawns and pool
 // warm-up that does not scale with the run, so what is left is the
 // marginal cost of a message. The count is rounded to one decimal: a pool
@@ -88,28 +104,31 @@ func TestRVMAMessageAllocations(t *testing.T) {
 	if sim.DebugEnabled {
 		t.Skip("simdebug invariant checks box their arguments; the gate is for normal builds")
 	}
-	const messages = 1000
 	mtu := fabric.DefaultConfig().MTU
 	for _, tc := range []struct {
-		name    string
-		routing fabric.RoutingMode
-		depth   int
-		burst   bool
-		want    map[int]float64 // allocations per message, by packets per message
+		name     string
+		routing  fabric.RoutingMode
+		depth    int
+		burst    bool
+		reliable bool
+		messages int             // the short run's; the long run sends twice as many
+		want     map[int]float64 // allocations per message, by packets per message
 	}{
-		{"adaptive ping-pong", fabric.RouteAdaptive, 4, false, map[int]float64{1: 1, 4: 1}},
-		{"static ping-pong", fabric.RouteStatic, 4, false, map[int]float64{1: 1, 4: 1}},
-		{"burst", fabric.RouteAdaptive, 4, true, map[int]float64{1: 5, 4: 14.1}},
-		{"NACKing burst", fabric.RouteAdaptive, 1, true, map[int]float64{1: 8, 4: 17.1}},
+		{"adaptive ping-pong", fabric.RouteAdaptive, 4, false, false, 1000, map[int]float64{1: 1, 4: 1}},
+		{"static ping-pong", fabric.RouteStatic, 4, false, false, 1000, map[int]float64{1: 1, 4: 1}},
+		{"burst", fabric.RouteAdaptive, 4, true, false, 1000, map[int]float64{1: 5, 4: 14.1}},
+		{"NACKing burst", fabric.RouteAdaptive, 1, true, false, 1000, map[int]float64{1: 8, 4: 17.1}},
+		{"reliable ping-pong", fabric.RouteAdaptive, 4, false, true, 4000, map[int]float64{1: 2, 4: 2}},
 	} {
+		messages := float64(tc.messages)
 		perPackets := map[int]float64{}
 		for _, packets := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/%d packets", tc.name, packets), func(t *testing.T) {
 				size := packets * mtu
-				short, shortNacks := rvmaExchange(t, tc.routing, tc.depth, tc.burst, size, messages)
-				long, longNacks := rvmaExchange(t, tc.routing, tc.depth, tc.burst, size, 2*messages)
+				short, shortNacks := rvmaExchange(t, tc.routing, tc.depth, tc.burst, tc.reliable, size, tc.messages)
+				long, longNacks := rvmaExchange(t, tc.routing, tc.depth, tc.burst, tc.reliable, size, 2*tc.messages)
 				if nacked := longNacks > 0; nacked != (tc.depth == 1) {
-					t.Fatalf("%d NACKs in %d messages", longNacks, 2*messages)
+					t.Fatalf("%d NACKs in %d messages", longNacks, 2*tc.messages)
 				}
 				perMsg := math.Round(float64(long-short)/messages*10) / 10
 				perPackets[packets] = perMsg

@@ -1,17 +1,21 @@
 package nic
 
-import "testing"
+import (
+	"testing"
+
+	"rvma/internal/sim"
+)
 
 func TestRangeAssemblerBasicCompletion(t *testing.T) {
-	a := NewRangeAssembler()
+	a := NewRangeAssembler(1024)
 	key := MsgKey{Src: 3, MsgID: 7}
-	if n, done, dup := a.Add(key, 0, 1024, 2048); n != 1024 || done || dup {
+	if n, done, dup := a.Add(0, key, 0, 1024, 2048); n != 1024 || done || dup {
 		t.Fatalf("first half: n=%d done=%v dup=%v", n, done, dup)
 	}
 	if a.Done(key) {
 		t.Fatal("half-received message reported done")
 	}
-	if n, done, dup := a.Add(key, 1024, 1024, 2048); n != 1024 || !done || dup {
+	if n, done, dup := a.Add(0, key, 1024, 1024, 2048); n != 1024 || !done || dup {
 		t.Fatalf("second half: n=%d done=%v dup=%v", n, done, dup)
 	}
 	if !a.Done(key) {
@@ -23,64 +27,105 @@ func TestRangeAssemblerBasicCompletion(t *testing.T) {
 }
 
 func TestRangeAssemblerDuplicateOffsets(t *testing.T) {
-	a := NewRangeAssembler()
+	a := NewRangeAssembler(1024)
 	key := MsgKey{Src: 1, MsgID: 1}
-	a.Add(key, 0, 1024, 2048)
+	a.Add(0, key, 0, 1024, 2048)
 	// Same offset again while inflight: duplicate, no new bytes.
-	if n, done, dup := a.Add(key, 0, 1024, 2048); n != 0 || done || !dup {
+	if n, done, dup := a.Add(0, key, 0, 1024, 2048); n != 0 || done || !dup {
 		t.Fatalf("inflight dup: n=%d done=%v dup=%v", n, done, dup)
 	}
-	a.Add(key, 1024, 1024, 2048)
+	a.Add(0, key, 1024, 1024, 2048)
 	// Any packet after completion: duplicate via the done ring.
 	for _, off := range []int{0, 1024} {
-		if n, done, dup := a.Add(key, off, 1024, 2048); n != 0 || done || !dup {
+		if n, done, dup := a.Add(0, key, off, 1024, 2048); n != 0 || done || !dup {
 			t.Fatalf("post-done dup at %d: n=%d done=%v dup=%v", off, n, done, dup)
 		}
 	}
 }
 
 func TestRangeAssemblerSinglePacketMessage(t *testing.T) {
-	a := NewRangeAssembler()
+	a := NewRangeAssembler(1024)
 	key := MsgKey{Src: 2, MsgID: 9}
-	if n, done, dup := a.Add(key, 0, 512, 512); n != 512 || !done || dup {
+	if n, done, dup := a.Add(0, key, 0, 512, 512); n != 512 || !done || dup {
 		t.Fatalf("single packet: n=%d done=%v dup=%v", n, done, dup)
 	}
-	if n, done, dup := a.Add(key, 0, 512, 512); n != 0 || done || !dup {
+	if n, done, dup := a.Add(0, key, 0, 512, 512); n != 0 || done || !dup {
 		t.Fatalf("retransmitted single packet: n=%d done=%v dup=%v", n, done, dup)
 	}
 }
 
-func TestRangeAssemblerDropForgetsPartial(t *testing.T) {
-	a := NewRangeAssembler()
-	key := MsgKey{Src: 4, MsgID: 2}
-	a.Add(key, 0, 1024, 4096)
-	a.Add(key, 1024, 1024, 4096)
-	if got := a.Drop(key); got != 2048 {
-		t.Fatalf("dropped %d bytes, want 2048", got)
+// With a horizon, a done key is remembered until it is older than the
+// horizon and an incomplete message's state until its first packet is;
+// then a late packet counts as new again (nothing the horizon allows can
+// arrive that late). Without one, nothing is forgotten.
+func TestRangeAssemblerForgetsPastHorizon(t *testing.T) {
+	const h = 100 * sim.Microsecond
+	a := NewRangeAssembler(1024)
+	a.SetHorizon(h)
+	done, open := MsgKey{Src: 0, MsgID: 1}, MsgKey{Src: 0, MsgID: 2}
+	a.Add(0, done, 0, 8, 8)
+	a.Add(10*sim.Microsecond, open, 0, 1024, 2048)
+	// At exactly the horizon both are still remembered.
+	if _, _, dup := a.Add(h, done, 0, 8, 8); !dup {
+		t.Fatal("done key forgotten at the horizon")
 	}
-	// After Drop the same offsets count fresh (a reclaim discarded them).
-	if n, _, dup := a.Add(key, 0, 1024, 4096); n != 1024 || dup {
-		t.Fatalf("post-drop add: n=%d dup=%v", n, dup)
+	if _, _, dup := a.Add(10*sim.Microsecond+h, open, 0, 1024, 2048); !dup {
+		t.Fatal("in-flight state forgotten at the horizon")
+	}
+	// Past it, the next Add forgets both.
+	if n, completed, dup := a.Add(10*sim.Microsecond+h+1, MsgKey{Src: 1, MsgID: 1}, 0, 1024, 2048); n != 1024 || completed || dup {
+		t.Fatalf("fresh message: n=%d completed=%v dup=%v", n, completed, dup)
+	}
+	if a.Done(done) || len(a.done) != 0 {
+		t.Fatalf("done key still remembered past the horizon (%d remembered)", len(a.done))
+	}
+	if a.Pending() != 1 {
+		t.Fatalf("pending = %d, want only the fresh message", a.Pending())
+	}
+	if _, _, dup := a.Add(10*sim.Microsecond+h+1, done, 0, 8, 8); dup {
+		t.Fatal("forgotten key still reported duplicate")
+	}
+	// The forgotten incomplete message's packets count fresh.
+	if n, completed, dup := a.Add(10*sim.Microsecond+h+1, open, 0, 1024, 2048); n != 1024 || completed || dup {
+		t.Fatalf("forgotten in-flight message: n=%d completed=%v dup=%v", n, completed, dup)
+	}
+
+	// Without a horizon, nothing is forgotten.
+	b := NewRangeAssembler(1024)
+	b.Add(0, done, 0, 8, 8)
+	if _, _, dup := b.Add(sim.Second, done, 0, 8, 8); !dup {
+		t.Fatal("an assembler without a horizon forgot a done key")
 	}
 }
 
-func TestRangeAssemblerDoneRingEviction(t *testing.T) {
-	a := NewRangeAssembler()
-	// Push doneRingCap+1 completed messages through; the first one's key
-	// is evicted and a late duplicate of it counts as new again (the
-	// documented, bounded-memory tradeoff).
-	first := MsgKey{Src: 0, MsgID: 0}
-	a.Add(first, 0, 8, 8)
-	for i := 1; i <= doneRingCap; i++ {
-		a.Add(MsgKey{Src: 0, MsgID: uint64(i)}, 0, 8, 8)
+// A message longer than 64 MTUs keeps its packet bits past the first word,
+// and deduplicates there too.
+func TestRangeAssemblerLongMessage(t *testing.T) {
+	const mtu, packets = 64, 130
+	a := NewRangeAssembler(mtu)
+	key := MsgKey{Src: 5, MsgID: 1}
+	for i := packets - 1; i >= 0; i-- {
+		n, completed, dup := a.Add(0, key, i*mtu, mtu, packets*mtu)
+		if n != mtu || dup || completed != (i == 0) {
+			t.Fatalf("packet %d: n=%d completed=%v dup=%v", i, n, completed, dup)
+		}
+		if i == 100 {
+			if _, _, dup := a.Add(0, key, i*mtu, mtu, packets*mtu); !dup {
+				t.Fatal("a repeated packet past the first 64 was not a duplicate")
+			}
+		}
 	}
-	// first was pushed out by the last insert: the ring holds the most
-	// recent doneRingCap keys, so its late duplicate now counts as new.
-	if _, _, dup := a.Add(first, 0, 8, 8); dup {
-		t.Fatal("evicted key still reported duplicate")
+}
+
+// An assembler makes its maps on the first packet, so one that never
+// sees a reliable packet holds none.
+func TestRangeAssemblerMapsAreLazy(t *testing.T) {
+	a := NewRangeAssembler(1024)
+	if a.inflight != nil || a.done != nil || a.Done(MsgKey{}) || a.Pending() != 0 {
+		t.Fatal("a fresh assembler holds reassembly state")
 	}
-	// A key still inside the ring keeps deduplicating.
-	if _, _, dup := a.Add(MsgKey{Src: 0, MsgID: doneRingCap}, 0, 8, 8); !dup {
-		t.Fatal("retained key lost its duplicate marker")
+	a.Add(0, MsgKey{}, 0, 8, 8)
+	if a.done == nil || !a.Done(MsgKey{}) {
+		t.Fatal("the first packet did not make the maps")
 	}
 }

@@ -263,7 +263,7 @@ func NewEndpoint(n *nic.NIC, cfg Config) *Endpoint {
 		mrs:      make(map[uint32]*MemoryRegion),
 		nextRKey: 1,
 		asm:      nic.NewAssembler(),
-		relAsm:   nic.NewRangeAssembler(),
+		relAsm:   nic.NewRangeAssembler(n.MTU()),
 	}
 	ep.bindStages()
 	n.SetHandler(ep.handlePacket)
@@ -273,6 +273,12 @@ func NewEndpoint(n *nic.NIC, cfg Config) *Endpoint {
 // SetTracer attaches a tracer; registration, fences and acks go to
 // trace.CatRDMA. A nil tracer detaches.
 func (ep *Endpoint) SetTracer(t *trace.Tracer) { ep.tracer = t }
+
+// SetReassemblyHorizon tells the endpoint how long after a reliable
+// operation starts its packets can still arrive (a recovery manager's
+// ReclaimAfter), so the duplicate-aware reassembly forgets older messages
+// instead of remembering every one for the rest of the run.
+func (ep *Endpoint) SetReassemblyHorizon(h sim.Time) { ep.relAsm.SetHorizon(h) }
 
 // SetMetrics attaches a metrics registry: handshake and registration
 // latency histograms, fence-hold distribution, drop/ack counters, and

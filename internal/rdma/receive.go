@@ -128,7 +128,7 @@ func (ep *Endpoint) handlePutData(pkt *fabric.Packet, cmd *command) {
 	// data still has holes.
 	var relDone bool
 	if cmd.reliable {
-		_, done, dup := ep.relAsm.Add(key, off, size, cmd.total)
+		_, done, dup := ep.relAsm.Add(ep.eng.Now(), key, off, size, cmd.total)
 		if dup {
 			ep.Stats.DupPackets++
 			if ep.relAsm.Done(key) {
@@ -230,7 +230,7 @@ func (ep *Endpoint) handleSend(pkt *fabric.Packet, cmd *command) {
 	if cmd.reliable {
 		// Reliable sends dedup by offset and ack on full reassembly; a
 		// duplicate completion must not enqueue the send a second time.
-		_, done, dup := ep.relAsm.Add(key, int(pkt.Offset), pkt.Size, cmd.total)
+		_, done, dup := ep.relAsm.Add(ep.eng.Now(), key, int(pkt.Offset), pkt.Size, cmd.total)
 		if dup {
 			ep.Stats.DupPackets++
 			if ep.relAsm.Done(key) {

@@ -33,9 +33,11 @@ func (ep *Endpoint) bindStages() {
 
 // DropPools releases the arrays of the endpoint's idle stages and its
 // spare receives and byte waits, which are sized by the run's peak in
-// flight. Call it between runs, not inside one.
+// flight, and the reliable operations' reassembly state, which no packet
+// of a finished run is left to hit. Call it between runs, not inside one.
 func (ep *Endpoint) DropPools() {
 	ep.spare = nil
+	ep.relAsm.Reset()
 	ep.posts.Drop()
 	ep.reaps.Drop()
 	ep.sends.Drop()

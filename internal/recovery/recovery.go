@@ -1,8 +1,8 @@
 // Package recovery is the deterministic sender-side reliability layer:
 // per-operation timeouts on simulated time, retransmission with
 // exponential backoff and engine-RNG jitter, and a bounded retry budget.
-// It is deliberately protocol-agnostic — an operation is anything that
-// exposes "acked" and (optionally) "nacked" futures — so the RVMA
+// It is deliberately protocol-agnostic — an operation is any Sender whose
+// attempts expose "acked" and (optionally) "nacked" futures — so the RVMA
 // transport (driven by PutOp.Nack and the reliable put's placement ack)
 // and the RDMA transport (driven by its transport-ACK path) share one
 // retry policy and the paper's comparison stays fair.
@@ -18,17 +18,12 @@
 package recovery
 
 import (
-	"errors"
 	"fmt"
 
 	"rvma/internal/metrics"
 	"rvma/internal/rvma"
 	"rvma/internal/sim"
 )
-
-// ErrExhausted is the failure an operation's Done future resolves with
-// when the retry budget runs out.
-var ErrExhausted = errors.New("recovery: retry budget exhausted")
 
 // Config parameterizes the retry policy.
 type Config struct {
@@ -79,19 +74,61 @@ type Stats struct {
 
 // Attempt is one wire attempt of a guarded operation: the futures the
 // protocol layer hands back for it. Nack may be nil for protocols without
-// explicit negative acknowledgment (RDMA).
+// explicit negative acknowledgment (RDMA). Only the current attempt
+// counts: a sender completes an attempt's futures only while it is the
+// operation's latest one and the manager has neither seen it acked nor
+// abandoned the operation, which is what rvma and rdma do by resolving
+// whichever attempt is current. The manager ignores the completion of any
+// other future.
 type Attempt struct {
 	Acked *sim.Future
 	Nack  *sim.Future
 }
 
-// Op tracks one operation under recovery.
-type Op struct {
-	// Done resolves with nil once the operation is acked, or with
-	// ErrExhausted when the budget runs out.
-	Done *sim.Future
+// Sender is the transport's record of one operation under recovery.
+type Sender interface {
+	// Attempt issues attempt number try (0 is the initial transmission)
+	// and returns its futures.
+	Attempt(try int) Attempt
+	// Abandon retires the operation once its last attempt failed. The
+	// manager calls nothing on the sender after Abandon, or once an
+	// attempt is acked.
+	Abandon()
+}
 
-	tries int
+// op is the manager's record of one operation: the current attempt's
+// futures and number, and callbacks bound once, so an attempt schedules
+// and waits without a closure. Records are reused through the manager's
+// free list, but only once no timeout entry, scheduled retry or live
+// future can still name one: see release.
+type op struct {
+	m  *Manager
+	s  Sender
+	at Attempt // the current attempt's futures
+	// try is the current attempt's number; a timeout entry carries the
+	// number of the attempt it guards, so a superseded one is stale.
+	try int32
+	// pending counts the record's entries in the timeout stage and its
+	// scheduled retry: the events that will still name it.
+	pending int32
+	// acted: the current attempt already decided to retry or give up (a
+	// timeout and a NACK race; the first counts). finished: the operation
+	// was acked or exhausted.
+	acted, finished      bool
+	onAck, onNack, retry func() // r.acked, r.nacked, r.retransmit
+	next                 *op    // the free list
+}
+
+// timeout is a timeout-stage entry: the record and the attempt it guards.
+type timeout struct {
+	r   *op
+	try int32
+}
+
+// guardCheck is a guard-stage entry: the window epoch an Expect saw open.
+type guardCheck struct {
+	g     *WindowGuard
+	epoch int64
 }
 
 // Manager drives the retry policy for one endpoint's operations. It is
@@ -112,6 +149,14 @@ type Manager struct {
 	// reclaims) into the Perfetto timeline; nil when metrics are detached.
 	tl   *metrics.Timeline
 	node int
+
+	// Every attempt's timeout has the same delay, cfg.Timeout, and every
+	// guard's deadline the same reclaimAfter, so both wait in stages
+	// instead of closures.
+	timeouts     sim.Stage[timeout]
+	guards       sim.Stage[guardCheck]
+	reclaimAfter sim.Time
+	free         *op // records no operation is using
 }
 
 // NewManager builds a manager, filling Config defaults for zero fields.
@@ -132,7 +177,11 @@ func NewManager(eng *sim.Engine, cfg Config, rng *sim.RNG) *Manager {
 	if cfg.MaxRetries < 0 {
 		panic(fmt.Sprintf("recovery: negative retry budget %d", cfg.MaxRetries))
 	}
-	return &Manager{eng: eng.Tag("recovery"), cfg: cfg, rng: rng}
+	m := &Manager{eng: eng.Tag("recovery"), cfg: cfg, rng: rng}
+	m.reclaimAfter = m.RetryHorizon() + 2*cfg.Timeout
+	m.timeouts.Fn = m.timedOut
+	m.guards.Fn = m.checkGuard
+	return m
 }
 
 // Config returns the effective (default-filled) policy.
@@ -146,67 +195,145 @@ func (m *Manager) SetMetrics(reg *metrics.Registry, node int) {
 	m.node = node
 }
 
-// Run drives one operation: send(try) issues attempt number try (0 is the
-// initial transmission) and returns its futures. Attempts that neither
-// ack nor NACK within Timeout are retransmitted after a jittered backoff,
-// up to MaxRetries; exhaustion calls onFail (if non-nil) and fails Done
-// with ErrExhausted.
-func (m *Manager) Run(send func(try int) Attempt, onFail func()) *Op {
+// Run drives one operation: s.Attempt(try) issues attempt number try (0
+// is the initial transmission, issued before Run returns). Attempts that
+// neither ack nor NACK within Timeout are retransmitted after a jittered
+// backoff, up to MaxRetries; exhaustion calls s.Abandon.
+//
+//rvmalint:hot
+func (m *Manager) Run(s Sender) {
 	m.Stats.OpsStarted++
-	op := &Op{Done: sim.NewFuture()}
-	var attempt func(try int)
-	attempt = func(try int) {
-		if op.Done.Done() {
-			return // acked while this retransmit was waiting out its backoff
-		}
-		op.tries = try
-		at := send(try)
-		acted := false // this attempt already decided to retry or give up
-		at.Acked.OnComplete(func() {
-			if op.Done.Done() {
-				return
-			}
-			m.Stats.OpsCompleted++
-			if op.tries > 0 {
-				m.Stats.Recovered++
-			}
-			op.Done.Complete(m.eng.Engine, nil)
-		})
-		decide := func(timedOut bool) {
-			if acted || op.Done.Done() || at.Acked.Done() {
-				return
-			}
-			acted = true
-			if timedOut {
-				m.Stats.Timeouts++
-				m.tl.Counter(m.node, "recovery.timeouts", m.eng.Now(), float64(m.Stats.Timeouts))
-			} else {
-				m.Stats.NackRetries++
-			}
-			if try >= m.cfg.MaxRetries {
-				m.Stats.Exhausted++
-				if onFail != nil {
-					onFail()
-				}
-				op.Done.Complete(m.eng.Engine, ErrExhausted)
-				return
-			}
-			m.Stats.Retransmits++
-			m.tl.Counter(m.node, "recovery.retransmits", m.eng.Now(), float64(m.Stats.Retransmits))
-			if sim.DebugEnabled {
-				m.debugCheckBudget()
-			}
-			m.eng.Schedule(m.backoff(try), func() { attempt(try + 1) })
-		}
-		if at.Nack != nil {
-			at.Nack.OnComplete(func() { decide(false) })
-		}
-		// The timeout fires unconditionally and no-ops when stale (see the
-		// package comment for why it is never canceled).
-		m.eng.Schedule(m.cfg.Timeout, func() { decide(true) })
+	r := m.free
+	if r != nil {
+		m.free, r.next = r.next, nil
+	} else {
+		//rvmalint:allow hotalloc -- free-list miss: records return once their last timeout fires, so the list grows to the peak of operations in flight and then stays
+		r = &op{m: m}
+		r.onAck, r.onNack, r.retry = r.acked, r.nacked, r.retransmit
 	}
-	attempt(0)
-	return op
+	r.s = s
+	r.attempt(0)
+}
+
+// attempt issues attempt try and arms its timeout. The timeout fires
+// unconditionally and no-ops when stale (see the package comment for
+// why it is never canceled).
+//
+//rvmalint:hot
+func (r *op) attempt(try int) {
+	m := r.m
+	r.try, r.acted = int32(try), false
+	r.at = r.s.Attempt(try)
+	r.at.Acked.OnComplete(r.onAck)
+	if r.at.Nack != nil {
+		r.at.Nack.OnComplete(r.onNack)
+	}
+	r.pending++
+	m.timeouts.Push(m.eng.Now()+m.cfg.Timeout, timeout{r: r, try: r.try})
+	m.eng.Schedule(m.cfg.Timeout, m.timeouts.Fn)
+}
+
+// acked completes the operation when its current attempt is acked.
+//
+//rvmalint:hot
+func (r *op) acked() {
+	if r.finished || !r.at.Acked.Done() {
+		return
+	}
+	r.finished = true
+	r.m.Stats.OpsCompleted++
+	if r.try > 0 {
+		r.m.Stats.Recovered++
+	}
+}
+
+// nacked cuts the current attempt short when its NACK arrives.
+//
+//rvmalint:hot
+func (r *op) nacked() {
+	if r.finished || r.acted || r.at.Nack == nil || !r.at.Nack.Done() {
+		return
+	}
+	r.decide(false)
+}
+
+// timedOut is the timeout stage's callback: the head entry's attempt hit
+// its deadline, which counts only if that attempt is still the current,
+// undecided one.
+//
+//rvmalint:hot
+func (m *Manager) timedOut() {
+	e := m.timeouts.Pop(m.eng.Now())
+	r := e.r
+	r.pending--
+	if e.try == r.try && !r.acted && !r.finished {
+		r.decide(true)
+	}
+	r.release()
+}
+
+// decide retries the current attempt after a backoff, or abandons the
+// operation once the budget is spent.
+//
+//rvmalint:hot
+func (r *op) decide(timedOut bool) {
+	m := r.m
+	r.acted = true
+	if timedOut {
+		m.Stats.Timeouts++
+		m.tl.Counter(m.node, "recovery.timeouts", m.eng.Now(), float64(m.Stats.Timeouts))
+	} else {
+		m.Stats.NackRetries++
+	}
+	if int(r.try) >= m.cfg.MaxRetries {
+		m.Stats.Exhausted++
+		r.finished = true
+		r.s.Abandon()
+		return
+	}
+	m.Stats.Retransmits++
+	m.tl.Counter(m.node, "recovery.retransmits", m.eng.Now(), float64(m.Stats.Retransmits))
+	if sim.DebugEnabled {
+		m.debugCheckBudget()
+	}
+	r.pending++
+	m.eng.Schedule(m.backoff(int(r.try)), r.retry)
+}
+
+// retransmit runs when a retry's backoff is over: it issues the next
+// attempt unless the operation was acked while it waited.
+//
+//rvmalint:hot
+func (r *op) retransmit() {
+	r.pending--
+	if r.finished {
+		r.release()
+		return
+	}
+	r.attempt(int(r.try) + 1)
+}
+
+// release returns a finished record to the free list once nothing can
+// name it any more: no timeout entry is left in the stage and no retry is
+// scheduled. Its attempts' futures cannot complete after it finished (see
+// Attempt), so a callback a never-completed future holds is dead.
+//
+//rvmalint:hot
+func (r *op) release() {
+	if !r.finished || r.pending > 0 {
+		return
+	}
+	m := r.m
+	r.s, r.at, r.finished = nil, Attempt{}, false
+	r.next, m.free = m.free, r
+}
+
+// DropPools releases the free records and the stages' idle queue arrays,
+// which are sized by a run's peak of operations in flight.
+func (m *Manager) DropPools() {
+	m.free = nil
+	m.timeouts.Drop()
+	m.guards.Drop()
 }
 
 // backoff returns the jittered delay before retransmit number try+1.
@@ -246,30 +373,48 @@ func (m *Manager) RetryHorizon() sim.Time {
 // expected message has not completed the window's epoch by the reclaim
 // deadline, the guard hands the holed buffer to software with IncEpoch
 // and records it via Rewind — reclaimed and reposted instead of leaked,
-// the §IV-F recovery path.
+// the §IV-F recovery path. The deadline is the manager's reclaim horizon
+// (ReclaimAfter): past the sender's retry horizon plus slack, so a buffer
+// is only reclaimed once no retransmit can still be in flight for its
+// epoch.
 type WindowGuard struct {
-	m   *Manager
-	win *rvma.Window
-	// after is the reclaim deadline per Expect: past the sender's retry
-	// horizon (plus slack), so a buffer is only reclaimed once no
-	// retransmit can still be in flight for its epoch.
-	after sim.Time
+	m      *Manager
+	win    *rvma.Window
+	rewind func() // g.rewindHead, bound at the guard's first reclaim
 }
 
 // GuardWindow builds a guard for win with the reclaim deadline derived
 // from the manager's retry policy.
 func (m *Manager) GuardWindow(win *rvma.Window) *WindowGuard {
-	return &WindowGuard{m: m, win: win, after: m.RetryHorizon() + 2*m.cfg.Timeout}
+	return &WindowGuard{m: m, win: win}
 }
+
+// ReclaimAfter is how long after an operation starts its packets can
+// still arrive: the retry horizon plus two timeouts of slack (the timeout
+// exceeds a worst-case round trip). Guard deadlines wait this long, and
+// receivers may forget a reliable message's reassembly state this long
+// after its first packet.
+func (m *Manager) ReclaimAfter() sim.Time { return m.reclaimAfter }
 
 // Expect arms a one-shot deadline for the window's current epoch: if that
 // epoch is still open at the deadline and its buffer holds partial data,
 // the buffer is reclaimed. One Expect per expected completion; the check
 // is a single scheduled event, never a self-rescheduling ticker (a ticker
 // would keep the engine run alive forever).
+//
+//rvmalint:hot
 func (g *WindowGuard) Expect() {
-	epoch := g.win.Epoch()
-	g.m.eng.Schedule(g.after, func() { g.check(epoch) })
+	m := g.m
+	m.guards.Push(m.eng.Now()+m.reclaimAfter, guardCheck{g: g, epoch: g.win.Epoch()})
+	m.eng.Schedule(m.reclaimAfter, m.guards.Fn)
+}
+
+// checkGuard is the guard stage's callback.
+//
+//rvmalint:hot
+func (m *Manager) checkGuard() {
+	c := m.guards.Pop(m.eng.Now())
+	c.g.check(c.epoch)
 }
 
 func (g *WindowGuard) check(epoch int64) {
@@ -284,19 +429,28 @@ func (g *WindowGuard) check(epoch int64) {
 		// to report, not a receiver leak).
 		return
 	}
+	g.reclaim()
+}
+
+// reclaim hands the holed head buffer to software and retrieves it.
+func (g *WindowGuard) reclaim() {
+	w := g.win
 	f, err := w.IncEpoch()
 	if err != nil {
 		return
 	}
 	g.m.Stats.Reclaims++
 	g.m.tl.Counter(g.m.node, "recovery.reclaims", g.m.eng.Now(), float64(g.m.Stats.Reclaims))
-	f.OnComplete(func() {
-		// Retrieve the salvaged buffer through the paper's rewind handle;
-		// the completion handler installed by the transport reposts in
-		// its place.
-		w.Rewind(1)
-	})
+	if g.rewind == nil {
+		g.rewind = g.rewindHead
+	}
+	f.OnComplete(g.rewind)
 }
+
+// rewindHead retrieves the salvaged buffer through the paper's rewind
+// handle; the completion handler installed by the transport reposts in
+// its place.
+func (g *WindowGuard) rewindHead() { g.win.Rewind(1) }
 
 // debugCheckBudget asserts the tentpole's simdebug invariant: the layer
 // never issues more retransmits than the budget allows across all started

@@ -1,7 +1,7 @@
 package recovery
 
 import (
-	"errors"
+	"cmp"
 	"testing"
 
 	"rvma/internal/fabric"
@@ -12,38 +12,59 @@ import (
 	"rvma/internal/topology"
 )
 
-// lossySender returns a send function whose first `drops` attempts are
-// never acknowledged (simulated loss) and whose later attempts ack after
-// rtt. sends records the issue time of every attempt.
-func lossySender(eng *sim.Engine, drops int, rtt sim.Time, sends *[]sim.Time) func(int) Attempt {
-	return func(try int) Attempt {
-		*sends = append(*sends, eng.Now())
-		at := Attempt{Acked: sim.NewFuture()}
-		if try >= drops {
-			eng.Schedule(rtt, func() {
-				if !at.Acked.Done() {
-					at.Acked.Complete(eng, nil)
-				}
-			})
-		}
-		return at
-	}
+// scriptedOp is a Sender whose first drops attempts are never
+// acknowledged (simulated loss) and whose later attempts ack after rtt.
+// sends records the issue time of every attempt; acks and abandons count
+// what the operation ended with, and when.
+type scriptedOp struct {
+	eng   *sim.Engine
+	drops int
+	rtt   sim.Time
+	sends []sim.Time
+
+	acks, abandons       int
+	ackedAt, abandonedAt sim.Time
 }
+
+func lossySender(eng *sim.Engine, drops int, rtt sim.Time) *scriptedOp {
+	return &scriptedOp{eng: eng, drops: drops, rtt: rtt}
+}
+
+func (o *scriptedOp) Attempt(try int) Attempt {
+	o.sends = append(o.sends, o.eng.Now())
+	at := Attempt{Acked: sim.NewFuture()}
+	at.Acked.OnComplete(func() { o.acks++; o.ackedAt = o.eng.Now() })
+	if try >= o.drops {
+		o.eng.Schedule(o.rtt, func() {
+			if !at.Acked.Done() {
+				at.Acked.Complete(o.eng, nil)
+			}
+		})
+	}
+	return at
+}
+
+func (o *scriptedOp) Abandon() { o.abandons++; o.abandonedAt = o.eng.Now() }
+
+// acked reports whether the operation ended acked, once, and never
+// abandoned.
+func (o *scriptedOp) acked() bool { return o.acks == 1 && o.abandons == 0 }
+
+// exhausted reports whether the operation was abandoned exactly once and
+// never acked.
+func (o *scriptedOp) exhausted() bool { return o.abandons == 1 && o.acks == 0 }
 
 func TestAckOnFirstAttempt(t *testing.T) {
 	eng := sim.NewEngine(1)
 	m := NewManager(eng, DefaultConfig(), eng.RNG())
-	var sends []sim.Time
-	var op *Op
-	eng.Schedule(0, func() {
-		op = m.Run(lossySender(eng, 0, 5*sim.Microsecond, &sends), nil)
-	})
+	o := lossySender(eng, 0, 5*sim.Microsecond)
+	eng.Schedule(0, func() { m.Run(o) })
 	eng.Run()
-	if !op.Done.Done() || op.Done.Value() != nil {
-		t.Fatalf("op not cleanly done: done=%v value=%v", op.Done.Done(), op.Done.Value())
+	if !o.acked() {
+		t.Fatalf("op not cleanly acked: acks=%d abandons=%d", o.acks, o.abandons)
 	}
-	if len(sends) != 1 {
-		t.Fatalf("attempts = %d, want 1", len(sends))
+	if len(o.sends) != 1 {
+		t.Fatalf("attempts = %d, want 1", len(o.sends))
 	}
 	s := m.Stats
 	if s.OpsStarted != 1 || s.OpsCompleted != 1 || s.Retransmits != 0 || s.Recovered != 0 {
@@ -54,15 +75,13 @@ func TestAckOnFirstAttempt(t *testing.T) {
 func TestTimeoutRetransmitRecovers(t *testing.T) {
 	eng := sim.NewEngine(1)
 	m := NewManager(eng, DefaultConfig(), eng.RNG())
-	var sends []sim.Time
-	var op *Op
-	eng.Schedule(0, func() {
-		op = m.Run(lossySender(eng, 2, 5*sim.Microsecond, &sends), nil)
-	})
+	o := lossySender(eng, 2, 5*sim.Microsecond)
+	eng.Schedule(0, func() { m.Run(o) })
 	eng.Run()
-	if !op.Done.Done() || op.Done.Value() != nil {
-		t.Fatalf("op not cleanly done: done=%v value=%v", op.Done.Done(), op.Done.Value())
+	if !o.acked() {
+		t.Fatalf("op not cleanly acked: acks=%d abandons=%d", o.acks, o.abandons)
 	}
+	sends := o.sends
 	if len(sends) != 3 {
 		t.Fatalf("attempts = %d, want 3 (two losses + success)", len(sends))
 	}
@@ -78,27 +97,35 @@ func TestTimeoutRetransmitRecovers(t *testing.T) {
 	}
 }
 
+// nackingOp is a Sender whose attempts before the nacks-th are NACKed
+// rtt after issue and whose later ones ack after ackRTT (rtt if zero).
+type nackingOp struct {
+	scriptedOp
+	nacks  int
+	ackRTT sim.Time
+}
+
+func (o *nackingOp) Attempt(try int) Attempt {
+	o.sends = append(o.sends, o.eng.Now())
+	at := Attempt{Acked: sim.NewFuture(), Nack: sim.NewFuture()}
+	at.Acked.OnComplete(func() { o.acks++; o.ackedAt = o.eng.Now() })
+	if try < o.nacks {
+		o.eng.Schedule(o.rtt, func() { at.Nack.Complete(o.eng, rvma.ErrNoBuffer) })
+	} else {
+		o.eng.Schedule(cmp.Or(o.ackRTT, o.rtt), func() { at.Acked.Complete(o.eng, nil) })
+	}
+	return at
+}
+
 func TestNackTriggersFastRetry(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cfg := DefaultConfig()
 	m := NewManager(eng, cfg, eng.RNG())
-	var sends []sim.Time
-	rtt := 5 * sim.Microsecond
-	send := func(try int) Attempt {
-		sends = append(sends, eng.Now())
-		at := Attempt{Acked: sim.NewFuture(), Nack: sim.NewFuture()}
-		if try == 0 {
-			eng.Schedule(rtt, func() { at.Nack.Complete(eng, rvma.ErrNoBuffer) })
-		} else {
-			eng.Schedule(rtt, func() { at.Acked.Complete(eng, nil) })
-		}
-		return at
-	}
-	var op *Op
-	eng.Schedule(0, func() { op = m.Run(send, nil) })
+	o := &nackingOp{scriptedOp: scriptedOp{eng: eng, rtt: 5 * sim.Microsecond}, nacks: 1}
+	eng.Schedule(0, func() { m.Run(o) })
 	eng.Run()
-	if op.Done.Value() != nil {
-		t.Fatalf("op failed: %v", op.Done.Value())
+	if !o.acked() {
+		t.Fatalf("op failed: acks=%d abandons=%d", o.acks, o.abandons)
 	}
 	s := m.Stats
 	if s.NackRetries != 1 || s.Timeouts != 0 || s.Retransmits != 1 {
@@ -106,8 +133,71 @@ func TestNackTriggersFastRetry(t *testing.T) {
 	}
 	// The NACK retry must not wait for the ack timeout: it fires at the
 	// NACK plus one backoff, well inside the timeout with this policy.
-	if gap := sends[1] - sends[0]; gap >= cfg.Timeout {
+	if gap := o.sends[1] - o.sends[0]; gap >= cfg.Timeout {
 		t.Fatalf("nack retry waited %v, want < timeout %v", gap, cfg.Timeout)
+	}
+}
+
+// A superseded attempt's timeout, and a NACK that completes a superseded
+// attempt's future after its record went to the next operation, are both
+// no-ops: the timeout entry names an attempt that is no longer current,
+// and the reused record's current attempt is not the one NACKed.
+func TestStaleTimeoutAndNackAfterReuseAreNoOps(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cfg := DefaultConfig()
+	m := NewManager(eng, cfg, eng.RNG())
+	// first is NACKed on attempt 0 and retried after a backoff of 12.5 to
+	// 37.5 us; attempt 1 is acked 90 us after it starts, inside its own
+	// timeout but after attempt 0's, which finds attempt 1 current.
+	first := &nackingOp{scriptedOp: scriptedOp{eng: eng, rtt: 5 * sim.Microsecond}, nacks: 1, ackRTT: 90 * sim.Microsecond}
+	eng.Schedule(0, func() { m.Run(first) })
+	eng.Run()
+	if !first.acked() || len(first.sends) != 2 {
+		t.Fatalf("first op: acks=%d abandons=%d attempts=%d", first.acks, first.abandons, len(first.sends))
+	}
+	if first.ackedAt <= cfg.Timeout {
+		t.Fatalf("first op acked at %v, before attempt 0's timeout", first.ackedAt)
+	}
+	if s := m.Stats; s.Timeouts != 0 || s.NackRetries != 1 || s.Retransmits != 1 {
+		t.Fatalf("stale timeout counted: stats = %+v", s)
+	}
+	// Every timeout has fired, so the record is free, and the next
+	// operation takes it.
+	rec := m.free
+	if rec == nil || rec.next != nil {
+		t.Fatal("the finished operation's record is not the one free record")
+	}
+	// second is acked 50 us after it starts; at 20 us a late NACK and a
+	// late ack complete a superseded attempt's futures, which still hold
+	// the record's callbacks.
+	second := &nackingOp{scriptedOp: scriptedOp{eng: eng, rtt: 50 * sim.Microsecond}}
+	stale := Attempt{Acked: sim.NewFuture(), Nack: sim.NewFuture()}
+	start := eng.Now()
+	eng.Schedule(0, func() {
+		m.Run(second)
+		if m.free != nil {
+			t.Error("the second operation did not take the free record")
+		}
+		stale.Nack.OnComplete(rec.onNack)
+		stale.Acked.OnComplete(rec.onAck)
+	})
+	eng.Schedule(20*sim.Microsecond, func() {
+		stale.Nack.Complete(eng, rvma.ErrNoBuffer)
+		stale.Acked.Complete(eng, nil)
+	})
+	eng.Run()
+	if !second.acked() || len(second.sends) != 1 {
+		t.Fatalf("second op: acks=%d abandons=%d attempts=%d", second.acks, second.abandons, len(second.sends))
+	}
+	if want := start + 50*sim.Microsecond; second.ackedAt != want {
+		t.Fatalf("second op acked at %v, want %v", second.ackedAt, want)
+	}
+	s := m.Stats
+	if s.OpsCompleted != 2 || s.NackRetries != 1 || s.Retransmits != 1 || s.Timeouts != 0 || s.Recovered != 1 {
+		t.Fatalf("a stale NACK or ack acted on the reused record: stats = %+v", s)
+	}
+	if m.free != rec {
+		t.Fatal("the record did not return to the free list")
 	}
 }
 
@@ -116,22 +206,14 @@ func TestExhaustionFailsOp(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxRetries = 3
 	m := NewManager(eng, cfg, eng.RNG())
-	var sends []sim.Time
-	failed := false
-	var op *Op
-	eng.Schedule(0, func() {
-		op = m.Run(lossySender(eng, 99, 0, &sends), func() { failed = true })
-	})
+	o := lossySender(eng, 99, 0)
+	eng.Schedule(0, func() { m.Run(o) })
 	eng.Run()
-	err, _ := op.Done.Value().(error)
-	if !errors.Is(err, ErrExhausted) {
-		t.Fatalf("op value = %v, want ErrExhausted", op.Done.Value())
+	if !o.exhausted() {
+		t.Fatalf("acks=%d abandons=%d, want exactly one abandon", o.acks, o.abandons)
 	}
-	if !failed {
-		t.Fatal("onFail not called")
-	}
-	if len(sends) != cfg.MaxRetries+1 {
-		t.Fatalf("attempts = %d, want %d", len(sends), cfg.MaxRetries+1)
+	if len(o.sends) != cfg.MaxRetries+1 {
+		t.Fatalf("attempts = %d, want %d", len(o.sends), cfg.MaxRetries+1)
 	}
 	s := m.Stats
 	if s.Exhausted != 1 || s.OpsCompleted != 0 || s.Retransmits != uint64(cfg.MaxRetries) {
@@ -141,8 +223,36 @@ func TestExhaustionFailsOp(t *testing.T) {
 		t.Fatalf("budget invariant violated: %+v", s)
 	}
 	// The whole retry schedule fits inside the advertised horizon.
-	if end := op.Done.CompletedAt(); end > m.RetryHorizon() {
+	if end := o.abandonedAt; end > m.RetryHorizon() {
 		t.Fatalf("exhausted at %v, past retry horizon %v", end, m.RetryHorizon())
+	}
+}
+
+// When the last attempt is NACKed, its timeout still fires later: the
+// operation is abandoned once, at the NACK, and the timeout is a no-op.
+func TestExhaustionAbandonsOnce(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cfg := DefaultConfig()
+	cfg.MaxRetries = 2
+	m := NewManager(eng, cfg, eng.RNG())
+	o := &nackingOp{scriptedOp: scriptedOp{eng: eng, rtt: 5 * sim.Microsecond}, nacks: 99}
+	eng.Schedule(0, func() { m.Run(o) })
+	end := eng.Run()
+	if !o.exhausted() {
+		t.Fatalf("acks=%d abandons=%d, want exactly one abandon", o.acks, o.abandons)
+	}
+	if want := o.sends[len(o.sends)-1] + o.rtt; o.abandonedAt != want {
+		t.Fatalf("abandoned at %v, want at the last NACK, %v", o.abandonedAt, want)
+	}
+	if end < o.abandonedAt+cfg.Timeout-o.rtt {
+		t.Fatalf("run ended at %v, before the last attempt's timeout", end)
+	}
+	s := m.Stats
+	if s.Exhausted != 1 || s.NackRetries != 3 || s.Timeouts != 0 || s.Retransmits != 2 {
+		t.Fatalf("stats = %+v", s)
+	}
+	if m.free == nil {
+		t.Fatal("the exhausted operation's record did not return to the free list")
 	}
 }
 
@@ -156,14 +266,15 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 		MaxRetries:  4,
 	}
 	m := NewManager(eng, cfg, eng.RNG())
-	var sends []sim.Time
-	eng.Schedule(0, func() { m.Run(lossySender(eng, 99, 0, &sends), nil) })
+	o := lossySender(eng, 99, 0)
+	eng.Schedule(0, func() { m.Run(o) })
 	eng.Run()
 	// Gap k = timeout + min(max, base<<k): 20, 30, 50, 50 us.
 	want := []sim.Time{20, 30, 50, 50}
 	for i := range want {
 		want[i] *= sim.Microsecond
 	}
+	sends := o.sends
 	if len(sends) != 5 {
 		t.Fatalf("attempts = %d, want 5", len(sends))
 	}
@@ -178,15 +289,18 @@ func TestManagerDeterministic(t *testing.T) {
 	run := func() (sim.Time, Stats) {
 		eng := sim.NewEngine(7)
 		m := NewManager(eng, DefaultConfig(), eng.RNG())
-		var last sim.Time
+		ops := make([]*scriptedOp, 8)
 		eng.Schedule(0, func() {
-			for i := 0; i < 8; i++ {
-				var sends []sim.Time
-				op := m.Run(lossySender(eng, i%4, 3*sim.Microsecond, &sends), nil)
-				op.Done.OnComplete(func() { last = eng.Now() })
+			for i := range ops {
+				ops[i] = lossySender(eng, i%4, 3*sim.Microsecond)
+				m.Run(ops[i])
 			}
 		})
 		eng.Run()
+		var last sim.Time
+		for _, o := range ops {
+			last = max(last, o.ackedAt)
+		}
 		return last, m.Stats
 	}
 	t1, s1 := run()

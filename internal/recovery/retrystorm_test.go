@@ -1,7 +1,6 @@
 package recovery
 
 import (
-	"errors"
 	"testing"
 
 	"rvma/internal/sim"
@@ -46,16 +45,18 @@ func TestRetryStormBackoffBoundsBurstRate(t *testing.T) {
 	eng := sim.NewEngine(11)
 	m := NewManager(eng, cfg, sim.NewRNG(sim.SeedFor(11, "storm-backoff")))
 
+	storm := make([]*scriptedOp, ops)
 	sends := make([][]sim.Time, ops)
-	fails := make([]int, ops)
-	opDone := make([]*Op, ops)
 	eng.Schedule(0, func() {
-		for i := 0; i < ops; i++ {
-			i := i
-			opDone[i] = m.Run(lossySender(eng, 99, 0, &sends[i]), func() { fails[i]++ })
+		for i := range storm {
+			storm[i] = lossySender(eng, 99, 0)
+			m.Run(storm[i])
 		}
 	})
-	eng.Run()
+	end := eng.Run()
+	for i, o := range storm {
+		sends[i] = o.sends
+	}
 
 	// Every op spent its full budget: 1 initial + MaxRetries attempts.
 	for i := 0; i < ops; i++ {
@@ -102,20 +103,39 @@ func TestRetryStormBackoffBoundsBurstRate(t *testing.T) {
 		}
 	}
 
-	// Exhaustion accounting: every op failed exactly once, exactly one
-	// onFail call each, and Done resolved to ErrExhausted.
+	// Exhaustion accounting: every op failed exactly once, with exactly
+	// one Abandon each and no ack.
 	if s.Exhausted != ops || s.OpsCompleted != 0 || s.Recovered != 0 {
 		t.Errorf("stats = %+v, want %d exhausted and nothing completed", s, ops)
 	}
-	for i := 0; i < ops; i++ {
-		if fails[i] != 1 {
-			t.Errorf("op %d: onFail called %d times, want exactly 1", i, fails[i])
+	for i, o := range storm {
+		if !o.exhausted() {
+			t.Errorf("op %d: %d abandons and %d acks, want exactly one abandon", i, o.abandons, o.acks)
 		}
-		err, _ := opDone[i].Done.Value().(error)
-		if !opDone[i].Done.Done() || !errors.Is(err, ErrExhausted) {
-			t.Errorf("op %d: done=%v value=%v, want ErrExhausted",
-				i, opDone[i].Done.Done(), opDone[i].Done.Value())
+	}
+
+	// The storm's schedule is the one the closure-per-attempt manager
+	// produced: same counters, attempt times and last event.
+	wantStats := Stats{OpsStarted: 32, Retransmits: 128, Timeouts: 160, Exhausted: 32}
+	checkStorm(t, s, sends, end, wantStats, 7410662057, 160, 149344806)
+}
+
+// checkStorm compares a storm's counters, the sum and count of its
+// attempt times and its last event time with the values recorded for the
+// same seeds before the manager's records were pooled.
+func checkStorm(t *testing.T, s Stats, sends [][]sim.Time, end sim.Time, want Stats, wantSum sim.Time, wantN int, wantEnd sim.Time) {
+	t.Helper()
+	var sum sim.Time
+	n := 0
+	for _, at := range sends {
+		for _, x := range at {
+			sum += x
+			n++
 		}
+	}
+	if s != want || sum != wantSum || n != wantN || end != wantEnd {
+		t.Errorf("storm: stats %+v, %d attempts summing to %v, ending at %v; want %+v, %d summing to %v, ending at %v",
+			s, n, sum, end, want, wantN, wantSum, wantEnd)
 	}
 }
 
@@ -127,18 +147,22 @@ func TestRetryStormDeterministic(t *testing.T) {
 		const ops = 16
 		eng := sim.NewEngine(23)
 		m := NewManager(eng, stormConfig(), sim.NewRNG(sim.SeedFor(23, "storm-backoff")))
-		sends := make([][]sim.Time, ops)
+		storm := make([]*scriptedOp, ops)
 		eng.Schedule(0, func() {
-			for i := 0; i < ops; i++ {
-				i := i
-				m.Run(lossySender(eng, 99, 0, &sends[i]), nil)
+			for i := range storm {
+				storm[i] = lossySender(eng, 99, 0)
+				m.Run(storm[i])
 			}
 		})
-		eng.Run()
+		end := eng.Run()
 		var flat []sim.Time
-		for _, s := range sends {
-			flat = append(flat, s...)
+		sends := make([][]sim.Time, ops)
+		for i, o := range storm {
+			flat = append(flat, o.sends...)
+			sends[i] = o.sends
 		}
+		checkStorm(t, m.Stats, sends, end, Stats{OpsStarted: 16, Retransmits: 64, Timeouts: 80, Exhausted: 16},
+			3808634020, 80, 149383949)
 		return flat, m.Stats
 	}
 	t1, s1 := run()
@@ -166,9 +190,8 @@ func TestRetryStormPartialRecovery(t *testing.T) {
 	eng := sim.NewEngine(31)
 	m := NewManager(eng, cfg, sim.NewRNG(sim.SeedFor(31, "storm-backoff")))
 
+	storm := make([]*scriptedOp, ops)
 	sends := make([][]sim.Time, ops)
-	fails := make([]int, ops)
-	opDone := make([]*Op, ops)
 	drops := func(i int) int {
 		if i%3 == 0 {
 			return 99 // black hole: must exhaust
@@ -176,32 +199,30 @@ func TestRetryStormPartialRecovery(t *testing.T) {
 		return i % 3 // 1 or 2 losses: recovers inside the budget
 	}
 	eng.Schedule(0, func() {
-		for i := 0; i < ops; i++ {
-			i := i
-			opDone[i] = m.Run(lossySender(eng, drops(i), 2*sim.Microsecond, &sends[i]), func() { fails[i]++ })
+		for i := range storm {
+			storm[i] = lossySender(eng, drops(i), 2*sim.Microsecond)
+			m.Run(storm[i])
 		}
 	})
-	eng.Run()
+	end := eng.Run()
+	for i, o := range storm {
+		sends[i] = o.sends
+	}
 
 	var wantExhausted, wantRecovered uint64
 	for i := 0; i < ops; i++ {
 		if drops(i) > cfg.MaxRetries {
 			wantExhausted++
-			if fails[i] != 1 {
-				t.Errorf("black-holed op %d: onFail called %d times, want 1", i, fails[i])
-			}
-			err, _ := opDone[i].Done.Value().(error)
-			if !errors.Is(err, ErrExhausted) {
-				t.Errorf("black-holed op %d: value %v, want ErrExhausted", i, opDone[i].Done.Value())
+			if !storm[i].exhausted() {
+				t.Errorf("black-holed op %d: %d abandons and %d acks, want exactly one abandon",
+					i, storm[i].abandons, storm[i].acks)
 			}
 			continue
 		}
 		wantRecovered++
-		if fails[i] != 0 {
-			t.Errorf("surviving op %d: onFail called %d times, want 0", i, fails[i])
-		}
-		if opDone[i].Done.Value() != nil {
-			t.Errorf("surviving op %d failed: %v", i, opDone[i].Done.Value())
+		if !storm[i].acked() {
+			t.Errorf("surviving op %d: %d abandons and %d acks, want exactly one ack",
+				i, storm[i].abandons, storm[i].acks)
 		}
 		if len(sends[i]) != drops(i)+1 {
 			t.Errorf("surviving op %d made %d attempts, want %d", i, len(sends[i]), drops(i)+1)
@@ -223,4 +244,7 @@ func TestRetryStormPartialRecovery(t *testing.T) {
 	if s.OpsCompleted != wantRecovered || s.OpsStarted != ops {
 		t.Errorf("stats = %+v, want %d completed of %d started", s, wantRecovered, ops)
 	}
+	checkStorm(t, s, sends, end,
+		Stats{OpsStarted: 24, OpsCompleted: 16, Retransmits: 56, Timeouts: 64, Exhausted: 8, Recovered: 16},
+		2314790052, 80, 138732423)
 }

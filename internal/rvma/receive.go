@@ -14,8 +14,15 @@ import (
 // single LUT lookup; this function performs translation, DMA placement,
 // counter update and the completion check.
 func (ep *Endpoint) handlePacket(pkt *fabric.Packet) {
-	cmd, ok := pkt.Payload.(*command)
-	if !ok {
+	var cmd *command
+	switch p := pkt.Payload.(type) {
+	case *command:
+		cmd = p
+	case *ReliablePut:
+		// A placement ack's payload is the operation it acknowledges.
+		ep.handleAck(p)
+		return
+	default:
 		panic("rvma: foreign payload on RVMA endpoint")
 	}
 	switch cmd.op {
@@ -27,8 +34,6 @@ func (ep *Endpoint) handlePacket(pkt *fabric.Packet) {
 		ep.handleGetReq(pkt, cmd)
 	case opGetReply:
 		ep.handleGetReply(pkt, cmd)
-	case opAck:
-		ep.handleAck(cmd)
 	default:
 		panic("rvma: unknown opcode")
 	}
@@ -90,7 +95,7 @@ func (ep *Endpoint) handlePut(pkt *fabric.Packet, cmd *command) {
 			ep.reject(pkt.Src, cmd, ErrNoBuffer)
 			return
 		}
-		_, done, dup := ep.relAsm.Add(key, off, size, cmd.total)
+		_, done, dup := ep.relAsm.Add(ep.eng.Now(), key, off, size, cmd.total)
 		if dup {
 			if sim.DebugEnabled {
 				ep.dbg.putBytesDuplicate += uint64(size)
@@ -256,10 +261,13 @@ func (ep *Endpoint) reject(src int, cmd *command, reason error) {
 
 // sendAck emits the NIC-generated placement ack for a reliable put. Like
 // RDMA's put-ack it rides InjectControl: no host bus crossing, just the
-// send pipeline and the wire.
+// send pipeline and the wire. Its payload is the put's *ReliablePut, the
+// command's back-reference, so an ack allocates nothing.
+//
+//rvmalint:hot
 func (ep *Endpoint) sendAck(src int, cmd *command) {
 	ep.Stats.AcksSent++
-	ep.nic.InjectControl(src, &command{op: opAck, msgID: cmd.msgID, ref: cmd.ref})
+	ep.nic.InjectControl(src, cmd.ref)
 }
 
 // handleAck resolves the current attempt of the reliable put the ack
@@ -267,8 +275,8 @@ func (ep *Endpoint) sendAck(src int, cmd *command) {
 // after AbandonPut finds the put no longer live and resolves nothing.
 //
 //rvmalint:hot
-func (ep *Endpoint) handleAck(cmd *command) {
-	if at := cmd.ref.(*ReliablePut).live(); at != nil {
+func (ep *Endpoint) handleAck(rp *ReliablePut) {
+	if at := rp.live(); at != nil {
 		at.Acked.Complete(ep.eng.Engine, nil)
 	}
 }

@@ -225,7 +225,7 @@ func NewEndpoint(n *nic.NIC, cfg Config) *Endpoint {
 		cfg:    cfg,
 		lut:    make(map[VAddr]*Window),
 		asm:    nic.NewAssembler(),
-		relAsm: nic.NewRangeAssembler(),
+		relAsm: nic.NewRangeAssembler(n.MTU()),
 	}
 	n.SetHandler(ep.handlePacket)
 	return ep
@@ -234,6 +234,12 @@ func NewEndpoint(n *nic.NIC, cfg Config) *Endpoint {
 // SetTracer attaches a tracer; window lifecycle, completions and NACKs go
 // to trace.CatRVMA. A nil tracer detaches.
 func (ep *Endpoint) SetTracer(t *trace.Tracer) { ep.tracer = t }
+
+// SetReassemblyHorizon tells the endpoint how long after a reliable
+// operation starts its packets can still arrive (a recovery manager's
+// ReclaimAfter), so the duplicate-aware reassembly forgets older messages
+// instead of remembering every one for the rest of the run.
+func (ep *Endpoint) SetReassemblyHorizon(h sim.Time) { ep.relAsm.SetHorizon(h) }
 
 // SetMetrics attaches a metrics registry: protocol counters update per
 // event, mailbox depth and LUT occupancy are sampled by a collector, and
@@ -351,10 +357,6 @@ const (
 	opNack
 	opGetReq
 	opGetReply
-	// opAck acknowledges full placement of a reliable (wantAck) put. Plain
-	// RVMA puts stay unacknowledged — the ack exists only for senders that
-	// opted into the recovery layer's timeout/retransmit loop.
-	opAck
 )
 
 // command is the protocol payload carried in fabric packets. Every packet
@@ -363,7 +365,7 @@ const (
 // The command stays in the 96 B size class: op packs beside wantAck.
 type command struct {
 	op        opcode
-	wantAck   bool // reliable put: target acks full placement (opAck)
+	wantAck   bool // reliable put: target acks full placement
 	msgID     uint64
 	vaddr     VAddr
 	msgOffset int    // user offset of the whole message within the buffer
@@ -372,9 +374,10 @@ type command struct {
 	status    error  // NACK reason
 
 	// ref is the initiator's operation (*PutOp, *ReliablePut or *GetOp).
-	// The target copies it into every ack, NACK and get reply it sends
-	// back and never dereferences it, so the initiator reaches the
-	// operation without keeping a table of everything it has issued.
+	// The target copies it into every NACK and get reply it sends back,
+	// sends a reliable put's as the placement ack itself, and never
+	// dereferences it, so the initiator reaches the operation without
+	// keeping a table of everything it has issued.
 	ref any
 }
 

@@ -857,7 +857,7 @@ func TestPutNAllocationCeiling(t *testing.T) {
 	}
 }
 
-// Every NACK, ack and get reply allocates a command, and PutOp,
+// Every NACK and get reply allocates a command, and PutOp,
 // PutAttempt and GetOp embed one: a field added to it must not move it past the 96 B
 // size class.
 func TestCommandFitsItsSizeClass(t *testing.T) {

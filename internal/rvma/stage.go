@@ -167,9 +167,12 @@ func (ep *Endpoint) writeNext() {
 
 // DropPools releases the endpoint's pipeline, whose stage arrays and
 // spare buffers are sized by the run's peak in flight, unless an
-// operation still waits in a stage. Call it between runs, not inside one.
+// operation still waits in a stage, and the reliable puts' reassembly
+// state, which no packet of a finished run is left to hit. Call it
+// between runs, not inside one.
 func (ep *Endpoint) DropPools() {
 	if p := ep.pipe; p != nil && p.posts.Len()+p.sends.Len()+p.spills.Len()+p.writes.Len() == 0 {
 		ep.pipe = nil
 	}
+	ep.relAsm.Reset()
 }
