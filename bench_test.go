@@ -9,15 +9,13 @@ package rvma_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"rvma/internal/collective"
 	"rvma/internal/fabric"
 	"rvma/internal/harness"
-	"rvma/internal/hostif"
 	"rvma/internal/ledger"
-	"rvma/internal/microbench"
-	"rvma/internal/motif"
 	"rvma/internal/mpirma"
 	"rvma/internal/nic"
 	"rvma/internal/pcie"
@@ -111,23 +109,25 @@ func BenchmarkIncast(b *testing.B) {
 // BenchmarkAblationNotifyMWait measures the RVMA ping-pong with
 // Monitor/MWait completion observation.
 func BenchmarkAblationNotifyMWait(b *testing.B) {
-	benchNotify(b, irvma.NotifyMWait)
+	benchNotify(b, "mwait")
 }
 
 // BenchmarkAblationNotifyPoll measures the same with polling observation.
 func BenchmarkAblationNotifyPoll(b *testing.B) {
-	benchNotify(b, irvma.NotifyPoll)
+	benchNotify(b, "poll")
 }
 
-func benchNotify(b *testing.B, mode irvma.NotifyMode) {
+func benchNotify(b *testing.B, notify string) {
 	b.Helper()
-	cfg := microbench.LatencyConfig{
-		Profile: hostif.Verbs(), Size: 64, Iters: 100, Runs: 1, Seed: 1,
-		Notification: mode,
-	}
+	rs := ledger.RunSpec{Motif: string(harness.MotifPingPong), Transport: "rvma", Topology: string(topology.KindSingleSwitch),
+		Routing: fabric.RouteAdaptive.String(), Network: "bench", Nodes: 2, Gbps: 100, Seed: 1,
+		Host: "verbs", Size: 64, Iters: 100, Notify: notify}
 	for i := 0; i < b.N; i++ {
-		res := microbench.MeasureLatency(cfg, microbench.TransportRVMA)
-		b.ReportMetric(res.Summary.Mean, "sim-ns/op")
+		out := harness.RunCell(rs, harness.Observers{})
+		if out.Err != nil {
+			b.Fatal(out.Err)
+		}
+		b.ReportMetric((out.Makespan / sim.Time(2*rs.Iters)).Nanoseconds(), "sim-ns/op")
 	}
 }
 
@@ -135,25 +135,15 @@ func benchNotify(b *testing.B, mode irvma.NotifyMode) {
 // Sweep3D, quantifying how much credit pipelining recovers.
 func BenchmarkAblationRDMABuffers(b *testing.B) {
 	for _, bufs := range []int{1, 2, 4} {
-		bufs := bufs
 		b.Run(benchName("bufs", bufs), func(b *testing.B) {
-			topo, err := topology.ForNodeCount(topology.KindDragonfly, 64)
-			if err != nil {
-				b.Fatal(err)
-			}
+			rs := ledger.RunSpec{Motif: string(harness.MotifSweep3D), Transport: "rdma", Topology: string(topology.KindDragonfly),
+				Routing: fabric.RouteAdaptive.String(), Network: "bench", Nodes: 64, Gbps: 400, Seed: 1, RDMABuffers: bufs}
 			for i := 0; i < b.N; i++ {
-				cfg := motif.DefaultClusterConfig(topo, motif.KindRDMA)
-				cfg.RDMABuffers = bufs
-				cfg.ApplyLinkSpeed(400)
-				c, err := motif.NewCluster(cfg)
-				if err != nil {
-					b.Fatal(err)
+				out := harness.RunCell(rs, harness.Observers{})
+				if out.Err != nil {
+					b.Fatal(out.Err)
 				}
-				tm, err := motif.RunSweep3D(c, motif.DefaultSweep3DConfig(topo.NumNodes()))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(tm.Microseconds(), "sim-us/run")
+				b.ReportMetric(out.Makespan.Microseconds(), "sim-us/run")
 			}
 		})
 	}
@@ -180,24 +170,16 @@ func benchName(prefix string, n int) string {
 // transports (see internal/collective).
 func BenchmarkCollectives(b *testing.B) {
 	for _, op := range []collective.Op{collective.OpBarrier, collective.OpAllreduce} {
-		for _, kind := range []motif.TransportKind{motif.KindRVMA, motif.KindRDMA} {
-			op, kind := op, kind
-			b.Run(string(op)+"/"+kind.String(), func(b *testing.B) {
-				topo, err := topology.ForNodeCount(topology.KindDragonfly, 32)
-				if err != nil {
-					b.Fatal(err)
-				}
+		for _, transport := range []string{"rvma", "rdma"} {
+			b.Run(string(op)+"/"+strings.ToUpper(transport), func(b *testing.B) {
+				rs := ledger.RunSpec{Motif: string(op), Transport: transport, Topology: string(topology.KindDragonfly),
+					Routing: fabric.RouteAdaptive.String(), Network: "bench", Nodes: 32, Gbps: 100, Seed: 1}
 				for i := 0; i < b.N; i++ {
-					cfg := motif.DefaultClusterConfig(topo, kind)
-					c, err := motif.NewCluster(cfg)
-					if err != nil {
-						b.Fatal(err)
+					out := harness.RunCell(rs, harness.Observers{})
+					if out.Err != nil {
+						b.Fatal(out.Err)
 					}
-					tm, err := collective.RunCollective(c, collective.DefaultConfig(op))
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(tm.Microseconds(), "sim-us/run")
+					b.ReportMetric(out.Makespan.Microseconds(), "sim-us/run")
 				}
 			})
 		}

@@ -3,6 +3,8 @@ package main
 import (
 	"flag"
 	"time"
+
+	"rvma/internal/harness"
 )
 
 // This file is the flag registry: the single table every rvmasim flag is
@@ -76,7 +78,7 @@ type flagSpec struct {
 // shard 0 of a one-shard run and are rejected above one shard.
 var flagTable = []flagSpec{
 	{"motif", true, true, func(fs *flag.FlagSet, v *simFlags) {
-		v.motifName = fs.String("motif", "sweep3d", "motif: sweep3d, halo3d, incast, kv")
+		v.motifName = fs.String("motif", "sweep3d", "motif: "+harness.MotifNames())
 	}},
 	{"transport", true, true, func(fs *flag.FlagSet, v *simFlags) {
 		v.transport = fs.String("transport", "rvma", "transport: rvma, rdma")

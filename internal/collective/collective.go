@@ -12,6 +12,7 @@ package collective
 
 import (
 	"fmt"
+	"slices"
 
 	"rvma/internal/motif"
 	"rvma/internal/sim"
@@ -206,13 +207,13 @@ func RunCollective(c *motif.Cluster, cfg Config) (sim.Time, error) {
 		maxMsg = 8
 	}
 
-	var finished sim.Time
-	done := sim.NewGate(c.Eng, n)
-	done.Future().OnComplete(func() { finished = c.Eng.Now() })
-
-	tag := c.Tag.Retag("collective")
+	// Each rank records its own finish in its own slot, so ranks on
+	// different shards share no state; the makespan is the last finish.
+	done := make([]bool, n)
+	at := make([]sim.Time, n)
 	for rank := 0; rank < n; rank++ {
 		tp := c.Transports[rank]
+		tag := c.TagFor(rank).Retag("collective")
 		tag.Spawn("coll-rank", func(p *sim.Process) {
 			peers := neighborsAll(tp)
 			p.Wait(tp.Prepare(peers, peers, maxMsg))
@@ -233,12 +234,12 @@ func RunCollective(c *motif.Cluster, cfg Config) (sim.Time, error) {
 					panic(fmt.Sprintf("collective: unknown op %q", cfg.Op))
 				}
 			}
-			done.Arrive(c.Eng)
+			done[rank], at[rank] = true, p.Now()
 		})
 	}
-	c.Eng.Run()
-	if !done.Future().Done() {
+	c.Group.Run()
+	if slices.Contains(done, false) {
 		return 0, fmt.Errorf("collective %s: deadlock", cfg.Op)
 	}
-	return finished, nil
+	return slices.Max(at), nil
 }

@@ -11,11 +11,12 @@ import (
 
 // BenchRecord is one experiment cell's performance sample: how much
 // simulated time the cell covered, how long it took on the wall clock, and
-// the resulting event throughput. CI compares these against a saved
-// BENCH_sim.json (scripts/check_bench_regression.py) to track simulator
-// performance.
+// the resulting event throughput. CI writes a fig7 sweep's records to
+// BENCH_sim.json and compares them with the committed BENCH_baseline.json
+// (scripts/check_bench_regression.py) to track simulator performance.
 type BenchRecord struct {
-	// Cell identifies the experiment point: "motif|network|transport|gbps".
+	// Cell identifies the experiment point: "motif|network|TRANSPORT|gbps"
+	// plus the cell's non-default knobs (see cellName).
 	Cell string `json:"cell"`
 	// WallMS is the host wall-clock run time in milliseconds.
 	WallMS float64 `json:"wall_ms"`

@@ -1,17 +1,21 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
 	"time"
 
 	"rvma/internal/attrib"
+	"rvma/internal/collective"
 	"rvma/internal/fabric"
+	"rvma/internal/hostif"
 	"rvma/internal/ledger"
 	"rvma/internal/metrics"
 	"rvma/internal/motif"
 	"rvma/internal/recovery"
+	"rvma/internal/rvma"
 	"rvma/internal/sim"
 	"rvma/internal/telemetry"
 	"rvma/internal/topology"
@@ -26,12 +30,15 @@ import (
 // MotifName selects a workload: the RunSpec Motif values.
 type MotifName string
 
-// Motifs runnable through the harness.
+// Motifs runnable through the harness. The collectives are motifs too,
+// named by their collective.Op.
 const (
-	MotifSweep3D MotifName = "sweep3d"
-	MotifHalo3D  MotifName = "halo3d"
-	MotifIncast  MotifName = "incast"
-	MotifKV      MotifName = "kv"
+	MotifSweep3D  MotifName = "sweep3d"
+	MotifHalo3D   MotifName = "halo3d"
+	MotifIncast   MotifName = "incast"
+	MotifKV       MotifName = "kv"
+	MotifPingPong MotifName = "pingpong"
+	MotifSetup    MotifName = "setup"
 )
 
 // motifRun runs one motif on a built cluster of ranks ranks. The KV result
@@ -54,6 +61,26 @@ var motifRuns = map[MotifName]motifRun{
 	MotifKV: func(c *motif.Cluster, rs ledger.RunSpec, ranks int) (sim.Time, *motif.KVResult, error) {
 		return motif.RunKV(c, kvConfig(rs, ranks))
 	},
+	MotifPingPong: func(c *motif.Cluster, rs ledger.RunSpec, _ int) (sim.Time, *motif.KVResult, error) {
+		t, err := motif.RunPingPong(c, pingPongSize(rs), pingPongIters(rs))
+		return t, nil, err
+	},
+	MotifSetup: func(c *motif.Cluster, rs ledger.RunSpec, _ int) (sim.Time, *motif.KVResult, error) {
+		t, err := motif.RunSetup(c, pingPongSize(rs))
+		return t, nil, err
+	},
+	MotifName(collective.OpBarrier):   runCollective(collective.OpBarrier),
+	MotifName(collective.OpAllreduce): runCollective(collective.OpAllreduce),
+	MotifName(collective.OpBroadcast): runCollective(collective.OpBroadcast),
+	MotifName(collective.OpAllgather): runCollective(collective.OpAllgather),
+}
+
+// runCollective is the motifRun of one collective operation.
+func runCollective(op collective.Op) motifRun {
+	return func(c *motif.Cluster, _ ledger.RunSpec, _ int) (sim.Time, *motif.KVResult, error) {
+		t, err := collective.RunCollective(c, collective.DefaultConfig(op))
+		return t, nil, err
+	}
 }
 
 var (
@@ -61,7 +88,22 @@ var (
 	routings   = map[string]fabric.RoutingMode{
 		"static": fabric.RouteStatic, "adaptive": fabric.RouteAdaptive, "valiant": fabric.RouteValiant,
 	}
+	hosts    = map[string]func() hostif.Profile{"verbs": hostif.Verbs, "ucx": hostif.UCX}
+	notifies = map[string]rvma.NotifyMode{"mwait": rvma.NotifyMWait, "poll": rvma.NotifyPoll}
 )
+
+// names lists a name table's keys, sorted, for messages and help text.
+func names[K ~string, V any](m map[K]V) string {
+	var ns []string
+	for k := range m {
+		ns = append(ns, string(k))
+	}
+	slices.Sort(ns)
+	return strings.Join(ns, ", ")
+}
+
+// MotifNames lists the motifs RunCell runs, sorted and comma-separated.
+func MotifNames() string { return names(motifRuns) }
 
 // SpecError reports a RunSpec field that fails validation. Field is the
 // field's JSON name in a ledger file.
@@ -78,15 +120,17 @@ func checkSpec(rs ledger.RunSpec) (*fabric.FaultPlan, error) {
 	_, motifOK := motifRuns[MotifName(rs.Motif)]
 	_, transportOK := transports[rs.Transport]
 	_, routingOK := routings[rs.Routing]
+	_, hostOK := hosts[rs.Host]
+	_, notifyOK := notifies[rs.Notify]
 	for _, c := range []struct {
 		bad   bool
 		field string
 		msg   string
 	}{
-		{!motifOK, "motif", fmt.Sprintf("%q is not one of sweep3d, halo3d, incast, kv", rs.Motif)},
-		{!transportOK, "transport", fmt.Sprintf("%q is not one of rvma, rdma", rs.Transport)},
+		{!motifOK, "motif", fmt.Sprintf("%q is not one of %s", rs.Motif, MotifNames())},
+		{!transportOK, "transport", fmt.Sprintf("%q is not one of %s", rs.Transport, names(transports))},
 		{!slices.Contains(topology.Kinds(), topology.Kind(rs.Topology)), "topology", fmt.Sprintf("%q is not a topology kind", rs.Topology)},
-		{!routingOK, "routing", fmt.Sprintf("%q is not one of static, adaptive, valiant", rs.Routing)},
+		{!routingOK, "routing", fmt.Sprintf("%q is not one of %s", rs.Routing, names(routings))},
 		{rs.Nodes < 1, "nodes", fmt.Sprintf("must be at least 1, got %d", rs.Nodes)},
 		{!(rs.Gbps > 0), "gbps", fmt.Sprintf("must be positive, got %g", rs.Gbps)},
 		{!(rs.Drop >= 0 && rs.Drop <= 1), "drop", fmt.Sprintf("must be in [0, 1], got %g", rs.Drop)},
@@ -101,6 +145,12 @@ func checkSpec(rs ledger.RunSpec) (*fabric.FaultPlan, error) {
 		{rs.KVClients < 0, "kv_clients", fmt.Sprintf("must not be negative, got %d", rs.KVClients)},
 		{rs.KVKeys < 0, "kv_keys", fmt.Sprintf("must not be negative, got %d", rs.KVKeys)},
 		{rs.KVWindow < 0, "kv_window", fmt.Sprintf("must not be negative, got %d", rs.KVWindow)},
+		{rs.Host != "" && !hostOK, "host", fmt.Sprintf("%q is not one of %s", rs.Host, names(hosts))},
+		{!(rs.HostScale >= 0), "host_scale", fmt.Sprintf("must not be negative, got %g", rs.HostScale)},
+		{rs.HostScale != 0 && rs.Host == "", "host_scale", "needs a host profile"},
+		{rs.Size < 0, "size", fmt.Sprintf("must not be negative, got %d", rs.Size)},
+		{rs.Iters < 0, "iters", fmt.Sprintf("must not be negative, got %d", rs.Iters)},
+		{rs.Notify != "" && !notifyOK, "notify", fmt.Sprintf("%q is not one of %s", rs.Notify, names(notifies))},
 	} {
 		if c.bad {
 			return nil, &SpecError{Field: c.field, Msg: c.msg}
@@ -131,6 +181,15 @@ func clusterConfig(rs ledger.RunSpec, topo topology.Topology, plan *fabric.Fault
 	cfg.Routing = routings[rs.Routing]
 	cfg.Seed = rs.Seed
 	cfg.Shards = rs.Shards
+	if rs.Host != "" {
+		prof := hosts[rs.Host]()
+		if rs.HostScale > 0 {
+			prof = prof.Scale(rs.HostScale)
+		}
+		cfg.NIC, cfg.Fabric, cfg.PipelinedFence = prof.NIC, prof.Fabric, prof.PipelinedFence
+	}
+	cfg.Notification = notifies[rs.Notify]
+	cfg.RDMALastBytePoll = rs.LastByte
 	cfg.ApplyLinkSpeed(rs.Gbps)
 	if rs.RDMABuffers > 0 {
 		cfg.RDMABuffers = rs.RDMABuffers
@@ -172,6 +231,12 @@ func kvConfig(rs ledger.RunSpec, ranks int) motif.KVConfig {
 	}
 	return cfg
 }
+
+// pingPongSize and pingPongIters resolve a pingpong or setup spec's
+// message bytes and round trips: zero keeps 64 bytes and 200 round trips.
+func pingPongSize(rs ledger.RunSpec) int { return cmp.Or(rs.Size, 64) }
+
+func pingPongIters(rs ledger.RunSpec) int { return cmp.Or(rs.Iters, 200) }
 
 // Observers are the optional observers RunCell attaches to a cell before
 // its run. None of them changes what is simulated.
@@ -291,8 +356,10 @@ func RunCell(rs ledger.RunSpec, obs Observers) CellOutput {
 }
 
 // cellName labels a cell for bench records and telemetry and ledger file
-// names: "motif|network|TRANSPORT|gbps", plus the KV workload and the
-// loss regime when set.
+// names: "motif|network|TRANSPORT|gbps", plus every non-default knob the
+// sweeps vary, so two cells share a name only when they are the same
+// cell. A host-profile cell adds its seed, since a latency figure's runs
+// differ only in seed and host scale.
 func cellName(rs ledger.RunSpec) string {
 	name := fmt.Sprintf("%s|%s|%s|%gGbps", rs.Motif, rs.Network, strings.ToUpper(rs.Transport), rs.Gbps)
 	if rs.Motif == string(MotifKV) {
@@ -302,6 +369,24 @@ func cellName(rs ledger.RunSpec) string {
 		name += fmt.Sprintf("|drop%g", rs.Drop)
 		if rs.Recover {
 			name += "|rec"
+		}
+	}
+	for _, k := range []struct {
+		set  bool
+		part string
+	}{
+		{rs.RDMABuffers > 0, fmt.Sprintf("|bufs%d", rs.RDMABuffers)},
+		{rs.RVMADepth > 0, fmt.Sprintf("|depth%d", rs.RVMADepth)},
+		{rs.Host != "", "|" + rs.Host},
+		{rs.HostScale != 0, fmt.Sprintf("|scale%g", rs.HostScale)},
+		{rs.Size > 0, fmt.Sprintf("|%dB", rs.Size)},
+		{rs.Iters > 0, fmt.Sprintf("|x%d", rs.Iters)},
+		{rs.Notify != "", "|" + rs.Notify},
+		{rs.LastByte, "|lastbyte"},
+		{rs.Host != "", fmt.Sprintf("|seed%d", rs.Seed)},
+	} {
+		if k.set {
+			name += k.part
 		}
 	}
 	return name

@@ -5,9 +5,8 @@ import (
 
 	"rvma/internal/collective"
 	"rvma/internal/fabric"
+	"rvma/internal/ledger"
 	"rvma/internal/matchengine"
-	"rvma/internal/motif"
-	"rvma/internal/sim"
 	"rvma/internal/stats"
 	"rvma/internal/topology"
 )
@@ -16,40 +15,29 @@ import (
 // latency-bound collective algorithms (dissemination barrier, recursive-
 // doubling allreduce, binomial broadcast, ring allgather) over both
 // transports on the adaptively routed dragonfly. Chains of small messages
-// are where RVMA's completion model compounds.
+// are where RVMA's completion model compounds. Each collective is a motif
+// named by its op.
 func CollectivesTable(o Options) *Table {
+	o.Nodes = min(o.Nodes, 64) // all-to-all Prepare is O(n^2) handshakes for RDMA
 	t := &Table{
-		Title:  fmt.Sprintf("Extension: collectives, RVMA vs RDMA (dragonfly/adaptive, %d+ nodes, 100Gbps)", min(o.Nodes, 64)),
+		Title:  fmt.Sprintf("Extension: collectives, RVMA vs RDMA (dragonfly/adaptive, %d+ nodes, 100Gbps)", o.Nodes),
 		Header: []string{"collective", "RVMA", "RDMA", "speedup"},
 	}
-	nodes := min(o.Nodes, 64) // all-to-all Prepare is O(n^2) handshakes for RDMA
-	topo, err := topology.ForNodeCount(topology.KindDragonfly, nodes)
-	if err != nil {
-		t.AddNote("SKIPPED: %v", err)
-		return t
+	nc := NetConfig{"dragonfly/adaptive", topology.KindDragonfly, fabric.RouteAdaptive}
+	var specs []ledger.RunSpec
+	for _, op := range []collective.Op{collective.OpBarrier, collective.OpAllreduce, collective.OpBroadcast, collective.OpAllgather} {
+		specs = append(specs, o.spec(MotifName(op), "rvma", nc, 100), o.spec(MotifName(op), "rdma", nc, 100))
 	}
-	run := func(kind motif.TransportKind, op collective.Op) (sim.Time, error) {
-		cfg := motif.DefaultClusterConfig(topo, kind)
-		cfg.Routing = fabric.RouteAdaptive
-		cfg.Seed = o.Seed
-		c, err := motif.NewCluster(cfg)
-		if err != nil {
-			return 0, err
-		}
-		return collective.RunCollective(c, collective.DefaultConfig(op))
-	}
-	for _, op := range []collective.Op{
-		collective.OpBarrier, collective.OpAllreduce,
-		collective.OpBroadcast, collective.OpAllgather,
-	} {
-		rv, err1 := run(motif.KindRVMA, op)
-		rd, err2 := run(motif.KindRDMA, op)
+	outs := runFigureCells(o, specs, false)
+	for i := 0; i < len(outs); i += 2 {
+		rv, rd := outs[i], outs[i+1]
+		err1, err2 := flushCellOutput(o, rv), flushCellOutput(o, rd)
 		if err1 != nil || err2 != nil {
-			t.AddNote("SKIPPED %s: %v %v", op, err1, err2)
+			t.AddNote("SKIPPED %s: %v %v", rv.Spec.Motif, err1, err2)
 			continue
 		}
-		t.AddRow(string(op), rv.String(), rd.String(),
-			fmt.Sprintf("%.2fx", stats.Speedup(rd.Seconds(), rv.Seconds())))
+		t.AddRow(rv.Spec.Motif, rv.Makespan.String(), rd.Makespan.String(),
+			fmt.Sprintf("%.2fx", stats.Speedup(rd.Makespan.Seconds(), rv.Makespan.Seconds())))
 	}
 	t.AddNote("10 iterations each; allreduce = 256 x 8B elements, broadcast/allgather = 4KiB blocks")
 	return t
@@ -80,11 +68,4 @@ func MatchEngineTable(o Options) *Table {
 		m.CycleTime, m.TableLookupCycles, m.ListElementCycles)
 	t.AddNote("the paper's LUT entry is 24 bytes: mailbox address + buffer head + completion pointer")
 	return t
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -51,7 +51,7 @@ func FaultSweep(o Options) *Table {
 			specs = append(specs, rec, bare)
 		}
 	}
-	outs := runFigureCells(o, specs)
+	outs := runFigureCells(o, specs, false)
 	ic := motif.DefaultIncastConfig()
 	for i := 0; i < len(outs); i += 2 {
 		rec, bare := outs[i], outs[i+1]

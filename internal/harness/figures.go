@@ -1,14 +1,17 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 
+	"rvma/internal/fabric"
 	"rvma/internal/hostif"
-	"rvma/internal/microbench"
+	"rvma/internal/ledger"
 	"rvma/internal/pcie"
-	"rvma/internal/rvma"
+	"rvma/internal/sim"
 	"rvma/internal/stats"
+	"rvma/internal/topology"
 )
 
 // Options scale the experiments. The paper's full runs (10 runs x 1,000 or
@@ -99,6 +102,85 @@ func PaperOptions() Options {
 	return o
 }
 
+// pingPongColumn is one §V-A latency measurement: a transport, the routing
+// that decides RDMA's completion scheme, last-byte polling, and how RVMA's
+// host observes completions.
+type pingPongColumn struct {
+	transport string
+	routing   fabric.RoutingMode
+	lastByte  bool
+	notify    string
+}
+
+// The latency figures' columns: RVMA, RDMA polling the last byte on a
+// byte-ordered network, and RDMA with the specification-required trailing
+// send/recv on an adaptive one.
+var (
+	colRVMA         = pingPongColumn{transport: "rvma", routing: fabric.RouteAdaptive}
+	colRDMAStatic   = pingPongColumn{transport: "rdma", routing: fabric.RouteStatic, lastByte: true}
+	colRDMAAdaptive = pingPongColumn{transport: "rdma", routing: fabric.RouteAdaptive}
+)
+
+// hostSpec describes one §V-A cell: motif m over col on prof's two-node
+// single-switch testbed, with size-byte messages and o.Iters round trips.
+func (o Options) hostSpec(m MotifName, prof hostif.Profile, col pingPongColumn, size int) ledger.RunSpec {
+	nc := NetConfig{"single/" + col.routing.String(), topology.KindSingleSwitch, col.routing}
+	rs := o.spec(m, col.transport, nc, prof.Fabric.LinkGbps)
+	rs.Nodes, rs.Host, rs.Size, rs.Iters, rs.Notify, rs.LastByte = 2, prof.Name, size, o.Iters, col.notify, col.lastByte
+	return rs
+}
+
+// pingPongSpecs describes o.Runs runs of every column at every size on
+// prof's testbed, ordered size, column, run. Run r has seed
+// o.Seed + r*1000003 and, as host scale, the r-th draw of the run-to-run
+// noise; every point sees the same draws.
+func (o Options) pingPongSpecs(prof hostif.Profile, sizes []int, cols []pingPongColumn) []ledger.RunSpec {
+	scales := make([]float64, max(o.Runs, 0))
+	if o.RunNoise > 0 {
+		noise := sim.NewRNG(o.Seed ^ 0x9E3779B97F4A7C15)
+		for r := range scales {
+			scales[r] = max(noise.Normal(1, o.RunNoise), 0.5)
+		}
+	}
+	var specs []ledger.RunSpec
+	for _, size := range sizes {
+		for _, col := range cols {
+			for r, scale := range scales {
+				rs := o.hostSpec(MotifPingPong, prof, col, size)
+				rs.Seed += uint64(r) * 1000003
+				rs.HostScale = scale
+				specs = append(specs, rs)
+			}
+		}
+	}
+	return specs
+}
+
+// oneWay is a pingpong cell's mean one-way latency.
+func oneWay(out CellOutput) sim.Time { return out.Makespan / sim.Time(2*pingPongIters(out.Spec)) }
+
+// latencySummaries runs pingPongSpecs' cells and summarizes each point's
+// runs' mean one-way latencies in nanoseconds: one Summary per (size,
+// column), in spec order.
+func latencySummaries(o Options, specs []ledger.RunSpec) ([]stats.Summary, error) {
+	if o.Runs < 1 || o.Iters < 1 {
+		return nil, fmt.Errorf("harness: latency points need Runs and Iters of at least 1, got %d and %d", o.Runs, o.Iters)
+	}
+	outs := runFigureCells(o, specs, false)
+	var sums []stats.Summary
+	for i := 0; i < len(outs); i += o.Runs {
+		ns := make([]float64, o.Runs)
+		for r, out := range outs[i : i+o.Runs] {
+			if err := flushCellOutput(o, out); err != nil {
+				return nil, fmt.Errorf("%s: %w", cellName(out.Spec), err)
+			}
+			ns[r] = oneWay(out).Nanoseconds()
+		}
+		sums = append(sums, stats.Summarize(ns))
+	}
+	return sums, nil
+}
+
 // latencyFigure is the shared implementation of Figures 4 and 5.
 func latencyFigure(o Options, prof hostif.Profile, figure, system string) *Table {
 	t := &Table{
@@ -106,24 +188,23 @@ func latencyFigure(o Options, prof hostif.Profile, figure, system string) *Table
 		Header: []string{"size", "RVMA(ns)", "±", "RDMA-static(ns)", "±",
 			"RDMA-adaptive(ns)", "±", "reduction"},
 	}
+	sums, err := latencySummaries(o, o.pingPongSpecs(prof, o.Sizes, []pingPongColumn{colRVMA, colRDMAStatic, colRDMAAdaptive}))
+	if err != nil {
+		t.AddNote("SKIPPED: %v", err)
+		return t
+	}
 	maxRed := 0.0
-	for _, size := range o.Sizes {
-		cfg := microbench.LatencyConfig{
-			Profile: prof, Size: size, Iters: o.Iters, Runs: o.Runs,
-			Seed: o.Seed, RunNoise: o.RunNoise,
-		}
-		rv := microbench.MeasureLatency(cfg, microbench.TransportRVMA)
-		rs := microbench.MeasureLatency(cfg, microbench.TransportRDMAStatic)
-		ra := microbench.MeasureLatency(cfg, microbench.TransportRDMAAdaptive)
-		red := stats.Reduction(ra.Summary.Mean, rv.Summary.Mean)
+	for i, size := range o.Sizes {
+		rv, rs, ra := sums[3*i], sums[3*i+1], sums[3*i+2]
+		red := stats.Reduction(ra.Mean, rv.Mean)
 		if red > maxRed {
 			maxRed = red
 		}
 		t.AddRow(
 			stats.FormatBytes(size),
-			fmt.Sprintf("%.1f", rv.Summary.Mean), fmt.Sprintf("%.1f", rv.Summary.Stddev),
-			fmt.Sprintf("%.1f", rs.Summary.Mean), fmt.Sprintf("%.1f", rs.Summary.Stddev),
-			fmt.Sprintf("%.1f", ra.Summary.Mean), fmt.Sprintf("%.1f", ra.Summary.Stddev),
+			fmt.Sprintf("%.1f", rv.Mean), fmt.Sprintf("%.1f", rv.Stddev),
+			fmt.Sprintf("%.1f", rs.Mean), fmt.Sprintf("%.1f", rs.Stddev),
+			fmt.Sprintf("%.1f", ra.Mean), fmt.Sprintf("%.1f", ra.Stddev),
 			fmt.Sprintf("%.1f%%", 100*red),
 		)
 	}
@@ -145,6 +226,13 @@ func Fig5(o Options) *Table {
 	return latencyFigure(o, hostif.UCX(), "Figure 5", "ConnectX-5+ThunderX2 class")
 }
 
+// exchanges is Figure 6's amortization count: the smallest N with
+// (setup + N*lat) / (N*lat) <= 1.03, i.e. N >= setup / (0.03 * lat); 3% is
+// "the margin of error for our latency tests".
+func exchanges(setup, lat sim.Time) int {
+	return int(float64(setup)/(0.03*float64(lat))) + 1
+}
+
 // Fig6 reproduces Figure 6: the UCX amortization analysis — how many data
 // exchanges amortize the RDMA buffer-setup handshake to within 3% of
 // steady-state latency, for static- and adaptive-routing latencies.
@@ -155,16 +243,26 @@ func Fig6(o Options) *Table {
 		Header: []string{"size", "setup(ns)", "lat-static(ns)", "N-static",
 			"lat-adaptive(ns)", "N-adaptive"},
 	}
-	const tolerance = 0.03
+	// Per size: the setup handshake, then one noiseless run of 200 round
+	// trips per RDMA column.
+	o.Iters, o.Runs, o.RunNoise = 200, 1, 0
+	var specs []ledger.RunSpec
 	for _, size := range o.Sizes {
-		st := microbench.Amortization(prof, size, microbench.TransportRDMAStatic, tolerance, o.Seed)
-		ad := microbench.Amortization(prof, size, microbench.TransportRDMAAdaptive, tolerance, o.Seed)
-		t.AddRow(
-			stats.FormatBytes(size),
-			fmt.Sprintf("%.0f", st.SetupNanos),
-			fmt.Sprintf("%.0f", st.LatencyNanos), fmt.Sprintf("%d", st.Exchanges),
-			fmt.Sprintf("%.0f", ad.LatencyNanos), fmt.Sprintf("%d", ad.Exchanges),
-		)
+		setup := o.hostSpec(MotifSetup, prof, pingPongColumn{transport: "rdma", routing: fabric.RouteStatic}, size)
+		setup.Iters = 0
+		specs = append(append(specs, setup), o.pingPongSpecs(prof, []int{size}, []pingPongColumn{colRDMAStatic, colRDMAAdaptive})...)
+	}
+	outs := runFigureCells(o, specs, false)
+	for i := 0; i < len(outs); i += 3 {
+		size := stats.FormatBytes(outs[i].Spec.Size)
+		if err := cmp.Or(flushCellOutput(o, outs[i]), flushCellOutput(o, outs[i+1]), flushCellOutput(o, outs[i+2])); err != nil {
+			t.AddNote("SKIPPED %s: %v", size, err)
+			continue
+		}
+		setup, st, ad := outs[i].Makespan, oneWay(outs[i+1]), oneWay(outs[i+2])
+		t.AddRow(size, fmt.Sprintf("%.0f", setup.Nanoseconds()),
+			fmt.Sprintf("%.0f", st.Nanoseconds()), fmt.Sprintf("%d", exchanges(setup, st)),
+			fmt.Sprintf("%.0f", ad.Nanoseconds()), fmt.Sprintf("%d", exchanges(setup, ad)))
 	}
 	t.AddNote("N = smallest exchange count with (setup + N*lat)/(N*lat) <= 1.03")
 	t.AddNote("RVMA needs no setup exchange at all: its amortization count is identically zero")
@@ -186,14 +284,12 @@ func MicroSummary(o Options) *Table {
 		{hostif.Verbs(), "Verbs max latency reduction", "65.8%"},
 		{hostif.UCX(), "UCX max latency reduction", "45.8%"},
 	} {
-		cfg := microbench.LatencyConfig{
-			Profile: row.prof, Size: 2, Iters: o.Iters, Runs: o.Runs,
-			Seed: o.Seed, RunNoise: o.RunNoise,
+		sums, err := latencySummaries(o, o.pingPongSpecs(row.prof, []int{2}, []pingPongColumn{colRVMA, colRDMAAdaptive}))
+		if err != nil {
+			t.AddRow(row.name, row.paper, "SKIPPED")
+			continue
 		}
-		rv := microbench.MeasureLatency(cfg, microbench.TransportRVMA)
-		ra := microbench.MeasureLatency(cfg, microbench.TransportRDMAAdaptive)
-		t.AddRow(row.name, row.paper,
-			fmt.Sprintf("%.1f%%", 100*stats.Reduction(ra.Summary.Mean, rv.Summary.Mean)))
+		t.AddRow(row.name, row.paper, fmt.Sprintf("%.1f%%", 100*stats.Reduction(sums[1].Mean, sums[0].Mean)))
 	}
 	return t
 }
@@ -206,15 +302,16 @@ func NotifyAblation(o Options) *Table {
 		Header: []string{"mechanism", "latency(ns)"},
 	}
 	prof := hostif.Verbs()
-	cfg := microbench.LatencyConfig{
-		Profile: prof, Size: 64, Iters: o.Iters, Runs: 1, Seed: o.Seed,
+	o.Runs, o.RunNoise = 1, 0
+	poll := colRVMA
+	poll.notify = "poll"
+	sums, err := latencySummaries(o, o.pingPongSpecs(prof, []int{64}, []pingPongColumn{colRVMA, poll}))
+	if err != nil {
+		t.AddNote("SKIPPED: %v", err)
+		return t
 	}
-	cfg.Notification = rvma.NotifyMWait
-	mwait := microbench.MeasureLatency(cfg, microbench.TransportRVMA)
-	t.AddRow("Monitor/MWait", fmt.Sprintf("%.1f", mwait.Summary.Mean))
-	cfg.Notification = rvma.NotifyPoll
-	poll := microbench.MeasureLatency(cfg, microbench.TransportRVMA)
-	t.AddRow(fmt.Sprintf("polling @%v", prof.NIC.PollInterval), fmt.Sprintf("%.1f", poll.Summary.Mean))
+	t.AddRow("Monitor/MWait", fmt.Sprintf("%.1f", sums[0].Mean))
+	t.AddRow(fmt.Sprintf("polling @%v", prof.NIC.PollInterval), fmt.Sprintf("%.1f", sums[1].Mean))
 	t.AddNote("MWait wakes within %v of the completion-pointer write (§IV-C)", prof.NIC.MWaitWake)
 	return t
 }

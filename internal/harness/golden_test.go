@@ -8,7 +8,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"rvma/internal/collective"
 	"rvma/internal/fabric"
+	"rvma/internal/hostif"
 	"rvma/internal/ledger"
 	"rvma/internal/topology"
 )
@@ -36,7 +38,8 @@ type goldenCell struct {
 // (halo3d, hyperx/DOR, 400 Gbps), kv (kv-overload's 500 ns issue gap on
 // dragonfly/adaptive, 100 Gbps) and incast-loss (8 x 4 KiB per client,
 // 400 Gbps, 5% drop, recovery on) — for both transports and seeds 42 and
-// 7, keyed "workload/transport/seedN" in a fixed order.
+// 7, keyed "workload/transport/seedN" in a fixed order; then a cell of
+// each table built on other motifs.
 func goldenSpecs() (names []string, specs []ledger.RunSpec) {
 	dfly := NetConfig{"dragonfly/adaptive", topology.KindDragonfly, fabric.RouteAdaptive}
 	hyperx := NetConfig{"hyperx/DOR", topology.KindHyperX, fabric.RouteStatic}
@@ -67,6 +70,28 @@ func goldenSpecs() (names []string, specs []ledger.RunSpec) {
 			}
 		}
 	}
+	// The cells of the other tables, at seed 42: the §V-A ping-pong on
+	// both testbeds under every completion scheme, Figure 6's setup
+	// handshake, a collective and the last-byte ablation.
+	o := DefaultOptions()
+	o.Nodes, o.Iters = 64, 50
+	poll := colRVMA
+	poll.notify = "poll"
+	for _, prof := range []hostif.Profile{hostif.Verbs(), hostif.UCX()} {
+		for _, c := range []struct {
+			name string
+			col  pingPongColumn
+		}{{"rvma-mwait", colRVMA}, {"rvma-poll", poll}, {"rdma-lastbyte", colRDMAStatic}, {"rdma-fence", colRDMAAdaptive}} {
+			names = append(names, fmt.Sprintf("pingpong/%s/%s/seed42", prof.Name, c.name))
+			specs = append(specs, o.hostSpec(MotifPingPong, prof, c.col, 64))
+		}
+	}
+	setup := o.hostSpec(MotifSetup, hostif.UCX(), pingPongColumn{transport: "rdma", routing: fabric.RouteStatic}, 4096)
+	setup.Iters = 0
+	lastByte := o.spec(MotifSweep3D, "rdma", NetConfig{"hyperx/DOR", topology.KindHyperX, fabric.RouteStatic}, 400)
+	lastByte.LastByte = true
+	names = append(names, "setup/ucx/rdma/seed42", "allreduce/rvma/seed42", "last-byte/rdma/seed42")
+	specs = append(specs, setup, o.spec(MotifName(collective.OpAllreduce), "rvma", dfly, 100), lastByte)
 	return names, specs
 }
 
@@ -78,7 +103,7 @@ func goldenRun(t *testing.T) []goldenCell {
 	o.LedgerDir = t.TempDir()
 	names, specs := goldenSpecs()
 	var rows []goldenCell
-	for i, out := range runFigureCells(o, specs) {
+	for i, out := range runFigureCells(o, specs, false) {
 		if out.Err != nil {
 			t.Fatalf("%s: %v", names[i], out.Err)
 		}
@@ -96,7 +121,7 @@ func goldenRun(t *testing.T) []goldenCell {
 // picosecond change to any model latency moves at least one chain head.
 func TestGoldenChainHeads(t *testing.T) {
 	if testing.Short() {
-		t.Skip("sixteen 64-node motif simulations")
+		t.Skip("twenty-seven motif simulations")
 	}
 	got := goldenRun(t)
 	if *update {

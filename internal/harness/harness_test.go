@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -79,28 +80,72 @@ func TestRunCell(t *testing.T) {
 		t.Fatalf("cell: %v, %d events, %v", out.Makespan, out.Events, out.Err)
 	}
 	rs.Motif = "nosuch"
-	if out := RunCell(rs, Observers{}); out.Err == nil {
+	out := RunCell(rs, Observers{})
+	if out.Err == nil {
 		t.Fatal("unknown motif should error")
+	}
+	// The message lists every motif, sorted.
+	var motifs []string
+	for m := range motifRuns {
+		motifs = append(motifs, string(m))
+	}
+	slices.Sort(motifs)
+	if want := strings.Join(motifs, ", "); !strings.Contains(out.Err.Error(), want) {
+		t.Fatalf("error %q does not list every motif (%s)", out.Err, want)
 	}
 }
 
+// speedups reads a motif figure's speedup column, keyed network then link.
+func speedups(t *testing.T, tab *Table) map[string]map[string]float64 {
+	t.Helper()
+	sp := map[string]map[string]float64{}
+	for _, row := range tab.Rows {
+		v, err := strconv.ParseFloat(strings.TrimSuffix(row[len(row)-1], "x"), 64)
+		if err != nil {
+			t.Fatalf("bad speedup cell %q", row[len(row)-1])
+		}
+		if sp[row[0]] == nil {
+			sp[row[0]] = map[string]float64{}
+		}
+		sp[row[0]][row[1]] = v
+	}
+	return sp
+}
+
+// TestFig7Tiny checks the paper's motif claims at tiny scale (32 nodes,
+// 100 Gbps and 2 Tbps): RVMA wins every Sweep3D cell, its speedup rises
+// with link speed on every network, and it wins every Halo3D cell too.
+// Measured at seeds 42, 7 and 1 alike (lossless cells draw nothing):
+// fig7 at least 1.84x at 100 Gbps and 5.60x at 2 Tbps, fig8 at least
+// 1.10x.
 func TestFig7Tiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("motif sweep in -short mode")
 	}
 	o := tinyOptions()
-	o.LinkGbps = []float64{100}
-	tab := Fig7(o)
-	if len(tab.Rows) != len(motifNetworks()) {
-		t.Fatalf("rows = %d, want %d", len(tab.Rows), len(motifNetworks()))
+	fig7 := speedups(t, Fig7(o))
+	if len(fig7) != len(motifNetworks()) {
+		t.Fatalf("fig7 networks = %d, want %d", len(fig7), len(motifNetworks()))
 	}
-	// Every speedup cell parses and is positive.
-	for _, row := range tab.Rows {
-		sp := strings.TrimSuffix(row[len(row)-1], "x")
-		v, err := strconv.ParseFloat(sp, 64)
-		if err != nil || v <= 0 {
-			t.Fatalf("bad speedup cell %q", row[len(row)-1])
+	for network, sp := range fig7 {
+		slow, fast := sp["100Gbps"], sp["2Tbps"]
+		if len(sp) != 2 || slow <= 1 || fast <= 1 {
+			t.Errorf("fig7 %s: speedups %v, want RVMA faster at both speeds", network, sp)
 		}
+		if fast <= slow {
+			t.Errorf("fig7 %s: speedup %.2fx at 2Tbps does not rise from %.2fx at 100Gbps", network, fast, slow)
+		}
+	}
+	fig8 := speedups(t, Fig8(o))
+	for network, sp := range fig8 {
+		for link, v := range sp {
+			if v <= 1 {
+				t.Errorf("fig8 %s @%s: speedup %.2fx, want RVMA faster", network, link, v)
+			}
+		}
+	}
+	if len(fig8) != len(motifNetworks()) {
+		t.Fatalf("fig8 networks = %d, want %d", len(fig8), len(motifNetworks()))
 	}
 }
 

@@ -89,7 +89,7 @@ func KVTable(o Options) *Table {
 		rs.Drop, rs.Recover, rs.RetryBudget = kvLossDrop, true, o.RetryBudget
 		specs = append(specs, rs)
 	}
-	outs := runFigureCells(o, specs)
+	outs := runFigureCells(o, specs, false)
 	var population *motif.KVResult
 	for _, out := range outs {
 		spec := out.Spec

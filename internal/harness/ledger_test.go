@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"rvma/internal/fabric"
+	"rvma/internal/hostif"
 	"rvma/internal/ledger"
 	"rvma/internal/topology"
 )
@@ -38,7 +39,7 @@ func ledgerCellSpecs(o Options) []ledger.RunSpec {
 // bytes.
 func runLedgerCells(t *testing.T, o Options) map[string][]byte {
 	t.Helper()
-	outs := runFigureCells(o, ledgerCellSpecs(o))
+	outs := runFigureCells(o, ledgerCellSpecs(o), true)
 	got := map[string][]byte{}
 	for _, out := range outs {
 		if out.Err != nil {
@@ -212,7 +213,9 @@ func TestRunSpecRoundTrip(t *testing.T) {
 	knobs := o.spec(MotifIncast, "rdma", motifNetworks()[0], 100)
 	knobs.RDMABuffers, knobs.RVMADepth = 2, 8
 	knobs.FaultPlan, knobs.Drop, knobs.Recover, knobs.RetryBudget = "burst=2,window=all:5us:9us:0.5", 0.01, true, 3
-	specs = append(specs, knobs)
+	host := o.hostSpec(MotifPingPong, hostif.UCX(), colRDMAStatic, 4096)
+	host.HostScale, host.Notify = 1.03, "poll"
+	specs = append(specs, knobs, host)
 	path := filepath.Join(t.TempDir(), "spec.ledger.json")
 	for _, rs := range specs {
 		if _, err := checkSpec(rs); err != nil {
@@ -229,7 +232,9 @@ func TestRunSpecRoundTrip(t *testing.T) {
 			t.Fatalf("round trip changed spec: %+v vs %+v", *l.Run, rs)
 		}
 	}
-	for _, bad := range []ledger.RunSpec{{Motif: "nope"}, {Motif: "sweep3d", Transport: "tcp"}} {
+	badHost, badScale, badNotify := host, host, host
+	badHost.Host, badScale.Host, badNotify.Notify = "tcp", "", "spin"
+	for _, bad := range []ledger.RunSpec{{Motif: "nope"}, {Motif: "sweep3d", Transport: "tcp"}, badHost, badScale, badNotify} {
 		var se *SpecError
 		if out := RunCell(bad, Observers{}); !errors.As(out.Err, &se) {
 			t.Fatalf("%+v: err = %v, want a *SpecError", bad, out.Err)

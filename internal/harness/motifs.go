@@ -7,7 +7,6 @@ import (
 	"rvma/internal/fabric"
 	"rvma/internal/ledger"
 	"rvma/internal/metrics"
-	"rvma/internal/motif"
 	"rvma/internal/sim"
 	"rvma/internal/stats"
 	"rvma/internal/topology"
@@ -81,7 +80,7 @@ func motifFigure(o Options, m MotifName, figure string) *Table {
 			specs = append(specs, o.spec(m, "rvma", nc, gbps), o.spec(m, "rdma", nc, gbps))
 		}
 	}
-	outs := runFigureCells(o, specs)
+	outs := runFigureCells(o, specs, true)
 	var speedups []float64
 	best := 0.0
 	bestAt := ""
@@ -198,7 +197,7 @@ func IncastTable(o Options) *Table {
 	for _, gbps := range o.LinkGbps {
 		specs = append(specs, o.spec(MotifIncast, "rvma", nc, gbps), o.spec(MotifIncast, "rdma", nc, gbps))
 	}
-	outs := runFigureCells(o, specs)
+	outs := runFigureCells(o, specs, false)
 	for i := 0; i < len(outs); i += 2 {
 		rv, rd := outs[i], outs[i+1]
 		gbps := rv.Spec.Gbps
@@ -233,15 +232,15 @@ func RDMABuffersAblation(o Options) *Table {
 		specs = append(specs, rs)
 	}
 	specs = append(specs, o.spec(MotifSweep3D, "rvma", nc, 400))
-	outs := RunCells(specs, o.workerCount())
+	outs := runFigureCells(o, specs, false)
 	baseline := outs[0].Makespan
 	for _, out := range outs {
 		config := fmt.Sprintf("RDMA %d buffer(s)/pair", out.Spec.RDMABuffers)
 		if out.Spec.Transport == "rvma" {
 			config = "RVMA (mailbox bucket)"
 		}
-		if out.Err != nil {
-			t.AddNote("SKIPPED %s: %v", config, out.Err)
+		if err := flushCellOutput(o, out); err != nil {
+			t.AddNote("SKIPPED %s: %v", config, err)
 			continue
 		}
 		t.AddRow(config, out.Makespan.String(),
@@ -260,33 +259,19 @@ func LastByteCheatAblation(o Options) *Table {
 		Title:  "Ablation: spec-compliant RDMA vs last-byte polling (sweep3d, hyperx/DOR, 400Gbps)",
 		Header: []string{"config", "makespan", "vs compliant"},
 	}
-	topo, err := topology.ForNodeCount(topology.KindHyperX, o.Nodes)
-	if err != nil {
-		t.AddNote("SKIPPED: %v", err)
-		return t
-	}
-	run := func(kind motif.TransportKind, lastByte bool) (sim.Time, error) {
-		cfg := motif.DefaultClusterConfig(topo, kind)
-		cfg.Routing = fabric.RouteStatic
-		cfg.Seed = o.Seed
-		cfg.RDMALastBytePoll = lastByte
-		cfg.ApplyLinkSpeed(400)
-		c, err := motif.NewCluster(cfg)
-		if err != nil {
-			return 0, err
-		}
-		return motif.RunSweep3D(c, motif.DefaultSweep3DConfig(topo.NumNodes()))
-	}
-	compliant, err1 := run(motif.KindRDMA, false)
-	cheat, err2 := run(motif.KindRDMA, true)
-	rv, err3 := run(motif.KindRVMA, false)
+	hyperx := NetConfig{"hyperx/DOR", topology.KindHyperX, fabric.RouteStatic}
+	cheat := o.spec(MotifSweep3D, "rdma", hyperx, 400)
+	cheat.LastByte = true
+	outs := runFigureCells(o, []ledger.RunSpec{o.spec(MotifSweep3D, "rdma", hyperx, 400), cheat, o.spec(MotifSweep3D, "rvma", hyperx, 400)}, false)
+	err1, err2, err3 := flushCellOutput(o, outs[0]), flushCellOutput(o, outs[1]), flushCellOutput(o, outs[2])
 	if err1 != nil || err2 != nil || err3 != nil {
 		t.AddNote("SKIPPED: %v %v %v", err1, err2, err3)
 		return t
 	}
+	compliant, cheated, rv := outs[0].Makespan, outs[1].Makespan, outs[2].Makespan
 	t.AddRow("RDMA spec-compliant (send/recv fence)", compliant.String(), "1.00x")
-	t.AddRow("RDMA last-byte poll (violates spec)", cheat.String(),
-		fmt.Sprintf("%.2fx", stats.Speedup(compliant.Seconds(), cheat.Seconds())))
+	t.AddRow("RDMA last-byte poll (violates spec)", cheated.String(),
+		fmt.Sprintf("%.2fx", stats.Speedup(compliant.Seconds(), cheated.Seconds())))
 	t.AddRow("RVMA (threshold completion)", rv.String(),
 		fmt.Sprintf("%.2fx", stats.Speedup(compliant.Seconds(), rv.Seconds())))
 	t.AddNote("last-byte polling recovers much of the gap but only exists on byte-ordered networks — and RVMA still wins")
@@ -319,10 +304,10 @@ func MotifSummary(o Options) *Table {
 	for _, p := range pts {
 		specs = append(specs, o.spec(p.m, "rvma", p.nc, p.gbps), o.spec(p.m, "rdma", p.nc, p.gbps))
 	}
-	outs := runFigureCells(o, specs)
+	outs := runFigureCells(o, specs, false)
 	for i, p := range pts {
 		rv, rd := outs[2*i], outs[2*i+1]
-		if rv.Err != nil || rd.Err != nil {
+		if flushCellOutput(o, rv) != nil || flushCellOutput(o, rd) != nil {
 			t.AddRow(p.name, p.paper, "SKIPPED")
 			continue
 		}

@@ -36,6 +36,7 @@ func figureArtifacts(t *testing.T, fig func(Options) *Table, workers int) (table
 	o := DefaultOptions()
 	o.Nodes = 64
 	o.LinkGbps = []float64{100}
+	o.Sizes, o.Runs = []int{2, 4096}, 2
 	o.Workers = workers
 	o.TelemetryDir = t.TempDir()
 	o.Bench = &BenchLog{}
@@ -70,15 +71,13 @@ func figureArtifacts(t *testing.T, fig func(Options) *Table, workers int) (table
 // shared mutable state between cells, nondeterministic merge order, or
 // worker-count-dependent seeding shows up here as a diff.
 func TestFigureOutputIdenticalAcrossWorkers(t *testing.T) {
-	figures := []struct {
+	type figure struct {
 		name string
 		fn   func(Options) *Table
-	}{{"fig7", Fig7}}
+	}
+	figures := []figure{{"fig4", Fig4}, {"fig6", Fig6}, {"fig7", Fig7}}
 	if !testing.Short() {
-		figures = append(figures, struct {
-			name string
-			fn   func(Options) *Table
-		}{"fig8", Fig8})
+		figures = append(figures, figure{"fig8", Fig8}, figure{"collectives", CollectivesTable})
 	}
 	for _, fig := range figures {
 		t.Run(fig.name, func(t *testing.T) {
@@ -139,7 +138,7 @@ func TestRunCellsMetricsIdenticalAcrossWorkers(t *testing.T) {
 	}
 	snapshot := func(workers int) [][]byte {
 		o.Workers = workers
-		outs := runFigureCells(o, specs)
+		outs := runFigureCells(o, specs, true)
 		snaps := make([][]byte, len(outs))
 		for i, out := range outs {
 			if out.Err != nil {
@@ -181,7 +180,7 @@ func TestConcurrentTelemetryWritesAreClean(t *testing.T) {
 	run := func(workers int) map[string][]byte {
 		o.Workers = workers
 		o.TelemetryDir = t.TempDir()
-		for _, out := range runFigureCells(o, specs) {
+		for _, out := range runFigureCells(o, specs, true) {
 			if err := flushCellOutput(o, out); err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}

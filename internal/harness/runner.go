@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 
@@ -91,11 +90,17 @@ func runOneCell(o Options, rs ledger.RunSpec, reg *metrics.Registry) CellOutput 
 }
 
 // runFigureCells runs every figure cell through runOneCell — each with
-// its own shard group, registry and telemetry — on Options.workerCount()
-// goroutines.
-func runFigureCells(o Options, specs []ledger.RunSpec) []CellOutput {
+// its own shard group and telemetry — on Options.workerCount()
+// goroutines. withMetrics gives each cell its own registry too, for the
+// tables that read per-cell metrics; spans make a cell several times
+// slower, so the others run without.
+func runFigureCells(o Options, specs []ledger.RunSpec, withMetrics bool) []CellOutput {
 	return runPool(o.workerCount(), specs, func(rs ledger.RunSpec) CellOutput {
-		return runOneCell(o, rs, newCellRegistry(o.Shards))
+		var reg *metrics.Registry
+		if withMetrics {
+			reg = newCellRegistry(o.Shards)
+		}
+		return runOneCell(o, rs, reg)
 	})
 }
 
@@ -103,10 +108,7 @@ func runFigureCells(o Options, specs []ledger.RunSpec) []CellOutput {
 // goroutines (0 means one per CPU) and returns the outputs in spec order,
 // so they are identical at any worker count.
 func RunCells(specs []ledger.RunSpec, workers int) []CellOutput {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	return runPool(workers, specs, func(rs ledger.RunSpec) CellOutput { return RunCell(rs, Observers{}) })
+	return runFigureCells(Options{Workers: workers}, specs, false)
 }
 
 // runPool is the worker pool: it runs every spec on up to workers

@@ -40,7 +40,7 @@ func runShardMatrix(t *testing.T, shards, workers int) map[string]matrixOut {
 		rs.Drop, rs.Recover = 0.05, true
 		specs = append(specs, rs)
 	}
-	outs := runFigureCells(o, specs)
+	outs := runFigureCells(o, specs, true)
 	res := make(map[string]matrixOut, len(outs))
 	for _, out := range outs {
 		if out.Err != nil {

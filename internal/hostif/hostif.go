@@ -103,9 +103,10 @@ func ByName(name string) (Profile, error) {
 }
 
 // Scale returns a copy of p with every host-software and NIC-pipeline
-// duration multiplied by factor. The microbenchmarks use it to model
-// run-to-run variation (thermal/noise effects on the host), producing the
-// error bars Figure 5 reports.
+// duration multiplied by factor. The latency figures apply one factor per
+// run (ledger.RunSpec.HostScale) to model run-to-run variation
+// (thermal/noise effects on the host), producing the error bars Figure 5
+// reports.
 func (p Profile) Scale(factor float64) Profile {
 	s := p
 	mul := func(t sim.Time) sim.Time { return sim.ScaleF(t, factor) }

@@ -10,7 +10,7 @@ package ledger
 // model knobs mean the motif.DefaultClusterConfig values, so ledgers
 // written before a knob existed still replay.
 type RunSpec struct {
-	// Motif is the workload name: "sweep3d", "halo3d", "incast" or "kv".
+	// Motif is the workload name, one of harness.MotifNames().
 	Motif string `json:"motif"`
 	// Transport is "rvma" or "rdma".
 	Transport string `json:"transport"`
@@ -53,6 +53,19 @@ type RunSpec struct {
 	KVClients int     `json:"kv_clients,omitempty"`
 	KVKeys    int     `json:"kv_keys,omitempty"`
 	KVWindow  int     `json:"kv_window,omitempty"`
+	// Host names a §V-A testbed ("verbs" or "ucx") whose NIC, fabric and
+	// RDMA fence discipline replace the defaults. HostScale multiplies its
+	// host costs: one run's draw of run-to-run noise (0 = unscaled).
+	Host      string  `json:"host,omitempty"`
+	HostScale float64 `json:"host_scale,omitempty"`
+	// Size and Iters are the pingpong motif's message bytes and round
+	// trips (setup uses Size alone); zero keeps 64 bytes and 200.
+	Size  int `json:"size,omitempty"`
+	Iters int `json:"iters,omitempty"`
+	// Notify is how RVMA hosts observe completions: "mwait" (empty) or "poll".
+	Notify string `json:"notify,omitempty"`
+	// LastByte lets RDMA poll the last byte on byte-ordered routings.
+	LastByte bool `json:"last_byte,omitempty"`
 	// Shards is the engine partition count the run used; values below 1
 	// mean 1. The canonical chain is the same at any shard count, so a
 	// replay may use any count; it uses the recorded one.

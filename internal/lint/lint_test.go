@@ -112,7 +112,6 @@ var hostSidePackages = map[string]string{
 	"rvma/internal/lint":        "the linter itself; runs at build time, not sim time",
 	"rvma/internal/matchengine": "offline figure matcher; compares CSVs after runs finish",
 	"rvma/internal/metrics":     "recording substrate; sinks for model data, runs no model logic",
-	"rvma/internal/microbench":  "host-side wall-clock benchmarking of the simulator",
 	"rvma/internal/rstream":     "offline result-stream codec for harness artifacts",
 	"rvma/internal/stats":       "pure math over finished samples; no engine interaction",
 	"rvma/internal/trace":       "trace file writer; consumes events after the fact",

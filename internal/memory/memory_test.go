@@ -601,3 +601,21 @@ func TestPagedMemoryMatchesFlatModel(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWatcherObservesExactCellWrite ties the memory layer into the
+// latency validation: the MWait watcher must observe the exact (head,
+// len) pair the completion unit wrote, never a torn or stale value.
+func TestWatcherObservesExactCellWrite(t *testing.T) {
+	mem := New()
+	cell := MakeCompletionCell(mem)
+	var seen [][2]uint64
+	mem.Watch(cell.Addr(), func(Addr, int) {
+		h, l := cell.Get()
+		seen = append(seen, [2]uint64{uint64(h), uint64(l)})
+	})
+	cell.Set(0xAAA0, 111)
+	cell.Set(0xBBB0, 222)
+	if len(seen) != 2 || seen[0] != [2]uint64{0xAAA0, 111} || seen[1] != [2]uint64{0xBBB0, 222} {
+		t.Fatalf("watcher observations: %v", seen)
+	}
+}

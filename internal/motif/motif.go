@@ -93,10 +93,12 @@ type Transport interface {
 // Cluster is a set of rank transports over one simulated network.
 type Cluster struct {
 	Eng        *sim.Engine // shard 0's engine
-	Tag        sim.Tagged  // shard 0's "motif"-labeled handle
 	Net        *fabric.Network
 	Transports []Transport
 	Kind       TransportKind
+	// lastByte records that RDMA completes puts by last-byte polling:
+	// ClusterConfig.RDMALastBytePoll on a byte-ordered routing.
+	lastByte bool
 
 	// Group is the shard group the cluster executes on (one shard unless
 	// ClusterConfig.Shards asks for more): every rank's components live on
@@ -193,6 +195,10 @@ type ClusterConfig struct {
 	// specification-compliant RDMA, which pays the trailing send/recv
 	// completion under every routing mode.
 	RDMALastBytePoll bool
+	// PipelinedFence and Notification are a host profile's endpoint
+	// choices: rdma.Config.PipelinedFence and rvma.Config.Notification.
+	PipelinedFence bool
+	Notification   rvma.NotifyMode
 	// RVMADepth is the posted-buffer depth the RVMA transport maintains
 	// per in-neighbor mailbox.
 	RVMADepth int
@@ -285,12 +291,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 	n := cfg.Topology.NumNodes()
-	c := &Cluster{Eng: g.Shard(0), Net: net, Group: g, Kind: cfg.Kind, Transports: make([]Transport, n)}
+	c := &Cluster{Eng: g.Shard(0), Net: net, Group: g, Kind: cfg.Kind, Transports: make([]Transport, n),
+		lastByte: cfg.RDMALastBytePoll && cfg.Routing.Ordered()}
 	c.Tags = make([]sim.Tagged, g.Shards())
 	for i := range c.Tags {
 		c.Tags[i] = g.Shard(i).Tag("motif")
 	}
-	c.Tag = c.Tags[0]
 	for node := 0; node < n; node++ {
 		// Every per-node component lives on the engine that owns the node's
 		// shard, so its events execute inside that shard's windows.
@@ -309,6 +315,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		case KindRVMA:
 			rcfg := rvma.DefaultConfig()
 			rcfg.CarryData = false
+			rcfg.Notification = cfg.Notification
 			rcfg.HistoryDepth = 0 // motifs don't rewind; avoid retaining buffers
 			if rec != nil {
 				// The window guard's reclaim retrieves the holed buffer
@@ -325,13 +332,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		case KindRDMA:
 			dcfg := rdma.DefaultConfig()
 			dcfg.CarryData = false
-			lastByte := cfg.RDMALastBytePoll && cfg.Routing.Ordered()
+			dcfg.PipelinedFence = cfg.PipelinedFence
 			ep := rdma.NewEndpoint(nc, dcfg)
 			if rec != nil {
 				ep.SetReassemblyHorizon(rec.ReclaimAfter())
 			}
 			c.rdmaEPs = append(c.rdmaEPs, ep)
-			c.Transports[node] = newRDMATransport(ep, n, lastByte, cfg.RDMABuffers, rec)
+			c.Transports[node] = newRDMATransport(ep, n, c.lastByte, cfg.RDMABuffers, rec)
 		default:
 			return nil, fmt.Errorf("motif: unknown transport kind %v", cfg.Kind)
 		}

@@ -20,7 +20,7 @@
 //
 // The implementation packages live under internal/: sim (event kernel),
 // memory, pcie, topology, fabric, nic (shared substrate), rvma (the
-// contribution), rdma (baseline), hostif/microbench/motif/harness
+// contribution), rdma (baseline), hostif/motif/collective/harness
 // (experiments). See DESIGN.md for the full inventory and EXPERIMENTS.md
 // for paper-versus-measured results.
 package rvma
