@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/csv"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -15,10 +18,12 @@ import (
 
 	"rvma/internal/harness"
 	"rvma/internal/ledger"
+	"rvma/internal/sim"
 )
 
 // rvmasimBin is the command built once for the tests that run it end to
-// end; TestMain removes it.
+// end, with the simdebug invariants armed when the test binary has them;
+// TestMain removes it.
 var rvmasimBin struct {
 	once sync.Once
 	path string
@@ -44,7 +49,11 @@ func rvmasim(t *testing.T, args ...string) (int, string, string) {
 			return
 		}
 		rvmasimBin.path = filepath.Join(dir, "rvmasim")
-		if out, err := exec.Command("go", "build", "-o", rvmasimBin.path, ".").CombinedOutput(); err != nil {
+		args := []string{"build", "-o", rvmasimBin.path}
+		if sim.DebugEnabled {
+			args = append(args, "-tags", "simdebug")
+		}
+		if out, err := exec.Command("go", append(args, ".")...).CombinedOutput(); err != nil {
 			rvmasimBin.err = fmt.Errorf("go build: %v\n%s", err, out)
 		}
 	})
@@ -293,7 +302,7 @@ func recordLedger(t *testing.T, args ...string) *ledger.Ledger {
 
 // TestEveryLedgerReplays: ledgers of runs with a structured fault plan or
 // non-default transport buffering embed a spec that replays to the
-// recorded chain head, and a seed-perturbed lossy pair is pinned to its
+// recorded chain head, and seed-perturbed lossy pairs are pinned to their
 // first divergent event by replay, as simdiff does.
 func TestEveryLedgerReplays(t *testing.T) {
 	for _, args := range [][]string{
@@ -312,21 +321,25 @@ func TestEveryLedgerReplays(t *testing.T) {
 		}
 	}
 
-	a := recordLedger(t, "-fault-plan", "drop=0.01", "-seed", "3")
-	b := recordLedger(t, "-fault-plan", "drop=0.01", "-seed", "4")
-	d := ledger.Compare(a, b)
-	if d.Identical || !d.Comparable {
-		t.Fatalf("seeds 3 and 4: %+v, want a comparable divergence", d)
-	}
-	ro := harness.ReplayOptions{EpochEvents: a.EpochEvents, WindowFrom: d.FromPop, WindowTo: d.ToPop}
-	ra, _, errA := harness.ReplaySpec(a, ro)
-	rb, _, errB := harness.ReplaySpec(b, ro)
-	if errA != nil || errB != nil {
-		t.Fatalf("replay: %v / %v", errA, errB)
-	}
-	div, err := ledger.CompareWindows(ra.Window, rb.Window)
-	if err != nil || div == nil || div.A == nil || div.B == nil {
-		t.Fatalf("divergence not pinned to an event: %+v, %v", div, err)
+	// Lossy pairs one seed apart: the fault substreams are seeded from the
+	// model seed, so each pair diverges, in an epoch, at one event.
+	for _, pair := range []struct {
+		loss  []string
+		seeds [2]string
+	}{
+		{[]string{"-fault-plan", "drop=0.01"}, [2]string{"3", "4"}},
+		{[]string{"-drop-rate", "0.01"}, [2]string{"42", "43"}},
+	} {
+		a := recordLedger(t, append(pair.loss, "-seed", pair.seeds[0])...)
+		b := recordLedger(t, append(pair.loss, "-seed", pair.seeds[1])...)
+		d := ledger.Compare(a, b)
+		if d.Identical || !d.Comparable || d.FirstDivergentEpoch < 0 {
+			t.Fatalf("%v seeds %v: %+v, want a divergence localized to an epoch", pair.loss, pair.seeds, d)
+		}
+		div, err := harness.ReplayDivergence(a, b, d)
+		if err != nil || div == nil || div.A == nil || div.B == nil {
+			t.Fatalf("%v seeds %v: divergence not pinned to an event: %+v, %v", pair.loss, pair.seeds, div, err)
+		}
 	}
 }
 
@@ -392,24 +405,82 @@ func TestReplicaTableIdenticalAcrossWorkers(t *testing.T) {
 // mid-run where another does not.
 func TestMetricsIdenticalAtEveryShardCount(t *testing.T) {
 	dir := t.TempDir()
-	for _, transport := range []string{"rvma", "rdma"} {
-		snapshot := func(shards string) []byte {
-			path := filepath.Join(dir, transport+"-s"+shards+".metrics.json")
-			code, _, stderr := rvmasim(t, "-motif", "sweep3d", "-transport", transport,
-				"-topology", "dragonfly", "-nodes", "16", "-seed", "42",
-				"-shards", shards, "-metrics-out", path)
-			if code != 0 {
-				t.Fatalf("%s at -shards %s: exit %d: %s", transport, shards, code, stderr)
+	for _, nodes := range []string{"16", "64"} {
+		for _, transport := range []string{"rvma", "rdma"} {
+			snapshot := func(shards string) []byte {
+				path := filepath.Join(dir, transport+"-n"+nodes+"-s"+shards+".metrics.json")
+				code, _, stderr := rvmasim(t, "-motif", "sweep3d", "-transport", transport,
+					"-topology", "dragonfly", "-routing", "adaptive", "-nodes", nodes, "-gbps", "100", "-seed", "42",
+					"-shards", shards, "-metrics-out", path)
+				if code != 0 {
+					t.Fatalf("%s at -nodes %s -shards %s: exit %d: %s", transport, nodes, shards, code, stderr)
+				}
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
 			}
-			b, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
+			if one, four := snapshot("1"), snapshot("4"); !bytes.Equal(one, four) {
+				t.Errorf("%s at -nodes %s: -metrics-out differs between -shards 1 (%d bytes) and -shards 4 (%d bytes)",
+					transport, nodes, len(one), len(four))
 			}
-			return b
 		}
-		if one, four := snapshot("1"), snapshot("4"); !bytes.Equal(one, four) {
-			t.Errorf("%s: -metrics-out differs between -shards 1 (%d bytes) and -shards 4 (%d bytes)",
-				transport, len(one), len(four))
+	}
+}
+
+// TestEveryExporterWritesItsFile runs the 64-node dragonfly/adaptive
+// Figure-7 cell with every -*-out flag at once and checks each file is
+// written and parses: the JSON reports as objects with content, the CSVs
+// with a header and data rows, the ledger as a canonical ledger.
+func TestEveryExporterWritesItsFile(t *testing.T) {
+	object := func(b []byte) error {
+		var v map[string]json.RawMessage
+		err := json.Unmarshal(b, &v)
+		if err == nil && len(v) == 0 {
+			err = errors.New("empty object")
+		}
+		return err
+	}
+	table := func(b []byte) error {
+		rows, err := csv.NewReader(bytes.NewReader(b)).ReadAll()
+		if err == nil && len(rows) < 2 {
+			err = fmt.Errorf("%d rows, want a header and data", len(rows))
+		}
+		return err
+	}
+	parsers := map[string]func([]byte) error{
+		"metrics-out": object, "perfetto-out": object, "attrib-out": object, "shard-plan-out": object,
+		"timeseries-out": table, "heatmap-out": table,
+		"ledger-out": func(b []byte) error {
+			var l ledger.Ledger
+			return cmp.Or(json.Unmarshal(b, &l), l.CheckCanonical())
+		},
+	}
+	dir := t.TempDir()
+	args := []string{"-motif", "sweep3d", "-transport", "rvma", "-topology", "dragonfly",
+		"-routing", "adaptive", "-nodes", "64", "-gbps", "100", "-seed", "42"}
+	var exporters []string
+	for _, f := range flagTable {
+		if strings.HasSuffix(f.name, "-out") {
+			exporters = append(exporters, f.name)
+			args = append(args, "-"+f.name, filepath.Join(dir, f.name))
+		}
+	}
+	if code, _, stderr := rvmasim(t, args...); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	for _, name := range exporters {
+		parse, ok := parsers[name]
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		switch {
+		case !ok:
+			err = errors.New("no parser for this exporter")
+		case err == nil:
+			err = parse(b)
+		}
+		if err != nil {
+			t.Errorf("-%s: %v", name, err)
 		}
 	}
 }

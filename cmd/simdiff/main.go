@@ -136,7 +136,7 @@ func diffLedgers(out, errw *os.File, pathA, pathB string, replay bool) int {
 		fmt.Fprintf(out, "no run spec embedded; cannot replay for event-level resolution\n")
 		return 1
 	}
-	div, err := replayWindow(la, lb, d)
+	div, err := harness.ReplayDivergence(la, lb, d)
 	if err != nil {
 		fmt.Fprintf(errw, "simdiff: replay: %v\n", err)
 		return 1
@@ -170,27 +170,6 @@ func readCanonical(path string) (*ledger.Ledger, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return l, nil
-}
-
-// replayWindow re-runs both ledgers' RunSpecs with full-resolution capture
-// over the divergent window and compares the captures pop by pop.
-func replayWindow(la, lb *ledger.Ledger, d ledger.Diff) (*ledger.WindowDivergence, error) {
-	ro := harness.ReplayOptions{EpochEvents: la.EpochEvents, WindowFrom: d.FromPop, WindowTo: d.ToPop}
-	ra, _, err := harness.ReplaySpec(la, ro)
-	if err != nil {
-		return nil, fmt.Errorf("run A: %w", err)
-	}
-	if ra.ChainHead != la.ChainHead {
-		return nil, fmt.Errorf("run A replay did not reproduce (chain %s vs recorded %s)", ra.ChainHead, la.ChainHead)
-	}
-	rb, _, err := harness.ReplaySpec(lb, ro)
-	if err != nil {
-		return nil, fmt.Errorf("run B: %w", err)
-	}
-	if rb.ChainHead != lb.ChainHead {
-		return nil, fmt.Errorf("run B replay did not reproduce (chain %s vs recorded %s)", rb.ChainHead, lb.ChainHead)
-	}
-	return ledger.CompareWindows(ra.Window, rb.Window)
 }
 
 // diffMetrics compares two JSON metric snapshots structurally and reports

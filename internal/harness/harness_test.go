@@ -122,6 +122,7 @@ func TestFig7Tiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("motif sweep in -short mode")
 	}
+	t.Parallel()
 	o := tinyOptions()
 	fig7 := speedups(t, Fig7(o))
 	if len(fig7) != len(motifNetworks()) {

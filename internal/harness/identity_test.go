@@ -43,12 +43,20 @@ func identityCells() []ledger.RunSpec {
 
 // TestChainHeadIdenticalAtEveryShardCount: the default shard count, one
 // shard and four shards all simulate the same run, so their canonical
-// chain heads and event counts are equal.
+// chain heads and event counts are equal. Besides the identity cells it
+// runs the same network's RVMA incast and KV cells at 5% loss with
+// recovery (the KV cell at rvmasim's default skew 0.99 and 2 µs gap).
 func TestChainHeadIdenticalAtEveryShardCount(t *testing.T) {
 	if testing.Short() {
-		t.Skip("twelve 64-node motif simulations")
+		t.Skip("eighteen 64-node motif simulations")
 	}
-	for _, spec := range identityCells() {
+	o := DefaultOptions()
+	o.Nodes = 64
+	incast := o.spec(MotifIncast, "rvma", telemetryTestNet(), 100)
+	incast.Drop, incast.Recover = 0.05, true
+	kv := incast
+	kv.Motif, kv.KVSkew, kv.KVGapNs = string(MotifKV), 0.99, 2000
+	for _, spec := range append(identityCells(), incast, kv) {
 		o := DefaultOptions()
 		o.Nodes = 64
 		base := cellLedger(t, o, spec, newCellRegistry(o.Shards))

@@ -94,6 +94,7 @@ func TestKVTableIdenticalAcrossWorkersAndShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix is 4 full KV sweeps; skipped in -short")
 	}
+	t.Parallel()
 	baseTable, baseLedgers := kvTableArtifacts(t, 1, 1)
 	if len(baseLedgers) == 0 {
 		t.Fatal("baseline wrote no ledgers")

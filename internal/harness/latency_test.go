@@ -251,6 +251,7 @@ func TestCellNamesUniqueWithinEachSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every table")
 	}
+	t.Parallel()
 	o := tinyOptions()
 	o.LinkGbps, o.Runs, o.RunNoise = []float64{100}, 3, 0.02
 	o.LedgerDir = t.TempDir()

@@ -31,11 +31,11 @@ func workerCounts() []int {
 // the telemetry files (name -> contents), and the bench records with the
 // wall-clock fields zeroed (those legitimately vary run to run; the cell
 // labels, simulated times and event counts must not).
-func figureArtifacts(t *testing.T, fig func(Options) *Table, workers int) (table []byte, telemetry map[string][]byte, bench []BenchRecord) {
+func figureArtifacts(t *testing.T, fig func(Options) *Table, gbps []float64, workers int) (table []byte, telemetry map[string][]byte, bench []BenchRecord) {
 	t.Helper()
 	o := DefaultOptions()
 	o.Nodes = 64
-	o.LinkGbps = []float64{100}
+	o.LinkGbps = gbps
 	o.Sizes, o.Runs = []int{2, 4096}, 2
 	o.Workers = workers
 	o.TelemetryDir = t.TempDir()
@@ -71,25 +71,47 @@ func figureArtifacts(t *testing.T, fig func(Options) *Table, workers int) (table
 // shared mutable state between cells, nondeterministic merge order, or
 // worker-count-dependent seeding shows up here as a diff.
 func TestFigureOutputIdenticalAcrossWorkers(t *testing.T) {
+	t.Parallel()
 	type figure struct {
-		name string
-		fn   func(Options) *Table
+		name    string
+		fn      func(Options) *Table
+		gbps    []float64
+		workers []int  // worker counts compared; nil is workerCounts()
+		section string // a title the table must render, if any
 	}
-	figures := []figure{{"fig4", Fig4}, {"fig6", Fig6}, {"fig7", Fig7}}
+	at100 := []float64{100}
+	figures := []figure{
+		{"fig4", Fig4, at100, nil, ""},
+		{"fig6", Fig6, at100, nil, ""},
+		{"fig7", Fig7, at100, nil, "Latency attribution"},
+	}
 	if !testing.Short() {
-		figures = append(figures, figure{"fig8", Fig8}, figure{"collectives", CollectivesTable})
+		figures = append(figures,
+			// With the 100 Gbps row, rvmabench -nodes 64 fig7 at -workers
+			// 1 and 4: the other three default link speeds.
+			figure{"fig7-fast-links", Fig7, DefaultOptions().LinkGbps[1:], []int{1, 4}, "Latency attribution"},
+			figure{"fig8", Fig8, at100, nil, ""},
+			figure{"collectives", CollectivesTable, at100, nil, ""})
 	}
 	for _, fig := range figures {
 		t.Run(fig.name, func(t *testing.T) {
-			refTable, refTel, refBench := figureArtifacts(t, fig.fn, 1)
+			t.Parallel()
+			workers := fig.workers
+			if workers == nil {
+				workers = workerCounts()
+			}
+			refTable, refTel, refBench := figureArtifacts(t, fig.fn, fig.gbps, workers[0])
+			if !bytes.Contains(refTable, []byte(fig.section)) {
+				t.Errorf("table has no %q section", fig.section)
+			}
 			if len(refTel) == 0 {
 				t.Fatal("serial run wrote no telemetry files")
 			}
 			if len(refBench) == 0 {
 				t.Fatal("serial run recorded no bench records")
 			}
-			for _, workers := range workerCounts()[1:] {
-				table, tel, bench := figureArtifacts(t, fig.fn, workers)
+			for _, workers := range workers[1:] {
+				table, tel, bench := figureArtifacts(t, fig.fn, fig.gbps, workers)
 				if !bytes.Equal(refTable, table) {
 					t.Errorf("workers=%d table differs from serial:\n--- serial ---\n%s\n--- workers=%d ---\n%s",
 						workers, firstDiffContext(refTable, table), workers, firstDiffContext(table, refTable))

@@ -9,7 +9,7 @@ import (
 // This file is the in-process replay entry point cmd/simdiff uses: given
 // the RunSpec embedded in a ledger file, run the same simulation again
 // through RunCell with a full-resolution capture window armed around a
-// divergent epoch.
+// divergent epoch, and pin the first divergent event of two such replays.
 
 // ReplayOptions configures ReplaySpec.
 type ReplayOptions struct {
@@ -45,4 +45,28 @@ func ReplaySpec(l *ledger.Ledger, ro ReplayOptions) (*ledger.Ledger, *ledger.Pro
 		return nil, nil, out.Err
 	}
 	return rec.Finalize(), rec.Profile(), nil
+}
+
+// ReplayDivergence pins a ledger divergence to its first event: it replays
+// both ledgers' RunSpecs with full-resolution capture over the divergent
+// window d names (from ledger.Compare) and compares the captures pop by
+// pop. A nil divergence means the windows agree (the divergence did not
+// reproduce); a replay that misses its recorded chain head is an error.
+func ReplayDivergence(la, lb *ledger.Ledger, d ledger.Diff) (*ledger.WindowDivergence, error) {
+	ro := ReplayOptions{EpochEvents: la.EpochEvents, WindowFrom: d.FromPop, WindowTo: d.ToPop}
+	ra, _, err := ReplaySpec(la, ro)
+	if err != nil {
+		return nil, fmt.Errorf("run A: %w", err)
+	}
+	if ra.ChainHead != la.ChainHead {
+		return nil, fmt.Errorf("run A replay did not reproduce (chain %s vs recorded %s)", ra.ChainHead, la.ChainHead)
+	}
+	rb, _, err := ReplaySpec(lb, ro)
+	if err != nil {
+		return nil, fmt.Errorf("run B: %w", err)
+	}
+	if rb.ChainHead != lb.ChainHead {
+		return nil, fmt.Errorf("run B replay did not reproduce (chain %s vs recorded %s)", rb.ChainHead, lb.ChainHead)
+	}
+	return ledger.CompareWindows(ra.Window, rb.Window)
 }

@@ -112,6 +112,7 @@ func TestShardWorkerMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix is 16 motif simulations; skipped in -short")
 	}
+	t.Parallel()
 	base := runShardMatrix(t, 1, 1)
 	for kind, b := range base {
 		if b.events == 0 {

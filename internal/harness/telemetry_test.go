@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -90,22 +91,16 @@ func TestRunFigureCellWritesTimeseries(t *testing.T) {
 	}
 
 	first := runOnce()
-	lines := strings.Split(strings.TrimRight(string(first), "\n"), "\n")
-	if len(lines) < 2 {
-		t.Fatalf("cell time-series has no data rows:\n%s", first)
-	}
-	cols := strings.Split(lines[0], ",")
-	if cols[0] != "time_ns" {
-		t.Fatalf("header starts with %q, want time_ns", cols[0])
-	}
-	for i := 2; i < len(cols); i++ {
-		if cols[i-1] >= cols[i] {
-			t.Fatalf("columns not sorted: %q before %q", cols[i-1], cols[i])
+	byTime := func(a, b string) int { return cmp.Compare(parseFloat(t, a), parseFloat(t, b)) }
+	header := checkCSV(t, "cell time series", first, "time_ns", byTime)
+	for i := 2; i < len(header); i++ {
+		if header[i-1] >= header[i] {
+			t.Fatalf("columns not sorted: %q before %q", header[i-1], header[i])
 		}
 	}
 	for _, want := range []string{"fabric.util.sw", "rvma.posted_buffers_total", "sim.queue_depth"} {
-		if !strings.Contains(lines[0], want) {
-			t.Errorf("header missing probe %q:\n%s", want, lines[0])
+		if !strings.Contains(strings.Join(header, ","), want) {
+			t.Errorf("header missing probe %q:\n%v", want, header)
 		}
 	}
 

@@ -17,8 +17,6 @@
 package hostif
 
 import (
-	"fmt"
-
 	"rvma/internal/fabric"
 	"rvma/internal/nic"
 	"rvma/internal/sim"
@@ -88,18 +86,6 @@ func UCX() Profile {
 	f.SwitchLatency = 120 * sim.Nanosecond
 	f.MTU = 2048
 	return Profile{Name: "ucx", NIC: p, Fabric: f, PipelinedFence: true}
-}
-
-// ByName resolves a profile for the CLI.
-func ByName(name string) (Profile, error) {
-	switch name {
-	case "verbs":
-		return Verbs(), nil
-	case "ucx":
-		return UCX(), nil
-	default:
-		return Profile{}, fmt.Errorf("hostif: unknown profile %q (want verbs or ucx)", name)
-	}
 }
 
 // Scale returns a copy of p with every host-software and NIC-pipeline

@@ -6,18 +6,6 @@ import (
 	"rvma/internal/sim"
 )
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"verbs", "ucx"} {
-		p, err := ByName(name)
-		if err != nil || p.Name != name {
-			t.Fatalf("ByName(%q) = %+v, %v", name, p.Name, err)
-		}
-	}
-	if _, err := ByName("tcp"); err == nil {
-		t.Fatal("unknown profile should error")
-	}
-}
-
 func TestProfilesDifferAsTestbedsDid(t *testing.T) {
 	v, u := Verbs(), UCX()
 	if u.NIC.HostPostOverhead <= v.NIC.HostPostOverhead {

@@ -1,8 +1,11 @@
 package lint
 
 import (
+	"cmp"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -62,6 +65,53 @@ func TestRepositoryIsClean(t *testing.T) {
 	if checked != len(ModelPackages) {
 		t.Errorf("checked %d model packages, expected %d — did a package move without updating lint.ModelPackages?",
 			checked, len(ModelPackages))
+	}
+}
+
+// TestAllowDirectivesNamedAndJustified audits every //rvmalint:allow
+// directive in the module, bench/ and examples/ included: each name is an
+// analyzer All() registers and a justification follows " -- ", so a
+// directive never silently suppresses nothing (a typo) or suppresses
+// without a recorded reason.
+func TestAllowDirectivesNamedAndJustified(t *testing.T) {
+	known := map[string]bool{}
+	for _, a := range All() {
+		known[a.Name] = true
+	}
+	directive := regexp.MustCompile(`//rvmalint:allow\s+([A-Za-z0-9_,]+)(.*)$`)
+	found := 0
+	err := filepath.WalkDir(filepath.Join("..", ".."), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() && d.Name() == ".git" {
+			return cmp.Or(err, filepath.SkipDir)
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		for i, line := range strings.Split(string(data), "\n") {
+			m := directive.FindStringSubmatch(line)
+			// A quote before the directive puts it in a string literal or
+			// a quoted doc example, not a suppression.
+			if m == nil || strings.Contains(line[:strings.Index(line, m[0])], `"`) {
+				continue
+			}
+			found++
+			for _, name := range strings.Split(m[1], ",") {
+				if !known[name] {
+					t.Errorf("%s:%d: unknown analyzer %q in allow directive", path, i+1, name)
+				}
+			}
+			if _, why, ok := strings.Cut(m[2], " -- "); !ok || strings.TrimSpace(why) == "" {
+				t.Errorf("%s:%d: allow directive has no justification; append ' -- <why this suppression is sound>'", path, i+1)
+			}
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if found == 0 {
+		t.Error("no allow directives found; the walk missed the module")
 	}
 }
 

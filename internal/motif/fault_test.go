@@ -22,35 +22,67 @@ func lossyClusterConfig(kind TransportKind, rate float64, rec bool) ClusterConfi
 	return cfg
 }
 
+// dragonflyClusterConfig builds the cluster of rvmasim's -topology
+// dragonfly -routing adaptive -nodes 64 -gbps 100 -seed 42 -drop-rate
+// rate: recovery at its defaults rides along with any loss.
+func dragonflyClusterConfig(t *testing.T, kind TransportKind, rate float64) ClusterConfig {
+	t.Helper()
+	topo, err := topology.ForNodeCount(topology.KindDragonfly, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultClusterConfig(topo, kind)
+	cfg.Routing = fabric.RouteAdaptive
+	cfg.Seed = 42
+	cfg.ApplyLinkSpeed(100)
+	if rate > 0 {
+		cfg.Faults = &fabric.FaultPlan{DropRate: rate}
+		rc := recovery.DefaultConfig()
+		cfg.Recovery = &rc
+	}
+	return cfg
+}
+
 // TestIncastCompletesUnderLossWithRecovery is the tentpole's acceptance
 // check: at 5% receiver-ingress drop, both transports deliver every
 // message within the retry budget — the run finishes, every recovery
-// operation completes, nothing exhausts.
+// operation completes, nothing exhausts — on an 8-node switch and on the
+// 64-node dragonfly.
 func TestIncastCompletesUnderLossWithRecovery(t *testing.T) {
 	for _, kind := range []TransportKind{KindRVMA, KindRDMA} {
 		t.Run(kind.String(), func(t *testing.T) {
-			c, err := NewCluster(lossyClusterConfig(kind, 0.05, true))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := RunIncast(c, DefaultIncastConfig()); err != nil {
-				t.Fatalf("incast under loss with recovery: %v", err)
-			}
-			s := c.RecoveryStats()
-			if s.OpsStarted == 0 {
-				t.Fatal("recovery layer saw no operations")
-			}
-			if s.OpsCompleted != s.OpsStarted {
-				t.Fatalf("completed %d of %d recovery ops", s.OpsCompleted, s.OpsStarted)
-			}
-			if s.Exhausted != 0 {
-				t.Fatalf("%d ops exhausted the retry budget", s.Exhausted)
-			}
-			if s.Retransmits == 0 {
-				t.Fatal("5%% drop produced zero retransmits — faults not reaching the wire?")
-			}
-			if c.Net.TotalStats().PacketsDropped == 0 {
-				t.Fatal("fabric dropped nothing at 5%% rate")
+			for _, net := range []struct {
+				name string
+				cfg  ClusterConfig
+			}{
+				{"single-8", lossyClusterConfig(kind, 0.05, true)},
+				{"dragonfly-64", dragonflyClusterConfig(t, kind, 0.05)},
+			} {
+				t.Run(net.name, func(t *testing.T) {
+					c, err := NewCluster(net.cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := RunIncast(c, DefaultIncastConfig()); err != nil {
+						t.Fatalf("incast under loss with recovery: %v", err)
+					}
+					s := c.RecoveryStats()
+					if s.OpsStarted == 0 {
+						t.Fatal("recovery layer saw no operations")
+					}
+					if s.OpsCompleted != s.OpsStarted {
+						t.Fatalf("completed %d of %d recovery ops", s.OpsCompleted, s.OpsStarted)
+					}
+					if s.Exhausted != 0 {
+						t.Fatalf("%d ops exhausted the retry budget", s.Exhausted)
+					}
+					if s.Retransmits == 0 {
+						t.Fatal("5%% drop produced zero retransmits — faults not reaching the wire?")
+					}
+					if c.Net.TotalStats().PacketsDropped == 0 {
+						t.Fatal("fabric dropped nothing at 5%% rate")
+					}
+				})
 			}
 		})
 	}

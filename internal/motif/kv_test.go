@@ -11,9 +11,8 @@ import (
 	"rvma/internal/topology"
 )
 
-// runKVOnce runs a 16-rank KV cell on a dragonfly and returns the
-// makespan, result and executed-event count.
-func runKVOnce(t *testing.T, kind TransportKind, shards int, drop float64, skew float64) (sim.Time, *KVResult, uint64) {
+// kvCell is a 16-rank KV cell on a dragonfly: its cluster and workload.
+func kvCell(t *testing.T, kind TransportKind, shards int, drop float64, skew float64) (ClusterConfig, KVConfig) {
 	t.Helper()
 	topo, err := topology.ForNodeCount(topology.KindDragonfly, 16)
 	if err != nil {
@@ -26,49 +25,86 @@ func runKVOnce(t *testing.T, kind TransportKind, shards int, drop float64, skew 
 		rc := recovery.DefaultConfig()
 		cfg.Recovery = &rc
 	}
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	kcfg := DefaultKVConfig(topo.NumNodes())
 	kcfg.Seed = cfg.Seed
 	kcfg.Skew = skew
 	kcfg.OpsPerProxy = 24
+	return cfg, kcfg
+}
+
+// runKVOnce runs a 16-rank KV cell and returns the makespan, result and
+// executed-event count.
+func runKVOnce(t *testing.T, kind TransportKind, shards int, drop float64, skew float64) (sim.Time, *KVResult, uint64) {
+	t.Helper()
+	cfg, kcfg := kvCell(t, kind, shards, drop, skew)
+	mk, res, c := runKVCell(t, cfg, kcfg)
+	return mk, res, c.EventsExecuted()
+}
+
+// runKVCell runs one KV cell and returns its makespan, result and cluster.
+func runKVCell(t *testing.T, cfg ClusterConfig, kcfg KVConfig) (sim.Time, *KVResult, *Cluster) {
+	t.Helper()
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mk, res, err := RunKV(c, kcfg)
 	if err != nil {
 		t.Fatalf("RunKV: %v", err)
 	}
-	return mk, res, c.EventsExecuted()
+	return mk, res, c
 }
 
+// TestKVCompletesAndAccounts: every issued op completes and is accounted
+// once, on the lossless 16-rank cell and on rvmasim's 64-node dragonfly
+// cell at 5% loss with recovery (-motif kv -drop-rate 0.05, skew 0.99),
+// where the loss must also cost retransmits.
 func TestKVCompletesAndAccounts(t *testing.T) {
 	for _, kind := range []TransportKind{KindRVMA, KindRDMA} {
 		t.Run(kind.String(), func(t *testing.T) {
-			mk, res, _ := runKVOnce(t, kind, 0, 0, 0.99)
-			if mk <= 0 {
-				t.Fatal("non-positive makespan")
-			}
-			proxies := res.Proxies
-			want := uint64(proxies * 24)
-			if res.Issued != want || res.Completed != want {
-				t.Fatalf("issued %d completed %d, want %d", res.Issued, res.Completed, want)
-			}
-			if res.ServerApplied != res.Completed {
-				t.Fatalf("servers applied %d, proxies completed %d", res.ServerApplied, res.Completed)
-			}
-			if res.Gets+res.Puts+res.CASOK+res.CASFail != res.Completed {
-				t.Fatalf("verb counts %d+%d+%d+%d do not sum to completed %d",
-					res.Gets, res.Puts, res.CASOK, res.CASFail, res.Completed)
-			}
-			if res.SimulatedClients < 1<<20 {
-				t.Fatalf("simulated clients %d, want >= 2^20", res.SimulatedClients)
-			}
-			if res.DistinctClients < proxies || res.PayloadBytes == 0 {
-				t.Fatalf("distinct clients %d payload %d: fan-in not observable",
-					res.DistinctClients, res.PayloadBytes)
-			}
-			if res.Lat.Count() != res.Completed {
-				t.Fatalf("latency samples %d, want %d", res.Lat.Count(), res.Completed)
+			small, smallKV := kvCell(t, kind, 0, 0, 0.99)
+			lossy := dragonflyClusterConfig(t, kind, 0.05)
+			lossyKV := DefaultKVConfig(lossy.Topology.NumNodes())
+			lossyKV.Seed = lossy.Seed
+			for _, cell := range []struct {
+				name string
+				cfg  ClusterConfig
+				kcfg KVConfig
+			}{
+				{"dragonfly-16", small, smallKV},
+				{"dragonfly-64-loss", lossy, lossyKV},
+			} {
+				t.Run(cell.name, func(t *testing.T) {
+					mk, res, c := runKVCell(t, cell.cfg, cell.kcfg)
+					if mk <= 0 {
+						t.Fatal("non-positive makespan")
+					}
+					proxies := res.Proxies
+					want := uint64(proxies * cell.kcfg.OpsPerProxy)
+					if res.Issued != want || res.Completed != want {
+						t.Fatalf("issued %d completed %d, want %d", res.Issued, res.Completed, want)
+					}
+					if res.ServerApplied != res.Completed {
+						t.Fatalf("servers applied %d, proxies completed %d", res.ServerApplied, res.Completed)
+					}
+					if res.Gets+res.Puts+res.CASOK+res.CASFail != res.Completed {
+						t.Fatalf("verb counts %d+%d+%d+%d do not sum to completed %d",
+							res.Gets, res.Puts, res.CASOK, res.CASFail, res.Completed)
+					}
+					if res.SimulatedClients < 1<<20 {
+						t.Fatalf("simulated clients %d, want >= 2^20", res.SimulatedClients)
+					}
+					if res.DistinctClients < proxies || res.PayloadBytes == 0 {
+						t.Fatalf("distinct clients %d payload %d: fan-in not observable",
+							res.DistinctClients, res.PayloadBytes)
+					}
+					if res.Lat.Count() != res.Completed {
+						t.Fatalf("latency samples %d, want %d", res.Lat.Count(), res.Completed)
+					}
+					if cell.cfg.Faults != nil && c.RecoveryStats().Retransmits == 0 {
+						t.Fatal("5% loss produced zero retransmits")
+					}
+				})
 			}
 		})
 	}

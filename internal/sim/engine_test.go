@@ -619,28 +619,6 @@ func TestCompletionZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestGate(t *testing.T) {
-	e := NewEngine(1)
-	g := NewGate(e, 3)
-	opened := Time(-1)
-	g.Future().OnComplete(func() { opened = e.Now() })
-	e.Schedule(Nanosecond, func() { g.Arrive(e) })
-	e.Schedule(2*Nanosecond, func() { g.Arrive(e) })
-	e.Schedule(3*Nanosecond, func() { g.Arrive(e) })
-	e.Run()
-	if opened != 3*Nanosecond {
-		t.Fatalf("gate opened at %v, want 3ns", opened)
-	}
-}
-
-func TestGateZeroCountOpensImmediately(t *testing.T) {
-	e := NewEngine(1)
-	g := NewGate(e, 0)
-	if !g.Future().Done() {
-		t.Fatal("zero-count gate should be open immediately")
-	}
-}
-
 func TestProcessPanicPropagates(t *testing.T) {
 	e := NewEngine(1)
 	e.Spawn("boom", func(p *Process) {

@@ -200,35 +200,3 @@ func (f *Future) OnComplete(cb func()) {
 		*f.more = append(*f.more, cb)
 	}
 }
-
-// Gate is a counting barrier: it opens (completing its future) when Arrive
-// has been called count times. Motifs use gates to wait for "all neighbor
-// messages of this wavefront step".
-type Gate struct {
-	remaining int
-	f         *Future
-}
-
-// NewGate returns a gate expecting count arrivals. A gate with count <= 0
-// is already open.
-func NewGate(e *Engine, count int) *Gate {
-	g := &Gate{remaining: count, f: NewFuture()}
-	if count <= 0 {
-		g.f.Complete(e, nil)
-	}
-	return g
-}
-
-// Arrive records one arrival; the count-th arrival opens the gate.
-func (g *Gate) Arrive(e *Engine) {
-	if g.remaining <= 0 {
-		panic("sim: Gate.Arrive after gate opened")
-	}
-	g.remaining--
-	if g.remaining == 0 {
-		g.f.Complete(e, nil)
-	}
-}
-
-// Future returns the future that completes when the gate opens.
-func (g *Gate) Future() *Future { return g.f }
