@@ -11,7 +11,7 @@ import "rvma/internal/sim"
 // means the routing function is cycling — a livelock that would
 // otherwise only show up as a simulation that never terminates.
 func (n *Network) debugCheckHop(e *sim.Engine, sw int, pkt *Packet) {
-	limit := 2*len(n.xbars) + 2
+	limit := 2*len(n.swShard) + 2
 	sim.Assertf(pkt.Hops <= limit,
 		"fabric: packet #%d (%d->%d) reached %d hops at sw%d, limit %d — routing cycle?",
 		pkt.ID, pkt.Src, pkt.Dst, pkt.Hops, sw, limit)

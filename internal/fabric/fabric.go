@@ -224,9 +224,12 @@ type Network struct {
 	cfg   Config
 	hosts []DeliverFunc
 
-	outPorts [][]*sim.Resource // per switch, per port: link transmitter
-	xbars    []*sim.Resource   // per switch crossbar
-	hostTx   []*sim.Resource   // per node injection link
+	// res holds the serial resources of each locus (a node or a switch),
+	// indexed by locus: a node's injection link, or a switch's crossbar
+	// followed by its output ports' link transmitters. The resources are
+	// values in one flat array per shard, which these slices cut up (see
+	// buildResources), so a locus costs a few slots, not an object each.
+	res [][]sim.Resource
 
 	nonMin topology.NonMinimalRouter // nil if unsupported
 
@@ -249,9 +252,9 @@ type Network struct {
 	numLoci   int             // nodes + switches; priority stride
 	priCount  []uint64        // events scheduled per locus (unique priorities)
 	nextIDs   []uint64        // per-source packet IDs
-	swRNG     []*sim.RNG      // per-switch routing/jitter substreams
-	hostRNG   []*sim.RNG      // per-node injection-jitter substreams
-	faultSh   []*sim.RNG      // per-destination fault substreams; nil when the plan cannot drop
+	swRNG     []sim.RNG       // per-switch routing/jitter substreams
+	hostRNG   []sim.RNG       // per-node injection-jitter substreams
+	faultSh   []sim.RNG       // per-destination fault substreams; nil when the plan cannot drop
 	statsSh   []Stats         // per-shard counters; TotalStats sums them
 	routeBufs []routeBufs     // per-shard candidate buffers selectPort reuses
 	pktFree   []packetList    // per-shard recycled packets (NewPacket)
@@ -435,7 +438,7 @@ func (n *Network) step(pkt *Packet) {
 //
 //rvmalint:hot
 func (n *Network) Inject(pkt *Packet) {
-	if pkt.Src < 0 || pkt.Src >= len(n.hostTx) || pkt.Dst < 0 || pkt.Dst >= len(n.hosts) {
+	if pkt.Src < 0 || pkt.Src >= len(n.hosts) || pkt.Dst < 0 || pkt.Dst >= len(n.hosts) {
 		panic(fmt.Sprintf("fabric: inject with bad endpoints src=%d dst=%d", pkt.Src, pkt.Dst))
 	}
 	e, shard := n.nodeCtx(pkt.Src)
@@ -452,9 +455,9 @@ func (n *Network) Inject(pkt *Packet) {
 	}
 
 	ser := sim.SerializationTime(pkt.WireSize(), n.cfg.LinkGbps)
-	txDone := n.hostTx[pkt.Src].AcquireAt(now, ser)
+	txDone := n.hostTx(pkt.Src).AcquireAt(now, ser)
 	pkt.QueueWait += txDone - now - ser
-	arrive := txDone + n.linkDelayFrom(n.hostRNG[pkt.Src])
+	arrive := txDone + n.linkDelayFrom(&n.hostRNG[pkt.Src])
 	sw, _ := n.topo.HostPort(pkt.Src)
 	n.sched(shard, n.nodeLocus(pkt.Src), n.swShard[sw], arrive, n.event(pkt, stageSwitch, sw, nil))
 }
@@ -464,9 +467,10 @@ func (n *Network) Inject(pkt *Packet) {
 // the "switch congestion right now" context for tail operations.
 func (n *Network) MaxQueueBacklog() sim.Time {
 	var max sim.Time
-	for _, ports := range n.outPorts {
-		for _, p := range ports {
-			if b := p.Backlog(n.engs[0]); b > max {
+	for sw := range n.swShard {
+		ports := n.outPorts(sw)
+		for i := range ports {
+			if b := ports[i].Backlog(n.engs[0]); b > max {
 				max = b
 			}
 		}
@@ -495,16 +499,16 @@ func (n *Network) atSwitch(sw int, pkt *Packet) {
 	if sim.DebugEnabled {
 		n.debugCheckHop(e, sw, pkt)
 	}
-	rng := n.swRNG[sw]
-	outPort := n.selectPort(e, shard, rng, sw, pkt)
-	ports := n.topo.Ports(sw)
-	port := ports[outPort]
+	rng := &n.swRNG[sw]
+	res := n.res[n.switchLocus(sw)]
+	outPort := n.selectPort(e, shard, rng, sw, res[1:], pkt)
+	port := n.topo.Ports(sw)[outPort]
 
 	now := e.Now()
 	xbarHold := sim.SerializationTime(pkt.WireSize(), n.cfg.LinkGbps*n.cfg.XbarFactor)
-	xbarDone := n.xbars[sw].AcquireAt(now, xbarHold)
+	xbarDone := res[0].AcquireAt(now, xbarHold)
 	ser := sim.SerializationTime(pkt.WireSize(), n.cfg.LinkGbps)
-	txDone := n.outPorts[sw][outPort].AcquireAt(xbarDone+n.cfg.SwitchLatency, ser)
+	txDone := res[1+outPort].AcquireAt(xbarDone+n.cfg.SwitchLatency, ser)
 	pkt.QueueWait += (xbarDone - now - xbarHold) + (txDone - xbarDone - n.cfg.SwitchLatency - ser)
 	arrive := txDone + n.linkDelayFrom(rng)
 
@@ -519,9 +523,10 @@ func (n *Network) atSwitch(sw int, pkt *Packet) {
 }
 
 // selectPort applies the routing mode to the candidate set. e is the
-// engine executing switch sw and rng the stream routing draws come from.
-// The candidate sets go into the shard's reused route buffers.
-func (n *Network) selectPort(e *sim.Engine, shard int, rng *sim.RNG, sw int, pkt *Packet) int {
+// engine executing switch sw, ports its output ports and rng the stream
+// routing draws come from. The candidate sets go into the shard's reused
+// route buffers.
+func (n *Network) selectPort(e *sim.Engine, shard int, rng *sim.RNG, sw int, ports []sim.Resource, pkt *Packet) int {
 	rb := &n.routeBufs[shard]
 	rb.min = n.topo.Candidates(sw, pkt.Dst, rb.min[:0])
 	cands := rb.min
@@ -542,22 +547,22 @@ func (n *Network) selectPort(e *sim.Engine, shard int, rng *sim.RNG, sw int, pkt
 			}
 		}
 		pkt.misrouted = true // minimal from here on
-		return n.leastBacklogged(e, sw, cands)
+		return leastBacklogged(e, ports, cands)
 	case RouteAdaptive:
-		best := n.leastBacklogged(e, sw, cands)
+		best := leastBacklogged(e, ports, cands)
 		if !pkt.misrouted && n.nonMin != nil {
 			bias := n.cfg.ValiantBias
 			if bias == 0 {
 				bias = sim.SerializationTime(n.cfg.MTU+HeaderBytes, n.cfg.LinkGbps)
 			}
-			minBacklog := n.outPorts[sw][best].Backlog(e)
+			minBacklog := ports[best].Backlog(e)
 			if minBacklog > bias {
 				rb.nonMin = n.nonMin.NonMinimalCandidates(sw, pkt.Dst, rb.nonMin[:0])
 				if nm := rb.nonMin; len(nm) > 0 {
-					alt := n.leastBacklogged(e, sw, nm)
+					alt := leastBacklogged(e, ports, nm)
 					// UGAL: detour when twice the non-minimal backlog still
 					// beats the minimal backlog.
-					if 2*n.outPorts[sw][alt].Backlog(e)+bias < minBacklog {
+					if 2*ports[alt].Backlog(e)+bias < minBacklog {
 						pkt.misrouted = true
 						n.statsSh[shard].ValiantDetours++
 						n.msh[shard].detours.Add(1)
@@ -577,14 +582,15 @@ func (n *Network) selectPort(e *sim.Engine, shard int, rng *sim.RNG, sw int, pkt
 	}
 }
 
-// leastBacklogged returns the candidate whose output queue frees soonest,
-// breaking ties in favor of the earliest candidate (keeping selection
-// deterministic for a given simulation state).
-func (n *Network) leastBacklogged(e *sim.Engine, sw int, cands []int) int {
+// leastBacklogged returns the candidate among a switch's output ports
+// whose queue frees soonest, breaking ties in favor of the earliest
+// candidate (keeping selection deterministic for a given simulation
+// state).
+func leastBacklogged(e *sim.Engine, ports []sim.Resource, cands []int) int {
 	best := cands[0]
-	bestBacklog := n.outPorts[sw][best].Backlog(e)
+	bestBacklog := ports[best].Backlog(e)
 	for _, c := range cands[1:] {
-		if b := n.outPorts[sw][c].Backlog(e); b < bestBacklog {
+		if b := ports[c].Backlog(e); b < bestBacklog {
 			best, bestBacklog = c, b
 		}
 	}
@@ -611,7 +617,7 @@ func (n *Network) deliver(node int, pkt *Packet) {
 	}
 	st := &n.statsSh[shard]
 	mm := &n.msh[shard]
-	if n.faultSh != nil && n.dropPacket(node, e, n.faultSh[node]) {
+	if n.faultSh != nil && n.dropPacket(node, e, &n.faultSh[node]) {
 		st.PacketsDropped++
 		st.BytesDropped += uint64(pkt.Size)
 		mm.drops.Add(1)

@@ -116,20 +116,6 @@ func build(g *sim.ShardGroup, engs []*sim.Engine, topo topology.Topology, cfg Co
 		group: g,
 		engs:  engs,
 	}
-	n.outPorts = make([][]*sim.Resource, switches)
-	n.xbars = make([]*sim.Resource, switches)
-	for sw := 0; sw < switches; sw++ {
-		ports := topo.Ports(sw)
-		n.outPorts[sw] = make([]*sim.Resource, len(ports))
-		for pi := range ports {
-			n.outPorts[sw][pi] = sim.NewResource(fmt.Sprintf("sw%d.p%d", sw, pi))
-		}
-		n.xbars[sw] = sim.NewResource(fmt.Sprintf("sw%d.xbar", sw))
-	}
-	n.hostTx = make([]*sim.Resource, nodes)
-	for i := range n.hostTx {
-		n.hostTx[i] = sim.NewResource(fmt.Sprintf("host%d.tx", i))
-	}
 	n.nonMin, _ = topo.(topology.NonMinimalRouter)
 
 	n.tags = make([]sim.Tagged, len(engs))
@@ -140,20 +126,21 @@ func build(g *sim.ShardGroup, engs []*sim.Engine, topo topology.Topology, cfg Co
 	n.numLoci = nodes + switches
 	n.priCount = make([]uint64, n.numLoci)
 	n.nextIDs = make([]uint64, nodes)
+	n.buildResources()
 
-	n.swRNG = make([]*sim.RNG, switches)
+	n.swRNG = make([]sim.RNG, switches)
 	for sw := range n.swRNG {
-		n.swRNG[sw] = sim.NewRNG(sim.SeedFor(seed, "fabric-switch", sw))
+		n.swRNG[sw].Seed(sim.SeedFor(seed, "fabric-switch", sw))
 	}
-	n.hostRNG = make([]*sim.RNG, nodes)
+	n.hostRNG = make([]sim.RNG, nodes)
 	for i := range n.hostRNG {
-		n.hostRNG[i] = sim.NewRNG(sim.SeedFor(seed, "fabric-host", i))
+		n.hostRNG[i].Seed(sim.SeedFor(seed, "fabric-host", i))
 	}
 	n.faults = cfg.effectivePlan()
 	if n.faults.Enabled() {
-		n.faultSh = make([]*sim.RNG, nodes)
+		n.faultSh = make([]sim.RNG, nodes)
 		for i := range n.faultSh {
-			n.faultSh[i] = sim.NewRNG(sim.SeedFor(seed, "fabric-fault", i))
+			n.faultSh[i].Seed(sim.SeedFor(seed, "fabric-fault", i))
 		}
 		n.burstLeft = make([]int, nodes)
 	}
@@ -163,6 +150,44 @@ func build(g *sim.ShardGroup, engs []*sim.Engine, topo topology.Topology, cfg Co
 	n.msh = make([]fabMetrics, len(engs))
 	return n
 }
+
+// buildResources lays out every locus's resources (Network.res) in one
+// flat array of values per shard, in locus order, so a shard's resources
+// are its own allocation and building them costs one allocation per
+// shard whatever the topology's size.
+func (n *Network) buildResources() {
+	slots := func(locus int) int {
+		if locus < len(n.hosts) {
+			return 1 // the injection link
+		}
+		return 1 + len(n.topo.Ports(locus-len(n.hosts))) // the crossbar, then the ports
+	}
+	owner := func(locus int) int {
+		if locus < len(n.hosts) {
+			return n.nodeShard[locus]
+		}
+		return n.swShard[locus-len(n.hosts)]
+	}
+	per := make([]int, len(n.engs))
+	for l := 0; l < n.numLoci; l++ {
+		per[owner(l)] += slots(l)
+	}
+	arrays := make([][]sim.Resource, len(n.engs))
+	for s := range arrays {
+		arrays[s] = make([]sim.Resource, per[s])
+	}
+	n.res = make([][]sim.Resource, n.numLoci)
+	for l := range n.res {
+		s, k := owner(l), slots(l)
+		n.res[l], arrays[s] = arrays[s][:k:k], arrays[s][k:]
+	}
+}
+
+// hostTx returns node's injection link.
+func (n *Network) hostTx(node int) *sim.Resource { return &n.res[n.nodeLocus(node)][0] }
+
+// outPorts returns switch sw's output ports, indexed like topo.Ports(sw).
+func (n *Network) outPorts(sw int) []sim.Resource { return n.res[n.switchLocus(sw)][1:] }
 
 // shardPlan assigns loci to shards: nodes in contiguous rank blocks
 // (node*k/nodes, matching how motifs lay communication out), and each
@@ -274,9 +299,11 @@ func (n *Network) SetMetricsSharded(primary *metrics.Registry, shards []*metrics
 		var busy, uses float64
 		var util, maxUtil float64
 		links := 0
-		for sw := range n.outPorts {
+		for sw := range n.swShard {
 			var backlog sim.Time
-			for _, p := range n.outPorts[sw] {
+			ports := n.outPorts(sw)
+			for i := range ports {
+				p := &ports[i]
 				backlog += p.Backlog(e)
 				u := p.Utilization(e)
 				util += u
@@ -298,11 +325,11 @@ func (n *Network) SetMetricsSharded(primary *metrics.Registry, shards []*metrics
 			primary.Gauge("fabric.link_uses_total").Set(uses)
 		}
 		var hostUtil float64
-		for _, h := range n.hostTx {
-			hostUtil += h.Utilization(e)
+		for node := range n.hosts {
+			hostUtil += n.hostTx(node).Utilization(e)
 		}
-		if len(n.hostTx) > 0 {
-			primary.Gauge("fabric.host_tx_util_mean").Set(hostUtil / float64(len(n.hostTx)))
+		if len(n.hosts) > 0 {
+			primary.Gauge("fabric.host_tx_util_mean").Set(hostUtil / float64(len(n.hosts)))
 		}
 	})
 }
@@ -324,8 +351,9 @@ func (n *Network) RegisterTelemetrySharded(ss *telemetry.ShardSet) {
 		e := n.engs[shard]
 		var backlog sim.Time
 		for _, sw := range swByShard[shard] {
-			for _, p := range n.outPorts[sw] {
-				backlog += p.Backlog(e)
+			ports := n.outPorts(sw)
+			for i := range ports {
+				backlog += ports[i].Backlog(e)
 			}
 		}
 		return backlog.Picoseconds()
@@ -334,8 +362,9 @@ func (n *Network) RegisterTelemetrySharded(ss *telemetry.ShardSet) {
 		e := n.engs[shard]
 		var worst sim.Time
 		for _, sw := range swByShard[shard] {
-			for _, p := range n.outPorts[sw] {
-				if b := p.Backlog(e); b > worst {
+			ports := n.outPorts(sw)
+			for i := range ports {
+				if b := ports[i].Backlog(e); b > worst {
 					worst = b
 				}
 			}
@@ -351,23 +380,23 @@ func (n *Network) RegisterTelemetrySharded(ss *telemetry.ShardSet) {
 	if n.topo.NumSwitches() > maxPerSwitchGauges {
 		return
 	}
-	for sw := range n.outPorts {
+	for sw := range n.swShard {
 		sw := sw
-		ports := n.outPorts[sw]
+		ports := n.outPorts(sw)
 		owner := n.swShard[sw]
 		e := n.engs[owner]
 		ss.RegisterLocal(fmt.Sprintf("fabric.queue_ns.sw%03d", sw), owner, func() float64 {
 			var backlog sim.Time
-			for _, p := range ports {
-				backlog += p.Backlog(e)
+			for i := range ports {
+				backlog += ports[i].Backlog(e)
 			}
 			return backlog.Nanoseconds()
 		})
 		var prevBusy, prevAt sim.Time
 		ss.RegisterLocal(fmt.Sprintf("%s%03d", TelemetryHeatmapPrefix, sw), owner, func() float64 {
 			var busy sim.Time
-			for _, p := range ports {
-				busy += p.BusyTime()
+			for i := range ports {
+				busy += ports[i].BusyTime()
 			}
 			now := e.Now()
 			dt, db := now-prevAt, busy-prevBusy

@@ -43,12 +43,13 @@ func identityCells() []ledger.RunSpec {
 
 // TestChainHeadIdenticalAtEveryShardCount: the default shard count, one
 // shard and four shards all simulate the same run, so their canonical
-// chain heads and event counts are equal. Besides the identity cells it
+// chain heads and event counts are equal. A count equal to the default is
+// the base run itself and is not run again. Besides the identity cells it
 // runs the same network's RVMA incast and KV cells at 5% loss with
 // recovery (the KV cell at rvmasim's default skew 0.99 and 2 µs gap).
 func TestChainHeadIdenticalAtEveryShardCount(t *testing.T) {
 	if testing.Short() {
-		t.Skip("eighteen 64-node motif simulations")
+		t.Skip("sixteen 64-node motif simulations")
 	}
 	o := DefaultOptions()
 	o.Nodes = 64
@@ -61,6 +62,10 @@ func TestChainHeadIdenticalAtEveryShardCount(t *testing.T) {
 		o.Nodes = 64
 		base := cellLedger(t, o, spec, newCellRegistry(o.Shards))
 		for _, shards := range []int{1, 4} {
+			if shards == o.Shards {
+				continue
+			}
+			o := o
 			o.Shards = shards
 			got := cellLedger(t, o, spec, newCellRegistry(shards))
 			if got.ChainHead != base.ChainHead || got.Events != base.Events {

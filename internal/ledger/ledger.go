@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 
 	"rvma/internal/sim"
 )
@@ -198,6 +197,3 @@ func ReadFile(path string) (*Ledger, error) {
 // hex64 renders a digest as a fixed-width hex string (JSON cannot round-
 // trip uint64 through float64 safely).
 func hex64(v uint64) string { return fmt.Sprintf("%016x", v) }
-
-// parseHex64 is the inverse of hex64.
-func parseHex64(s string) (uint64, error) { return strconv.ParseUint(s, 16, 64) }

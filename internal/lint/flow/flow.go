@@ -42,25 +42,7 @@
 // panic is not a leak (the run is already dead).
 package flow
 
-import (
-	"go/ast"
-	"go/types"
-)
-
-// StaticCallee resolves a call expression to the function or method it
-// statically invokes, or nil for builtins, conversions and calls
-// through function values.
-func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		f, _ := info.Uses[fun].(*types.Func)
-		return f
-	case *ast.SelectorExpr:
-		f, _ := info.Uses[fun.Sel].(*types.Func)
-		return f
-	}
-	return nil
-}
+import "go/types"
 
 // Taint is one abstract value of the taint lattice: which real-world
 // nondeterminism source reaches a value (Cause, "" when none) and which

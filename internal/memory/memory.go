@@ -136,8 +136,12 @@ func (w *Watcher) Cancel() {
 // address space, except that a freed region is handed to the next
 // allocation of exactly its size (most recently freed first), so software
 // that frees what it has consumed runs in a bounded address space.
+//
+// The zero value is an empty memory, and each of its tables is made on
+// first use, so a NIC holds its node's memory by value and a node that
+// never allocates or watches costs nothing beyond the struct.
 type Memory struct {
-	next     Addr
+	next     Addr              // the top of the address space; 0 until the first Alloc
 	regions  []*Region         // sorted by Base; freed regions stay until reused
 	free     map[int]*freeList // what Free returned, by length
 	watchers map[Addr][]*Watcher
@@ -174,11 +178,9 @@ func (m *Memory) freeOf(n int) *freeList {
 	return fl
 }
 
-// New returns an empty memory. The address space starts at a nonzero base
-// so that Addr(0) can serve as a null sentinel.
-func New() *Memory {
-	return &Memory{next: 0x1000, watchers: make(map[Addr][]*Watcher)}
-}
+// baseAddr is where the address space starts: nonzero, so that Addr(0)
+// can serve as a null sentinel.
+const baseAddr Addr = 0x1000
 
 // Alloc returns a cache-line-aligned region of the given size that reads
 // as zero. It reuses the most recently freed region of that size, if any,
@@ -196,6 +198,9 @@ func (m *Memory) Alloc(size int) *Region {
 		fl.regions = fl.regions[:n]
 		r.freed = false
 		return r
+	}
+	if m.next == 0 {
+		m.next = baseAddr
 	}
 	// Align base to a cache line, as real allocators for DMA targets do.
 	base := (m.next + CacheLineSize - 1) / CacheLineSize * CacheLineSize
@@ -444,6 +449,9 @@ func (m *Memory) notify(a Addr, n int) {
 // latency to the caller.
 func (m *Memory) Watch(a Addr, fn func(addr Addr, n int)) *Watcher {
 	w := &Watcher{line: lineOf(a), fn: fn, mem: m}
+	if m.watchers == nil {
+		m.watchers = make(map[Addr][]*Watcher)
+	}
 	m.watchers[w.line] = append(m.watchers[w.line], w)
 	return w
 }

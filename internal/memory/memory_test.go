@@ -10,7 +10,7 @@ import (
 )
 
 func TestAllocAlignment(t *testing.T) {
-	m := New()
+	m := new(Memory)
 	for i := 0; i < 20; i++ {
 		r := m.Alloc(i*7 + 1)
 		if r.Base%CacheLineSize != 0 {
@@ -20,7 +20,7 @@ func TestAllocAlignment(t *testing.T) {
 }
 
 func TestAllocDisjoint(t *testing.T) {
-	m := New()
+	m := new(Memory)
 	a := m.Alloc(100)
 	b := m.Alloc(100)
 	if a.End() > b.Base {
@@ -29,7 +29,7 @@ func TestAllocDisjoint(t *testing.T) {
 }
 
 func TestWriteRead(t *testing.T) {
-	m := New()
+	m := new(Memory)
 	r := m.Alloc(256)
 	payload := []byte("remote virtual memory access")
 	m.Write(r.Base+13, payload)
@@ -43,7 +43,7 @@ func TestWriteRead(t *testing.T) {
 }
 
 func TestFill(t *testing.T) {
-	m := New()
+	m := new(Memory)
 	r := m.Alloc(64)
 	m.Fill(r.Base+8, 0xAB, 16)
 	got := m.Read(r.Base+8, 16)
@@ -58,7 +58,7 @@ func TestFill(t *testing.T) {
 }
 
 func TestOutOfBoundsWritePanics(t *testing.T) {
-	m := New()
+	m := new(Memory)
 	r := m.Alloc(16)
 	defer func() {
 		if recover() == nil {
@@ -69,7 +69,7 @@ func TestOutOfBoundsWritePanics(t *testing.T) {
 }
 
 func TestOutOfBoundsReadPanics(t *testing.T) {
-	m := New()
+	m := new(Memory)
 	m.Alloc(16)
 	defer func() {
 		if recover() == nil {
@@ -96,7 +96,7 @@ func TestRegionContains(t *testing.T) {
 }
 
 func TestWatcherFiresOnLineTouch(t *testing.T) {
-	m := New()
+	m := new(Memory)
 	r := m.Alloc(256)
 	fired := 0
 	m.Watch(r.Base+64, func(a Addr, n int) { fired++ })
@@ -111,7 +111,7 @@ func TestWatcherFiresOnLineTouch(t *testing.T) {
 }
 
 func TestWatcherCancel(t *testing.T) {
-	m := New()
+	m := new(Memory)
 	r := m.Alloc(64)
 	fired := 0
 	w := m.Watch(r.Base, func(a Addr, n int) { fired++ })
@@ -128,7 +128,7 @@ func TestWatcherCancel(t *testing.T) {
 }
 
 func TestWatcherSelfCancelDuringCallback(t *testing.T) {
-	m := New()
+	m := new(Memory)
 	r := m.Alloc(64)
 	fired := 0
 	var w *Watcher
@@ -144,7 +144,7 @@ func TestWatcherSelfCancelDuringCallback(t *testing.T) {
 }
 
 func TestMultipleWatchersOneLine(t *testing.T) {
-	m := New()
+	m := new(Memory)
 	r := m.Alloc(64)
 	count := 0
 	m.Watch(r.Base, func(Addr, int) { count++ })
@@ -156,7 +156,7 @@ func TestMultipleWatchersOneLine(t *testing.T) {
 }
 
 func TestCompletionCell(t *testing.T) {
-	m := New()
+	m := new(Memory)
 	c := MakeCompletionCell(m)
 	if c.Addr()%CacheLineSize != 0 {
 		t.Fatal("completion cell must be cache-line aligned")
@@ -191,7 +191,7 @@ func TestCompletionCell(t *testing.T) {
 }
 
 func TestCompletionCellWatch(t *testing.T) {
-	m := New()
+	m := new(Memory)
 	c := MakeCompletionCell(m)
 	var seen Addr
 	m.Watch(c.Addr(), func(Addr, int) {
@@ -205,7 +205,7 @@ func TestCompletionCellWatch(t *testing.T) {
 }
 
 func TestCompletionCellsDontShareLines(t *testing.T) {
-	m := New()
+	m := new(Memory)
 	a := MakeCompletionCell(m)
 	b := MakeCompletionCell(m)
 	fired := false
@@ -219,7 +219,7 @@ func TestCompletionCellsDontShareLines(t *testing.T) {
 // Property: a write followed by a read of the same span returns the same
 // bytes, for arbitrary offsets and payloads within a region.
 func TestWriteReadRoundTripProperty(t *testing.T) {
-	m := New()
+	m := new(Memory)
 	r := m.Alloc(1 << 16)
 	f := func(off uint16, payload []byte) bool {
 		if len(payload) == 0 {
@@ -244,7 +244,7 @@ func TestOutOfOrderPlacementProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		const chunk, n = 64, 32
 		build := func(order []int) []byte {
-			m := New()
+			m := new(Memory)
 			r := m.Alloc(chunk * n)
 			for _, idx := range order {
 				payload := make([]byte, chunk)
@@ -313,7 +313,7 @@ func TestPollerZeroIntervalPanics(t *testing.T) {
 // callback), so it must not depend on map iteration or any other
 // randomized order.
 func TestWatcherNotifyOrderDeterministic(t *testing.T) {
-	m := New()
+	m := new(Memory)
 	r := m.Alloc(4 * CacheLineSize)
 
 	var fired []int
@@ -344,7 +344,7 @@ func TestWatcherNotifyOrderDeterministic(t *testing.T) {
 }
 
 func TestDemandZeroPages(t *testing.T) {
-	m := New()
+	m := new(Memory)
 	r := m.Alloc(1 << 20)
 	if got := m.Read(r.Base+12345, 100); !bytes.Equal(got, make([]byte, 100)) {
 		t.Fatal("untouched memory must read zero")
@@ -365,7 +365,7 @@ func TestDemandZeroPages(t *testing.T) {
 }
 
 func TestSmallRegionMaterializesItsSize(t *testing.T) {
-	m := New()
+	m := new(Memory)
 	c := MakeCompletionCell(m)
 	c.Set(0x1000, 8)
 	if m.ResidentBytes() != CacheLineSize {
@@ -379,7 +379,7 @@ func TestSmallRegionMaterializesItsSize(t *testing.T) {
 }
 
 func TestFillZeroDropsWholePages(t *testing.T) {
-	m := New()
+	m := new(Memory)
 	r := m.Alloc(2 * pageSize)
 	m.Fill(r.Base, 0xAA, 2*pageSize)
 	m.Fill(r.Base+pageSize-8, 0, pageSize+8) // tail of page 0, all of page 1
@@ -404,7 +404,7 @@ func TestFillZeroDropsWholePages(t *testing.T) {
 }
 
 func TestFreeReusesSameSizeRegion(t *testing.T) {
-	m := New()
+	m := new(Memory)
 	a := m.Alloc(100)
 	b := m.Alloc(100)
 	m.Write(a.Base, []byte{1, 2, 3})
@@ -432,7 +432,7 @@ func TestFreeReusesSameSizeRegion(t *testing.T) {
 // length to be written takes it: a written 64 B region that is allocated
 // again reads zero, and writing it again allocates nothing.
 func TestReallocatedRegionReusesZeroedPage(t *testing.T) {
-	m := New()
+	m := new(Memory)
 	r := m.Alloc(CacheLineSize)
 	m.Fill(r.Base, 0xff, CacheLineSize)
 	m.Free(r)
@@ -474,7 +474,7 @@ func TestDebugCatchesWriteToSparePage(t *testing.T) {
 	if !sim.DebugEnabled {
 		t.Skip("the check is a simdebug assertion")
 	}
-	m := New()
+	m := new(Memory)
 	r := m.Alloc(CacheLineSize)
 	m.Write(r.Base, []byte{1})
 	stale := r.pages[0]
@@ -507,7 +507,7 @@ func TestFreeMisusePanics(t *testing.T) {
 			c.Free()
 			c.Get()
 		}},
-		{"foreign region", func(m *Memory, r *Region) { New().Free(r) }},
+		{"foreign region", func(m *Memory, r *Region) { new(Memory).Free(r) }},
 		{"watched region", func(m *Memory, r *Region) {
 			m.Watch(r.Base+CacheLineSize, func(Addr, int) {})
 			m.Free(r)
@@ -515,7 +515,7 @@ func TestFreeMisusePanics(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := New()
+			m := new(Memory)
 			r := m.Alloc(4 * CacheLineSize)
 			defer func() {
 				if recover() == nil {
@@ -543,7 +543,7 @@ func TestRegionFitsItsSizeClass(t *testing.T) {
 func TestPagedMemoryMatchesFlatModel(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := sim.NewRNG(seed)
-		m := New()
+		m := new(Memory)
 		type shadow struct {
 			r    *Region
 			want []byte
@@ -606,7 +606,7 @@ func TestPagedMemoryMatchesFlatModel(t *testing.T) {
 // latency validation: the MWait watcher must observe the exact (head,
 // len) pair the completion unit wrote, never a torn or stale value.
 func TestWatcherObservesExactCellWrite(t *testing.T) {
-	mem := New()
+	mem := new(Memory)
 	cell := MakeCompletionCell(mem)
 	var seen [][2]uint64
 	mem.Watch(cell.Addr(), func(Addr, int) {

@@ -290,6 +290,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Kind != KindRVMA && cfg.Kind != KindRDMA {
+		return nil, fmt.Errorf("motif: unknown transport kind %v", cfg.Kind)
+	}
 	n := cfg.Topology.NumNodes()
 	c := &Cluster{Eng: g.Shard(0), Net: net, Group: g, Kind: cfg.Kind, Transports: make([]Transport, n),
 		lastByte: cfg.RDMALastBytePoll && cfg.Routing.Ordered()}
@@ -297,19 +300,30 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	for i := range c.Tags {
 		c.Tags[i] = g.Shard(i).Tag("motif")
 	}
+	c.nics = perShard[nic.NIC](net, g.Shards(), n)
+	if cfg.Recovery != nil {
+		c.recMgrs = perShard[recovery.Manager](net, g.Shards(), n)
+	}
+	var rvmaTPs []*rvmaTransport
+	var rdmaTPs []*rdmaTransport
+	if cfg.Kind == KindRVMA {
+		c.rvmaEPs, rvmaTPs = perShard[rvma.Endpoint](net, g.Shards(), n), perShard[rvmaTransport](net, g.Shards(), n)
+	} else {
+		c.rdmaEPs, rdmaTPs = perShard[rdma.Endpoint](net, g.Shards(), n), perShard[rdmaTransport](net, g.Shards(), n)
+	}
 	for node := 0; node < n; node++ {
 		// Every per-node component lives on the engine that owns the node's
 		// shard, so its events execute inside that shard's windows.
 		neng := g.Shard(net.NodeShard(node))
-		nc := nic.New(neng, net, node, cfg.PCIe, cfg.NIC)
-		c.nics = append(c.nics, nc)
+		nc := c.nics[node]
+		nc.Init(neng, net, node, cfg.PCIe, cfg.NIC)
 		// One recovery manager per node: retry state is per-endpoint, stats
 		// aggregate via RecoveryStats. Backoff jitter must depend only on
 		// this node's retries, not on whatever else shares its engine.
 		var rec *recovery.Manager
 		if cfg.Recovery != nil {
-			rec = recovery.NewManager(neng, *cfg.Recovery, sim.NewRNG(sim.SeedFor(cfg.Seed, "recovery", node)))
-			c.recMgrs = append(c.recMgrs, rec)
+			rec = c.recMgrs[node]
+			rec.Init(neng, *cfg.Recovery, sim.SeedFor(cfg.Seed, "recovery", node))
 		}
 		switch cfg.Kind {
 		case KindRVMA:
@@ -322,28 +336,49 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 				// through Rewind, which needs retained history (§IV-F).
 				rcfg.HistoryDepth = 2
 			}
-			ep := rvma.NewEndpoint(nc, rcfg)
+			ep := c.rvmaEPs[node]
+			ep.Init(nc, rcfg)
 			if rec != nil {
 				ep.SetReassemblyHorizon(rec.ReclaimAfter())
 			}
-			c.rvmaEPs = append(c.rvmaEPs, ep)
-			c.Transports[node] = newRVMATransport(ep, n, cfg.RVMADepth, rec,
-				sim.NewRNG(sim.SeedFor(cfg.Seed, "rank", node)))
+			rvmaTPs[node].init(ep, n, cfg.RVMADepth, rec, sim.SeedFor(cfg.Seed, "rank", node))
+			c.Transports[node] = rvmaTPs[node]
 		case KindRDMA:
 			dcfg := rdma.DefaultConfig()
 			dcfg.CarryData = false
 			dcfg.PipelinedFence = cfg.PipelinedFence
-			ep := rdma.NewEndpoint(nc, dcfg)
+			ep := c.rdmaEPs[node]
+			ep.Init(nc, dcfg)
 			if rec != nil {
 				ep.SetReassemblyHorizon(rec.ReclaimAfter())
 			}
-			c.rdmaEPs = append(c.rdmaEPs, ep)
-			c.Transports[node] = newRDMATransport(ep, n, c.lastByte, cfg.RDMABuffers, rec)
-		default:
-			return nil, fmt.Errorf("motif: unknown transport kind %v", cfg.Kind)
+			rdmaTPs[node].init(ep, n, c.lastByte, cfg.RDMABuffers, rec)
+			c.Transports[node] = rdmaTPs[node]
 		}
 	}
 	return c, nil
+}
+
+// perShard returns one zero T per node, placed in one array per shard
+// that holds the shard's nodes' Ts by value. Building a node's component
+// then takes a slot instead of an allocation, and no shard's components
+// share an allocation with another shard's. The arrays never grow, so
+// the pointers stay valid for the cluster's life.
+func perShard[T any](net *fabric.Network, shards, nodes int) []*T {
+	count := make([]int, shards)
+	for node := 0; node < nodes; node++ {
+		count[net.NodeShard(node)]++
+	}
+	arrays := make([][]T, shards)
+	for s, k := range count {
+		arrays[s] = make([]T, k)
+	}
+	out := make([]*T, nodes)
+	for node := range out {
+		s := net.NodeShard(node)
+		out[node], arrays[s] = &arrays[s][0], arrays[s][1:]
+	}
+	return out
 }
 
 // HostMemory sums the nodes' simulated host memory: live is the bytes of

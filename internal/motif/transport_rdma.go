@@ -33,18 +33,19 @@ type rdmaTransport struct {
 	// a send/recv fence.
 	ordered bool
 	nbufs   int
-	out     map[int]*sendState
-	in      map[int]*recvState
-	// rel, when non-nil, puts the handshake, every data put, the fence
-	// send and every credit return under the recovery layer's
+	// out and in are made by the first Prepare that names a peer.
+	out map[int]*sendState
+	in  map[int]*recvState
+	// rel, when its manager is set, puts the handshake, every data put,
+	// the fence send and every credit return under the recovery layer's
 	// timeout/retransmit policy, riding the protocol's own opPutAck path.
-	rel *rdmaReliable
+	rel rdmaReliable
 	// idle lists the credit arms no message is using.
 	idle *creditArm
 }
 
-// rdmaReliable is a transport's recovery state: its node's manager and
-// the reliable-send records no operation is using.
+// rdmaReliable is a transport's recovery state: its node's manager, nil
+// without recovery, and the reliable-send records no operation is using.
 type rdmaReliable struct {
 	rec  *recovery.Manager
 	idle *rdmaSend
@@ -131,19 +132,10 @@ type recvState struct {
 	returnCredit func()
 }
 
-func newRDMATransport(ep *rdma.Endpoint, ranks int, ordered bool, nbufs int, rec *recovery.Manager) *rdmaTransport {
-	t := &rdmaTransport{
-		ep:      ep,
-		ranks:   ranks,
-		ordered: ordered,
-		nbufs:   nbufs,
-		out:     make(map[int]*sendState),
-		in:      make(map[int]*recvState),
-	}
-	if rec != nil {
-		t.rel = &rdmaReliable{rec: rec}
-	}
-	return t
+// init makes t, a zero transport in its shard's array, rank ep.Node()'s
+// transport. rec is the node's recovery manager, nil without recovery.
+func (t *rdmaTransport) init(ep *rdma.Endpoint, ranks int, ordered bool, nbufs int, rec *recovery.Manager) {
+	t.ep, t.ranks, t.ordered, t.nbufs, t.rel.rec = ep, ranks, ordered, nbufs, rec
 }
 
 // Rank implements Transport.
@@ -156,6 +148,10 @@ func (t *rdmaTransport) Ranks() int { return t.ranks }
 // out-neighbor (nbufs buffers each) before any data can move — the setup
 // RVMA does not have. In-neighbors need only local state.
 func (t *rdmaTransport) Prepare(inPeers, outPeers []int, maxMsg int) *sim.Future {
+	if t.in == nil {
+		t.in = make(map[int]*recvState)
+		t.out = make(map[int]*sendState)
+	}
 	for _, src := range inPeers {
 		if _, ok := t.in[src]; !ok {
 			t.in[src] = &recvState{returnCredit: t.creditReturn(src)}
@@ -209,7 +205,7 @@ func (t *rdmaTransport) Prepare(inPeers, outPeers []int, maxMsg int) *sim.Future
 // the stale-registration garbage a real system would clean up out of
 // band, harmless here. The future resolves with the RemoteBuffer.
 func (t *rdmaTransport) handshake(dst, size int) *sim.Future {
-	if t.rel == nil {
+	if t.rel.rec == nil {
 		return t.ep.RequestRemoteBuffer(dst, size).Done
 	}
 	h := &handshake{t: t, dst: dst, size: size}
@@ -301,7 +297,7 @@ func (t *rdmaTransport) issue(st *sendState, size int) *sim.Future {
 	st.rr = (st.rr + 1) % len(st.bufs)
 
 	var local *sim.Future
-	if t.rel != nil {
+	if t.rel.rec != nil {
 		local = t.sendReliable(st, rb, size)
 	} else {
 		scheme := rdma.CompleteSendRecv
@@ -359,7 +355,7 @@ func (t *rdmaTransport) reliableSend(dst, qp int) {
 //
 //rvmalint:hot
 func (t *rdmaTransport) newSend() *rdmaSend {
-	rel := t.rel
+	rel := &t.rel
 	s := rel.idle
 	if s != nil {
 		rel.idle, s.next = s.next, nil
@@ -403,7 +399,7 @@ func (s *rdmaSend) Abandon() {
 func (s *rdmaSend) acked() { s.free() }
 
 func (s *rdmaSend) free() {
-	rel := s.t.rel
+	rel := &s.t.rel
 	*s = rdmaSend{t: s.t, done: s.done, next: rel.idle}
 	rel.idle = s
 }
@@ -436,9 +432,7 @@ func (t *rdmaTransport) Recv(p *sim.Process, src, size int) {
 // dropPools releases the idle credit arms and reliable-send records.
 func (t *rdmaTransport) dropPools() {
 	t.idle = nil
-	if t.rel != nil {
-		t.rel.idle = nil
-	}
+	t.rel.idle = nil
 }
 
 // creditReturn returns src's credit-return continuation: a consumed
@@ -446,7 +440,7 @@ func (t *rdmaTransport) dropPools() {
 // sender forever, so under recovery it is acked and retried like any data
 // message.
 func (t *rdmaTransport) creditReturn(src int) func() {
-	if t.rel != nil {
+	if t.rel.rec != nil {
 		return func() { t.reliableSend(src, creditQP) }
 	}
 	return func() { t.ep.Send(src, creditQP, 1) }

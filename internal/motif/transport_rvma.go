@@ -21,26 +21,25 @@ import (
 // anything: receiver-managed buffering removes all per-message
 // coordination.
 type rvmaTransport struct {
-	ep *rvma.Endpoint
-	// ranks and depth are 32-bit so the record, with idle below, stays in
-	// the 48 B size class: scale-8k builds 9,702 transports.
+	ep           *rvma.Endpoint
 	ranks, depth int32
-	boxes        map[int]*mailboxState
-	// rel, when non-nil, puts every Send under the recovery layer's
-	// timeout/retransmit policy (acked puts instead of fire-and-forget)
-	// and arms receiver-side window guards on Recv.
-	rel *rvmaReliable
+	// boxes is made by the first Prepare that names an in-neighbor.
+	boxes map[int]*mailboxState
+	// rel, when its manager is set, puts every Send under the recovery
+	// layer's timeout/retransmit policy (acked puts instead of
+	// fire-and-forget) and arms receiver-side window guards on Recv.
+	rel rvmaReliable
 	// rng supplies NACK-retry backoff from a rank-private stream, so the
 	// backoff sequence depends only on this rank's own NACKs and survives
 	// resharding.
-	rng *sim.RNG
+	rng sim.RNG
 	// idle lists the zeroed waits whose process has resumed, for the next
 	// Recv that must wait.
 	idle *recvWait
 }
 
-// rvmaReliable is a transport's recovery state: its node's manager and
-// the reliable-send records no operation is using.
+// rvmaReliable is a transport's recovery state: its node's manager, nil
+// without recovery, and the reliable-send records no operation is using.
 type rvmaReliable struct {
 	rec  *recovery.Manager
 	idle *rvmaSend
@@ -82,13 +81,13 @@ type mailboxState struct {
 	maxMsg    int
 }
 
-func newRVMATransport(ep *rvma.Endpoint, ranks, depth int, rec *recovery.Manager, rng *sim.RNG) *rvmaTransport {
-	t := &rvmaTransport{ep: ep, ranks: int32(ranks), depth: int32(depth), boxes: make(map[int]*mailboxState), rng: rng}
-	if rec != nil {
-		t.rel = &rvmaReliable{rec: rec}
-	}
+// init makes t, a zero transport in its shard's array, rank ep.Node()'s
+// transport. rec is the node's recovery manager, nil without recovery,
+// and seed seeds the NACK-retry backoff stream.
+func (t *rvmaTransport) init(ep *rvma.Endpoint, ranks, depth int, rec *recovery.Manager, seed uint64) {
+	t.ep, t.ranks, t.depth, t.rel.rec = ep, int32(ranks), int32(depth), rec
+	t.rng.Seed(seed)
 	ep.SetNackHandler(t)
-	return t
 }
 
 // Rank implements Transport.
@@ -111,8 +110,11 @@ func (t *rvmaTransport) Prepare(inPeers, outPeers []int, maxMsg int) *sim.Future
 			panic(fmt.Sprintf("motif: rank %d window for src %d: %v", t.Rank(), src, err))
 		}
 		box := &mailboxState{win: win, maxMsg: maxMsg}
-		if t.rel != nil {
+		if t.rel.rec != nil {
 			box.guard = t.rel.rec.GuardWindow(win)
+		}
+		if t.boxes == nil {
+			t.boxes = make(map[int]*mailboxState)
 		}
 		t.boxes[src] = box
 		for i := int32(0); i < t.depth; i++ {
@@ -162,7 +164,7 @@ func (t *rvmaTransport) postOne(box *mailboxState) {
 // overwhelmed mailbox costs the *sender* time rather than wedging the
 // receiver. The future handed back is the put's own local completion.
 func (t *rvmaTransport) Send(dst, size int) *sim.Future {
-	if t.rel != nil {
+	if t.rel.rec != nil {
 		return t.sendReliable(dst, size)
 	}
 	return t.ep.PutN(dst, rvma.VAddr(t.Rank()), 0, size).Local
@@ -176,7 +178,7 @@ func (t *rvmaTransport) Send(dst, size int) *sim.Future {
 //
 //rvmalint:hot
 func (t *rvmaTransport) sendReliable(dst, size int) *sim.Future {
-	rel := t.rel
+	rel := &t.rel
 	s := rel.idle
 	if s != nil {
 		rel.idle, s.next = s.next, nil
@@ -218,7 +220,7 @@ func (s *rvmaSend) Abandon() {
 func (s *rvmaSend) acked() { s.free() }
 
 func (s *rvmaSend) free() {
-	rel := s.t.rel
+	rel := &s.t.rel
 	s.rp, s.local = nil, nil
 	s.next, rel.idle = rel.idle, s
 }
@@ -273,7 +275,5 @@ func (t *rvmaTransport) Recv(p *sim.Process, src, size int) {
 // dropPools releases the idle waits and reliable-send records.
 func (t *rvmaTransport) dropPools() {
 	t.idle = nil
-	if t.rel != nil {
-		t.rel.idle = nil
-	}
+	t.rel.idle = nil
 }

@@ -47,13 +47,13 @@ type stamped struct {
 	at  sim.Time
 }
 
-// NewRangeAssembler returns an empty duplicate-aware assembler for a
-// fabric whose packets carry mtu payload bytes.
-func NewRangeAssembler(mtu int) *RangeAssembler {
+// Init empties a for a fabric whose packets carry mtu payload bytes.
+// Endpoints hold their assembler by value and initialize it in place.
+func (a *RangeAssembler) Init(mtu int) {
 	if mtu <= 0 {
 		panic("nic: range assembler needs a positive MTU")
 	}
-	return &RangeAssembler{mtu: mtu}
+	*a = RangeAssembler{mtu: mtu}
 }
 
 // SetHorizon makes the assembler forget a message's state once it is

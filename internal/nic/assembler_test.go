@@ -7,7 +7,8 @@ import (
 )
 
 func TestRangeAssemblerBasicCompletion(t *testing.T) {
-	a := NewRangeAssembler(1024)
+	a := new(RangeAssembler)
+	a.Init(1024)
 	key := MsgKey{Src: 3, MsgID: 7}
 	if n, done, dup := a.Add(0, key, 0, 1024, 2048); n != 1024 || done || dup {
 		t.Fatalf("first half: n=%d done=%v dup=%v", n, done, dup)
@@ -27,7 +28,8 @@ func TestRangeAssemblerBasicCompletion(t *testing.T) {
 }
 
 func TestRangeAssemblerDuplicateOffsets(t *testing.T) {
-	a := NewRangeAssembler(1024)
+	a := new(RangeAssembler)
+	a.Init(1024)
 	key := MsgKey{Src: 1, MsgID: 1}
 	a.Add(0, key, 0, 1024, 2048)
 	// Same offset again while inflight: duplicate, no new bytes.
@@ -44,7 +46,8 @@ func TestRangeAssemblerDuplicateOffsets(t *testing.T) {
 }
 
 func TestRangeAssemblerSinglePacketMessage(t *testing.T) {
-	a := NewRangeAssembler(1024)
+	a := new(RangeAssembler)
+	a.Init(1024)
 	key := MsgKey{Src: 2, MsgID: 9}
 	if n, done, dup := a.Add(0, key, 0, 512, 512); n != 512 || !done || dup {
 		t.Fatalf("single packet: n=%d done=%v dup=%v", n, done, dup)
@@ -60,7 +63,8 @@ func TestRangeAssemblerSinglePacketMessage(t *testing.T) {
 // arrive that late). Without one, nothing is forgotten.
 func TestRangeAssemblerForgetsPastHorizon(t *testing.T) {
 	const h = 100 * sim.Microsecond
-	a := NewRangeAssembler(1024)
+	a := new(RangeAssembler)
+	a.Init(1024)
 	a.SetHorizon(h)
 	done, open := MsgKey{Src: 0, MsgID: 1}, MsgKey{Src: 0, MsgID: 2}
 	a.Add(0, done, 0, 8, 8)
@@ -91,7 +95,8 @@ func TestRangeAssemblerForgetsPastHorizon(t *testing.T) {
 	}
 
 	// Without a horizon, nothing is forgotten.
-	b := NewRangeAssembler(1024)
+	b := new(RangeAssembler)
+	b.Init(1024)
 	b.Add(0, done, 0, 8, 8)
 	if _, _, dup := b.Add(sim.Second, done, 0, 8, 8); !dup {
 		t.Fatal("an assembler without a horizon forgot a done key")
@@ -102,7 +107,8 @@ func TestRangeAssemblerForgetsPastHorizon(t *testing.T) {
 // and deduplicates there too.
 func TestRangeAssemblerLongMessage(t *testing.T) {
 	const mtu, packets = 64, 130
-	a := NewRangeAssembler(mtu)
+	a := new(RangeAssembler)
+	a.Init(mtu)
 	key := MsgKey{Src: 5, MsgID: 1}
 	for i := packets - 1; i >= 0; i-- {
 		n, completed, dup := a.Add(0, key, i*mtu, mtu, packets*mtu)
@@ -120,7 +126,8 @@ func TestRangeAssemblerLongMessage(t *testing.T) {
 // An assembler makes its maps on the first packet, so one that never
 // sees a reliable packet holds none.
 func TestRangeAssemblerMapsAreLazy(t *testing.T) {
-	a := NewRangeAssembler(1024)
+	a := new(RangeAssembler)
+	a.Init(1024)
 	if a.inflight != nil || a.done != nil || a.Done(MsgKey{}) || a.Pending() != 0 {
 		t.Fatal("a fresh assembler holds reassembly state")
 	}

@@ -98,17 +98,19 @@ func (p Profile) RegistrationTime(size int) sim.Time {
 // packet's part of the message at pkt.Offset.
 type Handler func(pkt *fabric.Packet)
 
-// NIC is one node's network interface: bus, pipelines and dispatch.
+// NIC is one node's network interface: bus, pipelines and dispatch. It
+// holds its node's memory, bus and pipelines by value, so a NIC is one
+// object, and a cluster keeps its NICs in arrays (see Init).
 type NIC struct {
 	node int
 	eng  sim.Tagged
 	net  *fabric.Network
-	mem  *memory.Memory
-	bus  *pcie.Bus
+	mem  memory.Memory
+	bus  pcie.Bus
 	prof Profile
 
-	sendPipe *sim.Resource
-	recvPipe *sim.Resource
+	sendPipe sim.Resource
+	recvPipe sim.Resource
 	handler  Handler
 
 	tracer *trace.Tracer
@@ -128,18 +130,20 @@ type NIC struct {
 
 // New attaches a NIC to node on net, with its own memory and bus.
 func New(eng *sim.Engine, net *fabric.Network, node int, busCfg pcie.Config, prof Profile) *NIC {
-	n := &NIC{
-		node:     node,
-		eng:      eng.Tag("nic"),
-		net:      net,
-		mem:      memory.New(),
-		bus:      pcie.New(busCfg),
-		prof:     prof,
-		sendPipe: sim.NewResource(fmt.Sprintf("nic%d.send", node)),
-		recvPipe: sim.NewResource(fmt.Sprintf("nic%d.recv", node)),
-	}
-	net.AttachHost(node, n.deliver)
+	n := new(NIC)
+	n.Init(eng, net, node, busCfg, prof)
 	return n
+}
+
+// Init is New for a NIC the caller has placed: it attaches n, a zero NIC,
+// to node on net. A cluster builds its NICs with it in one array per
+// shard, so a node's NIC costs a slot in that array. n must not move or
+// be copied afterwards: the fabric delivers to it, and its memory's
+// regions point back at it.
+func (n *NIC) Init(eng *sim.Engine, net *fabric.Network, node int, busCfg pcie.Config, prof Profile) {
+	n.node, n.eng, n.net, n.prof = node, eng.Tag("nic"), net, prof
+	n.bus.Init(busCfg)
+	net.AttachHost(node, n.deliver)
 }
 
 // Node returns the attached node id.
@@ -149,10 +153,10 @@ func (n *NIC) Node() int { return n.node }
 func (n *NIC) Engine() *sim.Engine { return n.eng.Engine }
 
 // Memory returns the node's host memory.
-func (n *NIC) Memory() *memory.Memory { return n.mem }
+func (n *NIC) Memory() *memory.Memory { return &n.mem }
 
 // Bus returns the node's PCIe bus model.
-func (n *NIC) Bus() *pcie.Bus { return n.bus }
+func (n *NIC) Bus() *pcie.Bus { return &n.bus }
 
 // Profile returns the timing profile.
 func (n *NIC) Profile() Profile { return n.prof }
@@ -334,19 +338,18 @@ type MsgKey struct {
 // every byte of a multi-packet message has arrived regardless of arrival
 // order. RDMA's send/recv-fenced completion needs it to model transport
 // resequencing; RVMA's EPOCH_OPS counting needs it to count an operation
-// exactly once.
+// exactly once. The zero value is an empty assembler, and endpoints hold
+// theirs by value.
 type Assembler struct {
-	inflight map[MsgKey]asmState // by value: a multi-packet message allocates nothing
+	// inflight is made by the first multi-packet message, so an endpoint
+	// that only sees single-packet messages allocates none. States are
+	// held by value: a multi-packet message allocates nothing.
+	inflight map[MsgKey]asmState
 }
 
 type asmState struct {
 	received int
 	total    int
-}
-
-// NewAssembler returns an empty assembler.
-func NewAssembler() *Assembler {
-	return &Assembler{inflight: make(map[MsgKey]asmState)}
 }
 
 // Add records size arrived bytes for message key with the given total
@@ -358,6 +361,9 @@ func (a *Assembler) Add(key MsgKey, size, total int) bool {
 	if !ok {
 		if size >= total {
 			return true
+		}
+		if a.inflight == nil {
+			a.inflight = make(map[MsgKey]asmState)
 		}
 		a.inflight[key] = asmState{received: size, total: total}
 		return false

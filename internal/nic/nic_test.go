@@ -146,7 +146,7 @@ func TestRegistrationTime(t *testing.T) {
 }
 
 func TestAssemblerSinglePacket(t *testing.T) {
-	a := NewAssembler()
+	a := new(Assembler)
 	if !a.Add(MsgKey{Src: 1, MsgID: 9}, 100, 100) {
 		t.Fatal("single-packet message should complete on first Add")
 	}
@@ -156,7 +156,7 @@ func TestAssemblerSinglePacket(t *testing.T) {
 }
 
 func TestAssemblerMultiPacketAnyOrder(t *testing.T) {
-	a := NewAssembler()
+	a := new(Assembler)
 	k := MsgKey{Src: 2, MsgID: 5}
 	if a.Add(k, 1000, 3000) {
 		t.Fatal("incomplete message reported complete")
@@ -173,7 +173,7 @@ func TestAssemblerMultiPacketAnyOrder(t *testing.T) {
 }
 
 func TestAssemblerInterleavedMessages(t *testing.T) {
-	a := NewAssembler()
+	a := new(Assembler)
 	k1, k2 := MsgKey{Src: 1, MsgID: 1}, MsgKey{Src: 1, MsgID: 2}
 	a.Add(k1, 10, 20)
 	a.Add(k2, 10, 20)
@@ -199,7 +199,7 @@ func TestAssemblerProperty(t *testing.T) {
 		if total == 0 {
 			return true
 		}
-		a := NewAssembler()
+		a := new(Assembler)
 		k := MsgKey{Src: 3, MsgID: 7}
 		completions := 0
 		for i, c := range chunks {

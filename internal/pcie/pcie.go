@@ -16,7 +16,7 @@ import "rvma/internal/sim"
 // generation's fixed latency.
 type Bus struct {
 	cfg  Config
-	data *sim.Resource
+	data sim.Resource
 
 	// Stats.
 	Transactions uint64
@@ -39,12 +39,13 @@ func Gen4x16() Config { return Config{Latency: 150 * sim.Nanosecond, GBps: 25} }
 // nanoseconds of latency ("10s of ns vs 200 today"), ~100 GB/s usable.
 func Gen6x16() Config { return Config{Latency: 20 * sim.Nanosecond, GBps: 100} }
 
-// New returns a bus with the given configuration.
-func New(cfg Config) *Bus {
+// Init makes b an idle bus with the given configuration. A NIC holds its
+// bus by value and initializes it in place.
+func (b *Bus) Init(cfg Config) {
 	if cfg.Latency < 0 || cfg.GBps <= 0 {
 		panic("pcie: invalid configuration")
 	}
-	return &Bus{cfg: cfg, data: sim.NewResource("pcie")}
+	*b = Bus{cfg: cfg}
 }
 
 // Latency returns the configured per-transaction latency.

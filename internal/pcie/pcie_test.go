@@ -27,12 +27,13 @@ func TestInvalidConfigPanics(t *testing.T) {
 			t.Fatal("invalid config should panic")
 		}
 	}()
-	New(Config{Latency: -1, GBps: 1})
+	new(Bus).Init(Config{Latency: -1, GBps: 1})
 }
 
 func TestDoorbellCostsLatencyOnly(t *testing.T) {
 	eng := sim.NewEngine(1)
-	b := New(Gen4x16())
+	b := new(Bus)
+	b.Init(Gen4x16())
 	var done sim.Time
 	eng.Schedule(0, func() {
 		b.Transfer(eng, 0, func() { done = eng.Now() })
@@ -48,7 +49,8 @@ func TestDoorbellCostsLatencyOnly(t *testing.T) {
 
 func TestTransferBandwidthTerm(t *testing.T) {
 	eng := sim.NewEngine(1)
-	b := New(Config{Latency: 100 * sim.Nanosecond, GBps: 25})
+	b := new(Bus)
+	b.Init(Config{Latency: 100 * sim.Nanosecond, GBps: 25})
 	var done sim.Time
 	eng.Schedule(0, func() {
 		// 25 GB/s = 200 Gbit/s; 250,000 bytes = 2,000,000 bits = 10 us.
@@ -63,7 +65,8 @@ func TestTransferBandwidthTerm(t *testing.T) {
 
 func TestBusSerializesTransfers(t *testing.T) {
 	eng := sim.NewEngine(1)
-	b := New(Config{Latency: 10 * sim.Nanosecond, GBps: 1}) // 8 Gbit/s
+	b := new(Bus) // 8 Gbit/s
+	b.Init(Config{Latency: 10 * sim.Nanosecond, GBps: 1})
 	var first, second sim.Time
 	eng.Schedule(0, func() {
 		b.Transfer(eng, 1000, func() { first = eng.Now() })  // 1us + 10ns
@@ -80,7 +83,8 @@ func TestBusSerializesTransfers(t *testing.T) {
 
 func TestNegativeTransferPanics(t *testing.T) {
 	eng := sim.NewEngine(1)
-	b := New(Gen4x16())
+	b := new(Bus)
+	b.Init(Gen4x16())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative size should panic")
@@ -93,7 +97,8 @@ func TestNegativeTransferPanics(t *testing.T) {
 func TestGen6NeverSlowerProperty(t *testing.T) {
 	run := func(cfg Config, size int) sim.Time {
 		eng := sim.NewEngine(1)
-		b := New(cfg)
+		b := new(Bus)
+		b.Init(cfg)
 		var done sim.Time
 		eng.Schedule(0, func() { b.Transfer(eng, size, func() { done = eng.Now() }) })
 		eng.Run()

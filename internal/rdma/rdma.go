@@ -132,7 +132,7 @@ type Endpoint struct {
 	cfg      Config
 	nextRKey uint32 // beside cfg, in padding it would leave
 
-	mrs map[uint32]*MemoryRegion
+	mrs map[uint32]*MemoryRegion // made by the first registration
 
 	nextMsgID uint64
 
@@ -147,16 +147,16 @@ type Endpoint struct {
 	peers map[int]*peer
 
 	lastByteWaits []*LastByteWait
-	asm           *nic.Assembler
-	relAsm        *nic.RangeAssembler // duplicate-aware reassembly of reliable ops
+	asm           nic.Assembler
+	relAsm        nic.RangeAssembler // duplicate-aware reassembly of reliable ops
 
 	// spare holds the receive handles released for reuse, nil until the
-	// first release. One pointer keeps the endpoint in its 512 B size
-	// class: scale-8k builds 9,702 endpoints.
+	// first release.
 	spare *spareHandles
 
 	// The operations' pipeline stages (stage.go): each holds the
-	// operations waiting for its next event, in firing order.
+	// operations waiting for its next event, in firing order. Each
+	// stage's callback is bound on its first use.
 	posts     sim.Stage[poster]     // host post overhead, then the NIC send
 	reaps     sim.Stage[*putFence]  // a conservative fence's ACK reaped, then its post
 	sends     sim.Stage[sender]     // a NIC send's local completion
@@ -256,18 +256,19 @@ type immediateInfo struct {
 
 // NewEndpoint attaches an RDMA endpoint to the NIC.
 func NewEndpoint(n *nic.NIC, cfg Config) *Endpoint {
-	ep := &Endpoint{
-		nic:      n,
-		eng:      n.Engine().Tag("rdma"),
-		cfg:      cfg,
-		mrs:      make(map[uint32]*MemoryRegion),
-		nextRKey: 1,
-		asm:      nic.NewAssembler(),
-		relAsm:   nic.NewRangeAssembler(n.MTU()),
-	}
-	ep.bindStages()
-	n.SetHandler(ep.handlePacket)
+	ep := new(Endpoint)
+	ep.Init(n, cfg)
 	return ep
+}
+
+// Init is NewEndpoint for an endpoint the caller has placed: it attaches
+// ep, a zero Endpoint, to n. A cluster builds its endpoints with it in one
+// array per shard. ep must not move or be copied afterwards: the NIC
+// dispatches to it.
+func (ep *Endpoint) Init(n *nic.NIC, cfg Config) {
+	ep.nic, ep.eng, ep.cfg, ep.nextRKey = n, n.Engine().Tag("rdma"), cfg, 1
+	ep.relAsm.Init(n.MTU())
+	n.SetHandler(ep.handlePacket)
 }
 
 // SetTracer attaches a tracer; registration, fences and acks go to
@@ -363,6 +364,9 @@ func (ep *Endpoint) RegisterBuffer(size int) *sim.Future {
 	eng.Schedule(cost, func() {
 		mr := &MemoryRegion{RKey: ep.nextRKey, Region: ep.Memory().Alloc(size)}
 		ep.nextRKey++
+		if ep.mrs == nil {
+			ep.mrs = make(map[uint32]*MemoryRegion)
+		}
 		ep.mrs[mr.RKey] = mr
 		ep.Stats.Registrations++
 		f.Complete(eng.Engine, mr)

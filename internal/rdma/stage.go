@@ -4,7 +4,9 @@ import "rvma/internal/sim"
 
 // The endpoint's pipeline stages are sim.Stage values: each holds the
 // operations waiting for its next event, in firing order, behind one
-// callback bound when the endpoint is built.
+// callback. Each callback is bound on its stage's first use, not when the
+// endpoint is built, as rvma's pipeline does: a cluster of 9,702 endpoints
+// should not make six closures for each, most of which a node never uses.
 
 // poster is an operation waiting out the host's post overhead before the
 // NIC send it posts.
@@ -19,16 +21,6 @@ type completion struct {
 	f  *sim.Future
 	v  any
 	cq bool // a CQ entry (PollInterval + CQProcessOverhead), else a polled byte (PollInterval + HostCompletionOverhead)
-}
-
-// bindStages binds each stage's callback once, when the endpoint is built.
-func (ep *Endpoint) bindStages() {
-	ep.posts.Fn = ep.postNext
-	ep.reaps.Fn = ep.reapNext
-	ep.sends.Fn = ep.sentNext
-	ep.dmas.Fn = ep.dmaNext
-	ep.cqPolls.Fn = ep.cqPollNext
-	ep.bytePolls.Fn = ep.bytePollNext
 }
 
 // DropPools releases the arrays of the endpoint's idle stages and its
@@ -50,6 +42,9 @@ func (ep *Endpoint) DropPools() {
 //
 //rvmalint:hot
 func (ep *Endpoint) post(op poster) {
+	if ep.posts.Fn == nil {
+		ep.posts.Fn = ep.postNext
+	}
 	d := ep.nic.Profile().HostPostOverhead
 	ep.posts.Push(ep.eng.Now()+d, op)
 	ep.eng.Schedule(d, ep.posts.Fn)
@@ -63,6 +58,9 @@ func (ep *Endpoint) postNext() { ep.posts.Pop(ep.eng.Now()).post(ep) }
 //
 //rvmalint:hot
 func (ep *Endpoint) reap(f *putFence) {
+	if ep.reaps.Fn == nil {
+		ep.reaps.Fn = ep.reapNext
+	}
 	prof := ep.nic.Profile()
 	d := prof.PollInterval + prof.CQProcessOverhead + prof.HostPostOverhead
 	ep.reaps.Push(ep.eng.Now()+d, f)
@@ -77,6 +75,9 @@ func (ep *Endpoint) reapNext() { ep.reaps.Pop(ep.eng.Now()).post(ep) }
 //
 //rvmalint:hot
 func (ep *Endpoint) send(dst, size int, cmd *command, op sender) {
+	if ep.sends.Fn == nil {
+		ep.sends.Fn = ep.sentNext
+	}
 	at := ep.nic.SendMessage(dst, size, cmd.payload, ep.sends.Fn)
 	ep.sends.Push(at, op)
 }
@@ -88,6 +89,9 @@ func (ep *Endpoint) sentNext() { ep.sends.Pop(ep.eng.Now()).sent(ep) }
 //
 //rvmalint:hot
 func (ep *Endpoint) dma(t sim.Time, c completion) {
+	if ep.dmas.Fn == nil {
+		ep.dmas.Fn = ep.dmaNext
+	}
 	ep.dmas.Push(t, c)
 	ep.eng.At(t, ep.dmas.Fn)
 }
@@ -99,6 +103,9 @@ func (ep *Endpoint) dmaNext() {
 	c := ep.dmas.Pop(ep.eng.Now())
 	prof := ep.nic.Profile()
 	if c.cq {
+		if ep.cqPolls.Fn == nil {
+			ep.cqPolls.Fn = ep.cqPollNext
+		}
 		d := prof.PollInterval + prof.CQProcessOverhead
 		ep.cqPolls.Push(ep.eng.Now()+d, c)
 		ep.eng.Schedule(d, ep.cqPolls.Fn)
@@ -111,6 +118,9 @@ func (ep *Endpoint) dmaNext() {
 //
 //rvmalint:hot
 func (ep *Endpoint) pollByte(c completion) {
+	if ep.bytePolls.Fn == nil {
+		ep.bytePolls.Fn = ep.bytePollNext
+	}
 	prof := ep.nic.Profile()
 	d := prof.PollInterval + prof.HostCompletionOverhead
 	ep.bytePolls.Push(ep.eng.Now()+d, c)

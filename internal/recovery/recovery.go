@@ -143,7 +143,7 @@ type Manager struct {
 	// rng supplies backoff jitter from a manager-private stream: the draw
 	// sequence depends only on this manager's own retries, not on which
 	// other components happen to share its engine.
-	rng *sim.RNG
+	rng sim.RNG
 
 	// tl/node feed the recovery counter tracks (retransmits, timeouts,
 	// reclaims) into the Perfetto timeline; nil when metrics are detached.
@@ -152,16 +152,19 @@ type Manager struct {
 
 	// Every attempt's timeout has the same delay, cfg.Timeout, and every
 	// guard's deadline the same reclaimAfter, so both wait in stages
-	// instead of closures.
+	// instead of closures. Each stage's callback is bound on first use:
+	// most managers of a large cluster never guard a window.
 	timeouts     sim.Stage[timeout]
 	guards       sim.Stage[guardCheck]
 	reclaimAfter sim.Time
 	free         *op // records no operation is using
 }
 
-// NewManager builds a manager, filling Config defaults for zero fields.
-// rng is the manager's private backoff-jitter stream.
-func NewManager(eng *sim.Engine, cfg Config, rng *sim.RNG) *Manager {
+// Init makes m, a zero Manager, a manager on eng, filling Config defaults
+// for zero fields; seed seeds its private backoff-jitter stream. A cluster
+// keeps one manager per node, in one array per shard, so m must not move
+// or be copied afterwards.
+func (m *Manager) Init(eng *sim.Engine, cfg Config, seed uint64) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultConfig().Timeout
 	}
@@ -177,11 +180,9 @@ func NewManager(eng *sim.Engine, cfg Config, rng *sim.RNG) *Manager {
 	if cfg.MaxRetries < 0 {
 		panic(fmt.Sprintf("recovery: negative retry budget %d", cfg.MaxRetries))
 	}
-	m := &Manager{eng: eng.Tag("recovery"), cfg: cfg, rng: rng}
+	m.eng, m.cfg = eng.Tag("recovery"), cfg
+	m.rng.Seed(seed)
 	m.reclaimAfter = m.RetryHorizon() + 2*cfg.Timeout
-	m.timeouts.Fn = m.timedOut
-	m.guards.Fn = m.checkGuard
-	return m
 }
 
 // Config returns the effective (default-filled) policy.
@@ -229,6 +230,9 @@ func (r *op) attempt(try int) {
 		r.at.Nack.OnComplete(r.onNack)
 	}
 	r.pending++
+	if m.timeouts.Fn == nil {
+		m.timeouts.Fn = m.timedOut
+	}
 	m.timeouts.Push(m.eng.Now()+m.cfg.Timeout, timeout{r: r, try: r.try})
 	m.eng.Schedule(m.cfg.Timeout, m.timeouts.Fn)
 }
@@ -405,6 +409,9 @@ func (m *Manager) ReclaimAfter() sim.Time { return m.reclaimAfter }
 //rvmalint:hot
 func (g *WindowGuard) Expect() {
 	m := g.m
+	if m.guards.Fn == nil {
+		m.guards.Fn = m.checkGuard
+	}
 	m.guards.Push(m.eng.Now()+m.reclaimAfter, guardCheck{g: g, epoch: g.win.Epoch()})
 	m.eng.Schedule(m.reclaimAfter, m.guards.Fn)
 }

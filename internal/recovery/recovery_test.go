@@ -56,7 +56,8 @@ func (o *scriptedOp) exhausted() bool { return o.abandons == 1 && o.acks == 0 }
 
 func TestAckOnFirstAttempt(t *testing.T) {
 	eng := sim.NewEngine(1)
-	m := NewManager(eng, DefaultConfig(), eng.RNG())
+	m := new(Manager)
+	m.Init(eng, DefaultConfig(), 1)
 	o := lossySender(eng, 0, 5*sim.Microsecond)
 	eng.Schedule(0, func() { m.Run(o) })
 	eng.Run()
@@ -74,7 +75,8 @@ func TestAckOnFirstAttempt(t *testing.T) {
 
 func TestTimeoutRetransmitRecovers(t *testing.T) {
 	eng := sim.NewEngine(1)
-	m := NewManager(eng, DefaultConfig(), eng.RNG())
+	m := new(Manager)
+	m.Init(eng, DefaultConfig(), 1)
 	o := lossySender(eng, 2, 5*sim.Microsecond)
 	eng.Schedule(0, func() { m.Run(o) })
 	eng.Run()
@@ -120,7 +122,8 @@ func (o *nackingOp) Attempt(try int) Attempt {
 func TestNackTriggersFastRetry(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cfg := DefaultConfig()
-	m := NewManager(eng, cfg, eng.RNG())
+	m := new(Manager)
+	m.Init(eng, cfg, 1)
 	o := &nackingOp{scriptedOp: scriptedOp{eng: eng, rtt: 5 * sim.Microsecond}, nacks: 1}
 	eng.Schedule(0, func() { m.Run(o) })
 	eng.Run()
@@ -145,7 +148,8 @@ func TestNackTriggersFastRetry(t *testing.T) {
 func TestStaleTimeoutAndNackAfterReuseAreNoOps(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cfg := DefaultConfig()
-	m := NewManager(eng, cfg, eng.RNG())
+	m := new(Manager)
+	m.Init(eng, cfg, 1)
 	// first is NACKed on attempt 0 and retried after a backoff of 12.5 to
 	// 37.5 us; attempt 1 is acked 90 us after it starts, inside its own
 	// timeout but after attempt 0's, which finds attempt 1 current.
@@ -205,7 +209,8 @@ func TestExhaustionFailsOp(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cfg := DefaultConfig()
 	cfg.MaxRetries = 3
-	m := NewManager(eng, cfg, eng.RNG())
+	m := new(Manager)
+	m.Init(eng, cfg, 1)
 	o := lossySender(eng, 99, 0)
 	eng.Schedule(0, func() { m.Run(o) })
 	eng.Run()
@@ -234,7 +239,8 @@ func TestExhaustionAbandonsOnce(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cfg := DefaultConfig()
 	cfg.MaxRetries = 2
-	m := NewManager(eng, cfg, eng.RNG())
+	m := new(Manager)
+	m.Init(eng, cfg, 1)
 	o := &nackingOp{scriptedOp: scriptedOp{eng: eng, rtt: 5 * sim.Microsecond}, nacks: 99}
 	eng.Schedule(0, func() { m.Run(o) })
 	end := eng.Run()
@@ -265,7 +271,8 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 		Jitter:      0, // deterministic gaps
 		MaxRetries:  4,
 	}
-	m := NewManager(eng, cfg, eng.RNG())
+	m := new(Manager)
+	m.Init(eng, cfg, 1)
 	o := lossySender(eng, 99, 0)
 	eng.Schedule(0, func() { m.Run(o) })
 	eng.Run()
@@ -288,7 +295,8 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 func TestManagerDeterministic(t *testing.T) {
 	run := func() (sim.Time, Stats) {
 		eng := sim.NewEngine(7)
-		m := NewManager(eng, DefaultConfig(), eng.RNG())
+		m := new(Manager)
+		m.Init(eng, DefaultConfig(), 1)
 		ops := make([]*scriptedOp, 8)
 		eng.Schedule(0, func() {
 			for i := range ops {
@@ -327,7 +335,8 @@ func TestWindowGuardReclaimsHoledBuffer(t *testing.T) {
 	src := rvma.NewEndpoint(nic.New(eng, net, 0, pcie.Gen4x16(), prof), rcfg)
 	dst := rvma.NewEndpoint(nic.New(eng, net, 1, pcie.Gen4x16(), prof), rcfg)
 
-	m := NewManager(eng, DefaultConfig(), eng.RNG())
+	m := new(Manager)
+	m.Init(eng, DefaultConfig(), 1)
 	win, err := dst.InitWindow(0x6E55, 4096, rvma.EpochBytes)
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +379,8 @@ func TestWindowGuardLeavesHealthyWindowAlone(t *testing.T) {
 	src := rvma.NewEndpoint(nic.New(eng, net, 0, pcie.Gen4x16(), prof), rvma.DefaultConfig())
 	dst := rvma.NewEndpoint(nic.New(eng, net, 1, pcie.Gen4x16(), prof), rvma.DefaultConfig())
 
-	m := NewManager(eng, DefaultConfig(), eng.RNG())
+	m := new(Manager)
+	m.Init(eng, DefaultConfig(), 1)
 	win, err := dst.InitWindow(0x6E55, 4096, rvma.EpochBytes)
 	if err != nil {
 		t.Fatal(err)

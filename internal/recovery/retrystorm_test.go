@@ -43,7 +43,8 @@ func TestRetryStormBackoffBoundsBurstRate(t *testing.T) {
 	const ops = 32
 	cfg := stormConfig()
 	eng := sim.NewEngine(11)
-	m := NewManager(eng, cfg, sim.NewRNG(sim.SeedFor(11, "storm-backoff")))
+	m := new(Manager)
+	m.Init(eng, cfg, sim.SeedFor(11, "storm-backoff"))
 
 	storm := make([]*scriptedOp, ops)
 	sends := make([][]sim.Time, ops)
@@ -146,7 +147,8 @@ func TestRetryStormDeterministic(t *testing.T) {
 	run := func() ([]sim.Time, Stats) {
 		const ops = 16
 		eng := sim.NewEngine(23)
-		m := NewManager(eng, stormConfig(), sim.NewRNG(sim.SeedFor(23, "storm-backoff")))
+		m := new(Manager)
+		m.Init(eng, stormConfig(), sim.SeedFor(23, "storm-backoff"))
 		storm := make([]*scriptedOp, ops)
 		eng.Schedule(0, func() {
 			for i := range storm {
@@ -188,7 +190,8 @@ func TestRetryStormPartialRecovery(t *testing.T) {
 	const ops = 24
 	cfg := stormConfig()
 	eng := sim.NewEngine(31)
-	m := NewManager(eng, cfg, sim.NewRNG(sim.SeedFor(31, "storm-backoff")))
+	m := new(Manager)
+	m.Init(eng, cfg, sim.SeedFor(31, "storm-backoff"))
 
 	storm := make([]*scriptedOp, ops)
 	sends := make([][]sim.Time, ops)

@@ -178,12 +178,13 @@ type Endpoint struct {
 	// lut is the NIC lookup table: mailbox virtual address -> window. The
 	// paper stresses this is a single-lookup structure with no wildcard
 	// support, unlike Portals matching (§III-A); a Go map models exactly
-	// that "item found or no item found" semantic.
+	// that "item found or no item found" semantic. The first window makes
+	// it: an endpoint that never opens one allocates none.
 	lut      map[VAddr]*Window
 	catchAll *Window
 
-	asm        *nic.Assembler      // op counting for EPOCH_OPS and managed mode
-	relAsm     *nic.RangeAssembler // duplicate-aware reassembly of wantAck puts
+	asm        nic.Assembler      // op counting for EPOCH_OPS and managed mode
+	relAsm     nic.RangeAssembler // duplicate-aware reassembly of wantAck puts
 	nextMsgID  uint64
 	activeCtrs int // windows currently holding a HW counter
 
@@ -216,19 +217,22 @@ type Endpoint struct {
 // NewEndpoint attaches an RVMA endpoint to the given NIC. The NIC must not
 // already have a protocol handler.
 func NewEndpoint(n *nic.NIC, cfg Config) *Endpoint {
+	ep := new(Endpoint)
+	ep.Init(n, cfg)
+	return ep
+}
+
+// Init is NewEndpoint for an endpoint the caller has placed: it attaches
+// ep, a zero Endpoint, to n. A cluster builds its endpoints with it in one
+// array per shard. ep must not move or be copied afterwards: the NIC
+// dispatches to it.
+func (ep *Endpoint) Init(n *nic.NIC, cfg Config) {
 	if cfg.HostCounterPenalty == 0 {
 		cfg.HostCounterPenalty = 2 * n.Bus().Latency()
 	}
-	ep := &Endpoint{
-		nic:    n,
-		eng:    n.Engine().Tag("rvma"),
-		cfg:    cfg,
-		lut:    make(map[VAddr]*Window),
-		asm:    nic.NewAssembler(),
-		relAsm: nic.NewRangeAssembler(n.MTU()),
-	}
+	ep.nic, ep.eng, ep.cfg = n, n.Engine().Tag("rvma"), cfg
+	ep.relAsm.Init(n.MTU())
 	n.SetHandler(ep.handlePacket)
-	return ep
 }
 
 // SetTracer attaches a tracer; window lifecycle, completions and NACKs go
@@ -336,10 +340,6 @@ func (ep *Endpoint) EpochTotal() int64 {
 	}
 	return total
 }
-
-// ActiveHWCounters returns how many windows currently hold one of the
-// NIC's hardware completion counters.
-func (ep *Endpoint) ActiveHWCounters() int { return ep.activeCtrs }
 
 // SetCatchAll designates win as the endpoint's catch-all mailbox: puts
 // addressed to unknown or closed mailboxes are steered into it instead of

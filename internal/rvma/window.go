@@ -125,6 +125,9 @@ func (ep *Endpoint) InitWindowMode(vaddr VAddr, threshold int64, etype EpochType
 		return nil, fmt.Errorf("%w: mailbox %#x already has a window", ErrBadArgument, vaddr)
 	}
 	w := &Window{ep: ep, vaddr: vaddr, threshold: threshold, etype: etype, mode: mode, maxRewound: -1}
+	if ep.lut == nil {
+		ep.lut = make(map[VAddr]*Window)
+	}
 	ep.lut[vaddr] = w
 	return w, nil
 }
@@ -148,9 +151,6 @@ func (w *Window) Closed() bool { return w.closed }
 // completed so far (the paper's RVMA_Win_get_epoch, which system software
 // uses to keep a constant number of buffers posted).
 func (w *Window) Epoch() int64 { return w.epoch }
-
-// QueueDepth returns the number of posted, not-yet-completed buffers.
-func (w *Window) QueueDepth() int { return len(w.queue) }
 
 // PostBuffer allocates a buffer of the given size, attaches it to the
 // window's mailbox queue, and returns it; the buffer's NotificationAddr is

@@ -196,7 +196,7 @@ func BenchmarkProcessResume(b *testing.B) {
 // BenchmarkResourceAcquire measures the latency-rate server primitive.
 func BenchmarkResourceAcquire(b *testing.B) {
 	e := NewEngine(1)
-	r := NewResource("bench")
+	var r Resource
 	e.Schedule(0, func() {
 		for i := 0; i < b.N; i++ {
 			r.Acquire(e, Nanosecond)

@@ -297,7 +297,8 @@ type Engine struct {
 	daemons   int // queued daemon events
 	rng       *RNG
 	running   bool
-	procs     int // live processes, for leak diagnostics
+	procs     int       // live processes, for leak diagnostics
+	procSlab  []Process // the rest of the chunk spawn takes Process records from
 
 	// execObs, when non-nil, is called once per executed model event (see
 	// SetExecObserver). Disabled cost: one nil-check per pop.
@@ -586,13 +587,15 @@ func (e *Engine) PoolFree() int { return len(e.free) }
 
 // DropPools releases the memory the engine keeps for reuse: the event
 // free list, the queue's spare chunks (the shared list and the empty chunk
-// each drained bucket keeps) and bucket 0's backing array when it is empty.
-// Those are sized by the run's peak of pending events and never shrink on
-// their own, so a finished run would otherwise hold its peak. Queued
+// each drained bucket keeps), bucket 0's backing array when it is empty,
+// and the unused rest of the Process chunk. The event pools are sized by
+// the run's peak of pending events and never shrink on their own, so a
+// finished run would otherwise hold its peak. Queued
 // events stay queued, and a later Schedule simply allocates again. Call it
 // between runs, not inside one: a loop of short runs relies on the pools.
 func (e *Engine) DropPools() {
 	e.free = nil
+	e.procSlab = nil
 	q := &e.queue
 	q.free = nil
 	if len(q.b0) == 0 {

@@ -394,7 +394,7 @@ func TestRNGShuffleIsPermutation(t *testing.T) {
 
 func TestResourceSerializes(t *testing.T) {
 	e := NewEngine(1)
-	r := NewResource("link")
+	var r Resource
 	e.Schedule(0, func() {
 		end1 := r.Acquire(e, 10*Nanosecond)
 		end2 := r.Acquire(e, 10*Nanosecond)
@@ -413,7 +413,7 @@ func TestResourceSerializes(t *testing.T) {
 
 func TestResourceIdleGap(t *testing.T) {
 	e := NewEngine(1)
-	r := NewResource("link")
+	var r Resource
 	e.Schedule(0, func() { r.Acquire(e, 5*Nanosecond) })
 	e.Schedule(100*Nanosecond, func() {
 		end := r.Acquire(e, 5*Nanosecond)
@@ -428,7 +428,7 @@ func TestResourceIdleGap(t *testing.T) {
 }
 
 func TestResourceAcquireAt(t *testing.T) {
-	r := NewResource("xbar")
+	var r Resource
 	end := r.AcquireAt(50*Nanosecond, 10*Nanosecond)
 	if end != 60*Nanosecond {
 		t.Fatalf("end = %v, want 60ns", end)
@@ -680,30 +680,6 @@ func TestProcessNestedSwitch(t *testing.T) {
 				t.Fatalf("shards=%d shard %d: %d processes still live", shards, i, n)
 			}
 		}
-	}
-}
-
-// TestProcessSpawnAllocBudget writes down what a process costs to start
-// and finish: the Process, its bound wake-up and body closure, and the 11
-// allocations of iter.Pull (the coroutine, its next/stop/yield closures and
-// the state they share). Switches after that allocate nothing
-// (TestCompletionZeroAlloc).
-func TestProcessSpawnAllocBudget(t *testing.T) {
-	if DebugEnabled {
-		t.Skip("simdebug invariant checks box their arguments; the gate is for normal builds")
-	}
-	const budget = 14
-	e := NewEngine(1)
-	body := func(p *Process) { p.Sleep(Nanosecond) }
-	spawnRun := func() {
-		e.Spawn("p", body)
-		e.Run()
-	}
-	if got := testing.AllocsPerRun(100, spawnRun); got > budget {
-		t.Errorf("Spawn + run to end: %v allocs, budget %d", got, budget)
-	}
-	if e.procs != 0 {
-		t.Fatalf("%d processes still live after run to end", e.procs)
 	}
 }
 

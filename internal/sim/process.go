@@ -37,7 +37,12 @@ func (e *Engine) Spawn(name string, body func(p *Process)) *Process {
 }
 
 func (e *Engine) spawn(name string, label Label, body func(p *Process)) *Process {
-	p := &Process{eng: e, name: name, label: label}
+	if len(e.procSlab) == 0 {
+		e.procSlab = make([]Process, procChunk)
+	}
+	p := &e.procSlab[0]
+	e.procSlab = e.procSlab[1:]
+	p.eng, p.name, p.label = e, name, label
 	p.wake = p.resume
 	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
@@ -48,6 +53,12 @@ func (e *Engine) spawn(name string, label Label, body func(p *Process)) *Process
 	e.schedule(0, 0, label, p.wake, false)
 	return p
 }
+
+// procChunk is how many Process records an engine carves from one
+// allocation. Motifs spawn one long-lived rank per node when a run
+// starts, so the records are taken in bulk; a chunk is collected once none
+// of its processes is referenced any more.
+const procChunk = 64
 
 // resume switches into the process and returns when it parks again or
 // finishes. It runs from inside an event — the engine's, or another
@@ -66,6 +77,9 @@ func (p *Process) resume() {
 func (p *Process) finish() {
 	p.done = true
 	p.eng.procs--
+	// The finished coroutine is unreachable from here on, so the record,
+	// which shares its chunk with live ones, keeps none of it alive.
+	p.next, p.yield = nil, nil
 	if r := recover(); r != nil {
 		panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 	}

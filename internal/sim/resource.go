@@ -10,18 +10,15 @@ package sim
 // when the modeled unit has finished serving it. This is the standard
 // latency-rate server used by network simulators for store-and-forward
 // pipes.
+//
+// The zero value is an idle resource. A resource is a plain value with no
+// name, so a component holds its resources inline and a fabric holds its
+// ports in flat arrays: building one costs no allocation.
 type Resource struct {
-	name     string
 	freeAt   Time
 	busyTime Time   // accumulated occupied time, for utilization reports
 	uses     uint64 // number of acquisitions
 }
-
-// NewResource returns an idle resource.
-func NewResource(name string) *Resource { return &Resource{name: name} }
-
-// Name returns the resource's diagnostic name.
-func (r *Resource) Name() string { return r.name }
 
 // Acquire occupies the resource for hold starting no earlier than the
 // current time, and returns the completion time (start + hold). If the
@@ -58,9 +55,6 @@ func (r *Resource) AcquireAt(earliest Time, hold Time) Time {
 	r.uses++
 	return end
 }
-
-// FreeAt returns the time at which the resource next becomes idle.
-func (r *Resource) FreeAt() Time { return r.freeAt }
 
 // Backlog returns how long a request issued now would wait before starting.
 func (r *Resource) Backlog(e *Engine) Time {

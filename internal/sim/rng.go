@@ -13,6 +13,14 @@ type RNG struct {
 // guarantees a well-mixed nonzero state even for small seeds.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed resets r to the state NewRNG(seed) starts from. Components that
+// hold their generator by value, in arrays with one slot per node or
+// switch, seed it in place.
+func (r *RNG) Seed(seed uint64) {
 	sm := seed
 	next := func() uint64 {
 		sm += 0x9E3779B97F4A7C15
@@ -26,7 +34,6 @@ func NewRNG(seed uint64) *RNG {
 	if r.s0 == 0 && r.s1 == 0 {
 		r.s0 = 1
 	}
-	return r
 }
 
 // Uint64 returns the next 64 uniformly distributed bits.
