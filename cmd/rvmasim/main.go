@@ -50,8 +50,10 @@
 //	-flight-recorder N keep a causal ring of the last N model events and
 //	                   dump it to stderr when a simdebug invariant trips, a
 //	                   NACK burst exceeds -nack-burst, or the run is
-//	                   interrupted (SIGINT)
-//	-nack-burst N      NACK-burst dump threshold per sample window
+//	                   interrupted (SIGINT); 256 by default in simdebug
+//	                   builds, where invariants can trip, 0 (off) otherwise
+//	-nack-burst N      NACK-burst dump threshold per sample window (needs
+//	                   the flight recorder on)
 //
 // Fault-injection flags (see internal/fabric.FaultPlan and
 // internal/recovery):
@@ -87,8 +89,10 @@
 //	                   (default 1); output (makespan, metrics, telemetry,
 //	                   canonical ledger chain head) is byte-identical at
 //	                   any shard count. Above one shard the single-writer
-//	                   observers (-trace, -spans, -perfetto-out,
-//	                   -attrib-out, -flight-recorder) are rejected
+//	                   observer flags (-trace, -spans, -perfetto-out,
+//	                   -flight-recorder, -nack-burst, -attrib-out, -tail-k:
+//	                   the singleWriterFlag rows of the flag table) are
+//	                   rejected
 //	-unsafe-lookahead-scale F
 //	                   multiply the lookahead by F (needs -shards above 1);
 //	                   F > 1 deliberately
@@ -103,7 +107,8 @@
 //	                   print per-seed makespans plus the mean; replicas run
 //	                   on the harness worker pool, -workers goroutines,
 //	                   each with its own engine, and results print in seed
-//	                   order
+//	                   order; every observer flag is rejected alongside
+//	                   it, while -shards applies to each replica
 //	-workers N         replica concurrency (0 = one per CPU)
 //
 // Every run is described as one ledger.RunSpec and built by the harness's
@@ -135,49 +140,50 @@ import (
 )
 
 func main() {
-	v := declareFlags(flag.CommandLine)
-	flag.Parse()
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := flagsError(v, set); err != nil {
+	c, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
 		fail("%v", err)
 	}
-	rs := runSpec(v)
-	if *v.seeds > 1 {
-		runReplicas(rs, *v.seeds, *v.workers)
+	if scale := c.spec.UnsafeLookaheadScale; scale != 0 {
+		fmt.Fprintf(os.Stderr,
+			"rvmasim: WARNING: lookahead scaled by %g — conservatism deliberately broken, results are untrustworthy\n", scale)
+	}
+	if c.seeds > 1 {
+		runReplicas(c.spec, c.seeds, c.workers)
 		return
 	}
+	run(c.spec, c.obs)
+}
 
+// run runs rs once with the observers o asks for and prints the report.
+func run(rs ledger.RunSpec, o observe) {
 	// Execution ledger / shard-plan profile. The recorder is a pure observer
 	// on the engines' pop loops — attaching it cannot change the
 	// simulation — and its canonical chain is a pure function of the model,
 	// identical at every shard count.
 	var canonRec *ledger.CanonicalRecorder
-	if *v.ledgerOut != "" || *v.shardOut != "" {
-		canonRec = ledger.NewCanonicalRecorder(ledger.Options{EpochEvents: *v.ledgerEpoch, Profile: *v.shardOut != "", Run: &rs})
+	if o.ledgerOut != "" || o.shardPlanOut != "" {
+		canonRec = ledger.NewCanonicalRecorder(ledger.Options{EpochEvents: o.ledgerEpoch, Profile: o.shardPlanOut != "", Run: &rs})
 	}
 	var reg *metrics.Registry
 	var attribCol *attrib.Collector
-	if *v.doSpans || *v.metricsOut != "" || *v.perfOut != "" || *v.attribOut != "" {
+	if o.spans || o.metricsOut != "" || o.perfettoOut != "" || o.attribOut != "" {
 		reg = metrics.NewRegistry()
-		if *v.doSpans || *v.perfOut != "" || *v.attribOut != "" {
+		if o.spans || o.perfettoOut != "" || o.attribOut != "" {
 			reg.EnableSpans()
 		}
-		if *v.perfOut != "" {
+		if o.perfettoOut != "" {
 			reg.EnableTimeline(0)
 		}
-		if *v.attribOut != "" {
-			attribCol = attrib.NewCollector(*v.tailK)
+		if o.attribOut != "" {
+			attribCol = attrib.NewCollector(o.tailK)
 		}
 	}
-	// The flight recorder reuses the trace layer, so like the tracer it
-	// needs one shard; its NACK-burst watcher rides shard 0's sampler,
-	// which on a one-shard run sees every endpoint.
-	oneShard := rs.Shards == 1
-	recOn := *v.recDepth > 0 && oneShard
 	obs := harness.Observers{Metrics: reg, Attrib: attribCol, Ledger: canonRec}
-	if *v.tsOut != "" || *v.heatOut != "" || (*v.nackBurst > 0 && recOn) {
-		obs.SampleEvery = sim.FromNanos(float64(v.sampleIvl.Nanoseconds()))
+	// The NACK-burst watcher rides shard 0's sampler, which on the one
+	// shard the flight recorder needs sees every endpoint.
+	if o.timeseriesOut != "" || o.heatmapOut != "" || o.nackBurst > 0 {
+		obs.SampleEvery = sim.FromNanos(float64(o.sampleEvery.Nanoseconds()))
 	}
 
 	var cluster *motif.Cluster
@@ -186,30 +192,26 @@ func main() {
 	var rec *telemetry.FlightRecorder
 	obs.Attach = func(c *motif.Cluster, s *telemetry.ShardSet) {
 		cluster, samples = c, s
-		if *v.unsafeScale != 1 {
-			fmt.Fprintf(os.Stderr,
-				"rvmasim: WARNING: lookahead scaled by %g — conservatism deliberately broken, results are untrustworthy\n",
-				*v.unsafeScale)
-		}
-		if *v.doTrace {
+		if o.trace {
 			tr = trace.New(c.Eng, 64)
 			tr.EnableAll()
 			c.SetTracer(tr)
 		}
 		// Flight recorder: a bounded causal ring of recent model events,
-		// dumped with context when the run fails. With -trace also set the
-		// explicit tracer doubles as the recorder ring.
-		if recOn {
+		// dumped with context when the run fails. It reuses the trace
+		// layer, so like the tracer it needs one shard; with -trace also
+		// set the explicit tracer doubles as the recorder ring.
+		if o.recorderDepth > 0 && rs.Shards == 1 {
 			rtr := tr
 			if rtr == nil {
-				rtr = trace.New(c.Eng, *v.recDepth)
+				rtr = trace.New(c.Eng, o.recorderDepth)
 				rtr.EnableAll()
 				c.SetTracer(rtr)
 			}
 			rec = telemetry.NewFlightRecorder(rtr, os.Stderr)
 			rec.Arm() // dump on any simdebug invariant violation
-			if *v.nackBurst > 0 {
-				rec.WatchNACKBurst(s.Sampler(0), func() float64 { return float64(c.NACKTotal()) }, *v.nackBurst)
+			if o.nackBurst > 0 {
+				rec.WatchNACKBurst(s.Sampler(0), func() float64 { return float64(c.NACKTotal()) }, o.nackBurst)
 			}
 			// A cancelled run still yields its recent history: dump the
 			// recorder on SIGINT, then exit with the interrupted status.
@@ -276,147 +278,62 @@ func main() {
 			sim.FromNanos(kvRes.Lat.Quantile(0.999)),
 			stats.FormatGbps(goodput), kvRes.CASFail, kvRes.CASFail+kvRes.CASOK)
 	}
-	if *v.doSpans {
+	if o.spans {
 		fmt.Println("\nper-message stage latency:")
 		reg.FprintSpans(os.Stdout)
 		if open := reg.OpenSpans(); open > 0 {
 			fmt.Printf("spans still open at end of run: %d\n", open)
 		}
 	}
-	if *v.attribOut != "" {
-		writeOut(*v.attribOut, attribCol.WriteJSON)
+	if o.attribOut != "" {
+		writeOut(o.attribOut, attribCol.WriteJSON)
 		fmt.Println("\nlatency attribution (wait vs service, per stage):")
 		attribCol.FprintBlame(os.Stdout)
 		attribCol.FprintTail(os.Stdout)
 		fmt.Printf("attribution: report written to %s (conservation violations: %d, open spans: %d)\n",
-			*v.attribOut, attribCol.Violations(), attribCol.Open())
+			o.attribOut, attribCol.Violations(), attribCol.Open())
 	}
-	if *v.metricsOut != "" {
-		writeOut(*v.metricsOut, func(w io.Writer) error { return reg.WriteJSON(w, cluster.Eng.Now()) })
-		fmt.Printf("metrics:    snapshot written to %s\n", *v.metricsOut)
+	if o.metricsOut != "" {
+		writeOut(o.metricsOut, func(w io.Writer) error { return reg.WriteJSON(w, cluster.Eng.Now()) })
+		fmt.Printf("metrics:    snapshot written to %s\n", o.metricsOut)
 	}
-	if *v.perfOut != "" {
-		writeOut(*v.perfOut, reg.Timeline().WritePerfetto)
+	if o.perfettoOut != "" {
+		writeOut(o.perfettoOut, reg.Timeline().WritePerfetto)
 		recorded, dropped := reg.Timeline().Events()
 		fmt.Printf("timeline:   %d events written to %s (%d dropped at cap); open at ui.perfetto.dev\n",
-			recorded, *v.perfOut, dropped)
+			recorded, o.perfettoOut, dropped)
 	}
-	if *v.tsOut != "" {
-		writeOut(*v.tsOut, samples.WriteCSV)
+	if o.timeseriesOut != "" {
+		writeOut(o.timeseriesOut, samples.WriteCSV)
 		fmt.Printf("telemetry:  %d samples merged from %d shards written to %s\n",
-			samples.Samples(), samples.Shards(), *v.tsOut)
+			samples.Samples(), samples.Shards(), o.timeseriesOut)
 	}
-	if *v.heatOut != "" {
-		writeOut(*v.heatOut, func(w io.Writer) error { return samples.WriteHeatmapCSV(w, fabric.TelemetryHeatmapPrefix) })
-		fmt.Printf("heatmap:    per-switch utilization matrix written to %s\n", *v.heatOut)
+	if o.heatmapOut != "" {
+		writeOut(o.heatmapOut, func(w io.Writer) error { return samples.WriteHeatmapCSV(w, fabric.TelemetryHeatmapPrefix) })
+		fmt.Printf("heatmap:    per-switch utilization matrix written to %s\n", o.heatmapOut)
 	}
-	if *v.ledgerOut != "" {
+	if o.ledgerOut != "" {
 		led := canonRec.Finalize()
-		if err := led.WriteFile(*v.ledgerOut); err != nil {
+		if err := led.WriteFile(o.ledgerOut); err != nil {
 			fail("%v", err)
 		}
 		fmt.Printf("ledger:     %d events in %d epochs, chain head %s, written to %s\n",
-			led.Events, len(led.Epochs), led.ChainHead, *v.ledgerOut)
+			led.Events, len(led.Epochs), led.ChainHead, o.ledgerOut)
 	}
-	if *v.shardOut != "" {
+	if o.shardPlanOut != "" {
 		prof := canonRec.Profile()
 		write := prof.WriteJSON
-		if strings.HasSuffix(*v.shardOut, ".csv") {
+		if strings.HasSuffix(o.shardPlanOut, ".csv") {
 			write = prof.WriteCSV
 		}
-		writeOut(*v.shardOut, write)
+		writeOut(o.shardPlanOut, write)
 		fmt.Printf("shard plan: %d components over %d events written to %s\n",
-			len(prof.Components), prof.TotalEvents, *v.shardOut)
+			len(prof.Components), prof.TotalEvents, o.shardPlanOut)
 	}
 	if tr != nil {
 		fmt.Println("\ntrace:")
 		tr.Dump(os.Stdout)
 	}
-}
-
-// shardFlagsError audits the shard count against the other flags: -shards
-// must be at least 1, and above one shard the single-writer observer flags
-// (explicitly set ones only, like the replica audit) are rejected; the
-// lookahead canary only means something above one shard.
-func shardFlagsError(shards int, unsafeScale float64, set map[string]bool) error {
-	if shards < 1 {
-		return fmt.Errorf("-shards must be at least 1, got %d", shards)
-	}
-	if shards == 1 {
-		if unsafeScale != 1 {
-			return fmt.Errorf("-unsafe-lookahead-scale only applies above one shard; set -shards")
-		}
-		return nil
-	}
-	if bad := shardIncompatible(set); len(bad) > 0 {
-		return fmt.Errorf("flag(s) -%s need a single-writer engine and are incompatible with -shards above 1; drop them or set -shards 1",
-			strings.Join(bad, ", -"))
-	}
-	return nil
-}
-
-// flagsError checks the flags no run spec holds, and the ones whose zero
-// value the spec would read as a default: -seeds, -rdma-buffers and
-// -rvma-depth must be at least 1, -sample-interval positive, and the
-// replica and shard audits must pass.
-func flagsError(v *simFlags, set map[string]bool) error {
-	for _, f := range []struct {
-		name string
-		val  int
-	}{{"seeds", *v.seeds}, {"rdma-buffers", *v.rdmaBufs}, {"rvma-depth", *v.rvmaDepth}} {
-		if f.val < 1 {
-			return fmt.Errorf("-%s must be at least 1, got %d", f.name, f.val)
-		}
-	}
-	if *v.sampleIvl <= 0 {
-		return fmt.Errorf("-sample-interval must be positive, got %v", *v.sampleIvl)
-	}
-	// The observability flags attach to a single engine, so they require a
-	// single run; every one of them is rejected alongside -seeds (explicitly
-	// set defaults included) rather than silently ignored.
-	if *v.seeds > 1 {
-		if bad := replicaIncompatible(set); len(bad) > 0 {
-			return fmt.Errorf("flag(s) -%s attach observers to a single engine and are incompatible with -seeds; drop them or set -seeds 1",
-				strings.Join(bad, ", -"))
-		}
-		return nil
-	}
-	return shardFlagsError(*v.shards, *v.unsafeScale, set)
-}
-
-// runSpec describes the run the flags ask for.
-func runSpec(v *simFlags) ledger.RunSpec {
-	rs := ledger.RunSpec{
-		Motif:       *v.motifName,
-		Transport:   *v.transport,
-		Topology:    *v.topoName,
-		Routing:     *v.routing,
-		Network:     *v.topoName + "/" + *v.routing,
-		Nodes:       *v.nodes,
-		Gbps:        *v.gbps,
-		Seed:        *v.seed,
-		RDMABuffers: *v.rdmaBufs,
-		RVMADepth:   *v.rvmaDepth,
-		FaultPlan:   *v.faultPlan,
-		Drop:        *v.dropRate,
-		Shards:      *v.shards,
-	}
-	// The recovery layer rides along whenever faults are active;
-	// -retry-budget -1 runs the lossy fabric bare (which deadlocks at any
-	// real loss rate — useful as the control).
-	if *v.retryBudget != -1 {
-		rs.RetryBudget = *v.retryBudget
-		rs.Recover = strings.TrimSpace(rs.FaultPlan) != "" || rs.Drop > 0
-	}
-	if *v.unsafeScale != 1 {
-		rs.UnsafeLookaheadScale = *v.unsafeScale
-	}
-	if rs.Motif == string(harness.MotifKV) {
-		rs.KVSkew, rs.KVGapNs = *v.kvSkew, float64(v.kvGap.Nanoseconds())
-		rs.KVOps, rs.KVServers, rs.KVClients = *v.kvOps, *v.kvServers, *v.kvClients
-		rs.KVKeys, rs.KVWindow = *v.kvKeys, *v.kvWindow
-	}
-	return rs
 }
 
 // specFlags names the flag behind each RunSpec field whose flag is not

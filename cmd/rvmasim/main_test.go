@@ -8,10 +8,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -74,185 +74,131 @@ func rvmasim(t *testing.T, args ...string) (int, string, string) {
 	return code, stdout.String(), stderr.String()
 }
 
-// TestFlagRegistryCoversEveryFlag is the audit-generation guard: every
-// rvmasim flag must be declared through a flagTable row (which forces an
-// explicit replica/shard classification), rows must be unique, and every
-// row must actually register the flag it names. A new flag added via a
-// bare flag.String in main would fail here; a new row automatically
-// lands in the generated replicaUnsupported/shardUnsupported lists the
-// matrix tests drive.
+// TestFlagRegistryCoversEveryFlag is the registry guard: every rvmasim
+// flag must be declared through a flagTable row (which forces a class),
+// rows must be unique, every row must register the flag it names, and
+// each observer flag keeps the class the audit relies on.
 func TestFlagRegistryCoversEveryFlag(t *testing.T) {
 	fs := flag.NewFlagSet("rvmasim", flag.ContinueOnError)
 	declareFlags(fs)
 	registered := map[string]bool{}
 	fs.VisitAll(func(f *flag.Flag) { registered[f.Name] = true })
-	seen := map[string]bool{}
+	classes := map[string]flagClass{}
 	for _, row := range flagTable {
-		if seen[row.name] {
+		if _, dup := classes[row.name]; dup {
 			t.Errorf("duplicate registry row %q", row.name)
 		}
-		seen[row.name] = true
+		classes[row.name] = row.class
 		if !registered[row.name] {
 			t.Errorf("registry row %q does not register a flag of that name", row.name)
 		}
 	}
 	for name := range registered {
-		if !seen[name] {
+		if _, ok := classes[name]; !ok {
 			t.Errorf("flag -%s is registered outside the registry table", name)
 		}
 	}
-	if len(registered) != len(flagTable) {
-		t.Errorf("%d flags registered, %d registry rows", len(registered), len(flagTable))
+	want := map[string]flagClass{
+		"metrics-out": observerFlag, "timeseries-out": observerFlag, "heatmap-out": observerFlag,
+		"sample-interval": observerFlag, "ledger-out": observerFlag, "ledger-epoch": observerFlag,
+		"shard-plan-out": observerFlag,
+		"trace":          singleWriterFlag, "spans": singleWriterFlag, "perfetto-out": singleWriterFlag,
+		"flight-recorder": singleWriterFlag, "nack-burst": singleWriterFlag, "attrib-out": singleWriterFlag,
+		"tail-k": singleWriterFlag,
+	}
+	for name, class := range classes {
+		if class != want[name] {
+			t.Errorf("flag -%s has class %d, want %d", name, class, want[name])
+		}
 	}
 }
 
-// TestReplicaIncompatibleMatrix pins the replica-mode flag audit: every
-// observer flag is rejected when explicitly set alongside -seeds, including
-// the ones the old value-based check silently ignored (-flight-recorder,
-// -sample-interval, -tail-k) and the ledger flags.
-func TestReplicaIncompatibleMatrix(t *testing.T) {
-	cases := []struct {
-		name string
-		set  map[string]bool
-		want []string
-	}{
-		{"none set", map[string]bool{}, nil},
-		{"replica flags only", map[string]bool{"seeds": true, "workers": true, "gbps": true}, nil},
-		{
-			"kv workload knobs pass",
-			map[string]bool{"seeds": true, "kv-skew": true, "kv-gap": true, "kv-servers": true,
-				"kv-clients": true, "kv-keys": true, "kv-ops": true, "kv-window": true},
-			nil,
-		},
-		{"trace", map[string]bool{"trace": true}, []string{"trace"}},
-		{"spans", map[string]bool{"spans": true}, []string{"spans"}},
-		{"metrics-out", map[string]bool{"metrics-out": true}, []string{"metrics-out"}},
-		{"perfetto-out", map[string]bool{"perfetto-out": true}, []string{"perfetto-out"}},
-		{"attrib-out", map[string]bool{"attrib-out": true}, []string{"attrib-out"}},
-		{"timeseries-out", map[string]bool{"timeseries-out": true}, []string{"timeseries-out"}},
-		{"heatmap-out", map[string]bool{"heatmap-out": true}, []string{"heatmap-out"}},
-		{"nack-burst", map[string]bool{"nack-burst": true}, []string{"nack-burst"}},
-		// Previously silently ignored in replica mode.
-		{"flight-recorder", map[string]bool{"flight-recorder": true}, []string{"flight-recorder"}},
-		{"sample-interval", map[string]bool{"sample-interval": true}, []string{"sample-interval"}},
-		{"tail-k", map[string]bool{"tail-k": true}, []string{"tail-k"}},
-		// Ledger flags are observers too.
-		{"ledger-out", map[string]bool{"ledger-out": true}, []string{"ledger-out"}},
-		{"ledger-epoch", map[string]bool{"ledger-epoch": true}, []string{"ledger-epoch"}},
-		{"shard-plan-out", map[string]bool{"shard-plan-out": true}, []string{"shard-plan-out"}},
-		// Sharding binds the run to one engine group; replicas each need
-		// their own, so replica mode rejects it (and the canary knob).
-		{"shards", map[string]bool{"shards": true}, []string{"shards"}},
-		{"unsafe-lookahead-scale", map[string]bool{"unsafe-lookahead-scale": true}, []string{"unsafe-lookahead-scale"}},
-		{
-			"several at once, declaration order",
-			map[string]bool{"ledger-out": true, "trace": true, "sample-interval": true, "seeds": true},
-			[]string{"trace", "sample-interval", "ledger-out"},
-		},
-		{
-			"shards with observers, declaration order",
-			map[string]bool{"shards": true, "timeseries-out": true, "seeds": true},
-			[]string{"timeseries-out", "shards"},
-		},
-	}
+// auditCase is one run-mode audit case: the flags set beyond the mode's
+// own, and the flags the audit must reject, in table order (none: the
+// flags parse).
+type auditCase struct {
+	name string
+	args []string
+	want []string
+}
+
+// checkAudit parses each case after mode and checks the audit rejects
+// exactly the flags it names.
+func checkAudit(t *testing.T, mode []string, cases []auditCase) {
+	t.Helper()
 	for _, tc := range cases {
-		if got := replicaIncompatible(tc.set); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: replicaIncompatible = %v, want %v", tc.name, got, tc.want)
+		fs := flag.NewFlagSet("rvmasim", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		_, err := parseFlags(fs, append(append([]string{}, mode...), tc.args...))
+		switch {
+		case tc.want == nil && err != nil:
+			t.Errorf("%s: %v, want the flags accepted", tc.name, err)
+		case tc.want != nil && (err == nil || !strings.HasPrefix(err.Error(), "flag(s) -"+strings.Join(tc.want, ", -")+" ")):
+			t.Errorf("%s: error %v, want -%s rejected", tc.name, err, strings.Join(tc.want, ", -"))
 		}
 	}
 }
 
-// TestReplicaUnsupportedCoversAllObserverFlags guards against a new
-// observer flag being added without a replica-mode audit entry: every flag
-// name in the list must be unique, and the known observer set must be a
-// subset of the list.
-func TestReplicaUnsupportedCoversAllObserverFlags(t *testing.T) {
-	seen := map[string]bool{}
-	for _, name := range replicaUnsupported {
-		if seen[name] {
-			t.Errorf("duplicate entry %q in replicaUnsupported", name)
-		}
-		seen[name] = true
-	}
-	for _, name := range []string{
-		"trace", "spans", "metrics-out", "perfetto-out", "attrib-out",
-		"tail-k", "timeseries-out", "heatmap-out", "sample-interval",
-		"flight-recorder", "nack-burst", "ledger-out", "ledger-epoch",
-		"shard-plan-out", "shards", "unsafe-lookahead-scale",
-	} {
-		if !seen[name] {
-			t.Errorf("observer flag %q missing from replicaUnsupported", name)
-		}
-	}
+// TestReplicaIncompatibleMatrix pins the audit under -seeds: every
+// observer flag set alongside it is rejected, including the ones that only
+// tune an observer (-flight-recorder, -sample-interval, -tail-k,
+// -ledger-epoch), while every spec flag, -shards included, passes.
+func TestReplicaIncompatibleMatrix(t *testing.T) {
+	checkAudit(t, []string{"-seeds", "3"}, []auditCase{
+		{"none set", nil, nil},
+		{"replica flags only", []string{"-workers", "2", "-gbps", "200"}, nil},
+		{"kv workload knobs pass", []string{"-motif", "kv", "-kv-skew", "1.2", "-kv-gap", "1us", "-kv-servers", "2",
+			"-kv-clients", "10", "-kv-keys", "64", "-kv-ops", "4", "-kv-window", "2"}, nil},
+		{"sharded replicas pass", []string{"-shards", "2", "-unsafe-lookahead-scale", "2"}, nil},
+		{"trace", []string{"-trace"}, []string{"trace"}},
+		{"spans", []string{"-spans"}, []string{"spans"}},
+		{"metrics-out", []string{"-metrics-out", "m.json"}, []string{"metrics-out"}},
+		{"perfetto-out", []string{"-perfetto-out", "p.json"}, []string{"perfetto-out"}},
+		{"attrib-out", []string{"-attrib-out", "a.json"}, []string{"attrib-out"}},
+		{"timeseries-out", []string{"-timeseries-out", "ts.csv"}, []string{"timeseries-out"}},
+		{"heatmap-out", []string{"-heatmap-out", "h.csv"}, []string{"heatmap-out"}},
+		{"nack-burst", []string{"-nack-burst", "3"}, []string{"nack-burst"}},
+		{"flight-recorder", []string{"-flight-recorder", "16"}, []string{"flight-recorder"}},
+		{"sample-interval", []string{"-sample-interval", "5us"}, []string{"sample-interval"}},
+		{"tail-k", []string{"-tail-k", "4"}, []string{"tail-k"}},
+		{"ledger-out", []string{"-ledger-out", "l.json"}, []string{"ledger-out"}},
+		{"ledger-epoch", []string{"-ledger-epoch", "100"}, []string{"ledger-epoch"}},
+		{"shard-plan-out", []string{"-shard-plan-out", "s.csv"}, []string{"shard-plan-out"}},
+		{"several at once, declaration order",
+			[]string{"-ledger-out", "l.json", "-trace", "-sample-interval", "5us"},
+			[]string{"trace", "sample-interval", "ledger-out"}},
+		{"single-writer flags above one shard, declaration order",
+			[]string{"-shards", "2", "-timeseries-out", "ts.csv", "-spans"},
+			[]string{"spans", "timeseries-out"}},
+	})
 }
 
 // TestShardIncompatibleMatrix pins the audit above one shard: the
-// single-writer observers are rejected, the shard-aware ones pass through.
+// single-writer observers are rejected and every other flag passes, while
+// one shard accepts every observer.
 func TestShardIncompatibleMatrix(t *testing.T) {
-	cases := []struct {
-		name string
-		set  map[string]bool
-		want []string
-	}{
-		{"none set", map[string]bool{}, nil},
-		{
-			"kv workload knobs pass",
-			map[string]bool{"shards": true, "kv-skew": true, "kv-gap": true, "kv-ops": true},
-			nil,
-		},
-		{
-			"shard-aware observers pass",
-			map[string]bool{
-				"shards": true, "metrics-out": true, "ledger-out": true,
-				"ledger-epoch": true, "shard-plan-out": true,
-				"timeseries-out": true, "heatmap-out": true, "sample-interval": true,
-				"unsafe-lookahead-scale": true,
-			},
-			nil,
-		},
-		{"trace", map[string]bool{"shards": true, "trace": true}, []string{"trace"}},
-		{"spans", map[string]bool{"shards": true, "spans": true}, []string{"spans"}},
-		{"perfetto-out", map[string]bool{"shards": true, "perfetto-out": true}, []string{"perfetto-out"}},
-		{"attrib-out", map[string]bool{"shards": true, "attrib-out": true}, []string{"attrib-out"}},
-		{"tail-k", map[string]bool{"shards": true, "tail-k": true}, []string{"tail-k"}},
-		{"flight-recorder", map[string]bool{"shards": true, "flight-recorder": true}, []string{"flight-recorder"}},
-		{"nack-burst", map[string]bool{"shards": true, "nack-burst": true}, []string{"nack-burst"}},
-		{
-			"several at once, declaration order",
-			map[string]bool{"flight-recorder": true, "spans": true, "trace": true},
-			[]string{"trace", "spans", "flight-recorder"},
-		},
-	}
-	for _, tc := range cases {
-		if got := shardIncompatible(tc.set); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: shardIncompatible = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
-// TestShardFlagsError pins the shard-count audit: -shards below 1 fails
-// naming the flag, one shard accepts every observer, more than one rejects
-// the single-writer ones, and the lookahead canary needs more than one.
-func TestShardFlagsError(t *testing.T) {
-	for _, n := range []int{0, -3} {
-		err := shardFlagsError(n, 1, map[string]bool{"shards": true})
-		if err == nil || !strings.Contains(err.Error(), "-shards") {
-			t.Errorf("-shards %d: error %v, want one naming -shards", n, err)
-		}
-	}
-	observers := map[string]bool{"trace": true, "spans": true, "perfetto-out": true, "flight-recorder": true}
-	if err := shardFlagsError(1, 1, observers); err != nil {
-		t.Errorf("one shard rejected single-writer observers: %v", err)
-	}
-	if err := shardFlagsError(4, 1, observers); err == nil || !strings.Contains(err.Error(), "-trace") {
-		t.Errorf("four shards: error %v, want the observers rejected", err)
-	}
-	if err := shardFlagsError(1, 20, nil); err == nil || !strings.Contains(err.Error(), "-unsafe-lookahead-scale") {
-		t.Errorf("canary at one shard: error %v, want it rejected", err)
-	}
-	if err := shardFlagsError(4, 20, map[string]bool{"unsafe-lookahead-scale": true}); err != nil {
-		t.Errorf("canary at four shards rejected: %v", err)
-	}
+	checkAudit(t, []string{"-shards", "4"}, []auditCase{
+		{"none set", nil, nil},
+		{"kv workload knobs pass", []string{"-motif", "kv", "-kv-skew", "1.2", "-kv-gap", "1us", "-kv-ops", "4"}, nil},
+		{"shard-aware observers pass", []string{"-metrics-out", "m.json", "-ledger-out", "l.json",
+			"-ledger-epoch", "100", "-shard-plan-out", "s.csv", "-timeseries-out", "ts.csv", "-heatmap-out", "h.csv",
+			"-sample-interval", "5us", "-unsafe-lookahead-scale", "20"}, nil},
+		{"trace", []string{"-trace"}, []string{"trace"}},
+		{"spans", []string{"-spans"}, []string{"spans"}},
+		{"perfetto-out", []string{"-perfetto-out", "p.json"}, []string{"perfetto-out"}},
+		{"attrib-out", []string{"-attrib-out", "a.json"}, []string{"attrib-out"}},
+		{"tail-k", []string{"-tail-k", "4"}, []string{"tail-k"}},
+		{"flight-recorder", []string{"-flight-recorder", "16"}, []string{"flight-recorder"}},
+		{"nack-burst", []string{"-nack-burst", "3"}, []string{"nack-burst"}},
+		{"several at once, declaration order",
+			[]string{"-flight-recorder", "16", "-spans", "-trace"},
+			[]string{"trace", "spans", "flight-recorder"}},
+	})
+	checkAudit(t, []string{"-shards", "1"}, []auditCase{
+		{"one shard takes every single-writer observer",
+			[]string{"-trace", "-spans", "-perfetto-out", "p.json", "-attrib-out", "a.json", "-tail-k", "4",
+				"-flight-recorder", "16", "-nack-burst", "3"}, nil},
+	})
 }
 
 // TestBadCellInputFailsFast: every bad cell input exits 2 before the run,
@@ -276,6 +222,10 @@ func TestBadCellInputFailsFast(t *testing.T) {
 		{"unknown motif", []string{"-motif", "nosuch"}, "-motif"},
 		{"drop rate above one", []string{"-drop-rate", "2"}, "-drop-rate"},
 		{"retry budget below -1", []string{"-drop-rate", "0.01", "-retry-budget", "-2"}, "-retry-budget"},
+		{"zero shards", []string{"-shards", "0"}, "-shards"},
+		{"negative shards", []string{"-shards", "-3"}, "-shards"},
+		{"lookahead canary at one shard", []string{"-unsafe-lookahead-scale", "20"}, "-unsafe-lookahead-scale"},
+		{"nack watch without a recorder", []string{"-nack-burst", "3", "-flight-recorder", "0"}, "-nack-burst"},
 	} {
 		args := append([]string{"-topology", "single", "-nodes", "8"}, tc.args...)
 		code, stdout, stderr := rvmasim(t, args...)
@@ -343,46 +293,52 @@ func TestEveryLedgerReplays(t *testing.T) {
 	}
 }
 
+// replicaTable parses args, runs the -seeds replicas in process and
+// returns their table without the line reporting the worker count.
+func replicaTable(t *testing.T, args ...string) string {
+	t.Helper()
+	c, err := parseFlags(flag.NewFlagSet("rvmasim", flag.ContinueOnError), args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = f
+	runReplicas(c.spec, c.seeds, c.workers)
+	os.Stdout = stdout
+	f.Close()
+	b, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keep []string
+	for _, line := range strings.Split(string(b), "\n") {
+		if !strings.HasPrefix(line, "replicas:") {
+			keep = append(keep, line)
+		}
+	}
+	return strings.Join(keep, "\n")
+}
+
+// lossyIncast is the small lossy incast cell the replica tests run.
+func lossyIncast(seed string) []string {
+	return []string{"-motif", "incast", "-topology", "single", "-nodes", "16", "-drop-rate", "0.05", "-seed", seed}
+}
+
 // TestReplicaTableIdenticalAcrossWorkers: the -seeds table is the same at
 // one and four workers (apart from the worker count it reports), and each
 // row is the makespan and event count of the single run at that seed.
 func TestReplicaTableIdenticalAcrossWorkers(t *testing.T) {
-	incast := func(seed string) []string {
-		return []string{"-motif", "incast", "-topology", "single", "-nodes", "16", "-drop-rate", "0.05", "-seed", seed}
-	}
-	fs := flag.NewFlagSet("rvmasim", flag.ContinueOnError)
-	v := declareFlags(fs)
-	if err := fs.Parse(incast("5")); err != nil {
-		t.Fatal(err)
-	}
-	table := func(workers int) string {
-		f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		stdout := os.Stdout
-		os.Stdout = f
-		runReplicas(runSpec(v), 3, workers)
-		os.Stdout = stdout
-		f.Close()
-		b, err := os.ReadFile(f.Name())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var keep []string
-		for _, line := range strings.Split(string(b), "\n") {
-			if !strings.HasPrefix(line, "replicas:") {
-				keep = append(keep, line)
-			}
-		}
-		return strings.Join(keep, "\n")
-	}
-	one, four := table(1), table(4)
+	one := replicaTable(t, append(lossyIncast("5"), "-seeds", "3", "-workers", "1")...)
+	four := replicaTable(t, append(lossyIncast("5"), "-seeds", "3", "-workers", "4")...)
 	if one != four {
 		t.Fatalf("replica table differs between 1 and 4 workers:\n%s\n---\n%s", one, four)
 	}
 	for _, seed := range []string{"5", "6", "7"} {
-		_, single, _ := rvmasim(t, incast(seed)...)
+		_, single, _ := rvmasim(t, lossyIncast(seed)...)
 		var makespan, events string
 		for _, line := range strings.Split(single, "\n") {
 			if f := strings.Fields(line); len(f) >= 2 && f[0] == "makespan:" {
@@ -395,6 +351,17 @@ func TestReplicaTableIdenticalAcrossWorkers(t *testing.T) {
 		if makespan == "" || !strings.Contains(one, row) {
 			t.Errorf("seed %s: single run gives row %q, not in the replica table:\n%s", seed, row, one)
 		}
+	}
+}
+
+// TestReplicaTableIdenticalAtEveryShardCount: -seeds runs with -shards,
+// each replica on its own shard group, and prints the table the one-shard
+// replicas print.
+func TestReplicaTableIdenticalAtEveryShardCount(t *testing.T) {
+	one := replicaTable(t, append(lossyIncast("5"), "-seeds", "3", "-shards", "1")...)
+	two := replicaTable(t, append(lossyIncast("5"), "-seeds", "3", "-shards", "2")...)
+	if one != two {
+		t.Fatalf("replica table differs between 1 and 2 shards:\n%s\n---\n%s", one, two)
 	}
 }
 

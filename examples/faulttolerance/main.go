@@ -15,12 +15,8 @@ import (
 	"fmt"
 	"log"
 
-	"rvma/internal/fabric"
-	"rvma/internal/nic"
-	"rvma/internal/pcie"
-	"rvma/internal/rvma"
+	"rvma"
 	"rvma/internal/sim"
-	"rvma/internal/topology"
 )
 
 const (
@@ -30,17 +26,13 @@ const (
 )
 
 func main() {
-	eng := sim.NewEngine(7)
-	net, err := fabric.New(eng, topology.NewSingleSwitch(2), fabric.DefaultConfig())
+	ecfg := rvma.DefaultConfig()
+	ecfg.HistoryDepth = timesteps // windows retain every epoch for rewind
+	tb, err := rvma.NewTestbed(2, rvma.TestbedConfig{Endpoint: &ecfg, Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof := nic.DefaultProfile()
-	producer := rvma.NewEndpoint(nic.New(eng, net, 0, pcie.Gen4x16(), prof), rvma.DefaultConfig())
-
-	ccfg := rvma.DefaultConfig()
-	ccfg.HistoryDepth = timesteps // retain every epoch for rewind
-	consumer := rvma.NewEndpoint(nic.New(eng, net, 1, pcie.Gen4x16(), prof), ccfg)
+	eng, producer, consumer := tb.Engine, tb.Endpoints[0], tb.Endpoints[1]
 
 	const mailbox rvma.VAddr = 0xFA17
 	win, err := consumer.InitWindow(mailbox, stateBytes, rvma.EpochBytes)

@@ -1,72 +1,31 @@
-// Incast: the many-to-one scenario from the paper's abstract — "RDMA
-// unattractive for use in many-to-one communication models such as those
-// found in public internet client-server situations".
+// Incast: receiver-side resource control in the many-to-one scenario from
+// the paper's abstract — "RDMA unattractive for use in many-to-one
+// communication models such as those found in public internet
+// client-server situations".
 //
-// Part 1 contrasts resource footprints: an RVMA server exposes ONE mailbox
-// that all clients target (the NIC steers each message into the next
-// posted buffer), while an RDMA server must negotiate and pin a dedicated
-// buffer per client for an unbounded time.
+// The server closes its mailbox, late traffic is NACKed back to the
+// senders (or silently dropped when NACKs are disabled for DoS
+// protection), and a catch-all mailbox can absorb strays. The throughput
+// side, an RVMA server's one mailbox against an RDMA server's buffer per
+// client, is `rvmasim -motif incast -transport rvma|rdma`.
 //
-// Part 2 shows receiver-side resource control: the server closes its
-// mailbox, late traffic is NACKed back to the senders (or silently
-// dropped when NACKs are disabled for DoS protection), and a catch-all
-// mailbox can absorb strays.
-//
-// Run with: go run ./examples/incast [-clients 32]
+// Run with: go run ./examples/incast
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 
-	"rvma/internal/fabric"
-	"rvma/internal/motif"
-	"rvma/internal/nic"
-	"rvma/internal/pcie"
-	"rvma/internal/rvma"
+	"rvma"
 	"rvma/internal/sim"
-	"rvma/internal/stats"
-	"rvma/internal/topology"
 )
 
 func main() {
-	clients := flag.Int("clients", 32, "number of client nodes")
-	flag.Parse()
-
-	fmt.Println("== part 1: many-to-one throughput, RVMA vs RDMA ==")
-	topo := topology.NewSingleSwitch(*clients + 1)
-	icfg := motif.IncastConfig{Messages: 8, MsgBytes: 4096}
-	run := func(kind motif.TransportKind) sim.Time {
-		cfg := motif.DefaultClusterConfig(topo, kind)
-		c, err := motif.NewCluster(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		t, err := motif.RunIncast(c, icfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  %-4s: %d clients x %d messages consumed in %v\n",
-			kind, *clients, icfg.Messages, t)
-		return t
-	}
-	rv := run(motif.KindRVMA)
-	rd := run(motif.KindRDMA)
-	fmt.Printf("  RVMA speedup %.2fx; RDMA also pinned %d dedicated buffers (%s) indefinitely\n",
-		stats.Speedup(rd.Seconds(), rv.Seconds()), *clients,
-		stats.FormatBytes(*clients*icfg.MsgBytes))
-
-	fmt.Println("\n== part 2: receiver-side resource control ==")
-	eng := sim.NewEngine(3)
-	net, err := fabric.New(eng, topology.NewSingleSwitch(3), fabric.DefaultConfig())
+	tb, err := rvma.NewTestbed(3, rvma.TestbedConfig{Seed: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof := nic.DefaultProfile()
-	server := rvma.NewEndpoint(nic.New(eng, net, 0, pcie.Gen4x16(), prof), rvma.DefaultConfig())
-	client := rvma.NewEndpoint(nic.New(eng, net, 1, pcie.Gen4x16(), prof), rvma.DefaultConfig())
-	straggler := rvma.NewEndpoint(nic.New(eng, net, 2, pcie.Gen4x16(), prof), rvma.DefaultConfig())
+	eng, server, client, straggler := tb.Engine, tb.Endpoints[0], tb.Endpoints[1], tb.Endpoints[2]
 
 	const service rvma.VAddr = 0x5E41
 	win, err := server.InitWindow(service, 512, rvma.EpochBytes)

@@ -16,13 +16,9 @@ import (
 	"fmt"
 	"log"
 
-	"rvma/internal/fabric"
+	"rvma"
 	"rvma/internal/mpirma"
-	"rvma/internal/nic"
-	"rvma/internal/pcie"
-	"rvma/internal/rvma"
 	"rvma/internal/sim"
-	"rvma/internal/topology"
 )
 
 const (
@@ -34,19 +30,14 @@ const (
 func stamp(epoch, rank int) uint64 { return uint64(epoch*1000 + rank) }
 
 func main() {
-	eng := sim.NewEngine(11)
-	net, err := fabric.New(eng, topology.NewSingleSwitch(ranks), fabric.DefaultConfig())
+	ecfg := rvma.DefaultConfig()
+	ecfg.HistoryDepth = 8
+	tb, err := rvma.NewTestbed(ranks, rvma.TestbedConfig{Endpoint: &ecfg, Seed: 11})
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof := nic.DefaultProfile()
-	eps := make([]*rvma.Endpoint, ranks)
-	ecfg := rvma.DefaultConfig()
-	ecfg.HistoryDepth = 8
-	for i := range eps {
-		eps[i] = rvma.NewEndpoint(nic.New(eng, net, i, pcie.Gen4x16(), prof), ecfg)
-	}
-	comm, err := mpirma.NewComm(eps)
+	eng := tb.Engine
+	comm, err := mpirma.NewComm(tb.Endpoints)
 	if err != nil {
 		log.Fatal(err)
 	}

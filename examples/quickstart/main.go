@@ -15,24 +15,17 @@ import (
 	"fmt"
 	"log"
 
-	"rvma/internal/fabric"
-	"rvma/internal/nic"
-	"rvma/internal/pcie"
-	"rvma/internal/rvma"
+	"rvma"
 	"rvma/internal/sim"
-	"rvma/internal/topology"
 )
 
 func main() {
-	// Simulation substrate: engine, one-switch network, two NICs.
-	eng := sim.NewEngine(1)
-	net, err := fabric.New(eng, topology.NewSingleSwitch(2), fabric.DefaultConfig())
+	// Simulation substrate: two RVMA endpoints behind one switch.
+	tb, err := rvma.NewTestbed(2, rvma.TestbedConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof := nic.DefaultProfile()
-	sender := rvma.NewEndpoint(nic.New(eng, net, 0, pcie.Gen4x16(), prof), rvma.DefaultConfig())
-	receiver := rvma.NewEndpoint(nic.New(eng, net, 1, pcie.Gen4x16(), prof), rvma.DefaultConfig())
+	eng, sender, receiver := tb.Engine, tb.Endpoints[0], tb.Endpoints[1]
 
 	// Receiver: open a window on the mailbox, threshold = message size in
 	// bytes, and post one buffer. This is RVMA_Init_window +

@@ -15,28 +15,21 @@ import (
 	"fmt"
 	"log"
 
+	"rvma"
 	"rvma/internal/fabric"
-	"rvma/internal/nic"
-	"rvma/internal/pcie"
 	"rvma/internal/rstream"
-	"rvma/internal/rvma"
 	"rvma/internal/sim"
-	"rvma/internal/topology"
 )
 
 func main() {
-	eng := sim.NewEngine(21)
 	fcfg := fabric.DefaultConfig()
 	fcfg.Routing = fabric.RouteStatic // streams need byte order, like TCP on one path
-	net, err := fabric.New(eng, topology.NewSingleSwitch(2), fcfg)
+	tb, err := rvma.NewTestbed(2, rvma.TestbedConfig{Fabric: &fcfg, Seed: 21})
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof := nic.DefaultProfile()
-	clientEP := rvma.NewEndpoint(nic.New(eng, net, 0, pcie.Gen4x16(), prof), rvma.DefaultConfig())
-	serverEP := rvma.NewEndpoint(nic.New(eng, net, 1, pcie.Gen4x16(), prof), rvma.DefaultConfig())
-
-	client, server, err := rstream.Pair(clientEP, serverEP, 1, rstream.Config{SegmentBytes: 1024})
+	eng := tb.Engine
+	client, server, err := rstream.Pair(tb.Endpoints[0], tb.Endpoints[1], 1, rstream.Config{SegmentBytes: 1024})
 	if err != nil {
 		log.Fatal(err)
 	}
