@@ -76,8 +76,7 @@ func rvmasim(t *testing.T, args ...string) (int, string, string) {
 
 // TestFlagRegistryCoversEveryFlag is the registry guard: every rvmasim
 // flag must be declared through a flagTable row (which forces a class),
-// rows must be unique, every row must register the flag it names, and
-// each observer flag keeps the class the audit relies on.
+// rows must be unique and every row must register the flag it names.
 func TestFlagRegistryCoversEveryFlag(t *testing.T) {
 	fs := flag.NewFlagSet("rvmasim", flag.ContinueOnError)
 	declareFlags(fs)
@@ -98,6 +97,14 @@ func TestFlagRegistryCoversEveryFlag(t *testing.T) {
 			t.Errorf("flag -%s is registered outside the registry table", name)
 		}
 	}
+}
+
+// TestReplicaUnsupportedCoversAllObserverFlags guards against a new
+// observer flag being added as a spec flag: each flag named here keeps the
+// class the audit relies on, so set alone under -seeds 3 it is rejected by
+// name, and every other registry row (-shards and the lookahead canary
+// included) passes.
+func TestReplicaUnsupportedCoversAllObserverFlags(t *testing.T) {
 	want := map[string]flagClass{
 		"metrics-out": observerFlag, "timeseries-out": observerFlag, "heatmap-out": observerFlag,
 		"sample-interval": observerFlag, "ledger-out": observerFlag, "ledger-epoch": observerFlag,
@@ -106,9 +113,15 @@ func TestFlagRegistryCoversEveryFlag(t *testing.T) {
 		"flight-recorder": singleWriterFlag, "nack-burst": singleWriterFlag, "attrib-out": singleWriterFlag,
 		"tail-k": singleWriterFlag,
 	}
-	for name, class := range classes {
-		if class != want[name] {
-			t.Errorf("flag -%s has class %d, want %d", name, class, want[name])
+	for _, row := range flagTable {
+		if row.class != want[row.name] {
+			t.Errorf("flag -%s has class %d, want %d", row.name, row.class, want[row.name])
+		}
+		err := auditFlags(map[string]bool{row.name: true}, 3, 1)
+		if _, observer := want[row.name]; !observer && err != nil {
+			t.Errorf("spec flag -%s rejected under -seeds 3: %v", row.name, err)
+		} else if observer && (err == nil || !strings.Contains(err.Error(), "-"+row.name+" ")) {
+			t.Errorf("observer flag -%s under -seeds 3: error %v, want it rejected by name", row.name, err)
 		}
 	}
 }
@@ -199,6 +212,37 @@ func TestShardIncompatibleMatrix(t *testing.T) {
 			[]string{"-trace", "-spans", "-perfetto-out", "p.json", "-attrib-out", "a.json", "-tail-k", "4",
 				"-flight-recorder", "16", "-nack-burst", "3"}, nil},
 	})
+}
+
+// TestShardFlagsError pins the shard-count checks in parseFlags: -shards
+// below 1 fails naming the flag, one shard accepts every observer, more
+// than one rejects the single-writer ones, and the lookahead canary needs
+// more than one.
+func TestShardFlagsError(t *testing.T) {
+	parse := func(args ...string) error {
+		fs := flag.NewFlagSet("rvmasim", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		_, err := parseFlags(fs, args)
+		return err
+	}
+	for _, n := range []string{"0", "-3"} {
+		if err := parse("-shards", n); err == nil || !strings.Contains(err.Error(), "-shards") {
+			t.Errorf("-shards %s: error %v, want one naming -shards", n, err)
+		}
+	}
+	observers := []string{"-trace", "-spans", "-perfetto-out", "p.json", "-flight-recorder", "16"}
+	if err := parse(append([]string{"-shards", "1"}, observers...)...); err != nil {
+		t.Errorf("one shard rejected single-writer observers: %v", err)
+	}
+	if err := parse(append([]string{"-shards", "4"}, observers...)...); err == nil || !strings.Contains(err.Error(), "-trace") {
+		t.Errorf("four shards: error %v, want the observers rejected", err)
+	}
+	if err := parse("-unsafe-lookahead-scale", "20"); err == nil || !strings.Contains(err.Error(), "-unsafe-lookahead-scale") {
+		t.Errorf("canary at one shard: error %v, want it rejected", err)
+	}
+	if err := parse("-shards", "4", "-unsafe-lookahead-scale", "20"); err != nil {
+		t.Errorf("canary at four shards rejected: %v", err)
+	}
 }
 
 // TestBadCellInputFailsFast: every bad cell input exits 2 before the run,
