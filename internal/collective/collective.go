@@ -12,7 +12,6 @@ package collective
 
 import (
 	"fmt"
-	"slices"
 
 	"rvma/internal/motif"
 	"rvma/internal/sim"
@@ -207,10 +206,7 @@ func RunCollective(c *motif.Cluster, cfg Config) (sim.Time, error) {
 		maxMsg = 8
 	}
 
-	// Each rank records its own finish in its own slot, so ranks on
-	// different shards share no state; the makespan is the last finish.
-	done := make([]bool, n)
-	at := make([]sim.Time, n)
+	fin := motif.NewFinishLine(n)
 	for rank := 0; rank < n; rank++ {
 		tp := c.Transports[rank]
 		tag := c.TagFor(rank).Retag("collective")
@@ -234,12 +230,12 @@ func RunCollective(c *motif.Cluster, cfg Config) (sim.Time, error) {
 					panic(fmt.Sprintf("collective: unknown op %q", cfg.Op))
 				}
 			}
-			done[rank], at[rank] = true, p.Now()
+			fin.Arrive(rank, p.Now())
 		})
 	}
-	c.Group.Run()
-	if slices.Contains(done, false) {
+	c.Run()
+	if !fin.AllDone() {
 		return 0, fmt.Errorf("collective %s: deadlock", cfg.Op)
 	}
-	return slices.Max(at), nil
+	return fin.FinishTime(), nil
 }

@@ -125,3 +125,24 @@ func TestBroadcastNonZeroRoot(t *testing.T) {
 		t.Fatalf("only %d ranks finished broadcast from root 3", done)
 	}
 }
+
+// A collective finishes through the cluster's one run path, which drops
+// the fabric's recycled packets (and every other pool sized by the run's
+// peak in flight) once the run is over.
+func TestRunCollectiveLeavesNoFreePackets(t *testing.T) {
+	for _, kind := range []motif.TransportKind{motif.KindRVMA, motif.KindRDMA} {
+		c, err := motif.NewCluster(motif.DefaultClusterConfig(topology.NewSingleSwitch(8), kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunCollective(c, DefaultConfig(OpAllreduce)); err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		if c.Net.TotalStats().PacketsDelivered == 0 {
+			t.Fatalf("%v: the collective delivered no packets", kind)
+		}
+		if n := c.Net.FreePackets(); n != 0 {
+			t.Fatalf("%v: fabric holds %d free packets after the collective, want 0", kind, n)
+		}
+	}
+}

@@ -86,24 +86,11 @@ type Config struct {
 	// congestion variation between alternative routes. It makes packet
 	// reordering observable even on lightly loaded networks.
 	AdaptiveJitter float64
-	// ValiantBias is the backlog advantage (in time) a non-minimal path
-	// must offer before an adaptive packet detours. Zero uses one MTU
-	// serialization time.
-	ValiantBias sim.Time
-	// DropRate is a per-packet loss probability in [0, 1] (failure
-	// injection; 1 is a total blackout). Real HPC fabrics are lossless in
-	// steady state, but the paper's fault-tolerance argument (§IV-F) is
-	// about exactly the moments they are not; tests use this to show
-	// RVMA's threshold counting never falsely completes a holed buffer,
-	// while last-byte polling does. Loss fires at destination ingress
-	// after the packet has paid its full path cost (see fault.go), and
-	// the drop decision draws from a dedicated RNG stream so routing
-	// choices stay identical packet-for-packet whether or not faults are
-	// enabled.
-	DropRate float64
-	// Faults layers burst loss and per-link degradation windows on top of
-	// DropRate (the two uniform rates combine by max). Nil injects only
-	// DropRate.
+	// Faults is the failure injection: uniform loss, burst loss and
+	// per-link degradation windows (see fault.go). Nil is a lossless
+	// fabric. Real HPC fabrics are lossless in steady state, but the
+	// paper's fault-tolerance argument (§IV-F) is about exactly the
+	// moments they are not.
 	Faults *FaultPlan
 }
 
@@ -133,9 +120,6 @@ func (c Config) Validate() error {
 	}
 	if c.LinkLatency < 0 || c.SwitchLatency < 0 {
 		return fmt.Errorf("fabric: negative latency")
-	}
-	if c.DropRate < 0 || c.DropRate > 1 {
-		return fmt.Errorf("fabric: drop rate %v outside [0, 1]", c.DropRate)
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
@@ -542,7 +526,6 @@ func (n *Network) selectPort(e *sim.Engine, shard int, rng *sim.RNG, sw int, por
 			if nm := rb.nonMin; len(nm) > 0 {
 				pkt.misrouted = true
 				n.statsSh[shard].ValiantDetours++
-				n.msh[shard].detours.Add(1)
 				return nm[rng.Intn(len(nm))]
 			}
 		}
@@ -551,10 +534,9 @@ func (n *Network) selectPort(e *sim.Engine, shard int, rng *sim.RNG, sw int, por
 	case RouteAdaptive:
 		best := leastBacklogged(e, ports, cands)
 		if !pkt.misrouted && n.nonMin != nil {
-			bias := n.cfg.ValiantBias
-			if bias == 0 {
-				bias = sim.SerializationTime(n.cfg.MTU+HeaderBytes, n.cfg.LinkGbps)
-			}
+			// A detour must beat the minimal path by one MTU's
+			// serialization time.
+			bias := sim.SerializationTime(n.cfg.MTU+HeaderBytes, n.cfg.LinkGbps)
 			minBacklog := ports[best].Backlog(e)
 			if minBacklog > bias {
 				rb.nonMin = n.nonMin.NonMinimalCandidates(sw, pkt.Dst, rb.nonMin[:0])
@@ -565,7 +547,6 @@ func (n *Network) selectPort(e *sim.Engine, shard int, rng *sim.RNG, sw int, por
 					if 2*ports[alt].Backlog(e)+bias < minBacklog {
 						pkt.misrouted = true
 						n.statsSh[shard].ValiantDetours++
-						n.msh[shard].detours.Add(1)
 						n.msh[shard].timeline.Instant(pkt.Src, "fabric", "detour", e.Now())
 						if n.tracer != nil {
 							//rvmalint:allow hotalloc -- tracer-only branch; a traced run is a debugging run
@@ -620,7 +601,6 @@ func (n *Network) deliver(node int, pkt *Packet) {
 	if n.faultSh != nil && n.dropPacket(node, e, &n.faultSh[node]) {
 		st.PacketsDropped++
 		st.BytesDropped += uint64(pkt.Size)
-		mm.drops.Add(1)
 		mm.timeline.Instant(node, "fabric", "drop", e.Now())
 		if n.tracer != nil {
 			//rvmalint:allow hotalloc -- tracer-only branch; a traced run is a debugging run

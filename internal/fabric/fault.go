@@ -22,9 +22,8 @@ import (
 // FaultPlan describes deterministic failure injection for a fabric run.
 // The zero value injects nothing.
 type FaultPlan struct {
-	// DropRate is a uniform per-packet loss probability in [0, 1]. It
-	// combines with Config.DropRate by max, and 1 is a legal total
-	// blackout.
+	// DropRate is a uniform per-packet loss probability in [0, 1]; 1 is a
+	// legal total blackout.
 	DropRate float64
 	// BurstLen, when greater than 1, turns every random drop into a burst:
 	// the next BurstLen-1 packets arriving at the same destination are
@@ -192,20 +191,6 @@ func parseSimTime(s string) (sim.Time, error) {
 		}
 	}
 	return 0, fmt.Errorf("fabric: time %q needs a ns/us/ms/s suffix", s)
-}
-
-// effectivePlan folds Config.DropRate into Config.Faults so the delivery
-// path consults one plan.
-func (c Config) effectivePlan() FaultPlan {
-	plan := FaultPlan{DropRate: c.DropRate}
-	if c.Faults != nil {
-		if c.Faults.DropRate > plan.DropRate {
-			plan.DropRate = c.Faults.DropRate
-		}
-		plan.BurstLen = c.Faults.BurstLen
-		plan.Windows = c.Faults.Windows
-	}
-	return plan
 }
 
 // dropPacket decides, at delivery time, whether failure injection claims

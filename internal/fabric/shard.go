@@ -38,8 +38,6 @@ import (
 type fabMetrics struct {
 	latency  *metrics.Histogram
 	hops     *metrics.Histogram
-	drops    *metrics.Counter
-	detours  *metrics.Counter
 	timeline *metrics.Timeline
 }
 
@@ -136,8 +134,8 @@ func build(g *sim.ShardGroup, engs []*sim.Engine, topo topology.Topology, cfg Co
 	for i := range n.hostRNG {
 		n.hostRNG[i].Seed(sim.SeedFor(seed, "fabric-host", i))
 	}
-	n.faults = cfg.effectivePlan()
-	if n.faults.Enabled() {
+	if cfg.Faults.Enabled() {
+		n.faults = *cfg.Faults
 		n.faultSh = make([]sim.RNG, nodes)
 		for i := range n.faultSh {
 			n.faultSh[i].Seed(sim.SeedFor(seed, "fabric-fault", i))
@@ -274,12 +272,14 @@ func (n *Network) TotalStats() Stats {
 }
 
 // SetMetricsSharded attaches per-shard registries for the per-event
-// handles (latency/hops histograms, drop/detour counters and the timeline
-// — each shard writes only its own, and the harness merges registries
-// after the run) plus snapshot-time aggregate collectors on primary. A
-// one-shard network may pass primary itself as its shard registry. The
-// aggregate collectors read resource state directly, which is only safe
-// while the shards are quiescent or there is only one.
+// handles (latency/hops histograms and the timeline — each shard writes
+// only its own, and the harness merges registries after the run), the
+// drop and detour counters, which each shard's registry reads from that
+// shard's Stats when a snapshot is taken, plus snapshot-time aggregate
+// collectors on primary. A one-shard network may pass primary itself as
+// its shard registry. The aggregate collectors read resource state
+// directly, which is only safe while the shards are quiescent or there is
+// only one.
 func (n *Network) SetMetricsSharded(primary *metrics.Registry, shards []*metrics.Registry) {
 	if len(shards) != len(n.engs) {
 		panic(fmt.Sprintf("fabric: %d shard registries for %d shards", len(shards), len(n.engs)))
@@ -288,10 +288,10 @@ func (n *Network) SetMetricsSharded(primary *metrics.Registry, shards []*metrics
 		n.msh[i] = fabMetrics{
 			latency:  reg.Histogram("fabric.packet_latency_ns"),
 			hops:     reg.Histogram("fabric.packet_hops"),
-			drops:    reg.Counter("fabric.packets_dropped"),
-			detours:  reg.Counter("fabric.valiant_detours"),
 			timeline: reg.Timeline(),
 		}
+		reg.CounterFrom("fabric.packets_dropped", &n.statsSh[i].PacketsDropped)
+		reg.CounterFrom("fabric.valiant_detours", &n.statsSh[i].ValiantDetours)
 	}
 	e := n.engs[0] // clocks are synchronized whenever collectors run
 	perSwitch := n.topo.NumSwitches() <= maxPerSwitchGauges
@@ -371,12 +371,10 @@ func (n *Network) RegisterTelemetrySharded(ss *telemetry.ShardSet) {
 		}
 		return worst.Nanoseconds()
 	})
-	ss.Register("fabric.packets_delivered", telemetry.KindSum, func(shard int) float64 {
-		return float64(n.statsSh[shard].PacketsDelivered)
-	})
-	ss.Register("fabric.valiant_detours", telemetry.KindSum, func(shard int) float64 {
-		return float64(n.statsSh[shard].ValiantDetours)
-	})
+	for i := range n.statsSh {
+		ss.CounterFrom("fabric.packets_delivered", i, &n.statsSh[i].PacketsDelivered)
+		ss.CounterFrom("fabric.valiant_detours", i, &n.statsSh[i].ValiantDetours)
+	}
 	if n.topo.NumSwitches() > maxPerSwitchGauges {
 		return
 	}

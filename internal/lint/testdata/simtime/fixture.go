@@ -28,8 +28,8 @@ func schedule(e *sim.Engine, deadline sim.Time) {
 }
 
 func convert(d time.Duration, t sim.Time) {
-	_ = sim.Time(d)       // want `converting time.Duration \(nanoseconds\) directly to sim.Time`
-	_ = time.Duration(t)  // want `converting sim.Time \(picoseconds\) directly to time.Duration`
-	_ = sim.Time(d) * 1   // want `converting time.Duration \(nanoseconds\) directly to sim.Time`
+	_ = sim.Time(d)                             // want `converting time.Duration \(nanoseconds\) directly to sim.Time`
+	_ = time.Duration(t)                        // want `converting sim.Time \(picoseconds\) directly to time.Duration`
+	_ = sim.Time(d) * 1                         // want `converting time.Duration \(nanoseconds\) directly to sim.Time`
 	_ = sim.FromNanos(float64(d.Nanoseconds())) // the approved conversion path
 }

@@ -8,11 +8,14 @@
 // distributions (p50/p90/p99/max) the experiment harness needs to explain
 // *why* a motif run is slow rather than just *that* it is.
 //
-// Every hook in the models follows the nil-receiver convention: methods on
-// a nil *Registry, *Counter, *Gauge, *Histogram or *Span are no-ops, so a
-// component with no registry attached pays exactly one nil check on the
-// hot path. The simulation is single-goroutine (all model code runs on the
-// engine), so the registry needs no locking.
+// The models' event counts live in their own Stats fields; a registry
+// reads them as counter sources (CounterFrom) when a snapshot is taken, so
+// a counter costs nothing per event. Every other hook follows the
+// nil-receiver convention: methods on a nil *Registry, *Counter, *Gauge,
+// *Histogram or *Span are no-ops, so a component with no registry attached
+// pays exactly one nil check on the hot path. The simulation is
+// single-goroutine (all model code runs on the engine), so the registry
+// needs no locking.
 package metrics
 
 import (
@@ -70,6 +73,19 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
+// CounterFrom registers src, an event count a model layer keeps in its own
+// Stats, as a source of the named counter. The counter reads its sources
+// when it is read (a snapshot, or MergeFrom folding a shard's registry), so
+// the layer's own increment is the only per-event work. Sources of one
+// name sum.
+func (r *Registry) CounterFrom(name string, src *uint64) {
+	if r == nil {
+		return
+	}
+	c := r.Counter(name)
+	c.srcs = append(c.srcs, src)
+}
+
 // Gauge returns (creating if needed) the named gauge.
 func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
@@ -116,8 +132,12 @@ func (r *Registry) Collect() {
 	}
 }
 
-// Counter is a monotonically increasing uint64 metric.
-type Counter struct{ v uint64 }
+// Counter is a monotonically increasing uint64 metric: what Add added,
+// plus the current values of its CounterFrom sources.
+type Counter struct {
+	v    uint64
+	srcs []*uint64
+}
 
 // Add increments the counter by delta.
 func (c *Counter) Add(delta uint64) {
@@ -132,7 +152,11 @@ func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.v
+	v := c.v
+	for _, src := range c.srcs {
+		v += *src
+	}
+	return v
 }
 
 // Gauge is a point-in-time float64 metric that also tracks its maximum.
@@ -506,10 +530,11 @@ func (r *Registry) WriteJSON(w io.Writer, now sim.Time) error {
 
 // MergeFrom folds every counter, histogram and gauge of o into r. The
 // sharded harness gives each shard its own registry (single-writer during
-// the run) and folds them into the primary in shard order afterwards;
-// with integer counter/picosecond sums and commutative min/max widening,
-// the merged registry is byte-identical at any shard count. Span state is
-// not merged — spans are disabled on sharded runs.
+// the run) and folds them into the primary in shard order afterwards (a
+// counter adds its value at the fold, sources included); with integer
+// counter/picosecond sums and commutative min/max widening, the merged
+// registry is byte-identical at any shard count. Span state is not merged
+// — spans are disabled on sharded runs.
 func (r *Registry) MergeFrom(o *Registry) {
 	if r == nil || o == nil {
 		return

@@ -13,6 +13,7 @@ import (
 func TestNilRegistrySafe(t *testing.T) {
 	var r *Registry
 	r.Counter("c").Add(1)
+	r.CounterFrom("c", new(uint64))
 	r.Gauge("g").Set(3)
 	r.Histogram("h").Observe(5)
 	r.AddCollector(func() { t.Fatal("collector on nil registry ran") })
@@ -55,6 +56,51 @@ func TestCounterGauge(t *testing.T) {
 	}
 	if got := g.Max(); got != 13 {
 		t.Fatalf("gauge max = %v, want 13", got)
+	}
+}
+
+// A counter read from sources reports their values when it is read, not
+// when they were registered; snapshots repeat byte for byte; and MergeFrom
+// adds the sources' sum exactly.
+func TestCounterFromSources(t *testing.T) {
+	var a, b uint64
+	r := NewRegistry()
+	r.CounterFrom("events", &a)
+	r.CounterFrom("events", &b)
+	r.Counter("events").Add(1)
+	a, b = 5, 7
+	if got := r.Counter("events").Value(); got != 13 {
+		t.Fatalf("counter = %d, want 13 (1 added + sources 5 and 7)", got)
+	}
+	snap := func() string {
+		var buf bytes.Buffer
+		if err := r.WriteJSON(&buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	first := snap()
+	if !strings.Contains(first, `"events": 13`) {
+		t.Fatalf("snapshot lacks the source sum:\n%s", first)
+	}
+	if second := snap(); second != first {
+		t.Fatalf("two snapshots differ:\n%s\n---\n%s", first, second)
+	}
+	a++
+	if !strings.Contains(snap(), `"events": 14`) {
+		t.Fatal("snapshot did not read the source's new value")
+	}
+
+	dst := NewRegistry()
+	dst.Counter("events").Add(100)
+	dst.MergeFrom(r)
+	dst.MergeFrom(r)
+	if got := dst.Counter("events").Value(); got != 128 {
+		t.Fatalf("merged counter = %d, want 100 + 2*14", got)
+	}
+	a = 0 // the merge added the value at the fold; dst keeps no source
+	if got := dst.Counter("events").Value(); got != 128 {
+		t.Fatalf("merged counter followed the source after the fold: %d", got)
 	}
 }
 

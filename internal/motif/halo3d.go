@@ -66,7 +66,7 @@ func RunHalo3D(c *Cluster, cfg Halo3DConfig) (sim.Time, error) {
 		}
 	}
 
-	fin := newFinishLine(ranks)
+	fin := NewFinishLine(ranks)
 
 	type face struct {
 		peer int
@@ -112,14 +112,14 @@ func RunHalo3D(c *Cluster, cfg Halo3DConfig) (sim.Time, error) {
 				}
 				p.WaitAll(sends...)
 			}
-			fin.arrive(rank, tag.Now())
+			fin.Arrive(rank, tag.Now())
 		})
 	}
-	c.run()
-	if !fin.allDone() {
+	c.Run()
+	if !fin.AllDone() {
 		return 0, fmt.Errorf("halo3d: deadlock — ranks never finished")
 	}
-	return fin.finishTime(), nil
+	return fin.FinishTime(), nil
 }
 
 // cubest factors n into the most-cubic (a, b, c) with a*b*c = n.

@@ -34,7 +34,7 @@ func RunIncast(c *Cluster, cfg IncastConfig) (sim.Time, error) {
 		return 0, fmt.Errorf("incast: non-positive parameter")
 	}
 
-	fin := newFinishLine(ranks)
+	fin := NewFinishLine(ranks)
 
 	server := c.Transports[0]
 	clients := make([]int, 0, ranks-1)
@@ -51,7 +51,7 @@ func RunIncast(c *Cluster, cfg IncastConfig) (sim.Time, error) {
 				server.Recv(p, cl, cfg.MsgBytes)
 			}
 		}
-		fin.arrive(0, srvTag.Now())
+		fin.Arrive(0, srvTag.Now())
 	})
 	server0 := []int{0} // every client's only out-peer; Prepare only reads it
 	for _, cl := range clients {
@@ -62,12 +62,12 @@ func RunIncast(c *Cluster, cfg IncastConfig) (sim.Time, error) {
 			for m := 0; m < cfg.Messages; m++ {
 				p.Wait(tp.Send(0, cfg.MsgBytes))
 			}
-			fin.arrive(cl, tag.Now())
+			fin.Arrive(cl, tag.Now())
 		})
 	}
-	c.run()
-	if !fin.allDone() {
+	c.Run()
+	if !fin.AllDone() {
 		return 0, fmt.Errorf("incast: deadlock")
 	}
-	return fin.finishTime(), nil
+	return fin.FinishTime(), nil
 }

@@ -306,7 +306,7 @@ func RunKV(c *Cluster, cfg KVConfig) (sim.Time, *KVResult, error) {
 		prStats[pi] = &kvProxyStats{clientSeen: make([]bool, cpp)}
 	}
 
-	fin := newFinishLine(ranks)
+	fin := NewFinishLine(ranks)
 	maxMsg := cfg.reqBytes()
 	if cfg.respBytes() > maxMsg {
 		maxMsg = cfg.respBytes()
@@ -333,7 +333,7 @@ func RunKV(c *Cluster, cfg KVConfig) (sim.Time, *KVResult, error) {
 			}
 			p.Wait(tp.Prepare(peers, peers, maxMsg))
 			if len(active) == 0 {
-				fin.arrive(s, tag.Now())
+				fin.Arrive(s, tag.Now())
 				return
 			}
 			left := len(active)
@@ -351,7 +351,7 @@ func RunKV(c *Cluster, cfg KVConfig) (sim.Time, *KVResult, error) {
 					}
 					left--
 					if left == 0 {
-						fin.arrive(s, tag.Now())
+						fin.Arrive(s, tag.Now())
 					}
 				})
 			}
@@ -389,7 +389,7 @@ func RunKV(c *Cluster, cfg KVConfig) (sim.Time, *KVResult, error) {
 			finish := func() {
 				procs--
 				if procs == 0 {
-					fin.arrive(rank, tag.Now())
+					fin.Arrive(rank, tag.Now())
 				}
 			}
 			for _, s := range active {
@@ -447,7 +447,7 @@ func RunKV(c *Cluster, cfg KVConfig) (sim.Time, *KVResult, error) {
 		})
 	}
 
-	c.run()
+	c.Run()
 
 	res := &KVResult{
 		Proxies:          proxies,
@@ -482,12 +482,12 @@ func RunKV(c *Cluster, cfg KVConfig) (sim.Time, *KVResult, error) {
 		res.ServerApplied += store.Applied()
 	}
 
-	if !fin.allDone() {
+	if !fin.AllDone() {
 		return 0, res, fmt.Errorf("kv: deadlock (%d/%d ops completed)", res.Completed, res.Issued)
 	}
 	if res.Completed != res.Issued || res.ServerApplied != res.Completed {
 		return 0, res, fmt.Errorf("kv: accounting mismatch: issued %d completed %d applied %d",
 			res.Issued, res.Completed, res.ServerApplied)
 	}
-	return fin.finishTime(), res, nil
+	return fin.FinishTime(), res, nil
 }

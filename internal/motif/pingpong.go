@@ -99,7 +99,7 @@ func bounce(c *Cluster, iters int, ping, pong func(p *sim.Process)) (sim.Time, e
 			pong(p)
 		}
 	})
-	c.run()
+	c.Run()
 	if !done {
 		return 0, fmt.Errorf("pingpong: deadlock")
 	}
@@ -118,7 +118,7 @@ func RunSetup(c *Cluster, size int) (sim.Time, error) {
 		return 0, nil
 	}
 	op := c.rdmaEPs[0].RequestRemoteBuffer(1, size)
-	c.run()
+	c.Run()
 	if !op.Done.Done() {
 		return 0, fmt.Errorf("setup: handshake did not complete")
 	}

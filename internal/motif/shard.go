@@ -8,6 +8,7 @@ package motif
 
 import (
 	"fmt"
+	"slices"
 
 	"rvma/internal/metrics"
 	"rvma/internal/sim"
@@ -21,14 +22,14 @@ func (c *Cluster) TagFor(rank int) sim.Tagged {
 	return c.Tags[c.Net.NodeShard(rank)]
 }
 
-// run executes the simulation to completion, then drops the fabric's
+// Run executes the simulation to completion, then drops the fabric's
 // recycled packets, each shard engine's event and queue pools, each
 // endpoint's stage arrays, spare buffers and spare receives, each
 // transport's idle receive waits, credit arms and reliable-send records,
 // each node's spare pages and each recovery manager's free records and
 // stage arrays, so a finished cluster keeps nothing sized by the run's
-// peak in flight.
-func (c *Cluster) run() {
+// peak in flight. Every motif and collective finishes through it.
+func (c *Cluster) Run() {
 	c.Group.Run()
 	c.Net.DropFreePackets()
 	for i := 0; i < c.Group.Shards(); i++ {
@@ -56,44 +57,37 @@ func (c *Cluster) run() {
 // EventsExecuted returns the executed-event count across every shard.
 func (c *Cluster) EventsExecuted() uint64 { return c.Group.TotalExecuted() }
 
-// finishLine replaces a completion Gate for motif jobs: each rank records
-// its completion time in its own slot (single-writer, so ranks on
-// different shards never touch shared state), and the job's finish time is
-// the maximum, read after the run when every shard is quiescent. Both
-// arrive and the reads are synchronous bookkeeping — no events.
-type finishLine struct {
+// FinishLine replaces a completion Gate for motif and collective jobs:
+// each rank records its completion time in its own slot (single-writer, so
+// ranks on different shards never touch shared state), and the job's
+// finish time is the maximum, read after the run when every shard is
+// quiescent. Both Arrive and the reads are synchronous bookkeeping — no
+// events.
+type FinishLine struct {
 	done []bool
 	at   []sim.Time
 }
 
-func newFinishLine(ranks int) *finishLine {
-	return &finishLine{done: make([]bool, ranks), at: make([]sim.Time, ranks)}
+// NewFinishLine returns a finish line for ranks ranks.
+func NewFinishLine(ranks int) *FinishLine {
+	return &FinishLine{done: make([]bool, ranks), at: make([]sim.Time, ranks)}
 }
 
-// arrive records rank's completion at its engine's current time.
-func (f *finishLine) arrive(rank int, now sim.Time) {
+// Arrive records rank's completion at its engine's current time.
+func (f *FinishLine) Arrive(rank int, now sim.Time) {
 	f.done[rank] = true
 	f.at[rank] = now
 }
 
-// allDone reports whether every rank arrived; false after a run means the
-// motif deadlocked.
-func (f *finishLine) allDone() bool {
-	for _, d := range f.done {
-		if !d {
-			return false
-		}
-	}
-	return true
-}
+// AllDone reports whether every rank arrived; false after a run means the
+// job deadlocked.
+func (f *FinishLine) AllDone() bool { return !slices.Contains(f.done, false) }
 
-// finishTime returns the last arrival time — the motif's makespan.
-func (f *finishLine) finishTime() sim.Time {
+// FinishTime returns the last arrival time — the job's makespan.
+func (f *FinishLine) FinishTime() sim.Time {
 	var t sim.Time
 	for _, a := range f.at {
-		if a > t {
-			t = a
-		}
+		t = max(t, a)
 	}
 	return t
 }
@@ -230,27 +224,12 @@ func (c *Cluster) RegisterTelemetryShards(ss *telemetry.ShardSet) {
 			}
 			return float64(total)
 		})
-		ss.Register("rvma.nacks_total", telemetry.KindSum, func(shard int) float64 {
-			var total uint64
-			for _, node := range nodesBy[shard] {
-				total += c.rvmaEPs[node].Stats.Nacks
-			}
-			return float64(total)
-		})
-		ss.Register("rvma.rewinds_total", telemetry.KindSum, func(shard int) float64 {
-			var total uint64
-			for _, node := range nodesBy[shard] {
-				total += c.rvmaEPs[node].Stats.Rewinds
-			}
-			return float64(total)
-		})
-		ss.Register("rvma.drops_total", telemetry.KindSum, func(shard int) float64 {
-			var total uint64
-			for _, node := range nodesBy[shard] {
-				total += c.rvmaEPs[node].Stats.Drops
-			}
-			return float64(total)
-		})
+		for _, ep := range c.rvmaEPs {
+			s := c.Net.NodeShard(ep.Node())
+			ss.CounterFrom("rvma.nacks_total", s, &ep.Stats.Nacks)
+			ss.CounterFrom("rvma.rewinds_total", s, &ep.Stats.Rewinds)
+			ss.CounterFrom("rvma.drops_total", s, &ep.Stats.Drops)
+		}
 		if perNode {
 			for _, ep := range c.rvmaEPs {
 				ep := ep
@@ -261,28 +240,11 @@ func (c *Cluster) RegisterTelemetryShards(ss *telemetry.ShardSet) {
 			}
 		}
 	}
-	if len(c.recMgrs) > 0 {
-		ss.Register("recovery.retransmits_total", telemetry.KindSum, func(shard int) float64 {
-			var total uint64
-			for _, node := range nodesBy[shard] {
-				total += c.recMgrs[node].Stats.Retransmits
-			}
-			return float64(total)
-		})
-		ss.Register("recovery.timeouts_total", telemetry.KindSum, func(shard int) float64 {
-			var total uint64
-			for _, node := range nodesBy[shard] {
-				total += c.recMgrs[node].Stats.Timeouts
-			}
-			return float64(total)
-		})
-		ss.Register("recovery.exhausted_total", telemetry.KindSum, func(shard int) float64 {
-			var total uint64
-			for _, node := range nodesBy[shard] {
-				total += c.recMgrs[node].Stats.Exhausted
-			}
-			return float64(total)
-		})
+	for node, m := range c.recMgrs {
+		s := c.Net.NodeShard(node)
+		ss.CounterFrom("recovery.retransmits_total", s, &m.Stats.Retransmits)
+		ss.CounterFrom("recovery.timeouts_total", s, &m.Stats.Timeouts)
+		ss.CounterFrom("recovery.exhausted_total", s, &m.Stats.Exhausted)
 	}
 	if len(c.rdmaEPs) > 0 {
 		ss.Register("rdma.pending_registrations_total", telemetry.KindSum, func(shard int) float64 {
@@ -292,13 +254,9 @@ func (c *Cluster) RegisterTelemetryShards(ss *telemetry.ShardSet) {
 			}
 			return float64(total)
 		})
-		ss.Register("rdma.handshakes_total", telemetry.KindSum, func(shard int) float64 {
-			var total uint64
-			for _, node := range nodesBy[shard] {
-				total += c.rdmaEPs[node].Stats.Handshakes
-			}
-			return float64(total)
-		})
+		for _, ep := range c.rdmaEPs {
+			ss.CounterFrom("rdma.handshakes_total", c.Net.NodeShard(ep.Node()), &ep.Stats.Handshakes)
+		}
 		ss.Register("rdma.sends_held_total", telemetry.KindSum, func(shard int) float64 {
 			total := 0
 			for _, node := range nodesBy[shard] {

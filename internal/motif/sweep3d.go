@@ -87,7 +87,7 @@ func RunSweep3D(c *Cluster, cfg Sweep3DConfig) (sim.Time, error) {
 	}
 	nBlocks := cfg.Nz / cfg.KBA
 
-	fin := newFinishLine(ranks)
+	fin := NewFinishLine(ranks)
 
 	for rank := 0; rank < ranks; rank++ {
 		tp := c.Transports[rank]
@@ -127,14 +127,14 @@ func RunSweep3D(c *Cluster, cfg Sweep3DConfig) (sim.Time, error) {
 					}
 				}
 			}
-			fin.arrive(rank, tag.Now())
+			fin.Arrive(rank, tag.Now())
 		})
 	}
-	c.run()
-	if !fin.allDone() {
+	c.Run()
+	if !fin.AllDone() {
 		return 0, fmt.Errorf("sweep3d: deadlock — %d ranks never finished", ranks)
 	}
-	return fin.finishTime(), nil
+	return fin.FinishTime(), nil
 }
 
 // gridNeighbor returns the rank at (i+di, j+dj) if it exists.

@@ -61,7 +61,7 @@ func rdmaExchange(t *testing.T, routing fabric.RoutingMode, lastByte, burst, rel
 		}
 		done++
 	})
-	c.run()
+	c.Run()
 	runtime.ReadMemStats(&ms)
 	if done != 2 {
 		t.Fatalf("%d messages: the exchange deadlocked", messages)

@@ -60,7 +60,7 @@ func rvmaExchange(t *testing.T, routing fabric.RoutingMode, depth int, burst, re
 		}
 		done++
 	})
-	c.run()
+	c.Run()
 	runtime.ReadMemStats(&ms)
 	if done != 2 {
 		t.Fatalf("%d messages: the exchange deadlocked", messages)

@@ -85,21 +85,18 @@ type Win struct {
 
 	ranks []*winRank
 
-	// Metric handles (nil when no registry is attached).
-	mFence   *metrics.Histogram // per-rank fence latency, ns
-	mRewinds *metrics.Counter
+	mFence *metrics.Histogram // per-rank fence latency, ns; nil when no registry is attached
+
+	Rewinds uint64 // successful Rewind calls
 }
 
 // SetMetrics attaches a metrics registry to the window: fence latency
-// histogram, rewind counter, and a per-rank epoch gauge sampled at
-// snapshot time. A nil registry detaches.
+// histogram, a rewind counter read from Rewinds when a snapshot is taken,
+// and a per-rank epoch gauge sampled at snapshot time. A nil registry
+// detaches the histogram.
 func (w *Win) SetMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		w.mFence, w.mRewinds = nil, nil
-		return
-	}
 	w.mFence = reg.Histogram("mpirma.fence_ns")
-	w.mRewinds = reg.Counter("mpirma.rewinds")
+	reg.CounterFrom("mpirma.rewinds", &w.Rewinds)
 	reg.AddCollector(func() {
 		for _, r := range w.ranks {
 			reg.Gauge(fmt.Sprintf("mpirma.rank%d.epoch", r.rank)).Set(float64(r.epoch))
@@ -260,13 +257,6 @@ func (w *Win) Size() int { return w.cfg.Size }
 // Epoch returns rank's current epoch number.
 func (w *Win) Epoch(rank int) int64 { return w.ranks[rank].epoch }
 
-// Data returns rank's *current epoch* exposed region contents.
-func (w *Win) Data(rank int) []byte {
-	r := w.ranks[rank]
-	region := r.shadows[r.curShadow]
-	return w.comm.eps[rank].Memory().Read(region.Base, region.Size())
-}
-
 // Put initiates an MPI_Put from origin into target's window at offset.
 // It is nonblocking; completion at the target is established by the next
 // Fence. The returned future is local completion (origin buffer reuse).
@@ -408,6 +398,6 @@ func (w *Win) Rewind(rank, k int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.mRewinds.Add(1)
+	w.Rewinds++
 	return w.comm.eps[rank].Memory().Read(buf.Region.Base, buf.Region.Size()), nil
 }

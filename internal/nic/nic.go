@@ -115,17 +115,12 @@ type NIC struct {
 
 	tracer *trace.Tracer
 
-	// Metric handles (nil when no registry is attached).
-	mMsgs     *metrics.Counter
-	mPkts     *metrics.Counter
-	mBytes    *metrics.Counter
-	mCtrlPkts *metrics.Counter
-
 	// Stats.
-	MessagesSent    uint64
-	PacketsSent     uint64
-	PacketsReceived uint64
-	BytesSent       uint64
+	MessagesSent       uint64
+	PacketsSent        uint64
+	ControlPacketsSent uint64 // NIC-generated ACK/NACK packets, also in PacketsSent
+	PacketsReceived    uint64
+	BytesSent          uint64
 }
 
 // New attaches a NIC to node on net, with its own memory and bus.
@@ -171,18 +166,15 @@ func (n *NIC) MTU() int { return n.net.MTU() }
 // trace.CatNIC. A nil tracer detaches.
 func (n *NIC) SetTracer(t *trace.Tracer) { n.tracer = t }
 
-// SetMetrics attaches a metrics registry. Message/packet/byte counters are
-// shared across every NIC on the registry; per-node pipeline occupancy is
-// sampled by a collector. A nil registry detaches the counters.
+// SetMetrics attaches a metrics registry. The message, packet and byte
+// counters read the NIC's Stats fields when a snapshot is taken, summed
+// over every NIC on the registry; per-node pipeline occupancy is sampled
+// by a collector. A nil registry attaches nothing.
 func (n *NIC) SetMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		n.mMsgs, n.mPkts, n.mBytes, n.mCtrlPkts = nil, nil, nil, nil
-		return
-	}
-	n.mMsgs = reg.Counter("nic.messages_sent")
-	n.mPkts = reg.Counter("nic.packets_sent")
-	n.mBytes = reg.Counter("nic.bytes_sent")
-	n.mCtrlPkts = reg.Counter("nic.control_packets_sent")
+	reg.CounterFrom("nic.messages_sent", &n.MessagesSent)
+	reg.CounterFrom("nic.packets_sent", &n.PacketsSent)
+	reg.CounterFrom("nic.bytes_sent", &n.BytesSent)
+	reg.CounterFrom("nic.control_packets_sent", &n.ControlPacketsSent)
 	reg.AddCollector(func() {
 		reg.Gauge(fmt.Sprintf("nic%d.send_queue_ns", n.node)).Set(n.sendPipe.Backlog(n.eng.Engine).Nanoseconds())
 		reg.Gauge(fmt.Sprintf("nic%d.recv_queue_ns", n.node)).Set(n.recvPipe.Backlog(n.eng.Engine).Nanoseconds())
@@ -260,8 +252,6 @@ func (n *NIC) SendMessage(dst, total int, build func(off, size int) any, done ..
 	}
 	n.MessagesSent++
 	n.BytesSent += uint64(total)
-	n.mMsgs.Add(1)
-	n.mBytes.Add(uint64(total))
 	if n.tracer != nil {
 		//rvmalint:allow hotalloc -- tracer-only branch; a traced run is a debugging run
 		n.tracer.Eventf(trace.CatNIC, "nic%d tx msg dst=%d %dB", n.node, dst, total)
@@ -288,7 +278,6 @@ func (n *NIC) SendMessage(dst, total int, build func(off, size int) any, done ..
 		pkt := n.net.NewPacket(n.node, dst, size, build(off, size))
 		pkt.Offset = int32(off)
 		n.PacketsSent++
-		n.mPkts.Add(1)
 		n.eng.At(procDone, n.net.InjectEvent(pkt))
 		if procDone > last {
 			last = procDone
@@ -317,8 +306,7 @@ func sentNoop() {}
 //rvmalint:hot
 func (n *NIC) InjectControl(dst int, payload any) {
 	n.PacketsSent++
-	n.mPkts.Add(1)
-	n.mCtrlPkts.Add(1)
+	n.ControlPacketsSent++
 	if n.tracer != nil {
 		//rvmalint:allow hotalloc -- tracer-only branch; a traced run is a debugging run
 		n.tracer.Eventf(trace.CatNIC, "nic%d ctrl dst=%d", n.node, dst)

@@ -168,13 +168,9 @@ type Endpoint struct {
 	reg    *metrics.Registry
 
 	// Metric handles (nil when no registry is attached).
-	mHandshakes *metrics.Counter
-	mFencesHeld *metrics.Counter
-	mDrops      *metrics.Counter
-	mAcks       *metrics.Counter
-	mHandshake  *metrics.Histogram // request -> RemoteBuffer in hand, ns
-	mRegMR      *metrics.Histogram // memory-registration cost, ns
-	mFenceHold  *metrics.Histogram // send enqueue -> fence satisfied, ns
+	mHandshake *metrics.Histogram // request -> RemoteBuffer in hand, ns
+	mRegMR     *metrics.Histogram // memory-registration cost, ns
+	mFenceHold *metrics.Histogram // send enqueue -> fence satisfied, ns
 
 	Stats Stats
 }
@@ -282,21 +278,18 @@ func (ep *Endpoint) SetTracer(t *trace.Tracer) { ep.tracer = t }
 func (ep *Endpoint) SetReassemblyHorizon(h sim.Time) { ep.relAsm.SetHorizon(h) }
 
 // SetMetrics attaches a metrics registry: handshake and registration
-// latency histograms, fence-hold distribution, drop/ack counters, and
-// (when spans are enabled) a per-put host_post -> nic_tx -> wire -> place
-// span mirroring the RVMA one, so the two transports' pipelines compare
-// stage by stage. A nil registry detaches everything.
+// latency histograms, fence-hold distribution, the handshake, fence,
+// drop and ack counters, which read the endpoint's Stats when a snapshot
+// is taken, and (when spans are enabled) a per-put host_post -> nic_tx ->
+// wire -> place span mirroring the RVMA one, so the two transports'
+// pipelines compare stage by stage. A nil registry detaches the
+// histograms and spans.
 func (ep *Endpoint) SetMetrics(reg *metrics.Registry) {
 	ep.reg = reg
-	if reg == nil {
-		ep.mHandshakes, ep.mFencesHeld, ep.mDrops, ep.mAcks = nil, nil, nil, nil
-		ep.mHandshake, ep.mRegMR, ep.mFenceHold = nil, nil, nil
-		return
-	}
-	ep.mHandshakes = reg.Counter("rdma.handshakes")
-	ep.mFencesHeld = reg.Counter("rdma.fences_held")
-	ep.mDrops = reg.Counter("rdma.drops")
-	ep.mAcks = reg.Counter("rdma.acks_sent")
+	reg.CounterFrom("rdma.handshakes", &ep.Stats.Handshakes)
+	reg.CounterFrom("rdma.fences_held", &ep.Stats.FencesHeld)
+	reg.CounterFrom("rdma.drops", &ep.Stats.Drops)
+	reg.CounterFrom("rdma.acks_sent", &ep.Stats.AcksSent)
 	// Named like span histograms so FprintSpans shows the setup path RVMA
 	// does not have next to the per-put stages.
 	ep.mHandshake = reg.Histogram("span.rdma.handshake/total")

@@ -2,12 +2,14 @@ package rdma
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"testing"
 	"unsafe"
 
 	"rvma/internal/fabric"
 	"rvma/internal/memory"
+	"rvma/internal/metrics"
 	"rvma/internal/nic"
 	"rvma/internal/pcie"
 	"rvma/internal/sim"
@@ -470,6 +472,39 @@ func TestRDMARead(t *testing.T) {
 	}
 }
 
+// A read naming an rkey the target never issued is dropped, and the drop
+// shows in the registry's rdma.drops counter as well as in Stats.Drops.
+func TestBadRKeyReadCountsInDropsCounter(t *testing.T) {
+	eng, a, b := defaultPair(t)
+	reg := metrics.NewRegistry()
+	b.SetMetrics(reg)
+	rb := handshake(t, eng, a, 1, 4096)
+	rb.RKey++ // no region on b has this key
+	done := false
+	eng.Schedule(0, func() {
+		op := a.Read(rb, 0, 64)
+		op.Done.OnComplete(func() { done = true })
+	})
+	eng.Run()
+	if done {
+		t.Fatal("a read with a bad rkey completed")
+	}
+	if b.Stats.Drops != 1 || b.Stats.ReadsServed != 0 {
+		t.Fatalf("target stats: %+v", b.Stats)
+	}
+	var buf bytes.Buffer
+	if err := reg.WriteJSON(&buf, eng.Now()); err != nil {
+		t.Fatal(err)
+	}
+	var snap struct{ Counters map[string]uint64 }
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Counters["rdma.drops"]; got != 1 {
+		t.Fatalf("snapshot rdma.drops = %d, want 1", got)
+	}
+}
+
 func TestPutOutOfBoundsPanics(t *testing.T) {
 	eng, a, _ := defaultPair(t)
 	rb := handshake(t, eng, a, 1, 128)
@@ -543,7 +578,7 @@ func TestLastBytePollFalselyCompletesUnderDrops(t *testing.T) {
 	sawFalseComplete := false
 	for seed := uint64(1); seed <= 40 && !sawFalseComplete; seed++ {
 		fcfg := fabric.DefaultConfig()
-		fcfg.DropRate = 0.15
+		fcfg.Faults = &fabric.FaultPlan{DropRate: 0.15}
 		eng, a, b := pair(t, DefaultConfig(), fcfg, seed)
 		rb, ok := lossyHandshake(t, eng, a, 1, 64*1024)
 		if !ok {
@@ -573,7 +608,7 @@ func TestFenceSendNeverCompletesOnHoledBuffer(t *testing.T) {
 	// detectable by timeout — rather than reporting a holed buffer done.
 	for seed := uint64(1); seed <= 15; seed++ {
 		fcfg := fabric.DefaultConfig()
-		fcfg.DropRate = 0.1
+		fcfg.Faults = &fabric.FaultPlan{DropRate: 0.1}
 		eng, a, b := pair(t, DefaultConfig(), fcfg, seed)
 		rb, ok := lossyHandshake(t, eng, a, 1, 64*1024)
 		if !ok {

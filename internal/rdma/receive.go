@@ -45,7 +45,6 @@ func (ep *Endpoint) handlePacket(pkt *fabric.Packet) {
 // register (timed), reply with the region's coordinates.
 func (ep *Endpoint) handleRegRequest(pkt *fabric.Packet, cmd *command) {
 	ep.Stats.Handshakes++
-	ep.mHandshakes.Add(1)
 	if ep.tracer != nil {
 		ep.tracer.Eventf(trace.CatRDMA, "node %d handshake from %d for %dB",
 			ep.Node(), pkt.Src, cmd.size)
@@ -77,7 +76,6 @@ func (ep *Endpoint) handleRegReply(cmd *command) {
 //rvmalint:hot
 func (ep *Endpoint) sendAck(dst int, cmd *command) {
 	ep.Stats.AcksSent++
-	ep.mAcks.Add(1)
 	ep.nic.InjectControl(dst, cmd.ref)
 }
 
@@ -107,14 +105,12 @@ func (ep *Endpoint) handlePutData(pkt *fabric.Packet, cmd *command) {
 	mr := ep.mrs[cmd.rkey]
 	if mr == nil || mr.revoked {
 		ep.Stats.Drops++
-		ep.mDrops.Add(1)
 		return
 	}
 	off := int(pkt.Offset) // of this packet's bytes within the message
 	place := cmd.msgOffset + off
 	if place+pkt.Size > mr.Region.Size() {
 		ep.Stats.Drops++
-		ep.mDrops.Add(1)
 		return
 	}
 
@@ -274,7 +270,6 @@ func (ep *Endpoint) matchSends(src int, p *peer, q *queuePair) {
 		s := q.sends.Front()
 		if p.recv < s.fenceBytes {
 			ep.Stats.FencesHeld++
-			ep.mFencesHeld.Add(1)
 			if ep.tracer != nil {
 				//rvmalint:allow hotalloc -- tracer-only branch; a traced run is a debugging run
 				ep.tracer.Eventf(trace.CatRDMA, "node %d fence held: %d/%d bytes from %d",

@@ -151,9 +151,6 @@ func newConn(ep *rvma.Endpoint, peer int, sendMbox, recvMbox rvma.VAddr, cfg Con
 	return c, nil
 }
 
-// Peer returns the remote node id.
-func (c *Conn) Peer() int { return c.peer }
-
 // Buffered returns the number of completed, unread bytes.
 func (c *Conn) Buffered() int { return c.buffered }
 

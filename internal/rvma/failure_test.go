@@ -17,7 +17,7 @@ func TestDropsNeverFalselyComplete(t *testing.T) {
 	// the messages whose every packet arrived; holed buffers stay open.
 	for seed := uint64(1); seed <= 8; seed++ {
 		fcfg := fabric.DefaultConfig()
-		fcfg.DropRate = 0.05
+		fcfg.Faults = &fabric.FaultPlan{DropRate: 0.05}
 		eng, src, dst := pair(t, DefaultConfig(), fcfg, seed)
 		const msgSize = 16 * 1024 // 8 packets
 		const nMsgs = 40
@@ -71,7 +71,7 @@ func TestIncEpochRecoversHoledBuffer(t *testing.T) {
 	sawTailLoss := false
 	for seed := uint64(1); seed <= 16 && !sawTailLoss; seed++ {
 		fcfg := fabric.DefaultConfig()
-		fcfg.DropRate = 0.2
+		fcfg.Faults = &fabric.FaultPlan{DropRate: 0.2}
 		eng, src, dst := pair(t, DefaultConfig(), fcfg, seed)
 		win, _ := dst.InitWindow(2, msgSize, EpochBytes)
 		buf, _ := win.PostBuffer(msgSize)
@@ -118,7 +118,7 @@ func TestEpochOpsSafeUnderDrops(t *testing.T) {
 	// Op counting is hole-proof too: an op is counted only when the
 	// assembler saw every byte of the message.
 	fcfg := fabric.DefaultConfig()
-	fcfg.DropRate = 0.1
+	fcfg.Faults = &fabric.FaultPlan{DropRate: 0.1}
 	eng, src, dst := pair(t, DefaultConfig(), fcfg, 7)
 	const nMsgs = 30
 	win, _ := dst.InitWindow(3, 1, EpochOps)

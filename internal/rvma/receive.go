@@ -232,7 +232,6 @@ func (ep *Endpoint) handlePut(pkt *fabric.Packet, cmd *command) {
 	}
 	if !w.hwCounter {
 		ep.Stats.CounterSpills++
-		ep.mSpills.Add(1)
 	}
 	w.maybeComplete()
 }
@@ -242,9 +241,8 @@ func (ep *Endpoint) handlePut(pkt *fabric.Packet, cmd *command) {
 // result in a NACK notification").
 func (ep *Endpoint) reject(src int, cmd *command, reason error) {
 	ep.Stats.Drops++
-	ep.mDrops.Add(1)
 	if reason == ErrNoBuffer {
-		ep.mBufExhaust.Add(1)
+		ep.Stats.NoBuffer++
 	}
 	if ep.tracer != nil {
 		ep.tracer.Eventf(trace.CatRVMA, "node %d reject msg %d from %d: %v",
@@ -254,7 +252,6 @@ func (ep *Endpoint) reject(src int, cmd *command, reason error) {
 		return
 	}
 	ep.Stats.Nacks++
-	ep.mNacks.Add(1)
 	nack := &command{op: opNack, msgID: cmd.msgID, status: reason, ref: cmd.ref}
 	ep.nic.SendMessage(src, 0, nack.payload)
 }

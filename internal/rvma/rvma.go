@@ -160,6 +160,7 @@ type Stats struct {
 	EarlyCompletions uint64 // completions forced by IncEpoch
 	Nacks            uint64 // NACKs this endpoint sent
 	Drops            uint64 // packets discarded (no window/buffer, overrun)
+	NoBuffer         uint64 // the Drops for want of a posted buffer
 	CatchAllHits     uint64
 	CounterSpills    uint64 // counter updates that paid the host-memory penalty
 	GetsServed       uint64
@@ -197,15 +198,6 @@ type Endpoint struct {
 
 	tracer *trace.Tracer
 	reg    *metrics.Registry // for span lookup; nil when metrics detached
-
-	// Metric handles (nil when no registry is attached).
-	mNacks       *metrics.Counter
-	mDrops       *metrics.Counter
-	mBufExhaust  *metrics.Counter // rejects caused by no posted buffer
-	mCompletions *metrics.Counter
-	mEarly       *metrics.Counter
-	mSpills      *metrics.Counter
-	mRewinds     *metrics.Counter
 
 	Stats Stats
 
@@ -245,26 +237,21 @@ func (ep *Endpoint) SetTracer(t *trace.Tracer) { ep.tracer = t }
 // instead of remembering every one for the rest of the run.
 func (ep *Endpoint) SetReassemblyHorizon(h sim.Time) { ep.relAsm.SetHorizon(h) }
 
-// SetMetrics attaches a metrics registry: protocol counters update per
-// event, mailbox depth and LUT occupancy are sampled by a collector, and
-// (when the registry has spans enabled) each put is tracked through
-// host_post -> nic_tx -> wire -> place -> complete stages. Counter handles
-// are shared across every endpoint on the registry; the collector gauges
-// are per node. A nil registry detaches everything.
+// SetMetrics attaches a metrics registry: the protocol counters read the
+// endpoint's Stats when a snapshot is taken, summed over every endpoint on
+// the registry; mailbox depth and LUT occupancy are sampled by a per-node
+// collector; and (when the registry has spans enabled) each put is
+// tracked through host_post -> nic_tx -> wire -> place -> complete
+// stages. A nil registry detaches the spans and timeline.
 func (ep *Endpoint) SetMetrics(reg *metrics.Registry) {
 	ep.reg = reg
-	if reg == nil {
-		ep.mNacks, ep.mDrops, ep.mBufExhaust = nil, nil, nil
-		ep.mCompletions, ep.mEarly, ep.mSpills, ep.mRewinds = nil, nil, nil, nil
-		return
-	}
-	ep.mNacks = reg.Counter("rvma.nacks")
-	ep.mDrops = reg.Counter("rvma.drops")
-	ep.mBufExhaust = reg.Counter("rvma.posted_buffer_exhaustion")
-	ep.mCompletions = reg.Counter("rvma.epoch_completions")
-	ep.mEarly = reg.Counter("rvma.early_completions")
-	ep.mSpills = reg.Counter("rvma.counter_spills")
-	ep.mRewinds = reg.Counter("rvma.rewinds")
+	reg.CounterFrom("rvma.nacks", &ep.Stats.Nacks)
+	reg.CounterFrom("rvma.drops", &ep.Stats.Drops)
+	reg.CounterFrom("rvma.posted_buffer_exhaustion", &ep.Stats.NoBuffer)
+	reg.CounterFrom("rvma.epoch_completions", &ep.Stats.Completions)
+	reg.CounterFrom("rvma.early_completions", &ep.Stats.EarlyCompletions)
+	reg.CounterFrom("rvma.counter_spills", &ep.Stats.CounterSpills)
+	reg.CounterFrom("rvma.rewinds", &ep.Stats.Rewinds)
 	node := ep.Node()
 	reg.AddCollector(func() {
 		depth := 0

@@ -291,6 +291,32 @@ func TestNackOnClosedWindow(t *testing.T) {
 	}
 }
 
+// The registry's protocol counters are the endpoint's Stats, read at
+// snapshot time: a put to a window with no posted buffer shows as one
+// drop, one NACK and one posted-buffer exhaustion per packet.
+func TestProtocolCountersReadStats(t *testing.T) {
+	eng, src, dst := defaultPair(t)
+	reg := metrics.NewRegistry()
+	dst.SetMetrics(reg)
+	if _, err := dst.InitWindow(8, 64, EpochBytes); err != nil {
+		t.Fatal(err)
+	}
+	eng.Schedule(0, func() { src.Put(1, 8, 0, make([]byte, 64)) })
+	eng.Run()
+	if dst.Stats.NoBuffer != 1 || dst.Stats.Drops != 1 || dst.Stats.Nacks != 1 {
+		t.Fatalf("stats: %+v, want one no-buffer drop and its NACK", dst.Stats)
+	}
+	for name, want := range map[string]uint64{
+		"rvma.drops":                    dst.Stats.Drops,
+		"rvma.nacks":                    dst.Stats.Nacks,
+		"rvma.posted_buffer_exhaustion": dst.Stats.NoBuffer,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
 // spanEnds counts span endings by status.
 type spanEnds map[string]int
 

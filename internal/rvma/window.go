@@ -308,7 +308,6 @@ func (w *Window) IncEpoch() (*sim.Future, error) {
 			return
 		}
 		ep.Stats.EarlyCompletions++
-		ep.mEarly.Add(1)
 		if ep.tracer != nil {
 			ep.tracer.Eventf(trace.CatRVMA, "node %d win %#x inc_epoch at count %d",
 				ep.Node(), w.vaddr, w.counter)
@@ -373,7 +372,6 @@ func (w *Window) completeHead() *Buffer {
 	w.queue = w.queue[:len(w.queue)-1]
 	w.epoch++
 	ep.Stats.Completions++
-	ep.mCompletions.Add(1)
 
 	// Retire into bounded history for Rewind. The oldest entry ages out,
 	// and is recycled if software has already released it.
@@ -501,7 +499,6 @@ func (w *Window) Rewind(k int) (*Buffer, error) {
 		return nil, fmt.Errorf("%w: only %d epochs retained", ErrNoHistory, len(w.history))
 	}
 	w.ep.Stats.Rewinds++
-	w.ep.mRewinds.Add(1)
 	w.ep.reg.Timeline().Counter(w.ep.Node(), "rvma.rewinds",
 		w.ep.Engine().Now(), float64(w.ep.Stats.Rewinds))
 	if w.ep.tracer != nil {

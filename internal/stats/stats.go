@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary describes a sample of float64 observations.
@@ -47,31 +46,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between closest ranks. It panics on an empty sample.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: percentile of empty sample")
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
 // Speedup returns baseline/improved — the convention the paper uses
 // ("RVMA outperforms ... by 4.4X" means tRDMA/tRVMA = 4.4).
 func Speedup(baseline, improved float64) float64 {
@@ -88,21 +62,6 @@ func Reduction(baseline, improved float64) float64 {
 		return 0
 	}
 	return (baseline - improved) / baseline
-}
-
-// GeoMean returns the geometric mean of xs (all values must be positive).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			panic("stats: geomean of non-positive value")
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
 }
 
 // FormatBytes renders a byte count with a binary-unit suffix (axis labels).

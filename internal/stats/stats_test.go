@@ -32,37 +32,6 @@ func TestSummarizeEdgeCases(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if p := Percentile(xs, 0); p != 1 {
-		t.Fatalf("p0 = %v", p)
-	}
-	if p := Percentile(xs, 100); p != 10 {
-		t.Fatalf("p100 = %v", p)
-	}
-	if p := Percentile(xs, 50); !almostEqual(p, 5.5, 1e-9) {
-		t.Fatalf("p50 = %v", p)
-	}
-	if p := Percentile(xs, 90); !almostEqual(p, 9.1, 1e-9) {
-		t.Fatalf("p90 = %v", p)
-	}
-	// Input must not be mutated (sorted copy).
-	unsorted := []float64{3, 1, 2}
-	Percentile(unsorted, 50)
-	if unsorted[0] != 3 {
-		t.Fatal("Percentile mutated its input")
-	}
-}
-
-func TestPercentileEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty percentile should panic")
-		}
-	}()
-	Percentile(nil, 50)
-}
-
 func TestSpeedupAndReduction(t *testing.T) {
 	if s := Speedup(4.4, 1.0); s != 4.4 {
 		t.Fatalf("speedup = %v", s)
@@ -76,24 +45,6 @@ func TestSpeedupAndReduction(t *testing.T) {
 	if Reduction(0, 5) != 0 {
 		t.Fatal("reduction with zero baseline should be 0")
 	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 4, 16}); !almostEqual(g, 4, 1e-9) {
-		t.Fatalf("geomean = %v", g)
-	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("empty geomean should be 0")
-	}
-}
-
-func TestGeoMeanNonPositivePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-positive geomean should panic")
-		}
-	}()
-	GeoMean([]float64{1, 0})
 }
 
 func TestFormatBytes(t *testing.T) {
@@ -134,28 +85,6 @@ func TestSummaryBoundsProperty(t *testing.T) {
 		}
 		s := Summarize(xs)
 		return s.Min <= s.Mean && s.Mean <= s.Max && s.Stddev >= 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: percentiles are monotone in p.
-func TestPercentileMonotoneProperty(t *testing.T) {
-	f := func(raw []int16, aRaw, bRaw uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		for i, v := range raw {
-			xs[i] = float64(v)
-		}
-		a := float64(aRaw) / 255 * 100
-		b := float64(bRaw) / 255 * 100
-		if a > b {
-			a, b = b, a
-		}
-		return Percentile(xs, a) <= Percentile(xs, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -40,6 +40,7 @@ const (
 type ShardSet struct {
 	samplers []*Sampler
 	kinds    map[string]ColKind
+	counters map[string][][]*uint64 // CounterFrom columns' sources, per shard
 }
 
 // NewShardSet builds one unstarted sampler per shard of g, each bound to
@@ -48,6 +49,7 @@ func NewShardSet(g *sim.ShardGroup, interval sim.Time) *ShardSet {
 	ss := &ShardSet{
 		samplers: make([]*Sampler, g.Shards()),
 		kinds:    make(map[string]ColKind),
+		counters: make(map[string][][]*uint64),
 	}
 	for i := range ss.samplers {
 		ss.samplers[i] = New(g.Shard(i), interval)
@@ -81,6 +83,29 @@ func (ss *ShardSet) Register(name string, kind ColKind, probe func(shard int) fl
 		i := i
 		s.Register(name, func() float64 { return probe(i) })
 	}
+}
+
+// CounterFrom adds src, an event count a model layer keeps in its own
+// Stats and that the given shard owns, to the KindSum column name: each
+// shard samples the sum of its sources. The first call for a name
+// registers the column on every shard.
+func (ss *ShardSet) CounterFrom(name string, shard int, src *uint64) {
+	if ss == nil {
+		return
+	}
+	srcs, ok := ss.counters[name]
+	if !ok {
+		srcs = make([][]*uint64, len(ss.samplers))
+		ss.counters[name] = srcs
+		ss.Register(name, KindSum, func(shard int) float64 {
+			var total uint64
+			for _, p := range srcs[shard] {
+				total += *p
+			}
+			return float64(total)
+		})
+	}
+	srcs[shard] = append(srcs[shard], src)
 }
 
 // RegisterLocal adds a column sampled only on its owning shard (per-node
