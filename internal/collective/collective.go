@@ -235,7 +235,7 @@ func RunCollective(c *motif.Cluster, cfg Config) (sim.Time, error) {
 	}
 	c.Run()
 	if !fin.AllDone() {
-		return 0, fmt.Errorf("collective %s: deadlock", cfg.Op)
+		return 0, fmt.Errorf("collective %s: %w", cfg.Op, motif.ErrDeadlock)
 	}
 	return fin.FinishTime(), nil
 }

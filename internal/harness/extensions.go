@@ -6,7 +6,7 @@ import (
 	"rvma/internal/collective"
 	"rvma/internal/fabric"
 	"rvma/internal/ledger"
-	"rvma/internal/matchengine"
+	"rvma/internal/sim"
 	"rvma/internal/stats"
 	"rvma/internal/topology"
 )
@@ -43,29 +43,44 @@ func CollectivesTable(o Options) *Table {
 	return t
 }
 
-// MatchEngineTable prices the two receive-side steering designs of
-// §III-A/§IV-A with the NIC cost model: RVMA's single-lookup table is
-// flat; a Portals-style match list walk grows with posted depth.
+// The receive-side steering cost model of §III-A/§IV-A, in NIC clock
+// cycles, following the paper's qualitative claims: RVMA's wildcard-free
+// lookup table "always has a single-lookup response (item found or no
+// item found)"; a Portals-style match list walks its posted entries in
+// order (wildcards, ignore bits, MPI ordering) until the first hit.
+const (
+	nicCycle          = sim.Nanosecond // a 1 GHz NIC clock
+	lutLookupCycles   = 2              // hash + read, independent of occupancy
+	listElementCycles = 1              // per element walked: generous to the list
+	lutEntryBytes     = 24             // NIC memory per LUT entry (§IV-A)
+)
+
+// lutLookupTime is the modeled RVMA LUT lookup latency.
+func lutLookupTime() sim.Time { return lutLookupCycles * nicCycle }
+
+// listMatchTime is the modeled latency of a match-list walk that traversed
+// n elements before hitting (or exhausting the list); a miss on an empty
+// list still checks one element.
+func listMatchTime(n int) sim.Time { return sim.Time(max(n, 1)*listElementCycles) * nicCycle }
+
+// MatchEngineTable prices the two receive-side steering designs with the
+// NIC cost model: RVMA's single-lookup table is flat; a match-list walk
+// grows with posted depth.
 func MatchEngineTable(o Options) *Table {
-	m := matchengine.DefaultCostModel()
 	t := &Table{
 		Title:  "Extension: receive-side steering cost (NIC cost model, §IV-A)",
 		Header: []string{"posted entries", "RVMA LUT lookup", "match-list walk (avg hit at n/2)", "LUT NIC memory"},
 	}
 	for _, n := range []int{16, 256, 4096, 65536} {
-		tab := matchengine.NewTable()
-		for i := 0; i < n; i++ {
-			tab.Install(uint64(i)*2654435761, i)
-		}
 		t.AddRow(
 			fmt.Sprintf("%d", n),
-			m.TableLookupTime().String(),
-			m.ListMatchTime(n/2).String(),
-			stats.FormatBytes(tab.BytesOnNIC()),
+			lutLookupTime().String(),
+			listMatchTime(n/2).String(),
+			stats.FormatBytes(lutEntryBytes*n),
 		)
 	}
 	t.AddNote("cost model: %v NIC clock, %d-cycle table lookup, %d cycle per list element",
-		m.CycleTime, m.TableLookupCycles, m.ListElementCycles)
+		nicCycle, lutLookupCycles, listElementCycles)
 	t.AddNote("the paper's LUT entry is 24 bytes: mailbox address + buffer head + completion pointer")
 	return t
 }

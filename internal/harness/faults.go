@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -98,7 +99,7 @@ func bareStatus(out CellOutput) string {
 	if out.Err == nil {
 		return out.Makespan.String()
 	}
-	if strings.Contains(out.Err.Error(), "deadlock") {
+	if errors.Is(out.Err, motif.ErrDeadlock) {
 		return "DEADLOCK"
 	}
 	return "ERROR"

@@ -185,6 +185,19 @@ func TestMicroSummary(t *testing.T) {
 	}
 }
 
+func TestCostModelScaling(t *testing.T) {
+	if lutLookupTime() != listMatchTime(2) {
+		t.Fatalf("defaults: table %v vs 2-element list %v", lutLookupTime(), listMatchTime(2))
+	}
+	// The paper's point: table cost is flat, list cost grows with depth.
+	if listMatchTime(1000) <= lutLookupTime() {
+		t.Fatal("a deep list walk must cost more than a table lookup")
+	}
+	if listMatchTime(0) != listMatchTime(1) {
+		t.Fatal("a miss on an empty list still costs one element check")
+	}
+}
+
 func TestExtensionTables(t *testing.T) {
 	o := tinyOptions()
 	me := MatchEngineTable(o)

@@ -129,6 +129,9 @@ var ModelPackages = map[string]bool{
 	// chain must be a pure function of the pop stream; only the host-time
 	// profiler may read wall clocks, under an explicit allow directive.
 	"rvma/internal/ledger": true,
+	// rstream's completion handlers and its Read/Write futures run inside
+	// engine events, like the rvma windows they sit on.
+	"rvma/internal/rstream": true,
 }
 
 // IsModelPackage reports whether the import path is subject to the

@@ -158,13 +158,11 @@ func TestModelPackageSet(t *testing.T) {
 // fails on any unaccounted directory, so adding a package forces an
 // explicit classification decision.
 var hostSidePackages = map[string]string{
-	"rvma/internal/harness":     "times real executions of the binary under test",
-	"rvma/internal/lint":        "the linter itself; runs at build time, not sim time",
-	"rvma/internal/matchengine": "offline figure matcher; compares CSVs after runs finish",
-	"rvma/internal/metrics":     "recording substrate; sinks for model data, runs no model logic",
-	"rvma/internal/rstream":     "offline result-stream codec for harness artifacts",
-	"rvma/internal/stats":       "pure math over finished samples; no engine interaction",
-	"rvma/internal/trace":       "trace file writer; consumes events after the fact",
+	"rvma/internal/harness": "times real executions of the binary under test",
+	"rvma/internal/lint":    "the linter itself; runs at build time, not sim time",
+	"rvma/internal/metrics": "recording substrate; sinks for model data, runs no model logic",
+	"rvma/internal/stats":   "pure math over finished samples; no engine interaction",
+	"rvma/internal/trace":   "a bounded ring that model events write into; schedules no events, reads no wall clock",
 }
 
 // TestModelPackagesCoverInternalTree keeps lint.ModelPackages in sync

@@ -1,8 +1,8 @@
 package motif
 
 import (
+	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"rvma/internal/fabric"
@@ -100,7 +100,7 @@ func TestIncastDeadlocksUnderLossWithoutRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, err = RunIncast(c, DefaultIncastConfig())
-			if err == nil || !strings.Contains(err.Error(), "deadlock") {
+			if !errors.Is(err, ErrDeadlock) {
 				t.Fatalf("err = %v, want deadlock", err)
 			}
 		})

@@ -117,7 +117,7 @@ func RunHalo3D(c *Cluster, cfg Halo3DConfig) (sim.Time, error) {
 	}
 	c.Run()
 	if !fin.AllDone() {
-		return 0, fmt.Errorf("halo3d: deadlock — ranks never finished")
+		return 0, fmt.Errorf("halo3d: %w — ranks never finished", ErrDeadlock)
 	}
 	return fin.FinishTime(), nil
 }

@@ -67,7 +67,7 @@ func RunIncast(c *Cluster, cfg IncastConfig) (sim.Time, error) {
 	}
 	c.Run()
 	if !fin.AllDone() {
-		return 0, fmt.Errorf("incast: deadlock")
+		return 0, fmt.Errorf("incast: %w", ErrDeadlock)
 	}
 	return fin.FinishTime(), nil
 }

@@ -483,7 +483,7 @@ func RunKV(c *Cluster, cfg KVConfig) (sim.Time, *KVResult, error) {
 	}
 
 	if !fin.AllDone() {
-		return 0, res, fmt.Errorf("kv: deadlock (%d/%d ops completed)", res.Completed, res.Issued)
+		return 0, res, fmt.Errorf("kv: %w (%d/%d ops completed)", ErrDeadlock, res.Completed, res.Issued)
 	}
 	if res.Completed != res.Issued || res.ServerApplied != res.Completed {
 		return 0, res, fmt.Errorf("kv: accounting mismatch: issued %d completed %d applied %d",

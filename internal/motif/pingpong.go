@@ -101,7 +101,7 @@ func bounce(c *Cluster, iters int, ping, pong func(p *sim.Process)) (sim.Time, e
 	})
 	c.Run()
 	if !done {
-		return 0, fmt.Errorf("pingpong: deadlock")
+		return 0, fmt.Errorf("pingpong: %w", ErrDeadlock)
 	}
 	return end - start, nil
 }

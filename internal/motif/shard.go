@@ -7,6 +7,7 @@
 package motif
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -56,6 +57,10 @@ func (c *Cluster) Run() {
 
 // EventsExecuted returns the executed-event count across every shard.
 func (c *Cluster) EventsExecuted() uint64 { return c.Group.TotalExecuted() }
+
+// ErrDeadlock is the error a job returns, wrapped with its name, when its
+// run went quiet with a rank that never finished.
+var ErrDeadlock = errors.New("deadlock")
 
 // FinishLine replaces a completion Gate for motif and collective jobs:
 // each rank records its completion time in its own slot (single-writer, so

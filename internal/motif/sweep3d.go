@@ -132,7 +132,7 @@ func RunSweep3D(c *Cluster, cfg Sweep3DConfig) (sim.Time, error) {
 	}
 	c.Run()
 	if !fin.AllDone() {
-		return 0, fmt.Errorf("sweep3d: deadlock — %d ranks never finished", ranks)
+		return 0, fmt.Errorf("sweep3d: %w — %d ranks never finished", ErrDeadlock, ranks)
 	}
 	return fin.FinishTime(), nil
 }

@@ -29,7 +29,6 @@ import (
 	"fmt"
 
 	"rvma/internal/memory"
-	"rvma/internal/metrics"
 	"rvma/internal/rvma"
 	"rvma/internal/sim"
 )
@@ -84,29 +83,10 @@ type Win struct {
 	id   uint64
 
 	ranks []*winRank
-
-	mFence *metrics.Histogram // per-rank fence latency, ns; nil when no registry is attached
-
-	Rewinds uint64 // successful Rewind calls
-}
-
-// SetMetrics attaches a metrics registry to the window: fence latency
-// histogram, a rewind counter read from Rewinds when a snapshot is taken,
-// and a per-rank epoch gauge sampled at snapshot time. A nil registry
-// detaches the histogram.
-func (w *Win) SetMetrics(reg *metrics.Registry) {
-	w.mFence = reg.Histogram("mpirma.fence_ns")
-	reg.CounterFrom("mpirma.rewinds", &w.Rewinds)
-	reg.AddCollector(func() {
-		for _, r := range w.ranks {
-			reg.Gauge(fmt.Sprintf("mpirma.rank%d.epoch", r.rank)).Set(float64(r.epoch))
-		}
-	})
 }
 
 // winRank is one rank's local state.
 type winRank struct {
-	rank      int
 	dataWin   *rvma.Window
 	shadows   []*memory.Region
 	curShadow int
@@ -218,7 +198,6 @@ func CreateWin(c *Comm, cfg WinConfig) (*Win, error) {
 			return nil, err
 		}
 		r := &winRank{
-			rank:      rank,
 			dataWin:   dataWin,
 			opsSentTo: make([]uint64, n),
 		}
@@ -287,13 +266,6 @@ func (w *Win) Get(origin, target, offset, n int) (*sim.Future, error) {
 //   - the epoch's region is retired to the NIC history (Rewind-able),
 //   - the next epoch's shadow region is exposed.
 func (w *Win) Fence(p *sim.Process, rank int) error {
-	start := w.comm.eng.Now()
-	err := w.fence(p, rank)
-	w.mFence.ObserveTime(w.comm.eng.Now() - start)
-	return err
-}
-
-func (w *Win) fence(p *sim.Process, rank int) error {
 	r := w.ranks[rank]
 	ep := w.comm.eps[rank]
 	n := w.comm.Size()
@@ -398,6 +370,5 @@ func (w *Win) Rewind(rank, k int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.Rewinds++
 	return w.comm.eps[rank].Memory().Read(buf.Region.Base, buf.Region.Size()), nil
 }

@@ -51,32 +51,19 @@ func (b *Bus) Init(cfg Config) {
 // Latency returns the configured per-transaction latency.
 func (b *Bus) Latency() sim.Time { return b.cfg.Latency }
 
-// Transfer models moving size bytes across the bus starting now, calling
-// done at the simulated completion time. A zero-byte transfer (a doorbell
-// or a pure header write) still pays the transaction latency.
-func (b *Bus) Transfer(e *sim.Engine, size int, done func()) {
-	finish := b.occupy(e, size)
-	b.Transactions++
-	b.Bytes += uint64(size)
-	e.At(finish, done)
-}
-
-// TransferTime returns when a transfer of size bytes issued now would
-// complete, occupying the bus, without scheduling a callback. NIC models
-// use it when they chain several timed steps into one event.
+// TransferTime models moving size bytes across the bus starting now: it
+// occupies the data path and returns the simulated completion time. A
+// zero-byte transfer (a doorbell or a pure header write) still pays the
+// transaction latency. Models schedule their own event at the returned
+// time, often chaining several timed steps into one.
 func (b *Bus) TransferTime(e *sim.Engine, size int) sim.Time {
-	b.Transactions++
-	b.Bytes += uint64(size)
-	return b.occupy(e, size)
-}
-
-func (b *Bus) occupy(e *sim.Engine, size int) sim.Time {
 	if size < 0 {
 		panic("pcie: negative transfer size")
 	}
+	b.Transactions++
+	b.Bytes += uint64(size)
 	hold := sim.SerializationTime(size, b.cfg.GBps*8) // GB/s -> Gbit/s
-	end := b.data.Acquire(e, hold)
-	return end + b.cfg.Latency
+	return b.data.Acquire(e, hold) + b.cfg.Latency
 }
 
 // Utilization reports the data path's busy fraction so far.

@@ -34,11 +34,7 @@ func TestDoorbellCostsLatencyOnly(t *testing.T) {
 	eng := sim.NewEngine(1)
 	b := new(Bus)
 	b.Init(Gen4x16())
-	var done sim.Time
-	eng.Schedule(0, func() {
-		b.Transfer(eng, 0, func() { done = eng.Now() })
-	})
-	eng.Run()
+	done := b.TransferTime(eng, 0)
 	if done != 150*sim.Nanosecond {
 		t.Fatalf("zero-byte transfer completed at %v, want 150ns", done)
 	}
@@ -51,12 +47,8 @@ func TestTransferBandwidthTerm(t *testing.T) {
 	eng := sim.NewEngine(1)
 	b := new(Bus)
 	b.Init(Config{Latency: 100 * sim.Nanosecond, GBps: 25})
-	var done sim.Time
-	eng.Schedule(0, func() {
-		// 25 GB/s = 200 Gbit/s; 250,000 bytes = 2,000,000 bits = 10 us.
-		b.Transfer(eng, 250000, func() { done = eng.Now() })
-	})
-	eng.Run()
+	// 25 GB/s = 200 Gbit/s; 250,000 bytes = 2,000,000 bits = 10 us.
+	done := b.TransferTime(eng, 250000)
 	want := 10*sim.Microsecond + 100*sim.Nanosecond
 	if done != want {
 		t.Fatalf("transfer completed at %v, want %v", done, want)
@@ -67,12 +59,8 @@ func TestBusSerializesTransfers(t *testing.T) {
 	eng := sim.NewEngine(1)
 	b := new(Bus) // 8 Gbit/s
 	b.Init(Config{Latency: 10 * sim.Nanosecond, GBps: 1})
-	var first, second sim.Time
-	eng.Schedule(0, func() {
-		b.Transfer(eng, 1000, func() { first = eng.Now() })  // 1us + 10ns
-		b.Transfer(eng, 1000, func() { second = eng.Now() }) // queued behind
-	})
-	eng.Run()
+	first := b.TransferTime(eng, 1000)  // 1us + 10ns
+	second := b.TransferTime(eng, 1000) // queued behind
 	if first != sim.Microsecond+10*sim.Nanosecond {
 		t.Fatalf("first = %v", first)
 	}
@@ -90,7 +78,7 @@ func TestNegativeTransferPanics(t *testing.T) {
 			t.Fatal("negative size should panic")
 		}
 	}()
-	b.Transfer(eng, -1, func() {})
+	b.TransferTime(eng, -1)
 }
 
 // Property: Gen6 always completes a transfer no later than Gen4.
@@ -99,10 +87,7 @@ func TestGen6NeverSlowerProperty(t *testing.T) {
 		eng := sim.NewEngine(1)
 		b := new(Bus)
 		b.Init(cfg)
-		var done sim.Time
-		eng.Schedule(0, func() { b.Transfer(eng, size, func() { done = eng.Now() }) })
-		eng.Run()
-		return done
+		return b.TransferTime(eng, size)
 	}
 	f := func(sizeRaw uint16) bool {
 		size := int(sizeRaw)

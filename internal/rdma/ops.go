@@ -154,35 +154,6 @@ func (f *putFence) post(ep *Endpoint) {
 //rvmalint:hot
 func (f *putFence) sent(ep *Endpoint) { f.Local.Complete(ep.eng.Engine, nil) }
 
-// PutWithImmediate is the special small-payload command that generates a
-// target-side completion event directly (§I): a single-packet write that
-// consumes a posted receive at the target. Payloads above MaxImmediate
-// are rejected, matching the hardware limitation the paper describes.
-func (ep *Endpoint) PutWithImmediate(rb RemoteBuffer, offset int, data []byte) (*PutOp, error) {
-	size := len(data)
-	if size > MaxImmediate {
-		return nil, fmt.Errorf("%w: %d > %d", ErrTooLarge, size, MaxImmediate)
-	}
-	if offset < 0 || offset+size > rb.Size {
-		return nil, fmt.Errorf("%w: [%d,%d) in %d", ErrOutOfBounds, offset, offset+size, rb.Size)
-	}
-	ep.Stats.PutsInitiated++
-	op := &PutOp{
-		cmd: command{
-			op: opPutData, msgID: ep.nextMsgID, rkey: rb.RKey, msgOffset: offset, total: size,
-			imm: &immediateInfo{rkey: rb.RKey},
-		},
-		dst: rb.Node,
-	}
-	op.Local = &op.local
-	if ep.cfg.CarryData {
-		op.cmd.data = data
-	}
-	ep.nextMsgID++
-	ep.post(op)
-	return op, nil
-}
-
 // SendOp tracks a two-sided send.
 type SendOp struct {
 	Local *sim.Future
@@ -349,34 +320,4 @@ func (ep *Endpoint) WaitLastByte(mr *MemoryRegion, length int) *LastByteWait {
 	w := &LastByteWait{Done: sim.NewFuture(), mr: mr, length: length}
 	ep.lastByteWaits = append(ep.lastByteWaits, w)
 	return w
-}
-
-// ReadOp tracks an RDMA read.
-type ReadOp struct {
-	// Done resolves with the fetched bytes (CarryData mode) when the full
-	// reply has landed locally.
-	Done *sim.Future
-
-	done sim.Future // what Done points at
-	got  int        // reply bytes arrived so far
-	buf  []byte     // the reply's bytes (CarryData mode)
-}
-
-// Read fetches size bytes at offset from the remote buffer (RDMA read /
-// get). Reads are initiator-completed: the paper notes RDMA gets don't
-// help the target-side notification problem, but the verb exists and the
-// baseline models it.
-func (ep *Endpoint) Read(rb RemoteBuffer, offset, size int) *ReadOp {
-	if offset < 0 || size <= 0 || offset+size > rb.Size {
-		panic(fmt.Sprintf("rdma: read [%d,%d) exceeds remote buffer of %d", offset, offset+size, rb.Size))
-	}
-	op := &ReadOp{}
-	op.Done = &op.done
-	req := &command{op: opReadReq, msgID: ep.nextMsgID, rkey: rb.RKey, msgOffset: offset, size: size, ref: op}
-	ep.nextMsgID++
-	eng := ep.eng
-	eng.Schedule(ep.nic.Profile().HostPostOverhead, func() {
-		ep.nic.SendMessage(rb.Node, 0, req.payload)
-	})
-	return op
 }

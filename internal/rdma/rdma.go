@@ -16,7 +16,6 @@
 package rdma
 
 import (
-	"errors"
 	"fmt"
 
 	"rvma/internal/memory"
@@ -25,19 +24,6 @@ import (
 	"rvma/internal/sim"
 	"rvma/internal/trace"
 )
-
-// Errors returned by the API.
-var (
-	ErrBadRKey     = errors.New("rdma: unknown or revoked rkey")
-	ErrOutOfBounds = errors.New("rdma: access outside registered region")
-	ErrTooLarge    = errors.New("rdma: payload exceeds immediate limit")
-	ErrBadArgument = errors.New("rdma: invalid argument")
-)
-
-// MaxImmediate is the largest payload a write-with-immediate may carry.
-// The paper notes such completion-generating commands have payloads
-// "typically under 64 bytes in size" (§I).
-const MaxImmediate = 64
 
 // CompletionScheme selects how the *target* learns a put finished.
 type CompletionScheme int
@@ -97,7 +83,6 @@ type MemoryRegion struct {
 	// bookkeeping; a real NIC has no such counter, which is the paper's
 	// entire point — see rvma).
 	BytesReceived int
-	revoked       bool
 }
 
 // RemoteBuffer is the initiator's handle to a remote registered region:
@@ -121,7 +106,6 @@ type Stats struct {
 	SendsDelivered uint64
 	FencesHeld     uint64 // completion sends that had to wait for data
 	Drops          uint64
-	ReadsServed    uint64
 	DupPackets     uint64 // retransmit duplicates discarded by the receiver
 }
 
@@ -235,7 +219,7 @@ func (p *peer) qp(i int) *queuePair {
 	return &p.qps[i]
 }
 
-// FenceQP is the QP index put completion sends and immediates arrive on.
+// FenceQP is the QP index put completion sends arrive on.
 const FenceQP = 0
 
 // pendingSend is a send whose fence (prior put bytes) is not yet satisfied
@@ -244,10 +228,6 @@ type pendingSend struct {
 	fenceBytes uint64
 	size       int
 	enq        sim.Time // when the send reached the target (fence-hold metric)
-}
-
-type immediateInfo struct {
-	rkey uint32
 }
 
 // NewEndpoint attaches an RDMA endpoint to the NIC.
@@ -371,14 +351,6 @@ func (ep *Endpoint) RegisterBuffer(size int) *sim.Future {
 // or nil. Targets use it to find the region a negotiated handle refers to.
 func (ep *Endpoint) RegionByKey(rkey uint32) *MemoryRegion { return ep.mrs[rkey] }
 
-// Deregister revokes a region; subsequent remote accesses are dropped.
-// This is the "binary" resource control the paper critiques: a region is
-// either remotely accessible or not (§II).
-func (ep *Endpoint) Deregister(mr *MemoryRegion) {
-	mr.revoked = true
-	delete(ep.mrs, mr.RKey)
-}
-
 // wire opcodes.
 type opcode uint8
 
@@ -387,8 +359,6 @@ const (
 	opRegReply
 	opPutData
 	opSend
-	opReadReq
-	opReadReply
 )
 
 // command is the wire payload. Every packet of a message carries the same
@@ -407,11 +377,11 @@ type command struct {
 	rkey     uint32
 	msgID    uint64
 
-	// ref is the initiator's operation (*RegOp, *PutOp, *Reliable or
-	// *ReadOp). The target copies it into the reply it sends back, or
-	// sends it back as the payload of a transport ACK, and never
-	// dereferences it, so the initiator reaches the operation without
-	// keeping a table of everything it has issued.
+	// ref is the initiator's operation (*RegOp, *PutOp or *Reliable). The
+	// target copies it into the handshake reply it sends back, or sends it
+	// back as the payload of a transport ACK, and never dereferences it,
+	// so the initiator reaches the operation without keeping a table of
+	// everything it has issued.
 	ref any
 
 	// registration
@@ -429,7 +399,6 @@ type command struct {
 	// this send was issued; the target may not deliver the send until that
 	// many bytes have landed (transport resequencing).
 	fenceBytes uint64
-	imm        *immediateInfo
 }
 
 // payload is the SendMessage build function of a message whose packets

@@ -3,7 +3,6 @@ package rdma
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"testing"
 	"unsafe"
 
@@ -105,20 +104,30 @@ func TestPutPlacesData(t *testing.T) {
 	}
 }
 
-func TestPutToRevokedRegionDrops(t *testing.T) {
+// A put naming an rkey the target never issued is dropped: nothing is
+// placed, and the drop shows in the registry's rdma.drops counter as well
+// as in Stats.Drops.
+func TestBadRKeyPutCountsInDropsCounter(t *testing.T) {
 	eng, a, b := defaultPair(t)
-	rb := handshake(t, eng, a, 1, 1024)
-	regions := make([]*MemoryRegion, 0, len(b.mrs))
-	for _, mr := range b.mrs {
-		regions = append(regions, mr)
-	}
-	for _, mr := range regions {
-		b.Deregister(mr)
-	}
+	reg := metrics.NewRegistry()
+	b.SetMetrics(reg)
+	rb := handshake(t, eng, a, 1, 4096)
+	rb.RKey++ // no region on b has this key
 	eng.Schedule(0, func() { a.Put(rb, 0, make([]byte, 64), CompleteNone) })
 	eng.Run()
-	if b.Stats.Drops == 0 {
-		t.Fatal("put to revoked region should drop")
+	if b.Stats.Drops != 1 || b.Stats.BytesPlaced != 0 {
+		t.Fatalf("target stats: %+v", b.Stats)
+	}
+	var buf bytes.Buffer
+	if err := reg.WriteJSON(&buf, eng.Now()); err != nil {
+		t.Fatal(err)
+	}
+	var snap struct{ Counters map[string]uint64 }
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Counters["rdma.drops"]; got != 1 {
+		t.Fatalf("snapshot rdma.drops = %d, want 1", got)
 	}
 }
 
@@ -416,95 +425,6 @@ func TestDebugCatchesReleaseOfPendingHandle(t *testing.T) {
 	}
 }
 
-func TestPutWithImmediate(t *testing.T) {
-	eng, a, b := defaultPair(t)
-	rb := handshake(t, eng, a, 1, 1024)
-	var got int
-	eng.Schedule(0, func() {
-		r := b.PostRecv(0, rdmaTestQP)
-		r.Done.OnComplete(func() { got = r.Done.Value().(int) })
-		if _, err := a.PutWithImmediate(rb, 0, bytes.Repeat([]byte{7}, 48)); err != nil {
-			t.Errorf("PutWithImmediate: %v", err)
-		}
-	})
-	eng.Run()
-	if got != 48 {
-		t.Fatalf("immediate completion size = %d, want 48", got)
-	}
-	if b.Memory().Read(rb.Addr, 1)[0] != 7 {
-		t.Fatal("immediate payload not placed")
-	}
-}
-
-func TestPutWithImmediateTooLarge(t *testing.T) {
-	eng, a, _ := defaultPair(t)
-	rb := handshake(t, eng, a, 1, 1024)
-	if _, err := a.PutWithImmediate(rb, 0, make([]byte, MaxImmediate+1)); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("oversized immediate: %v, want ErrTooLarge", err)
-	}
-	if _, err := a.PutWithImmediate(rb, 1000, make([]byte, 64)); !errors.Is(err, ErrOutOfBounds) {
-		t.Fatalf("out-of-bounds immediate: %v, want ErrOutOfBounds", err)
-	}
-}
-
-func TestRDMARead(t *testing.T) {
-	eng, a, b := defaultPair(t)
-	rb := handshake(t, eng, a, 1, 8192)
-	content := make([]byte, 8192)
-	for i := range content {
-		content[i] = byte(i ^ 0x5A)
-	}
-	var got []byte
-	eng.Schedule(0, func() {
-		b.Memory().Write(rb.Addr, content)
-		op := a.Read(rb, 512, 4096)
-		op.Done.OnComplete(func() { got = op.Done.Value().([]byte) })
-	})
-	eng.Run()
-	if got == nil {
-		t.Fatal("read never completed")
-	}
-	if !bytes.Equal(got, content[512:512+4096]) {
-		t.Fatal("read returned wrong bytes")
-	}
-	if b.Stats.ReadsServed != 1 {
-		t.Fatalf("stats: %+v", b.Stats)
-	}
-}
-
-// A read naming an rkey the target never issued is dropped, and the drop
-// shows in the registry's rdma.drops counter as well as in Stats.Drops.
-func TestBadRKeyReadCountsInDropsCounter(t *testing.T) {
-	eng, a, b := defaultPair(t)
-	reg := metrics.NewRegistry()
-	b.SetMetrics(reg)
-	rb := handshake(t, eng, a, 1, 4096)
-	rb.RKey++ // no region on b has this key
-	done := false
-	eng.Schedule(0, func() {
-		op := a.Read(rb, 0, 64)
-		op.Done.OnComplete(func() { done = true })
-	})
-	eng.Run()
-	if done {
-		t.Fatal("a read with a bad rkey completed")
-	}
-	if b.Stats.Drops != 1 || b.Stats.ReadsServed != 0 {
-		t.Fatalf("target stats: %+v", b.Stats)
-	}
-	var buf bytes.Buffer
-	if err := reg.WriteJSON(&buf, eng.Now()); err != nil {
-		t.Fatal(err)
-	}
-	var snap struct{ Counters map[string]uint64 }
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatal(err)
-	}
-	if got := snap.Counters["rdma.drops"]; got != 1 {
-		t.Fatalf("snapshot rdma.drops = %d, want 1", got)
-	}
-}
-
 func TestPutOutOfBoundsPanics(t *testing.T) {
 	eng, a, _ := defaultPair(t)
 	rb := handshake(t, eng, a, 1, 128)
@@ -692,12 +612,12 @@ func TestPutNAllocationCeiling(t *testing.T) {
 	}
 }
 
-// Every handshake or read reply allocates a command, and PutOp (twice),
-// SendOp and Attempt embed one: a field added to it must not move it past
-// the 144 B size class. A transport ACK allocates nothing: its payload is
+// Every handshake request and reply allocates a command, and PutOp
+// (twice), SendOp and Attempt embed one: a field added to it must not move
+// it past the 128 B size class. A transport ACK allocates nothing: its payload is
 // the operation it acknowledges.
 func TestCommandFitsItsSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(command{}); n > 144 {
-		t.Fatalf("command is %d B, past the 144 B size class", n)
+	if n := unsafe.Sizeof(command{}); n > 128 {
+		t.Fatalf("command is %d B, past the 128 B size class", n)
 	}
 }

@@ -32,10 +32,6 @@ func (ep *Endpoint) handlePacket(pkt *fabric.Packet) {
 		ep.handlePutData(pkt, cmd)
 	case opSend:
 		ep.handleSend(pkt, cmd)
-	case opReadReq:
-		ep.handleReadReq(pkt, cmd)
-	case opReadReply:
-		ep.handleReadReply(pkt, cmd)
 	default:
 		panic("rdma: unknown opcode")
 	}
@@ -99,11 +95,11 @@ func (ep *Endpoint) handlePutAck(ref any) {
 
 // handlePutData lands one put packet: validate the rkey, DMA the payload
 // to the carried physical address, update byte counters, and trigger any
-// completions that depended on those bytes (fences, last-byte polls,
-// immediates). Bookkeeping runs in pipeline order; data lands at DMA time.
+// completions that depended on those bytes (fences, last-byte polls).
+// Bookkeeping runs in pipeline order; data lands at DMA time.
 func (ep *Endpoint) handlePutData(pkt *fabric.Packet, cmd *command) {
 	mr := ep.mrs[cmd.rkey]
-	if mr == nil || mr.revoked {
+	if mr == nil {
 		ep.Stats.Drops++
 		return
 	}
@@ -206,12 +202,6 @@ func (ep *Endpoint) handlePutData(pkt *fabric.Packet, cmd *command) {
 		p.waits = remaining
 	}
 
-	// Write-with-immediate: single packet, generates a CQE consuming a
-	// posted receive, like a zero-copy send.
-	if cmd.imm != nil {
-		ep.enqueueSend(pkt.Src, FenceQP, 0, size)
-	}
-
 	// Newly landed bytes may release held fences.
 	if FenceQP < len(p.qps) {
 		ep.matchSends(pkt.Src, p, &p.qps[FenceQP])
@@ -287,44 +277,4 @@ func (ep *Endpoint) matchSends(src int, p *peer, q *queuePair) {
 		// pointer shares, but RVMA pays no trailing network message.
 		ep.dma(ep.nic.Bus().TransferTime(ep.eng.Engine, 32), completion{f: recv.Done, v: sent.size, cq: true})
 	}
-}
-
-// handleReadReq serves an RDMA read: bus-read the span, stream it back.
-func (ep *Endpoint) handleReadReq(pkt *fabric.Packet, cmd *command) {
-	mr := ep.mrs[cmd.rkey]
-	if mr == nil || mr.revoked || cmd.msgOffset+cmd.size > mr.Region.Size() {
-		ep.Stats.Drops++
-		return
-	}
-	ep.Stats.ReadsServed++
-	eng := ep.eng
-	reply := &command{op: opReadReply, msgID: cmd.msgID, total: cmd.size, ref: cmd.ref}
-	if ep.cfg.CarryData {
-		reply.data = ep.Memory().Read(mr.Region.Base+memory.Addr(cmd.msgOffset), cmd.size)
-	}
-	readDone := ep.nic.Bus().TransferTime(eng.Engine, cmd.size)
-	src := pkt.Src
-	eng.At(readDone, func() {
-		ep.nic.SendMessage(src, reply.total, reply.payload)
-	})
-}
-
-// handleReadReply assembles reply packets into the read they name and
-// resolves it.
-func (ep *Endpoint) handleReadReply(pkt *fabric.Packet, cmd *command) {
-	op := cmd.ref.(*ReadOp)
-	if ep.cfg.CarryData && cmd.data != nil {
-		if op.buf == nil {
-			op.buf = make([]byte, cmd.total)
-		}
-		off := int(pkt.Offset)
-		copy(op.buf[off:], cmd.data[off:off+pkt.Size])
-	}
-	op.got += pkt.Size
-	if op.got != cmd.total {
-		return
-	}
-	eng := ep.eng
-	done := ep.nic.Bus().TransferTime(eng.Engine, cmd.total)
-	eng.At(done, func() { op.Done.Complete(eng.Engine, op.buf) })
 }

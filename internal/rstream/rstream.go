@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 
-	"rvma/internal/fabric"
 	"rvma/internal/rvma"
 	"rvma/internal/sim"
 )
@@ -291,13 +290,4 @@ func (c *Conn) Close() {
 		}
 	}
 	c.waiters = nil
-}
-
-// RequireOrdered double-checks a network's routing mode supports streams;
-// exported for callers that construct fabrics dynamically.
-func RequireOrdered(mode fabric.RoutingMode) error {
-	if !mode.Ordered() {
-		return ErrUnordered
-	}
-	return nil
 }

@@ -210,12 +210,6 @@ func TestPairRefusesAdaptiveRouting(t *testing.T) {
 	if _, _, err := Pair(a, b, 1, Config{}); !errors.Is(err, ErrUnordered) {
 		t.Fatalf("adaptive-routed pair: %v, want ErrUnordered", err)
 	}
-	if err := RequireOrdered(fabric.RouteAdaptive); !errors.Is(err, ErrUnordered) {
-		t.Fatal("RequireOrdered(adaptive) should fail")
-	}
-	if err := RequireOrdered(fabric.RouteStatic); err != nil {
-		t.Fatal("RequireOrdered(static) should pass")
-	}
 }
 
 func TestCloseSemantics(t *testing.T) {
