@@ -1,9 +1,10 @@
 package rvma_test
 
-// Benchmarks regenerating the paper's evaluation, one per table/figure,
-// plus the ablation benches DESIGN.md calls out. Each benchmark iteration
-// runs a scaled-down but structurally identical experiment; use
-// cmd/rvmabench for full-scale tables.
+// Benchmarks regenerating the paper's latency figures (4-6), plus the
+// ablation, collective, MPI RMA and stream benches DESIGN.md calls out.
+// Each benchmark iteration runs a scaled-down but structurally identical
+// experiment; use cmd/rvmabench for full-scale tables. The motif figures'
+// host cost is measured end to end by bench/ (bash bench/run.sh).
 //
 // Run with: go test -bench=. -benchmem
 
@@ -63,47 +64,6 @@ func BenchmarkFig6Amortization(b *testing.B) {
 	}
 }
 
-// benchCell runs one 64-node motif cell and fails the benchmark on error.
-func benchCell(b *testing.B, m harness.MotifName, transport string, kind topology.Kind, routing fabric.RoutingMode, gbps float64) {
-	b.Helper()
-	rs := ledger.RunSpec{Motif: string(m), Transport: transport, Topology: string(kind),
-		Routing: routing.String(), Network: "bench", Nodes: 64, Gbps: gbps, Seed: 1}
-	if out := harness.RunCell(rs, harness.Observers{}); out.Err != nil {
-		b.Fatal(out.Err)
-	}
-}
-
-// benchMotifPair runs one motif point under both transports.
-func benchMotifPair(b *testing.B, m harness.MotifName, kind topology.Kind, routing fabric.RoutingMode, gbps float64) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		benchCell(b, m, "rvma", kind, routing, gbps)
-		benchCell(b, m, "rdma", kind, routing, gbps)
-	}
-}
-
-// BenchmarkFig7Sweep3D regenerates one Figure 7 point: Sweep3D on the
-// adaptively routed dragonfly (the paper's 4.4x best-case configuration).
-func BenchmarkFig7Sweep3D(b *testing.B) {
-	benchMotifPair(b, harness.MotifSweep3D, topology.KindDragonfly, fabric.RouteAdaptive, 2000)
-}
-
-// BenchmarkFig7Sweep3DContemporary benchmarks the 100 Gbps point.
-func BenchmarkFig7Sweep3DContemporary(b *testing.B) {
-	benchMotifPair(b, harness.MotifSweep3D, topology.KindDragonfly, fabric.RouteAdaptive, 100)
-}
-
-// BenchmarkFig8Halo3D regenerates one Figure 8 point: Halo3D on HyperX
-// with Dimension Order Routing (the paper's best case).
-func BenchmarkFig8Halo3D(b *testing.B) {
-	benchMotifPair(b, harness.MotifHalo3D, topology.KindHyperX, fabric.RouteStatic, 400)
-}
-
-// BenchmarkIncast benchmarks the bonus many-to-one motif.
-func BenchmarkIncast(b *testing.B) {
-	benchMotifPair(b, harness.MotifIncast, topology.KindDragonfly, fabric.RouteAdaptive, 400)
-}
-
 // --- Ablation benches (design choices called out in DESIGN.md) ---
 
 // BenchmarkAblationNotifyMWait measures the RVMA ping-pong with
@@ -155,8 +115,12 @@ func BenchmarkAblationAdaptiveVsStaticFabric(b *testing.B) {
 	for _, mode := range []fabric.RoutingMode{fabric.RouteStatic, fabric.RouteAdaptive} {
 		mode := mode
 		b.Run(mode.String(), func(b *testing.B) {
+			rs := ledger.RunSpec{Motif: string(harness.MotifSweep3D), Transport: "rvma", Topology: string(topology.KindFatTree),
+				Routing: mode.String(), Network: "bench", Nodes: 64, Gbps: 100, Seed: 1}
 			for i := 0; i < b.N; i++ {
-				benchCell(b, harness.MotifSweep3D, "rvma", topology.KindFatTree, mode, 100)
+				if out := harness.RunCell(rs, harness.Observers{}); out.Err != nil {
+					b.Fatal(out.Err)
+				}
 			}
 		})
 	}

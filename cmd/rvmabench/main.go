@@ -16,7 +16,6 @@
 //	rvmabench -nodes 1024 fig7
 //	rvmabench -paper all        # paper-scale settings (slow)
 //	rvmabench -csv fig6 > fig6.csv
-//	rvmabench -json-out BENCH_sim.json fig7   # per-cell perf trajectory
 //	rvmabench -telemetry-dir ts/ fig7         # per-cell time-series CSVs
 //	rvmabench -ledger-dir led/ fig7           # per-cell execution ledgers
 //	rvmabench -workers 4 fig7                 # parallel cells, same bytes out
@@ -29,13 +28,46 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
 	"rvma/internal/harness"
 )
+
+// experiments maps each experiment name to the tables it prints.
+var experiments = map[string]func(harness.Options) []*harness.Table{
+	"fig4":        func(o harness.Options) []*harness.Table { return []*harness.Table{harness.Fig4(o)} },
+	"fig5":        func(o harness.Options) []*harness.Table { return []*harness.Table{harness.Fig5(o)} },
+	"fig6":        func(o harness.Options) []*harness.Table { return []*harness.Table{harness.Fig6(o)} },
+	"fig7":        func(o harness.Options) []*harness.Table { return []*harness.Table{harness.Fig7(o)} },
+	"fig8":        func(o harness.Options) []*harness.Table { return []*harness.Table{harness.Fig8(o)} },
+	"incast":      func(o harness.Options) []*harness.Table { return []*harness.Table{harness.IncastTable(o)} },
+	"collectives": func(o harness.Options) []*harness.Table { return []*harness.Table{harness.CollectivesTable(o)} },
+	"matchengine": func(o harness.Options) []*harness.Table { return []*harness.Table{harness.MatchEngineTable(o)} },
+	"faults":      func(o harness.Options) []*harness.Table { return []*harness.Table{harness.FaultSweep(o)} },
+	"kv":          func(o harness.Options) []*harness.Table { return []*harness.Table{harness.KVTable(o)} },
+	"summary": func(o harness.Options) []*harness.Table {
+		return []*harness.Table{harness.MicroSummary(o), harness.MotifSummary(o)}
+	},
+	"ablations": func(o harness.Options) []*harness.Table {
+		return []*harness.Table{
+			harness.NotifyAblation(o),
+			harness.PCIeAblation(o),
+			harness.RDMABuffersAblation(o),
+			harness.LastByteCheatAblation(o),
+		}
+	},
+}
+
+// all is what "all", and no experiment at all, runs.
+var all = []string{"fig4", "fig5", "fig6", "fig7", "fig8", "incast", "collectives", "matchengine", "summary", "ablations"}
+
+// usageError reports a bad flag or experiment name and exits 2, before
+// any experiment runs.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "rvmabench: "+format+"\n", args...)
+	os.Exit(2)
+}
 
 func main() {
 	var (
@@ -45,7 +77,6 @@ func main() {
 		seed        = flag.Uint64("seed", 0, "simulation seed (0 = default 42)")
 		paper       = flag.Bool("paper", false, "use paper-scale settings (8192 nodes, 1000 iterations; slow)")
 		csv         = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		jsonOut     = flag.String("json-out", "", "write per-cell perf records (wall time, sim time, events/sec) as JSON to this file")
 		telDir      = flag.String("telemetry-dir", "", "write one in-sim time-series CSV per motif cell into this directory")
 		ledgerDir   = flag.String("ledger-dir", "", "write one execution-ledger JSON per motif cell into this directory (compare with simdiff)")
 		workers     = flag.Int("workers", 0, "concurrent figure cells (0 = one per CPU); output is identical at any worker count")
@@ -56,10 +87,46 @@ func main() {
 	)
 	flag.Parse()
 
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"nodes", *nodes}, {"iters", *iters}, {"runs", *runs}, {"workers", *workers}, {"retry-budget", *retryBudget}, {"tail-k", *tailK}} {
+		if f.v < 0 {
+			usageError("-%s must not be negative, got %d", f.name, f.v)
+		}
+	}
+	if *shards < 1 {
+		usageError("-shards must be at least 1, got %d", *shards)
+	}
 	opt := harness.DefaultOptions()
 	if *paper {
 		opt = harness.PaperOptions()
 	}
+	if *dropRates != "" {
+		for _, field := range strings.Split(*dropRates, ",") {
+			rate, err := strconv.ParseFloat(strings.TrimSpace(field), 64)
+			if err != nil || !(rate >= 0 && rate <= 1) {
+				usageError("bad -drop-rate entry %q (want a probability in [0, 1])", field)
+			}
+			opt.FaultRates = append(opt.FaultRates, rate)
+		}
+	}
+	names := flag.Args()
+	if len(names) == 0 {
+		names = []string{"all"}
+	}
+	var run []string
+	for _, name := range names {
+		switch {
+		case name == "all":
+			run = append(run, all...)
+		case experiments[name] != nil:
+			run = append(run, name)
+		default:
+			usageError("unknown experiment %q\nexperiments: fig4 fig5 fig6 fig7 fig8 incast collectives matchengine faults kv summary ablations all", name)
+		}
+	}
+
 	if *nodes > 0 {
 		opt.Nodes = *nodes
 	}
@@ -72,134 +139,28 @@ func main() {
 	if *seed > 0 {
 		opt.Seed = *seed
 	}
-	if *telDir != "" {
-		if err := os.MkdirAll(*telDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "rvmabench: %v\n", err)
-			os.Exit(1)
-		}
-		opt.TelemetryDir = *telDir
-	}
-	if *ledgerDir != "" {
-		if err := os.MkdirAll(*ledgerDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "rvmabench: %v\n", err)
-			os.Exit(1)
-		}
-		opt.LedgerDir = *ledgerDir
-	}
-	if *workers > 0 {
-		opt.Workers = *workers
-	}
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "rvmabench: -shards must be at least 1, got %d\n", *shards)
-		os.Exit(2)
-	}
+	opt.Workers = *workers
 	opt.Shards = *shards
-	if *dropRates != "" {
-		for _, field := range strings.Split(*dropRates, ",") {
-			rate, err := strconv.ParseFloat(strings.TrimSpace(field), 64)
-			if err != nil || rate < 0 || rate > 1 {
-				fmt.Fprintf(os.Stderr, "rvmabench: bad -drop-rate entry %q (want a probability in [0, 1])\n", field)
-				os.Exit(1)
-			}
-			opt.FaultRates = append(opt.FaultRates, rate)
+	opt.RetryBudget = *retryBudget
+	opt.TailK = *tailK
+	for _, dir := range []string{*telDir, *ledgerDir} {
+		if dir == "" {
+			continue
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			fmt.Fprintf(os.Stderr, "rvmabench: %v\n", err)
+			os.Exit(1)
 		}
 	}
-	if *retryBudget > 0 {
-		opt.RetryBudget = *retryBudget
-	}
-	if *tailK > 0 {
-		opt.TailK = *tailK
-	}
-	if *jsonOut != "" {
-		effective := opt.Workers
-		if effective == 0 {
-			effective = runtime.NumCPU()
-		}
-		opt.Bench = &harness.BenchLog{Workers: effective}
-	}
+	opt.TelemetryDir, opt.LedgerDir = *telDir, *ledgerDir
 
-	experiments := flag.Args()
-	if len(experiments) == 0 {
-		experiments = []string{"all"}
-	}
-	started := time.Now()
-
-	var run func(name string) bool
-	run = func(name string) bool {
-		var tables []*harness.Table
-		switch name {
-		case "fig4":
-			tables = []*harness.Table{harness.Fig4(opt)}
-		case "fig5":
-			tables = []*harness.Table{harness.Fig5(opt)}
-		case "fig6":
-			tables = []*harness.Table{harness.Fig6(opt)}
-		case "fig7":
-			tables = []*harness.Table{harness.Fig7(opt)}
-		case "fig8":
-			tables = []*harness.Table{harness.Fig8(opt)}
-		case "incast":
-			tables = []*harness.Table{harness.IncastTable(opt)}
-		case "summary":
-			tables = []*harness.Table{harness.MicroSummary(opt), harness.MotifSummary(opt)}
-		case "collectives":
-			tables = []*harness.Table{harness.CollectivesTable(opt)}
-		case "matchengine":
-			tables = []*harness.Table{harness.MatchEngineTable(opt)}
-		case "faults":
-			tables = []*harness.Table{harness.FaultSweep(opt)}
-		case "kv":
-			tables = []*harness.Table{harness.KVTable(opt)}
-		case "ablations":
-			tables = []*harness.Table{
-				harness.NotifyAblation(opt),
-				harness.PCIeAblation(opt),
-				harness.RDMABuffersAblation(opt),
-				harness.LastByteCheatAblation(opt),
-			}
-		case "all":
-			return run("fig4") && run("fig5") && run("fig6") &&
-				run("fig7") && run("fig8") && run("incast") &&
-				run("collectives") && run("matchengine") &&
-				run("summary") && run("ablations")
-		default:
-			fmt.Fprintf(os.Stderr, "rvmabench: unknown experiment %q\n", name)
-			fmt.Fprintln(os.Stderr, "experiments: fig4 fig5 fig6 fig7 fig8 incast collectives matchengine faults kv summary ablations all")
-			return false
-		}
-		for _, t := range tables {
+	for _, name := range run {
+		for _, t := range experiments[name](opt) {
 			if *csv {
 				t.CSV(os.Stdout)
 			} else {
 				t.Fprint(os.Stdout)
 			}
 		}
-		return true
-	}
-
-	for _, name := range experiments {
-		if !run(name) {
-			os.Exit(2)
-		}
-	}
-
-	if *jsonOut != "" {
-		opt.Bench.Elapsed = time.Since(started)
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rvmabench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := opt.Bench.WriteJSON(f); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "rvmabench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "rvmabench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "rvmabench: wrote %d cell records to %s\n",
-			len(opt.Bench.Records), *jsonOut)
 	}
 }

@@ -35,13 +35,13 @@ const (
 
 // observe is what the observer flags ask for.
 type observe struct {
-	trace, spans                                       bool
-	metricsOut, perfettoOut, attribOut                 string
-	timeseriesOut, heatmapOut, ledgerOut, shardPlanOut string
-	sampleEvery                                        time.Duration
-	recorderDepth, tailK                               int
-	nackBurst                                          float64
-	ledgerEpoch                                        uint64
+	trace, spans                                     bool
+	metricsOut, perfettoOut, attribOut               string
+	timeseriesOut, heatmapOut, ledgerOut, profileOut string
+	sampleEvery                                      time.Duration
+	recorderDepth, tailK                             int
+	nackBurst                                        float64
+	ledgerEpoch                                      uint64
 }
 
 // cli is everything the flags set.
@@ -141,8 +141,8 @@ var flagTable = []flagSpec{
 	{"ledger-epoch", observerFlag, func(fs *flag.FlagSet, c *cli) {
 		fs.Uint64Var(&c.obs.ledgerEpoch, "ledger-epoch", 0, "ledger epoch size in events (0 = default 65536)")
 	}},
-	{"shard-plan-out", observerFlag, func(fs *flag.FlagSet, c *cli) {
-		fs.StringVar(&c.obs.shardPlanOut, "shard-plan-out", "", "write the per-component host-time profile (shard-planner report) to this file; .csv selects CSV, else JSON")
+	{"profile-out", observerFlag, func(fs *flag.FlagSet, c *cli) {
+		fs.StringVar(&c.obs.profileOut, "profile-out", "", "write the per-component host-time profile to this file; .csv selects CSV, else JSON")
 	}},
 	{"seeds", specFlag, func(fs *flag.FlagSet, c *cli) {
 		fs.IntVar(&c.seeds, "seeds", 1, "run this many seed replicas (seed, seed+1, ...) and report each plus the mean")

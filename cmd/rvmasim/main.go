@@ -36,9 +36,9 @@
 //	                   chain over every model event pop) and write it to F;
 //	                   compare two ledgers with simdiff
 //	-ledger-epoch N    ledger epoch size in events (0 = default 65536)
-//	-shard-plan-out F  record the per-component host-time profile and
-//	                   write the shard-planner report to F (.csv suffix
-//	                   selects CSV, anything else JSON)
+//	-profile-out F     record the per-component host-time profile and
+//	                   write it to F (.csv suffix selects CSV, anything
+//	                   else JSON)
 //
 // Time-resolved telemetry flags:
 //
@@ -157,13 +157,13 @@ func main() {
 
 // run runs rs once with the observers o asks for and prints the report.
 func run(rs ledger.RunSpec, o observe) {
-	// Execution ledger / shard-plan profile. The recorder is a pure observer
+	// Execution ledger / host-time profile. The recorder is a pure observer
 	// on the engines' pop loops — attaching it cannot change the
 	// simulation — and its canonical chain is a pure function of the model,
 	// identical at every shard count.
 	var canonRec *ledger.CanonicalRecorder
-	if o.ledgerOut != "" || o.shardPlanOut != "" {
-		canonRec = ledger.NewCanonicalRecorder(ledger.Options{EpochEvents: o.ledgerEpoch, Profile: o.shardPlanOut != "", Run: &rs})
+	if o.ledgerOut != "" || o.profileOut != "" {
+		canonRec = ledger.NewCanonicalRecorder(ledger.Options{EpochEvents: o.ledgerEpoch, Profile: o.profileOut != "", Run: &rs})
 	}
 	var reg *metrics.Registry
 	var attribCol *attrib.Collector
@@ -320,15 +320,15 @@ func run(rs ledger.RunSpec, o observe) {
 		fmt.Printf("ledger:     %d events in %d epochs, chain head %s, written to %s\n",
 			led.Events, len(led.Epochs), led.ChainHead, o.ledgerOut)
 	}
-	if o.shardPlanOut != "" {
+	if o.profileOut != "" {
 		prof := canonRec.Profile()
 		write := prof.WriteJSON
-		if strings.HasSuffix(o.shardPlanOut, ".csv") {
+		if strings.HasSuffix(o.profileOut, ".csv") {
 			write = prof.WriteCSV
 		}
-		writeOut(o.shardPlanOut, write)
-		fmt.Printf("shard plan: %d components over %d events written to %s\n",
-			len(prof.Components), prof.TotalEvents, o.shardPlanOut)
+		writeOut(o.profileOut, write)
+		fmt.Printf("profile:    %d components over %d events written to %s\n",
+			len(prof.Components), prof.TotalEvents, o.profileOut)
 	}
 	if tr != nil {
 		fmt.Println("\ntrace:")

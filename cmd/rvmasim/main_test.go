@@ -108,8 +108,8 @@ func TestReplicaUnsupportedCoversAllObserverFlags(t *testing.T) {
 	want := map[string]flagClass{
 		"metrics-out": observerFlag, "timeseries-out": observerFlag, "heatmap-out": observerFlag,
 		"sample-interval": observerFlag, "ledger-out": observerFlag, "ledger-epoch": observerFlag,
-		"shard-plan-out": observerFlag,
-		"trace":          singleWriterFlag, "spans": singleWriterFlag, "perfetto-out": singleWriterFlag,
+		"profile-out": observerFlag,
+		"trace":       singleWriterFlag, "spans": singleWriterFlag, "perfetto-out": singleWriterFlag,
 		"flight-recorder": singleWriterFlag, "nack-burst": singleWriterFlag, "attrib-out": singleWriterFlag,
 		"tail-k": singleWriterFlag,
 	}
@@ -176,7 +176,7 @@ func TestReplicaIncompatibleMatrix(t *testing.T) {
 		{"tail-k", []string{"-tail-k", "4"}, []string{"tail-k"}},
 		{"ledger-out", []string{"-ledger-out", "l.json"}, []string{"ledger-out"}},
 		{"ledger-epoch", []string{"-ledger-epoch", "100"}, []string{"ledger-epoch"}},
-		{"shard-plan-out", []string{"-shard-plan-out", "s.csv"}, []string{"shard-plan-out"}},
+		{"profile-out", []string{"-profile-out", "p.csv"}, []string{"profile-out"}},
 		{"several at once, declaration order",
 			[]string{"-ledger-out", "l.json", "-trace", "-sample-interval", "5us"},
 			[]string{"trace", "sample-interval", "ledger-out"}},
@@ -194,7 +194,7 @@ func TestShardIncompatibleMatrix(t *testing.T) {
 		{"none set", nil, nil},
 		{"kv workload knobs pass", []string{"-motif", "kv", "-kv-skew", "1.2", "-kv-gap", "1us", "-kv-ops", "4"}, nil},
 		{"shard-aware observers pass", []string{"-metrics-out", "m.json", "-ledger-out", "l.json",
-			"-ledger-epoch", "100", "-shard-plan-out", "s.csv", "-timeseries-out", "ts.csv", "-heatmap-out", "h.csv",
+			"-ledger-epoch", "100", "-profile-out", "p.csv", "-timeseries-out", "ts.csv", "-heatmap-out", "h.csv",
 			"-sample-interval", "5us", "-unsafe-lookahead-scale", "20"}, nil},
 		{"trace", []string{"-trace"}, []string{"trace"}},
 		{"spans", []string{"-spans"}, []string{"spans"}},
@@ -461,7 +461,7 @@ func TestEveryExporterWritesItsFile(t *testing.T) {
 		return err
 	}
 	parsers := map[string]func([]byte) error{
-		"metrics-out": object, "perfetto-out": object, "attrib-out": object, "shard-plan-out": object,
+		"metrics-out": object, "perfetto-out": object, "attrib-out": object, "profile-out": object,
 		"timeseries-out": table, "heatmap-out": table,
 		"ledger-out": func(b []byte) error {
 			var l ledger.Ledger

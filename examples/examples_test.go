@@ -2,9 +2,12 @@
 package examples
 
 import (
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -14,7 +17,17 @@ import (
 // TestEveryExampleRuns builds every example, runs it, and checks it exits
 // 0 printing its verdict line. A new example directory without a verdict
 // here fails the test.
+//
+// The examples are built by a go build subprocess, which the test cache
+// does not see, and the test binary links little of the code they run. So
+// the test first reads the source of every module package the examples
+// import, directly or not: the files a test opens are inputs of its cached
+// result, so an edit to any of them makes the next go test ./examples/ run
+// again.
 func TestEveryExampleRuns(t *testing.T) {
+	if deps := readModuleImports(t); !deps["rvma/internal/sim"] {
+		t.Fatalf("the examples' module imports %v do not reach rvma/internal/sim", deps)
+	}
 	verdicts := map[string]string{
 		"quickstart":     "receiver: payload intact: true",
 		"faulttolerance": "consumer: recovered state byte-identical to timestep 3: true",
@@ -51,4 +64,43 @@ func TestEveryExampleRuns(t *testing.T) {
 			t.Errorf("%s: output lacks %q:\n%s", name, verdict, out)
 		}
 	}
+}
+
+// readModuleImports parses every example and, transitively, every
+// non-test Go file of the module packages they import, and returns those
+// packages' import paths.
+func readModuleImports(t *testing.T) map[string]bool {
+	t.Helper()
+	seen := map[string]bool{}
+	fset := token.NewFileSet()
+	var read func(pattern string)
+	read = func(pattern string) {
+		files, err := filepath.Glob(pattern)
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no files match %s: %v", pattern, err)
+		}
+		for _, name := range files {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				path, err := strconv.Unquote(imp.Path.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dir, inModule := strings.CutPrefix(path, "rvma")
+				if !inModule || (dir != "" && dir[0] != '/') || seen[path] {
+					continue
+				}
+				seen[path] = true
+				read(filepath.Join("..", dir, "*.go"))
+			}
+		}
+	}
+	read("*/*.go")
+	return seen
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"time"
 
 	"rvma/internal/attrib"
 	"rvma/internal/collective"
@@ -280,17 +279,14 @@ type CellOutput struct {
 	// KV is the application-level outcome of a kv cell (nil for other
 	// motifs).
 	KV *motif.KVResult
-	// wall is the host time the motif run took.
-	wall time.Duration
 
 	// The figure sweeps' per-cell artifacts (see runOneCell): the cell's
-	// registry and attribution collector, and the rendered telemetry CSV,
-	// bench record and execution-ledger JSON. Rendered in the worker,
-	// written during the serial merge phase.
+	// registry and attribution collector, and the rendered telemetry CSV
+	// and execution-ledger JSON. Rendered in the worker, written during
+	// the serial merge phase.
 	Reg       *metrics.Registry
 	Attrib    *attrib.Collector
 	Telemetry []byte
-	Bench     *BenchRecord
 	Ledger    []byte
 }
 
@@ -336,9 +332,7 @@ func RunCell(rs ledger.RunSpec, obs Observers) CellOutput {
 	if obs.Attach != nil {
 		obs.Attach(c, samples)
 	}
-	start := time.Now()
 	out.Makespan, out.KV, out.Err = motifRuns[MotifName(rs.Motif)](c, rs, topo.NumNodes())
-	out.wall = time.Since(start)
 	out.Events = c.EventsExecuted()
 	out.Topology = topo.Name()
 	out.Ranks = len(c.Transports)
@@ -355,8 +349,7 @@ func RunCell(rs ledger.RunSpec, obs Observers) CellOutput {
 	return out
 }
 
-// cellName labels a cell for bench records and telemetry and ledger file
-// names: "motif|network|TRANSPORT|gbps", plus every non-default knob the
+// cellName labels a cell for its telemetry and ledger file names: "motif|network|TRANSPORT|gbps", plus every non-default knob the
 // sweeps vary, so two cells share a name only when they are the same
 // cell. A host-profile cell adds its seed, since a latency figure's runs
 // differ only in seed and host scale.

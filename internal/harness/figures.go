@@ -35,9 +35,6 @@ type Options struct {
 	// in-sim sampler to every report cell and write one time-series CSV
 	// per cell into the directory (see internal/telemetry).
 	TelemetryDir string
-	// Bench, when non-nil, records wall time / simulated time / event
-	// throughput for every motif cell run (rvmabench -json-out).
-	Bench *BenchLog
 	// Workers caps how many figure cells run concurrently; 0 means
 	// runtime.NumCPU(). Each cell owns a private engine, metrics registry
 	// and telemetry sampler, and results are merged in a fixed canonical
@@ -68,6 +65,9 @@ type Options struct {
 	// record them, and above one shard the put-p99 columns read "-" and
 	// attribution sections are empty.
 	Shards int
+	// flushed, when set, is called with each cell's name as the serial
+	// merge phase flushes its outputs; tests list a sweep's cells with it.
+	flushed func(cell string)
 }
 
 // workerCount resolves Options.Workers: 0 (the default) saturates the

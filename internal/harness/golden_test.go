@@ -39,7 +39,9 @@ type goldenCell struct {
 // dragonfly/adaptive, 100 Gbps) and incast-loss (8 x 4 KiB per client,
 // 400 Gbps, 5% drop, recovery on) — for both transports and seeds 42 and
 // 7, keyed "workload/transport/seedN" in a fixed order; then a cell of
-// each table built on other motifs.
+// each table built on other motifs; then the other 70 cells of the
+// 64-node fig7 sweep at seed 42 (the nine motifNetworks at 100, 200, 400
+// and 2,000 Gbps, both transports), keyed by their cell names.
 func goldenSpecs() (names []string, specs []ledger.RunSpec) {
 	dfly := NetConfig{"dragonfly/adaptive", topology.KindDragonfly, fabric.RouteAdaptive}
 	hyperx := NetConfig{"hyperx/DOR", topology.KindHyperX, fabric.RouteStatic}
@@ -92,6 +94,20 @@ func goldenSpecs() (names []string, specs []ledger.RunSpec) {
 	lastByte.LastByte = true
 	names = append(names, "setup/ucx/rdma/seed42", "allreduce/rvma/seed42", "last-byte/rdma/seed42")
 	specs = append(specs, setup, o.spec(MotifName(collective.OpAllreduce), "rvma", dfly, 100), lastByte)
+	// The rest of rvmabench -nodes 64 fig7, named like its cells: every
+	// network at every default link speed, for both transports.
+	for _, nc := range motifNetworks() {
+		for _, gbps := range DefaultOptions().LinkGbps {
+			for _, tr := range []string{"rvma", "rdma"} {
+				if nc.Name == dfly.Name && gbps == 100 {
+					continue // the fig7 rows above
+				}
+				rs := o.spec(MotifSweep3D, tr, nc, gbps)
+				names = append(names, cellName(rs))
+				specs = append(specs, rs)
+			}
+		}
+	}
 	return names, specs
 }
 
@@ -121,7 +137,7 @@ func goldenRun(t *testing.T) []goldenCell {
 // picosecond change to any model latency moves at least one chain head.
 func TestGoldenChainHeads(t *testing.T) {
 	if testing.Short() {
-		t.Skip("twenty-seven motif simulations")
+		t.Skip("ninety-seven motif simulations")
 	}
 	got := goldenRun(t)
 	if *update {

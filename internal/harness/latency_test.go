@@ -244,8 +244,8 @@ func TestHostCellReplays(t *testing.T) {
 }
 
 // TestCellNamesUniqueWithinEachSweep runs every table at tiny scale into
-// one ledger directory and checks the names ledger, telemetry and bench
-// files take: no two cells of a table share one, and across tables a name
+// one ledger directory and checks the names ledger and telemetry files
+// take: no two cells of a table share one, and across tables a name
 // always stands for the same cell, so its ledger bytes are the same.
 func TestCellNamesUniqueWithinEachSweep(t *testing.T) {
 	if testing.Short() {
@@ -278,26 +278,27 @@ func TestCellNamesUniqueWithinEachSweep(t *testing.T) {
 		{"faults", func() *Table { return FaultSweep(o) }},
 		{"kv", func() *Table { return KVTable(o) }},
 	} {
-		o.Bench = &BenchLog{}
-		noiseless.Bench = o.Bench
+		var cells []string
+		o.flushed = func(cell string) { cells = append(cells, cell) }
+		noiseless.flushed = o.flushed
 		table.run()
-		if len(o.Bench.Records) == 0 {
+		if len(cells) == 0 {
 			t.Errorf("%s: no cells ran", table.name)
 		}
 		seen := map[string]bool{}
-		for _, rec := range o.Bench.Records {
-			if seen[rec.Cell] {
-				t.Errorf("%s: two cells named %s", table.name, rec.Cell)
+		for _, cell := range cells {
+			if seen[cell] {
+				t.Errorf("%s: two cells named %s", table.name, cell)
 			}
-			seen[rec.Cell] = true
-			b, err := os.ReadFile(filepath.Join(o.LedgerDir, ledgerFileName(rec.Cell)))
+			seen[cell] = true
+			b, err := os.ReadFile(filepath.Join(o.LedgerDir, ledgerFileName(cell)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if prev, ok := ledgers[rec.Cell]; ok && !bytes.Equal(prev, b) {
-				t.Errorf("%s: %s names two different cells", table.name, rec.Cell)
+			if prev, ok := ledgers[cell]; ok && !bytes.Equal(prev, b) {
+				t.Errorf("%s: %s names two different cells", table.name, cell)
 			}
-			ledgers[rec.Cell] = b
+			ledgers[cell] = b
 		}
 	}
 }

@@ -27,48 +27,26 @@ func workerCounts() []int {
 }
 
 // figureArtifacts renders one figure sweep with full instrumentation at a
-// given worker count and returns everything it produced: the table bytes,
-// the telemetry files (name -> contents), and the bench records with the
-// wall-clock fields zeroed (those legitimately vary run to run; the cell
-// labels, simulated times and event counts must not).
-func figureArtifacts(t *testing.T, fig func(Options) *Table, gbps []float64, workers int) (table []byte, telemetry map[string][]byte, bench []BenchRecord) {
+// given worker count and returns everything it produced: the table bytes
+// and the telemetry and ledger files (name -> contents).
+func figureArtifacts(t *testing.T, fig func(Options) *Table, gbps []float64, workers int) (table []byte, telemetry, ledgers map[string][]byte) {
 	t.Helper()
 	o := DefaultOptions()
 	o.Nodes = 64
 	o.LinkGbps = gbps
 	o.Sizes, o.Runs = []int{2, 4096}, 2
 	o.Workers = workers
-	o.TelemetryDir = t.TempDir()
-	o.Bench = &BenchLog{}
+	o.TelemetryDir, o.LedgerDir = t.TempDir(), t.TempDir()
 
 	var buf bytes.Buffer
 	fig(o).Fprint(&buf)
-
-	telemetry = make(map[string][]byte)
-	entries, err := os.ReadDir(o.TelemetryDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ent := range entries {
-		data, err := os.ReadFile(filepath.Join(o.TelemetryDir, ent.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		telemetry[ent.Name()] = data
-	}
-
-	bench = append([]BenchRecord(nil), o.Bench.Records...)
-	for i := range bench {
-		bench[i].WallMS = 0
-		bench[i].EventsPerSec = 0
-	}
-	return buf.Bytes(), telemetry, bench
+	return buf.Bytes(), readDirBytes(t, o.TelemetryDir), readDirBytes(t, o.LedgerDir)
 }
 
 // TestFigureOutputIdenticalAcrossWorkers is the parallel-harness
 // regression gate: a figure sweep must produce byte-identical tables,
-// telemetry CSVs and bench-record sequences at every worker count. Any
-// shared mutable state between cells, nondeterministic merge order, or
+// telemetry CSVs and cell ledgers at every worker count. Any shared
+// mutable state between cells, nondeterministic merge order, or
 // worker-count-dependent seeding shows up here as a diff.
 func TestFigureOutputIdenticalAcrossWorkers(t *testing.T) {
 	t.Parallel()
@@ -100,39 +78,33 @@ func TestFigureOutputIdenticalAcrossWorkers(t *testing.T) {
 			if workers == nil {
 				workers = workerCounts()
 			}
-			refTable, refTel, refBench := figureArtifacts(t, fig.fn, fig.gbps, workers[0])
+			refTable, refTel, refLedgers := figureArtifacts(t, fig.fn, fig.gbps, workers[0])
 			if !bytes.Contains(refTable, []byte(fig.section)) {
 				t.Errorf("table has no %q section", fig.section)
 			}
-			if len(refTel) == 0 {
-				t.Fatal("serial run wrote no telemetry files")
-			}
-			if len(refBench) == 0 {
-				t.Fatal("serial run recorded no bench records")
+			if len(refTel) == 0 || len(refLedgers) == 0 {
+				t.Fatalf("serial run wrote %d telemetry files and %d ledgers", len(refTel), len(refLedgers))
 			}
 			for _, workers := range workers[1:] {
-				table, tel, bench := figureArtifacts(t, fig.fn, fig.gbps, workers)
+				table, tel, ledgers := figureArtifacts(t, fig.fn, fig.gbps, workers)
 				if !bytes.Equal(refTable, table) {
 					t.Errorf("workers=%d table differs from serial:\n--- serial ---\n%s\n--- workers=%d ---\n%s",
 						workers, firstDiffContext(refTable, table), workers, firstDiffContext(table, refTable))
 				}
-				if len(tel) != len(refTel) {
-					t.Errorf("workers=%d wrote %d telemetry files, serial wrote %d", workers, len(tel), len(refTel))
-				}
-				for name, want := range refTel {
-					if got, ok := tel[name]; !ok {
-						t.Errorf("workers=%d missing telemetry file %s", workers, name)
-					} else if !bytes.Equal(want, got) {
-						t.Errorf("workers=%d telemetry %s differs from serial:\n%s",
-							workers, name, firstDiffContext(want, got))
+				for _, files := range []struct {
+					kind     string
+					ref, got map[string][]byte
+				}{{"telemetry", refTel, tel}, {"ledger", refLedgers, ledgers}} {
+					if len(files.got) != len(files.ref) {
+						t.Errorf("workers=%d wrote %d %s files, serial wrote %d", workers, len(files.got), files.kind, len(files.ref))
 					}
-				}
-				if len(bench) != len(refBench) {
-					t.Fatalf("workers=%d has %d bench records, serial has %d", workers, len(bench), len(refBench))
-				}
-				for i := range bench {
-					if bench[i] != refBench[i] {
-						t.Errorf("workers=%d bench record %d = %+v, serial %+v", workers, i, bench[i], refBench[i])
+					for name, want := range files.ref {
+						if got, ok := files.got[name]; !ok {
+							t.Errorf("workers=%d missing %s file %s", workers, files.kind, name)
+						} else if !bytes.Equal(want, got) {
+							t.Errorf("workers=%d %s %s differs from serial:\n%s",
+								workers, files.kind, name, firstDiffContext(want, got))
+						}
 					}
 				}
 			}

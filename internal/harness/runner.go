@@ -17,8 +17,8 @@ import (
 // This file is the harness's worker-pool cell runner. A figure sweep is
 // hundreds of independent simulations; the runner executes them on
 // Options.Workers goroutines and hands the results back in the order the
-// cells were specified, so the tables, bench records and telemetry files a
-// sweep produces are byte-identical at any worker count.
+// cells were specified, so the tables, telemetry files and ledgers a sweep
+// produces are byte-identical at any worker count.
 //
 // The pool is host-side orchestration, not model code: each cell builds
 // its own shard group, metrics.Registry and telemetry.ShardSet inside its
@@ -45,8 +45,8 @@ func (o Options) spec(m MotifName, transport string, nc NetConfig, gbps float64)
 }
 
 // runOneCell runs a figure cell against the given registry with the
-// instrumentation the options ask for, and renders its telemetry, bench
-// record and ledger into the output. It opens no files and touches no
+// instrumentation the options ask for, and renders its telemetry and
+// ledger into the output. It opens no files and touches no
 // state outside its arguments.
 func runOneCell(o Options, rs ledger.RunSpec, reg *metrics.Registry) CellOutput {
 	obs := Observers{Metrics: reg}
@@ -73,10 +73,6 @@ func runOneCell(o Options, rs ledger.RunSpec, reg *metrics.Registry) CellOutput 
 			return out
 		}
 		out.Telemetry = buf.Bytes()
-	}
-	if o.Bench != nil {
-		rec := newBenchRecord(cellName(rs), out.wall, out.Makespan, out.Events, max(rs.Shards, 1))
-		out.Bench = &rec
 	}
 	if obs.Ledger != nil {
 		b, err := obs.Ledger.Finalize().Marshal()
@@ -146,14 +142,14 @@ func runPool(workers int, specs []ledger.RunSpec, run func(ledger.RunSpec) CellO
 }
 
 // flushCellOutput applies one successful cell's deferred side effects —
-// the bench record and the telemetry file — during the serial merge
-// phase. This is the only place cell telemetry touches the filesystem.
+// its telemetry and ledger files — during the serial merge phase. This is
+// the only place a cell's outputs touch the filesystem.
 func flushCellOutput(o Options, out CellOutput) error {
 	if out.Err != nil {
 		return out.Err
 	}
-	if out.Bench != nil && o.Bench != nil {
-		o.Bench.Append(*out.Bench)
+	if o.flushed != nil {
+		o.flushed(cellName(out.Spec))
 	}
 	if out.Telemetry != nil {
 		name := telemetryFileName(cellName(out.Spec))

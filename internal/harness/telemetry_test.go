@@ -3,7 +3,6 @@ package harness
 import (
 	"bytes"
 	"cmp"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -106,47 +105,5 @@ func TestRunFigureCellWritesTimeseries(t *testing.T) {
 
 	if second := runOnce(); !bytes.Equal(first, second) {
 		t.Error("same-seed cell time-series differ between runs")
-	}
-}
-
-// TestBenchLogRecordsCells checks the rvmabench -json-out plumbing: a cell
-// run under Options.Bench appends one record with the cell label and
-// plausible fields, and WriteJSON round-trips.
-func TestBenchLogRecordsCells(t *testing.T) {
-	o := DefaultOptions()
-	o.Nodes = 64
-	o.Bench = &BenchLog{}
-	rs := o.spec(MotifSweep3D, "rvma", telemetryTestNet(), 100)
-	if err := flushCellOutput(o, runOneCell(o, rs, newCellRegistry(o.Shards))); err != nil {
-		t.Fatal(err)
-	}
-	if len(o.Bench.Records) != 1 {
-		t.Fatalf("bench log has %d records, want 1", len(o.Bench.Records))
-	}
-	rec := o.Bench.Records[0]
-	if want := cellName(rs); rec.Cell != want {
-		t.Errorf("cell = %q, want %q", rec.Cell, want)
-	}
-	if rec.SimNS <= 0 || rec.Events == 0 || rec.EventsPerSec <= 0 {
-		t.Errorf("implausible record: %+v", rec)
-	}
-
-	var buf bytes.Buffer
-	if err := o.Bench.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var parsed struct {
-		Records []struct {
-			Cell   string  `json:"cell"`
-			SimNS  float64 `json:"sim_ns"`
-			Events uint64  `json:"events"`
-		} `json:"records"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
-		t.Fatalf("bench JSON invalid: %v\n%s", err, buf.String())
-	}
-	if len(parsed.Records) != 1 || parsed.Records[0].Cell != rec.Cell ||
-		parsed.Records[0].Events != rec.Events {
-		t.Fatalf("bench JSON round-trip mismatch: %+v vs %+v", parsed.Records, rec)
 	}
 }
