@@ -75,13 +75,11 @@ func JoinTaint(a, b Taint) Taint {
 
 // Summary is the bottom-up call summary of one function: what a caller
 // must know without re-analyzing the body. Summaries are computed when
-// a package is analyzed and consulted by every later package in the
-// load order; `go list -deps` order guarantees callees' packages are
-// analyzed before their callers' in a whole-repository run. In vet-tool
-// mode each package unit is a separate process, so cross-package
-// summaries are unavailable and the analyzers fall back to their
-// conservative defaults — within-package flow, the common case, is
-// identical in both modes.
+// a package is analyzed. Each package is type-checked against its
+// dependencies' export data, whose function objects are not the ones a
+// source check of the dependency created, so a call into another
+// package finds no summary and the analyzers fall back to their
+// conservative defaults; within-package flow is the common case.
 type Summary struct {
 	// Params is the tracked parameter count: the receiver (when the
 	// function is a method) followed by the signature parameters.
@@ -104,10 +102,9 @@ type Summary struct {
 }
 
 // Store holds summaries keyed by the type-checker's function objects.
-// Within one load (one importer and file set) dependency packages share
-// their *types.Func objects with every importer, so a single store
-// spans the whole repository run; separate loads (fixture tests) get
-// disjoint keys and cannot contaminate each other.
+// Every type-check creates its own objects, so packages checked
+// separately (each repository package, each fixture) get disjoint keys
+// and cannot contaminate each other.
 type Store map[*types.Func]*Summary
 
 // Get returns the summary for f, or nil when f is unknown.

@@ -66,12 +66,10 @@ type flowCtx struct {
 	funcs []*funcInfo
 	// byObj maps declared functions to their info.
 	byObj map[*types.Func]*funcInfo
-	// sums is the summary store. It is shared process-wide: `go list
-	// -deps` order guarantees a dependency package is analyzed before its
-	// importers within one standalone run, so cross-package summaries are
-	// already present when a caller is reached. Store keys are the type
-	// checker's *types.Func objects, which separate loads never share, so
-	// fixture runs cannot contaminate a repository run.
+	// sums is the summary store, shared process-wide. Store keys are the
+	// type checker's *types.Func objects, which separately checked
+	// packages never share, so fixture runs cannot contaminate a
+	// repository run.
 	sums flow.Store
 	// taintFindings are detaint diagnostics recorded while summaries were
 	// computed, replayed when the analyzer runs.
@@ -79,7 +77,8 @@ type flowCtx struct {
 }
 
 // sharedSummaries persists function summaries across the packages of one
-// process so later packages see their dependencies' summaries.
+// process. Only a package's own functions are ever found in it: see
+// flow.Summary.
 var sharedSummaries = flow.Store{}
 
 // buildFlowCtx lowers every function body in the package to a CFG,

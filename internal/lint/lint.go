@@ -16,6 +16,10 @@
 // information comes from export data produced by `go list -export`, so
 // the linter needs no dependencies beyond the Go toolchain itself.
 //
+// The linter runs as one Go test: `go test ./internal/lint` type-checks
+// every model package with its in-package _test.go files
+// (TestRepositoryIsClean) and fails on any finding.
+//
 // Violations that are intentional are suppressed with a directive
 // comment on the same line or the line above:
 //
@@ -133,10 +137,6 @@ var ModelPackages = map[string]bool{
 	// engine events, like the rvma windows they sit on.
 	"rvma/internal/rstream": true,
 }
-
-// IsModelPackage reports whether the import path is subject to the
-// determinism rules.
-func IsModelPackage(path string) bool { return ModelPackages[path] }
 
 // RunAnalyzers applies every analyzer to the package and returns the
 // findings that survive allow-directive filtering, sorted by position.

@@ -1,7 +1,9 @@
 package lint
 
 import (
+	"bytes"
 	"cmp"
+	"go/format"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -39,21 +41,23 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
-// TestRepositoryIsClean is the acceptance gate: every model package in
-// this repository must produce zero diagnostics. CI additionally runs
-// cmd/rvmalint, but keeping the gate in `go test` means a violation
-// fails the ordinary test suite even where CI is not wired up.
+// TestRepositoryIsClean is the linter's one entry point: every model
+// package in this repository, its in-package _test.go files included,
+// must produce zero diagnostics. Keeping the gate in `go test` means a
+// violation fails the ordinary test suite wherever it runs.
 func TestRepositoryIsClean(t *testing.T) {
-	pkgs, err := Load("..", "rvma/...")
+	pkgs, err := Load("..")
 	if err != nil {
 		t.Fatalf("loading repository packages: %v", err)
 	}
-	checked := 0
+	checked := map[string]bool{}
+	sawSimTests := false
 	for _, pkg := range pkgs {
-		if !IsModelPackage(pkg.PkgPath) {
-			continue
+		if checked[pkg.PkgPath] {
+			t.Errorf("%s loaded twice; each model package is checked once, as its test variant when it has one", pkg.PkgPath)
 		}
-		checked++
+		checked[pkg.PkgPath] = true
+		sawSimTests = sawSimTests || pkg.PkgPath == "rvma/internal/sim" && hasFile(pkg, "engine_test.go")
 		diags, err := RunAnalyzers(pkg, All())
 		if err != nil {
 			t.Fatalf("%s: %v", pkg.PkgPath, err)
@@ -62,9 +66,45 @@ func TestRepositoryIsClean(t *testing.T) {
 			t.Errorf("%s", d)
 		}
 	}
-	if checked != len(ModelPackages) {
+	if len(checked) != len(ModelPackages) {
 		t.Errorf("checked %d model packages, expected %d — did a package move without updating lint.ModelPackages?",
-			checked, len(ModelPackages))
+			len(checked), len(ModelPackages))
+	}
+	if !sawSimTests {
+		t.Error("rvma/internal/sim was not loaded with engine_test.go; the gate must cover in-package test files")
+	}
+}
+
+// hasFile reports whether one of pkg's files has the given base name.
+func hasFile(pkg *Package, name string) bool {
+	for _, f := range pkg.Files {
+		if filepath.Base(pkg.Fset.Position(f.Pos()).Filename) == name {
+			return true
+		}
+	}
+	return false
+}
+
+// moduleGoFiles calls fn with the path and contents of every .go file in
+// the module, bench/ and examples/ included.
+func moduleGoFiles(t *testing.T, fn func(path string, data []byte)) {
+	t.Helper()
+	err := filepath.WalkDir(filepath.Join("..", ".."), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() && d.Name() == ".git" {
+			return cmp.Or(err, filepath.SkipDir)
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		fn(path, data)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -80,14 +120,7 @@ func TestAllowDirectivesNamedAndJustified(t *testing.T) {
 	}
 	directive := regexp.MustCompile(`//rvmalint:allow\s+([A-Za-z0-9_,]+)(.*)$`)
 	found := 0
-	err := filepath.WalkDir(filepath.Join("..", ".."), func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() && d.Name() == ".git" {
-			return cmp.Or(err, filepath.SkipDir)
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		data, err := os.ReadFile(path)
+	moduleGoFiles(t, func(path string, data []byte) {
 		for i, line := range strings.Split(string(data), "\n") {
 			m := directive.FindStringSubmatch(line)
 			// A quote before the directive puts it in a string literal or
@@ -105,14 +138,23 @@ func TestAllowDirectivesNamedAndJustified(t *testing.T) {
 				t.Errorf("%s:%d: allow directive has no justification; append ' -- <why this suppression is sound>'", path, i+1)
 			}
 		}
-		return err
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if found == 0 {
 		t.Error("no allow directives found; the walk missed the module")
 	}
+}
+
+// TestGoFilesAreGofmted fails on any .go file in the module, bench/ and
+// examples/ included, that gofmt would rewrite.
+func TestGoFilesAreGofmted(t *testing.T) {
+	moduleGoFiles(t, func(path string, data []byte) {
+		formatted, err := format.Source(data)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+		} else if !bytes.Equal(formatted, data) {
+			t.Errorf("%s: gofmt would reformat this file", path)
+		}
+	})
 }
 
 // TestDirectiveRequiresAnalyzerName guards the directive parser: a
@@ -147,7 +189,7 @@ func TestModelPackageSet(t *testing.T) {
 			t.Errorf("model package %q outside rvma/internal/", path)
 		}
 	}
-	if IsModelPackage("rvma/internal/harness") {
+	if ModelPackages["rvma/internal/harness"] {
 		t.Error("harness must stay host-side (it may time real executions)")
 	}
 }

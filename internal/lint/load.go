@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 )
 
 // Package is one parsed, type-checked package ready for analysis.
@@ -27,24 +28,21 @@ type Package struct {
 // listedPackage is the subset of `go list -json` output the loader needs.
 type listedPackage struct {
 	ImportPath string
-	Name       string
+	ForTest    string
 	Dir        string
 	GoFiles    []string
 	Export     string
-	Standard   bool
-	DepOnly    bool
 	ImportMap  map[string]string
 	Error      *struct{ Err string }
 }
 
-// goList runs `go list -deps -export -json` on the patterns and decodes
-// the JSON stream. -export compiles export data for every package into
-// the build cache, which is what lets the type checker resolve imports
-// without golang.org/x/tools: the stdlib gc importer reads those files
-// directly.
-func goList(dir string, patterns ...string) ([]*listedPackage, error) {
-	args := append([]string{"list", "-deps", "-export", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
+// goList runs `go list -deps -export -json` with the extra arguments
+// (flags, then patterns) and decodes the JSON stream. -export compiles
+// export data for every package into the build cache, which is what
+// lets the type checker resolve imports without golang.org/x/tools: the
+// stdlib gc importer reads those files directly.
+func goList(dir string, args ...string) ([]*listedPackage, error) {
+	cmd := exec.Command("go", append([]string{"list", "-deps", "-export", "-json"}, args...)...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
@@ -66,49 +64,52 @@ func goList(dir string, patterns ...string) ([]*listedPackage, error) {
 	return pkgs, nil
 }
 
-// exportLookup builds the importer lookup function over the listed
-// packages' export files, honoring per-package vendor import maps.
-func exportLookup(pkgs []*listedPackage) func(path string) (io.ReadCloser, error) {
-	byPath := make(map[string]*listedPackage, len(pkgs))
-	importMap := make(map[string]string)
+// exportFiles maps each listed package to its export data file.
+func exportFiles(pkgs []*listedPackage) map[string]string {
+	files := make(map[string]string, len(pkgs))
 	for _, p := range pkgs {
-		byPath[p.ImportPath] = p
-		for from, to := range p.ImportMap {
-			importMap[from] = to
-		}
+		files[p.ImportPath] = p.Export
 	}
-	return func(path string) (io.ReadCloser, error) {
-		if real, ok := importMap[path]; ok {
-			path = real
-		}
-		p := byPath[path]
-		if p == nil || p.Export == "" {
-			return nil, fmt.Errorf("lint: no export data for %q", path)
-		}
-		return os.Open(p.Export)
-	}
+	return files
 }
 
-// Load type-checks the packages matched by patterns (relative to dir;
-// empty dir means the current directory) and returns them ready for
-// analysis. Standard-library packages and pure dependencies are consumed
-// as export data only, never re-parsed.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	listed, err := goList(dir, patterns...)
+// Load type-checks every model package (ModelPackages) of the module
+// containing dir (empty means the current directory) and returns them
+// ready for analysis, in dependency order. A package with in-package
+// _test.go files is checked as its test variant, "p [p.test]": its own
+// files plus those tests, reported under p's import path, so each model
+// package appears once. External _test packages are not loaded.
+// Everything else is consumed as export data only, never re-parsed.
+func Load(dir string) ([]*Package, error) {
+	paths := make([]string, 0, len(ModelPackages))
+	for p := range ModelPackages {
+		paths = append(paths, p)
+	}
+	slices.Sort(paths)
+	listed, err := goList(dir, append([]string{"-test"}, paths...)...)
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", exportLookup(listed))
+	testVariant := make(map[string]*listedPackage)
+	for _, lp := range listed {
+		if lp.ForTest != "" && lp.ImportPath == lp.ForTest+" ["+lp.ForTest+".test]" {
+			testVariant[lp.ForTest] = lp
+		}
+	}
+	exports := exportFiles(listed)
 	var out []*Package
 	for _, lp := range listed {
-		if lp.DepOnly || lp.Standard {
+		if !ModelPackages[lp.ImportPath] {
 			continue
+		}
+		path := lp.ImportPath
+		if tv := testVariant[path]; tv != nil {
+			lp = tv
 		}
 		if lp.Error != nil {
 			return nil, fmt.Errorf("lint: %s: %s", lp.ImportPath, lp.Error.Err)
 		}
-		pkg, err := typeCheck(fset, imp, lp.ImportPath, lp.Dir, lp.GoFiles)
+		pkg, err := checkFiles(path, lp.Dir, lp.GoFiles, lp.ImportMap, exports)
 		if err != nil {
 			return nil, err
 		}
@@ -140,44 +141,25 @@ func LoadDir(dir, asPath string, deps ...string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", exportLookup(listed))
-	return typeCheck(fset, imp, asPath, dir, files)
+	return checkFiles(asPath, dir, files, nil, exportFiles(listed))
 }
 
-// CheckFiles type-checks an explicit file list using caller-supplied
-// import and export-file maps. This is the vet-tool path: the go command
-// hands the tool exactly one package unit per invocation, with export
-// data for every dependency already built.
-func CheckFiles(pkgPath, dir string, goFiles []string, importMap, packageFile map[string]string) (*Package, error) {
+// checkFiles parses and type-checks one package's files (named relative
+// to dir) as pkgPath. Each import resolves through the package's own
+// importMap (a test variant's imports name other variants) and then
+// exports, which maps listed import paths to export data files.
+func checkFiles(pkgPath, dir string, goFiles []string, importMap, exports map[string]string) (*Package, error) {
 	fset := token.NewFileSet()
 	lookup := func(path string) (io.ReadCloser, error) {
 		if real, ok := importMap[path]; ok {
 			path = real
 		}
-		file := packageFile[path]
+		file := exports[path]
 		if file == "" {
 			return nil, fmt.Errorf("lint: no export data for %q", path)
 		}
 		return os.Open(file)
 	}
-	imp := importer.ForCompiler(fset, "gc", lookup)
-	var names []string
-	for _, f := range goFiles {
-		if filepath.IsAbs(f) {
-			rel, err := filepath.Rel(dir, f)
-			if err != nil {
-				return nil, err
-			}
-			f = rel
-		}
-		names = append(names, f)
-	}
-	return typeCheck(fset, imp, pkgPath, dir, names)
-}
-
-// typeCheck parses and type-checks one package's files.
-func typeCheck(fset *token.FileSet, imp types.Importer, pkgPath, dir string, goFiles []string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range goFiles {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
@@ -194,7 +176,7 @@ func typeCheck(fset *token.FileSet, imp types.Importer, pkgPath, dir string, goF
 		Implicits:  make(map[ast.Node]types.Object),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	conf := types.Config{Importer: imp}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
 	tpkg, err := conf.Check(pkgPath, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %v", pkgPath, err)

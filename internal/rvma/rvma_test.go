@@ -306,13 +306,16 @@ func TestProtocolCountersReadStats(t *testing.T) {
 	if dst.Stats.NoBuffer != 1 || dst.Stats.Drops != 1 || dst.Stats.Nacks != 1 {
 		t.Fatalf("stats: %+v, want one no-buffer drop and its NACK", dst.Stats)
 	}
-	for name, want := range map[string]uint64{
-		"rvma.drops":                    dst.Stats.Drops,
-		"rvma.nacks":                    dst.Stats.Nacks,
-		"rvma.posted_buffer_exhaustion": dst.Stats.NoBuffer,
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{
+		{"rvma.drops", dst.Stats.Drops},
+		{"rvma.nacks", dst.Stats.Nacks},
+		{"rvma.posted_buffer_exhaustion", dst.Stats.NoBuffer},
 	} {
-		if got := reg.Counter(name).Value(); got != want {
-			t.Errorf("%s = %d, want %d", name, got, want)
+		if got := reg.Counter(c.name).Value(); got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, got, c.want)
 		}
 	}
 }
