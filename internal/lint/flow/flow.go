@@ -102,9 +102,9 @@ type Summary struct {
 }
 
 // Store holds summaries keyed by the type-checker's function objects.
-// Every type-check creates its own objects, so packages checked
-// separately (each repository package, each fixture) get disjoint keys
-// and cannot contaminate each other.
+// Every type-check creates its own objects, so a store serves only the
+// package whose check made them, and each package's analysis makes its
+// own.
 type Store map[*types.Func]*Summary
 
 // Get returns the summary for f, or nil when f is unknown.

@@ -66,20 +66,16 @@ type flowCtx struct {
 	funcs []*funcInfo
 	// byObj maps declared functions to their info.
 	byObj map[*types.Func]*funcInfo
-	// sums is the summary store, shared process-wide. Store keys are the
-	// type checker's *types.Func objects, which separately checked
-	// packages never share, so fixture runs cannot contaminate a
-	// repository run.
+	// sums is the package's own summary store. Its keys are the type
+	// checker's *types.Func objects, and a dependency is checked from its
+	// export data, whose objects differ from the ones its own source check
+	// stored, so a store shared across packages would never serve a
+	// summary across them: it would only grow.
 	sums flow.Store
 	// taintFindings are detaint diagnostics recorded while summaries were
 	// computed, replayed when the analyzer runs.
 	taintFindings []taintFinding
 }
-
-// sharedSummaries persists function summaries across the packages of one
-// process. Only a package's own functions are ever found in it: see
-// flow.Summary.
-var sharedSummaries = flow.Store{}
 
 // buildFlowCtx lowers every function body in the package to a CFG,
 // orders bodies bottom-up over the intra-package call graph, and
@@ -88,7 +84,7 @@ func buildFlowCtx(pkg *Package) *flowCtx {
 	ctx := &flowCtx{
 		pkg:   pkg,
 		byObj: make(map[*types.Func]*funcInfo),
-		sums:  sharedSummaries,
+		sums:  flow.Store{},
 	}
 
 	// Collect declared functions and methods in source order, then the

@@ -100,17 +100,19 @@ func RunHalo3D(c *Cluster, cfg Halo3DConfig) (sim.Time, error) {
 			p.Wait(tp.Prepare(peers, peers, maxMsg))
 			for iter := 0; iter < cfg.Iterations; iter++ {
 				p.Sleep(cfg.iterComputeTime())
-				// Post all sends, then consume all receives. Sends are
-				// nonblocking at this level; the transports enforce their
-				// own flow control.
-				sends := make([]*sim.Future, len(faces))
-				for i, f := range faces {
-					sends[i] = tp.Send(f.peer, f.size)
+				// Post all sends, then consume all receives, then wait
+				// for the sends to complete locally. Sends are nonblocking
+				// at this level; the transports enforce their own flow
+				// control.
+				for _, f := range faces {
+					tp.Send(f.peer, f.size)
 				}
 				for _, f := range faces {
 					tp.Recv(p, f.peer, f.size)
 				}
-				p.WaitAll(sends...)
+				for _, f := range faces {
+					tp.WaitSent(p, f.peer)
+				}
 			}
 			fin.Arrive(rank, tag.Now())
 		})

@@ -60,7 +60,8 @@ func RunIncast(c *Cluster, cfg IncastConfig) (sim.Time, error) {
 		tag.Spawn("incast-client", func(p *sim.Process) {
 			p.Wait(tp.Prepare(nil, server0, cfg.MsgBytes))
 			for m := 0; m < cfg.Messages; m++ {
-				p.Wait(tp.Send(0, cfg.MsgBytes))
+				tp.Send(0, cfg.MsgBytes)
+				tp.WaitSent(p, 0)
 			}
 			fin.Arrive(cl, tag.Now())
 		})

@@ -347,7 +347,8 @@ func RunKV(c *Cluster, cfg KVConfig) (sim.Time, *KVResult, error) {
 						req := reqQ[pi][s].pop()
 						rep := store.Apply(req)
 						respQ[s][pi].push(rep)
-						p.Wait(tp.Send(prox, cfg.respBytes()))
+						tp.Send(prox, cfg.respBytes())
+						tp.WaitSent(p, prox)
 					}
 					left--
 					if left == 0 {
@@ -441,7 +442,8 @@ func RunKV(c *Cluster, cfg KVConfig) (sim.Time, *KVResult, error) {
 				}
 				reqQ[pi][op.server].push(req)
 				op.issued = tag.Now()
-				p.Wait(tp.Send(op.server, cfg.reqBytes()))
+				tp.Send(op.server, cfg.reqBytes())
+				tp.WaitSent(p, op.server)
 			}
 			finish()
 		})

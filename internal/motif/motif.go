@@ -76,10 +76,17 @@ type Transport interface {
 	// resources toward each of outPeers. It returns a future resolving
 	// when setup is complete (RVMA: immediate; RDMA: after handshakes).
 	Prepare(inPeers, outPeers []int, maxMsg int) *sim.Future
-	// Send transfers size bytes to dst. The future resolves at local send
-	// completion (safe to reuse the send buffer); delivery is observed by
-	// the peer's Recv.
-	Send(dst, size int) *sim.Future
+	// Send transfers size bytes to dst. Delivery is observed by the
+	// peer's Recv, local completion (the send buffer is reusable) by
+	// WaitSent. Send hands out no handle, so the transport and its
+	// endpoint reuse what a message used once it is spent.
+	Send(dst, size int)
+	// WaitSent parks p, the calling process, until every message this
+	// transport has sent to dst has completed locally; it returns at once
+	// if none is pending. p resumes inside the completion of the last of
+	// them. The RVMA transport, whose puts complete locally in issue
+	// order, waits for every message sent so far, to any peer.
+	WaitSent(p *sim.Process, dst int)
 	// Recv parks p, the calling process, until the next not-yet-consumed
 	// message from src has fully arrived and its completion has been
 	// observed by host software; it returns at once if that has happened
@@ -341,7 +348,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			if rec != nil {
 				ep.SetReassemblyHorizon(rec.ReclaimAfter())
 			}
-			rvmaTPs[node].init(ep, n, cfg.RVMADepth, rec, sim.SeedFor(cfg.Seed, "rank", node))
+			rvmaTPs[node].init(ep, cfg.RVMADepth, rec, sim.SeedFor(cfg.Seed, "rank", node))
 			c.Transports[node] = rvmaTPs[node]
 		case KindRDMA:
 			dcfg := rdma.DefaultConfig()

@@ -14,6 +14,8 @@ import (
 // measure is the endpoints' completion schemes: RVMA's threshold counter
 // and completion pointer, RDMA's last-byte polling (RDMALastBytePoll on a
 // byte-ordered routing), and otherwise RDMA's trailing 1-byte send/recv.
+// The ping-pong detaches the transports' handlers from the two endpoints
+// first: the puts it issues are none of the transports' messages.
 
 // RunPingPong bounces a size-byte message between ranks 0 and 1 iters
 // times and returns the duration of that timed loop: 2*iters one-way
@@ -28,6 +30,8 @@ func RunPingPong(c *Cluster, size, iters int) (sim.Time, error) {
 		// size known a priori needs exactly one operation) and post a
 		// buffer before each message.
 		a, b := c.rvmaEPs[0], c.rvmaEPs[1]
+		a.SetNackHandler(nil)
+		b.SetNackHandler(nil)
 		const mboxA, mboxB = rvma.VAddr(0xA), rvma.VAddr(0xB)
 		winA, errA := a.InitWindow(mboxA, 1, rvma.EpochOps)
 		winB, errB := b.InitWindow(mboxB, 1, rvma.EpochOps)
@@ -53,6 +57,8 @@ func RunPingPong(c *Cluster, size, iters int) (sim.Time, error) {
 	}
 
 	a, b := c.rdmaEPs[0], c.rdmaEPs[1]
+	a.SetSentHandler(nil)
+	b.SetSentHandler(nil)
 	opAB := a.RequestRemoteBuffer(1, size)
 	opBA := b.RequestRemoteBuffer(0, size)
 	c.Group.Run()

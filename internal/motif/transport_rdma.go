@@ -59,12 +59,12 @@ type rdmaReliable struct {
 type rdmaSend struct {
 	t     *rdmaTransport
 	rp    *rdma.Reliable
-	local *sim.Future       // a put's first-attempt local completion
 	rb    rdma.RemoteBuffer // a put's target buffer; a send's rb.Node is its destination
 	size  int32             // a put's bytes
 	qp    int32             // a send's queue pair
 	put   bool
 	done  func() // s.acked
+	local func() // s.sent, run at a put's first-attempt local completion
 	next  *rdmaSend
 }
 
@@ -105,23 +105,21 @@ func (a *creditArm) credit() {
 
 // sendState is the per-destination sender bookkeeping.
 type sendState struct {
-	dst     int
+	dst     int32
+	rr      int32 // round-robin buffer cursor
+	credits int32
+	// pending counts the messages sent to dst that have not completed
+	// locally, queued ones included. Under adaptive routing a fenced put
+	// completes locally only after its ACK round trip, so completions to
+	// different destinations do not come in issue order, and each
+	// destination counts its own.
+	pending int32
 	ready   bool // handshakes finished
+	waiting bool // a process waits in WaitSent for pending to reach zero
 	bufs    []rdma.RemoteBuffer
-	rr      int // round-robin buffer cursor
-	credits int
-	queue   []*sendReq // messages waiting for a credit, oldest first
-	issued  []*sendReq // queued messages since issued, awaiting local completion
-	// issuedSent, bound at Prepare, runs when an issued message's put
-	// completes locally: it completes the future Send handed out.
-	issuedSent func()
-}
-
-// sendReq is a message that found no credit free when it was sent.
-type sendReq struct {
-	size  int
-	done  sim.Future  // Send hands out &done
-	local *sim.Future // the put's local completion, once issued
+	queue   []int32 // sizes of the messages waiting for a credit, oldest first
+	// drained is what the one process waiting on dst's sends parks on.
+	drained sim.Future
 }
 
 // recvState is the per-source receiver bookkeeping.
@@ -136,6 +134,7 @@ type recvState struct {
 // transport. rec is the node's recovery manager, nil without recovery.
 func (t *rdmaTransport) init(ep *rdma.Endpoint, ranks int, ordered bool, nbufs int, rec *recovery.Manager) {
 	t.ep, t.ranks, t.ordered, t.nbufs, t.rel.rec = ep, ranks, ordered, nbufs, rec
+	ep.SetSentHandler(t)
 }
 
 // Rank implements Transport.
@@ -164,8 +163,7 @@ func (t *rdmaTransport) Prepare(inPeers, outPeers []int, maxMsg int) *sim.Future
 		if _, ok := t.out[dst]; ok {
 			continue
 		}
-		st := &sendState{dst: dst, credits: t.nbufs}
-		st.issuedSent = func() { t.completeIssued(st) }
+		st := &sendState{dst: int32(dst), credits: int32(t.nbufs)}
 		t.out[dst] = st
 		for i := 0; i < t.nbufs; i++ {
 			remaining++
@@ -239,72 +237,88 @@ func (h *handshake) reply(rb any) {
 func (h *handshake) Abandon() { h.abandoned = true }
 
 // Send implements Transport: the message goes to the wire when a
-// negotiated buffer credit is available. With one free, the future handed
-// back is the put's own local completion; otherwise the message queues.
-func (t *rdmaTransport) Send(dst, size int) *sim.Future {
+// negotiated buffer credit is available; otherwise it queues until one
+// comes back.
+//
+//rvmalint:hot
+func (t *rdmaTransport) Send(dst, size int) {
 	st := t.out[dst]
 	if st == nil {
 		panic(fmt.Sprintf("motif: rank %d Send to unprepared dst %d", t.Rank(), dst))
 	}
+	st.pending++
 	if st.ready && st.credits > 0 && len(st.queue) == 0 {
-		return t.issue(st, size)
+		t.issue(st, size)
+		return
 	}
-	req := &sendReq{size: size}
-	st.queue = append(st.queue, req)
+	//rvmalint:allow hotalloc -- the queue keeps its capacity, so it grows only to the peak of messages waiting for a credit
+	st.queue = append(st.queue, int32(size))
 	t.drain(st)
-	return &req.done
+}
+
+// WaitSent implements Transport. dst's messages are counted on their own,
+// and only one process may wait on them at a time.
+//
+//rvmalint:hot
+func (t *rdmaTransport) WaitSent(p *sim.Process, dst int) {
+	st := t.out[dst]
+	if st == nil {
+		panic(fmt.Sprintf("motif: rank %d WaitSent on unprepared dst %d", t.Rank(), dst))
+	}
+	if st.pending == 0 {
+		return
+	}
+	if st.waiting {
+		panic(fmt.Sprintf("motif: rank %d has two processes waiting on sends to %d", t.Rank(), dst))
+	}
+	st.waiting = true
+	p.Wait(&st.drained)
+	st.drained = sim.Future{}
+}
+
+// Sent implements rdma.SentHandler: a message to dst has completed
+// locally, and once none is pending the waiting process resumes.
+//
+//rvmalint:hot
+func (t *rdmaTransport) Sent(dst int) {
+	st := t.out[dst]
+	st.pending--
+	if st.pending == 0 && st.waiting {
+		st.waiting = false
+		st.drained.Complete(t.ep.Engine(), nil)
+	}
 }
 
 // drain issues queued sends while credits last.
+//
+//rvmalint:hot
 func (t *rdmaTransport) drain(st *sendState) {
 	for st.ready && st.credits > 0 && len(st.queue) > 0 {
-		req := st.queue[0]
-		st.queue = removeAt(st.queue, 0)
-		req.local = t.issue(st, req.size)
-		st.issued = append(st.issued, req)
-		req.local.OnComplete(st.issuedSent)
+		size := st.queue[0]
+		// Shift down in place, so later appends reuse the capacity.
+		st.queue = st.queue[:copy(st.queue, st.queue[1:])]
+		t.issue(st, int(size))
 	}
 }
 
-// completeIssued completes the issued message whose put just completed
-// locally. Local completions run one at a time, each removing its own
-// message, so it is the one issued message whose local future is done.
-func (t *rdmaTransport) completeIssued(st *sendState) {
-	for i, req := range st.issued {
-		if req.local.Done() {
-			st.issued = removeAt(st.issued, i)
-			req.done.Complete(t.ep.Engine(), nil)
-			return
-		}
-	}
-}
-
-// removeAt removes s[i] by shifting the tail down in place, so later
-// appends reuse s's capacity instead of reallocating it as a reslice
-// past the front would.
-func removeAt[T any](s []*T, i int) []*T {
-	n := i + copy(s[i:], s[i+1:])
-	s[n] = nil
-	return s[:n]
-}
-
-// issue spends a credit on one message of the given size and returns its
-// local completion: the put's own future, or under recovery the first
-// attempt's.
-func (t *rdmaTransport) issue(st *sendState, size int) *sim.Future {
+// issue spends a credit on one message of the given size: a put, or
+// under recovery its first attempt, whose local completion comes back
+// through Sent.
+//
+//rvmalint:hot
+func (t *rdmaTransport) issue(st *sendState, size int) {
 	st.credits--
 	rb := st.bufs[st.rr]
-	st.rr = (st.rr + 1) % len(st.bufs)
+	st.rr = (st.rr + 1) % int32(len(st.bufs))
 
-	var local *sim.Future
 	if t.rel.rec != nil {
-		local = t.sendReliable(st, rb, size)
+		t.sendReliable(st, rb, size)
 	} else {
 		scheme := rdma.CompleteSendRecv
 		if t.ordered {
 			scheme = rdma.CompleteNone // receiver uses cumulative last-byte polling
 		}
-		local = t.ep.PutN(rb, 0, size, scheme).Local
+		t.ep.PutN(rb, 0, size, scheme)
 	}
 
 	// Arm the credit return for this buffer.
@@ -312,13 +326,13 @@ func (t *rdmaTransport) issue(st *sendState, size int) *sim.Future {
 	if a != nil {
 		t.idle, a.next = a.next, nil
 	} else {
+		//rvmalint:allow hotalloc -- pool miss: arms return when their credit arrives, so the pool grows to the peak of messages awaiting a credit and then stays
 		a = &creditArm{t: t}
 		a.fire = a.credit
 	}
 	a.st = st
-	a.recv = t.ep.PostRecv(st.dst, creditQP)
+	a.recv = t.ep.PostRecv(int(st.dst), creditQP)
 	a.recv.Done.OnComplete(a.fire)
-	return local
 }
 
 // sendReliable issues one message under the recovery layer: an acked put,
@@ -327,18 +341,15 @@ func (t *rdmaTransport) issue(st *sendState, size int) *sim.Future {
 // captured once so retransmits wait for exactly the bytes the original
 // did. The put and the fence recover independently; the receiver's dedup
 // guarantees neither double-counts bytes nor double-delivers the fence.
-// It returns the put's first-attempt local completion.
 //
 //rvmalint:hot
-func (t *rdmaTransport) sendReliable(st *sendState, rb rdma.RemoteBuffer, size int) *sim.Future {
+func (t *rdmaTransport) sendReliable(st *sendState, rb rdma.RemoteBuffer, size int) {
 	s := t.newSend()
 	s.rb, s.size, s.put = rb, int32(size), true
 	t.rel.rec.Run(s)
-	local := s.local
 	if !t.ordered {
-		t.reliableSend(st.dst, rdma.FenceQP)
+		t.reliableSend(int(st.dst), rdma.FenceQP)
 	}
-	return local
 }
 
 // reliableSend issues a 1-byte control send (fence or credit) under the
@@ -363,7 +374,7 @@ func (t *rdmaTransport) newSend() *rdmaSend {
 	}
 	//rvmalint:allow hotalloc -- pool miss: records return at their operation's ack or abandonment, so the pool grows to the peak of reliable operations in flight and then stays
 	s = &rdmaSend{t: t}
-	s.done = s.acked
+	s.done, s.local = s.acked, s.sent
 	return s
 }
 
@@ -379,7 +390,7 @@ func (s *rdmaSend) Attempt(try int) recovery.Attempt {
 		at = ep.Retransmit(s.rp)
 	case s.put:
 		s.rp, at = ep.PutNReliable(s.rb, 0, int(s.size))
-		s.local = at.Local
+		at.Local.OnComplete(s.local)
 	default:
 		s.rp, at = ep.SendReliable(s.rb.Node, int(s.qp), 1)
 	}
@@ -398,9 +409,15 @@ func (s *rdmaSend) Abandon() {
 //rvmalint:hot
 func (s *rdmaSend) acked() { s.free() }
 
+// sent runs at a put's first-attempt local completion, which comes before
+// its ack and any abandonment, so the record is still this message's.
+//
+//rvmalint:hot
+func (s *rdmaSend) sent() { s.t.Sent(s.rb.Node) }
+
 func (s *rdmaSend) free() {
 	rel := &s.t.rel
-	*s = rdmaSend{t: s.t, done: s.done, next: rel.idle}
+	*s = rdmaSend{t: s.t, done: s.done, local: s.local, next: rel.idle}
 	rel.idle = s
 }
 

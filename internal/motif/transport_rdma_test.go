@@ -69,26 +69,28 @@ func rdmaExchange(t *testing.T, routing fabric.RoutingMode, lastByte, burst, rel
 	return ms.Mallocs - before
 }
 
-// One message through the RDMA transport allocates the send-side
-// operations it hands out and nothing else: the PutOp, whose commands and
-// continuations also carry the fence send under adaptive routing, and the
-// receiver's credit-return SendOp. The receive handles are reused: Recv
-// parks the receiver on the fence RecvOp (or, under static routing with
-// last-byte polling, the byte wait) and hands it back to the endpoint once
-// the receiver resumes, and the sender's RecvOp armed for the credit goes
-// back, with its pooled credit arm, when the credit arrives. The credit
-// return runs first on the receive's own future and the waiting process
-// second, both held inline by the future. A message that waits for a
-// credit adds the sendReq whose future Send hands out. Under the recovery
-// layer a message allocates the Reliable and Attempt of its put, its fence
-// send and its credit send, and nothing else: the manager's operation
-// records and the transport's send records come from free lists, and the
-// timeouts wait in a stage.
+// One message through the RDMA transport allocates nothing. Its PutOp,
+// whose commands and continuations also carry the fence send under
+// adaptive routing, and the receiver's credit-return SendOp go back to
+// their endpoints' free lists once their local completions, packets and
+// (for a conservative fence) transport ACK are spent; Send hands out no
+// future, and a message that waits for a credit queues only its size.
+// The receive handles are reused: Recv parks the receiver on the fence
+// RecvOp (or, under static routing with last-byte polling, the byte
+// wait) and hands it back to the endpoint once the receiver resumes, and
+// the sender's RecvOp armed for the credit goes back, with its pooled
+// credit arm, when the credit arrives. The credit return runs first on
+// the receive's own future and the waiting process second, both held
+// inline by the future. Under the recovery layer a message allocates the
+// Reliable and Attempt of its put, its fence send and its credit send,
+// and nothing else: the manager's operation records and the transport's
+// send records come from free lists, and the timeouts wait in a stage.
 // The run-length difference cancels set-up, handshakes, process spawns
 // and pool warm-up, so what is left is the marginal cost of a message,
 // and a 4-packet message must cost what a 1-packet one does. The count is
 // rounded to one decimal: a pool reaching a new peak, or the runtime's
-// own bookkeeping, adds a handful of allocations per run, not per message.
+// own bookkeeping, adds a handful of allocations per run, not per
+// message, and can make the longer run's count the smaller one.
 func TestRDMAMessageAllocations(t *testing.T) {
 	if sim.DebugEnabled {
 		t.Skip("simdebug invariant checks box their arguments; the gate is for normal builds")
@@ -103,9 +105,9 @@ func TestRDMAMessageAllocations(t *testing.T) {
 		reliable bool
 		want     float64
 	}{
-		{"adaptive fence", fabric.RouteAdaptive, false, false, false, 2},
-		{"static WaitBytes", fabric.RouteStatic, true, false, false, 2},
-		{"adaptive fence, credit-bound burst", fabric.RouteAdaptive, false, true, false, 3},
+		{"adaptive fence", fabric.RouteAdaptive, false, false, false, 0},
+		{"static WaitBytes", fabric.RouteStatic, true, false, false, 0},
+		{"adaptive fence, credit-bound burst", fabric.RouteAdaptive, false, true, false, 0},
 		{"reliable ping-pong", fabric.RouteAdaptive, false, false, true, 6},
 	} {
 		perPackets := map[int]float64{}
@@ -114,7 +116,7 @@ func TestRDMAMessageAllocations(t *testing.T) {
 				size := packets * mtu
 				short := rdmaExchange(t, tc.routing, tc.lastByte, tc.burst, tc.reliable, size, messages)
 				long := rdmaExchange(t, tc.routing, tc.lastByte, tc.burst, tc.reliable, size, 2*messages)
-				perMsg := math.Round(float64(long-short)/messages*10) / 10
+				perMsg := math.Round((float64(long)-float64(short))/messages*10) / 10
 				perPackets[packets] = perMsg
 				if perMsg > tc.want {
 					t.Errorf("%.1f allocations per message, want at most %v", perMsg, tc.want)

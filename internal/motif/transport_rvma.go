@@ -21,8 +21,16 @@ import (
 // anything: receiver-managed buffering removes all per-message
 // coordination.
 type rvmaTransport struct {
-	ep           *rvma.Endpoint
-	ranks, depth int32
+	ep    *rvma.Endpoint
+	depth int32
+	// putsSent and, below, puts and lastMsg are WaitSent's counters: puts
+	// counts the puts this transport has issued, NACK retries included,
+	// and putsSent their local completions so far, which come in issue
+	// order. lastMsg is puts as of the latest Send: once putsSent reaches
+	// it, every message sent so far has left the NIC. Under recovery only
+	// first attempts count, so a retransmit is never waited for. The
+	// counters wrap; they are compared by difference.
+	putsSent uint32
 	// boxes is made by the first Prepare that names an in-neighbor.
 	boxes map[int]*mailboxState
 	// rel, when its manager is set, puts every Send under the recovery
@@ -34,8 +42,12 @@ type rvmaTransport struct {
 	// resharding.
 	rng sim.RNG
 	// idle lists the zeroed waits whose process has resumed, for the next
-	// Recv that must wait.
+	// Recv or WaitSent that must wait.
 	idle *recvWait
+	// sending is the newest of the waits parked in WaitSent, which form a
+	// ring in the order they parked: sending.next is the oldest.
+	sending       *recvWait
+	puts, lastMsg uint32
 }
 
 // rvmaReliable is a transport's recovery state: its node's manager, nil
@@ -52,20 +64,22 @@ type rvmaReliable struct {
 type rvmaSend struct {
 	t     *rvmaTransport
 	rp    *rvma.ReliablePut
-	local *sim.Future // the first attempt's local completion
 	dst   int32
 	size  int32
 	done  func() // s.acked
+	local func() // s.sent, run at the first attempt's local completion
 	next  *rvmaSend
 }
 
-// recvWait is what a Recv that finds no completed message parks on. The
-// completion handler pops it from the mailbox to complete it, so once the
-// parked process resumes it is the wait's only holder, and Recv links the
-// wait into the transport's idle list.
+// recvWait is what a Recv that finds no completed message, or a WaitSent
+// that finds a message not yet sent, parks on. The transport's handler
+// pops it to complete it, so once the parked process resumes it is the
+// wait's only holder, and the process links the wait into the
+// transport's idle list.
 type recvWait struct {
-	done sim.Future
-	next *recvWait
+	done   sim.Future
+	next   *recvWait
+	target uint32 // a WaitSent's: the putsSent that releases it
 }
 
 // mailboxState tracks one in-neighbor's window and its consumption queue.
@@ -84,8 +98,8 @@ type mailboxState struct {
 // init makes t, a zero transport in its shard's array, rank ep.Node()'s
 // transport. rec is the node's recovery manager, nil without recovery,
 // and seed seeds the NACK-retry backoff stream.
-func (t *rvmaTransport) init(ep *rvma.Endpoint, ranks, depth int, rec *recovery.Manager, seed uint64) {
-	t.ep, t.ranks, t.depth, t.rel.rec = ep, int32(ranks), int32(depth), rec
+func (t *rvmaTransport) init(ep *rvma.Endpoint, depth int, rec *recovery.Manager, seed uint64) {
+	t.ep, t.depth, t.rel.rec = ep, int32(depth), rec
 	t.rng.Seed(seed)
 	ep.SetNackHandler(t)
 }
@@ -93,8 +107,8 @@ func (t *rvmaTransport) init(ep *rvma.Endpoint, ranks, depth int, rec *recovery.
 // Rank implements Transport.
 func (t *rvmaTransport) Rank() int { return t.ep.Node() }
 
-// Ranks implements Transport.
-func (t *rvmaTransport) Ranks() int { return int(t.ranks) }
+// Ranks implements Transport: every node of the network runs a rank.
+func (t *rvmaTransport) Ranks() int { return t.ep.NIC().Network().Topology().NumNodes() }
 
 // Prepare implements Transport: create one window per in-neighbor and
 // keep `depth` buffers posted. RVMA senders need no preparation at all —
@@ -162,22 +176,68 @@ func (t *rvmaTransport) postOne(box *mailboxState) {
 // NACKed (§III-C) and the initiator retries after a backoff (Nacked) —
 // the receiver stays in control of its resources, and a temporarily
 // overwhelmed mailbox costs the *sender* time rather than wedging the
-// receiver. The future handed back is the put's own local completion.
-func (t *rvmaTransport) Send(dst, size int) *sim.Future {
+// receiver.
+//
+//rvmalint:hot
+func (t *rvmaTransport) Send(dst, size int) {
+	t.puts++
+	t.lastMsg = t.puts
 	if t.rel.rec != nil {
-		return t.sendReliable(dst, size)
+		t.sendReliable(dst, size)
+		return
 	}
-	return t.ep.PutN(dst, rvma.VAddr(t.Rank()), 0, size).Local
+	t.ep.PutN(dst, rvma.VAddr(t.Rank()), 0, size)
+}
+
+// WaitSent implements Transport. Puts complete locally in the order they
+// were issued, so the caller waits for the latest Send's put: by then
+// every message sent so far, dst's included, has left the NIC.
+//
+//rvmalint:hot
+func (t *rvmaTransport) WaitSent(p *sim.Process, dst int) {
+	if int32(t.lastMsg-t.putsSent) <= 0 {
+		return
+	}
+	w := t.wait()
+	w.target = t.lastMsg
+	if t.sending == nil {
+		w.next = w
+	} else {
+		w.next, t.sending.next = t.sending.next, w
+	}
+	t.sending = w
+	t.park(p, w)
+}
+
+// Sent implements rvma.NackHandler: a put has completed locally, and the
+// waits it releases resume, oldest first.
+//
+//rvmalint:hot
+func (t *rvmaTransport) Sent(int) {
+	t.putsSent++
+	for t.sending != nil {
+		w := t.sending.next
+		if int32(w.target-t.putsSent) > 0 {
+			return
+		}
+		if w == t.sending {
+			t.sending = nil
+		} else {
+			t.sending.next = w.next
+		}
+		w.next = nil
+		w.done.Complete(t.ep.Engine(), nil)
+	}
 }
 
 // sendReliable puts the message under the recovery layer: an acked put
 // whose NACKs (closed mailbox, no posted buffer) and ack timeouts both
-// feed the same bounded-backoff retransmit loop. The future handed back
-// keeps Send's local-completion semantics: it is the first attempt's
-// Local, which resolves when that attempt leaves the NIC, not at the ack.
+// feed the same bounded-backoff retransmit loop. The first attempt's
+// local completion counts as the message's, as a plain put's does; a
+// retransmit's is nobody's to wait for.
 //
 //rvmalint:hot
-func (t *rvmaTransport) sendReliable(dst, size int) *sim.Future {
+func (t *rvmaTransport) sendReliable(dst, size int) {
 	rel := &t.rel
 	s := rel.idle
 	if s != nil {
@@ -185,11 +245,10 @@ func (t *rvmaTransport) sendReliable(dst, size int) *sim.Future {
 	} else {
 		//rvmalint:allow hotalloc -- pool miss: records return at their put's ack or abandonment, so the pool grows to the peak of reliable puts in flight and then stays
 		s = &rvmaSend{t: t}
-		s.done = s.acked
+		s.done, s.local = s.acked, s.sent
 	}
 	s.dst, s.size = int32(dst), int32(size)
 	rel.rec.Run(s)
-	return s.local
 }
 
 // Attempt implements recovery.Sender: the first attempt puts the message,
@@ -200,7 +259,7 @@ func (s *rvmaSend) Attempt(try int) recovery.Attempt {
 	var at *rvma.PutAttempt
 	if try == 0 {
 		s.rp, at = s.t.ep.PutNAcked(int(s.dst), rvma.VAddr(s.t.Rank()), 0, int(s.size))
-		s.local = at.Local
+		at.Local.OnComplete(s.local)
 	} else {
 		at = s.t.ep.Retransmit(s.rp)
 	}
@@ -219,19 +278,29 @@ func (s *rvmaSend) Abandon() {
 //rvmalint:hot
 func (s *rvmaSend) acked() { s.free() }
 
+// sent runs at the first attempt's local completion, which comes before
+// its ack and any abandonment, so the record is still this message's.
+//
+//rvmalint:hot
+func (s *rvmaSend) sent() { s.t.Sent(int(s.dst)) }
+
 func (s *rvmaSend) free() {
 	rel := &s.t.rel
-	s.rp, s.local = nil, nil
+	s.rp = nil
 	s.next, rel.idle = rel.idle, s
 }
 
 // Nacked implements rvma.NackHandler, registered once per transport: a
 // NACKed put is put again after a backoff, and a NACK of the retry comes
-// back here.
-func (t *rvmaTransport) Nacked(op *rvma.PutOp) {
+// back here. The retry is no message of the caller's, so WaitSent does
+// not wait for it.
+func (t *rvmaTransport) Nacked(dst, size int) {
 	eng := t.ep.Engine().Tag("motif")
 	backoff := t.rng.Jitter(2*sim.Microsecond, 0.5)
-	eng.Schedule(backoff, func() { t.ep.PutN(op.Dst(), rvma.VAddr(t.Rank()), 0, op.Size()) })
+	eng.Schedule(backoff, func() {
+		t.puts++
+		t.ep.PutN(dst, rvma.VAddr(t.Rank()), 0, size)
+	})
 }
 
 // Recv implements Transport: consume the next completed epoch on the
@@ -259,14 +328,28 @@ func (t *rvmaTransport) Recv(p *sim.Process, src, size int) {
 		box.available--
 		return
 	}
+	w := t.wait()
+	box.waiters.Push(&w.done)
+	t.park(p, w)
+}
+
+// wait takes a wait from the idle list.
+//
+//rvmalint:hot
+func (t *rvmaTransport) wait() *recvWait {
 	w := t.idle
 	if w != nil {
 		t.idle, w.next = w.next, nil
-	} else {
-		//rvmalint:allow hotalloc -- idle-list miss: a process is parked on every wait the transport made
-		w = new(recvWait)
+		return w
 	}
-	box.waiters.Push(&w.done)
+	//rvmalint:allow hotalloc -- idle-list miss: a process is parked on every wait the transport made
+	return new(recvWait)
+}
+
+// park parks p on w until w completes, then returns w to the idle list.
+//
+//rvmalint:hot
+func (t *rvmaTransport) park(p *sim.Process, w *recvWait) {
 	p.Wait(&w.done)
 	w.done = sim.Future{}
 	w.next, t.idle = t.idle, w

@@ -162,6 +162,17 @@ func (n *NIC) Network() *fabric.Network { return n.net }
 // MTU returns the fabric's maximum payload per packet.
 func (n *NIC) MTU() int { return n.net.MTU() }
 
+// Packets returns how many packets SendMessage cuts a message of total
+// payload bytes into: one per MTU, and one for an empty message.
+func (n *NIC) Packets(total int) int {
+	mtu := n.MTU()
+	return max(1, (total+mtu-1)/mtu)
+}
+
+// SameShard reports whether node's events run on this NIC's shard: only
+// then may this node's components write state that node's also write.
+func (n *NIC) SameShard(node int) bool { return n.net.NodeShard(node) == n.net.NodeShard(n.node) }
+
 // SetTracer attaches a tracer; send/receive pipeline activity goes to
 // trace.CatNIC. A nil tracer detaches.
 func (n *NIC) SetTracer(t *trace.Tracer) { n.tracer = t }

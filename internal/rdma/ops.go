@@ -42,18 +42,33 @@ func (ep *Endpoint) RequestRemoteBuffer(dst, size int) *RegOp {
 // PutOp tracks one initiated RDMA put. It owns the continuations of its
 // own pipeline: post, local send completion and, with CompleteSendRecv,
 // the trailing fence send's post and completion (putFence).
+//
+// A PutN's op is the endpoint's own, and goes back to the endpoint's free
+// list once nothing can reach it any more. refs counts what still can:
+// its local completion, each data packet until the target has handled
+// it, the transport ACK of a conservative fence until the initiator has,
+// and the fence packet until the target has. Only components on the
+// initiator's shard count, each deciding from the peer's node id, so an
+// op whose target is on another shard is never recycled, and a packet
+// the fabric drops is never counted down, leaving its op to the
+// collector. An op Put handed to a caller is counted the same way but
+// never recycled.
 type PutOp struct {
 	// Local resolves when the last data packet (and the trailing fence
 	// send, if any) has been handed to the fabric.
 	Local *sim.Future
 
-	local  sim.Future    // what Local points at: one allocation per put
+	local  sim.Future    // what Local points at
 	cmd    command       // the wire command every data packet carries
 	fence  command       // the trailing fence send's command (CompleteSendRecv)
 	sp     *metrics.Span // the put's span, nil unless spans are enabled
 	txWait sim.Time      // NIC backlog when the data was posted (span nic_tx wait)
 	dst    int
-	fenced bool // CompleteSendRecv: Local waits for the fence send
+	ep     *Endpoint // the initiator, whose free list a PutN's op returns to
+	refs   int32     // references left (see PutOp); 0 on the free list
+	fenced bool      // CompleteSendRecv: Local waits for the fence send
+	pooled bool      // a PutN's op: no caller holds it
+	next   *PutOp    // free-list link
 }
 
 // putFence is a PutOp in the role of its trailing fence send: the same
@@ -75,36 +90,49 @@ func (op *PutOp) acked(ep *Endpoint) { ep.reap((*putFence)(op)) }
 // what the paper's modified perftest does to be specification-compliant
 // on adaptively routed networks (§V-A1).
 func (ep *Endpoint) Put(rb RemoteBuffer, offset int, data []byte, scheme CompletionScheme) *PutOp {
-	return ep.put(rb, offset, len(data), data, scheme)
+	op := &PutOp{ep: ep}
+	op.Local = &op.local
+	ep.put(op, rb, offset, len(data), data, scheme)
+	return op
 }
 
-// PutN is Put without payload bytes (timing-only, for motif scale).
-func (ep *Endpoint) PutN(rb RemoteBuffer, offset, size int, scheme CompletionScheme) *PutOp {
-	return ep.put(rb, offset, size, nil, scheme)
+// PutN is Put without payload bytes (timing-only, for motif scale). It
+// hands out no handle: its local completion reaches the endpoint's
+// handler (SetSentHandler), so its op is recycled once it is spent.
+//
+//rvmalint:hot
+func (ep *Endpoint) PutN(rb RemoteBuffer, offset, size int, scheme CompletionScheme) {
+	op := ep.freePut()
+	ep.put(op, rb, offset, size, nil, scheme)
 }
 
-func (ep *Endpoint) put(rb RemoteBuffer, offset, size int, data []byte, scheme CompletionScheme) *PutOp {
+//rvmalint:hot
+func (ep *Endpoint) put(op *PutOp, rb RemoteBuffer, offset, size int, data []byte, scheme CompletionScheme) {
 	if offset < 0 || size < 0 || offset+size > rb.Size {
 		panic(fmt.Sprintf("rdma: put [%d,%d) exceeds remote buffer of %d", offset, offset+size, rb.Size))
 	}
 	ep.Stats.PutsInitiated++
 	msgID := ep.nextMsgID
 	ep.nextMsgID++
-	op := &PutOp{
-		cmd: command{
-			op: opPutData, msgID: msgID, rkey: rb.RKey, msgOffset: offset, total: size,
-			wantAck: scheme == CompleteSendRecv && !ep.cfg.PipelinedFence,
-		},
-		dst: rb.Node, fenced: scheme == CompleteSendRecv,
+	op.cmd = command{
+		op: opPutData, msgID: msgID, rkey: rb.RKey, msgOffset: offset, total: size, ref: op,
+		wantAck: scheme == CompleteSendRecv && !ep.cfg.PipelinedFence,
 	}
-	op.Local = &op.local
-	op.cmd.ref = op
+	op.dst, op.fenced = rb.Node, scheme == CompleteSendRecv
 	if ep.cfg.CarryData {
 		op.cmd.data = data
 	}
+	if ep.nic.SameShard(op.dst) {
+		op.refs = 1 + int32(ep.nic.Packets(size))
+		if op.cmd.wantAck {
+			op.refs++
+		}
+		if op.fenced {
+			op.refs++
+		}
+	}
 	op.sp = ep.reg.BeginSpan(ep.eng.Now(), metrics.SpanKey{Node: ep.Node(), ID: msgID}, "rdma.put", ep.Node())
 	ep.post(op)
-	return op
 }
 
 // post hands the put's data to the NIC once the host has posted it.
@@ -136,8 +164,63 @@ func (op *PutOp) post(ep *Endpoint) {
 func (op *PutOp) sent(ep *Endpoint) {
 	op.sp.StageWait(ep.eng.Now(), "nic_tx", op.txWait)
 	if !op.fenced {
+		op.complete(ep)
+	}
+}
+
+// complete completes the put locally: a PutN's completion goes to the
+// endpoint's handler, a Put's to its Local future.
+//
+//rvmalint:hot
+func (op *PutOp) complete(ep *Endpoint) {
+	if !op.pooled {
 		op.Local.Complete(ep.eng.Engine, nil)
 	}
+	dst, pooled := op.dst, op.pooled
+	if ep.nic.SameShard(dst) {
+		op.unref()
+	}
+	if pooled && ep.onSent != nil {
+		ep.onSent.Sent(dst)
+	}
+}
+
+// unref consumes one of op's references; the last one puts a PutN's op
+// back on its endpoint's free list.
+//
+//rvmalint:hot
+func (op *PutOp) unref() {
+	if sim.DebugEnabled {
+		sim.Assertf(op.refs > 0, "rdma: put %d consumed after its last reference", op.cmd.msgID)
+	}
+	op.refs--
+	if op.refs > 0 || !op.pooled {
+		return
+	}
+	ep := op.ep
+	if sim.DebugEnabled {
+		sim.Assertf(ep.nic.SameShard(op.dst), "rdma: put %d to node %d on another shard recycled", op.cmd.msgID, op.dst)
+	}
+	s := ep.spares()
+	*op = PutOp{ep: ep, pooled: true, next: s.puts}
+	s.puts = op
+}
+
+// freePut takes a PutN's op from the endpoint's free list.
+//
+//rvmalint:hot
+func (ep *Endpoint) freePut() *PutOp {
+	s := ep.spare
+	if s == nil || s.puts == nil {
+		//rvmalint:allow hotalloc -- free-list miss: ops return once spent, so the list grows to the peak of puts in flight and then stays
+		return &PutOp{ep: ep, pooled: true}
+	}
+	op := s.puts
+	if sim.DebugEnabled {
+		sim.Assertf(op.refs == 0, "rdma: put on the free list has %d references", op.refs)
+	}
+	s.puts, op.next = op.next, nil
+	return op
 }
 
 // post sends the put's trailing 1-byte fence.
@@ -145,6 +228,7 @@ func (op *PutOp) sent(ep *Endpoint) {
 //rvmalint:hot
 func (f *putFence) post(ep *Endpoint) {
 	f.fence.op, f.fence.msgID, f.fence.qp, f.fence.total = opSend, ep.nextMsgID, FenceQP, 1
+	f.fence.ref = (*PutOp)(f)
 	ep.nextMsgID++
 	ep.send(f.dst, 1, &f.fence, f)
 }
@@ -152,15 +236,18 @@ func (f *putFence) post(ep *Endpoint) {
 // sent completes the put: its fence has left the NIC.
 //
 //rvmalint:hot
-func (f *putFence) sent(ep *Endpoint) { f.Local.Complete(ep.eng.Engine, nil) }
+func (f *putFence) sent(ep *Endpoint) { (*PutOp)(f).complete(ep) }
 
-// SendOp tracks a two-sided send.
+// SendOp tracks a two-sided send, which Send hands to no caller. Like a
+// PutN's op it returns to the endpoint's free list once spent: refs
+// counts its local completion and each packet until the target has
+// handled it, on the initiator's shard only.
 type SendOp struct {
-	Local *sim.Future
-
-	local sim.Future // what Local points at
-	cmd   command    // the wire command every packet of the send carries
-	dst   int
+	cmd  command // the wire command every packet of the send carries
+	dst  int
+	ep   *Endpoint
+	refs int32
+	next *SendOp // free-list link
 }
 
 // Send issues a two-sided message of the given size to dst on the given
@@ -168,12 +255,27 @@ type SendOp struct {
 // the fence rule: they are delivered only after all previously issued put
 // bytes to that destination have landed (per-QP operation ordering).
 // Control QPs (qp != FenceQP) carry no fence.
-func (ep *Endpoint) Send(dst, qp, size int) *SendOp {
-	op := &SendOp{cmd: command{op: opSend, msgID: ep.nextMsgID, qp: qp, total: size}, dst: dst}
-	op.Local = &op.local
+//
+//rvmalint:hot
+func (ep *Endpoint) Send(dst, qp, size int) {
+	var op *SendOp
+	if s := ep.spare; s != nil && s.sends != nil {
+		op = s.sends
+		if sim.DebugEnabled {
+			sim.Assertf(op.refs == 0, "rdma: send on the free list has %d references", op.refs)
+		}
+		s.sends, op.next = op.next, nil
+	} else {
+		//rvmalint:allow hotalloc -- free-list miss: sends return once spent, so the list grows to the peak of sends in flight and then stays
+		op = &SendOp{ep: ep}
+	}
+	op.cmd = command{op: opSend, msgID: ep.nextMsgID, qp: qp, total: size, ref: op}
+	op.dst = dst
+	if ep.nic.SameShard(dst) {
+		op.refs = 1 + int32(ep.nic.Packets(size))
+	}
 	ep.nextMsgID++
 	ep.post(op)
-	return op
 }
 
 //rvmalint:hot
@@ -185,7 +287,32 @@ func (op *SendOp) post(ep *Endpoint) {
 }
 
 //rvmalint:hot
-func (op *SendOp) sent(ep *Endpoint) { op.Local.Complete(ep.eng.Engine, nil) }
+func (op *SendOp) sent(ep *Endpoint) {
+	if ep.nic.SameShard(op.dst) {
+		op.unref()
+	}
+}
+
+// unref consumes one of op's references; the last one puts it back on
+// its endpoint's free list.
+//
+//rvmalint:hot
+func (op *SendOp) unref() {
+	if sim.DebugEnabled {
+		sim.Assertf(op.refs > 0, "rdma: send %d consumed after its last reference", op.cmd.msgID)
+	}
+	op.refs--
+	if op.refs > 0 {
+		return
+	}
+	ep := op.ep
+	if sim.DebugEnabled {
+		sim.Assertf(ep.nic.SameShard(op.dst), "rdma: send %d to node %d on another shard recycled", op.cmd.msgID, op.dst)
+	}
+	s := ep.spares()
+	*op = SendOp{ep: ep, next: s.sends}
+	s.sends = op
+}
 
 // RecvOp tracks a posted receive. Done resolves (with the send's size)
 // after the matching send is deliverable (fence satisfied), a CQ entry is
@@ -237,16 +364,20 @@ func (ep *Endpoint) ReleaseRecv(op *RecvOp) {
 
 // spareHandles holds the receives and byte-wait futures their holders
 // released (ReleaseRecv, ReleaseWait), most recent last, for PostRecv and
-// WaitBytes to hand out again.
+// WaitBytes to hand out again, and the spent PutN and Send ops the next
+// PutN and Send reuse.
 type spareHandles struct {
 	recvs []*RecvOp
 	waits []*sim.Future
+	puts  *PutOp
+	sends *SendOp
 }
 
 // spares returns the endpoint's spare handles, creating them on the first
 // release.
 func (ep *Endpoint) spares() *spareHandles {
 	if ep.spare == nil {
+		//rvmalint:allow hotalloc -- once per endpoint and run: DropPools releases it only after the run
 		ep.spare = &spareHandles{}
 	}
 	return ep.spare

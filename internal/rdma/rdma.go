@@ -148,6 +148,10 @@ type Endpoint struct {
 	cqPolls   sim.Stage[completion] // the poll that reaps a CQ entry
 	bytePolls sim.Stage[completion] // the poll that observes a landed byte
 
+	// onSent, when set, observes every PutN's local completion
+	// (SetSentHandler).
+	onSent SentHandler
+
 	tracer *trace.Tracer
 	reg    *metrics.Registry
 
@@ -246,6 +250,18 @@ func (ep *Endpoint) Init(n *nic.NIC, cfg Config) {
 	ep.relAsm.Init(n.MTU())
 	n.SetHandler(ep.handlePacket)
 }
+
+// SentHandler observes the local completion of an endpoint's PutNs,
+// which hand out no handle of their own.
+type SentHandler interface {
+	// Sent runs when a PutN to dst has completed locally: its last data
+	// packet, and its fence send if it has one, have left the NIC.
+	Sent(dst int)
+}
+
+// SetSentHandler installs h to observe every PutN's local completion. A
+// nil h removes the handler.
+func (ep *Endpoint) SetSentHandler(h SentHandler) { ep.onSent = h }
 
 // SetTracer attaches a tracer; registration, fences and acks go to
 // trace.CatRDMA. A nil tracer detaches.
@@ -377,11 +393,12 @@ type command struct {
 	rkey     uint32
 	msgID    uint64
 
-	// ref is the initiator's operation (*RegOp, *PutOp or *Reliable). The
-	// target copies it into the handshake reply it sends back, or sends it
-	// back as the payload of a transport ACK, and never dereferences it,
-	// so the initiator reaches the operation without keeping a table of
-	// everything it has issued.
+	// ref is the initiator's operation (*RegOp, *PutOp, *SendOp or
+	// *Reliable). The target copies it into the handshake reply it sends
+	// back, or sends it back as the payload of a transport ACK, so the
+	// initiator reaches the operation without keeping a table of
+	// everything it has issued. A target dereferences it only to count
+	// down a *PutOp or *SendOp, and only on the initiator's shard (PutOp).
 	ref any
 
 	// registration

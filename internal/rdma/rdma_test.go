@@ -555,15 +555,17 @@ func TestFenceSendNeverCompletesOnHoledBuffer(t *testing.T) {
 
 // TestPutNAllocationCeiling pins what one PutN with the trailing
 // send/recv fence, and one plain Send, cost on the heap from issue to the
-// target's receive completion: exactly the operations handed out. A fenced
-// put is its PutOp (which carries the data and fence commands and owns
-// every continuation of both) and the target's RecvOp; its transport ACK
-// carries the PutOp itself. A send is its SendOp and the RecvOp, plus the
-// receive's value: the send's size, which boxes into an 8-byte allocation
-// from 256 bytes up (the MTU-sized sends here). No packet, event, closure,
-// pending-send record or queue slot allocates in the steady state. A
-// 4-packet message costs exactly what a 1-packet one does. A new
-// allocation on the put, fence or send path fails it.
+// target's receive completion: only what the test itself holds. A fenced
+// put costs the target's RecvOp, which the test never releases; its
+// PutOp (which carries the data and fence commands and owns every
+// continuation of both) goes back to the endpoint's free list once its
+// local completion, its packets, its transport ACK and its fence packet
+// are spent. A send costs the RecvOp plus the receive's value: the
+// send's size, which boxes into an 8-byte allocation from 256 bytes up
+// (the MTU-sized sends here); its SendOp is recycled the same way. No
+// packet, event, closure, pending-send record or queue slot allocates in
+// the steady state. A 4-packet message costs exactly what a 1-packet one
+// does. A new allocation on the put, fence or send path fails it.
 func TestPutNAllocationCeiling(t *testing.T) {
 	if sim.DebugEnabled {
 		t.Skip("simdebug invariant checks box their arguments; the gate is for normal builds")
@@ -573,11 +575,11 @@ func TestPutNAllocationCeiling(t *testing.T) {
 		ceiling float64
 		op      func(src, dst *Endpoint, rb RemoteBuffer, size int, recvd func())
 	}{
-		{"fenced PutN", 2, func(src, dst *Endpoint, rb RemoteBuffer, size int, recvd func()) {
+		{"fenced PutN", 1, func(src, dst *Endpoint, rb RemoteBuffer, size int, recvd func()) {
 			dst.PostRecv(0, FenceQP).Done.OnComplete(recvd)
 			src.PutN(rb, 0, size, CompleteSendRecv)
 		}},
-		{"Send", 3, func(src, dst *Endpoint, rb RemoteBuffer, size int, recvd func()) {
+		{"Send", 2, func(src, dst *Endpoint, rb RemoteBuffer, size int, recvd func()) {
 			dst.PostRecv(0, FenceQP).Done.OnComplete(recvd)
 			src.Send(1, FenceQP, size)
 		}},

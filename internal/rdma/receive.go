@@ -18,7 +18,7 @@ func (ep *Endpoint) handlePacket(pkt *fabric.Packet) {
 	case *command:
 		cmd = p
 	case *PutOp, *Reliable:
-		ep.handlePutAck(p)
+		ep.handlePutAck(pkt.Src, p)
 		return
 	default:
 		panic("rdma: foreign payload on RDMA endpoint")
@@ -34,6 +34,15 @@ func (ep *Endpoint) handlePacket(pkt *fabric.Packet) {
 		ep.handleSend(pkt, cmd)
 	default:
 		panic("rdma: unknown opcode")
+	}
+	// A data or send packet is spent: nothing below reads cmd again.
+	if ep.nic.SameShard(pkt.Src) {
+		switch op := cmd.ref.(type) {
+		case *PutOp:
+			op.unref()
+		case *SendOp:
+			op.unref()
+		}
 	}
 }
 
@@ -82,10 +91,15 @@ func (ep *Endpoint) sendAck(dst int, cmd *command) {
 // resolves nothing.
 //
 //rvmalint:hot
-func (ep *Endpoint) handlePutAck(ref any) {
+func (ep *Endpoint) handlePutAck(src int, ref any) {
 	switch op := ref.(type) {
 	case *PutOp:
 		op.acked(ep)
+		// The fence post the ACK queued holds the op until its local
+		// completion, so this reference is never the last.
+		if ep.nic.SameShard(src) {
+			op.unref()
+		}
 	case *Reliable:
 		if at := op.live(); at != nil {
 			at.Acked.Complete(ep.eng.Engine, nil)

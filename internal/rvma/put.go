@@ -9,6 +9,16 @@ import (
 
 // PutOp tracks one initiated put. It owns the continuations of its own
 // pipeline: the post and the NIC send's local completion.
+//
+// A PutN's op is the endpoint's own, and goes back to the endpoint's
+// free list once nothing can reach it any more. refs counts what still
+// can: its local completion, each data packet until the target has
+// handled it, and each NACK until the initiator has. Only components on
+// the initiator's shard count, each deciding from the peer's node id, so
+// an op whose target is on another shard is never recycled, and a packet
+// the fabric drops is never counted down, leaving its op to the
+// collector. An op Put handed to a caller is counted the same way but
+// never recycled.
 type PutOp struct {
 	// Local completes when the initiating NIC has handed the last packet
 	// to the fabric (the local buffer is reusable).
@@ -21,17 +31,15 @@ type PutOp struct {
 	Nack *sim.Future
 
 	local, nack sim.Future    // what Local and Nack point at
-	cmd         command       // the wire command every packet carries: one allocation per put
+	cmd         command       // the wire command every packet carries
 	sp          *metrics.Span // the put's span, nil unless spans are enabled
 	txWait      sim.Time      // NIC backlog when the put was posted (span nic_tx wait)
 	dst         int
+	ep          *Endpoint // the initiator, whose free list a PutN's op returns to
+	refs        int32     // references left (see PutOp); 0 on the free list
+	pooled      bool      // a PutN's op: no caller holds it
+	next        *PutOp    // free-list link
 }
-
-// Dst returns the node the put targets.
-func (op *PutOp) Dst() int { return op.dst }
-
-// Size returns the put's payload bytes.
-func (op *PutOp) Size() int { return op.cmd.total }
 
 // Put initiates a transfer of data to mailbox vaddr on node dst, placing
 // it at the given offset within the target's active buffer (the paper's
@@ -41,34 +49,51 @@ func (op *PutOp) Size() int { return op.cmd.total }
 //
 // Host software overhead (one post) is charged before the NIC pipeline.
 func (ep *Endpoint) Put(dst int, vaddr VAddr, offset int, data []byte) *PutOp {
-	return ep.put(dst, vaddr, offset, len(data), data)
+	op := &PutOp{ep: ep}
+	op.Local, op.Nack = &op.local, &op.nack
+	ep.put(op, dst, vaddr, offset, len(data), data)
+	return op
 }
 
 // PutN is Put without payload bytes: only sizes and timing flow through
 // the simulation. Large-scale motif runs use it to avoid materializing
-// gigabytes of payload.
-func (ep *Endpoint) PutN(dst int, vaddr VAddr, offset, size int) *PutOp {
-	return ep.put(dst, vaddr, offset, size, nil)
+// gigabytes of payload. It hands out no handle: the put's local
+// completion reaches the endpoint's handler (SetNackHandler) as Sent, and
+// a NACK of it as Nacked, so its op is recycled once it is spent.
+//
+//rvmalint:hot
+func (ep *Endpoint) PutN(dst int, vaddr VAddr, offset, size int) {
+	p := ep.pipeline()
+	op := p.freePuts
+	if op != nil {
+		if sim.DebugEnabled {
+			sim.Assertf(op.refs == 0, "rvma: put on the free list has %d references", op.refs)
+		}
+		p.freePuts, op.next = op.next, nil
+	} else {
+		//rvmalint:allow hotalloc -- free-list miss: ops return once spent, so the list grows to the peak of puts in flight and then stays
+		op = &PutOp{ep: ep, pooled: true}
+	}
+	ep.put(op, dst, vaddr, offset, size, nil)
 }
 
-func (ep *Endpoint) put(dst int, vaddr VAddr, offset, size int, data []byte) *PutOp {
+//rvmalint:hot
+func (ep *Endpoint) put(op *PutOp, dst int, vaddr VAddr, offset, size int, data []byte) {
 	if size < 0 || offset < 0 {
 		panic(fmt.Sprintf("rvma: put with negative size %d or offset %d", size, offset))
 	}
 	ep.Stats.PutsInitiated++
-	// Nothing on this endpoint keeps op: its packets (and a NACK, which
-	// names it) do, so a put that can no longer be NACKed is garbage once
-	// its packets are consumed.
-	op := &PutOp{cmd: command{op: opPut, msgID: ep.nextMsgID, vaddr: vaddr, msgOffset: offset, total: size}, dst: dst}
-	op.Local, op.Nack = &op.local, &op.nack
-	op.cmd.ref = op
+	op.cmd = command{op: opPut, msgID: ep.nextMsgID, vaddr: vaddr, msgOffset: offset, total: size, ref: op}
+	op.dst = dst
 	ep.nextMsgID++
 	if ep.cfg.CarryData {
 		op.cmd.data = data
 	}
+	if ep.nic.SameShard(dst) {
+		op.refs = 1 + int32(ep.nic.Packets(size))
+	}
 	op.sp = ep.reg.BeginSpan(ep.eng.Now(), metrics.SpanKey{Node: ep.Node(), ID: op.cmd.msgID}, "rvma.put", ep.Node())
 	ep.post(op)
-	return op
 }
 
 // post hands the put to the NIC once the host has posted it.
@@ -82,12 +107,43 @@ func (op *PutOp) post(ep *Endpoint) {
 	ep.send(op.dst, &op.cmd, op)
 }
 
-// sent completes the put locally: its last packet has left the NIC.
+// sent completes the put locally: its last packet has left the NIC. A
+// PutN's completion goes to the endpoint's handler.
 //
 //rvmalint:hot
 func (op *PutOp) sent(ep *Endpoint) {
 	op.sp.StageWait(ep.eng.Now(), "nic_tx", op.txWait)
-	op.Local.Complete(ep.eng.Engine, nil)
+	if !op.pooled {
+		op.Local.Complete(ep.eng.Engine, nil)
+	}
+	dst, pooled := op.dst, op.pooled
+	if ep.nic.SameShard(dst) {
+		op.unref()
+	}
+	if pooled && ep.onNack != nil {
+		ep.onNack.Sent(dst)
+	}
+}
+
+// unref consumes one of op's references; the last one puts a PutN's op
+// back on its endpoint's free list.
+//
+//rvmalint:hot
+func (op *PutOp) unref() {
+	if sim.DebugEnabled {
+		sim.Assertf(op.refs > 0, "rvma: put %d consumed after its last reference", op.cmd.msgID)
+	}
+	op.refs--
+	if op.refs > 0 || !op.pooled {
+		return
+	}
+	ep := op.ep
+	if sim.DebugEnabled {
+		sim.Assertf(ep.nic.SameShard(op.dst), "rvma: put %d to node %d on another shard recycled", op.cmd.msgID, op.dst)
+	}
+	p := ep.pipeline()
+	*op = PutOp{ep: ep, pooled: true, next: p.freePuts}
+	p.freePuts = op
 }
 
 // ReliablePut tracks a put whose target acknowledges full placement — the

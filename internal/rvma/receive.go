@@ -28,8 +28,12 @@ func (ep *Endpoint) handlePacket(pkt *fabric.Packet) {
 	switch cmd.op {
 	case opPut:
 		ep.handlePut(pkt, cmd)
+		// The packet is spent: nothing below reads cmd again.
+		if op, ok := cmd.ref.(*PutOp); ok && ep.nic.SameShard(pkt.Src) {
+			op.unref()
+		}
 	case opNack:
-		ep.handleNack(cmd)
+		ep.handleNack(pkt, cmd)
 	case opGetReq:
 		ep.handleGetReq(pkt, cmd)
 	case opGetReply:
@@ -252,6 +256,9 @@ func (ep *Endpoint) reject(src int, cmd *command, reason error) {
 		return
 	}
 	ep.Stats.Nacks++
+	if op, ok := cmd.ref.(*PutOp); ok && ep.nic.SameShard(src) {
+		op.refs++ // the NACK's, spent when it reaches the initiator
+	}
 	nack := &command{op: opNack, msgID: cmd.msgID, status: reason, ref: cmd.ref}
 	ep.nic.SendMessage(src, 0, nack.payload)
 }
@@ -282,19 +289,21 @@ func (ep *Endpoint) handleAck(rp *ReliablePut) {
 // plain put's NACK then goes to the endpoint's NACK handler.
 //
 //rvmalint:hot
-func (ep *Endpoint) handleNack(cmd *command) {
+func (ep *Endpoint) handleNack(pkt *fabric.Packet, cmd *command) {
 	eng := ep.eng
 	switch op := cmd.ref.(type) {
 	case *PutOp:
 		// Each rejected packet of a put draws a NACK; the first resolves it.
-		if op.Nack.Done() {
-			return
+		if !op.nack.Done() {
+			// A NACKed put never completes at the target; close its span here.
+			ep.reg.Span(metrics.SpanKey{Node: ep.Node(), ID: cmd.msgID}).EndNacked(eng.Now())
+			op.nack.Complete(eng.Engine, cmd.status)
+			if ep.onNack != nil {
+				ep.onNack.Nacked(op.dst, op.cmd.total)
+			}
 		}
-		// A NACKed put never completes at the target; close its span here.
-		ep.reg.Span(metrics.SpanKey{Node: ep.Node(), ID: cmd.msgID}).EndNacked(eng.Now())
-		op.Nack.Complete(eng.Engine, cmd.status)
-		if ep.onNack != nil {
-			ep.onNack.Nacked(op)
+		if ep.nic.SameShard(pkt.Src) {
+			op.unref()
 		}
 	case *ReliablePut:
 		// Reliable puts survive NACKs: the operation stays live (a

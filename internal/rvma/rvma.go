@@ -193,7 +193,8 @@ type Endpoint struct {
 	// (stage.go); nil until first used and after DropPools.
 	pipe *pipeline
 
-	// onNack, when set, observes every NACKed plain put (SetNackHandler).
+	// onNack, when set, observes every NACKed plain put and every PutN's
+	// local completion (SetNackHandler).
 	onNack NackHandler
 
 	tracer *trace.Tracer
@@ -265,17 +266,23 @@ func (ep *Endpoint) SetMetrics(reg *metrics.Registry) {
 	})
 }
 
-// NackHandler observes the NACKed plain puts of an endpoint.
+// NackHandler observes an endpoint's plain puts on the initiator side:
+// the NACKed ones, and the local completion of each PutN, which hands out
+// no handle of its own.
 type NackHandler interface {
-	// Nacked runs when the first NACK of op arrives, right after op's Nack
-	// future completes.
-	Nacked(op *PutOp)
+	// Nacked runs when the first NACK of a plain put to dst of size bytes
+	// arrives, right after the put's Nack future completes.
+	Nacked(dst, size int)
+	// Sent runs when a PutN to dst has completed locally: its last
+	// packet has left the NIC. Local completions run in the order the
+	// puts were issued, since one post stage feeds one NIC send pipe.
+	Sent(dst int)
 }
 
-// SetNackHandler installs h to observe every NACKed plain put. Unlike a
-// waiter on each put's Nack, one handler serves every put the endpoint
-// issues, so a sender that retries NACKed puts arms its retry once. A nil
-// h removes the handler.
+// SetNackHandler installs h to observe every NACKed plain put and every
+// PutN's local completion. Unlike a waiter on each put's futures, one
+// handler serves every put the endpoint issues, so a sender that retries
+// NACKed puts arms its retry once. A nil h removes the handler.
 func (ep *Endpoint) SetNackHandler(h NackHandler) { ep.onNack = h }
 
 // Node returns the endpoint's node id.
@@ -362,9 +369,10 @@ type command struct {
 
 	// ref is the initiator's operation (*PutOp, *ReliablePut or *GetOp).
 	// The target copies it into every NACK and get reply it sends back,
-	// sends a reliable put's as the placement ack itself, and never
-	// dereferences it, so the initiator reaches the operation without
-	// keeping a table of everything it has issued.
+	// and sends a reliable put's as the placement ack itself, so the
+	// initiator reaches the operation without keeping a table of
+	// everything it has issued. A target dereferences it only to count
+	// down a *PutOp, and only on the initiator's shard (PutOp).
 	ref any
 }
 

@@ -826,20 +826,21 @@ func TestManagedModeSplitsAcrossSegments(t *testing.T) {
 }
 
 // TestPutNAllocationCeiling pins what one PutN costs on the heap, from
-// issue to the target's completion and the buffer repost: the PutOp
-// (which holds its futures and the one command all its packets share) and
-// the reposted buffer, which the handler does not release, so nothing is
-// there to reuse: the Buffer, its region, its completion cell's region and
-// the page the cell's write materializes. The post, the NIC send's local
-// completion and the completion-pointer write queue on the endpoint's
-// stages, and the fabric recycles packets. A 4-packet put costs exactly
+// issue to the target's completion and the buffer repost: the reposted
+// buffer, which the handler does not release, so nothing is there to
+// reuse: the Buffer, its region, its completion cell's region and the
+// page the cell's write materializes. The PutOp (which holds the one
+// command all its packets share) goes back to the endpoint's free list
+// once its local completion and its packets are spent, the post, the NIC
+// send's local completion and the completion-pointer write queue on the
+// endpoint's stages, and the fabric recycles packets. A 4-packet put costs exactly
 // what a 1-packet put does, and the reposted buffer reuses the window
 // queue's backing array. A new allocation on the put path fails it.
 func TestPutNAllocationCeiling(t *testing.T) {
 	if sim.DebugEnabled {
 		t.Skip("simdebug invariant checks box their arguments; the gate is for normal builds")
 	}
-	const ceiling = 5
+	const ceiling = 4
 	perPackets := map[int]float64{}
 	for _, packets := range []int{1, 4} {
 		cfg := DefaultConfig()

@@ -24,6 +24,8 @@ type pipeline struct {
 	// per endpoint, not per window: a node can hold thousands of windows,
 	// most of them idle at any moment.
 	spare []*Buffer
+	// freePuts lists the spent PutN ops the next PutN reuses.
+	freePuts *PutOp
 }
 
 // pipeline returns the endpoint's pipeline, creating it on first use.
@@ -165,8 +167,8 @@ func (ep *Endpoint) writeNext() {
 	}
 }
 
-// DropPools releases the endpoint's pipeline, whose stage arrays and
-// spare buffers are sized by the run's peak in flight, unless an
+// DropPools releases the endpoint's pipeline, whose stage arrays, spare
+// buffers and free ops are sized by the run's peak in flight, unless an
 // operation still waits in a stage, and the reliable puts' reassembly
 // state, which no packet of a finished run is left to hit. Call it
 // between runs, not inside one.

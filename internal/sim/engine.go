@@ -290,6 +290,7 @@ type Engine struct {
 	now       Time
 	queue     eventQueue
 	free      []*event // recycled events; see at/release
+	evSlab    []event  // the rest of the chunk at takes new events from on a free-list miss
 	seq       uint64   // model scheduling counter; events carry 2*seq
 	dseq      uint64   // daemon scheduling counter; daemons carry 2*dseq+1
 	executed  uint64
@@ -355,8 +356,12 @@ func (e *Engine) at(t Time, priority int, label Label, fn func(), daemon bool) {
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 	} else {
-		//rvmalint:allow hotalloc -- pool miss: the free list feeds steady state, so this runs O(peak concurrency) times, not per event
-		ev = &event{}
+		if len(e.evSlab) == 0 {
+			//rvmalint:allow hotalloc -- pool miss, one chunk per eventChunk misses: the free list feeds steady state, so this runs O(peak concurrency / eventChunk) times, not per event
+			e.evSlab = make([]event, eventChunk)
+		}
+		ev = &e.evSlab[0]
+		e.evSlab = e.evSlab[1:]
 	}
 	ev.at = t
 	ev.priority = priority
@@ -379,6 +384,13 @@ func (e *Engine) at(t Time, priority int, label Label, fn func(), daemon bool) {
 	ev.state = evQueued
 	e.queue.push(ev)
 }
+
+// eventChunk is how many events at carves from one allocation when the
+// free list is empty. A run's pending events climb to their peak in its
+// first microseconds, so they are taken in bulk, as spawn takes Process
+// records; a chunk is collected once none of its events is referenced
+// any more.
+const eventChunk = 64
 
 // release returns an executed event to the free list. The callback is
 // dropped immediately so the pool never pins captured state.
@@ -588,13 +600,14 @@ func (e *Engine) PoolFree() int { return len(e.free) }
 // DropPools releases the memory the engine keeps for reuse: the event
 // free list, the queue's spare chunks (the shared list and the empty chunk
 // each drained bucket keeps), bucket 0's backing array when it is empty,
-// and the unused rest of the Process chunk. The event pools are sized by
+// and the unused rest of the event and Process chunks. The event pools are sized by
 // the run's peak of pending events and never shrink on their own, so a
 // finished run would otherwise hold its peak. Queued
 // events stay queued, and a later Schedule simply allocates again. Call it
 // between runs, not inside one: a loop of short runs relies on the pools.
 func (e *Engine) DropPools() {
 	e.free = nil
+	e.evSlab = nil
 	e.procSlab = nil
 	q := &e.queue
 	q.free = nil

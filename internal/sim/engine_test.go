@@ -202,6 +202,31 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestEnginePoolMissAllocatesInChunks: an engine whose free list is empty
+// carves new events from chunks of eventChunk, so scheduling n events at
+// once (a run climbing to its peak of pending events) makes about
+// n/eventChunk allocations, not n. The queue's own chunks and bucket-0
+// growth add O(log n) more.
+func TestEnginePoolMissAllocatesInChunks(t *testing.T) {
+	if DebugEnabled {
+		t.Skip("simdebug invariant checks box their arguments; the gate is for normal builds")
+	}
+	const n = 64 * eventChunk
+	tick := func() {}
+	allocs := testing.AllocsPerRun(10, func() {
+		e := NewEngine(1)
+		for i := 0; i < n; i++ {
+			e.Schedule(Time(i+1)*Nanosecond, tick)
+		}
+	})
+	// NewEngine's engine and RNG, the queue's chunks (one per chunkCap
+	// events) and the rest are the O(1) + O(n/chunkCap) beside the events.
+	if limit := float64(n/eventChunk + n/chunkCap + 16); allocs > limit {
+		t.Errorf("%d events from an empty pool: %v allocs, want at most %v", n, allocs, limit)
+	}
+	t.Logf("%d events from an empty pool: %v allocs", n, allocs)
+}
+
 // DropPools between runs empties the free list and keeps queued events
 // in order: the run resumes exactly where it stopped.
 func TestEngineDropPools(t *testing.T) {
