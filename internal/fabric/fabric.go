@@ -309,8 +309,12 @@ func (n *Network) NewPacket(src, dst, size int, payload any) *Packet {
 	fl := &n.pktFree[n.nodeShard[src]]
 	pkt := fl.head
 	if pkt == nil {
-		//rvmalint:allow hotalloc -- pool miss: the free list grows to the run's peak of packets in flight, then serves every send
-		pkt = &Packet{}
+		if len(fl.slab) == 0 {
+			//rvmalint:allow hotalloc -- pool miss, one chunk per packetChunk misses: the free list grows to the run's peak of packets in flight, then serves every send
+			fl.slab = make([]Packet, packetChunk)
+		}
+		pkt = &fl.slab[0]
+		fl.slab = fl.slab[1:]
 	} else {
 		fl.head, pkt.next = pkt.next, nil
 		fl.len--
@@ -349,10 +353,10 @@ func (n *Network) FreePackets() int {
 	return total
 }
 
-// DropFreePackets empties the free lists, leaving their packets to the
-// collector. Call it when a run has drained, so the heap a finished run
-// keeps live does not hold its peak of packets in flight. Later sends
-// allocate afresh.
+// DropFreePackets empties the free lists and drops the chunks new packets
+// are carved from, leaving their packets to the collector. Call it when a
+// run has drained, so the heap a finished run keeps live does not hold its
+// peak of packets in flight. Later sends allocate afresh.
 func (n *Network) DropFreePackets() {
 	clear(n.pktFree)
 }

@@ -481,3 +481,26 @@ func TestFreeListIsBounded(t *testing.T) {
 		t.Fatalf("%d free packets after DropFreePackets, want 0", n)
 	}
 }
+
+// On an empty free list NewPacket carves packets from a chunk: packetChunk
+// new packets cost one allocation, not one each. DropFreePackets drops
+// the rest of the chunk with the free list.
+func TestNewPacketCarvesChunks(t *testing.T) {
+	if sim.DebugEnabled {
+		t.Skip("simdebug invariant checks box their arguments; the gate is for normal builds")
+	}
+	_, net := twoNodeNet(t, DefaultConfig())
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < packetChunk; i++ {
+			net.NewPacket(0, 1, 64, nil)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("%v allocations for %d new packets, want 1", allocs, packetChunk)
+	}
+	net.NewPacket(0, 1, 64, nil)
+	net.DropFreePackets()
+	if n := len(net.pktFree[0].slab); n != 0 {
+		t.Errorf("%d carved packets left after DropFreePackets, want 0", n)
+	}
+}

@@ -48,11 +48,20 @@ type routeBufs struct {
 }
 
 // packetList is one shard's free list of recycled packets, linked through
-// Packet.next.
+// Packet.next, and the rest of the chunk NewPacket carves new packets
+// from when the list is empty.
 type packetList struct {
 	head *Packet
 	len  int
+	slab []Packet
 }
+
+// packetChunk is how many packets NewPacket carves from one allocation
+// when the free list is empty. A run's packets in flight climb to their
+// peak in its first microseconds, so they are taken in bulk, as the
+// engine takes events; a chunk is collected once none of its packets is
+// referenced any more.
+const packetChunk = 64
 
 // maxFreePackets bounds one shard's free list. On one shard the list
 // holds at most the run's peak of packets in flight, under 20,000 on every

@@ -22,6 +22,7 @@ package memory
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"rvma/internal/sim"
@@ -48,7 +49,9 @@ func lineOf(a Addr) Addr { return a / CacheLineSize }
 // Region is an allocated span of simulated host memory.
 type Region struct {
 	Base Addr
-	size int
+	size int32 // beside freed, in one word
+	// freed marks a region Free returned, until an allocation reuses it.
+	freed bool
 	// pages holds the region's bytes, pageSize per entry (the last entry
 	// may be shorter). The slice is nil until the first write, and an
 	// entry is nil until a write touches its page: both read as zero.
@@ -57,13 +60,12 @@ type Region struct {
 	pages [][]byte
 	// one backs pages for a single-page region, so materializing a small
 	// region (a completion cell) allocates only its bytes.
-	one   [1][]byte
-	mem   *Memory // the memory that allocated the region, for Free's check
-	freed bool
+	one [1][]byte
+	mem *Memory // the memory that allocated the region, for Free's check
 }
 
 // Size returns the region length in bytes.
-func (r *Region) Size() int { return r.size }
+func (r *Region) Size() int { return int(r.size) }
 
 // End returns the first address past the region.
 func (r *Region) End() Addr { return r.Base + Addr(r.size) }
@@ -84,7 +86,7 @@ func (r *Region) resident() int {
 
 // pageLen returns the length of page i.
 func (r *Region) pageLen(i int) int {
-	if rest := r.size - i*pageSize; rest < pageSize {
+	if rest := int(r.size) - i*pageSize; rest < pageSize {
 		return rest
 	}
 	return pageSize
@@ -186,9 +188,27 @@ const baseAddr Addr = 0x1000
 // as zero. It reuses the most recently freed region of that size, if any,
 // and otherwise carves a new one from the top of the address space. Either
 // way no page is materialized until it is written.
-func (m *Memory) Alloc(size int) *Region {
-	if size < 0 {
-		panic("memory: negative allocation")
+func (m *Memory) Alloc(size int) *Region { return m.AllocIn(nil, size) }
+
+// Grow makes room in the memory's region index for n more regions, so
+// that a caller about to allocate them in bulk grows it once, not one
+// doubling at a time.
+func (m *Memory) Grow(n int) {
+	if cap(m.regions)-len(m.regions) < n {
+		regions := make([]*Region, len(m.regions), len(m.regions)+n)
+		copy(regions, m.regions)
+		m.regions = regions
+	}
+}
+
+// AllocIn is Alloc for a caller that keeps its region records in bulk, in
+// an array it allocates once: a region carved fresh from the address
+// space is built in slot, a zero Region that nothing else uses, instead
+// of in a new object. A reused region is the freed one, and slot stays
+// unused. A nil slot makes a new object, as Alloc does.
+func (m *Memory) AllocIn(slot *Region, size int) *Region {
+	if size < 0 || size > math.MaxInt32 {
+		panic(fmt.Sprintf("memory: allocation of %d bytes outside [0, MaxInt32]", size))
 	}
 	m.live += size
 	if fl := m.free[size]; fl != nil && len(fl.regions) > 0 {
@@ -204,7 +224,11 @@ func (m *Memory) Alloc(size int) *Region {
 	}
 	// Align base to a cache line, as real allocators for DMA targets do.
 	base := (m.next + CacheLineSize - 1) / CacheLineSize * CacheLineSize
-	r := &Region{Base: base, size: size, mem: m}
+	r := slot
+	if r == nil {
+		r = new(Region)
+	}
+	*r = Region{Base: base, size: int32(size), mem: m}
 	m.next = base + Addr(size)
 	m.regions = append(m.regions, r)
 	return r
@@ -231,7 +255,7 @@ func (m *Memory) Free(r *Region) {
 		}
 	}
 	m.resident -= r.resident()
-	m.live -= r.size
+	m.live -= int(r.size)
 	for i, pg := range r.pages {
 		if pg == nil {
 			continue
@@ -249,7 +273,7 @@ func (m *Memory) Free(r *Region) {
 		r.pages[i] = nil
 	}
 	r.freed = true
-	fl := m.freeOf(r.size)
+	fl := m.freeOf(int(r.size))
 	fl.regions = append(fl.regions, r)
 }
 
@@ -299,7 +323,7 @@ func (m *Memory) page(r *Region, i int) []byte {
 			r.pages = r.one[:]
 		} else {
 			//rvmalint:allow hotalloc -- once per region: Free keeps the page table for the region's next allocation
-			r.pages = make([][]byte, (r.size+pageSize-1)/pageSize)
+			r.pages = make([][]byte, (int(r.size)+pageSize-1)/pageSize)
 		}
 	}
 	if r.pages[i] != nil {
@@ -475,12 +499,13 @@ type CompletionCell struct {
 	reg *Region
 }
 
-// MakeCompletionCell allocates a zeroed completion cell in m. It returns
-// the cell by value, so an owner (an RVMA buffer) can embed it.
-func MakeCompletionCell(m *Memory) CompletionCell {
+// MakeCompletionCell allocates a zeroed completion cell in m, its region
+// record in slot as AllocIn places it (nil: a new object). It returns the
+// cell by value, so an owner (an RVMA buffer) can embed it.
+func MakeCompletionCell(m *Memory, slot *Region) CompletionCell {
 	// A full cache line so the cell never shares a line with another cell:
 	// false sharing would make MWait wake-ups ambiguous.
-	return CompletionCell{mem: m, reg: m.Alloc(CacheLineSize)}
+	return CompletionCell{mem: m, reg: m.AllocIn(slot, CacheLineSize)}
 }
 
 // Addr returns the cell's address (the completion pointer address handed to

@@ -157,7 +157,7 @@ func TestMultipleWatchersOneLine(t *testing.T) {
 
 func TestCompletionCell(t *testing.T) {
 	m := new(Memory)
-	c := MakeCompletionCell(m)
+	c := MakeCompletionCell(m, nil)
 	if c.Addr()%CacheLineSize != 0 {
 		t.Fatal("completion cell must be cache-line aligned")
 	}
@@ -192,7 +192,7 @@ func TestCompletionCell(t *testing.T) {
 
 func TestCompletionCellWatch(t *testing.T) {
 	m := new(Memory)
-	c := MakeCompletionCell(m)
+	c := MakeCompletionCell(m, nil)
 	var seen Addr
 	m.Watch(c.Addr(), func(Addr, int) {
 		h, _ := c.Get()
@@ -206,8 +206,8 @@ func TestCompletionCellWatch(t *testing.T) {
 
 func TestCompletionCellsDontShareLines(t *testing.T) {
 	m := new(Memory)
-	a := MakeCompletionCell(m)
-	b := MakeCompletionCell(m)
+	a := MakeCompletionCell(m, nil)
+	b := MakeCompletionCell(m, nil)
 	fired := false
 	m.Watch(a.Addr(), func(Addr, int) { fired = true })
 	b.Set(1, 1)
@@ -366,7 +366,7 @@ func TestDemandZeroPages(t *testing.T) {
 
 func TestSmallRegionMaterializesItsSize(t *testing.T) {
 	m := new(Memory)
-	c := MakeCompletionCell(m)
+	c := MakeCompletionCell(m, nil)
 	c.Set(0x1000, 8)
 	if m.ResidentBytes() != CacheLineSize {
 		t.Fatalf("resident=%d, want one cache line", m.ResidentBytes())
@@ -498,12 +498,12 @@ func TestFreeMisusePanics(t *testing.T) {
 		{"read after free", func(m *Memory, r *Region) { m.Free(r); m.Read(r.Base, 1) }},
 		{"double free", func(m *Memory, r *Region) { m.Free(r); m.Free(r) }},
 		{"cell set after free", func(m *Memory, r *Region) {
-			c := MakeCompletionCell(m)
+			c := MakeCompletionCell(m, nil)
 			c.Free()
 			c.Set(r.Base, 1)
 		}},
 		{"cell get after free", func(m *Memory, r *Region) {
-			c := MakeCompletionCell(m)
+			c := MakeCompletionCell(m, nil)
 			c.Free()
 			c.Get()
 		}},
@@ -607,7 +607,7 @@ func TestPagedMemoryMatchesFlatModel(t *testing.T) {
 // len) pair the completion unit wrote, never a torn or stale value.
 func TestWatcherObservesExactCellWrite(t *testing.T) {
 	mem := new(Memory)
-	cell := MakeCompletionCell(mem)
+	cell := MakeCompletionCell(mem, nil)
 	var seen [][2]uint64
 	mem.Watch(cell.Addr(), func(Addr, int) {
 		h, l := cell.Get()

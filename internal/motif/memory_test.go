@@ -17,7 +17,7 @@ func postedBytes(c *Cluster, history int) (posted, retained int) {
 	for _, tp := range c.Transports {
 		rt := tp.(*rvmaTransport)
 		for _, box := range rt.boxes {
-			per := box.maxMsg + memory.CacheLineSize
+			per := int(box.maxMsg) + memory.CacheLineSize
 			posted += int(rt.depth) * per
 			retained += history * per
 		}

@@ -75,6 +75,12 @@ type Transport interface {
 	// from each of inPeers, up to maxMsg bytes each, and send-side
 	// resources toward each of outPeers. It returns a future resolving
 	// when setup is complete (RVMA: immediate; RDMA: after handshakes).
+	// A rank may call it again, also while an earlier call is pending:
+	// each call sets up only the peers no earlier call named, and its
+	// future resolves once those are set up, whatever the other calls'
+	// state. A message sent to a peer whose setup is still pending waits
+	// for it; one sent to a peer no call named, or received from one,
+	// panics.
 	Prepare(inPeers, outPeers []int, maxMsg int) *sim.Future
 	// Send transfers size bytes to dst. Delivery is observed by the
 	// peer's Recv, local completion (the send buffer is reusable) by

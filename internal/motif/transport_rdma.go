@@ -2,7 +2,6 @@ package motif
 
 import (
 	"fmt"
-	"sort"
 
 	"rvma/internal/rdma"
 	"rvma/internal/recovery"
@@ -33,9 +32,8 @@ type rdmaTransport struct {
 	// a send/recv fence.
 	ordered bool
 	nbufs   int
-	// out and in are made by the first Prepare that names a peer.
-	out map[int]*sendState
-	in  map[int]*recvState
+	// peers is made by the first Prepare that names a peer.
+	peers map[int]*rdmaPeer
 	// rel, when its manager is set, puts the handshake, every data put,
 	// the fence send and every credit return under the recovery layer's
 	// timeout/retransmit policy, riding the protocol's own opPutAck path.
@@ -70,13 +68,15 @@ type rdmaSend struct {
 
 // handshake is one Figure 1 buffer negotiation under the recovery layer.
 // Every attempt is a fresh request, and the first reply from any of them
-// completes done with its RemoteBuffer; acked, which each attempt hands
-// the manager, completes with it unless the manager already gave up.
+// hands st its RemoteBuffer; acked, which each attempt hands the manager,
+// completes with it unless the manager already gave up.
 type handshake struct {
-	t           *rdmaTransport
-	dst, size   int
-	done, acked sim.Future
-	abandoned   bool
+	t         *rdmaTransport
+	st        *sendState
+	size      int
+	acked     sim.Future
+	replied   bool
+	abandoned bool
 }
 
 // creditArm is the sender's receive for the credit one issued message
@@ -103,6 +103,23 @@ func (a *creditArm) credit() {
 	t.drain(st)
 }
 
+// rdmaPeer is what the transport keeps about one peer. A Prepare makes
+// the records of the peers it is the first to name in one array, and the
+// send halves of its out-neighbors in another: an in-neighbor only, such
+// as every client of an incast server, carries no send state.
+type rdmaPeer struct {
+	t    *rdmaTransport
+	send *sendState // nil unless a Prepare named the peer an out-neighbor
+	in   bool       // a Prepare named the peer an in-neighbor
+	node int32
+	// consumed is the cumulative bytes of the peer's consumed messages
+	// (the WaitBytes target).
+	consumed uint64
+	// returnCredit is p.creditReturn, bound at the peer's first Recv; it
+	// runs first on each receive's completion.
+	returnCredit func()
+}
+
 // sendState is the per-destination sender bookkeeping.
 type sendState struct {
 	dst     int32
@@ -116,18 +133,23 @@ type sendState struct {
 	pending int32
 	ready   bool // handshakes finished
 	waiting bool // a process waits in WaitSent for pending to reach zero
-	bufs    []rdma.RemoteBuffer
-	queue   []int32 // sizes of the messages waiting for a credit, oldest first
+	// prep is the Prepare whose handshakes are negotiating bufs, nil
+	// once it has finished.
+	prep  *prepare
+	bufs  []rdma.RemoteBuffer
+	queue []int32 // sizes of the messages waiting for a credit, oldest first
 	// drained is what the one process waiting on dst's sends parks on.
 	drained sim.Future
 }
 
-// recvState is the per-source receiver bookkeeping.
-type recvState struct {
-	consumed uint64 // cumulative bytes of consumed messages (WaitBytes target)
-	// returnCredit, bound at Prepare, hands a consumed message's buffer
-	// back to the sender; it runs first on each receive's completion.
-	returnCredit func()
+// prepare is one Prepare call: done resolves once every handshake it
+// started has its buffer, and then its out-neighbors, and only those,
+// become ready.
+type prepare struct {
+	t         *rdmaTransport
+	done      sim.Future
+	remaining int
+	sends     []sendState // the send halves this call made, in outPeers order
 }
 
 // init makes t, a zero transport in its shard's array, rank ep.Node()'s
@@ -145,95 +167,135 @@ func (t *rdmaTransport) Ranks() int { return t.ranks }
 
 // Prepare implements Transport: run the Figure 1 handshake for every
 // out-neighbor (nbufs buffers each) before any data can move — the setup
-// RVMA does not have. In-neighbors need only local state.
+// RVMA does not have. In-neighbors need only local state. The peer
+// records, send states and buffer handles are made in bulk, a few arrays
+// per call, and each handshake reports to its peer's send state.
 func (t *rdmaTransport) Prepare(inPeers, outPeers []int, maxMsg int) *sim.Future {
-	if t.in == nil {
-		t.in = make(map[int]*recvState)
-		t.out = make(map[int]*sendState)
-	}
+	pr := &prepare{t: t}
+	t.addPeers(inPeers)
+	t.addPeers(outPeers)
 	for _, src := range inPeers {
-		if _, ok := t.in[src]; !ok {
-			t.in[src] = &recvState{returnCredit: t.creditReturn(src)}
-		}
+		t.peers[src].in = true
 	}
-	eng := t.ep.Engine()
-	f := sim.NewFuture()
-	remaining := 0
+	n := 0
 	for _, dst := range outPeers {
-		if _, ok := t.out[dst]; ok {
-			continue
-		}
-		st := &sendState{dst: int32(dst), credits: int32(t.nbufs)}
-		t.out[dst] = st
-		for i := 0; i < t.nbufs; i++ {
-			remaining++
-			hs := t.handshake(dst, maxMsg)
-			hs.OnComplete(func() {
-				st.bufs = append(st.bufs, hs.Value().(rdma.RemoteBuffer))
-				remaining--
-				if remaining == 0 {
-					// Drain in sorted-destination order: drain schedules
-					// wire events, and map-range order would make the event
-					// sequence (and thus tie-breaking downstream) depend on
-					// Go's map iteration randomization.
-					dsts := make([]int, 0, len(t.out))
-					for d, s2 := range t.out {
-						s2.ready = true
-						dsts = append(dsts, d)
-					}
-					sort.Ints(dsts)
-					f.Complete(eng, nil)
-					for _, d := range dsts {
-						t.drain(t.out[d])
-					}
-				}
-			})
+		if t.peers[dst].send == nil {
+			n++
 		}
 	}
-	if remaining == 0 {
-		f.Complete(eng, nil)
+	if n > 0 {
+		pr.sends = make([]sendState, 0, n)
+		bufs := make([]rdma.RemoteBuffer, n*t.nbufs)
+		for _, dst := range outPeers {
+			p := t.peers[dst]
+			if p.send != nil {
+				continue
+			}
+			i := len(pr.sends)
+			pr.sends = append(pr.sends, sendState{dst: int32(dst), credits: int32(t.nbufs), prep: pr,
+				bufs: bufs[i*t.nbufs : i*t.nbufs : (i+1)*t.nbufs]})
+			p.send = &pr.sends[i]
+			for j := 0; j < t.nbufs; j++ {
+				pr.remaining++
+				t.handshake(p.send, maxMsg)
+			}
+		}
 	}
-	return f
+	if pr.remaining == 0 {
+		pr.done.Complete(t.ep.Engine(), nil)
+	}
+	return &pr.done
 }
 
-// handshake runs one Figure 1 buffer negotiation, retried under the
-// recovery policy when enabled: a timed-out request is simply reissued
-// with a fresh message id. If the *reply* (not the request) was lost, the
-// retry makes the target register a second buffer and the first leaks —
-// the stale-registration garbage a real system would clean up out of
-// band, harmless here. The future resolves with the RemoteBuffer.
-func (t *rdmaTransport) handshake(dst, size int) *sim.Future {
-	if t.rel.rec == nil {
-		return t.ep.RequestRemoteBuffer(dst, size).Done
+// addPeers makes the records of the nodes among nodes that have none
+// yet, in one array, and the endpoint's records of them likewise.
+func (t *rdmaTransport) addPeers(nodes []int) {
+	n := 0
+	for _, node := range nodes {
+		if t.peers[node] == nil {
+			n++
+		}
 	}
-	h := &handshake{t: t, dst: dst, size: size}
-	t.rel.rec.Run(h)
-	return &h.done
+	if n == 0 {
+		return
+	}
+	if t.peers == nil {
+		t.peers = make(map[int]*rdmaPeer, n)
+	}
+	recs := make([]rdmaPeer, n)
+	for _, node := range nodes {
+		if t.peers[node] == nil {
+			recs[0] = rdmaPeer{t: t, node: int32(node)}
+			t.peers[node] = &recs[0]
+			recs = recs[1:]
+		}
+	}
+	t.ep.AddPeers(nodes)
+}
+
+// BufferReady implements rdma.BufferHandler: one of the destination's
+// handshakes has its buffer, and the last of its Prepare's handshakes
+// finishes that Prepare.
+func (st *sendState) BufferReady(rb rdma.RemoteBuffer) {
+	st.bufs = append(st.bufs, rb)
+	pr := st.prep
+	pr.remaining--
+	if pr.remaining == 0 {
+		pr.finish()
+	}
+}
+
+// finish marks the call's own out-neighbors ready, resolves its future
+// and issues what their queues hold. An out-neighbor another Prepare
+// named first becomes ready when that call finishes.
+func (pr *prepare) finish() {
+	t := pr.t
+	for i := range pr.sends {
+		pr.sends[i].ready = true
+		pr.sends[i].prep = nil
+	}
+	pr.done.Complete(t.ep.Engine(), nil)
+	for i := range pr.sends {
+		t.drain(&pr.sends[i])
+	}
+}
+
+// handshake runs one Figure 1 buffer negotiation for st, retried under
+// the recovery policy when enabled: a timed-out request is simply
+// reissued with a fresh message id. If the *reply* (not the request) was
+// lost, the retry makes the target register a second buffer and the
+// first leaks — the stale-registration garbage a real system would clean
+// up out of band, harmless here.
+func (t *rdmaTransport) handshake(st *sendState, size int) {
+	if t.rel.rec == nil {
+		t.ep.NegotiateBuffer(int(st.dst), size, st)
+		return
+	}
+	t.rel.rec.Run(&handshake{t: t, st: st, size: size})
 }
 
 // Attempt implements recovery.Sender: every attempt is a fresh request.
 func (h *handshake) Attempt(int) recovery.Attempt {
-	op := h.t.ep.RequestRemoteBuffer(h.dst, h.size)
-	op.Done.OnComplete(func() { h.reply(op.Done.Value()) })
+	h.t.ep.NegotiateBuffer(int(h.st.dst), h.size, h)
 	return recovery.Attempt{Acked: &h.acked}
 }
 
-// reply takes the first reply's RemoteBuffer; a later one, the reply to a
-// request whose earlier reply was only late, registered a buffer nobody
-// uses.
-func (h *handshake) reply(rb any) {
-	if h.done.Done() {
+// BufferReady implements rdma.BufferHandler: the first reply's buffer
+// goes to the send state; a later one, the reply to a request whose
+// earlier reply was only late, registered a buffer nobody uses.
+func (h *handshake) BufferReady(rb rdma.RemoteBuffer) {
+	if h.replied {
 		return
 	}
-	eng := h.t.ep.Engine()
-	h.done.Complete(eng, rb)
+	h.replied = true
+	h.st.BufferReady(rb)
 	if !h.abandoned {
-		h.acked.Complete(eng, nil)
+		h.acked.Complete(h.t.ep.Engine(), nil)
 	}
 }
 
-// Abandon implements recovery.Sender. A reply that still arrives
-// completes done, but not the manager's acked.
+// Abandon implements recovery.Sender. A reply that still arrives hands
+// over its buffer, but does not complete the manager's acked.
 func (h *handshake) Abandon() { h.abandoned = true }
 
 // Send implements Transport: the message goes to the wire when a
@@ -242,7 +304,7 @@ func (h *handshake) Abandon() { h.abandoned = true }
 //
 //rvmalint:hot
 func (t *rdmaTransport) Send(dst, size int) {
-	st := t.out[dst]
+	st := t.sendTo(dst)
 	if st == nil {
 		panic(fmt.Sprintf("motif: rank %d Send to unprepared dst %d", t.Rank(), dst))
 	}
@@ -261,7 +323,7 @@ func (t *rdmaTransport) Send(dst, size int) {
 //
 //rvmalint:hot
 func (t *rdmaTransport) WaitSent(p *sim.Process, dst int) {
-	st := t.out[dst]
+	st := t.sendTo(dst)
 	if st == nil {
 		panic(fmt.Sprintf("motif: rank %d WaitSent on unprepared dst %d", t.Rank(), dst))
 	}
@@ -281,12 +343,23 @@ func (t *rdmaTransport) WaitSent(p *sim.Process, dst int) {
 //
 //rvmalint:hot
 func (t *rdmaTransport) Sent(dst int) {
-	st := t.out[dst]
+	st := t.peers[dst].send
 	st.pending--
 	if st.pending == 0 && st.waiting {
 		st.waiting = false
 		st.drained.Complete(t.ep.Engine(), nil)
 	}
+}
+
+// sendTo returns dst's send state, nil unless a Prepare named dst an
+// out-neighbor.
+//
+//rvmalint:hot
+func (t *rdmaTransport) sendTo(dst int) *sendState {
+	if p := t.peers[dst]; p != nil {
+		return p.send
+	}
+	return nil
 }
 
 // drain issues queued sends while credits last.
@@ -428,20 +501,24 @@ func (s *rdmaSend) free() {
 //
 //rvmalint:hot
 func (t *rdmaTransport) Recv(p *sim.Process, src, size int) {
-	st := t.in[src]
-	if st == nil {
+	peer := t.peers[src]
+	if peer == nil || !peer.in {
 		panic(fmt.Sprintf("motif: rank %d Recv from unprepared src %d", t.Rank(), src))
 	}
+	if peer.returnCredit == nil {
+		//rvmalint:allow hotalloc -- once per in-neighbor, at its first message: the credit return is bound then and reused for every later one
+		peer.returnCredit = peer.creditReturn
+	}
 	if t.ordered {
-		st.consumed += uint64(size)
-		done := t.ep.WaitBytes(src, st.consumed)
-		done.OnComplete(st.returnCredit)
+		peer.consumed += uint64(size)
+		done := t.ep.WaitBytes(src, peer.consumed)
+		done.OnComplete(peer.returnCredit)
 		p.Wait(done)
 		t.ep.ReleaseWait(done)
 		return
 	}
 	recv := t.ep.PostRecv(src, rdma.FenceQP)
-	recv.Done.OnComplete(st.returnCredit)
+	recv.Done.OnComplete(peer.returnCredit)
 	p.Wait(recv.Done)
 	t.ep.ReleaseRecv(recv)
 }
@@ -452,13 +529,16 @@ func (t *rdmaTransport) dropPools() {
 	t.rel.idle = nil
 }
 
-// creditReturn returns src's credit-return continuation: a consumed
+// creditReturn is the peer's credit-return continuation: a consumed
 // message hands its buffer back to the sender. A lost credit wedges the
 // sender forever, so under recovery it is acked and retried like any data
 // message.
-func (t *rdmaTransport) creditReturn(src int) func() {
-	if t.rel.rec != nil {
-		return func() { t.reliableSend(src, creditQP) }
+//
+//rvmalint:hot
+func (p *rdmaPeer) creditReturn() {
+	if t := p.t; t.rel.rec != nil {
+		t.reliableSend(int(p.node), creditQP)
+	} else {
+		t.ep.Send(int(p.node), creditQP, 1)
 	}
-	return func() { t.ep.Send(src, creditQP, 1) }
 }

@@ -130,3 +130,43 @@ func TestRDMAMessageAllocations(t *testing.T) {
 		}
 	}
 }
+
+// Two Prepares in flight at once each make only their own out-neighbors
+// ready. Rank 0 prepares a near peer and a far one in separate calls and,
+// as soon as the near call resolves, sends to the far peer, whose
+// handshake is still pending: the message waits in the far peer's queue
+// for its buffer and is delivered once the far call resolves. Had the
+// first call to finish marked every peer ready, the send would have
+// looked for a negotiated buffer the far peer does not have yet.
+func TestConcurrentPreparesReadyOnlyTheirOwnPeers(t *testing.T) {
+	const size = 4096
+	c, err := NewCluster(DefaultClusterConfig(smallTopo(t, 32), KindRDMA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	near, far := 1, len(c.Transports)-1
+	tp := c.Transports[0]
+	secondPending, delivered := false, false
+	c.TagFor(0).Spawn("sender", func(p *sim.Process) {
+		first := tp.Prepare(nil, []int{near}, size)
+		second := tp.Prepare(nil, []int{far}, size)
+		p.Wait(first)
+		secondPending = !second.Done()
+		tp.Send(far, size)
+		p.Wait(second)
+		tp.WaitSent(p, far)
+	})
+	rx := c.Transports[far]
+	c.TagFor(far).Spawn("receiver", func(p *sim.Process) {
+		p.Wait(rx.Prepare([]int{0}, nil, size))
+		rx.Recv(p, 0, size)
+		delivered = true
+	})
+	c.Run()
+	if !secondPending {
+		t.Fatal("the far Prepare resolved first: the case under test did not occur")
+	}
+	if !delivered {
+		t.Fatal("the message sent before its peer's Prepare resolved was never delivered")
+	}
+}

@@ -32,7 +32,7 @@ type rvmaTransport struct {
 	// counters wrap; they are compared by difference.
 	putsSent uint32
 	// boxes is made by the first Prepare that names an in-neighbor.
-	boxes map[int]*mailboxState
+	boxes map[int]*mailbox
 	// rel, when its manager is set, puts every Send under the recovery
 	// layer's timeout/retransmit policy (acked puts instead of
 	// fire-and-forget) and arms receiver-side window guards on Recv.
@@ -82,17 +82,21 @@ type recvWait struct {
 	target uint32 // a WaitSent's: the putsSent that releases it
 }
 
-// mailboxState tracks one in-neighbor's window and its consumption queue.
-type mailboxState struct {
+// mailbox tracks one in-neighbor's window and its consumption queue. A
+// Prepare makes its mailboxes in one array, and each is its window's
+// completion observer.
+type mailbox struct {
+	t   *rvmaTransport
 	win *rvma.Window
 	// guard reclaims holed buffers past the sender's retry horizon
 	// (non-nil only under recovery).
 	guard *recovery.WindowGuard
-	// available counts completed-but-unconsumed messages; waiters are
-	// the futures of Recv calls parked for the next completion, FIFO.
-	available int
+	// waiters are the futures of Recv calls parked for the next
+	// completion, FIFO; available counts completed-but-unconsumed
+	// messages.
 	waiters   sim.FIFO[*sim.Future]
-	maxMsg    int
+	available int32
+	maxMsg    int32
 }
 
 // init makes t, a zero transport in its shard's array, rank ep.Node()'s
@@ -112,60 +116,88 @@ func (t *rvmaTransport) Ranks() int { return t.ep.NIC().Network().Topology().Num
 
 // Prepare implements Transport: create one window per in-neighbor and
 // keep `depth` buffers posted. RVMA senders need no preparation at all —
-// that is the point of virtual addressing.
+// that is the point of virtual addressing. The mailboxes, their windows
+// and their buffers are built in bulk, a few arrays per call.
 func (t *rvmaTransport) Prepare(inPeers, outPeers []int, maxMsg int) *sim.Future {
 	f := sim.NewFuture()
-	for _, src := range inPeers {
-		if _, ok := t.boxes[src]; ok {
-			continue
-		}
-		win, err := t.ep.InitWindow(rvma.VAddr(src), 1, rvma.EpochOps)
-		if err != nil {
-			panic(fmt.Sprintf("motif: rank %d window for src %d: %v", t.Rank(), src, err))
-		}
-		box := &mailboxState{win: win, maxMsg: maxMsg}
-		if t.rel.rec != nil {
-			box.guard = t.rel.rec.GuardWindow(win)
-		}
-		if t.boxes == nil {
-			t.boxes = make(map[int]*mailboxState)
-		}
-		t.boxes[src] = box
-		for i := int32(0); i < t.depth; i++ {
-			t.postOne(box)
-		}
-		// Observe every epoch completion: release the buffer (motifs move
-		// sizes, not bytes, so it is consumed on arrival) and repost to
-		// keep the posted depth constant, which reuses the released
-		// buffer's memory; then hand the message to a waiting Recv (or
-		// bank it). SetCompletionHandler cannot miss back-to-back
-		// completions, unlike re-arming one-shot waiters.
-		win.SetCompletionHandler(func(b *rvma.Buffer) {
-			delivered := b.Count >= win.Threshold()
-			if err := win.Release(b); err != nil {
-				panic(fmt.Sprintf("motif: rank %d release: %v", t.Rank(), err))
-			}
-			t.postOne(box)
-			if !delivered {
-				// A guard reclaim (IncEpoch on a holed buffer): the buffer
-				// was salvaged and reposted, but no message completed, so
-				// there is nothing to deliver to a Recv.
-				return
-			}
-			if box.waiters.Len() > 0 {
-				box.waiters.Pop().Complete(t.ep.Engine(), nil)
-			} else {
-				box.available++
-			}
-		})
-	}
+	t.openMailboxes(inPeers, maxMsg)
 	f.Complete(t.ep.Engine(), nil)
 	return f
 }
 
+// openMailboxes opens a mailbox for each of srcs that has none yet.
+func (t *rvmaTransport) openMailboxes(srcs []int, maxMsg int) {
+	n := 0
+	for _, src := range srcs {
+		if t.boxes[src] == nil {
+			n++
+		}
+	}
+	if n == 0 {
+		return
+	}
+	if t.boxes == nil {
+		t.boxes = make(map[int]*mailbox, n)
+	}
+	boxes := make([]mailbox, 0, n)
+	vaddrs := make([]rvma.VAddr, 0, n)
+	for _, src := range srcs {
+		if t.boxes[src] != nil {
+			continue
+		}
+		boxes = append(boxes, mailbox{t: t, maxMsg: int32(maxMsg)})
+		t.boxes[src] = &boxes[len(boxes)-1]
+		vaddrs = append(vaddrs, rvma.VAddr(src))
+	}
+	wins, err := t.ep.InitWindows(vaddrs, 1, rvma.EpochOps, int(t.depth), maxMsg)
+	if err != nil {
+		panic(fmt.Sprintf("motif: rank %d windows: %v", t.Rank(), err))
+	}
+	var guards []recovery.WindowGuard
+	if t.rel.rec != nil {
+		guards = t.rel.rec.GuardWindows(wins)
+	}
+	for i := range boxes {
+		box := &boxes[i]
+		box.win = &wins[i]
+		if guards != nil {
+			box.guard = &guards[i]
+		}
+		box.win.SetCompletionObserver(box)
+	}
+}
+
+// Completed implements rvma.CompletionObserver: at every epoch completion
+// the mailbox releases the buffer (motifs move sizes, not bytes, so it is
+// consumed on arrival) and reposts to keep the posted depth constant,
+// which reuses the released buffer's memory; then it hands the message to
+// a waiting Recv (or banks it). An observer cannot miss back-to-back
+// completions, unlike re-arming one-shot waiters.
+//
+//rvmalint:hot
+func (box *mailbox) Completed(b *rvma.Buffer) {
+	t, win := box.t, box.win
+	delivered := b.Count >= win.Threshold()
+	if err := win.Release(b); err != nil {
+		panic(fmt.Sprintf("motif: rank %d release: %v", t.Rank(), err))
+	}
+	t.postOne(box)
+	if !delivered {
+		// A guard reclaim (IncEpoch on a holed buffer): the buffer was
+		// salvaged and reposted, but no message completed, so there is
+		// nothing to deliver to a Recv.
+		return
+	}
+	if box.waiters.Len() > 0 {
+		box.waiters.Pop().Complete(t.ep.Engine(), nil)
+	} else {
+		box.available++
+	}
+}
+
 // postOne posts a buffer to the mailbox.
-func (t *rvmaTransport) postOne(box *mailboxState) {
-	if _, err := box.win.PostBuffer(box.maxMsg); err != nil {
+func (t *rvmaTransport) postOne(box *mailbox) {
+	if _, err := box.win.PostBuffer(int(box.maxMsg)); err != nil {
 		panic(fmt.Sprintf("motif: rank %d post: %v", t.Rank(), err))
 	}
 }
@@ -316,7 +348,7 @@ func (t *rvmaTransport) Recv(p *sim.Process, src, size int) {
 	if box == nil {
 		panic(fmt.Sprintf("motif: rank %d Recv from unprepared src %d", t.Rank(), src))
 	}
-	if size > box.maxMsg {
+	if size > int(box.maxMsg) {
 		panic(fmt.Sprintf("motif: rank %d Recv size %d exceeds prepared max %d", t.Rank(), size, box.maxMsg))
 	}
 	if box.guard != nil {

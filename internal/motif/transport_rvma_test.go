@@ -80,10 +80,11 @@ func rvmaExchange(t *testing.T, routing fabric.RoutingMode, depth int, burst, re
 // a 1-packet one does.
 //
 // A burst into a depth-4 mailbox draws no NACK, but its messages are all
-// in flight at once, so the engine's event pool and the endpoint's free
-// list grow by what each one has pending: about three allocations per
-// 1-packet message, and about nine per 4-packet one, whose packets wait
-// in the send pipe. Into a depth-1 mailbox about one put per message is
+// in flight at once, so the endpoint's free list and stage queues and the
+// engine's event pool grow by what each one has pending: about two
+// allocations per 1-packet message, and about five per 4-packet one,
+// whose packets wait in the send pipe; the packets themselves come from
+// the fabric in chunks. Into a depth-1 mailbox about one put per message is
 // NACKed, and a NACK adds two allocations to that: its command at the
 // target and the sender's backoff closure; the retried put reuses a
 // spent PutOp.
@@ -120,8 +121,8 @@ func TestRVMAMessageAllocations(t *testing.T) {
 	}{
 		{"adaptive ping-pong", fabric.RouteAdaptive, 4, false, false, 1000, map[int]float64{1: 0, 4: 0}},
 		{"static ping-pong", fabric.RouteStatic, 4, false, false, 1000, map[int]float64{1: 0, 4: 0}},
-		{"burst", fabric.RouteAdaptive, 4, true, false, 1000, map[int]float64{1: 3.1, 4: 9.2}},
-		{"NACKing burst", fabric.RouteAdaptive, 1, true, false, 1000, map[int]float64{1: 5.1, 4: 11.2}},
+		{"burst", fabric.RouteAdaptive, 4, true, false, 1000, map[int]float64{1: 2.1, 4: 5.2}},
+		{"NACKing burst", fabric.RouteAdaptive, 1, true, false, 1000, map[int]float64{1: 4.1, 4: 7.2}},
 		{"reliable ping-pong", fabric.RouteAdaptive, 4, false, true, 4000, map[int]float64{1: 2, 4: 2}},
 	} {
 		messages := float64(tc.messages)

@@ -7,11 +7,30 @@ import (
 	"rvma/internal/sim"
 )
 
-// RegOp tracks a buffer-negotiation handshake (Figure 1, steps 1-3).
+// RegOp tracks a buffer-negotiation handshake (Figure 1, steps 1-3). It
+// is its own continuation, as a PutOp is: the request waits out the
+// host's post overhead in the endpoint's post stage, and reaping the
+// reply is the op's own method.
 type RegOp struct {
 	// Done resolves with the RemoteBuffer once the target has allocated,
 	// registered, and replied.
 	Done *sim.Future
+
+	done  sim.Future    // what Done points at
+	req   command       // the request the target answers
+	rb    RemoteBuffer  // the reply's buffer, between its arrival and its reaping
+	h     BufferHandler // NegotiateBuffer's handler
+	start sim.Time      // when the handshake began (handshake histogram)
+	dst   int
+	ep    *Endpoint
+}
+
+// BufferHandler takes the RemoteBuffer of a handshake NegotiateBuffer
+// started.
+type BufferHandler interface {
+	// BufferReady runs when the reply has been reaped, when the Done of
+	// a RequestRemoteBuffer would complete.
+	BufferReady(rb RemoteBuffer)
 }
 
 // RequestRemoteBuffer performs the RDMA setup handshake the paper's
@@ -20,23 +39,42 @@ type RegOp struct {
 // the (address, length, key) the initiator must retain. This round trip —
 // absent in RVMA — is the setup cost Figure 6 amortizes.
 func (ep *Endpoint) RequestRemoteBuffer(dst, size int) *RegOp {
+	op := ep.requestBuffer(dst, size)
+	op.Done = &op.done
+	return op
+}
+
+// NegotiateBuffer is RequestRemoteBuffer for a caller that keeps a record
+// per peer: h, typically that record, takes the RemoteBuffer, so the
+// handshake hands out no future and boxes no value.
+func (ep *Endpoint) NegotiateBuffer(dst, size int, h BufferHandler) {
+	ep.requestBuffer(dst, size).h = h
+}
+
+func (ep *Endpoint) requestBuffer(dst, size int) *RegOp {
 	if size <= 0 {
 		panic(fmt.Sprintf("rdma: remote buffer size %d", size))
 	}
-	op := &RegOp{Done: sim.NewFuture()}
-	req := &command{op: opRegRequest, msgID: ep.nextMsgID, size: size, ref: op}
+	op := &RegOp{start: ep.eng.Now(), dst: dst, ep: ep}
+	op.req = command{op: opRegRequest, msgID: ep.nextMsgID, size: size, ref: op}
 	ep.nextMsgID++
 	ep.regsInFlight++
-
-	eng := ep.eng
-	if ep.mHandshake != nil {
-		start := eng.Now()
-		op.Done.OnComplete(func() { ep.mHandshake.ObserveTime(eng.Now() - start) })
-	}
-	eng.Schedule(ep.nic.Profile().HostPostOverhead, func() {
-		ep.nic.SendMessage(dst, 0, req.payload)
-	})
+	ep.post(op)
 	return op
+}
+
+// post sends the request once the host has posted it.
+func (op *RegOp) post(ep *Endpoint) { ep.nic.SendMessage(op.dst, 0, op.req.payload) }
+
+// reaped completes the handshake once the host has processed the reply.
+func (op *RegOp) reaped() {
+	ep := op.ep
+	ep.mHandshake.ObserveTime(ep.eng.Now() - op.start)
+	if op.h != nil {
+		op.h.BufferReady(op.rb)
+		return
+	}
+	op.done.Complete(ep.eng.Engine, op.rb)
 }
 
 // PutOp tracks one initiated RDMA put. It owns the continuations of its

@@ -83,6 +83,8 @@ type MemoryRegion struct {
 	// bookkeeping; a real NIC has no such counter, which is the paper's
 	// entire point — see rvma).
 	BytesReceived int
+
+	region memory.Region // Region's record, unless it reused a freed one
 }
 
 // RemoteBuffer is the initiator's handle to a remote registered region:
@@ -169,17 +171,47 @@ type peer struct {
 	recv uint64 // cumulative put payload bytes landed from the peer
 	// qps are the target-side queues of the peer's queue pairs, indexed by
 	// QP. InfiniBand receive queues belong to a queue pair, and
-	// applications commonly run several QPs per peer (e.g. one for data
-	// and fences, one for control credits).
-	qps   []queuePair
+	// applications commonly run several QPs per peer: here one for data
+	// and fences and one for control, such as credits.
+	qps   [QueuePairs]queuePair
 	waits []byteWait // cumulative-byte polls on the peer's puts
 }
+
+// QueuePairs is the number of queue pairs an endpoint keeps per peer,
+// indexed from 0: FenceQP and one control QP.
+const QueuePairs = 2
 
 // queuePair holds one QP's posted receives and the sends waiting for a
 // receive or for their fence, both matched in FIFO order.
 type queuePair struct {
 	recvs sim.FIFO[*RecvOp]
 	sends sim.FIFO[pendingSend]
+}
+
+// AddPeers makes the records of the nodes among nodes that the endpoint
+// has none of yet, as first contact with each would, but in one array: a
+// caller that knows its peers up front (a transport's Prepare) pays for
+// them once, not per peer.
+func (ep *Endpoint) AddPeers(nodes []int) {
+	n := 0
+	for _, node := range nodes {
+		if ep.peers[node] == nil {
+			n++
+		}
+	}
+	if n == 0 {
+		return
+	}
+	if ep.peers == nil {
+		ep.peers = make(map[int]*peer, n)
+	}
+	recs := make([]peer, n)
+	for _, node := range nodes {
+		if ep.peers[node] == nil {
+			ep.peers[node] = &recs[0]
+			recs = recs[1:]
+		}
+	}
 }
 
 // peer returns node's record, creating it on first contact.
@@ -207,18 +239,12 @@ func (ep *Endpoint) sentTo(node int) uint64 {
 	return 0
 }
 
-// qp returns the queues of QP index i, growing the table to reach it.
+// qp returns the queues of QP index i.
 //
 //rvmalint:hot
 func (p *peer) qp(i int) *queuePair {
-	if i < 0 {
-		panic(fmt.Sprintf("rdma: negative QP index %d", i))
-	}
-	if i >= len(p.qps) {
-		//rvmalint:allow hotalloc -- once per QP index a peer uses; QP indices are small
-		qps := make([]queuePair, i+1)
-		copy(qps, p.qps)
-		p.qps = qps
+	if i < 0 || i >= QueuePairs {
+		panic(fmt.Sprintf("rdma: QP index %d outside [0, %d)", i, QueuePairs))
 	}
 	return &p.qps[i]
 }
@@ -335,33 +361,6 @@ func (ep *Endpoint) Memory() *memory.Memory { return ep.nic.Memory() }
 
 // Engine returns the simulation engine.
 func (ep *Endpoint) Engine() *sim.Engine { return ep.nic.Engine() }
-
-// RegisterBuffer allocates and registers a region of the given size,
-// paying the profile's registration cost (syscall + page pinning). The
-// future resolves with the *MemoryRegion when registration completes.
-func (ep *Endpoint) RegisterBuffer(size int) *sim.Future {
-	if size <= 0 {
-		panic(fmt.Sprintf("rdma: register size %d", size))
-	}
-	f := sim.NewFuture()
-	eng := ep.eng
-	cost := ep.nic.Profile().RegistrationTime(size)
-	ep.mRegMR.ObserveTime(cost)
-	if ep.tracer != nil {
-		ep.tracer.Eventf(trace.CatRDMA, "node %d register %dB (%v)", ep.Node(), size, cost)
-	}
-	eng.Schedule(cost, func() {
-		mr := &MemoryRegion{RKey: ep.nextRKey, Region: ep.Memory().Alloc(size)}
-		ep.nextRKey++
-		if ep.mrs == nil {
-			ep.mrs = make(map[uint32]*MemoryRegion)
-		}
-		ep.mrs[mr.RKey] = mr
-		ep.Stats.Registrations++
-		f.Complete(eng.Engine, mr)
-	})
-	return f
-}
 
 // RegionByKey returns the locally registered region with the given rkey,
 // or nil. Targets use it to find the region a negotiated handle refers to.

@@ -54,25 +54,48 @@ func (ep *Endpoint) handleRegRequest(pkt *fabric.Packet, cmd *command) {
 		ep.tracer.Eventf(trace.CatRDMA, "node %d handshake from %d for %dB",
 			ep.Node(), pkt.Src, cmd.size)
 	}
-	src := pkt.Src
-	msgID, ref := cmd.msgID, cmd.ref
-	f := ep.RegisterBuffer(cmd.size)
-	f.OnComplete(func() {
-		mr := f.Value().(*MemoryRegion)
-		reply := &command{op: opRegReply, msgID: msgID, ref: ref,
-			rb: RemoteBuffer{Node: ep.Node(), RKey: mr.RKey, Addr: mr.Region.Base, Size: mr.Region.Size()}}
-		ep.nic.SendMessage(src, 0, reply.payload)
-	})
+	r := &registration{ep: ep, src: pkt.Src, size: cmd.size}
+	r.reply = command{op: opRegReply, msgID: cmd.msgID, ref: cmd.ref}
+	cost := ep.nic.Profile().RegistrationTime(cmd.size)
+	ep.mRegMR.ObserveTime(cost)
+	if ep.tracer != nil {
+		ep.tracer.Eventf(trace.CatRDMA, "node %d register %dB (%v)", ep.Node(), cmd.size, cost)
+	}
+	ep.eng.Schedule(cost, r.register)
 }
 
-// handleRegReply resolves the handshake the reply names.
+// registration is the target's side of one handshake: the timed
+// registration of a region and the reply that hands it to the initiator,
+// both its own methods.
+type registration struct {
+	ep    *Endpoint
+	src   int
+	size  int
+	reply command // the reply, which the initiator reads once it lands
+}
+
+// register registers the region, once the registration cost has been
+// paid, and replies with its coordinates.
+func (r *registration) register() {
+	ep := r.ep
+	mr := &MemoryRegion{RKey: ep.nextRKey}
+	mr.Region = ep.Memory().AllocIn(&mr.region, r.size)
+	ep.nextRKey++
+	if ep.mrs == nil {
+		ep.mrs = make(map[uint32]*MemoryRegion)
+	}
+	ep.mrs[mr.RKey] = mr
+	ep.Stats.Registrations++
+	r.reply.rb = RemoteBuffer{Node: ep.Node(), RKey: mr.RKey, Addr: mr.Region.Base, Size: mr.Region.Size()}
+	ep.nic.SendMessage(r.src, 0, r.reply.payload)
+}
+
+// handleRegReply queues the reaping of the handshake the reply names.
 func (ep *Endpoint) handleRegReply(cmd *command) {
 	op := cmd.ref.(*RegOp)
 	ep.regsInFlight--
-	eng := ep.eng
-	eng.Schedule(ep.nic.Profile().CQProcessOverhead, func() {
-		op.Done.Complete(eng.Engine, cmd.rb)
-	})
+	op.rb = cmd.rb
+	ep.eng.Schedule(ep.nic.Profile().CQProcessOverhead, op.reaped)
 }
 
 // sendAck emits the NIC-generated transport acknowledgment of the message
@@ -217,9 +240,7 @@ func (ep *Endpoint) handlePutData(pkt *fabric.Packet, cmd *command) {
 	}
 
 	// Newly landed bytes may release held fences.
-	if FenceQP < len(p.qps) {
-		ep.matchSends(pkt.Src, p, &p.qps[FenceQP])
-	}
+	ep.matchSends(pkt.Src, p, &p.qps[FenceQP])
 }
 
 // handleSend receives a (possibly fenced) two-sided send.

@@ -387,10 +387,14 @@ type WindowGuard struct {
 	rewind func() // g.rewindHead, bound at the guard's first reclaim
 }
 
-// GuardWindow builds a guard for win with the reclaim deadline derived
-// from the manager's retry policy.
-func (m *Manager) GuardWindow(win *rvma.Window) *WindowGuard {
-	return &WindowGuard{m: m, win: win}
+// GuardWindows builds a guard for each of wins, in one array, with the
+// reclaim deadline derived from the manager's retry policy.
+func (m *Manager) GuardWindows(wins []rvma.Window) []WindowGuard {
+	gs := make([]WindowGuard, len(wins))
+	for i := range gs {
+		gs[i] = WindowGuard{m: m, win: &wins[i]}
+	}
+	return gs
 }
 
 // ReclaimAfter is how long after an operation starts its packets can

@@ -337,14 +337,11 @@ func TestWindowGuardReclaimsHoledBuffer(t *testing.T) {
 
 	m := new(Manager)
 	m.Init(eng, DefaultConfig(), 1)
-	win, err := dst.InitWindow(0x6E55, 4096, rvma.EpochBytes)
+	wins, err := dst.InitWindows([]rvma.VAddr{0x6E55}, 4096, rvma.EpochBytes, 1, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := win.PostBuffer(4096); err != nil {
-		t.Fatal(err)
-	}
-	guard := m.GuardWindow(win)
+	win, guard := &wins[0], &m.GuardWindows(wins)[0]
 	var salvaged *rvma.Buffer
 	win.SetCompletionHandler(func(b *rvma.Buffer) { salvaged = b })
 	eng.Schedule(0, func() {
@@ -381,15 +378,13 @@ func TestWindowGuardLeavesHealthyWindowAlone(t *testing.T) {
 
 	m := new(Manager)
 	m.Init(eng, DefaultConfig(), 1)
-	win, err := dst.InitWindow(0x6E55, 4096, rvma.EpochBytes)
+	wins, err := dst.InitWindows([]rvma.VAddr{0x6E55}, 4096, rvma.EpochBytes, 1, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := win.PostBuffer(4096); err != nil {
-		t.Fatal(err)
-	}
+	win, guard := &wins[0], &m.GuardWindows(wins)[0]
 	eng.Schedule(0, func() {
-		m.GuardWindow(win).Expect()
+		guard.Expect()
 		src.PutN(1, 0x6E55, 0, 4096)
 	})
 	eng.Run()

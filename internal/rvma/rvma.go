@@ -39,7 +39,7 @@ type VAddr uint64
 
 // EpochType selects how the NIC counts toward a window's completion
 // threshold (the paper's epoch_type).
-type EpochType int
+type EpochType uint8
 
 const (
 	// EpochBytes counts payload bytes written into the active buffer.
@@ -62,7 +62,7 @@ func (t EpochType) String() string {
 }
 
 // Mode selects a window's placement discipline (§IV-B).
-type Mode int
+type Mode uint8
 
 const (
 	// Steered is the paper's primary mode: every put carries an offset and

@@ -895,3 +895,112 @@ func TestCommandFitsItsSizeClass(t *testing.T) {
 		t.Fatalf("command is %d B, past the 96 B size class", n)
 	}
 }
+
+// InitWindows opens what InitWindow and PostBuffer would, one window and
+// one buffer at a time: the same windows in the lookup table, the same
+// buffers at the same addresses with the same completion cells, the same
+// hardware counters claimed, and the same simulated memory live.
+func TestInitWindowsMatchesOneByOne(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxHWCounters = 3 // fewer than the windows, so the claim order shows
+	_, one, _ := pair(t, cfg, fabric.DefaultConfig(), 1)
+	_, bulk, _ := pair(t, cfg, fabric.DefaultConfig(), 1)
+	vaddrs := []VAddr{7, 3, 11, 5, 9}
+	const depth, size = 3, 4096
+	var want []*Window
+	for _, va := range vaddrs {
+		w, err := one.InitWindow(va, 1, EpochOps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < depth; i++ {
+			if _, err := w.PostBuffer(size); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want = append(want, w)
+	}
+	got, err := bulk.InitWindows(vaddrs, 1, EpochOps, depth, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(vaddrs) || bulk.LUTSize() != one.LUTSize() || bulk.activeCtrs != one.activeCtrs {
+		t.Fatalf("%d windows, LUT %d, %d counters; one by one: LUT %d, %d counters",
+			len(got), bulk.LUTSize(), bulk.activeCtrs, one.LUTSize(), one.activeCtrs)
+	}
+	for i, w := range want {
+		g := &got[i]
+		if bulk.lut[vaddrs[i]] != g || g.VAddr() != w.VAddr() || g.Threshold() != w.Threshold() ||
+			g.EpochType() != w.EpochType() || g.hwCounter != w.hwCounter || len(g.queue) != len(w.queue) {
+			t.Fatalf("window %#x differs from the one opened alone", vaddrs[i])
+		}
+		for j, b := range w.queue {
+			gb := g.queue[j]
+			if gb.Region.Base != b.Region.Base || gb.Region.Size() != b.Region.Size() ||
+				gb.NotificationAddr() != b.NotificationAddr() || gb.Epoch != b.Epoch || !gb.owned || gb.win != g {
+				t.Fatalf("window %#x buffer %d differs from the one posted alone", vaddrs[i], j)
+			}
+		}
+	}
+	if bulk.Memory().LiveBytes() != one.Memory().LiveBytes() {
+		t.Fatalf("%d B live, one by one %d B", bulk.Memory().LiveBytes(), one.Memory().LiveBytes())
+	}
+}
+
+// InitWindows opens nothing when it fails: not for a bad argument, a
+// vaddr that already has a window, or one listed twice.
+func TestInitWindowsFailsWhole(t *testing.T) {
+	_, ep, _ := defaultPair(t)
+	if _, err := ep.InitWindow(4, 1, EpochOps); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name        string
+		vaddrs      []VAddr
+		threshold   int64
+		depth, size int
+	}{
+		{"zero threshold", []VAddr{1, 2}, 0, 1, 64},
+		{"negative depth", []VAddr{1, 2}, 1, -1, 64},
+		{"empty buffers", []VAddr{1, 2}, 1, 1, 0},
+		{"open mailbox", []VAddr{1, 2, 4}, 1, 1, 64},
+		{"repeated mailbox", []VAddr{1, 2, 1}, 1, 1, 64},
+	} {
+		if _, err := ep.InitWindows(tc.vaddrs, tc.threshold, EpochOps, tc.depth, tc.size); !errors.Is(err, ErrBadArgument) {
+			t.Errorf("%s: err %v, want ErrBadArgument", tc.name, err)
+		}
+		if n := ep.LUTSize(); n != 1 {
+			t.Errorf("%s: %d windows in the LUT after the failed call, want the 1 opened before", tc.name, n)
+		}
+	}
+	if ep.Memory().LiveBytes() != 0 {
+		t.Errorf("%d B live after failed calls, want 0", ep.Memory().LiveBytes())
+	}
+}
+
+// Opening mailboxes in bulk costs a few heap objects, however many
+// mailboxes and buffers: the windows, their queues and their buffer slots
+// are three arrays, the region index grows once, and the LUT's map is
+// made at its size, in a few more tables as it grows past a thousand
+// entries. Before the bulk path a mailbox of four buffers cost eighteen.
+func TestInitWindowsAllocations(t *testing.T) {
+	if sim.DebugEnabled {
+		t.Skip("simdebug invariant checks box their arguments; the gate is for normal builds")
+	}
+	for _, tc := range []struct{ mailboxes, want int }{{4, 6}, {64, 8}, {1024, 11}} {
+		vaddrs := make([]VAddr, tc.mailboxes)
+		for i := range vaddrs {
+			vaddrs[i] = VAddr(i)
+		}
+		build := testing.AllocsPerRun(5, func() { defaultPair(t) })
+		total := testing.AllocsPerRun(5, func() {
+			_, ep, _ := defaultPair(t)
+			if _, err := ep.InitWindows(vaddrs, 1, EpochOps, 4, 4096); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got := total - build; got > float64(tc.want) {
+			t.Errorf("%d mailboxes: %v allocations, want at most %d", tc.mailboxes, got, tc.want)
+		}
+	}
+}

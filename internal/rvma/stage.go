@@ -163,7 +163,7 @@ func (ep *Endpoint) writeNext() {
 		}
 	}
 	if w.onCompletion != nil {
-		w.onCompletion(buf)
+		w.onCompletion.Completed(buf)
 	}
 }
 

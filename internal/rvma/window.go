@@ -36,8 +36,6 @@ type Buffer struct {
 	// completing marks a threshold crossing whose (spilled-counter)
 	// completion is pending, so late packets can't double-complete it.
 	completing bool
-
-	win *Window
 	// owned marks a Region PostBuffer allocated, which Release frees; a
 	// region software attached with PostBufferRegion stays software's.
 	owned bool
@@ -47,6 +45,7 @@ type Buffer struct {
 	retained bool
 	released bool
 
+	win  *Window
 	cell memory.CompletionCell
 }
 
@@ -65,19 +64,18 @@ type Window struct {
 	threshold int64
 	etype     EpochType
 	mode      Mode
+	closed    bool
+	hwCounter bool // whether this window holds a NIC hardware counter
 
 	queue   []*Buffer // queue[0] is the active head buffer
 	history []*Buffer // most recent completed buffers, oldest first
 	epoch   int64
-	closed  bool
 
 	// counter is the per-virtual-address completion counter the paper's
 	// completion unit maintains ("incrementing a counter associated with
 	// the virtual address", §III-B). It carries over across epochs:
 	// counts beyond one threshold belong to the next buffer.
 	counter int64
-
-	hwCounter bool // whether this window holds a NIC hardware counter
 
 	// completionWaiters are one-shot futures resolved at the next epoch
 	// completion (convenience over raw cell watching).
@@ -86,7 +84,7 @@ type Window struct {
 	// completion-pointer write). Unlike NextCompletion it cannot miss
 	// back-to-back completions, so middleware that must see all epochs
 	// (e.g. keeping a constant number of buffers posted) uses it.
-	onCompletion func(*Buffer)
+	onCompletion CompletionObserver
 
 	// pendingSpans are message spans whose final "complete" stage ends at
 	// this window's next epoch completion (several messages can share one
@@ -130,6 +128,61 @@ func (ep *Endpoint) InitWindowMode(vaddr VAddr, threshold int64, etype EpochType
 	}
 	ep.lut[vaddr] = w
 	return w, nil
+}
+
+// InitWindows opens a window at each of vaddrs, as InitWindow does, and
+// posts depth buffers of size bytes to each, as PostBuffer does, window
+// by window and buffer by buffer. It builds them in bulk: the windows,
+// their queues and their buffers, each with the records of its data
+// region and its completion cell, are three arrays made for the call, so
+// what opening mailboxes costs in host objects does not grow with their
+// number. The windows are returned in vaddrs order and must not be
+// copied. It opens nothing and returns an error if an argument is
+// invalid, or if a vaddr already has a window or appears twice.
+func (ep *Endpoint) InitWindows(vaddrs []VAddr, threshold int64, etype EpochType, depth, size int) ([]Window, error) {
+	if threshold <= 0 {
+		return nil, fmt.Errorf("%w: threshold %d must be positive", ErrBadArgument, threshold)
+	}
+	if depth < 0 || size <= 0 {
+		return nil, fmt.Errorf("%w: %d buffers of %d bytes", ErrBadArgument, depth, size)
+	}
+	wins := make([]Window, len(vaddrs))
+	if ep.lut == nil {
+		ep.lut = make(map[VAddr]*Window, len(vaddrs))
+	}
+	for i, va := range vaddrs {
+		if _, exists := ep.lut[va]; exists {
+			for _, opened := range vaddrs[:i] {
+				delete(ep.lut, opened)
+			}
+			return nil, fmt.Errorf("%w: mailbox %#x already has a window", ErrBadArgument, va)
+		}
+		wins[i] = Window{ep: ep, vaddr: va, threshold: threshold, etype: etype, maxRewound: -1}
+		ep.lut[va] = &wins[i]
+	}
+	n := len(vaddrs) * depth
+	queues := make([]*Buffer, n)
+	slots := make([]bufferSlot, n)
+	mem := ep.Memory()
+	mem.Grow(2 * n)
+	for i := range wins {
+		w := &wins[i]
+		w.queue = queues[i*depth : i*depth : (i+1)*depth]
+		for j := i * depth; j < (i+1)*depth; j++ {
+			s := &slots[j]
+			w.post(&s.buf, mem.AllocIn(&s.data, size), &s.cell)
+			s.buf.owned = true
+		}
+	}
+	return wins, nil
+}
+
+// bufferSlot is a buffer InitWindows posts, beside the records of its
+// data region and its completion cell's region. One array of them wastes
+// less to size-class rounding than an array of buffers and one of regions.
+type bufferSlot struct {
+	buf        Buffer
+	data, cell memory.Region
 }
 
 // VAddr returns the window's mailbox virtual address.
@@ -194,14 +247,20 @@ func (w *Window) PostBufferRegion(region *memory.Region) (*Buffer, error) {
 	} else {
 		b = new(Buffer)
 	}
-	*b = Buffer{Region: region, win: w, cell: memory.MakeCompletionCell(w.ep.Memory())}
+	w.post(b, region, nil)
+	return b, nil
+}
+
+// post attaches region to the window's queue as b, with a fresh
+// completion cell whose region record is cellSlot (nil: a new object).
+func (w *Window) post(b *Buffer, region *memory.Region, cellSlot *memory.Region) {
+	*b = Buffer{Region: region, win: w, cell: memory.MakeCompletionCell(w.ep.Memory(), cellSlot)}
 	b.Cell = &b.cell
 	wasEmpty := len(w.queue) == 0
 	w.queue = append(w.queue, b)
 	if wasEmpty {
 		w.activateHead()
 	}
-	return b, nil
 }
 
 // activateHead marks queue[0] as serving the current epoch and accounts
@@ -273,12 +332,34 @@ func (w *Window) NextCompletion() *sim.Future {
 	return f
 }
 
+// CompletionObserver observes every epoch completion on a window
+// (SetCompletionObserver).
+type CompletionObserver interface {
+	// Completed runs at the completion-pointer write of b, the buffer
+	// whose epoch completed.
+	Completed(b *Buffer)
+}
+
+// completionFunc is SetCompletionHandler's function as an observer.
+type completionFunc func(*Buffer)
+
+func (fn completionFunc) Completed(b *Buffer) { fn(b) }
+
 // SetCompletionHandler installs fn to observe every epoch completion on
 // the window, invoked at the completion-pointer write with the completed
 // buffer. Passing nil removes the handler.
 func (w *Window) SetCompletionHandler(fn func(*Buffer)) {
-	w.onCompletion = fn
+	if fn == nil {
+		w.onCompletion = nil
+		return
+	}
+	w.onCompletion = completionFunc(fn)
 }
+
+// SetCompletionObserver is SetCompletionHandler for an observer that is
+// a record of its own, as NackHandler is: software that keeps one record
+// per mailbox makes no closure per window. A nil h removes the observer.
+func (w *Window) SetCompletionObserver(h CompletionObserver) { w.onCompletion = h }
 
 // IncEpoch hands the active buffer to software before its threshold is
 // met (RVMA_Win_inc_epoch): useful for stream semantics, unknown message
