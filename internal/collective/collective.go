@@ -1,7 +1,9 @@
 // Package collective implements the classic latency-bound collective
 // algorithms — barrier and allreduce by recursive doubling, broadcast by
 // binomial tree, allgather by ring — over the motif Transport interface,
-// so they run unchanged on RVMA and on baseline RDMA.
+// so they run unchanged on RVMA and on baseline RDMA. Each algorithm
+// builds one rank's schedule of sends, receives and compute delays, and
+// a step record per rank replays it.
 //
 // Collectives are an extension experiment beyond the paper's Sweep3D and
 // Halo3D: their critical paths are chains of small messages, which is
@@ -26,35 +28,55 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// Barrier synchronizes all ranks using dissemination: at round k each
-// rank sends a token to (rank + 2^k) mod n and waits for one from
-// (rank - 2^k) mod n; ceil(log2 n) rounds. Call from each rank's process.
-func Barrier(p *sim.Process, tp motif.Transport) {
-	n := tp.Ranks()
-	if n <= 1 {
-		return
-	}
-	me := tp.Rank()
-	const tokenBytes = 8
-	for step := 1; step < n; step <<= 1 {
-		to := (me + step) % n
-		from := (me - step + n) % n
-		tp.Send(to, tokenBytes)
-		tp.Recv(p, from, tokenBytes)
-	}
+// action is one step of a rank's part in a collective: a send, a
+// receive or a modeled compute delay. A rank's schedule lists its
+// actions for one iteration in the order it makes them, the way an SST
+// ember motif generates its event list, and the rank's step record
+// replays it once per iteration.
+type action struct {
+	kind  actionKind
+	peer  int
+	bytes int
+	delay sim.Time
 }
 
-// Allreduce performs a recursive-doubling allreduce of a vector of
-// elemBytes*elems bytes. Non-power-of-two rank counts use the standard
-// fold: extras send their contribution to a partner first and receive the
-// result last. Only timing flows; the reduction itself is a modeled
-// compute delay per element.
-func Allreduce(p *sim.Process, tp motif.Transport, elems, elemBytes int, reduceTimePerElem sim.Time) {
-	n := tp.Ranks()
-	if n <= 1 || elems <= 0 {
-		return
+type actionKind uint8
+
+const (
+	actSend actionKind = iota
+	actRecv
+	actCompute
+)
+
+func send(s []action, to, bytes int) []action {
+	return append(s, action{kind: actSend, peer: to, bytes: bytes})
+}
+
+func recv(s []action, from, bytes int) []action {
+	return append(s, action{kind: actRecv, peer: from, bytes: bytes})
+}
+
+// barrier appends rank me's part of a dissemination barrier over n
+// ranks: at round k each rank sends a token to (me + 2^k) mod n and waits
+// for one from (me - 2^k) mod n; ceil(log2 n) rounds.
+func barrier(s []action, me, n int) []action {
+	const tokenBytes = 8
+	for step := 1; step < n; step <<= 1 {
+		s = send(s, (me+step)%n, tokenBytes)
+		s = recv(s, (me-step+n)%n, tokenBytes)
 	}
-	me := tp.Rank()
+	return s
+}
+
+// allreduce appends rank me's part of a recursive-doubling allreduce of
+// a vector of elemBytes*elems bytes. Non-power-of-two rank counts use
+// the standard fold: extras send their contribution to a partner first
+// and receive the result last. Only timing flows; the reduction itself is
+// a modeled compute delay per element.
+func allreduce(s []action, me, n, elems, elemBytes int, reduceTimePerElem sim.Time) []action {
+	if n <= 1 || elems <= 0 {
+		return s
+	}
 	msg := elems * elemBytes
 	pow2 := 1
 	for pow2*2 <= n {
@@ -62,92 +84,82 @@ func Allreduce(p *sim.Process, tp motif.Transport, elems, elemBytes int, reduceT
 	}
 	rem := n - pow2
 
-	compute := func() {
+	compute := func(s []action) []action {
 		if reduceTimePerElem > 0 {
-			p.Sleep(sim.Scale(elems, reduceTimePerElem))
+			s = append(s, action{kind: actCompute, delay: sim.Scale(elems, reduceTimePerElem)})
 		}
+		return s
 	}
 
 	// Fold extras into the power-of-two core.
-	inCore := me < pow2
 	if me >= pow2 { // extra: contribute, then wait for the result
 		partner := me - pow2
-		tp.Send(partner, msg)
-		tp.Recv(p, partner, msg)
-		return
+		s = send(s, partner, msg)
+		return recv(s, partner, msg)
 	}
 	if me < rem { // core rank paired with an extra
-		tp.Recv(p, me+pow2, msg)
-		compute()
+		s = recv(s, me+pow2, msg)
+		s = compute(s)
 	}
-
-	if inCore {
-		for mask := 1; mask < pow2; mask <<= 1 {
-			partner := me ^ mask
-			tp.Send(partner, msg)
-			tp.Recv(p, partner, msg)
-			compute()
-		}
+	for mask := 1; mask < pow2; mask <<= 1 {
+		partner := me ^ mask
+		s = send(s, partner, msg)
+		s = recv(s, partner, msg)
+		s = compute(s)
 	}
-
 	if me < rem { // return the result to the extra
-		tp.Send(me+pow2, msg)
+		s = send(s, me+pow2, msg)
 	}
+	return s
 }
 
-// Broadcast sends size bytes from root to every rank along a binomial
-// tree (the MPICH algorithm): ceil(log2 n) rounds on the critical path.
-func Broadcast(p *sim.Process, tp motif.Transport, root, size int) {
-	n := tp.Ranks()
+// broadcast appends rank me's part of sending size bytes from root to
+// every rank along a binomial tree (the MPICH algorithm): ceil(log2 n)
+// rounds on the critical path.
+func broadcast(s []action, me, n, root, size int) []action {
 	if n <= 1 {
-		return
+		return s
 	}
 	// Rotate so the root is virtual rank 0.
-	me := (tp.Rank() - root + n) % n
+	v := (me - root + n) % n
 	unrotate := func(v int) int { return (v + root) % n }
 
-	// Receive phase: scan masks upward; the lowest set bit of my virtual
-	// rank identifies my parent.
+	// Receive phase: scan masks upward; the lowest set bit of the virtual
+	// rank identifies the parent.
 	mask := 1
 	for mask < ceilPow2(n) {
-		if me&mask != 0 {
-			tp.Recv(p, unrotate(me-mask), size)
+		if v&mask != 0 {
+			s = recv(s, unrotate(v-mask), size)
 			break
 		}
 		mask <<= 1
 	}
 	// Forward phase: relay to children at decreasing masks.
-	mask >>= 1
-	for mask > 0 {
-		if me+mask < n {
-			tp.Send(unrotate(me+mask), size)
+	for mask >>= 1; mask > 0; mask >>= 1 {
+		if v+mask < n {
+			s = send(s, unrotate(v+mask), size)
 		}
-		mask >>= 1
 	}
+	return s
 }
 
-// Allgather rotates each rank's size-byte block around a ring: n-1 steps,
-// bandwidth-optimal for large blocks.
-func Allgather(p *sim.Process, tp motif.Transport, size int) {
-	n := tp.Ranks()
-	if n <= 1 {
-		return
-	}
-	me := tp.Rank()
-	right := (me + 1) % n
-	left := (me - 1 + n) % n
+// allgather appends rank me's part of rotating each rank's size-byte
+// block around a ring: n-1 steps, bandwidth-optimal for large blocks.
+func allgather(s []action, me, n, size int) []action {
+	right, left := (me+1)%n, (me-1+n)%n
 	for step := 0; step < n-1; step++ {
-		tp.Send(right, size)
-		tp.Recv(p, left, size)
+		s = send(s, right, size)
+		s = recv(s, left, size)
 	}
+	return s
 }
 
-// neighborsAll returns every rank except self (collectives over a
+// neighborsAll returns every rank except me (collectives over a
 // dissemination/hypercube pattern can talk to any rank).
-func neighborsAll(tp motif.Transport) []int {
-	out := make([]int, 0, tp.Ranks()-1)
-	for r := 0; r < tp.Ranks(); r++ {
-		if r != tp.Rank() {
+func neighborsAll(me, n int) []int {
+	out := make([]int, 0, n-1)
+	for r := 0; r < n; r++ {
+		if r != me {
 			out = append(out, r)
 		}
 	}
@@ -205,37 +217,115 @@ func RunCollective(c *motif.Cluster, cfg Config) (sim.Time, error) {
 	if maxMsg < 8 {
 		maxMsg = 8
 	}
+	var schedule func(s []action, me int) []action
+	switch cfg.Op {
+	case OpBarrier:
+		schedule = func(s []action, me int) []action { return barrier(s, me, n) }
+	case OpAllreduce:
+		schedule = func(s []action, me int) []action {
+			return allreduce(s, me, n, cfg.Elems, cfg.ElemBytes, cfg.ReducePerElem)
+		}
+	case OpBroadcast:
+		// A barrier keeps iterations from overlapping, so the measured
+		// time is per-broadcast, not pipelined.
+		schedule = func(s []action, me int) []action { return barrier(broadcast(s, me, n, 0, cfg.Size), me, n) }
+	case OpAllgather:
+		schedule = func(s []action, me int) []action { return allgather(s, me, n, cfg.Size) }
+	default:
+		return 0, fmt.Errorf("collective: unknown op %q", cfg.Op)
+	}
+	t, err := replay(c, maxMsg, cfg.Iterations, schedule)
+	if err != nil {
+		return 0, fmt.Errorf("collective %s: %w", cfg.Op, err)
+	}
+	return t, nil
+}
 
-	fin := motif.NewFinishLine(n)
-	for rank := 0; rank < n; rank++ {
-		tp := c.Transports[rank]
-		tag := c.TagFor(rank).Retag("collective")
-		tag.Spawn("coll-rank", func(p *sim.Process) {
-			peers := neighborsAll(tp)
-			p.Wait(tp.Prepare(peers, peers, maxMsg))
-			for i := 0; i < cfg.Iterations; i++ {
-				switch cfg.Op {
-				case OpBarrier:
-					Barrier(p, tp)
-				case OpAllreduce:
-					Allreduce(p, tp, cfg.Elems, cfg.ElemBytes, cfg.ReducePerElem)
-				case OpBroadcast:
-					Broadcast(p, tp, 0, cfg.Size)
-					// A barrier keeps iterations from overlapping, so the
-					// measured time is per-broadcast, not pipelined.
-					Barrier(p, tp)
-				case OpAllgather:
-					Allgather(p, tp, cfg.Size)
-				default:
-					panic(fmt.Sprintf("collective: unknown op %q", cfg.Op))
-				}
-			}
-			fin.Arrive(rank, p.Now())
-		})
+// replay replays each rank's schedule iterations times, every rank on its
+// own step record, and returns the makespan.
+func replay(c *motif.Cluster, maxMsg, iterations int, schedule func(s []action, me int) []action) (sim.Time, error) {
+	n := len(c.Transports)
+	job := &job{fin: motif.NewFinishLine(n), maxMsg: maxMsg, iterations: iterations}
+	var all []action // every rank's schedule, back to back
+	rs := make([]rank, n)
+	for me := range rs {
+		r := &rs[me]
+		r.job, r.tp, r.tag, r.me = job, c.Transports[me], c.TagFor(me).Retag("collective"), me
+		r.peers = neighborsAll(me, n)
+		first := len(all)
+		all = schedule(all, me)
+		r.schedule = all[first:len(all):len(all)]
+		r.wake = r.step
+		r.tag.Schedule(0, r.wake)
 	}
 	c.Run()
-	if !fin.AllDone() {
-		return 0, fmt.Errorf("collective %s: %w", cfg.Op, motif.ErrDeadlock)
+	if !job.fin.AllDone() {
+		return 0, motif.ErrDeadlock
 	}
-	return fin.FinishTime(), nil
+	return job.fin.FinishTime(), nil
+}
+
+// job is what every rank of one replay shares.
+type job struct {
+	fin        *motif.FinishLine
+	maxMsg     int
+	iterations int
+}
+
+// rank is one rank's step record: it prepares every other rank as a
+// peer, then replays its schedule once per iteration.
+type rank struct {
+	guard    sim.StepGuard
+	job      *job
+	tp       motif.Transport
+	tag      sim.Tagged
+	wake     func() // r.step
+	me       int
+	peers    []int // every other rank, until Prepare has read it
+	schedule []action
+	prepared bool
+	iter     int
+	next     int // the next action of the schedule
+}
+
+// step runs the rank up to its next wait.
+//
+//rvmalint:hot
+func (r *rank) step() {
+	if sim.DebugEnabled {
+		r.guard.Enter("coll-rank")
+		defer r.guard.Leave()
+	}
+	job, tp := r.job, r.tp
+	if !r.prepared {
+		r.prepared = true
+		peers := r.peers
+		r.peers = nil
+		if !tp.Prepare(peers, peers, job.maxMsg, r.wake) {
+			return
+		}
+	}
+	for {
+		if r.next == len(r.schedule) {
+			r.next = 0
+			r.iter++
+		}
+		if r.iter == job.iterations {
+			job.fin.Arrive(r.me, r.tag.Now())
+			return
+		}
+		a := &r.schedule[r.next]
+		r.next++
+		switch a.kind {
+		case actSend:
+			tp.Send(a.peer, a.bytes)
+		case actRecv:
+			if !tp.Recv(a.peer, a.bytes, r.wake) {
+				return
+			}
+		case actCompute:
+			r.tag.Schedule(a.delay, r.wake)
+			return
+		}
+	}
 }

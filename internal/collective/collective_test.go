@@ -62,26 +62,17 @@ func TestBarrierScalesLogarithmically(t *testing.T) {
 }
 
 func TestSingleRankCollectivesAreFree(t *testing.T) {
-	// The collective primitives must no-op at n=1 (RunCollective itself
-	// requires 2+, so call the primitives directly).
-	topo := topology.NewSingleSwitch(1)
-	cfg := motif.DefaultClusterConfig(topo, motif.KindRVMA)
-	c, err := motif.NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp := c.Transports[0]
-	ran := false
-	c.Eng.Spawn("solo", func(p *sim.Process) {
-		Barrier(p, tp)
-		Allreduce(p, tp, 16, 8, 0)
-		Broadcast(p, tp, 0, 64)
-		Allgather(p, tp, 64)
-		ran = true
-	})
-	c.Eng.Run()
-	if !ran {
-		t.Fatal("single-rank collectives blocked")
+	// The collective schedules must be empty at n=1 (RunCollective itself
+	// requires 2+, so build the schedules directly).
+	for name, s := range map[string][]action{
+		"barrier":   barrier(nil, 0, 1),
+		"allreduce": allreduce(nil, 0, 1, 16, 8, 0),
+		"broadcast": broadcast(nil, 0, 1, 0, 64),
+		"allgather": allgather(nil, 0, 1, 64),
+	} {
+		if len(s) != 0 {
+			t.Errorf("single-rank %s makes %d actions, want none", name, len(s))
+		}
 	}
 }
 
@@ -110,19 +101,10 @@ func TestBroadcastNonZeroRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := 0
-	for rank := 0; rank < 6; rank++ {
-		tp := c.Transports[rank]
-		c.Eng.Spawn("r", func(p *sim.Process) {
-			peers := neighborsAll(tp)
-			p.Wait(tp.Prepare(peers, peers, 4096))
-			Broadcast(p, tp, 3, 4096) // root 3
-			done++
-		})
-	}
-	c.Eng.Run()
-	if done != 6 {
-		t.Fatalf("only %d ranks finished broadcast from root 3", done)
+	if _, err := replay(c, 4096, 1, func(s []action, me int) []action {
+		return broadcast(s, me, 6, 3, 4096) // root 3
+	}); err != nil {
+		t.Fatalf("broadcast from root 3: %v", err)
 	}
 }
 

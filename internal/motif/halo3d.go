@@ -66,62 +66,129 @@ func RunHalo3D(c *Cluster, cfg Halo3DConfig) (sim.Time, error) {
 		}
 	}
 
-	fin := NewFinishLine(ranks)
-
-	type face struct {
-		peer int
-		size int
-	}
-	for rank := 0; rank < ranks; rank++ {
-		tp := c.Transports[rank]
+	job := &haloJob{cfg: cfg, maxMsg: maxMsg, fin: NewFinishLine(ranks)}
+	rs := make([]haloRank, ranks)
+	for rank := range rs {
+		r := &rs[rank]
+		r.job, r.tp, r.tag, r.rank = job, c.Transports[rank], c.TagFor(rank), rank
 		x := rank % cfg.Px
 		y := (rank / cfg.Px) % cfg.Py
 		z := rank / (cfg.Px * cfg.Py)
-		var faces []face
-		add := func(nx, ny, nz, size int) {
-			if nx < 0 || nx >= cfg.Px || ny < 0 || ny >= cfg.Py || nz < 0 || nz >= cfg.Pz {
-				return
-			}
-			faces = append(faces, face{peer: nx + cfg.Px*(ny+cfg.Py*nz), size: size})
-		}
-		add(x-1, y, z, cfg.xFaceBytes())
-		add(x+1, y, z, cfg.xFaceBytes())
-		add(x, y-1, z, cfg.yFaceBytes())
-		add(x, y+1, z, cfg.yFaceBytes())
-		add(x, y, z-1, cfg.zFaceBytes())
-		add(x, y, z+1, cfg.zFaceBytes())
-
-		peers := make([]int, len(faces))
-		for i, f := range faces {
-			peers[i] = f.peer
-		}
-		tag := c.TagFor(rank)
-		tag.Spawn("halo-rank", func(p *sim.Process) {
-			p.Wait(tp.Prepare(peers, peers, maxMsg))
-			for iter := 0; iter < cfg.Iterations; iter++ {
-				p.Sleep(cfg.iterComputeTime())
-				// Post all sends, then consume all receives, then wait
-				// for the sends to complete locally. Sends are nonblocking
-				// at this level; the transports enforce their own flow
-				// control.
-				for _, f := range faces {
-					tp.Send(f.peer, f.size)
-				}
-				for _, f := range faces {
-					tp.Recv(p, f.peer, f.size)
-				}
-				for _, f := range faces {
-					tp.WaitSent(p, f.peer)
-				}
-			}
-			fin.Arrive(rank, tag.Now())
-		})
+		r.add(x-1, y, z, cfg.xFaceBytes())
+		r.add(x+1, y, z, cfg.xFaceBytes())
+		r.add(x, y-1, z, cfg.yFaceBytes())
+		r.add(x, y+1, z, cfg.yFaceBytes())
+		r.add(x, y, z-1, cfg.zFaceBytes())
+		r.add(x, y, z+1, cfg.zFaceBytes())
+		r.wake = r.step
+		r.tag.Schedule(0, r.wake)
 	}
 	c.Run()
-	if !fin.AllDone() {
+	if !job.fin.AllDone() {
 		return 0, fmt.Errorf("halo3d: %w — ranks never finished", ErrDeadlock)
 	}
-	return fin.FinishTime(), nil
+	return job.fin.FinishTime(), nil
+}
+
+// haloJob is what every rank of one RunHalo3D call shares.
+type haloJob struct {
+	cfg    Halo3DConfig
+	maxMsg int
+	fin    *FinishLine
+}
+
+// haloRank is one Halo3D rank: per iteration it computes, posts a send
+// of each face, consumes each neighbor's face, then waits for its own
+// sends to complete locally. Sends are nonblocking at this level; the
+// transports enforce their own flow control.
+type haloRank struct {
+	guard sim.StepGuard
+	job   *haloJob
+	tp    Transport
+	tag   sim.Tagged
+	wake  func() // r.step
+	rank  int
+	// peers[f] is the neighbor across face f, sizes[f] its bytes.
+	peers  [6]int
+	sizes  [6]int
+	nfaces int
+	phase  haloPhase
+	iter   int
+	face   int // the next face to receive or wait on
+}
+
+type haloPhase uint8
+
+const (
+	haloPrepare  haloPhase = iota
+	haloIter               // start iteration r.iter: compute
+	haloSend               // send every face
+	haloRecv               // receive face r.face
+	haloWaitSent           // wait for the send of face r.face
+)
+
+// add records the face toward the block at (x, y, z), if there is one.
+func (r *haloRank) add(x, y, z, size int) {
+	cfg := &r.job.cfg
+	if x < 0 || x >= cfg.Px || y < 0 || y >= cfg.Py || z < 0 || z >= cfg.Pz {
+		return
+	}
+	r.peers[r.nfaces], r.sizes[r.nfaces] = x+cfg.Px*(y+cfg.Py*z), size
+	r.nfaces++
+}
+
+// step runs the rank up to its next wait.
+//
+//rvmalint:hot
+func (r *haloRank) step() {
+	if sim.DebugEnabled {
+		r.guard.Enter("halo-rank")
+		defer r.guard.Leave()
+	}
+	tp, peers := r.tp, r.peers[:r.nfaces]
+	for {
+		switch r.phase {
+		case haloPrepare:
+			r.phase = haloIter
+			if !tp.Prepare(peers, peers, r.job.maxMsg, r.wake) {
+				return
+			}
+		case haloIter:
+			if r.iter == r.job.cfg.Iterations {
+				r.job.fin.Arrive(r.rank, r.tag.Now())
+				return
+			}
+			r.phase = haloSend
+			r.tag.Schedule(r.job.cfg.iterComputeTime(), r.wake)
+			return
+		case haloSend:
+			for f, peer := range peers {
+				tp.Send(peer, r.sizes[f])
+			}
+			r.face = 0
+			r.phase = haloRecv
+		case haloRecv:
+			if r.face == len(peers) {
+				r.face = 0
+				r.phase = haloWaitSent
+				continue
+			}
+			r.face++
+			if !tp.Recv(peers[r.face-1], r.sizes[r.face-1], r.wake) {
+				return
+			}
+		case haloWaitSent:
+			if r.face == len(peers) {
+				r.iter++
+				r.phase = haloIter
+				continue
+			}
+			r.face++
+			if !tp.WaitSent(peers[r.face-1], r.wake) {
+				return
+			}
+		}
+	}
 }
 
 // cubest factors n into the most-cubic (a, b, c) with a*b*c = n.

@@ -179,28 +179,35 @@ func (q *kvFifo[T]) pop() T {
 
 // kvWindow is a proxy's outstanding-op limiter. All accesses happen on
 // the proxy's own rank (sender acquires, receivers release), hence on
-// one shard. The proxy's sender is the only process that waits on it,
-// so one future, zeroed after each wake, serves every wait.
+// one shard. The proxy's sender is the only caller that waits on it, so
+// one continuation slot serves every wait.
 type kvWindow struct {
-	avail   int
-	waiting bool
-	wake    sim.Future
+	avail int
+	k     func() // the waiting sender's continuation, nil when none waits
 }
 
-func (w *kvWindow) acquire(p *sim.Process) {
+// acquire takes a slot and reports true, or, with none free, reports
+// false and runs k at the next release, which frees one for the caller
+// to acquire again.
+//
+//rvmalint:hot
+func (w *kvWindow) acquire(k func()) bool {
 	if w.avail == 0 {
-		w.waiting = true
-		p.Wait(&w.wake)
-		w.wake = sim.Future{}
+		w.k = k
+		return false
 	}
 	w.avail--
+	return true
 }
 
-func (w *kvWindow) release(eng *sim.Engine) {
+// release frees a slot and continues a waiting sender.
+//
+//rvmalint:hot
+func (w *kvWindow) release() {
 	w.avail++
-	if w.waiting {
-		w.waiting = false
-		w.wake.Complete(eng, nil)
+	if k := w.k; k != nil {
+		w.k = nil
+		k()
 	}
 }
 
@@ -268,9 +275,13 @@ func RunKV(c *Cluster, cfg KVConfig) (sim.Time, *KVResult, error) {
 	// exactly the planned number of requests per proxy, so no
 	// termination protocol rides the wire.
 	pairCount := make([][]int, proxies) // [proxy][server]
+	pairs := 0                          // (proxy, server) pairs with traffic
 	for pi, plan := range plans {
 		pairCount[pi] = make([]int, cfg.Servers)
 		for i := range plan {
+			if pairCount[pi][plan[i].server] == 0 {
+				pairs++
+			}
 			pairCount[pi][plan[i].server]++
 		}
 	}
@@ -306,147 +317,65 @@ func RunKV(c *Cluster, cfg KVConfig) (sim.Time, *KVResult, error) {
 		prStats[pi] = &kvProxyStats{clientSeen: make([]bool, cpp)}
 	}
 
-	fin := NewFinishLine(ranks)
-	maxMsg := cfg.reqBytes()
-	if cfg.respBytes() > maxMsg {
-		maxMsg = cfg.respBytes()
+	job := &kvJob{cfg: cfg, reqQ: reqQ, respQ: respQ, fin: NewFinishLine(ranks), maxMsg: cfg.reqBytes()}
+	if cfg.respBytes() > job.maxMsg {
+		job.maxMsg = cfg.respBytes()
 	}
 
-	// Servers: one main process Prepares, then one handler per active
-	// proxy works the pair's request stream. Receive-side state is per
-	// proxy — never per client — which is the aggregation claim.
-	for s := 0; s < cfg.Servers; s++ {
-		s := s
-		tp := c.Transports[s]
-		tag := c.TagFor(s)
-		store := stores[s]
-		active := make([]int, 0, proxies)
+	// Servers: each Prepares, then runs one handler per active proxy on
+	// the pair's request stream. Receive-side state is per proxy — never
+	// per client — which is the aggregation claim.
+	servers := make([]kvServer, cfg.Servers)
+	handlers := make([]kvHandler, 0, pairs)
+	for s := range servers {
+		srv := &servers[s]
+		srv.job, srv.tp, srv.tag, srv.s, srv.store = job, c.Transports[s], c.TagFor(s), s, stores[s]
+		first := len(handlers)
 		for pi := 0; pi < proxies; pi++ {
-			if pairCount[pi][s] > 0 {
-				active = append(active, pi)
+			if n := pairCount[pi][s]; n > 0 {
+				// handlers never grows past pairs, so h stays put.
+				handlers = append(handlers, kvHandler{srv: srv, pi: pi, count: n, phase: kvAwait})
+				h := &handlers[len(handlers)-1]
+				h.wake = h.step
+				srv.peers = append(srv.peers, cfg.Servers+pi)
 			}
 		}
-		tag.Spawn("kv-server", func(p *sim.Process) {
-			peers := make([]int, len(active))
-			for i, pi := range active {
-				peers[i] = cfg.Servers + pi
-			}
-			p.Wait(tp.Prepare(peers, peers, maxMsg))
-			if len(active) == 0 {
-				fin.Arrive(s, tag.Now())
-				return
-			}
-			left := len(active)
-			for _, pi := range active {
-				pi := pi
-				count := pairCount[pi][s]
-				tag.Spawn("kv-server-proxy", func(p *sim.Process) {
-					prox := cfg.Servers + pi
-					for i := 0; i < count; i++ {
-						tp.Recv(p, prox, cfg.reqBytes())
-						req := reqQ[pi][s].pop()
-						rep := store.Apply(req)
-						respQ[s][pi].push(rep)
-						tp.Send(prox, cfg.respBytes())
-						tp.WaitSent(p, prox)
-					}
-					left--
-					if left == 0 {
-						fin.Arrive(s, tag.Now())
-					}
-				})
-			}
-		})
+		srv.handlers = handlers[first:len(handlers):len(handlers)]
+		srv.wake = srv.step
+		srv.tag.Schedule(0, srv.wake)
 	}
 
-	// Proxies: one main process Prepares and paces the plan through the
-	// window; one receiver per active server consumes replies in that
-	// pair's issue order, measures latency, refreshes the version cache
-	// and releases window credit.
-	for pi := 0; pi < proxies; pi++ {
-		pi := pi
-		rank := cfg.Servers + pi
-		tp := c.Transports[rank]
-		tag := c.TagFor(rank)
-		plan := plans[pi]
-		st := prStats[pi]
-		win := &kvWindow{avail: cfg.Window}
-		cache := make([]uint64, cfg.Keys) // shared across the proxy's clients
+	// Proxies: each Prepares and paces its plan through the window; one
+	// receiver per active server consumes replies in that pair's issue
+	// order, measures latency, refreshes the version cache and releases
+	// window credit.
+	prox := make([]kvProxy, proxies)
+	receivers := make([]kvReceiver, 0, pairs)
+	for pi := range prox {
+		px := &prox[pi]
+		px.job, px.pi, px.rank = job, pi, cfg.Servers+pi
+		px.tp, px.tag = c.Transports[px.rank], c.TagFor(px.rank)
+		px.plan, px.st = plans[pi], prStats[pi]
+		px.win.avail = cfg.Window
+		px.cache = make([]uint64, cfg.Keys) // shared across the proxy's clients
 		// Per-server subsequences of the plan, in issue order: receiver
 		// i's pair stream is exactly these ops.
 		seq := make([][]int, cfg.Servers)
-		for i := range plan {
-			seq[plan[i].server] = append(seq[plan[i].server], i)
+		for i := range px.plan {
+			seq[px.plan[i].server] = append(seq[px.plan[i].server], i)
 		}
-		tag.Spawn("kv-proxy", func(p *sim.Process) {
-			active := make([]int, 0, cfg.Servers)
-			for s := 0; s < cfg.Servers; s++ {
-				if len(seq[s]) > 0 {
-					active = append(active, s)
-				}
+		first := len(receivers)
+		for s := range seq {
+			if len(seq[s]) > 0 {
+				receivers = append(receivers, kvReceiver{px: px, s: s, idxs: seq[s], phase: kvAwait})
+				rc := &receivers[len(receivers)-1]
+				rc.wake = rc.step
+				px.active = append(px.active, s)
 			}
-			p.Wait(tp.Prepare(active, active, maxMsg))
-			procs := 1 + len(active)
-			finish := func() {
-				procs--
-				if procs == 0 {
-					fin.Arrive(rank, tag.Now())
-				}
-			}
-			for _, s := range active {
-				s := s
-				idxs := seq[s]
-				tag.Spawn("kv-proxy-server", func(p *sim.Process) {
-					for _, idx := range idxs {
-						tp.Recv(p, s, cfg.respBytes())
-						rep := respQ[s][pi].pop()
-						op := &plan[idx]
-						st.completed++
-						st.lat.ObserveTime(tag.Now() - op.issued)
-						switch op.kind {
-						case kv.OpGet:
-							st.gets++
-							st.getLat.ObserveTime(tag.Now() - op.issued)
-							st.payloadBytes += uint64(cfg.ValBytes)
-						case kv.OpPut:
-							st.puts++
-							st.putLat.ObserveTime(tag.Now() - op.issued)
-							st.payloadBytes += uint64(cfg.ValBytes)
-						case kv.OpCAS:
-							st.casLat.ObserveTime(tag.Now() - op.issued)
-							if rep.OK {
-								st.casOK++
-							} else {
-								st.casFail++
-							}
-							st.payloadBytes += kvCASBytes
-						}
-						// Every reply carries the key's current version:
-						// the aggregate cache refresh that keeps CAS
-						// expectations only as stale as the last contact.
-						cache[op.key] = rep.Version
-						win.release(p.Engine())
-					}
-					finish()
-				})
-			}
-			for i := range plan {
-				op := &plan[i]
-				p.Sleep(op.gap)
-				win.acquire(p)
-				st.issued++
-				st.clientSeen[op.client] = true
-				req := kv.Request{Key: op.key, Kind: op.kind}
-				if op.kind == kv.OpCAS {
-					req.Expect = cache[op.key]
-				}
-				reqQ[pi][op.server].push(req)
-				op.issued = tag.Now()
-				tp.Send(op.server, cfg.reqBytes())
-				tp.WaitSent(p, op.server)
-			}
-			finish()
-		})
+		}
+		px.receivers = receivers[first:len(receivers):len(receivers)]
+		px.wake = px.step
+		px.tag.Schedule(0, px.wake)
 	}
 
 	c.Run()
@@ -484,12 +413,277 @@ func RunKV(c *Cluster, cfg KVConfig) (sim.Time, *KVResult, error) {
 		res.ServerApplied += store.Applied()
 	}
 
-	if !fin.AllDone() {
+	if !job.fin.AllDone() {
 		return 0, res, fmt.Errorf("kv: %w (%d/%d ops completed)", ErrDeadlock, res.Completed, res.Issued)
 	}
 	if res.Completed != res.Issued || res.ServerApplied != res.Completed {
 		return 0, res, fmt.Errorf("kv: accounting mismatch: issued %d completed %d applied %d",
 			res.Issued, res.Completed, res.ServerApplied)
 	}
-	return fin.FinishTime(), res, nil
+	return job.fin.FinishTime(), res, nil
+}
+
+// kvJob is what every rank of one RunKV call shares.
+type kvJob struct {
+	cfg    KVConfig
+	reqQ   [][]kvFifo[kv.Request] // [proxy][server]
+	respQ  [][]kvFifo[kv.Reply]   // [server][proxy]
+	fin    *FinishLine
+	maxMsg int
+}
+
+type kvPhase uint8
+
+const (
+	kvPrepare kvPhase = iota
+	kvStart           // start the rank's handlers or receivers
+	kvGap             // a proxy's: pace op r.next
+	kvIssue           // a proxy's: take a window slot and issue op r.next
+	kvAwait           // a handler's or receiver's: wait for the next message
+	kvHandle          // a handler's or receiver's: act on the message
+)
+
+// kvServer is a store rank: once prepared, it starts one kvHandler per
+// proxy that sends it requests, and it finishes when they all have.
+type kvServer struct {
+	guard    sim.StepGuard
+	job      *kvJob
+	tp       Transport
+	tag      sim.Tagged
+	wake     func() // r.step
+	s        int
+	store    *kv.Store
+	peers    []int       // the proxies' ranks, in proxy order
+	handlers []kvHandler // one per peer
+	left     int         // handlers still working
+	phase    kvPhase
+}
+
+// step runs the server up to its next wait.
+//
+//rvmalint:hot
+func (r *kvServer) step() {
+	if sim.DebugEnabled {
+		r.guard.Enter("kv-server")
+		defer r.guard.Leave()
+	}
+	for {
+		switch r.phase {
+		case kvPrepare:
+			r.phase = kvStart
+			if !r.tp.Prepare(r.peers, r.peers, r.job.maxMsg, r.wake) {
+				return
+			}
+		case kvStart:
+			if len(r.handlers) == 0 {
+				r.job.fin.Arrive(r.s, r.tag.Now())
+				return
+			}
+			r.left = len(r.handlers)
+			for i := range r.handlers {
+				r.tag.Schedule(0, r.handlers[i].wake)
+			}
+			return
+		}
+	}
+}
+
+// kvHandler works one proxy's request stream at a server: receive a
+// request, apply it, reply, and wait for the reply to leave.
+type kvHandler struct {
+	guard sim.StepGuard
+	srv   *kvServer
+	wake  func() // h.step
+	pi    int    // the proxy's index
+	count int    // requests the proxy sends this server
+	done  int    // requests received
+	phase kvPhase
+}
+
+// step runs the handler up to its next wait.
+//
+//rvmalint:hot
+func (h *kvHandler) step() {
+	if sim.DebugEnabled {
+		h.guard.Enter("kv-server-proxy")
+		defer h.guard.Leave()
+	}
+	srv := h.srv
+	job, tp := srv.job, srv.tp
+	prox := job.cfg.Servers + h.pi
+	for {
+		switch h.phase {
+		case kvAwait:
+			if h.done == h.count {
+				if srv.left--; srv.left == 0 {
+					job.fin.Arrive(srv.s, srv.tag.Now())
+				}
+				return
+			}
+			h.done++
+			h.phase = kvHandle
+			if !tp.Recv(prox, job.cfg.reqBytes(), h.wake) {
+				return
+			}
+		case kvHandle:
+			rep := srv.store.Apply(job.reqQ[h.pi][srv.s].pop())
+			job.respQ[srv.s][h.pi].push(rep)
+			tp.Send(prox, job.cfg.respBytes())
+			h.phase = kvAwait
+			if !tp.WaitSent(prox, h.wake) {
+				return
+			}
+		}
+	}
+}
+
+// kvProxy is a client-aggregation rank: once prepared, it starts one
+// kvReceiver per server it sends to, then paces its plan through the
+// window, each op once the previous request has left. It finishes when
+// it and its receivers all have.
+type kvProxy struct {
+	guard     sim.StepGuard
+	job       *kvJob
+	tp        Transport
+	tag       sim.Tagged
+	wake      func() // r.step
+	pi, rank  int
+	plan      []kvOp
+	st        *kvProxyStats
+	win       kvWindow
+	cache     []uint64     // the version last seen of each key
+	active    []int        // the servers the plan sends to, in server order
+	receivers []kvReceiver // one per active server
+	live      int          // this proxy's records still working
+	phase     kvPhase
+	next      int // the next op of the plan
+}
+
+// step runs the proxy up to its next wait.
+//
+//rvmalint:hot
+func (r *kvProxy) step() {
+	if sim.DebugEnabled {
+		r.guard.Enter("kv-proxy")
+		defer r.guard.Leave()
+	}
+	job, tp := r.job, r.tp
+	for {
+		switch r.phase {
+		case kvPrepare:
+			r.phase = kvStart
+			if !tp.Prepare(r.active, r.active, job.maxMsg, r.wake) {
+				return
+			}
+		case kvStart:
+			r.live = 1 + len(r.receivers)
+			for i := range r.receivers {
+				r.tag.Schedule(0, r.receivers[i].wake)
+			}
+			r.phase = kvGap
+		case kvGap:
+			if r.next == len(r.plan) {
+				r.finish()
+				return
+			}
+			r.phase = kvIssue
+			r.tag.Schedule(r.plan[r.next].gap, r.wake)
+			return
+		case kvIssue:
+			if !r.win.acquire(r.wake) {
+				return
+			}
+			op := &r.plan[r.next]
+			r.st.issued++
+			r.st.clientSeen[op.client] = true
+			req := kv.Request{Key: op.key, Kind: op.kind}
+			if op.kind == kv.OpCAS {
+				req.Expect = r.cache[op.key]
+			}
+			job.reqQ[r.pi][op.server].push(req)
+			op.issued = r.tag.Now()
+			tp.Send(op.server, job.cfg.reqBytes())
+			r.next++
+			r.phase = kvGap
+			if !tp.WaitSent(op.server, r.wake) {
+				return
+			}
+		}
+	}
+}
+
+// finish records that one of the proxy's records is done; the last one
+// finishes the rank.
+func (r *kvProxy) finish() {
+	if r.live--; r.live == 0 {
+		r.job.fin.Arrive(r.rank, r.tag.Now())
+	}
+}
+
+// kvReceiver consumes one server's replies at a proxy, in the pair's
+// issue order.
+type kvReceiver struct {
+	guard sim.StepGuard
+	px    *kvProxy
+	wake  func() // rc.step
+	s     int    // the server
+	idxs  []int  // the plan indices of the ops sent to s, in issue order
+	done  int    // replies received
+	phase kvPhase
+}
+
+// step runs the receiver up to its next wait.
+//
+//rvmalint:hot
+func (rc *kvReceiver) step() {
+	if sim.DebugEnabled {
+		rc.guard.Enter("kv-proxy-server")
+		defer rc.guard.Leave()
+	}
+	px := rc.px
+	cfg := &px.job.cfg
+	for {
+		switch rc.phase {
+		case kvAwait:
+			if rc.done == len(rc.idxs) {
+				px.finish()
+				return
+			}
+			rc.phase = kvHandle
+			if !px.tp.Recv(rc.s, cfg.respBytes(), rc.wake) {
+				return
+			}
+		case kvHandle:
+			rc.phase = kvAwait
+			rep := px.job.respQ[rc.s][px.pi].pop()
+			op := &px.plan[rc.idxs[rc.done]]
+			rc.done++
+			st, now := px.st, px.tag.Now()
+			st.completed++
+			st.lat.ObserveTime(now - op.issued)
+			switch op.kind {
+			case kv.OpGet:
+				st.gets++
+				st.getLat.ObserveTime(now - op.issued)
+				st.payloadBytes += uint64(cfg.ValBytes)
+			case kv.OpPut:
+				st.puts++
+				st.putLat.ObserveTime(now - op.issued)
+				st.payloadBytes += uint64(cfg.ValBytes)
+			case kv.OpCAS:
+				st.casLat.ObserveTime(now - op.issued)
+				if rep.OK {
+					st.casOK++
+				} else {
+					st.casFail++
+				}
+				st.payloadBytes += kvCASBytes
+			}
+			// Every reply carries the key's current version: the
+			// aggregate cache refresh that keeps CAS expectations only as
+			// stale as the last contact.
+			px.cache[op.key] = rep.Version
+			px.win.release()
+		}
+	}
 }

@@ -9,7 +9,9 @@
 //   - Incast: the many-to-one client/server pattern that motivates RVMA's
 //     receiver-managed resources in the introduction.
 //
-// Each rank runs as a simulation process over a Transport. The RVMA
+// Each rank is a step record over a Transport: a phase counter and a step
+// method that runs the rank up to its next wait, resumed by a
+// continuation when that wait completes. The RVMA
 // transport keeps a bucket of buffers posted per in-neighbor and needs no
 // per-message coordination; the RDMA transports negotiate buffers up
 // front (Figure 1) and must both notify completion (per the routing
@@ -66,6 +68,16 @@ func (k TransportKind) String() string {
 // Transport is the rank-level communication interface motifs drive.
 // Message streams between a pair of ranks are FIFO; the motifs' data
 // dependencies provide all higher-level ordering.
+//
+// A caller is a rank: a step record whose step method advances it to its
+// next wait (a state machine over this interface, as SST's motifs are).
+// The three methods that can wait take a continuation k, the rank's
+// bound step. Each returns true when what it waits for has happened
+// already, and then never calls k. It returns false otherwise, and then
+// calls k exactly once, later, from inside the event that completes the
+// wait, so the rank continues at that simulated instant without an event
+// of its own. The transport lets go of k before calling it, so a
+// finished run leaves no rank reachable from the cluster.
 type Transport interface {
 	// Rank is this endpoint's rank (== node id).
 	Rank() int
@@ -73,34 +85,32 @@ type Transport interface {
 	Ranks() int
 	// Prepare establishes receive-side resources for messages arriving
 	// from each of inPeers, up to maxMsg bytes each, and send-side
-	// resources toward each of outPeers. It returns a future resolving
-	// when setup is complete (RVMA: immediate; RDMA: after handshakes).
-	// A rank may call it again, also while an earlier call is pending:
-	// each call sets up only the peers no earlier call named, and its
-	// future resolves once those are set up, whatever the other calls'
+	// resources toward each of outPeers. RVMA's setup is immediate, so
+	// its Prepare always returns true; RDMA's completes after its
+	// handshakes. A rank may call it again, also while an earlier call is
+	// pending: each call sets up only the peers no earlier call named,
+	// and completes once those are set up, whatever the other calls'
 	// state. A message sent to a peer whose setup is still pending waits
 	// for it; one sent to a peer no call named, or received from one,
-	// panics.
-	Prepare(inPeers, outPeers []int, maxMsg int) *sim.Future
+	// panics. Prepare keeps neither slice.
+	Prepare(inPeers, outPeers []int, maxMsg int, k func()) bool
 	// Send transfers size bytes to dst. Delivery is observed by the
 	// peer's Recv, local completion (the send buffer is reusable) by
 	// WaitSent. Send hands out no handle, so the transport and its
 	// endpoint reuse what a message used once it is spent.
 	Send(dst, size int)
-	// WaitSent parks p, the calling process, until every message this
-	// transport has sent to dst has completed locally; it returns at once
-	// if none is pending. p resumes inside the completion of the last of
-	// them. The RVMA transport, whose puts complete locally in issue
+	// WaitSent completes once every message this transport has sent to
+	// dst has completed locally; k runs inside the completion of the last
+	// of them. The RVMA transport, whose puts complete locally in issue
 	// order, waits for every message sent so far, to any peer.
-	WaitSent(p *sim.Process, dst int)
-	// Recv parks p, the calling process, until the next not-yet-consumed
-	// message from src has fully arrived and its completion has been
-	// observed by host software; it returns at once if that has happened
-	// already. size is the expected message size (motifs always know it),
-	// which byte-counted completion schemes need. Parking the caller
-	// instead of handing out a future gives each receive handle exactly
-	// one holder, so the transport reuses it once the caller resumes.
-	Recv(p *sim.Process, src, size int)
+	WaitSent(dst int, k func()) bool
+	// Recv completes once the next not-yet-consumed message from src has
+	// fully arrived and its completion has been observed by host
+	// software. size is the expected message size (motifs always know
+	// it), which byte-counted completion schemes need. The transport
+	// reuses the receive handle before k runs: the continuation, not a
+	// handle, is all the caller holds.
+	Recv(src, size int, k func()) bool
 }
 
 // Cluster is a set of rank transports over one simulated network.
@@ -116,7 +126,8 @@ type Cluster struct {
 	// Group is the shard group the cluster executes on (one shard unless
 	// ClusterConfig.Shards asks for more): every rank's components live on
 	// the shard owning its node, and Tags holds one "motif" handle per
-	// shard. Motifs spawn through TagFor and run through run().
+	// shard. Motifs schedule their ranks' steps through TagFor and run
+	// through Run.
 	Group *sim.ShardGroup
 	Tags  []sim.Tagged
 

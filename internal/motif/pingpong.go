@@ -45,15 +45,15 @@ func RunPingPong(c *Cluster, size, iters int) (sim.Time, error) {
 			}
 			return ep.WatchBuffer(buf)
 		}
-		return bounce(c, iters, func(p *sim.Process) {
+		return bounce(c, iters, bounceSide{arm: func() *sim.Future {
 			n := watch(a, winA)
 			a.PutN(1, mboxB, 0, size)
-			p.Wait(n.Done)
-		}, func(p *sim.Process) {
-			n := watch(b, winB)
-			p.Wait(n.Done)
+			return n.Done
+		}}, bounceSide{arm: func() *sim.Future {
+			return watch(b, winB).Done
+		}, then: func() {
 			b.PutN(0, mboxA, 0, size)
-		})
+		}})
 	}
 
 	a, b := c.rdmaEPs[0], c.rdmaEPs[1]
@@ -72,44 +72,99 @@ func RunPingPong(c *Cluster, size, iters int) (sim.Time, error) {
 	if c.lastByte {
 		scheme = rdma.CompleteLastByte
 	}
-	wait := func(p *sim.Process, ep *rdma.Endpoint, mr *rdma.MemoryRegion) {
+	wait := func(ep *rdma.Endpoint, mr *rdma.MemoryRegion) *sim.Future {
 		if scheme == rdma.CompleteLastByte {
-			p.Wait(ep.WaitLastByte(mr, size).Done)
-		} else {
-			p.Wait(ep.PostRecv(1-ep.Node(), rdma.FenceQP).Done)
+			return ep.WaitLastByte(mr, size).Done
 		}
+		return ep.PostRecv(1-ep.Node(), rdma.FenceQP).Done
 	}
-	return bounce(c, iters, func(p *sim.Process) {
+	return bounce(c, iters, bounceSide{arm: func() *sim.Future {
 		a.PutN(rbOnB, 0, size, scheme)
-		wait(p, a, mrOnA)
-	}, func(p *sim.Process) {
-		wait(p, b, mrOnB)
+		return wait(a, mrOnA)
+	}}, bounceSide{arm: func() *sim.Future {
+		return wait(b, mrOnB)
+	}, then: func() {
 		b.PutN(rbOnA, 0, size, scheme)
-	})
+	}})
+}
+
+// bounceSide is one side's part of a round trip: arm does everything up
+// to the wait and returns the future waited on, then (nil if nothing)
+// what follows the wait.
+type bounceSide struct {
+	arm  func() *sim.Future
+	then func()
 }
 
 // bounce runs the timed loop: iters pings on rank 0, which times them,
 // and iters pongs on rank 1.
-func bounce(c *Cluster, iters int, ping, pong func(p *sim.Process)) (sim.Time, error) {
-	var start, end sim.Time
-	done := false
-	c.TagFor(0).Spawn("pingpong-A", func(p *sim.Process) {
-		start = p.Now()
-		for i := 0; i < iters; i++ {
-			ping(p)
-		}
-		end, done = p.Now(), true
-	})
-	c.TagFor(1).Spawn("pingpong-B", func(p *sim.Process) {
-		for i := 0; i < iters; i++ {
-			pong(p)
-		}
-	})
-	c.Run()
-	if !done {
-		return 0, fmt.Errorf("pingpong: %w", ErrDeadlock)
+func bounce(c *Cluster, iters int, ping, pong bounceSide) (sim.Time, error) {
+	rs := [2]bouncer{{side: ping, iters: iters, tag: c.TagFor(0)}, {side: pong, iters: iters, tag: c.TagFor(1)}}
+	for i := range rs {
+		r := &rs[i]
+		r.wake = r.step
+		r.tag.Schedule(0, r.wake)
 	}
-	return end - start, nil
+	c.Run()
+	if a := &rs[0]; a.phase == bounceDone {
+		return a.end - a.start, nil
+	}
+	return 0, fmt.Errorf("pingpong: %w", ErrDeadlock)
+}
+
+// bouncer is one side of the ping-pong: iters round trips, each its
+// side's arm, a wait, and its then.
+type bouncer struct {
+	guard      sim.StepGuard
+	side       bounceSide
+	tag        sim.Tagged
+	wake       func() // r.step
+	iters, i   int
+	start, end sim.Time
+	phase      bouncePhase
+}
+
+type bouncePhase uint8
+
+const (
+	bounceStart bouncePhase = iota
+	bounceArm               // start round trip r.i
+	bounceThen              // round trip r.i's wait is over
+	bounceDone
+)
+
+// step runs the side up to its next wait.
+//
+//rvmalint:hot
+func (r *bouncer) step() {
+	if sim.DebugEnabled {
+		r.guard.Enter("pingpong")
+		defer r.guard.Leave()
+	}
+	for {
+		switch r.phase {
+		case bounceStart:
+			r.start = r.tag.Now()
+			r.phase = bounceArm
+		case bounceArm:
+			if r.i == r.iters {
+				r.end = r.tag.Now()
+				r.phase = bounceDone
+				return
+			}
+			r.phase = bounceThen
+			if f := r.side.arm(); !f.Done() {
+				f.OnComplete(r.wake)
+				return
+			}
+		case bounceThen:
+			if r.side.then != nil {
+				r.side.then()
+			}
+			r.i++
+			r.phase = bounceArm
+		}
+	}
 }
 
 // RunSetup runs Figure 1's handshake alone: rank 0 asks rank 1 for a

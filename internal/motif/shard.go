@@ -1,4 +1,4 @@
-// Shard-group support: placement-aware spawning, per-shard metric
+// Shard-group support: placement-aware rank scheduling, per-shard metric
 // registries with an exact post-run merge, and shard-set telemetry
 // registration. The rule throughout is single-writer state: every probe
 // and every handle is owned by the shard that owns the node, and
@@ -17,7 +17,7 @@ import (
 )
 
 // TagFor returns the "motif" handle bound to the engine that owns rank's
-// node. Rank processes must spawn through it so their events execute
+// node. A rank schedules its steps through it, so its events execute
 // inside the owning shard's windows.
 func (c *Cluster) TagFor(rank int) sim.Tagged {
 	return c.Tags[c.Net.NodeShard(rank)]
@@ -26,7 +26,8 @@ func (c *Cluster) TagFor(rank int) sim.Tagged {
 // Run executes the simulation to completion, then drops the fabric's
 // recycled packets, each shard engine's event and queue pools, each
 // endpoint's stage arrays, spare buffers and spare receives, each
-// transport's idle receive waits, credit arms and reliable-send records,
+// transport's idle send waits, receive waits, credit arms and
+// reliable-send records,
 // each node's spare pages and each recovery manager's free records and
 // stage arrays, so a finished cluster keeps nothing sized by the run's
 // peak in flight. Every motif and collective finishes through it.

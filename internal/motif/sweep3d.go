@@ -85,56 +85,134 @@ func RunSweep3D(c *Cluster, cfg Sweep3DConfig) (sim.Time, error) {
 	if y := cfg.yMsgBytes(); y > maxMsg {
 		maxMsg = y
 	}
-	nBlocks := cfg.Nz / cfg.KBA
-
-	fin := NewFinishLine(ranks)
-
-	for rank := 0; rank < ranks; rank++ {
-		tp := c.Transports[rank]
-		tag := c.TagFor(rank)
-		i, j := rank%cfg.Px, rank/cfg.Px
+	job := &sweepJob{cfg: cfg, maxMsg: maxMsg, nBlocks: cfg.Nz / cfg.KBA, fin: NewFinishLine(ranks)}
+	rs := make([]sweepRank, ranks)
+	for rank := range rs {
+		r := &rs[rank]
+		r.job, r.tp, r.tag, r.rank = job, c.Transports[rank], c.TagFor(rank), rank
+		r.i, r.j = rank%cfg.Px, rank/cfg.Px
 		// All four lateral neighbors participate across the 8 corners.
-		var peers []int
 		for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
-			ni, nj := i+d[0], j+d[1]
-			if ni >= 0 && ni < cfg.Px && nj >= 0 && nj < cfg.Py {
-				peers = append(peers, nj*cfg.Px+ni)
+			if peer, ok := gridNeighbor(r.i, r.j, d[0], d[1], cfg.Px, cfg.Py); ok {
+				r.peers[r.npeers] = peer
+				r.npeers++
 			}
 		}
-		tag.Spawn("sweep-rank", func(p *sim.Process) {
-			p.Wait(tp.Prepare(peers, peers, maxMsg))
-			for iter := 0; iter < cfg.Iterations; iter++ {
-				for _, corner := range sweepCorners {
-					dx, dy := corner[0], corner[1]
-					upX, hasUpX := gridNeighbor(i, j, -dx, 0, cfg.Px, cfg.Py)
-					upY, hasUpY := gridNeighbor(i, j, 0, -dy, cfg.Px, cfg.Py)
-					downX, hasDownX := gridNeighbor(i, j, dx, 0, cfg.Px, cfg.Py)
-					downY, hasDownY := gridNeighbor(i, j, 0, dy, cfg.Px, cfg.Py)
-					for blk := 0; blk < nBlocks; blk++ {
-						if hasUpX {
-							tp.Recv(p, upX, cfg.xMsgBytes())
-						}
-						if hasUpY {
-							tp.Recv(p, upY, cfg.yMsgBytes())
-						}
-						p.Sleep(cfg.blockComputeTime())
-						if hasDownX {
-							tp.Send(downX, cfg.xMsgBytes())
-						}
-						if hasDownY {
-							tp.Send(downY, cfg.yMsgBytes())
-						}
-					}
-				}
-			}
-			fin.Arrive(rank, tag.Now())
-		})
+		r.wake = r.step
+		r.tag.Schedule(0, r.wake)
 	}
 	c.Run()
-	if !fin.AllDone() {
+	if !job.fin.AllDone() {
 		return 0, fmt.Errorf("sweep3d: %w — %d ranks never finished", ErrDeadlock, ranks)
 	}
-	return fin.FinishTime(), nil
+	return job.fin.FinishTime(), nil
+}
+
+// sweepJob is what every rank of one RunSweep3D call shares.
+type sweepJob struct {
+	cfg     Sweep3DConfig
+	maxMsg  int
+	nBlocks int
+	fin     *FinishLine
+}
+
+// sweepRank is one Sweep3D rank: per iteration and corner, it receives
+// each z-block from its upstream neighbors, computes it and forwards it
+// downstream.
+type sweepRank struct {
+	guard  sim.StepGuard
+	job    *sweepJob
+	tp     Transport
+	tag    sim.Tagged
+	wake   func() // r.step
+	rank   int
+	i, j   int
+	peers  [4]int
+	npeers int
+	phase  sweepPhase
+	iter   int
+	corner int
+	blk    int
+	// The current corner's neighbors: up* send to this rank, down* are
+	// sent to; has* is false at the grid's edge.
+	upX, upY, downX, downY             int
+	hasUpX, hasUpY, hasDownX, hasDownY bool
+}
+
+type sweepPhase uint8
+
+const (
+	sweepPrepare sweepPhase = iota
+	sweepCorner             // start corner r.corner of iteration r.iter
+	sweepBlock              // start block r.blk: receive from upX
+	sweepRecvY              // receive from upY
+	sweepCompute            // compute the block
+	sweepSend               // forward the block downstream
+)
+
+// step runs the rank up to its next wait.
+//
+//rvmalint:hot
+func (r *sweepRank) step() {
+	if sim.DebugEnabled {
+		r.guard.Enter("sweep-rank")
+		defer r.guard.Leave()
+	}
+	job, tp := r.job, r.tp
+	cfg := &job.cfg
+	for {
+		switch r.phase {
+		case sweepPrepare:
+			r.phase = sweepCorner
+			if !tp.Prepare(r.peers[:r.npeers], r.peers[:r.npeers], job.maxMsg, r.wake) {
+				return
+			}
+		case sweepCorner:
+			if r.corner == len(sweepCorners) {
+				r.corner = 0
+				r.iter++
+			}
+			if r.iter == cfg.Iterations {
+				job.fin.Arrive(r.rank, r.tag.Now())
+				return
+			}
+			dx, dy := sweepCorners[r.corner][0], sweepCorners[r.corner][1]
+			r.upX, r.hasUpX = gridNeighbor(r.i, r.j, -dx, 0, cfg.Px, cfg.Py)
+			r.upY, r.hasUpY = gridNeighbor(r.i, r.j, 0, -dy, cfg.Px, cfg.Py)
+			r.downX, r.hasDownX = gridNeighbor(r.i, r.j, dx, 0, cfg.Px, cfg.Py)
+			r.downY, r.hasDownY = gridNeighbor(r.i, r.j, 0, dy, cfg.Px, cfg.Py)
+			r.blk = 0
+			r.phase = sweepBlock
+		case sweepBlock:
+			if r.blk == job.nBlocks {
+				r.corner++
+				r.phase = sweepCorner
+				continue
+			}
+			r.phase = sweepRecvY
+			if r.hasUpX && !tp.Recv(r.upX, cfg.xMsgBytes(), r.wake) {
+				return
+			}
+		case sweepRecvY:
+			r.phase = sweepCompute
+			if r.hasUpY && !tp.Recv(r.upY, cfg.yMsgBytes(), r.wake) {
+				return
+			}
+		case sweepCompute:
+			r.phase = sweepSend
+			r.tag.Schedule(cfg.blockComputeTime(), r.wake)
+			return
+		case sweepSend:
+			if r.hasDownX {
+				tp.Send(r.downX, cfg.xMsgBytes())
+			}
+			if r.hasDownY {
+				tp.Send(r.downY, cfg.yMsgBytes())
+			}
+			r.blk++
+			r.phase = sweepBlock
+		}
+	}
 }
 
 // gridNeighbor returns the rank at (i+di, j+dj) if it exists.

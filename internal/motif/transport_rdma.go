@@ -38,8 +38,10 @@ type rdmaTransport struct {
 	// the fence send and every credit return under the recovery layer's
 	// timeout/retransmit policy, riding the protocol's own opPutAck path.
 	rel rdmaReliable
-	// idle lists the credit arms no message is using.
-	idle *creditArm
+	// idle lists the credit arms no message is using, and waits the
+	// receive waits no Recv is using.
+	idle  *creditArm
+	waits *recvWait
 }
 
 // rdmaReliable is a transport's recovery state: its node's manager, nil
@@ -103,6 +105,39 @@ func (a *creditArm) credit() {
 	t.drain(st)
 }
 
+// recvWait is a Recv that must wait: the receive handle, the fence
+// receive or (under last-byte polling) the byte wait, and the caller's
+// continuation. Waits are pooled per transport with fire bound once, so
+// a Recv that waits allocates nothing once the pool has reached the
+// transport's peak of waiting receives.
+type recvWait struct {
+	t     *rdmaTransport
+	peer  *rdmaPeer
+	recv  *rdma.RecvOp
+	bytes *sim.Future
+	k     func()
+	fire  func() // w.received
+	next  *recvWait
+}
+
+// received runs at the receive's completion: the credit goes back to the
+// sender, the handle back to the endpoint and the wait back to the pool,
+// and then the caller continues.
+//
+//rvmalint:hot
+func (w *recvWait) received() {
+	t, k := w.t, w.k
+	w.peer.creditReturn()
+	if w.recv != nil {
+		t.ep.ReleaseRecv(w.recv)
+	} else {
+		t.ep.ReleaseWait(w.bytes)
+	}
+	w.peer, w.recv, w.bytes, w.k = nil, nil, nil, nil
+	w.next, t.waits = t.waits, w
+	k()
+}
+
 // rdmaPeer is what the transport keeps about one peer. A Prepare makes
 // the records of the peers it is the first to name in one array, and the
 // send halves of its out-neighbors in another: an in-neighbor only, such
@@ -115,9 +150,6 @@ type rdmaPeer struct {
 	// consumed is the cumulative bytes of the peer's consumed messages
 	// (the WaitBytes target).
 	consumed uint64
-	// returnCredit is p.creditReturn, bound at the peer's first Recv; it
-	// runs first on each receive's completion.
-	returnCredit func()
 }
 
 // sendState is the per-destination sender bookkeeping.
@@ -132,22 +164,22 @@ type sendState struct {
 	// destination counts its own.
 	pending int32
 	ready   bool // handshakes finished
-	waiting bool // a process waits in WaitSent for pending to reach zero
 	// prep is the Prepare whose handshakes are negotiating bufs, nil
 	// once it has finished.
 	prep  *prepare
 	bufs  []rdma.RemoteBuffer
 	queue []int32 // sizes of the messages waiting for a credit, oldest first
-	// drained is what the one process waiting on dst's sends parks on.
-	drained sim.Future
+	// drained is the continuation of the one WaitSent waiting for
+	// pending to reach zero, nil when none waits.
+	drained func()
 }
 
-// prepare is one Prepare call: done resolves once every handshake it
-// started has its buffer, and then its out-neighbors, and only those,
-// become ready.
+// prepare is one Prepare call that started handshakes: once every one
+// of them has its buffer, its out-neighbors, and only those, become
+// ready, and k continues the caller.
 type prepare struct {
 	t         *rdmaTransport
-	done      sim.Future
+	k         func()
 	remaining int
 	sends     []sendState // the send halves this call made, in outPeers order
 }
@@ -169,9 +201,9 @@ func (t *rdmaTransport) Ranks() int { return t.ranks }
 // out-neighbor (nbufs buffers each) before any data can move — the setup
 // RVMA does not have. In-neighbors need only local state. The peer
 // records, send states and buffer handles are made in bulk, a few arrays
-// per call, and each handshake reports to its peer's send state.
-func (t *rdmaTransport) Prepare(inPeers, outPeers []int, maxMsg int) *sim.Future {
-	pr := &prepare{t: t}
+// per call, and each handshake reports to its peer's send state. A call
+// that names no new out-neighbor starts no handshake and is done at once.
+func (t *rdmaTransport) Prepare(inPeers, outPeers []int, maxMsg int, k func()) bool {
 	t.addPeers(inPeers)
 	t.addPeers(outPeers)
 	for _, src := range inPeers {
@@ -183,28 +215,26 @@ func (t *rdmaTransport) Prepare(inPeers, outPeers []int, maxMsg int) *sim.Future
 			n++
 		}
 	}
-	if n > 0 {
-		pr.sends = make([]sendState, 0, n)
-		bufs := make([]rdma.RemoteBuffer, n*t.nbufs)
-		for _, dst := range outPeers {
-			p := t.peers[dst]
-			if p.send != nil {
-				continue
-			}
-			i := len(pr.sends)
-			pr.sends = append(pr.sends, sendState{dst: int32(dst), credits: int32(t.nbufs), prep: pr,
-				bufs: bufs[i*t.nbufs : i*t.nbufs : (i+1)*t.nbufs]})
-			p.send = &pr.sends[i]
-			for j := 0; j < t.nbufs; j++ {
-				pr.remaining++
-				t.handshake(p.send, maxMsg)
-			}
+	if n == 0 {
+		return true
+	}
+	pr := &prepare{t: t, k: k, sends: make([]sendState, 0, n)}
+	bufs := make([]rdma.RemoteBuffer, n*t.nbufs)
+	for _, dst := range outPeers {
+		p := t.peers[dst]
+		if p.send != nil {
+			continue
+		}
+		i := len(pr.sends)
+		pr.sends = append(pr.sends, sendState{dst: int32(dst), credits: int32(t.nbufs), prep: pr,
+			bufs: bufs[i*t.nbufs : i*t.nbufs : (i+1)*t.nbufs]})
+		p.send = &pr.sends[i]
+		for j := 0; j < t.nbufs; j++ {
+			pr.remaining++
+			t.handshake(p.send, maxMsg)
 		}
 	}
-	if pr.remaining == 0 {
-		pr.done.Complete(t.ep.Engine(), nil)
-	}
-	return &pr.done
+	return false
 }
 
 // addPeers makes the records of the nodes among nodes that have none
@@ -245,16 +275,19 @@ func (st *sendState) BufferReady(rb rdma.RemoteBuffer) {
 	}
 }
 
-// finish marks the call's own out-neighbors ready, resolves its future
+// finish marks the call's own out-neighbors ready, continues the caller
 // and issues what their queues hold. An out-neighbor another Prepare
 // named first becomes ready when that call finishes.
+//
+//rvmalint:hot
 func (pr *prepare) finish() {
-	t := pr.t
+	t, k := pr.t, pr.k
 	for i := range pr.sends {
 		pr.sends[i].ready = true
 		pr.sends[i].prep = nil
 	}
-	pr.done.Complete(t.ep.Engine(), nil)
+	pr.k = nil
+	k()
 	for i := range pr.sends {
 		t.drain(&pr.sends[i])
 	}
@@ -319,35 +352,34 @@ func (t *rdmaTransport) Send(dst, size int) {
 }
 
 // WaitSent implements Transport. dst's messages are counted on their own,
-// and only one process may wait on them at a time.
+// and only one caller may wait on them at a time.
 //
 //rvmalint:hot
-func (t *rdmaTransport) WaitSent(p *sim.Process, dst int) {
+func (t *rdmaTransport) WaitSent(dst int, k func()) bool {
 	st := t.sendTo(dst)
 	if st == nil {
 		panic(fmt.Sprintf("motif: rank %d WaitSent on unprepared dst %d", t.Rank(), dst))
 	}
 	if st.pending == 0 {
-		return
+		return true
 	}
-	if st.waiting {
-		panic(fmt.Sprintf("motif: rank %d has two processes waiting on sends to %d", t.Rank(), dst))
+	if st.drained != nil {
+		panic(fmt.Sprintf("motif: rank %d has two callers waiting on sends to %d", t.Rank(), dst))
 	}
-	st.waiting = true
-	p.Wait(&st.drained)
-	st.drained = sim.Future{}
+	st.drained = k
+	return false
 }
 
 // Sent implements rdma.SentHandler: a message to dst has completed
-// locally, and once none is pending the waiting process resumes.
+// locally, and once none is pending the waiting caller continues.
 //
 //rvmalint:hot
 func (t *rdmaTransport) Sent(dst int) {
 	st := t.peers[dst].send
 	st.pending--
-	if st.pending == 0 && st.waiting {
-		st.waiting = false
-		st.drained.Complete(t.ep.Engine(), nil)
+	if k := st.drained; st.pending == 0 && k != nil {
+		st.drained = nil
+		k()
 	}
 }
 
@@ -496,36 +528,52 @@ func (s *rdmaSend) free() {
 
 // Recv implements Transport: observe the next message from src per the
 // kind's completion scheme; the buffer credit goes back as the receive
-// completes, before the caller resumes. The caller is then the receive's
-// only holder, so Recv hands it back to the endpoint for reuse.
+// completes, before the caller continues. Nothing but the transport then
+// holds the receive, so it goes back to the endpoint for reuse first.
 //
 //rvmalint:hot
-func (t *rdmaTransport) Recv(p *sim.Process, src, size int) {
+func (t *rdmaTransport) Recv(src, size int, k func()) bool {
 	peer := t.peers[src]
 	if peer == nil || !peer.in {
 		panic(fmt.Sprintf("motif: rank %d Recv from unprepared src %d", t.Rank(), src))
 	}
-	if peer.returnCredit == nil {
-		//rvmalint:allow hotalloc -- once per in-neighbor, at its first message: the credit return is bound then and reused for every later one
-		peer.returnCredit = peer.creditReturn
-	}
+	var recv *rdma.RecvOp
+	var bytes, done *sim.Future
 	if t.ordered {
 		peer.consumed += uint64(size)
-		done := t.ep.WaitBytes(src, peer.consumed)
-		done.OnComplete(peer.returnCredit)
-		p.Wait(done)
-		t.ep.ReleaseWait(done)
-		return
+		bytes = t.ep.WaitBytes(src, peer.consumed)
+		done = bytes
+	} else {
+		recv = t.ep.PostRecv(src, rdma.FenceQP)
+		done = recv.Done
 	}
-	recv := t.ep.PostRecv(src, rdma.FenceQP)
-	recv.Done.OnComplete(peer.returnCredit)
-	p.Wait(recv.Done)
-	t.ep.ReleaseRecv(recv)
+	if done.Done() {
+		peer.creditReturn()
+		if recv != nil {
+			t.ep.ReleaseRecv(recv)
+		} else {
+			t.ep.ReleaseWait(bytes)
+		}
+		return true
+	}
+	w := t.waits
+	if w != nil {
+		t.waits, w.next = w.next, nil
+	} else {
+		//rvmalint:allow hotalloc -- pool miss: waits return when their receive completes, so the pool grows to the peak of waiting receives and then stays
+		w = &recvWait{t: t}
+		w.fire = w.received
+	}
+	w.peer, w.recv, w.bytes, w.k = peer, recv, bytes, k
+	done.OnComplete(w.fire)
+	return false
 }
 
-// dropPools releases the idle credit arms and reliable-send records.
+// dropPools releases the idle credit arms, receive waits and
+// reliable-send records.
 func (t *rdmaTransport) dropPools() {
 	t.idle = nil
+	t.waits = nil
 	t.rel.idle = nil
 }
 

@@ -30,42 +30,13 @@ func rdmaExchange(t *testing.T, routing fabric.RoutingMode, lastByte, burst, rel
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := c.Transports[0], c.Transports[1]
-	done := 0
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	before := ms.Mallocs
-	c.TagFor(0).Spawn("a", func(p *sim.Process) {
-		p.Wait(a.Prepare([]int{1}, []int{1}, size))
-		for i := 0; i < messages; i++ {
-			switch {
-			case burst:
-				a.Send(1, size)
-			case i%2 == 0:
-				a.Send(1, size)
-			default:
-				a.Recv(p, 1, size)
-			}
-		}
-		done++
-	})
-	c.TagFor(1).Spawn("b", func(p *sim.Process) {
-		p.Wait(b.Prepare([]int{0}, []int{0}, size))
-		for i := 0; i < messages; i++ {
-			switch {
-			case burst, i%2 == 0:
-				b.Recv(p, 0, size)
-			default:
-				b.Send(0, size)
-			}
-		}
-		done++
-	})
-	c.Run()
-	runtime.ReadMemStats(&ms)
-	if done != 2 {
+	if !exchange(c, size, messages, burst) {
 		t.Fatalf("%d messages: the exchange deadlocked", messages)
 	}
+	runtime.ReadMemStats(&ms)
 	return ms.Mallocs - before
 }
 
@@ -75,17 +46,17 @@ func rdmaExchange(t *testing.T, routing fabric.RoutingMode, lastByte, burst, rel
 // their endpoints' free lists once their local completions, packets and
 // (for a conservative fence) transport ACK are spent; Send hands out no
 // future, and a message that waits for a credit queues only its size.
-// The receive handles are reused: Recv parks the receiver on the fence
+// The receive handles are reused: a Recv that must wait holds the fence
 // RecvOp (or, under static routing with last-byte polling, the byte
-// wait) and hands it back to the endpoint once the receiver resumes, and
-// the sender's RecvOp armed for the credit goes back, with its pooled
-// credit arm, when the credit arrives. The credit return runs first on
-// the receive's own future and the waiting process second, both held
-// inline by the future. Under the recovery layer a message allocates the
+// wait) in a pooled receive wait, whose bound callback, held inline by
+// the receive's future, returns the credit, hands the handle back to the
+// endpoint and the wait back to the pool, and then continues the
+// receiver; the sender's RecvOp armed for the credit goes back, with its
+// pooled credit arm, when the credit arrives. Under the recovery layer a message allocates the
 // Reliable and Attempt of its put, its fence send and its credit send,
 // and nothing else: the manager's operation records and the transport's
 // send records come from free lists, and the timeouts wait in a stage.
-// The run-length difference cancels set-up, handshakes, process spawns
+// The run-length difference cancels set-up, handshakes, rank records
 // and pool warm-up, so what is left is the marginal cost of a message,
 // and a 4-packet message must cost what a 1-packet one does. The count is
 // rounded to one decimal: a pool reaching a new peak, or the runtime's
@@ -145,28 +116,47 @@ func TestConcurrentPreparesReadyOnlyTheirOwnPeers(t *testing.T) {
 		t.Fatal(err)
 	}
 	near, far := 1, len(c.Transports)-1
-	tp := c.Transports[0]
-	secondPending, delivered := false, false
-	c.TagFor(0).Spawn("sender", func(p *sim.Process) {
-		first := tp.Prepare(nil, []int{near}, size)
-		second := tp.Prepare(nil, []int{far}, size)
-		p.Wait(first)
-		secondPending = !second.Done()
+	tp, rx := c.Transports[0], c.Transports[far]
+	firstDone, secondDone, secondPending, sent, delivered := false, false, false, false, false
+	// The sender's steps, each the continuation of the one before.
+	var afterFirst, afterSecond func()
+	afterFirst = func() {
+		firstDone = true
+		secondPending = !secondDone
 		tp.Send(far, size)
-		p.Wait(second)
-		tp.WaitSent(p, far)
+		if secondDone {
+			afterSecond()
+		}
+	}
+	afterSecond = func() {
+		secondDone = true
+		if !firstDone {
+			return // afterFirst continues once the near call resolves
+		}
+		if tp.WaitSent(far, func() { sent = true }) {
+			sent = true
+		}
+	}
+	c.TagFor(0).Schedule(0, func() {
+		if tp.Prepare(nil, []int{near}, size, afterFirst) || tp.Prepare(nil, []int{far}, size, afterSecond) {
+			t.Error("a Prepare that starts a handshake reported itself done")
+		}
 	})
-	rx := c.Transports[far]
-	c.TagFor(far).Spawn("receiver", func(p *sim.Process) {
-		p.Wait(rx.Prepare([]int{0}, nil, size))
-		rx.Recv(p, 0, size)
-		delivered = true
+	c.TagFor(far).Schedule(0, func() {
+		recv := func() {
+			if rx.Recv(0, size, func() { delivered = true }) {
+				delivered = true
+			}
+		}
+		if rx.Prepare([]int{0}, nil, size, recv) {
+			recv()
+		}
 	})
 	c.Run()
 	if !secondPending {
 		t.Fatal("the far Prepare resolved first: the case under test did not occur")
 	}
-	if !delivered {
+	if !delivered || !sent {
 		t.Fatal("the message sent before its peer's Prepare resolved was never delivered")
 	}
 }

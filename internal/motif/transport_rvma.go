@@ -41,12 +41,8 @@ type rvmaTransport struct {
 	// backoff sequence depends only on this rank's own NACKs and survives
 	// resharding.
 	rng sim.RNG
-	// idle lists the zeroed waits whose process has resumed, for the next
-	// Recv or WaitSent that must wait.
-	idle *recvWait
-	// sending is the newest of the waits parked in WaitSent, which form a
-	// ring in the order they parked: sending.next is the oldest.
-	sending       *recvWait
+	// sending holds the pending WaitSent waits, oldest first.
+	sending       sim.FIFO[sentWait]
 	puts, lastMsg uint32
 }
 
@@ -71,15 +67,11 @@ type rvmaSend struct {
 	next  *rvmaSend
 }
 
-// recvWait is what a Recv that finds no completed message, or a WaitSent
-// that finds a message not yet sent, parks on. The transport's handler
-// pops it to complete it, so once the parked process resumes it is the
-// wait's only holder, and the process links the wait into the
-// transport's idle list.
-type recvWait struct {
-	done   sim.Future
-	next   *recvWait
-	target uint32 // a WaitSent's: the putsSent that releases it
+// sentWait is a WaitSent that finds a message not yet sent: the caller's
+// continuation and the putsSent that releases it.
+type sentWait struct {
+	k      func()
+	target uint32
 }
 
 // mailbox tracks one in-neighbor's window and its consumption queue. A
@@ -91,10 +83,10 @@ type mailbox struct {
 	// guard reclaims holed buffers past the sender's retry horizon
 	// (non-nil only under recovery).
 	guard *recovery.WindowGuard
-	// waiters are the futures of Recv calls parked for the next
+	// waiters are the continuations of Recv calls waiting for the next
 	// completion, FIFO; available counts completed-but-unconsumed
 	// messages.
-	waiters   sim.FIFO[*sim.Future]
+	waiters   sim.FIFO[func()]
 	available int32
 	maxMsg    int32
 }
@@ -116,13 +108,12 @@ func (t *rvmaTransport) Ranks() int { return t.ep.NIC().Network().Topology().Num
 
 // Prepare implements Transport: create one window per in-neighbor and
 // keep `depth` buffers posted. RVMA senders need no preparation at all —
-// that is the point of virtual addressing. The mailboxes, their windows
-// and their buffers are built in bulk, a few arrays per call.
-func (t *rvmaTransport) Prepare(inPeers, outPeers []int, maxMsg int) *sim.Future {
-	f := sim.NewFuture()
+// that is the point of virtual addressing — so setup is done when the
+// call returns. The mailboxes, their windows and their buffers are built
+// in bulk, a few arrays per call.
+func (t *rvmaTransport) Prepare(inPeers, _ []int, maxMsg int, _ func()) bool {
 	t.openMailboxes(inPeers, maxMsg)
-	f.Complete(t.ep.Engine(), nil)
-	return f
+	return true
 }
 
 // openMailboxes opens a mailbox for each of srcs that has none yet.
@@ -189,7 +180,7 @@ func (box *mailbox) Completed(b *rvma.Buffer) {
 		return
 	}
 	if box.waiters.Len() > 0 {
-		box.waiters.Pop().Complete(t.ep.Engine(), nil)
+		box.waiters.Pop()()
 	} else {
 		box.available++
 	}
@@ -226,39 +217,22 @@ func (t *rvmaTransport) Send(dst, size int) {
 // every message sent so far, dst's included, has left the NIC.
 //
 //rvmalint:hot
-func (t *rvmaTransport) WaitSent(p *sim.Process, dst int) {
+func (t *rvmaTransport) WaitSent(_ int, k func()) bool {
 	if int32(t.lastMsg-t.putsSent) <= 0 {
-		return
+		return true
 	}
-	w := t.wait()
-	w.target = t.lastMsg
-	if t.sending == nil {
-		w.next = w
-	} else {
-		w.next, t.sending.next = t.sending.next, w
-	}
-	t.sending = w
-	t.park(p, w)
+	t.sending.Push(sentWait{k: k, target: t.lastMsg})
+	return false
 }
 
 // Sent implements rvma.NackHandler: a put has completed locally, and the
-// waits it releases resume, oldest first.
+// waits it releases continue, oldest first.
 //
 //rvmalint:hot
 func (t *rvmaTransport) Sent(int) {
 	t.putsSent++
-	for t.sending != nil {
-		w := t.sending.next
-		if int32(w.target-t.putsSent) > 0 {
-			return
-		}
-		if w == t.sending {
-			t.sending = nil
-		} else {
-			t.sending.next = w.next
-		}
-		w.next = nil
-		w.done.Complete(t.ep.Engine(), nil)
+	for t.sending.Len() > 0 && int32(t.sending.Front().target-t.putsSent) <= 0 {
+		t.sending.Pop().k()
 	}
 }
 
@@ -339,11 +313,11 @@ func (t *rvmaTransport) Nacked(dst, size int) {
 // mailbox for src. The completion was observed by the host through the
 // buffer's completion pointer (the completion handler runs at the NIC's
 // cell write); consuming an already-banked completion is free. A caller
-// that must wait parks on a wait from the transport's idle list, which
-// goes back there once the caller resumes.
+// that must wait queues its continuation on the mailbox, whose next
+// completion pops and runs it.
 //
 //rvmalint:hot
-func (t *rvmaTransport) Recv(p *sim.Process, src, size int) {
+func (t *rvmaTransport) Recv(src, size int, k func()) bool {
 	box := t.boxes[src]
 	if box == nil {
 		panic(fmt.Sprintf("motif: rank %d Recv from unprepared src %d", t.Rank(), src))
@@ -358,37 +332,17 @@ func (t *rvmaTransport) Recv(p *sim.Process, src, size int) {
 	}
 	if box.available > 0 {
 		box.available--
-		return
+		return true
 	}
-	w := t.wait()
-	box.waiters.Push(&w.done)
-	t.park(p, w)
+	box.waiters.Push(k)
+	return false
 }
 
-// wait takes a wait from the idle list.
-//
-//rvmalint:hot
-func (t *rvmaTransport) wait() *recvWait {
-	w := t.idle
-	if w != nil {
-		t.idle, w.next = w.next, nil
-		return w
-	}
-	//rvmalint:allow hotalloc -- idle-list miss: a process is parked on every wait the transport made
-	return new(recvWait)
-}
-
-// park parks p on w until w completes, then returns w to the idle list.
-//
-//rvmalint:hot
-func (t *rvmaTransport) park(p *sim.Process, w *recvWait) {
-	p.Wait(&w.done)
-	w.done = sim.Future{}
-	w.next, t.idle = t.idle, w
-}
-
-// dropPools releases the idle waits and reliable-send records.
+// dropPools releases the send-wait queue's ring, once nothing waits in
+// it, and the idle reliable-send records.
 func (t *rvmaTransport) dropPools() {
-	t.idle = nil
+	if t.sending.Len() == 0 {
+		t.sending = sim.FIFO[sentWait]{}
+	}
 	t.rel.idle = nil
 }

@@ -31,41 +31,63 @@ func rvmaExchange(t *testing.T, routing fabric.RoutingMode, depth int, burst, re
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := c.Transports[0], c.Transports[1]
-	done := 0
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	before := ms.Mallocs
-	c.TagFor(0).Spawn("a", func(p *sim.Process) {
-		p.Wait(a.Prepare([]int{1}, []int{1}, size))
-		for i := 0; i < messages; i++ {
-			switch {
-			case burst, i%2 == 0:
-				a.Send(1, size)
-			default:
-				a.Recv(p, 1, size)
-			}
-		}
-		done++
-	})
-	c.TagFor(1).Spawn("b", func(p *sim.Process) {
-		p.Wait(b.Prepare([]int{0}, []int{0}, size))
-		for i := 0; i < messages; i++ {
-			switch {
-			case burst, i%2 == 0:
-				b.Recv(p, 0, size)
-			default:
-				b.Send(0, size)
-			}
-		}
-		done++
-	})
-	c.Run()
-	runtime.ReadMemStats(&ms)
-	if done != 2 {
+	if !exchange(c, size, messages, burst) {
 		t.Fatalf("%d messages: the exchange deadlocked", messages)
 	}
+	runtime.ReadMemStats(&ms)
 	return ms.Mallocs - before, c.NACKTotal()
+}
+
+// exchange runs messages size-byte operations on each of ranks 0 and 1,
+// each rank a step record, and reports whether both finished. Rank 0
+// sends at every even operation and receives at every odd one, rank 1
+// the other way round, so every message is answered; in a burst, rank 0
+// only sends and rank 1 only receives.
+func exchange(c *Cluster, size, messages int, burst bool) bool {
+	rs := [2]exchanger{{send: func(i int) bool { return burst || i%2 == 0 }},
+		{send: func(i int) bool { return !burst && i%2 == 1 }}}
+	for me := range rs {
+		r := &rs[me]
+		r.tp, r.peer, r.size, r.messages = c.Transports[me], []int{1 - me}, size, messages
+		r.wake = r.step
+		c.TagFor(me).Schedule(0, r.wake)
+	}
+	c.Run()
+	return rs[0].done && rs[1].done
+}
+
+// exchanger is one side of exchange.
+type exchanger struct {
+	tp       Transport
+	peer     []int
+	size     int
+	messages int
+	send     func(i int) bool // whether operation i is a send
+	wake     func()           // r.step
+	prepared bool
+	next     int
+	done     bool
+}
+
+func (r *exchanger) step() {
+	if !r.prepared {
+		r.prepared = true
+		if !r.tp.Prepare(r.peer, r.peer, r.size, r.wake) {
+			return
+		}
+	}
+	for r.next < r.messages {
+		r.next++
+		if r.send(r.next - 1) {
+			r.tp.Send(r.peer[0], r.size)
+		} else if !r.tp.Recv(r.peer[0], r.size, r.wake) {
+			return
+		}
+	}
+	r.done = true
 }
 
 // One ping-pong message through the RVMA transport allocates nothing:
@@ -74,8 +96,9 @@ func rvmaExchange(t *testing.T, routing fabric.RoutingMode, depth int, burst, re
 // completion, the completion-pointer write and the NACK retry run on
 // callbacks bound once per endpoint or transport, the reposted buffer
 // reuses the released one, its completion cell's first write takes the
-// page the released cell's Free left on the node's spare list, and Recv
-// parks the receiver on a wait the transport reuses once it resumes.
+// page the released cell's Free left on the node's spare list, and a
+// Recv that must wait queues the receiver's bound step on the mailbox,
+// whose ring keeps its capacity.
 // Adaptive and static routing cost the same, and a 4-packet message what
 // a 1-packet one does.
 //
@@ -99,7 +122,7 @@ func rvmaExchange(t *testing.T, routing fabric.RoutingMode, depth int, burst, re
 // 4 ms of simulated time; that row compares 4,000 and 8,000 messages,
 // which both run past it.
 //
-// The run-length difference cancels set-up, process spawns and pool
+// The run-length difference cancels set-up, rank records and pool
 // warm-up that does not scale with the run, so what is left is the
 // marginal cost of a message. The count is rounded to one decimal: a pool
 // reaching a new peak, or the runtime's own bookkeeping, adds a handful of

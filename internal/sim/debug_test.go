@@ -65,3 +65,16 @@ func TestDebugEnabledUnderTag(t *testing.T) {
 		t.Fatal("DebugEnabled must be true when built with -tags simdebug")
 	}
 }
+
+// A step record whose step runs again while it is still on the stack,
+// as a continuation fired from inside the step would make it, is two
+// copies of one rank; the guard catches it.
+func TestStepGuardCatchesReentry(t *testing.T) {
+	var g StepGuard
+	g.Enter("rank")
+	g.Leave()
+	g.Enter("rank") // a step entered after it returned is fine
+	mustPanic(t, "rank: step entered while already on the stack", func() {
+		g.Enter("rank")
+	})
+}
