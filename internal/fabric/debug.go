@@ -12,7 +12,7 @@ import "rvma/internal/sim"
 // otherwise only show up as a simulation that never terminates.
 func (n *Network) debugCheckHop(e *sim.Engine, sw int, pkt *Packet) {
 	limit := 2*len(n.swShard) + 2
-	sim.Assertf(pkt.Hops <= limit,
+	sim.Assertf(int(pkt.Hops) <= limit,
 		"fabric: packet #%d (%d->%d) reached %d hops at sw%d, limit %d — routing cycle?",
 		pkt.ID, pkt.Src, pkt.Dst, pkt.Hops, sw, limit)
 	sim.Assertf(pkt.Injected <= e.Now(),

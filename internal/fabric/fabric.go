@@ -136,20 +136,26 @@ type Packet struct {
 	ID      uint64
 	Src     int
 	Dst     int
-	Size    int   // payload bytes; HeaderBytes is added on the wire
-	Offset  int32 // of this packet's payload within its message
+	Size    int // payload bytes; HeaderBytes is added on the wire
 	Payload any
+	Offset  int32 // of this packet's payload within its message
 
-	// Bookkeeping maintained by the fabric.
+	// Bookkeeping maintained by the fabric. Hops is an int32 beside
+	// Offset, so the two share a word and a packet stays 120 bytes.
+	Hops     int32
 	Injected sim.Time
-	Hops     int
 	// QueueWait accumulates the time this packet spent queued for
 	// contended resources (host injection link, switch crossbars, output
 	// ports) rather than being serialized or on a cable. The receiving
 	// protocol layer reads it to attribute the wire stage's wait
 	// component.
 	QueueWait sim.Time
-	misrouted bool
+
+	// ser and xbarHold are the packet's serialization time on a link and
+	// its hold time on a switch crossbar. Inject computes both once, and
+	// every hop's atSwitch reuses them.
+	ser, xbarHold sim.Time
+	misrouted     bool
 
 	// The packet's own event. Packets are never copied, and each one has
 	// at most one pending event between NIC send and protocol handler, so
@@ -216,6 +222,10 @@ type Network struct {
 	res [][]sim.Resource
 
 	nonMin topology.NonMinimalRouter // nil if unsupported
+
+	// detourBias is one MTU's serialization time: the margin by which an
+	// adaptive detour must beat the minimal path (selectPort).
+	detourBias sim.Time
 
 	// Failure injection (see fault.go). burstLeft counts the remaining
 	// forced drops of an in-progress burst, per destination.
@@ -443,6 +453,8 @@ func (n *Network) Inject(pkt *Packet) {
 	}
 
 	ser := sim.SerializationTime(pkt.WireSize(), n.cfg.LinkGbps)
+	pkt.ser = ser
+	pkt.xbarHold = sim.SerializationTime(pkt.WireSize(), n.cfg.LinkGbps*n.cfg.XbarFactor)
 	txDone := n.hostTx(pkt.Src).AcquireAt(now, ser)
 	pkt.QueueWait += txDone - now - ser
 	arrive := txDone + n.linkDelayFrom(&n.hostRNG[pkt.Src])
@@ -493,9 +505,8 @@ func (n *Network) atSwitch(sw int, pkt *Packet) {
 	port := n.topo.Ports(sw)[outPort]
 
 	now := e.Now()
-	xbarHold := sim.SerializationTime(pkt.WireSize(), n.cfg.LinkGbps*n.cfg.XbarFactor)
+	xbarHold, ser := pkt.xbarHold, pkt.ser
 	xbarDone := res[0].AcquireAt(now, xbarHold)
-	ser := sim.SerializationTime(pkt.WireSize(), n.cfg.LinkGbps)
 	txDone := res[1+outPort].AcquireAt(xbarDone+n.cfg.SwitchLatency, ser)
 	pkt.QueueWait += (xbarDone - now - xbarHold) + (txDone - xbarDone - n.cfg.SwitchLatency - ser)
 	arrive := txDone + n.linkDelayFrom(rng)
@@ -540,7 +551,7 @@ func (n *Network) selectPort(e *sim.Engine, shard int, rng *sim.RNG, sw int, por
 		if !pkt.misrouted && n.nonMin != nil {
 			// A detour must beat the minimal path by one MTU's
 			// serialization time.
-			bias := sim.SerializationTime(n.cfg.MTU+HeaderBytes, n.cfg.LinkGbps)
+			bias := n.detourBias
 			minBacklog := ports[best].Backlog(e)
 			if minBacklog > bias {
 				rb.nonMin = n.nonMin.NonMinimalCandidates(sw, pkt.Dst, rb.nonMin[:0])

@@ -48,7 +48,7 @@ func TestSingleHopLatency(t *testing.T) {
 	var wire, hops int
 	net.AttachHost(0, func(pkt *Packet) {})
 	net.AttachHost(1, func(pkt *Packet) {
-		arrived, wire, hops = eng.Now(), pkt.WireSize(), pkt.Hops
+		arrived, wire, hops = eng.Now(), pkt.WireSize(), int(pkt.Hops)
 	})
 	eng.Schedule(0, func() { net.Inject(&Packet{Src: 0, Dst: 1, Size: 1024}) })
 	eng.Run()
@@ -395,7 +395,7 @@ func TestForwardingAllocatesNothingPerHop(t *testing.T) {
 	}
 	hops := 0
 	for n := 0; n < topo.NumNodes(); n++ {
-		net.AttachHost(n, func(pkt *Packet) { hops = pkt.Hops })
+		net.AttachHost(n, func(pkt *Packet) { hops = int(pkt.Hops) })
 	}
 	send := func(dst int) int {
 		net.Inject(net.NewPacket(0, dst, 512, nil))

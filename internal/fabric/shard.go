@@ -124,6 +124,7 @@ func build(g *sim.ShardGroup, engs []*sim.Engine, topo topology.Topology, cfg Co
 		engs:  engs,
 	}
 	n.nonMin, _ = topo.(topology.NonMinimalRouter)
+	n.detourBias = sim.SerializationTime(cfg.MTU+HeaderBytes, cfg.LinkGbps)
 
 	n.tags = make([]sim.Tagged, len(engs))
 	for i, e := range engs {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 )
@@ -57,13 +58,21 @@ type standingAgent struct {
 	_    [240]byte
 }
 
-// BenchmarkEngineStandingQueue is the kernel under a model's load: a few
-// thousand events pending at all times, delays that mix ~100 ns hops at
-// picosecond resolution with 1-10 µs timers, and callbacks scattered in
-// memory, so a pop touches cold events and closures as a fabric run's
-// does. One op is one executed event.
+// BenchmarkEngineStandingQueue is the kernel under a model's load: events
+// pending at all times, delays that mix ~100 ns hops at picosecond
+// resolution with 1-10 µs timers, and callbacks scattered in memory, so a
+// pop touches cold events and closures as a fabric run's does. The
+// sub-benchmarks hold the queue depths of the benchmark's fig7 (~420),
+// fig8 (~2,600) and scale-8k (10-16k) cells. One op is one executed event.
 func BenchmarkEngineStandingQueue(b *testing.B) {
-	const pending = 4096
+	for _, pending := range []int{512, 4096, 16384} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			benchStandingQueue(b, pending)
+		})
+	}
+}
+
+func benchStandingQueue(b *testing.B, pending int) {
 	e := NewEngine(1)
 	rng := NewRNG(2)
 	executed := 0

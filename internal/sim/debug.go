@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // This file holds the simdebug invariant helpers. The functions exist in
 // every build; callers guard them with `if DebugEnabled { ... }` so the
@@ -70,6 +67,8 @@ func (e *Engine) debugCheckPop(ev *event) {
 // debugMin returns the minimum queued event under eventLess, or nil if the
 // queue is empty, by scanning all of b0 and then the lowest non-empty
 // bucket: the buckets are ordered by time, which debugVerifyHeap checks.
+// It also checks that the summary and occupancy words select that bucket:
+// the first one, in index order, that holds events.
 func (q *eventQueue) debugMin() *event {
 	var best *event
 	for _, ev := range q.b0 {
@@ -77,24 +76,54 @@ func (q *eventQueue) debugMin() *event {
 			best = ev
 		}
 	}
-	if best != nil || q.mask == 0 {
+	first := -1
+	for k := range q.buckets {
+		if q.buckets[k].head != nil && q.fill[k] > 0 {
+			first = k
+			break
+		}
+	}
+	for w, word := range q.occ {
+		Assertf((word != 0) == (q.sum&(1<<w) != 0),
+			"radix heap: summary bit %d is %v, occupancy word %d is %#x", w, q.sum&(1<<w) != 0, w, word)
+	}
+	Assertf(q.sum>>occWords == 0, "radix heap: summary %#x marks words past %d", q.sum, occWords)
+	if q.sum == 0 {
+		Assertf(first < 0, "radix heap: no occupancy bit set, bucket %d holds events", first)
+	} else {
+		Assertf(int(q.lowest()) == first,
+			"radix heap: occupancy selects bucket %d (level %d, digit %d), the first bucket with events is %d",
+			q.lowest(), q.lowest()/digits, q.lowest()%digits, first)
+	}
+	if best != nil || first < 0 {
 		return best
 	}
-	for c := q.buckets[bits.TrailingZeros64(q.mask)]; c != nil; c = c.next {
-		for _, ev := range c.ev[:c.n] {
-			if best == nil || eventLess(ev, best) {
-				best = ev
-			}
+	for _, ev := range q.debugBucket(first) {
+		if best == nil || eventLess(ev, best) {
+			best = ev
 		}
 	}
 	return best
 }
 
+// debugBucket returns the events of bucket k: every slot of its older
+// chunks and the first fill[k] of its newest, none if it has no chunk.
+func (q *eventQueue) debugBucket(k int) []*event {
+	var evs []*event
+	n := q.fill[k]
+	for c := q.buckets[k].head; c != nil; c = c.next {
+		evs = append(evs, c.ev[:n]...)
+		n = chunkCap
+	}
+	return evs
+}
+
 // debugVerifyHeap sweeps the whole radix heap: every event sits in the
-// bucket its time selects, b0 is heap-ordered, the occupancy mask, the
-// count and each bucket's recorded earliest time agree with the buckets,
-// free chunks are empty, and queue and event free list never share an
-// object.
+// bucket its time selects (the level of its highest bit that differs from
+// the last pop, and its digit there), b0 is heap-ordered, the occupancy
+// and summary words, fill counts, the count and each bucket's recorded
+// earliest time agree with the buckets, an empty bucket keeps at most one
+// chunk, and queue and event free list never share an object.
 func (e *Engine) debugVerifyHeap() {
 	q := &e.queue
 	n := 0
@@ -109,33 +138,38 @@ func (e *Engine) debugVerifyHeap() {
 		}
 		n++
 	}
-	for k, c := range q.buckets {
-		occupied := c != nil && c.n > 0
-		Assertf(occupied == (q.mask&(1<<k) != 0),
-			"radix heap: occupancy bit %d is %v, bucket holds events: %v", k, q.mask&(1<<k) != 0, occupied)
-		Assertf(k > 0 || c == nil, "radix heap: bucket 0 holds chunks")
-		Assertf(occupied || c == nil || c.next == nil,
-			"radix heap: empty bucket %d holds more than its kept chunk", k)
+	for k := range q.buckets {
+		c, fill := q.buckets[k].head, q.fill[k]
+		bit := q.occ[k/64]&(1<<(k%64)) != 0
+		Assertf(bit == (c != nil && fill > 0),
+			"radix heap: occupancy bit of bucket %d (level %d, digit %d) is %v, bucket holds events: %v",
+			k, k/digits, k%digits, bit, c != nil && fill > 0)
+		// A bucket with no chunk has fill chunkCap; an empty one keeps
+		// its newest chunk alone, with fill 0.
+		Assertf(fill <= chunkCap && (c != nil || fill == chunkCap) && (fill > 0 || c.next == nil),
+			"radix heap: bucket %d has fill %d, holds chunks: %v", k, fill, c != nil)
 		least := MaxTime
-		for ; occupied && c != nil; c = c.next {
-			Assertf(c.n > 0, "radix heap: empty chunk in occupied bucket %d", k)
-			for _, ev := range c.ev[:c.n] {
-				least = min(least, ev.at)
-				Assertf(ev.state == evQueued,
-					"queued event in bucket %d has pool state %d (freed object still in queue)", k, ev.state)
-				Assertf(bits.Len64(uint64(ev.at^q.last)) == k,
-					"radix heap: event at %v in bucket %d, last pop at %v selects bucket %d",
-					ev.at, k, q.last, bits.Len64(uint64(ev.at^q.last)))
-				n++
-			}
+		for _, ev := range q.debugBucket(k) {
+			least = min(least, ev.at)
+			Assertf(ev.state == evQueued,
+				"queued event in bucket %d has pool state %d (freed object still in queue)", k, ev.state)
+			// Bucket k is level l, digit d: the highest bit where at
+			// differs from the last pop lies in digit l, and at's digit l
+			// is d. This restates bucketOf rather than calling it.
+			l, d := k/digits, k%digits
+			x := uint64(ev.at ^ q.last)
+			Assertf(ev.at > q.last && x>>(l*digitBits) != 0 && x>>((l+1)*digitBits) == 0,
+				"radix heap: event at %v in bucket %d (level %d), last pop at %v: they first differ in another digit",
+				ev.at, k, l, q.last)
+			Assertf(int(ev.at>>(l*digitBits))&digitMask == d,
+				"radix heap: event at %v in bucket %d (level %d, digit %d) has digit %d there",
+				ev.at, k, l, d, int(ev.at>>(l*digitBits))&digitMask)
+			n++
 		}
-		Assertf(q.mins[k] == least,
-			"radix heap: bucket %d records earliest time %v, holds earliest %v", k, q.mins[k], least)
+		Assertf(q.buckets[k].min == least,
+			"radix heap: bucket %d records earliest time %v, holds earliest %v", k, q.buckets[k].min, least)
 	}
 	Assertf(n == q.n, "radix heap: count %d, buckets hold %d events", q.n, n)
-	for c := q.free; c != nil; c = c.next {
-		Assertf(c.n == 0, "radix heap: free chunk holds %d events", c.n)
-	}
 	for i, ev := range e.free {
 		Assertf(ev.state == evFree,
 			"free list entry %d has pool state %d (live event in the pool)", i, ev.state)

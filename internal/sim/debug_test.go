@@ -3,7 +3,6 @@
 package sim
 
 import (
-	"math/bits"
 	"strings"
 	"testing"
 )
@@ -43,21 +42,33 @@ func TestDebugCatchesClockCorruption(t *testing.T) {
 }
 
 func TestDebugCatchesHeapCorruption(t *testing.T) {
-	e := NewEngine(1)
-	for i := 0; i < 8; i++ {
-		e.Schedule(Time(1)<<(4*i), func() {})
+	// Two digits of level 1 and one of level 2, with the last pop at 0.
+	times := []Time{0x10, 0x20, 0x300}
+	swaps := []struct {
+		name string
+		a, b Time // swap the buckets holding these times
+	}{
+		{"buckets on different levels", 0x10, 0x300},
+		{"two digits of one level", 0x10, 0x20},
 	}
-	// Swap the contents of two occupied buckets: every event is still
-	// queued and counted, but now sits in a bucket its time does not
-	// select, so the structural sweep must notice the broken order.
-	q := &e.queue
-	lo := bits.TrailingZeros64(q.mask)
-	hi := 63 - bits.LeadingZeros64(q.mask)
-	if lo == hi {
-		t.Fatalf("want two occupied buckets, mask %b", q.mask)
+	for _, sw := range swaps {
+		t.Run(sw.name, func(t *testing.T) {
+			e := NewEngine(1)
+			for _, at := range times {
+				e.Schedule(at, func() {})
+			}
+			// Swap the contents of two occupied buckets: every event is
+			// still queued and counted, but now sits in a bucket its time
+			// does not select, so the structural sweep must notice.
+			q := &e.queue
+			a, b := bucketOf(sw.a, 0), bucketOf(sw.b, 0)
+			if q.fill[a] == 0 || q.fill[b] == 0 || q.buckets[a].head == nil || q.buckets[b].head == nil || a == b {
+				t.Fatalf("buckets %d and %d are not two occupied buckets", a, b)
+			}
+			q.buckets[a], q.buckets[b] = q.buckets[b], q.buckets[a]
+			mustPanic(t, "radix heap", func() { e.debugVerifyHeap() })
+		})
 	}
-	q.buckets[lo], q.buckets[hi] = q.buckets[hi], q.buckets[lo]
-	mustPanic(t, "heap", func() { e.debugVerifyHeap() })
 }
 
 func TestDebugEnabledUnderTag(t *testing.T) {

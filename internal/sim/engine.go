@@ -28,24 +28,32 @@ const (
 	evQueued              // live: scheduled and present in the queue
 )
 
-// eventQueue is a monotone radix heap over (time, priority, seq) (Ahuja,
-// Mehlhorn, Orlin & Tarjan, JACM 1990). It relies on pops never going back
-// in time: every queued event is at or after last, the time of the last
-// pop, and an event lives in bucket bits.Len64(at^last), the position of
-// the highest bit where its time differs from last.
+// eventQueue is a monotone radix heap over (time, priority, seq) whose
+// buckets are digits of digitBits bits (Ahuja, Mehlhorn, Orlin & Tarjan,
+// JACM 1990, §4; the hierarchical timing wheel of Varghese & Lauck, SOSP
+// 1987, is the same idea). It relies on pops never going back in time:
+// every queued event is at or after last, the time of the last pop.
 //
 //   - Bucket 0 (b0) holds the events at exactly last, as a small binary
 //     heap on (priority, seq).
-//   - Buckets 1-63 are unordered lists of fixed-size chunks. Every event in
-//     bucket i is earlier than every event in bucket i+1, so the lowest
-//     non-empty bucket (the lowest set bit of mask) holds the earliest time.
+//   - Every other event, at time at, sits on level l, the digit where at
+//     first differs from last (the highest set bit of at^last, divided by
+//     digitBits), in the bucket of at's value d in that digit:
+//     l*digits + d (bucketOf). Events on level l share every higher digit
+//     with last, and their digit l exceeds last's, so every event in a
+//     bucket is earlier than every event in a higher one, and the lowest
+//     set bit of the occupancy words holds the earliest time. A bucket is
+//     an unordered list of fixed-size chunks.
 //
-// A pop with b0 empty refiles the lowest non-empty bucket: its earliest time
-// becomes last, and each of its events moves to a strictly lower bucket, so
-// an event is moved at most 63 times over its life and in practice a few.
-// Those moves are independent of one another, where a comparison heap's pop
-// is a chain of dependent, mispredicted compares through cold events: on a
-// queue thousands deep, the chain is what a pop costs.
+// A pop with b0 empty refiles the lowest non-empty bucket: its earliest
+// time becomes last, and each of its events, which shares every digit
+// from l up with that time, moves to a strictly lower level or into b0. So
+// an event moves at most once per level over its life, and in practice two
+// or three times. Those moves are independent of one another, where a
+// comparison heap's pop is a chain of dependent, mispredicted compares
+// through cold events: on a queue thousands deep, the chain is what a pop
+// costs. Wider digits mean fewer levels and fewer moves but more buckets
+// to spread a shallow queue over; see digitBits.
 //
 // Each bucket keeps its earliest time, so a refile knows where to move
 // last without a scan, and a peek reads the head without one. A peek must
@@ -53,29 +61,73 @@ const (
 // clock and its head. Only Engine.syncClock moves a clock behind last, and
 // it rebases the queue when it does.
 type eventQueue struct {
-	last    Time       // time of the last pop; no queued event is earlier
-	n       int        // queued events
-	mask    uint64     // bit i set iff buckets[i] holds an event
-	b0      []*event   // bucket 0: events at exactly last, a heap on (priority, seq)
-	buckets [64]*chunk // buckets 1-63: the newest chunk, linked to older full ones
-	mins    [64]Time   // mins[i]: the earliest time in bucket i; MaxTime while it is empty
-	free    *chunk     // spare chunks shared by every bucket
+	last    Time             // time of the last pop; no queued event is earlier
+	n       int              // queued events
+	sum     uint64           // bit w set iff occ[w] != 0
+	occ     [occWords]uint64 // bit k%64 of word k/64 set iff buckets[k] holds an event
+	b0      []*event         // bucket 0: events at exactly last, a heap on (priority, seq)
+	buckets [numBuckets]bucket
+	fill    [numBuckets]uint8 // events in buckets[k]'s newest chunk; chunkCap while it has none, so either way a file takes a chunk
+	free    *chunk            // spare chunks shared by every bucket
+	slab    []chunk           // the rest of the block spare carves chunks from
 }
 
-// chunkCap is the number of events one chunk holds: with its count and
-// link, a chunk is 512 bytes.
-const chunkCap = 62
+const (
+	// digitBits is the width of one radix digit. Replaying the queue
+	// operations of the benchmark's fig7-sweep3d and fig8-halo3d RVMA
+	// cells, 4-bit digits make 2.5 and 2.9 refile moves per pop, where
+	// 1-bit digits made 4.7 and 5.2; 3-, 5-, 6- and 8-bit digits make
+	// 3.0, 2.05, 2.0 and 1.44 on fig7. 4 bits ran both traces fastest;
+	// 8 bits tied on fig7, ran fig8 slower and needs 2,048 buckets, each
+	// of which keeps a chunk once used.
+	digitBits = 4
+	digits    = 1 << digitBits
+	digitMask = digits - 1
+	// numBuckets is levels times digits: ceil(64/digitBits) levels cover
+	// every bit of a time.
+	numBuckets = (64 + digitBits - 1) / digitBits * digits
+	occWords   = (numBuckets + 63) / 64
+)
+
+// bucketOf returns the bucket of an event at time at, given the last pop
+// time last; at must differ from last. Taking the index modulo
+// numBuckets, a power of two, costs one AND and lets the compiler drop
+// the bounds checks where file indexes with it.
+func bucketOf(at, last Time) uint {
+	l := uint(bits.Len64(uint64(at^last))-1) / digitBits
+	return (l*digits + uint(uint64(at)>>(l*digitBits&63))&digitMask) % numBuckets
+}
+
+// bucket is one bucket's list of chunks and the earliest time in it.
+type bucket struct {
+	head *chunk // the newest chunk, linked to older full ones; an empty bucket keeps one or none
+	min  Time   // MaxTime while empty
+}
+
+// chunkCap is the number of events one chunk holds: with its link, a
+// chunk is 128 bytes. Every bucket a run has used holds a chunk, part
+// filled or kept empty, and a queue a few thousand deep occupies a hundred
+// buckets or more, so a small chunk keeps the queue's memory near its
+// depth.
+const chunkCap = 15
+
+// chunkSlab is how many chunks spare carves from one allocation when the
+// free list is empty, as Engine.at carves events. 31 chunks and the 8-byte
+// header the Go allocator adds to a large object with pointers just fill
+// its 4 KiB size class; 32 would spill into the 4,864-byte one.
+const chunkSlab = 31
 
 // chunk is one fixed-size block of a bucket's unordered event list. Fixed
 // blocks from a shared free list keep the buckets' memory at the peak
-// queue depth; a growable slice per bucket holds ~7x that. A refiled bucket
-// keeps its newest chunk, empty, so a shallow queue that cycles through a
-// few buckets never touches the free list. Slots at and past n are stale:
-// they may still point at pooled events, which pins nothing the engine's
-// event pool does not already hold. The count and link come first, so a
-// short list's header and its first events share a cache line.
+// queue depth; a growable slice per bucket holds ~7x that. A bucket that
+// empties keeps its newest chunk and gives the others back, so a queue
+// that cycles through a few buckets never touches the free list (taking
+// and returning a chunk each time a bucket filled and emptied made a
+// replay of fig7's queue operations ~15% slower). Every chunk of a bucket
+// but the newest is full; slots past the bucket's fill are stale: they may
+// still point at pooled events, which pins nothing the engine's event
+// pool does not already hold.
 type chunk struct {
-	n    int
 	next *chunk
 	ev   [chunkCap]*event
 }
@@ -87,7 +139,10 @@ func (q *eventQueue) push(ev *event) {
 		Assertf(at >= q.last, "radix heap: push at %v before the last pop at %v", at, q.last)
 	}
 	q.n++
-	if k := bits.Len64(uint64(at ^ q.last)); k > 0 {
+	if at != q.last {
+		k := bucketOf(at, q.last)
+		q.spare()
+		q.sum |= 1 << (k / 64)
 		q.file(k, at, ev)
 	} else {
 		q.pushTie(ev)
@@ -101,13 +156,11 @@ func (q *eventQueue) pop() *event {
 	if len(q.b0) > 0 {
 		return q.popTie()
 	}
-	k := bits.TrailingZeros64(q.mask)
-	c := q.buckets[k]
-	if c.n == 1 && c.next == nil {
+	k := q.lowest()
+	c := q.buckets[k].head
+	if q.fill[k] == 1 && c.next == nil {
 		// A lone event: refiling would move it straight into b0 and out.
-		q.mask &^= 1 << k
-		q.mins[k] = MaxTime
-		c.n = 0
+		q.empty(k, c)
 		ev := c.ev[0]
 		q.last = ev.at
 		return ev
@@ -122,103 +175,148 @@ func (q *eventQueue) peek() Time {
 	if len(q.b0) > 0 {
 		return q.last
 	}
-	return q.mins[bits.TrailingZeros64(q.mask)]
+	return q.buckets[q.lowest()].min
 }
 
-// file appends ev, at time at, to bucket k (k >= 1). It runs for every
-// push and every refile move, and is kept small enough to inline there.
-func (q *eventQueue) file(k int, at Time, ev *event) {
-	if at < q.mins[k] {
-		q.mins[k] = at
+// lowest returns the lowest non-empty bucket. The caller ensures one is.
+func (q *eventQueue) lowest() uint {
+	w := uint(bits.TrailingZeros64(q.sum))
+	return (w*64 + uint(bits.TrailingZeros64(q.occ[w%occWords]))) % numBuckets
+}
+
+// file appends ev, at time at, to bucket k. It runs for every push and
+// every refile move, and is kept small enough to inline there, so the
+// caller does two of its chores: it ensures the free list holds a chunk
+// for a bucket that needs one (spare), and it sets k's word in sum, once
+// per refile rather than once per move.
+func (q *eventQueue) file(k uint, at Time, ev *event) {
+	b := &q.buckets[k]
+	b.min = min(b.min, at)
+	q.occ[k/64] |= 1 << (k % 64)
+	i := q.fill[k]
+	if i == chunkCap {
+		c := q.free
+		q.free = c.next
+		c.next = b.head
+		b.head = c
+		i = 0
 	}
-	q.mask |= 1 << k
-	c := q.buckets[k]
-	if c == nil || c.n == chunkCap {
-		nc := q.free
-		if nc != nil {
-			q.free = nc.next
-		} else {
-			//rvmalint:allow hotalloc -- chunk pool miss: chunks return to the shared free list on refile, so this runs O(peak depth / chunkCap) times, not per event
-			nc = &chunk{}
-		}
-		nc.next = c
-		q.buckets[k] = nc
-		c = nc
+	b.head.ev[i] = ev
+	q.fill[k] = i + 1
+}
+
+// spare ensures the free list holds a chunk for the next file, carving a
+// slab when it is empty.
+func (q *eventQueue) spare() {
+	if q.free != nil {
+		return
 	}
-	c.ev[c.n] = ev
-	c.n++
+	if len(q.slab) == 0 {
+		//rvmalint:allow hotalloc -- chunk pool miss, one slab per chunkSlab misses: a refiled bucket returns all but its newest chunk to the shared free list, so this runs O((peak depth / chunkCap + buckets) / chunkSlab) times, not per event
+		q.slab = make([]chunk, chunkSlab)
+	}
+	q.free = &q.slab[0]
+	q.slab = q.slab[1:]
+}
+
+// empty marks bucket k empty, keeping chunk keep, which must be its
+// newest, for the next event filed there. The caller has taken its events
+// and gives its older chunks back.
+func (q *eventQueue) empty(k uint, keep *chunk) {
+	w := k / 64 % occWords
+	if q.occ[w] &^= 1 << (k % 64); q.occ[w] == 0 {
+		q.sum &^= 1 << w
+	}
+	q.buckets[k%numBuckets] = bucket{head: keep, min: MaxTime}
+	q.fill[k%numBuckets] = 0
+}
+
+// release gives chunk c, whose events the caller has taken, back to the
+// free list.
+func (q *eventQueue) release(c *chunk) {
+	c.next = q.free
+	q.free = c
 }
 
 // refile empties bucket k, the lowest non-empty one, into lower ones: its
 // earliest time m becomes last, and its events at m go to b0. The bucket
 // keeps its newest chunk. The caller ensures b0 is empty.
-func (q *eventQueue) refile(k int) {
-	q.mask &^= 1 << k
-	keep := q.buckets[k]
-	m := q.mins[k]
-	q.mins[k] = MaxTime
+func (q *eventQueue) refile(k uint) {
+	keep := q.buckets[k%numBuckets].head
+	n := q.fill[k%numBuckets]
+	m := q.buckets[k%numBuckets].min
+	q.empty(k, keep)
 	q.last = m
 	for c := keep; c != nil; {
-		for _, ev := range c.ev[:c.n] {
+		for _, ev := range c.ev[:n] {
 			if at := ev.at; at != m {
-				q.file(bits.Len64(uint64(at^m)), at, ev)
+				q.spare()
+				q.file(bucketOf(at, m), at, ev)
 			} else {
 				q.pushTie(ev)
 			}
 		}
-		c.n = 0
 		next := c.next
 		if c != keep {
-			c.next = q.free
-			q.free = c
+			q.release(c)
 		}
-		c = next
+		c, n = next, chunkCap
 	}
 	keep.next = nil
+	for w, word := range q.occ {
+		if word != 0 {
+			q.sum |= 1 << w
+		}
+	}
 }
 
 // rebase lowers last to t, which the caller ensures is below last, and
-// refiles every queued event against it. Every queued event is at or
-// after the old last, so each lands in a bucket above 0.
+// pushes every queued event again against it. Every queued event is at or
+// after the old last, so none lands in b0.
 func (q *eventQueue) rebase(t Time) {
 	var old *chunk
-	for k, c := range q.buckets {
+	for k := range q.buckets {
+		c := q.buckets[k].head
 		if c == nil {
 			continue
 		}
+		clear(c.ev[q.fill[k]:]) // stale slots, skipped below
 		tail := c
 		for tail.next != nil {
 			tail = tail.next
 		}
 		tail.next = old
 		old = c
-		q.buckets[k] = nil
 	}
-	q.mask = 0
-	q.clearMins()
+	q.sum = 0
+	q.occ = [occWords]uint64{}
+	q.clearBuckets()
 	q.last = t
+	q.n = 0
 	for i, ev := range q.b0 {
-		q.file(bits.Len64(uint64(ev.at^t)), ev.at, ev)
+		q.push(ev)
 		q.b0[i] = nil
 	}
 	q.b0 = q.b0[:0]
 	for old != nil {
-		for _, ev := range old.ev[:old.n] {
-			q.file(bits.Len64(uint64(ev.at^t)), ev.at, ev)
+		for _, ev := range old.ev {
+			if ev != nil {
+				q.push(ev)
+			}
 		}
 		next := old.next
-		old.n = 0
-		old.next = q.free
-		q.free = old
+		q.release(old)
 		old = next
 	}
 }
 
-// clearMins marks every bucket empty: MaxTime is an empty bucket's
-// earliest time, so the first event filed there replaces it.
-func (q *eventQueue) clearMins() {
-	for k := range q.mins {
-		q.mins[k] = MaxTime
+// clearBuckets marks every bucket empty and chunkless: MaxTime is an
+// empty bucket's earliest time, so the first event filed there replaces
+// it, and a fill of chunkCap makes that file take a chunk.
+func (q *eventQueue) clearBuckets() {
+	for k := range q.buckets {
+		q.buckets[k] = bucket{min: MaxTime}
+		q.fill[k] = chunkCap
 	}
 }
 
@@ -322,7 +420,7 @@ type Engine struct {
 // identically.
 func NewEngine(seed uint64) *Engine {
 	e := &Engine{rng: NewRNG(seed)}
-	e.queue.clearMins()
+	e.queue.clearBuckets()
 	return e
 }
 
@@ -598,25 +696,28 @@ func (e *Engine) NextEventTime() Time {
 func (e *Engine) PoolFree() int { return len(e.free) }
 
 // DropPools releases the memory the engine keeps for reuse: the event
-// free list, the queue's spare chunks (the shared list and the empty chunk
-// each drained bucket keeps), bucket 0's backing array when it is empty,
-// and the unused rest of the event and Process chunks. The event pools are sized by
-// the run's peak of pending events and never shrink on their own, so a
-// finished run would otherwise hold its peak. Queued
-// events stay queued, and a later Schedule simply allocates again. Call it
-// between runs, not inside one: a loop of short runs relies on the pools.
+// free list, the queue's spare chunks (its free list, the rest of its
+// chunk slab and the chunk each empty bucket keeps), bucket 0's backing
+// array when it is empty, and the unused rest of the event and Process
+// chunks. The event pools are sized by the run's peak of pending events
+// and never shrink on their own, so a finished run would otherwise hold
+// its peak. Queued events stay queued, and a later Schedule simply
+// allocates again. Call it between runs, not inside one: a loop of short
+// runs relies on the pools.
 func (e *Engine) DropPools() {
 	e.free = nil
 	e.evSlab = nil
 	e.procSlab = nil
 	q := &e.queue
 	q.free = nil
+	q.slab = nil
 	if len(q.b0) == 0 {
 		q.b0 = nil
 	}
-	for k, c := range q.buckets {
-		if c != nil && q.mask&(1<<k) == 0 {
-			q.buckets[k] = nil
+	for k := range q.buckets {
+		if q.occ[k/64]&(1<<(k%64)) == 0 {
+			q.buckets[k] = bucket{min: MaxTime}
+			q.fill[k] = chunkCap
 		}
 	}
 }

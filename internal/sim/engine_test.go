@@ -219,8 +219,9 @@ func TestEnginePoolMissAllocatesInChunks(t *testing.T) {
 			e.Schedule(Time(i+1)*Nanosecond, tick)
 		}
 	})
-	// NewEngine's engine and RNG, the queue's chunks (one per chunkCap
-	// events) and the rest are the O(1) + O(n/chunkCap) beside the events.
+	// NewEngine's engine and RNG, the queue's chunks (at most one per
+	// chunkCap events; they come chunkSlab to an allocation) and the rest
+	// are the O(1) + O(n/chunkCap) beside the events.
 	if limit := float64(n/eventChunk + n/chunkCap + 16); allocs > limit {
 		t.Errorf("%d events from an empty pool: %v allocs, want at most %v", n, allocs, limit)
 	}
@@ -228,7 +229,9 @@ func TestEnginePoolMissAllocatesInChunks(t *testing.T) {
 }
 
 // DropPools between runs empties the free list and keeps queued events
-// in order: the run resumes exactly where it stopped.
+// in order: the run resumes exactly where it stopped. After a drained
+// run it leaves the queue holding no memory: no bucket keeps a chunk,
+// and no spare chunk or bucket-0 array is left.
 func TestEngineDropPools(t *testing.T) {
 	e := NewEngine(1)
 	var got []Time
@@ -253,6 +256,17 @@ func TestEngineDropPools(t *testing.T) {
 		if got[i] < got[i-1] {
 			t.Fatalf("event %d at %v ran after one at %v", i, got[i], got[i-1])
 		}
+	}
+	e.DropPools()
+	q := &e.queue
+	for k := range q.buckets {
+		if q.buckets[k].head != nil {
+			t.Errorf("bucket %d (level %d, digit %d) keeps a chunk after a drained run and DropPools", k, k/digits, k%digits)
+		}
+	}
+	if q.free != nil || q.slab != nil || q.b0 != nil {
+		t.Errorf("queue keeps spare memory after DropPools: free list %v, slab %d chunks, b0 capacity %d",
+			q.free != nil, len(q.slab), cap(q.b0))
 	}
 }
 

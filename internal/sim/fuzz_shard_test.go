@@ -22,17 +22,26 @@ func FuzzShardedEngine(f *testing.F) {
 	f.Add(uint64(7), byte(2), byte(2), byte(1))
 	f.Add(uint64(1), byte(13), byte(8), byte(17))
 	f.Add(uint64(99), byte(5), byte(3), byte(0))
+	// Radix-heap shapes: hop delays spread over one to seven more digits
+	// of the queue's times, many digits of one level at a time, and a
+	// second wave posted behind a shard run's daemon tail, which rebases
+	// every shard's queue across levels.
+	f.Add(uint64(42), byte(12), byte(4), byte(1<<5|20))
+	f.Add(uint64(5), byte(6), byte(2), byte(3<<5|9))
+	f.Add(uint64(77), byte(16), byte(8), byte(7<<5|12))
+	f.Add(uint64(8), byte(3), byte(1), byte(2<<5|31))
 
 	f.Fuzz(func(t *testing.T, seed uint64, nodesB, shardsB, hopsB byte) {
 		nodes := 2 + int(nodesB)%23  // 2..24
 		shards := 1 + int(shardsB)%8 // 1..8
 		hops := int(hopsB) % 32
+		spread := uint(hopsB >> 5) // 0..7
 
-		ref, refLed := fuzzRelay(seed, nodes, 0, hops)
-		got, gotLed := fuzzRelay(seed, nodes, shards, hops)
+		ref, refLed := fuzzRelay(seed, nodes, 0, hops, spread)
+		got, gotLed := fuzzRelay(seed, nodes, shards, hops, spread)
 		if gotLed.ChainHead != refLed.ChainHead {
-			t.Fatalf("seed=%d nodes=%d shards=%d hops=%d: chain head %s, single-heap %s",
-				seed, nodes, shards, hops, gotLed.ChainHead, refLed.ChainHead)
+			t.Fatalf("seed=%d nodes=%d shards=%d hops=%d spread=%d: chain head %s, single-heap %s",
+				seed, nodes, shards, hops, spread, gotLed.ChainHead, refLed.ChainHead)
 		}
 		if gotLed.Events != refLed.Events {
 			t.Fatalf("ledger recorded %d events, single-heap %d", gotLed.Events, refLed.Events)
@@ -52,9 +61,12 @@ const fzLookahead = sim.Time(40)
 // fzModel is a minimal relay over the public API: messages hop between
 // pseudo-random nodes, each event carrying a globally unique negative
 // priority packed from (node, per-node counter) — the fabric's scheme.
+// A hop's delay past the lookahead is a multiple of 16^spread ps, so a
+// spread above 0 moves the relay's times across that many more digits.
 type fzModel struct {
 	nodes  int
 	shards int
+	spread uint
 	group  *sim.ShardGroup // nil => single heap
 	eng    *sim.Engine
 	tags   []sim.Tagged
@@ -96,6 +108,12 @@ func (m *fzModel) receive(node, hops int) {
 	eng := m.engineFor(node)
 	now := eng.Now()
 	tag := m.tags[m.shardOf(node)]
+	if m.spread > 0 {
+		// A reader half a lookahead later: after the last model event, a
+		// shard run's final window runs it, and syncClock moves the
+		// clock back behind it.
+		eng.ScheduleDaemonP(fzLookahead/2, 1<<30, func() {})
+	}
 	// Same-node churn: every third hop, a local follow-up with a unique
 	// priority so ties never exist.
 	if hops%3 == 0 {
@@ -106,16 +124,20 @@ func (m *fzModel) receive(node, hops int) {
 	}
 	r := m.rngs[node]
 	dst := r.Intn(m.nodes)
-	m.send(node, dst, now+fzLookahead+sim.Time(r.Intn(5))*7, hops-1)
+	m.send(node, dst, now+fzLookahead+sim.Time(r.Intn(5))*7<<(4*m.spread), hops-1)
 }
 
 // fuzzRelay builds and runs the relay at the given shard count (0 =
 // single heap) with a canonical ledger attached, returning the final
-// model time and the finalized ledger.
-func fuzzRelay(seed uint64, nodes, shards, hops int) (sim.Time, *ledger.Ledger) {
+// model time and the finalized ledger. With a spread above 0 every
+// receive also schedules a daemon, and a second wave of messages runs
+// after the first: a shard run's final window runs daemons past the last
+// model event, so the second wave lands behind them.
+func fuzzRelay(seed uint64, nodes, shards, hops int, spread uint) (sim.Time, *ledger.Ledger) {
 	m := &fzModel{
 		nodes:  nodes,
 		shards: shards,
+		spread: spread,
 		seq:    make([]int, nodes),
 		rngs:   make([]*sim.RNG, nodes),
 	}
@@ -136,13 +158,21 @@ func fuzzRelay(seed uint64, nodes, shards, hops int) (sim.Time, *ledger.Ledger) 
 		}
 		rec.AttachGroup(m.group)
 	}
+	run := func() sim.Time {
+		if m.group == nil {
+			return m.eng.Run()
+		}
+		return m.group.Run()
+	}
 	for n := 0; n < nodes; n++ {
 		m.send(n, (n*5+1)%nodes, sim.Time(50+n), hops)
 	}
-	if m.group == nil {
-		final = m.eng.Run()
-	} else {
-		final = m.group.Run()
+	if spread > 0 {
+		first := run()
+		for n := 0; n < nodes; n++ {
+			m.send(n, (n*3+2)%nodes, first+fzLookahead+sim.Time(n)<<(4*spread), hops)
+		}
 	}
+	final = run()
 	return final, rec.Finalize()
 }

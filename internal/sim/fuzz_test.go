@@ -20,9 +20,11 @@ import (
 //     invariants when the tag is on).
 //
 // Delays are drawn at picosecond resolution from 0 to ~2^40 ps, as a
-// mantissa byte shifted by an exponent byte, so events land in every
-// bucket of the radix heap. Priorities mix small values, which tie often,
-// with large negative ones shaped like the fabric's locus priorities.
+// mantissa byte shifted by an exponent byte, so events land on every
+// level of the radix heap the range reaches; after every op the queue's
+// structure is swept (debugVerifyHeap). Priorities mix small values,
+// which tie often, with large negative ones shaped like the fabric's
+// locus priorities.
 //
 // The input bytes form an op stream: each op consumes 1-4 bytes, so the
 // fuzzer's minimization maps directly onto shorter schedules.
@@ -32,6 +34,20 @@ func FuzzEngineSchedule(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 5, 0, 0, 0, 0, 7, 6, 0, 0, 7, 7})
 	f.Add([]byte{0, 32, 255, 2, 1, 16, 3, 0xff, 2, 8, 9, 0xc0, 5, 3, 0, 0, 0, 6, 20, 1, 5, 4, 40, 7, 1, 7, 7, 5})
 	f.Add([]byte{2, 50, 4, 1, 3, 50, 4, 3, 4, 50, 4, 2, 0, 50, 4, 0xe0, 5, 6, 40, 4, 0, 0, 4, 1, 7, 4, 0, 0, 2})
+	// Radix-heap shapes. Every level the delays reach (digits 0-8), at
+	// the lowest and the highest bit of each digit, with peeks between.
+	f.Add([]byte{0, 0, 1, 2, 0, 0, 8, 2, 0, 4, 1, 2, 0, 4, 8, 2, 5, 0, 8, 1, 2, 0, 8, 8, 2, 0, 12, 1, 2, 0, 12, 8, 2,
+		5, 0, 16, 1, 2, 0, 16, 8, 2, 0, 20, 1, 2, 0, 20, 8, 2, 0, 24, 1, 2, 0, 24, 8, 2, 5, 0, 28, 1, 2, 0, 28, 8, 2,
+		0, 32, 1, 2, 0, 32, 8, 2, 7, 5, 7, 7})
+	// Three digits of level 2 (0x100, 0x300, 0x200), each popped in turn.
+	f.Add([]byte{0, 8, 1, 2, 0, 8, 3, 0xc1, 0, 8, 2, 4, 5, 7, 5, 7, 7})
+	// A last pop of 0x66, whose digits have their lowest and highest bits
+	// clear, then times that differ from it in one such bit alone.
+	f.Add([]byte{0, 0, 0x66, 2, 7, 0, 0, 1, 2, 0, 3, 1, 2, 0, 4, 1, 2, 0, 7, 1, 2, 0, 8, 1, 3, 0, 11, 1, 2,
+		0, 16, 1, 2, 0, 19, 1, 1, 0, 24, 1, 2, 0, 27, 1, 2, 0, 32, 8, 2, 7, 5, 7})
+	// One level-2 bucket (0x300 twice, 0x310, then 0x301 after the clock
+	// moves to 0x202): the first pop refiles it into b0 and levels 0 and 1.
+	f.Add([]byte{0, 8, 3, 3, 0, 8, 3, 2, 0, 4, 0x31, 2, 6, 8, 2, 6, 0, 2, 0, 0, 0xff, 2, 7, 5, 7, 7})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		type refEvent struct {
@@ -147,6 +163,9 @@ func FuzzEngineSchedule(f *testing.F) {
 				}
 				e.Step()
 			}
+			// Every queued event sits in the bucket its (level, digit)
+			// selects, and the occupancy words agree.
+			e.debugVerifyHeap()
 		}
 		refExecute(refPending(MaxTime))
 		e.Run()

@@ -55,31 +55,181 @@ func atExactly(t *testing.T, e *Engine, at Time, pri int) {
 	})
 }
 
-// TestQueueOrderAcrossBuckets drives the radix heap through every bucket
-// and every path where its last-pop time and the engine clock part ways,
-// and checks that pops keep the exact (time, priority, seq) order.
+// popTo advances the queue's last pop to t: it runs an event at t.
+func popTo(e *Engine, t Time) {
+	e.At(t, func() {})
+	e.RunUntil(t)
+	if e.queue.last != t {
+		panic(fmt.Sprintf("last pop %v, want %v", e.queue.last, t))
+	}
+}
+
+// occupied returns the queue's non-empty buckets, in index order.
+func occupied(q *eventQueue) []uint {
+	var ks []uint
+	for k := range q.buckets {
+		if q.occ[k/64]&(1<<(k%64)) != 0 {
+			ks = append(ks, uint(k))
+		}
+	}
+	return ks
+}
+
+// levels returns the distinct levels of buckets ks.
+func levels(ks []uint) []uint {
+	var ls []uint
+	for _, k := range ks {
+		if l := k / digits; !slices.Contains(ls, l) {
+			ls = append(ls, l)
+		}
+	}
+	return ls
+}
+
+// TestQueueOrderAcrossBuckets drives the radix heap through every level,
+// several digits of one level, the edges of a digit, a refile that
+// scatters over levels, a rebase, and every path where its last-pop time
+// and the engine clock part ways. It checks that pops keep the exact
+// (time, priority, seq) order and that each event sits in the bucket its
+// (level, digit) selects (debugVerifyHeap, which runs in every build).
 func TestQueueOrderAcrossBuckets(t *testing.T) {
-	t.Run("every bucket", func(t *testing.T) {
+	t.Run("every level", func(t *testing.T) {
 		e, log := newOrderedEngine(t)
 		// A last-pop time with mixed bits, so a carry past it flips many.
-		const base = Time(0x5555_5555_5555)
-		e.At(base, func() {})
-		e.RunUntil(base)
-		atExactly(t, e, base, 0) // bucket 0
+		const base = Time(0x0555_5555_5555_5555)
+		popTo(e, base)
+		atExactly(t, e, base, 0) // b0
 		pushed := 2              // with the event that set the last pop time
-		for k := 0; k < 62; k++ {
+		for b := 0; b < 62; b++ {
 			for _, off := range []Time{-1, 0, 1} {
-				atExactly(t, e, base+Time(1)<<k+off, k%3-1)
+				atExactly(t, e, base+Time(1)<<b+off, b%3-1)
 				pushed++
 			}
 		}
+		if got := levels(occupied(&e.queue)); len(got) != numBuckets/digits {
+			t.Fatalf("events on levels %v, want all %d", got, numBuckets/digits)
+		}
+		e.debugVerifyHeap()
 		e.Run()
 		if got := len(log.pops); got != pushed {
 			t.Fatalf("popped %d events, want %d", got, pushed)
 		}
-		// Every bucket was occupied: the spread reached bit 61.
 		if e.Now() != base+Time(1)<<61+1 {
 			t.Fatalf("final time %v", e.Now())
+		}
+	})
+
+	t.Run("digits of one level", func(t *testing.T) {
+		e, log := newOrderedEngine(t)
+		const last = Time(0x3_4567)
+		popTo(e, last)
+		// Level 2 is the digit 0x5 of last: every larger value of it, in
+		// an order that is not time order, twice with ties.
+		for _, d := range []Time{0xf, 0x6, 0xa, 0x7, 0xe, 0x6, 0xc} {
+			at := last&^0xfff | d<<8 | Time(d)
+			atExactly(t, e, at, int(d%3))
+			atExactly(t, e, at, -1)
+		}
+		ks := occupied(&e.queue)
+		if ls := levels(ks); len(ks) < 3 || len(ls) != 1 || ls[0] != 2 {
+			t.Fatalf("buckets %v, want 3 or more on level 2 alone", ks)
+		}
+		e.debugVerifyHeap()
+		e.Run()
+		if got := len(log.pops); got != 15 {
+			t.Fatalf("popped %d events, want 15", got)
+		}
+	})
+
+	t.Run("lowest and highest bit of each digit", func(t *testing.T) {
+		e, log := newOrderedEngine(t)
+		// Each digit of last is 0x6 (0110): its lowest and highest bit are
+		// clear, so setting either one makes a time that differs from last
+		// in that bit alone.
+		const last = Time(0x0666_6666_6666_6666)
+		popTo(e, last)
+		pushed := 1
+		for l := uint(0); l < numBuckets/digits; l++ {
+			for _, b := range []uint{l * digitBits, l*digitBits + digitBits - 1} {
+				if b >= 63 {
+					continue // the sign bit
+				}
+				at := last | Time(1)<<b
+				if k := bucketOf(at, last); k/digits != l {
+					t.Fatalf("time %#x, last %#x: bucket %d is on level %d, want %d", at, last, k, k/digits, l)
+				}
+				atExactly(t, e, at, 0)
+				pushed++
+			}
+		}
+		e.debugVerifyHeap()
+		e.Run()
+		if got := len(log.pops); got != pushed {
+			t.Fatalf("popped %d events, want %d", got, pushed)
+		}
+	})
+
+	t.Run("refile scatters into b0 and two lower levels", func(t *testing.T) {
+		e, log := newOrderedEngine(t)
+		const last = Time(0x1000)
+		popTo(e, last)
+		// One bucket on level 2 (digit 3): two ties at its earliest time
+		// and times that differ from that in digit 1 and in digit 0.
+		const m = Time(0x1300)
+		for _, ev := range []struct {
+			at  Time
+			pri int
+		}{{m + 0x10, 0}, {m, 1}, {m + 0x1, 0}, {m + 0xf0, 0}, {m, 0}, {m + 0xf, 0}} {
+			atExactly(t, e, ev.at, ev.pri)
+		}
+		if ks := occupied(&e.queue); len(ks) != 1 || ks[0] != bucketOf(m, last) || ks[0]/digits != 2 {
+			t.Fatalf("buckets %v, want the one level-2 bucket %d", ks, bucketOf(m, last))
+		}
+		e.Step() // refiles, then pops the tie with priority 0
+		q := &e.queue
+		if len(q.b0) != 1 {
+			t.Fatalf("b0 holds %d events after the refile, want the other tie", len(q.b0))
+		}
+		if ls := levels(occupied(q)); !slices.Equal(ls, []uint{0, 1}) {
+			t.Fatalf("refile left events on levels %v, want [0 1]", ls)
+		}
+		e.debugVerifyHeap()
+		e.Run()
+		if got := len(log.pops); got != 7 {
+			t.Fatalf("popped %d events, want 7", got)
+		}
+	})
+
+	t.Run("rebase across levels", func(t *testing.T) {
+		e, log := newOrderedEngine(t)
+		const last = Time(0x10_0000)
+		popTo(e, last)
+		for _, off := range []Time{0x3, 0x40, 0x500, 0x6000, 0x7_0000, 0x80_0000} {
+			atExactly(t, e, last+off, 0)
+		}
+		before := occupied(&e.queue)
+		// The clock moves back behind the last pop, as a shard's final
+		// window makes it: every queued event is pushed again against
+		// the new base, most onto a higher level.
+		const base = Time(0xf_fff0)
+		e.syncClock(base)
+		if e.queue.last != base {
+			t.Fatalf("last pop %v after the rebase, want %v", e.queue.last, base)
+		}
+		after := occupied(&e.queue)
+		if slices.Equal(before, after) {
+			t.Fatalf("the rebase left every event in its bucket: %v", after)
+		}
+		e.debugVerifyHeap()
+		// Events between the new base and the old last pop run first.
+		atExactly(t, e, base+1, 0)
+		atExactly(t, e, base+0xf, 0)
+		atExactly(t, e, last, 0)
+		atExactly(t, e, last+0x40, -1)
+		e.debugVerifyHeap()
+		e.Run()
+		if got := len(log.pops); got != 11 {
+			t.Fatalf("popped %d events, want 11", got)
 		}
 	})
 
