@@ -20,14 +20,53 @@ import (
 	"rvma/internal/sim"
 )
 
+const service rvma.VAddr = 0x5E41
+
+// scenario is the example's one actor, a step record since it waits more
+// than once: step runs it from one wait to the next, counting in phase.
+type scenario struct {
+	eng                       *sim.Engine
+	server, client, straggler *rvma.Endpoint
+	win, catch                *rvma.Window
+	late                      *rvma.PutOp
+	phase                     int
+}
+
+func (s *scenario) step() {
+	s.phase++
+	switch s.phase {
+	case 1:
+		// A normal request is served.
+		s.client.Put(0, service, 0, make([]byte, 512)).Local.OnComplete(s.step)
+	case 2, 5:
+		s.eng.Schedule(5*sim.Microsecond, s.step)
+	case 3:
+		fmt.Printf("[%v] request served: service epoch = %d\n", s.eng.Now(), s.win.Epoch())
+
+		// The server shuts the mailbox (RVMA_Close_win); a late client is
+		// NACKed — the receiver controls its own resources.
+		s.win.Close()
+		s.late = s.straggler.Put(0, service, 0, make([]byte, 512))
+		s.late.Nack.OnComplete(s.step)
+	case 4:
+		fmt.Printf("[%v] late request NACKed: %v\n", s.eng.Now(), s.late.Nack.Value())
+
+		// With a catch-all installed, strays are steered there instead.
+		s.server.SetCatchAll(s.catch)
+		s.client.Put(0, 0xD00D, 0, make([]byte, 256)).Local.OnComplete(s.step)
+	case 6:
+		fmt.Printf("[%v] stray put landed in catch-all (hits: %d)\n",
+			s.eng.Now(), s.server.Stats.CatchAllHits)
+	}
+}
+
 func main() {
 	tb, err := rvma.NewTestbed(3, rvma.TestbedConfig{Seed: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, server, client, straggler := tb.Engine, tb.Endpoints[0], tb.Endpoints[1], tb.Endpoints[2]
+	eng, server := tb.Engine, tb.Endpoints[0]
 
-	const service rvma.VAddr = 0x5E41
 	win, err := server.InitWindow(service, 512, rvma.EpochBytes)
 	if err != nil {
 		log.Fatal(err)
@@ -40,28 +79,7 @@ func main() {
 	}
 	catch.PostBuffer(64 * 1024)
 
-	eng.Spawn("scenario", func(p *sim.Process) {
-		// A normal request is served.
-		op := client.Put(0, service, 0, make([]byte, 512))
-		p.Wait(op.Local)
-		p.Sleep(5 * sim.Microsecond)
-		fmt.Printf("[%v] request served: service epoch = %d\n", p.Now(), win.Epoch())
-
-		// The server shuts the mailbox (RVMA_Close_win); a late client is
-		// NACKed — the receiver controls its own resources.
-		win.Close()
-		late := straggler.Put(0, service, 0, make([]byte, 512))
-		p.Wait(late.Nack)
-		fmt.Printf("[%v] late request NACKed: %v\n", p.Now(), late.Nack.Value())
-
-		// With a catch-all installed, strays are steered there instead.
-		server.SetCatchAll(catch)
-		stray := client.Put(0, 0xD00D, 0, make([]byte, 256))
-		p.Wait(stray.Local)
-		p.Sleep(5 * sim.Microsecond)
-		fmt.Printf("[%v] stray put landed in catch-all (hits: %d)\n",
-			p.Now(), server.Stats.CatchAllHits)
-	})
+	eng.Schedule(0, (&scenario{eng: eng, server: server, client: tb.Endpoints[1], straggler: tb.Endpoints[2], win: win, catch: catch}).step)
 	eng.Run()
 	fmt.Printf("server stats: %d drops, %d NACKs, %d catch-all hits\n",
 		server.Stats.Drops, server.Stats.Nacks, server.Stats.CatchAllHits)

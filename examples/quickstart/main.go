@@ -12,11 +12,11 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
 	"rvma"
-	"rvma/internal/sim"
 )
 
 func main() {
@@ -50,31 +50,28 @@ func main() {
 		payload[i] = byte(i % 251)
 	}
 
-	eng.Spawn("sender", func(p *sim.Process) {
+	// Each actor waits once, so it is an event and one continuation: the
+	// completion runs the continuation at its own simulated instant.
+	eng.Schedule(0, func() {
 		fmt.Printf("[%v] sender: putting %d bytes to node 1, mailbox %#x (no handshake!)\n",
-			p.Now(), msgSize, mailbox)
+			eng.Now(), msgSize, mailbox)
 		op := sender.Put(1, mailbox, 0, payload)
-		p.Wait(op.Local)
-		fmt.Printf("[%v] sender: local completion — send buffer reusable\n", p.Now())
+		op.Local.OnComplete(func() {
+			fmt.Printf("[%v] sender: local completion — send buffer reusable\n", eng.Now())
+		})
 	})
 
-	eng.Spawn("receiver", func(p *sim.Process) {
+	eng.Schedule(0, func() {
 		// Arm Monitor/MWait on the completion pointer and sleep until the
 		// NIC's completion unit writes it.
 		n := receiver.WatchBuffer(buf)
-		p.Wait(n.Done)
-		head, length := buf.Cell.Get()
-		fmt.Printf("[%v] receiver: completion pointer = (head %#x, len %d), epoch now %d\n",
-			p.Now(), head, length, win.Epoch())
-		got := receiver.Memory().Read(head, length)
-		ok := true
-		for i := range got {
-			if got[i] != payload[i] {
-				ok = false
-				break
-			}
-		}
-		fmt.Printf("[%v] receiver: payload intact: %v\n", p.Now(), ok)
+		n.Done.OnComplete(func() {
+			head, length := buf.Cell.Get()
+			fmt.Printf("[%v] receiver: completion pointer = (head %#x, len %d), epoch now %d\n",
+				eng.Now(), head, length, win.Epoch())
+			got := receiver.Memory().Read(head, length)
+			fmt.Printf("[%v] receiver: payload intact: %v\n", eng.Now(), bytes.Equal(got, payload))
+		})
 	})
 
 	eng.Run()

@@ -21,6 +21,57 @@ import (
 	"rvma/internal/sim"
 )
 
+var requests = []string{"GET /status", "GET /metrics", "POST /rewind?epoch=3"}
+
+// peer is one end of the service: it reads one length-prefixed frame per
+// request and hands each to handle. A frame takes two waits (the 4-byte
+// prefix, then the body), so a peer is a step record: step runs it from
+// one wait to the next.
+type peer struct {
+	conn   *rstream.Conn
+	frames int         // frames handled
+	read   *sim.Future // the Read in flight
+	body   bool        // read is a frame's body, not its prefix
+	handle func(frame int, s string)
+}
+
+func (p *peer) step() {
+	for p.frames < len(requests) {
+		if p.read == nil {
+			p.read, p.body = mustRead(p.conn, 4), false
+		}
+		if !p.read.Done() {
+			p.read.OnComplete(p.step)
+			return
+		}
+		b := p.read.Value().([]byte)
+		p.read = nil
+		if !p.body {
+			p.read, p.body = mustRead(p.conn, int(binary.LittleEndian.Uint32(b))), true
+		} else {
+			p.handle(p.frames, string(b))
+			p.frames++
+		}
+	}
+}
+
+func mustRead(c *rstream.Conn, n int) *sim.Future {
+	f, err := c.Read(n)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return f
+}
+
+// writeFrame writes s with its 4-byte length prefix.
+func writeFrame(c *rstream.Conn, s string) {
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(s)))
+	if _, err := c.Write(append(hdr[:], s...)); err != nil {
+		log.Fatal(err)
+	}
+}
+
 func main() {
 	fcfg := fabric.DefaultConfig()
 	fcfg.Routing = fabric.RouteStatic // streams need byte order, like TCP on one path
@@ -34,44 +85,20 @@ func main() {
 		log.Fatal(err)
 	}
 
-	requests := []string{"GET /status", "GET /metrics", "POST /rewind?epoch=3"}
-
-	// readFrame reads a 4-byte length prefix then the body.
-	readFrame := func(p *sim.Process, c *rstream.Conn) string {
-		f, err := c.Read(4)
-		if err != nil {
-			log.Fatal(err)
+	// The client sends the first request, and each response it reads the
+	// next; the server answers each request it reads.
+	c := &peer{conn: client, handle: func(i int, resp string) {
+		fmt.Printf("[%v] client: %q -> %q\n", eng.Now(), requests[i], resp)
+		if i+1 < len(requests) {
+			writeFrame(client, requests[i+1])
 		}
-		p.Wait(f)
-		n := int(binary.LittleEndian.Uint32(f.Value().([]byte)))
-		f, err = c.Read(n)
-		if err != nil {
-			log.Fatal(err)
-		}
-		p.Wait(f)
-		return string(f.Value().([]byte))
-	}
-	writeFrame := func(c *rstream.Conn, s string) {
-		var hdr [4]byte
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(s)))
-		if _, err := c.Write(append(hdr[:], s...)); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	eng.Spawn("client", func(p *sim.Process) {
-		for _, req := range requests {
-			writeFrame(client, req)
-			resp := readFrame(p, client)
-			fmt.Printf("[%v] client: %q -> %q\n", p.Now(), req, resp)
-		}
+	}}
+	srv := &peer{conn: server, handle: func(_ int, req string) { writeFrame(server, "200 OK: "+req) }}
+	eng.Schedule(0, func() {
+		writeFrame(client, requests[0])
+		c.step()
 	})
-	eng.Spawn("server", func(p *sim.Process) {
-		for range requests {
-			req := readFrame(p, server)
-			writeFrame(server, "200 OK: "+req)
-		}
-	})
+	eng.Schedule(0, srv.step)
 	eng.Run()
 
 	fmt.Printf("\nserver stream: %d bytes in, %d partial-segment claims (IncEpoch)\n",

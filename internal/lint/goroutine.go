@@ -4,17 +4,16 @@ import (
 	"go/ast"
 )
 
-// Goroutine flags go statements in model packages. An engine's events
-// and the process coroutines they switch into run one at a time; a raw
+// Goroutine flags go statements in model packages. An engine runs its
+// events, and the steps and continuations they call, one at a time; a raw
 // go statement races the engine, and the Go scheduler's interleaving is
-// not reproducible across runs. Processes need no go statement (they are
-// iter.Pull coroutines); the single legitimate use is the shard group's
-// per-shard workers (internal/sim/shard.go), which carry an allow
+// not reproducible across runs. The single legitimate use is the shard
+// group's per-shard workers (internal/sim/shard.go), which carry an allow
 // directive.
 var Goroutine = &Analyzer{
 	Name: "goroutine",
 	Doc: "forbid go statements in model packages; all model code must run on the engine " +
-		"goroutine (use Engine.Spawn for process-style concurrency)",
+		"goroutine (schedule a step with Engine.Schedule, or wait with Future.OnComplete)",
 	Run: runGoroutine,
 }
 
@@ -23,7 +22,7 @@ func runGoroutine(pass *Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
 				pass.Reportf(g.Pos(),
-					"go statement escapes the engine goroutine; model code must use Engine.Spawn (kernel-internal uses carry an allow directive)")
+					"go statement escapes the engine goroutine; model code must use Engine.Schedule or Future.OnComplete (kernel-internal uses carry an allow directive)")
 			}
 			return true
 		})

@@ -93,7 +93,7 @@ func checkMapRangeCall(pass *Pass, call *ast.CallExpr, rs *ast.RangeStmt) {
 	}
 
 	switch {
-	case isEngineMethod(f, "Schedule", "ScheduleP", "At", "Spawn"):
+	case isEngineMethod(f, "Schedule", "ScheduleP", "At"):
 		pass.Reportf(call.Pos(),
 			"Engine.%s inside a map-range body assigns event sequence numbers in randomized map order; iterate sorted keys instead",
 			f.Name())

@@ -3,7 +3,6 @@
 package fixture
 
 import (
-	"fmt"
 	"sort"
 
 	"rvma/internal/sim"
@@ -38,8 +37,8 @@ func (m *model) step() {
 	d := m.eng.RNG().Jitter(5*sim.Microsecond, 0.1)
 	m.eng.Schedule(d, func() {})
 
-	// Process-style concurrency through the kernel.
-	m.eng.Spawn(fmt.Sprintf("rank%d", total), func(p *sim.Process) {
-		p.Sleep(sim.Nanosecond)
-	})
+	// An actor that waits is a step record: the engine runs its step after
+	// a delay, and a future runs it again as a continuation.
+	f := sim.NewFuture()
+	m.eng.Schedule(sim.Time(total)*sim.Nanosecond, func() { f.OnComplete(m.step) })
 }

@@ -8,8 +8,8 @@ func escape(e *sim.Engine, ch chan int) {
 	go func() { ch <- 1 }() // want `go statement escapes the engine goroutine`
 	go helper(ch)           // want `go statement escapes the engine goroutine`
 
-	// Engine.Spawn is the approved construct.
-	e.Spawn("worker", func(p *sim.Process) { p.Sleep(sim.Nanosecond) })
+	// A step the engine schedules is the approved construct.
+	e.Schedule(sim.Nanosecond, func() {})
 
 	//rvmalint:allow goroutine -- fixture: exercising the allow directive
 	go helper(ch)

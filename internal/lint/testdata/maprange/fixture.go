@@ -26,7 +26,7 @@ func (c *comp) kick(int) {}
 func (c *comp) bad(m map[int]int) {
 	for k, v := range m {
 		c.eng.Schedule(sim.Nanosecond, func() {}) // want `Engine.Schedule inside a map-range body`
-		c.eng.Spawn("p", func(p *sim.Process) {}) // want `Engine.Spawn inside a map-range body`
+		c.eng.At(sim.Nanosecond, func() {})       // want `Engine.At inside a map-range body`
 		c.kick(k)                                 // want `call to kick inside a map-range body`
 		fmt.Println(k)                            // want `fmt.Println inside a map-range body` `map iteration order reaches printed output`
 		fmt.Fprintf(os.Stderr, "%d", v)           // want `fmt.Fprintf inside a map-range body` `map iteration order reaches printed output`

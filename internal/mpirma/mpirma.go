@@ -35,8 +35,9 @@ import (
 
 // Comm is a communicator: one RVMA endpoint per rank (rank == node id).
 type Comm struct {
-	eps []*rvma.Endpoint
-	eng *sim.Engine
+	eps  []*rvma.Endpoint
+	eng  *sim.Engine
+	wins uint64 // windows created so far; the next one's id is wins+1
 }
 
 // NewComm wraps a set of endpoints as a communicator. All endpoints must
@@ -85,8 +86,11 @@ type Win struct {
 	ranks []*winRank
 }
 
-// winRank is one rank's local state.
+// winRank is one rank's local state. Its fence is a step record: phase
+// is the fence's next action, and run advances it to its next wait.
 type winRank struct {
+	win       *Win
+	rank      int
 	dataWin   *rvma.Window
 	shadows   []*memory.Region
 	curShadow int
@@ -101,7 +105,22 @@ type winRank struct {
 	epoch         int64
 	opsSentTo     []uint64 // this epoch, per target
 	expectedTotal uint64   // cumulative data messages expected (all epochs)
+
+	phase fencePhase
+	k     func(error) // the pending fence's continuation
+	wake  func()      // r.resume, bound once
 }
+
+// fencePhase is the next action of a rank's fence.
+type fencePhase uint8
+
+const (
+	fenceEntry   fencePhase = iota // report op counts, wait for every peer's
+	fenceCount                     // sum the counts, wait for that many data messages
+	fenceRotate                    // retire the epoch, wait for its buffer to complete
+	fenceRotated                   // count the epoch, report leaving, wait for every peer
+	fenceExit                      // consume the exit round's slots
+)
 
 // ctrlChannel is a completion-banked control mailbox with two rotating
 // slot regions (one per in-flight epoch).
@@ -110,8 +129,7 @@ type ctrlChannel struct {
 	regions   [2]*memory.Region
 	readIdx   int // region holding the oldest unconsumed epoch's slots
 	available int
-	waiters   []*sim.Future
-	eng       *sim.Engine
+	waiter    func() // the owning rank's fence, when it waits; one fence at a time
 }
 
 // newCtrlChannel builds the window, posts both regions, and arms the pump.
@@ -120,7 +138,7 @@ func newCtrlChannel(ep *rvma.Endpoint, mbox rvma.VAddr, peers int) (*ctrlChannel
 	if err != nil {
 		return nil, err
 	}
-	c := &ctrlChannel{win: win, eng: ep.Engine()}
+	c := &ctrlChannel{win: win}
 	slots := 8 * (peers + 1) // one slot per rank, including self (unused)
 	for i := range c.regions {
 		c.regions[i] = ep.Memory().Alloc(slots)
@@ -135,10 +153,9 @@ func newCtrlChannel(ep *rvma.Endpoint, mbox rvma.VAddr, peers int) (*ctrlChannel
 		if _, err := win.PostBufferRegion(buf.Region); err != nil {
 			panic(err)
 		}
-		if len(c.waiters) > 0 {
-			f := c.waiters[0]
-			c.waiters = c.waiters[1:]
-			f.Complete(c.eng, nil)
+		if k := c.waiter; k != nil {
+			c.waiter = nil
+			k()
 			return
 		}
 		c.available++
@@ -146,16 +163,15 @@ func newCtrlChannel(ep *rvma.Endpoint, mbox rvma.VAddr, peers int) (*ctrlChannel
 	return c, nil
 }
 
-// wait resolves when the channel's next epoch completes (all peers wrote).
-func (c *ctrlChannel) wait() *sim.Future {
-	f := sim.NewFuture()
+// wait takes the next completed epoch (all peers wrote) and returns true;
+// with none completed, it returns false and calls k once one completes.
+func (c *ctrlChannel) wait(k func()) bool {
 	if c.available > 0 {
 		c.available--
-		f.Complete(c.eng, nil)
-		return f
+		return true
 	}
-	c.waiters = append(c.waiters, f)
-	return f
+	c.waiter = k
+	return false
 }
 
 // consume returns the oldest unconsumed epoch's slot region and rotates.
@@ -165,10 +181,9 @@ func (c *ctrlChannel) consume() *memory.Region {
 	return r
 }
 
-// window ids partition the mailbox space: data mailboxes live at
-// winID<<20 | 0, the fence-entry control at | 1, fence-exit at | 2.
-var nextWinID uint64 = 1
-
+// Window ids partition the mailbox space: data mailboxes live at
+// winID<<20 | 0, the fence-entry control at | 1, fence-exit at | 2. A
+// communicator numbers its windows from 1 in creation order.
 func (w *Win) dataMbox() rvma.VAddr    { return rvma.VAddr(w.id<<20 | 0) }
 func (w *Win) ctrlInMbox() rvma.VAddr  { return rvma.VAddr(w.id<<20 | 1) }
 func (w *Win) ctrlOutMbox() rvma.VAddr { return rvma.VAddr(w.id<<20 | 2) }
@@ -185,8 +200,8 @@ func CreateWin(c *Comm, cfg WinConfig) (*Win, error) {
 	if cfg.Shadows < 3 {
 		return nil, fmt.Errorf("mpirma: need >= 3 shadow regions (2 posted + >= 1 rollback)")
 	}
-	w := &Win{comm: c, cfg: cfg, id: nextWinID}
-	nextWinID++
+	c.wins++
+	w := &Win{comm: c, cfg: cfg, id: c.wins}
 
 	n := c.Size()
 	for rank := 0; rank < n; rank++ {
@@ -198,9 +213,12 @@ func CreateWin(c *Comm, cfg WinConfig) (*Win, error) {
 			return nil, err
 		}
 		r := &winRank{
+			win:       w,
+			rank:      rank,
 			dataWin:   dataWin,
 			opsSentTo: make([]uint64, n),
 		}
+		r.wake = r.resume
 		// Control channels: one 8-byte slot per peer; the byte threshold
 		// fires exactly when all n-1 peers have written. Single-rank
 		// communicators need no control traffic.
@@ -259,100 +277,137 @@ func (w *Win) Get(origin, target, offset, n int) (*sim.Future, error) {
 	return op.Done, nil
 }
 
-// Fence is the collective epoch boundary (MPI_Win_fence). Every rank must
-// call it from its own simulation process. On return at a rank:
+// Fence is the collective epoch boundary (MPI_Win_fence). Every rank
+// must call it, and a rank calls it again only once its last fence is
+// done. When the fence is done at a rank:
 //
 //   - all puts targeting that rank in the closing epoch have landed,
 //   - the epoch's region is retired to the NIC history (Rewind-able),
 //   - the next epoch's shadow region is exposed.
-func (w *Win) Fence(p *sim.Process, rank int) error {
+//
+// Fence waits as a motif Transport does: it returns true, with the
+// fence's error, when the fence is done already, and then never calls k.
+// Otherwise it returns false and calls k exactly once, later, with the
+// fence's error, from inside the event that ends the fence.
+func (w *Win) Fence(rank int, k func(error)) (bool, error) {
 	r := w.ranks[rank]
-	ep := w.comm.eps[rank]
-	n := w.comm.Size()
-
-	if n == 1 {
-		return w.rotate(p, r, ep)
+	if r.k != nil {
+		panic(fmt.Sprintf("mpirma: rank %d fences again before its fence is done", rank))
 	}
-
-	// 1. Entry round: report this epoch's op counts into slot 8*rank of
-	// every peer's entry-control mailbox.
-	for t := 0; t < n; t++ {
-		if t == rank {
-			continue
-		}
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], r.opsSentTo[t])
-		ep.Put(t, w.ctrlInMbox(), 8*rank, b[:])
-		r.opsSentTo[t] = 0
+	r.phase = fenceEntry
+	if done, err := r.run(); done {
+		return true, err
 	}
-
-	// 2. The entry window's byte threshold fires when all n-1 peers have
-	// reported — the NIC counter is the barrier.
-	p.Wait(r.ctrlIn.wait())
-
-	// 3. Sum the reported counts and wait until that many data messages
-	// have been placed over this window's lifetime.
-	slots := r.ctrlIn.consume()
-	counts := ep.Memory().Read(slots.Base, slots.Size())
-	var incoming uint64
-	for t := 0; t < n; t++ {
-		if t == rank {
-			continue
-		}
-		incoming += binary.LittleEndian.Uint64(counts[8*t : 8*t+8])
-	}
-	r.expectedTotal += incoming
-
-	interval := w.cfg.PollInterval
-	if interval == 0 {
-		interval = ep.NIC().Profile().PollInterval
-	}
-	p.Wait(r.dataWin.WhenPlaced(r.expectedTotal, interval))
-
-	// 4. Retire the epoch and expose the next shadow region.
-	if err := w.rotate(p, r, ep); err != nil {
-		return err
-	}
-
-	// 5. Exit round: no rank may leave the fence (and start next-epoch
-	// puts) before every rank has rotated, or early puts would land in a
-	// peer's still-open previous epoch.
-	for t := 0; t < n; t++ {
-		if t == rank {
-			continue
-		}
-		var b [8]byte
-		ep.Put(t, w.ctrlOutMbox(), 8*rank, b[:])
-	}
-	p.Wait(r.ctrlOut.wait())
-	r.ctrlOut.consume()
-	return nil
+	r.k = k
+	return false, nil
 }
 
-// rotate retires the epoch's data buffer (IncEpoch -> history) so the
-// already-posted next shadow becomes the active region, then posts the
-// shadow after that to restore the two-deep queue.
-//
-// Epoch regions are independent accumulation buffers: a new epoch starts
-// zeroed rather than inheriting the previous epoch's bytes. (Classic
-// MPI_Win_fence exposes one persistent region; the shadow scheme trades
-// that for the paper's §IV-F property — retired epochs stay intact and
-// Rewind-able. Applications that need carry-over state read the previous
-// epoch via Data/Rewind and re-put it.)
-func (w *Win) rotate(p *sim.Process, r *winRank, ep *rvma.Endpoint) error {
-	f, err := r.dataWin.IncEpoch()
-	if err != nil {
-		return err
+// resume runs the fence on from the completion it waited for; once the
+// fence is done, it lets go of k and calls it.
+func (r *winRank) resume() {
+	if done, err := r.run(); done {
+		k := r.k
+		r.k = nil
+		k(err)
 	}
-	r.curShadow = (r.curShadow + 1) % len(r.shadows)
-	refill := r.shadows[(r.curShadow+1)%len(r.shadows)]
-	ep.Memory().Fill(refill.Base, 0, refill.Size()) // reused region starts clean
-	if _, err := r.dataWin.PostBufferRegion(refill); err != nil {
-		return err
+}
+
+// run advances the fence up to its next wait, which calls r.wake, and
+// returns false there; it returns true once the fence is done.
+func (r *winRank) run() (bool, error) {
+	ep := r.win.comm.eps[r.rank]
+	n := r.win.comm.Size()
+	for {
+		switch r.phase {
+		case fenceEntry:
+			if n == 1 {
+				r.phase = fenceRotate
+				continue
+			}
+			// 1. Entry round: report this epoch's op counts into slot
+			// 8*rank of every peer's entry-control mailbox.
+			for t := 0; t < n; t++ {
+				if t != r.rank {
+					var b [8]byte
+					binary.LittleEndian.PutUint64(b[:], r.opsSentTo[t])
+					ep.Put(t, r.win.ctrlInMbox(), 8*r.rank, b[:])
+					r.opsSentTo[t] = 0
+				}
+			}
+			// 2. The entry window's byte threshold fires when all n-1 peers
+			// have reported — the NIC counter is the barrier.
+			r.phase = fenceCount
+			if !r.ctrlIn.wait(r.wake) {
+				return false, nil
+			}
+		case fenceCount:
+			// 3. Sum the reported counts and wait until that many data
+			// messages have been placed over this window's lifetime.
+			slots := r.ctrlIn.consume()
+			counts := ep.Memory().Read(slots.Base, slots.Size())
+			for t := 0; t < n; t++ {
+				if t != r.rank {
+					r.expectedTotal += binary.LittleEndian.Uint64(counts[8*t : 8*t+8])
+				}
+			}
+			interval := r.win.cfg.PollInterval
+			if interval == 0 {
+				interval = ep.NIC().Profile().PollInterval
+			}
+			r.phase = fenceRotate
+			if f := r.dataWin.WhenPlaced(r.expectedTotal, interval); !f.Done() {
+				f.OnComplete(r.wake)
+				return false, nil
+			}
+		case fenceRotate:
+			// 4. Retire the epoch's data buffer (IncEpoch -> history) so the
+			// already-posted next shadow becomes the active region, then
+			// post the shadow after that to restore the two-deep queue.
+			//
+			// Epoch regions are independent accumulation buffers: a new
+			// epoch starts zeroed rather than inheriting the previous
+			// epoch's bytes. (Classic MPI_Win_fence exposes one persistent
+			// region; the shadow scheme trades that for the paper's §IV-F
+			// property — retired epochs stay intact and Rewind-able.
+			// Applications that need carry-over state read the previous
+			// epoch via Data/Rewind and re-put it.)
+			f, err := r.dataWin.IncEpoch()
+			if err != nil {
+				return true, err
+			}
+			r.curShadow = (r.curShadow + 1) % len(r.shadows)
+			refill := r.shadows[(r.curShadow+1)%len(r.shadows)]
+			ep.Memory().Fill(refill.Base, 0, refill.Size()) // reused region starts clean
+			if _, err := r.dataWin.PostBufferRegion(refill); err != nil {
+				return true, err
+			}
+			r.phase = fenceRotated
+			if !f.Done() {
+				f.OnComplete(r.wake)
+				return false, nil
+			}
+		case fenceRotated:
+			r.epoch++
+			if n == 1 {
+				return true, nil
+			}
+			// 5. Exit round: no rank may leave the fence (and start
+			// next-epoch puts) before every rank has rotated, or early
+			// puts would land in a peer's still-open previous epoch.
+			for t := 0; t < n; t++ {
+				if t != r.rank {
+					ep.Put(t, r.win.ctrlOutMbox(), 8*r.rank, make([]byte, 8))
+				}
+			}
+			r.phase = fenceExit
+			if !r.ctrlOut.wait(r.wake) {
+				return false, nil
+			}
+		case fenceExit:
+			r.ctrlOut.consume()
+			return true, nil
+		}
 	}
-	p.Wait(f)
-	r.epoch++
-	return nil
 }
 
 // Rewind implements the paper's MPIX_Rewind(MPI_Win): return the intact

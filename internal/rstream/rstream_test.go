@@ -43,29 +43,61 @@ func pattern(n, seed int) []byte {
 	return out
 }
 
+// reader reads a connection in chunks of at most chunk bytes until it
+// holds n, as a step record: step runs it up to its next wait.
+type reader struct {
+	c        *Conn
+	n, chunk int
+	got      []byte
+	pending  *sim.Future // the Read in flight
+	err      error
+}
+
+func (r *reader) step() {
+	for {
+		if f := r.pending; f != nil {
+			r.pending = nil
+			r.got = append(r.got, f.Value().([]byte)...)
+		}
+		if len(r.got) == r.n {
+			return
+		}
+		f, err := r.c.Read(min(r.chunk, r.n-len(r.got)))
+		if err != nil {
+			r.err = err
+			return
+		}
+		r.pending = f
+		if !f.Done() {
+			f.OnComplete(r.step)
+			return
+		}
+	}
+}
+
+// readAll starts a reader of n bytes in chunks at time 0.
+func readAll(eng *sim.Engine, c *Conn, n, chunk int) *reader {
+	r := &reader{c: c, n: n, chunk: chunk}
+	eng.Schedule(0, r.step)
+	return r
+}
+
+// write writes p at time 0.
+func write(t *testing.T, eng *sim.Engine, c *Conn, p []byte) {
+	eng.Schedule(0, func() {
+		if _, err := c.Write(p); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
 func TestWholeSegmentTransfer(t *testing.T) {
 	eng, ca, cb := streamPair(t, Config{SegmentBytes: 1024})
 	msg := pattern(1024, 1)
-	var got []byte
-	eng.Spawn("writer", func(p *sim.Process) {
-		f, err := ca.Write(msg)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		p.Wait(f)
-	})
-	eng.Spawn("reader", func(p *sim.Process) {
-		f, err := cb.Read(1024)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		p.Wait(f)
-		got = f.Value().([]byte)
-	})
+	write(t, eng, ca, msg)
+	r := readAll(eng, cb, 1024, 1024)
 	eng.Run()
-	if !bytes.Equal(got, msg) {
+	if r.err != nil || !bytes.Equal(r.got, msg) {
 		t.Fatal("stream corrupted")
 	}
 	if cb.EarlyClaims != 0 {
@@ -79,17 +111,10 @@ func TestPartialSegmentClaimedByReader(t *testing.T) {
 	// IncEpoch rather than hanging.
 	eng, ca, cb := streamPair(t, Config{SegmentBytes: 4096})
 	msg := pattern(100, 2)
-	var got []byte
-	eng.Spawn("writer", func(p *sim.Process) {
-		ca.Write(msg)
-	})
-	eng.Spawn("reader", func(p *sim.Process) {
-		f, _ := cb.Read(100)
-		p.Wait(f)
-		got = f.Value().([]byte)
-	})
+	write(t, eng, ca, msg)
+	r := readAll(eng, cb, 100, 100)
 	eng.Run()
-	if !bytes.Equal(got, msg) {
+	if r.err != nil || !bytes.Equal(r.got, msg) {
 		t.Fatal("partial-segment read corrupted")
 	}
 	if cb.EarlyClaims == 0 {
@@ -101,34 +126,21 @@ func TestStreamHasNoMessageBoundaries(t *testing.T) {
 	// Several writes, consumed by reads of unrelated sizes.
 	eng, ca, cb := streamPair(t, Config{SegmentBytes: 512})
 	full := pattern(3000, 3)
-	var got []byte
-	eng.Spawn("writer", func(p *sim.Process) {
-		for off := 0; off < len(full); off += 700 {
-			end := off + 700
-			if end > len(full) {
-				end = len(full)
-			}
+	// The writer writes 700 bytes every 2 µs.
+	off := 0
+	var writeNext func()
+	writeNext = func() {
+		if off < len(full) {
+			end := min(off+700, len(full))
 			ca.Write(full[off:end])
-			p.Sleep(2 * sim.Microsecond)
+			off = end
+			eng.Schedule(2*sim.Microsecond, writeNext)
 		}
-	})
-	eng.Spawn("reader", func(p *sim.Process) {
-		for len(got) < len(full) {
-			n := 450
-			if rem := len(full) - len(got); n > rem {
-				n = rem
-			}
-			f, err := cb.Read(n)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			p.Wait(f)
-			got = append(got, f.Value().([]byte)...)
-		}
-	})
+	}
+	eng.Schedule(0, writeNext)
+	r := readAll(eng, cb, len(full), 450)
 	eng.Run()
-	if !bytes.Equal(got, full) {
+	if r.err != nil || !bytes.Equal(r.got, full) {
 		t.Fatal("reassembled stream differs from written stream")
 	}
 	if cb.BytesConsumed != uint64(len(full)) {
@@ -140,21 +152,18 @@ func TestFullDuplex(t *testing.T) {
 	eng, ca, cb := streamPair(t, Config{SegmentBytes: 256})
 	ping := pattern(256, 4)
 	pong := pattern(256, 5)
-	okA, okB := false, false
-	eng.Spawn("a", func(p *sim.Process) {
-		ca.Write(ping)
-		f, _ := ca.Read(256)
-		p.Wait(f)
-		okA = bytes.Equal(f.Value().([]byte), pong)
-	})
-	eng.Spawn("b", func(p *sim.Process) {
+	write(t, eng, ca, ping)
+	a := readAll(eng, ca, 256, 256)
+	okB := false
+	eng.Schedule(0, func() {
 		f, _ := cb.Read(256)
-		p.Wait(f)
-		okB = bytes.Equal(f.Value().([]byte), ping)
-		cb.Write(pong)
+		f.OnComplete(func() {
+			okB = bytes.Equal(f.Value().([]byte), ping)
+			cb.Write(pong)
+		})
 	})
 	eng.Run()
-	if !okA || !okB {
+	if okA := bytes.Equal(a.got, pong); !okA || !okB {
 		t.Fatalf("full duplex exchange failed: a=%v b=%v", okA, okB)
 	}
 }
@@ -162,15 +171,10 @@ func TestFullDuplex(t *testing.T) {
 func TestLargeTransferSpansSegments(t *testing.T) {
 	eng, ca, cb := streamPair(t, Config{SegmentBytes: 1024, Depth: 8})
 	big := pattern(64*1024, 6)
-	var got []byte
-	eng.Spawn("writer", func(p *sim.Process) { ca.Write(big) })
-	eng.Spawn("reader", func(p *sim.Process) {
-		f, _ := cb.Read(len(big))
-		p.Wait(f)
-		got = f.Value().([]byte)
-	})
+	write(t, eng, ca, big)
+	r := readAll(eng, cb, len(big), len(big))
 	eng.Run()
-	if !bytes.Equal(got, big) {
+	if !bytes.Equal(r.got, big) {
 		t.Fatal("64 KiB stream corrupted across segments")
 	}
 	// 64 segments went through the window, but the receiver's memory holds
@@ -184,7 +188,7 @@ func TestLargeTransferSpansSegments(t *testing.T) {
 func TestBufferedAndImmediateRead(t *testing.T) {
 	eng, ca, cb := streamPair(t, Config{SegmentBytes: 128})
 	msg := pattern(256, 7)
-	eng.Spawn("writer", func(p *sim.Process) { ca.Write(msg) })
+	write(t, eng, ca, msg)
 	eng.Run()
 	if cb.Buffered() != 256 {
 		t.Fatalf("buffered = %d, want 256 (two completed segments)", cb.Buffered())

@@ -165,43 +165,6 @@ func BenchmarkEngineObserverOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkProcessContextSwitch measures the cooperative handoff cost of
-// the process API (one Sleep per iteration).
-func BenchmarkProcessContextSwitch(b *testing.B) {
-	e := NewEngine(1)
-	e.Spawn("bench", func(p *Process) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(Nanosecond)
-		}
-	})
-	b.ResetTimer()
-	e.Run()
-}
-
-// BenchmarkProcessResume measures one process switch at motif scale: 342
-// processes (a fig7 rank count) each Sleep 1 ns in turn, so consecutive
-// resumes land on different processes, as rank wake-ups do in a motif run.
-// One op is one resume; spawning is outside the timed region.
-func BenchmarkProcessResume(b *testing.B) {
-	const ranks = 342
-	e := NewEngine(1)
-	remaining := b.N
-	for i := 0; i < ranks; i++ {
-		e.Spawn("rank", func(p *Process) {
-			for remaining > 0 {
-				remaining--
-				p.Sleep(Nanosecond)
-			}
-		})
-	}
-	for i := 0; i < ranks; i++ {
-		e.Step() // the spawn events: every body runs into its first Sleep
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.Run()
-}
-
 // BenchmarkResourceAcquire measures the latency-rate server primitive.
 func BenchmarkResourceAcquire(b *testing.B) {
 	e := NewEngine(1)

@@ -378,10 +378,9 @@ func tieLess(a, b *event) bool {
 }
 
 // Engine is a deterministic discrete-event simulator. It is not safe for
-// concurrent use; all model code runs inside its events (process bodies
-// spawned via Spawn are coroutines that an event switches into and that
-// switch back when they park, so only one of them runs at a time).
-// Concurrency lives one level up: independent
+// concurrent use; all model code runs inside its events, a waiting actor
+// too: its step runs from an event or, as a continuation, from inside the
+// completion it waits for. Concurrency lives one level up: independent
 // engines — one per experiment cell — may run in parallel on separate
 // goroutines because an engine shares no mutable state with any other.
 type Engine struct {
@@ -396,8 +395,6 @@ type Engine struct {
 	daemons   int // queued daemon events
 	rng       *RNG
 	running   bool
-	procs     int       // live processes, for leak diagnostics
-	procSlab  []Process // the rest of the chunk spawn takes Process records from
 
 	// execObs, when non-nil, is called once per executed model event (see
 	// SetExecObserver). Disabled cost: one nil-check per pop.
@@ -485,9 +482,8 @@ func (e *Engine) at(t Time, priority int, label Label, fn func(), daemon bool) {
 
 // eventChunk is how many events at carves from one allocation when the
 // free list is empty. A run's pending events climb to their peak in its
-// first microseconds, so they are taken in bulk, as spawn takes Process
-// records; a chunk is collected once none of its events is referenced
-// any more.
+// first microseconds, so they are taken in bulk; a chunk is collected
+// once none of its events is referenced any more.
 const eventChunk = 64
 
 // release returns an executed event to the free list. The callback is
@@ -698,16 +694,14 @@ func (e *Engine) PoolFree() int { return len(e.free) }
 // DropPools releases the memory the engine keeps for reuse: the event
 // free list, the queue's spare chunks (its free list, the rest of its
 // chunk slab and the chunk each empty bucket keeps), bucket 0's backing
-// array when it is empty, and the unused rest of the event and Process
-// chunks. The event pools are sized by the run's peak of pending events
-// and never shrink on their own, so a finished run would otherwise hold
-// its peak. Queued events stay queued, and a later Schedule simply
+// array when it is empty, and the unused rest of the event chunk. The
+// event pools are sized by the run's peak of pending events and never
+// shrink on their own, so a finished run would otherwise hold its peak. Queued events stay queued, and a later Schedule simply
 // allocates again. Call it between runs, not inside one: a loop of short
 // runs relies on the pools.
 func (e *Engine) DropPools() {
 	e.free = nil
 	e.evSlab = nil
-	e.procSlab = nil
 	q := &e.queue
 	q.free = nil
 	q.slab = nil

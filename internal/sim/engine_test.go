@@ -479,104 +479,17 @@ func TestResourceAcquireAt(t *testing.T) {
 	}
 }
 
-func TestProcessSleep(t *testing.T) {
-	e := NewEngine(1)
-	var wake Time
-	e.Spawn("sleeper", func(p *Process) {
-		p.Sleep(42 * Nanosecond)
-		wake = p.Now()
-	})
-	e.Run()
-	if wake != 42*Nanosecond {
-		t.Fatalf("woke at %v, want 42ns", wake)
-	}
-}
-
-func TestProcessInterleaving(t *testing.T) {
-	e := NewEngine(1)
-	var order []string
-	e.Spawn("a", func(p *Process) {
-		order = append(order, "a0")
-		p.Sleep(10 * Nanosecond)
-		order = append(order, "a1")
-		p.Sleep(20 * Nanosecond)
-		order = append(order, "a2")
-	})
-	e.Spawn("b", func(p *Process) {
-		order = append(order, "b0")
-		p.Sleep(15 * Nanosecond)
-		order = append(order, "b1")
-	})
-	e.Run()
-	want := []string{"a0", "b0", "a1", "b1", "a2"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
-func TestProcessWaitFuture(t *testing.T) {
-	e := NewEngine(1)
-	f := NewFuture()
-	var got Time
-	e.Spawn("waiter", func(p *Process) {
-		p.Wait(f)
-		got = p.Now()
-	})
-	e.Schedule(77*Nanosecond, func() { f.Complete(e, "x") })
-	e.Run()
-	if got != 77*Nanosecond {
-		t.Fatalf("waiter resumed at %v, want 77ns", got)
-	}
-	if f.Value() != "x" || f.CompletedAt() != 77*Nanosecond {
-		t.Fatalf("future value/time wrong: %v at %v", f.Value(), f.CompletedAt())
-	}
-}
-
-func TestProcessWaitCompletedFuture(t *testing.T) {
-	e := NewEngine(1)
-	f := NewFuture()
-	done := false
-	e.Schedule(0, func() { f.Complete(e, nil) })
-	e.Schedule(Nanosecond, func() {
-		e.Spawn("late", func(p *Process) {
-			p.Wait(f) // must not block
-			done = true
-		})
-	})
-	e.Run()
-	if !done {
-		t.Fatal("waiting on an already-complete future must not block")
-	}
-}
-
-func TestProcessWaitAll(t *testing.T) {
-	e := NewEngine(1)
-	f1, f2, f3 := NewFuture(), NewFuture(), NewFuture()
-	var got Time
-	e.Spawn("w", func(p *Process) {
-		p.WaitAll(f1, f2, f3)
-		got = p.Now()
-	})
-	e.Schedule(5*Nanosecond, func() { f2.Complete(e, nil) })
-	e.Schedule(9*Nanosecond, func() { f1.Complete(e, nil) })
-	e.Schedule(3*Nanosecond, func() { f3.Complete(e, nil) })
-	e.Run()
-	if got != 9*Nanosecond {
-		t.Fatalf("WaitAll resumed at %v, want 9ns (latest completion)", got)
-	}
-}
-
+// TestFutureDoubleCompletePanics also checks that the first Complete
+// keeps its value and time, which the second may not overwrite.
 func TestFutureDoubleCompletePanics(t *testing.T) {
 	e := NewEngine(1)
 	f := NewFuture()
-	e.Schedule(0, func() {
-		f.Complete(e, nil)
+	e.Schedule(77*Nanosecond, func() {
+		f.Complete(e, "x")
 		defer func() {
+			if f.Value() != "x" || f.CompletedAt() != 77*Nanosecond {
+				t.Errorf("future holds %v at %v, want x at 77ns", f.Value(), f.CompletedAt())
+			}
 			if recover() == nil {
 				t.Error("double Complete should panic")
 			}
@@ -604,8 +517,8 @@ func TestFutureCallbacksRunInRegistrationOrder(t *testing.T) {
 }
 
 // TestCompletionZeroAlloc is the allocation gate for completions: a future
-// with one or two waiters, and a process that sleeps and then waits on a
-// future, allocate nothing per cycle.
+// with one or two waiters, and a bound step that sleeps and then waits on
+// a future, allocate nothing per cycle.
 func TestCompletionZeroAlloc(t *testing.T) {
 	if DebugEnabled {
 		t.Skip("simdebug invariant checks box their arguments; the gate is for normal builds")
@@ -631,94 +544,32 @@ func TestCompletionZeroAlloc(t *testing.T) {
 		t.Errorf("two OnCompletes+Complete: %v allocs per run, want 0", got)
 	}
 
+	// The step alternates a 1 ns sleep with a wait on g, as a rank's step
+	// alternates compute with a completion wait.
 	var g Future
-	stop := false
-	e.Spawn("p", func(p *Process) {
-		for {
-			p.Sleep(Nanosecond)
-			if stop {
-				return
-			}
-			p.Wait(&g)
+	stop, slept := false, false
+	var step func()
+	step = func() {
+		if slept = !slept; slept {
+			e.Schedule(Nanosecond, step)
+		} else if !stop {
+			g.OnComplete(step)
 		}
-	})
-	e.Step() // the spawn event: the body runs into its first Sleep
+	}
+	e.Schedule(0, step)
+	e.Step() // the start event: the step schedules its first sleep
 	sleepWait := func() {
-		e.Step()           // the Sleep wake-up: the process parks in Wait
-		g.Complete(e, nil) // resumes it into the next Sleep
+		e.Step()           // the sleep's wake-up: the step waits on g
+		g.Complete(e, nil) // runs the step into the next sleep
 		g = Future{}
 	}
 	if got := testing.AllocsPerRun(1000, sleepWait); got != 0 {
-		t.Errorf("Process Sleep+Wait: %v allocs per run, want 0", got)
+		t.Errorf("Schedule+OnComplete step: %v allocs per run, want 0", got)
 	}
 	stop = true
 	e.Run()
-	if e.procs != 0 {
-		t.Fatalf("%d processes still live after the last wake-up", e.procs)
-	}
-}
-
-func TestProcessPanicPropagates(t *testing.T) {
-	e := NewEngine(1)
-	e.Spawn("boom", func(p *Process) {
-		p.Sleep(Nanosecond)
-		panic("kaboom")
-	})
-	defer func() {
-		const want = `sim: process "boom" panicked: kaboom`
-		if r := recover(); r != want {
-			t.Fatalf("engine panicked with %v, want %q", r, want)
-		}
-		if e.procs != 0 {
-			t.Fatalf("%d processes still live after the body panicked", e.procs)
-		}
-	}()
-	e.Run()
-}
-
-// TestProcessNestedSwitch checks that a process can resume another one
-// from inside its own body: completing a future that a second process
-// waits on runs the waiter up to its next park before Complete returns.
-// Every shard of a 4-shard group runs its own pair, so under -race the
-// switches also cross the group's worker goroutines.
-func TestProcessNestedSwitch(t *testing.T) {
-	const rounds = 50
-	for _, shards := range []int{1, 4} {
-		g := NewShardGroup(1, shards, 10*Nanosecond)
-		logs := make([][]string, shards)
-		for i := 0; i < shards; i++ {
-			e, log := g.Shard(i), &logs[i]
-			fs := make([]Future, rounds)
-			e.Spawn("waiter", func(p *Process) {
-				for r := range fs {
-					p.Wait(&fs[r])
-					*log = append(*log, fmt.Sprintf("w%d@%v", r, p.Now()))
-				}
-			})
-			e.Spawn("completer", func(p *Process) {
-				for r := range fs {
-					p.Sleep(Nanosecond)
-					*log = append(*log, fmt.Sprintf("c%d", r))
-					fs[r].Complete(e, nil)
-					*log = append(*log, fmt.Sprintf("c%d-after", r))
-				}
-			})
-		}
-		g.Run()
-		for i, log := range logs {
-			if len(log) != 3*rounds {
-				t.Fatalf("shards=%d shard %d: %d log entries, want %d", shards, i, len(log), 3*rounds)
-			}
-			for r := 0; r < rounds; r++ {
-				want := []string{fmt.Sprintf("c%d", r), fmt.Sprintf("w%d@%v", r, Time(r+1)*Nanosecond), fmt.Sprintf("c%d-after", r)}
-				if got := log[3*r : 3*r+3]; fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("shards=%d shard %d round %d: %v, want %v", shards, i, r, got, want)
-				}
-			}
-			if n := g.Shard(i).procs; n != 0 {
-				t.Fatalf("shards=%d shard %d: %d processes still live", shards, i, n)
-			}
-		}
+	if e.Pending() != 0 {
+		t.Fatalf("%d events still pending after the last wake-up", e.Pending())
 	}
 }
 

@@ -125,13 +125,6 @@ func (t Tagged) ScheduleDaemonP(d Time, priority int, fn func()) {
 	t.Engine.schedule(d, priority, t.label, fn, true)
 }
 
-// Spawn starts a process whose wake-up events (spawn, Sleep, resumes) carry
-// the handle's label.
-func (t Tagged) Spawn(name string, body func(p *Process)) *Process {
-	p := t.Engine.spawn(name, t.label, body)
-	return p
-}
-
 // ExecObserver receives one callback per executed model event, in execution
 // order, before the event's callback runs. Daemon events (telemetry riders)
 // are never reported, so an observer sees the same stream whether or not

@@ -12,9 +12,9 @@
 //	tb, _ := rvma.NewTestbed(2, rvma.TestbedConfig{})
 //	win, _ := tb.Endpoints[1].InitWindow(0x11FF0011, 1024, rvma.EpochBytes)
 //	buf, _ := win.PostBuffer(1024)
-//	tb.Engine.Spawn("sender", func(p *sim.Process) {
+//	tb.Engine.Schedule(0, func() {
 //	    op := tb.Endpoints[0].Put(1, 0x11FF0011, 0, payload)
-//	    p.Wait(op.Local)
+//	    op.Local.OnComplete(func() { /* the send buffer is reusable */ })
 //	})
 //	tb.Engine.Run()
 //

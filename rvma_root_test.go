@@ -24,15 +24,13 @@ func TestTestbedQuickstart(t *testing.T) {
 	}
 	payload := bytes.Repeat([]byte{0x42}, 1024)
 	var localDone, remoteDone sim.Time
-	tb.Engine.Spawn("sender", func(p *sim.Process) {
+	tb.Engine.Schedule(0, func() {
 		op := tb.Endpoints[0].Put(1, 0x11FF0011, 0, payload)
-		p.Wait(op.Local)
-		localDone = p.Now()
+		op.Local.OnComplete(func() { localDone = tb.Engine.Now() })
 	})
-	tb.Engine.Spawn("receiver", func(p *sim.Process) {
+	tb.Engine.Schedule(0, func() {
 		n := tb.Endpoints[1].WatchBuffer(buf)
-		p.Wait(n.Done)
-		remoteDone = p.Now()
+		n.Done.OnComplete(func() { remoteDone = tb.Engine.Now() })
 	})
 	tb.Run()
 	if localDone == 0 || remoteDone == 0 || localDone >= remoteDone {
