@@ -319,12 +319,9 @@ func (n *Network) NewPacket(src, dst, size int, payload any) *Packet {
 	fl := &n.pktFree[n.nodeShard[src]]
 	pkt := fl.head
 	if pkt == nil {
-		if len(fl.slab) == 0 {
-			//rvmalint:allow hotalloc -- pool miss, one chunk per packetChunk misses: the free list grows to the run's peak of packets in flight, then serves every send
-			fl.slab = make([]Packet, packetChunk)
-		}
-		pkt = &fl.slab[0]
-		fl.slab = fl.slab[1:]
+		// A miss: the free list grows to the run's peak of packets in
+		// flight, then serves every send.
+		pkt = fl.slab.New()
 	} else {
 		fl.head, pkt.next = pkt.next, nil
 		fl.len--

@@ -482,8 +482,8 @@ func TestFreeListIsBounded(t *testing.T) {
 	}
 }
 
-// On an empty free list NewPacket carves packets from a chunk: packetChunk
-// new packets cost one allocation, not one each. DropFreePackets drops
+// On an empty free list NewPacket carves packets from a chunk: a chunk's
+// worth of new packets costs one allocation, not one each. DropFreePackets drops
 // the rest of the chunk with the free list.
 func TestNewPacketCarvesChunks(t *testing.T) {
 	if sim.DebugEnabled {
@@ -491,16 +491,16 @@ func TestNewPacketCarvesChunks(t *testing.T) {
 	}
 	_, net := twoNodeNet(t, DefaultConfig())
 	allocs := testing.AllocsPerRun(10, func() {
-		for i := 0; i < packetChunk; i++ {
+		for i := 0; i < sim.SlabChunk; i++ {
 			net.NewPacket(0, 1, 64, nil)
 		}
 	})
 	if allocs != 1 {
-		t.Errorf("%v allocations for %d new packets, want 1", allocs, packetChunk)
+		t.Errorf("%v allocations for %d new packets, want 1", allocs, sim.SlabChunk)
 	}
 	net.NewPacket(0, 1, 64, nil)
 	net.DropFreePackets()
-	if n := len(net.pktFree[0].slab); n != 0 {
-		t.Errorf("%d carved packets left after DropFreePackets, want 0", n)
+	if net.pktFree[0].slab.Held() {
+		t.Error("NewPacket's chunk is still held after DropFreePackets")
 	}
 }

@@ -53,15 +53,8 @@ type routeBufs struct {
 type packetList struct {
 	head *Packet
 	len  int
-	slab []Packet
+	slab sim.Slab[Packet]
 }
-
-// packetChunk is how many packets NewPacket carves from one allocation
-// when the free list is empty. A run's packets in flight climb to their
-// peak in its first microseconds, so they are taken in bulk, as the
-// engine takes events; a chunk is collected once none of its packets is
-// referenced any more.
-const packetChunk = 64
 
 // maxFreePackets bounds one shard's free list. On one shard the list
 // holds at most the run's peak of packets in flight, under 20,000 on every

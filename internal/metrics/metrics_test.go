@@ -342,13 +342,13 @@ func TestTimelinePerfetto(t *testing.T) {
 	r := NewRegistry()
 	r.EnableSpans()
 	r.EnableTimeline(0)
-	sp := r.BeginSpan(sim.FromMicros(1), SpanKey{Node: 0, ID: 1}, "rvma.put", 0)
-	sp.Stage(sim.FromMicros(2), "host_post")
+	sp := r.BeginSpan(sim.Microsecond, SpanKey{Node: 0, ID: 1}, "rvma.put", 0)
+	sp.Stage(2*sim.Microsecond, "host_post")
 	sp.SetNode(1)
-	sp.Stage(sim.FromMicros(5), "wire")
-	sp.End(sim.FromMicros(5))
-	r.Timeline().Counter(0, "queue_depth", sim.FromMicros(3), 4)
-	r.Timeline().Instant(1, "fabric", "drop", sim.FromMicros(4))
+	sp.Stage(5*sim.Microsecond, "wire")
+	sp.End(5 * sim.Microsecond)
+	r.Timeline().Counter(0, "queue_depth", 3*sim.Microsecond, 4)
+	r.Timeline().Instant(1, "fabric", "drop", 4*sim.Microsecond)
 
 	var buf bytes.Buffer
 	if err := r.Timeline().WritePerfetto(&buf); err != nil {

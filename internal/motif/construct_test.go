@@ -116,16 +116,19 @@ func startupMallocs(t testing.TB, cfg ClusterConfig) float64 {
 
 // A rank's start-up costs a bounded number of heap objects per Prepare,
 // not per peer: the incast server's mailboxes (RVMA) or peer records and
-// credit state (RDMA) for every client are a few arrays, and a Figure 1
-// handshake is an op record and a registration record with one bound
-// method each. A rank is a slot in its motif's record array and one
-// bound step. So the objects a 1-message incast allocates per node,
-// start-up and message together, do not grow with the node count, and
-// stay under the pinned values: the measured 10.2 (RVMA) and 36.8 (RDMA)
-// per node, plus two. Most of what is left is the first-use pools of the
-// rank's endpoint and, under RDMA, the handshake. A per-peer record,
-// closure or slice at start-up shows at the server as a step of one per
-// node. Skipped under -short, which builds a 4k-node cluster.
+// credit state (RDMA) for every client are a few arrays, and the records
+// a Figure 1 handshake, a put or a receive needs are carved from its
+// shard's slabs. The constant-delay stages (host post, CQ and byte polls,
+// reaps) are one per shard. A rank is a slot in its motif's record array
+// and one bound step. So the objects a 1-message incast allocates per
+// node, start-up and message together, do not grow with the node count,
+// and stay under the pinned values: the measured 6.2 (RVMA) and 12.0
+// (RDMA) per node, plus two. What is left is the rank's bound step and
+// its packets, the first use of the stages that follow its NIC's own
+// send pipe and bus, and under RDMA the queue-pair rings and the
+// registration's timed event. A per-peer record, closure or slice at
+// start-up shows at the server as a step of one per node. Skipped under
+// -short, which builds a 4k-node cluster.
 func TestStartupAllocsPerNode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds 4k-node clusters")
@@ -137,8 +140,8 @@ func TestStartupAllocsPerNode(t *testing.T) {
 		kind TransportKind
 		max  float64
 	}{
-		{KindRVMA, 12.2},
-		{KindRDMA, 38.8},
+		{KindRVMA, 8.2},
+		{KindRDMA, 14.0},
 	} {
 		t.Run(tc.kind.String(), func(t *testing.T) {
 			small := startupMallocs(t, constructConfig(t, 1024, tc.kind, false))
@@ -211,7 +214,7 @@ func parkedHeapPerRank(t *testing.T, cfg ClusterConfig) float64 {
 		case *rvmaTransport:
 			parked = tp.sending.Len() > 0
 		case *rdmaTransport:
-			parked = tp.peers[0].send.prep != nil
+			parked = tp.peer(0).send.prep != nil
 		}
 		if !parked {
 			t.Fatalf("client %d is not parked at the end of time zero", rank)
@@ -231,8 +234,8 @@ func parkedHeapPerRank(t *testing.T, cfg ClusterConfig) float64 {
 // message or handshake holds in flight and the mailbox or peer record
 // the server keeps for it. A per-rank cost that grows with the rank
 // count (a table indexed by rank, say) shows here as a gap between the
-// ~1k-node and ~8k-node figures. The figures are logged: about 2,050 B
-// (RVMA) and 1,520 B (RDMA) per rank.
+// ~1k-node and ~8k-node figures. The figures are logged: about 2,000 B
+// (RVMA) and 1,180 B (RDMA) per rank.
 func TestParkedRankHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds 8k-node clusters")

@@ -130,6 +130,60 @@ func TestRunLeavesNoFreePackets(t *testing.T) {
 	}
 }
 
+// The endpoints and transports on a shard share its constant-delay
+// stages and the slabs their records are carved from, and a finished run
+// drops them with the other pools: after Cluster.Run no stage holds an
+// array and no slab holds a chunk, on both transports and at one shard
+// and two, whose endpoints each write only their own shard's record. Run
+// it under -race.
+func TestRunDropsShardPools(t *testing.T) {
+	topo := smallTopo(t, 32)
+	for _, kind := range []TransportKind{KindRVMA, KindRDMA} {
+		for _, shards := range []int{1, 2} {
+			for _, run := range []struct {
+				name string
+				run  func(c *Cluster) error
+			}{
+				{"sweep3d", func(c *Cluster) error {
+					_, err := RunSweep3D(c, DefaultSweep3DConfig(topo.NumNodes()))
+					return err
+				}},
+				{"incast", func(c *Cluster) error {
+					_, err := RunIncast(c, DefaultIncastConfig())
+					return err
+				}},
+			} {
+				t.Run(fmt.Sprintf("%s/%s/shards=%d", run.name, kind, shards), func(t *testing.T) {
+					cfg := DefaultClusterConfig(topo, kind)
+					cfg.Shards = shards
+					c, err := NewCluster(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := run.run(c); err != nil {
+						t.Fatal(err)
+					}
+					for _, ep := range c.rvmaEPs {
+						if held := ep.HeldPools(); len(held) > 0 {
+							t.Fatalf("RVMA node %d holds %v after the run", ep.Node(), held)
+						}
+					}
+					for _, ep := range c.rdmaEPs {
+						if held := ep.HeldPools(); len(held) > 0 {
+							t.Fatalf("RDMA node %d holds %v after the run", ep.Node(), held)
+						}
+					}
+					for rank, tp := range c.Transports {
+						if tp, ok := tp.(*rdmaTransport); ok && tp.sh.held() {
+							t.Fatalf("rank %d's shard slabs hold a chunk after the run", rank)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // A run's live heap is bounded by what is in flight, not by how much the
 // run has done: initiators keep no record of operations that left the NIC
 // (a reply names its operation), so a run 4x longer ends with the same

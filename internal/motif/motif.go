@@ -339,48 +339,59 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		// Every per-node component lives on the engine that owns the node's
 		// shard, so its events execute inside that shard's windows.
 		neng := g.Shard(net.NodeShard(node))
-		nc := c.nics[node]
-		nc.Init(neng, net, node, cfg.PCIe, cfg.NIC)
+		c.nics[node].Init(neng, net, node, cfg.PCIe, cfg.NIC)
 		// One recovery manager per node: retry state is per-endpoint, stats
 		// aggregate via RecoveryStats. Backoff jitter must depend only on
 		// this node's retries, not on whatever else shares its engine.
-		var rec *recovery.Manager
 		if cfg.Recovery != nil {
-			rec = c.recMgrs[node]
-			rec.Init(neng, *cfg.Recovery, sim.SeedFor(cfg.Seed, "recovery", node))
+			c.recMgrs[node].Init(neng, *cfg.Recovery, sim.SeedFor(cfg.Seed, "recovery", node))
 		}
-		switch cfg.Kind {
-		case KindRVMA:
-			rcfg := rvma.DefaultConfig()
-			rcfg.CarryData = false
-			rcfg.Notification = cfg.Notification
-			rcfg.HistoryDepth = 0 // motifs don't rewind; avoid retaining buffers
-			if rec != nil {
-				// The window guard's reclaim retrieves the holed buffer
-				// through Rewind, which needs retained history (§IV-F).
-				rcfg.HistoryDepth = 2
-			}
-			ep := c.rvmaEPs[node]
-			ep.Init(nc, rcfg)
+	}
+	// The endpoints and transports on a shard share its stages and slabs.
+	switch cfg.Kind {
+	case KindRVMA:
+		rcfg := rvma.DefaultConfig()
+		rcfg.CarryData = false
+		rcfg.Notification = cfg.Notification
+		rcfg.HistoryDepth = 0 // motifs don't rewind; avoid retaining buffers
+		if cfg.Recovery != nil {
+			// The window guard's reclaim retrieves the holed buffer
+			// through Rewind, which needs retained history (§IV-F).
+			rcfg.HistoryDepth = 2
+		}
+		rvma.InitEndpoints(c.rvmaEPs, c.nics, rcfg)
+		for node, ep := range c.rvmaEPs {
+			rec := c.recoveryFor(node)
 			if rec != nil {
 				ep.SetReassemblyHorizon(rec.ReclaimAfter())
 			}
 			rvmaTPs[node].init(ep, cfg.RVMADepth, rec, sim.SeedFor(cfg.Seed, "rank", node))
 			c.Transports[node] = rvmaTPs[node]
-		case KindRDMA:
-			dcfg := rdma.DefaultConfig()
-			dcfg.CarryData = false
-			dcfg.PipelinedFence = cfg.PipelinedFence
-			ep := c.rdmaEPs[node]
-			ep.Init(nc, dcfg)
+		}
+	case KindRDMA:
+		dcfg := rdma.DefaultConfig()
+		dcfg.CarryData = false
+		dcfg.PipelinedFence = cfg.PipelinedFence
+		rdma.InitEndpoints(c.rdmaEPs, c.nics, dcfg)
+		shards := make([]rdmaShard, g.Shards())
+		for node, ep := range c.rdmaEPs {
+			rec := c.recoveryFor(node)
 			if rec != nil {
 				ep.SetReassemblyHorizon(rec.ReclaimAfter())
 			}
-			rdmaTPs[node].init(ep, n, c.lastByte, cfg.RDMABuffers, rec)
+			rdmaTPs[node].init(ep, &shards[net.NodeShard(node)], n, c.lastByte, cfg.RDMABuffers, rec)
 			c.Transports[node] = rdmaTPs[node]
 		}
 	}
 	return c, nil
+}
+
+// recoveryFor returns node's recovery manager, nil without recovery.
+func (c *Cluster) recoveryFor(node int) *recovery.Manager {
+	if c.recMgrs == nil {
+		return nil
+	}
+	return c.recMgrs[node]
 }
 
 // perShard returns one zero T per node, placed in one array per shard

@@ -25,12 +25,13 @@ func (c *Cluster) TagFor(rank int) sim.Tagged {
 
 // Run executes the simulation to completion, then drops the fabric's
 // recycled packets, each shard engine's event and queue pools, each
-// endpoint's stage arrays, spare buffers and spare receives, each
-// transport's idle send waits, receive waits, credit arms and
-// reliable-send records,
-// each node's spare pages and each recovery manager's free records and
-// stage arrays, so a finished cluster keeps nothing sized by the run's
-// peak in flight. Every motif and collective finishes through it.
+// endpoint's stage arrays, spare buffers and spare receives and its
+// shard's stage arrays and slab chunks, each transport's idle send
+// waits, receive waits and reliable-send records and the RDMA shards'
+// slab chunks, each node's spare pages and each recovery manager's free
+// records and stage arrays, so a finished cluster keeps nothing sized by
+// the run's peak in flight. Every motif and collective finishes through
+// it.
 func (c *Cluster) Run() {
 	c.Group.Run()
 	c.Net.DropFreePackets()

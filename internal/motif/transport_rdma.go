@@ -32,16 +32,42 @@ type rdmaTransport struct {
 	// a send/recv fence.
 	ordered bool
 	nbufs   int
-	// peers is made by the first Prepare that names a peer.
-	peers map[int]*rdmaPeer
+	// sh holds the slabs the transport shares with the others on its shard.
+	sh *rdmaShard
+	// peers holds a record per node a Prepare named.
+	peers sim.Table[rdmaPeer]
 	// rel, when its manager is set, puts the handshake, every data put,
 	// the fence send and every credit return under the recovery layer's
 	// timeout/retransmit policy, riding the protocol's own opPutAck path.
 	rel rdmaReliable
-	// idle lists the credit arms no message is using, and waits the
-	// receive waits no Recv is using.
-	idle  *creditArm
+	// waits lists the receive waits no Recv is using.
 	waits *recvWait
+}
+
+// rdmaShard is what the RDMA transports of one shard share: the slabs
+// their peer records, send states, buffer handles and Prepare records are
+// carved from, a chunk at a time, not per rank. Cluster.Run drops them
+// with the other pools.
+type rdmaShard struct {
+	peers sim.Slab[rdmaPeer]
+	refs  sim.Slab[sim.TableEntry[rdmaPeer]]
+	sends sim.Slab[sendState]
+	bufs  sim.Slab[rdma.RemoteBuffer]
+	preps sim.Slab[prepare]
+}
+
+// drop lets the slabs' chunks go.
+func (sh *rdmaShard) drop() {
+	sh.peers.Drop()
+	sh.refs.Drop()
+	sh.sends.Drop()
+	sh.bufs.Drop()
+	sh.preps.Drop()
+}
+
+// held reports whether any of the slabs holds a chunk.
+func (sh *rdmaShard) held() bool {
+	return sh.peers.Held() || sh.refs.Held() || sh.sends.Held() || sh.bufs.Held() || sh.preps.Held()
 }
 
 // rdmaReliable is a transport's recovery state: its node's manager, nil
@@ -81,30 +107,6 @@ type handshake struct {
 	abandoned bool
 }
 
-// creditArm is the sender's receive for the credit one issued message
-// will get back. Arms are pooled per transport with fire bound once, so
-// arming a credit allocates nothing once the pool has reached the
-// transport's peak of messages awaiting their credit.
-type creditArm struct {
-	t    *rdmaTransport
-	st   *sendState
-	recv *rdma.RecvOp
-	fire func() // a.credit
-	next *creditArm
-}
-
-// credit runs when the receiver's credit arrives: it hands the receive
-// back to the endpoint and the arm to the pool, then issues what the
-// credit frees.
-func (a *creditArm) credit() {
-	t, st := a.t, a.st
-	t.ep.ReleaseRecv(a.recv)
-	a.st, a.recv = nil, nil
-	a.next, t.idle = t.idle, a
-	st.credits++
-	t.drain(st)
-}
-
 // recvWait is a Recv that must wait: the receive handle, the fence
 // receive or (under last-byte polling) the byte wait, and the caller's
 // continuation. Waits are pooled per transport with fire bound once, so
@@ -138,7 +140,7 @@ func (w *recvWait) received() {
 	k()
 }
 
-// rdmaPeer is what the transport keeps about one peer. A Prepare makes
+// rdmaPeer is what the transport keeps about one peer. A Prepare carves
 // the records of the peers it is the first to name in one array, and the
 // send halves of its out-neighbors in another: an in-neighbor only, such
 // as every client of an incast server, carries no send state.
@@ -154,6 +156,7 @@ type rdmaPeer struct {
 
 // sendState is the per-destination sender bookkeeping.
 type sendState struct {
+	t       *rdmaTransport
 	dst     int32
 	rr      int32 // round-robin buffer cursor
 	credits int32
@@ -185,9 +188,10 @@ type prepare struct {
 }
 
 // init makes t, a zero transport in its shard's array, rank ep.Node()'s
-// transport. rec is the node's recovery manager, nil without recovery.
-func (t *rdmaTransport) init(ep *rdma.Endpoint, ranks int, ordered bool, nbufs int, rec *recovery.Manager) {
-	t.ep, t.ranks, t.ordered, t.nbufs, t.rel.rec = ep, ranks, ordered, nbufs, rec
+// transport. sh is its shard's record, rec the node's recovery manager,
+// nil without recovery.
+func (t *rdmaTransport) init(ep *rdma.Endpoint, sh *rdmaShard, ranks int, ordered bool, nbufs int, rec *recovery.Manager) {
+	t.ep, t.sh, t.ranks, t.ordered, t.nbufs, t.rel.rec = ep, sh, ranks, ordered, nbufs, rec
 	ep.SetSentHandler(t)
 }
 
@@ -200,33 +204,35 @@ func (t *rdmaTransport) Ranks() int { return t.ranks }
 // Prepare implements Transport: run the Figure 1 handshake for every
 // out-neighbor (nbufs buffers each) before any data can move — the setup
 // RVMA does not have. In-neighbors need only local state. The peer
-// records, send states and buffer handles are made in bulk, a few arrays
-// per call, and each handshake reports to its peer's send state. A call
-// that names no new out-neighbor starts no handshake and is done at once.
+// records, send states and buffer handles are carved in bulk from the
+// shard's slabs, a few arrays per call, and each handshake reports to its
+// peer's send state. A call that names no new out-neighbor starts no
+// handshake and is done at once.
 func (t *rdmaTransport) Prepare(inPeers, outPeers []int, maxMsg int, k func()) bool {
 	t.addPeers(inPeers)
 	t.addPeers(outPeers)
 	for _, src := range inPeers {
-		t.peers[src].in = true
+		t.peer(src).in = true
 	}
 	n := 0
 	for _, dst := range outPeers {
-		if t.peers[dst].send == nil {
+		if t.peer(dst).send == nil {
 			n++
 		}
 	}
 	if n == 0 {
 		return true
 	}
-	pr := &prepare{t: t, k: k, sends: make([]sendState, 0, n)}
-	bufs := make([]rdma.RemoteBuffer, n*t.nbufs)
+	pr := t.sh.preps.New()
+	pr.t, pr.k, pr.sends = t, k, t.sh.sends.Make(n)[:0]
+	bufs := t.sh.bufs.Make(n * t.nbufs)
 	for _, dst := range outPeers {
-		p := t.peers[dst]
+		p := t.peer(dst)
 		if p.send != nil {
 			continue
 		}
 		i := len(pr.sends)
-		pr.sends = append(pr.sends, sendState{dst: int32(dst), credits: int32(t.nbufs), prep: pr,
+		pr.sends = append(pr.sends, sendState{t: t, dst: int32(dst), credits: int32(t.nbufs), prep: pr,
 			bufs: bufs[i*t.nbufs : i*t.nbufs : (i+1)*t.nbufs]})
 		p.send = &pr.sends[i]
 		for j := 0; j < t.nbufs; j++ {
@@ -237,27 +243,18 @@ func (t *rdmaTransport) Prepare(inPeers, outPeers []int, maxMsg int, k func()) b
 	return false
 }
 
+// peer returns node's record, nil unless a Prepare named node.
+//
+//rvmalint:hot
+func (t *rdmaTransport) peer(node int) *rdmaPeer { return t.peers.Find(node) }
+
 // addPeers makes the records of the nodes among nodes that have none
-// yet, in one array, and the endpoint's records of them likewise.
+// yet, carved in bulk, and the endpoint's records of them likewise.
 func (t *rdmaTransport) addPeers(nodes []int) {
-	n := 0
+	t.peers.Add(nodes, &t.sh.refs, &t.sh.peers)
 	for _, node := range nodes {
-		if t.peers[node] == nil {
-			n++
-		}
-	}
-	if n == 0 {
-		return
-	}
-	if t.peers == nil {
-		t.peers = make(map[int]*rdmaPeer, n)
-	}
-	recs := make([]rdmaPeer, n)
-	for _, node := range nodes {
-		if t.peers[node] == nil {
-			recs[0] = rdmaPeer{t: t, node: int32(node)}
-			t.peers[node] = &recs[0]
-			recs = recs[1:]
+		if p := t.peer(node); p.t == nil {
+			p.t, p.node = t, int32(node)
 		}
 	}
 	t.ep.AddPeers(nodes)
@@ -375,7 +372,7 @@ func (t *rdmaTransport) WaitSent(dst int, k func()) bool {
 //
 //rvmalint:hot
 func (t *rdmaTransport) Sent(dst int) {
-	st := t.peers[dst].send
+	st := t.peer(dst).send
 	st.pending--
 	if k := st.drained; st.pending == 0 && k != nil {
 		st.drained = nil
@@ -388,7 +385,7 @@ func (t *rdmaTransport) Sent(dst int) {
 //
 //rvmalint:hot
 func (t *rdmaTransport) sendTo(dst int) *sendState {
-	if p := t.peers[dst]; p != nil {
+	if p := t.peer(dst); p != nil {
 		return p.send
 	}
 	return nil
@@ -426,18 +423,18 @@ func (t *rdmaTransport) issue(st *sendState, size int) {
 		t.ep.PutN(rb, 0, size, scheme)
 	}
 
-	// Arm the credit return for this buffer.
-	a := t.idle
-	if a != nil {
-		t.idle, a.next = a.next, nil
-	} else {
-		//rvmalint:allow hotalloc -- pool miss: arms return when their credit arrives, so the pool grows to the peak of messages awaiting a credit and then stays
-		a = &creditArm{t: t}
-		a.fire = a.credit
-	}
-	a.st = st
-	a.recv = t.ep.PostRecv(int(st.dst), creditQP)
-	a.recv.Done.OnComplete(a.fire)
+	// Post the receive the credit for this buffer comes back on.
+	t.ep.PostRecvTo(int(st.dst), creditQP, st)
+}
+
+// Received implements rdma.RecvHandler: the receiver's credit has
+// arrived, and its receive is back with the endpoint. Issue what the
+// credit frees.
+//
+//rvmalint:hot
+func (st *sendState) Received(int) {
+	st.credits++
+	st.t.drain(st)
 }
 
 // sendReliable issues one message under the recovery layer: an acked put,
@@ -533,7 +530,7 @@ func (s *rdmaSend) free() {
 //
 //rvmalint:hot
 func (t *rdmaTransport) Recv(src, size int, k func()) bool {
-	peer := t.peers[src]
+	peer := t.peer(src)
 	if peer == nil || !peer.in {
 		panic(fmt.Sprintf("motif: rank %d Recv from unprepared src %d", t.Rank(), src))
 	}
@@ -569,12 +566,12 @@ func (t *rdmaTransport) Recv(src, size int, k func()) bool {
 	return false
 }
 
-// dropPools releases the idle credit arms, receive waits and
-// reliable-send records.
+// dropPools releases the idle receive waits and reliable-send records,
+// and the chunks of the shard's slabs.
 func (t *rdmaTransport) dropPools() {
-	t.idle = nil
 	t.waits = nil
 	t.rel.idle = nil
+	t.sh.drop()
 }
 
 // creditReturn is the peer's credit-return continuation: a consumed

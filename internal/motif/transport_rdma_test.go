@@ -51,11 +51,12 @@ func rdmaExchange(t *testing.T, routing fabric.RoutingMode, lastByte, burst, rel
 // wait) in a pooled receive wait, whose bound callback, held inline by
 // the receive's future, returns the credit, hands the handle back to the
 // endpoint and the wait back to the pool, and then continues the
-// receiver; the sender's RecvOp armed for the credit goes back, with its
-// pooled credit arm, when the credit arrives. Under the recovery layer a message allocates the
-// Reliable and Attempt of its put, its fence send and its credit send,
-// and nothing else: the manager's operation records and the transport's
-// send records come from free lists, and the timeouts wait in a stage.
+// receiver; the sender's RecvOp posted for the credit reports to the
+// send state and goes back to the endpoint when the credit arrives. Under
+// the recovery layer a message allocates the Reliable and Attempt of its
+// put, its fence send and its credit send, and nothing else: the
+// manager's operation records and the transport's send records come
+// from free lists, and the timeouts wait in a stage.
 // The run-length difference cancels set-up, handshakes, rank records
 // and pool warm-up, so what is left is the marginal cost of a message,
 // and a 4-packet message must cost what a 1-packet one does. The count is

@@ -9,8 +9,8 @@ import (
 
 // RegOp tracks a buffer-negotiation handshake (Figure 1, steps 1-3). It
 // is its own continuation, as a PutOp is: the request waits out the
-// host's post overhead in the endpoint's post stage, and reaping the
-// reply is the op's own method.
+// host's post overhead in the post stage, and the reply its CQ
+// processing in the reap stage, whose event runs the op's own method.
 type RegOp struct {
 	// Done resolves with the RemoteBuffer once the target has allocated,
 	// registered, and replied.
@@ -39,28 +39,31 @@ type BufferHandler interface {
 // the (address, length, key) the initiator must retain. This round trip —
 // absent in RVMA — is the setup cost Figure 6 amortizes.
 func (ep *Endpoint) RequestRemoteBuffer(dst, size int) *RegOp {
-	op := ep.requestBuffer(dst, size)
+	op := new(RegOp)
 	op.Done = &op.done
+	ep.requestBuffer(op, dst, size)
 	return op
 }
 
 // NegotiateBuffer is RequestRemoteBuffer for a caller that keeps a record
 // per peer: h, typically that record, takes the RemoteBuffer, so the
-// handshake hands out no future and boxes no value.
+// handshake hands out no future and boxes no value, and its op, which no
+// caller holds, is carved from the shard's slab.
 func (ep *Endpoint) NegotiateBuffer(dst, size int, h BufferHandler) {
-	ep.requestBuffer(dst, size).h = h
+	op := ep.sh.regOps.New()
+	op.h = h
+	ep.requestBuffer(op, dst, size)
 }
 
-func (ep *Endpoint) requestBuffer(dst, size int) *RegOp {
+func (ep *Endpoint) requestBuffer(op *RegOp, dst, size int) {
 	if size <= 0 {
 		panic(fmt.Sprintf("rdma: remote buffer size %d", size))
 	}
-	op := &RegOp{start: ep.eng.Now(), dst: dst, ep: ep}
+	op.start, op.dst, op.ep = ep.eng.Now(), dst, ep
 	op.req = command{op: opRegRequest, msgID: ep.nextMsgID, size: size, ref: op}
 	ep.nextMsgID++
 	ep.regsInFlight++
 	ep.post(op)
-	return op
 }
 
 // post sends the request once the host has posted it.
@@ -74,6 +77,7 @@ func (op *RegOp) reaped() {
 		op.h.BufferReady(op.rb)
 		return
 	}
+	//rvmalint:allow hotalloc -- a RequestRemoteBuffer handshake, whose caller reads the buffer from Done; NegotiateBuffer's boxes nothing
 	op.done.Complete(ep.eng.Engine, op.rb)
 }
 
@@ -239,25 +243,26 @@ func (op *PutOp) unref() {
 	if sim.DebugEnabled {
 		sim.Assertf(ep.nic.SameShard(op.dst), "rdma: put %d to node %d on another shard recycled", op.cmd.msgID, op.dst)
 	}
-	s := ep.spares()
-	*op = PutOp{ep: ep, pooled: true, next: s.puts}
-	s.puts = op
+	*op = PutOp{ep: ep, pooled: true, next: ep.sparePuts}
+	ep.sparePuts = op
 }
 
-// freePut takes a PutN's op from the endpoint's free list.
+// freePut takes a PutN's op from the endpoint's free list, or on a miss
+// from the shard's slab: ops return once spent, so the list grows to the
+// peak of puts in flight and then stays.
 //
 //rvmalint:hot
 func (ep *Endpoint) freePut() *PutOp {
-	s := ep.spare
-	if s == nil || s.puts == nil {
-		//rvmalint:allow hotalloc -- free-list miss: ops return once spent, so the list grows to the peak of puts in flight and then stays
-		return &PutOp{ep: ep, pooled: true}
+	op := ep.sparePuts
+	if op == nil {
+		op = ep.sh.puts.New()
+		op.ep, op.pooled = ep, true
+		return op
 	}
-	op := s.puts
 	if sim.DebugEnabled {
 		sim.Assertf(op.refs == 0, "rdma: put on the free list has %d references", op.refs)
 	}
-	s.puts, op.next = op.next, nil
+	ep.sparePuts, op.next = op.next, nil
 	return op
 }
 
@@ -296,16 +301,17 @@ type SendOp struct {
 //
 //rvmalint:hot
 func (ep *Endpoint) Send(dst, qp, size int) {
-	var op *SendOp
-	if s := ep.spare; s != nil && s.sends != nil {
-		op = s.sends
+	op := ep.spareSends
+	if op != nil {
 		if sim.DebugEnabled {
 			sim.Assertf(op.refs == 0, "rdma: send on the free list has %d references", op.refs)
 		}
-		s.sends, op.next = op.next, nil
+		ep.spareSends, op.next = op.next, nil
 	} else {
-		//rvmalint:allow hotalloc -- free-list miss: sends return once spent, so the list grows to the peak of sends in flight and then stays
-		op = &SendOp{ep: ep}
+		// A miss: sends return once spent, so the list grows to the peak
+		// of sends in flight and then stays.
+		op = ep.sh.sendOps.New()
+		op.ep = ep
 	}
 	op.cmd = command{op: opSend, msgID: ep.nextMsgID, qp: qp, total: size, ref: op}
 	op.dst = dst
@@ -347,9 +353,8 @@ func (op *SendOp) unref() {
 	if sim.DebugEnabled {
 		sim.Assertf(ep.nic.SameShard(op.dst), "rdma: send %d to node %d on another shard recycled", op.cmd.msgID, op.dst)
 	}
-	s := ep.spares()
-	*op = SendOp{ep: ep, next: s.sends}
-	s.sends = op
+	*op = SendOp{ep: ep, next: ep.spareSends}
+	ep.spareSends = op
 }
 
 // RecvOp tracks a posted receive. Done resolves (with the send's size)
@@ -358,7 +363,17 @@ func (op *SendOp) unref() {
 type RecvOp struct {
 	Done *sim.Future
 
-	done sim.Future // what Done points at
+	done sim.Future  // what Done points at
+	h    RecvHandler // PostRecvTo's handler, which takes the completion instead of done
+	ep   *Endpoint   // the endpoint whose spare list the receive returns to
+	next *RecvOp     // spare-list link
+}
+
+// RecvHandler takes the completion of a receive PostRecvTo posted.
+type RecvHandler interface {
+	// Received runs when the receive's CQ entry has been reaped, when the
+	// Done of a PostRecv's receive would complete, with the send's size.
+	Received(size int)
 }
 
 // PostRecv posts a receive for sends arriving from src on the given QP
@@ -368,22 +383,63 @@ type RecvOp struct {
 //
 //rvmalint:hot
 func (ep *Endpoint) PostRecv(src, qp int) *RecvOp {
-	var op *RecvOp
-	if s := ep.spare; s != nil && len(s.recvs) > 0 {
-		n := len(s.recvs) - 1
-		op = s.recvs[n]
-		s.recvs[n] = nil
-		s.recvs = s.recvs[:n]
-	} else {
-		//rvmalint:allow hotalloc -- spare-list miss: every receive the endpoint handed out is still held
-		op = &RecvOp{}
-		op.Done = &op.done
+	op := ep.recvOp()
+	op.Done = &op.done
+	ep.postRecv(src, qp, op)
+	return op
+}
+
+// PostRecvTo is PostRecv for a caller that keeps a record per peer: h,
+// typically that record, takes the completion, so the receive hands out
+// no future, boxes no size, and goes back to the endpoint by itself
+// before h runs.
+//
+//rvmalint:hot
+func (ep *Endpoint) PostRecvTo(src, qp int, h RecvHandler) {
+	op := ep.recvOp()
+	op.h = h
+	ep.postRecv(src, qp, op)
+}
+
+// recvOp takes a receive from the endpoint's spare list, or on a miss
+// from the shard's slab: every receive the endpoint handed out is still
+// held.
+//
+//rvmalint:hot
+func (ep *Endpoint) recvOp() *RecvOp {
+	op := ep.spareRecvs
+	if op == nil {
+		op = ep.sh.recvs.New()
+		op.ep = ep
+		return op
 	}
+	ep.spareRecvs, op.next = op.next, nil
+	return op
+}
+
+//rvmalint:hot
+func (ep *Endpoint) postRecv(src, qp int, op *RecvOp) {
 	p := ep.peer(src)
 	q := p.qp(qp)
 	q.recvs.Push(op)
 	ep.matchSends(src, p, q)
-	return op
+}
+
+// complete completes a receive whose CQ entry the host has reaped: a
+// PostRecvTo receive goes back to its endpoint and then to its handler,
+// a PostRecv one resolves Done.
+//
+//rvmalint:hot
+func (op *RecvOp) complete(size int) {
+	ep := op.ep
+	if h := op.h; h != nil {
+		op.h = nil
+		op.next, ep.spareRecvs = ep.spareRecvs, op
+		h.Received(size)
+		return
+	}
+	//rvmalint:allow hotalloc -- a PostRecv receive's Done carries the size, boxed from 256 B up; PostRecvTo's boxes nothing
+	op.done.Complete(ep.eng.Engine, size)
 }
 
 // ReleaseRecv hands a completed receive back to the endpoint, whose next
@@ -395,30 +451,8 @@ func (ep *Endpoint) ReleaseRecv(op *RecvOp) {
 	if sim.DebugEnabled {
 		sim.Assertf(op.done.Done(), "rdma: release of a pending receive")
 	}
-	op.done = sim.Future{}
-	s := ep.spares()
-	s.recvs = append(s.recvs, op)
-}
-
-// spareHandles holds the receives and byte-wait futures their holders
-// released (ReleaseRecv, ReleaseWait), most recent last, for PostRecv and
-// WaitBytes to hand out again, and the spent PutN and Send ops the next
-// PutN and Send reuse.
-type spareHandles struct {
-	recvs []*RecvOp
-	waits []*sim.Future
-	puts  *PutOp
-	sends *SendOp
-}
-
-// spares returns the endpoint's spare handles, creating them on the first
-// release.
-func (ep *Endpoint) spares() *spareHandles {
-	if ep.spare == nil {
-		//rvmalint:allow hotalloc -- once per endpoint and run: DropPools releases it only after the run
-		ep.spare = &spareHandles{}
-	}
-	return ep.spare
+	op.done, op.Done = sim.Future{}, nil
+	op.next, ep.spareRecvs = ep.spareRecvs, op
 }
 
 // byteWait is a cumulative-byte poll used by applications that reuse one
@@ -437,11 +471,10 @@ type byteWait struct {
 // The future is one that ReleaseWait returned, if the endpoint holds one.
 func (ep *Endpoint) WaitBytes(src int, target uint64) *sim.Future {
 	var f *sim.Future
-	if s := ep.spare; s != nil && len(s.waits) > 0 {
-		n := len(s.waits) - 1
-		f = s.waits[n]
-		s.waits[n] = nil
-		s.waits = s.waits[:n]
+	if n := len(ep.spareWaits) - 1; n >= 0 {
+		f = ep.spareWaits[n]
+		ep.spareWaits[n] = nil
+		ep.spareWaits = ep.spareWaits[:n]
 	} else {
 		f = sim.NewFuture()
 	}
@@ -461,8 +494,7 @@ func (ep *Endpoint) ReleaseWait(f *sim.Future) {
 		sim.Assertf(f.Done(), "rdma: release of a pending byte wait")
 	}
 	*f = sim.Future{}
-	s := ep.spares()
-	s.waits = append(s.waits, f)
+	ep.spareWaits = append(ep.spareWaits, f)
 }
 
 // LastByteWait is target software polling the final byte of an expected

@@ -115,10 +115,13 @@ type Stats struct {
 type Endpoint struct {
 	nic      *nic.NIC
 	eng      sim.Tagged // engine handle stamping "rdma" on scheduled events
+	sh       *shard     // the stages and slabs shared with the endpoints on the same engine
 	cfg      Config
 	nextRKey uint32 // beside cfg, in padding it would leave
 
-	mrs map[uint32]*MemoryRegion // made by the first registration
+	// mrs holds the registered regions by rkey: rkeys are handed out
+	// densely from 1 and nothing deregisters, so region k is mrs[k-1].
+	mrs []*MemoryRegion
 
 	nextMsgID uint64
 
@@ -128,27 +131,28 @@ type Endpoint struct {
 	regsInFlight int
 
 	// peers holds one record per node this endpoint has exchanged data
-	// with, created on first contact: one int-keyed lookup reaches a
-	// peer's fence ledger, receive queues and byte waits.
-	peers map[int]*peer
+	// with, sorted by node: a binary search reaches a peer's fence
+	// ledger, receive queues and byte waits. The records are carved from
+	// the shard's slab on first contact, or in bulk by AddPeers.
+	peers sim.Table[peer]
 
 	lastByteWaits []*LastByteWait
 	asm           nic.Assembler
 	relAsm        nic.RangeAssembler // duplicate-aware reassembly of reliable ops
 
-	// spare holds the receive handles released for reuse, nil until the
-	// first release.
-	spare *spareHandles
+	// The handles released for reuse (ReleaseRecv, ReleaseWait) and the
+	// spent PutN and Send ops the next PutN and Send reuse, most recent
+	// first.
+	spareRecvs *RecvOp
+	spareWaits []*sim.Future
+	sparePuts  *PutOp
+	spareSends *SendOp
 
-	// The operations' pipeline stages (stage.go): each holds the
-	// operations waiting for its next event, in firing order. Each
-	// stage's callback is bound on its first use.
-	posts     sim.Stage[poster]     // host post overhead, then the NIC send
-	reaps     sim.Stage[*putFence]  // a conservative fence's ACK reaped, then its post
-	sends     sim.Stage[sender]     // a NIC send's local completion
-	dmas      sim.Stage[completion] // a CQ entry or polled byte landing over the bus
-	cqPolls   sim.Stage[completion] // the poll that reaps a CQ entry
-	bytePolls sim.Stage[completion] // the poll that observes a landed byte
+	// The stages that follow the NIC's own resources (stage.go): each
+	// holds the operations waiting for its next event, in firing order.
+	// Each stage's callback is bound on its first use.
+	sends sim.Stage[sender]     // a NIC send's local completion
+	dmas  sim.Stage[completion] // a CQ entry or polled byte landing over the bus
 
 	// onSent, when set, observes every PutN's local completion
 	// (SetSentHandler).
@@ -189,51 +193,26 @@ type queuePair struct {
 }
 
 // AddPeers makes the records of the nodes among nodes that the endpoint
-// has none of yet, as first contact with each would, but in one array: a
+// has none of yet, as first contact with each would, but in bulk: a
 // caller that knows its peers up front (a transport's Prepare) pays for
-// them once, not per peer.
-func (ep *Endpoint) AddPeers(nodes []int) {
-	n := 0
-	for _, node := range nodes {
-		if ep.peers[node] == nil {
-			n++
-		}
-	}
-	if n == 0 {
-		return
-	}
-	if ep.peers == nil {
-		ep.peers = make(map[int]*peer, n)
-	}
-	recs := make([]peer, n)
-	for _, node := range nodes {
-		if ep.peers[node] == nil {
-			ep.peers[node] = &recs[0]
-			recs = recs[1:]
-		}
-	}
-}
+// them once, not per peer, and the table is grown to its exact size.
+func (ep *Endpoint) AddPeers(nodes []int) { ep.peers.Add(nodes, &ep.sh.refs, &ep.sh.peers) }
 
 // peer returns node's record, creating it on first contact.
 //
 //rvmalint:hot
 func (ep *Endpoint) peer(node int) *peer {
-	if p := ep.peers[node]; p != nil {
+	if p := ep.peers.Find(node); p != nil {
 		return p
 	}
-	if ep.peers == nil {
-		//rvmalint:allow hotalloc -- once per endpoint, on its first contact with any peer
-		ep.peers = make(map[int]*peer)
-	}
-	//rvmalint:allow hotalloc -- once per peer, on first contact
-	p := &peer{}
-	ep.peers[node] = p
+	p := ep.sh.peers.New()
+	ep.peers.Insert(node, p)
 	return p
 }
 
 // sentTo returns the put payload bytes issued to node so far.
 func (ep *Endpoint) sentTo(node int) uint64 {
-	if p := ep.peers[node]; p != nil {
+	if p := ep.peers.Find(node); p != nil {
 		return p.sent
 	}
 	return 0
@@ -260,19 +239,48 @@ type pendingSend struct {
 	enq        sim.Time // when the send reached the target (fence-hold metric)
 }
 
-// NewEndpoint attaches an RDMA endpoint to the NIC.
+// NewEndpoint attaches an RDMA endpoint to the NIC. The endpoint shares
+// no stage or slab with any other: endpoints that share an engine are
+// cheaper placed together by InitEndpoints.
 func NewEndpoint(n *nic.NIC, cfg Config) *Endpoint {
 	ep := new(Endpoint)
-	ep.Init(n, cfg)
+	ep.init(newShard(n), n, cfg)
 	return ep
 }
 
-// Init is NewEndpoint for an endpoint the caller has placed: it attaches
-// ep, a zero Endpoint, to n. A cluster builds its endpoints with it in one
-// array per shard. ep must not move or be copied afterwards: the NIC
-// dispatches to it.
-func (ep *Endpoint) Init(n *nic.NIC, cfg Config) {
-	ep.nic, ep.eng, ep.cfg, ep.nextRKey = n, n.Engine().Tag("rdma"), cfg, 1
+// InitEndpoints attaches eps[i], a zero Endpoint, to nics[i] for every i,
+// as NewEndpoint would, and gives the endpoints on each engine one shared
+// record: the constant-delay stages and the slabs their records are
+// carved from. A cluster places its endpoints with it, one array per
+// shard. The endpoints must not move or be copied afterwards: their NICs
+// dispatch to them. It panics if two NICs on one engine disagree on a
+// host overhead a shared stage waits out (HostPostOverhead, PollInterval,
+// CQProcessOverhead, HostCompletionOverhead), naming the field.
+func InitEndpoints(eps []*Endpoint, nics []*nic.NIC, cfg Config) {
+	if len(eps) != len(nics) {
+		panic(fmt.Sprintf("rdma: %d endpoints for %d NICs", len(eps), len(nics)))
+	}
+	var shards []*shard // one per engine; a cluster has a few
+	for i, n := range nics {
+		var sh *shard
+		for _, s := range shards {
+			if s.eng == n.Engine() {
+				sh = s
+				break
+			}
+		}
+		if sh == nil {
+			sh = newShard(n)
+			shards = append(shards, sh)
+		} else {
+			sh.check(n)
+		}
+		eps[i].init(sh, n, cfg)
+	}
+}
+
+func (ep *Endpoint) init(sh *shard, n *nic.NIC, cfg Config) {
+	ep.nic, ep.eng, ep.sh, ep.cfg, ep.nextRKey = n, n.Engine().Tag("rdma"), sh, cfg, 1
 	ep.relAsm.Init(n.MTU())
 	n.SetHandler(ep.handlePacket)
 }
@@ -343,8 +351,8 @@ func (ep *Endpoint) PendingSendsHeld() int {
 
 // queued counts the sends held and the receives posted over every QP.
 func (ep *Endpoint) queued() (held, posted int) {
-	//rvmalint:allow maprange -- order-independent sums of queue lengths, no state writes
-	for _, p := range ep.peers {
+	for _, e := range ep.peers.Entries() {
+		p := e.Rec
 		for i := range p.qps {
 			held += p.qps[i].sends.Len()
 			posted += p.qps[i].recvs.Len()
@@ -364,7 +372,12 @@ func (ep *Endpoint) Engine() *sim.Engine { return ep.nic.Engine() }
 
 // RegionByKey returns the locally registered region with the given rkey,
 // or nil. Targets use it to find the region a negotiated handle refers to.
-func (ep *Endpoint) RegionByKey(rkey uint32) *MemoryRegion { return ep.mrs[rkey] }
+func (ep *Endpoint) RegionByKey(rkey uint32) *MemoryRegion {
+	if rkey == 0 || int(rkey) > len(ep.mrs) {
+		return nil
+	}
+	return ep.mrs[rkey-1]
+}
 
 // wire opcodes.
 type opcode uint8

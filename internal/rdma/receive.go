@@ -54,7 +54,8 @@ func (ep *Endpoint) handleRegRequest(pkt *fabric.Packet, cmd *command) {
 		ep.tracer.Eventf(trace.CatRDMA, "node %d handshake from %d for %dB",
 			ep.Node(), pkt.Src, cmd.size)
 	}
-	r := &registration{ep: ep, src: pkt.Src, size: cmd.size}
+	r := ep.sh.regs.New()
+	r.ep, r.src, r.size = ep, pkt.Src, cmd.size
 	r.reply = command{op: opRegReply, msgID: cmd.msgID, ref: cmd.ref}
 	cost := ep.nic.Profile().RegistrationTime(cmd.size)
 	ep.mRegMR.ObserveTime(cost)
@@ -66,7 +67,8 @@ func (ep *Endpoint) handleRegRequest(pkt *fabric.Packet, cmd *command) {
 
 // registration is the target's side of one handshake: the timed
 // registration of a region and the reply that hands it to the initiator,
-// both its own methods.
+// both its own methods. Its cost depends on the region's size, so its
+// event is bound per registration, not queued in a constant-delay stage.
 type registration struct {
 	ep    *Endpoint
 	src   int
@@ -78,13 +80,11 @@ type registration struct {
 // paid, and replies with its coordinates.
 func (r *registration) register() {
 	ep := r.ep
-	mr := &MemoryRegion{RKey: ep.nextRKey}
+	mr := ep.sh.mrs.New()
+	mr.RKey = ep.nextRKey
 	mr.Region = ep.Memory().AllocIn(&mr.region, r.size)
 	ep.nextRKey++
-	if ep.mrs == nil {
-		ep.mrs = make(map[uint32]*MemoryRegion)
-	}
-	ep.mrs[mr.RKey] = mr
+	ep.mrs = append(ep.mrs, mr)
 	ep.Stats.Registrations++
 	r.reply.rb = RemoteBuffer{Node: ep.Node(), RKey: mr.RKey, Addr: mr.Region.Base, Size: mr.Region.Size()}
 	ep.nic.SendMessage(r.src, 0, r.reply.payload)
@@ -95,7 +95,7 @@ func (ep *Endpoint) handleRegReply(cmd *command) {
 	op := cmd.ref.(*RegOp)
 	ep.regsInFlight--
 	op.rb = cmd.rb
-	ep.eng.Schedule(ep.nic.Profile().CQProcessOverhead, op.reaped)
+	ep.sh.regReaps.Add(op)
 }
 
 // sendAck emits the NIC-generated transport acknowledgment of the message
@@ -135,7 +135,7 @@ func (ep *Endpoint) handlePutAck(src int, ref any) {
 // completions that depended on those bytes (fences, last-byte polls).
 // Bookkeeping runs in pipeline order; data lands at DMA time.
 func (ep *Endpoint) handlePutData(pkt *fabric.Packet, cmd *command) {
-	mr := ep.mrs[cmd.rkey]
+	mr := ep.RegionByKey(cmd.rkey)
 	if mr == nil {
 		ep.Stats.Drops++
 		return
@@ -310,6 +310,6 @@ func (ep *Endpoint) matchSends(src int, p *peer, q *queuePair) {
 		// then observes it at its polling cadence and pays completion
 		// processing. This CQE bus crossing is the cost RVMA's completion
 		// pointer shares, but RVMA pays no trailing network message.
-		ep.dma(ep.nic.Bus().TransferTime(ep.eng.Engine, 32), completion{f: recv.Done, v: sent.size, cq: true})
+		ep.dma(ep.nic.Bus().TransferTime(ep.eng.Engine, 32), completion{recv: recv, size: sent.size})
 	}
 }

@@ -14,16 +14,13 @@ import (
 // reference left, and returns their lengths.
 func freeOps(t *testing.T, ep *Endpoint) (puts, sends int) {
 	t.Helper()
-	if ep.spare == nil {
-		return 0, 0
-	}
-	for op := ep.spare.puts; op != nil; op = op.next {
+	for op := ep.sparePuts; op != nil; op = op.next {
 		if op.refs != 0 || !op.pooled {
 			t.Fatalf("node %d: a put on the free list has %d references (pooled %v)", ep.Node(), op.refs, op.pooled)
 		}
 		puts++
 	}
-	for op := ep.spare.sends; op != nil; op = op.next {
+	for op := ep.spareSends; op != nil; op = op.next {
 		if op.refs != 0 {
 			t.Fatalf("node %d: a send on the free list has %d references", ep.Node(), op.refs)
 		}
@@ -40,7 +37,8 @@ func freeOps(t *testing.T, ep *Endpoint) (puts, sends int) {
 // op whose target shares its initiator's shard is counted down and
 // recycled; a target on another shard never touches the op, so the shards
 // never write one object. The free lists must hold exactly the same-shard
-// ops. Run it under -race.
+// ops. The endpoints are placed as a cluster places them, so each
+// shard's two share its stages and slabs. Run it under -race.
 func TestCrossShardOpsStayOffTheFreeList(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CarryData = false
@@ -55,9 +53,14 @@ func TestCrossShardOpsStayOffTheFreeList(t *testing.T) {
 		t.Fatal(err)
 	}
 	eps := make([]*Endpoint, 4)
+	nics := make([]*nic.NIC, 4)
 	for node := range eps {
-		n := nic.New(g.Shard(net.NodeShard(node)), net, node, pcie.Gen4x16(), nic.DefaultProfile())
-		eps[node] = NewEndpoint(n, cfg)
+		nics[node] = nic.New(g.Shard(net.NodeShard(node)), net, node, pcie.Gen4x16(), nic.DefaultProfile())
+		eps[node] = new(Endpoint)
+	}
+	InitEndpoints(eps, nics, cfg)
+	if eps[0].sh != eps[1].sh || eps[2].sh != eps[3].sh || eps[0].sh == eps[2].sh {
+		t.Fatal("want one shared record per shard")
 	}
 	if net.NodeShard(0) != net.NodeShard(1) || net.NodeShard(2) != net.NodeShard(3) || net.NodeShard(0) == net.NodeShard(2) {
 		t.Fatal("want nodes 0 and 1 on one shard, 2 and 3 on the other")

@@ -1,12 +1,122 @@
 package rdma
 
-import "rvma/internal/sim"
+import (
+	"fmt"
 
-// The endpoint's pipeline stages are sim.Stage values: each holds the
-// operations waiting for its next event, in firing order, behind one
-// callback. Each callback is bound on its stage's first use, not when the
-// endpoint is built, as rvma's pipeline does: a cluster of 9,702 endpoints
-// should not make six closures for each, most of which a node never uses.
+	"rvma/internal/nic"
+	"rvma/internal/sim"
+)
+
+// shard is what the endpoints on one engine share: the pipeline stages
+// whose delay is a host constant, and the slabs their records are carved
+// from. A cluster makes one per shard (InitEndpoints), so placing 9,702
+// endpoints binds five stage callbacks per shard, not per node, and the
+// per-peer, per-handshake and per-operation records come a chunk at a
+// time. A standalone endpoint (NewEndpoint) has a shard of its own.
+//
+// A constant-delay stage serves every endpoint of its engine: every entry
+// waits the same time on the same clock, so entries fire in the order
+// they were queued, and each event is the one a per-endpoint stage would
+// have scheduled (sim.DelayStage). The stages that follow a per-NIC
+// resource, the NIC send pipe and the bus, stay per endpoint.
+type shard struct {
+	eng  *sim.Engine
+	prof nic.Profile // the host overheads every endpoint on the shard shares
+
+	posts     sim.DelayStage[posting]    // host post overhead, then the NIC send
+	reaps     sim.DelayStage[*putFence]  // a conservative fence's ACK reaped, then its post
+	regReaps  sim.DelayStage[*RegOp]     // a handshake reply's CQ processing
+	cqPolls   sim.DelayStage[completion] // the poll that reaps a CQ entry
+	bytePolls sim.DelayStage[completion] // the poll that observes a landed byte
+
+	regOps  sim.Slab[RegOp]
+	regs    sim.Slab[registration]
+	mrs     sim.Slab[MemoryRegion]
+	puts    sim.Slab[PutOp]
+	sendOps sim.Slab[SendOp]
+	recvs   sim.Slab[RecvOp]
+	peers   sim.Slab[peer]
+	refs    sim.Slab[sim.TableEntry[peer]]
+}
+
+// posting is an operation waiting out the host's post overhead, and the
+// endpoint that posted it.
+type posting struct {
+	ep *Endpoint
+	op poster
+}
+
+// newShard makes the shared state of the endpoints on n's engine, with
+// n's host overheads as its stages' delays.
+func newShard(n *nic.NIC) *shard {
+	sh := &shard{eng: n.Engine(), prof: n.Profile()}
+	eng, p := n.Engine().Tag("rdma"), &sh.prof
+	sh.posts.Init(eng, p.HostPostOverhead, sh.postNext)
+	sh.reaps.Init(eng, p.PollInterval+p.CQProcessOverhead+p.HostPostOverhead, sh.reapNext)
+	sh.regReaps.Init(eng, p.CQProcessOverhead, sh.regReapNext)
+	sh.cqPolls.Init(eng, p.PollInterval+p.CQProcessOverhead, sh.cqPollNext)
+	sh.bytePolls.Init(eng, p.PollInterval+p.HostCompletionOverhead, sh.bytePollNext)
+	return sh
+}
+
+// check panics unless n's profile has the host overheads the shard's
+// stages were built with: one stage cannot hold two delays.
+func (sh *shard) check(n *nic.NIC) {
+	p := n.Profile()
+	for _, f := range []struct {
+		name      string
+		have, got sim.Time
+	}{
+		{"HostPostOverhead", sh.prof.HostPostOverhead, p.HostPostOverhead},
+		{"PollInterval", sh.prof.PollInterval, p.PollInterval},
+		{"CQProcessOverhead", sh.prof.CQProcessOverhead, p.CQProcessOverhead},
+		{"HostCompletionOverhead", sh.prof.HostCompletionOverhead, p.HostCompletionOverhead},
+	} {
+		if f.have != f.got {
+			panic(fmt.Sprintf("rdma: node %d's NIC has %s %v, the other endpoints on its engine %v: endpoints sharing an engine share its stages",
+				n.Node(), f.name, f.got, f.have))
+		}
+	}
+}
+
+// drop releases the arrays of the shard's idle stages and its slabs'
+// chunks, which are sized by the run's peak in flight.
+func (sh *shard) drop() {
+	sh.posts.Drop()
+	sh.reaps.Drop()
+	sh.regReaps.Drop()
+	sh.cqPolls.Drop()
+	sh.bytePolls.Drop()
+	sh.regOps.Drop()
+	sh.regs.Drop()
+	sh.mrs.Drop()
+	sh.puts.Drop()
+	sh.sendOps.Drop()
+	sh.recvs.Drop()
+	sh.peers.Drop()
+	sh.refs.Drop()
+}
+
+// held appends the names of the shard's stages that hold an array and of
+// its slabs that hold a chunk.
+func (sh *shard) held(names []string) []string {
+	for _, s := range []struct {
+		name string
+		held bool
+	}{
+		{"posts", sh.posts.Held()}, {"reaps", sh.reaps.Held()}, {"regReaps", sh.regReaps.Held()},
+		{"cqPolls", sh.cqPolls.Held()}, {"bytePolls", sh.bytePolls.Held()},
+		{"RegOp slab", sh.regOps.Held()}, {"registration slab", sh.regs.Held()},
+		{"MemoryRegion slab", sh.mrs.Held()}, {"PutOp slab", sh.puts.Held()},
+		{"SendOp slab", sh.sendOps.Held()}, {"RecvOp slab", sh.recvs.Held()},
+		{"peer slab", sh.peers.Held()}, {"peer table slab", sh.refs.Held()},
+	} {
+		if s.held {
+			names = append(names, s.name)
+		}
+	}
+	return names
+}
 
 // poster is an operation waiting out the host's post overhead before the
 // NIC send it posts.
@@ -15,60 +125,69 @@ type poster interface{ post(ep *Endpoint) }
 // sender is an operation whose NIC send's local completion it awaits.
 type sender interface{ sent(ep *Endpoint) }
 
-// completion is a future the host resolves with v once it observes the
-// completion: after a bus write lands, then a poll hop.
+// completion is what the host observes once a bus write lands, then a
+// poll hop: a CQ entry (PollInterval + CQProcessOverhead), which
+// completes its receive with the send's size, or a polled byte
+// (PollInterval + HostCompletionOverhead), which resolves a future.
 type completion struct {
-	f  *sim.Future
-	v  any
-	cq bool // a CQ entry (PollInterval + CQProcessOverhead), else a polled byte (PollInterval + HostCompletionOverhead)
+	f    *sim.Future // a polled byte's future
+	v    any         // the value f resolves with
+	recv *RecvOp     // a CQ entry's receive, nil for a polled byte
+	size int         // a CQ entry's send size
 }
 
-// DropPools releases the arrays of the endpoint's idle stages and its
-// spare receives and byte waits, which are sized by the run's peak in
-// flight, and the reliable operations' reassembly state, which no packet
-// of a finished run is left to hit. Call it between runs, not inside one.
+// DropPools releases the arrays of the endpoint's idle stages and of its
+// shard's, its spare receives and byte waits, the free ops and the
+// shard's slab chunks, which are sized by the run's peak in flight, and
+// the reliable operations' reassembly state, which no packet of a
+// finished run is left to hit. Call it between runs, not inside one.
 func (ep *Endpoint) DropPools() {
-	ep.spare = nil
+	ep.spareRecvs, ep.spareWaits, ep.sparePuts, ep.spareSends = nil, nil, nil, nil
 	ep.relAsm.Reset()
-	ep.posts.Drop()
-	ep.reaps.Drop()
 	ep.sends.Drop()
 	ep.dmas.Drop()
-	ep.cqPolls.Drop()
-	ep.bytePolls.Drop()
+	ep.sh.drop()
+}
+
+// HeldPools names the stages of the endpoint and of its shard that hold
+// an array, and the shard's slabs that hold a chunk: none once DropPools
+// has run after a drained run.
+func (ep *Endpoint) HeldPools() []string {
+	var names []string
+	if ep.sends.Held() {
+		names = append(names, "sends")
+	}
+	if ep.dmas.Held() {
+		names = append(names, "dmas")
+	}
+	return ep.sh.held(names)
 }
 
 // post queues op behind the host's post overhead.
 //
 //rvmalint:hot
-func (ep *Endpoint) post(op poster) {
-	if ep.posts.Fn == nil {
-		ep.posts.Fn = ep.postNext
-	}
-	d := ep.nic.Profile().HostPostOverhead
-	ep.posts.Push(ep.eng.Now()+d, op)
-	ep.eng.Schedule(d, ep.posts.Fn)
-}
+func (ep *Endpoint) post(op poster) { ep.sh.posts.Add(posting{ep, op}) }
 
 //rvmalint:hot
-func (ep *Endpoint) postNext() { ep.posts.Pop(ep.eng.Now()).post(ep) }
+func (sh *shard) postNext() {
+	p := sh.posts.Next()
+	p.op.post(p.ep)
+}
 
 // reap queues a conservative put's fence post behind the poll, CQ
 // processing and post overheads that follow its transport ACK.
 //
 //rvmalint:hot
-func (ep *Endpoint) reap(f *putFence) {
-	if ep.reaps.Fn == nil {
-		ep.reaps.Fn = ep.reapNext
-	}
-	prof := ep.nic.Profile()
-	d := prof.PollInterval + prof.CQProcessOverhead + prof.HostPostOverhead
-	ep.reaps.Push(ep.eng.Now()+d, f)
-	ep.eng.Schedule(d, ep.reaps.Fn)
+func (ep *Endpoint) reap(f *putFence) { ep.sh.reaps.Add(f) }
+
+//rvmalint:hot
+func (sh *shard) reapNext() {
+	f := sh.reaps.Next()
+	f.post(f.ep)
 }
 
 //rvmalint:hot
-func (ep *Endpoint) reapNext() { ep.reaps.Pop(ep.eng.Now()).post(ep) }
+func (sh *shard) regReapNext() { sh.regReaps.Next().reaped() }
 
 // send hands op's message to the NIC; op.sent runs at the message's local
 // completion, the NIC's own event.
@@ -101,14 +220,8 @@ func (ep *Endpoint) dma(t sim.Time, c completion) {
 //rvmalint:hot
 func (ep *Endpoint) dmaNext() {
 	c := ep.dmas.Pop(ep.eng.Now())
-	prof := ep.nic.Profile()
-	if c.cq {
-		if ep.cqPolls.Fn == nil {
-			ep.cqPolls.Fn = ep.cqPollNext
-		}
-		d := prof.PollInterval + prof.CQProcessOverhead
-		ep.cqPolls.Push(ep.eng.Now()+d, c)
-		ep.eng.Schedule(d, ep.cqPolls.Fn)
+	if c.recv != nil {
+		ep.sh.cqPolls.Add(c)
 		return
 	}
 	ep.pollByte(c)
@@ -117,24 +230,16 @@ func (ep *Endpoint) dmaNext() {
 // pollByte queues c behind the poll that observes a landed byte.
 //
 //rvmalint:hot
-func (ep *Endpoint) pollByte(c completion) {
-	if ep.bytePolls.Fn == nil {
-		ep.bytePolls.Fn = ep.bytePollNext
-	}
-	prof := ep.nic.Profile()
-	d := prof.PollInterval + prof.HostCompletionOverhead
-	ep.bytePolls.Push(ep.eng.Now()+d, c)
-	ep.eng.Schedule(d, ep.bytePolls.Fn)
+func (ep *Endpoint) pollByte(c completion) { ep.sh.bytePolls.Add(c) }
+
+//rvmalint:hot
+func (sh *shard) cqPollNext() {
+	c := sh.cqPolls.Next()
+	c.recv.complete(c.size)
 }
 
 //rvmalint:hot
-func (ep *Endpoint) cqPollNext() {
-	c := ep.cqPolls.Pop(ep.eng.Now())
-	c.f.Complete(ep.eng.Engine, c.v)
-}
-
-//rvmalint:hot
-func (ep *Endpoint) bytePollNext() {
-	c := ep.bytePolls.Pop(ep.eng.Now())
-	c.f.Complete(ep.eng.Engine, c.v)
+func (sh *shard) bytePollNext() {
+	c := sh.bytePolls.Next()
+	c.f.Complete(sh.eng, c.v)
 }

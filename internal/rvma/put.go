@@ -71,8 +71,10 @@ func (ep *Endpoint) PutN(dst int, vaddr VAddr, offset, size int) {
 		}
 		p.freePuts, op.next = op.next, nil
 	} else {
-		//rvmalint:allow hotalloc -- free-list miss: ops return once spent, so the list grows to the peak of puts in flight and then stays
-		op = &PutOp{ep: ep, pooled: true}
+		// A miss: ops return once spent, so the list grows to the peak of
+		// puts in flight and then stays.
+		op = ep.sh.puts.New()
+		op.ep, op.pooled = ep, true
 	}
 	ep.put(op, dst, vaddr, offset, size, nil)
 }

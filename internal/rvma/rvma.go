@@ -126,15 +126,16 @@ type Config struct {
 	// closed or unknown mailbox; the paper permits disabling NACKs to shed
 	// DoS load (§III-C).
 	NACKEnabled bool
+	// CarryData, when true, moves real payload bytes through the simulated
+	// memory system so tests can verify placement; when false only sizes
+	// and timing flow (used at motif scale). It sits beside NACKEnabled,
+	// in padding it would leave: every endpoint holds its Config.
+	CarryData bool
 	// HistoryDepth is how many completed buffers each window retains for
 	// Rewind. Zero disables fault-tolerance history.
 	HistoryDepth int
 	// Notification selects MWait or polling observation of completions.
 	Notification NotifyMode
-	// CarryData, when true, moves real payload bytes through the simulated
-	// memory system so tests can verify placement; when false only sizes
-	// and timing flow (used at motif scale).
-	CarryData bool
 }
 
 // DefaultConfig returns the configuration used by most experiments:
@@ -174,6 +175,7 @@ type Stats struct {
 type Endpoint struct {
 	nic *nic.NIC
 	eng sim.Tagged // engine handle stamping "rvma" on scheduled events
+	sh  *shard     // the stages and slabs shared with the endpoints on the same engine
 	cfg Config
 
 	// lut is the NIC lookup table: mailbox virtual address -> window. The
@@ -208,22 +210,58 @@ type Endpoint struct {
 }
 
 // NewEndpoint attaches an RVMA endpoint to the given NIC. The NIC must not
-// already have a protocol handler.
+// already have a protocol handler. The endpoint shares no stage or slab
+// with any other: endpoints that share an engine are cheaper placed
+// together by InitEndpoints.
 func NewEndpoint(n *nic.NIC, cfg Config) *Endpoint {
+	cfg = cfg.on(n)
 	ep := new(Endpoint)
-	ep.Init(n, cfg)
+	ep.init(newShard(n, cfg.HostCounterPenalty), n, cfg)
 	return ep
 }
 
-// Init is NewEndpoint for an endpoint the caller has placed: it attaches
-// ep, a zero Endpoint, to n. A cluster builds its endpoints with it in one
-// array per shard. ep must not move or be copied afterwards: the NIC
-// dispatches to it.
-func (ep *Endpoint) Init(n *nic.NIC, cfg Config) {
+// InitEndpoints attaches eps[i], a zero Endpoint, to nics[i] for every i,
+// as NewEndpoint would, and gives the endpoints on each engine one shared
+// record: the constant-delay stages and the slabs their pipelines and
+// PutN ops are carved from. A cluster places its endpoints with it, one
+// array per shard. The endpoints must not move or be copied afterwards:
+// their NICs dispatch to them. It panics if two endpoints on one engine
+// disagree on a delay a shared stage waits out (the NIC's
+// HostPostOverhead, the HostCounterPenalty), naming the field.
+func InitEndpoints(eps []*Endpoint, nics []*nic.NIC, cfg Config) {
+	if len(eps) != len(nics) {
+		panic(fmt.Sprintf("rvma: %d endpoints for %d NICs", len(eps), len(nics)))
+	}
+	var shards []*shard // one per engine; a cluster has a few
+	for i, n := range nics {
+		ncfg := cfg.on(n)
+		var sh *shard
+		for _, s := range shards {
+			if s.eng == n.Engine() {
+				sh = s
+				break
+			}
+		}
+		if sh == nil {
+			sh = newShard(n, ncfg.HostCounterPenalty)
+			shards = append(shards, sh)
+		} else {
+			sh.check(n, ncfg.HostCounterPenalty)
+		}
+		eps[i].init(sh, n, ncfg)
+	}
+}
+
+// on returns cfg with its defaults for an endpoint on n filled in.
+func (cfg Config) on(n *nic.NIC) Config {
 	if cfg.HostCounterPenalty == 0 {
 		cfg.HostCounterPenalty = 2 * n.Bus().Latency()
 	}
-	ep.nic, ep.eng, ep.cfg = n, n.Engine().Tag("rvma"), cfg
+	return cfg
+}
+
+func (ep *Endpoint) init(sh *shard, n *nic.NIC, cfg Config) {
+	ep.nic, ep.eng, ep.sh, ep.cfg = n, n.Engine().Tag("rvma"), sh, cfg
 	ep.relAsm.Init(n.MTU())
 	n.SetHandler(ep.handlePacket)
 }

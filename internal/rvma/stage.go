@@ -1,23 +1,84 @@
 package rvma
 
 import (
+	"fmt"
+
 	"rvma/internal/metrics"
+	"rvma/internal/nic"
 	"rvma/internal/sim"
 	"rvma/internal/trace"
 )
 
+// shard is what the endpoints on one engine share: the pipeline stages
+// whose delay is a host constant, the host post overhead and a spilled
+// counter's round trip, and the slabs pipelines and PutN ops are carved
+// from. A cluster makes one per shard (InitEndpoints); a standalone
+// endpoint (NewEndpoint) has a shard of its own. Every entry of a
+// constant-delay stage waits the same time on the same clock, so entries
+// fire in the order they were queued, whichever endpoint queued them
+// (sim.DelayStage).
+type shard struct {
+	eng    *sim.Engine
+	posts  sim.DelayStage[posting] // host post overhead, then the NIC send
+	spills sim.DelayStage[*Buffer] // a spilled counter's host-memory round trip
+	pipes  sim.Slab[pipeline]
+	puts   sim.Slab[PutOp]
+}
+
+// posting is an operation waiting out the host's post overhead, and the
+// endpoint that posted it.
+type posting struct {
+	ep *Endpoint
+	op poster
+}
+
+// newShard makes the shared state of the endpoints on n's engine: posts
+// wait out n's HostPostOverhead, spills the counter penalty.
+func newShard(n *nic.NIC, penalty sim.Time) *shard {
+	sh := &shard{eng: n.Engine()}
+	eng := n.Engine().Tag("rvma")
+	sh.posts.Init(eng, n.Profile().HostPostOverhead, sh.postNext)
+	sh.spills.Init(eng, penalty, sh.spillNext)
+	return sh
+}
+
+// check panics unless n's host post overhead and the counter penalty
+// match the delays the shard's stages were built with: one stage cannot
+// hold two delays.
+func (sh *shard) check(n *nic.NIC, penalty sim.Time) {
+	for _, f := range []struct {
+		name      string
+		have, got sim.Time
+	}{
+		{"HostPostOverhead", sh.posts.Delay(), n.Profile().HostPostOverhead},
+		{"HostCounterPenalty", sh.spills.Delay(), penalty},
+	} {
+		if f.have != f.got {
+			panic(fmt.Sprintf("rvma: node %d has %s %v, the other endpoints on its engine %v: endpoints sharing an engine share its stages",
+				n.Node(), f.name, f.got, f.have))
+		}
+	}
+}
+
+// drop releases the arrays of the shard's idle stages and its slabs'
+// chunks.
+func (sh *shard) drop() {
+	sh.posts.Drop()
+	sh.spills.Drop()
+	sh.pipes.Drop()
+	sh.puts.Drop()
+}
+
 // pipeline is what an endpoint keeps for the operations it runs: its
-// ordered pipeline steps, each a sim.Stage holding the operations waiting
-// for its next event, in firing order, behind one callback, and the
-// released buffers PostBuffer reuses. It is created on first use and
-// dropped after a run, and each callback is bound on its stage's first
-// use, not when the endpoint is built: at paper scale most endpoints never
-// complete a spilled counter, many send a single message, and a finished
+// ordered pipeline steps that follow the NIC's own resources, each a
+// sim.Stage holding the operations waiting for its next event, in firing
+// order, behind one callback, and the released buffers PostBuffer reuses.
+// It is carved on first use and dropped after a run, and each callback is
+// bound on its stage's first use, not when the endpoint is built: at
+// paper scale many endpoints send a single message, and a finished
 // cluster of 9,702 endpoints should not keep a pipeline for each.
 type pipeline struct {
-	posts  sim.Stage[poster]          // host post overhead, then the NIC send
 	sends  sim.Stage[sender]          // a NIC send's local completion
-	spills sim.Stage[*Buffer]         // a spilled counter's host-memory round trip
 	writes sim.Stage[completionWrite] // a completion-pointer write landing over the bus
 
 	// spare holds released buffers that left Rewind history. It is kept
@@ -33,8 +94,7 @@ type pipeline struct {
 //rvmalint:hot
 func (ep *Endpoint) pipeline() *pipeline {
 	if ep.pipe == nil {
-		//rvmalint:allow hotalloc -- once per endpoint and run: DropPools releases it only after the run
-		ep.pipe = &pipeline{}
+		ep.pipe = ep.sh.pipes.New()
 	}
 	return ep.pipe
 }
@@ -60,18 +120,13 @@ type completionWrite struct {
 // post queues op behind the host's post overhead.
 //
 //rvmalint:hot
-func (ep *Endpoint) post(op poster) {
-	s := &ep.pipeline().posts
-	if s.Fn == nil {
-		s.Fn = ep.postNext
-	}
-	d := ep.nic.Profile().HostPostOverhead
-	s.Push(ep.eng.Now()+d, op)
-	ep.eng.Schedule(d, s.Fn)
-}
+func (ep *Endpoint) post(op poster) { ep.sh.posts.Add(posting{ep, op}) }
 
 //rvmalint:hot
-func (ep *Endpoint) postNext() { ep.pipe.posts.Pop(ep.eng.Now()).post(ep) }
+func (sh *shard) postNext() {
+	p := sh.posts.Next()
+	p.op.post(p.ep)
+}
 
 // send hands cmd's message to the NIC; op.sent runs at the message's
 // local completion, the NIC's own event.
@@ -92,22 +147,14 @@ func (ep *Endpoint) sentNext() { ep.pipe.sends.Pop(ep.eng.Now()).sent(ep) }
 // window's spilled counter.
 //
 //rvmalint:hot
-func (ep *Endpoint) spill(buf *Buffer) {
-	s := &ep.pipeline().spills
-	if s.Fn == nil {
-		s.Fn = ep.spillNext
-	}
-	d := ep.cfg.HostCounterPenalty
-	s.Push(ep.eng.Now()+d, buf)
-	ep.eng.Schedule(d, s.Fn)
-}
+func (ep *Endpoint) spill(buf *Buffer) { ep.sh.spills.Add(buf) }
 
 // spillNext completes the buffer whose counter update has come back from
 // host memory, unless the window closed or moved on meanwhile.
 //
 //rvmalint:hot
-func (ep *Endpoint) spillNext() {
-	buf := ep.pipe.spills.Pop(ep.eng.Now())
+func (sh *shard) spillNext() {
+	buf := sh.spills.Next()
 	w := buf.win
 	if w.closed || w.Head() != buf {
 		return
@@ -169,12 +216,32 @@ func (ep *Endpoint) writeNext() {
 
 // DropPools releases the endpoint's pipeline, whose stage arrays, spare
 // buffers and free ops are sized by the run's peak in flight, unless an
-// operation still waits in a stage, and the reliable puts' reassembly
-// state, which no packet of a finished run is left to hit. Call it
-// between runs, not inside one.
+// operation still waits in a stage, its shard's idle stage arrays and
+// slab chunks, and the reliable puts' reassembly state, which no packet
+// of a finished run is left to hit. Call it between runs, not inside one.
 func (ep *Endpoint) DropPools() {
-	if p := ep.pipe; p != nil && p.posts.Len()+p.sends.Len()+p.spills.Len()+p.writes.Len() == 0 {
+	if p := ep.pipe; p != nil && p.sends.Len()+p.writes.Len() == 0 {
 		ep.pipe = nil
 	}
+	ep.sh.drop()
 	ep.relAsm.Reset()
+}
+
+// HeldPools names the endpoint's pipeline, if it keeps one, and its
+// shard's stages that hold an array and slabs that hold a chunk: none
+// once DropPools has run after a drained run.
+func (ep *Endpoint) HeldPools() []string {
+	var names []string
+	for _, s := range []struct {
+		name string
+		held bool
+	}{
+		{"pipeline", ep.pipe != nil}, {"posts", ep.sh.posts.Held()}, {"spills", ep.sh.spills.Held()},
+		{"pipeline slab", ep.sh.pipes.Held()}, {"PutOp slab", ep.sh.puts.Held()},
+	} {
+		if s.held {
+			names = append(names, s.name)
+		}
+	}
+	return names
 }

@@ -6,7 +6,10 @@ import (
 	"testing"
 
 	"rvma/internal/fabric"
+	"rvma/internal/nic"
+	"rvma/internal/pcie"
 	"rvma/internal/sim"
+	"rvma/internal/topology"
 )
 
 // completionRecord is one completion-pointer write as its window's
@@ -171,6 +174,60 @@ func TestDropPoolsBetweenRuns(t *testing.T) {
 		dst.DropPools()
 		if src.pipe != nil || dst.pipe != nil {
 			t.Fatalf("run %d: DropPools kept an idle pipeline", run)
+		}
+	}
+}
+
+// placeThree places three endpoints on one engine with InitEndpoints,
+// node 2's NIC with the profile prof and bus bus, and returns them with
+// the panic InitEndpoints raised, if any.
+func placeThree(t *testing.T, prof nic.Profile, bus pcie.Config) (eps []*Endpoint, msg string) {
+	t.Helper()
+	eng := sim.NewEngine(1)
+	net, err := fabric.New(eng, topology.NewSingleSwitch(3), fabric.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nics := make([]*nic.NIC, 3)
+	eps = make([]*Endpoint, 3)
+	for node := range nics {
+		p, b := nic.DefaultProfile(), pcie.Gen4x16()
+		if node == 2 {
+			p, b = prof, bus
+		}
+		nics[node] = nic.New(eng, net, node, b, p)
+		eps[node] = new(Endpoint)
+	}
+	defer func() { msg = fmt.Sprint(recover()) }()
+	InitEndpoints(eps, nics, DefaultConfig())
+	return eps, msg
+}
+
+// Endpoints placed on one engine share one record of stages and slabs,
+// and placing one that disagrees with the others on a delay a shared
+// stage waits out panics at construction, naming the field: the host post
+// overhead, or the counter penalty, which defaults to a bus round trip.
+func TestInitEndpointsSharesStagesAndRejectsMismatchedDelays(t *testing.T) {
+	eps, msg := placeThree(t, nic.DefaultProfile(), pcie.Gen4x16())
+	if msg != "<nil>" {
+		t.Fatalf("placing endpoints with one profile panicked: %s", msg)
+	}
+	if eps[0].sh != eps[1].sh || eps[1].sh != eps[2].sh {
+		t.Fatal("endpoints on one engine do not share their stages")
+	}
+	slowPost, slowBus := nic.DefaultProfile(), pcie.Gen4x16()
+	slowPost.HostPostOverhead++
+	slowBus.Latency++
+	for _, c := range []struct {
+		field string
+		prof  nic.Profile
+		bus   pcie.Config
+	}{
+		{"HostPostOverhead", slowPost, pcie.Gen4x16()},
+		{"HostCounterPenalty", nic.DefaultProfile(), slowBus},
+	} {
+		if _, msg := placeThree(t, c.prof, c.bus); !strings.Contains(msg, "node 2") || !strings.Contains(msg, c.field) {
+			t.Errorf("node 2 with a %s 1 ps off: panic %q, want one naming node 2 and the field", c.field, msg)
 		}
 	}
 }

@@ -384,17 +384,16 @@ func tieLess(a, b *event) bool {
 // engines — one per experiment cell — may run in parallel on separate
 // goroutines because an engine shares no mutable state with any other.
 type Engine struct {
-	now       Time
-	queue     eventQueue
-	free      []*event // recycled events; see at/release
-	evSlab    []event  // the rest of the chunk at takes new events from on a free-list miss
-	seq       uint64   // model scheduling counter; events carry 2*seq
-	dseq      uint64   // daemon scheduling counter; daemons carry 2*dseq+1
-	executed  uint64
-	scheduled uint64
-	daemons   int // queued daemon events
-	rng       *RNG
-	running   bool
+	now      Time
+	queue    eventQueue
+	free     []*event    // recycled events; see at/release
+	evSlab   Slab[event] // where at takes new events from on a free-list miss
+	seq      uint64      // model scheduling counter; events carry 2*seq
+	dseq     uint64      // daemon scheduling counter; daemons carry 2*dseq+1
+	executed uint64
+	daemons  int // queued daemon events
+	rng      *RNG
+	running  bool
 
 	// execObs, when non-nil, is called once per executed model event (see
 	// SetExecObserver). Disabled cost: one nil-check per pop.
@@ -433,10 +432,6 @@ func (e *Engine) RNG() *RNG { return e.rng }
 // (daemon events are not counted).
 func (e *Engine) EventsExecuted() uint64 { return e.executed }
 
-// EventsScheduled returns the number of model events scheduled so far
-// (daemon events are not counted).
-func (e *Engine) EventsScheduled() uint64 { return e.scheduled }
-
 // at queues fn at absolute time t, reusing a recycled event when the free
 // list has stock. Every field is (re)initialized here, so a pooled object
 // carries nothing over from its previous life. It is the one queueing
@@ -451,12 +446,9 @@ func (e *Engine) at(t Time, priority int, label Label, fn func(), daemon bool) {
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 	} else {
-		if len(e.evSlab) == 0 {
-			//rvmalint:allow hotalloc -- pool miss, one chunk per eventChunk misses: the free list feeds steady state, so this runs O(peak concurrency / eventChunk) times, not per event
-			e.evSlab = make([]event, eventChunk)
-		}
-		ev = &e.evSlab[0]
-		e.evSlab = e.evSlab[1:]
+		// A miss: the free list feeds steady state, so the slab carves
+		// O(peak concurrency / SlabChunk) chunks, not one per event.
+		ev = e.evSlab.New()
 	}
 	ev.at = t
 	ev.priority = priority
@@ -471,7 +463,6 @@ func (e *Engine) at(t Time, priority int, label Label, fn func(), daemon bool) {
 	} else {
 		ev.seq = 2 * e.seq
 		e.seq++
-		e.scheduled++
 	}
 	ev.fn = fn
 	ev.label = label
@@ -479,12 +470,6 @@ func (e *Engine) at(t Time, priority int, label Label, fn func(), daemon bool) {
 	ev.state = evQueued
 	e.queue.push(ev)
 }
-
-// eventChunk is how many events at carves from one allocation when the
-// free list is empty. A run's pending events climb to their peak in its
-// first microseconds, so they are taken in bulk; a chunk is collected
-// once none of its events is referenced any more.
-const eventChunk = 64
 
 // release returns an executed event to the free list. The callback is
 // dropped immediately so the pool never pins captured state.
@@ -546,8 +531,8 @@ func (e *Engine) atModel(t Time, priority int, label Label, fn func()) {
 // ticks): they never keep a run alive — when only daemon events remain
 // queued, Run returns at the time of the last model event without
 // executing them — and they are invisible to the model-facing counters
-// (EventsScheduled, EventsExecuted, Pending), so a run's externally
-// observable results are byte-identical with or without daemons attached.
+// (EventsExecuted, Pending), so a run's externally observable results are
+// byte-identical with or without daemons attached.
 // Daemon callbacks must be pure readers of the model: no model-event
 // scheduling, no RNG draws, no state mutation.
 //
@@ -687,10 +672,6 @@ func (e *Engine) NextEventTime() Time {
 	return MaxTime
 }
 
-// PoolFree returns the number of recycled event objects currently waiting
-// in the free list, for tests and diagnostics of the pooling layer.
-func (e *Engine) PoolFree() int { return len(e.free) }
-
 // DropPools releases the memory the engine keeps for reuse: the event
 // free list, the queue's spare chunks (its free list, the rest of its
 // chunk slab and the chunk each empty bucket keeps), bucket 0's backing
@@ -701,7 +682,7 @@ func (e *Engine) PoolFree() int { return len(e.free) }
 // runs relies on the pools.
 func (e *Engine) DropPools() {
 	e.free = nil
-	e.evSlab = nil
+	e.evSlab.Drop()
 	q := &e.queue
 	q.free = nil
 	q.slab = nil

@@ -203,15 +203,15 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestEnginePoolMissAllocatesInChunks: an engine whose free list is empty
-// carves new events from chunks of eventChunk, so scheduling n events at
+// carves new events from chunks of SlabChunk, so scheduling n events at
 // once (a run climbing to its peak of pending events) makes about
-// n/eventChunk allocations, not n. The queue's own chunks and bucket-0
+// n/SlabChunk allocations, not n. The queue's own chunks and bucket-0
 // growth add O(log n) more.
 func TestEnginePoolMissAllocatesInChunks(t *testing.T) {
 	if DebugEnabled {
 		t.Skip("simdebug invariant checks box their arguments; the gate is for normal builds")
 	}
-	const n = 64 * eventChunk
+	const n = 64 * SlabChunk
 	tick := func() {}
 	allocs := testing.AllocsPerRun(10, func() {
 		e := NewEngine(1)
@@ -222,7 +222,7 @@ func TestEnginePoolMissAllocatesInChunks(t *testing.T) {
 	// NewEngine's engine and RNG, the queue's chunks (at most one per
 	// chunkCap events; they come chunkSlab to an allocation) and the rest
 	// are the O(1) + O(n/chunkCap) beside the events.
-	if limit := float64(n/eventChunk + n/chunkCap + 16); allocs > limit {
+	if limit := float64(n/SlabChunk + n/chunkCap + 16); allocs > limit {
 		t.Errorf("%d events from an empty pool: %v allocs, want at most %v", n, allocs, limit)
 	}
 	t.Logf("%d events from an empty pool: %v allocs", n, allocs)
@@ -240,11 +240,11 @@ func TestEngineDropPools(t *testing.T) {
 		e.Schedule(Time(i*i)*Nanosecond, record)
 	}
 	e.RunUntil(1000 * Nanosecond)
-	if e.PoolFree() == 0 {
+	if len(e.free) == 0 {
 		t.Fatal("the run left no free events to drop")
 	}
 	e.DropPools()
-	if n := e.PoolFree(); n != 0 {
+	if n := len(e.free); n != 0 {
 		t.Fatalf("%d free events after DropPools", n)
 	}
 	e.Schedule(0, record)
@@ -291,10 +291,12 @@ func TestEngineCounters(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		e.Schedule(Time(i), func() {})
 	}
+	if e.Pending() != 7 {
+		t.Fatalf("pending = %d before the run, want 7", e.Pending())
+	}
 	e.Run()
-	if e.EventsScheduled() != 7 || e.EventsExecuted() != 7 {
-		t.Fatalf("scheduled = %d executed = %d, want 7/7",
-			e.EventsScheduled(), e.EventsExecuted())
+	if e.EventsExecuted() != 7 {
+		t.Fatalf("executed = %d, want 7", e.EventsExecuted())
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("pending = %d, want 0", e.Pending())
@@ -409,25 +411,6 @@ func TestRNGJitter(t *testing.T) {
 	}
 	if r.Jitter(base, 0) != base {
 		t.Fatal("zero-fraction jitter must be identity")
-	}
-}
-
-func TestRNGShuffleIsPermutation(t *testing.T) {
-	r := NewRNG(5)
-	xs := make([]int, 50)
-	for i := range xs {
-		xs[i] = i
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make(map[int]bool)
-	for _, v := range xs {
-		if seen[v] {
-			t.Fatalf("duplicate %d after shuffle", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 50 {
-		t.Fatalf("shuffle lost elements: %d", len(seen))
 	}
 }
 
@@ -599,9 +582,8 @@ func TestDaemonEventsInvisibleToModel(t *testing.T) {
 	if daemonRuns != 4 {
 		t.Fatalf("daemon ran %d times, want 4 (never once the model drained)", daemonRuns)
 	}
-	if e.EventsExecuted() != 5 || e.EventsScheduled() != 5 {
-		t.Fatalf("executed/scheduled = %d/%d, want 5/5 (daemons uncounted)",
-			e.EventsExecuted(), e.EventsScheduled())
+	if e.EventsExecuted() != 5 {
+		t.Fatalf("executed = %d, want 5 (daemons uncounted)", e.EventsExecuted())
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("Pending = %d after run, want 0 (trailing daemon excluded)", e.Pending())

@@ -118,14 +118,6 @@ func SeedFor(base uint64, kind string, ids ...int) uint64 {
 	return h ^ (h >> 31)
 }
 
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Minimal local math helpers so the RNG has no dependencies that could
 // tempt callers into importing math/rand alongside it.
 

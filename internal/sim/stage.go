@@ -74,9 +74,11 @@ func (q *FIFO[T]) Pop() T {
 // So an operation passes through the stage without a closure, and the
 // event it schedules is the same event, at the same time and scheduling
 // position, a closure would have been. Every Pop checks that it fires at
-// its entry's time and panics if not, so an event that breaks the stage's
-// order cannot run the wrong operation; under simdebug every Push also
-// checks that its time is not before the previous one.
+// its entry's time: if the head is not due, it takes the first entry that
+// is (only a clock that ran back queues entries out of order), and with
+// none due it panics, so an event that breaks the stage's order cannot
+// run the wrong operation; under simdebug every Push also checks that its
+// time is not before the previous one.
 type Stage[T any] struct {
 	q FIFO[staged[T]]
 	// Fn is the stage's event callback: it pops the head entry with Pop
@@ -107,11 +109,38 @@ func (s *Stage[T]) Push(at Time, v T) {
 //
 //rvmalint:hot
 func (s *Stage[T]) Pop(now Time) T {
-	e := s.q.Pop()
-	if e.at != now {
-		panic(fmt.Sprintf("sim: stage event at %v popped the entry due at %v", now, e.at))
+	if s.q.n > 0 && s.q.Front().at != now {
+		return s.popDue(now)
 	}
-	return e.v
+	return s.q.Pop().v
+}
+
+// popDue takes the first entry due now when the head is not: entries were
+// queued out of time order, which only a clock that ran back causes (a
+// shard lookahead too large for the fabric, which the lookahead canary
+// runs on purpose). Entries due at one time fire in the order they were
+// queued, so the first one due now is this event's. With none due now,
+// the event is not one of the stage's, and it panics.
+func (s *Stage[T]) popDue(now Time) T {
+	q := &s.q
+	size := len(q.buf)
+	for k := 0; k < int(q.n); k++ {
+		i := (int(q.head) + k) % size
+		if q.buf[i].at != now {
+			continue
+		}
+		e := q.buf[i]
+		// Close the gap: the k entries ahead of it move back one slot,
+		// and the head slot they leave is popped.
+		for ; k > 0; k-- {
+			j := (i - 1 + size) % size
+			q.buf[i] = q.buf[j]
+			i = j
+		}
+		q.Pop()
+		return e.v
+	}
+	panic(fmt.Sprintf("sim: stage event at %v found no entry due then; the head is due at %v", now, q.Front().at))
 }
 
 // Len returns the number of entries waiting for their event.
@@ -125,3 +154,92 @@ func (s *Stage[T]) Drop() {
 		s.q.buf, s.q.head = nil, 0
 	}
 }
+
+// Held reports whether the stage holds a queue array: entries, or the
+// capacity an idle stage keeps until Drop.
+func (s *Stage[T]) Held() bool { return s.q.buf != nil }
+
+// DelayStage is a Stage whose every entry waits out the same delay on one
+// engine handle: a host overhead or a poll hop that every component on the
+// engine pays alike. The clock never runs back and every entry waits the
+// same time, so entries fire in the order they were queued, whichever
+// component queued them, and one DelayStage with one bound callback serves
+// all the components of an engine. Each Add schedules the same event a
+// per-component stage or a closure would have: same time, priority 0, the
+// handle's label, the next seq.
+type DelayStage[T any] struct {
+	Stage[T]
+	eng   Tagged
+	delay Time
+}
+
+// Init binds the stage to eng with delay d; fn is its event callback,
+// which takes the head entry with Next and runs it.
+func (s *DelayStage[T]) Init(eng Tagged, d Time, fn func()) {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative stage delay %v", d))
+	}
+	s.eng, s.delay, s.Fn = eng, d, fn
+}
+
+// Delay returns the stage's delay.
+func (s *DelayStage[T]) Delay() Time { return s.delay }
+
+// Add queues v and schedules the stage's event one delay from now.
+//
+//rvmalint:hot
+func (s *DelayStage[T]) Add(v T) {
+	s.Push(s.eng.Now()+s.delay, v)
+	s.eng.Schedule(s.delay, s.Fn)
+}
+
+// Next takes the entry whose event fires now.
+//
+//rvmalint:hot
+func (s *DelayStage[T]) Next() T { return s.Pop(s.eng.Now()) }
+
+// SlabChunk is how many values a Slab carves from one allocation.
+const SlabChunk = 64
+
+// Slab carves zero values of one type from shared chunks: a component
+// that makes a record per event, packet, peer, handshake or operation
+// pays one allocation per chunk, not one per record. Records whose count
+// climbs to a run's peak in its first microseconds are taken in bulk
+// this way. It never takes a value back; a chunk is collected once none
+// of its values is referenced, so records that outlive a run should come
+// from a slab of records that do too. A slab belongs to one shard, like
+// the engine whose components use it.
+type Slab[T any] struct{ rest []T }
+
+// New returns a pointer to a zero T carved from the current chunk.
+//
+//rvmalint:hot
+func (s *Slab[T]) New() *T {
+	if len(s.rest) == 0 {
+		//rvmalint:allow hotalloc -- one allocation per SlabChunk records
+		s.rest = make([]T, SlabChunk)
+	}
+	v := &s.rest[0]
+	s.rest = s.rest[1:]
+	return v
+}
+
+// Make returns n zero Ts in one array whose capacity is n: carved from
+// the current chunk when n is small, an allocation of exactly n when not.
+func (s *Slab[T]) Make(n int) []T {
+	if n > SlabChunk/4 {
+		return make([]T, n)
+	}
+	if len(s.rest) < n {
+		s.rest = make([]T, SlabChunk)
+	}
+	v := s.rest[:n:n]
+	s.rest = s.rest[n:]
+	return v
+}
+
+// Drop lets the current chunk go; the next New or Make carves a new one.
+func (s *Slab[T]) Drop() { s.rest = nil }
+
+// Held reports whether the slab holds a chunk.
+func (s *Slab[T]) Held() bool { return s.rest != nil }

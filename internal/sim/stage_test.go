@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -83,5 +84,106 @@ func TestStageDrop(t *testing.T) {
 	s.Push(7, 2)
 	if got := s.Pop(7); got != 2 {
 		t.Fatalf("pop(7) after Drop = %d, want 2", got)
+	}
+}
+
+// TestStagePopsOutOfOrderEntries: entries queued out of time order, as a
+// clock that ran back queues them, each reach the event due at their
+// time, and entries due at one time come out in the order they were
+// queued, also with the ring wrapped. A simdebug build refuses the first
+// entry queued out of order instead.
+func TestStagePopsOutOfOrderEntries(t *testing.T) {
+	var s Stage[string]
+	if DebugEnabled {
+		s.Push(9, "a")
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "queued behind") {
+				t.Fatalf("an entry queued out of order under simdebug: recovered %q, want an ordering panic", msg)
+			}
+		}()
+		s.Push(7, "b")
+		return
+	}
+	s.Push(1, "w")
+	s.Push(2, "x")
+	s.Pop(1)
+	s.Pop(2) // the head is mid-ring from here on
+	for _, e := range []struct {
+		at Time
+		v  string
+	}{{9, "a"}, {7, "b"}, {7, "c"}, {5, "d"}, {9, "e"}} {
+		s.Push(e.at, e.v)
+	}
+	var got string
+	for _, at := range []Time{5, 7, 7, 9, 9} {
+		got += s.Pop(at)
+	}
+	if got != "dbcae" {
+		t.Fatalf("popped %q, want %q", got, "dbcae")
+	}
+	if s.Len() != 0 {
+		t.Fatalf("%d entries left", s.Len())
+	}
+}
+
+// TestDelayStageServesManyOwners: one DelayStage carries the entries of
+// several owners, each event at its entry's time plus the delay, in the
+// order they were queued, and every event carries the handle's label.
+func TestDelayStageServesManyOwners(t *testing.T) {
+	e := NewEngine(1)
+	eng := e.Tag("host")
+	var s DelayStage[int]
+	type ran struct {
+		at    Time
+		owner int
+	}
+	var got []ran
+	s.Init(eng, 3*Nanosecond, func() { got = append(got, ran{e.Now(), s.Next()}) })
+	for i := 0; i < 4; i++ {
+		owner := i
+		e.Schedule(Time(i/2)*Nanosecond, func() { s.Add(owner) })
+	}
+	e.Run()
+	want := []ran{{3 * Nanosecond, 0}, {3 * Nanosecond, 1}, {4 * Nanosecond, 2}, {4 * Nanosecond, 3}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("ran %v, want %v", got, want)
+	}
+	if s.Delay() != 3*Nanosecond || !s.Held() {
+		t.Fatalf("delay %v, held %v", s.Delay(), s.Held())
+	}
+	s.Drop()
+	if s.Held() {
+		t.Fatal("Drop of an idle stage kept its array")
+	}
+}
+
+// TestSlabCarvesAndDrops: New and small Makes come from one chunk, a
+// large Make is an allocation of its exact size, and Drop lets the chunk
+// go.
+func TestSlabCarvesAndDrops(t *testing.T) {
+	var s Slab[[4]int]
+	allocs := testing.AllocsPerRun(1, func() {
+		s.Drop()
+		for i := 0; i < SlabChunk/4; i++ {
+			s.New()
+		}
+		s.Make(SlabChunk / 4)
+		s.Make(2)
+	})
+	if allocs != 1 {
+		t.Fatalf("%v allocations for %d records, want 1 chunk", allocs, SlabChunk/4*2+2)
+	}
+	if big := s.Make(SlabChunk); len(big) != SlabChunk || cap(big) != SlabChunk {
+		t.Fatalf("a large Make has length %d and capacity %d, want %d", len(big), cap(big), SlabChunk)
+	}
+	if small := s.Make(3); cap(small) != 3 {
+		t.Fatalf("a carved Make has capacity %d, want 3", cap(small))
+	}
+	if !s.Held() {
+		t.Fatal("a slab that carved records holds no chunk")
+	}
+	s.Drop()
+	if s.Held() {
+		t.Fatal("Drop kept the chunk")
 	}
 }

@@ -76,11 +76,6 @@ func (t Time) String() string {
 //rvmalint:allow psunits -- sanctioned float->ps boundary: the rounding policy is explicit here
 func FromNanos(ns float64) Time { return Time(math.Round(ns * float64(Nanosecond))) }
 
-// FromMicros converts a floating-point microsecond count into a Time.
-//
-//rvmalint:allow psunits -- sanctioned float->ps boundary: the rounding policy is explicit here
-func FromMicros(us float64) Time { return Time(math.Round(us * float64(Microsecond))) }
-
 // Scale returns n*per, panicking on int64 overflow instead of silently
 // wrapping. Model code sizing a cost by an element or page count must use
 // this rather than a bare multiplication: at 8k-node scale a payload size
