@@ -122,11 +122,11 @@ func startupMallocs(t testing.TB, cfg ClusterConfig) float64 {
 // reaps) are one per shard. A rank is a slot in its motif's record array
 // and one bound step. So the objects a 1-message incast allocates per
 // node, start-up and message together, do not grow with the node count,
-// and stay under the pinned values: the measured 6.2 (RVMA) and 12.0
+// and stay under the pinned values: the measured 6.2 (RVMA) and 8.1
 // (RDMA) per node, plus two. What is left is the rank's bound step and
 // its packets, the first use of the stages that follow its NIC's own
-// send pipe and bus, and under RDMA the queue-pair rings and the
-// registration's timed event. A per-peer record, closure or slice at
+// send pipe and bus, and under RDMA the registration's timed event; the
+// queue pairs' first rings are carved from the shard's slabs too. A per-peer record, closure or slice at
 // start-up shows at the server as a step of one per node. Skipped under
 // -short, which builds a 4k-node cluster.
 func TestStartupAllocsPerNode(t *testing.T) {
@@ -141,7 +141,7 @@ func TestStartupAllocsPerNode(t *testing.T) {
 		max  float64
 	}{
 		{KindRVMA, 8.2},
-		{KindRDMA, 14.0},
+		{KindRDMA, 10.1},
 	} {
 		t.Run(tc.kind.String(), func(t *testing.T) {
 			small := startupMallocs(t, constructConfig(t, 1024, tc.kind, false))

@@ -7,6 +7,7 @@ import (
 
 	"rvma/internal/fabric"
 	"rvma/internal/recovery"
+	"rvma/internal/sim"
 	"rvma/internal/topology"
 )
 
@@ -161,6 +162,72 @@ func TestIncastUnderLossDeterministic(t *testing.T) {
 			}
 			if a != b {
 				t.Fatalf("nondeterministic lossy run:\n%s\n%s", a, b)
+			}
+		})
+	}
+}
+
+// TestWaitSentOutlivesSendsAbandonedAtTheNIC: an operation the recovery
+// layer gives up on while its first attempt still waits at the NIC
+// counts as sent once that attempt leaves, so WaitSent returns, and its
+// record goes back to its list only then. Every message is posted at
+// once, and with a 1 us timeout and no retries the later ones are
+// abandoned still queued behind the rest; the fabric loses nothing, so
+// every message still arrives.
+func TestWaitSentOutlivesSendsAbandonedAtTheNIC(t *testing.T) {
+	const messages = 64
+	for _, kind := range []TransportKind{KindRVMA, KindRDMA} {
+		t.Run(kind.String(), func(t *testing.T) {
+			cfg := DefaultClusterConfig(topology.NewSingleSwitch(8), kind)
+			cfg.RDMABuffers = messages // every message has its credit at once
+			rc := recovery.DefaultConfig()
+			rc.Timeout, rc.MaxRetries = sim.Microsecond, 0
+			cfg.Recovery = &rc
+			c, err := NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			size := fabric.DefaultConfig().MTU
+			var waited bool
+			sender := c.Transports[0]
+			c.TagFor(0).Schedule(0, func() {
+				send := func() {
+					for i := 0; i < messages; i++ {
+						sender.Send(1, size)
+					}
+					if sender.WaitSent(1, func() { waited = true }) {
+						waited = true
+					}
+				}
+				if sender.Prepare(nil, []int{1}, size, send) {
+					send()
+				}
+			})
+			var received int
+			receiver := c.Transports[1]
+			var recv func()
+			recv = func() {
+				for received < messages {
+					if !receiver.Recv(0, size, func() { received++; recv() }) {
+						return
+					}
+					received++
+				}
+			}
+			c.TagFor(1).Schedule(0, func() {
+				if receiver.Prepare([]int{0}, nil, size, recv) {
+					recv()
+				}
+			})
+			c.Run()
+			if s := c.RecoveryStats(); s.Exhausted == 0 {
+				t.Fatalf("no operation was abandoned (stats %+v)", s)
+			}
+			if !waited {
+				t.Fatal("WaitSent never returned")
+			}
+			if received != messages {
+				t.Fatalf("receiver got %d of %d messages", received, messages)
 			}
 		})
 	}

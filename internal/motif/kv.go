@@ -10,8 +10,9 @@
 // state (an RVMA mailbox or an RDMA buffer negotiation each), never
 // per-client state, so fan-in grows the client population without
 // growing any table. The proxy in turn keeps only aggregate state for
-// its clients — a shared version cache (one word per key) and a
-// presence bit per client — the way an edge cache collapses its
+// its clients — a shared version cache (one word per distinct key its
+// plan names) and a presence bit per client — the way an edge cache
+// collapses its
 // downstream population. CAS requests carry the proxy cache's expected
 // version; under hot-key skew many proxies race on the same keys with
 // mutually stale caches, so the CAS failure rate is the contention
@@ -31,6 +32,7 @@ package motif
 
 import (
 	"fmt"
+	"math/bits"
 
 	"rvma/internal/kv"
 	"rvma/internal/metrics"
@@ -146,6 +148,7 @@ type KVResult struct {
 // issue time (single-writer: only the owning proxy's rank touches it).
 type kvOp struct {
 	key    int
+	slot   int32 // the key's entry in its proxy's version cache
 	kind   kv.OpKind
 	server int
 	client int
@@ -219,7 +222,7 @@ type kvProxyStats struct {
 	casOK, casFail              uint64
 	payloadBytes                uint64
 	lat, getLat, putLat, casLat metrics.Histogram
-	clientSeen                  []bool
+	clientSeen                  []uint64 // a bit per client the proxy issued for
 }
 
 // RunKV executes the motif and returns the simulated makespan plus the
@@ -246,8 +249,13 @@ func RunKV(c *Cluster, cfg KVConfig) (sim.Time, *KVResult, error) {
 	// Materialize every proxy's full op sequence from its own substream.
 	// This is the determinism anchor: no RNG is consulted once the
 	// engine starts, so the workload is identical at any partitioning.
+	// Each distinct key of a plan gets a slot in its proxy's version
+	// cache, so a cache is as long as the plan's keys, not the keyspace.
+	// slotOf maps a key to its slot+1 in the plan at hand (0: none yet).
 	zipf := kv.NewZipf(cfg.Keys, cfg.Skew)
 	plans := make([][]kvOp, proxies)
+	slots := make([]int32, proxies)
+	slotOf := make([]int32, cfg.Keys)
 	for pi := 0; pi < proxies; pi++ {
 		rng := sim.NewRNG(sim.SeedFor(cfg.Seed, "kv-proxy", pi))
 		plan := make([]kvOp, cfg.OpsPerProxy)
@@ -260,8 +268,13 @@ func RunKV(c *Cluster, cfg KVConfig) (sim.Time, *KVResult, error) {
 			} else if mix < cfg.GetFrac+cfg.PutFrac {
 				kind = kv.OpPut
 			}
+			if slotOf[key] == 0 {
+				slots[pi]++
+				slotOf[key] = slots[pi]
+			}
 			plan[i] = kvOp{
 				key:    key,
+				slot:   slotOf[key] - 1,
 				kind:   kind,
 				server: kv.ServerFor(key, cfg.Servers),
 				client: rng.Intn(cpp),
@@ -269,6 +282,9 @@ func RunKV(c *Cluster, cfg KVConfig) (sim.Time, *KVResult, error) {
 			}
 		}
 		plans[pi] = plan
+		for i := range plan {
+			slotOf[plan[i].key] = 0
+		}
 	}
 
 	// Pair traffic counts, known to both sides up front — servers expect
@@ -313,8 +329,9 @@ func RunKV(c *Cluster, cfg KVConfig) (sim.Time, *KVResult, error) {
 		stores[s] = kv.NewStore(cfg.Keys, cfg.Servers, s)
 	}
 	prStats := make([]*kvProxyStats, proxies)
+	seenWords := (cpp + 63) / 64
 	for pi := range prStats {
-		prStats[pi] = &kvProxyStats{clientSeen: make([]bool, cpp)}
+		prStats[pi] = &kvProxyStats{clientSeen: make([]uint64, seenWords)}
 	}
 
 	job := &kvJob{cfg: cfg, reqQ: reqQ, respQ: respQ, fin: NewFinishLine(ranks), maxMsg: cfg.reqBytes()}
@@ -357,7 +374,7 @@ func RunKV(c *Cluster, cfg KVConfig) (sim.Time, *KVResult, error) {
 		px.tp, px.tag = c.Transports[px.rank], c.TagFor(px.rank)
 		px.plan, px.st = plans[pi], prStats[pi]
 		px.win.avail = cfg.Window
-		px.cache = make([]uint64, cfg.Keys) // shared across the proxy's clients
+		px.cache = make([]uint64, slots[pi]) // shared across the proxy's clients
 		// Per-server subsequences of the plan, in issue order: receiver
 		// i's pair stream is exactly these ops.
 		seq := make([][]int, cfg.Servers)
@@ -404,9 +421,7 @@ func RunKV(c *Cluster, cfg KVConfig) (sim.Time, *KVResult, error) {
 		res.PutLat.Merge(&st.putLat)
 		res.CASLat.Merge(&st.casLat)
 		for _, seen := range st.clientSeen {
-			if seen {
-				res.DistinctClients++
-			}
+			res.DistinctClients += bits.OnesCount64(seen)
 		}
 	}
 	for _, store := range stores {
@@ -551,7 +566,7 @@ type kvProxy struct {
 	plan      []kvOp
 	st        *kvProxyStats
 	win       kvWindow
-	cache     []uint64     // the version last seen of each key
+	cache     []uint64     // the version last seen of each key of the plan, by kvOp.slot
 	active    []int        // the servers the plan sends to, in server order
 	receivers []kvReceiver // one per active server
 	live      int          // this proxy's records still working
@@ -595,10 +610,10 @@ func (r *kvProxy) step() {
 			}
 			op := &r.plan[r.next]
 			r.st.issued++
-			r.st.clientSeen[op.client] = true
+			r.st.clientSeen[op.client/64] |= 1 << (op.client % 64)
 			req := kv.Request{Key: op.key, Kind: op.kind}
 			if op.kind == kv.OpCAS {
-				req.Expect = r.cache[op.key]
+				req.Expect = r.cache[op.slot]
 			}
 			job.reqQ[r.pi][op.server].push(req)
 			op.issued = r.tag.Now()
@@ -682,7 +697,7 @@ func (rc *kvReceiver) step() {
 			// Every reply carries the key's current version: the
 			// aggregate cache refresh that keeps CAS expectations only as
 			// stale as the last contact.
-			px.cache[op.key] = rep.Version
+			px.cache[op.slot] = rep.Version
 			px.win.release()
 		}
 	}

@@ -130,32 +130,43 @@ func TestRunLeavesNoFreePackets(t *testing.T) {
 	}
 }
 
-// The endpoints and transports on a shard share its constant-delay
-// stages and the slabs their records are carved from, and a finished run
-// drops them with the other pools: after Cluster.Run no stage holds an
-// array and no slab holds a chunk, on both transports and at one shard
-// and two, whose endpoints each write only their own shard's record. Run
-// it under -race.
+// The endpoints, transports and recovery managers on a shard share its
+// constant-delay stages and the slabs their records are carved from, and
+// a finished run drops them with the other pools: after Cluster.Run no
+// stage holds an array, no slab holds a chunk and no list an idle
+// record, on both transports and at one shard and two, whose endpoints
+// each write only their own shard's record. The lossy incast runs every
+// message under the recovery layer at 5% drop, so its attempts, send
+// records and shared deadline, retry and guard stages are in use. Run it
+// under -race.
 func TestRunDropsShardPools(t *testing.T) {
 	topo := smallTopo(t, 32)
+	incast := func(c *Cluster) error {
+		_, err := RunIncast(c, DefaultIncastConfig())
+		return err
+	}
 	for _, kind := range []TransportKind{KindRVMA, KindRDMA} {
 		for _, shards := range []int{1, 2} {
 			for _, run := range []struct {
-				name string
-				run  func(c *Cluster) error
+				name  string
+				run   func(c *Cluster) error
+				lossy bool // 5% drop with the recovery layer on
 			}{
 				{"sweep3d", func(c *Cluster) error {
 					_, err := RunSweep3D(c, DefaultSweep3DConfig(topo.NumNodes()))
 					return err
-				}},
-				{"incast", func(c *Cluster) error {
-					_, err := RunIncast(c, DefaultIncastConfig())
-					return err
-				}},
+				}, false},
+				{"incast", incast, false},
+				{"lossy incast", incast, true},
 			} {
 				t.Run(fmt.Sprintf("%s/%s/shards=%d", run.name, kind, shards), func(t *testing.T) {
 					cfg := DefaultClusterConfig(topo, kind)
 					cfg.Shards = shards
+					if run.lossy {
+						rc := recovery.DefaultConfig()
+						cfg.Recovery = &rc
+						cfg.Faults = &fabric.FaultPlan{DropRate: 0.05}
+					}
 					c, err := NewCluster(cfg)
 					if err != nil {
 						t.Fatal(err)
@@ -174,8 +185,25 @@ func TestRunDropsShardPools(t *testing.T) {
 						}
 					}
 					for rank, tp := range c.Transports {
-						if tp, ok := tp.(*rdmaTransport); ok && tp.sh.held() {
-							t.Fatalf("rank %d's shard slabs hold a chunk after the run", rank)
+						held := false
+						switch tp := tp.(type) {
+						case *rdmaTransport:
+							held = tp.sh.held()
+						case *rvmaTransport:
+							held = tp.sh.held()
+						}
+						if held {
+							t.Fatalf("rank %d's shard holds a slab chunk or an idle record after the run", rank)
+						}
+					}
+					for node := range c.recMgrs {
+						if held := c.recMgrs[node].HeldPools(); len(held) > 0 {
+							t.Fatalf("node %d's recovery manager holds %v after the run", node, held)
+						}
+					}
+					if run.lossy {
+						if st := c.RecoveryStats(); st.Retransmits == 0 || st.OpsCompleted != st.OpsStarted {
+							t.Fatalf("recovery stats %+v: want retransmits and every operation acked", st)
 						}
 					}
 				})

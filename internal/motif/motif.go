@@ -325,8 +325,10 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.Tags[i] = g.Shard(i).Tag("motif")
 	}
 	c.nics = perShard[nic.NIC](net, g.Shards(), n)
+	var recShards []recovery.Shard
 	if cfg.Recovery != nil {
 		c.recMgrs = perShard[recovery.Manager](net, g.Shards(), n)
+		recShards = make([]recovery.Shard, g.Shards())
 	}
 	var rvmaTPs []*rvmaTransport
 	var rdmaTPs []*rdmaTransport
@@ -343,8 +345,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		// One recovery manager per node: retry state is per-endpoint, stats
 		// aggregate via RecoveryStats. Backoff jitter must depend only on
 		// this node's retries, not on whatever else shares its engine.
+		// The managers on a shard share its deadline and retry stages.
 		if cfg.Recovery != nil {
-			c.recMgrs[node].Init(neng, *cfg.Recovery, sim.SeedFor(cfg.Seed, "recovery", node))
+			c.recMgrs[node].Init(&recShards[net.NodeShard(node)], neng, *cfg.Recovery, sim.SeedFor(cfg.Seed, "recovery", node))
 		}
 	}
 	// The endpoints and transports on a shard share its stages and slabs.
@@ -360,12 +363,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			rcfg.HistoryDepth = 2
 		}
 		rvma.InitEndpoints(c.rvmaEPs, c.nics, rcfg)
+		shards := make([]rvmaShard, g.Shards())
 		for node, ep := range c.rvmaEPs {
 			rec := c.recoveryFor(node)
 			if rec != nil {
 				ep.SetReassemblyHorizon(rec.ReclaimAfter())
 			}
-			rvmaTPs[node].init(ep, cfg.RVMADepth, rec, sim.SeedFor(cfg.Seed, "rank", node))
+			rvmaTPs[node].init(ep, &shards[net.NodeShard(node)], cfg.RVMADepth, rec, sim.SeedFor(cfg.Seed, "rank", node))
 			c.Transports[node] = rvmaTPs[node]
 		}
 	case KindRDMA:

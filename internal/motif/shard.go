@@ -27,11 +27,11 @@ func (c *Cluster) TagFor(rank int) sim.Tagged {
 // recycled packets, each shard engine's event and queue pools, each
 // endpoint's stage arrays, spare buffers and spare receives and its
 // shard's stage arrays and slab chunks, each transport's idle send
-// waits, receive waits and reliable-send records and the RDMA shards'
-// slab chunks, each node's spare pages and each recovery manager's free
-// records and stage arrays, so a finished cluster keeps nothing sized by
-// the run's peak in flight. Every motif and collective finishes through
-// it.
+// waits and receive waits and its shard's idle reliable-send records and
+// slab chunks, each node's spare pages and the stage arrays each
+// recovery manager shares with its shard, so a finished cluster keeps
+// nothing sized by the run's peak in flight. Every motif and collective
+// finishes through it.
 func (c *Cluster) Run() {
 	c.Group.Run()
 	c.Net.DropFreePackets()

@@ -36,73 +36,80 @@ type rdmaTransport struct {
 	sh *rdmaShard
 	// peers holds a record per node a Prepare named.
 	peers sim.Table[rdmaPeer]
-	// rel, when its manager is set, puts the handshake, every data put,
-	// the fence send and every credit return under the recovery layer's
+	// rec, when set, puts the handshake, every data put, the fence send
+	// and every credit return under the recovery layer's
 	// timeout/retransmit policy, riding the protocol's own opPutAck path.
-	rel rdmaReliable
+	rec *recovery.Manager
 	// waits lists the receive waits no Recv is using.
 	waits *recvWait
 }
 
 // rdmaShard is what the RDMA transports of one shard share: the slabs
-// their peer records, send states, buffer handles and Prepare records are
-// carved from, a chunk at a time, not per rank. Cluster.Run drops them
-// with the other pools.
+// their peer records, send states, buffer handles, Prepare records,
+// handshakes and reliable-send records are carved from, a chunk at a
+// time, not per rank, and the reliable-send records no operation is
+// using. Cluster.Run drops them with the other pools.
 type rdmaShard struct {
-	peers sim.Slab[rdmaPeer]
-	refs  sim.Slab[sim.TableEntry[rdmaPeer]]
-	sends sim.Slab[sendState]
-	bufs  sim.Slab[rdma.RemoteBuffer]
-	preps sim.Slab[prepare]
+	peers      sim.Slab[rdmaPeer]
+	refs       sim.Slab[sim.TableEntry[rdmaPeer]]
+	sends      sim.Slab[sendState]
+	bufs       sim.Slab[rdma.RemoteBuffer]
+	preps      sim.Slab[prepare]
+	handshakes sim.Slab[handshake]
+	rsends     sim.Slab[rdmaSend]
+	idle       *rdmaSend
 }
 
-// drop lets the slabs' chunks go.
+// drop lets the slabs' chunks and the idle records go.
 func (sh *rdmaShard) drop() {
 	sh.peers.Drop()
 	sh.refs.Drop()
 	sh.sends.Drop()
 	sh.bufs.Drop()
 	sh.preps.Drop()
+	sh.handshakes.Drop()
+	sh.rsends.Drop()
+	sh.idle = nil
 }
 
-// held reports whether any of the slabs holds a chunk.
+// held reports whether any of the slabs holds a chunk, or the list an
+// idle record.
 func (sh *rdmaShard) held() bool {
-	return sh.peers.Held() || sh.refs.Held() || sh.sends.Held() || sh.bufs.Held() || sh.preps.Held()
-}
-
-// rdmaReliable is a transport's recovery state: its node's manager, nil
-// without recovery, and the reliable-send records no operation is using.
-type rdmaReliable struct {
-	rec  *recovery.Manager
-	idle *rdmaSend
+	return sh.peers.Held() || sh.refs.Held() || sh.sends.Held() || sh.bufs.Held() || sh.preps.Held() ||
+		sh.handshakes.Held() || sh.rsends.Held() || sh.idle != nil
 }
 
 // rdmaSend is one put, fence send or credit send under the recovery
 // layer: the recovery.Sender whose attempts are the reliable operation's.
-// It is pooled per transport and goes back to the pool once the
-// operation is acked or abandoned, after which the manager calls nothing
-// on it.
+// It embeds the operation's handle and the manager's record, so the
+// endpoint's report of the operation reaches both through the handle's
+// Owner, and one record is all an operation costs. It goes back to its
+// shard's list once the manager releases it (the operation was acked or
+// abandoned and no deadline or retry names it) and the operation's first
+// attempt has left the NIC, whichever comes last: an operation abandoned
+// while still queued at the NIC has its local completion yet to report.
 type rdmaSend struct {
-	t     *rdmaTransport
-	rp    *rdma.Reliable
-	rb    rdma.RemoteBuffer // a put's target buffer; a send's rb.Node is its destination
-	size  int32             // a put's bytes
-	qp    int32             // a send's queue pair
-	put   bool
-	done  func() // s.acked
-	local func() // s.sent, run at a put's first-attempt local completion
-	next  *rdmaSend
+	rp       rdma.Reliable
+	rec      recovery.Op
+	t        *rdmaTransport
+	rb       rdma.RemoteBuffer // a put's target buffer; a send's rb.Node is its destination
+	size     int32             // a put's bytes
+	qp       int32             // a send's queue pair
+	put      bool
+	released bool // the manager released the record before the operation was sent
+	next     *rdmaSend
 }
 
 // handshake is one Figure 1 buffer negotiation under the recovery layer.
 // Every attempt is a fresh request, and the first reply from any of them
-// hands st its RemoteBuffer; acked, which each attempt hands the manager,
-// completes with it unless the manager already gave up.
+// hands st its RemoteBuffer and, unless the manager already gave up,
+// acks the operation. It is carved from the shard's slab and never
+// reused: a late reply may still name it.
 type handshake struct {
+	rec       recovery.Op
 	t         *rdmaTransport
 	st        *sendState
 	size      int
-	acked     sim.Future
 	replied   bool
 	abandoned bool
 }
@@ -191,8 +198,11 @@ type prepare struct {
 // transport. sh is its shard's record, rec the node's recovery manager,
 // nil without recovery.
 func (t *rdmaTransport) init(ep *rdma.Endpoint, sh *rdmaShard, ranks int, ordered bool, nbufs int, rec *recovery.Manager) {
-	t.ep, t.sh, t.ranks, t.ordered, t.nbufs, t.rel.rec = ep, sh, ranks, ordered, nbufs, rec
+	t.ep, t.sh, t.ranks, t.ordered, t.nbufs, t.rec = ep, sh, ranks, ordered, nbufs, rec
 	ep.SetSentHandler(t)
+	if rec != nil {
+		ep.SetReliableHandler(t)
+	}
 }
 
 // Rank implements Transport.
@@ -297,18 +307,17 @@ func (pr *prepare) finish() {
 // first leaks — the stale-registration garbage a real system would clean
 // up out of band, harmless here.
 func (t *rdmaTransport) handshake(st *sendState, size int) {
-	if t.rel.rec == nil {
+	if t.rec == nil {
 		t.ep.NegotiateBuffer(int(st.dst), size, st)
 		return
 	}
-	t.rel.rec.Run(&handshake{t: t, st: st, size: size})
+	h := t.sh.handshakes.New()
+	h.t, h.st, h.size = t, st, size
+	t.rec.Run(&h.rec, h)
 }
 
 // Attempt implements recovery.Sender: every attempt is a fresh request.
-func (h *handshake) Attempt(int) recovery.Attempt {
-	h.t.ep.NegotiateBuffer(int(h.st.dst), h.size, h)
-	return recovery.Attempt{Acked: &h.acked}
-}
+func (h *handshake) Attempt(int) { h.t.ep.NegotiateBuffer(int(h.st.dst), h.size, h) }
 
 // BufferReady implements rdma.BufferHandler: the first reply's buffer
 // goes to the send state; a later one, the reply to a request whose
@@ -320,13 +329,16 @@ func (h *handshake) BufferReady(rb rdma.RemoteBuffer) {
 	h.replied = true
 	h.st.BufferReady(rb)
 	if !h.abandoned {
-		h.acked.Complete(h.t.ep.Engine(), nil)
+		h.rec.Acked()
 	}
 }
 
 // Abandon implements recovery.Sender. A reply that still arrives hands
-// over its buffer, but does not complete the manager's acked.
+// over its buffer, but does not ack the manager's operation.
 func (h *handshake) Abandon() { h.abandoned = true }
+
+// Release implements recovery.Sender: a handshake is never reused.
+func (h *handshake) Release() {}
 
 // Send implements Transport: the message goes to the wire when a
 // negotiated buffer credit is available; otherwise it queues until one
@@ -413,7 +425,7 @@ func (t *rdmaTransport) issue(st *sendState, size int) {
 	rb := st.bufs[st.rr]
 	st.rr = (st.rr + 1) % int32(len(st.bufs))
 
-	if t.rel.rec != nil {
+	if t.rec != nil {
 		t.sendReliable(st, rb, size)
 	} else {
 		scheme := rdma.CompleteSendRecv
@@ -448,7 +460,7 @@ func (st *sendState) Received(int) {
 func (t *rdmaTransport) sendReliable(st *sendState, rb rdma.RemoteBuffer, size int) {
 	s := t.newSend()
 	s.rb, s.size, s.put = rb, int32(size), true
-	t.rel.rec.Run(s)
+	t.rec.Run(&s.rec, s)
 	if !t.ordered {
 		t.reliableSend(int(st.dst), rdma.FenceQP)
 	}
@@ -461,22 +473,25 @@ func (t *rdmaTransport) sendReliable(st *sendState, rb rdma.RemoteBuffer, size i
 func (t *rdmaTransport) reliableSend(dst, qp int) {
 	s := t.newSend()
 	s.rb.Node, s.qp = dst, int32(qp)
-	t.rel.rec.Run(s)
+	t.rec.Run(&s.rec, s)
 }
 
-// newSend takes a record from the transport's pool.
+// newSend takes a record from the shard's list.
 //
 //rvmalint:hot
 func (t *rdmaTransport) newSend() *rdmaSend {
-	rel := &t.rel
-	s := rel.idle
+	sh := t.sh
+	s := sh.idle
 	if s != nil {
-		rel.idle, s.next = s.next, nil
-		return s
+		sh.idle, s.next = s.next, nil
+	} else {
+		// A miss: records return once released, so the list grows to
+		// the shard's peak of reliable operations in flight and then
+		// stays.
+		s = sh.rsends.New()
 	}
-	//rvmalint:allow hotalloc -- pool miss: records return at their operation's ack or abandonment, so the pool grows to the peak of reliable operations in flight and then stays
-	s = &rdmaSend{t: t}
-	s.done, s.local = s.acked, s.sent
+	s.t = t
+	s.rp.Owner = s
 	return s
 }
 
@@ -484,44 +499,67 @@ func (t *rdmaTransport) newSend() *rdmaSend {
 // send, later ones retransmit it.
 //
 //rvmalint:hot
-func (s *rdmaSend) Attempt(try int) recovery.Attempt {
+func (s *rdmaSend) Attempt(try int) {
 	ep := s.t.ep
-	var at *rdma.Attempt
 	switch {
 	case try > 0:
-		at = ep.Retransmit(s.rp)
+		ep.Retransmit(&s.rp)
 	case s.put:
-		s.rp, at = ep.PutNReliable(s.rb, 0, int(s.size))
-		at.Local.OnComplete(s.local)
+		ep.PutNReliable(&s.rp, s.rb, 0, int(s.size))
 	default:
-		s.rp, at = ep.SendReliable(s.rb.Node, int(s.qp), 1)
+		ep.SendReliable(&s.rp, s.rb.Node, int(s.qp), 1)
 	}
-	at.Acked.OnComplete(s.done)
-	return recovery.Attempt{Acked: at.Acked}
 }
 
 // Abandon implements recovery.Sender.
-func (s *rdmaSend) Abandon() {
-	s.t.ep.AbandonReliable(s.rp)
+//
+//rvmalint:hot
+func (s *rdmaSend) Abandon() { s.t.ep.AbandonReliable(&s.rp) }
+
+// Release implements recovery.Sender: the record goes back to its
+// shard's list, or once the operation was sent if it was not yet.
+//
+//rvmalint:hot
+func (s *rdmaSend) Release() {
+	if !s.rp.Sent() {
+		s.released = true
+		return
+	}
 	s.free()
 }
 
-// acked runs at the operation's ack: the manager is done with the record.
+// free puts the record back on its shard's list.
 //
 //rvmalint:hot
-func (s *rdmaSend) acked() { s.free() }
-
-// sent runs at a put's first-attempt local completion, which comes before
-// its ack and any abandonment, so the record is still this message's.
-//
-//rvmalint:hot
-func (s *rdmaSend) sent() { s.t.Sent(s.rb.Node) }
-
 func (s *rdmaSend) free() {
-	rel := &s.t.rel
-	*s = rdmaSend{t: s.t, done: s.done, local: s.local, next: rel.idle}
-	rel.idle = s
+	sh := s.t.sh
+	*s = rdmaSend{rec: s.rec, next: sh.idle}
+	sh.idle = s
 }
+
+// ReliableSent implements rdma.ReliableHandler, registered once per
+// transport under recovery: a put's first attempt has completed locally,
+// which counts as the message's local completion, acked, abandoned or
+// not; a send's is nobody's to wait for. A record the manager released
+// already goes back to its list now.
+//
+//rvmalint:hot
+func (t *rdmaTransport) ReliableSent(op *rdma.Reliable) {
+	s := op.Owner.(*rdmaSend)
+	put, dst := s.put, s.rb.Node
+	if s.released {
+		s.free()
+	}
+	if put {
+		t.Sent(dst)
+	}
+}
+
+// ReliableAcked implements rdma.ReliableHandler: the operation's ack
+// completes the manager's operation.
+//
+//rvmalint:hot
+func (t *rdmaTransport) ReliableAcked(op *rdma.Reliable) { op.Owner.(*rdmaSend).rec.Acked() }
 
 // Recv implements Transport: observe the next message from src per the
 // kind's completion scheme; the buffer credit goes back as the receive
@@ -566,11 +604,10 @@ func (t *rdmaTransport) Recv(src, size int, k func()) bool {
 	return false
 }
 
-// dropPools releases the idle receive waits and reliable-send records,
-// and the chunks of the shard's slabs.
+// dropPools releases the idle receive waits, and the shard's slab chunks
+// and idle reliable-send records.
 func (t *rdmaTransport) dropPools() {
 	t.waits = nil
-	t.rel.idle = nil
 	t.sh.drop()
 }
 
@@ -581,7 +618,7 @@ func (t *rdmaTransport) dropPools() {
 //
 //rvmalint:hot
 func (p *rdmaPeer) creditReturn() {
-	if t := p.t; t.rel.rec != nil {
+	if t := p.t; t.rec != nil {
 		t.reliableSend(int(p.node), creditQP)
 	} else {
 		t.ep.Send(int(p.node), creditQP, 1)

@@ -33,10 +33,13 @@ type rvmaTransport struct {
 	putsSent uint32
 	// boxes is made by the first Prepare that names an in-neighbor.
 	boxes map[int]*mailbox
-	// rel, when its manager is set, puts every Send under the recovery
-	// layer's timeout/retransmit policy (acked puts instead of
-	// fire-and-forget) and arms receiver-side window guards on Recv.
-	rel rvmaReliable
+	// rec, when set, puts every Send under the recovery layer's
+	// timeout/retransmit policy (acked puts instead of fire-and-forget)
+	// and arms receiver-side window guards on Recv.
+	rec *recovery.Manager
+	// sh holds the reliable-send records the transport shares with the
+	// others on its shard.
+	sh *rvmaShard
 	// rng supplies NACK-retry backoff from a rank-private stream, so the
 	// backoff sequence depends only on this rank's own NACKs and survives
 	// resharding.
@@ -46,25 +49,40 @@ type rvmaTransport struct {
 	puts, lastMsg uint32
 }
 
-// rvmaReliable is a transport's recovery state: its node's manager, nil
-// without recovery, and the reliable-send records no operation is using.
-type rvmaReliable struct {
-	rec  *recovery.Manager
-	idle *rvmaSend
+// rvmaShard is what the RVMA transports of one shard share: the
+// reliable-send records no message is using, and the slab the list is
+// refilled from, a chunk at a time. Cluster.Run drops them with the other
+// pools.
+type rvmaShard struct {
+	sends sim.Slab[rvmaSend]
+	idle  *rvmaSend
 }
 
+// drop lets the idle records and the slab's chunk go.
+func (sh *rvmaShard) drop() {
+	sh.sends.Drop()
+	sh.idle = nil
+}
+
+// held reports whether the slab holds a chunk or the list an idle record.
+func (sh *rvmaShard) held() bool { return sh.sends.Held() || sh.idle != nil }
+
 // rvmaSend is one message under the recovery layer: the recovery.Sender
-// whose attempts are the reliable put's. It is pooled per transport and
-// goes back to the pool once the put is acked or abandoned, after which
-// the manager calls nothing on it.
+// whose attempts are the reliable put's. It embeds the put's handle and
+// the manager's record, so the endpoint's report of the put reaches both
+// through the handle's Owner, and one record is all a message costs. It
+// goes back to its shard's list once the manager releases it (the put was
+// acked or abandoned and no deadline or retry names it) and the put's
+// first attempt has left the NIC, whichever comes last: a put abandoned
+// while still queued at the NIC has its local completion yet to report.
 type rvmaSend struct {
-	t     *rvmaTransport
-	rp    *rvma.ReliablePut
-	dst   int32
-	size  int32
-	done  func() // s.acked
-	local func() // s.sent, run at the first attempt's local completion
-	next  *rvmaSend
+	rp       rvma.ReliablePut
+	rec      recovery.Op
+	t        *rvmaTransport
+	dst      int32
+	size     int32
+	released bool // the manager released the record before the put was sent
+	next     *rvmaSend
 }
 
 // sentWait is a WaitSent that finds a message not yet sent: the caller's
@@ -92,12 +110,15 @@ type mailbox struct {
 }
 
 // init makes t, a zero transport in its shard's array, rank ep.Node()'s
-// transport. rec is the node's recovery manager, nil without recovery,
-// and seed seeds the NACK-retry backoff stream.
-func (t *rvmaTransport) init(ep *rvma.Endpoint, depth int, rec *recovery.Manager, seed uint64) {
-	t.ep, t.depth, t.rel.rec = ep, int32(depth), rec
+// transport. sh is its shard's record, rec the node's recovery manager,
+// nil without recovery, and seed seeds the NACK-retry backoff stream.
+func (t *rvmaTransport) init(ep *rvma.Endpoint, sh *rvmaShard, depth int, rec *recovery.Manager, seed uint64) {
+	t.ep, t.sh, t.depth, t.rec = ep, sh, int32(depth), rec
 	t.rng.Seed(seed)
 	ep.SetNackHandler(t)
+	if rec != nil {
+		ep.SetReliableHandler(t)
+	}
 }
 
 // Rank implements Transport.
@@ -145,8 +166,8 @@ func (t *rvmaTransport) openMailboxes(srcs []int, maxMsg int) {
 		panic(fmt.Sprintf("motif: rank %d windows: %v", t.Rank(), err))
 	}
 	var guards []recovery.WindowGuard
-	if t.rel.rec != nil {
-		guards = t.rel.rec.GuardWindows(wins)
+	if t.rec != nil {
+		guards = t.rec.GuardWindows(wins)
 	}
 	for i := range boxes {
 		box := &boxes[i]
@@ -205,7 +226,7 @@ func (t *rvmaTransport) postOne(box *mailbox) {
 func (t *rvmaTransport) Send(dst, size int) {
 	t.puts++
 	t.lastMsg = t.puts
-	if t.rel.rec != nil {
+	if t.rec != nil {
 		t.sendReliable(dst, size)
 		return
 	}
@@ -244,56 +265,86 @@ func (t *rvmaTransport) Sent(int) {
 //
 //rvmalint:hot
 func (t *rvmaTransport) sendReliable(dst, size int) {
-	rel := &t.rel
-	s := rel.idle
+	sh := t.sh
+	s := sh.idle
 	if s != nil {
-		rel.idle, s.next = s.next, nil
+		sh.idle, s.next = s.next, nil
 	} else {
-		//rvmalint:allow hotalloc -- pool miss: records return at their put's ack or abandonment, so the pool grows to the peak of reliable puts in flight and then stays
-		s = &rvmaSend{t: t}
-		s.done, s.local = s.acked, s.sent
+		// A miss: records return once released, so the list grows to
+		// the shard's peak of reliable puts in flight and then stays.
+		s = sh.sends.New()
 	}
-	s.dst, s.size = int32(dst), int32(size)
-	rel.rec.Run(s)
+	s.t, s.dst, s.size = t, int32(dst), int32(size)
+	s.rp.Owner = s
+	t.rec.Run(&s.rec, s)
 }
 
 // Attempt implements recovery.Sender: the first attempt puts the message,
 // later ones retransmit it.
 //
 //rvmalint:hot
-func (s *rvmaSend) Attempt(try int) recovery.Attempt {
-	var at *rvma.PutAttempt
+func (s *rvmaSend) Attempt(try int) {
 	if try == 0 {
-		s.rp, at = s.t.ep.PutNAcked(int(s.dst), rvma.VAddr(s.t.Rank()), 0, int(s.size))
-		at.Local.OnComplete(s.local)
-	} else {
-		at = s.t.ep.Retransmit(s.rp)
+		s.t.ep.PutNAcked(&s.rp, int(s.dst), rvma.VAddr(s.t.Rank()), 0, int(s.size))
+		return
 	}
-	at.Acked.OnComplete(s.done)
-	return recovery.Attempt{Acked: at.Acked, Nack: at.Nack}
+	s.t.ep.Retransmit(&s.rp)
 }
 
 // Abandon implements recovery.Sender.
-func (s *rvmaSend) Abandon() {
-	s.t.ep.AbandonPut(s.rp)
+//
+//rvmalint:hot
+func (s *rvmaSend) Abandon() { s.t.ep.AbandonPut(&s.rp) }
+
+// Release implements recovery.Sender: the record goes back to its
+// shard's list, or once the put was sent if it was not yet.
+//
+//rvmalint:hot
+func (s *rvmaSend) Release() {
+	if !s.rp.Sent() {
+		s.released = true
+		return
+	}
 	s.free()
 }
 
-// acked runs at the put's ack: the manager is done with the record.
+// free puts the record back on its shard's list.
 //
 //rvmalint:hot
-func (s *rvmaSend) acked() { s.free() }
-
-// sent runs at the first attempt's local completion, which comes before
-// its ack and any abandonment, so the record is still this message's.
-//
-//rvmalint:hot
-func (s *rvmaSend) sent() { s.t.Sent(int(s.dst)) }
-
 func (s *rvmaSend) free() {
-	rel := &s.t.rel
-	s.rp = nil
-	s.next, rel.idle = rel.idle, s
+	sh := s.t.sh
+	*s = rvmaSend{rec: s.rec, next: sh.idle}
+	sh.idle = s
+}
+
+// ReliableSent implements rvma.ReliableHandler, registered once per
+// transport under recovery: a message's first attempt has completed
+// locally, which counts as the message's local completion, acked,
+// abandoned or not. A record the manager released already goes back to
+// its list now.
+//
+//rvmalint:hot
+func (t *rvmaTransport) ReliableSent(rp *rvma.ReliablePut) {
+	s := rp.Owner.(*rvmaSend)
+	dst := int(s.dst)
+	if s.released {
+		s.free()
+	}
+	t.Sent(dst)
+}
+
+// ReliableAcked implements rvma.ReliableHandler: the put's ack completes
+// the manager's operation.
+//
+//rvmalint:hot
+func (t *rvmaTransport) ReliableAcked(rp *rvma.ReliablePut) { rp.Owner.(*rvmaSend).rec.Acked() }
+
+// ReliableNacked implements rvma.ReliableHandler: the current attempt's
+// NACK cuts it short.
+//
+//rvmalint:hot
+func (t *rvmaTransport) ReliableNacked(rp *rvma.ReliablePut, _ error) {
+	rp.Owner.(*rvmaSend).rec.Nacked()
 }
 
 // Nacked implements rvma.NackHandler, registered once per transport: a
@@ -339,10 +390,10 @@ func (t *rvmaTransport) Recv(src, size int, k func()) bool {
 }
 
 // dropPools releases the send-wait queue's ring, once nothing waits in
-// it, and the idle reliable-send records.
+// it, and the shard's idle reliable-send records.
 func (t *rvmaTransport) dropPools() {
 	if t.sending.Len() == 0 {
 		t.sending = sim.FIFO[sentWait]{}
 	}
-	t.rel.idle = nil
+	t.sh.drop()
 }

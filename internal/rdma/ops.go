@@ -421,7 +421,7 @@ func (ep *Endpoint) recvOp() *RecvOp {
 func (ep *Endpoint) postRecv(src, qp int, op *RecvOp) {
 	p := ep.peer(src)
 	q := p.qp(qp)
-	q.recvs.Push(op)
+	q.recvs.PushIn(&ep.sh.recvRings, op)
 	ep.matchSends(src, p, q)
 }
 

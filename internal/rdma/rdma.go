@@ -155,8 +155,10 @@ type Endpoint struct {
 	dmas  sim.Stage[completion] // a CQ entry or polled byte landing over the bus
 
 	// onSent, when set, observes every PutN's local completion
-	// (SetSentHandler).
-	onSent SentHandler
+	// (SetSentHandler); onReliable every reliable operation's first
+	// local completion and ack (SetReliableHandler).
+	onSent     SentHandler
+	onReliable ReliableHandler
 
 	tracer *trace.Tracer
 	reg    *metrics.Registry
@@ -405,8 +407,8 @@ type command struct {
 	rkey     uint32
 	msgID    uint64
 
-	// ref is the initiator's operation (*RegOp, *PutOp, *SendOp or
-	// *Reliable). The target copies it into the handshake reply it sends
+	// ref is the initiator's operation (*RegOp, *PutOp, *SendOp, or a
+	// reliable operation's attempt). The target copies it into the handshake reply it sends
 	// back, or sends it back as the payload of a transport ACK, so the
 	// initiator reaches the operation without keeping a table of
 	// everything it has issued. A target dereferences it only to count

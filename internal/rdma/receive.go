@@ -17,7 +17,7 @@ func (ep *Endpoint) handlePacket(pkt *fabric.Packet) {
 	switch p := pkt.Payload.(type) {
 	case *command:
 		cmd = p
-	case *PutOp, *Reliable:
+	case *PutOp, *attempt:
 		ep.handlePutAck(pkt.Src, p)
 		return
 	default:
@@ -108,10 +108,11 @@ func (ep *Endpoint) sendAck(dst int, cmd *command) {
 }
 
 // handlePutAck resolves the operation a transport ACK names: the fence of
-// a conservative CompleteSendRecv put, or the current attempt of a
-// reliable operation. A duplicate ack or a straggler after
-// AbandonReliable finds the reliable operation no longer live and
-// resolves nothing.
+// a conservative CompleteSendRecv put, or the reliable operation of the
+// attempt whose packet drew it, which goes to the endpoint's handler. A
+// duplicate ack, a straggler after AbandonReliable, or an ack of an
+// operation whose record was reused finds the reliable operation no
+// longer live and resolves nothing.
 //
 //rvmalint:hot
 func (ep *Endpoint) handlePutAck(src int, ref any) {
@@ -123,9 +124,12 @@ func (ep *Endpoint) handlePutAck(src int, ref any) {
 		if ep.nic.SameShard(src) {
 			op.unref()
 		}
-	case *Reliable:
-		if at := op.live(); at != nil {
-			at.Acked.Complete(ep.eng.Engine, nil)
+	case *attempt:
+		if r := op.live(); r != nil {
+			r.current = nil
+			if ep.onReliable != nil {
+				ep.onReliable.ReliableAcked(r)
+			}
 		}
 	}
 }
@@ -279,7 +283,7 @@ func (ep *Endpoint) handleSend(pkt *fabric.Packet, cmd *command) {
 func (ep *Endpoint) enqueueSend(src, qp int, fence uint64, size int) {
 	p := ep.peer(src)
 	q := p.qp(qp)
-	q.sends.Push(pendingSend{fenceBytes: fence, size: size, enq: ep.eng.Now()})
+	q.sends.PushIn(&ep.sh.sendRings, pendingSend{fenceBytes: fence, size: size, enq: ep.eng.Now()})
 	ep.matchSends(src, p, q)
 }
 

@@ -7,22 +7,43 @@ import (
 )
 
 // reliableKinds starts one reliable operation of each kind from src to
-// node 1: an acked put into rb, and an acked fence-QP send (dst posts the
-// receive it consumes).
+// node 1 on op: an acked put into rb, and an acked fence-QP send (dst
+// posts the receive it consumes).
 func reliableKinds(t *testing.T, eng *sim.Engine, src, dst *Endpoint) []struct {
 	name  string
-	start func() (*Reliable, *Attempt)
+	start func(op *Reliable)
 } {
 	rb := handshake(t, eng, src, 1, 4096)
 	return []struct {
 		name  string
-		start func() (*Reliable, *Attempt)
+		start func(op *Reliable)
 	}{
-		{"put", func() (*Reliable, *Attempt) { return src.PutNReliable(rb, 0, 4096) }},
-		{"send", func() (*Reliable, *Attempt) {
+		{"put", func(op *Reliable) { src.PutNReliable(op, rb, 0, 4096) }},
+		{"send", func(op *Reliable) {
 			dst.PostRecv(0, FenceQP)
-			return src.SendReliable(1, FenceQP, 4096)
+			src.SendReliable(op, 1, FenceQP, 4096)
 		}},
+	}
+}
+
+// ackLog is a ReliableHandler that counts what the endpoint reports of
+// each reliable operation; onAck, when set, runs at each ack reported.
+type ackLog struct {
+	sent, acked map[*Reliable]int
+	onAck       func(op *Reliable)
+}
+
+func newAckLog(ep *Endpoint) *ackLog {
+	l := &ackLog{sent: map[*Reliable]int{}, acked: map[*Reliable]int{}}
+	ep.SetReliableHandler(l)
+	return l
+}
+
+func (l *ackLog) ReliableSent(op *Reliable) { l.sent[op]++ }
+func (l *ackLog) ReliableAcked(op *Reliable) {
+	l.acked[op]++
+	if l.onAck != nil {
+		l.onAck(op)
 	}
 }
 
@@ -34,24 +55,25 @@ func retransmitPanics(ep *Endpoint, op *Reliable) (panicked bool) {
 	return false
 }
 
-// An ack names the operation, not the attempt: when a retransmit went out
-// before the first attempt's ack returned, that ack resolves the current
-// (second) attempt, and the re-ack the duplicates draw resolves nothing.
+// An ack names the operation's attempt, and resolves the operation: when
+// a retransmit went out before the first attempt's ack returned, that ack
+// resolves the operation, whose current attempt is the second, and the
+// re-ack the duplicates draw resolves nothing.
 func TestReliableAckResolvesCurrentAttempt(t *testing.T) {
 	eng, src, dst := defaultPair(t)
+	log := newAckLog(src)
 	for _, k := range reliableKinds(t, eng, src, dst) {
 		t.Run(k.name, func(t *testing.T) {
 			acks := dst.Stats.AcksSent
-			var first, second *Attempt
+			op := new(Reliable)
 			eng.Schedule(0, func() {
-				var op *Reliable
-				op, first = k.start()
-				second = src.Retransmit(op)
+				k.start(op)
+				src.Retransmit(op)
 			})
 			eng.Run()
-			if first.Acked.Done() || !second.Acked.Done() {
-				t.Fatalf("first acked %v, second acked %v; want only the current (second) attempt acked",
-					first.Acked.Done(), second.Acked.Done())
+			if log.acked[op] != 1 || log.sent[op] != 1 || op.current != nil {
+				t.Fatalf("operation reported acked %d times and sent %d times, live %v; want acked and sent once",
+					log.acked[op], log.sent[op], op.current != nil)
 			}
 			if got := dst.Stats.AcksSent - acks; got < 2 {
 				t.Fatalf("target sent %d acks, want the completion ack plus a duplicate re-ack", got)
@@ -65,20 +87,20 @@ func TestReliableAckResolvesCurrentAttempt(t *testing.T) {
 // retransmitted.
 func TestReliableStragglerAckAfterAbandon(t *testing.T) {
 	eng, src, dst := defaultPair(t)
+	log := newAckLog(src)
 	for _, k := range reliableKinds(t, eng, src, dst) {
 		t.Run(k.name, func(t *testing.T) {
 			acks := dst.Stats.AcksSent
-			var op *Reliable
-			var at *Attempt
+			op := new(Reliable)
 			eng.Schedule(0, func() {
-				op, at = k.start()
+				k.start(op)
 				src.AbandonReliable(op) // give up before the ack returns
 			})
 			eng.Run()
 			if dst.Stats.AcksSent-acks != 1 {
 				t.Fatalf("target sent %d acks, want 1", dst.Stats.AcksSent-acks)
 			}
-			if at.Acked.Done() {
+			if log.acked[op] != 0 {
 				t.Fatal("the straggler ack resolved an abandoned operation")
 			}
 			if !retransmitPanics(src, op) {
@@ -91,19 +113,82 @@ func TestReliableStragglerAckAfterAbandon(t *testing.T) {
 // Once acked, an operation is done: retransmitting it panics.
 func TestReliableRetransmitAfterAckPanics(t *testing.T) {
 	eng, src, dst := defaultPair(t)
+	log := newAckLog(src)
 	for _, k := range reliableKinds(t, eng, src, dst) {
 		t.Run(k.name, func(t *testing.T) {
-			var op *Reliable
-			var at *Attempt
-			eng.Schedule(0, func() { op, at = k.start() })
+			op := new(Reliable)
+			eng.Schedule(0, func() { k.start(op) })
 			eng.Run()
-			if !at.Acked.Done() {
+			if log.acked[op] != 1 {
 				t.Fatal("ack never arrived")
 			}
 			if !retransmitPanics(src, op) {
 				t.Fatal("Retransmit of an acked operation did not panic")
 			}
 		})
+	}
+}
+
+// A record reused for the next operation is not resolved by a late ack of
+// the one before: the first operation is retransmitted at once, so the
+// target re-acks its duplicates after the first ack, by which time the
+// record runs a put that the target drops for its unknown rkey and never
+// acks.
+func TestReliableRecordReuseIgnoresStaleAcks(t *testing.T) {
+	eng, src, dst := defaultPair(t)
+	log := newAckLog(src)
+	rb := handshake(t, eng, src, 1, 4096)
+	bogus := rb
+	bogus.RKey += 100
+	op := new(Reliable)
+	log.onAck = func(op *Reliable) {
+		if log.acked[op] == 1 {
+			src.PutNReliable(op, bogus, 0, 4096)
+		}
+	}
+	acks := dst.Stats.AcksSent
+	eng.Schedule(0, func() {
+		src.PutNReliable(op, rb, 0, 4096)
+		src.Retransmit(op)
+	})
+	eng.Run()
+	if got := dst.Stats.AcksSent - acks; got < 2 {
+		t.Fatalf("target sent %d acks, want the completion ack plus a duplicate re-ack", got)
+	}
+	if log.acked[op] != 1 || op.current == nil {
+		t.Fatalf("record reported acked %d times, live %v; want the first operation acked and the second live",
+			log.acked[op], op.current != nil)
+	}
+}
+
+// A record whose operation was abandoned before its first attempt left
+// the NIC is not the caller's to reuse: the endpoint has its local
+// completion still to report, and refuses another operation on it until
+// it has.
+func TestReliableRecordReuseWaitsForLocalCompletion(t *testing.T) {
+	eng, src, dst := defaultPair(t)
+	log := newAckLog(src)
+	rb := handshake(t, eng, src, 1, 4096)
+	op := new(Reliable)
+	var refused, sentAtAbandon bool
+	eng.Schedule(0, func() {
+		src.PutNReliable(op, rb, 0, 4096)
+		src.AbandonReliable(op)
+		sentAtAbandon = op.Sent()
+		func() {
+			defer func() { refused = recover() != nil }()
+			src.SendReliable(op, 1, 0, 1)
+		}()
+	})
+	eng.Run()
+	if sentAtAbandon || !refused {
+		t.Fatalf("at abandonment Sent()=%v and reuse refused=%v, want false and true", sentAtAbandon, refused)
+	}
+	if log.sent[op] != 1 || !op.Sent() {
+		t.Fatalf("abandoned operation reported sent %d times, Sent()=%v after the run; want once and true", log.sent[op], op.Sent())
+	}
+	if dst.Stats.AcksSent == 0 {
+		t.Fatal("the target never acked the abandoned put, so its packets never left the NIC")
 	}
 }
 

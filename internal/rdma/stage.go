@@ -37,6 +37,13 @@ type shard struct {
 	recvs   sim.Slab[RecvOp]
 	peers   sim.Slab[peer]
 	refs    sim.Slab[sim.TableEntry[peer]]
+
+	attempts sim.Slab[attempt] // reliable operations' attempts, never reused
+
+	// The queue pairs' first rings (sim.FIFO.PushIn): most queues never
+	// hold more than a few entries.
+	recvRings sim.Slab[*RecvOp]
+	sendRings sim.Slab[pendingSend]
 }
 
 // posting is an operation waiting out the host's post overhead, and the
@@ -95,6 +102,9 @@ func (sh *shard) drop() {
 	sh.recvs.Drop()
 	sh.peers.Drop()
 	sh.refs.Drop()
+	sh.attempts.Drop()
+	sh.recvRings.Drop()
+	sh.sendRings.Drop()
 }
 
 // held appends the names of the shard's stages that hold an array and of
@@ -110,6 +120,8 @@ func (sh *shard) held(names []string) []string {
 		{"MemoryRegion slab", sh.mrs.Held()}, {"PutOp slab", sh.puts.Held()},
 		{"SendOp slab", sh.sendOps.Held()}, {"RecvOp slab", sh.recvs.Held()},
 		{"peer slab", sh.peers.Held()}, {"peer table slab", sh.refs.Held()},
+		{"attempt slab", sh.attempts.Held()},
+		{"receive ring slab", sh.recvRings.Held()}, {"send ring slab", sh.sendRings.Held()},
 	} {
 		if s.held {
 			names = append(names, s.name)

@@ -1,11 +1,11 @@
 // Package recovery is the deterministic sender-side reliability layer:
 // per-operation timeouts on simulated time, retransmission with
 // exponential backoff and engine-RNG jitter, and a bounded retry budget.
-// It is deliberately protocol-agnostic — an operation is any Sender whose
-// attempts expose "acked" and (optionally) "nacked" futures — so the RVMA
-// transport (driven by PutOp.Nack and the reliable put's placement ack)
-// and the RDMA transport (driven by its transport-ACK path) share one
-// retry policy and the paper's comparison stays fair.
+// It is deliberately protocol-agnostic — an operation is any Sender, which
+// tells the Op it embeds of its current attempt's ack and (optionally)
+// NACK — so the RVMA transport (driven by the reliable put's placement
+// ack and NACKs) and the RDMA transport (driven by its transport-ACK
+// path) share one retry policy and the paper's comparison stays fair.
 //
 // Determinism rules (DESIGN.md §8): every timer is an engine event, every
 // jitter draw comes from the engine RNG in event order, and timeout events
@@ -72,57 +72,57 @@ type Stats struct {
 	Reclaims     uint64 // receiver-side buffer reclaims (IncEpoch + Rewind)
 }
 
-// Attempt is one wire attempt of a guarded operation: the futures the
-// protocol layer hands back for it. Nack may be nil for protocols without
-// explicit negative acknowledgment (RDMA). Only the current attempt
-// counts: a sender completes an attempt's futures only while it is the
-// operation's latest one and the manager has neither seen it acked nor
-// abandoned the operation, which is what rvma and rdma do by resolving
-// whichever attempt is current. The manager ignores the completion of any
-// other future.
-type Attempt struct {
-	Acked *sim.Future
-	Nack  *sim.Future
-}
-
-// Sender is the transport's record of one operation under recovery.
+// Sender is the transport's record of one operation under recovery. It
+// embeds the manager's record of the operation, an Op, and tells it of
+// the current attempt's ack (Op.Acked) and NACK (Op.Nacked), so an
+// attempt is watched without a callback or a future.
 type Sender interface {
-	// Attempt issues attempt number try (0 is the initial transmission)
-	// and returns its futures.
-	Attempt(try int) Attempt
+	// Attempt issues attempt number try (0 is the initial transmission).
+	Attempt(try int)
 	// Abandon retires the operation once its last attempt failed. The
 	// manager calls nothing on the sender after Abandon, or once an
-	// attempt is acked.
+	// attempt is acked, except Release.
 	Abandon()
+	// Release hands the record back: the operation was acked or
+	// abandoned, and no deadline or scheduled retry names its Op any
+	// more, so the sender may reuse the record for another operation.
+	Release()
 }
 
-// op is the manager's record of one operation: the current attempt's
-// futures and number, and callbacks bound once, so an attempt schedules
-// and waits without a closure. Records are reused through the manager's
-// free list, but only once no timeout entry, scheduled retry or live
-// future can still name one: see release.
-type op struct {
-	m  *Manager
-	s  Sender
-	at Attempt // the current attempt's futures
-	// try is the current attempt's number; a timeout entry carries the
+// Op is the manager's record of one operation: the current attempt's
+// number and what it decided. A sender embeds it in its own record, and
+// reuses it only once Release has run: no deadline entry, scheduled
+// retry or call names it any more (see release).
+type Op struct {
+	m *Manager
+	s Sender // nil while the record is not in use
+	// try is the current attempt's number; a deadline entry carries the
 	// number of the attempt it guards, so a superseded one is stale.
 	try int32
-	// pending counts the record's entries in the timeout stage and its
-	// scheduled retry: the events that will still name it.
+	// pending counts the record's entries in the deadline and retry
+	// stages: the events that will still name it.
 	pending int32
+	// gen counts the operations the record has run; simdebug checks that
+	// a stage entry names the operation it was queued for.
+	gen uint32
 	// acted: the current attempt already decided to retry or give up (a
 	// timeout and a NACK race; the first counts). finished: the operation
 	// was acked or exhausted.
-	acted, finished      bool
-	onAck, onNack, retry func() // r.acked, r.nacked, r.retransmit
-	next                 *op    // the free list
+	acted, finished bool
 }
 
-// timeout is a timeout-stage entry: the record and the attempt it guards.
-type timeout struct {
-	r   *op
+// deadline is a deadline-stage entry: the record and the attempt it
+// guards.
+type deadline struct {
+	r   *Op
 	try int32
+	gen uint32
+}
+
+// retry is a retry-stage entry: the record whose backoff is over.
+type retry struct {
+	r   *Op
+	gen uint32
 }
 
 // guardCheck is a guard-stage entry: the window epoch an Expect saw open.
@@ -131,12 +131,58 @@ type guardCheck struct {
 	epoch int64
 }
 
+// Shard is what the managers on one engine share: one stage for every
+// attempt's ack deadline, one for every guard's reclaim deadline and one
+// for the retries waiting out their backoff, each behind one callback,
+// so an operation waits without a closure. Every manager on the engine
+// has the same timeout and reclaim horizon, which is what lets one
+// constant-delay stage hold all their deadlines in firing order
+// (sim.DelayStage); backoffs are jittered, so retries wait in a
+// sim.TimerStage. The zero Shard is ready: the first manager placed on
+// it (Init) fixes its engine and delays.
+type Shard struct {
+	eng       *sim.Engine
+	deadlines sim.DelayStage[deadline]
+	guards    sim.DelayStage[guardCheck]
+	retries   sim.TimerStage[retry]
+}
+
+// join places m on sh, setting the shard up on its first manager. It
+// panics if m's engine, timeout or reclaim horizon differs from the
+// shard's: one stage cannot hold two delays.
+func (sh *Shard) join(m *Manager, eng *sim.Engine) {
+	if sh.eng == nil {
+		sh.eng = eng
+		tag := eng.Tag("recovery")
+		sh.deadlines.Init(tag, m.cfg.Timeout, sh.deadlineNext)
+		sh.guards.Init(tag, m.reclaimAfter, sh.guardNext)
+		sh.retries.Init(tag, sh.retryNext)
+		return
+	}
+	if eng != sh.eng {
+		panic("recovery: a manager joined the shard of another engine")
+	}
+	for _, f := range []struct {
+		name      string
+		have, got sim.Time
+	}{
+		{"Timeout", sh.deadlines.Delay(), m.cfg.Timeout},
+		{"ReclaimAfter", sh.guards.Delay(), m.reclaimAfter},
+	} {
+		if f.have != f.got {
+			panic(fmt.Sprintf("recovery: a manager has %s %v, the other managers on its engine %v: managers sharing an engine share its stages",
+				f.name, f.got, f.have))
+		}
+	}
+}
+
 // Manager drives the retry policy for one endpoint's operations. It is
 // engine-local (one per cluster node set, like everything else in a cell)
 // and keeps its own Stats.
 type Manager struct {
 	eng sim.Tagged
 	cfg Config
+	sh  *Shard // the stages shared with the managers on the same engine
 
 	Stats Stats
 
@@ -150,21 +196,17 @@ type Manager struct {
 	tl   *metrics.Timeline
 	node int
 
-	// Every attempt's timeout has the same delay, cfg.Timeout, and every
-	// guard's deadline the same reclaimAfter, so both wait in stages
-	// instead of closures. Each stage's callback is bound on first use:
-	// most managers of a large cluster never guard a window.
-	timeouts     sim.Stage[timeout]
-	guards       sim.Stage[guardCheck]
 	reclaimAfter sim.Time
-	free         *op // records no operation is using
 }
 
-// Init makes m, a zero Manager, a manager on eng, filling Config defaults
-// for zero fields; seed seeds its private backoff-jitter stream. A cluster
-// keeps one manager per node, in one array per shard, so m must not move
-// or be copied afterwards.
-func (m *Manager) Init(eng *sim.Engine, cfg Config, seed uint64) {
+// Init makes m, a zero Manager, a manager on eng placed on sh, the shard
+// the managers on eng share (a manager alone takes a new(Shard)), filling
+// Config defaults for zero fields; seed seeds its private backoff-jitter
+// stream. A cluster keeps one manager per node, in one array per shard,
+// so m must not move or be copied afterwards. It panics if m's effective
+// timeout or reclaim horizon differs from those of the managers already
+// on sh.
+func (m *Manager) Init(sh *Shard, eng *sim.Engine, cfg Config, seed uint64) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultConfig().Timeout
 	}
@@ -180,9 +222,10 @@ func (m *Manager) Init(eng *sim.Engine, cfg Config, seed uint64) {
 	if cfg.MaxRetries < 0 {
 		panic(fmt.Sprintf("recovery: negative retry budget %d", cfg.MaxRetries))
 	}
-	m.eng, m.cfg = eng.Tag("recovery"), cfg
+	m.eng, m.cfg, m.sh = eng.Tag("recovery"), cfg, sh
 	m.rng.Seed(seed)
 	m.reclaimAfter = m.RetryHorizon() + 2*cfg.Timeout
+	sh.join(m, eng)
 }
 
 // Config returns the effective (default-filled) policy.
@@ -196,52 +239,41 @@ func (m *Manager) SetMetrics(reg *metrics.Registry, node int) {
 	m.node = node
 }
 
-// Run drives one operation: s.Attempt(try) issues attempt number try (0
-// is the initial transmission, issued before Run returns). Attempts that
-// neither ack nor NACK within Timeout are retransmitted after a jittered
-// backoff, up to MaxRetries; exhaustion calls s.Abandon.
+// Run drives one operation, s, whose record r is embedded in s's:
+// s.Attempt(try) issues attempt number try (0 is the initial
+// transmission, issued before Run returns). Attempts that neither ack nor
+// NACK within Timeout are retransmitted after a jittered backoff, up to
+// MaxRetries; exhaustion calls s.Abandon. r must not be in use: a record
+// is free before its first operation and after Release.
 //
 //rvmalint:hot
-func (m *Manager) Run(s Sender) {
-	m.Stats.OpsStarted++
-	r := m.free
-	if r != nil {
-		m.free, r.next = r.next, nil
-	} else {
-		//rvmalint:allow hotalloc -- free-list miss: records return once their last timeout fires, so the list grows to the peak of operations in flight and then stays
-		r = &op{m: m}
-		r.onAck, r.onNack, r.retry = r.acked, r.nacked, r.retransmit
+func (m *Manager) Run(r *Op, s Sender) {
+	if sim.DebugEnabled {
+		sim.Assertf(r.s == nil && r.pending == 0, "recovery: operation record reused while %d stage entries name it", r.pending)
 	}
-	r.s = s
+	m.Stats.OpsStarted++
+	*r = Op{m: m, s: s, gen: r.gen + 1}
 	r.attempt(0)
 }
 
-// attempt issues attempt try and arms its timeout. The timeout fires
+// attempt issues attempt try and arms its deadline. The deadline fires
 // unconditionally and no-ops when stale (see the package comment for
 // why it is never canceled).
 //
 //rvmalint:hot
-func (r *op) attempt(try int) {
-	m := r.m
+func (r *Op) attempt(try int) {
 	r.try, r.acted = int32(try), false
-	r.at = r.s.Attempt(try)
-	r.at.Acked.OnComplete(r.onAck)
-	if r.at.Nack != nil {
-		r.at.Nack.OnComplete(r.onNack)
-	}
+	r.s.Attempt(try)
 	r.pending++
-	if m.timeouts.Fn == nil {
-		m.timeouts.Fn = m.timedOut
-	}
-	m.timeouts.Push(m.eng.Now()+m.cfg.Timeout, timeout{r: r, try: r.try})
-	m.eng.Schedule(m.cfg.Timeout, m.timeouts.Fn)
+	r.m.sh.deadlines.Add(deadline{r: r, try: r.try, gen: r.gen})
 }
 
-// acked completes the operation when its current attempt is acked.
+// Acked completes the operation: the sender calls it when the current
+// attempt is acked. Only the first ack counts.
 //
 //rvmalint:hot
-func (r *op) acked() {
-	if r.finished || !r.at.Acked.Done() {
+func (r *Op) Acked() {
+	if r.finished {
 		return
 	}
 	r.finished = true
@@ -251,24 +283,29 @@ func (r *op) acked() {
 	}
 }
 
-// nacked cuts the current attempt short when its NACK arrives.
+// Nacked cuts the current attempt short: the sender calls it when the
+// attempt's first NACK arrives. An attempt that already decided, or an
+// operation that finished, ignores it.
 //
 //rvmalint:hot
-func (r *op) nacked() {
-	if r.finished || r.acted || r.at.Nack == nil || !r.at.Nack.Done() {
+func (r *Op) Nacked() {
+	if r.finished || r.acted {
 		return
 	}
 	r.decide(false)
 }
 
-// timedOut is the timeout stage's callback: the head entry's attempt hit
-// its deadline, which counts only if that attempt is still the current,
-// undecided one.
+// deadlineNext is the deadline stage's callback: the head entry's attempt
+// hit its deadline, which counts only if that attempt is still the
+// current, undecided one.
 //
 //rvmalint:hot
-func (m *Manager) timedOut() {
-	e := m.timeouts.Pop(m.eng.Now())
+func (sh *Shard) deadlineNext() {
+	e := sh.deadlines.Next()
 	r := e.r
+	if sim.DebugEnabled {
+		r.checkEntry(e.gen)
+	}
 	r.pending--
 	if e.try == r.try && !r.acted && !r.finished {
 		r.decide(true)
@@ -280,7 +317,7 @@ func (m *Manager) timedOut() {
 // operation once the budget is spent.
 //
 //rvmalint:hot
-func (r *op) decide(timedOut bool) {
+func (r *Op) decide(timedOut bool) {
 	m := r.m
 	r.acted = true
 	if timedOut {
@@ -301,14 +338,20 @@ func (r *op) decide(timedOut bool) {
 		m.debugCheckBudget()
 	}
 	r.pending++
-	m.eng.Schedule(m.backoff(int(r.try)), r.retry)
+	m.sh.retries.Add(m.backoff(int(r.try)), retry{r: r, gen: r.gen})
 }
 
-// retransmit runs when a retry's backoff is over: it issues the next
-// attempt unless the operation was acked while it waited.
+// retryNext is the retry stage's callback: a retry's backoff is over, and
+// it issues the next attempt unless the operation was acked while it
+// waited.
 //
 //rvmalint:hot
-func (r *op) retransmit() {
+func (sh *Shard) retryNext() {
+	e := sh.retries.Next()
+	r := e.r
+	if sim.DebugEnabled {
+		r.checkEntry(e.gen)
+	}
 	r.pending--
 	if r.finished {
 		r.release()
@@ -317,27 +360,55 @@ func (r *op) retransmit() {
 	r.attempt(int(r.try) + 1)
 }
 
-// release returns a finished record to the free list once nothing can
-// name it any more: no timeout entry is left in the stage and no retry is
-// scheduled. Its attempts' futures cannot complete after it finished (see
-// Attempt), so a callback a never-completed future holds is dead.
+// release hands a finished record back to its sender once nothing can
+// name it any more: no deadline entry is left in the stage and no retry
+// is scheduled. The sender resolves only the current operation of a
+// record (Acked, Nacked), so a stale ack or NACK cannot reach it either.
 //
 //rvmalint:hot
-func (r *op) release() {
+func (r *Op) release() {
 	if !r.finished || r.pending > 0 {
 		return
 	}
-	m := r.m
-	r.s, r.at, r.finished = nil, Attempt{}, false
-	r.next, m.free = m.free, r
+	s := r.s
+	r.s = nil
+	s.Release()
 }
 
-// DropPools releases the free records and the stages' idle queue arrays,
-// which are sized by a run's peak of operations in flight.
-func (m *Manager) DropPools() {
-	m.free = nil
-	m.timeouts.Drop()
-	m.guards.Drop()
+// checkEntry asserts that a stage entry queued for operation gen of the
+// record names the record's current operation: the record went back to
+// its sender only once no entry named it.
+func (r *Op) checkEntry(gen uint32) {
+	sim.Assertf(r.s != nil && r.gen == gen && r.pending > 0,
+		"recovery: a stage entry of operation %d names a record released or running operation %d", gen, r.gen)
+}
+
+// DropPools releases the idle arrays of the stages m shares with the
+// managers on its engine, which are sized by a run's peak of operations
+// in flight. Call it between runs, not inside one.
+func (m *Manager) DropPools() { m.sh.drop() }
+
+func (sh *Shard) drop() {
+	sh.deadlines.Drop()
+	sh.guards.Drop()
+	sh.retries.Drop()
+}
+
+// HeldPools names the shared stages that hold an array: none once
+// DropPools has run after a drained run.
+func (m *Manager) HeldPools() []string {
+	var names []string
+	for _, s := range []struct {
+		name string
+		held bool
+	}{
+		{"deadlines", m.sh.deadlines.Held()}, {"guards", m.sh.guards.Held()}, {"retries", m.sh.retries.Held()},
+	} {
+		if s.held {
+			names = append(names, s.name)
+		}
+	}
+	return names
 }
 
 // backoff returns the jittered delay before retransmit number try+1.
@@ -412,19 +483,14 @@ func (m *Manager) ReclaimAfter() sim.Time { return m.reclaimAfter }
 //
 //rvmalint:hot
 func (g *WindowGuard) Expect() {
-	m := g.m
-	if m.guards.Fn == nil {
-		m.guards.Fn = m.checkGuard
-	}
-	m.guards.Push(m.eng.Now()+m.reclaimAfter, guardCheck{g: g, epoch: g.win.Epoch()})
-	m.eng.Schedule(m.reclaimAfter, m.guards.Fn)
+	g.m.sh.guards.Add(guardCheck{g: g, epoch: g.win.Epoch()})
 }
 
-// checkGuard is the guard stage's callback.
+// guardNext is the guard stage's callback.
 //
 //rvmalint:hot
-func (m *Manager) checkGuard() {
-	c := m.guards.Pop(m.eng.Now())
+func (sh *Shard) guardNext() {
+	c := sh.guards.Next()
 	c.g.check(c.epoch)
 }
 

@@ -2,6 +2,8 @@ package recovery
 
 import (
 	"cmp"
+	"slices"
+	"strings"
 	"testing"
 
 	"rvma/internal/fabric"
@@ -15,36 +17,50 @@ import (
 // scriptedOp is a Sender whose first drops attempts are never
 // acknowledged (simulated loss) and whose later attempts ack after rtt.
 // sends records the issue time of every attempt; acks and abandons count
-// what the operation ended with, and when.
+// what the operation ended with, and when, and releases how often the
+// manager handed its record back.
 type scriptedOp struct {
+	Op
 	eng   *sim.Engine
 	drops int
 	rtt   sim.Time
 	sends []sim.Time
 
-	acks, abandons       int
-	ackedAt, abandonedAt sim.Time
+	acks, abandons, releases int
+	ackedAt, abandonedAt     sim.Time
+	ended                    bool // acked or abandoned: no later attempt reaches the manager
 }
 
 func lossySender(eng *sim.Engine, drops int, rtt sim.Time) *scriptedOp {
 	return &scriptedOp{eng: eng, drops: drops, rtt: rtt}
 }
 
-func (o *scriptedOp) Attempt(try int) Attempt {
+func (o *scriptedOp) Attempt(try int) {
 	o.sends = append(o.sends, o.eng.Now())
-	at := Attempt{Acked: sim.NewFuture()}
-	at.Acked.OnComplete(func() { o.acks++; o.ackedAt = o.eng.Now() })
 	if try >= o.drops {
-		o.eng.Schedule(o.rtt, func() {
-			if !at.Acked.Done() {
-				at.Acked.Complete(o.eng, nil)
-			}
-		})
+		o.eng.Schedule(o.rtt, func() { o.ack(try) })
 	}
-	return at
 }
 
-func (o *scriptedOp) Abandon() { o.abandons++; o.abandonedAt = o.eng.Now() }
+// ack resolves attempt try, as a transport resolves an ack: only while it
+// is the operation's current attempt and the operation has not ended.
+func (o *scriptedOp) ack(try int) {
+	if o.ended || try != len(o.sends)-1 {
+		return
+	}
+	o.ended = true
+	o.acks++
+	o.ackedAt = o.eng.Now()
+	o.Acked()
+}
+
+func (o *scriptedOp) Abandon() {
+	o.ended = true
+	o.abandons++
+	o.abandonedAt = o.eng.Now()
+}
+
+func (o *scriptedOp) Release() { o.releases++ }
 
 // acked reports whether the operation ended acked, once, and never
 // abandoned.
@@ -54,12 +70,15 @@ func (o *scriptedOp) acked() bool { return o.acks == 1 && o.abandons == 0 }
 // never acked.
 func (o *scriptedOp) exhausted() bool { return o.abandons == 1 && o.acks == 0 }
 
+// run starts o on m.
+func (o *scriptedOp) run(m *Manager) { m.Run(&o.Op, o) }
+
 func TestAckOnFirstAttempt(t *testing.T) {
 	eng := sim.NewEngine(1)
 	m := new(Manager)
-	m.Init(eng, DefaultConfig(), 1)
+	m.Init(new(Shard), eng, DefaultConfig(), 1)
 	o := lossySender(eng, 0, 5*sim.Microsecond)
-	eng.Schedule(0, func() { m.Run(o) })
+	eng.Schedule(0, func() { o.run(m) })
 	eng.Run()
 	if !o.acked() {
 		t.Fatalf("op not cleanly acked: acks=%d abandons=%d", o.acks, o.abandons)
@@ -76,9 +95,9 @@ func TestAckOnFirstAttempt(t *testing.T) {
 func TestTimeoutRetransmitRecovers(t *testing.T) {
 	eng := sim.NewEngine(1)
 	m := new(Manager)
-	m.Init(eng, DefaultConfig(), 1)
+	m.Init(new(Shard), eng, DefaultConfig(), 1)
 	o := lossySender(eng, 2, 5*sim.Microsecond)
-	eng.Schedule(0, func() { m.Run(o) })
+	eng.Schedule(0, func() { o.run(m) })
 	eng.Run()
 	if !o.acked() {
 		t.Fatalf("op not cleanly acked: acks=%d abandons=%d", o.acks, o.abandons)
@@ -107,25 +126,32 @@ type nackingOp struct {
 	ackRTT sim.Time
 }
 
-func (o *nackingOp) Attempt(try int) Attempt {
+func (o *nackingOp) Attempt(try int) {
 	o.sends = append(o.sends, o.eng.Now())
-	at := Attempt{Acked: sim.NewFuture(), Nack: sim.NewFuture()}
-	at.Acked.OnComplete(func() { o.acks++; o.ackedAt = o.eng.Now() })
 	if try < o.nacks {
-		o.eng.Schedule(o.rtt, func() { at.Nack.Complete(o.eng, rvma.ErrNoBuffer) })
+		o.eng.Schedule(o.rtt, func() { o.nack(try) })
 	} else {
-		o.eng.Schedule(cmp.Or(o.ackRTT, o.rtt), func() { at.Acked.Complete(o.eng, nil) })
+		o.eng.Schedule(cmp.Or(o.ackRTT, o.rtt), func() { o.ack(try) })
 	}
-	return at
 }
+
+// nack resolves attempt try's NACK while it is current.
+func (o *nackingOp) nack(try int) {
+	if o.ended || try != len(o.sends)-1 {
+		return
+	}
+	o.Nacked()
+}
+
+func (o *nackingOp) run(m *Manager) { m.Run(&o.Op, o) }
 
 func TestNackTriggersFastRetry(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cfg := DefaultConfig()
 	m := new(Manager)
-	m.Init(eng, cfg, 1)
+	m.Init(new(Shard), eng, cfg, 1)
 	o := &nackingOp{scriptedOp: scriptedOp{eng: eng, rtt: 5 * sim.Microsecond}, nacks: 1}
-	eng.Schedule(0, func() { m.Run(o) })
+	eng.Schedule(0, func() { o.run(m) })
 	eng.Run()
 	if !o.acked() {
 		t.Fatalf("op failed: acks=%d abandons=%d", o.acks, o.abandons)
@@ -141,67 +167,63 @@ func TestNackTriggersFastRetry(t *testing.T) {
 	}
 }
 
-// A superseded attempt's timeout, and a NACK that completes a superseded
-// attempt's future after its record went to the next operation, are both
-// no-ops: the timeout entry names an attempt that is no longer current,
-// and the reused record's current attempt is not the one NACKed.
+// A superseded attempt's deadline is a no-op, the record goes back to
+// its sender only once its last deadline has fired, and the next
+// operation on the reused record is not touched by a NACK or a duplicate
+// ack that reaches it after it finished. A NACK or ack of an earlier
+// operation never reaches a reused record's live one: the endpoint drops
+// it, since it names an attempt of that earlier operation (the rvma and
+// rdma TestReliableRecordReuseIgnoresStale* tests).
 func TestStaleTimeoutAndNackAfterReuseAreNoOps(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cfg := DefaultConfig()
 	m := new(Manager)
-	m.Init(eng, cfg, 1)
-	// first is NACKed on attempt 0 and retried after a backoff of 12.5 to
+	m.Init(new(Shard), eng, cfg, 1)
+	// op is NACKed on attempt 0 and retried after a backoff of 12.5 to
 	// 37.5 us; attempt 1 is acked 90 us after it starts, inside its own
 	// timeout but after attempt 0's, which finds attempt 1 current.
-	first := &nackingOp{scriptedOp: scriptedOp{eng: eng, rtt: 5 * sim.Microsecond}, nacks: 1, ackRTT: 90 * sim.Microsecond}
-	eng.Schedule(0, func() { m.Run(first) })
+	op := &nackingOp{scriptedOp: scriptedOp{eng: eng, rtt: 5 * sim.Microsecond}, nacks: 1, ackRTT: 90 * sim.Microsecond}
+	eng.Schedule(0, func() { op.run(m) })
+	var releasedAtAck int
+	eng.Schedule(cfg.Timeout+sim.Microsecond, func() { releasedAtAck = op.releases })
 	eng.Run()
-	if !first.acked() || len(first.sends) != 2 {
-		t.Fatalf("first op: acks=%d abandons=%d attempts=%d", first.acks, first.abandons, len(first.sends))
+	if !op.acked() || len(op.sends) != 2 {
+		t.Fatalf("first op: acks=%d abandons=%d attempts=%d", op.acks, op.abandons, len(op.sends))
 	}
-	if first.ackedAt <= cfg.Timeout {
-		t.Fatalf("first op acked at %v, before attempt 0's timeout", first.ackedAt)
+	if op.ackedAt <= cfg.Timeout {
+		t.Fatalf("first op acked at %v, before attempt 0's timeout", op.ackedAt)
 	}
 	if s := m.Stats; s.Timeouts != 0 || s.NackRetries != 1 || s.Retransmits != 1 {
 		t.Fatalf("stale timeout counted: stats = %+v", s)
 	}
-	// Every timeout has fired, so the record is free, and the next
-	// operation takes it.
-	rec := m.free
-	if rec == nil || rec.next != nil {
-		t.Fatal("the finished operation's record is not the one free record")
+	// The record came back once, after attempt 1's deadline, not at
+	// attempt 0's stale one.
+	if releasedAtAck != 0 || op.releases != 1 {
+		t.Fatalf("record released %d times by attempt 0's deadline and %d in all, want 0 and 1", releasedAtAck, op.releases)
 	}
-	// second is acked 50 us after it starts; at 20 us a late NACK and a
-	// late ack complete a superseded attempt's futures, which still hold
-	// the record's callbacks.
-	second := &nackingOp{scriptedOp: scriptedOp{eng: eng, rtt: 50 * sim.Microsecond}}
-	stale := Attempt{Acked: sim.NewFuture(), Nack: sim.NewFuture()}
+	// The sender reuses the record for a second operation, acked 50 us
+	// after it starts; at 60 us a late NACK and a duplicate ack reach the
+	// finished operation.
+	op.sends, op.ended, op.acks, op.nacks, op.rtt, op.ackRTT = nil, false, 0, 0, 50*sim.Microsecond, 0
 	start := eng.Now()
-	eng.Schedule(0, func() {
-		m.Run(second)
-		if m.free != nil {
-			t.Error("the second operation did not take the free record")
-		}
-		stale.Nack.OnComplete(rec.onNack)
-		stale.Acked.OnComplete(rec.onAck)
-	})
-	eng.Schedule(20*sim.Microsecond, func() {
-		stale.Nack.Complete(eng, rvma.ErrNoBuffer)
-		stale.Acked.Complete(eng, nil)
+	eng.Schedule(0, func() { op.run(m) })
+	eng.Schedule(60*sim.Microsecond, func() {
+		op.Nacked()
+		op.Acked()
 	})
 	eng.Run()
-	if !second.acked() || len(second.sends) != 1 {
-		t.Fatalf("second op: acks=%d abandons=%d attempts=%d", second.acks, second.abandons, len(second.sends))
+	if !op.acked() || len(op.sends) != 1 {
+		t.Fatalf("second op: acks=%d abandons=%d attempts=%d", op.acks, op.abandons, len(op.sends))
 	}
-	if want := start + 50*sim.Microsecond; second.ackedAt != want {
-		t.Fatalf("second op acked at %v, want %v", second.ackedAt, want)
+	if want := start + 50*sim.Microsecond; op.ackedAt != want {
+		t.Fatalf("second op acked at %v, want %v", op.ackedAt, want)
 	}
 	s := m.Stats
 	if s.OpsCompleted != 2 || s.NackRetries != 1 || s.Retransmits != 1 || s.Timeouts != 0 || s.Recovered != 1 {
-		t.Fatalf("a stale NACK or ack acted on the reused record: stats = %+v", s)
+		t.Fatalf("a late NACK or ack acted on the reused record: stats = %+v", s)
 	}
-	if m.free != rec {
-		t.Fatal("the record did not return to the free list")
+	if op.releases != 2 {
+		t.Fatalf("record released %d times, want once per operation", op.releases)
 	}
 }
 
@@ -210,9 +232,9 @@ func TestExhaustionFailsOp(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxRetries = 3
 	m := new(Manager)
-	m.Init(eng, cfg, 1)
+	m.Init(new(Shard), eng, cfg, 1)
 	o := lossySender(eng, 99, 0)
-	eng.Schedule(0, func() { m.Run(o) })
+	eng.Schedule(0, func() { o.run(m) })
 	eng.Run()
 	if !o.exhausted() {
 		t.Fatalf("acks=%d abandons=%d, want exactly one abandon", o.acks, o.abandons)
@@ -240,9 +262,9 @@ func TestExhaustionAbandonsOnce(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxRetries = 2
 	m := new(Manager)
-	m.Init(eng, cfg, 1)
+	m.Init(new(Shard), eng, cfg, 1)
 	o := &nackingOp{scriptedOp: scriptedOp{eng: eng, rtt: 5 * sim.Microsecond}, nacks: 99}
-	eng.Schedule(0, func() { m.Run(o) })
+	eng.Schedule(0, func() { o.run(m) })
 	end := eng.Run()
 	if !o.exhausted() {
 		t.Fatalf("acks=%d abandons=%d, want exactly one abandon", o.acks, o.abandons)
@@ -257,8 +279,8 @@ func TestExhaustionAbandonsOnce(t *testing.T) {
 	if s.Exhausted != 1 || s.NackRetries != 3 || s.Timeouts != 0 || s.Retransmits != 2 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if m.free == nil {
-		t.Fatal("the exhausted operation's record did not return to the free list")
+	if o.releases != 1 {
+		t.Fatalf("the exhausted operation's record was released %d times, want 1", o.releases)
 	}
 }
 
@@ -272,9 +294,9 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 		MaxRetries:  4,
 	}
 	m := new(Manager)
-	m.Init(eng, cfg, 1)
+	m.Init(new(Shard), eng, cfg, 1)
 	o := lossySender(eng, 99, 0)
-	eng.Schedule(0, func() { m.Run(o) })
+	eng.Schedule(0, func() { o.run(m) })
 	eng.Run()
 	// Gap k = timeout + min(max, base<<k): 20, 30, 50, 50 us.
 	want := []sim.Time{20, 30, 50, 50}
@@ -296,12 +318,12 @@ func TestManagerDeterministic(t *testing.T) {
 	run := func() (sim.Time, Stats) {
 		eng := sim.NewEngine(7)
 		m := new(Manager)
-		m.Init(eng, DefaultConfig(), 1)
+		m.Init(new(Shard), eng, DefaultConfig(), 1)
 		ops := make([]*scriptedOp, 8)
 		eng.Schedule(0, func() {
 			for i := range ops {
 				ops[i] = lossySender(eng, i%4, 3*sim.Microsecond)
-				m.Run(ops[i])
+				ops[i].run(m)
 			}
 		})
 		eng.Run()
@@ -315,6 +337,96 @@ func TestManagerDeterministic(t *testing.T) {
 	t2, s2 := run()
 	if t1 != t2 || s1 != s2 {
 		t.Fatalf("nondeterministic: (%v, %+v) vs (%v, %+v)", t1, s1, t2, s2)
+	}
+}
+
+// Managers on one shard share its deadline and retry stages, but each
+// keeps its own Stats and backoff stream: two managers whose lossy
+// operations interleave on one shard send every attempt at the time it
+// has with each manager alone on its own engine. A manager whose timeout
+// differs from the shard's cannot join it.
+func TestManagersShareAShard(t *testing.T) {
+	cfg := DefaultConfig()
+	start := func(eng *sim.Engine, m *Manager) []*scriptedOp {
+		ops := make([]*scriptedOp, 6)
+		eng.Schedule(0, func() {
+			for i := range ops {
+				ops[i] = lossySender(eng, i%4, 3*sim.Microsecond)
+				ops[i].run(m)
+			}
+		})
+		return ops
+	}
+	var alone [2][]*scriptedOp
+	var aloneStats [2]Stats
+	for i := range alone {
+		eng := sim.NewEngine(1)
+		m := new(Manager)
+		m.Init(new(Shard), eng, cfg, uint64(i+1))
+		alone[i] = start(eng, m)
+		eng.Run()
+		aloneStats[i] = m.Stats
+	}
+	eng := sim.NewEngine(1)
+	var sh Shard
+	var ms [2]Manager
+	var shared [2][]*scriptedOp
+	for i := range ms {
+		ms[i].Init(&sh, eng, cfg, uint64(i+1))
+		shared[i] = start(eng, &ms[i])
+	}
+	eng.Run()
+	for i := range ms {
+		if ms[i].Stats != aloneStats[i] {
+			t.Fatalf("manager %d: stats %+v on a shared shard, %+v alone", i, ms[i].Stats, aloneStats[i])
+		}
+		for j, o := range shared[i] {
+			if !slices.Equal(o.sends, alone[i][j].sends) || !o.acked() {
+				t.Fatalf("manager %d op %d: attempts at %v on a shared shard, %v alone", i, j, o.sends, alone[i][j].sends)
+			}
+		}
+	}
+	if held := ms[0].HeldPools(); !slices.Equal(held, []string{"deadlines", "retries"}) {
+		t.Fatalf("after a run the shard holds %v, want the arrays of the stages the run used until DropPools", held)
+	}
+	ms[1].DropPools()
+	if held := ms[0].HeldPools(); len(held) != 0 {
+		t.Fatalf("DropPools on one manager left the shared shard holding %v", held)
+	}
+	impatient := cfg
+	impatient.Timeout /= 2
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "Timeout") {
+			t.Fatalf("a manager with another timeout joined the shard: recovered %q, want a panic naming Timeout", msg)
+		}
+	}()
+	new(Manager).Init(&sh, eng, impatient, 3)
+}
+
+// Under simdebug a record is refused for a new operation while its
+// operation runs or a deadline still names it: a record goes back to its
+// sender only through Release.
+func TestRunRefusesARecordInUse(t *testing.T) {
+	if !sim.DebugEnabled {
+		t.Skip("the reuse check is a simdebug invariant")
+	}
+	eng := sim.NewEngine(1)
+	m := new(Manager)
+	m.Init(new(Shard), eng, DefaultConfig(), 1)
+	o := lossySender(eng, 0, 5*sim.Microsecond)
+	eng.Schedule(0, func() { o.run(m) })
+	eng.Schedule(10*sim.Microsecond, func() {
+		// Acked at 5 us, but its deadline has not fired.
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "reused while") {
+				t.Errorf("a record reused before its release: recovered %q, want a reuse panic", msg)
+			}
+		}()
+		o.run(m)
+	})
+	eng.Run()
+	if o.releases != 1 {
+		t.Fatalf("record released %d times, want once", o.releases)
 	}
 }
 
@@ -336,7 +448,7 @@ func TestWindowGuardReclaimsHoledBuffer(t *testing.T) {
 	dst := rvma.NewEndpoint(nic.New(eng, net, 1, pcie.Gen4x16(), prof), rcfg)
 
 	m := new(Manager)
-	m.Init(eng, DefaultConfig(), 1)
+	m.Init(new(Shard), eng, DefaultConfig(), 1)
 	wins, err := dst.InitWindows([]rvma.VAddr{0x6E55}, 4096, rvma.EpochBytes, 1, 4096)
 	if err != nil {
 		t.Fatal(err)
@@ -377,7 +489,7 @@ func TestWindowGuardLeavesHealthyWindowAlone(t *testing.T) {
 	dst := rvma.NewEndpoint(nic.New(eng, net, 1, pcie.Gen4x16(), prof), rvma.DefaultConfig())
 
 	m := new(Manager)
-	m.Init(eng, DefaultConfig(), 1)
+	m.Init(new(Shard), eng, DefaultConfig(), 1)
 	wins, err := dst.InitWindows([]rvma.VAddr{0x6E55}, 4096, rvma.EpochBytes, 1, 4096)
 	if err != nil {
 		t.Fatal(err)

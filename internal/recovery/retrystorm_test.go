@@ -44,14 +44,14 @@ func TestRetryStormBackoffBoundsBurstRate(t *testing.T) {
 	cfg := stormConfig()
 	eng := sim.NewEngine(11)
 	m := new(Manager)
-	m.Init(eng, cfg, sim.SeedFor(11, "storm-backoff"))
+	m.Init(new(Shard), eng, cfg, sim.SeedFor(11, "storm-backoff"))
 
 	storm := make([]*scriptedOp, ops)
 	sends := make([][]sim.Time, ops)
 	eng.Schedule(0, func() {
 		for i := range storm {
 			storm[i] = lossySender(eng, 99, 0)
-			m.Run(storm[i])
+			storm[i].run(m)
 		}
 	})
 	end := eng.Run()
@@ -148,12 +148,12 @@ func TestRetryStormDeterministic(t *testing.T) {
 		const ops = 16
 		eng := sim.NewEngine(23)
 		m := new(Manager)
-		m.Init(eng, stormConfig(), sim.SeedFor(23, "storm-backoff"))
+		m.Init(new(Shard), eng, stormConfig(), sim.SeedFor(23, "storm-backoff"))
 		storm := make([]*scriptedOp, ops)
 		eng.Schedule(0, func() {
 			for i := range storm {
 				storm[i] = lossySender(eng, 99, 0)
-				m.Run(storm[i])
+				storm[i].run(m)
 			}
 		})
 		end := eng.Run()
@@ -191,7 +191,7 @@ func TestRetryStormPartialRecovery(t *testing.T) {
 	cfg := stormConfig()
 	eng := sim.NewEngine(31)
 	m := new(Manager)
-	m.Init(eng, cfg, sim.SeedFor(31, "storm-backoff"))
+	m.Init(new(Shard), eng, cfg, sim.SeedFor(31, "storm-backoff"))
 
 	storm := make([]*scriptedOp, ops)
 	sends := make([][]sim.Time, ops)
@@ -204,7 +204,7 @@ func TestRetryStormPartialRecovery(t *testing.T) {
 	eng.Schedule(0, func() {
 		for i := range storm {
 			storm[i] = lossySender(eng, drops(i), 2*sim.Microsecond)
-			m.Run(storm[i])
+			storm[i].run(m)
 		}
 	})
 	end := eng.Run()

@@ -148,81 +148,110 @@ func (op *PutOp) unref() {
 	p.freePuts = op
 }
 
-// ReliablePut tracks a put whose target acknowledges full placement — the
+// ReliablePut is a put whose target acknowledges full placement — the
 // sender-side handle the recovery layer drives. The wire protocol is the
 // ordinary unacknowledged put plus one NIC-generated ack control packet
 // on full reassembly, so the data path the paper argues for is unchanged;
 // only senders that opt into timeout/retransmit pay for return traffic.
 //
-// Every attempt sends the first attempt's command again, message id
-// included, so the target deduplicates against packets of earlier
-// attempts. The target's ack and NACKs name the operation, and resolve
-// its current attempt.
+// The caller owns the record and may reuse it once the put was acked or
+// abandoned and its first attempt has completed locally (Sent): every
+// attempt is a record of its own, carved from the endpoint's shard and
+// never reused, and the target's ack and NACKs name the attempt whose
+// packet drew them. An attempt names the put's first
+// attempt, so an ack or NACK resolves the put only while the record still
+// runs that put, and then resolves its current attempt, whichever
+// attempt's packets drew it. The endpoint reports the first attempt's
+// local completion, the ack and each attempt's first NACK to its
+// ReliableHandler.
 type ReliablePut struct {
-	dst     int
-	attempt *PutAttempt // nil once abandoned
+	// Owner is the caller's: its ReliableHandler reaches its own record
+	// of the put through it. The endpoint never reads it.
+	Owner any
+
+	first   *putAttempt // the put's first attempt, which every attempt names
+	attempt *putAttempt // the current attempt; nil once acked or abandoned
+	nacked  bool        // the current attempt drew a NACK
+	unsent  bool        // the first attempt has not completed locally
 }
 
-// live returns the attempt an ack or NACK resolves: the current one, or
-// nil once the put was acked or abandoned.
-func (rp *ReliablePut) live() *PutAttempt {
-	if at := rp.attempt; at != nil && !at.Acked.Done() {
-		return at
-	}
-	return nil
+// Sent reports whether rp's first attempt has completed locally, which
+// the handler learned of. A put abandoned while its first attempt still
+// waits at the NIC is not: its record is not the caller's to reuse until
+// the endpoint has reported that local completion.
+func (rp *ReliablePut) Sent() bool { return !rp.unsent }
+
+// putAttempt is one wire attempt of a reliable put. Like PutOp, it owns
+// its post and sent continuations; its command is what every packet of
+// the attempt carries, so the record outlives the attempt's packets.
+type putAttempt struct {
+	cmd    command       // the wire command; its ref is the attempt itself
+	rp     *ReliablePut  // the put, if the record still runs it (first)
+	first  *putAttempt   // the put's first attempt
+	sp     *metrics.Span // the message's span, nil unless spans are enabled
+	txWait sim.Time      // NIC backlog when the attempt was posted
+	dst    int
 }
 
-// PutAttempt is one wire attempt of a reliable put. Each attempt gets
-// fresh futures because futures are one-shot and every attempt can fail
-// independently. Like PutOp, it owns its post and sent continuations.
-type PutAttempt struct {
-	// Local completes when the initiating NIC has handed the attempt's
-	// last packet to the fabric.
-	Local *sim.Future
-	// Acked completes when the target acknowledged full placement of the
-	// message (any attempt's packets may have contributed).
-	Acked *sim.Future
-	// Nack completes if the target rejected a packet of this operation;
-	// its value is the error.
-	Nack *sim.Future
-
-	local, acked, nack sim.Future    // what the exported fields point at
-	cmd                command       // the wire command every packet of the attempt carries
-	sp                 *metrics.Span // the message's span, nil unless spans are enabled
-	txWait             sim.Time      // NIC backlog when the attempt was posted
-	dst                int
+// ReliableHandler observes an endpoint's reliable puts on the initiator
+// side. One handler, registered once, serves every reliable put, as a
+// NackHandler serves every plain one.
+type ReliableHandler interface {
+	// ReliableSent runs when rp's first attempt has completed locally:
+	// its last packet has left the NIC.
+	ReliableSent(rp *ReliablePut)
+	// ReliableAcked runs at rp's first ack; rp is no longer live after.
+	ReliableAcked(rp *ReliablePut)
+	// ReliableNacked runs at the first NACK to reach live rp during its
+	// current attempt, with the target's reason.
+	ReliableNacked(rp *ReliablePut, reason error)
 }
 
-// PutNAcked initiates a reliable put (no payload bytes, like PutN) and
-// returns the operation handle plus its first attempt. The target window
-// must be Steered: offset-carrying packets are what make retransmitted
-// duplicates exact re-hits the receiver can discard.
-func (ep *Endpoint) PutNAcked(dst int, vaddr VAddr, offset, size int) (*ReliablePut, *PutAttempt) {
+// SetReliableHandler installs h to observe every reliable put. A nil h
+// removes the handler.
+func (ep *Endpoint) SetReliableHandler(h ReliableHandler) { ep.onReliable = h }
+
+// PutNAcked initiates a reliable put (no payload bytes, like PutN) on rp,
+// a record the caller owns that is not live. The target window must be
+// Steered: offset-carrying packets are what make retransmitted duplicates
+// exact re-hits the receiver can discard.
+//
+//rvmalint:hot
+func (ep *Endpoint) PutNAcked(rp *ReliablePut, dst int, vaddr VAddr, offset, size int) {
 	if size < 0 || offset < 0 {
 		panic(fmt.Sprintf("rvma: put with negative size %d or offset %d", size, offset))
 	}
-	rp := &ReliablePut{dst: dst}
-	cmd := command{op: opPut, wantAck: true, msgID: ep.nextMsgID, vaddr: vaddr, msgOffset: offset, total: size, ref: rp}
+	if rp.attempt != nil || rp.unsent {
+		panic("rvma: reliable put started on a record that is still live or not yet sent")
+	}
+	at := ep.sh.attempts.New()
+	at.cmd = command{op: opPut, wantAck: true, msgID: ep.nextMsgID, vaddr: vaddr, msgOffset: offset, total: size}
 	ep.nextMsgID++
-	sp := ep.reg.BeginSpan(ep.Engine().Now(), metrics.SpanKey{Node: ep.Node(), ID: cmd.msgID}, "rvma.put", ep.Node())
-	return rp, ep.sendAttempt(rp, cmd, sp)
+	at.sp = ep.reg.BeginSpan(ep.eng.Now(), metrics.SpanKey{Node: ep.Node(), ID: at.cmd.msgID}, "rvma.put", ep.Node())
+	at.dst, at.first = dst, at
+	rp.first, rp.unsent = at, true
+	ep.sendAttempt(rp, at)
 }
 
 // Retransmit re-sends a reliable put that has neither been acked nor
 // abandoned, reusing the message id so the target deduplicates against
-// packets of earlier attempts, and returns the fresh attempt. The attempt
-// rides the message's existing span with an incremented attempt tag — no
-// orphan spans — unless the span already ended (the target completed it
-// off an earlier attempt whose ack is still in flight), in which case the
-// attempt is unrecorded by design.
-func (ep *Endpoint) Retransmit(rp *ReliablePut) *PutAttempt {
-	at := rp.live()
-	if at == nil {
+// packets of earlier attempts. The attempt rides the message's existing
+// span with an incremented attempt tag — no orphan spans — unless the
+// span already ended (the target completed it off an earlier attempt
+// whose ack is still in flight), in which case the attempt is unrecorded
+// by design.
+//
+//rvmalint:hot
+func (ep *Endpoint) Retransmit(rp *ReliablePut) {
+	prev := rp.attempt
+	if prev == nil {
 		panic("rvma: retransmit of a reliable put that was acked or abandoned")
 	}
-	sp := ep.reg.Span(metrics.SpanKey{Node: ep.Node(), ID: at.cmd.msgID})
-	sp.NextAttempt(ep.Engine().Now())
-	return ep.sendAttempt(rp, at.cmd, sp)
+	at := ep.sh.attempts.New()
+	at.cmd, at.dst, at.first = prev.cmd, prev.dst, rp.first
+	at.sp = ep.reg.Span(metrics.SpanKey{Node: ep.Node(), ID: at.cmd.msgID})
+	at.sp.NextAttempt(ep.eng.Now())
+	ep.sendAttempt(rp, at)
 }
 
 // AbandonPut drops a reliable put the recovery layer has given up on, so
@@ -234,31 +263,55 @@ func (ep *Endpoint) AbandonPut(rp *ReliablePut) {
 		return
 	}
 	rp.attempt = nil
-	ep.reg.Span(metrics.SpanKey{Node: ep.Node(), ID: at.cmd.msgID}).EndAbandoned(ep.Engine().Now())
+	ep.reg.Span(metrics.SpanKey{Node: ep.Node(), ID: at.cmd.msgID}).EndAbandoned(ep.eng.Now())
 }
 
-// sendAttempt issues one wire attempt of rp carrying cmd. The first
-// attempt opens the message span; retransmits ride the existing one.
-func (ep *Endpoint) sendAttempt(rp *ReliablePut, cmd command, sp *metrics.Span) *PutAttempt {
+// sendAttempt makes at rp's current attempt and posts it.
+//
+//rvmalint:hot
+func (ep *Endpoint) sendAttempt(rp *ReliablePut, at *putAttempt) {
 	ep.Stats.PutsInitiated++
-	at := &PutAttempt{cmd: cmd, sp: sp, dst: rp.dst}
-	at.Local, at.Acked, at.Nack = &at.local, &at.acked, &at.nack
-	rp.attempt = at
+	at.cmd.ref, at.rp = at, rp
+	rp.attempt, rp.nacked = at, false
 	ep.post(at)
-	return at
+}
+
+// live returns the put an ack or NACK of at resolves: at's put, while the
+// record still runs it and it is live; nil otherwise.
+//
+//rvmalint:hot
+func (at *putAttempt) live() *ReliablePut {
+	if rp := at.rp; rp.first == at.first && rp.attempt != nil {
+		return rp
+	}
+	return nil
 }
 
 //rvmalint:hot
-func (at *PutAttempt) post(ep *Endpoint) {
+func (at *putAttempt) post(ep *Endpoint) {
 	at.sp.Stage(ep.eng.Now(), "host_post")
 	at.txWait = ep.nic.SendBacklog() + ep.nic.DMABacklog()
 	ep.send(at.dst, &at.cmd, at)
 }
 
+// sent is the attempt's local completion; a first attempt's goes to the
+// handler. The record still runs the put then, acked, abandoned or not:
+// a caller reuses it only once its first attempt was sent.
+//
 //rvmalint:hot
-func (at *PutAttempt) sent(ep *Endpoint) {
+func (at *putAttempt) sent(ep *Endpoint) {
 	at.sp.StageWait(ep.eng.Now(), "nic_tx", at.txWait)
-	at.Local.Complete(ep.eng.Engine, nil)
+	if at.first != at {
+		return
+	}
+	rp := at.rp
+	if sim.DebugEnabled {
+		sim.Assertf(rp.first == at && rp.unsent, "rvma: put %d's record was reused before its first attempt was sent", at.cmd.msgID)
+	}
+	rp.unsent = false
+	if ep.onReliable != nil {
+		ep.onReliable.ReliableSent(rp)
+	}
 }
 
 // GetOp tracks one initiated get.

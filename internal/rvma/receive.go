@@ -18,8 +18,8 @@ func (ep *Endpoint) handlePacket(pkt *fabric.Packet) {
 	switch p := pkt.Payload.(type) {
 	case *command:
 		cmd = p
-	case *ReliablePut:
-		// A placement ack's payload is the operation it acknowledges.
+	case *putAttempt:
+		// A placement ack's payload is the attempt whose packet drew it.
 		ep.handleAck(p)
 		return
 	default:
@@ -265,8 +265,8 @@ func (ep *Endpoint) reject(src int, cmd *command, reason error) {
 
 // sendAck emits the NIC-generated placement ack for a reliable put. Like
 // RDMA's put-ack it rides InjectControl: no host bus crossing, just the
-// send pipeline and the wire. Its payload is the put's *ReliablePut, the
-// command's back-reference, so an ack allocates nothing.
+// send pipeline and the wire. Its payload is the attempt that drew it,
+// the command's back-reference, so an ack allocates nothing.
 //
 //rvmalint:hot
 func (ep *Endpoint) sendAck(src int, cmd *command) {
@@ -274,14 +274,21 @@ func (ep *Endpoint) sendAck(src int, cmd *command) {
 	ep.nic.InjectControl(src, cmd.ref)
 }
 
-// handleAck resolves the current attempt of the reliable put the ack
-// names. A duplicate ack (a retransmit raced the first one) or a straggler
-// after AbandonPut finds the put no longer live and resolves nothing.
+// handleAck resolves the reliable put the ack's attempt belongs to, and
+// reports it to the endpoint's handler. A duplicate ack (a retransmit
+// raced the first one), a straggler after AbandonPut, or an ack of a put
+// whose record was reused finds the put no longer live and resolves
+// nothing.
 //
 //rvmalint:hot
-func (ep *Endpoint) handleAck(rp *ReliablePut) {
-	if at := rp.live(); at != nil {
-		at.Acked.Complete(ep.eng.Engine, nil)
+func (ep *Endpoint) handleAck(at *putAttempt) {
+	rp := at.live()
+	if rp == nil {
+		return
+	}
+	rp.attempt = nil
+	if ep.onReliable != nil {
+		ep.onReliable.ReliableAcked(rp)
 	}
 }
 
@@ -305,16 +312,19 @@ func (ep *Endpoint) handleNack(pkt *fabric.Packet, cmd *command) {
 		if ep.nic.SameShard(pkt.Src) {
 			op.unref()
 		}
-	case *ReliablePut:
+	case *putAttempt:
 		// Reliable puts survive NACKs: the operation stays live (a
 		// retransmit may land once the target posts a buffer); only the
-		// current attempt learns of the rejection. Several packets of one
-		// attempt can each draw a NACK, and a straggler NACK from an old
-		// attempt can land after a retransmit started — both just re-fire
-		// the recovery layer's bounded retry, so the guard is a cheap
-		// Done check rather than attempt bookkeeping.
-		if at := op.live(); at != nil && !at.Nack.Done() {
-			at.Nack.Complete(eng.Engine, cmd.status)
+		// current attempt learns of the rejection, once. Several packets
+		// of one attempt can each draw a NACK, and a straggler NACK from
+		// an old attempt can land after a retransmit started — both just
+		// re-fire the recovery layer's bounded retry, so the guard is one
+		// flag per attempt rather than attempt bookkeeping.
+		if rp := op.live(); rp != nil && !rp.nacked {
+			rp.nacked = true
+			if ep.onReliable != nil {
+				ep.onReliable.ReliableNacked(rp, cmd.status)
+			}
 		}
 	case *GetOp:
 		op.Nack.Complete(eng.Engine, cmd.status) // a get request is one packet: one NACK

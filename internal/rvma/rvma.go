@@ -196,8 +196,10 @@ type Endpoint struct {
 	pipe *pipeline
 
 	// onNack, when set, observes every NACKed plain put and every PutN's
-	// local completion (SetNackHandler).
-	onNack NackHandler
+	// local completion (SetNackHandler); onReliable every reliable put's
+	// first local completion, ack and NACKs (SetReliableHandler).
+	onNack     NackHandler
+	onReliable ReliableHandler
 
 	tracer *trace.Tracer
 	reg    *metrics.Registry // for span lookup; nil when metrics detached
@@ -405,7 +407,8 @@ type command struct {
 	data      []byte // the whole message's payload bytes (nil when !CarryData)
 	status    error  // NACK reason
 
-	// ref is the initiator's operation (*PutOp, *ReliablePut or *GetOp).
+	// ref is the initiator's operation (*PutOp, *GetOp, or a reliable
+	// put's attempt).
 	// The target copies it into every NACK and get reply it sends back,
 	// and sends a reliable put's as the placement ack itself, so the
 	// initiator reaches the operation without keeping a table of

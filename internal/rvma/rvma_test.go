@@ -887,9 +887,9 @@ func TestPutNAllocationCeiling(t *testing.T) {
 	}
 }
 
-// Every NACK and get reply allocates a command, and PutOp,
-// PutAttempt and GetOp embed one: a field added to it must not move it past the 96 B
-// size class.
+// Every NACK and get reply allocates a command, and PutOp, a reliable
+// put's attempt and GetOp embed one: a field added to it must not move it
+// past the 96 B size class.
 func TestCommandFitsItsSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(command{}); n > 96 {
 		t.Fatalf("command is %d B, past the 96 B size class", n)

@@ -11,18 +11,19 @@ import (
 
 // shard is what the endpoints on one engine share: the pipeline stages
 // whose delay is a host constant, the host post overhead and a spilled
-// counter's round trip, and the slabs pipelines and PutN ops are carved
-// from. A cluster makes one per shard (InitEndpoints); a standalone
+// counter's round trip, and the slabs pipelines, PutN ops and reliable
+// puts' attempts are carved from. A cluster makes one per shard (InitEndpoints); a standalone
 // endpoint (NewEndpoint) has a shard of its own. Every entry of a
 // constant-delay stage waits the same time on the same clock, so entries
 // fire in the order they were queued, whichever endpoint queued them
 // (sim.DelayStage).
 type shard struct {
-	eng    *sim.Engine
-	posts  sim.DelayStage[posting] // host post overhead, then the NIC send
-	spills sim.DelayStage[*Buffer] // a spilled counter's host-memory round trip
-	pipes  sim.Slab[pipeline]
-	puts   sim.Slab[PutOp]
+	eng      *sim.Engine
+	posts    sim.DelayStage[posting] // host post overhead, then the NIC send
+	spills   sim.DelayStage[*Buffer] // a spilled counter's host-memory round trip
+	pipes    sim.Slab[pipeline]
+	puts     sim.Slab[PutOp]
+	attempts sim.Slab[putAttempt] // reliable puts' attempts, never reused
 }
 
 // posting is an operation waiting out the host's post overhead, and the
@@ -67,6 +68,7 @@ func (sh *shard) drop() {
 	sh.spills.Drop()
 	sh.pipes.Drop()
 	sh.puts.Drop()
+	sh.attempts.Drop()
 }
 
 // pipeline is what an endpoint keeps for the operations it runs: its
@@ -238,6 +240,7 @@ func (ep *Endpoint) HeldPools() []string {
 	}{
 		{"pipeline", ep.pipe != nil}, {"posts", ep.sh.posts.Held()}, {"spills", ep.sh.spills.Held()},
 		{"pipeline slab", ep.sh.pipes.Held()}, {"PutOp slab", ep.sh.puts.Held()},
+		{"attempt slab", ep.sh.attempts.Held()},
 	} {
 		if s.held {
 			names = append(names, s.name)

@@ -40,10 +40,28 @@ func (q *FIFO[T]) Push(v T) {
 	q.n++
 }
 
-// grow doubles the backing array, unrolling the ring into its front.
+// PushIn is Push for one of many shallow queues: its ring grows into
+// arrays carved from s while they are small (Slab.Make), so a queue that
+// never holds more than a few entries costs a share of a chunk, not an
+// allocation per ring.
+//
+//rvmalint:hot
+func (q *FIFO[T]) PushIn(s *Slab[T], v T) {
+	if int(q.n) == len(q.buf) {
+		q.regrow(s.Make(max(2*len(q.buf), 1)))
+	}
+	q.Push(v)
+}
+
+// grow doubles the backing array.
 func (q *FIFO[T]) grow() {
 	//rvmalint:allow hotalloc -- ring growth doubles, so a queue allocates O(log peak depth) times over its life
-	buf := make([]T, max(2*len(q.buf), 1))
+	q.regrow(make([]T, max(2*len(q.buf), 1)))
+}
+
+// regrow moves the queue into buf, which is longer than the queue,
+// unrolling the ring into its front.
+func (q *FIFO[T]) regrow(buf []T) {
 	n := copy(buf, q.buf[q.head:])
 	copy(buf[n:], q.buf[:q.head])
 	q.buf, q.head = buf, 0
@@ -226,11 +244,15 @@ func (s *Slab[T]) New() *T {
 
 // Make returns n zero Ts in one array whose capacity is n: carved from
 // the current chunk when n is small, an allocation of exactly n when not.
+//
+//rvmalint:hot
 func (s *Slab[T]) Make(n int) []T {
 	if n > SlabChunk/4 {
+		//rvmalint:allow hotalloc -- a large array is one allocation, as it would be without the slab
 		return make([]T, n)
 	}
 	if len(s.rest) < n {
+		//rvmalint:allow hotalloc -- one allocation per SlabChunk values
 		s.rest = make([]T, SlabChunk)
 	}
 	v := s.rest[:n:n]
@@ -243,3 +265,126 @@ func (s *Slab[T]) Drop() { s.rest = nil }
 
 // Held reports whether the slab holds a chunk.
 func (s *Slab[T]) Held() bool { return s.rest != nil }
+
+// TimerStage is a stage whose entries each wait a delay of their own,
+// such as a jittered backoff: they fire in time order, not in the order
+// they were queued, so they wait in a heap ordered by time and then by
+// queueing order, which is the order the engine fires events due at one
+// time. One callback, bound once, serves every entry, as a Stage's does,
+// and each Add schedules the same event a closure would have: same time,
+// priority 0, the handle's label, the next seq.
+type TimerStage[T any] struct {
+	h   []timed[T]
+	n   uint64 // entries queued so far: the heap's tie-break
+	eng Tagged
+	// Fn is the stage's event callback: it takes the entry due now with
+	// Next and runs it.
+	Fn func()
+}
+
+type timed[T any] struct {
+	at Time
+	n  uint64
+	v  T
+}
+
+// Init binds the stage to eng; fn is its event callback.
+func (s *TimerStage[T]) Init(eng Tagged, fn func()) { s.eng, s.Fn = eng, fn }
+
+// Add queues v and schedules the stage's event d from now.
+//
+//rvmalint:hot
+func (s *TimerStage[T]) Add(d Time, v T) {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative timer delay %v", d))
+	}
+	//rvmalint:allow hotalloc -- the heap's array doubles, so a stage allocates O(log peak entries) times over its life
+	s.h = append(s.h, timed[T]{at: s.eng.Now() + d, n: s.n, v: v})
+	s.n++
+	s.up(len(s.h) - 1)
+	s.eng.Schedule(d, s.Fn)
+}
+
+// Next takes the entry whose event fires now: the heap's head, or, when a
+// clock that ran back fired events out of time order (see popDue), the
+// first-queued entry due now. With none due now it panics.
+//
+//rvmalint:hot
+func (s *TimerStage[T]) Next() T {
+	now := s.eng.Now()
+	i := 0
+	if len(s.h) == 0 || s.h[0].at != now {
+		i = s.due(now)
+	}
+	v := s.h[i].v
+	last := len(s.h) - 1
+	s.h[i] = s.h[last]
+	s.h[last] = timed[T]{}
+	s.h = s.h[:last]
+	if i < last {
+		s.down(i)
+		s.up(i)
+	}
+	return v
+}
+
+// due returns the index of the first-queued entry due now.
+func (s *TimerStage[T]) due(now Time) int {
+	best := -1
+	for i := range s.h {
+		if s.h[i].at == now && (best < 0 || s.h[i].n < s.h[best].n) {
+			best = i
+		}
+	}
+	if best < 0 {
+		panic(fmt.Sprintf("sim: timer event at %v found no entry due then", now))
+	}
+	return best
+}
+
+func (s *TimerStage[T]) less(i, j int) bool {
+	a, b := &s.h[i], &s.h[j]
+	return a.at < b.at || a.at == b.at && a.n < b.n
+}
+
+func (s *TimerStage[T]) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.less(i, p) {
+			return
+		}
+		s.h[i], s.h[p] = s.h[p], s.h[i]
+		i = p
+	}
+}
+
+func (s *TimerStage[T]) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(s.h) {
+			return
+		}
+		if c+1 < len(s.h) && s.less(c+1, c) {
+			c++
+		}
+		if !s.less(c, i) {
+			return
+		}
+		s.h[i], s.h[c] = s.h[c], s.h[i]
+		i = c
+	}
+}
+
+// Len returns the number of entries waiting for their event.
+func (s *TimerStage[T]) Len() int { return len(s.h) }
+
+// Drop releases an idle stage's heap array, which is sized by the stage's
+// peak of entries; the next Add allocates again.
+func (s *TimerStage[T]) Drop() {
+	if len(s.h) == 0 {
+		s.h = nil
+	}
+}
+
+// Held reports whether the stage holds a heap array.
+func (s *TimerStage[T]) Held() bool { return s.h != nil }

@@ -187,3 +187,89 @@ func TestSlabCarvesAndDrops(t *testing.T) {
 		t.Fatal("Drop kept the chunk")
 	}
 }
+
+// TestFifoPushInCarvesSmallRings: queues that grow through PushIn take
+// their rings from one slab while the rings are small, so many shallow
+// queues cost a chunk, not a ring each; entries keep their order across
+// every regrow, also with the ring wrapped; and a ring past the slab's
+// carving size is an allocation of its own.
+func TestFifoPushInCarvesSmallRings(t *testing.T) {
+	var s Slab[int]
+	qs := make([]FIFO[int], 8)
+	allocs := testing.AllocsPerRun(1, func() {
+		s.Drop()
+		for i := range qs {
+			qs[i] = FIFO[int]{}
+			qs[i].PushIn(&s, i)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("%v allocations for %d one-entry queues, want 1 chunk", allocs, len(qs))
+	}
+	var q FIFO[int]
+	next, want := 0, 0
+	q.PushIn(&s, next)
+	next++
+	q.PushIn(&s, next)
+	next++
+	if got := q.Pop(); got != want { // the head is mid-ring from here on
+		t.Fatalf("pop = %d, want %d", got, want)
+	}
+	want++
+	for ; next < SlabChunk; next++ {
+		q.PushIn(&s, next)
+	}
+	if cap(q.buf) <= SlabChunk/4 {
+		t.Fatalf("capacity %d after %d queued entries", cap(q.buf), q.Len())
+	}
+	for q.Len() > 0 {
+		if got := q.Pop(); got != want {
+			t.Fatalf("pop = %d, want %d", got, want)
+		}
+		want++
+	}
+	if want != next {
+		t.Fatalf("popped %d entries, pushed %d", want, next)
+	}
+}
+
+// TestTimerStageFiresInTimeOrder: entries with delays of their own fire
+// at their times, in time order, and entries due at one time in the
+// order they were queued, which is the order the engine fires their
+// events.
+func TestTimerStageFiresInTimeOrder(t *testing.T) {
+	e := NewEngine(1)
+	eng := e.Tag("retry")
+	var s TimerStage[string]
+	type ran struct {
+		at Time
+		v  string
+	}
+	var got []ran
+	s.Init(eng, func() { got = append(got, ran{e.Now(), s.Next()}) })
+	e.Schedule(0, func() {
+		s.Add(5*Nanosecond, "a")
+		s.Add(2*Nanosecond, "b")
+		s.Add(5*Nanosecond, "c")
+		s.Add(0, "d")
+	})
+	e.Schedule(3*Nanosecond, func() { s.Add(2*Nanosecond, "e") })
+	e.Run()
+	want := []ran{{0, "d"}, {2 * Nanosecond, "b"}, {5 * Nanosecond, "a"}, {5 * Nanosecond, "c"}, {5 * Nanosecond, "e"}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("ran %v, want %v", got, want)
+	}
+	if s.Len() != 0 || !s.Held() {
+		t.Fatalf("%d entries left, held %v", s.Len(), s.Held())
+	}
+	s.Drop()
+	if s.Held() {
+		t.Fatal("Drop of an idle stage kept its heap")
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "negative timer delay") {
+			t.Fatalf("a negative delay: recovered %q, want a panic", msg)
+		}
+	}()
+	s.Add(-1, "f")
+}
