@@ -22,8 +22,11 @@ func (n *Network) debugCheckHop(e *sim.Engine, sw int, pkt *Packet) {
 
 // debugCheckDeliver asserts packet conservation at the delivery point:
 // on a one-shard network the fabric never delivers or drops more packets
-// than were injected, and no packet arrives before it was sent.
-func (n *Network) debugCheckDeliver(e *sim.Engine, pkt *Packet) {
+// than were injected, no packet arrives before it was sent, and every
+// packet arrives at its destination, whose host a handler finds through
+// the packet (Host(pkt.Dst)).
+func (n *Network) debugCheckDeliver(e *sim.Engine, node int, pkt *Packet) {
+	sim.Assertf(node == pkt.Dst, "fabric: packet #%d for node %d delivered to node %d", pkt.ID, pkt.Dst, node)
 	if len(n.engs) == 1 {
 		// Conservation only holds globally; per-shard counters see
 		// deliveries before the matching injection counter is visible.

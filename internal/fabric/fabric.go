@@ -157,18 +157,19 @@ type Packet struct {
 	ser, xbarHold sim.Time
 	misrouted     bool
 
-	// The packet's own event. Packets are never copied, and each one has
-	// at most one pending event between NIC send and protocol handler, so
-	// a single callback (fire), bound the first time the packet is
-	// scheduled, serves every stage: stage and at (a switch or a node) or
-	// then (a continuation) record what it does next. Forwarding a packet
-	// therefore allocates nothing per hop. When a stage leaves nothing
-	// pending, the packet goes back to a shard's free list (next links
-	// it) with fire still bound, so a recycled packet allocates nothing
-	// at all (see NewPacket).
+	// The packet is its own event handler (Fire). Packets are never
+	// copied, and each one has at most one pending event between NIC send
+	// and protocol handler, so the packet itself is what every stage
+	// schedules: stage and at (a switch or a node) or then (a
+	// continuation) record what its event does next, and net is the
+	// network that runs it. Scheduling a packet stores a pointer, so
+	// forwarding one allocates nothing per hop. When a stage leaves
+	// nothing pending, the packet goes back to a shard's free list (next
+	// links it), and a recycled packet allocates nothing at all (see
+	// NewPacket).
 	stage stage
 	at    int32
-	fire  func()
+	net   *Network
 	then  func(*Packet)
 	next  *Packet
 }
@@ -188,11 +189,31 @@ const (
 // WireSize returns payload plus header bytes.
 func (p *Packet) WireSize() int { return p.Size + HeaderBytes }
 
-// DeliverFunc receives a packet at its destination node at the current
-// simulated time. It must not retain pkt after it returns: unless it
-// scheduled the packet's next stage (Then), the fabric recycles the
-// packet as soon as the call returns. Copy out the fields it needs.
+// Fire runs the packet's pending stage: it is the packet's event, and
+// the handler every stage schedules.
+//
+//rvmalint:hot
+func (p *Packet) Fire() { p.net.step(p) }
+
+// Network returns the network the packet's last stage ran on.
+func (p *Packet) Network() *Network { return p.net }
+
+// Host is a node's attachment to the fabric, its NIC. A cluster attaches
+// one per node (Attach).
+type Host interface {
+	// Deliver receives a packet at the node at the current simulated
+	// time. It must not retain pkt after it returns: unless it scheduled
+	// the packet's next stage (Then), the fabric recycles the packet as
+	// soon as the call returns. Copy out the fields it needs.
+	Deliver(pkt *Packet)
+}
+
+// DeliverFunc adapts a function to Host, for tests and tools that attach
+// a callback rather than a NIC.
 type DeliverFunc func(pkt *Packet)
+
+// Deliver calls f.
+func (f DeliverFunc) Deliver(pkt *Packet) { f(pkt) }
 
 // Stats aggregates fabric-level counters for experiment reports.
 type Stats struct {
@@ -212,7 +233,7 @@ type Stats struct {
 type Network struct {
 	topo  topology.Topology
 	cfg   Config
-	hosts []DeliverFunc
+	hosts []Host
 
 	// res holds the serial resources of each locus (a node or a switch),
 	// indexed by locus: a node's injection link, or a switch's crossbar
@@ -298,14 +319,21 @@ func (n *Network) Config() Config { return n.cfg }
 // MTU returns the maximum payload per packet.
 func (n *Network) MTU() int { return n.cfg.MTU }
 
-// AttachHost registers the delivery callback for node's NIC. Each node must
-// attach exactly once before receiving traffic.
-func (n *Network) AttachHost(node int, fn DeliverFunc) {
+// Attach registers h as node's host, which the fabric delivers node's
+// packets to. Each node must attach exactly once before receiving
+// traffic.
+func (n *Network) Attach(node int, h Host) {
 	if n.hosts[node] != nil {
 		panic(fmt.Sprintf("fabric: node %d attached twice", node))
 	}
-	n.hosts[node] = fn
+	n.hosts[node] = h
 }
+
+// AttachHost is Attach for a delivery callback.
+func (n *Network) AttachHost(node int, fn DeliverFunc) { n.Attach(node, fn) }
+
+// Host returns node's attached host, or nil.
+func (n *Network) Host(node int) Host { return n.hosts[node] }
 
 // NewPacket returns a packet from src to dst carrying size payload bytes
 // and payload, drawn from the free list of src's shard. Call it on that
@@ -334,18 +362,19 @@ func (n *Network) NewPacket(src, dst, size int, payload any) *Packet {
 // recycle puts pkt, whose last stage left nothing pending, on the free
 // list of the shard executing that stage: its destination's, since every
 // stage that can end a packet runs at the destination node. The packet is
-// zeroed except for its bound event, so a reused packet never binds
-// again. Packets allocated on one shard may be freed on another; each
-// list still has a single writer, its own shard, and a list holding
-// maxFreePackets drops further packets to the collector, so traffic that
-// flows one way across shards cannot grow a list without bound.
+// zeroed, so a reused packet carries nothing over; being its own event,
+// it keeps no binding. Packets allocated on one shard may be freed on
+// another; each list still has a single writer, its own shard, and a
+// list holding maxFreePackets drops further packets to the collector, so
+// traffic that flows one way across shards cannot grow a list without
+// bound.
 func (n *Network) recycle(pkt *Packet) {
 	fl := &n.pktFree[n.nodeShard[pkt.Dst]]
 	if fl.len >= maxFreePackets {
 		*pkt = Packet{stage: stageFree}
 		return
 	}
-	*pkt = Packet{stage: stageFree, fire: pkt.fire, next: fl.head}
+	*pkt = Packet{stage: stageFree, next: fl.head}
 	fl.head = pkt
 	fl.len++
 }
@@ -368,31 +397,28 @@ func (n *Network) DropFreePackets() {
 	clear(n.pktFree)
 }
 
-// InjectEvent returns pkt's event callback set to Inject pkt when it
-// runs. Schedule it on the source node's shard.
-func (n *Network) InjectEvent(pkt *Packet) func() {
+// InjectEvent returns pkt as an event set to Inject pkt when it fires.
+// Schedule it on the source node's shard.
+func (n *Network) InjectEvent(pkt *Packet) sim.Handler {
 	return n.event(pkt, stageInject, 0, nil)
 }
 
-// Then returns pkt's event callback set to run next(pkt) when it runs.
-// The NIC uses it to hand a received packet to its protocol handler
-// after the receive pipeline.
-func (n *Network) Then(pkt *Packet, next func(*Packet)) func() {
+// Then returns pkt as an event set to run next(pkt) when it fires. The
+// NIC uses it to hand a received packet to its protocol handler after
+// the receive pipeline. Pass one function for every packet, not a
+// closure per packet, so that scheduling allocates nothing: next finds
+// what it needs through the packet (Network, Host).
+func (n *Network) Then(pkt *Packet, next func(*Packet)) sim.Handler {
 	return n.event(pkt, stageThen, 0, next)
 }
 
-// event records pkt's next stage and returns the packet's callback,
-// binding it the first time the packet is scheduled.
-func (n *Network) event(pkt *Packet, s stage, at int, then func(*Packet)) func() {
+// event records pkt's next stage and returns the packet, its own event.
+func (n *Network) event(pkt *Packet, s stage, at int, then func(*Packet)) *Packet {
 	if sim.DebugEnabled {
 		n.debugCheckSchedule(pkt)
 	}
-	pkt.stage, pkt.at, pkt.then = s, int32(at), then
-	if pkt.fire == nil {
-		//rvmalint:allow hotalloc -- binding of a packet never scheduled before: made once, then kept across every stage and every reuse from the free list
-		pkt.fire = func() { n.step(pkt) }
-	}
-	return pkt.fire
+	pkt.stage, pkt.at, pkt.net, pkt.then = s, int32(at), n, then
+	return pkt
 }
 
 // step runs pkt's pending stage, then recycles the packet if that stage
@@ -604,8 +630,8 @@ func leastBacklogged(e *sim.Engine, ports []sim.Resource, cands []int) int {
 //rvmalint:hot
 func (n *Network) deliver(node int, pkt *Packet) {
 	e, shard := n.nodeCtx(node)
-	fn := n.hosts[node]
-	if fn == nil {
+	h := n.hosts[node]
+	if h == nil {
 		panic(fmt.Sprintf("fabric: packet for unattached node %d", node))
 	}
 	st := &n.statsSh[shard]
@@ -623,7 +649,7 @@ func (n *Network) deliver(node int, pkt *Packet) {
 	st.PacketsDelivered++
 	st.BytesDelivered += uint64(pkt.Size)
 	if sim.DebugEnabled {
-		n.debugCheckDeliver(e, pkt)
+		n.debugCheckDeliver(e, node, pkt)
 	}
 	st.TotalHops += uint64(pkt.Hops)
 	st.TotalLatency += e.Now() - pkt.Injected
@@ -633,7 +659,7 @@ func (n *Network) deliver(node int, pkt *Packet) {
 		//rvmalint:allow hotalloc -- tracer-only branch; a traced run is a debugging run
 		n.tracer.Eventf(trace.CatPacket, "deliver #%d at node %d after %d hops", pkt.ID, node, pkt.Hops)
 	}
-	fn(pkt)
+	h.Deliver(pkt)
 }
 
 // MeanPacketLatency returns the average injection-to-delivery latency.

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"rvma/internal/sim"
 	"rvma/internal/topology"
@@ -419,7 +420,7 @@ func TestForwardingAllocatesNothingPerHop(t *testing.T) {
 		}
 		perHops[h] = testing.AllocsPerRun(100, func() { send(dst) })
 		if perHops[h] != 0 {
-			t.Errorf("%d-hop route to node %d: %v allocs per packet, want 0 (a recycled packet keeps its binding)",
+			t.Errorf("%d-hop route to node %d: %v allocs per packet, want 0 (a packet is its own event)",
 				h, dst, perHops[h])
 		}
 	}
@@ -502,5 +503,57 @@ func TestNewPacketCarvesChunks(t *testing.T) {
 	net.DropFreePackets()
 	if net.pktFree[0].slab.Held() {
 		t.Error("NewPacket's chunk is still held after DropFreePackets")
+	}
+}
+
+// The packet path allocates nothing once warm: a packet drawn from the
+// free list is injected as its own event, switched, delivered to a host
+// that schedules its continuation (Then), as a NIC does after its receive
+// pipeline, and recycled once the continuation has run. Packets that come
+// fresh from an empty free list cost one allocation per SlabChunk of
+// them, not one each and not one per stage.
+func TestPacketPathZeroAlloc(t *testing.T) {
+	if sim.DebugEnabled {
+		t.Skip("simdebug invariant checks box their arguments; the gate is for normal builds")
+	}
+	eng, net := twoNodeNet(t, DefaultConfig())
+	tag := eng.Tag("host")
+	thens := 0
+	then := func(*Packet) { thens++ }
+	host := DeliverFunc(func(pkt *Packet) { tag.ScheduleH(sim.Nanosecond, net.Then(pkt, then)) })
+	net.Attach(0, host)
+	net.Attach(1, host)
+	round := func(packets int) {
+		for i := 0; i < packets; i++ {
+			tag.ScheduleH(0, net.InjectEvent(net.NewPacket(0, 1, net.MTU(), nil)))
+		}
+		eng.Run()
+	}
+	round(1)
+	if allocs := testing.AllocsPerRun(100, func() { round(1) }); allocs != 0 {
+		t.Errorf("%v allocations per packet from the free list, want 0", allocs)
+	}
+	if thens != 102 {
+		t.Fatalf("%d continuations ran for 102 packets", thens)
+	}
+
+	const n = 4 * sim.SlabChunk
+	round(n) // the engine's pools grow to n packets in flight
+	fresh := testing.AllocsPerRun(10, func() {
+		net.DropFreePackets()
+		round(n)
+	})
+	t.Logf("%d fresh packets: %v allocations", n, fresh)
+	if limit := float64(n/sim.SlabChunk + 1); fresh > limit {
+		t.Errorf("%v allocations for %d fresh packets, want at most %v", fresh, n, limit)
+	}
+}
+
+// A packet stays 120 bytes: being its own event put its network where a
+// bound callback was, and the packets in flight are most of the fabric's
+// memory.
+func TestPacketSize(t *testing.T) {
+	if n := unsafe.Sizeof(Packet{}); n > 120 {
+		t.Fatalf("Packet is %d B, want at most 120", n)
 	}
 }

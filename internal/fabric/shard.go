@@ -112,7 +112,7 @@ func build(g *sim.ShardGroup, engs []*sim.Engine, topo topology.Topology, cfg Co
 	n := &Network{
 		topo:  topo,
 		cfg:   cfg,
-		hosts: make([]DeliverFunc, nodes),
+		hosts: make([]Host, nodes),
 		group: g,
 		engs:  engs,
 	}
@@ -240,19 +240,19 @@ func (n *Network) swCtx(sw int) (*sim.Engine, int) {
 func (n *Network) nodeLocus(node int) int { return node }
 func (n *Network) switchLocus(sw int) int { return len(n.hosts) + sw }
 
-// sched books fn at absolute time at on dstShard, on behalf of srcLocus
+// sched books h at absolute time at on dstShard, on behalf of srcLocus
 // (whose owner srcShard must be the currently executing shard). Every
 // event gets a locus-unique negative priority, so it can never tie with
 // another at the same timestamp, which is what makes the merged execution
 // order independent of the shard count.
-func (n *Network) sched(srcShard, srcLocus, dstShard int, at sim.Time, fn func()) {
+func (n *Network) sched(srcShard, srcLocus, dstShard int, at sim.Time, h sim.Handler) {
 	pri := -(1 + int(n.priCount[srcLocus])*n.numLoci + srcLocus)
 	n.priCount[srcLocus]++
 	if srcShard == dstShard {
-		n.tags[dstShard].AtP(at, pri, fn)
+		n.tags[dstShard].AtPH(at, pri, h)
 		return
 	}
-	n.group.Post(srcShard, dstShard, at, pri, n.tags[dstShard].Label(), fn)
+	n.group.Post(srcShard, dstShard, at, pri, n.tags[dstShard].Label(), h)
 }
 
 // TotalStats aggregates fabric counters across shards. With more than one

@@ -54,7 +54,7 @@ func canonRelay(seed uint64, nodes, shards, hops int, attach func(eng *sim.Engin
 			tags[0].AtP(at, p, fn)
 			return
 		}
-		g.Post(shardOf(src), shardOf(dst), at, p, tags[shardOf(dst)].Label(), fn)
+		g.Post(shardOf(src), shardOf(dst), at, p, tags[shardOf(dst)].Label(), sim.Func(fn))
 	}
 	recv = func(node, hop int) {
 		tag := tags[shardOf(node)]

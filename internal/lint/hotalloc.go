@@ -12,8 +12,8 @@ import (
 // benchmark runs; this proves it for every build).
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc: "forbid heap allocations (capturing closures, map/slice literals, make/new, " +
-		"append growth, interface boxing) in functions reachable from a //rvmalint:hot " +
+	Doc: "forbid heap allocations (capturing closures, bound method values, map/slice " +
+		"literals, make/new, append growth, interface boxing) in functions reachable from a //rvmalint:hot " +
 		"root, seeded with sim.Engine's schedule/pop path. Panic-only paths and " +
 		"branches pruned by build-time constants (if sim.DebugEnabled) are exempt",
 	Run: runHotAlloc,
@@ -66,8 +66,11 @@ func computeAllocSummary(ctx *flowCtx, fi *funcInfo) {
 // scanAllocs walks one CFG node recording allocation sites and static
 // calls. Function-literal bodies are skipped — a closure's body runs
 // when the closure is invoked, not where it is written — but the
-// literal itself is an allocation when it captures variables.
+// literal itself is an allocation when it captures variables. So is a
+// method value (x.m used as a value, not called): it binds x in a
+// closure.
 func scanAllocs(info *types.Info, n ast.Node, allocs *[]allocSite, calls *[]callSite) {
+	called := make(map[ast.Expr]bool) // the Fun of every call seen, which is not a method value
 	ast.Inspect(n, func(x ast.Node) bool {
 		switch x := x.(type) {
 		case *ast.FuncLit:
@@ -75,6 +78,10 @@ func scanAllocs(info *types.Info, n ast.Node, allocs *[]allocSite, calls *[]call
 				*allocs = append(*allocs, allocSite{x.Pos(), "closure capturing outer variables"})
 			}
 			return false
+		case *ast.SelectorExpr:
+			if sel := info.Selections[x]; sel != nil && sel.Kind() == types.MethodVal && !called[x] {
+				*allocs = append(*allocs, allocSite{x.Pos(), "bound method value " + x.Sel.Name})
+			}
 		case *ast.CompositeLit:
 			if tv := info.Types[x]; tv.Type != nil {
 				switch tv.Type.Underlying().(type) {
@@ -91,6 +98,7 @@ func scanAllocs(info *types.Info, n ast.Node, allocs *[]allocSite, calls *[]call
 				}
 			}
 		case *ast.CallExpr:
+			called[ast.Unparen(x.Fun)] = true
 			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
 				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
 					switch id.Name {
@@ -149,8 +157,8 @@ func boxingSite(info *types.Info, call *ast.CallExpr, callee *types.Func) *alloc
 			continue
 		}
 		switch tv.Type.Underlying().(type) {
-		case *types.Interface, *types.Pointer:
-			continue // already an interface, or a pointer (boxes without copying)
+		case *types.Interface, *types.Pointer, *types.Signature, *types.Map, *types.Chan:
+			continue // already an interface, or one pointer word (boxes without copying)
 		}
 		return &allocSite{arg.Pos(), "interface boxing of " + tv.Type.String() + " argument to " + callee.Name()}
 	}

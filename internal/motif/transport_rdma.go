@@ -592,10 +592,10 @@ func (t *rdmaTransport) Recv(src, size int, k func()) bool {
 		return true
 	}
 	w := t.waits
+	//rvmalint:allow hotalloc -- pool miss: waits return when their receive completes, so the pool grows to the peak of waiting receives and then stays; a new wait binds its callback once
 	if w != nil {
 		t.waits, w.next = w.next, nil
 	} else {
-		//rvmalint:allow hotalloc -- pool miss: waits return when their receive completes, so the pool grows to the peak of waiting receives and then stays
 		w = &recvWait{t: t}
 		w.fire = w.received
 	}

@@ -95,7 +95,7 @@ func TestRDMAMessageAllocations(t *testing.T) {
 		{"adaptive fence", fabric.RouteAdaptive, false, false, false, 0, 0, ""},
 		{"static WaitBytes", fabric.RouteStatic, true, false, false, 0, 0, ""},
 		{"adaptive fence, credit-bound burst", fabric.RouteAdaptive, false, true, false, 0, 0, ""},
-		{"reliable ping-pong", fabric.RouteAdaptive, false, false, true, 0, 1, ""},
+		{"reliable ping-pong", fabric.RouteAdaptive, false, false, true, 0, 0.1, ""},
 		{"reliable burst", fabric.RouteAdaptive, false, true, true, 0.05, 0, "adaptive fence, credit-bound burst"},
 	} {
 		perPackets := map[int]float64{}

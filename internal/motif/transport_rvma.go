@@ -50,22 +50,30 @@ type rvmaTransport struct {
 }
 
 // rvmaShard is what the RVMA transports of one shard share: the
-// reliable-send records no message is using, and the slab the list is
-// refilled from, a chunk at a time. Cluster.Run drops them with the other
-// pools.
+// reliable-send records no message is using, the slab the list is
+// refilled from, a chunk at a time, and the slabs the transports' and
+// mailboxes' wait queues take their first rings from (sim.FIFO.PushIn):
+// most never hold more than a few waits. Cluster.Run drops them with the
+// other pools.
 type rvmaShard struct {
-	sends sim.Slab[rvmaSend]
-	idle  *rvmaSend
+	sends     sim.Slab[rvmaSend]
+	idle      *rvmaSend
+	sentRings sim.Slab[sentWait]
+	waitRings sim.Slab[func()]
 }
 
-// drop lets the idle records and the slab's chunk go.
+// drop lets the idle records and the slabs' chunks go.
 func (sh *rvmaShard) drop() {
 	sh.sends.Drop()
 	sh.idle = nil
+	sh.sentRings.Drop()
+	sh.waitRings.Drop()
 }
 
-// held reports whether the slab holds a chunk or the list an idle record.
-func (sh *rvmaShard) held() bool { return sh.sends.Held() || sh.idle != nil }
+// held reports whether a slab holds a chunk or the list an idle record.
+func (sh *rvmaShard) held() bool {
+	return sh.sends.Held() || sh.idle != nil || sh.sentRings.Held() || sh.waitRings.Held()
+}
 
 // rvmaSend is one message under the recovery layer: the recovery.Sender
 // whose attempts are the reliable put's. It embeds the put's handle and
@@ -242,7 +250,7 @@ func (t *rvmaTransport) WaitSent(_ int, k func()) bool {
 	if int32(t.lastMsg-t.putsSent) <= 0 {
 		return true
 	}
-	t.sending.Push(sentWait{k: k, target: t.lastMsg})
+	t.sending.PushIn(&t.sh.sentRings, sentWait{k: k, target: t.lastMsg})
 	return false
 }
 
@@ -385,7 +393,7 @@ func (t *rvmaTransport) Recv(src, size int, k func()) bool {
 		box.available--
 		return true
 	}
-	box.waiters.Push(k)
+	box.waiters.PushIn(&t.sh.waitRings, k)
 	return false
 }
 

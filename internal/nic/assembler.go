@@ -29,9 +29,22 @@ type RangeAssembler struct {
 	inflight map[MsgKey]rangeState
 	done     map[MsgKey]struct{}
 	// opened and finished list in-flight and done keys in the order of
-	// their time stamps, for forgetting past the horizon.
+	// their time stamps, for forgetting past the horizon. Their first
+	// rings come from rings, which the endpoints of a shard share.
 	opened, finished sim.FIFO[stamped]
+	rings            *AssemblerRings
 }
+
+// AssemblerRings is the slab the range assemblers of one shard take their
+// queues' first rings from (sim.FIFO.PushIn): most assemblers never
+// remember more than a few messages at once.
+type AssemblerRings struct{ slab sim.Slab[stamped] }
+
+// Drop lets the slab's current chunk go.
+func (r *AssemblerRings) Drop() { r.slab.Drop() }
+
+// Held reports whether the slab holds a chunk.
+func (r *AssemblerRings) Held() bool { return r.slab.Held() }
 
 // rangeState is one incomplete message: which of its packets landed.
 type rangeState struct {
@@ -47,13 +60,17 @@ type stamped struct {
 	at  sim.Time
 }
 
-// Init empties a for a fabric whose packets carry mtu payload bytes.
+// Init empties a for a fabric whose packets carry mtu payload bytes,
+// taking its queues' first rings from rings; a nil rings gives a its own.
 // Endpoints hold their assembler by value and initialize it in place.
-func (a *RangeAssembler) Init(mtu int) {
+func (a *RangeAssembler) Init(mtu int, rings *AssemblerRings) {
 	if mtu <= 0 {
 		panic("nic: range assembler needs a positive MTU")
 	}
-	*a = RangeAssembler{mtu: mtu}
+	if rings == nil {
+		rings = new(AssemblerRings)
+	}
+	*a = RangeAssembler{mtu: mtu, rings: rings}
 }
 
 // SetHorizon makes the assembler forget a message's state once it is
@@ -84,7 +101,7 @@ func (a *RangeAssembler) Add(now sim.Time, key MsgKey, offset, size, total int) 
 		}
 		st = rangeState{total: total}
 		if a.horizon > 0 {
-			a.opened.Push(stamped{key: key, at: now})
+			a.opened.PushIn(&a.rings.slab, stamped{key: key, at: now})
 		}
 	}
 	if sim.DebugEnabled {
@@ -140,7 +157,7 @@ func (a *RangeAssembler) Pending() int { return len(a.inflight) }
 func (a *RangeAssembler) markDone(now sim.Time, key MsgKey) {
 	a.done[key] = struct{}{}
 	if a.horizon > 0 {
-		a.finished.Push(stamped{key: key, at: now})
+		a.finished.PushIn(&a.rings.slab, stamped{key: key, at: now})
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 func TestRangeAssemblerBasicCompletion(t *testing.T) {
 	a := new(RangeAssembler)
-	a.Init(1024)
+	a.Init(1024, nil)
 	key := MsgKey{Src: 3, MsgID: 7}
 	if n, done, dup := a.Add(0, key, 0, 1024, 2048); n != 1024 || done || dup {
 		t.Fatalf("first half: n=%d done=%v dup=%v", n, done, dup)
@@ -29,7 +29,7 @@ func TestRangeAssemblerBasicCompletion(t *testing.T) {
 
 func TestRangeAssemblerDuplicateOffsets(t *testing.T) {
 	a := new(RangeAssembler)
-	a.Init(1024)
+	a.Init(1024, nil)
 	key := MsgKey{Src: 1, MsgID: 1}
 	a.Add(0, key, 0, 1024, 2048)
 	// Same offset again while inflight: duplicate, no new bytes.
@@ -47,7 +47,7 @@ func TestRangeAssemblerDuplicateOffsets(t *testing.T) {
 
 func TestRangeAssemblerSinglePacketMessage(t *testing.T) {
 	a := new(RangeAssembler)
-	a.Init(1024)
+	a.Init(1024, nil)
 	key := MsgKey{Src: 2, MsgID: 9}
 	if n, done, dup := a.Add(0, key, 0, 512, 512); n != 512 || !done || dup {
 		t.Fatalf("single packet: n=%d done=%v dup=%v", n, done, dup)
@@ -64,7 +64,7 @@ func TestRangeAssemblerSinglePacketMessage(t *testing.T) {
 func TestRangeAssemblerForgetsPastHorizon(t *testing.T) {
 	const h = 100 * sim.Microsecond
 	a := new(RangeAssembler)
-	a.Init(1024)
+	a.Init(1024, nil)
 	a.SetHorizon(h)
 	done, open := MsgKey{Src: 0, MsgID: 1}, MsgKey{Src: 0, MsgID: 2}
 	a.Add(0, done, 0, 8, 8)
@@ -96,7 +96,7 @@ func TestRangeAssemblerForgetsPastHorizon(t *testing.T) {
 
 	// Without a horizon, nothing is forgotten.
 	b := new(RangeAssembler)
-	b.Init(1024)
+	b.Init(1024, nil)
 	b.Add(0, done, 0, 8, 8)
 	if _, _, dup := b.Add(sim.Second, done, 0, 8, 8); !dup {
 		t.Fatal("an assembler without a horizon forgot a done key")
@@ -108,7 +108,7 @@ func TestRangeAssemblerForgetsPastHorizon(t *testing.T) {
 func TestRangeAssemblerLongMessage(t *testing.T) {
 	const mtu, packets = 64, 130
 	a := new(RangeAssembler)
-	a.Init(mtu)
+	a.Init(mtu, nil)
 	key := MsgKey{Src: 5, MsgID: 1}
 	for i := packets - 1; i >= 0; i-- {
 		n, completed, dup := a.Add(0, key, i*mtu, mtu, packets*mtu)
@@ -127,7 +127,7 @@ func TestRangeAssemblerLongMessage(t *testing.T) {
 // sees a reliable packet holds none.
 func TestRangeAssemblerMapsAreLazy(t *testing.T) {
 	a := new(RangeAssembler)
-	a.Init(1024)
+	a.Init(1024, nil)
 	if a.inflight != nil || a.done != nil || a.Done(MsgKey{}) || a.Pending() != 0 {
 		t.Fatal("a fresh assembler holds reassembly state")
 	}

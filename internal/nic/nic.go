@@ -89,14 +89,26 @@ func (p Profile) RegistrationTime(size int) sim.Time {
 	return p.RegistrationBase + sim.Scale(pages, p.RegistrationPerPage)
 }
 
-// Handler consumes a protocol packet payload on the receive side, after the
-// NIC receive pipeline has accounted its processing time. It must not
-// retain pkt after it returns: the fabric recycles the packet then, so a
-// handler copies out the fields and the payload it still needs. Every
-// packet of a message carries the one payload SendMessage's build returned
-// for it; a handler reads that payload, never writes it, and finds its
-// packet's part of the message at pkt.Offset.
+// Receiver is the protocol that owns a NIC: an endpoint, attached once
+// (SetReceiver).
+type Receiver interface {
+	// Receive consumes a protocol packet on the receive side, after the
+	// NIC receive pipeline has accounted its processing time. It must
+	// not retain pkt after it returns: the fabric recycles the packet
+	// then, so a receiver copies out the fields and the payload it still
+	// needs. Every packet of a message carries the one payload the
+	// sender gave it (Send, or SendMessage's build); a receiver reads
+	// that payload, never writes it, and finds its packet's part of the
+	// message at pkt.Offset.
+	Receive(pkt *fabric.Packet)
+}
+
+// Handler adapts a function to Receiver, for tests and tools that
+// install a callback rather than an endpoint (SetHandler).
 type Handler func(pkt *fabric.Packet)
+
+// Receive calls h.
+func (h Handler) Receive(pkt *fabric.Packet) { h(pkt) }
 
 // NIC is one node's network interface: bus, pipelines and dispatch. It
 // holds its node's memory, bus and pipelines by value, so a NIC is one
@@ -111,7 +123,7 @@ type NIC struct {
 
 	sendPipe sim.Resource
 	recvPipe sim.Resource
-	handler  Handler
+	recv     Receiver
 
 	tracer *trace.Tracer
 
@@ -132,13 +144,14 @@ func New(eng *sim.Engine, net *fabric.Network, node int, busCfg pcie.Config, pro
 
 // Init is New for a NIC the caller has placed: it attaches n, a zero NIC,
 // to node on net. A cluster builds its NICs with it in one array per
-// shard, so a node's NIC costs a slot in that array. n must not move or
-// be copied afterwards: the fabric delivers to it, and its memory's
-// regions point back at it.
+// shard, so a node's NIC costs a slot in that array and allocates
+// nothing more: the NIC attaches to the fabric as the node's Host. n must
+// not move or be copied afterwards: the fabric delivers to it, and its
+// memory's regions point back at it.
 func (n *NIC) Init(eng *sim.Engine, net *fabric.Network, node int, busCfg pcie.Config, prof Profile) {
 	n.node, n.eng, n.net, n.prof = node, eng.Tag("nic"), net, prof
 	n.bus.Init(busCfg)
-	net.AttachHost(node, n.deliver)
+	net.Attach(node, n)
 }
 
 // Node returns the attached node id.
@@ -204,22 +217,27 @@ func (n *NIC) RecvBacklog() sim.Time { return n.recvPipe.Backlog(n.eng.Engine) }
 // bus data path (telemetry: in-flight DMA).
 func (n *NIC) DMABacklog() sim.Time { return n.bus.Backlog(n.eng.Engine) }
 
-// SetHandler installs the protocol's receive dispatch. Exactly one protocol
-// owns a NIC.
-func (n *NIC) SetHandler(h Handler) {
-	if n.handler != nil {
+// SetReceiver installs the protocol's receive dispatch. Exactly one
+// protocol owns a NIC. An endpoint passes a named pointer type over its
+// own record, so installing it allocates nothing.
+func (n *NIC) SetReceiver(r Receiver) {
+	if n.recv != nil {
 		panic(fmt.Sprintf("nic: node %d handler set twice", n.node))
 	}
-	n.handler = h
+	n.recv = r
 }
 
-// deliver is the fabric callback: account receive-pipeline time, then hand
-// the packet to the protocol. The handoff is the packet's own event, so
+// SetHandler is SetReceiver for a callback.
+func (n *NIC) SetHandler(h Handler) { n.SetReceiver(h) }
+
+// Deliver implements fabric.Host: account receive-pipeline time, then
+// hand the packet to the protocol. The handoff is the packet's own event,
+// and its continuation is one function for every NIC (received), so
 // receiving allocates nothing.
 //
 //rvmalint:hot
-func (n *NIC) deliver(pkt *fabric.Packet) {
-	if n.handler == nil {
+func (n *NIC) Deliver(pkt *fabric.Packet) {
+	if n.recv == nil {
 		panic(fmt.Sprintf("nic: node %d received packet with no protocol handler", n.node))
 	}
 	n.PacketsReceived++
@@ -228,7 +246,16 @@ func (n *NIC) deliver(pkt *fabric.Packet) {
 		n.tracer.Eventf(trace.CatNIC, "nic%d rx #%d from %d %dB", n.node, pkt.ID, pkt.Src, pkt.Size)
 	}
 	done := n.recvPipe.Acquire(n.eng.Engine, n.prof.RecvPacketProc+n.prof.LookupLatency)
-	n.eng.At(done, n.net.Then(pkt, n.handler))
+	n.eng.AtH(done, n.net.Then(pkt, received))
+}
+
+// received hands pkt, at the end of its receive pipeline, to its NIC's
+// protocol. The fabric delivered pkt to its destination's host, which is
+// that NIC.
+//
+//rvmalint:hot
+func received(pkt *fabric.Packet) {
+	pkt.Network().Host(pkt.Dst).(*NIC).recv.Receive(pkt)
 }
 
 // SendMessage segments a message of total payload bytes to dst and pushes
@@ -238,7 +265,7 @@ func (n *NIC) deliver(pkt *fabric.Packet) {
 // within the message; the protocols return one read-only command for every
 // packet, and each packet records its offset in Packet.Offset. A message
 // is at most math.MaxInt32 bytes. The optional done (at most one) is the caller's
-// continuation: it runs as its own event when the last packet has been
+// continuation: it fires as its own event when the last packet has been
 // handed to the fabric (local send completion); remote delivery semantics
 // belong to the protocols. Without done that event still fires, running
 // a no-op, so the event sequence does not depend on who is listening.
@@ -246,7 +273,7 @@ func (n *NIC) deliver(pkt *fabric.Packet) {
 // one message to the next, since every message's last packet leaves the
 // FIFO send pipeline after the previous message's, and ties fire in call
 // order, so a protocol may queue its continuations in call order behind
-// one bound done callback.
+// one done handler (a sim.Stage's).
 //
 // The caller is responsible for modeling host software overhead
 // (Profile.HostPostOverhead) before invoking SendMessage; the protocols do
@@ -254,7 +281,24 @@ func (n *NIC) deliver(pkt *fabric.Packet) {
 // distinctly later.
 //
 //rvmalint:hot
-func (n *NIC) SendMessage(dst, total int, build func(off, size int) any, done ...func()) sim.Time {
+func (n *NIC) SendMessage(dst, total int, build func(off, size int) any, done ...sim.Handler) sim.Time {
+	return n.send(dst, total, build, nil, done)
+}
+
+// Send is SendMessage for a message whose every packet carries payload,
+// which is how the protocols send their commands: no build function, so
+// nothing is bound per message.
+//
+//rvmalint:hot
+func (n *NIC) Send(dst, total int, payload any, done ...sim.Handler) sim.Time {
+	return n.send(dst, total, nil, payload, done)
+}
+
+// send is SendMessage and Send: a packet's payload is build's, or payload
+// when build is nil.
+//
+//rvmalint:hot
+func (n *NIC) send(dst, total int, build func(off, size int) any, payload any, done []sim.Handler) sim.Time {
 	if total < 0 || total > math.MaxInt32 {
 		panic(fmt.Sprintf("nic: message size %d outside [0, MaxInt32]", total))
 	}
@@ -286,10 +330,14 @@ func (n *NIC) SendMessage(dst, total int, build func(off, size int) any, done ..
 			dmaDone = doorbellDone
 		}
 		procDone := n.sendPipe.AcquireAt(dmaDone, n.prof.SendPacketProc)
-		pkt := n.net.NewPacket(n.node, dst, size, build(off, size))
+		p := payload
+		if build != nil {
+			p = build(off, size)
+		}
+		pkt := n.net.NewPacket(n.node, dst, size, p)
 		pkt.Offset = int32(off)
 		n.PacketsSent++
-		n.eng.At(procDone, n.net.InjectEvent(pkt))
+		n.eng.AtH(procDone, n.net.InjectEvent(pkt))
 		if procDone > last {
 			last = procDone
 		}
@@ -302,12 +350,12 @@ func (n *NIC) SendMessage(dst, total int, build func(off, size int) any, done ..
 	if len(done) == 1 {
 		sent = done[0]
 	}
-	n.eng.At(last, sent)
+	n.eng.AtH(last, sent)
 	return last
 }
 
 // sentNoop is the local-completion event of a send nobody waits on.
-func sentNoop() {}
+var sentNoop sim.Handler = sim.Func(func() {})
 
 // InjectControl sends a NIC-generated control packet (transport ACK, NACK)
 // to dst. Control packets are fabricated by the NIC itself: they pay
@@ -323,7 +371,7 @@ func (n *NIC) InjectControl(dst int, payload any) {
 		n.tracer.Eventf(trace.CatNIC, "nic%d ctrl dst=%d", n.node, dst)
 	}
 	done := n.sendPipe.Acquire(n.eng.Engine, n.prof.SendPacketProc)
-	n.eng.At(done, n.net.InjectEvent(n.net.NewPacket(n.node, dst, 0, payload)))
+	n.eng.AtH(done, n.net.InjectEvent(n.net.NewPacket(n.node, dst, 0, payload)))
 }
 
 // MsgKey identifies an in-flight message for reassembly: source node plus

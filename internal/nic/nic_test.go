@@ -59,6 +59,26 @@ func TestSendMessageSegmentation(t *testing.T) {
 	}
 }
 
+// Send cuts a message as SendMessage does, and every packet carries the
+// one payload it was given, at its offset within the message.
+func TestSendCarriesOnePayload(t *testing.T) {
+	eng, a, b := pairWithNICs(t)
+	a.SetHandler(func(pkt *fabric.Packet) {})
+	cmd := new(int)
+	var offs []int32
+	b.SetHandler(func(pkt *fabric.Packet) {
+		if pkt.Payload != cmd {
+			t.Errorf("packet at offset %d carries %v, want the message's payload", pkt.Offset, pkt.Payload)
+		}
+		offs = append(offs, pkt.Offset)
+	})
+	eng.Schedule(0, func() { a.Send(1, 5000, cmd) })
+	eng.Run()
+	if len(offs) != 3 || offs[0] != 0 || offs[1] != 2048 || offs[2] != 4096 {
+		t.Fatalf("packet offsets %v, want [0 2048 4096]", offs)
+	}
+}
+
 func TestZeroByteMessage(t *testing.T) {
 	eng, a, b := pairWithNICs(t)
 	a.SetHandler(func(pkt *fabric.Packet) {})
@@ -80,7 +100,7 @@ func TestLocalCompletionAfterLastInjection(t *testing.T) {
 	b.SetHandler(func(pkt *fabric.Packet) { lastRecv = eng.Now() })
 	var localDone sim.Time
 	eng.Schedule(0, func() {
-		a.SendMessage(1, 8192, func(off, size int) any { return nil }, func() { localDone = eng.Now() })
+		a.SendMessage(1, 8192, func(off, size int) any { return nil }, sim.Func(func() { localDone = eng.Now() }))
 	})
 	eng.Run()
 	if localDone == 0 {
@@ -303,7 +323,7 @@ func TestSendMessageDone(t *testing.T) {
 	var want sim.Time
 	var ran []sim.Time
 	eng.Schedule(0, func() {
-		a.SendMessage(1, packets*a.MTU(), build, func() { ran = append(ran, eng.Now()) })
+		a.SendMessage(1, packets*a.MTU(), build, sim.Func(func() { ran = append(ran, eng.Now()) }))
 		want = eng.Now() + a.SendBacklog()
 	})
 	eng.Run()
@@ -313,7 +333,7 @@ func TestSendMessageDone(t *testing.T) {
 
 	if !sim.DebugEnabled {
 		count := 0
-		done := func() { count++ }
+		done := sim.Func(func() { count++ })
 		allocs := testing.AllocsPerRun(100, func() {
 			a.SendMessage(1, packets*a.MTU(), build, done)
 			eng.Run()
@@ -331,5 +351,5 @@ func TestSendMessageDone(t *testing.T) {
 			t.Fatal("SendMessage with two done callbacks should panic")
 		}
 	}()
-	a.SendMessage(1, 1, build, func() {}, func() {})
+	a.SendMessage(1, 1, build, sim.Func(func() {}), sim.Func(func() {}))
 }

@@ -67,7 +67,7 @@ func (ep *Endpoint) requestBuffer(op *RegOp, dst, size int) {
 }
 
 // post sends the request once the host has posted it.
-func (op *RegOp) post(ep *Endpoint) { ep.nic.SendMessage(op.dst, 0, op.req.payload) }
+func (op *RegOp) post(ep *Endpoint) { ep.nic.Send(op.dst, 0, &op.req) }
 
 // reaped completes the handshake once the host has processed the reply.
 func (op *RegOp) reaped() {

@@ -150,7 +150,8 @@ type Endpoint struct {
 
 	// The stages that follow the NIC's own resources (stage.go): each
 	// holds the operations waiting for its next event, in firing order.
-	// Each stage's callback is bound on its first use.
+	// Each stage's handler is the endpoint, as a named pointer type
+	// (sentStage, dmaStage), so setting it allocates nothing.
 	sends sim.Stage[sender]     // a NIC send's local completion
 	dmas  sim.Stage[completion] // a CQ entry or polled byte landing over the bus
 
@@ -283,8 +284,9 @@ func InitEndpoints(eps []*Endpoint, nics []*nic.NIC, cfg Config) {
 
 func (ep *Endpoint) init(sh *shard, n *nic.NIC, cfg Config) {
 	ep.nic, ep.eng, ep.sh, ep.cfg, ep.nextRKey = n, n.Engine().Tag("rdma"), sh, cfg, 1
-	ep.relAsm.Init(n.MTU())
-	n.SetHandler(ep.handlePacket)
+	ep.relAsm.Init(n.MTU(), &sh.asmRings)
+	ep.sends.Fn, ep.dmas.Fn = (*sentStage)(ep), (*dmaStage)(ep)
+	n.SetReceiver((*receiver)(ep))
 }
 
 // SentHandler observes the local completion of an endpoint's PutNs,
@@ -431,7 +433,3 @@ type command struct {
 	// many bytes have landed (transport resequencing).
 	fenceBytes uint64
 }
-
-// payload is the SendMessage build function of a message whose packets
-// all carry c.
-func (c *command) payload(int, int) any { return c }

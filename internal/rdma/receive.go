@@ -8,6 +8,13 @@ import (
 	"rvma/internal/trace"
 )
 
+// receiver is the endpoint as its NIC's nic.Receiver: a named pointer
+// type over the endpoint, so installing it allocates nothing.
+type receiver Endpoint
+
+// Receive implements nic.Receiver.
+func (r *receiver) Receive(pkt *fabric.Packet) { (*Endpoint)(r).handlePacket(pkt) }
+
 // handlePacket is the NIC receive dispatch (per-packet processing and MR
 // validation time already charged by the nic layer). A transport ACK's
 // payload is the operation it acknowledges; every other packet carries its
@@ -62,13 +69,13 @@ func (ep *Endpoint) handleRegRequest(pkt *fabric.Packet, cmd *command) {
 	if ep.tracer != nil {
 		ep.tracer.Eventf(trace.CatRDMA, "node %d register %dB (%v)", ep.Node(), cmd.size, cost)
 	}
-	ep.eng.Schedule(cost, r.register)
+	ep.eng.ScheduleH(cost, r)
 }
 
 // registration is the target's side of one handshake: the timed
-// registration of a region and the reply that hands it to the initiator,
-// both its own methods. Its cost depends on the region's size, so its
-// event is bound per registration, not queued in a constant-delay stage.
+// registration of a region and the reply that hands it to the initiator.
+// Its cost depends on the region's size, so it is not queued in a
+// constant-delay stage: the record is its own event (Fire).
 type registration struct {
 	ep    *Endpoint
 	src   int
@@ -76,9 +83,9 @@ type registration struct {
 	reply command // the reply, which the initiator reads once it lands
 }
 
-// register registers the region, once the registration cost has been
-// paid, and replies with its coordinates.
-func (r *registration) register() {
+// Fire registers the region, once the registration cost has been paid,
+// and replies with its coordinates.
+func (r *registration) Fire() {
 	ep := r.ep
 	mr := ep.sh.mrs.New()
 	mr.RKey = ep.nextRKey
@@ -87,7 +94,7 @@ func (r *registration) register() {
 	ep.mrs = append(ep.mrs, mr)
 	ep.Stats.Registrations++
 	r.reply.rb = RemoteBuffer{Node: ep.Node(), RKey: mr.RKey, Addr: mr.Region.Base, Size: mr.Region.Size()}
-	ep.nic.SendMessage(r.src, 0, r.reply.payload)
+	ep.nic.Send(r.src, 0, &r.reply)
 }
 
 // handleRegReply queues the reaping of the handshake the reply names.

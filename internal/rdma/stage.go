@@ -11,8 +11,9 @@ import (
 // whose delay is a host constant, and the slabs their records are carved
 // from. A cluster makes one per shard (InitEndpoints), so placing 9,702
 // endpoints binds five stage callbacks per shard, not per node, and the
-// per-peer, per-handshake and per-operation records come a chunk at a
-// time. A standalone endpoint (NewEndpoint) has a shard of its own.
+// per-peer, per-handshake and per-operation records and the first rings
+// of the endpoints' small queues come a chunk at a time. A standalone
+// endpoint (NewEndpoint) has a shard of its own.
 //
 // A constant-delay stage serves every endpoint of its engine: every entry
 // waits the same time on the same clock, so entries fire in the order
@@ -40,10 +41,14 @@ type shard struct {
 
 	attempts sim.Slab[attempt] // reliable operations' attempts, never reused
 
-	// The queue pairs' first rings (sim.FIFO.PushIn): most queues never
-	// hold more than a few entries.
+	// The first rings of the queue pairs, the endpoints' send and DMA
+	// stages and their reassembly queues (sim.FIFO.PushIn): most queues
+	// never hold more than a few entries.
 	recvRings sim.Slab[*RecvOp]
 	sendRings sim.Slab[pendingSend]
+	sentRings sim.StageRings[sender]
+	dmaRings  sim.StageRings[completion]
+	asmRings  nic.AssemblerRings
 }
 
 // posting is an operation waiting out the host's post overhead, and the
@@ -58,11 +63,11 @@ type posting struct {
 func newShard(n *nic.NIC) *shard {
 	sh := &shard{eng: n.Engine(), prof: n.Profile()}
 	eng, p := n.Engine().Tag("rdma"), &sh.prof
-	sh.posts.Init(eng, p.HostPostOverhead, sh.postNext)
-	sh.reaps.Init(eng, p.PollInterval+p.CQProcessOverhead+p.HostPostOverhead, sh.reapNext)
-	sh.regReaps.Init(eng, p.CQProcessOverhead, sh.regReapNext)
-	sh.cqPolls.Init(eng, p.PollInterval+p.CQProcessOverhead, sh.cqPollNext)
-	sh.bytePolls.Init(eng, p.PollInterval+p.HostCompletionOverhead, sh.bytePollNext)
+	sh.posts.Init(eng, p.HostPostOverhead, sim.Func(sh.postNext))
+	sh.reaps.Init(eng, p.PollInterval+p.CQProcessOverhead+p.HostPostOverhead, sim.Func(sh.reapNext))
+	sh.regReaps.Init(eng, p.CQProcessOverhead, sim.Func(sh.regReapNext))
+	sh.cqPolls.Init(eng, p.PollInterval+p.CQProcessOverhead, sim.Func(sh.cqPollNext))
+	sh.bytePolls.Init(eng, p.PollInterval+p.HostCompletionOverhead, sim.Func(sh.bytePollNext))
 	return sh
 }
 
@@ -105,6 +110,9 @@ func (sh *shard) drop() {
 	sh.attempts.Drop()
 	sh.recvRings.Drop()
 	sh.sendRings.Drop()
+	sh.sentRings.Drop()
+	sh.dmaRings.Drop()
+	sh.asmRings.Drop()
 }
 
 // held appends the names of the shard's stages that hold an array and of
@@ -122,6 +130,8 @@ func (sh *shard) held(names []string) []string {
 		{"peer slab", sh.peers.Held()}, {"peer table slab", sh.refs.Held()},
 		{"attempt slab", sh.attempts.Held()},
 		{"receive ring slab", sh.recvRings.Held()}, {"send ring slab", sh.sendRings.Held()},
+		{"sent stage ring slab", sh.sentRings.Held()}, {"DMA stage ring slab", sh.dmaRings.Held()},
+		{"reassembly ring slab", sh.asmRings.Held()},
 	} {
 		if s.held {
 			names = append(names, s.name)
@@ -206,31 +216,37 @@ func (sh *shard) regReapNext() { sh.regReaps.Next().reaped() }
 //
 //rvmalint:hot
 func (ep *Endpoint) send(dst, size int, cmd *command, op sender) {
-	if ep.sends.Fn == nil {
-		ep.sends.Fn = ep.sentNext
-	}
-	at := ep.nic.SendMessage(dst, size, cmd.payload, ep.sends.Fn)
-	ep.sends.Push(at, op)
+	at := ep.nic.Send(dst, size, cmd, ep.sends.Fn)
+	ep.sends.PushIn(&ep.sh.sentRings, at, op)
 }
 
+// sentStage is the endpoint as its send stage's handler.
+type sentStage Endpoint
+
+// Fire runs the operation whose NIC send completed locally now.
+//
 //rvmalint:hot
-func (ep *Endpoint) sentNext() { ep.sends.Pop(ep.eng.Now()).sent(ep) }
+func (s *sentStage) Fire() {
+	ep := (*Endpoint)(s)
+	ep.sends.Pop(ep.eng.Now()).sent(ep)
+}
 
 // dma queues c behind a bus write that lands at t.
 //
 //rvmalint:hot
 func (ep *Endpoint) dma(t sim.Time, c completion) {
-	if ep.dmas.Fn == nil {
-		ep.dmas.Fn = ep.dmaNext
-	}
-	ep.dmas.Push(t, c)
-	ep.eng.At(t, ep.dmas.Fn)
+	ep.dmas.PushIn(&ep.sh.dmaRings, t, c)
+	ep.eng.AtH(t, ep.dmas.Fn)
 }
 
-// dmaNext passes a landed write's completion on to the host's poll.
+// dmaStage is the endpoint as its DMA stage's handler.
+type dmaStage Endpoint
+
+// Fire passes a landed write's completion on to the host's poll.
 //
 //rvmalint:hot
-func (ep *Endpoint) dmaNext() {
+func (s *dmaStage) Fire() {
+	ep := (*Endpoint)(s)
 	c := ep.dmas.Pop(ep.eng.Now())
 	if c.recv != nil {
 		ep.sh.cqPolls.Add(c)

@@ -154,9 +154,9 @@ func (sh *Shard) join(m *Manager, eng *sim.Engine) {
 	if sh.eng == nil {
 		sh.eng = eng
 		tag := eng.Tag("recovery")
-		sh.deadlines.Init(tag, m.cfg.Timeout, sh.deadlineNext)
-		sh.guards.Init(tag, m.reclaimAfter, sh.guardNext)
-		sh.retries.Init(tag, sh.retryNext)
+		sh.deadlines.Init(tag, m.cfg.Timeout, sim.Func(sh.deadlineNext))
+		sh.guards.Init(tag, m.reclaimAfter, sim.Func(sh.guardNext))
+		sh.retries.Init(tag, sim.Func(sh.retryNext))
 		return
 	}
 	if eng != sh.eng {
@@ -519,6 +519,7 @@ func (g *WindowGuard) reclaim() {
 	g.m.Stats.Reclaims++
 	g.m.tl.Counter(g.m.node, "recovery.reclaims", g.m.eng.Now(), float64(g.m.Stats.Reclaims))
 	if g.rewind == nil {
+		//rvmalint:allow hotalloc -- bound once per guard, on its first reclaim, then reused for every later one
 		g.rewind = g.rewindHead
 	}
 	f.OnComplete(g.rewind)

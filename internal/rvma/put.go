@@ -347,4 +347,4 @@ func (ep *Endpoint) Get(dst int, vaddr VAddr, offset, length int) *GetOp {
 }
 
 // post sends the get request once the host has posted it.
-func (op *GetOp) post(ep *Endpoint) { ep.nic.SendMessage(op.dst, 0, op.req.payload) }
+func (op *GetOp) post(ep *Endpoint) { ep.nic.Send(op.dst, 0, &op.req) }

@@ -9,6 +9,13 @@ import (
 	"rvma/internal/trace"
 )
 
+// receiver is the endpoint as its NIC's nic.Receiver: a named pointer
+// type over the endpoint, so installing it allocates nothing.
+type receiver Endpoint
+
+// Receive implements nic.Receiver.
+func (r *receiver) Receive(pkt *fabric.Packet) { (*Endpoint)(r).handlePacket(pkt) }
+
 // handlePacket is the NIC-side receive path (Figure 3 of the paper): the
 // nic layer has already charged per-packet receive processing and the
 // single LUT lookup; this function performs translation, DMA placement,
@@ -260,7 +267,7 @@ func (ep *Endpoint) reject(src int, cmd *command, reason error) {
 		op.refs++ // the NACK's, spent when it reaches the initiator
 	}
 	nack := &command{op: opNack, msgID: cmd.msgID, status: reason, ref: cmd.ref}
-	ep.nic.SendMessage(src, 0, nack.payload)
+	ep.nic.Send(src, 0, nack)
 }
 
 // sendAck emits the NIC-generated placement ack for a reliable put. Like
@@ -354,7 +361,7 @@ func (ep *Endpoint) handleGetReq(pkt *fabric.Packet, cmd *command) {
 	readDone := ep.nic.Bus().TransferTime(eng.Engine, cmd.total)
 	src := pkt.Src
 	eng.At(readDone, func() {
-		ep.nic.SendMessage(src, reply.total, reply.payload)
+		ep.nic.Send(src, reply.total, reply)
 	})
 }
 

@@ -264,8 +264,8 @@ func (cfg Config) on(n *nic.NIC) Config {
 
 func (ep *Endpoint) init(sh *shard, n *nic.NIC, cfg Config) {
 	ep.nic, ep.eng, ep.sh, ep.cfg = n, n.Engine().Tag("rvma"), sh, cfg
-	ep.relAsm.Init(n.MTU())
-	n.SetHandler(ep.handlePacket)
+	ep.relAsm.Init(n.MTU(), &sh.asmRings)
+	n.SetReceiver((*receiver)(ep))
 }
 
 // SetTracer attaches a tracer; window lifecycle, completions and NACKs go
@@ -416,7 +416,3 @@ type command struct {
 	// down a *PutOp, and only on the initiator's shard (PutOp).
 	ref any
 }
-
-// payload is the SendMessage build function of a message whose packets
-// all carry c.
-func (c *command) payload(int, int) any { return c }

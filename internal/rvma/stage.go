@@ -11,8 +11,9 @@ import (
 
 // shard is what the endpoints on one engine share: the pipeline stages
 // whose delay is a host constant, the host post overhead and a spilled
-// counter's round trip, and the slabs pipelines, PutN ops and reliable
-// puts' attempts are carved from. A cluster makes one per shard (InitEndpoints); a standalone
+// counter's round trip, and the slabs pipelines, PutN ops, reliable
+// puts' attempts and the first rings of the endpoints' small queues are
+// carved from. A cluster makes one per shard (InitEndpoints); a standalone
 // endpoint (NewEndpoint) has a shard of its own. Every entry of a
 // constant-delay stage waits the same time on the same clock, so entries
 // fire in the order they were queued, whichever endpoint queued them
@@ -24,6 +25,11 @@ type shard struct {
 	pipes    sim.Slab[pipeline]
 	puts     sim.Slab[PutOp]
 	attempts sim.Slab[putAttempt] // reliable puts' attempts, never reused
+
+	// The first rings of the endpoints' send stages and reassembly
+	// queues (sim.FIFO.PushIn): most never hold more than a few entries.
+	sendRings sim.StageRings[sender]
+	asmRings  nic.AssemblerRings
 }
 
 // posting is an operation waiting out the host's post overhead, and the
@@ -38,8 +44,8 @@ type posting struct {
 func newShard(n *nic.NIC, penalty sim.Time) *shard {
 	sh := &shard{eng: n.Engine()}
 	eng := n.Engine().Tag("rvma")
-	sh.posts.Init(eng, n.Profile().HostPostOverhead, sh.postNext)
-	sh.spills.Init(eng, penalty, sh.spillNext)
+	sh.posts.Init(eng, n.Profile().HostPostOverhead, sim.Func(sh.postNext))
+	sh.spills.Init(eng, penalty, sim.Func(sh.spillNext))
 	return sh
 }
 
@@ -69,16 +75,18 @@ func (sh *shard) drop() {
 	sh.pipes.Drop()
 	sh.puts.Drop()
 	sh.attempts.Drop()
+	sh.sendRings.Drop()
+	sh.asmRings.Drop()
 }
 
 // pipeline is what an endpoint keeps for the operations it runs: its
 // ordered pipeline steps that follow the NIC's own resources, each a
 // sim.Stage holding the operations waiting for its next event, in firing
-// order, behind one callback, and the released buffers PostBuffer reuses.
-// It is carved on first use and dropped after a run, and each callback is
-// bound on its stage's first use, not when the endpoint is built: at
-// paper scale many endpoints send a single message, and a finished
-// cluster of 9,702 endpoints should not keep a pipeline for each.
+// order, behind one handler, and the released buffers PostBuffer reuses.
+// It is carved on first use and dropped after a run: at paper scale many
+// endpoints send a single message, and a finished cluster of 9,702
+// endpoints should not keep a pipeline for each. Each stage's handler is
+// the endpoint itself, as a named pointer type (sentStage, writeStage).
 type pipeline struct {
 	sends  sim.Stage[sender]          // a NIC send's local completion
 	writes sim.Stage[completionWrite] // a completion-pointer write landing over the bus
@@ -96,7 +104,9 @@ type pipeline struct {
 //rvmalint:hot
 func (ep *Endpoint) pipeline() *pipeline {
 	if ep.pipe == nil {
-		ep.pipe = ep.sh.pipes.New()
+		p := ep.sh.pipes.New()
+		p.sends.Fn, p.writes.Fn = (*sentStage)(ep), (*writeStage)(ep)
+		ep.pipe = p
 	}
 	return ep.pipe
 }
@@ -136,14 +146,19 @@ func (sh *shard) postNext() {
 //rvmalint:hot
 func (ep *Endpoint) send(dst int, cmd *command, op sender) {
 	s := &ep.pipeline().sends
-	if s.Fn == nil {
-		s.Fn = ep.sentNext
-	}
-	s.Push(ep.nic.SendMessage(dst, cmd.total, cmd.payload, s.Fn), op)
+	s.PushIn(&ep.sh.sendRings, ep.nic.Send(dst, cmd.total, cmd, s.Fn), op)
 }
 
+// sentStage is the endpoint as its send stage's handler.
+type sentStage Endpoint
+
+// Fire runs the operation whose NIC send completed locally now.
+//
 //rvmalint:hot
-func (ep *Endpoint) sentNext() { ep.pipe.sends.Pop(ep.eng.Now()).sent(ep) }
+func (s *sentStage) Fire() {
+	ep := (*Endpoint)(s)
+	ep.pipe.sends.Pop(ep.eng.Now()).sent(ep)
+}
 
 // spill queues buf's completion behind the host-memory round trip of its
 // window's spilled counter.
@@ -172,19 +187,20 @@ func (sh *shard) spillNext() {
 //rvmalint:hot
 func (ep *Endpoint) write(t sim.Time, c completionWrite) {
 	s := &ep.pipeline().writes
-	if s.Fn == nil {
-		s.Fn = ep.writeNext
-	}
 	s.Push(t, c)
-	ep.eng.At(t, s.Fn)
+	ep.eng.AtH(t, s.Fn)
 }
 
-// writeNext lands a completion-pointer write: the buffer is complete, its
+// writeStage is the endpoint as its completion-write stage's handler.
+type writeStage Endpoint
+
+// Fire lands a completion-pointer write: the buffer is complete, its
 // cell holds (head, length), and the message spans, one-shot waiters and
 // the window's completion handler observe it, in that order.
 //
 //rvmalint:hot
-func (ep *Endpoint) writeNext() {
+func (s *writeStage) Fire() {
+	ep := (*Endpoint)(s)
 	c := ep.pipe.writes.Pop(ep.eng.Now())
 	now := ep.eng.Now()
 	buf := c.buf
@@ -240,7 +256,8 @@ func (ep *Endpoint) HeldPools() []string {
 	}{
 		{"pipeline", ep.pipe != nil}, {"posts", ep.sh.posts.Held()}, {"spills", ep.sh.spills.Held()},
 		{"pipeline slab", ep.sh.pipes.Held()}, {"PutOp slab", ep.sh.puts.Held()},
-		{"attempt slab", ep.sh.attempts.Held()},
+		{"attempt slab", ep.sh.attempts.Held()}, {"send ring slab", ep.sh.sendRings.Held()},
+		{"reassembly ring slab", ep.sh.asmRings.Held()},
 	} {
 		if s.held {
 			names = append(names, s.name)

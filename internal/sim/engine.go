@@ -5,7 +5,20 @@ import (
 	"math/bits"
 )
 
-// event is a scheduled callback. Events are ordered by time, then priority
+// Handler is what an event runs: typically a component's own record,
+// whose Fire is the event's callback. Scheduling a pointer to a record
+// stores the pointer and allocates nothing, where a closure or a method
+// value would be made per record; a plain func() schedules as a Func.
+type Handler interface{ Fire() }
+
+// Func adapts a func() to Handler. A func value is one pointer, so the
+// conversion allocates nothing.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
+// event is a scheduled handler. Events are ordered by time, then priority
 // (lower runs first), then by the sequence number assigned at scheduling
 // time, which makes execution order fully deterministic. The engine pools
 // events and recycles one as soon as it has executed; no reference to an
@@ -14,7 +27,7 @@ type event struct {
 	at       Time
 	priority int
 	seq      uint64
-	fn       func()
+	h        Handler
 	label    Label // component identity stamped by Tagged handles; 0 = unlabeled
 	daemon   bool
 	state    uint8 // pool lifecycle: evFree / evQueued (simdebug checks)
@@ -432,14 +445,14 @@ func (e *Engine) RNG() *RNG { return e.rng }
 // (daemon events are not counted).
 func (e *Engine) EventsExecuted() uint64 { return e.executed }
 
-// at queues fn at absolute time t, reusing a recycled event when the free
+// at queues h at absolute time t, reusing a recycled event when the free
 // list has stock. Every field is (re)initialized here, so a pooled object
 // carries nothing over from its previous life. It is the one queueing
 // path behind every Schedule/At variant and the shard group's handoffs;
 // callers check t against the clock.
 //
 //rvmalint:hot
-func (e *Engine) at(t Time, priority int, label Label, fn func(), daemon bool) {
+func (e *Engine) at(t Time, priority int, label Label, h Handler, daemon bool) {
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -464,17 +477,17 @@ func (e *Engine) at(t Time, priority int, label Label, fn func(), daemon bool) {
 		ev.seq = 2 * e.seq
 		e.seq++
 	}
-	ev.fn = fn
+	ev.h = h
 	ev.label = label
 	ev.daemon = daemon
 	ev.state = evQueued
 	e.queue.push(ev)
 }
 
-// release returns an executed event to the free list. The callback is
-// dropped immediately so the pool never pins captured state.
+// release returns an executed event to the free list. The handler is
+// dropped immediately so the pool never pins its record.
 func (e *Engine) release(ev *event) {
-	ev.fn = nil
+	ev.h = nil
 	ev.state = evFree
 	//rvmalint:allow hotalloc -- free-list growth is amortized; capacity stabilizes at peak event population
 	e.free = append(e.free, ev)
@@ -485,7 +498,7 @@ func (e *Engine) release(ev *event) {
 //
 //rvmalint:hot
 func (e *Engine) Schedule(d Time, fn func()) {
-	e.schedule(d, 0, NoLabel, fn, false)
+	e.schedule(d, 0, NoLabel, Func(fn), false)
 }
 
 // ScheduleP runs fn after delay d with an explicit priority; among events
@@ -494,36 +507,36 @@ func (e *Engine) Schedule(d Time, fn func()) {
 //
 //rvmalint:hot
 func (e *Engine) ScheduleP(d Time, priority int, fn func()) {
-	e.schedule(d, priority, NoLabel, fn, false)
+	e.schedule(d, priority, NoLabel, Func(fn), false)
 }
 
 // schedule is the relative-delay entry point behind every Schedule*
 // variant, the Tagged ones included.
 //
 //rvmalint:hot
-func (e *Engine) schedule(d Time, priority int, label Label, fn func(), daemon bool) {
+func (e *Engine) schedule(d Time, priority int, label Label, h Handler, daemon bool) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", d))
 	}
-	e.at(e.now+d, priority, label, fn, daemon)
+	e.at(e.now+d, priority, label, h, daemon)
 }
 
 // At runs fn at absolute time t, which must not be in the past.
 //
 //rvmalint:hot
 func (e *Engine) At(t Time, fn func()) {
-	e.atModel(t, 0, NoLabel, fn)
+	e.atModel(t, 0, NoLabel, Func(fn))
 }
 
-// atModel is the absolute-time entry point behind At and Tagged.At/AtP:
-// a time in the past panics.
+// atModel is the absolute-time entry point behind At and the Tagged At
+// variants: a time in the past panics.
 //
 //rvmalint:hot
-func (e *Engine) atModel(t Time, priority int, label Label, fn func()) {
+func (e *Engine) atModel(t Time, priority int, label Label, h Handler) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
 	}
-	e.at(t, priority, label, fn, false)
+	e.at(t, priority, label, h, false)
 }
 
 // ScheduleDaemonP runs fn after delay d at the given priority as a daemon
@@ -538,7 +551,7 @@ func (e *Engine) atModel(t Time, priority int, label Label, fn func()) {
 //
 //rvmalint:hot
 func (e *Engine) ScheduleDaemonP(d Time, priority int, fn func()) {
-	e.schedule(d, priority, NoLabel, fn, true)
+	e.schedule(d, priority, NoLabel, Func(fn), true)
 }
 
 // Run executes events until only daemon events remain queued. It returns
@@ -558,8 +571,7 @@ func (e *Engine) RunUntil(limit Time) Time {
 		panic(fmt.Sprintf("sim: RunUntil limit %v before now %v", limit, e.now))
 	}
 	e.running = true
-	//rvmalint:allow hotalloc -- one closure per Run call, not per event; the re-entrancy guard must survive callback panics
-	defer func() { e.running = false }()
+	defer e.stop() // the re-entrancy guard must survive handler panics
 	// Only daemon events left: the model has drained. Return at the last
 	// model event's time without executing them, so attached
 	// instrumentation can never extend a run or advance its clock.
@@ -572,6 +584,9 @@ func (e *Engine) RunUntil(limit Time) Time {
 	}
 	return e.now
 }
+
+// stop clears the re-entrancy guard when a run returns.
+func (e *Engine) stop() { e.running = false }
 
 // runShardWindow is the round executor the shard group drives (see
 // shard.go): it executes every event with at <= limit in heap order,
@@ -588,7 +603,7 @@ func (e *Engine) runShardWindow(limit Time) {
 		panic("sim: Run re-entered from within an event")
 	}
 	e.running = true
-	defer func() { e.running = false }()
+	defer e.stop()
 	for e.queue.n > 0 && e.queue.peek() <= limit {
 		e.runNext()
 	}
@@ -608,25 +623,25 @@ func (e *Engine) runNext() {
 		e.debugCheckPop(ev)
 	}
 	e.now = ev.at
-	// Recycle before invoking: the callback's own re-scheduling (the
+	// Recycle before invoking: the handler's own re-scheduling (the
 	// self-ticking pattern every model here uses) then reuses the same
 	// hot object instead of allocating.
-	fn := ev.fn
+	h := ev.h
 	e.release(ev)
 	if ev.daemon {
-		fn()
+		h.Fire()
 		return
 	}
 	e.lastModelAt = ev.at
 	e.executed++
-	// The exec observer sees every model pop before its callback runs;
+	// The exec observer sees every model pop before its handler runs;
 	// the event's scalar fields are still intact after release (release
-	// clears only fn and state), and the object cannot be reallocated
-	// until fn schedules something.
+	// clears only h and state), and the object cannot be reallocated
+	// until h schedules something.
 	if e.execObs != nil {
 		e.execObs.ObserveExec(ev.seq, ev.at, ev.priority, ev.label)
 	}
-	fn()
+	h.Fire()
 }
 
 // syncClock sets the engine clock to t without executing anything. The

@@ -180,25 +180,46 @@ func TestScheduleInPastMessages(t *testing.T) {
 	e.Run()
 }
 
+// counter is a pointer handler: a component record that is its own
+// event.
+type counter struct{ n int }
+
+func (c *counter) Fire() { c.n++ }
+
 // TestEngineSteadyStateZeroAlloc is the kernel's allocation gate: once
 // the event pool and the heap's backing array have grown, a schedule+pop
-// allocates nothing.
+// allocates nothing, whether the event is a func, which Schedule wraps as
+// a Func, a Func scheduled as a handler, or a pointer handler.
 func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	if DebugEnabled {
 		t.Skip("simdebug invariant checks box their arguments; the gate is for normal builds")
 	}
 	e := NewEngine(1)
+	tag := e.Tag("t")
 	tick := func() {}
+	var c counter
 	// Keep some events queued so pops sift through a heap.
 	for i := 0; i < 64; i++ {
-		e.Schedule(Time(i+2)*Microsecond, tick)
+		e.Schedule(Time(i+2)*Millisecond, tick)
 	}
-	schedulePop := func() {
-		e.Schedule(Nanosecond, tick)
-		e.Step()
+	for _, tc := range []struct {
+		name     string
+		schedule func()
+	}{
+		{"func", func() { e.Schedule(Nanosecond, tick) }},
+		{"sim.Func", func() { tag.ScheduleH(Nanosecond, Func(tick)) }},
+		{"pointer handler", func() { tag.ScheduleH(Nanosecond, &c) }},
+	} {
+		schedulePop := func() {
+			tc.schedule()
+			e.Step()
+		}
+		if got := testing.AllocsPerRun(1000, schedulePop); got != 0 {
+			t.Errorf("%s: schedule+pop: %v allocs per run, want 0", tc.name, got)
+		}
 	}
-	if got := testing.AllocsPerRun(1000, schedulePop); got != 0 {
-		t.Errorf("schedule+pop: %v allocs per run, want 0", got)
+	if c.n != 1001 {
+		t.Errorf("the pointer handler fired %d times, want 1001", c.n)
 	}
 }
 

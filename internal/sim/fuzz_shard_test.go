@@ -101,7 +101,7 @@ func (m *fzModel) send(src, dst int, at sim.Time, hops int) {
 		m.tags[0].AtP(at, pri, fn)
 		return
 	}
-	m.group.Post(m.shardOf(src), m.shardOf(dst), at, pri, m.tags[m.shardOf(dst)].Label(), fn)
+	m.group.Post(m.shardOf(src), m.shardOf(dst), at, pri, m.tags[m.shardOf(dst)].Label(), sim.Func(fn))
 }
 
 func (m *fzModel) receive(node, hops int) {

@@ -87,7 +87,7 @@ func (t Tagged) Retag(name string) Tagged { return t.Engine.Tag(name) }
 //
 //rvmalint:hot
 func (t Tagged) Schedule(d Time, fn func()) {
-	t.Engine.schedule(d, 0, t.label, fn, false)
+	t.Engine.schedule(d, 0, t.label, Func(fn), false)
 }
 
 // ScheduleP runs fn after delay d at the given priority, stamped with the
@@ -95,25 +95,48 @@ func (t Tagged) Schedule(d Time, fn func()) {
 //
 //rvmalint:hot
 func (t Tagged) ScheduleP(d Time, priority int, fn func()) {
-	t.Engine.schedule(d, priority, t.label, fn, false)
+	t.Engine.schedule(d, priority, t.label, Func(fn), false)
 }
 
 // At runs fn at absolute time tm, stamped with the handle's label.
 //
 //rvmalint:hot
 func (t Tagged) At(tm Time, fn func()) {
-	t.Engine.atModel(tm, 0, t.label, fn)
+	t.Engine.atModel(tm, 0, t.label, Func(fn))
 }
 
 // AtP runs fn at absolute time tm with an explicit priority, stamped with
-// the handle's label. The fabric uses it to give every packet event a
-// globally unique (negative) priority, which makes cross-component event
-// order a pure function of (time, priority) — the property the sharded
-// engine's deterministic handoff relies on.
+// the handle's label.
 //
 //rvmalint:hot
 func (t Tagged) AtP(tm Time, priority int, fn func()) {
-	t.Engine.atModel(tm, priority, t.label, fn)
+	t.Engine.atModel(tm, priority, t.label, Func(fn))
+}
+
+// ScheduleH is Schedule for a Handler: the event fires h after delay d.
+// The H variants are how a component schedules its own bound record, a
+// packet or a stage, without making a func per event.
+//
+//rvmalint:hot
+func (t Tagged) ScheduleH(d Time, h Handler) {
+	t.Engine.schedule(d, 0, t.label, h, false)
+}
+
+// AtH is At for a Handler: the event fires h at absolute time tm.
+//
+//rvmalint:hot
+func (t Tagged) AtH(tm Time, h Handler) {
+	t.Engine.atModel(tm, 0, t.label, h)
+}
+
+// AtPH is AtP for a Handler. The fabric uses it to give every packet
+// event a globally unique (negative) priority, which makes
+// cross-component event order a pure function of (time, priority) — the
+// property the sharded engine's deterministic handoff relies on.
+//
+//rvmalint:hot
+func (t Tagged) AtPH(tm Time, priority int, h Handler) {
+	t.Engine.atModel(tm, priority, t.label, h)
 }
 
 // ScheduleDaemonP schedules a daemon event stamped with the handle's label.
@@ -122,11 +145,11 @@ func (t Tagged) AtP(tm Time, priority int, fn func()) {
 //
 //rvmalint:hot
 func (t Tagged) ScheduleDaemonP(d Time, priority int, fn func()) {
-	t.Engine.schedule(d, priority, t.label, fn, true)
+	t.Engine.schedule(d, priority, t.label, Func(fn), true)
 }
 
 // ExecObserver receives one callback per executed model event, in execution
-// order, before the event's callback runs. Daemon events (telemetry riders)
+// order, before the event's handler runs. Daemon events (telemetry riders)
 // are never reported, so an observer sees the same stream whether or not
 // instrumentation daemons are attached. The callback runs on the engine
 // goroutine; implementations must not schedule events, draw from the RNG,

@@ -48,11 +48,11 @@ func newOrderedEngine(t *testing.T) (*Engine, *orderLog) {
 
 // atExactly schedules a model event at t that checks it runs at exactly t.
 func atExactly(t *testing.T, e *Engine, at Time, pri int) {
-	e.atModel(at, pri, NoLabel, func() {
+	e.atModel(at, pri, NoLabel, Func(func() {
 		if e.Now() != at {
 			t.Fatalf("event for %v ran at %v", at, e.Now())
 		}
-	})
+	}))
 }
 
 // popTo advances the queue's last pop to t: it runs an event at t.
@@ -255,11 +255,11 @@ func TestQueueOrderAcrossBuckets(t *testing.T) {
 			atExactly(t, e, at, p)
 		}
 		// Ties pushed while bucket 0 is being drained join it in order.
-		e.atModel(at, -5, NoLabel, func() {
+		e.atModel(at, -5, NoLabel, Func(func() {
 			for _, p := range []int{-6, -5, 100, -1 << 41} {
 				atExactly(t, e, at, p)
 			}
-		})
+		}))
 		e.Schedule(at+1, func() {})
 		e.Run()
 		if got, want := len(log.pops), len(pris)+1+4+1; got != want {
@@ -293,8 +293,8 @@ func TestQueueOrderAcrossBuckets(t *testing.T) {
 		if e.Now() != 1000*Nanosecond {
 			t.Fatalf("window ended at %v, want 1us", e.Now())
 		}
-		e.at(3000*Nanosecond, -3, NoLabel, func() {}, false)
-		e.at(2500*Nanosecond, 2, NoLabel, func() {}, false)
+		e.at(3000*Nanosecond, -3, NoLabel, Func(func() {}), false)
+		e.at(2500*Nanosecond, 2, NoLabel, Func(func() {}), false)
 		e.Run()
 		if got := len(log.pops); got != 8 {
 			t.Fatalf("popped %d events, want 8", got)

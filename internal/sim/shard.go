@@ -43,7 +43,7 @@ type xpost struct {
 	at       Time
 	priority int
 	label    Label
-	fn       func()
+	h        Handler
 	idx      int // per-sender emission index within the round (sort tie-break)
 }
 
@@ -130,7 +130,7 @@ func (g *ShardGroup) OnBarrier(fn func()) {
 	g.onBarrier = append(g.onBarrier, fn)
 }
 
-// Post schedules fn at absolute time at on shard dst, on behalf of shard
+// Post schedules h at absolute time at on shard dst, on behalf of shard
 // src. Same-shard posts schedule immediately; cross-shard posts are
 // buffered and delivered at the next round barrier in a deterministic
 // order. The label must be one interned on the destination shard's
@@ -139,7 +139,7 @@ func (g *ShardGroup) OnBarrier(fn func()) {
 //
 // Conservative correctness requires at >= sender now + lookahead for
 // cross-shard posts; simdebug builds assert it.
-func (g *ShardGroup) Post(src, dst int, at Time, priority int, label Label, fn func()) {
+func (g *ShardGroup) Post(src, dst int, at Time, priority int, label Label, h Handler) {
 	if DebugEnabled {
 		Assertf(src >= 0 && src < len(g.shards) && dst >= 0 && dst < len(g.shards),
 			"cross-shard post with bad shard ids src=%d dst=%d (have %d shards)", src, dst, len(g.shards))
@@ -149,7 +149,7 @@ func (g *ShardGroup) Post(src, dst int, at Time, priority int, label Label, fn f
 		if DebugEnabled {
 			Assertf(at >= e.now, "same-shard post at %v before shard %d clock %v", at, src, e.now)
 		}
-		e.at(at, priority, label, fn, false)
+		e.at(at, priority, label, h, false)
 		return
 	}
 	if DebugEnabled {
@@ -159,7 +159,7 @@ func (g *ShardGroup) Post(src, dst int, at Time, priority int, label Label, fn f
 	}
 	box := g.outbox[src]
 	g.outbox[src] = append(box, xpost{
-		src: src, dst: dst, at: at, priority: priority, label: label, fn: fn, idx: len(box),
+		src: src, dst: dst, at: at, priority: priority, label: label, h: h, idx: len(box),
 	})
 }
 
@@ -200,8 +200,8 @@ func (g *ShardGroup) deliver() {
 				"cross-shard handoff at %v arrives behind destination shard %d clock %v (causality violated; lookahead too large?)",
 				p.at, p.dst, dst.now)
 		}
-		dst.at(p.at, p.priority, p.label, p.fn, false)
-		p.fn = nil // don't pin callbacks in the reused scratch buffer
+		dst.at(p.at, p.priority, p.label, p.h, false)
+		p.h = nil // don't pin handlers in the reused scratch buffer
 	}
 	g.xbuf = all
 }

@@ -24,7 +24,7 @@ func TestDebugCatchesBrokenLookahead(t *testing.T) {
 	g.Shard(0).Tag("tx").AtP(0, -1, func() {
 		// Sent with the honest latency: legal under lookahead=40,
 		// a causality violation under the inflated claim of 160.
-		g.Post(0, 1, g.Shard(0).Now()+realLatency, -2, dst.Label(), func() {})
+		g.Post(0, 1, g.Shard(0).Now()+realLatency, -2, dst.Label(), Func(func() {}))
 	})
 	mustPanic(t, "violates lookahead", func() { g.Run() })
 }
@@ -37,8 +37,8 @@ func TestDebugCatchesBrokenLookahead(t *testing.T) {
 func TestDebugCatchesLateHandoff(t *testing.T) {
 	g := NewShardGroup(1, 2, 40)
 	lbl := g.Shard(1).Tag("rx").Label()
-	g.Post(0, 1, 100, -1, lbl, func() {}) // legal: sender at 0, lookahead 40
-	g.shards[1].now = 200                 // shard 1 "ran past" the handoff
+	g.Post(0, 1, 100, -1, lbl, Func(func() {})) // legal: sender at 0, lookahead 40
+	g.shards[1].now = 200                       // shard 1 "ran past" the handoff
 	mustPanic(t, "arrives behind destination shard", func() { g.deliver() })
 }
 
@@ -59,10 +59,10 @@ func TestDebugCatchesBadPostTargets(t *testing.T) {
 	g := NewShardGroup(1, 2, 40)
 	lbl := g.Shard(0).Tag("x").Label()
 	mustPanic(t, "bad shard ids", func() {
-		g.Post(0, 7, 100, -1, lbl, func() {})
+		g.Post(0, 7, 100, -1, lbl, Func(func() {}))
 	})
 	g.shards[0].now = 50
 	mustPanic(t, "same-shard post at", func() {
-		g.Post(0, 0, 10, -1, lbl, func() {})
+		g.Post(0, 0, 10, -1, lbl, Func(func() {}))
 	})
 }

@@ -123,7 +123,7 @@ func (m *relayModel) send(src, dst int, at Time, hops int) {
 		return
 	}
 	ss, ds := m.shardOf(src), m.shardOf(dst)
-	m.group.Post(ss, ds, at, pri, m.tags[ds].Label(), fn)
+	m.group.Post(ss, ds, at, pri, m.tags[ds].Label(), Func(fn))
 }
 
 // receive is the per-hop callback: fold model state, do some local work,
@@ -344,7 +344,7 @@ func TestShardGroupPanicPropagates(t *testing.T) {
 	// Enough cross-shard traffic to keep 2+ shards active (worker path).
 	for i := 0; i < 8; i++ {
 		at := Time(10 + i)
-		g.Post(0, 3, at+relayLookahead, -(i + 1), tagB.Label(), func() {})
+		g.Post(0, 3, at+relayLookahead, -(i + 1), tagB.Label(), Func(func() {}))
 		tagA.AtP(at, 0, func() {})
 	}
 	g.Shard(3).Tag("boom").AtP(relayLookahead+12, 5, func() { panic("boom") })
@@ -451,5 +451,5 @@ func (m *relayModel) sendFn(src, dst int, at Time, fn func()) {
 		return
 	}
 	ss, ds := m.shardOf(src), m.shardOf(dst)
-	m.group.Post(ss, ds, at, pri, m.tags[ds].Label(), fn)
+	m.group.Post(ss, ds, at, pri, m.tags[ds].Label(), Func(fn))
 }

@@ -88,21 +88,23 @@ func (q *FIFO[T]) Pop() T {
 // post overhead, a poll hop) or a FIFO resource (the bus, the NIC send
 // pipe), whose completion times never decrease from one use to the next
 // and whose ties break by scheduling order. Its entries wait in a FIFO,
-// and one callback, Fn, bound once by the owner, pops and runs the head.
+// and one handler, Fn, set once by the owner, pops and runs the head.
 // So an operation passes through the stage without a closure, and the
 // event it schedules is the same event, at the same time and scheduling
-// position, a closure would have been. Every Pop checks that it fires at
-// its entry's time: if the head is not due, it takes the first entry that
-// is (only a clock that ran back queues entries out of order), and with
-// none due it panics, so an event that breaks the stage's order cannot
-// run the wrong operation; under simdebug every Push also checks that its
-// time is not before the previous one.
+// position, a closure would have been. An owner that has one stage per
+// component makes Fn a named pointer type over its own record (type
+// sentStage Endpoint, say), so setting it allocates nothing. Every Pop
+// checks that it fires at its entry's time: if the head is not due, it
+// takes the first entry that is (only a clock that ran back queues
+// entries out of order), and with none due it panics, so an event that
+// breaks the stage's order cannot run the wrong operation; under simdebug
+// every Push also checks that its time is not before the previous one.
 type Stage[T any] struct {
 	q FIFO[staged[T]]
-	// Fn is the stage's event callback: it pops the head entry with Pop
-	// and runs it. The owner binds it once and schedules it, at an entry's
+	// Fn is the stage's event handler: it pops the head entry with Pop
+	// and runs it. The owner sets it once and schedules it, at an entry's
 	// time, for every entry it pushes.
-	Fn func()
+	Fn Handler
 }
 
 type staged[T any] struct {
@@ -116,11 +118,32 @@ type staged[T any] struct {
 //rvmalint:hot
 func (s *Stage[T]) Push(at Time, v T) {
 	if DebugEnabled {
-		if s.q.n > 0 {
-			Assertf(at >= s.q.Back().at, "sim: stage entry due at %v queued behind one due at %v", at, s.q.Back().at)
-		}
+		s.debugCheckPush(at)
 	}
 	s.q.Push(staged[T]{at: at, v: v})
+}
+
+// debugCheckPush asserts an entry due at at does not queue behind a later
+// one.
+func (s *Stage[T]) debugCheckPush(at Time) {
+	if s.q.n > 0 {
+		Assertf(at >= s.q.Back().at, "sim: stage entry due at %v queued behind one due at %v", at, s.q.Back().at)
+	}
+}
+
+// StageRings is the slab a shard's per-component stages take their first
+// rings from (PushIn).
+type StageRings[T any] struct{ Slab[staged[T]] }
+
+// PushIn is Push for one of many shallow stages: its queue grows into
+// arrays carved from r while it is small (FIFO.PushIn).
+//
+//rvmalint:hot
+func (s *Stage[T]) PushIn(r *StageRings[T], at Time, v T) {
+	if DebugEnabled {
+		s.debugCheckPush(at)
+	}
+	s.q.PushIn(&r.Slab, staged[T]{at: at, v: v})
 }
 
 // Pop takes the entry whose event fires now.
@@ -166,7 +189,7 @@ func (s *Stage[T]) Len() int { return s.q.Len() }
 
 // Drop releases an idle stage's queue array, which is sized by the
 // stage's peak depth; the next Push allocates again. A stage holding
-// entries keeps them, and Fn stays bound.
+// entries keeps them, and Fn stays set.
 func (s *Stage[T]) Drop() {
 	if s.q.n == 0 {
 		s.q.buf, s.q.head = nil, 0
@@ -181,8 +204,8 @@ func (s *Stage[T]) Held() bool { return s.q.buf != nil }
 // engine handle: a host overhead or a poll hop that every component on the
 // engine pays alike. The clock never runs back and every entry waits the
 // same time, so entries fire in the order they were queued, whichever
-// component queued them, and one DelayStage with one bound callback serves
-// all the components of an engine. Each Add schedules the same event a
+// component queued them, and one DelayStage with one handler serves all
+// the components of an engine. Each Add schedules the same event a
 // per-component stage or a closure would have: same time, priority 0, the
 // handle's label, the next seq.
 type DelayStage[T any] struct {
@@ -191,9 +214,9 @@ type DelayStage[T any] struct {
 	delay Time
 }
 
-// Init binds the stage to eng with delay d; fn is its event callback,
+// Init binds the stage to eng with delay d; fn is its event handler,
 // which takes the head entry with Next and runs it.
-func (s *DelayStage[T]) Init(eng Tagged, d Time, fn func()) {
+func (s *DelayStage[T]) Init(eng Tagged, d Time, fn Handler) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative stage delay %v", d))
 	}
@@ -208,7 +231,7 @@ func (s *DelayStage[T]) Delay() Time { return s.delay }
 //rvmalint:hot
 func (s *DelayStage[T]) Add(v T) {
 	s.Push(s.eng.Now()+s.delay, v)
-	s.eng.Schedule(s.delay, s.Fn)
+	s.eng.ScheduleH(s.delay, s.Fn)
 }
 
 // Next takes the entry whose event fires now.
@@ -270,16 +293,16 @@ func (s *Slab[T]) Held() bool { return s.rest != nil }
 // such as a jittered backoff: they fire in time order, not in the order
 // they were queued, so they wait in a heap ordered by time and then by
 // queueing order, which is the order the engine fires events due at one
-// time. One callback, bound once, serves every entry, as a Stage's does,
+// time. One handler, set once, serves every entry, as a Stage's does,
 // and each Add schedules the same event a closure would have: same time,
 // priority 0, the handle's label, the next seq.
 type TimerStage[T any] struct {
 	h   []timed[T]
 	n   uint64 // entries queued so far: the heap's tie-break
 	eng Tagged
-	// Fn is the stage's event callback: it takes the entry due now with
+	// Fn is the stage's event handler: it takes the entry due now with
 	// Next and runs it.
-	Fn func()
+	Fn Handler
 }
 
 type timed[T any] struct {
@@ -288,8 +311,8 @@ type timed[T any] struct {
 	v  T
 }
 
-// Init binds the stage to eng; fn is its event callback.
-func (s *TimerStage[T]) Init(eng Tagged, fn func()) { s.eng, s.Fn = eng, fn }
+// Init binds the stage to eng; fn is its event handler.
+func (s *TimerStage[T]) Init(eng Tagged, fn Handler) { s.eng, s.Fn = eng, fn }
 
 // Add queues v and schedules the stage's event d from now.
 //
@@ -302,7 +325,7 @@ func (s *TimerStage[T]) Add(d Time, v T) {
 	s.h = append(s.h, timed[T]{at: s.eng.Now() + d, n: s.n, v: v})
 	s.n++
 	s.up(len(s.h) - 1)
-	s.eng.Schedule(d, s.Fn)
+	s.eng.ScheduleH(d, s.Fn)
 }
 
 // Next takes the entry whose event fires now: the heap's head, or, when a

@@ -138,7 +138,7 @@ func TestDelayStageServesManyOwners(t *testing.T) {
 		owner int
 	}
 	var got []ran
-	s.Init(eng, 3*Nanosecond, func() { got = append(got, ran{e.Now(), s.Next()}) })
+	s.Init(eng, 3*Nanosecond, Func(func() { got = append(got, ran{e.Now(), s.Next()}) }))
 	for i := 0; i < 4; i++ {
 		owner := i
 		e.Schedule(Time(i/2)*Nanosecond, func() { s.Add(owner) })
@@ -246,7 +246,7 @@ func TestTimerStageFiresInTimeOrder(t *testing.T) {
 		v  string
 	}
 	var got []ran
-	s.Init(eng, func() { got = append(got, ran{e.Now(), s.Next()}) })
+	s.Init(eng, Func(func() { got = append(got, ran{e.Now(), s.Next()}) }))
 	e.Schedule(0, func() {
 		s.Add(5*Nanosecond, "a")
 		s.Add(2*Nanosecond, "b")
